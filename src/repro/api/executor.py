@@ -17,8 +17,8 @@ must stay a pure routing pass, so everything else is deferred onto two
 pipeline threads:
 
 * the **store lane** folds each submitted run into the coordinator's
-  :class:`~repro.api.wire.EvidenceColumnStore` (the merged columns behind
-  parallel finalize) in submission order;
+  :class:`~repro.api.wire.EvidenceColumnStore` (the merged per-epoch tally
+  behind parallel finalize) in submission order;
 * the **wire lane** owns the encoder and every pipe's write end: it encodes
   batches, partitions vectorized runs into per-shard sub-runs, and performs
   the (GIL-releasing, possibly blocking) ``send_bytes`` calls, absorbing pipe

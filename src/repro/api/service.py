@@ -66,10 +66,16 @@ from repro.api.events import (
     copy_path,
     path_to_dict,
 )
+from repro.api.wire import (
+    aggregate_updates,
+    bulk_admissible,
+    run_columns,
+    seqs_of,
+)
 from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
 from repro.core.arrays import ArrayVoteTally, LinkIndex
 from repro.core.blame import BlameConfig
-from repro.core.votes import VotePolicy, VoteTally
+from repro.core.votes import EMPTY_PATH, VotePolicy, VoteTally
 from repro.discovery.agent import DiscoveredPath
 
 
@@ -363,7 +369,12 @@ class Zero07Service:
 
     @property
     def last_finalized_epoch(self) -> Optional[int]:
-        """The highest epoch whose report has been finalized (``None`` if none)."""
+        """The highest epoch closed by a tick (``None`` before the first).
+
+        Transports use this to drop redelivered evidence for epochs whose
+        final report already shipped instead of paying the late-event path
+        per event.
+        """
         return self._last_finalized
 
     @property
@@ -450,18 +461,14 @@ class Zero07Service:
             tail = 1 if type(events[-1]) is EpochTick else 0
             body = events[:-1] if tail else events
             try:
-                seqs = np.fromiter(
-                    map(operator.attrgetter("seq"), body),
-                    dtype=np.int64,
-                    count=len(body),
-                )
+                seqs = seqs_of(body)
                 epochs = np.fromiter(
                     map(operator.attrgetter("epoch"), body),
                     dtype=np.int64,
                     count=len(body),
                 )
             except (AttributeError, TypeError):
-                pass  # ticks mid-batch or seq-less updates: segment below
+                pass  # ticks mid-batch: segment below
             else:
                 epoch = int(epochs[0])
                 if int(epochs[-1]) == epoch and bool((epochs == epoch).all()):
@@ -497,16 +504,6 @@ class Zero07Service:
             return
         self._ingest_evidence_run(epoch, run, owned, seqs)
 
-    @property
-    def last_finalized_epoch(self) -> Optional[int]:
-        """The newest epoch closed by a tick (``None`` before the first).
-
-        Transports use this to drop redelivered evidence for epochs whose
-        final report already shipped instead of paying the late-event path
-        per event.
-        """
-        return self._last_finalized
-
     def consume(self, source: EvidenceSource, owned: bool = False) -> None:
         """Drain an :class:`EvidenceSource` into the service.
 
@@ -539,6 +536,8 @@ class Zero07Service:
         return VoteTally(policy=self._vote_policy)
 
     def _ingest_path(self, event: PathEvidence, owned: bool = False) -> None:
+        if not event.path.links:  # before the seq is marked seen
+            raise ValueError(EMPTY_PATH)
         if self._is_late(event.epoch):
             return
         self._seen_epoch(event.epoch)
@@ -640,57 +639,35 @@ class Zero07Service:
             return
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        # Fast-path preconditions: the run extends the epoch in strictly
-        # increasing sequence order with no duplicates (every seq above
-        # everything already seen), every update carries a seq, the
-        # incremental tally is valid, and no buffered count updates await
-        # these flows.  Anything else replays the per-event path.  The
-        # validation pass below mutates nothing, so the fallback never sees
-        # a half-applied run.
+        # Fast-path preconditions: the incremental tally is valid, no
+        # buffered count updates await these flows, and the run passes the
+        # shared proofs of ``bulk_admissible``.  Anything else replays the
+        # per-event path; validation mutates nothing, so the fallback never
+        # sees a half-applied run.
         if state.dirty or state.pending_retransmissions:
             self._ingest_evidence_fallback(run, owned)
             return
         if seqs is None:
-            try:
-                seqs = np.fromiter(
-                    map(operator.attrgetter("seq"), run),
-                    dtype=np.int64,
-                    count=len(run),
-                )
-            except TypeError:  # a seq-less update in the run
-                self._ingest_evidence_fallback(run, owned)
-                return
-        if int(seqs[0]) <= state.max_seq or not bool((np.diff(seqs) > 0).all()):
+            seqs = seqs_of(run)
+        columns = run_columns(run, seqs)
+        if columns is None:
+            # an exotic event kind (e.g. a PathEvidence subclass) slipped
+            # past the attribute gate; the per-event path knows how to
+            # handle — or loudly reject — it.  Never swallow events.
             self._ingest_evidence_fallback(run, owned)
             return
-
-        raw_paths = [e.path for e in run if type(e) is PathEvidence]
-        if len(raw_paths) == len(run):
-            path_seqs = seqs.tolist()
-            updates: List[RetransmissionEvidence] = []
-        else:
-            path_seqs = [e.seq for e in run if type(e) is PathEvidence]
-            updates = [e for e in run if type(e) is RetransmissionEvidence]
-            if len(raw_paths) + len(updates) != len(run):
-                # an exotic event kind (e.g. a PathEvidence subclass) slipped
-                # past the attribute gate; the per-event path knows how to
-                # handle — or loudly reject — it.  Never swallow events.
-                self._ingest_evidence_fallback(run, owned)
-                return
-            # Applying updates after the run's paths is only equivalent to
-            # the interleaved per-event order if no update's flow is traced
-            # *again* later in the run (the per-event path would bump the
-            # earlier record, the batch path the final one).  Re-traced
-            # flows mid-run are a degenerate stream — fall back.
-            last_path_seq = dict(
-                zip(map(operator.attrgetter("flow_id"), raw_paths), path_seqs)
-            )
-            seq_of_last_path = last_path_seq.get
-            if any(
-                seq_of_last_path(e.flow_id, -1) > e.seq for e in updates
-            ):
-                self._ingest_evidence_fallback(run, owned)
-                return
+        raw_paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
+        if not bulk_admissible(
+            seqs,
+            state.max_seq,
+            map(operator.attrgetter("links"), raw_paths),
+            map(operator.attrgetter("flow_id"), raw_paths),
+            path_seqs,
+            upd_flows,
+            upd_seqs,
+        ):
+            self._ingest_evidence_fallback(run, owned)
+            return
 
         if raw_paths:
             paths = raw_paths if owned else [copy_path(p) for p in raw_paths]
@@ -701,25 +678,11 @@ class Zero07Service:
             state.mutations += 1
             self.stats.paths_ingested += len(paths)
 
-        if updates:
-            count = len(updates)
-            flows = np.fromiter(
-                map(operator.attrgetter("flow_id"), updates),
-                dtype=np.int64,
-                count=count,
-            )
-            counts = np.fromiter(
-                map(operator.attrgetter("retransmissions"), updates),
-                dtype=np.int64,
-                count=count,
-            )
-            unique_flows, inverse = np.unique(flows, return_inverse=True)
-            totals = np.bincount(inverse, weights=counts.astype(np.float64))
+        if upd_flows:
             # flow -> path resolution through the tally's row map: the tally
             # is clean here (precondition), so its rows align 1:1 with
             # ``rec_paths`` and the lazily-folded ``by_flow`` is not needed.
-            flow_list = unique_flows.tolist()
-            extras = totals.astype(np.int64).tolist()
+            flow_list, extras = aggregate_updates(upd_flows, upd_counts)
             rows = list(map(state.tally.row_of_flow, flow_list))
             rec_paths = state.rec_paths
             if None in rows:  # some flows' paths have not arrived: buffer them
@@ -738,10 +701,8 @@ class Zero07Service:
             state.tally.bump_rows(rows, extras)
             if rows:
                 state.mutations += 1
-            state.retransmission_seqs.update(
-                map(operator.attrgetter("seq"), updates)
-            )
-            self.stats.retransmission_updates += count
+            state.retransmission_seqs.update(upd_seqs)
+            self.stats.retransmission_updates += len(upd_flows)
 
         state.seqs.update(seqs.tolist())
         state.max_seq = int(seqs[-1])

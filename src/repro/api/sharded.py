@@ -22,8 +22,9 @@ Where the shards *run* is pluggable (:mod:`repro.api.executor`):
   costs the coordinator only routing + encoding (workers tally off the
   critical path at low priority), and merged reports come from the
   coordinator's own :class:`~repro.api.wire.EvidenceColumnStore`, which
-  accumulated the same columns in global sequence order as a byproduct of
-  encoding — finalize without a worker round-trip.  Deliveries the bulk path
+  folded the same runs in global sequence order, as they were submitted,
+  into one live tally per open epoch — finalize is a snapshot of that
+  tally, without a worker round-trip or a rebuild.  Deliveries the bulk path
   cannot prove clean (reordering, duplicates, pending buffers, per-event
   ingestion, restores) mark the epoch dirty and finalize falls back to
   gather-and-replay, identical to the inline path.
@@ -254,7 +255,8 @@ class ShardedService:
 
     @property
     def last_finalized_epoch(self) -> Optional[int]:
-        """The highest epoch whose merged report was finalized."""
+        """The highest epoch whose merged report was finalized by a tick
+        (``None`` before the first)."""
         return self._last_finalized
 
     def add_sink(self, sink: ReportSink) -> None:
@@ -386,11 +388,6 @@ class ShardedService:
                 self.ingest(event)
             return
         self._ingest_evidence_run(epoch, run, owned)
-
-    @property
-    def last_finalized_epoch(self) -> Optional[int]:
-        """The newest epoch closed by a tick (``None`` before the first)."""
-        return self._last_finalized
 
     def _commit_stretch(
         self,
@@ -623,11 +620,12 @@ class ShardedService:
         return [path for _, path in merged]
 
     def _merged_report(self, epoch: int) -> EpochReport:
-        """The fleet-wide report, from merged columns or gathered replay.
+        """The fleet-wide report, from the merged tally or gathered replay.
 
         Both paths fold the epoch's evidence in global sequence order, so
-        they are bit-identical; the column store just skips the worker
-        round-trip and the per-path replay when the epoch is provably clean.
+        they are bit-identical; the column store already folded each run
+        when it was appended, so a provably clean epoch skips the worker
+        round-trip and the per-path replay and costs only a snapshot.
         """
         if self._store is not None:
             self._executor.drain_store()

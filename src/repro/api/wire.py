@@ -15,28 +15,31 @@ vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
 
 * :class:`EvidenceColumnStore` — the coordinator-side accumulator behind
   parallel finalize.  As the sharded facade routes bulk runs to workers it
-  appends the same columns (link ids, path lengths, weights, flow ids,
-  retransmission counts) in **global sequence order**, so a merged epoch
-  tally can be materialized with :meth:`ArrayVoteTally.from_arrays` — no
-  worker round-trip, no per-path replay — and is bit-identical to the replay
-  an inline deployment performs.  Any delivery the bulk path cannot prove
-  clean (reordering, duplicates, pending buffers, per-event ingest) marks the
-  epoch *dirty* and the facade falls back to gather-and-replay, which remains
-  the correctness oracle.
+  folds the same runs, in **global sequence order**, into one
+  :class:`~repro.core.arrays.ArrayVoteTally` per open epoch — the very class
+  (and the very incremental fold) an unsharded service uses — so a merged
+  epoch tally is a snapshot of it: no worker round-trip, no per-path replay,
+  bit-identical to the replay an inline deployment performs.  Any delivery
+  the bulk path cannot prove clean (reordering, duplicates, pending buffers,
+  per-event ingest) marks the epoch *dirty* and the facade falls back to
+  gather-and-replay, which remains the correctness oracle.
+
+The proofs that make a run safe to fold in bulk (:func:`bulk_admissible`) and
+the per-flow aggregation of its count updates (:func:`aggregate_updates`) are
+shared with :meth:`Zero07Service.ingest_batch`.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.api.events import Evidence, PathEvidence, RetransmissionEvidence
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
-from repro.core.votes import VotePolicy
+from repro.core.votes import EMPTY_PATH, VotePolicy
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -59,8 +62,12 @@ def _attr_i64(items, name: str) -> np.ndarray:
     )
 
 
-def _seqs_of(run: Sequence[Evidence]) -> np.ndarray:
-    """The run's sequence numbers (``None`` encoded as -1)."""
+def seqs_of(run: Sequence[Evidence]) -> np.ndarray:
+    """The run's sequence numbers (``None`` encoded as -1).
+
+    Real sequence numbers are non-negative, so a seq-less update can never
+    pass :func:`bulk_admissible`'s strictly-increasing proof.
+    """
     try:
         return _attr_i64(run, "seq")
     except TypeError:  # a seq-less RetransmissionEvidence
@@ -110,7 +117,7 @@ class WireEncoder:
         self._links_sent[stream] = 0
         self._names_sent[stream] = 0
 
-    def _ids(self, index: ItemIndex, items: List) -> List[int]:
+    def _ids(self, index: ItemIndex, items: List) -> Sequence[int]:
         resolved = index.lookup_ids(map(id, items), len(items))
         if resolved is None:
             resolved = index.fast_ids(items)
@@ -134,7 +141,7 @@ class WireEncoder:
         n_events = len(run)
         n_paths = len(paths)
         if seqs is None:
-            seqs = _seqs_of(run)
+            seqs = seqs_of(run)
         if n_paths == n_events:
             kinds = np.zeros(n_events, dtype=np.uint8)
             updates: List[RetransmissionEvidence] = []
@@ -153,11 +160,7 @@ class WireEncoder:
             map(len, links_list), dtype=np.int64, count=n_paths
         ).astype(np.int32)
         total_hops = int(lengths.sum())
-        lids = self._links.lookup_ids(
-            map(id, chain.from_iterable(links_list)), total_hops
-        )
-        if lids is None:
-            lids = self._links.fast_ids(list(chain.from_iterable(links_list)))
+        lids = self._links.hop_ids(links_list, total_hops)
 
         five_tuples = [p.five_tuple for p in paths]
         name_ids = self._ids(
@@ -505,45 +508,91 @@ class LinkRemap:
 
 
 # ----------------------------------------------------------------------
-# coordinator-side merged columns
+# bulk admission (shared by the service and the merged column store)
 # ----------------------------------------------------------------------
-class _EpochColumns:
-    """One epoch's accumulated CSR chunks, in global sequence order."""
+def run_columns(run: Sequence[Evidence], seqs: np.ndarray):
+    """Split a single-epoch run into its paths and its count-update columns.
 
-    __slots__ = (
-        "cols_chunks",
-        "lengths_chunks",
-        "weights_chunks",
-        "flow_chunks",
-        "retransmissions",
-        "row_by_flow",
-        "first_seen",
-        "voted",
-        "support",
-        "max_seq",
-        "num_rows",
+    Returns ``(paths, path_seqs, upd_flows, upd_seqs, upd_counts)`` — the
+    :class:`DiscoveredPath` objects and plain lists — or ``None`` when the
+    run holds anything but exact :class:`PathEvidence` /
+    :class:`RetransmissionEvidence` instances (subclasses and foreign kinds
+    belong to the per-event path, which handles or loudly rejects them).
+    """
+    paths = [e.path for e in run if type(e) is PathEvidence]
+    if len(paths) == len(run):
+        return paths, seqs.tolist(), [], [], []
+    updates = [e for e in run if type(e) is RetransmissionEvidence]
+    if len(paths) + len(updates) != len(run):
+        return None
+    is_update = np.fromiter(
+        (type(e) is RetransmissionEvidence for e in run), dtype=bool, count=len(run)
+    )
+    return (
+        paths,
+        seqs[~is_update].tolist(),
+        [e.flow_id for e in updates],
+        seqs[is_update].tolist(),
+        [e.retransmissions for e in updates],
     )
 
-    def __init__(self) -> None:
-        self.cols_chunks: List[np.ndarray] = []
-        self.lengths_chunks: List[np.ndarray] = []
-        self.weights_chunks: List[np.ndarray] = []
-        self.flow_chunks: List[np.ndarray] = []
-        #: a plain list so per-flow count updates can bump rows in place.
-        self.retransmissions: List[int] = []
-        self.row_by_flow: Dict[int, int] = {}
-        self.first_seen: List[int] = []
-        self.voted: set = set()
-        self.support = np.zeros(0, dtype=np.int64)
-        self.max_seq = -1
-        self.num_rows = 0
+
+def bulk_admissible(
+    seqs: np.ndarray,
+    max_seq: int,
+    hops: Iterable,
+    path_flows: Iterable[int],
+    path_seqs: Iterable[int],
+    upd_flows: Sequence[int],
+    upd_seqs: Sequence[int],
+) -> bool:
+    """Whether a single-epoch run may be folded in bulk; mutates nothing.
+
+    Bulk folding applies the run's paths first and its count updates after,
+    which equals the interleaved per-event order only if (a) the run extends
+    the epoch in strictly increasing sequence order above ``max_seq`` —
+    proving it duplicate-free in O(1) against everything already seen — and
+    (b) no updated flow is traced *again* later in the run (per-event would
+    bump the earlier record, bulk the final one).  ``hops`` holds one entry
+    per path, falsy for a path without known links (link lists or hop
+    counts both work); such a run is malformed for every ingest path, so it
+    raises ``ValueError`` here, before the caller has touched any state.
+    """
+    if not all(hops):
+        raise ValueError(EMPTY_PATH)
+    if int(seqs[0]) <= max_seq or not bool((np.diff(seqs) > 0).all()):
+        return False
+    if upd_flows:
+        seq_of_last_path = dict(zip(path_flows, path_seqs)).get
+        return not any(
+            seq_of_last_path(flow, -1) > seq for flow, seq in zip(upd_flows, upd_seqs)
+        )
+    return True
 
 
+def aggregate_updates(
+    flows: Sequence[int], counts: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Sum a run's retransmission updates per flow: ``(flows, totals)``.
+
+    Count updates never move votes and integer sums commute, so one bump per
+    *changed flow* is state-identical to one per event.
+    """
+    unique_flows, inverse = np.unique(
+        np.asarray(flows, dtype=np.int64), return_inverse=True
+    )
+    totals = np.bincount(inverse, weights=np.asarray(counts, dtype=np.float64))
+    return unique_flows.tolist(), totals.astype(np.int64).tolist()
+
+
+# ----------------------------------------------------------------------
+# coordinator-side merged tallies
+# ----------------------------------------------------------------------
 class EvidenceColumnStore:
-    """Accumulates merged epoch columns as bulk runs stream through the facade.
+    """Folds merged epoch tallies as bulk runs stream through the facade.
 
     The facade appends each committed bulk stretch *before* partitioning it to
-    workers, so the columns land in exactly the global sequence order an
+    workers, so the rows land in exactly the global sequence order an
     unsharded service would fold them in — which is the whole bit-identity
     argument behind :meth:`build_tally`.  Anything the bulk path cannot prove
     ordered and duplicate-free (sequence regressions, pending buffers,
@@ -557,15 +606,15 @@ class EvidenceColumnStore:
     ) -> None:
         self._links = link_index
         self._policy: VotePolicy = policy
-        self._epochs: Dict[int, _EpochColumns] = {}
+        self._tallies: Dict[int, ArrayVoteTally] = {}
+        self._max_seq: Dict[int, int] = {}
         self._dirty: set = set()
 
     # ------------------------------------------------------------------
     def mark_dirty(self, epoch: int) -> None:
         """Disqualify ``epoch`` from column-store finalize (replay instead)."""
-        if epoch not in self._dirty:
-            self._dirty.add(epoch)
-            self._epochs.pop(epoch, None)
+        self.pop(epoch)
+        self._dirty.add(epoch)
 
     def is_clean(self, epoch: int) -> bool:
         """Whether the epoch's merged tally can be built from the columns."""
@@ -573,333 +622,132 @@ class EvidenceColumnStore:
 
     def pop(self, epoch: int) -> None:
         """Release the epoch's buffers (after its final report)."""
-        self._epochs.pop(epoch, None)
+        self._tallies.pop(epoch, None)
+        self._max_seq.pop(epoch, None)
         self._dirty.discard(epoch)
 
     # ------------------------------------------------------------------
+    def _admit(
+        self,
+        epoch: int,
+        seqs: np.ndarray,
+        hops: Iterable,
+        path_flows: Iterable[int],
+        path_seqs: Iterable[int],
+        upd_flows: Sequence[int],
+        upd_seqs: Sequence[int],
+        upd_counts: Sequence[int],
+        add_paths: Callable[[ArrayVoteTally], None],
+    ) -> None:
+        """Validate one run, then fold it into the epoch's tally.
+
+        The preconditions are the service's (:func:`bulk_admissible`); a
+        violation marks the epoch dirty *without* touching the tally, so a
+        half-applied run can never leak into a merged report.  The fold is
+        paid here, when the run is appended, so :meth:`build_tally` stays a
+        snapshot.
+        """
+        if not len(seqs):
+            return
+        try:
+            clean = bulk_admissible(
+                seqs,
+                self._max_seq.get(epoch, -1),
+                hops,
+                path_flows,
+                path_seqs,
+                upd_flows,
+                upd_seqs,
+            )
+        except ValueError:
+            # an empty path: the shard service raises on it, and whatever
+            # state survives that is per-event territory.
+            clean = False
+        if not clean:
+            self.mark_dirty(epoch)
+            return
+        tally = self._tallies.get(epoch)
+        if tally is None:
+            tally = self._tallies[epoch] = ArrayVoteTally(self._policy, self._links)
+        add_paths(tally)
+        if upd_flows:
+            flows, extras = aggregate_updates(upd_flows, upd_counts)
+            rows = list(map(tally.row_of_flow, flows))
+            if None in rows:
+                # an update for a flow the columns never saw — only possible
+                # if the facade routed through older per-event state; replay.
+                self.mark_dirty(epoch)
+                return
+            tally.bump_rows(rows, extras)
+        tally.votes_array()
+        self._max_seq[epoch] = int(seqs[-1])
+
     def append_run(
         self,
         epoch: int,
         run: Sequence[Evidence],
         seqs: Optional[np.ndarray] = None,
     ) -> None:
-        """Fold one committed bulk stretch into the epoch's columns.
-
-        Mirrors the preconditions of the service's vectorized ingest: the
-        stretch must extend the epoch in strictly increasing sequence order
-        and no count update may precede a later re-trace of its flow.  A
-        violation marks the epoch dirty *without* mutating any column, so a
-        half-applied stretch can never leak into a merged tally.
-        """
+        """Fold one committed bulk stretch of evidence objects."""
         if epoch in self._dirty:
             return
-        state = self._epochs.get(epoch)
-        if state is None:
-            state = self._epochs[epoch] = _EpochColumns()
         if seqs is None:
-            seqs = _seqs_of(run)
-        if len(seqs) == 0:
-            return
-        if int(seqs[0]) <= state.max_seq or (
-            len(seqs) > 1 and not bool((np.diff(seqs) > 0).all())
-        ):
+            seqs = seqs_of(run)
+        columns = run_columns(run, seqs)
+        if columns is None:
             self.mark_dirty(epoch)
             return
-
-        paths = [e.path for e in run if type(e) is PathEvidence]
-        n_paths = len(paths)
-        if n_paths == len(run):
-            updates: List[RetransmissionEvidence] = []
-        else:
-            updates = [e for e in run if type(e) is RetransmissionEvidence]
-            if n_paths + len(updates) != len(run):
-                self.mark_dirty(epoch)
-                return
-
-        flow_list: List[int] = []
-        if n_paths:
-            links_list = [p.links for p in paths]
-            lengths = np.fromiter(
-                map(len, links_list), dtype=np.int64, count=n_paths
-            )
-            if n_paths and int(lengths.min()) == 0:
-                # the shard service will raise on the empty path; whatever
-                # state survives is per-event territory.
-                self.mark_dirty(epoch)
-                return
-            flow_list = list(map(operator.attrgetter("flow_id"), paths))
-
-        if updates:
-            # applying updates after the stretch's paths only matches the
-            # per-event order if no updated flow is re-traced later in the
-            # stretch (same degenerate-stream rule as the service fast path).
-            last_path_seq = dict(
-                zip(flow_list, (e.seq for e in run if type(e) is PathEvidence))
-            )
-            seq_of_last_path = last_path_seq.get
-            if any(seq_of_last_path(e.flow_id, -1) > e.seq for e in updates):
-                self.mark_dirty(epoch)
-                return
-            row_of_flow = state.row_by_flow.get
-            upd_flows = np.fromiter(
-                map(operator.attrgetter("flow_id"), updates),
-                dtype=np.int64,
-                count=len(updates),
-            )
-            upd_counts = np.fromiter(
-                map(operator.attrgetter("retransmissions"), updates),
-                dtype=np.int64,
-                count=len(updates),
-            )
-
-        # -- all checks passed: mutate ----------------------------------
-        if n_paths:
-            row0 = state.num_rows
-            lids = self._links.lookup_ids(
-                map(id, chain.from_iterable(links_list)), int(lengths.sum())
-            )
-            if lids is None:
-                lids = self._links.fast_ids(list(chain.from_iterable(links_list)))
-            cols = np.asarray(lids, dtype=np.int64)
-            state.cols_chunks.append(cols)
-            state.lengths_chunks.append(lengths)
-            if self._policy == "unit":
-                state.weights_chunks.append(np.ones(n_paths, dtype=np.float64))
-            else:
-                state.weights_chunks.append(1.0 / lengths)
-            state.flow_chunks.append(np.asarray(flow_list, dtype=np.int64))
-            state.retransmissions.extend(
-                map(operator.attrgetter("retransmissions"), paths)
-            )
-            state.row_by_flow.update(
-                zip(flow_list, range(row0, row0 + n_paths))
-            )
-            state.num_rows = row0 + n_paths
-
-            # distinct (row, link) support — exact per stretch, because a
-            # row's links never span stretches.
-            n_links = len(self._links)
-            rows = np.repeat(
-                np.arange(row0, row0 + n_paths, dtype=np.int64), lengths
-            )
-            pair_keys = np.unique(rows * np.int64(n_links) + cols)
-            counts = np.bincount(
-                pair_keys % np.int64(n_links), minlength=n_links
-            )
-            if len(state.support) < n_links:
-                state.support = np.concatenate(
-                    [
-                        state.support,
-                        np.zeros(n_links - len(state.support), dtype=np.int64),
-                    ]
-                )
-            state.support += counts
-
-            voted = state.voted
-            if len(voted) != len(self._links):
-                first_seen_append = state.first_seen.append
-                for lid in dict.fromkeys(lids):
-                    if lid not in voted:
-                        voted.add(lid)
-                        first_seen_append(lid)
-
-        if updates:
-            unique_flows, inverse = np.unique(upd_flows, return_inverse=True)
-            totals = np.bincount(
-                inverse, weights=upd_counts.astype(np.float64)
-            ).astype(np.int64)
-            retrans = state.retransmissions
-            rows_list = list(map(row_of_flow, unique_flows.tolist()))
-            if None in rows_list:
-                # an update for a flow the columns never saw — only possible
-                # if the facade routed through older per-event state; replay.
-                self.mark_dirty(epoch)
-                return
-            for row, extra in zip(rows_list, totals.tolist()):
-                retrans[row] += extra
-
-        state.max_seq = int(seqs[-1])
+        paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
+        self._admit(
+            epoch,
+            seqs,
+            map(operator.attrgetter("links"), paths),
+            map(operator.attrgetter("flow_id"), paths),
+            path_seqs,
+            upd_flows,
+            upd_seqs,
+            upd_counts,
+            lambda tally: tally.add_flows(paths),
+        )
 
     def append_columns(
         self, epoch: int, run: WireRun, link_ids: np.ndarray
     ) -> None:
-        """Fold one committed wire run into the epoch's columns, object-free.
+        """Fold one committed wire run, object-free.
 
-        The columnar twin of :meth:`append_run`: identical preconditions,
-        identical mutations, but fed straight from a :class:`WireRun`'s
-        arrays plus pre-remapped link ids (:meth:`LinkRemap.ids` of
-        ``run.lids``) — no :class:`DiscoveredPath` objects are ever built.
-        Any violation marks the epoch dirty and the caller replays
-        materialized evidence instead, exactly like the object path.
+        The columnar twin of :meth:`append_run`, fed straight from a
+        :class:`WireRun`'s arrays plus pre-remapped link ids
+        (:meth:`LinkRemap.ids` of ``run.lids``) — no :class:`DiscoveredPath`
+        objects are ever built.
         """
         if epoch in self._dirty:
             return
-        state = self._epochs.get(epoch)
-        if state is None:
-            state = self._epochs[epoch] = _EpochColumns()
-        seqs = run.seqs
-        if len(seqs) == 0:
-            return
-        if int(seqs[0]) <= state.max_seq or (
-            len(seqs) > 1 and not bool((np.diff(seqs) > 0).all())
-        ):
-            self.mark_dirty(epoch)
-            return
-        n_paths = run.n_paths
-        n_updates = run.n_events - n_paths
-        lengths = run.lengths.astype(np.int64)
-        if n_paths and int(lengths.min()) == 0:
-            self.mark_dirty(epoch)
-            return
-        flow_list = run.flow_ids.tolist()
-
-        if n_updates:
-            # same degenerate-stream rule as append_run: no update may
-            # precede a later re-trace of its flow within the run.
-            last_path_seq = dict(zip(flow_list, run.path_seqs().tolist()))
-            seq_of_last_path = last_path_seq.get
-            if any(
-                seq_of_last_path(flow, -1) > seq
-                for flow, seq in zip(
-                    run.upd_flows.tolist(), run.update_seqs().tolist()
-                )
-            ):
-                self.mark_dirty(epoch)
-                return
-
-        # -- all checks passed: mutate ----------------------------------
-        if n_paths:
-            row0 = state.num_rows
-            cols = (
-                link_ids
-                if link_ids.dtype == np.int64
-                else link_ids.astype(np.int64)
-            )
-            state.cols_chunks.append(cols)
-            state.lengths_chunks.append(lengths)
-            if self._policy == "unit":
-                state.weights_chunks.append(np.ones(n_paths, dtype=np.float64))
-            else:
-                state.weights_chunks.append(1.0 / lengths)
-            state.flow_chunks.append(run.flow_ids.astype(np.int64))
-            state.retransmissions.extend(run.retrans.tolist())
-            state.row_by_flow.update(
-                zip(flow_list, range(row0, row0 + n_paths))
-            )
-            state.num_rows = row0 + n_paths
-
-            n_links = len(self._links)
-            rows = np.repeat(
-                np.arange(row0, row0 + n_paths, dtype=np.int64), lengths
-            )
-            pair_keys = np.unique(rows * np.int64(n_links) + cols)
-            counts = np.bincount(
-                pair_keys % np.int64(n_links), minlength=n_links
-            )
-            if len(state.support) < n_links:
-                state.support = np.concatenate(
-                    [
-                        state.support,
-                        np.zeros(n_links - len(state.support), dtype=np.int64),
-                    ]
-                )
-            state.support += counts
-
-            voted = state.voted
-            if len(voted) != len(self._links):
-                first_seen_append = state.first_seen.append
-                for lid in dict.fromkeys(cols.tolist()):
-                    if lid not in voted:
-                        voted.add(lid)
-                        first_seen_append(lid)
-
-        if n_updates:
-            unique_flows, inverse = np.unique(
-                run.upd_flows, return_inverse=True
-            )
-            totals = np.bincount(
-                inverse, weights=run.upd_counts.astype(np.float64)
-            ).astype(np.int64)
-            retrans = state.retransmissions
-            rows_list = list(map(state.row_by_flow.get, unique_flows.tolist()))
-            if None in rows_list:
-                # an update for a flow the columns never saw — replay.
-                self.mark_dirty(epoch)
-                return
-            for row, extra in zip(rows_list, totals.tolist()):
-                retrans[row] += extra
-
-        state.max_seq = int(seqs[-1])
+        self._admit(
+            epoch,
+            run.seqs,
+            run.lengths.tolist(),
+            run.flow_ids.tolist(),
+            run.path_seqs().tolist(),
+            run.upd_flows.tolist(),
+            run.update_seqs().tolist(),
+            run.upd_counts,
+            lambda tally: tally.add_columns(
+                link_ids, run.lengths, run.flow_ids, run.retrans
+            ),
+        )
 
     # ------------------------------------------------------------------
     def build_tally(self, epoch: int) -> Optional[ArrayVoteTally]:
         """The epoch's merged tally, or ``None`` when replay is required.
 
         Bit-identical to replaying the epoch's evidence in global sequence
-        order through a fresh :class:`ArrayVoteTally`: the columns were
-        appended in that order, the weights are the same ``1.0 / hops``
-        doubles, the vote fold is the same left-to-right ``np.bincount``
-        accumulation, and support/first-seen bookkeeping is integer-exact.
+        order through a fresh :class:`ArrayVoteTally` — it *is* such a tally,
+        fed run by run in that order — and independent of later appends (a
+        snapshot; an empty tally for an epoch the store never saw).
         """
         if epoch in self._dirty:
             return None
-        state = self._epochs.get(epoch)
-        n_links = len(self._links)
-        if state is None or state.num_rows == 0:
-            return ArrayVoteTally.from_arrays(
-                self._links,
-                np.zeros(0, dtype=np.int64),
-                np.zeros(1, dtype=np.int64),
-                np.zeros(0, dtype=np.float64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                policy=self._policy,
-                votes=np.zeros(n_links, dtype=np.float64),
-                support=np.zeros(n_links, dtype=np.int64),
-            )
-        cols = (
-            np.concatenate(state.cols_chunks)
-            if len(state.cols_chunks) > 1
-            else state.cols_chunks[0]
-        )
-        lengths = (
-            np.concatenate(state.lengths_chunks)
-            if len(state.lengths_chunks) > 1
-            else state.lengths_chunks[0]
-        )
-        weights = (
-            np.concatenate(state.weights_chunks)
-            if len(state.weights_chunks) > 1
-            else state.weights_chunks[0]
-        )
-        flow_ids = (
-            np.concatenate(state.flow_chunks)
-            if len(state.flow_chunks) > 1
-            else state.flow_chunks[0]
-        )
-        indptr = np.zeros(state.num_rows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        # one bincount over the whole epoch = the same left-to-right float
-        # fold an incremental tally performs (chunk-wise partial bincounts
-        # would reassociate the additions and drift by ULPs).
-        votes = np.bincount(
-            cols, weights=np.repeat(weights, lengths), minlength=n_links
-        )
-        support = state.support
-        if len(support) < n_links:
-            support = np.concatenate(
-                [support, np.zeros(n_links - len(support), dtype=np.int64)]
-            )
-        return ArrayVoteTally.from_arrays(
-            self._links,
-            cols,
-            indptr,
-            weights,
-            flow_ids,
-            np.asarray(state.retransmissions, dtype=np.int64),
-            np.asarray(state.first_seen, dtype=np.int64),
-            policy=self._policy,
-            votes=votes,
-            support=support.copy(),
-        )
+        tally = self._tallies.get(epoch)
+        if tally is None:
+            return ArrayVoteTally(self._policy, self._links)
+        return tally.snapshot()

@@ -16,13 +16,7 @@ from typing import Any, Dict, List
 #: incompatible layout changes.
 BENCH_SCHEMA_VERSION = 4
 
-#: every version the validator still reads (v1 artifacts predate executor
-#: backends, v2 artifacts predate binary/delta checkpoints and the
-#: materialized report view, v3 artifacts predate the fleet socket-ingest
-#: block — all stay valid, they just cannot express the newer measurements).
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
-
-#: exact top-level key set (identical across supported versions).
+#: exact top-level key set; the ``fleet`` block is optional on top of it.
 TOP_LEVEL_KEYS = {
     "schema_version",
     "generated_by",
@@ -32,11 +26,14 @@ TOP_LEVEL_KEYS = {
     "runs",
 }
 
-#: exact key set of one version-1 run entry.
+#: exact key set of one run entry.
 RUN_KEYS = {
     "service",
     "engine",
     "num_shards",
+    "backend",
+    "workers",
+    "scaling_efficiency",
     "ingest",
     "per_event_baseline",
     "speedup_vs_per_event",
@@ -46,11 +43,6 @@ RUN_KEYS = {
     "epochs",
     "peak_rss_kb",
 }
-
-#: version 2 adds the executor dimension: which backend hosted the shards,
-#: how many worker processes it used, and how efficiently the run scaled
-#: against the single-service reference.
-RUN_KEYS_V2 = RUN_KEYS | {"backend", "workers", "scaling_efficiency"}
 
 CONFIG_KEYS = {
     "fabric",
@@ -62,26 +54,32 @@ CONFIG_KEYS = {
     "profile",
     "engines",
     "shard_counts",
+    "backends",
     "baseline_events",
     "timeline",
+    #: the per-cut report query count, so the latency numbers (which mix one
+    #: cold query with cached follow-ups per cut) are reproducible.
+    "report_queries",
 }
 
-#: version 2 records the benchmarked backend matrix in the config block.
-CONFIG_KEYS_V2 = CONFIG_KEYS | {"backends"}
+#: report_latency separates the cold first-query-after-new-evidence latency
+#: from the (cached) steady-state percentiles.
+REPORT_LATENCY_KEYS = (
+    "queries",
+    "mean_seconds",
+    "p50_seconds",
+    "max_seconds",
+    "cold_mean_seconds",
+    "cold_max_seconds",
+)
 
-#: version 3 records the per-cut report query count so the latency numbers
-#: (which mix one cold query with cached follow-ups per cut) are reproducible.
-CONFIG_KEYS_V3 = CONFIG_KEYS_V2 | {"report_queries"}
-
-#: version 3 report_latency separates the cold first-query-after-new-evidence
-#: latency from the (cached) steady-state percentiles.
-REPORT_LATENCY_KEYS_V3 = ("cold_mean_seconds", "cold_max_seconds")
-
-#: version 3 checkpoint blocks measure the binary container as the primary
-#: format (``save_seconds``/``restore_seconds``/``binary_bytes``), keep the
-#: JSON text path for comparison, and add delta-checkpoint metrics plus the
-#: v1-compat restore proof.
-CHECKPOINT_KEYS_V3 = (
+#: checkpoint blocks measure the binary container as the primary format
+#: (``save_seconds``/``restore_seconds``/``binary_bytes``), keep the JSON
+#: text path for comparison, and add delta-checkpoint metrics.
+CHECKPOINT_KEYS = (
+    "save_seconds",
+    "restore_seconds",
+    "json_bytes",
     "binary_bytes",
     "json_save_seconds",
     "json_restore_seconds",
@@ -90,7 +88,7 @@ CHECKPOINT_KEYS_V3 = (
     "delta_restore_seconds",
 )
 
-#: version 4 adds an optional top-level ``fleet`` block: socket-ingest
+#: the optional top-level ``fleet`` block: socket-ingest
 #: throughput per transport, backpressure engagements, and the reconnect
 #: recovery measurement (which doubles as a bit-identity correctness bar).
 FLEET_KEYS = {
@@ -138,13 +136,12 @@ def _validate_ingest(errors: List[str], data: Any, where: str) -> None:
             _require_number(errors, data[key], f"{where}.{key}", positive=True)
 
 
-def _validate_run(errors: List[str], run: Any, where: str, version: int) -> None:
+def _validate_run(errors: List[str], run: Any, where: str) -> None:
     if not isinstance(run, dict):
         errors.append(f"{where} must be an object")
         return
-    run_keys = RUN_KEYS if version == 1 else RUN_KEYS_V2
-    missing = run_keys - set(run)
-    extra = set(run) - run_keys
+    missing = RUN_KEYS - set(run)
+    extra = set(run) - RUN_KEYS
     if missing:
         errors.append(f"{where} is missing keys {sorted(missing)}")
     if extra:
@@ -158,24 +155,23 @@ def _validate_run(errors: List[str], run: Any, where: str, version: int) -> None
         errors.append(f"{where}.num_shards must be an int >= 1")
     if run.get("service") == "single" and shards != 1:
         errors.append(f"{where}: single service must have num_shards == 1")
-    if version >= 2:
-        backend = run.get("backend")
-        if backend not in ("inline", "process"):
-            errors.append(f"{where}.backend must be 'inline' or 'process'")
-        if run.get("service") == "single" and backend != "inline":
-            errors.append(f"{where}: single service runs are always inline")
-        workers = run.get("workers")
-        if not isinstance(workers, int) or workers < 0:
-            errors.append(f"{where}.workers must be an int >= 0")
-        elif backend == "inline" and workers != 0:
-            errors.append(f"{where}: inline backend must record workers == 0")
-        elif backend == "process" and workers < 1:
-            errors.append(f"{where}: process backend must record workers >= 1")
-        efficiency = run.get("scaling_efficiency")
-        if efficiency is not None:
-            _require_number(
-                errors, efficiency, f"{where}.scaling_efficiency", positive=True
-            )
+    backend = run.get("backend")
+    if backend not in ("inline", "process"):
+        errors.append(f"{where}.backend must be 'inline' or 'process'")
+    if run.get("service") == "single" and backend != "inline":
+        errors.append(f"{where}: single service runs are always inline")
+    workers = run.get("workers")
+    if not isinstance(workers, int) or workers < 0:
+        errors.append(f"{where}.workers must be an int >= 0")
+    elif backend == "inline" and workers != 0:
+        errors.append(f"{where}: inline backend must record workers == 0")
+    elif backend == "process" and workers < 1:
+        errors.append(f"{where}: process backend must record workers >= 1")
+    efficiency = run.get("scaling_efficiency")
+    if efficiency is not None:
+        _require_number(
+            errors, efficiency, f"{where}.scaling_efficiency", positive=True
+        )
 
     if "ingest" in run:
         _validate_ingest(errors, run["ingest"], f"{where}.ingest")
@@ -196,10 +192,7 @@ def _validate_run(errors: List[str], run: Any, where: str, version: int) -> None
         if not isinstance(latency, dict):
             errors.append(f"{where}.report_latency must be an object or null")
         else:
-            required = ["queries", "mean_seconds", "p50_seconds", "max_seconds"]
-            if version >= 3:
-                required.extend(REPORT_LATENCY_KEYS_V3)
-            for key in required:
+            for key in REPORT_LATENCY_KEYS:
                 if key not in latency:
                     errors.append(f"{where}.report_latency is missing {key!r}")
                 else:
@@ -218,10 +211,7 @@ def _validate_run(errors: List[str], run: Any, where: str, version: int) -> None
         if not isinstance(checkpoint, dict):
             errors.append(f"{where}.checkpoint must be an object or null")
         else:
-            required = ["save_seconds", "restore_seconds", "json_bytes"]
-            if version >= 3:
-                required.extend(CHECKPOINT_KEYS_V3)
-            for key in required:
+            for key in CHECKPOINT_KEYS:
                 if key not in checkpoint:
                     errors.append(f"{where}.checkpoint is missing {key!r}")
                 else:
@@ -234,14 +224,12 @@ def _validate_run(errors: List[str], run: Any, where: str, version: int) -> None
                     "a restore that changes reports is a correctness bug, not "
                     "a perf number"
                 )
-            if version >= 3:
-                for key in ("v1_restore_bit_identical", "delta_bit_identical"):
-                    if checkpoint.get(key) is not True:
-                        errors.append(
-                            f"{where}.checkpoint.{key} must be true — format "
-                            "compatibility is a correctness bar, not a perf "
-                            "number"
-                        )
+            for key in ("v1_restore_bit_identical", "delta_bit_identical"):
+                if checkpoint.get(key) is not True:
+                    errors.append(
+                        f"{where}.checkpoint.{key} must be true — format "
+                        "compatibility is a correctness bar, not a perf number"
+                    )
 
     epochs = run.get("epochs")
     if not isinstance(epochs, list) or not epochs:
@@ -345,22 +333,19 @@ def validate_bench_report(document: Any) -> Dict[str, Any]:
     if not isinstance(document, dict):
         raise BenchSchemaError(["document must be a JSON object"])
     version = document.get("schema_version")
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
+    if version != BENCH_SCHEMA_VERSION:
         errors.append(
-            f"schema_version {version!r} not in supported "
-            f"{SUPPORTED_SCHEMA_VERSIONS}"
+            f"schema_version is {version!r}; only version "
+            f"{BENCH_SCHEMA_VERSION} is supported (regenerate the artifact "
+            "with `repro-007 bench`)"
         )
-        version = BENCH_SCHEMA_VERSION
-    #: the fleet block arrived in v4 and stays optional (not every bench
-    #: run exercises the socket path).
-    allowed_keys = TOP_LEVEL_KEYS | ({"fleet"} if version >= 4 else set())
     missing = TOP_LEVEL_KEYS - set(document)
-    extra = set(document) - allowed_keys
+    extra = set(document) - TOP_LEVEL_KEYS - {"fleet"}
     if missing:
         errors.append(f"document is missing keys {sorted(missing)}")
     if extra:
         errors.append(f"document has unknown keys {sorted(extra)}")
-    if version >= 4 and "fleet" in document:
+    if "fleet" in document:  # optional: not every run exercises the sockets
         _validate_fleet(errors, document["fleet"])
     if "created_unix" in document:
         _require_number(errors, document["created_unix"], "created_unix", positive=True)
@@ -371,13 +356,7 @@ def validate_bench_report(document: Any) -> Dict[str, Any]:
     if not isinstance(config, dict):
         errors.append("config must be an object")
     else:
-        if version == 1:
-            config_keys = CONFIG_KEYS
-        elif version == 2:
-            config_keys = CONFIG_KEYS_V2
-        else:
-            config_keys = CONFIG_KEYS_V3
-        missing_config = config_keys - set(config)
+        missing_config = CONFIG_KEYS - set(config)
         if missing_config:
             errors.append(f"config is missing keys {sorted(missing_config)}")
         for key in ("events", "epochs", "events_per_epoch"):
@@ -390,12 +369,12 @@ def validate_bench_report(document: Any) -> Dict[str, Any]:
     else:
         seen = set()
         for i, run in enumerate(runs):
-            _validate_run(errors, run, f"runs[{i}]", version)
+            _validate_run(errors, run, f"runs[{i}]")
             if isinstance(run, dict):
                 key = (
                     run.get("service"),
                     run.get("engine"),
-                    run.get("backend") if version >= 2 else "inline",
+                    run.get("backend"),
                     run.get("num_shards"),
                 )
                 if key in seen:

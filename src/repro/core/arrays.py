@@ -9,8 +9,9 @@ its vectorized twin:
 * :class:`ItemIndex` / :class:`LinkIndex` intern hashable items (links, switch
   names) to dense integer ids so per-link state lives in flat arrays;
 * :class:`ArrayVoteTally` stores an epoch's discovered paths as a CSR matrix
-  (``indptr``/``cols``/``weights``) and computes the vote tally *and* the
-  per-link distinct-flow support in one :func:`numpy.bincount` pass;
+  (``indptr``/``cols``/``weights``) in one set of grown numpy buffers and
+  folds the vote tally *and* the per-link distinct-flow support
+  incrementally over the rows appended since the last query;
 * :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax + masked
   per-row discounting over the CSR rows instead of re-scanning contribution
   lists;
@@ -18,16 +19,16 @@ its vectorized twin:
   classification over the same matrix.
 
 Every function is bit-compatible with the dict engine: votes are accumulated in
-the same traversal order (``numpy.bincount`` adds weights sequentially, exactly
-like the dict fold), totals are summed in first-seen link order, and ties break
-on the same lexicographic link ordering — so the two engines produce identical
-detections, rankings, flow causes and thresholds, and the dict engine remains
-the reference oracle in the equivalence tests.
+the same traversal order (an unbuffered ``numpy.add.at`` adds weights per
+occurrence, left to right, exactly like the dict fold), totals are summed in
+first-seen link order, and ties break on the same lexicographic link ordering
+— so the two engines produce identical detections, rankings, flow causes and
+thresholds, and the dict engine remains the reference oracle in the
+equivalence tests.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from repro.core.blame import BlameConfig, BlameResult
 from repro.core.noise import NoiseClassification
-from repro.core.votes import VoteContribution, VotePolicy
+from repro.core.votes import EMPTY_PATH, VoteContribution, VotePolicy
 from repro.discovery.agent import DiscoveredPath
 from repro.topology.elements import DirectedLink
 
@@ -107,7 +108,7 @@ class ItemIndex:
             return []
         resolved = self.lookup_ids(map(id, items), len(items))
         if resolved is not None:
-            return resolved
+            return resolved.tolist()
         memo = self._id_memo
         if len(memo) > self.MAX_ID_MEMO:
             memo.clear()
@@ -142,15 +143,16 @@ class ItemIndex:
             self._memo_table = None
         return ids
 
-    def lookup_ids(self, object_ids, count: int) -> Optional[List[int]]:
+    def lookup_ids(self, object_ids, count: int) -> Optional[np.ndarray]:
         """Vectorized memo lookup over an iterable of ``id()`` values.
 
         One ``fromiter`` + one ``searchsorted`` — no per-item boxed-int dict
-        lookups.  Returns ``None`` when any object is not memoized yet (the
-        caller falls back to :meth:`fast_ids` on the materialized items).
+        lookups.  Returns the ids as an int64 array, or ``None`` when any
+        object is not memoized yet (the caller falls back to :meth:`fast_ids`
+        on the materialized items).
         """
         if count == 0:
-            return []
+            return np.empty(0, dtype=np.int64)
         keys = self._memo_keys
         if keys is None or not len(keys):
             return None
@@ -161,13 +163,13 @@ class ItemIndex:
             if bool((cells >= 0).all()) and bool((cells < len(table)).all()):
                 vals = table[cells]
                 if int(vals.min()) >= 0:
-                    return vals.tolist()
+                    return vals
             return None
         pos = keys.searchsorted(obj_ids)
         pos[pos == len(keys)] = 0
         if not bool((keys[pos] == obj_ids).all()):
             return None
-        return self._memo_vals[pos].tolist()
+        return self._memo_vals[pos]
 
     def get(self, item) -> Optional[int]:
         """The id of ``item`` or ``None`` when it was never interned."""
@@ -215,35 +217,46 @@ class LinkIndex(ItemIndex):
         """The link with id ``idx``."""
         return self._items[idx]
 
+    def hop_ids(self, links_list: Sequence[Sequence[DirectedLink]], hops: int):
+        """Ids of the ``hops`` links of many paths, back to back.
+
+        One flattened pass through the identity memo: repeat link objects
+        (sources share one object per fabric direction) are resolved by a
+        vectorized lookup streaming straight off ``chain`` — no intermediate
+        hop list, no per-hop dict lookups.
+        """
+        lids = self.lookup_ids(map(id, chain.from_iterable(links_list)), hops)
+        if lids is None:  # first sighting of some link object: full intern
+            lids = self.fast_ids(list(chain.from_iterable(links_list)))
+        return lids
+
     @property
     def links(self) -> List[DirectedLink]:
         """All interned links in id order (live list — do not mutate)."""
         return self._items
 
 
-def _extend_buffer(buf: np.ndarray, used: int, tail: np.ndarray) -> np.ndarray:
-    """Append ``tail`` after ``buf[:used]``, growing capacity geometrically.
+def _grown(buf: np.ndarray, used: int, need: int, slack: int = 0) -> np.ndarray:
+    """A reallocated copy of ``buf[:used]`` with geometrically grown capacity.
 
     Growth reallocates instead of resizing in place, so array views handed out
     by earlier snapshots keep the old buffer alive and never observe the new
     writes; within one buffer, appends only touch ``buf[used:]``.
     """
-    need = used + len(tail)
-    if need > len(buf):
-        grown = np.empty(max(need, 2 * len(buf), 1024), dtype=buf.dtype)
-        grown[:used] = buf[:used]
-        buf = grown
-    buf[used:need] = tail
-    return buf
+    grown = np.empty(max(need, 2 * len(buf), 1024) + slack, dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
 
 
 class ArrayVoteTally:
     """A drop-in, array-backed replacement for :class:`~repro.core.votes.VoteTally`.
 
-    Paths are stored as a CSR matrix over a :class:`LinkIndex`: ``cols`` holds
-    the interned link ids of every path back to back, ``indptr`` delimits the
-    rows (flows), and ``weights`` holds each flow's per-link vote value.  The
-    vote tally and the per-link distinct-flow support are an incrementally
+    Paths are stored as a CSR matrix over a :class:`LinkIndex`, in one set of
+    geometrically grown numpy buffers that every entry point writes directly:
+    ``cols`` holds the interned link ids of every path back to back,
+    ``indptr`` delimits the rows (flows), ``weights`` holds each flow's
+    per-link vote value, ``flow_ids``/``retransmissions`` its bookkeeping.
+    The vote tally and the per-link distinct-flow support are an incrementally
     maintained materialized view: each query folds only the rows appended
     since the last query into running accumulators (an unbuffered
     ``np.add.at`` applies the new votes per occurrence, left to right — the
@@ -262,32 +275,29 @@ class ArrayVoteTally:
             raise ValueError(f"unknown vote policy {policy!r}")
         self._policy: VotePolicy = policy
         self._index = index if index is not None else LinkIndex()
-        self._cols: List[int] = []
-        self._indptr: List[int] = [0]
-        self._weights: List[float] = []
-        self._flow_ids: List[int] = []
-        self._retransmissions: List[int] = []
+        # The CSR buffers; ``_rows``/``_hops`` are the used lengths, and
+        # ``_indptr`` always has room for one more entry than the row buffers.
+        self._rows = 0
+        self._hops = 0
+        self._cols = np.empty(0, dtype=np.int64)
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._weights = np.empty(0, dtype=np.float64)
+        self._flow_ids = np.empty(0, dtype=np.int64)
+        self._retransmissions = np.empty(0, dtype=np.int64)
+        #: flow id -> latest row; ``None`` on a snapshot until first needed.
         self._row_by_flow: Optional[Dict[int, int]] = {}
         self._first_seen: List[int] = []  # voted link ids, first-vote order
         self._voted: set = set()
-        # The materialized view: numpy mirrors of the accumulation lists plus
-        # running vote/support accumulators, advanced past only the rows
-        # appended since the last query (watermarks ``_m_rows``/``_m_hops``).
-        self._m_rows = 0
-        self._m_hops = 0
-        self._buf_cols = np.empty(0, dtype=np.int64)
-        self._buf_indptr = np.zeros(1, dtype=np.int64)
-        self._buf_weights = np.empty(0, dtype=np.float64)
-        self._buf_flows = np.empty(0, dtype=np.int64)
-        self._buf_retrans = np.empty(0, dtype=np.int64)
-        self._votes_m = np.zeros(0, dtype=np.float64)
-        self._support_m = np.zeros(0, dtype=np.int64)
+        # The materialized view: running vote/support accumulators holding
+        # the first ``_folded_rows`` rows.
+        self._folded_rows = 0
+        self._votes = np.zeros(0, dtype=np.float64)
+        self._support = np.zeros(0, dtype=np.int64)
         self._invalidate()
 
     def _invalidate(self) -> None:
-        # Drops only the derived views/caches; the incremental fold state
-        # (buffers, accumulators, watermarks) survives — that is the point.
-        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+        # Drops only the derived caches; the buffers, accumulators and the
+        # fold watermark survive — that is the point.
         self._items_cache: Optional[List[Tuple[DirectedLink, float]]] = None
         self._rank_cache: Optional[Dict[DirectedLink, int]] = None
         self._contributions_cache: Optional[List[VoteContribution]] = None
@@ -295,6 +305,17 @@ class ArrayVoteTally:
     # ------------------------------------------------------------------
     # accumulation
     # ------------------------------------------------------------------
+    def _reserve(self, rows: int, hops: int) -> None:
+        """Make room for ``rows`` rows and ``hops`` hops in total."""
+        if hops > len(self._cols):
+            self._cols = _grown(self._cols, self._hops, hops)
+        if rows > len(self._weights):
+            used = self._rows
+            self._indptr = _grown(self._indptr, used + 1, rows, slack=1)
+            self._weights = _grown(self._weights, used, rows)
+            self._flow_ids = _grown(self._flow_ids, used, rows)
+            self._retransmissions = _grown(self._retransmissions, used, rows)
+
     def add_flow(
         self,
         flow_id: int,
@@ -303,20 +324,26 @@ class ArrayVoteTally:
     ) -> VoteContribution:
         """Record the votes of one flow that suffered retransmissions."""
         if not links:
-            raise ValueError("a voting flow must have at least one known link")
+            raise ValueError(EMPTY_PATH)
         weight = 1.0 if self._policy == "unit" else 1.0 / len(links)
-        intern = self._index.intern
-        for link in links:
-            lid = intern(link)
-            self._cols.append(lid)
-            if lid not in self._voted:
-                self._voted.add(lid)
+        row, start = self._rows, self._hops
+        stop = start + len(links)
+        if stop > len(self._cols) or row >= len(self._weights):
+            self._reserve(row + 1, stop)
+        lids = list(map(self._index.intern, links))
+        self._cols[start:stop] = lids
+        voted = self._voted
+        for lid in lids:
+            if lid not in voted:
+                voted.add(lid)
                 self._first_seen.append(lid)
-        self._indptr.append(len(self._cols))
-        self._weights.append(weight)
-        self._row_by_flow[flow_id] = len(self._flow_ids)
-        self._flow_ids.append(flow_id)
-        self._retransmissions.append(retransmissions)
+        self._indptr[row + 1] = stop
+        self._weights[row] = weight
+        self._flow_ids[row] = flow_id
+        self._retransmissions[row] = retransmissions
+        self._rows = row + 1
+        self._hops = stop
+        self._flow_rows()[flow_id] = row
         self._invalidate()
         return VoteContribution(
             flow_id=flow_id,
@@ -353,39 +380,65 @@ class ArrayVoteTally:
             paths = list(paths)
         if not paths:
             return
-        cols = self._cols
-        row = len(self._flow_ids)
-        col_start = len(cols)
-
         # Column-wise extraction: every per-path field is pulled through
         # C-level iterators (map/attrgetter/chain), no Python-level loop.
         links_list = [path.links for path in paths]
         lengths = np.fromiter(map(len, links_list), dtype=np.int64, count=len(paths))
-        if lengths.min() == 0:
-            raise ValueError("a voting flow must have at least one known link")
-        if self._policy == "unit":
-            self._weights.extend([1.0] * len(paths))
-        else:
-            self._weights.extend((1.0 / lengths).tolist())
-        self._indptr.extend((np.cumsum(lengths) + col_start).tolist())
-
-        # One flattened hop pass through the index's identity memo: repeat
-        # link objects (sources share one object per fabric direction) are
-        # resolved by a vectorized searchsorted lookup streaming straight off
-        # ``chain`` — no intermediate hop list, no per-hop dict lookups.
-        total_hops = int(lengths.sum())
-        lids = self._index.lookup_ids(
-            map(id, chain.from_iterable(links_list)), total_hops
+        if lengths.min() == 0:  # before the interner sees any of the run
+            raise ValueError(EMPTY_PATH)
+        lids = self._index.hop_ids(links_list, int(lengths.sum()))
+        self.add_columns(
+            lids,
+            lengths,
+            [path.flow_id for path in paths],
+            [path.retransmissions for path in paths],
         )
-        if lids is None:  # first sighting of some link object: full intern
-            lids = self._index.fast_ids(list(chain.from_iterable(links_list)))
-        cols.extend(lids)
 
-        flow_id_list = list(map(operator.attrgetter("flow_id"), paths))
-        self._row_by_flow.update(zip(flow_id_list, range(row, row + len(paths))))
-        self._flow_ids.extend(flow_id_list)
-        self._retransmissions.extend(
-            map(operator.attrgetter("retransmissions"), paths)
+    def add_columns(
+        self,
+        link_ids: Sequence[int],
+        lengths: Sequence[int],
+        flow_ids: Sequence[int],
+        retransmissions: Sequence[int],
+    ) -> None:
+        """Record the votes of many flows given as columns (bulk arrays).
+
+        ``link_ids`` holds the paths' hops back to back as ids already
+        interned in this tally's :class:`LinkIndex`, ``lengths`` the hop
+        count of each path, ``flow_ids``/``retransmissions`` one entry per
+        path.  State-identical to :meth:`add_flows` over the same paths —
+        the entry point for callers that never build path objects (the
+        coordinator's column store, the columnar fleet core).  Raises
+        ``ValueError`` before mutating anything when a path is empty, the
+        columns disagree in length or an id is not in the index.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
+        count = len(lengths)
+        if not count:
+            return
+        cols = np.asarray(link_ids, dtype=np.int64)
+        if int(lengths.min()) <= 0:
+            raise ValueError(EMPTY_PATH)
+        if (
+            int(lengths.sum()) != len(cols)
+            or len(flow_ids) != count
+            or len(retransmissions) != count
+        ):
+            raise ValueError("path columns disagree in length")
+        if int(cols.min()) < 0 or int(cols.max()) >= len(self._index):
+            raise ValueError("link id outside the tally's index")
+        row, start = self._rows, self._hops
+        rows, hops = row + count, start + len(cols)
+        self._reserve(rows, hops)
+        self._cols[start:hops] = cols
+        np.cumsum(lengths, out=self._indptr[row + 1 : rows + 1])
+        self._indptr[row + 1 : rows + 1] += start
+        self._weights[row:rows] = 1.0 if self._policy == "unit" else 1.0 / lengths
+        self._flow_ids[row:rows] = flow_ids
+        self._retransmissions[row:rows] = retransmissions
+        self._rows, self._hops = rows, hops
+        self._flow_rows().update(
+            zip(self._flow_ids[row:rows].tolist(), range(row, rows))
         )
         voted = self._voted
         if len(voted) != len(self._index):
@@ -393,83 +446,18 @@ class ArrayVoteTally:
             # once every known link has voted (the steady state of a
             # long-running stream) the scan can never add anything.
             first_seen_append = self._first_seen.append
-            for lid in dict.fromkeys(cols[col_start:]):
+            for lid in dict.fromkeys(cols.tolist()):
                 if lid not in voted:
                     voted.add(lid)
                     first_seen_append(lid)
         self._invalidate()
 
-    @classmethod
-    def from_arrays(
-        cls,
-        index: LinkIndex,
-        cols: np.ndarray,
-        indptr: np.ndarray,
-        weights: np.ndarray,
-        flow_ids: np.ndarray,
-        retransmissions: np.ndarray,
-        first_seen: np.ndarray,
-        policy: VotePolicy = "inverse_hops",
-        votes: Optional[np.ndarray] = None,
-        support: Optional[np.ndarray] = None,
-    ) -> "ArrayVoteTally":
-        """Wrap already-materialized CSR columns as a finished tally.
-
-        The merged-evidence path of the sharded service accumulates one
-        epoch's columns in global sequence order as a byproduct of wire
-        encoding; this constructor turns them into a tally without replaying
-        per-path ``add_flow`` calls.  Bit-identity holds as long as the
-        caller provides columns in the same fold order an incremental tally
-        would have used: ``cols`` in sequence order (fixes the vote fold and
-        ``first_seen``), ``weights = 1.0 / path_length`` (the same double
-        division), and integer ``support`` counted over distinct
-        ``(row, link)`` pairs.  ``votes``/``support`` may be passed when the
-        caller already accumulated them; they are derived otherwise.
-
-        The tally is read-only in spirit: further ``add_flow`` calls are not
-        supported (the accumulation lists are replaced by arrays).
-        """
-        tally = cls(policy=policy, index=index)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        tally._cols = cols  # type: ignore[assignment]
-        tally._indptr = indptr  # type: ignore[assignment]
-        tally._weights = weights  # type: ignore[assignment]
-        tally._flow_ids = np.ascontiguousarray(flow_ids, dtype=np.int64)  # type: ignore[assignment]
-        tally._retransmissions = np.ascontiguousarray(  # type: ignore[assignment]
-            retransmissions, dtype=np.int64
-        )
-        tally._first_seen = np.ascontiguousarray(first_seen, dtype=np.int64)  # type: ignore[assignment]
-        tally._voted = set(tally._first_seen.tolist())
-        tally._row_by_flow = None  # built lazily; analysis never needs it
-        n = len(index)
-        if votes is None:
-            lengths = np.diff(indptr)
-            votes = np.bincount(cols, weights=np.repeat(weights, lengths), minlength=n)
-        if support is None:
-            lengths = np.diff(indptr)
-            rows = np.repeat(np.arange(len(weights), dtype=np.int64), lengths)
-            pair_keys = np.unique(rows * np.int64(max(n, 1)) + cols)
-            support = np.bincount(pair_keys % np.int64(max(n, 1)), minlength=n)
-        votes = np.ascontiguousarray(votes, dtype=np.float64)
-        support = np.ascontiguousarray(support, dtype=np.int64)
-        if len(votes) < n:
-            votes = np.concatenate([votes, np.zeros(n - len(votes))])
-        if len(support) < n:
-            support = np.concatenate(
-                [support, np.zeros(n - len(support), dtype=np.int64)]
-            )
-        tally._arrays = (cols, indptr, weights, votes, support)
-        return tally
-
     def _flow_rows(self) -> Dict[int, int]:
-        """The flow-id -> row map, built lazily for array-backed tallies."""
+        """The flow-id -> latest-row map (rebuilt on first use by a snapshot)."""
         if self._row_by_flow is None:
-            flow_ids = self._flow_ids
-            if isinstance(flow_ids, np.ndarray):
-                flow_ids = flow_ids.tolist()
-            self._row_by_flow = dict(zip(flow_ids, range(len(flow_ids))))
+            self._row_by_flow = dict(
+                zip(self._flow_ids[: self._rows].tolist(), range(self._rows))
+            )
         return self._row_by_flow
 
     def row_of_flow(self, flow_id: int) -> Optional[int]:
@@ -482,13 +470,8 @@ class ArrayVoteTally:
         One cache invalidation for the whole batch instead of one per flow;
         row indices come from :meth:`row_of_flow`.
         """
-        retransmissions = self._retransmissions
-        buf = self._buf_retrans
-        mirrored = self._m_rows
-        for row, extra in zip(rows, extras):
-            retransmissions[row] += extra
-            if row < mirrored:
-                buf[row] += extra
+        if len(rows):
+            np.add.at(self._retransmissions, rows, extras)
         self._contributions_cache = None
 
     def bump_retransmissions(self, flow_id: int, extra: int) -> None:
@@ -496,99 +479,45 @@ class ArrayVoteTally:
 
         O(1): votes/weights are untouched (the flow's path is unchanged), so
         only the rebuilt-on-demand contribution view is invalidated, not the
-        CSR arrays.  Raises ``KeyError`` for unknown flows.
+        fold.  Raises ``KeyError`` for unknown flows.
         """
-        row = self._flow_rows()[flow_id]
-        self._retransmissions[row] += extra
-        if row < self._m_rows:
-            self._buf_retrans[row] += extra
+        self._retransmissions[self._flow_rows()[flow_id]] += extra
         self._contributions_cache = None
 
     # ------------------------------------------------------------------
     # array views
     # ------------------------------------------------------------------
-    def _finalized(self) -> Tuple[np.ndarray, ...]:
-        if self._arrays is not None:
-            return self._arrays
-        if not isinstance(self._cols, list):
-            # Array-backed tallies (:meth:`from_arrays`, :meth:`snapshot`) set
-            # ``_arrays`` at construction; rebuild from scratch defensively.
-            n = len(self._index)
-            cols = np.asarray(self._cols, dtype=np.int64)
-            indptr = np.asarray(self._indptr, dtype=np.int64)
-            weights = np.asarray(self._weights, dtype=np.float64)
-            lengths = np.diff(indptr)
-            votes = np.bincount(
-                cols, weights=np.repeat(weights, lengths), minlength=n
-            )
-            rows = np.repeat(np.arange(len(weights), dtype=np.int64), lengths)
-            pair_keys = np.unique(rows * np.int64(max(n, 1)) + cols)
-            support = np.bincount(pair_keys % np.int64(max(n, 1)), minlength=n)
-            self._arrays = (cols, indptr, weights, votes, support)
-            return self._arrays
-
+    def _fold(self) -> None:
+        """Advance the vote/support accumulators over the unfolded rows."""
         n = len(self._index)
-        total_rows = len(self._weights)
-        total_hops = len(self._cols)
-        if len(self._votes_m) < n:
+        if len(self._votes) < n:
             # the shared interner grew (new links voted, here or by sibling
             # epochs); new ids carry zero votes/support until folded.
-            self._votes_m = np.concatenate(
-                [self._votes_m, np.zeros(n - len(self._votes_m))]
+            self._votes = np.concatenate(
+                [self._votes, np.zeros(n - len(self._votes))]
             )
-            self._support_m = np.concatenate(
-                [self._support_m, np.zeros(n - len(self._support_m), dtype=np.int64)]
+            self._support = np.concatenate(
+                [self._support, np.zeros(n - len(self._support), dtype=np.int64)]
             )
-        if total_rows > self._m_rows:
-            tail_cols = np.asarray(self._cols[self._m_hops :], dtype=np.int64)
-            tail_weights = np.asarray(self._weights[self._m_rows :], dtype=np.float64)
-            tail_bounds = np.asarray(self._indptr[self._m_rows :], dtype=np.int64)
-            lengths = np.diff(tail_bounds)
-            self._buf_cols = _extend_buffer(self._buf_cols, self._m_hops, tail_cols)
-            self._buf_weights = _extend_buffer(
-                self._buf_weights, self._m_rows, tail_weights
-            )
-            self._buf_indptr = _extend_buffer(
-                self._buf_indptr, self._m_rows + 1, tail_bounds[1:]
-            )
-            self._buf_flows = _extend_buffer(
-                self._buf_flows,
-                self._m_rows,
-                np.asarray(self._flow_ids[self._m_rows :], dtype=np.int64),
-            )
-            self._buf_retrans = _extend_buffer(
-                self._buf_retrans,
-                self._m_rows,
-                np.asarray(self._retransmissions[self._m_rows :], dtype=np.int64),
-            )
-            # Unbuffered in-place add: the tail's votes land per occurrence,
-            # left to right, continuing the accumulator exactly where the
-            # previous fold stopped — the same left-to-right double fold one
-            # bincount over the whole epoch performs (a chunk-wise partial
-            # bincount would reassociate the additions and drift by ULPs).
-            np.add.at(
-                self._votes_m, tail_cols, np.repeat(tail_weights, lengths)
-            )
-            # Support is integer-exact in any order: count the distinct
-            # (row, link) pairs of the tail rows (each row's hops are folded
-            # exactly once, so pairs never repeat across folds).
-            rows = np.repeat(
-                np.arange(self._m_rows, total_rows, dtype=np.int64), lengths
-            )
-            pair_keys = np.unique(rows * np.int64(max(n, 1)) + tail_cols)
-            self._support_m += np.bincount(
-                pair_keys % np.int64(max(n, 1)), minlength=n
-            )
-            self._m_rows = total_rows
-            self._m_hops = total_hops
-        self._arrays = (
-            self._buf_cols[:total_hops],
-            self._buf_indptr[: total_rows + 1],
-            self._buf_weights[:total_rows],
-            self._votes_m,
-            self._support_m,
-        )
-        return self._arrays
+        lo, hi = self._folded_rows, self._rows
+        if hi == lo:
+            return
+        bounds = self._indptr[lo : hi + 1]
+        tail_cols = self._cols[bounds[0] : bounds[-1]]
+        lengths = np.diff(bounds)
+        # Unbuffered in-place add: the tail's votes land per occurrence,
+        # left to right, continuing the accumulator exactly where the
+        # previous fold stopped — the same left-to-right double fold one
+        # bincount over the whole epoch performs (a chunk-wise partial
+        # bincount would reassociate the additions and drift by ULPs).
+        np.add.at(self._votes, tail_cols, np.repeat(self._weights[lo:hi], lengths))
+        # Support is integer-exact in any order: count the distinct
+        # (row, link) pairs of the tail rows (each row's hops are folded
+        # exactly once, so pairs never repeat across folds).
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
+        pair_keys = np.unique(rows * np.int64(n) + tail_cols)
+        self._support += np.bincount(pair_keys % np.int64(n), minlength=n)
+        self._folded_rows = hi
 
     @property
     def index(self) -> LinkIndex:
@@ -596,35 +525,34 @@ class ArrayVoteTally:
         return self._index
 
     def votes_array(self) -> np.ndarray:
-        """Votes per link id (length = size of the index at finalize time)."""
-        return self._finalized()[3]
+        """Votes per link id (length = size of the index at fold time)."""
+        self._fold()
+        return self._votes
 
     def support_array(self) -> np.ndarray:
         """Distinct voting flows per link id."""
-        return self._finalized()[4]
+        self._fold()
+        return self._support
 
     def path_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The CSR rows: ``(indptr, cols, weights)``."""
-        cols, indptr, weights, _, _ = self._finalized()
-        return indptr, cols, weights
+        return (
+            self._indptr[: self._rows + 1],
+            self._cols[: self._hops],
+            self._weights[: self._rows],
+        )
 
     def voted_ids(self) -> np.ndarray:
         """Ids of links with at least one vote, in first-vote order."""
         return np.asarray(self._first_seen, dtype=np.int64)
 
     def flow_ids_array(self) -> np.ndarray:
-        """Flow ids per row (a view of the materialized mirror)."""
-        if isinstance(self._flow_ids, list):
-            self._finalized()
-            return self._buf_flows[: len(self._flow_ids)]
-        return np.asarray(self._flow_ids, dtype=np.int64)
+        """Flow ids per row (a view of the buffer)."""
+        return self._flow_ids[: self._rows]
 
     def retransmissions_array(self) -> np.ndarray:
-        """Retransmission counts per row (a view of the materialized mirror)."""
-        if isinstance(self._retransmissions, list):
-            self._finalized()
-            return self._buf_retrans[: len(self._retransmissions)]
-        return np.asarray(self._retransmissions, dtype=np.int64)
+        """Retransmission counts per row (a view of the buffer)."""
+        return self._retransmissions[: self._rows]
 
     # ------------------------------------------------------------------
     # queries (the VoteTally API)
@@ -691,24 +619,30 @@ class ArrayVoteTally:
         """Per-flow contributions, rebuilt from the CSR rows on demand."""
         if self._contributions_cache is None:
             link_of = self._index.link_of
-            out: List[VoteContribution] = []
-            for row in range(len(self._weights)):
-                start, stop = self._indptr[row], self._indptr[row + 1]
-                out.append(
-                    VoteContribution(
-                        flow_id=self._flow_ids[row],
-                        links=tuple(link_of(c) for c in self._cols[start:stop]),
-                        weight=self._weights[row],
-                        retransmissions=self._retransmissions[row],
-                    )
+            rows = self._rows
+            bounds = self._indptr[: rows + 1].tolist()
+            cols = self._cols[: self._hops].tolist()
+            self._contributions_cache = [
+                VoteContribution(
+                    flow_id=flow_id,
+                    links=tuple(map(link_of, cols[start:stop])),
+                    weight=weight,
+                    retransmissions=retransmissions,
                 )
-            self._contributions_cache = out
+                for flow_id, start, stop, weight, retransmissions in zip(
+                    self._flow_ids[:rows].tolist(),
+                    bounds,
+                    bounds[1:],
+                    self._weights[:rows].tolist(),
+                    self._retransmissions[:rows].tolist(),
+                )
+            ]
         return list(self._contributions_cache)
 
     @property
     def num_flows(self) -> int:
         """Number of flows that cast votes."""
-        return len(self._weights)
+        return self._rows
 
     def top(self, n: int = 1) -> List[Tuple[DirectedLink, float]]:
         """The ``n`` most voted links."""
@@ -728,41 +662,34 @@ class ArrayVoteTally:
             }
         return self._rank_cache.get(link)
 
-    def copy(self) -> "ArrayVoteTally":
-        """A deep copy of the tally sharing the link index (O(total hops))."""
+    def snapshot(self) -> "ArrayVoteTally":
+        """An independent point-in-time tally sharing the link index.
+
+        O(rows + links), not O(total hops): the CSR buffers are shared as
+        array views (safe — this tally appends past the snapshot's watermark
+        or reallocates, it never writes inside it, and a snapshot's own first
+        append finds its views full and reallocates) and only the state
+        mutated in place afterwards is copied: votes, support, retransmission
+        counts and the voted-link bookkeeping.
+        """
+        self._fold()
         clone = ArrayVoteTally(policy=self._policy, index=self._index)
-        clone._cols = list(self._cols)
-        clone._indptr = list(self._indptr)
-        clone._weights = list(self._weights)
-        clone._flow_ids = list(self._flow_ids)
-        clone._retransmissions = list(self._retransmissions)
-        clone._row_by_flow = dict(self._flow_rows())
+        rows, hops = self._rows, self._hops
+        clone._rows = clone._folded_rows = rows
+        clone._hops = hops
+        clone._cols = self._cols[:hops]
+        clone._indptr = self._indptr[: rows + 1]
+        clone._weights = self._weights[:rows]
+        clone._flow_ids = self._flow_ids[:rows]
+        clone._retransmissions = self._retransmissions[:rows].copy()
+        clone._row_by_flow = None
         clone._first_seen = list(self._first_seen)
         clone._voted = set(self._voted)
+        clone._votes = self._votes.copy()
+        clone._support = self._support.copy()
         return clone
 
-    def snapshot(self) -> "ArrayVoteTally":
-        """A frozen point-in-time view for mid-epoch reporting.
-
-        O(rows + links) instead of :meth:`copy`'s O(total hops): the CSR
-        mirrors are shared as array views (safe — later ingests append past
-        this snapshot's watermark or reallocate, they never write inside it)
-        and only the state mutated in place afterwards is copied: votes,
-        support, retransmission counts and the voted-link bookkeeping.  The
-        snapshot is read-only — analyze it, do not add flows to it.
-        """
-        cols, indptr, weights, votes, support = self._finalized()
-        clone = ArrayVoteTally(policy=self._policy, index=self._index)
-        clone._cols = cols  # type: ignore[assignment]
-        clone._indptr = indptr  # type: ignore[assignment]
-        clone._weights = weights  # type: ignore[assignment]
-        clone._flow_ids = self.flow_ids_array()  # type: ignore[assignment]
-        clone._retransmissions = self.retransmissions_array().copy()  # type: ignore[assignment]
-        clone._row_by_flow = None
-        clone._first_seen = np.array(self._first_seen, dtype=np.int64)  # type: ignore[assignment]
-        clone._voted = set(self._voted)
-        clone._arrays = (cols, indptr, weights, votes.copy(), support.copy())
-        return clone
+    copy = snapshot
 
 
 # ----------------------------------------------------------------------

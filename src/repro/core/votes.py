@@ -17,6 +17,9 @@ from repro.topology.elements import DirectedLink
 
 VotePolicy = Literal["inverse_hops", "unit"]
 
+#: the one rejection every ingest path gives a path without known links.
+EMPTY_PATH = "a voting flow must have at least one known link"
+
 
 @dataclass(frozen=True)
 class VoteContribution:
@@ -66,7 +69,7 @@ class VoteTally:
     ) -> VoteContribution:
         """Record the votes of one flow that suffered retransmissions."""
         if not links:
-            raise ValueError("a voting flow must have at least one known link")
+            raise ValueError(EMPTY_PATH)
         weight = 1.0 if self._policy == "unit" else 1.0 / len(links)
         contribution = VoteContribution(
             flow_id=flow_id,
@@ -148,7 +151,7 @@ class VoteTally:
         for path in paths:
             links = path.links
             if not links:
-                raise ValueError("a voting flow must have at least one known link")
+                raise ValueError(EMPTY_PATH)
             weight = 1.0 if unit else 1.0 / len(links)
             for link in links:
                 votes[link] = votes_get(link, 0.0) + weight

@@ -175,13 +175,14 @@ class ServiceIngestCore:
 
 
 class ColumnarIngestCore:
-    """Fold wire chunks into merged columns; build reports without objects.
+    """Fold wire chunks into merged tallies; build reports without objects.
 
-    The hot path appends each chunk's columns (link ids remapped onto one
-    shared :class:`LinkIndex`) to an :class:`EvidenceColumnStore` and keeps
-    the raw :class:`WireRun` for replay.  Reports come from
-    ``build_tally`` + ``analyze_tally`` — bit-identical to an
-    ``ingest_batch`` replay by the store's contract.  Epochs the store marks
+    The hot path folds each chunk's columns (link ids remapped onto one
+    shared :class:`LinkIndex`) into the epoch's live tally inside an
+    :class:`EvidenceColumnStore` — the fold is paid per chunk, so a report
+    is a snapshot (``build_tally``) plus ``analyze_tally``, bit-identical to
+    an ``ingest_batch`` replay by the store's contract — and keeps the raw
+    :class:`WireRun` for replay.  Epochs the store marks
     dirty (reordering the chunk sort could not hide, duplicates that slipped
     the trim, seq-less updates) replay their retained chunks through a
     throwaway :class:`Zero07Service`, whose duplicate/out-of-order tolerance

@@ -217,6 +217,40 @@ class TestEvidenceSemantics:
         [contribution] = service.report(0).tally.contributions
         assert contribution.retransmissions == 2
 
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    @pytest.mark.parametrize("entry", ["ingest_batch", "ingest"])
+    def test_empty_path_is_rejected_before_any_state_changes(self, engine, entry):
+        """A path with no known links raises with the epoch untouched: no seq
+        marked seen, no record without a tally row (which would misalign the
+        rows ``bump_rows`` credits and checkpoint evidence the tally never
+        saw).  The clean remainder then ingests normally."""
+        service = Zero07Service(engine=engine)
+        service.ingest_batch(
+            [PathEvidence(0, seq, make_path(seq, L[:2])) for seq in range(3)]
+        )
+        run = [
+            PathEvidence(0, seq, make_path(seq, [] if seq == 8 else L[1:4]))
+            for seq in range(3, 15)
+        ]
+        before = service.checkpoint().to_bytes()
+        with pytest.raises(ValueError):
+            if entry == "ingest_batch":
+                service.ingest_batch(run)
+            else:
+                service.ingest(run[5])
+        assert service.checkpoint().to_bytes() == before
+        clean = [event for event in run if event.path.links]
+        clean.append(RetransmissionEvidence(0, flow_id=14, retransmissions=2, seq=15))
+        service.ingest_batch(clean)
+        report = service.advance_epoch(0)
+        assert report.num_paths_analyzed == 14
+        assert report.tally.contributions[-1].retransmissions == 3
+        replay = Zero07Service(engine=engine)
+        replay.ingest_batch(
+            [PathEvidence(0, seq, make_path(seq, L[:2])) for seq in range(3)] + clean
+        )
+        assert report_signature(report) == report_signature(replay.advance_epoch(0))
+
     def test_retransmission_seq_dedup_survives_checkpoint(self):
         service = Zero07Service()
         service.ingest(PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2])))

@@ -17,6 +17,7 @@ import pytest
 
 from repro.api import (
     EvidenceColumnStore,
+    LinkRemap,
     PathEvidence,
     RetransmissionEvidence,
     WireDecoder,
@@ -232,3 +233,55 @@ class TestEvidenceColumnStore:
         assert not store.is_clean(0)
         assert store.is_clean(1)
         assert store.build_tally(1) is not None
+
+    # -- one accumulator behind both entries ---------------------------
+    @staticmethod
+    def columns_of(run, index, epoch=0):
+        """Ship ``run`` over a fresh wire stream: ``(WireRun, remapped ids)``."""
+        decoder = WireDecoder()
+        wire_run = decoder.decode_columns(WireEncoder().encode_run(0, 0, epoch, run))
+        return wire_run, LinkRemap(decoder, index).ids(wire_run.lids)
+
+    @staticmethod
+    def tally_state(tally):
+        """Keyed by link, so index growth after a snapshot cannot matter."""
+        link_of = tally.index.link_of
+        votes, support = tally.votes_array().tolist(), tally.support_array().tolist()
+        return (
+            [(link_of(i), votes[i], support[i]) for i in tally.voted_ids().tolist()],
+            tally.items(),
+            tally.flow_ids_array().tolist(),
+            tally.retransmissions_array().tolist(),
+        )
+
+    def test_append_run_and_append_columns_build_equal_tallies(self):
+        run = mixed_run(n=16)
+        by_objects, index = EvidenceColumnStore(LinkIndex()), LinkIndex()
+        by_columns = EvidenceColumnStore(index)
+        for chunk in (run[:9], run[9:20], run[20:]):
+            by_objects.append_run(0, chunk)
+            by_columns.append_columns(0, *self.columns_of(chunk, index))
+        assert by_columns.is_clean(0)
+        assert self.tally_state(by_columns.build_tally(0)) == self.tally_state(
+            by_objects.build_tally(0)
+        )
+
+    def test_built_tally_is_unaffected_by_later_appends(self):
+        index = LinkIndex()
+        agent = AnalysisAgent(engine="arrays", link_index=index)
+        store = EvidenceColumnStore(index)
+        run = mixed_run(n=16)
+        store.append_run(0, run[:12])
+        built = store.build_tally(0)
+        before = self.tally_state(built), report_signature(agent.analyze_tally(0, built))
+        store.append_run(0, run[12:20])  # paths + updates of earlier flows
+        store.append_columns(0, *self.columns_of(run[20:], index))
+        store.append_run(
+            0, [RetransmissionEvidence(epoch=0, flow_id=0, retransmissions=9, seq=99)]
+        )
+        assert store.is_clean(0)
+        assert store.build_tally(0).num_flows == 16 > built.num_flows
+        assert (
+            self.tally_state(built),
+            report_signature(agent.analyze_tally(0, built)),
+        ) == before

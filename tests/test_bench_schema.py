@@ -34,10 +34,13 @@ GOLDEN_TOP_KEYS = {
     "environment",
     "runs",
 }
-GOLDEN_RUN_KEYS_V1 = {
+GOLDEN_RUN_KEYS = {
     "service",
     "engine",
     "num_shards",
+    "backend",
+    "workers",
+    "scaling_efficiency",
     "ingest",
     "per_event_baseline",
     "speedup_vs_per_event",
@@ -47,14 +50,8 @@ GOLDEN_RUN_KEYS_V1 = {
     "epochs",
     "peak_rss_kb",
 }
-#: version 2 added the executor dimension.
-GOLDEN_RUN_KEYS = GOLDEN_RUN_KEYS_V1 | {
-    "backend",
-    "workers",
-    "scaling_efficiency",
-}
 
-#: version 3 checkpoint block: binary container is the primary format,
+#: checkpoint block: binary container is the primary format,
 #: JSON kept for comparison, plus delta metrics and compat proofs.
 GOLDEN_CHECKPOINT_KEYS = {
     "save_seconds",
@@ -71,7 +68,7 @@ GOLDEN_CHECKPOINT_KEYS = {
     "delta_bit_identical",
 }
 
-#: version 3 report latency separates the cold first-query cost from the
+#: report latency separates the cold first-query cost from the
 #: (cached) steady-state percentiles.
 GOLDEN_REPORT_LATENCY_KEYS = {
     "queries",
@@ -124,52 +121,6 @@ def valid_fleet_block():
             "bit_identical": True,
         },
     }
-
-
-def as_version_3(document):
-    """The same document as a version-3 writer would have produced it."""
-    v3 = copy.deepcopy(document)
-    v3["schema_version"] = 3
-    v3.pop("fleet", None)
-    return v3
-
-
-def as_version_2(document):
-    """The same document as a version-2 writer would have produced it."""
-    v2 = copy.deepcopy(document)
-    v2["schema_version"] = 2
-    v2["config"].pop("report_queries")
-    for run in v2["runs"]:
-        checkpoint = run["checkpoint"]
-        run["checkpoint"] = {
-            key: checkpoint[key]
-            for key in (
-                "save_seconds",
-                "restore_seconds",
-                "json_bytes",
-                "restore_bit_identical",
-            )
-        }
-        latency = run["report_latency"]
-        run["report_latency"] = {
-            key: latency[key]
-            for key in ("queries", "mean_seconds", "p50_seconds", "max_seconds")
-        }
-    return v2
-
-
-def as_version_1(document):
-    """The same document as a version-1 writer would have produced it."""
-    v1 = as_version_2(document)
-    v1["schema_version"] = 1
-    v1["config"].pop("backends")
-    v1["runs"] = [
-        run for run in v1["runs"] if run["backend"] == "inline"
-    ]
-    for run in v1["runs"]:
-        for key in ("backend", "workers", "scaling_efficiency"):
-            run.pop(key)
-    return v1
 
 
 class TestProducedDocument:
@@ -252,20 +203,20 @@ class TestProducedDocument:
 
 
 class TestOlderVersionCompatibility:
-    def test_version_1_documents_stay_readable(self, tiny_document):
-        validate_bench_report(as_version_1(tiny_document))
+    """There is none: the v1-v3 readers are gone (the tree's only artifact is
+    current), and everything those versions added is simply required."""
 
-    def test_version_2_documents_stay_readable(self, tiny_document):
-        validate_bench_report(as_version_2(tiny_document))
-
-    def test_version_3_documents_stay_readable(self, tiny_document):
-        validate_bench_report(as_version_3(tiny_document))
-
-    def test_version_1_rejects_version_2_keys(self, tiny_document):
-        v1 = as_version_1(tiny_document)
-        v1["runs"][0]["backend"] = "inline"
-        with pytest.raises(BenchSchemaError):
-            validate_bench_report(v1)
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_versions_are_rejected_naming_found_and_supported(
+        self, tiny_document, version
+    ):
+        old = copy.deepcopy(tiny_document)
+        old["schema_version"] = version
+        with pytest.raises(BenchSchemaError) as excinfo:
+            validate_bench_report(old)
+        [error] = excinfo.value.errors
+        assert f"schema_version is {version}" in error
+        assert f"only version {BENCH_SCHEMA_VERSION} is supported" in error
 
     def test_version_3_requires_the_new_checkpoint_metrics(self, tiny_document):
         broken = copy.deepcopy(tiny_document)
@@ -281,7 +232,7 @@ class TestOlderVersionCompatibility:
 
 
 class TestFleetBlock:
-    """Version 4: the optional ``fleet`` socket-ingest block."""
+    """The optional ``fleet`` socket-ingest block."""
 
     def corrupt(self, document, mutate):
         broken = copy.deepcopy(document)
@@ -298,15 +249,6 @@ class TestFleetBlock:
     def test_fleet_block_stays_optional(self, tiny_document):
         assert "fleet" not in tiny_document
         validate_bench_report(tiny_document)
-
-    def test_version_3_documents_must_not_carry_a_fleet_block(
-        self, tiny_document
-    ):
-        v3 = as_version_3(tiny_document)
-        validate_bench_report(v3)  # without the block it reads fine ...
-        v3["fleet"] = valid_fleet_block()
-        with pytest.raises(BenchSchemaError):  # ... with it, it is drift
-            validate_bench_report(v3)
 
     def test_rejects_missing_fleet_keys(self, tiny_document):
         self.corrupt(tiny_document, lambda d: d["fleet"].pop("transports"))

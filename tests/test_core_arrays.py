@@ -236,3 +236,128 @@ class TestArrayAggregator:
         aggregator = MultiEpochAggregator(link_index=index)
         aggregator.ingest(report)
         assert aggregator.record_of(L("a", "b")).epochs_voted == 1
+
+
+# ----------------------------------------------------------------------
+# the accumulator's contract: one state, whatever the entry point and cuts
+# ----------------------------------------------------------------------
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    given = None
+
+POOL = [L(f"n{i}", f"n{i + 1}") for i in range(9)]
+
+
+def _add_one_by_one(tally, chunk):
+    for path in chunk:
+        tally.add_flow(path.flow_id, path.links, path.retransmissions)
+
+
+def _add_flows(tally, chunk):
+    tally.add_flows(chunk)
+
+
+def _add_columns(tally, chunk):
+    intern = tally.index.intern
+    tally.add_columns(
+        [intern(link) for path in chunk for link in path.links],
+        [len(path.links) for path in chunk],
+        [path.flow_id for path in chunk],
+        [path.retransmissions for path in chunk],
+    )
+
+
+def _drive(add_chunk, paths, stops, cuts=(), actions=None):
+    """Feed ``paths`` chunked at ``cuts`` and at every stop; at a stop bump
+    the scripted rows, then (per ``actions``) query or snapshot.  Returns the
+    tally and the ``(position, snapshot)`` pairs taken along the way."""
+    tally, snapshots, done = ArrayVoteTally(), [], 0
+    for stop in sorted(set(cuts) | set(stops) | {len(paths)}):
+        add_chunk(tally, paths[done:stop])
+        done = stop
+        if stop and stop in stops:
+            picks, extras = stops[stop]
+            flows = [paths[pick % stop].flow_id for pick in picks]
+            tally.bump_rows([tally.row_of_flow(flow) for flow in flows], extras)
+            action = actions[stop] if actions else None
+            if action == "query":
+                tally.votes_array()
+            elif action == "snapshot":
+                snapshots.append((stop, tally.snapshot()))
+    return tally, snapshots
+
+
+def _arrays_state(tally):
+    return (
+        tally.votes_array().tolist(),
+        tally.support_array().tolist(),
+        tally.voted_ids().tolist(),
+        tally.items(),
+        tally.flow_ids_array().tolist(),
+        tally.retransmissions_array().tolist(),
+    )
+
+
+def _link_state(tally):
+    """Index-size independent: a snapshot shares its parent's grown index."""
+    link_of = tally.index.link_of
+    votes, support = tally.votes_array().tolist(), tally.support_array().tolist()
+    return (
+        [(link_of(i), votes[i], support[i]) for i in tally.voted_ids().tolist()],
+        tally.items(),
+        tally.flow_ids_array().tolist(),
+        tally.retransmissions_array().tolist(),
+    )
+
+
+if given is not None:
+
+    @st.composite
+    def tally_scripts(draw):
+        paths = [
+            _path(flow_id, [POOL[i] for i in hops], retransmissions)
+            for flow_id, hops, retransmissions in draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 12),  # few ids: flows get re-traced
+                        st.lists(st.integers(0, 8), min_size=1, max_size=6),
+                        st.integers(0, 3),
+                    ),
+                    min_size=1,
+                    max_size=40,
+                )
+            )
+        ]
+        position = st.integers(0, len(paths))
+        bumps = st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 5)), max_size=3
+        ).map(lambda pairs: ([p for p, _ in pairs], [x for _, x in pairs]))
+        stops = draw(st.dictionaries(position, bumps, max_size=6))
+        variants = [
+            (
+                add_chunk,
+                draw(st.lists(position, max_size=6)),
+                {
+                    stop: draw(st.sampled_from([None, "query", "snapshot"]))
+                    for stop in stops
+                },
+            )
+            for add_chunk in (_add_one_by_one, _add_flows, _add_columns)
+        ]
+        return paths, stops, variants
+
+    @given(tally_scripts())
+    def test_every_entry_point_and_cut_builds_the_same_tally(script):
+        paths, stops, variants = script
+        filler = [_path(1000 + i, [POOL[i % 9], L("x", "y")]) for i in range(1100)]
+        finals = []
+        for add_chunk, cuts, actions in variants:
+            tally, snapshots = _drive(add_chunk, paths, stops, cuts, actions)
+            finals.append(_arrays_state(tally))
+            add_chunk(tally, filler)  # grow the parent past a reallocation
+            for position, snapshot in snapshots:
+                prefix = {s: b for s, b in stops.items() if s <= position}
+                scratch, _ = _drive(_add_one_by_one, paths[:position], prefix)
+                assert _link_state(snapshot) == _link_state(scratch)
+        assert finals[0] == finals[1] == finals[2]
