@@ -750,9 +750,9 @@ class Zero07Service:
         state.last_seq = state.rec_seqs[-1] if state.rec_seqs else -1
 
     def _materialize(self, epoch: int, state: Optional[_EpochState], final: bool) -> EpochReport:
+        paths: Optional[List[DiscoveredPath]] = None
         if state is None:
             tally = self._new_tally()
-            paths: List[DiscoveredPath] = []
         else:
             self._rebuild_if_dirty(state)
             # Mid-epoch reports snapshot the tally so later ingests cannot
@@ -762,7 +762,8 @@ class Zero07Service:
             # deep-copying them, which is what keeps repeated mid-epoch
             # queries O(changed rows), not O(epoch).
             tally = state.tally if final else state.tally.snapshot()
-            paths = list(state.rec_paths)
+            if self.engine != "arrays":  # the arrays analysis reads the tally only
+                paths = list(state.rec_paths)
         self.stats.reports_materialized += 1
         return self._agent.analyze_tally(epoch, tally, paths)
 

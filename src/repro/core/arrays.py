@@ -12,16 +12,17 @@ its vectorized twin:
   (``indptr``/``cols``/``weights``) in one set of grown numpy buffers and
   folds the vote tally *and* the per-link distinct-flow support
   incrementally over the rows appended since the last query;
-* :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax + masked
-  per-row discounting over the CSR rows instead of re-scanning contribution
-  lists;
+* :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax + one
+  ``numpy.subtract.at`` over the hit rows' hops per detection, clamped at zero
+  afterwards, instead of re-scanning contribution lists;
 * helpers vectorize ranking, per-flow culprit attribution and noise
   classification over the same matrix.
 
 Every function is bit-compatible with the dict engine: votes are accumulated in
 the same traversal order (an unbuffered ``numpy.add.at`` adds weights per
 occurrence, left to right, exactly like the dict fold), totals are summed in
-first-seen link order, and ties break on the same lexicographic link ordering
+first-seen link order, ties break on the same lexicographic link ordering, and
+one clamp per detection equals a clamp per subtraction (:func:`blame_kernel`)
 — so the two engines produce identical detections, rankings, flow causes and
 thresholds, and the dict engine remains the reference oracle in the
 equivalence tests.
@@ -513,10 +514,15 @@ class ArrayVoteTally:
         np.add.at(self._votes, tail_cols, np.repeat(self._weights[lo:hi], lengths))
         # Support is integer-exact in any order: count the distinct
         # (row, link) pairs of the tail rows (each row's hops are folded
-        # exactly once, so pairs never repeat across folds).
-        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
-        pair_keys = np.unique(rows * np.int64(n) + tail_cols)
-        self._support += np.bincount(pair_keys % np.int64(n), minlength=n)
+        # exactly once, so pairs never repeat across folds).  Sort plus
+        # adjacent-diff rather than numpy's ``unique``, whose hash path
+        # (numpy >= 2.3) is slowest on nearly-all-distinct input like this.
+        pair_keys = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
+        pair_keys *= n
+        pair_keys += tail_cols
+        pair_keys.sort()
+        distinct = np.concatenate(([True], pair_keys[1:] != pair_keys[:-1]))
+        self._support += np.bincount(pair_keys[distinct] % n, minlength=n)
         self._folded_rows = hi
 
     @property
@@ -695,6 +701,15 @@ class ArrayVoteTally:
 # ----------------------------------------------------------------------
 # Algorithm 1 over arrays
 # ----------------------------------------------------------------------
+def _hops_of_rows(indptr: np.ndarray, rows: np.ndarray):
+    """``(flat, starts, lengths)``: the positions in ``cols`` of every hop of
+    ``rows`` back to back, and each row's segment start/length within them."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    starts = np.cumsum(lengths) - lengths
+    flat = np.repeat(indptr[rows] - starts, lengths) + np.arange(lengths.sum())
+    return flat, starts, lengths
+
+
 def blame_kernel(
     votes: np.ndarray,
     indptr: np.ndarray,
@@ -708,10 +723,17 @@ def blame_kernel(
     """The argmax + masked-discounting loop shared by link and switch blame.
 
     Returns ``(detected_ids, votes_at_detection, final_votes)``.  The input
-    ``votes`` array is not modified.  Discounting walks only the CSR rows that
-    contain the blamed id, in row order, so the clamped subtraction sequence —
-    and therefore every float — matches the dict engine's contribution scan.
+    ``votes`` array is not modified.  Each detection discounts the hops of the
+    still-alive rows holding the blamed id (itself exempt) with one unbuffered
+    ``np.subtract.at`` in (row, hop) order, then clamps the touched ids at 0.
+    ``weights`` must be non-negative (``ValueError`` otherwise): an id's votes
+    then only fall, so the dict engine's ``max(0.0, v - w)`` per subtraction
+    equals the unclamped value until that first reaches zero or below and is
+    0 from then on, while the unclamped value stays non-positive — one clamp
+    at the end yields the same doubles, bit for bit.
     """
+    if not bool((weights >= 0.0).all()):
+        raise ValueError("blame_kernel needs non-negative weights")
     votes = votes.copy()
     num_items = len(votes)
     num_rows = len(indptr) - 1
@@ -719,10 +741,8 @@ def blame_kernel(
     alive = np.ones(num_rows, dtype=bool)
     detected: List[int] = []
     votes_at: List[float] = []
-    # CSC-style lookup (rows containing a given id, ascending); built lazily
-    # on the first detection since most epochs detect nothing.
-    sorted_cols: Optional[np.ndarray] = None
-    rows_by_col: Optional[np.ndarray] = None
+    # row of every hop; built on the first detection (most epochs have none)
+    row_of_pos: Optional[np.ndarray] = None
 
     while len(detected) < config.max_links:
         candidate = eligible & ~blamed
@@ -739,37 +759,23 @@ def blame_kernel(
         votes_at.append(vmax)
 
         if config.adjustment == "paths":
-            if sorted_cols is None:
-                lengths = np.diff(indptr)
-                row_of_pos = np.repeat(np.arange(num_rows, dtype=np.int64), lengths)
-                order = np.argsort(cols, kind="stable")
-                sorted_cols = cols[order]
-                rows_by_col = row_of_pos[order]
-                # The discount walk is a sequential clamped fold per affected
-                # link, so it cannot vectorize — but plain Python floats over
-                # list views run it ~6x faster than per-row numpy fancy
-                # indexing, with the exact same doubles (CPython floats are
-                # C doubles, and ``max(0.0, v - w)`` is the dict engine's own
-                # expression).  A link repeated within one path is discounted
-                # once per occurrence with clamping in between, which the
-                # per-occurrence loop does natively.
-                indptr_list = indptr.tolist()
-                cols_list = cols.tolist()
-                weights_list = weights.tolist()
-            lo = np.searchsorted(sorted_cols, best, side="left")
-            hi = np.searchsorted(sorted_cols, best, side="right")
-            votes_list = votes.tolist()
-            for row in rows_by_col[lo:hi].tolist():
-                if not alive[row]:
-                    continue
-                weight = weights_list[row]
-                for col in cols_list[indptr_list[row] : indptr_list[row + 1]]:
-                    if col == best:
-                        continue
-                    discounted = votes_list[col] - weight
-                    votes_list[col] = discounted if discounted > 0.0 else 0.0
-                alive[row] = False
-            votes = np.asarray(votes_list, dtype=np.float64)
+            if row_of_pos is None:
+                row_of_pos = np.repeat(np.arange(num_rows), np.diff(indptr))
+            # the alive rows holding ``best``, each once, ascending
+            hit = np.zeros(num_rows, dtype=bool)
+            hit[row_of_pos[cols == best]] = True
+            rows = np.flatnonzero(hit & alive)
+            alive[rows] = False
+            # Every hop of those rows is discounted, once per occurrence;
+            # ``best`` is exempt: its votes are put back afterwards.
+            flat, _, lengths = _hops_of_rows(indptr, rows)
+            touched = cols[flat]
+            own = votes[best]
+            np.subtract.at(votes, touched, np.repeat(weights[rows], lengths))
+            low = np.zeros(num_items, dtype=bool)
+            low[touched] = True
+            votes[low & ~(votes > 0.0)] = 0.0
+            votes[best] = own
     return detected, votes_at, votes
 
 
@@ -799,12 +805,9 @@ def find_problematic_links_arrays(
     )
     link_of = tally.index.link_of
     result.detected_links = [link_of(lid) for lid in detected]
-    result.votes_at_detection = {
-        link_of(lid): v for lid, v in zip(detected, votes_at)
-    }
-    result.final_votes = {
-        link_of(lid): float(final[lid]) for lid in tally.voted_ids()
-    }
+    result.votes_at_detection = dict(zip(result.detected_links, votes_at))
+    voted = tally.voted_ids()
+    result.final_votes = dict(zip(map(link_of, voted.tolist()), final[voted].tolist()))
     return result
 
 
@@ -825,30 +828,25 @@ def attribute_flow_causes_arrays(
     indptr, cols, _ = tally.path_matrix()
     votes = tally.votes_array()
     ranks = tally.index.sort_ranks()
-    flow_ids = tally.flow_ids_array()
 
-    lengths = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    # flat positions of every (row, hop) pair of the selected rows
-    flat = np.repeat(indptr[rows], lengths) + (
-        np.arange(offsets[-1], dtype=np.int64) - np.repeat(offsets[:-1], lengths)
-    )
-    seg_cols = cols[flat]
+    if np.array_equal(rows, np.arange(len(indptr) - 1)):
+        # every row, in order: the gather would be the identity
+        seg_cols, starts, lengths = cols, indptr[:-1], np.diff(indptr)
+    else:
+        flat, starts, lengths = _hops_of_rows(indptr, rows)
+        seg_cols = cols[flat]
     seg_votes = votes[seg_cols]
-    seg_max = np.maximum.reduceat(seg_votes, offsets[:-1])
+    seg_max = np.maximum.reduceat(seg_votes, starts)
     is_max = seg_votes == np.repeat(seg_max, lengths)
     seg_ranks = np.where(is_max, ranks[seg_cols], np.iinfo(np.int64).max)
-    best_rank = np.minimum.reduceat(seg_ranks, offsets[:-1])
+    best_rank = np.minimum.reduceat(seg_ranks, starts)
 
-    # map the winning rank back to its link id
-    rank_to_id = np.empty(len(ranks), dtype=np.int64)
-    rank_to_id[ranks] = np.arange(len(ranks), dtype=np.int64)
-    best_ids = rank_to_id[best_rank]
+    # map the winning rank back to its link id (ranks are a permutation)
+    best_ids = np.argsort(ranks)[best_rank]
 
-    link_of = tally.index.link_of
-    return dict(
-        zip(flow_ids[rows].tolist(), map(link_of, best_ids.tolist()))
-    )
+    link_of = tally.index.links.__getitem__  # C-level, one call per row
+    flow_ids = tally.flow_ids_array()[rows]
+    return dict(zip(flow_ids.tolist(), map(link_of, best_ids.tolist())))
 
 
 def classify_noise_flows_arrays(

@@ -11,6 +11,7 @@ from repro.core.arrays import (
     ArrayVoteTally,
     ItemIndex,
     LinkIndex,
+    blame_kernel,
     find_problematic_links_arrays,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
@@ -153,6 +154,84 @@ class TestArrayBlame:
         config = BlameConfig(min_flow_support=2)
         assert find_problematic_links_arrays(tally, config).detected_links == []
         assert find_problematic_links(VoteTally(), config).detected_links == []
+
+
+def _clamped_walk(votes, indptr, cols, weights, eligible, ranks, threshold, config):
+    """Reference for :func:`blame_kernel`: Algorithm 1 with the dict engine's
+    per-hop ``max(0.0, v - w)`` in (row, hop) order.  Also returns how often
+    the clamp cut a negative value off."""
+    votes, detected, votes_at, clamps = votes.tolist(), [], [], 0
+    alive = [True] * (len(indptr) - 1)
+    while len(detected) < config.max_links:
+        open_ids = [
+            i for i in range(len(votes)) if eligible[i] and i not in detected
+        ]
+        vmax = max((votes[i] for i in open_ids), default=0.0)
+        if vmax < threshold or vmax <= 0.0:
+            break
+        best = min((i for i in open_ids if votes[i] == vmax), key=ranks.__getitem__)
+        detected.append(best)
+        votes_at.append(vmax)
+        for row in range(len(alive)):
+            hops = cols[indptr[row] : indptr[row + 1]].tolist()
+            if config.adjustment == "paths" and alive[row] and best in hops:
+                alive[row] = False
+                for col in hops:
+                    if col != best:
+                        clamps += votes[col] < weights[row]
+                        votes[col] = max(0.0, votes[col] - float(weights[row]))
+    return detected, votes_at, np.asarray(votes), clamps
+
+
+class TestBlameKernel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_clamped_walk_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        clamps = multi = 0
+        for case in range(60):
+            n, rows = int(rng.integers(2, 12)), int(rng.integers(1, 30))
+            lengths = rng.integers(1, 7, size=rows)
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            cols = rng.integers(0, n, size=indptr[-1])
+            looped = np.flatnonzero(lengths > 1)[::2]  # a link repeated in a path
+            cols[indptr[looped] + 1] = cols[indptr[looped]]
+            weights = np.ones(rows) if case % 3 == 0 else 1.0 / lengths  # unit policy
+            votes = np.zeros(n)
+            np.add.at(votes, cols, np.repeat(weights, lengths))
+            if case % 2:  # below the contributions: the clamp engages mid-walk
+                votes *= rng.uniform(0.2, 1.0, size=n)
+            config = BlameConfig(
+                threshold_fraction=float(rng.choice([0.01, 0.2])),
+                max_links=int(rng.choice([2, 1000])),
+                adjustment="none" if case % 10 == 9 else "paths",
+            )
+            args = (
+                votes,
+                indptr,
+                cols,
+                weights,
+                rng.random(n) < 0.85,  # eligible mask
+                rng.permutation(n),
+                config.threshold_fraction * float(votes.sum()),
+                config,
+            )
+            before = votes.tobytes()
+            want_ids, want_at, want_final, clamped = _clamped_walk(*args)
+            got_ids, got_at, got_final = blame_kernel(*args)
+            assert (got_ids, got_at) == (want_ids, want_at)
+            assert got_final.tobytes() == want_final.tobytes()
+            assert votes.tobytes() == before  # the input is not modified
+            clamps += clamped
+            multi += len(want_ids) > 2  # later detections meet dead rows
+        assert clamps and multi  # the cases do reach what they are here for
+
+    def test_rejects_negative_weights(self):
+        one = np.ones(1)
+        with pytest.raises(ValueError):
+            blame_kernel(
+                one, np.array([0, 1]), np.array([0]), -one, one > 0, np.array([0]),
+                0.0, BlameConfig(),
+            )
 
 
 class TestSwitchEngines:
@@ -329,6 +408,13 @@ if given is not None:
                 )
             )
         ]
+        # always present: a flow traced twice whose second path loops back
+        # over its first link (one support count per row, not per hop)
+        first = paths[0]
+        paths.insert(
+            draw(st.integers(1, len(paths))),
+            _path(first.flow_id, [*first.links, POOL[4], first.links[0]]),
+        )
         position = st.integers(0, len(paths))
         bumps = st.lists(
             st.tuples(st.integers(0, 40), st.integers(1, 5)), max_size=3
@@ -361,3 +447,15 @@ if given is not None:
                 scratch, _ = _drive(_add_one_by_one, paths[:position], prefix)
                 assert _link_state(snapshot) == _link_state(scratch)
         assert finals[0] == finals[1] == finals[2]
+        # support: a fold at every cut == one whole-epoch fold == dict engine
+        cut_up, whole, reference = ArrayVoteTally(), ArrayVoteTally(), VoteTally()
+        bounds = sorted({0, len(paths), *variants[0][1]})
+        for start, stop in zip(bounds, bounds[1:]):
+            cut_up.add_flows(paths[start:stop])
+            cut_up.support_array()
+        whole.add_flows(paths)
+        reference.add_discovered_paths(paths)
+        assert cut_up.support_array().tolist() == whole.support_array().tolist()
+        assert whole.support_array().tolist() == finals[0][1]
+        for link in POOL:
+            assert whole.support_of(link) == reference.support_of(link)
