@@ -723,21 +723,21 @@ def blame_kernel(
     """The argmax + masked-discounting loop shared by link and switch blame.
 
     Returns ``(detected_ids, votes_at_detection, final_votes)``.  The input
-    ``votes`` array is not modified.  Each detection discounts the hops of the
-    still-alive rows holding the blamed id (itself exempt) with one unbuffered
-    ``np.subtract.at`` in (row, hop) order, then clamps the touched ids at 0.
-    ``weights`` must be non-negative (``ValueError`` otherwise): an id's votes
-    then only fall, so the dict engine's ``max(0.0, v - w)`` per subtraction
-    equals the unclamped value until that first reaches zero or below and is
-    0 from then on, while the unclamped value stays non-positive — one clamp
-    at the end yields the same doubles, bit for bit.
+    ``votes`` array is not modified.  Each detection finds the still-alive rows
+    holding the blamed id with one ``cols == best`` scan (O(hops); no sorted
+    index is kept) and discounts their hops (the id itself exempt) with one
+    unbuffered ``np.subtract.at`` in (row, hop) order, then clamps the touched
+    ids at 0.  ``weights`` must be non-negative (``ValueError`` otherwise): an
+    id's votes then only fall, so the dict engine's ``max(0.0, v - w)`` per
+    subtraction equals the unclamped value until that first reaches zero or
+    below and is 0 from then on, while the unclamped value stays non-positive
+    — one clamp at the end yields the same doubles, bit for bit.
     """
     if not bool((weights >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")
     votes = votes.copy()
-    num_items = len(votes)
     num_rows = len(indptr) - 1
-    blamed = np.zeros(num_items, dtype=bool)
+    blamed = np.zeros(len(votes), dtype=bool)
     alive = np.ones(num_rows, dtype=bool)
     detected: List[int] = []
     votes_at: List[float] = []
@@ -761,10 +761,10 @@ def blame_kernel(
         if config.adjustment == "paths":
             if row_of_pos is None:
                 row_of_pos = np.repeat(np.arange(num_rows), np.diff(indptr))
-            # the alive rows holding ``best``, each once, ascending
-            hit = np.zeros(num_rows, dtype=bool)
-            hit[row_of_pos[cols == best]] = True
-            rows = np.flatnonzero(hit & alive)
+            # alive rows holding ``best``, ascending, each once (a looped path repeats)
+            rows = row_of_pos[cols == best]
+            rows = rows[alive[rows]]
+            rows = rows[np.diff(rows, prepend=-1) > 0]
             alive[rows] = False
             # Every hop of those rows is discounted, once per occurrence;
             # ``best`` is exempt: its votes are put back afterwards.
@@ -772,9 +772,7 @@ def blame_kernel(
             touched = cols[flat]
             own = votes[best]
             np.subtract.at(votes, touched, np.repeat(weights[rows], lengths))
-            low = np.zeros(num_items, dtype=bool)
-            low[touched] = True
-            votes[low & ~(votes > 0.0)] = 0.0
+            votes[touched[~(votes[touched] > 0.0)]] = 0.0
             votes[best] = own
     return detected, votes_at, votes
 
@@ -805,9 +803,12 @@ def find_problematic_links_arrays(
     )
     link_of = tally.index.link_of
     result.detected_links = [link_of(lid) for lid in detected]
-    result.votes_at_detection = dict(zip(result.detected_links, votes_at))
-    voted = tally.voted_ids()
-    result.final_votes = dict(zip(map(link_of, voted.tolist()), final[voted].tolist()))
+    result.votes_at_detection = {
+        link_of(lid): v for lid, v in zip(detected, votes_at)
+    }
+    result.final_votes = {
+        link_of(lid): float(final[lid]) for lid in tally.voted_ids()
+    }
     return result
 
 
@@ -828,25 +829,25 @@ def attribute_flow_causes_arrays(
     indptr, cols, _ = tally.path_matrix()
     votes = tally.votes_array()
     ranks = tally.index.sort_ranks()
+    flow_ids = tally.flow_ids_array()
 
-    if np.array_equal(rows, np.arange(len(indptr) - 1)):
-        # every row, in order: the gather would be the identity
-        seg_cols, starts, lengths = cols, indptr[:-1], np.diff(indptr)
-    else:
-        flat, starts, lengths = _hops_of_rows(indptr, rows)
-        seg_cols = cols[flat]
+    flat, starts, lengths = _hops_of_rows(indptr, rows)
+    seg_cols = cols[flat]
     seg_votes = votes[seg_cols]
     seg_max = np.maximum.reduceat(seg_votes, starts)
     is_max = seg_votes == np.repeat(seg_max, lengths)
     seg_ranks = np.where(is_max, ranks[seg_cols], np.iinfo(np.int64).max)
     best_rank = np.minimum.reduceat(seg_ranks, starts)
 
-    # map the winning rank back to its link id (ranks are a permutation)
-    best_ids = np.argsort(ranks)[best_rank]
+    # map the winning rank back to its link id
+    rank_to_id = np.empty(len(ranks), dtype=np.int64)
+    rank_to_id[ranks] = np.arange(len(ranks), dtype=np.int64)
+    best_ids = rank_to_id[best_rank]
 
-    link_of = tally.index.links.__getitem__  # C-level, one call per row
-    flow_ids = tally.flow_ids_array()[rows]
-    return dict(zip(flow_ids.tolist(), map(link_of, best_ids.tolist())))
+    link_of = tally.index.link_of
+    return dict(
+        zip(flow_ids[rows].tolist(), map(link_of, best_ids.tolist()))
+    )
 
 
 def classify_noise_flows_arrays(
