@@ -8,25 +8,32 @@ evidence records in sequence order.  Finalized epochs' reports are not
 checkpointed — they were already delivered to the report sinks; a restored
 service picks up exactly where ingestion stopped.
 
+In memory a checkpoint's records are **columns** from capture to restore
+(:class:`CheckpointColumns`: per-epoch arrays of sequence numbers, flow ids,
+CSR link ids, five-tuple components, ... over shared name/link tables).
+``checkpoint()`` columnizes the live path objects once, a delta is a column
+diff against its base, :meth:`Checkpoint.apply_delta` a column merge, and a
+restore folds the arrays engine's tally straight from the columns; path
+objects are only decoded for the restored service's own record buffers.
+
 Two serializations of the same payload exist:
 
-* **JSON** (format version 1) — plain dicts/lists/strings/numbers (see
-  :mod:`repro.api.events` for the path/link codecs).  Human-readable,
-  diffable, and still fully readable and restorable.
 * **Binary** (format version 2, the default for :meth:`Checkpoint.save`) — a
   small container: magic ``R7CK``, a zlib-compressed JSON header carrying the
-  configuration, counters and string/link interner tables, followed by an
-  ``npz`` blob of the dense per-epoch record columns (sequence numbers, flow
-  ids, CSR link ids, five-tuple components, ...).  Typically ~20x smaller
-  than the JSON body and decoded straight into shared
-  :class:`~repro.topology.elements.DirectedLink` objects, which is what makes
-  sub-second restores possible.
+  configuration, counters and name/link tables, followed by an ``npz`` blob
+  of the columns exactly as they are held in memory.
+* **JSON** (format version 1 and 2) — plain dicts/lists/strings/numbers (see
+  :mod:`repro.api.events` for the path/link codecs).  Human-readable and
+  diffable; an edge codec: :meth:`Checkpoint.to_json` /
+  :meth:`Checkpoint.materialize` build the per-record path dicts,
+  :meth:`Checkpoint.from_json` columnizes them once.  Typically ~20x the
+  binary size.
 
-On top of either format, **delta checkpoints** carry only the evidence that
-arrived since a full base checkpoint (new records, records whose
-retransmission counts changed, new consumed update seqs) plus the current
-counters.  :meth:`Checkpoint.apply_delta` merges a delta onto its base —
-verified by a structural fingerprint — yielding a full checkpoint again.
+**Delta checkpoints** carry only the evidence that arrived since a full base
+checkpoint (new records, records whose retransmission counts changed, new
+consumed update seqs) plus the current counters.
+:meth:`Checkpoint.apply_delta` merges a delta onto its base — verified by a
+structural fingerprint — yielding a full checkpoint again.
 """
 
 from __future__ import annotations
@@ -39,12 +46,24 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.api.events import link_from_str, path_from_dict, path_to_dict
+from repro.api.events import link_from_str, link_to_str, path_to_dict
 from repro.core.blame import BlameConfig
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
@@ -107,16 +126,16 @@ def blame_from_dict(data: Dict[str, Any]) -> BlameConfig:
 
 
 # ----------------------------------------------------------------------
-# columnar record codec (the binary body)
+# record columns (the in-memory form and the binary body)
 # ----------------------------------------------------------------------
 class _Interner:
-    """Interns hashable items to dense ids (encode-side string/link tables)."""
+    """Interns hashable items to dense ids (the name and link tables)."""
 
     __slots__ = ("ids", "items")
 
-    def __init__(self) -> None:
-        self.ids: Dict[Any, int] = {}
-        self.items: List[Any] = []
+    def __init__(self, items: Iterable = ()) -> None:
+        self.items: List[Any] = list(items)
+        self.ids: Dict[Any, int] = {item: idx for idx, item in enumerate(self.items)}
 
     def intern(self, item) -> int:
         idx = self.ids.get(item)
@@ -126,14 +145,25 @@ class _Interner:
             self.items.append(item)
         return idx
 
+    def intern_all(self, items: Sequence) -> np.ndarray:
+        """The ids of a whole column; new values join in first-occurrence order."""
+        for item in dict.fromkeys(items):
+            self.intern(item)
+        return np.fromiter(
+            map(self.ids.__getitem__, items), dtype=np.int32, count=len(items)
+        )
+
 
 @dataclass(frozen=True)
 class CheckpointColumns:
-    """Decoded binary body: dense record columns + shared interner tables.
+    """Checkpointed records: dense per-epoch columns + shared interner tables.
 
-    ``links`` holds one :class:`DirectedLink` object per table entry; every
-    decoded path shares them, so a restore interns each distinct link once
-    through the tally's identity memo instead of once per hop.
+    ``arrays`` maps ``"{prefix}_{column}"`` to one array per column of every
+    epoch (see ``_EPOCH_COLUMNS``); the ``sh``/``dh``/``sip``/``dip`` columns
+    hold ids into ``names`` and ``hop`` ids into ``links``.  ``links`` holds
+    one :class:`DirectedLink` object per table entry; every decoded path
+    shares them, and a restore interns each into the tally's index once.
+    Arrays are never written after construction, so checkpoints may share them.
     """
 
     arrays: Dict[str, np.ndarray]
@@ -158,19 +188,84 @@ _RECORD_COLUMNS = (
     ("pr", np.int32),
 )
 
+#: the record columns that hold ids into the name table.
+_NAME_COLUMNS = ("sh", "dh", "sip", "dip")
+
+#: every array of one epoch: the record columns, the CSR hop ids (``len``
+#: delimits them) and the consumed retransmission-update seqs.
+_EPOCH_COLUMNS = tuple(name for name, _ in _RECORD_COLUMNS) + ("hop", "rs")
+
+#: the columns a delta capture compares with its base, and a fingerprint reads.
+DIFF_COLUMNS = ("seq", "retr", "rs")
+
+#: one epoch's arrays by bare column name.
+EpochColumns = Dict[str, np.ndarray]
+
+
+class ColumnsBuilder:
+    """Assembles a checkpoint's :class:`CheckpointColumns` epoch by epoch.
+
+    Epochs arrive as path objects (capture), as JSON records (``from_json``)
+    or as columns of another checkpoint (delta merge, shard assembly) and end
+    up under one pair of name/link tables.
+    """
+
+    __slots__ = ("arrays", "names", "links")
+
+    def __init__(self, names: Iterable = (), links: Iterable = ()) -> None:
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.names = _Interner(names)
+        self.links = _Interner(links)
+
+    def add_epoch(
+        self, prefix: str, epoch: int, cols: EpochColumns, pending: Dict[str, int]
+    ) -> Dict[str, Any]:
+        """Store ``cols`` under ``prefix``; returns the epoch's payload entry."""
+        for name in _EPOCH_COLUMNS:
+            self.arrays[f"{prefix}_{name}"] = cols[name]
+        return {
+            "epoch": epoch,
+            "records": {"__columns__": prefix, "count": len(cols["seq"])},
+            "pending_retransmissions": pending,
+            "retransmission_seqs": {"__columns__": prefix},
+        }
+
+    def adopter(
+        self, source: CheckpointColumns
+    ) -> Callable[[Dict[str, Any]], EpochColumns]:
+        """A function giving an epoch entry of ``source`` in this builder's tables.
+
+        ``source``'s table entries are interned here once; re-expressing an
+        epoch's ids then costs one take per id column.
+        """
+        name_map = self.names.intern_all(source.names)
+        link_map = self.links.intern_all(source.links)
+
+        def adopt(entry: Dict[str, Any]) -> EpochColumns:
+            cols = epoch_columns(entry, source)
+            for name in _NAME_COLUMNS:
+                cols[name] = name_map[cols[name]]
+            cols["hop"] = link_map[cols["hop"]]
+            return cols
+
+        return adopt
+
+    def build(self) -> CheckpointColumns:
+        """The assembled columns (the builder must not be used afterwards)."""
+        return CheckpointColumns(self.arrays, self.names.items, self.links.items)
+
 
 def _encode_records(
-    records: List[list],
-    prefix: str,
-    arrays: Dict[str, np.ndarray],
-    names: _Interner,
-    links: _Interner,
-) -> Dict[str, Any]:
-    """Columnize one epoch's ``[[seq, path_dict], ...]`` records."""
+    records: List[list], retransmission_seqs: List[int], builder: ColumnsBuilder
+) -> EpochColumns:
+    """Columnize one epoch's JSON ``[[seq, path_dict], ...]`` records.
+
+    Links are interned as the document's ``"src->dst"`` strings.
+    """
     cols: Dict[str, list] = {name: [] for name, _ in _RECORD_COLUMNS}
     hops: List[int] = []
-    intern_name = names.intern
-    intern_link = links.intern
+    intern_name = builder.names.intern
+    intern_link = builder.links.intern
     for seq, pd in records:
         ft = pd["five_tuple"]
         link_strs = pd["links"]
@@ -188,45 +283,102 @@ def _encode_records(
         cols["dp"].append(ft[3])
         cols["pr"].append(ft[4])
         hops.extend(map(intern_link, link_strs))
-    for name, dtype in _RECORD_COLUMNS:
-        arrays[f"{prefix}_{name}"] = np.asarray(cols[name], dtype=dtype)
-    arrays[f"{prefix}_hop"] = np.asarray(hops, dtype=np.int32)
-    return {"__columns__": prefix, "count": len(records)}
+    out = {
+        name: np.asarray(cols[name], dtype=dtype) for name, dtype in _RECORD_COLUMNS
+    }
+    out["hop"] = np.asarray(hops, dtype=np.int32)
+    out["rs"] = np.asarray(retransmission_seqs, dtype=np.int64)
+    return out
 
 
-def _decode_records(
-    prefix: str, columns: CheckpointColumns
+def encode_paths(
+    seqs: np.ndarray,
+    paths: List[DiscoveredPath],
+    retransmission_seqs: np.ndarray,
+    builder: ColumnsBuilder,
+) -> EpochColumns:
+    """Columnize one epoch's live ``(seqs, path objects)`` records.
+
+    One C-level pass per column; the arrays are fresh, so the checkpoint
+    never aliases the service's state.  ``DirectedLink.__hash__`` runs in
+    Python, so hops are deduplicated by object identity first (sources share
+    one object per fabric direction) and only each distinct object is hashed
+    into the link table.
+    """
+    count = len(paths)
+
+    def column(attr: str, source: list, dtype) -> np.ndarray:
+        return np.fromiter(map(attrgetter(attr), source), dtype=dtype, count=count)
+
+    def names(attr: str, source: list) -> np.ndarray:
+        return builder.names.intern_all(list(map(attrgetter(attr), source)))
+
+    five_tuples = list(map(attrgetter("five_tuple"), paths))
+    links_list = list(map(attrgetter("links"), paths))
+    hops = list(chain.from_iterable(links_list))
+    idents = list(map(id, hops))
+    table_ids = {
+        ident: builder.links.intern(link)
+        for ident, link in dict(zip(idents, hops)).items()
+    }
+    return {
+        "seq": seqs,
+        "flow": column("flow_id", paths, np.int64),
+        "retr": column("retransmissions", paths, np.int64),
+        "comp": column("complete", paths, np.uint8),
+        "pep": column("epoch", paths, np.int64),
+        "len": np.fromiter(map(len, links_list), dtype=np.int32, count=count),
+        "sh": names("src_host", paths),
+        "dh": names("dst_host", paths),
+        "sip": names("src_ip", five_tuples),
+        "dip": names("dst_ip", five_tuples),
+        "sp": column("src_port", five_tuples, np.int32),
+        "dp": column("dst_port", five_tuples, np.int32),
+        "pr": column("protocol", five_tuples, np.int32),
+        "hop": np.fromiter(
+            map(table_ids.__getitem__, idents), dtype=np.int32, count=len(idents)
+        ),
+        "rs": retransmission_seqs,
+    }
+
+
+def epoch_columns(
+    entry: Dict[str, Any],
+    columns: CheckpointColumns,
+    names: Sequence[str] = _EPOCH_COLUMNS,
+) -> EpochColumns:
+    """The arrays (all, or just ``names``) one payload epoch entry points at."""
+    prefix = entry["records"]["__columns__"]
+    return {name: columns.arrays[f"{prefix}_{name}"] for name in names}
+
+
+def decode_paths(
+    cols: EpochColumns, columns: CheckpointColumns
 ) -> Tuple[List[int], List[DiscoveredPath]]:
     """Rebuild ``(seqs, paths)`` from one epoch's columns.
 
     Paths are constructed fresh on every call (so repeated restores from one
-    checkpoint never share mutable path objects) but share the decoded
-    :class:`DirectedLink` objects and table strings.
+    checkpoint never share mutable path objects) but share the table's
+    :class:`DirectedLink` objects and strings.
     """
-    a = columns.arrays
-    seqs = a[f"{prefix}_seq"].tolist()
-    flows = a[f"{prefix}_flow"].tolist()
-    retrs = a[f"{prefix}_retr"].tolist()
-    comps = a[f"{prefix}_comp"].tolist()
-    peps = a[f"{prefix}_pep"].tolist()
-    lens = a[f"{prefix}_len"].tolist()
-    shs = a[f"{prefix}_sh"].tolist()
-    dhs = a[f"{prefix}_dh"].tolist()
-    sips = a[f"{prefix}_sip"].tolist()
-    dips = a[f"{prefix}_dip"].tolist()
-    sps = a[f"{prefix}_sp"].tolist()
-    dps = a[f"{prefix}_dp"].tolist()
-    prs = a[f"{prefix}_pr"].tolist()
-    hops = a[f"{prefix}_hop"].tolist()
+    seqs = cols["seq"].tolist()
+    flows = cols["flow"].tolist()
+    retrs = cols["retr"].tolist()
+    comps = cols["comp"].tolist()
+    peps = cols["pep"].tolist()
+    lens = cols["len"].tolist()
+    sps = cols["sp"].tolist()
+    dps = cols["dp"].tolist()
+    prs = cols["pr"].tolist()
     names = columns.names
     links = columns.links
     # Hoist every table lookup out of the record loop: whole-column maps run
     # through C iterators, the loop then only assembles per-record objects.
-    src_ips = list(map(names.__getitem__, sips))
-    dst_ips = list(map(names.__getitem__, dips))
-    src_hosts = list(map(names.__getitem__, shs))
-    dst_hosts = list(map(names.__getitem__, dhs))
-    hop_links = list(map(links.__getitem__, hops))
+    src_ips = list(map(names.__getitem__, cols["sip"].tolist()))
+    dst_ips = list(map(names.__getitem__, cols["dip"].tolist()))
+    src_hosts = list(map(names.__getitem__, cols["sh"].tolist()))
+    dst_hosts = list(map(names.__getitem__, cols["dh"].tolist()))
+    hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
     paths: List[DiscoveredPath] = []
     append = paths.append
     # Restore is on the failover critical path, so the per-record dataclass
@@ -267,63 +419,6 @@ def _decode_records(
     return seqs, paths
 
 
-def epoch_records(
-    entry: Dict[str, Any], columns: Optional[CheckpointColumns]
-) -> Tuple[List[int], List[DiscoveredPath]]:
-    """``(seqs, fresh path objects)`` of one epoch entry, any serialization."""
-    records = entry["records"]
-    if isinstance(records, dict):
-        return _decode_records(records["__columns__"], columns)
-    seqs = [int(seq) for seq, _ in records]
-    paths = [path_from_dict(pd) for _, pd in records]
-    return seqs, paths
-
-
-def epoch_retransmission_seqs(
-    entry: Dict[str, Any], columns: Optional[CheckpointColumns]
-) -> List[int]:
-    """The epoch's consumed retransmission-update seqs, any serialization."""
-    seqs = entry["retransmission_seqs"]
-    if isinstance(seqs, dict):
-        return columns.arrays[f"{seqs['__columns__']}_rs"].tolist()
-    return [int(s) for s in seqs]
-
-
-def _epoch_seq_retrans(
-    entry: Dict[str, Any], columns: Optional[CheckpointColumns]
-) -> Dict[int, int]:
-    """``{record seq: retransmission count}`` of one epoch entry."""
-    records = entry["records"]
-    if isinstance(records, dict):
-        prefix = records["__columns__"]
-        a = columns.arrays
-        return dict(
-            zip(a[f"{prefix}_seq"].tolist(), a[f"{prefix}_retr"].tolist())
-        )
-    return {int(seq): int(pd["retransmissions"]) for seq, pd in records}
-
-
-def _epoch_records_as_dicts(
-    entry: Dict[str, Any], columns: Optional[CheckpointColumns]
-) -> List[list]:
-    """The epoch's records as JSON-ready ``[[seq, path_dict], ...]``."""
-    records = entry["records"]
-    if not isinstance(records, dict):
-        return records
-    seqs, paths = _decode_records(records["__columns__"], columns)
-    return [[seq, path_to_dict(path)] for seq, path in zip(seqs, paths)]
-
-
-def _materialize_entry(
-    entry: Dict[str, Any], columns: Optional[CheckpointColumns]
-) -> Dict[str, Any]:
-    """An epoch entry with every column marker resolved back to JSON lists."""
-    out = dict(entry)
-    out["records"] = _epoch_records_as_dicts(entry, columns)
-    out["retransmission_seqs"] = epoch_retransmission_seqs(entry, columns)
-    return out
-
-
 def _service_sections(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The service-shaped sub-payloads (the payload itself, or its shards)."""
     if payload.get("kind") == "sharded":
@@ -331,19 +426,79 @@ def _service_sections(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     return [payload]
 
 
+def _map_epochs(
+    payload: Dict[str, Any],
+    convert: Callable[[str, Dict[str, Any]], Dict[str, Any]],
+) -> Dict[str, Any]:
+    """A copy of ``payload`` with every epoch entry replaced by ``convert``'s.
+
+    ``convert(prefix, entry)`` receives the entry's canonical column prefix:
+    ``e{j}`` for a service's ``j``-th entry, ``s{i}e{j}`` inside shard ``i``.
+    """
+
+    def section(prefix: str, body: Dict[str, Any]) -> Dict[str, Any]:
+        return {
+            **body,
+            "epochs": [
+                convert(f"{prefix}e{j}", entry)
+                for j, entry in enumerate(body["epochs"])
+            ],
+        }
+
+    if payload.get("kind") == "sharded":
+        return {
+            **payload,
+            "shards": [
+                section(f"s{i}", shard) for i, shard in enumerate(payload["shards"])
+            ],
+        }
+    return section("", payload)
+
+
+def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> None:
+    """Raise ``ValueError`` unless every epoch's columns are self-consistent.
+
+    Restore and merge trust the columns (ids index tables, ``len`` delimits
+    ``hop``, sorted seqs are searched), so whatever was parsed from outside is
+    checked here once, vectorized.
+    """
+    tables = {name: len(columns.names) for name in _NAME_COLUMNS}
+    tables["hop"] = len(columns.links)
+    for section in _service_sections(payload):
+        for entry in section["epochs"]:
+            where = f"epoch {entry['epoch']}"
+            cols = epoch_columns(entry, columns)
+            count = entry["records"]["count"]
+            for name, col in cols.items():
+                if col.ndim != 1 or col.dtype.kind not in "iu":
+                    raise ValueError(f"{where}: column {name!r} is not an id vector")
+            if any(len(cols[name]) != count for name, _ in _RECORD_COLUMNS):
+                raise ValueError(f"{where}: record columns disagree with count={count}")
+            lens, seq = cols["len"], cols["seq"]
+            if int(lens.sum()) != len(cols["hop"]) or (count and int(lens.min()) < 1):
+                raise ValueError(f"{where}: path lengths do not delimit the hops")
+            if not bool((seq[1:] > seq[:-1]).all()):
+                raise ValueError(f"{where}: record seqs are not strictly increasing")
+            for name, size in tables.items():
+                ids = cols[name]
+                if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
+                    raise ValueError(f"{where}: column {name!r} points outside its table")
+
+
 # ----------------------------------------------------------------------
 # delta checkpoints
 # ----------------------------------------------------------------------
 def _service_fingerprint(
-    payload: Dict[str, Any], columns: Optional[CheckpointColumns]
+    payload: Dict[str, Any], columns: CheckpointColumns
 ) -> Dict[str, Any]:
     epochs = {}
     for entry in payload["epochs"]:
-        counts = _epoch_seq_retrans(entry, columns)
+        cols = epoch_columns(entry, columns, DIFF_COLUMNS)
+        seq = cols["seq"]
         epochs[str(entry["epoch"])] = [
-            len(counts),
-            max(counts) if counts else -1,
-            len(epoch_retransmission_seqs(entry, columns)),
+            len(seq),
+            int(seq.max()) if len(seq) else -1,
+            len(cols["rs"]),
         ]
     return {
         "kind": "service",
@@ -354,7 +509,7 @@ def _service_fingerprint(
 
 
 def payload_fingerprint(
-    payload: Dict[str, Any], columns: Optional[CheckpointColumns] = None
+    payload: Dict[str, Any], columns: CheckpointColumns
 ) -> Dict[str, Any]:
     """A structural fingerprint a delta uses to recognize its base.
 
@@ -376,182 +531,163 @@ def payload_fingerprint(
     return _service_fingerprint(payload, columns)
 
 
-#: service-payload keys copied verbatim into deltas / merged checkpoints.
-_SERVICE_CONFIG_KEYS = (
-    "engine",
-    "vote_policy",
-    "attribute_noise_flows",
-    "blame",
-    "retain_reports",
-)
+def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndarray:
+    """Indices of the live records a delta against ``base`` has to carry.
+
+    ``seq`` (sorted) and ``retr`` are the live epoch's columns; a record is
+    carried when its seq is new or its retransmission count was bumped since
+    the base (count updates mutate existing records in place).
+    """
+    base_seq = base["seq"]
+    if not len(base_seq):
+        return np.arange(len(seq))
+    at = np.minimum(np.searchsorted(base_seq, seq), len(base_seq) - 1)
+    return np.flatnonzero((base_seq[at] != seq) | (base["retr"][at] != retr))
 
 
-def _service_epochs_delta(
-    full: Dict[str, Any],
-    base: Dict[str, Any],
-    base_columns: Optional[CheckpointColumns],
-) -> List[Dict[str, Any]]:
-    """Per-epoch record/update deltas of ``full`` (dict records) vs ``base``."""
-    base_epochs = {entry["epoch"]: entry for entry in base["epochs"]}
-    delta_epochs: List[Dict[str, Any]] = []
-    for entry in full["epochs"]:
-        base_entry = base_epochs.get(entry["epoch"])
-        if base_entry is None:
-            delta_epochs.append(dict(entry))
-            continue
-        base_counts = _epoch_seq_retrans(base_entry, base_columns)
-        # new records, plus records whose retransmission count was bumped
-        # since the base (count updates mutate existing records in place).
-        changed = [
-            rec
-            for rec in entry["records"]
-            if base_counts.get(rec[0], -1) != rec[1]["retransmissions"]
-        ]
-        base_rs = set(epoch_retransmission_seqs(base_entry, base_columns))
-        new_rs = [s for s in entry["retransmission_seqs"] if s not in base_rs]
-        if (
-            not changed
-            and not new_rs
-            and entry["pending_retransmissions"]
-            == base_entry["pending_retransmissions"]
-        ):
-            continue  # untouched since the base — the merge keeps base's copy
-        delta_epochs.append(
+def shard_bases(base: "Checkpoint", num_shards: int) -> List["Checkpoint"]:
+    """Per-shard views of a sharded delta base, for the shards' own captures.
+
+    Each view keeps only what a delta capture reads (``DIFF_COLUMNS``), so a
+    process fleet is not sent the base's other columns or its tables.
+    """
+    payload = base.payload
+    if int(payload["num_shards"]) != num_shards or len(payload["shards"]) != num_shards:
+        raise ValueError(
+            "delta base has a different shard layout "
+            f"({payload['num_shards']} shards vs {num_shards})"
+        )
+    views = []
+    for shard in payload["shards"]:
+        arrays = {}
+        for entry in shard["epochs"]:
+            prefix = entry["records"]["__columns__"]
+            for name, col in epoch_columns(entry, base.columns, DIFF_COLUMNS).items():
+                arrays[f"{prefix}_{name}"] = col
+        views.append(Checkpoint(shard, CheckpointColumns(arrays, [], [])))
+    return views
+
+
+def assemble_shards(
+    shards: Sequence["Checkpoint"],
+) -> Tuple[List[Dict[str, Any]], CheckpointColumns]:
+    """A sharded payload's ``shards`` list + shared columns from shard captures."""
+    builder = ColumnsBuilder()
+    payloads = []
+    for i, shard in enumerate(shards):
+        adopt = builder.adopter(shard.columns)
+        payloads.append(
             {
-                "epoch": entry["epoch"],
-                "records": changed,
-                "pending_retransmissions": entry["pending_retransmissions"],
-                "retransmission_seqs": new_rs,
+                **shard.payload,
+                "epochs": [
+                    builder.add_epoch(
+                        f"s{i}e{j}",
+                        entry["epoch"],
+                        adopt(entry),
+                        entry["pending_retransmissions"],
+                    )
+                    for j, entry in enumerate(shard.payload["epochs"])
+                ],
             }
         )
-    return delta_epochs
-
-
-def service_payload_delta(
-    full: Dict[str, Any],
-    base: Dict[str, Any],
-    base_columns: Optional[CheckpointColumns] = None,
-) -> Dict[str, Any]:
-    """A delta payload carrying only what changed between ``base`` and ``full``.
-
-    ``full`` must be a freshly built payload with dict records (what
-    ``Zero07Service.checkpoint()`` produces); ``base`` may come from any
-    serialization.
-    """
-    delta = {"version": CHECKPOINT_VERSION, "kind": "service", "delta": True}
-    for key in _SERVICE_CONFIG_KEYS:
-        delta[key] = full[key]
-    delta["base"] = _service_fingerprint(base, base_columns)
-    delta["max_epoch_seen"] = full["max_epoch_seen"]
-    delta["last_finalized"] = full["last_finalized"]
-    delta["stats"] = full["stats"]
-    delta["epochs"] = _service_epochs_delta(full, base, base_columns)
-    return delta
+    return payloads, builder.build()
 
 
 def sharded_payload_delta(
-    full: Dict[str, Any],
-    base: Dict[str, Any],
-    base_columns: Optional[CheckpointColumns] = None,
+    full: Dict[str, Any], base: "Checkpoint"
 ) -> Dict[str, Any]:
-    """A sharded delta payload: per-shard service deltas + routing-state delta.
+    """Turn a sharded payload into a delta against ``base`` (routing state).
 
-    ``full`` must be a freshly built sharded payload with dict records (what
-    ``ShardedService.checkpoint()`` produces); ``base`` may come from any
-    serialization.  Shard-to-host assignment is a pure function of the host
-    name, so the facade's ``flow_shard``/``retrans_seqs`` maps only ever
-    *grow* within an epoch — the delta carries the new entries and the merge
-    rebuilds the rest from the base.
+    ``full["shards"]`` must already hold the shards' own deltas (captured
+    against :func:`shard_bases`); this adds the facade's part.  Shard-to-host
+    assignment is a pure function of the host name, so the facade's
+    ``flow_shard``/``retrans_seqs`` maps only ever *grow* within an epoch —
+    the delta carries the new entries and the merge rebuilds the rest from
+    the base.
     """
-    if full.get("kind") != "sharded" or base.get("kind") != "sharded":
-        raise ValueError("sharded_payload_delta needs two sharded payloads")
-    if int(full["num_shards"]) != int(base["num_shards"]) or len(
-        full["shards"]
-    ) != len(base["shards"]):
-        raise ValueError(
-            "delta base has a different shard layout "
-            f"({base['num_shards']} shards vs {full['num_shards']})"
-        )
+    known_flows = base.payload["flow_shard"]
     flow_shard: Dict[str, Dict[str, int]] = {}
     for epoch, flows in full["flow_shard"].items():
-        known = base["flow_shard"].get(epoch)
+        known = known_flows.get(epoch)
         if known is None:
             flow_shard[epoch] = dict(flows)
             continue
         fresh = {flow: shard for flow, shard in flows.items() if flow not in known}
         if fresh:
             flow_shard[epoch] = fresh
+    known_seqs = base.payload["retrans_seqs"]
     retrans_seqs: Dict[str, List[int]] = {}
     for epoch, seqs in full["retrans_seqs"].items():
-        known = set(base["retrans_seqs"].get(epoch, ()))
+        known = set(known_seqs.get(epoch, ()))
         fresh = [seq for seq in seqs if seq not in known]
-        if fresh or epoch not in base["retrans_seqs"]:
+        if fresh or epoch not in known_seqs:
             retrans_seqs[epoch] = fresh
     return {
-        "version": CHECKPOINT_VERSION,
-        "kind": "sharded",
+        **full,
         "delta": True,
-        "base": payload_fingerprint(base, base_columns),
-        "num_shards": full["num_shards"],
-        "retain_reports": full["retain_reports"],
-        "max_epoch_seen": full["max_epoch_seen"],
-        "last_finalized": full["last_finalized"],
+        "base": payload_fingerprint(base.payload, base.columns),
         "flow_shard": flow_shard,
-        "pending": full["pending"],
         "retrans_seqs": retrans_seqs,
-        "shards": [
-            service_payload_delta(full_shard, base_shard, base_columns)
-            for full_shard, base_shard in zip(full["shards"], base["shards"])
-        ],
     }
 
 
-def _merge_service_epochs(
-    base: Dict[str, Any],
-    base_columns: Optional[CheckpointColumns],
-    delta: Dict[str, Any],
-    delta_columns: Optional[CheckpointColumns],
-) -> List[Dict[str, Any]]:
-    last_finalized = delta["last_finalized"]
-    base_epochs = {entry["epoch"]: entry for entry in base["epochs"]}
-    delta_epochs = {entry["epoch"]: entry for entry in delta["epochs"]}
-    merged: List[Dict[str, Any]] = []
-    for epoch in sorted(set(base_epochs) | set(delta_epochs)):
-        if last_finalized is not None and epoch <= last_finalized:
-            continue  # finalized (and released) since the base was taken
-        base_entry = base_epochs.get(epoch)
-        delta_entry = delta_epochs.get(epoch)
-        if delta_entry is None:
-            merged.append(_materialize_entry(base_entry, base_columns))
-            continue
-        if base_entry is None:
-            merged.append(_materialize_entry(delta_entry, delta_columns))
-            continue
-        by_seq = {
-            rec[0]: rec for rec in _epoch_records_as_dicts(base_entry, base_columns)
-        }
-        for rec in _epoch_records_as_dicts(delta_entry, delta_columns):
-            by_seq[rec[0]] = rec  # changed counts replace the base record
-        merged.append(
-            {
-                "epoch": epoch,
-                "records": [by_seq[seq] for seq in sorted(by_seq)],
-                "pending_retransmissions": delta_entry["pending_retransmissions"],
-                "retransmission_seqs": sorted(
-                    set(epoch_retransmission_seqs(base_entry, base_columns))
-                    | set(epoch_retransmission_seqs(delta_entry, delta_columns))
-                ),
-            }
-        )
+def _take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
+    """The records ``rows`` of ``cols``, in that order (hops gathered by CSR)."""
+    lens = cols["len"].astype(np.int64)
+    starts = np.cumsum(lens) - lens
+    out = {name: cols[name][rows] for name, _ in _RECORD_COLUMNS}
+    out_lens = lens[rows]
+    out_starts = np.cumsum(out_lens) - out_lens
+    # hop k of output row r is input hop starts[rows[r]] + k
+    out["hop"] = cols["hop"][
+        np.repeat(starts[rows] - out_starts, out_lens)
+        + np.arange(int(out_lens.sum()))
+    ]
+    return out
+
+
+def _merge_epoch(base: EpochColumns, delta: EpochColumns) -> EpochColumns:
+    """One epoch's base records overlaid with its delta records (same tables)."""
+    both = {
+        name: np.concatenate((base[name], delta[name]))
+        for name in _EPOCH_COLUMNS
+        if name != "rs"
+    }
+    # changed counts replace the base record of the same seq
+    keep = np.ones(len(both["seq"]), dtype=bool)
+    keep[: len(base["seq"])] = ~np.isin(base["seq"], delta["seq"])
+    rows = np.flatnonzero(keep)
+    merged = _take_rows(both, rows[np.argsort(both["seq"][rows], kind="stable")])
+    merged["rs"] = np.union1d(base["rs"], delta["rs"])
     return merged
+
+
+#: service-payload keys a merged checkpoint takes verbatim from the delta.
+_SERVICE_STATE_KEYS = (
+    "engine",
+    "vote_policy",
+    "attribute_noise_flows",
+    "blame",
+    "retain_reports",
+    "max_epoch_seen",
+    "last_finalized",
+    "stats",
+)
 
 
 def _merge_service_payload(
     base: Dict[str, Any],
-    base_columns: Optional[CheckpointColumns],
+    base_columns: CheckpointColumns,
     delta: Dict[str, Any],
-    delta_columns: Optional[CheckpointColumns],
+    adopt: Callable[[Dict[str, Any]], EpochColumns],
+    builder: ColumnsBuilder,
+    section: str,
 ) -> Dict[str, Any]:
+    """Merge one service-shaped delta onto its base into ``builder``.
+
+    ``builder``'s tables start as the base's, so base epochs are stored as
+    they are; ``adopt`` re-expresses the delta's epochs in those tables.
+    """
     expected = delta["base"]
     actual = _service_fingerprint(base, base_columns)
     if expected != actual:
@@ -560,33 +696,57 @@ def _merge_service_payload(
             f"expected {expected}, base is {actual})"
         )
     merged: Dict[str, Any] = {"version": CHECKPOINT_VERSION, "kind": "service"}
-    for key in _SERVICE_CONFIG_KEYS:
+    for key in _SERVICE_STATE_KEYS:
         merged[key] = delta[key]
-    merged["max_epoch_seen"] = delta["max_epoch_seen"]
-    merged["last_finalized"] = delta["last_finalized"]
-    merged["stats"] = delta["stats"]
-    merged["epochs"] = _merge_service_epochs(
-        base, base_columns, delta, delta_columns
-    )
+    last_finalized = delta["last_finalized"]
+    base_epochs = {entry["epoch"]: entry for entry in base["epochs"]}
+    delta_epochs = {entry["epoch"]: entry for entry in delta["epochs"]}
+    epochs: List[Dict[str, Any]] = []
+    for epoch in sorted(set(base_epochs) | set(delta_epochs)):
+        if last_finalized is not None and epoch <= last_finalized:
+            continue  # finalized (and released) since the base was taken
+        entry = base_epochs.get(epoch)
+        cols = None if entry is None else epoch_columns(entry, base_columns)
+        if epoch in delta_epochs:  # else untouched since the base
+            entry = delta_epochs[epoch]
+            cols = adopt(entry) if cols is None else _merge_epoch(cols, adopt(entry))
+        epochs.append(
+            builder.add_epoch(
+                f"{section}e{len(epochs)}",
+                epoch,
+                cols,
+                entry["pending_retransmissions"],
+            )
+        )
+    merged["epochs"] = epochs
     return merged
 
 
 # ----------------------------------------------------------------------
 # the checkpoint object
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Checkpoint:
     """A frozen snapshot of a service's resumable analysis state.
 
-    ``payload`` is the JSON-shaped state; ``columns`` is only present on
-    checkpoints loaded from the binary container and holds the decoded record
-    columns the payload's ``{"__columns__": ...}`` markers point into.
+    ``payload`` is the JSON-shaped state.  In the working form — what
+    ``checkpoint()``, :meth:`from_bytes`, :meth:`from_json` and
+    :meth:`apply_delta` return, and what restore, diff and merge operate on —
+    the payload's epoch entries carry ``{"__columns__": prefix}`` markers and
+    the records themselves live in ``columns``.  The document form
+    (``columns is None``: what :meth:`materialize` returns and
+    ``Checkpoint(payload=json_document)`` builds) holds the records as JSON
+    lists; every operation columnizes it first (:meth:`columnar`).
     """
 
     payload: Dict[str, Any]
-    columns: Optional[CheckpointColumns] = field(
-        default=None, compare=False, repr=False
-    )
+    columns: Optional[CheckpointColumns] = field(default=None, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal content: the same JSON document, whatever the form."""
+        if not isinstance(other, Checkpoint):
+            return NotImplemented
+        return self.materialize().payload == other.materialize().payload
 
     @property
     def kind(self) -> str:
@@ -617,9 +777,11 @@ class Checkpoint:
     def apply_delta(self, delta: "Checkpoint") -> "Checkpoint":
         """Merge a delta taken against this full checkpoint onto it.
 
-        Returns a full checkpoint equal (payload-wise) to the one
-        ``checkpoint()`` would have produced at the delta's capture time.
-        The delta's recorded base fingerprint must match this checkpoint.
+        Returns a full checkpoint equal to the one ``checkpoint()`` would
+        have produced at the delta's capture time.  The delta's recorded base
+        fingerprint must match this checkpoint.  A column merge: the delta's
+        table ids are re-expressed in this checkpoint's tables, then each
+        epoch is a concatenation and one sort by seq — no record is decoded.
         """
         self.validate()
         delta.validate()
@@ -633,15 +795,18 @@ class Checkpoint:
             raise ValueError(
                 f"delta kind {delta.kind!r} does not match base kind {self.kind!r}"
             )
+        full, delta = self.columnar(), delta.columnar()
+        base, patch = full.payload, delta.payload
+        base_columns = full.columns
+        builder = ColumnsBuilder(base_columns.names, base_columns.links)
+        adopt = builder.adopter(delta.columns)
         if self.kind == "service":
-            return Checkpoint(
-                payload=_merge_service_payload(
-                    self.payload, self.columns, delta.payload, delta.columns
-                )
+            merged = _merge_service_payload(
+                base, base_columns, patch, adopt, builder, ""
             )
-        base, patch = self.payload, delta.payload
+            return Checkpoint(merged, builder.build())
         expected = patch["base"]
-        actual = payload_fingerprint(base, self.columns)
+        actual = payload_fingerprint(base, base_columns)
         if expected != actual:
             raise ValueError(
                 "delta checkpoint does not match this base (fingerprint "
@@ -668,7 +833,7 @@ class Checkpoint:
             retrans_seqs[epoch] = sorted(
                 set(retrans_seqs.get(epoch, ())) | set(seqs)
             )
-        merged: Dict[str, Any] = {
+        merged = {
             "version": CHECKPOINT_VERSION,
             "kind": "sharded",
             "num_shards": patch["num_shards"],
@@ -680,39 +845,68 @@ class Checkpoint:
             "retrans_seqs": retrans_seqs,
             "shards": [
                 _merge_service_payload(
-                    base_shard, self.columns, delta_shard, delta.columns
+                    base_shard,
+                    base_columns,
+                    delta_shard,
+                    adopt,
+                    builder,
+                    f"s{i}",
                 )
-                for base_shard, delta_shard in zip(base["shards"], patch["shards"])
+                for i, (base_shard, delta_shard) in enumerate(
+                    zip(base["shards"], patch["shards"])
+                )
             ],
         }
-        return Checkpoint(payload=merged)
+        return Checkpoint(merged, builder.build())
+
+    # ------------------------------------------------------------------
+    # the two forms
+    # ------------------------------------------------------------------
+    def materialize(self) -> "Checkpoint":
+        """The document form: a payload of pure JSON primitives (no columns)."""
+        columns = self.columns
+        if columns is None:
+            return self
+
+        def to_document(_prefix: str, entry: Dict[str, Any]) -> Dict[str, Any]:
+            cols = epoch_columns(entry, columns)
+            seqs, paths = decode_paths(cols, columns)
+            return {
+                **entry,
+                "records": [
+                    [seq, path_to_dict(path)] for seq, path in zip(seqs, paths)
+                ],
+                "retransmission_seqs": cols["rs"].tolist(),
+            }
+
+        return Checkpoint(_map_epochs(self.payload, to_document))
+
+    def columnar(self) -> "Checkpoint":
+        """The working form: records columnized, markers in the payload."""
+        if self.columns is not None:
+            return self
+        builder = ColumnsBuilder()
+
+        def to_columns(prefix: str, entry: Dict[str, Any]) -> Dict[str, Any]:
+            cols = _encode_records(
+                entry["records"], entry["retransmission_seqs"], builder
+            )
+            return builder.add_epoch(
+                prefix, entry["epoch"], cols, entry["pending_retransmissions"]
+            )
+
+        payload = _map_epochs(self.payload, to_columns)
+        columns = CheckpointColumns(
+            builder.arrays,
+            builder.names.items,
+            [link_from_str(text) for text in builder.links.items],
+        )
+        _validate_columns(payload, columns)
+        return Checkpoint(payload, columns)
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def materialize(self) -> "Checkpoint":
-        """A checkpoint whose payload is pure JSON primitives (no columns)."""
-        if self.columns is None:
-            return self
-        payload = dict(self.payload)
-        if self.kind == "sharded":
-            payload["shards"] = [
-                {
-                    **shard,
-                    "epochs": [
-                        _materialize_entry(entry, self.columns)
-                        for entry in shard["epochs"]
-                    ],
-                }
-                for shard in payload["shards"]
-            ]
-        else:
-            payload["epochs"] = [
-                _materialize_entry(entry, self.columns)
-                for entry in payload["epochs"]
-            ]
-        return Checkpoint(payload=payload)
-
     def to_json(self, indent: int | None = None) -> str:
         """The checkpoint as a JSON document (round-trips exactly)."""
         return json.dumps(
@@ -722,46 +916,24 @@ class Checkpoint:
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
         """Parse a checkpoint from :meth:`to_json` output."""
-        return cls(payload=json.loads(text)).validate()
+        return cls(payload=json.loads(text)).validate().columnar()
 
     def to_bytes(self) -> bytes:
         """The checkpoint in the compact binary container format."""
-        source = self.materialize().payload
-        arrays: Dict[str, np.ndarray] = {}
-        names = _Interner()
-        links = _Interner()
-        payload = dict(source)
-        sections = []
-        if self.kind == "sharded":
-            payload["shards"] = [dict(shard) for shard in payload["shards"]]
-            sections = [
-                (f"s{i}", shard) for i, shard in enumerate(payload["shards"])
-            ]
-        else:
-            sections = [("", payload)]
-        for section_prefix, section in sections:
-            entries = []
-            for j, entry in enumerate(section["epochs"]):
-                prefix = f"{section_prefix}e{j}"
-                out = dict(entry)
-                out["records"] = _encode_records(
-                    entry["records"], prefix, arrays, names, links
-                )
-                arrays[f"{prefix}_rs"] = np.asarray(
-                    entry["retransmission_seqs"], dtype=np.int64
-                )
-                out["retransmission_seqs"] = {"__columns__": prefix}
-                entries.append(out)
-            section["epochs"] = entries
+        checkpoint = self.columnar()
+        columns = checkpoint.columns
         header = {
-            "payload": payload,
-            "tables": {"names": names.items, "links": links.items},
+            "payload": checkpoint.payload,
+            "tables": {
+                "names": columns.names,
+                "links": [link_to_str(link) for link in columns.links],
+            },
         }
         header_blob = zlib.compress(
             json.dumps(header, sort_keys=True).encode("utf-8")
         )
         body = io.BytesIO()
-        np.savez_compressed(body, **arrays)
+        np.savez_compressed(body, **columns.arrays)
         return (
             _CONTAINER_HEADER.pack(
                 CHECKPOINT_MAGIC, _CONTAINER_VERSION, len(header_blob)
@@ -772,7 +944,11 @@ class Checkpoint:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        """Parse a checkpoint from :meth:`to_bytes` output."""
+        """Parse a checkpoint from :meth:`to_bytes` output.
+
+        Raises ``ValueError`` for anything that is not a well-formed
+        container — whatever zlib, zipfile, numpy or json made of the damage.
+        """
         if len(data) < _CONTAINER_HEADER.size or not data.startswith(
             CHECKPOINT_MAGIC
         ):
@@ -783,15 +959,29 @@ class Checkpoint:
                 f"unsupported binary checkpoint container v{container_version}"
             )
         header_end = _CONTAINER_HEADER.size + header_len
-        header = json.loads(zlib.decompress(data[_CONTAINER_HEADER.size : header_end]))
-        with np.load(io.BytesIO(data[header_end:]), allow_pickle=False) as blob:
-            arrays = {name: blob[name] for name in blob.files}
-        columns = CheckpointColumns(
-            arrays=arrays,
-            names=header["tables"]["names"],
-            links=[link_from_str(text) for text in header["tables"]["links"]],
-        )
-        return cls(payload=header["payload"], columns=columns).validate()
+        try:
+            header = json.loads(
+                zlib.decompress(data[_CONTAINER_HEADER.size : header_end])
+            )
+            with np.load(io.BytesIO(data[header_end:]), allow_pickle=False) as blob:
+                arrays = {name: blob[name] for name in blob.files}
+            checkpoint = cls(
+                payload=header["payload"],
+                columns=CheckpointColumns(
+                    arrays=arrays,
+                    names=header["tables"]["names"],
+                    links=[link_from_str(text) for text in header["tables"]["links"]],
+                ),
+            )
+            _validate_columns(checkpoint.payload, checkpoint.columns)
+        except Exception as exc:
+            # the bytes come from outside and every layer below names damage
+            # differently (zlib.error, BadZipFile, EOFError, KeyError, ...):
+            # callers get the one error type this module raises.
+            raise ValueError(
+                f"corrupt binary checkpoint: {type(exc).__name__}: {exc}"
+            ) from exc
+        return checkpoint.validate()
 
     def save(self, path: Union[str, Path], format: str = "binary") -> None:
         """Write the checkpoint to ``path`` atomically.

@@ -121,17 +121,16 @@ class ShardExecutor:
         """Every shard's buffered ``(seq, path)`` records for ``epoch``."""
         raise NotImplementedError
 
-    def checkpoint_shards(self) -> List[Dict[str, Any]]:
-        """Per-shard checkpoint payloads, in shard order."""
+    def checkpoint_shards(self, bases: Optional[Sequence[Any]] = None) -> List[Any]:
+        """Every shard's own :class:`~repro.api.checkpoint.Checkpoint`, in
+        shard order — deltas against ``bases[shard]`` when ``bases`` is given."""
         raise NotImplementedError
 
-    def restore_shards(
-        self, payloads: Sequence[Dict[str, Any]], columns=None
-    ) -> None:
+    def restore_shards(self, payloads: Sequence[Dict[str, Any]], columns) -> None:
         """Rebuild every shard service from its checkpoint payload.
 
-        ``columns`` is the :class:`~repro.api.checkpoint.CheckpointColumns`
-        of a binary checkpoint (``None`` for JSON payloads); shard payloads
+        ``columns`` is the sharded checkpoint's
+        :class:`~repro.api.checkpoint.CheckpointColumns`; the shard payloads
         carry column markers into it.
         """
         raise NotImplementedError
@@ -198,10 +197,12 @@ class InlineExecutor(ShardExecutor):
             merged.extend(shard.evidence_for_epoch(epoch))
         return merged
 
-    def checkpoint_shards(self):
-        return [shard.checkpoint().payload for shard in self._shards]
+    def checkpoint_shards(self, bases=None):
+        if bases is None:
+            bases = [None] * self.num_shards
+        return [shard.checkpoint(base) for shard, base in zip(self._shards, bases)]
 
-    def restore_shards(self, payloads, columns=None):
+    def restore_shards(self, payloads, columns):
         from repro.api.checkpoint import Checkpoint
         from repro.api.service import Zero07Service
 
@@ -344,20 +345,22 @@ def _worker_main(conn, shard_ids: List[int], service_config: Dict[str, Any]) -> 
                         )
                     )
                 elif name == "checkpoint":
+                    bases = command[1]
                     conn.send(
                         (
                             "ok",
                             {
-                                shard: service.checkpoint().payload
+                                shard: service.checkpoint(
+                                    None if bases is None else bases[shard]
+                                )
                                 for shard, service in services.items()
                             },
                         )
                     )
                 elif name == "restore":
-                    columns = command[2] if len(command) > 2 else None
                     services = {
                         shard: Zero07Service.restore(
-                            Checkpoint(payload=payload, columns=columns)
+                            Checkpoint(payload=payload, columns=command[2])
                         )
                         for shard, payload in command[1].items()
                     }
@@ -704,13 +707,13 @@ class ProcessExecutor(ShardExecutor):
                 merged.extend(records)
         return merged
 
-    def checkpoint_shards(self):
-        payloads: Dict[int, Dict[str, Any]] = {}
-        for by_shard in self._sync(("checkpoint",)):
-            payloads.update(by_shard)
-        return [payloads[shard] for shard in range(self.num_shards)]
+    def checkpoint_shards(self, bases=None):
+        checkpoints: Dict[int, Any] = {}
+        for by_shard in self._sync(("checkpoint", bases)):
+            checkpoints.update(by_shard)
+        return [checkpoints[shard] for shard in range(self.num_shards)]
 
-    def restore_shards(self, payloads, columns=None):
+    def restore_shards(self, payloads, columns):
         if self._closed:
             raise ShardExecutorError("executor is closed")
         if self._pipeline_dead():

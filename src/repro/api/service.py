@@ -50,13 +50,18 @@ from typing import (
 
 from repro.api.checkpoint import (
     CHECKPOINT_VERSION,
+    DIFF_COLUMNS,
     Checkpoint,
+    CheckpointColumns,
+    ColumnsBuilder,
     blame_from_dict,
     blame_to_dict,
-    epoch_records,
-    epoch_retransmission_seqs,
+    decode_paths,
+    delta_rows,
+    encode_paths,
+    epoch_columns,
     gc_paused,
-    service_payload_delta,
+    payload_fingerprint,
 )
 from repro.api.events import (
     EpochTick,
@@ -64,7 +69,6 @@ from repro.api.events import (
     PathEvidence,
     RetransmissionEvidence,
     copy_path,
-    path_to_dict,
 )
 from repro.api.wire import (
     aggregate_updates,
@@ -849,27 +853,11 @@ class Zero07Service:
         current counters.  Apply it with ``base.apply_delta(delta)`` before
         restoring.  Without ``base`` the checkpoint is full and directly
         restorable.
+
+        The records are columnized straight from the live buffers (and only
+        the records a delta carries are); the returned columns are copies, so
+        later ingests never show through a checkpoint already taken.
         """
-        epochs = []
-        for epoch in sorted(self._epochs):
-            state = self._epochs[epoch]
-            records = sorted(
-                zip(state.rec_seqs, state.rec_paths), key=lambda r: r[0]
-            )
-            epochs.append(
-                {
-                    "epoch": epoch,
-                    "records": [[seq, path_to_dict(path)] for seq, path in records],
-                    "pending_retransmissions": {
-                        str(flow): count
-                        for flow, count in sorted(state.pending_retransmissions.items())
-                    },
-                    # consumed update seqs: their effect is already inside the
-                    # records' counts, but redeliveries after a restore must
-                    # still be recognized as duplicates.
-                    "retransmission_seqs": sorted(state.retransmission_seqs),
-                }
-            )
         payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
             "kind": "service",
@@ -881,52 +869,110 @@ class Zero07Service:
             "max_epoch_seen": self._max_epoch_seen,
             "last_finalized": self._last_finalized,
             "stats": self.stats.as_dict(),
-            "epochs": epochs,
         }
-        if base is None:
-            return Checkpoint(payload=payload)
-        base.validate()
-        if base.is_delta:
-            raise ValueError(
-                "the base of a delta checkpoint must be a full checkpoint"
+        base_entries: Dict[int, Dict[str, Any]] = {}
+        if base is not None:
+            base.validate()
+            if base.is_delta:
+                raise ValueError(
+                    "the base of a delta checkpoint must be a full checkpoint"
+                )
+            if base.kind != "service":
+                raise ValueError(
+                    f"base checkpoint kind {base.kind!r} does not match 'service'"
+                )
+            base = base.columnar()
+            payload["delta"] = True
+            payload["base"] = payload_fingerprint(base.payload, base.columns)
+            base_entries = {
+                entry["epoch"]: entry for entry in base.payload["epochs"]
+            }
+        builder = ColumnsBuilder()
+        epochs: List[Dict[str, Any]] = []
+        for epoch in sorted(self._epochs):
+            state = self._epochs[epoch]
+            seqs = np.array(state.rec_seqs, dtype=np.int64)
+            paths = state.rec_paths
+            if len(seqs) > 1 and not bool((seqs[1:] > seqs[:-1]).all()):
+                order = np.argsort(seqs, kind="stable")
+                seqs = seqs[order]
+                paths = list(map(paths.__getitem__, order.tolist()))
+            # consumed update seqs: their effect is already inside the
+            # records' counts, but redeliveries after a restore must still be
+            # recognized as duplicates.
+            retrans_seqs = np.array(
+                sorted(state.retransmission_seqs), dtype=np.int64
             )
-        if base.kind != "service":
-            raise ValueError(
-                f"base checkpoint kind {base.kind!r} does not match 'service'"
+            pending = {
+                str(flow): count
+                for flow, count in sorted(state.pending_retransmissions.items())
+            }
+            base_entry = base_entries.get(epoch)
+            if base_entry is not None:
+                known = epoch_columns(base_entry, base.columns, DIFF_COLUMNS)
+                counts = np.fromiter(
+                    map(operator.attrgetter("retransmissions"), paths),
+                    dtype=np.int64,
+                    count=len(paths),
+                )
+                rows = delta_rows(seqs, counts, known)
+                retrans_seqs = np.setdiff1d(retrans_seqs, known["rs"])
+                if (
+                    not len(rows)
+                    and not len(retrans_seqs)
+                    and pending == base_entry["pending_retransmissions"]
+                ):
+                    continue  # untouched since the base — the merge keeps base's copy
+                seqs = seqs[rows]
+                paths = list(map(paths.__getitem__, rows.tolist()))
+            epochs.append(
+                builder.add_epoch(
+                    f"e{len(epochs)}",
+                    epoch,
+                    encode_paths(seqs, paths, retrans_seqs, builder),
+                    pending,
+                )
             )
-        return Checkpoint(
-            payload=service_payload_delta(payload, base.payload, base.columns)
-        )
+        payload["epochs"] = epochs
+        return Checkpoint(payload, builder.build())
 
     def _seed_epoch(
         self,
-        epoch: int,
-        seqs: List[int],
-        paths: List[DiscoveredPath],
-        pending: Dict[int, int],
-        retrans_seqs: List[int],
+        entry: Dict[str, Any],
+        columns: CheckpointColumns,
+        link_ids: Optional[np.ndarray],
     ) -> None:
-        """Seed one open epoch's state straight from checkpoint records.
+        """Seed one open epoch's state straight from its checkpoint columns.
 
         Checkpoints store an epoch's records already sorted by (unique)
-        sequence number, so the incremental tally can be folded with one bulk
-        ``add_flows`` pass — state-identical to replaying every record through
+        sequence number, so the incremental tally can be folded in one bulk
+        pass — state-identical to replaying every record through
         :meth:`ingest` (same fold order, same floats), at a fraction of the
-        cost.  The caller owns ``seqs``/``paths``: they are adopted, not
-        copied, so pass freshly decoded objects.
+        cost.  The arrays engine folds the columns themselves
+        (``link_ids[i]`` is the index id of ``columns.links[i]``); the dict
+        engine, the oracle, folds the decoded paths (``link_ids is None``).
         """
+        epoch = int(entry["epoch"])
+        cols = epoch_columns(entry, columns)
+        seqs, paths = decode_paths(cols, columns)
         self._seen_epoch(epoch)
         state = self._state(epoch)
         state.rec_seqs = seqs
         state.rec_paths = paths
         state.seqs = set(seqs)
         if seqs:
-            state.tally.add_flows(paths)
+            if link_ids is None:
+                state.tally.add_flows(paths)
+            else:
+                state.tally.add_columns(
+                    link_ids[cols["hop"]], cols["len"], cols["flow"], cols["retr"]
+                )
             state.last_seq = seqs[-1]
             state.max_seq = seqs[-1]
         self.stats.paths_ingested += len(paths)
-        for flow_id, extra in pending.items():
+        for flow, count in entry["pending_retransmissions"].items():
             # mirror _ingest_retransmission for a seq-less buffered update
+            flow_id, extra = int(flow), int(count)
             path = state.flow_path().get(flow_id)
             if path is None:
                 state.pending_retransmissions[flow_id] = (
@@ -936,6 +982,7 @@ class Zero07Service:
                 path.retransmissions += extra
                 state.tally.bump_retransmissions(flow_id, extra)
             self.stats.retransmission_updates += 1
+        retrans_seqs = cols["rs"].tolist()
         if retrans_seqs:
             state.retransmission_seqs.update(retrans_seqs)
             state.seqs.update(retrans_seqs)
@@ -963,9 +1010,11 @@ class Zero07Service:
                 "cannot restore a delta checkpoint directly; merge it onto "
                 "its full base first with base.apply_delta(delta)"
             )
-        payload = checkpoint.payload
-        if payload.get("kind") != "service":
-            raise ValueError(f"not a service checkpoint: kind={payload.get('kind')!r}")
+        kind = checkpoint.payload.get("kind")
+        if kind != "service":
+            raise ValueError(f"not a service checkpoint: kind={kind!r}")
+        checkpoint = checkpoint.columnar()
+        payload, columns = checkpoint.payload, checkpoint.columns
         service = cls(
             blame_config=blame_from_dict(payload["blame"]),
             vote_policy=payload["vote_policy"],
@@ -975,21 +1024,16 @@ class Zero07Service:
             retain_reports=int(payload["retain_reports"]),
             link_index=link_index,
         )
+        link_ids = None
+        if service.engine == "arrays":
+            link_ids = np.fromiter(
+                map(service._link_index.intern, columns.links),
+                dtype=np.int64,
+                count=len(columns.links),
+            )
         with gc_paused():
-            for epoch_data in payload["epochs"]:
-                seqs, paths = epoch_records(epoch_data, checkpoint.columns)
-                service._seed_epoch(
-                    int(epoch_data["epoch"]),
-                    seqs,
-                    paths,
-                    {
-                        int(flow): int(count)
-                        for flow, count in epoch_data[
-                            "pending_retransmissions"
-                        ].items()
-                    },
-                    epoch_retransmission_seqs(epoch_data, checkpoint.columns),
-                )
+            for entry in payload["epochs"]:
+                service._seed_epoch(entry, columns, link_ids)
         service._max_epoch_seen = (
             int(payload["max_epoch_seen"])
             if payload["max_epoch_seen"] is not None

@@ -48,6 +48,8 @@ import numpy as np
 from repro.api.checkpoint import (
     CHECKPOINT_VERSION,
     Checkpoint,
+    assemble_shards,
+    shard_bases,
     sharded_payload_delta,
 )
 from repro.api.events import (
@@ -714,6 +716,20 @@ class ShardedService:
         routing state that changed since the base; apply it with
         ``base.apply_delta(delta)`` before restoring.
         """
+        bases = None
+        if base is not None:
+            base.validate()
+            if base.is_delta:
+                raise ValueError(
+                    "the base of a delta checkpoint must be a full checkpoint"
+                )
+            if base.kind != "sharded":
+                raise ValueError(
+                    f"base checkpoint kind {base.kind!r} does not match 'sharded'"
+                )
+            base = base.columnar()
+            bases = shard_bases(base, self._num_shards)
+        shards, columns = assemble_shards(self._executor.checkpoint_shards(bases))
         payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
             "kind": "sharded",
@@ -733,22 +749,11 @@ class ShardedService:
                 str(epoch): sorted(seqs)
                 for epoch, seqs in self._retrans_seqs.items()
             },
-            "shards": self._executor.checkpoint_shards(),
+            "shards": shards,
         }
-        if base is None:
-            return Checkpoint(payload=payload)
-        base.validate()
-        if base.is_delta:
-            raise ValueError(
-                "the base of a delta checkpoint must be a full checkpoint"
-            )
-        if base.kind != "sharded":
-            raise ValueError(
-                f"base checkpoint kind {base.kind!r} does not match 'sharded'"
-            )
-        return Checkpoint(
-            payload=sharded_payload_delta(payload, base.payload, base.columns)
-        )
+        if base is not None:
+            payload = sharded_payload_delta(payload, base)
+        return Checkpoint(payload, columns)
 
     @classmethod
     def restore(
@@ -773,6 +778,8 @@ class ShardedService:
             )
         if payload.get("kind") != "sharded":
             raise ValueError(f"not a sharded checkpoint: kind={payload.get('kind')!r}")
+        checkpoint = checkpoint.columnar()
+        payload = checkpoint.payload
         shard_payloads = payload["shards"]
         first = shard_payloads[0]
         from repro.api.checkpoint import blame_from_dict

@@ -788,19 +788,13 @@ def _run_bench_command(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _entry_record_count(entry) -> int:
-    """Record count of one epoch entry, either serialization."""
-    records = entry["records"]
-    return int(records["count"]) if isinstance(records, dict) else len(records)
-
-
 def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
     from pathlib import Path
 
     from repro.api.checkpoint import (
         CHECKPOINT_MAGIC,
         Checkpoint,
-        epoch_retransmission_seqs,
+        epoch_columns,
     )
 
     try:
@@ -836,11 +830,11 @@ def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
                     continue
                 for entry in epochs:
                     updates = len(
-                        epoch_retransmission_seqs(entry, checkpoint.columns)
+                        epoch_columns(entry, checkpoint.columns, ("rs",))["rs"]
                     )
                     print(
                         f"  {label}: epoch {entry['epoch']}: "
-                        f"{_entry_record_count(entry):,} path records, "
+                        f"{entry['records']['count']:,} path records, "
                         f"{updates:,} consumed update seqs",
                         file=out,
                     )

@@ -156,6 +156,36 @@ class TestProcessBackendEquivalence:
                 assert final == reference
 
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_delta_checkpoints_round_trip_across_backends(self, backend):
+        """Shards diff against their slice of the base (process workers are
+        sent only its seq/count columns); the merge restores on either backend."""
+        from repro.api import Checkpoint
+
+        events = [e for e in loadgen_events(epochs=1) if not isinstance(e, EpochTick)]
+        third = len(events) // 3
+        with ShardedService(3, backend=backend) as fleet:
+            fleet.ingest_batch(events[:third])
+            base = fleet.checkpoint()
+            fleet.ingest_batch(events[third : 2 * third])
+            delta = fleet.checkpoint(base=base)
+            full = fleet.checkpoint()
+            mid = report_signature(fleet.report(0))
+        assert delta.is_delta
+        assert len(delta.to_bytes()) < len(full.to_bytes())
+        merged = base.apply_delta(delta)
+        assert merged == full
+        assert Checkpoint.from_bytes(base.to_bytes()).apply_delta(
+            Checkpoint.from_bytes(delta.to_bytes())
+        ) == full
+        for other in ("inline", "process"):
+            restored = ShardedService.restore(merged, backend=other)
+            try:
+                assert report_signature(restored.report(0)) == mid
+            finally:
+                restored.close()
+
+
 class TestWorkerFailure:
     def test_dead_worker_raises_instead_of_hanging(self):
         events = [e for e in loadgen_events(epochs=1) if not isinstance(e, EpochTick)]

@@ -509,7 +509,7 @@ class TestDeltaCheckpoint:
         assert delta.is_delta
         full = service.checkpoint()
         merged = base.apply_delta(delta)
-        assert merged.payload == full.payload
+        assert merged == full
         restored = Zero07Service.restore(merged)
         epoch = max(service.open_epochs)
         assert report_signature(restored.report(epoch)) == report_signature(
@@ -526,7 +526,7 @@ class TestDeltaCheckpoint:
         delta = fleet.checkpoint(base=base)
         assert delta.is_delta
         merged = base.apply_delta(delta)
-        assert merged.payload == fleet.checkpoint().payload
+        assert merged == fleet.checkpoint()
         restored = ShardedService.restore(merged)
         epoch = max(e for i in range(2) for e in fleet.shard(i).open_epochs)
         assert report_signature(restored.report(epoch)) == report_signature(
@@ -544,7 +544,7 @@ class TestDeltaCheckpoint:
             service.checkpoint(base=base).to_bytes()
         )
         merged = base.apply_delta(delta)
-        assert merged.payload == service.checkpoint().payload
+        assert merged == service.checkpoint()
 
     def test_delta_is_smaller_than_the_full_checkpoint(self):
         from repro.loadgen import EvidenceLoadGenerator
@@ -580,6 +580,147 @@ class TestDeltaCheckpoint:
         wrong_base = service.checkpoint()  # state moved on past the real base
         with pytest.raises(ValueError, match="fingerprint"):
             wrong_base.apply_delta(delta)
+
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_checkpoint_is_isolated_from_later_ingests(self, engine):
+        """Capture copies: nothing ingested afterwards shows through ``base``,
+        and the delta against it carries exactly the bumped + new records."""
+        service = Zero07Service(engine=engine)
+        service.ingest_batch(
+            [
+                PathEvidence(0, 2 * i, make_path(i, L[i % 3 : i % 3 + 3]))
+                for i in range(12)
+            ]
+        )
+        base = service.checkpoint()
+        before = base.to_bytes()
+        # counts of already-checkpointed flows: one per-event bump, one batch
+        service.ingest(
+            RetransmissionEvidence(epoch=0, flow_id=3, retransmissions=2, seq=100)
+        )
+        service.ingest_batch(
+            [
+                RetransmissionEvidence(
+                    epoch=0, flow_id=i % 4, retransmissions=1, seq=101 + i
+                )
+                for i in range(10)
+            ]
+        )
+        service.ingest_batch(
+            [PathEvidence(0, 200 + i, make_path(50 + i, L[1:4])) for i in range(9)]
+        )
+        # out of order: the next report re-sorts the live buffers
+        service.ingest(PathEvidence(0, 5, make_path(99, L[:2])))
+        assert service.stats.out_of_order_events == 1
+        service.report(0)
+        assert base.to_bytes() == before
+        delta = service.checkpoint(base=base)
+        (carried,) = delta.materialize().payload["epochs"]
+        assert [seq for seq, _ in carried["records"]] == (
+            [0, 2, 4, 5, 6] + list(range(200, 209))
+        )
+        assert carried["retransmission_seqs"] == list(range(100, 111))
+        assert base.apply_delta(delta) == service.checkpoint()
+        assert base.to_bytes() == before
+
+    def test_equality_compares_the_records_not_their_count(self):
+        def capture(flow_id):
+            service = Zero07Service()
+            service.ingest(PathEvidence(0, 0, make_path(flow_id, L[:3])))
+            return service.checkpoint()
+
+        assert capture(1) == capture(1)
+        assert capture(1) == Checkpoint.from_json(capture(1).to_json())
+        assert capture(1) != capture(2)  # same shape, different content
+
+
+# ----------------------------------------------------------------------
+# the container boundary: old bytes, damaged bytes
+# ----------------------------------------------------------------------
+CHECKPOINT_FIXTURES = pathlib.Path(__file__).parent / "data" / "checkpoints"
+
+
+class TestContainerCompatibility:
+    def test_containers_written_by_an_earlier_commit_load_merge_and_restore(self):
+        """``tests/data/checkpoints`` was written before checkpoints went
+        columnar in memory; the bytes must keep meaning the same state."""
+        base, delta, full = (
+            Checkpoint.load(CHECKPOINT_FIXTURES / f"{name}.ckpt")
+            for name in ("base", "delta", "full")
+        )
+        assert delta.is_delta and not base.is_delta and not full.is_delta
+        merged = base.apply_delta(delta)
+        assert merged.to_json() == full.to_json()
+        restored = Zero07Service.restore(merged)
+        reference = Zero07Service.restore(full)
+        assert restored.open_epochs == reference.open_epochs == [1, 2]
+        for epoch in reference.open_epochs:
+            assert report_signature(restored.report(epoch)) == report_signature(
+                reference.report(epoch)
+            )
+        # and what this code writes is the same document again
+        assert Checkpoint.from_bytes(merged.to_bytes()) == full
+
+
+class TestContainerDamage:
+    """``from_bytes`` turns any damage into ``ValueError`` — or the damage
+    did not reach the data (zip slack, redundant headers) and the state is
+    exactly the original's."""
+
+    @pytest.fixture(scope="class")
+    def container(self):
+        blob = (CHECKPOINT_FIXTURES / "full.ckpt").read_bytes()
+        return blob, Zero07Service.restore(Checkpoint.from_bytes(blob)).checkpoint().to_json()
+
+    @staticmethod
+    def _loads_to(blob, document):
+        try:
+            checkpoint = Checkpoint.from_bytes(blob)
+        except ValueError:
+            return True
+        return Zero07Service.restore(checkpoint).checkpoint().to_json() == document
+
+    def test_single_bit_flips(self, container):
+        import random
+
+        blob, document = container
+        rng = random.Random(14)
+        for _ in range(600):
+            damaged = bytearray(blob)
+            damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+            assert self._loads_to(bytes(damaged), document)
+
+    def test_truncations(self, container):
+        blob, document = container
+        for cut in range(0, len(blob), max(1, len(blob) // 60)):
+            with pytest.raises(ValueError):
+                Checkpoint.from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize(
+        "column, damage",
+        [
+            ("seq", lambda a: a[::-1]),  # not increasing
+            ("len", lambda a: a + 1),  # does not delimit the hops
+            ("len", lambda a: a * 0),  # empty paths
+            ("hop", lambda a: a + 10_000),  # outside the link table
+            ("sh", lambda a: a - 10_000),  # outside the name table
+            ("flow", lambda a: a[:-1]),  # shorter than count
+            ("retr", lambda a: a.astype(float)),  # not integers
+        ],
+    )
+    def test_inconsistent_columns_are_rejected(self, column, damage):
+        from repro.api.checkpoint import CheckpointColumns
+
+        good = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
+        arrays = dict(good.columns.arrays)
+        arrays[f"e0_{column}"] = damage(arrays[f"e0_{column}"])
+        crafted = Checkpoint(
+            good.payload,
+            CheckpointColumns(arrays, good.columns.names, good.columns.links),
+        )
+        with pytest.raises(ValueError, match="corrupt binary checkpoint"):
+            Checkpoint.from_bytes(crafted.to_bytes())
 
 
 # ----------------------------------------------------------------------

@@ -211,9 +211,9 @@ class TestCheckpointCommand:
             ],
             out=out,
         ) == 0
-        original = Checkpoint.load(checkpoints / "base.bin").materialize()
+        original = Checkpoint.load(checkpoints / "base.bin")
         converted = Checkpoint.load(checkpoints / "base.json")
-        assert converted.payload == original.payload
+        assert converted == original
 
     def test_merge_reproduces_the_full_checkpoint(self, checkpoints):
         from repro.api import Checkpoint
@@ -228,9 +228,59 @@ class TestCheckpointCommand:
             ],
             out=out,
         ) == 0
-        merged = Checkpoint.load(checkpoints / "merged.bin").materialize()
+        merged = Checkpoint.load(checkpoints / "merged.bin")
         full = Checkpoint.load(checkpoints / "full.json")
-        assert merged.payload == full.payload
+        assert merged == full
+
+    def _inspect_convert_merge(self, directory, base, delta, full):
+        """Drive all three subcommands on ``base``/``delta`` files; the merge
+        must reproduce ``full`` and the inspection must count its records."""
+        from repro.api import Checkpoint
+
+        for name, fmt in ((base, "json"), (base, "binary")):
+            converted = directory / f"converted.{fmt}"
+            assert main(
+                ["checkpoint", "convert", str(directory / name), str(converted),
+                 "--format", fmt],
+                out=io.StringIO(),
+            ) == 0
+            assert Checkpoint.load(converted) == Checkpoint.load(directory / name)
+        merged = directory / "merged.out"
+        assert main(
+            ["checkpoint", "merge", str(directory / base), str(directory / delta),
+             str(merged)],
+            out=io.StringIO(),
+        ) == 0
+        assert Checkpoint.load(merged) == full
+        out = io.StringIO()
+        assert main(["checkpoint", "inspect", str(merged)], out=out) == 0
+        for entry in full.materialize().payload["epochs"]:
+            assert (
+                f"epoch {entry['epoch']}: {len(entry['records']):,} path records, "
+                f"{len(entry['retransmission_seqs']):,} consumed update seqs"
+            ) in out.getvalue()
+
+    def test_commands_on_containers_of_live_captures(self, checkpoints):
+        """Columns written exactly as ``checkpoint()`` captured them (tables
+        in capture order, a delta's own prefixes) — never through JSON."""
+        from repro.api import Checkpoint
+
+        self._inspect_convert_merge(
+            checkpoints, "base.bin", "delta.bin",
+            Checkpoint.load(checkpoints / "full.json"),
+        )
+
+    def test_commands_on_json_documents(self, checkpoints):
+        from repro.api import Checkpoint
+
+        for name in ("base", "delta"):
+            Checkpoint.load(checkpoints / f"{name}.bin").save(
+                checkpoints / f"{name}.json", format="json"
+            )
+        self._inspect_convert_merge(
+            checkpoints, "base.json", "delta.json",
+            Checkpoint.load(checkpoints / "full.json"),
+        )
 
     def test_merge_rejects_a_mismatched_base(self, checkpoints, capsys):
         # full.json is not the base the delta was taken against — the

@@ -68,6 +68,16 @@ workloads = st.lists(
 
 engines = st.sampled_from(["arrays", "dicts"])
 seeds = st.randoms(use_true_random=False)
+checkpoint_codecs = st.sampled_from(["memory", "bytes", "json"])
+
+
+def through_codec(checkpoint: Checkpoint, codec: str) -> Checkpoint:
+    """The checkpoint as held in memory, or after a serialization round trip."""
+    if codec == "bytes":
+        return Checkpoint.from_bytes(checkpoint.to_bytes())
+    if codec == "json":
+        return Checkpoint.from_json(checkpoint.to_json())
+    return checkpoint
 
 
 def build_evidence(workload):
@@ -130,20 +140,27 @@ def test_any_permutation_and_chunking_matches_batch(workload, engine, rng, chunk
         st.integers(0, NUM_EPOCHS - 1), min_size=5, max_size=5
     ),
     restore_index=st.integers(0, 4),
+    base_index=st.integers(0, 4),
+    base_codec=checkpoint_codecs,
+    delta_codec=checkpoint_codecs,
 )
 def test_interleaved_queries_equal_fresh_replay(
-    workload, engine, cuts, query_epochs, restore_index
+    workload, engine, cuts, query_epochs, restore_index, base_index,
+    base_codec, delta_codec,
 ):
     """report() at arbitrary ingest cuts == a from-scratch replay's answer.
 
     The materialized blame view caches per-epoch reports behind a mutation
     watermark, so a service that answered queries mid-stream must stay
     bit-identical to one that never did — including a repeated (cache-hit)
-    query at the same cut, and across a binary checkpoint/restore taken at a
-    random cut.
+    query at the same cut, and across a restart at a random cut: the service
+    is rebuilt from a base checkpoint taken at an earlier (or the same) cut
+    plus a delta against it, each through a random codec.
     """
     _, events = build_evidence(workload)
     positions = sorted(min(cut, len(events)) for cut in cuts)
+    restore_at = restore_index % len(positions)
+    base_at = base_index % (restore_at + 1)
     service = Zero07Service(engine=engine)
     consumed = 0
     for i, position in enumerate(positions):
@@ -156,10 +173,11 @@ def test_interleaved_queries_equal_fresh_replay(
         assert report_signature(service.report(epoch)) == expected
         # a second query at the same cut hits the cached view — still exact
         assert report_signature(service.report(epoch)) == expected
-        if i == restore_index % len(positions):
-            service = Zero07Service.restore(
-                Checkpoint.from_bytes(service.checkpoint().to_bytes())
-            )
+        if i == base_at:
+            base = through_codec(service.checkpoint(), base_codec)
+        if i == restore_at:
+            delta = through_codec(service.checkpoint(base=base), delta_codec)
+            service = Zero07Service.restore(base.apply_delta(delta))
     service.ingest_batch(events[consumed:])
     replay = Zero07Service(engine=engine)
     replay.ingest_batch(events)
