@@ -219,8 +219,13 @@ class ShardedService:
         self._host_index = ItemIndex()
         self._host_shards = np.zeros(0, dtype=np.int64)
         #: epochs with evidence routed to some shard and not yet finalized —
-        #: tracked here so ticking never needs a worker round-trip.
-        self._open: set = set()
+        #: tracked here so ticking never needs a worker round-trip — each
+        #: with its change version: bumped on every admission for the epoch
+        #: (conservatively: a duplicate may bump), so a merged report stays
+        #: current exactly while its epoch's version stands.
+        self._open: Dict[int, int] = {}
+        #: open epoch -> (version it was merged at, the merged report).
+        self._views: Dict[int, Tuple[int, EpochReport]] = {}
         self._final_reports: Dict[int, EpochReport] = {}
         self._last_finalized: Optional[int] = None
         self._max_epoch_seen: Optional[int] = None
@@ -279,6 +284,10 @@ class ShardedService:
         if self._max_epoch_seen is None or epoch > self._max_epoch_seen:
             self._max_epoch_seen = epoch
 
+    def _touch(self, epoch: int) -> None:
+        """Evidence for ``epoch`` was admitted: open it, outdate its view."""
+        self._open[epoch] = self._open.get(epoch, 0) + 1
+
     def _is_late(self, epoch: int) -> bool:
         return self._last_finalized is not None and epoch <= self._last_finalized
 
@@ -293,7 +302,7 @@ class ShardedService:
             self._seen_epoch(event.epoch)
             shard = shard_of_host(event.path.src_host, self._num_shards)
             self._flow_shard.setdefault(event.epoch, {})[event.path.flow_id] = shard
-            self._open.add(event.epoch)
+            self._touch(event.epoch)
             if event.seq is not None and event.seq > self._max_seq.get(
                 event.epoch, -1
             ):
@@ -329,7 +338,7 @@ class ShardedService:
                     epoch_pending.get(event.flow_id, 0) + event.retransmissions
                 )
             else:
-                self._open.add(event.epoch)
+                self._touch(event.epoch)
                 if self._store is not None:
                     self._executor.mark_dirty(event.epoch)
                 self._executor.submit_event(shard, event)
@@ -402,7 +411,7 @@ class ShardedService:
     ) -> None:
         """Commit one validated bulk stretch: facade state, store, shards."""
         self._seen_epoch(epoch)
-        self._open.add(epoch)
+        self._touch(epoch)
         if run_flows:
             self._flow_shard.setdefault(epoch, {}).update(run_flows)
         if run_seqs:
@@ -500,7 +509,7 @@ class ShardedService:
 
         # -- provably routable: commit facade state and hand off --------
         self._seen_epoch(epoch)
-        self._open.add(epoch)
+        self._touch(epoch)
         if run_map:
             self._flow_shard.setdefault(epoch, {}).update(run_map)
         if upd_seqs:
@@ -642,7 +651,11 @@ class ShardedService:
 
         Bit-identical to an unsharded :meth:`Zero07Service.report` over the
         same evidence stream: the merge folds all shards' evidence in the
-        global sequence order the source emitted it in.
+        global sequence order the source emitted it in.  An open epoch keeps
+        its last merged report as a versioned view: while the facade admitted
+        no evidence for the epoch since the previous query, the identical
+        report object is returned — before any store drain or worker round
+        trip.
         """
         if epoch is None:
             epoch = self._max_epoch_seen if self._max_epoch_seen is not None else 0
@@ -660,7 +673,13 @@ class ShardedService:
             raise ReportUnavailableError(
                 epoch, self._last_finalized, self._retain_reports
             )
-        return self._merged_report(epoch)
+        version = self._open.get(epoch)
+        if version is None:
+            return self._merged_report(epoch)  # no evidence: nothing to keep
+        view = self._views.get(epoch)
+        if view is None or view[0] != version:
+            view = self._views[epoch] = (version, self._merged_report(epoch))
+        return view[1]
 
     def _finalize_through(self, epoch: int) -> None:
         # mirror Zero07Service: every epoch up to the tick finalizes, gap
@@ -691,7 +710,8 @@ class ShardedService:
                 self._pending.pop(e, None)
                 self._retrans_seqs.pop(e, None)
                 self._max_seq.pop(e, None)
-                self._open.discard(e)
+                self._open.pop(e, None)
+                self._views.pop(e, None)
                 if self._store is not None:
                     self._executor.forget_epoch(e)
         finally:
@@ -810,7 +830,7 @@ class ShardedService:
         }
         for shard_payload in shard_payloads:
             for epoch_data in shard_payload.get("epochs", []):
-                fleet._open.add(int(epoch_data["epoch"]))
+                fleet._touch(int(epoch_data["epoch"]))
         if fleet._store is not None:
             # restored epochs were not streamed through the column store —
             # their merged reports come from gather-and-replay.

@@ -93,6 +93,12 @@ class AnalyzerStats:
     backpressure_engagements: int = 0
     acks_deferred: int = 0
     heartbeats: int = 0
+    #: ``report`` queries answered, how many reused a cached reply line, and
+    #: how many distinct reports were encoded — hits + encodes + error
+    #: replies add up to the queries.
+    report_queries: int = 0
+    report_view_hits: int = 0
+    reports_encoded: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain JSON-serializable mapping."""
@@ -116,9 +122,23 @@ def report_to_json(report: EpochReport) -> Dict:
     }
 
 
+def _reply_line(response: Dict) -> bytes:
+    """One query-socket reply as the newline-terminated JSON line sent."""
+    return json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
+
+
 # ---------------------------------------------------------------------------
 # ingest cores
 # ---------------------------------------------------------------------------
+class _FinalizedCount:
+    """A report sink that only counts: one report per finalized epoch."""
+
+    count = 0
+
+    def on_report(self, report: EpochReport) -> None:
+        self.count += 1
+
+
 class ServiceIngestCore:
     """Feed decoded evidence runs into a real streaming service.
 
@@ -133,11 +153,18 @@ class ServiceIngestCore:
 
     def __init__(self, service) -> None:
         self.service = service
+        self._finalized = _FinalizedCount()
+        service.add_sink(self._finalized)
 
     @property
     def last_finalized(self) -> Optional[int]:
         """The newest epoch the service has closed."""
         return self.service.last_finalized_epoch
+
+    @property
+    def epochs_finalized(self) -> int:
+        """Epochs this core's ticks closed, gap epochs included."""
+        return self._finalized.count
 
     def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
         """Ingest one in-order chunk (events are materialized here)."""
@@ -154,7 +181,11 @@ class ServiceIngestCore:
         self.service.ingest(EpochTick(epoch))
 
     def report(self, epoch: Optional[int] = None) -> EpochReport:
-        """The service's report for ``epoch`` (mid-epoch queries included)."""
+        """The service's report for ``epoch`` (mid-epoch queries included).
+
+        Both services return the identical object while no evidence for the
+        epoch arrived, which is what the query socket's line cache keys on.
+        """
         return self.service.report(epoch)
 
     def describe(self) -> Dict:
@@ -187,6 +218,11 @@ class ColumnarIngestCore:
     the trim, seq-less updates) replay their retained chunks through a
     throwaway :class:`Zero07Service`, whose duplicate/out-of-order tolerance
     is the correctness oracle.  Arrays engine only.
+
+    An open epoch keeps its last report as a versioned view: the version is
+    the number of chunks retained for the epoch (every append adds one), so
+    a query that finds it unchanged returns the identical report object
+    without a snapshot, an analysis or — for a dirty epoch — a replay.
     """
 
     mode = "columns"
@@ -210,8 +246,13 @@ class ColumnarIngestCore:
         )
         #: per-epoch retained chunks, arrival order, for dirty-epoch replay.
         self._retained: Dict[int, List] = {}
+        #: open epoch -> (chunks retained when materialized, that report);
+        #: only ever holds epochs that are in ``_retained``.
+        self._views: Dict[int, Tuple[int, EpochReport]] = {}
         self._final_reports: Dict[int, EpochReport] = {}
         self._last_finalized: Optional[int] = None
+        #: epochs closed by :meth:`tick`, gap epochs included.
+        self.epochs_finalized = 0
         #: epochs that replayed instead of folding columns (visible in stats).
         self.replayed_epochs = 0
 
@@ -268,11 +309,17 @@ class ColumnarIngestCore:
             while len(self._final_reports) > self._retain_reports:
                 del self._final_reports[next(iter(self._final_reports))]
             self._last_finalized = e
+            self.epochs_finalized += 1
             self._store.pop(e)
             self._retained.pop(e, None)
+            self._views.pop(e, None)
 
     def report(self, epoch: Optional[int] = None) -> EpochReport:
-        """Final report if closed, else a mid-epoch materialization."""
+        """Final report if closed, else the open epoch's current view.
+
+        While no chunk for the epoch arrived since the previous query the
+        identical report object is returned.
+        """
         if epoch is None:
             open_epochs = self._retained.keys()
             if open_epochs:
@@ -287,7 +334,15 @@ class ColumnarIngestCore:
             raise ReportUnavailableError(
                 epoch, self._last_finalized, self._retain_reports
             )
-        return self._materialize(epoch)
+        retained = self._retained.get(epoch)
+        if retained is None:
+            # nobody sent evidence for this epoch: the empty report, and no
+            # state — a polling client must not be able to grow the core.
+            return self._materialize(epoch)
+        view = self._views.get(epoch)
+        if view is None or view[0] != len(retained):
+            view = self._views[epoch] = (len(retained), self._materialize(epoch))
+        return view[1]
 
     def describe(self) -> Dict:
         """Mode and analysis shape, for ``meta.json`` and the query socket."""
@@ -375,6 +430,8 @@ class FleetAnalyzer:
         self._shutdown = asyncio.Event()
         self._servers: List[asyncio.base_events.Server] = []
         self._unix_paths: List[str] = []
+        #: epoch -> (report, its encoded reply line); see ``_report_line``.
+        self._report_lines: Dict[int, Tuple[EpochReport, bytes]] = {}
         self.bound_endpoint: Optional[Endpoint] = None
         self.bound_query_endpoint: Optional[Endpoint] = None
 
@@ -653,10 +710,7 @@ class FleetAnalyzer:
         for e in sorted(e for e in self._stages if e <= epoch):
             self._flush_all(e, self._stages.pop(e))
         self.core.tick(epoch)
-        finalized = self.core.last_finalized
-        self.stats.epochs_finalized = (
-            finalized + 1 if finalized is not None else 0
-        )
+        self.stats.epochs_finalized = self.core.epochs_finalized
 
     async def _ack(
         self, connection: _Connection, epoch: int, seq: int, nbytes: int
@@ -683,22 +737,26 @@ class FleetAnalyzer:
                     break  # the reconnect path re-acks via WELCOME watermarks
 
     # -- query socket --------------------------------------------------
+    #: reply lines kept for repeated ``report`` queries: the open epochs a
+    #: dashboard polls plus the last closed ones.  A line runs to 1 MB, so
+    #: the table stays this small; oldest entry out first.
+    REPORT_LINES_KEPT = 4
+
     async def _serve_query(self, reader, writer) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # no newline within READ_LIMIT bytes
+                    error = f"query line longer than {self.READ_LIMIT} bytes"
+                    writer.write(_reply_line({"ok": False, "error": error}))
+                    await writer.drain()
+                    return
                 if not line:
                     return
-                try:
-                    request = json.loads(line.decode("utf-8"))
-                    response = self._handle_query(request)
-                except Exception as exc:  # malformed request → error reply
-                    response = {"ok": False, "error": str(exc)}
-                writer.write(
-                    json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
-                )
+                writer.write(self._answer(line))
                 await writer.drain()
-                if response.get("shutdown"):
+                if self._shutdown.is_set():
                     return
         except ConnectionError:
             return
@@ -707,6 +765,52 @@ class FleetAnalyzer:
                 writer.close()
             except Exception:
                 pass
+
+    def _answer(self, line: bytes) -> bytes:
+        """The reply line for one request line; errors become error replies."""
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("a query must be a JSON object")
+            if request.get("cmd") == "report":
+                return self._report_line(request.get("epoch"))
+            response = self._handle_query(request)
+        except Exception as exc:  # malformed request → error reply
+            response = {"ok": False, "error": str(exc)}
+        return _reply_line(response)
+
+    def _report_line(self, epoch) -> bytes:
+        """The ``report`` reply, encoded once per distinct report object.
+
+        Every core returns the identical report while nothing changed for
+        the epoch, so a line is reusable exactly as long as ``core.report``
+        keeps returning the object it was encoded from.  The entry holds
+        that object, so its identity cannot be recycled under the line.
+        """
+        if epoch is not None and type(epoch) is not int:  # bool is not an epoch
+            raise ValueError("report epoch must be an integer or null")
+        self.stats.report_queries += 1
+        lines = self._report_lines
+        try:
+            report = self.core.report(epoch)
+        except ReportUnavailableError as exc:
+            lines.pop(epoch, None)
+            return _reply_line({"ok": False, "error": str(exc)})
+        entry = lines.get(report.epoch)
+        if entry is not None and entry[0] is report:
+            self.stats.report_view_hits += 1
+            return entry[1]
+        # release the superseded report and its line before building the next
+        lines.pop(report.epoch, None)
+        line = _reply_line({"ok": True, "report": report_to_json(report)})
+        self.stats.reports_encoded += 1
+        if report.num_paths_analyzed:
+            # an empty report is cheap to encode and may be for an epoch
+            # nobody ever sent evidence for: keep nothing for those.
+            lines[report.epoch] = (report, line)
+            if len(lines) > self.REPORT_LINES_KEPT:
+                del lines[next(iter(lines))]
+        return line
 
     def _handle_query(self, request: Dict) -> Dict:
         command = request.get("cmd")
@@ -740,13 +844,6 @@ class FleetAnalyzer:
                 }
             )
             return {"ok": True, "describe": description}
-        if command == "report":
-            epoch = request.get("epoch")
-            try:
-                report = self.core.report(epoch)
-            except ReportUnavailableError as exc:
-                return {"ok": False, "error": str(exc)}
-            return {"ok": True, "report": report_to_json(report)}
         if command == "shutdown":
             self.shutdown()
             return {"ok": True, "shutdown": True}

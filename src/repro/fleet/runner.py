@@ -108,7 +108,7 @@ class FleetQueryClient:
         line = self._reader.readline()
         if not line:
             raise ConnectionError("analyzer query socket closed")
-        return json.loads(line.decode("utf-8"))
+        return json.loads(line)
 
     def close(self) -> None:
         try:

@@ -124,6 +124,31 @@ class TestProcessBackendEquivalence:
         process = run_reports(ShardedService(4, backend="process"), list(events), 1)
         assert single == process
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_report_view_follows_vector_routed_runs(self, engine, backend):
+        """Runs long enough for the vectorized router bump the epoch's view
+        version too: a repeat query returns the identical object (no second
+        merge), the query after the next run the unsharded service's answer."""
+        events = [
+            e
+            for e in loadgen_events(epochs=1, events_per_epoch=2_400)
+            if not isinstance(e, EpochTick)
+        ]
+        single = Zero07Service(engine=engine)
+        with ShardedService(3, engine=engine, backend=backend) as fleet:
+            for lo in range(0, len(events), 800):
+                run = events[lo : lo + 800]
+                fleet.ingest_batch(run)
+                single.ingest_batch(run)
+                first = fleet.report(0)
+                assert report_signature(first) == report_signature(single.report(0))
+                assert fleet.report(0) is first
+                assert fleet.report() is first
+            fleet.ingest(EpochTick(0))
+            assert fleet._views == {} and fleet._open == {}
+            assert fleet.report(0) is fleet.report(0)
+
     def test_workers_fewer_than_shards(self):
         events = loadgen_events(epochs=1)
         inline = run_reports(ShardedService(4, backend="inline"), list(events), 1)

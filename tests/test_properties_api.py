@@ -22,6 +22,7 @@ from repro.api import (  # noqa: E402
     Checkpoint,
     PathEvidence,
     RetransmissionEvidence,
+    ShardedService,
     Zero07Service,
 )
 from repro.core.analysis import AnalysisAgent  # noqa: E402
@@ -80,19 +81,22 @@ def through_codec(checkpoint: Checkpoint, codec: str) -> Checkpoint:
     return checkpoint
 
 
-def build_evidence(workload):
+def build_evidence(workload, sequence_updates=False):
     """Expand a workload into (paths_by_epoch, evidence events without ticks).
 
     Each flow's retransmission count ``k`` is split into the initial path
     evidence (count 1) plus ``k - 1`` separate retransmission updates — the
-    way a live monitoring agent would emit it.
+    way a live monitoring agent would emit it.  With ``sequence_updates``
+    the updates share the epoch's seq space with the paths (as the monitoring
+    bridge numbers them), which lets a service recognise a redelivered one.
     """
     paths_by_epoch = {}
     events = []
     for epoch, epoch_flows in enumerate(workload):
         paths = []
-        for seq, (link_ids, retrans) in enumerate(epoch_flows):
-            flow_id = 100 * epoch + seq
+        seq = 0
+        for index, (link_ids, retrans) in enumerate(epoch_flows):
+            flow_id = 100 * epoch + index
             paths.append(make_path(flow_id, link_ids, retrans, epoch))
             events.append(
                 PathEvidence(
@@ -101,10 +105,16 @@ def build_evidence(workload):
                     path=make_path(flow_id, link_ids, 1, epoch),
                 )
             )
+            seq += 1
             for _ in range(retrans - 1):
                 events.append(
-                    RetransmissionEvidence(epoch=epoch, flow_id=flow_id)
+                    RetransmissionEvidence(
+                        epoch=epoch,
+                        flow_id=flow_id,
+                        seq=seq if sequence_updates else None,
+                    )
                 )
+                seq += sequence_updates
         paths_by_epoch[epoch] = paths
     return paths_by_epoch, events
 
@@ -199,3 +209,80 @@ def test_in_order_streaming_matches_batch(workload, engine):
     for epoch in range(NUM_EPOCHS):
         expected = agent.analyze_epoch(epoch, paths_by_epoch[epoch])
         assert report_signature(service.report(epoch)) == report_signature(expected)
+
+
+def perturbed_chunks(events, rng):
+    """A delivery of ``events`` in chunks: count updates moved ahead of their
+    path, redelivered events, swapped neighbouring chunks."""
+    delivery = list(events)
+    for _ in range(rng.randint(0, 2)):
+        updates = [
+            i for i, e in enumerate(delivery) if isinstance(e, RetransmissionEvidence)
+        ]
+        if updates:
+            at = rng.choice(updates)
+            delivery.insert(rng.randint(0, at), delivery.pop(at))
+    for _ in range(rng.randint(0, 3)):
+        if delivery:
+            at = rng.randrange(len(delivery))
+            delivery.insert(rng.randint(at, len(delivery)), delivery[at])
+    chunks = []
+    while delivery:
+        size = rng.choice((1, 2, 3, 5, 9, 16))  # from 8 on, bulk stretches
+        chunks.append(delivery[:size])
+        del delivery[:size]
+    for i in range(len(chunks) - 1):
+        if rng.random() < 0.2:
+            chunks[i], chunks[i + 1] = chunks[i + 1], chunks[i]
+    return chunks
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+@pytest.mark.parametrize("num_shards", [2, 4])
+@given(
+    workload=workloads,
+    engine=engines,
+    rng=seeds,
+    restore_codec=checkpoint_codecs,
+)
+def test_sharded_repeated_queries_equal_the_unsharded_service(
+    num_shards, backend, workload, engine, rng, restore_codec
+):
+    """Every query of a sharded fleet, issued twice, == the unsharded answer.
+
+    The facade keeps each open epoch's merged report behind a change
+    version; an admission point that forgot to bump it would serve the
+    previous cut's report to the second (or the next first) query.  Chunks
+    arrive per event or batched, with duplicates, swapped chunks and count
+    updates ahead of their path, and the fleet restarts from a checkpoint at
+    a drawn cut.
+    """
+    _, events = build_evidence(workload, sequence_updates=True)
+    chunks = perturbed_chunks(events, rng)
+    restore_at = rng.randrange(len(chunks) + 1)
+    fleet = ShardedService(num_shards, engine=engine, backend=backend)
+    try:
+        delivered = []
+        for index, chunk in enumerate(chunks):
+            if index == restore_at:
+                checkpoint = through_codec(fleet.checkpoint(), restore_codec)
+                fleet.close()
+                fleet = ShardedService.restore(checkpoint, backend=backend)
+            if rng.random() < 0.5:
+                fleet.ingest_batch(chunk)
+            else:
+                for event in chunk:
+                    fleet.ingest(event)
+            delivered.extend(chunk)
+            single = Zero07Service(engine=engine)
+            single.ingest_batch(delivered)
+            for epoch in rng.sample(range(NUM_EPOCHS), rng.randint(1, NUM_EPOCHS)):
+                expected = report_signature(single.report(epoch))
+                first = fleet.report(epoch)
+                assert report_signature(first) == expected
+                again = fleet.report(epoch)
+                assert report_signature(again) == expected
+                if first.num_paths_analyzed:
+                    assert again is first  # the view, not a second merge
+    finally:
+        fleet.close()
