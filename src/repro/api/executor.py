@@ -139,6 +139,10 @@ class ShardExecutor:
         """The in-process shard service (inline backend only)."""
         raise NotImplementedError
 
+    def stats(self) -> List[Dict[str, Any]]:
+        """Per-shard service stats counters, in shard order (synchronous)."""
+        raise NotImplementedError
+
     # -- store/wire pipeline hooks (async backends override) -----------
     def drain_store(self) -> None:
         """Barrier: the column store reflects every submitted run."""
@@ -213,6 +217,9 @@ class InlineExecutor(ShardExecutor):
 
     def shard_service(self, index):
         return self._shards[index]
+
+    def stats(self):
+        return [shard.stats.as_dict() for shard in self._shards]
 
     def close(self):
         pass
@@ -756,8 +763,7 @@ class ProcessExecutor(ShardExecutor):
         """Round-trip every worker (tests use this as a liveness barrier)."""
         self._sync(("ping",))
 
-    def stats(self) -> List[Dict[str, Any]]:
-        """Per-shard service stats counters, in shard order."""
+    def stats(self):
         merged: Dict[int, Dict[str, Any]] = {}
         for by_shard in self._sync(("stats",)):
             merged.update(by_shard)

@@ -7,9 +7,12 @@ with O(changed-flows) work (each path costs one ``add_flow``, each repeat
 retransmission an O(1) bump — on both the dict and the array engine), and an
 :class:`~repro.core.analysis.EpochReport` can be *materialized on demand* at
 any moment — including mid-epoch, before the epoch's tick arrives.  Reports
-are bit-identical to the legacy batch loop: the service replays evidence in
-sequence order, which is exactly the order the batch analysis consumed the
-discovered paths in.
+are bit-identical to the legacy batch loop, which consumed the discovered
+paths in sequence order: the tally's rows are the record of arrival (every
+admitted path is appended, in or out of order), and an epoch whose rows are
+not in sequence order is put there by one stable argsort and one row
+permutation of the tally's own columns before a report reads it — the same
+fold order as a fresh sequence-ordered build, hence the same doubles.
 
 Three protocols define the system boundary:
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +173,9 @@ class ServiceStats:
     duplicate_events: int = 0
     out_of_order_events: int = 0
     late_events: int = 0
+    #: events of a bulk-sized (>= 8 events) run that left the vector path
+    #: and were replayed one at a time.
+    fallback_events: int = 0
     reports_materialized: int = 0
     epochs_finalized: int = 0
 
@@ -183,13 +190,19 @@ class ServiceStats:
 
 
 class _EpochState:
-    """Evidence buffers and the live incremental tally of one open epoch."""
+    """Evidence records and the live incremental tally of one open epoch.
+
+    The tally's rows are the record of arrival: every admitted path is
+    appended to ``rec_seqs``, ``rec_paths`` *and* the tally, in sequence order
+    or not, so record ``i`` and tally row ``i`` are always the same piece of
+    evidence and ``tally.row_of_flow`` answers "which record does a count
+    update for this flow bind to" — the flow's most recently *arrived* one —
+    for records and tally alike.
+    """
 
     __slots__ = (
         "rec_seqs",
         "rec_paths",
-        "by_flow",
-        "by_flow_upto",
         "seqs",
         "retransmission_seqs",
         "tally",
@@ -203,30 +216,24 @@ class _EpochState:
     )
 
     def __init__(self, tally) -> None:
-        #: parallel per-record lists (seq, path); kept in seq order whenever
-        #: ``not dirty``.  Parallel lists instead of tuples: the bulk ingest
-        #: path appends hundreds of thousands of records per epoch, and the
-        #: per-record tuple was measurable allocation churn.
+        #: parallel per-record lists (seq, path), aligned 1:1 with the tally's
+        #: rows; in seq order whenever ``not dirty``.  Parallel lists instead
+        #: of tuples: the bulk ingest path appends hundreds of thousands of
+        #: records per epoch, and the per-record tuple was measurable
+        #: allocation churn.
         self.rec_seqs: List[int] = []
         self.rec_paths: List[DiscoveredPath] = []
-        #: flow id -> the flow's most recently *arrived* path record (count
-        #: updates bind to it).  Maintained lazily: ``by_flow_upto`` is the
-        #: number of ``rec_paths`` entries already folded in, and
-        #: :meth:`flow_path` folds the arrival-ordered tail on demand — so
-        #: the bulk ingest path pays nothing for it, and a dirty rebuild
-        #: (which re-sorts the records) can materialize the bindings *before*
-        #: arrival order is destroyed.
-        self.by_flow: Dict[int, DiscoveredPath] = {}
-        self.by_flow_upto = 0
         #: seen sequence numbers (duplicate-delivery suppression).
         self.seqs: set = set()
         #: the subset of ``seqs`` consumed by retransmission updates (their
         #: effect lives in the paths' counts, so checkpoints persist the ids).
         self.retransmission_seqs: set = set()
-        #: the live tally; valid whenever ``not dirty``.
+        #: the live tally; always holds every record, row for row.
         self.tally = tally
-        #: set when out-of-order arrival invalidated the incremental tally.
+        #: the rows are not in seq order (a path arrived below ``last_seq``);
+        #: the next materialization permutes them into place.
         self.dirty = False
+        #: highest *path* sequence number seen so far.
         self.last_seq = -1
         #: highest sequence number seen by *any* event kind (paths and
         #: retransmission updates share the space); the batched fast path
@@ -235,29 +242,40 @@ class _EpochState:
         #: retransmission updates that arrived before their flow's path.
         self.pending_retransmissions: Dict[int, int] = {}
         #: change watermark: bumped by every ingest that can alter a report
-        #: (new paths, applied count updates, dirty rebuilds).  The epoch's
-        #: materialized view — the last mid-epoch report — is cached together
-        #: with the watermark it was computed at, so a query that lands with
-        #: no rows touched since the previous query returns the cached report
+        #: (new paths, applied count updates).  The epoch's materialized view
+        #: — the last mid-epoch report — is cached together with the
+        #: watermark it was computed at, so a query that lands with no rows
+        #: touched since the previous query returns the cached report
         #: outright instead of re-running the analysis.
         self.mutations = 0
         self.cached_report: Optional[EpochReport] = None
         self.cached_at = -1
 
-    def flow_path(self) -> Dict[int, DiscoveredPath]:
-        """``by_flow``, folded forward over the records not yet reflected.
+    def bump_flow(self, flow_id: int, extra: int) -> None:
+        """Add ``extra`` retransmissions to the flow's latest-arrived record.
 
-        Only ever called while ``rec_paths[by_flow_upto:]`` is still in
-        arrival order (appends happen in arrival order; the dirty rebuild
-        materializes the map *before* sorting), so the last fold for a flow
-        is its most recently arrived record — per-event semantics.
+        Buffered in ``pending_retransmissions`` while the flow has no path.
         """
-        if self.by_flow_upto < len(self.rec_paths):
-            by_flow = self.by_flow
-            for path in self.rec_paths[self.by_flow_upto :]:
-                by_flow[path.flow_id] = path
-            self.by_flow_upto = len(self.rec_paths)
-        return self.by_flow
+        row = self.tally.row_of_flow(flow_id)
+        if row is None:
+            self.pending_retransmissions[flow_id] = (
+                self.pending_retransmissions.get(flow_id, 0) + extra
+            )
+        else:
+            self.rec_paths[row].retransmissions += extra
+            self.tally.bump_retransmissions(flow_id, extra)
+            self.mutations += 1
+
+    def in_seq_order(self) -> None:
+        """Permute records and tally rows into sequence order (if dirty)."""
+        if not self.dirty:
+            return
+        order = np.argsort(np.array(self.rec_seqs, dtype=np.int64), kind="stable")
+        picks = order.tolist()
+        self.rec_seqs = list(map(self.rec_seqs.__getitem__, picks))
+        self.rec_paths = list(map(self.rec_paths.__getitem__, picks))
+        self.tally = self.tally.reordered(order)
+        self.dirty = False
 
 
 def iter_evidence_runs(events: List[Evidence]):
@@ -411,7 +429,10 @@ class Zero07Service:
         state = self._epochs.get(epoch)
         if state is None:
             return []
-        return sorted(zip(state.rec_seqs, state.rec_paths), key=lambda r: r[0])
+        records = zip(state.rec_seqs, state.rec_paths)
+        if state.dirty:
+            return sorted(records, key=lambda r: r[0])
+        return list(records)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -558,17 +579,12 @@ class Zero07Service:
             path.retransmissions += pending
         state.rec_seqs.append(event.seq)
         state.rec_paths.append(path)
-        if not state.dirty and event.seq > state.last_seq:
-            state.tally.add_flow(path.flow_id, path.links, path.retransmissions)
+        state.tally.add_flow(path.flow_id, path.links, path.retransmissions)
+        if event.seq > state.last_seq:
             state.last_seq = event.seq
-        else:
-            # count only genuine reorderings; later in-order arrivals on an
-            # already-dirty epoch still invalidate the tally but are not
-            # themselves out of order.
-            if event.seq < state.last_seq:
-                self.stats.out_of_order_events += 1
+        else:  # a path below the running highest path seq: out of order
+            self.stats.out_of_order_events += 1
             state.dirty = True
-            state.last_seq = max(state.last_seq, event.seq)
         state.mutations += 1
         self.stats.paths_ingested += 1
 
@@ -585,18 +601,7 @@ class Zero07Service:
             state.retransmission_seqs.add(event.seq)
             if event.seq > state.max_seq:
                 state.max_seq = event.seq
-        path = state.flow_path().get(event.flow_id)
-        if path is None:
-            # the flow's path evidence has not arrived (yet) — hold the count
-            state.pending_retransmissions[event.flow_id] = (
-                state.pending_retransmissions.get(event.flow_id, 0)
-                + event.retransmissions
-            )
-        else:
-            path.retransmissions += event.retransmissions
-            if not state.dirty:
-                state.tally.bump_retransmissions(event.flow_id, event.retransmissions)
-            state.mutations += 1
+        state.bump_flow(event.flow_id, event.retransmissions)
         self.stats.retransmission_updates += 1
 
     # ------------------------------------------------------------------
@@ -633,7 +638,14 @@ class Zero07Service:
         per event.  Because count updates never move votes, applying them
         after the run's paths is state-identical to the interleaved per-event
         order (integer sums commute; the path objects and tally rows end in
-        exactly the same state).
+        exactly the same state).  A run stays on this path whether it extends
+        the epoch, lands below the watermark (late but disjoint from
+        everything seen: appended in arrival order, the rows permuted into
+        sequence order at the next report) or redelivers only seen sequence
+        numbers (dropped with one set test); runs shorter than 8 events and
+        genuinely mixed ones — partial duplicates, in-run reordering, a flow
+        re-traced after its update, exotic kinds — replay per event, and the
+        latter are counted in ``stats.fallback_events``.
         """
         if self._last_finalized is not None and epoch <= self._last_finalized:
             self.stats.late_events += len(run)
@@ -643,49 +655,59 @@ class Zero07Service:
             return
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        # Fast-path preconditions: the incremental tally is valid, no
-        # buffered count updates await these flows, and the run passes the
-        # shared proofs of ``bulk_admissible``.  Anything else replays the
-        # per-event path; validation mutates nothing, so the fallback never
-        # sees a half-applied run.
-        if state.dirty or state.pending_retransmissions:
-            self._ingest_evidence_fallback(run, owned)
-            return
+        # Validation mutates nothing, so a run that fails a proof below is
+        # replayed per event from untouched state, never half-applied.
         if seqs is None:
             seqs = seqs_of(run)
         columns = run_columns(run, seqs)
+        # ``None``: an exotic event kind (e.g. a PathEvidence subclass)
+        # slipped past the attribute gate — the per-event path knows how to
+        # handle, or loudly reject, it.  Never swallow events.
+        if columns is not None:
+            raw_paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
+            if not bulk_admissible(
+                seqs,
+                state.max_seq,
+                map(operator.attrgetter("links"), raw_paths),
+                map(operator.attrgetter("flow_id"), raw_paths),
+                path_seqs,
+                upd_flows,
+                upd_seqs,
+                state.seqs,
+            ):
+                if state.seqs.issuperset(seqs.tolist()):  # a redelivered run
+                    self.stats.duplicate_events += len(run)
+                    return
+                columns = None
         if columns is None:
-            # an exotic event kind (e.g. a PathEvidence subclass) slipped
-            # past the attribute gate; the per-event path knows how to
-            # handle — or loudly reject — it.  Never swallow events.
-            self._ingest_evidence_fallback(run, owned)
-            return
-        raw_paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
-        if not bulk_admissible(
-            seqs,
-            state.max_seq,
-            map(operator.attrgetter("links"), raw_paths),
-            map(operator.attrgetter("flow_id"), raw_paths),
-            path_seqs,
-            upd_flows,
-            upd_seqs,
-        ):
+            self.stats.fallback_events += len(run)
             self._ingest_evidence_fallback(run, owned)
             return
 
         if raw_paths:
             paths = raw_paths if owned else [copy_path(p) for p in raw_paths]
+            pending = state.pending_retransmissions
+            if pending:  # buffered counts go to their flow's first arrival
+                for path in paths:
+                    path.retransmissions += pending.pop(path.flow_id, 0)
             state.rec_seqs.extend(path_seqs)
             state.rec_paths.extend(paths)
             state.tally.add_flows(paths)
-            state.last_seq = path_seqs[-1]
+            if path_seqs[0] < state.last_seq:
+                # same count as per event: the run's seqs increase, so a path
+                # is below the running highest path seq iff it is below the
+                # one the run found.
+                self.stats.out_of_order_events += bisect_left(
+                    path_seqs, state.last_seq
+                )
+                state.dirty = True
+            state.last_seq = max(state.last_seq, path_seqs[-1])
             state.mutations += 1
             self.stats.paths_ingested += len(paths)
 
         if upd_flows:
-            # flow -> path resolution through the tally's row map: the tally
-            # is clean here (precondition), so its rows align 1:1 with
-            # ``rec_paths`` and the lazily-folded ``by_flow`` is not needed.
+            # flow -> record resolution through the tally's row map: rows
+            # align 1:1 with ``rec_paths``.
             flow_list, extras = aggregate_updates(upd_flows, upd_counts)
             rows = list(map(state.tally.row_of_flow, flow_list))
             rec_paths = state.rec_paths
@@ -709,7 +731,7 @@ class Zero07Service:
             self.stats.retransmission_updates += len(upd_flows)
 
         state.seqs.update(seqs.tolist())
-        state.max_seq = int(seqs[-1])
+        state.max_seq = max(state.max_seq, int(seqs[-1]))
 
     def _ingest_tick(self, event: EpochTick) -> None:
         if self._is_late(event.epoch):
@@ -734,31 +756,12 @@ class Zero07Service:
     # ------------------------------------------------------------------
     # materialization
     # ------------------------------------------------------------------
-    def _rebuild_if_dirty(self, state: _EpochState) -> None:
-        if not state.dirty:
-            return
-        # Materialize the lazy by_flow NOW, while rec_paths is still in
-        # arrival order: per-event semantics bind count updates to the most
-        # recently *arrived* record of a flow, and the sort below destroys
-        # that ordering for good (the watermark equals len(rec_paths) after
-        # this, so no post-sort fold can rebind anything).
-        state.flow_path()
-        order = sorted(range(len(state.rec_seqs)), key=state.rec_seqs.__getitem__)
-        state.rec_seqs = [state.rec_seqs[i] for i in order]
-        state.rec_paths = [state.rec_paths[i] for i in order]
-        tally = self._new_tally()
-        for path in state.rec_paths:
-            tally.add_flow(path.flow_id, path.links, path.retransmissions)
-        state.tally = tally
-        state.dirty = False
-        state.last_seq = state.rec_seqs[-1] if state.rec_seqs else -1
-
     def _materialize(self, epoch: int, state: Optional[_EpochState], final: bool) -> EpochReport:
         paths: Optional[List[DiscoveredPath]] = None
         if state is None:
             tally = self._new_tally()
         else:
-            self._rebuild_if_dirty(state)
+            state.in_seq_order()
             # Mid-epoch reports snapshot the tally so later ingests cannot
             # mutate an already-returned report; the final report owns the
             # live tally (no copy) since the epoch's state is dropped.  A
@@ -893,7 +896,7 @@ class Zero07Service:
             state = self._epochs[epoch]
             seqs = np.array(state.rec_seqs, dtype=np.int64)
             paths = state.rec_paths
-            if len(seqs) > 1 and not bool((seqs[1:] > seqs[:-1]).all()):
+            if state.dirty:
                 order = np.argsort(seqs, kind="stable")
                 seqs = seqs[order]
                 paths = list(map(paths.__getitem__, order.tolist()))
@@ -971,16 +974,8 @@ class Zero07Service:
             state.max_seq = seqs[-1]
         self.stats.paths_ingested += len(paths)
         for flow, count in entry["pending_retransmissions"].items():
-            # mirror _ingest_retransmission for a seq-less buffered update
-            flow_id, extra = int(flow), int(count)
-            path = state.flow_path().get(flow_id)
-            if path is None:
-                state.pending_retransmissions[flow_id] = (
-                    state.pending_retransmissions.get(flow_id, 0) + extra
-                )
-            else:
-                path.retransmissions += extra
-                state.tally.bump_retransmissions(flow_id, extra)
+            # exactly a seq-less buffered update through live ingest
+            state.bump_flow(int(flow), int(count))
             self.stats.retransmission_updates += 1
         retrans_seqs = cols["rs"].tolist()
         if retrans_seqs:

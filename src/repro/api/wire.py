@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -545,22 +545,30 @@ def bulk_admissible(
     path_seqs: Iterable[int],
     upd_flows: Sequence[int],
     upd_seqs: Sequence[int],
+    seen: Optional[Set[int]] = None,
 ) -> bool:
     """Whether a single-epoch run may be folded in bulk; mutates nothing.
 
     Bulk folding applies the run's paths first and its count updates after,
-    which equals the interleaved per-event order only if (a) the run extends
-    the epoch in strictly increasing sequence order above ``max_seq`` —
-    proving it duplicate-free in O(1) against everything already seen — and
-    (b) no updated flow is traced *again* later in the run (per-event would
-    bump the earlier record, bulk the final one).  ``hops`` holds one entry
-    per path, falsy for a path without known links (link lists or hop
-    counts both work); such a run is malformed for every ingest path, so it
-    raises ``ValueError`` here, before the caller has touched any state.
+    which equals the interleaved per-event order only if (a) the run is in
+    strictly increasing sequence order and duplicate-free against everything
+    already seen — proven in O(1) when it starts above ``max_seq``, and for a
+    *late* run (one that lands at or below the watermark) by one disjointness
+    test against ``seen``, the epoch's seen sequence numbers, when the caller
+    keeps them (without ``seen`` a late run is never admissible) — and (b) no
+    updated flow is traced *again* later in the run (per-event would bump the
+    earlier record, bulk the final one).  ``hops`` holds one entry per path,
+    falsy for a path without known links (link lists or hop counts both
+    work); such a run is malformed for every ingest path, so it raises
+    ``ValueError`` here, before the caller has touched any state.
     """
     if not all(hops):
         raise ValueError(EMPTY_PATH)
-    if int(seqs[0]) <= max_seq or not bool((np.diff(seqs) > 0).all()):
+    if int(seqs[0]) <= max_seq and (
+        seen is None or not seen.isdisjoint(seqs.tolist())
+    ):
+        return False
+    if not bool((np.diff(seqs) > 0).all()):
         return False
     if upd_flows:
         seq_of_last_path = dict(zip(path_flows, path_seqs)).get

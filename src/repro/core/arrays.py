@@ -446,12 +446,32 @@ class ArrayVoteTally:
             # only scan for first votes while unvoted interned links remain;
             # once every known link has voted (the steady state of a
             # long-running stream) the scan can never add anything.
+            hops = cols if len(cols) <= len(voted) else self._unvoted_hops(cols)
             first_seen_append = self._first_seen.append
-            for lid in dict.fromkeys(cols.tolist()):
+            for lid in dict.fromkeys(hops.tolist()):
                 if lid not in voted:
                     voted.add(lid)
                     first_seen_append(lid)
         self._invalidate()
+
+    def _unvoted_hops(self, cols: np.ndarray) -> np.ndarray:
+        """The hops of ``cols`` that can be a link's first vote, in hop order.
+
+        Filters a long run block by block through a mask of the links nobody
+        voted for yet, so only the first blocks hand many hops to the Python
+        first-vote scan.  Setting the mask up costs O(voted links), which is
+        why short runs skip it.
+        """
+        unvoted = np.ones(len(self._index), dtype=bool)
+        voted = np.fromiter(self._voted, dtype=np.int64, count=len(self._voted))
+        unvoted[voted] = False
+        kept = []
+        for at in range(0, len(cols), 2048):
+            block = cols[at : at + 2048]
+            fresh = block[unvoted[block]]
+            unvoted[fresh] = False
+            kept.append(fresh)
+        return np.concatenate(kept)
 
     def _flow_rows(self) -> Dict[int, int]:
         """The flow-id -> latest-row map (rebuilt on first use by a snapshot)."""
@@ -696,6 +716,41 @@ class ArrayVoteTally:
         return clone
 
     copy = snapshot
+
+    def reordered(self, order: np.ndarray) -> "ArrayVoteTally":
+        """A fresh tally holding this tally's rows in the order ``order``.
+
+        ``order`` is a permutation of the row indices.  The result is
+        state-identical to a new tally fed the same flows in that order (one
+        CSR gather and one :meth:`add_columns`: same first-vote link order,
+        same fold order, hence the same doubles), except that every flow stays
+        bound to the *same record* as here — the flow -> row map is carried
+        through the permutation instead of being re-derived from the new row
+        order (a later :meth:`snapshot` does re-derive its own, so bind
+        updates through the live tally).  This tally and its snapshots are
+        left untouched.
+        """
+        order = np.asarray(order, dtype=np.int64)
+        clone = ArrayVoteTally(policy=self._policy, index=self._index)
+        if not len(order):
+            return clone
+        rows = self._rows
+        flat, _, lengths = _hops_of_rows(self._indptr[: rows + 1], order)
+        clone.add_columns(
+            self._cols[flat],
+            lengths,
+            self._flow_ids[order],
+            self._retransmissions[order],
+        )
+        bound = self._flow_rows()
+        if len(bound) != rows:
+            # some flow was traced more than once: the record it is bound to
+            # need not be its last row in the new order (as add_columns took it)
+            new_row = np.empty(rows, dtype=np.int64)
+            new_row[order] = np.arange(rows, dtype=np.int64)
+            old_rows = np.fromiter(bound.values(), dtype=np.int64, count=len(bound))
+            clone._row_by_flow = dict(zip(bound.keys(), new_row[old_rows].tolist()))
+        return clone
 
 
 # ----------------------------------------------------------------------

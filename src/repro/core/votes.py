@@ -262,6 +262,28 @@ class VoteTally:
         clone._row_by_flow = dict(self._row_by_flow)
         return clone
 
+    def reordered(self, order: Sequence[int]) -> "VoteTally":
+        """A fresh tally holding this tally's contributions in the order ``order``.
+
+        ``order`` is a permutation of the row indices.  Votes and support are
+        re-folded from the contributions in that order — state-identical to a
+        new tally fed the same flows that way — while every flow stays bound
+        to the *same contribution* as here: the flow -> row map is carried
+        through the permutation, not re-derived from the new row order.
+        """
+        clone = VoteTally(policy=self._policy)
+        new_row = {}
+        for row in order:
+            contribution = self._contributions[row]
+            new_row[row] = len(new_row)
+            clone.add_flow(
+                contribution.flow_id, contribution.links, contribution.retransmissions
+            )
+        clone._row_by_flow = {
+            flow: new_row[row] for flow, row in self._row_by_flow.items()
+        }
+        return clone
+
     def snapshot(self) -> "VoteTally":
         """An isolated point-in-time view for mid-epoch reporting.
 

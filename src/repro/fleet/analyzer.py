@@ -166,6 +166,14 @@ class ServiceIngestCore:
         """Epochs this core's ticks closed, gap epochs included."""
         return self._finalized.count
 
+    @property
+    def fallback_events(self) -> int:
+        """Events the service replayed one at a time, summed over shards."""
+        service = self.service
+        if hasattr(service, "stats"):
+            return service.stats.fallback_events
+        return sum(shard["fallback_events"] for shard in service.executor.stats())
+
     def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
         """Ingest one in-order chunk (events are materialized here)."""
         self.service.ingest_run(
@@ -253,8 +261,10 @@ class ColumnarIngestCore:
         self._last_finalized: Optional[int] = None
         #: epochs closed by :meth:`tick`, gap epochs included.
         self.epochs_finalized = 0
-        #: epochs that replayed instead of folding columns (visible in stats).
+        #: epochs that replayed instead of folding columns.
         self.replayed_epochs = 0
+        #: events a replay service in turn ingested one at a time.
+        self.fallback_events = 0
 
     @property
     def last_finalized(self) -> Optional[int]:
@@ -290,7 +300,9 @@ class ColumnarIngestCore:
             if tally is not None:
                 return self._agent.analyze_tally(epoch, tally)
         self.replayed_epochs += 1
-        return self._replay_service(epoch).report(epoch)
+        service = self._replay_service(epoch)
+        self.fallback_events += service.stats.fallback_events
+        return service.report(epoch)
 
     def tick(self, epoch: int) -> None:
         """Close every epoch up to ``epoch``, caching final reports."""
@@ -833,6 +845,7 @@ class FleetAnalyzer:
                 },
                 "staged_bytes": self._staged_bytes,
                 "last_finalized": self.core.last_finalized,
+                "fallback_events": self.core.fallback_events,
             }
         if command == "describe":
             description = self.core.describe()

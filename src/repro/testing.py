@@ -9,6 +9,8 @@ the ``tests/`` suite once ended up importing ``benchmarks/conftest.py``.
 
 from __future__ import annotations
 
+import json
+
 from repro.topology.clos import ClosTopology
 
 
@@ -46,3 +48,16 @@ def report_signature(report) -> tuple:
         sorted((str(link), votes) for link, votes in report.blame.votes_at_detection.items()),
         sorted((str(link), votes) for link, votes in report.blame.final_votes.items()),
     )
+
+
+def evidence_document(checkpoint) -> dict:
+    """A service checkpoint's JSON document minus what depends on *how* the
+    evidence was delivered or folded rather than on *what* arrived in which
+    order: the engine name and the ``fallback_events`` counter (a chunked
+    delivery may replay runs per event that a per-event delivery never
+    forms).  Two services fed the same arrival order must agree on the rest.
+    """
+    document = json.loads(checkpoint.to_json())
+    del document["engine"]
+    del document["stats"]["fallback_events"]
+    return document

@@ -310,6 +310,156 @@ class TestEvidenceSemantics:
 
 
 # ----------------------------------------------------------------------
+# out-of-order and redelivered evidence
+# ----------------------------------------------------------------------
+class TestOutOfOrderDelivery:
+    """Late and redelivered evidence: one binding rule, and a counted exit."""
+
+    @staticmethod
+    def retrace_then_update():
+        """A flow re-traced below the watermark, then a count update for it."""
+        arrivals = [
+            PathEvidence(epoch=0, seq=5, path=make_path(1, [L[0], L[1]])),
+            PathEvidence(epoch=0, seq=6, path=make_path(2, [L[2], L[3]])),
+            PathEvidence(epoch=0, seq=3, path=make_path(1, [L[0], L[4]])),
+        ]
+        update = RetransmissionEvidence(epoch=0, flow_id=1, retransmissions=3, seq=7)
+        return arrivals, update
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_report_between_arrivals_does_not_move_a_later_count(self, engine):
+        """Regression: ``report()`` used to put the rebuilt tally in seq order
+        and re-derive "the flow's latest row" from it, so a later count update
+        bumped the flow's highest-seq *row* but its last-arrived *record* —
+        the live report and a restored service disagreed.  The binding is the
+        most recently arrived record, with or without a read in between."""
+        arrivals, update = self.retrace_then_update()
+
+        def run(query: bool) -> Zero07Service:
+            service = Zero07Service(engine=engine)
+            for event in arrivals:
+                service.ingest(event)
+            if query:
+                service.report(0)
+            service.ingest(update)
+            if not query:  # the same number of reads, none in between
+                service.report(0)
+            return service
+
+        def counts(service):
+            return [
+                (c.flow_id, [str(link) for link in c.links], c.retransmissions)
+                for c in service.report(0).tally.contributions
+            ]
+
+        queried, unqueried = run(query=True), run(query=False)
+        assert queried.checkpoint().to_bytes() == unqueried.checkpoint().to_bytes()
+        late_record = (1, [str(L[0]), str(L[4])], 4)  # seq 3: arrived last
+        assert counts(queried) == counts(unqueried)
+        assert counts(queried)[0] == late_record
+        restored = Zero07Service.restore(queried.checkpoint())
+        assert counts(restored) == counts(queried)
+        assert report_signature(restored.report(0)) == report_signature(
+            queried.report(0)
+        )
+
+    @staticmethod
+    def chunked_epoch(chunks: int = 4, size: int = 16):
+        """One epoch as ``chunks`` in-order chunks of ``size`` events; every
+        fourth event is a count update for the path two places before it."""
+        events = []
+        for seq in range(chunks * size):
+            if seq % 4 == 3:
+                events.append(
+                    RetransmissionEvidence(epoch=0, flow_id=seq - 2, seq=seq)
+                )
+            else:
+                events.append(
+                    PathEvidence(
+                        epoch=0,
+                        seq=seq,
+                        path=make_path(seq, [L[seq % 3], L[3 + seq % 3]]),
+                    )
+                )
+        return [events[i * size : (i + 1) * size] for i in range(chunks)]
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_swapped_and_redelivered_chunks_stay_on_the_vector_path(self, engine):
+        first, second, third, fourth = self.chunked_epoch()
+
+        def in_order(*chunks):
+            reference = Zero07Service(engine=engine)
+            reference.ingest_batch([event for chunk in chunks for event in chunk])
+            return reference
+
+        def records(service):
+            return [
+                (seq, path.flow_id, path.retransmissions)
+                for seq, path in service.evidence_for_epoch(0)
+            ]
+
+        service = Zero07Service(engine=engine)
+        for chunk in (first, third, second, second):  # a swap, a redelivery
+            service.ingest_batch(chunk)
+        prefix = in_order(first, second, third)
+        assert report_signature(service.report(0)) == report_signature(
+            prefix.report(0)
+        )  # a query in between
+        for chunk in (fourth, first):
+            service.ingest_batch(chunk)
+        whole = in_order(first, second, third, fourth)
+        assert service.stats.fallback_events == 0
+        assert service.stats.duplicate_events == len(second) + len(first)
+        assert service.stats.out_of_order_events == sum(
+            1 for event in second if isinstance(event, PathEvidence)
+        )
+        assert records(service) == records(whole)
+        assert report_signature(service.report(0)) == report_signature(
+            whole.report(0)
+        )
+
+    def test_a_late_run_around_the_watermark_counts_only_the_paths_below_it(self):
+        """``out_of_order_events`` is per path, against the running highest
+        path seq — a late run that straddles it counts its lower part only,
+        and the count updates in it never count."""
+        first, second, third, _ = self.chunked_epoch()
+        ahead = second[9]  # a path from the middle of the second chunk
+        rest = second[:9] + second[10:] + third
+        chunked, per_event = Zero07Service(), Zero07Service()
+        chunked.ingest_batch(first)
+        chunked.ingest(ahead)
+        chunked.ingest_batch(rest)
+        for event in first + [ahead] + rest:
+            per_event.ingest(event)
+        below = sum(1 for e in second[:9] if isinstance(e, PathEvidence))
+        assert chunked.stats.fallback_events == 0
+        assert chunked.stats.out_of_order_events == below
+        assert per_event.stats.out_of_order_events == below
+        assert report_signature(chunked.report(0)) == report_signature(
+            per_event.report(0)
+        )
+
+    def test_a_half_duplicate_chunk_replays_per_event_and_is_counted(self):
+        first, second, *_ = self.chunked_epoch()
+        service = Zero07Service()
+        service.ingest_batch(first)
+        straddling = first[8:] + second[:8]
+        service.ingest_batch(straddling)
+        assert service.stats.fallback_events == len(straddling)
+        assert service.stats.duplicate_events == 8
+        # ... and the count rides the checkpoint and its restore
+        checkpoint = service.checkpoint()
+        assert checkpoint.payload["stats"]["fallback_events"] == len(straddling)
+        restored = Zero07Service.restore(
+            Checkpoint.from_bytes(checkpoint.to_bytes())
+        )
+        assert restored.stats.fallback_events == len(straddling)
+        # runs below the bulk threshold were never on the vector path
+        service.ingest_batch(second[8:12])
+        assert service.stats.fallback_events == len(straddling)
+
+
+# ----------------------------------------------------------------------
 # checkpointing
 # ----------------------------------------------------------------------
 class TestCheckpoint:

@@ -294,3 +294,22 @@ def test_evidence_event_fields_are_pinned():
         "RetransmissionEvidence": ["epoch", "flow_id", "retransmissions", "seq"],
         "EpochTick": ["epoch"],
     }
+
+
+def test_service_stats_fields_are_pinned():
+    """The counters ride every checkpoint's ``stats`` block, the shard
+    executors' ``stats()`` and (``fallback_events``) the analyzer's ``stats``
+    verb: names and order are part of the surface."""
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(api.ServiceStats)] == [
+        "paths_ingested",
+        "retransmission_updates",
+        "ticks",
+        "duplicate_events",
+        "out_of_order_events",
+        "late_events",
+        "fallback_events",
+        "reports_materialized",
+        "epochs_finalized",
+    ]

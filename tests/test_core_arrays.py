@@ -38,6 +38,21 @@ def _path(flow_id, links, retransmissions=1):
     )
 
 
+def _buffers(tally: ArrayVoteTally):
+    """Every buffer and accumulator of a tally, byte for byte."""
+    indptr, cols, weights = tally.path_matrix()
+    return (
+        indptr.tobytes(),
+        cols.tobytes(),
+        weights.tobytes(),
+        tally.flow_ids_array().tobytes(),
+        tally.retransmissions_array().tobytes(),
+        tally.votes_array().tobytes(),
+        tally.support_array().tobytes(),
+        tally.voted_ids().tobytes(),
+    )
+
+
 class TestLinkIndex:
     def test_interns_densely_in_first_seen_order(self):
         index = LinkIndex()
@@ -124,6 +139,54 @@ class TestArrayVoteTally:
         clone.add_flow(2, [L("a", "b")])
         assert tally.votes_of(L("a", "b")) == 1.0
         assert clone.votes_of(L("a", "b")) == 2.0
+
+    def test_reordered_equals_a_fresh_build_in_that_order(self):
+        """A row permutation is buffer-for-buffer the tally a fresh build in
+        that order gives (same first-vote order, same fold, same doubles),
+        keeps every flow bound to the record it was bound to, and leaves the
+        source tally and its earlier snapshots alone."""
+        rng = np.random.default_rng(16)
+        pool = [L(f"n{i}", f"n{i + 1}") for i in range(40)]
+        paths = [
+            _path(
+                int(rng.integers(0, 120)),  # few ids: flows get re-traced
+                [pool[i] for i in rng.integers(0, 40, int(rng.integers(1, 7)))],
+                int(rng.integers(1, 5)),
+            )
+            for _ in range(700)  # > 2048 hops: the blockwise first-vote scan
+        ]
+        order = rng.permutation(len(paths))
+        index = LinkIndex(reversed(pool))  # ids differ from first-vote order
+
+        tally = ArrayVoteTally(index=index)
+        tally.add_flows(paths[:300])
+        tally.votes_array()  # folded part-way, like a tally queried mid-epoch
+        tally.add_flows(paths[300:])
+        before = tally.snapshot()
+        frozen = _buffers(before)
+        binding = {p.flow_id: row for row, p in enumerate(paths)}  # last arrival
+        moved = tally.reordered(order)
+
+        fresh = ArrayVoteTally(index=index)
+        fresh.add_flows([paths[row] for row in order.tolist()])
+        assert _buffers(moved) == _buffers(fresh)
+        assert moved.contributions == fresh.contributions
+        new_row = {int(old): new for new, old in enumerate(order.tolist())}
+        for flow, row in binding.items():
+            assert moved.row_of_flow(flow) == new_row[row]
+            assert tally.row_of_flow(flow) == row
+        assert _buffers(before) == frozen
+        assert _buffers(tally.snapshot()) == frozen
+
+        reference = VoteTally()
+        reference.add_discovered_paths(paths)
+        twin = reference.reordered(order)
+        assert twin.contributions == moved.contributions
+        assert twin.as_dict() == moved.as_dict()
+        assert list(twin.as_dict()) == list(moved.as_dict())
+        for flow, row in binding.items():
+            assert twin.row_of_flow(flow) == new_row[row]
+        assert ArrayVoteTally().reordered(np.empty(0, dtype=np.int64)).num_flows == 0
 
     def test_rank_of(self):
         tally = ArrayVoteTally()

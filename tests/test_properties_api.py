@@ -28,7 +28,7 @@ from repro.api import (  # noqa: E402
 from repro.core.analysis import AnalysisAgent  # noqa: E402
 from repro.discovery.agent import DiscoveredPath  # noqa: E402
 from repro.routing.fivetuple import FiveTuple  # noqa: E402
-from repro.testing import report_signature  # noqa: E402
+from repro.testing import evidence_document, report_signature  # noqa: E402
 from repro.topology.elements import DirectedLink  # noqa: E402
 
 #: a small pool of directed links paths are drawn from.
@@ -209,6 +209,128 @@ def test_in_order_streaming_matches_batch(workload, engine):
     for epoch in range(NUM_EPOCHS):
         expected = agent.analyze_epoch(epoch, paths_by_epoch[epoch])
         assert report_signature(service.report(epoch)) == report_signature(expected)
+
+
+def late_epoch(rng):
+    """One epoch's events.  Most paths open a new flow and most count updates
+    follow their flow's path, so whole chunks stay bulk-admissible; the rest
+    re-trace an earlier flow, or update a flow ahead of its path (which
+    arrives a few events later) — the bindings a reordering can get wrong."""
+    events, traced, ahead = [], [], []
+    for seq in range(rng.randint(60, 260)):
+        draw = rng.random()
+        if traced and draw < 0.3:
+            flow_id = rng.choice(traced)
+        elif draw < 0.31:
+            flow_id = 1000 + seq  # not traced yet: the count is buffered
+            ahead.append(flow_id)
+        else:
+            if ahead and rng.random() < 0.3:
+                flow_id = ahead.pop(0)
+            elif traced and rng.random() < 0.08:
+                flow_id = rng.choice(traced)  # a re-trace
+            else:
+                flow_id = seq
+            traced.append(flow_id)
+            hops = rng.sample(range(len(LINKS)), rng.randint(1, 4))
+            events.append(
+                PathEvidence(
+                    epoch=0,
+                    seq=seq,
+                    path=make_path(flow_id, hops, rng.randint(1, 3), 0),
+                )
+            )
+            continue
+        events.append(
+            RetransmissionEvidence(
+                epoch=0, flow_id=flow_id, retransmissions=rng.randint(1, 3), seq=seq
+            )
+        )
+    return events
+
+
+def late_deliveries(events, rng):
+    """``(chunk, bulk)`` deliveries of ``events``: chunks of 8-64 events, some
+    swapped with their neighbour, redelivered whole or in part (a slice that
+    may straddle into the next chunk), split into an advance party and a
+    late rest that straddles it, some handed over event by event."""
+    chunks, at = [], 0
+    while at < len(events):
+        size = rng.randint(8, 64)
+        chunks.append(events[at : at + size])
+        at += size
+    deliveries = []
+    for i, chunk in enumerate(chunks):
+        draw = rng.random()
+        if draw > 0.8:  # every third event first: the rest lands around them
+            stride = rng.randint(2, 3)
+            deliveries.append(chunk[stride - 1 :: stride])
+            deliveries.append([e for j, e in enumerate(chunk, 1) if j % stride])
+            continue
+        deliveries.append(chunk)
+        if draw < 0.2:  # redelivered whole, now or later
+            deliveries.insert(rng.randint(len(deliveries) // 2, len(deliveries)), chunk)
+        elif draw < 0.4:  # redelivered in part, with some of what follows
+            lo = rng.randrange(len(chunk))
+            tail = chunks[i + 1][: rng.randint(0, 12)] if i + 1 < len(chunks) else []
+            deliveries.append(chunk[lo:] + tail)
+    for i in range(len(deliveries) - 1):
+        if rng.random() < 0.3:
+            deliveries[i], deliveries[i + 1] = deliveries[i + 1], deliveries[i]
+    return [(chunk, rng.random() < 0.8) for chunk in deliveries]
+
+
+@given(rng=seeds, codec=checkpoint_codecs)
+def test_out_of_order_chunked_delivery_equals_per_event(rng, codec):
+    """A chunked arrays service == a per-event dicts service, same arrivals.
+
+    Late, redelivered and half-redelivered chunks either stay on the vector
+    path (appended in arrival order, permuted into seq order at the next
+    read) or replay per event; either way every query, the records, the
+    checkpoint document and the perturbation counters must equal what the
+    oracle — the dict engine fed one event at a time in the same arrival
+    order — holds, across reads and a restart at drawn cuts.
+    """
+    deliveries = late_deliveries(late_epoch(rng), rng)
+    restart_at = rng.randrange(len(deliveries))
+    chunked = Zero07Service(engine="arrays")
+    oracle = Zero07Service(engine="dicts")
+
+    def records(service):
+        return [
+            (seq, path.flow_id, path.retransmissions, [str(link) for link in path.links])
+            for seq, path in service.evidence_for_epoch(0)
+        ]
+
+    def assert_equal_state():
+        assert records(chunked) == records(oracle)
+        assert evidence_document(chunked.checkpoint()) == evidence_document(
+            oracle.checkpoint()
+        )
+        assert chunked.stats.duplicate_events == oracle.stats.duplicate_events
+        assert chunked.stats.out_of_order_events == oracle.stats.out_of_order_events
+
+    for index, (chunk, bulk) in enumerate(deliveries):
+        if bulk:
+            chunked.ingest_batch(chunk)
+        else:
+            for event in chunk:
+                chunked.ingest(event)
+        for event in chunk:
+            oracle.ingest(event)
+        if rng.random() < 0.4:
+            expected = report_signature(oracle.report(0))
+            assert report_signature(chunked.report(0)) == expected
+            assert report_signature(chunked.report(0)) == expected  # the view
+        if rng.random() < 0.3:
+            assert_equal_state()
+        if index == restart_at:
+            chunked = Zero07Service.restore(through_codec(chunked.checkpoint(), codec))
+            oracle = Zero07Service.restore(through_codec(oracle.checkpoint(), codec))
+    assert_equal_state()
+    assert report_signature(chunked.advance_epoch(0)) == report_signature(
+        oracle.advance_epoch(0)
+    )
 
 
 def perturbed_chunks(events, rng):
