@@ -139,8 +139,8 @@ class ShardExecutor:
         """The in-process shard service (inline backend only)."""
         raise NotImplementedError
 
-    def stats(self) -> List[Dict[str, Any]]:
-        """Per-shard service stats counters, in shard order (synchronous)."""
+    def fallback_events(self) -> int:
+        """Events the shards replayed one at a time, summed; never a round trip."""
         raise NotImplementedError
 
     # -- store/wire pipeline hooks (async backends override) -----------
@@ -218,8 +218,8 @@ class InlineExecutor(ShardExecutor):
     def shard_service(self, index):
         return self._shards[index]
 
-    def stats(self):
-        return [shard.stats.as_dict() for shard in self._shards]
+    def fallback_events(self):
+        return sum(shard.stats.fallback_events for shard in self._shards)
 
     def close(self):
         pass
@@ -346,7 +346,10 @@ def _worker_main(conn, shard_ids: List[int], service_config: Dict[str, Any]) -> 
                         (
                             "ok",
                             {
-                                shard: service.evidence_for_epoch(command[1])
+                                shard: (
+                                    service.evidence_for_epoch(command[1]),
+                                    service.stats.fallback_events,
+                                )
                                 for shard, service in services.items()
                             },
                         )
@@ -444,6 +447,9 @@ class ProcessExecutor(ShardExecutor):
         self._error: Optional[BaseException] = None
         self._service_config = dict(service_config)
         self._link_index = link_index
+        #: shard -> its ``fallback_events`` as of the latest reply that
+        #: carried it (evidence gather, checkpoint, stats, restore).
+        self._fallbacks: Dict[int, int] = {}
         self._spawn()
 
     def _spawn(self) -> None:
@@ -710,14 +716,17 @@ class ProcessExecutor(ShardExecutor):
     def evidence_for_epoch(self, epoch):
         merged: List[Tuple[int, Any]] = []
         for by_shard in self._sync(("evidence", epoch)):
-            for records in by_shard.values():
+            for shard, (records, fallbacks) in by_shard.items():
                 merged.extend(records)
+                self._fallbacks[shard] = fallbacks
         return merged
 
     def checkpoint_shards(self, bases=None):
         checkpoints: Dict[int, Any] = {}
         for by_shard in self._sync(("checkpoint", bases)):
             checkpoints.update(by_shard)
+        for shard, checkpoint in checkpoints.items():
+            self._fallbacks[shard] = checkpoint.payload["stats"]["fallback_events"]
         return [checkpoints[shard] for shard in range(self.num_shards)]
 
     def restore_shards(self, payloads, columns):
@@ -746,6 +755,10 @@ class ProcessExecutor(ShardExecutor):
                 )
             )
         self._lane.put(("restore", frames))
+        self._fallbacks = {
+            shard: payload.get("stats", {}).get("fallback_events", 0)
+            for shard, payload in enumerate(payloads)
+        }
         self.drain_wire()
         for worker in range(self.workers):
             try:
@@ -763,11 +776,17 @@ class ProcessExecutor(ShardExecutor):
         """Round-trip every worker (tests use this as a liveness barrier)."""
         self._sync(("ping",))
 
-    def stats(self):
+    def stats(self) -> List[Dict[str, Any]]:
+        """Per-shard service stats counters, in shard order."""
         merged: Dict[int, Dict[str, Any]] = {}
         for by_shard in self._sync(("stats",)):
             merged.update(by_shard)
+        for shard, counters in merged.items():
+            self._fallbacks[shard] = counters["fallback_events"]
         return [merged[shard] for shard in range(self.num_shards)]
+
+    def fallback_events(self):
+        return sum(self._fallbacks.values())
 
     def shard_service(self, index):
         raise ShardExecutorError(

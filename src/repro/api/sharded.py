@@ -266,6 +266,17 @@ class ShardedService:
         (``None`` before the first)."""
         return self._last_finalized
 
+    @property
+    def fallback_events(self) -> int:
+        """Events the shards replayed one at a time, summed over the fleet.
+
+        Local and cheap on both backends: the process backend answers from
+        what each worker last reported (with gathered evidence, a checkpoint,
+        ``executor.stats()`` or a restore), never with a round trip of its
+        own, so it may trail the workers until the next such reply.
+        """
+        return self._executor.fallback_events()
+
     def add_sink(self, sink: ReportSink) -> None:
         """Register a sink for future merged finalized reports."""
         self._sinks.append(sink)

@@ -66,7 +66,8 @@ def seqs_of(run: Sequence[Evidence]) -> np.ndarray:
     """The run's sequence numbers (``None`` encoded as -1).
 
     Real sequence numbers are non-negative, so a seq-less update can never
-    pass :func:`bulk_admissible`'s strictly-increasing proof.
+    pass :func:`bulk_admissible`: a -1 that leads the run is refused outright,
+    one further in breaks the strictly-increasing proof.
     """
     try:
         return _attr_i64(run, "seq")
@@ -564,9 +565,10 @@ def bulk_admissible(
     """
     if not all(hops):
         raise ValueError(EMPTY_PATH)
-    if int(seqs[0]) <= max_seq and (
-        seen is None or not seen.isdisjoint(seqs.tolist())
-    ):
+    first = int(seqs[0])
+    if first < 0:  # a seq-less update leads the run (see seqs_of)
+        return False
+    if first <= max_seq and (seen is None or not seen.isdisjoint(seqs.tolist())):
         return False
     if not bool((np.diff(seqs) > 0).all()):
         return False

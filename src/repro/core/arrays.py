@@ -446,32 +446,12 @@ class ArrayVoteTally:
             # only scan for first votes while unvoted interned links remain;
             # once every known link has voted (the steady state of a
             # long-running stream) the scan can never add anything.
-            hops = cols if len(cols) <= len(voted) else self._unvoted_hops(cols)
             first_seen_append = self._first_seen.append
-            for lid in dict.fromkeys(hops.tolist()):
+            for lid in dict.fromkeys(cols.tolist()):
                 if lid not in voted:
                     voted.add(lid)
                     first_seen_append(lid)
         self._invalidate()
-
-    def _unvoted_hops(self, cols: np.ndarray) -> np.ndarray:
-        """The hops of ``cols`` that can be a link's first vote, in hop order.
-
-        Filters a long run block by block through a mask of the links nobody
-        voted for yet, so only the first blocks hand many hops to the Python
-        first-vote scan.  Setting the mask up costs O(voted links), which is
-        why short runs skip it.
-        """
-        unvoted = np.ones(len(self._index), dtype=bool)
-        voted = np.fromiter(self._voted, dtype=np.int64, count=len(self._voted))
-        unvoted[voted] = False
-        kept = []
-        for at in range(0, len(cols), 2048):
-            block = cols[at : at + 2048]
-            fresh = block[unvoted[block]]
-            unvoted[fresh] = False
-            kept.append(fresh)
-        return np.concatenate(kept)
 
     def _flow_rows(self) -> Dict[int, int]:
         """The flow-id -> latest-row map (rebuilt on first use by a snapshot)."""

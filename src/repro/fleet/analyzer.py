@@ -166,13 +166,12 @@ class ServiceIngestCore:
         """Epochs this core's ticks closed, gap epochs included."""
         return self._finalized.count
 
-    @property
-    def fallback_events(self) -> int:
-        """Events the service replayed one at a time, summed over shards."""
+    def counters(self) -> Dict[str, int]:
+        """What left the vector path, for the ``stats`` verb; never blocks."""
         service = self.service
-        if hasattr(service, "stats"):
-            return service.stats.fallback_events
-        return sum(shard["fallback_events"] for shard in service.executor.stats())
+        if isinstance(service, Zero07Service):
+            return {"fallback_events": service.stats.fallback_events}
+        return {"fallback_events": service.fallback_events}
 
     def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
         """Ingest one in-order chunk (events are materialized here)."""
@@ -261,15 +260,17 @@ class ColumnarIngestCore:
         self._last_finalized: Optional[int] = None
         #: epochs closed by :meth:`tick`, gap epochs included.
         self.epochs_finalized = 0
-        #: epochs that replayed instead of folding columns.
+        #: epochs that replayed instead of folding columns (visible in stats).
         self.replayed_epochs = 0
-        #: events a replay service in turn ingested one at a time.
-        self.fallback_events = 0
 
     @property
     def last_finalized(self) -> Optional[int]:
         """The newest epoch closed by a tick barrier."""
         return self._last_finalized
+
+    def counters(self) -> Dict[str, int]:
+        """What left the vector path, for the ``stats`` verb."""
+        return {"replayed_epochs": self.replayed_epochs}
 
     def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
         """Fold one in-order chunk's columns into the epoch's store."""
@@ -300,9 +301,7 @@ class ColumnarIngestCore:
             if tally is not None:
                 return self._agent.analyze_tally(epoch, tally)
         self.replayed_epochs += 1
-        service = self._replay_service(epoch)
-        self.fallback_events += service.stats.fallback_events
-        return service.report(epoch)
+        return self._replay_service(epoch).report(epoch)
 
     def tick(self, epoch: int) -> None:
         """Close every epoch up to ``epoch``, caching final reports."""
@@ -845,7 +844,7 @@ class FleetAnalyzer:
                 },
                 "staged_bytes": self._staged_bytes,
                 "last_finalized": self.core.last_finalized,
-                "fallback_events": self.core.fallback_events,
+                **self.core.counters(),
             }
         if command == "describe":
             description = self.core.describe()

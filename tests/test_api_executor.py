@@ -149,6 +149,41 @@ class TestProcessBackendEquivalence:
             assert fleet._views == {} and fleet._open == {}
             assert fleet.report(0) is fleet.report(0)
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_fallback_events_is_served_without_a_worker_round_trip(
+        self, backend, monkeypatch
+    ):
+        """The fleet-wide counter is what the workers last reported (here with
+        the evidence a report of the reordered epoch gathers, then with a
+        checkpoint and its restore) — reading it never syncs the pipeline."""
+        paths = [
+            PathEvidence(
+                epoch=0,
+                seq=i,
+                path=make_path(i, L[i % 4 : i % 4 + 3], src_host=f"h{i % 5}"),
+            )
+            for i in range(96)
+        ]
+
+        def feed(fleet):
+            fleet.ingest_batch(paths[:64])
+            fleet.ingest_batch(paths[32:])  # half redelivered: shards replay it
+            return fleet.report(0)
+
+        with ShardedService(2) as inline:
+            feed(inline)
+            expected = sum(inline.shard(i).stats.fallback_events for i in range(2))
+        assert expected > 0
+        with ShardedService(2, backend=backend) as fleet:
+            feed(fleet)
+            with monkeypatch.context() as patch:
+                patch.setattr(type(fleet.executor), "_sync", None, raising=False)
+                assert fleet.fallback_events == expected
+            checkpoint = fleet.checkpoint()
+        with ShardedService.restore(checkpoint, backend=backend) as restored:
+            monkeypatch.setattr(type(restored.executor), "_sync", None, raising=False)
+            assert restored.fallback_events == expected
+
     def test_workers_fewer_than_shards(self):
         events = loadgen_events(epochs=1)
         inline = run_reports(ShardedService(4, backend="inline"), list(events), 1)

@@ -42,7 +42,7 @@ from repro.experiments.scenario import ScenarioConfig, build_system, run_scenari
 from repro.metrics.evaluation import StreamingDetectionScorer
 from repro.netsim.script import ScenarioScript
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import report_signature
+from repro.testing import evidence_document, report_signature
 from repro.topology.elements import DirectedLink, LinkLevel
 
 FAST = dict(npod=2, n0=4, n1=2, n2=2, hosts_per_tor=2, connections_per_host=25)
@@ -458,6 +458,34 @@ class TestOutOfOrderDelivery:
         service.ingest_batch(second[8:12])
         assert service.stats.fallback_events == len(straddling)
 
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_run_led_by_a_seq_less_update_replays_per_event(self, engine):
+        """Regression: a seq-less update (encoded -1) leading a run passed the
+        late-run proof — -1 entered the seen seqs and the checkpoint's ``rs``
+        column, and a redelivery was then dropped whole although a seq-less
+        update applies on every delivery.  Fresh, late and redelivered."""
+        first, second, third, _ = self.chunked_epoch()
+
+        def led(chunk, flow_id):  # a flow the run itself does not trace
+            return [RetransmissionEvidence(epoch=0, flow_id=flow_id)] + chunk
+
+        ahead, behind = second[0].path.flow_id, first[0].path.flow_id
+        late = led(second, behind)
+        deliveries = [led(first, ahead), third, late, late]
+        chunked, per_event = Zero07Service(engine=engine), Zero07Service(engine=engine)
+        for run in deliveries:
+            chunked.ingest_batch(run)
+            for event in run:
+                per_event.ingest(event)
+            assert evidence_document(chunked.checkpoint()) == evidence_document(
+                per_event.checkpoint()
+            )
+        led_events = sum(len(run) for run in deliveries if run is not third)
+        assert chunked.stats.fallback_events == led_events
+        assert chunked.stats.duplicate_events == len(second)
+        records = dict(chunked.evidence_for_epoch(0))
+        assert records[second[0].seq].retransmissions == 1 + 1  # was buffered
+        assert records[first[0].seq].retransmissions == 1 + 2  # both deliveries
 
 # ----------------------------------------------------------------------
 # checkpointing

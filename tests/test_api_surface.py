@@ -297,8 +297,8 @@ def test_evidence_event_fields_are_pinned():
 
 
 def test_service_stats_fields_are_pinned():
-    """The counters ride every checkpoint's ``stats`` block, the shard
-    executors' ``stats()`` and (``fallback_events``) the analyzer's ``stats``
+    """The counters ride every checkpoint's ``stats`` block, the process
+    executor's ``stats()`` and (``fallback_events``) the analyzer's ``stats``
     verb: names and order are part of the surface."""
     import dataclasses
 

@@ -153,7 +153,7 @@ class TestArrayVoteTally:
                 [pool[i] for i in rng.integers(0, 40, int(rng.integers(1, 7)))],
                 int(rng.integers(1, 5)),
             )
-            for _ in range(700)  # > 2048 hops: the blockwise first-vote scan
+            for _ in range(700)
         ]
         order = rng.permutation(len(paths))
         index = LinkIndex(reversed(pool))  # ids differ from first-vote order

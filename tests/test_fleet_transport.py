@@ -137,7 +137,8 @@ def test_tcp_reports_bit_identical_to_replay(tcp_thread, core_kind):
     send_all_slices(thread.endpoint)
     served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
     # in-order chunks never leave the vector path, whatever the core
-    assert served["fallback_events"] == 0
+    counter = "replayed_epochs" if core_kind == "columns" else "fallback_events"
+    assert served[counter] == 0
     assert query_signatures(thread.query_endpoint) == reference_signatures()
     stats = thread.analyzer.stats
     assert stats.protocol_errors == 0

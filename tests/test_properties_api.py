@@ -253,11 +253,19 @@ def late_deliveries(events, rng):
     """``(chunk, bulk)`` deliveries of ``events``: chunks of 8-64 events, some
     swapped with their neighbour, redelivered whole or in part (a slice that
     may straddle into the next chunk), split into an advance party and a
-    late rest that straddles it, some handed over event by event."""
+    late rest that straddles it, some handed over event by event.  Every
+    fourth chunk or so is led by a seq-less count update (applied on every
+    delivery, never deduplicated), which it carries into each of those
+    shapes."""
     chunks, at = [], 0
     while at < len(events):
         size = rng.randint(8, 64)
-        chunks.append(events[at : at + size])
+        chunk = events[at : at + size]
+        if rng.random() < 0.25:
+            about = rng.choice(events)  # any flow: traced before, in, or after
+            flow_id = about.path.flow_id if hasattr(about, "path") else about.flow_id
+            chunk = [RetransmissionEvidence(epoch=0, flow_id=flow_id)] + chunk
+        chunks.append(chunk)
         at += size
     deliveries = []
     for i, chunk in enumerate(chunks):
