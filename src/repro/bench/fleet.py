@@ -345,8 +345,7 @@ def _measure_reconnect(
         client.close()
         with FleetQueryClient(thread.query_endpoint) as query:
             for epoch in range(epochs):
-                response = query.request({"cmd": "report", "epoch": epoch})
-                signatures.append(response["report"]["signature"])
+                signatures.append(query.report_signature(epoch))
             query.request({"cmd": "shutdown"})
     finally:
         thread.stop()

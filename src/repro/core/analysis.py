@@ -15,9 +15,20 @@ reports — same detections, same deterministic tie-breaks, same floats.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Literal,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.blame import BlameConfig, BlameResult, find_problematic_links
 from repro.core.noise import NoiseClassification, classify_noise_flows
@@ -29,17 +40,87 @@ from repro.topology.elements import DirectedLink
 EngineKind = Literal["dicts", "arrays"]
 
 
-@dataclass
+class FlowCounts(NamedTuple):
+    """``len()`` of a report's three per-flow collections."""
+
+    causes: int
+    noise: int
+    failure: int
+
+
+_PerFlow = Tuple[NoiseClassification, Dict[int, DirectedLink]]
+
+
+@dataclass(eq=False)
 class EpochReport:
-    """Everything 007 concluded about one epoch."""
+    """Everything 007 concluded about one epoch.
+
+    The paper's two outputs are split the way it splits them.  The *link
+    verdict* — ``ranked_links``, ``blame``, ``num_paths_analyzed`` — is
+    computed when the report is built.  The *per-flow* answers — ``noise``
+    and ``flow_causes`` — are, on the arrays engine, derived from the
+    report's own tally the first time either is read and kept from then on
+    (one derivation, whichever thread asks first); the dict oracle hands
+    them in eagerly.  A report's tally is never written after the report
+    exists (final reports own it, mid-epoch ones hold a snapshot), so a late
+    read returns exactly what an immediate one would.  Reports compare by
+    identity: every query surface promises "the identical object".
+    """
 
     epoch: int
     tally: VoteTally
     ranked_links: List[Tuple[DirectedLink, float]]
     blame: BlameResult
-    flow_causes: Dict[int, DirectedLink]
-    noise: NoiseClassification
     num_paths_analyzed: int
+    #: ``(noise, flow_causes)``; ``None`` until first read on the arrays engine.
+    _per_flow: Optional[_PerFlow] = field(default=None, repr=False)
+    _attribute_noise_flows: bool = field(default=False, repr=False)
+    _flow_counts: Optional[FlowCounts] = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+
+    def _forced(self) -> _PerFlow:
+        per_flow = self._per_flow
+        if per_flow is None:
+            with self._lock:
+                per_flow = self._per_flow
+                if per_flow is None:
+                    per_flow = self._per_flow = _per_flow_arrays(
+                        self.tally,
+                        self.blame.detected_links,
+                        self._attribute_noise_flows,
+                    )
+        return per_flow
+
+    @property
+    def noise(self) -> NoiseClassification:
+        """Flows split into noise drops and failure drops."""
+        return self._forced()[0]
+
+    @property
+    def flow_causes(self) -> Dict[int, DirectedLink]:
+        """The culprit link attributed to every failure-drop flow."""
+        return self._forced()[1]
+
+    def flow_counts(self) -> FlowCounts:
+        """The sizes of ``flow_causes``, ``noise.noise_flows`` and
+        ``noise.failure_flows`` — counted on row masks, so asking never
+        builds the per-flow collections."""
+        counts = self._flow_counts
+        if counts is None:
+            per_flow = self._per_flow
+            if per_flow is None:
+                counts = _flow_counts_arrays(
+                    self.tally,
+                    self.blame.detected_links,
+                    self._attribute_noise_flows,
+                )
+            else:
+                noise, causes = per_flow
+                counts = FlowCounts(len(causes), noise.num_noise, noise.num_failure)
+            self._flow_counts = counts
+        return counts
 
     @property
     def detected_links(self) -> List[DirectedLink]:
@@ -61,8 +142,59 @@ class EpochReport:
         return (
             f"epoch {self.epoch}: {self.num_paths_analyzed} flows voted, "
             f"{len(self.detected_links)} problematic link(s), top link {top_text}, "
-            f"{self.noise.num_noise} noise drops"
+            f"{self.flow_counts().noise} noise drops"
         )
+
+
+def _per_flow_arrays(
+    tally, detected_links: Sequence[DirectedLink], attribute_noise_flows: bool
+) -> _PerFlow:
+    """Noise split and per-flow causes of an array tally (bit-identical to
+    the dict engine's)."""
+    from repro.core.arrays import (
+        attribute_flow_causes_arrays,
+        classify_noise_flows_arrays,
+    )
+
+    noise = classify_noise_flows_arrays(tally, detected_links)
+    if attribute_noise_flows:
+        rows = np.arange(tally.num_flows, dtype=np.int64)
+    elif noise.failure_flows:
+        # membership by flow id, not by per-row failure mask: a flow id
+        # appearing in several rows keeps every one of its rows (and thus
+        # the same last-row-wins cause) exactly like the dict engine.
+        failure_ids = np.fromiter(
+            noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
+        )
+        rows = np.flatnonzero(np.isin(tally.flow_ids_array(), failure_ids))
+    else:
+        rows = np.empty(0, dtype=np.int64)
+    return noise, attribute_flow_causes_arrays(tally, rows)
+
+
+def _flow_counts_arrays(
+    tally, detected_links: Sequence[DirectedLink], attribute_noise_flows: bool
+) -> FlowCounts:
+    """What ``len()`` of :func:`_per_flow_arrays`'s collections would say.
+
+    Distinct flow ids among the noise rows and among the failure rows (a
+    re-traced flow can sit in both); every failure flow gets a cause, and
+    with ``attribute_noise_flows`` every flow does.
+    """
+    from repro.core.arrays import failure_rows_mask
+
+    def distinct(ids: np.ndarray) -> int:
+        ids = np.sort(ids)
+        return int(np.count_nonzero(ids[1:] != ids[:-1])) + 1 if len(ids) else 0
+
+    flow_ids = tally.flow_ids_array()
+    failure_rows = failure_rows_mask(tally, detected_links)
+    failure = distinct(flow_ids[failure_rows])
+    return FlowCounts(
+        causes=distinct(flow_ids) if attribute_noise_flows else failure,
+        noise=distinct(flow_ids[~failure_rows]),
+        failure=failure,
+    )
 
 
 class AnalysisAgent:
@@ -155,44 +287,23 @@ class AnalysisAgent:
             tally=tally,
             ranked_links=rank_links(tally),
             blame=blame,
-            flow_causes=flow_causes,
-            noise=noise,
             num_paths_analyzed=len(paths),
+            _per_flow=(noise, flow_causes),
         )
 
     def _analyze_array_tally(self, epoch: int, tally) -> EpochReport:
-        """The vectorized epoch analysis over a built tally (bit-identical)."""
-        from repro.core.arrays import (
-            attribute_flow_causes_arrays,
-            classify_noise_flows_arrays,
-            find_problematic_links_arrays,
-        )
+        """The vectorized link verdict over a built tally (bit-identical);
+        the report derives its per-flow fields from ``tally`` when asked."""
+        from repro.core.arrays import find_problematic_links_arrays
 
         blame = find_problematic_links_arrays(tally, self._blame_config)
-        noise = classify_noise_flows_arrays(tally, blame.detected_links)
-
-        if self._attribute_noise_flows:
-            rows = np.arange(tally.num_flows, dtype=np.int64)
-        elif noise.failure_flows:
-            # membership by flow id, not by per-row failure mask: a flow id
-            # appearing in several rows keeps every one of its rows (and thus
-            # the same last-row-wins cause) exactly like the dict engine.
-            failure_ids = np.fromiter(
-                noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
-            )
-            rows = np.flatnonzero(np.isin(tally.flow_ids_array(), failure_ids))
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        flow_causes = attribute_flow_causes_arrays(tally, rows)
-
         return EpochReport(
             epoch=epoch,
             tally=tally,
             ranked_links=tally.items(),
             blame=blame,
-            flow_causes=flow_causes,
-            noise=noise,
             num_paths_analyzed=tally.num_flows,
+            _attribute_noise_flows=self._attribute_noise_flows,
         )
 
     def analyze_epochs(

@@ -885,15 +885,15 @@ def attribute_flow_causes_arrays(
     )
 
 
-def classify_noise_flows_arrays(
+def failure_rows_mask(
     tally: ArrayVoteTally,
     detected_links: Sequence[DirectedLink],
     max_noise_retransmissions: int = 1,
-) -> NoiseClassification:
-    """Vectorized twin of :func:`repro.core.noise.classify_noise_flows`."""
+) -> np.ndarray:
+    """Per row of the path matrix: is that record a failure drop (it crosses
+    a detected link or retransmitted more than a lone noise drop would)."""
     indptr, cols, _ = tally.path_matrix()
     num_rows = len(indptr) - 1
-    flow_ids = tally.flow_ids_array()
     retrans = tally.retransmissions_array()
 
     detected_mask = np.zeros(max(len(tally.index), 1), dtype=bool)
@@ -907,7 +907,17 @@ def classify_noise_flows_arrays(
         touches = np.maximum.reduceat(hit, indptr[:-1]).astype(bool)
     else:
         touches = np.zeros(0, dtype=bool)
-    failure = touches | (retrans > max_noise_retransmissions)
+    return touches | (retrans > max_noise_retransmissions)
+
+
+def classify_noise_flows_arrays(
+    tally: ArrayVoteTally,
+    detected_links: Sequence[DirectedLink],
+    max_noise_retransmissions: int = 1,
+) -> NoiseClassification:
+    """Vectorized twin of :func:`repro.core.noise.classify_noise_flows`."""
+    failure = failure_rows_mask(tally, detected_links, max_noise_retransmissions)
+    flow_ids = tally.flow_ids_array()
     return NoiseClassification(
         noise_flows=frozenset(flow_ids[~failure].tolist()),
         failure_flows=frozenset(flow_ids[failure].tolist()),

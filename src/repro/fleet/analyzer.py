@@ -43,6 +43,7 @@ import asyncio
 import json
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -69,7 +70,12 @@ from repro.fleet.protocol import (
     HandshakeError,
     VersionMismatchError,
 )
-from repro.testing import report_signature
+
+#: most flows one ``flows`` reply describes (a page, or an ``ids`` list): the
+#: reply is built and encoded on the event loop, so this bounds how long one
+#: query can keep ingestion waiting (~3 ms at this size; the first query of a
+#: report also pays its one per-flow derivation).
+FLOWS_PAGE_LIMIT = 4096
 
 
 @dataclass
@@ -93,12 +99,16 @@ class AnalyzerStats:
     backpressure_engagements: int = 0
     acks_deferred: int = 0
     heartbeats: int = 0
-    #: ``report`` queries answered, how many reused a cached reply line, and
+    #: ``report`` queries received, how many reused a cached reply line, and
     #: how many distinct reports were encoded — hits + encodes + error
     #: replies add up to the queries.
     report_queries: int = 0
     report_view_hits: int = 0
     reports_encoded: int = 0
+    #: ``flows`` queries received (pages and id lookups, rejected ones too).
+    flows_queries: int = 0
+    #: bytes of reply lines written to query connections, every verb.
+    query_bytes_sent: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain JSON-serializable mapping."""
@@ -106,20 +116,64 @@ class AnalyzerStats:
 
 
 def report_to_json(report: EpochReport) -> Dict:
-    """An :class:`EpochReport` as the query socket serves it.
+    """An :class:`EpochReport`'s link verdict as the query socket serves it.
 
-    ``signature`` is the exact :func:`~repro.testing.report_signature`
-    (tuples become JSON arrays), so remote consumers can assert bit-identity
-    without shipping report objects across the wire.
+    ``signature`` has the ten positions of
+    :func:`~repro.testing.report_signature` (tuples become JSON arrays) with
+    the three per-flow ones — 3 flow causes, 4 noise flows, 5 failure flows —
+    ``null``: the document is O(links), whatever the epoch's flow count.
+    ``flows`` says how long each of the three would be; the ``flows`` verb
+    serves their content, and ``FleetQueryClient.report_signature`` puts the
+    full signature back together for bit-identity checks.
     """
+    blame = report.blame
+    counts = report.flow_counts()
+    detected = [str(link) for link in blame.detected_links]
     return {
         "epoch": report.epoch,
-        "detected_links": [str(link) for link in report.detected_links],
+        "detected_links": detected,
         "top_links": [[str(link), votes] for link, votes in report.top_links(10)],
         "num_paths_analyzed": report.num_paths_analyzed,
         "summary": report.summary(),
-        "signature": report_signature(report),
+        "signature": [
+            report.epoch,
+            detected,
+            [(str(link), votes) for link, votes in report.ranked_links],
+            None,
+            None,
+            None,
+            report.num_paths_analyzed,
+            blame.threshold_votes,
+            sorted((str(link), v) for link, v in blame.votes_at_detection.items()),
+            sorted((str(link), v) for link, v in blame.final_votes.items()),
+        ],
+        "flows": {
+            "causes": counts.causes,
+            "noise": counts.noise,
+            "failure": counts.failure,
+        },
     }
+
+
+def _epoch_argument(request: Dict, verb: str) -> Optional[int]:
+    """A query's ``epoch``: a non-negative integer, or ``None`` (absent or
+    ``null``) for the newest epoch the core knows."""
+    epoch = request.get("epoch")
+    if epoch is None:
+        return None
+    if type(epoch) is not int:  # bool is not an epoch
+        raise ValueError(f"{verb} epoch must be an integer or null")
+    if epoch < 0:
+        raise ValueError(f"{verb} epoch must not be negative")
+    return epoch
+
+
+def _count_argument(request: Dict, name: str, default: int) -> int:
+    """A ``flows`` query's ``offset`` / ``limit``."""
+    value = request.get(name, default)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"flows {name} must be a non-negative integer")
+    return value
 
 
 def _reply_line(response: Dict) -> bytes:
@@ -443,6 +497,14 @@ class FleetAnalyzer:
         self._unix_paths: List[str] = []
         #: epoch -> (report, its encoded reply line); see ``_report_line``.
         self._report_lines: Dict[int, Tuple[EpochReport, bytes]] = {}
+        #: report -> its ``view`` token, for as long as the core keeps the
+        #: report alive; tokens are never reused.  See ``_view_of``.
+        self._view_tokens: "weakref.WeakKeyDictionary[EpochReport, int]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._views_issued = 0
+        #: the report a pager is walking and its flow ids in page order.
+        self._paged: Optional[Tuple[EpochReport, List[int]]] = None
         self.bound_endpoint: Optional[Endpoint] = None
         self.bound_query_endpoint: Optional[Endpoint] = None
 
@@ -749,8 +811,9 @@ class FleetAnalyzer:
 
     # -- query socket --------------------------------------------------
     #: reply lines kept for repeated ``report`` queries: the open epochs a
-    #: dashboard polls plus the last closed ones.  A line runs to 1 MB, so
-    #: the table stays this small; oldest entry out first.
+    #: dashboard polls plus the last closed ones.  A line is O(links) — 56 KB
+    #: on the 1 664-link ``medium`` fabric — and each entry also keeps its
+    #: report, tally included, alive; oldest entry out first.
     REPORT_LINES_KEPT = 4
 
     async def _serve_query(self, reader, writer) -> None:
@@ -760,13 +823,13 @@ class FleetAnalyzer:
                     line = await reader.readline()
                 except ValueError:  # no newline within READ_LIMIT bytes
                     error = f"query line longer than {self.READ_LIMIT} bytes"
-                    writer.write(_reply_line({"ok": False, "error": error}))
-                    await writer.drain()
+                    await self._send_reply(
+                        writer, _reply_line({"ok": False, "error": error})
+                    )
                     return
                 if not line:
                     return
-                writer.write(self._answer(line))
-                await writer.drain()
+                await self._send_reply(writer, self._answer(line))
                 if self._shutdown.is_set():
                     return
         except ConnectionError:
@@ -777,6 +840,11 @@ class FleetAnalyzer:
             except Exception:
                 pass
 
+    async def _send_reply(self, writer, reply: bytes) -> None:
+        self.stats.query_bytes_sent += len(reply)
+        writer.write(reply)
+        await writer.drain()
+
     def _answer(self, line: bytes) -> bytes:
         """The reply line for one request line; errors become error replies."""
         try:
@@ -784,13 +852,26 @@ class FleetAnalyzer:
             if not isinstance(request, dict):
                 raise ValueError("a query must be a JSON object")
             if request.get("cmd") == "report":
-                return self._report_line(request.get("epoch"))
+                # counted before its arguments are checked: a rejected query
+                # is one of the error replies the counters add up with.
+                self.stats.report_queries += 1
+                return self._report_line(_epoch_argument(request, "report"))
             response = self._handle_query(request)
         except Exception as exc:  # malformed request → error reply
             response = {"ok": False, "error": str(exc)}
         return _reply_line(response)
 
-    def _report_line(self, epoch) -> bytes:
+    def _view_of(self, report: EpochReport) -> int:
+        """The ``view`` token of ``report``: equal across replies iff
+        ``core.report`` returned the identical object for them, which is
+        how a pager notices that an open epoch moved between two pages."""
+        view = self._view_tokens.get(report)
+        if view is None:
+            self._views_issued += 1
+            view = self._view_tokens[report] = self._views_issued
+        return view
+
+    def _report_line(self, epoch: Optional[int]) -> bytes:
         """The ``report`` reply, encoded once per distinct report object.
 
         Every core returns the identical report while nothing changed for
@@ -798,9 +879,6 @@ class FleetAnalyzer:
         keeps returning the object it was encoded from.  The entry holds
         that object, so its identity cannot be recycled under the line.
         """
-        if epoch is not None and type(epoch) is not int:  # bool is not an epoch
-            raise ValueError("report epoch must be an integer or null")
-        self.stats.report_queries += 1
         lines = self._report_lines
         try:
             report = self.core.report(epoch)
@@ -813,7 +891,13 @@ class FleetAnalyzer:
             return entry[1]
         # release the superseded report and its line before building the next
         lines.pop(report.epoch, None)
-        line = _reply_line({"ok": True, "report": report_to_json(report)})
+        line = _reply_line(
+            {
+                "ok": True,
+                "report": report_to_json(report),
+                "view": self._view_of(report),
+            }
+        )
         self.stats.reports_encoded += 1
         if report.num_paths_analyzed:
             # an empty report is cheap to encode and may be for an epoch
@@ -823,10 +907,58 @@ class FleetAnalyzer:
                 del lines[next(iter(lines))]
         return line
 
+    def _flows(self, request: Dict) -> Dict:
+        """The ``flows`` reply: what ``report`` leaves out, for given
+        connections (``ids``) or one page of all of them in flow-id order.
+
+        Reading the per-flow fields derives them once per report; every
+        entry is ``[flow id, culprit link or null, is noise, is failure]``
+        (a re-traced flow can be both; an unknown id is neither).
+        """
+        epoch = _epoch_argument(request, "flows")
+        ids = None
+        if "ids" in request:
+            ids = request["ids"]
+            if "offset" in request or "limit" in request:
+                raise ValueError("flows takes ids or offset/limit, not both")
+            if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                raise ValueError("flows ids must be a list of integers")
+            if len(ids) > FLOWS_PAGE_LIMIT:
+                raise ValueError(f"flows takes at most {FLOWS_PAGE_LIMIT} ids")
+        else:
+            offset = _count_argument(request, "offset", 0)
+            limit = _count_argument(request, "limit", FLOWS_PAGE_LIMIT)
+        report = self.core.report(epoch)
+        reply = {"ok": True, "epoch": report.epoch, "view": self._view_of(report)}
+        noise, causes = report.noise, report.flow_causes
+        if ids is None:
+            paged = self._paged
+            if paged is None or paged[0] is not report:
+                paged = self._paged = (
+                    report,
+                    sorted(noise.noise_flows | noise.failure_flows),
+                )
+            ids = paged[1][offset : offset + min(limit, FLOWS_PAGE_LIMIT)]
+            reply["offset"] = offset
+            reply["total"] = len(paged[1])
+        reply["flows"] = [
+            [
+                flow,
+                str(causes[flow]) if flow in causes else None,
+                flow in noise.noise_flows,
+                flow in noise.failure_flows,
+            ]
+            for flow in ids
+        ]
+        return reply
+
     def _handle_query(self, request: Dict) -> Dict:
         command = request.get("cmd")
         if command == "ping":
             return {"ok": True, "pong": True}
+        if command == "flows":
+            self.stats.flows_queries += 1
+            return self._flows(request)
         if command == "stats":
             return {
                 "ok": True,
@@ -851,6 +983,9 @@ class FleetAnalyzer:
             description.update(
                 {
                     "protocol_version": protocol.FLEET_PROTOCOL_VERSION,
+                    # 2: ``report`` carries the link verdict only, per-flow
+                    # attribution moved to the ``flows`` verb.
+                    "query_version": 2,
                     "expected_agents": self.expected_agents,
                     "credit_bytes": self.credit_bytes,
                 }

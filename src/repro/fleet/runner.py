@@ -7,9 +7,10 @@ waits for every epoch to finalize, and writes a self-describing run
 directory:
 
 * ``meta.json`` — the resolved config, endpoints and launch commands;
-* ``summary.json`` — convergence, per-epoch report signatures, detected
-  links vs the generator's ground truth, analyzer/agent stats, the kill
-  record, and the replay-equivalence verdict;
+* ``summary.json`` — convergence, per-epoch link-level report signatures
+  (the per-flow positions ``null``, as the ``report`` verb serves them),
+  detected links vs the generator's ground truth, analyzer/agent stats, the
+  kill record, and the replay-equivalence verdict;
 * ``agent-<i>.jsonl`` — each agent's lifecycle log (connects, reconnects,
   redeliveries, ticks), one JSON object per line;
 * ``analyzer.log`` / ``agent-<i>.log`` — raw subprocess output.
@@ -30,7 +31,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.service import Zero07Service
 from repro.fleet.agent import KILL_EXIT_CODE
@@ -88,7 +89,8 @@ def json_signature(report) -> List:
     """A report's signature round-tripped through JSON (tuples → lists).
 
     The query socket serves signatures as JSON, so equality checks against
-    locally computed signatures must normalize both sides the same way.
+    locally computed signatures must normalize both sides the same way
+    (the remote side is :meth:`FleetQueryClient.report_signature`).
     """
     return json.loads(json.dumps(report_signature(report)))
 
@@ -109,6 +111,76 @@ class FleetQueryClient:
         if not line:
             raise ConnectionError("analyzer query socket closed")
         return json.loads(line)
+
+    def report_signature(
+        self,
+        epoch: Optional[int] = None,
+        page_limit: Optional[int] = None,
+        attempts: int = 8,
+    ) -> List:
+        """The full ten-position signature of ``epoch``'s report, equal to
+        :func:`json_signature` of the report object the analyzer holds.
+
+        ``report`` serves the link-level positions; the three per-flow ones
+        are put together from ``flows`` pages of ``page_limit`` flows (the
+        analyzer's cap when ``None``).  Every reply names the ``view`` it was
+        read from: when an open epoch moves under the pager it starts over,
+        so the result is always one report's signature, never a blend.
+        """
+        if page_limit is not None and page_limit < 1:
+            raise ValueError("page_limit must be at least 1")
+        for _ in range(attempts):
+            response = self._checked({"cmd": "report", "epoch": epoch})
+            document = response["report"]
+            if any(document["flows"].values()):
+                per_flow = self._paged_flows(
+                    document["epoch"], response["view"], page_limit
+                )
+            else:
+                # nothing to page — and for an epoch nobody sent evidence for
+                # no view to hold on to: every query builds its report anew
+                per_flow = [], [], []
+            if per_flow is not None:
+                signature = list(document["signature"])
+                signature[3:6] = per_flow
+                return signature
+        raise RuntimeError(
+            f"epoch {epoch} kept changing: no consistent view of its flows "
+            f"in {attempts} attempts"
+        )
+
+    def _paged_flows(
+        self, epoch: int, view: int, page_limit: Optional[int]
+    ) -> Optional[Tuple[List, List, List]]:
+        """Signature positions 3-5 of the report behind ``view``, page by
+        page; ``None`` as soon as a page comes from another view."""
+        causes, noise, failure = [], [], []
+        request = {"cmd": "flows", "epoch": epoch, "offset": 0}
+        if page_limit is not None:
+            request["limit"] = page_limit
+        while True:
+            page = self._checked(request)
+            if page["view"] != view:
+                return None
+            for flow, cause, is_noise, is_failure in page["flows"]:
+                if cause is not None:
+                    causes.append([flow, cause])
+                if is_noise:
+                    noise.append(flow)
+                if is_failure:
+                    failure.append(flow)
+            request["offset"] += len(page["flows"])
+            if request["offset"] >= page["total"]:
+                return causes, noise, failure
+
+    def _checked(self, payload: Dict) -> Dict:
+        """:meth:`request`, with an error reply raised."""
+        response = self.request(payload)
+        if not response.get("ok"):
+            raise RuntimeError(
+                f"{payload.get('cmd')} query failed: {response.get('error')}"
+            )
+        return response
 
     def close(self) -> None:
         try:
@@ -451,6 +523,7 @@ def run_fleet(
                 config.events_per_epoch,
             )
             epochs: List[Dict] = []
+            served: List[List] = []  # full signatures, for the replay check
             for epoch in range(config.epochs):
                 response = query.request({"cmd": "report", "epoch": epoch})
                 if not response.get("ok"):
@@ -459,6 +532,8 @@ def run_fleet(
                         f"{response.get('error')}"
                     )
                 report = response["report"]
+                if config.verify_replay:
+                    served.append(query.report_signature(epoch))
                 epochs.append(
                     {
                         "epoch": epoch,
@@ -486,8 +561,8 @@ def run_fleet(
             say("verifying against a single-process replay")
             reference = _replay_signatures(config)
             replay_equivalent = True
-            for entry, expected in zip(epochs, reference):
-                match = entry["signature"] == expected
+            for entry, signature, expected in zip(epochs, served, reference):
+                match = signature == expected
                 entry["replay_match"] = match
                 replay_equivalent = replay_equivalent and match
 

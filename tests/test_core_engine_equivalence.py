@@ -8,9 +8,20 @@ on randomized tallies and on the paper's Figure 10 single-failure scenario.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.api.events import (
+    EpochTick,
+    PathEvidence,
+    RetransmissionEvidence,
+    copy_evidence,
+)
+from repro.api.service import Zero07Service
 from repro.core.analysis import AnalysisAgent
 from repro.core.blame import BlameConfig
 from repro.discovery.agent import DiscoveredPath
@@ -168,3 +179,114 @@ def test_fig10_single_failure_scenario_equivalent():
     assert got.detection_007().precision == ref.detection_007().precision
     assert got.detection_007().recall == ref.detection_007().recall
     assert got.accuracy_007() == ref.accuracy_007()
+
+
+# ----------------------------------------------------------------------
+# per-flow fields on demand (arrays) equal the eager ones (dicts)
+# ----------------------------------------------------------------------
+def _retraced_stream(rng: np.random.Generator, num_flows: int) -> list:
+    """Path events with every fifth flow traced a second time along other
+    links with a lone retransmission, and count updates in between."""
+    paths = _random_paths(rng, num_flows)
+    for path in paths[::3]:
+        path.retransmissions = 1  # lone drops: noise unless on a blamed link
+    events = []
+    for index, path in enumerate(paths):
+        events.append(PathEvidence(epoch=0, seq=len(events), path=path))
+        if index % 5 == 4:
+            donor = paths[int(rng.integers(0, index))]
+            again = dataclasses.replace(
+                donor, links=list(path.links), retransmissions=1
+            )
+            events.append(PathEvidence(epoch=0, seq=len(events), path=again))
+        if index % 7 == 6:
+            flow_id = int(rng.integers(0, index))
+            events.append(
+                RetransmissionEvidence(
+                    epoch=0, flow_id=flow_id, retransmissions=2, seq=len(events)
+                )
+            )
+    return events
+
+
+def _per_flow(report):
+    return (
+        dict(report.flow_causes),
+        report.noise.noise_flows,
+        report.noise.failure_flows,
+        tuple(report.flow_counts()),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_flow_fields_read_late_equal_those_read_at_once(seed):
+    rng = np.random.default_rng(seed)
+    events = _retraced_stream(rng, num_flows=150)
+    a, b, c = len(events) // 3, len(events) // 2, 3 * len(events) // 4
+    deliveries = [events[:a], events[b:c], events[a:b], events[c:]]  # one swapped
+    late = Zero07Service(engine="arrays")
+    at_once = Zero07Service(engine="arrays")
+    oracle = Zero07Service(engine="dicts")
+    held = []  # (the arrays report nobody has read yet, what the others said then)
+    for run in deliveries:
+        for service in (late, at_once, oracle):
+            service.ingest_batch([copy_evidence(event) for event in run])
+        now = _per_flow(at_once.report(0))
+        assert now == _per_flow(oracle.report(0))
+        held.append((late.report(0), now))
+    assert late.stats.out_of_order_events > 0  # the swap forced a permutation
+    for service in (late, at_once, oracle):
+        service.ingest(EpochTick(0))
+        # the next epoch grows the shared link index under the old reports
+        service.ingest_batch(
+            [dataclasses.replace(event, epoch=1) for event in events[:a]]
+        )
+    final = _per_flow(at_once.report(0))
+    assert final == _per_flow(oracle.report(0))
+    held.append((late.report(0), final))
+    noise, failure = final[1], final[2]
+    assert noise & failure  # a re-traced flow sits in both
+    assert final[3] == (len(final[0]), len(noise), len(failure))
+    for report, expected in held:
+        assert report._per_flow is None  # not derived until somebody asks
+        assert tuple(report.flow_counts()) == expected[3]
+        assert report._per_flow is None  # and counting does not derive
+        assert _per_flow(report) == expected
+    assert len({id(report) for report, _ in held}) == len(held)
+
+
+def test_threads_forcing_one_report_get_the_identical_objects():
+    rng = np.random.default_rng(5)
+    paths = _random_paths(rng, num_flows=400)
+    agent = AnalysisAgent(engine="arrays")
+    threads_per_report = 6
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(25):
+            report = agent.analyze_epoch(0, paths)
+            barrier = threading.Barrier(threads_per_report)
+            seen = []
+
+            def force(index):
+                barrier.wait(timeout=10)
+                if index % 2:
+                    seen.append((report.noise, report.flow_causes))
+                else:
+                    causes = report.flow_causes
+                    seen.append((report.noise, causes))
+
+            threads = [
+                threading.Thread(target=force, args=(index,))
+                for index in range(threads_per_report)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == threads_per_report
+            assert all(noise is seen[0][0] for noise, _ in seen)
+            assert all(causes is seen[0][1] for _, causes in seen)
+    finally:
+        sys.setswitchinterval(interval)

@@ -75,12 +75,7 @@ def wait_finalized(query_endpoint, last_epoch=EPOCHS - 1, timeout=60.0):
 
 def query_signatures(query_endpoint):
     with FleetQueryClient(query_endpoint) as query:
-        return [
-            query.request({"cmd": "report", "epoch": epoch})["report"][
-                "signature"
-            ]
-            for epoch in range(EPOCHS)
-        ]
+        return [query.report_signature(epoch) for epoch in range(EPOCHS)]
 
 
 def _agent_process(endpoint_text, fail_after_events):

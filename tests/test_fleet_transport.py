@@ -83,12 +83,7 @@ def wait_finalized(query_endpoint, last_epoch, timeout=30.0):
 
 def query_signatures(query_endpoint, epochs=EPOCHS):
     with FleetQueryClient(query_endpoint) as query:
-        return [
-            query.request({"cmd": "report", "epoch": epoch})["report"][
-                "signature"
-            ]
-            for epoch in range(epochs)
-        ]
+        return [query.report_signature(epoch) for epoch in range(epochs)]
 
 
 def make_core(kind):
@@ -228,14 +223,11 @@ def test_mid_epoch_report_matches_partial_replay(tcp_thread):
     client.send_run(0, partial)
     client.drain()
     with FleetQueryClient(thread.query_endpoint) as query:
-        response = query.request({"cmd": "report", "epoch": 0})
+        signature = query.report_signature(0)
     client.close()
     reference = Zero07Service(engine="arrays")
     reference.ingest_batch(partial)
-    assert response["ok"] is True
-    assert response["report"]["signature"] == json_signature(
-        reference.report(0)
-    )
+    assert signature == json_signature(reference.report(0))
 
 
 def test_version_mismatch_is_rejected_naming_both_versions(tcp_thread):

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.api.events import EpochTick
+from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
 from repro.api.service import ReportUnavailableError, Zero07Service
 from repro.api.sharded import ShardedService
 from repro.api.wire import LinkRemap, WireDecoder, WireEncoder
+from repro.fleet import analyzer as analyzer_module
 from repro.fleet.agent import FleetAgentClient
 from repro.fleet.analyzer import (
+    FLOWS_PAGE_LIMIT,
     AnalyzerThread,
     ColumnarIngestCore,
     FleetAnalyzer,
@@ -28,7 +31,7 @@ from repro.fleet.analyzer import (
     report_to_json,
 )
 from repro.fleet.protocol import Endpoint
-from repro.fleet.runner import FleetQueryClient, build_generator
+from repro.fleet.runner import FleetQueryClient, build_generator, json_signature
 from repro.testing import report_signature
 
 EVENTS_PER_EPOCH = 1_200
@@ -215,7 +218,7 @@ def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(
     request = {"cmd": "report", "epoch": 0}
     with RawQuery(thread.query_endpoint) as query:
         previous = None
-        for sent in (400, 800, 1200):
+        for view, sent in enumerate((400, 800, 1200), start=1):
             client.send_run(0, events[sent - 400 : sent])
             client.drain()  # every chunk acked, so every chunk is in the core
             hits = stats.report_view_hits
@@ -225,7 +228,11 @@ def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(
             reference = Zero07Service(engine="arrays")
             reference.ingest_batch(events[:sent])
             assert line == reply_line(
-                {"ok": True, "report": report_to_json(reference.report(0))}
+                {
+                    "ok": True,
+                    "report": report_to_json(reference.report(0)),
+                    "view": view,
+                }
             )
             assert query.ask(request) == line
             assert query.ask({"cmd": "report", "epoch": None}) == line
@@ -359,7 +366,7 @@ def test_report_epoch_must_be_an_integer_or_null(analyzer_thread, epoch):
             "ok": False,
             "error": "report epoch must be an integer or null",
         }
-    assert thread.analyzer.stats.report_queries == 0
+    assert thread.analyzer.stats.report_queries == 1  # rejected, and counted
 
 
 @pytest.mark.parametrize("core_kind", CORE_KINDS)
@@ -371,11 +378,12 @@ def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind)
     client.send_run(3, epoch_events(3)[:CHUNK])
     client.drain()
     with FleetQueryClient(thread.query_endpoint) as query:
-        for epoch in list(range(4, 504)) + list(range(-500, 0)):
+        for epoch in range(4, 1_004):
             response = query.request({"cmd": "report", "epoch": epoch})
             assert response["report"]["num_paths_analyzed"] == 0
     client.close()
     assert thread.analyzer._report_lines == {}
+    assert len(thread.analyzer._view_tokens) == 0
     assert thread.analyzer.stats.report_queries == 1_000
     if core_kind == "columns":
         assert list(core._retained) == [3]
@@ -406,3 +414,345 @@ def test_epochs_finalized_counts_what_the_ticks_closed(analyzer_thread, core_kin
     client.drain()
     client.close()
     assert thread.analyzer.stats.epochs_finalized == 3
+
+
+# ----------------------------------------------------------------------
+# per-flow attribution on demand: the ``flows`` verb
+# ----------------------------------------------------------------------
+def retraced_events(epoch=0):
+    """The generator's epoch (paths and count updates) and then some flows
+    discovered a second time along another flow's links with a single
+    retransmission — so a flow can be a failure by one record and noise by
+    another — and a count update for every other one of those."""
+    events = epoch_events(epoch)
+    paths = [event for event in events if isinstance(event, PathEvidence)]
+    seq = len(events)
+    for index, event in enumerate(paths[::12]):
+        donor = paths[(12 * index + 5) % len(paths)].path
+        path = replace(event.path, links=list(donor.links), retransmissions=1)
+        events.append(PathEvidence(epoch=epoch, seq=seq, path=path))
+        seq += 1
+        if index % 2:
+            events.append(
+                RetransmissionEvidence(
+                    epoch=epoch, flow_id=path.flow_id, retransmissions=2, seq=seq
+                )
+            )
+            seq += 1
+    return events
+
+
+def oracle_report(events, epoch=0):
+    """The dict engine fed one event at a time: nothing lazy, nothing bulk."""
+    service = Zero07Service(engine="dicts")
+    for event in events:
+        service.ingest(event)
+    return service.report(epoch)
+
+
+def flow_entry(report, flow):
+    cause = report.cause_of_flow(flow)
+    return [
+        flow,
+        None if cause is None else str(cause),
+        flow in report.noise.noise_flows,
+        flow in report.noise.failure_flows,
+    ]
+
+
+class TestFlowPaging:
+    @pytest.mark.parametrize("core_kind", CORE_KINDS)
+    def test_paged_signature_and_counts_equal_the_oracle(
+        self, analyzer_thread, core_kind
+    ):
+        thread = analyzer_thread(make_core(core_kind))
+        events = retraced_events()
+        cut = len(events) - 40  # mid-epoch first: some re-traces still to come
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        with FleetQueryClient(thread.query_endpoint) as query:
+            for upto, tick in ((cut, False), (len(events), True)):
+                client.send_run(0, events[cut:] if tick else events[:cut])
+                if tick:
+                    client.tick(0)
+                client.drain()
+                if tick:
+                    wait_finalized(thread.query_endpoint, 0)
+                expected = oracle_report(events[:upto])
+                noise = expected.noise
+                assert noise.noise_flows & noise.failure_flows  # re-traced, in both
+                for page_limit in (1, 7, None):  # None: the analyzer's cap
+                    assert query.report_signature(0, page_limit) == json_signature(
+                        expected
+                    ), (upto, page_limit)
+                document = query.request({"cmd": "report", "epoch": 0})["report"]
+                assert document["signature"][3:6] == [None, None, None]
+                assert document["flows"] == {
+                    "causes": len(expected.flow_causes),
+                    "noise": len(noise.noise_flows),
+                    "failure": len(noise.failure_flows),
+                }
+        client.close()
+
+    def test_a_page_is_capped_and_says_where_it_is(self, analyzer_thread, monkeypatch):
+        monkeypatch.setattr(analyzer_module, "FLOWS_PAGE_LIMIT", 50)
+        thread = analyzer_thread(ColumnarIngestCore())
+        events = epoch_events(0)
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, events)
+        client.drain()
+        expected = oracle_report(events)
+        flows = sorted(expected.noise.noise_flows | expected.noise.failure_flows)
+        with FleetQueryClient(thread.query_endpoint) as query:
+            for request, ids in (
+                ({}, flows[:50]),
+                ({"limit": 10_000}, flows[:50]),
+                ({"offset": 120, "limit": 3}, flows[120:123]),
+                ({"offset": len(flows) - 2}, flows[-2:]),
+                ({"offset": len(flows) + 5}, []),
+                ({"limit": 0}, []),
+            ):
+                page = query.request({"cmd": "flows", "epoch": 0, **request})
+                assert page["ok"] is True and page["epoch"] == 0
+                assert page["total"] == len(flows)
+                assert page["offset"] == request.get("offset", 0)
+                assert page["flows"] == [flow_entry(expected, f) for f in ids]
+            assert query.report_signature(0) == json_signature(expected)
+        client.close()
+
+    @pytest.mark.parametrize("core_kind", CORE_KINDS)
+    def test_ids_lookup_equals_cause_of_flow(self, analyzer_thread, core_kind):
+        thread = analyzer_thread(make_core(core_kind))
+        events = retraced_events()
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, events)
+        client.drain()
+        expected = oracle_report(events)
+        noise = expected.noise
+        both = sorted(noise.noise_flows & noise.failure_flows)
+        unknown = max(noise.noise_flows | noise.failure_flows) + 1
+        ids = (
+            [unknown, both[0]]
+            + sorted(noise.noise_flows)[:5]
+            + sorted(noise.failure_flows)[-5:]
+            + [-7, both[0]]  # asked twice, answered twice, in the order asked
+        )
+        with FleetQueryClient(thread.query_endpoint) as query:
+            reply = query.request({"cmd": "flows", "epoch": 0, "ids": ids})
+            report_view = query.request({"cmd": "report", "epoch": 0})["view"]
+        client.close()
+        assert reply["ok"] is True and reply["view"] == report_view
+        assert reply["flows"] == [flow_entry(expected, flow) for flow in ids]
+        assert reply["flows"][0] == [unknown, None, False, False]
+        assert reply["flows"][1][2:] == [True, True]
+        assert "total" not in reply  # a lookup never sorts the epoch's flows
+
+    def test_a_chunk_between_two_pages_moves_the_view_and_the_pager_restarts(
+        self, analyzer_thread
+    ):
+        thread = analyzer_thread(ColumnarIngestCore())
+        events = retraced_events()
+        cut = 600
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, events[:cut])
+        client.drain()
+
+        class Interrupted(FleetQueryClient):
+            """Delivers the rest of the epoch right after the first page."""
+
+            page_views = []
+
+            def request(self, payload):
+                response = super().request(payload)
+                if payload["cmd"] == "flows":
+                    self.page_views.append(response["view"])
+                    if len(self.page_views) == 1:
+                        client.send_run(0, events[cut:])
+                        client.drain()
+                return response
+
+        with Interrupted(thread.query_endpoint) as query:
+            before = query.request({"cmd": "report", "epoch": 0})["view"]
+            signature = query.report_signature(0, page_limit=100)
+            # page 1 of the old view, page 2 refused, then one whole walk
+            assert query.page_views[0] == before
+            assert before not in query.page_views[1:]
+            assert len(set(query.page_views[1:])) == 1
+            flows = len(set(signature[4]) | set(signature[5]))
+            assert len(query.page_views) == 2 + -(-flows // 100)
+            # nothing arrived since: the token holds, whatever the verb
+            after = query.request({"cmd": "report", "epoch": 0})["view"]
+            assert after == query.page_views[-1]
+        client.close()
+        assert signature == json_signature(oracle_report(events))
+        assert signature != json_signature(oracle_report(events[:cut]))
+
+    def test_an_epoch_that_never_settles_is_an_error_not_a_blend(self, analyzer_thread):
+        thread = analyzer_thread(ColumnarIngestCore())
+        events = epoch_events(0)
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=50)
+        client.connect()
+        client.send_run(0, events[:200])
+        client.drain()
+        sent = [200]
+
+        class Restless(FleetQueryClient):
+            def request(self, payload):
+                response = super().request(payload)
+                if payload["cmd"] == "flows":  # evidence lands after every page
+                    client.send_run(0, events[sent[0] : sent[0] + 50])
+                    client.drain()
+                    sent[0] += 50
+                return response
+
+        with Restless(thread.query_endpoint) as query:
+            with pytest.raises(RuntimeError, match="kept changing"):
+                query.report_signature(0, page_limit=20, attempts=3)
+        client.close()
+
+    def test_the_helper_raises_an_unavailable_epoch(self, analyzer_thread):
+        thread = analyzer_thread(ColumnarIngestCore())
+        with FleetQueryClient(thread.query_endpoint) as query:
+            assert query.report_signature(9) == json_signature(
+                Zero07Service().report(9)
+            )
+            with pytest.raises(RuntimeError, match="must not be negative"):
+                query.report_signature(-1)
+            with pytest.raises(ValueError, match="page_limit"):
+                query.report_signature(0, page_limit=0)
+
+
+class TestQueryArguments:
+    def test_every_report_query_is_counted_rejected_ones_too(self, analyzer_thread):
+        """``hits + encodes + error replies == queries``, as AnalyzerStats says."""
+        thread = analyzer_thread(ColumnarIngestCore(retain_reports=1))
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        for epoch in (0, 1):
+            client.send_run(epoch, epoch_events(epoch)[:CHUNK])
+            client.tick(epoch)
+        client.drain()
+        client.close()
+        wait_finalized(thread.query_endpoint, 1)
+        errors = 0
+        with FleetQueryClient(thread.query_endpoint) as query:
+            for epoch in (1, 1, True, "0", -3, 0):  # 0 is evicted by now
+                response = query.request({"cmd": "report", "epoch": epoch})
+                errors += response["ok"] is False
+        stats = thread.analyzer.stats
+        assert errors == 4
+        assert stats.report_queries == 6
+        assert stats.report_view_hits + stats.reports_encoded + errors == 6
+
+    @pytest.mark.parametrize("verb", ["report", "flows"])
+    def test_a_negative_epoch_is_an_error_reply(self, analyzer_thread, verb):
+        thread = analyzer_thread(ColumnarIngestCore())
+        with RawQuery(thread.query_endpoint) as query:
+            assert json.loads(query.ask({"cmd": verb, "epoch": -3})) == {
+                "ok": False,
+                "error": f"{verb} epoch must not be negative",
+            }
+
+    @pytest.mark.parametrize(
+        "arguments, error",
+        [
+            ({"epoch": "0"}, "flows epoch must be an integer or null"),
+            ({"epoch": True}, "flows epoch must be an integer or null"),
+            ({"ids": 7}, "flows ids must be a list of integers"),
+            ({"ids": [1, "2"]}, "flows ids must be a list of integers"),
+            ({"ids": [1, True]}, "flows ids must be a list of integers"),
+            ({"ids": [1.0]}, "flows ids must be a list of integers"),
+            ({"ids": [1], "offset": 0}, "flows takes ids or offset/limit, not both"),
+            ({"ids": [1], "limit": 5}, "flows takes ids or offset/limit, not both"),
+            (
+                {"ids": list(range(FLOWS_PAGE_LIMIT + 1))},
+                f"flows takes at most {FLOWS_PAGE_LIMIT} ids",
+            ),
+            ({"offset": -1}, "flows offset must be a non-negative integer"),
+            ({"offset": "0"}, "flows offset must be a non-negative integer"),
+            ({"limit": None}, "flows limit must be a non-negative integer"),
+            ({"limit": 2.0}, "flows limit must be a non-negative integer"),
+            ({"limit": False}, "flows limit must be a non-negative integer"),
+        ],
+    )
+    def test_flows_arguments_are_checked(self, analyzer_thread, arguments, error):
+        thread = analyzer_thread(ColumnarIngestCore())
+        with RawQuery(thread.query_endpoint) as query:
+            reply = json.loads(query.ask({"cmd": "flows", **arguments}))
+            assert reply == {"ok": False, "error": error}
+            # absent and null both mean "the newest epoch"
+            assert json.loads(query.ask({"cmd": "flows", "epoch": None}))["ok"] is True
+        assert thread.analyzer.stats.flows_queries == 2
+
+    def test_flows_of_an_evicted_epoch_answers_like_report(self, analyzer_thread):
+        thread = analyzer_thread(ColumnarIngestCore(retain_reports=1))
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        for epoch in (0, 1):
+            client.send_run(epoch, epoch_events(epoch)[:CHUNK])
+            client.tick(epoch)
+        client.drain()
+        client.close()
+        wait_finalized(thread.query_endpoint, 1)
+        unavailable = reply_line(
+            {"ok": False, "error": str(ReportUnavailableError(0, 1, 1))}
+        )
+        with RawQuery(thread.query_endpoint) as query:
+            assert query.ask({"cmd": "report", "epoch": 0}) == unavailable
+            assert query.ask({"cmd": "flows", "epoch": 0}) == unavailable
+            assert query.ask({"cmd": "flows", "epoch": 0, "ids": [1]}) == unavailable
+
+    def test_flows_queries_and_reply_bytes_are_counted(self, analyzer_thread):
+        thread = analyzer_thread(ColumnarIngestCore())
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, epoch_events(0))
+        client.drain()
+        client.close()
+        sent = 0
+        with RawQuery(thread.query_endpoint) as query:
+            for request in (
+                {"cmd": "ping"},
+                {"cmd": "report", "epoch": 0},
+                {"cmd": "report", "epoch": 0},  # the cached line counts again
+                {"cmd": "flows", "epoch": 0, "limit": 9},
+                {"cmd": "flows", "epoch": 0, "ids": [3]},
+                {"cmd": "flows", "epoch": "x"},
+                {"cmd": "nonsense"},
+            ):
+                sent += len(query.ask(request))
+            stats_line = query.ask({"cmd": "stats"})
+        served = json.loads(stats_line)["stats"]
+        assert served["flows_queries"] == 3
+        assert served["query_bytes_sent"] == sent  # its own line comes after
+        assert thread.analyzer.stats.query_bytes_sent == sent + len(stats_line)
+
+    def test_describe_names_the_query_version(self, analyzer_thread):
+        thread = analyzer_thread(ColumnarIngestCore())
+        with FleetQueryClient(thread.query_endpoint) as query:
+            assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
+
+
+class TestReplySize:
+    def test_the_report_line_is_o_links_not_o_flows(self):
+        """The ruler's ``fleet_tcp`` epoch: 40 000 events on ``medium``.  The
+        parent's line for it was 1 049 487 bytes."""
+
+        def line_and_flows(events_per_epoch):
+            generator = build_generator("medium", "skewed", "none", 3, events_per_epoch)
+            core = ServiceIngestCore(Zero07Service(engine="arrays"))
+            core.service.ingest_batch(generator.epoch_events(0, tick=True))
+            analyzer = FleetAnalyzer(core, expected_agents=1)
+            line = analyzer._answer(b'{"cmd": "report", "epoch": 0}')
+            document = json.loads(line)["report"]
+            return len(line), document["num_paths_analyzed"]
+
+        size, flows = line_and_flows(40_000)
+        assert flows == 32_000
+        assert size <= 64 * 1024
+        doubled, twice_the_flows = line_and_flows(80_000)
+        assert twice_the_flows == 64_000
+        assert doubled < 1.05 * size
