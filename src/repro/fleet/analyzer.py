@@ -127,7 +127,6 @@ def report_to_json(report: EpochReport) -> Dict:
     full signature back together for bit-identity checks.
     """
     blame = report.blame
-    counts = report.flow_counts()
     detected = [str(link) for link in blame.detected_links]
     return {
         "epoch": report.epoch,
@@ -147,11 +146,7 @@ def report_to_json(report: EpochReport) -> Dict:
             sorted((str(link), v) for link, v in blame.votes_at_detection.items()),
             sorted((str(link), v) for link, v in blame.final_votes.items()),
         ],
-        "flows": {
-            "causes": counts.causes,
-            "noise": counts.noise,
-            "failure": counts.failure,
-        },
+        "flows": report.flow_counts()._asdict(),
     }
 
 

@@ -613,7 +613,7 @@ class TestFlowPaging:
                 query.report_signature(0, page_limit=20, attempts=3)
         client.close()
 
-    def test_the_helper_raises_an_unavailable_epoch(self, analyzer_thread):
+    def test_the_helper_on_an_empty_epoch_and_on_bad_arguments(self, analyzer_thread):
         thread = analyzer_thread(ColumnarIngestCore())
         with FleetQueryClient(thread.query_endpoint) as query:
             assert query.report_signature(9) == json_signature(
