@@ -50,6 +50,10 @@ class FlowCounts(NamedTuple):
 
 _PerFlow = Tuple[NoiseClassification, Dict[int, DirectedLink]]
 
+# One lock for every report's first per-flow read (not one per report, which
+# would make reports unpicklable): the derivation holds the GIL anyway.
+_DERIVING = threading.Lock()
+
 
 @dataclass(eq=False)
 class EpochReport:
@@ -75,21 +79,23 @@ class EpochReport:
     #: ``(noise, flow_causes)``; ``None`` until first read on the arrays engine.
     _per_flow: Optional[_PerFlow] = field(default=None, repr=False)
     _attribute_noise_flows: bool = field(default=False, repr=False)
+    #: the link index's sort ranks as of the build (arrays engine): a late
+    #: read breaks ties with these and never touches the index, which the
+    #: ingesting thread may be growing (relative link order does not change).
+    _sort_ranks: Optional[np.ndarray] = field(default=None, repr=False)
     _flow_counts: Optional[FlowCounts] = field(default=None, init=False, repr=False)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
 
     def _forced(self) -> _PerFlow:
         per_flow = self._per_flow
         if per_flow is None:
-            with self._lock:
+            with _DERIVING:
                 per_flow = self._per_flow
                 if per_flow is None:
                     per_flow = self._per_flow = _per_flow_arrays(
                         self.tally,
                         self.blame.detected_links,
                         self._attribute_noise_flows,
+                        self._sort_ranks,
                     )
         return per_flow
 
@@ -147,7 +153,10 @@ class EpochReport:
 
 
 def _per_flow_arrays(
-    tally, detected_links: Sequence[DirectedLink], attribute_noise_flows: bool
+    tally,
+    detected_links: Sequence[DirectedLink],
+    attribute_noise_flows: bool,
+    sort_ranks: np.ndarray,
 ) -> _PerFlow:
     """Noise split and per-flow causes of an array tally (bit-identical to
     the dict engine's)."""
@@ -169,7 +178,7 @@ def _per_flow_arrays(
         rows = np.flatnonzero(np.isin(tally.flow_ids_array(), failure_ids))
     else:
         rows = np.empty(0, dtype=np.int64)
-    return noise, attribute_flow_causes_arrays(tally, rows)
+    return noise, attribute_flow_causes_arrays(tally, rows, sort_ranks)
 
 
 def _flow_counts_arrays(
@@ -304,6 +313,7 @@ class AnalysisAgent:
             blame=blame,
             num_paths_analyzed=tally.num_flows,
             _attribute_noise_flows=self._attribute_noise_flows,
+            _sort_ranks=tally.index.sort_ranks(),
         )
 
     def analyze_epochs(

@@ -851,19 +851,22 @@ def find_problematic_links_arrays(
 # vectorized ranking, attribution and noise classification
 # ----------------------------------------------------------------------
 def attribute_flow_causes_arrays(
-    tally: ArrayVoteTally, rows: np.ndarray
+    tally: ArrayVoteTally, rows: np.ndarray, sort_ranks: Optional[np.ndarray] = None
 ) -> Dict[int, DirectedLink]:
     """Per-flow culprit attribution for the given rows of the path matrix.
 
     For each selected flow the most voted link on its own path wins; ties go to
     the smallest link, matching the dict engine's ``max(sorted(links), ...)``.
+    ``sort_ranks`` is the index's, taken now unless the caller kept an earlier
+    array covering the tally's links (an index that grew since ranks them in
+    the same relative order).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return {}
     indptr, cols, _ = tally.path_matrix()
     votes = tally.votes_array()
-    ranks = tally.index.sort_ranks()
+    ranks = tally.index.sort_ranks() if sort_ranks is None else sort_ranks
     flow_ids = tally.flow_ids_array()
 
     flat, starts, lengths = _hops_of_rows(indptr, rows)

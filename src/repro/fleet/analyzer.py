@@ -134,6 +134,8 @@ def report_to_json(report: EpochReport) -> Dict:
         "top_links": [[str(link), votes] for link, votes in report.top_links(10)],
         "num_paths_analyzed": report.num_paths_analyzed,
         "summary": report.summary(),
+        # layout owned by repro.testing.report_signature; the paging tests
+        # hold this copy and FleetQueryClient's [3:6] splice to it
         "signature": [
             report.epoch,
             detected,

@@ -113,13 +113,16 @@ class FleetQueryClient:
         return json.loads(line)
 
     def report_signature(
-        self,
-        epoch: Optional[int] = None,
-        page_limit: Optional[int] = None,
-        attempts: int = 8,
+        self, epoch: Optional[int] = None, page_limit: Optional[int] = None
     ) -> List:
         """The full ten-position signature of ``epoch``'s report, equal to
-        :func:`json_signature` of the report object the analyzer holds.
+        :func:`json_signature` of the report object the analyzer holds."""
+        return self.full_report(epoch, page_limit)[1]
+
+    def full_report(
+        self, epoch: Optional[int] = None, page_limit: Optional[int] = None
+    ) -> Tuple[Dict, List]:
+        """``epoch``'s ``report`` document as served, and its full signature.
 
         ``report`` serves the link-level positions; the three per-flow ones
         are put together from ``flows`` pages of ``page_limit`` flows (the
@@ -129,6 +132,7 @@ class FleetQueryClient:
         """
         if page_limit is not None and page_limit < 1:
             raise ValueError("page_limit must be at least 1")
+        attempts = 8  # walks before an epoch that keeps moving is given up on
         for _ in range(attempts):
             response = self._checked({"cmd": "report", "epoch": epoch})
             document = response["report"]
@@ -143,7 +147,7 @@ class FleetQueryClient:
             if per_flow is not None:
                 signature = list(document["signature"])
                 signature[3:6] = per_flow
-                return signature
+                return document, signature
         raise RuntimeError(
             f"epoch {epoch} kept changing: no consistent view of its flows "
             f"in {attempts} attempts"
@@ -525,15 +529,13 @@ def run_fleet(
             epochs: List[Dict] = []
             served: List[List] = []  # full signatures, for the replay check
             for epoch in range(config.epochs):
-                response = query.request({"cmd": "report", "epoch": epoch})
-                if not response.get("ok"):
-                    raise RuntimeError(
-                        f"epoch {epoch} report unavailable: "
-                        f"{response.get('error')}"
-                    )
-                report = response["report"]
                 if config.verify_replay:
-                    served.append(query.report_signature(epoch))
+                    report, full_signature = query.full_report(epoch)
+                    served.append(full_signature)
+                else:
+                    report = query._checked(
+                        {"cmd": "report", "epoch": epoch}
+                    )["report"]
                 epochs.append(
                     {
                         "epoch": epoch,

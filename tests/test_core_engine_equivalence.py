@@ -8,7 +8,9 @@ on randomized tallies and on the paper's Figure 10 single-failure scenario.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 
@@ -27,6 +29,7 @@ from repro.core.blame import BlameConfig
 from repro.discovery.agent import DiscoveredPath
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.routing.fivetuple import FiveTuple
+from repro.testing import report_signature
 from repro.topology.elements import DirectedLink
 
 
@@ -219,7 +222,7 @@ def _per_flow(report):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_per_flow_fields_read_late_equal_those_read_at_once(seed):
+def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     events = _retraced_stream(rng, num_flows=150)
     a, b, c = len(events) // 3, len(events) // 2, 3 * len(events) // 4
@@ -237,22 +240,42 @@ def test_per_flow_fields_read_late_equal_those_read_at_once(seed):
     assert late.stats.out_of_order_events > 0  # the swap forced a permutation
     for service in (late, at_once, oracle):
         service.ingest(EpochTick(0))
-        # the next epoch grows the shared link index under the old reports
-        service.ingest_batch(
-            [dataclasses.replace(event, epoch=1) for event in events[:a]]
+        # the next epoch grows the shared link index under the old reports,
+        # with links that sort before every one of theirs
+        first = dataclasses.replace(
+            events[0].path, links=[DirectedLink("a", "b"), DirectedLink("b", "c")]
         )
+        service.ingest_batch([PathEvidence(epoch=1, seq=0, path=first)])
     final = _per_flow(at_once.report(0))
     assert final == _per_flow(oracle.report(0))
     held.append((late.report(0), final))
     noise, failure = final[1], final[2]
     assert noise & failure  # a re-traced flow sits in both
     assert final[3] == (len(final[0]), len(noise), len(failure))
+    index = late.report(1).tally.index
+    assert index.sort_ranks()[index.id_of(DirectedLink("a", "b"))] == 0
+
+    def live_ranks():
+        raise AssertionError("a late read took sort ranks from the live index")
+
+    monkeypatch.setattr(index, "sort_ranks", live_ranks)
     for report, expected in held:
+        assert report.tally.index is index
+        assert len(report._sort_ranks) < len(index)  # it grew since
         assert report._per_flow is None  # not derived until somebody asks
         assert tuple(report.flow_counts()) == expected[3]
         assert report._per_flow is None  # and counting does not derive
         assert _per_flow(report) == expected
     assert len({id(report) for report, _ in held}) == len(held)
+
+
+def test_a_report_can_be_pickled_and_copied_before_and_after_the_first_read():
+    paths = _random_paths(np.random.default_rng(6), num_flows=200)
+    report = AnalysisAgent(engine="arrays").analyze_epoch(0, paths)
+    unread = pickle.loads(pickle.dumps(report)), copy.deepcopy(report)
+    expected = report_signature(report)  # forces
+    for twin in unread + (pickle.loads(pickle.dumps(report)),):
+        assert report_signature(twin) == expected
 
 
 def test_threads_forcing_one_report_get_the_identical_objects():

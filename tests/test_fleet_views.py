@@ -610,7 +610,8 @@ class TestFlowPaging:
 
         with Restless(thread.query_endpoint) as query:
             with pytest.raises(RuntimeError, match="kept changing"):
-                query.report_signature(0, page_limit=20, attempts=3)
+                query.report_signature(0, page_limit=20)
+        assert sent[0] <= len(events)  # it gave up; the stream did not run dry
         client.close()
 
     def test_the_helper_on_an_empty_epoch_and_on_bad_arguments(self, analyzer_thread):
