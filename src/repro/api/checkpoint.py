@@ -11,17 +11,20 @@ service picks up exactly where ingestion stopped.
 In memory a checkpoint's records are **columns** from capture to restore
 (:class:`CheckpointColumns`: per-epoch arrays of sequence numbers, flow ids,
 CSR link ids, five-tuple components, ... over shared name/link tables).
-``checkpoint()`` columnizes the live path objects once, a delta is a column
+``checkpoint()`` copies what the analysis reads out of the tally's buffers
+and columnizes the identity of each record at most once, a delta is a column
 diff against its base, :meth:`Checkpoint.apply_delta` a column merge, and a
-restore folds the arrays engine's tally straight from the columns; path
-objects are only decoded for the restored service's own record buffers.
+restore adopts the columns — the tally is folded from them and the identity
+columns become the restored service's own; path objects are decoded only at
+the edges (:meth:`Checkpoint.materialize`, ``evidence_for_epoch``).
 
 Two serializations of the same payload exist:
 
 * **Binary** (format version 2, the default for :meth:`Checkpoint.save`) — a
   small container: magic ``R7CK``, a zlib-compressed JSON header carrying the
   configuration, counters and name/link tables, followed by an ``npz`` blob
-  of the columns exactly as they are held in memory.
+  of the columns, each in the smallest unsigned dtype that holds it (widened
+  back to the in-memory dtypes on load).
 * **JSON** (format version 1 and 2) — plain dicts/lists/strings/numbers (see
   :mod:`repro.api.events` for the path/link codecs).  Human-readable and
   diffable; an edge codec: :meth:`Checkpoint.to_json` /
@@ -38,15 +41,12 @@ structural fingerprint — yielding a full checkpoint again.
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import os
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import (
@@ -85,26 +85,6 @@ _CONTAINER_VERSION = 1
 _CONTAINER_HEADER = struct.Struct("<4sIQ")
 
 
-@contextmanager
-def gc_paused():
-    """Pause the cyclic garbage collector for a bulk-allocation section.
-
-    Restore decodes hundreds of thousands of small objects in one burst;
-    every generational collection triggered mid-burst rescans the growing
-    heap and roughly doubles restore latency (and its variance).  Nothing
-    allocated here is garbage yet, so collection is deferred until the
-    section ends.  Reentrant: the collector is only re-enabled by the
-    outermost pause, and only if it was enabled on entry.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def blame_to_dict(config: BlameConfig) -> Dict[str, Any]:
     """Serialize a :class:`BlameConfig` to JSON-ready primitives."""
     return {
@@ -128,7 +108,7 @@ def blame_from_dict(data: Dict[str, Any]) -> BlameConfig:
 # ----------------------------------------------------------------------
 # record columns (the in-memory form and the binary body)
 # ----------------------------------------------------------------------
-class _Interner:
+class Interner:
     """Interns hashable items to dense ids (the name and link tables)."""
 
     __slots__ = ("ids", "items")
@@ -171,29 +151,35 @@ class CheckpointColumns:
     links: List[Any]
 
 
-#: the per-record columns of one epoch, in encode order.
-_RECORD_COLUMNS = (
-    ("seq", np.int64),
-    ("flow", np.int64),
-    ("retr", np.int64),
-    ("comp", np.uint8),
-    ("pep", np.int64),
-    ("len", np.int32),
-    ("sh", np.int32),
-    ("dh", np.int32),
-    ("sip", np.int32),
-    ("dip", np.int32),
-    ("sp", np.int32),
-    ("dp", np.int32),
-    ("pr", np.int32),
-)
+#: every array of one epoch and its in-memory dtype: the per-record columns
+#: in encode order, the CSR hop ids (``len`` delimits them) and the consumed
+#: retransmission-update seqs.
+COLUMN_DTYPES = {
+    "seq": np.int64,
+    "flow": np.int64,
+    "retr": np.int64,
+    "comp": np.uint8,
+    "pep": np.int64,
+    "len": np.int32,
+    "sh": np.int32,
+    "dh": np.int32,
+    "sip": np.int32,
+    "dip": np.int32,
+    "sp": np.int32,
+    "dp": np.int32,
+    "pr": np.int32,
+    "hop": np.int32,
+    "rs": np.int64,
+}
+_EPOCH_COLUMNS = tuple(COLUMN_DTYPES)
+_RECORD_COLUMNS = _EPOCH_COLUMNS[:-2]
 
 #: the record columns that hold ids into the name table.
 _NAME_COLUMNS = ("sh", "dh", "sip", "dip")
 
-#: every array of one epoch: the record columns, the CSR hop ids (``len``
-#: delimits them) and the consumed retransmission-update seqs.
-_EPOCH_COLUMNS = tuple(name for name, _ in _RECORD_COLUMNS) + ("hop", "rs")
+#: the record columns the analysis never reads — who the flow was, not what
+#: it voted for: ``complete``, path epoch, hosts and five-tuple.
+IDENTITY_COLUMNS = ("comp", "pep", "sh", "dh", "sip", "dip", "sp", "dp", "pr")
 
 #: the columns a delta capture compares with its base, and a fingerprint reads.
 DIFF_COLUMNS = ("seq", "retr", "rs")
@@ -205,17 +191,17 @@ EpochColumns = Dict[str, np.ndarray]
 class ColumnsBuilder:
     """Assembles a checkpoint's :class:`CheckpointColumns` epoch by epoch.
 
-    Epochs arrive as path objects (capture), as JSON records (``from_json``)
-    or as columns of another checkpoint (delta merge, shard assembly) and end
-    up under one pair of name/link tables.
+    Epochs arrive as a live service's columns (capture), as JSON records
+    (``from_json``) or as columns of another checkpoint (delta merge, shard
+    assembly) and end up under one pair of name/link tables.
     """
 
     __slots__ = ("arrays", "names", "links")
 
     def __init__(self, names: Iterable = (), links: Iterable = ()) -> None:
         self.arrays: Dict[str, np.ndarray] = {}
-        self.names = _Interner(names)
-        self.links = _Interner(links)
+        self.names = Interner(names)
+        self.links = Interner(links)
 
     def add_epoch(
         self, prefix: str, epoch: int, cols: EpochColumns, pending: Dict[str, int]
@@ -262,7 +248,7 @@ def _encode_records(
 
     Links are interned as the document's ``"src->dst"`` strings.
     """
-    cols: Dict[str, list] = {name: [] for name, _ in _RECORD_COLUMNS}
+    cols: Dict[str, list] = {name: [] for name in _RECORD_COLUMNS}
     hops: List[int] = []
     intern_name = builder.names.intern
     intern_link = builder.links.intern
@@ -283,62 +269,40 @@ def _encode_records(
         cols["dp"].append(ft[3])
         cols["pr"].append(ft[4])
         hops.extend(map(intern_link, link_strs))
-    out = {
-        name: np.asarray(cols[name], dtype=dtype) for name, dtype in _RECORD_COLUMNS
+    cols["hop"] = hops
+    cols["rs"] = retransmission_seqs
+    return {
+        name: np.asarray(col, dtype=COLUMN_DTYPES[name]) for name, col in cols.items()
     }
-    out["hop"] = np.asarray(hops, dtype=np.int32)
-    out["rs"] = np.asarray(retransmission_seqs, dtype=np.int64)
-    return out
 
 
-def encode_paths(
-    seqs: np.ndarray,
-    paths: List[DiscoveredPath],
-    retransmission_seqs: np.ndarray,
-    builder: ColumnsBuilder,
-) -> EpochColumns:
-    """Columnize one epoch's live ``(seqs, path objects)`` records.
+def encode_identity(paths: List[DiscoveredPath], names: Interner) -> EpochColumns:
+    """The :data:`IDENTITY_COLUMNS` of path objects, names interned in ``names``.
 
-    One C-level pass per column; the arrays are fresh, so the checkpoint
-    never aliases the service's state.  ``DirectedLink.__hash__`` runs in
-    Python, so hops are deduplicated by object identity first (sources share
-    one object per fabric direction) and only each distinct object is hashed
-    into the link table.
+    One C-level pass per column.  Flow id, links and retransmission count
+    are not read: the tally a path was folded into holds those.
     """
     count = len(paths)
 
-    def column(attr: str, source: list, dtype) -> np.ndarray:
-        return np.fromiter(map(attrgetter(attr), source), dtype=dtype, count=count)
+    def column(name: str, attr: str, source: list) -> np.ndarray:
+        return np.fromiter(
+            map(attrgetter(attr), source), dtype=COLUMN_DTYPES[name], count=count
+        )
 
-    def names(attr: str, source: list) -> np.ndarray:
-        return builder.names.intern_all(list(map(attrgetter(attr), source)))
+    def ids(attr: str, source: list) -> np.ndarray:
+        return names.intern_all(list(map(attrgetter(attr), source)))
 
     five_tuples = list(map(attrgetter("five_tuple"), paths))
-    links_list = list(map(attrgetter("links"), paths))
-    hops = list(chain.from_iterable(links_list))
-    idents = list(map(id, hops))
-    table_ids = {
-        ident: builder.links.intern(link)
-        for ident, link in dict(zip(idents, hops)).items()
-    }
     return {
-        "seq": seqs,
-        "flow": column("flow_id", paths, np.int64),
-        "retr": column("retransmissions", paths, np.int64),
-        "comp": column("complete", paths, np.uint8),
-        "pep": column("epoch", paths, np.int64),
-        "len": np.fromiter(map(len, links_list), dtype=np.int32, count=count),
-        "sh": names("src_host", paths),
-        "dh": names("dst_host", paths),
-        "sip": names("src_ip", five_tuples),
-        "dip": names("dst_ip", five_tuples),
-        "sp": column("src_port", five_tuples, np.int32),
-        "dp": column("dst_port", five_tuples, np.int32),
-        "pr": column("protocol", five_tuples, np.int32),
-        "hop": np.fromiter(
-            map(table_ids.__getitem__, idents), dtype=np.int32, count=len(idents)
-        ),
-        "rs": retransmission_seqs,
+        "comp": column("comp", "complete", paths),
+        "pep": column("pep", "epoch", paths),
+        "sh": ids("src_host", paths),
+        "dh": ids("dst_host", paths),
+        "sip": ids("src_ip", five_tuples),
+        "dip": ids("dst_ip", five_tuples),
+        "sp": column("sp", "src_port", five_tuples),
+        "dp": column("dp", "dst_port", five_tuples),
+        "pr": column("pr", "protocol", five_tuples),
     }
 
 
@@ -381,9 +345,9 @@ def decode_paths(
     hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
     paths: List[DiscoveredPath] = []
     append = paths.append
-    # Restore is on the failover critical path, so the per-record dataclass
-    # machinery (``__init__`` + ``FiveTuple.__post_init__`` validation) is
-    # bypassed: every value was validated when the checkpointed service first
+    # A sharded fleet's gather-and-replay report decodes whole epochs, so the
+    # per-record dataclass machinery (``__init__`` + ``FiveTuple.__post_init__``
+    # validation) is bypassed: every value was validated when a service first
     # ingested it, and both classes store their fields in a plain ``__dict__``.
     new_path = DiscoveredPath.__new__
     new_ft = FiveTuple.__new__
@@ -472,7 +436,7 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
             for name, col in cols.items():
                 if col.ndim != 1 or col.dtype.kind not in "iu":
                     raise ValueError(f"{where}: column {name!r} is not an id vector")
-            if any(len(cols[name]) != count for name, _ in _RECORD_COLUMNS):
+            if any(len(cols[name]) != count for name in _RECORD_COLUMNS):
                 raise ValueError(f"{where}: record columns disagree with count={count}")
             lens, seq = cols["len"], cols["seq"]
             if int(lens.sum()) != len(cols["hop"]) or (count and int(lens.min()) < 1):
@@ -631,11 +595,11 @@ def sharded_payload_delta(
     }
 
 
-def _take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
+def take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
     """The records ``rows`` of ``cols``, in that order (hops gathered by CSR)."""
     lens = cols["len"].astype(np.int64)
     starts = np.cumsum(lens) - lens
-    out = {name: cols[name][rows] for name, _ in _RECORD_COLUMNS}
+    out = {name: cols[name][rows] for name in _RECORD_COLUMNS}
     out_lens = lens[rows]
     out_starts = np.cumsum(out_lens) - out_lens
     # hop k of output row r is input hop starts[rows[r]] + k
@@ -657,7 +621,7 @@ def _merge_epoch(base: EpochColumns, delta: EpochColumns) -> EpochColumns:
     keep = np.ones(len(both["seq"]), dtype=bool)
     keep[: len(base["seq"])] = ~np.isin(base["seq"], delta["seq"])
     rows = np.flatnonzero(keep)
-    merged = _take_rows(both, rows[np.argsort(both["seq"][rows], kind="stable")])
+    merged = take_rows(both, rows[np.argsort(both["seq"][rows], kind="stable")])
     merged["rs"] = np.union1d(base["rs"], delta["rs"])
     return merged
 
@@ -720,6 +684,70 @@ def _merge_service_payload(
         )
     merged["epochs"] = epochs
     return merged
+
+
+# ----------------------------------------------------------------------
+# the binary container's canonical body
+# ----------------------------------------------------------------------
+def _compacted(payload: Dict[str, Any], columns: CheckpointColumns) -> CheckpointColumns:
+    """``columns`` over tables cut down to the entries its records use, in
+    order of first use (epoch by epoch, column by column): a function of the
+    records alone, whatever tables the service, a merge or a shard assembly
+    accumulated them under."""
+    prefixes = [
+        entry["records"]["__columns__"]
+        for section in _service_sections(payload)
+        for entry in section["epochs"]
+    ]
+    arrays = dict(columns.arrays)
+
+    def compact(table: list, names: Sequence[str]) -> list:
+        keys = [f"{prefix}_{name}" for prefix in prefixes for name in names]
+        ids = np.concatenate([arrays[key] for key in keys] + [np.empty(0, np.int64)])
+        if ids.dtype.kind not in "iu" or (
+            len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < len(table)
+        ):
+            return table  # self-inconsistent: written as it is, the reader rejects it
+        first = np.full(len(table), len(ids), dtype=np.int64)
+        np.minimum.at(first, ids, np.arange(len(ids)))
+        kept = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(ids))]
+        new_id = np.zeros(len(table), dtype=np.int32)
+        new_id[kept] = np.arange(len(kept), dtype=np.int32)
+        for key in keys:
+            arrays[key] = new_id[arrays[key]]
+        return list(map(table.__getitem__, kept.tolist()))
+
+    names = compact(columns.names, _NAME_COLUMNS)
+    links = compact(columns.links, ("hop",))
+    return CheckpointColumns(arrays, names, links)
+
+
+def _narrowed(col: np.ndarray) -> np.ndarray:
+    """``col`` in the smallest of uint8/16/32 that holds it, if that is smaller
+    (uint64 never is — it would promote to float when merged with int64); a
+    column with a negative value is left alone."""
+    if len(col) and col.dtype.kind in "iu" and int(col.min()) >= 0:
+        dtype = np.min_scalar_type(int(col.max()))
+        if dtype.itemsize < col.dtype.itemsize:
+            return col.astype(dtype)
+    return col
+
+
+def _widened(key: str, col: np.ndarray) -> np.ndarray:
+    """``col`` in its column's in-memory dtype, where that loses nothing."""
+    dtype = COLUMN_DTYPES[key.rpartition("_")[2]]
+    if col.dtype != dtype and np.can_cast(col.dtype, dtype, "safe"):
+        return col.astype(dtype)
+    return col
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's (or a directory's entries') written data to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -919,9 +947,14 @@ class Checkpoint:
         return cls(payload=json.loads(text)).validate().columnar()
 
     def to_bytes(self) -> bytes:
-        """The checkpoint in the compact binary container format."""
+        """The checkpoint in the compact binary container format.
+
+        The bytes are a function of the records: tables are compacted to the
+        entries in use, in order of first use, and each column is written in
+        the smallest unsigned dtype that holds it.
+        """
         checkpoint = self.columnar()
-        columns = checkpoint.columns
+        columns = _compacted(checkpoint.payload, checkpoint.columns)
         header = {
             "payload": checkpoint.payload,
             "tables": {
@@ -933,7 +966,9 @@ class Checkpoint:
             json.dumps(header, sort_keys=True).encode("utf-8")
         )
         body = io.BytesIO()
-        np.savez_compressed(body, **columns.arrays)
+        np.savez_compressed(
+            body, **{key: _narrowed(col) for key, col in columns.arrays.items()}
+        )
         return (
             _CONTAINER_HEADER.pack(
                 CHECKPOINT_MAGIC, _CONTAINER_VERSION, len(header_blob)
@@ -964,7 +999,7 @@ class Checkpoint:
                 zlib.decompress(data[_CONTAINER_HEADER.size : header_end])
             )
             with np.load(io.BytesIO(data[header_end:]), allow_pickle=False) as blob:
-                arrays = {name: blob[name] for name in blob.files}
+                arrays = {key: _widened(key, blob[key]) for key in blob.files}
             checkpoint = cls(
                 payload=header["payload"],
                 columns=CheckpointColumns(
@@ -988,9 +1023,10 @@ class Checkpoint:
 
         ``format="binary"`` (default) writes the compact container;
         ``format="json"`` writes indented JSON.  Either way the bytes land in
-        a temp file first and are moved into place with ``os.replace``, so a
-        crash mid-write can never leave a truncated checkpoint behind — the
-        previous file (if any) survives intact.
+        a temp file first, are flushed to disk (``os.fsync``) and only then
+        moved into place with ``os.replace``, so a crash mid-write can never
+        leave a truncated checkpoint behind — the previous file (if any)
+        survives intact.  The directory is synced afterwards, best effort.
         """
         if format == "json":
             data = (self.to_json(indent=2) + "\n").encode("utf-8")
@@ -1002,10 +1038,15 @@ class Checkpoint:
         tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
         try:
             tmp.write_bytes(data)
+            _fsync(tmp)
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        try:
+            _fsync(target.parent)
+        except OSError:
+            pass  # best effort: not every filesystem syncs directories
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Checkpoint":

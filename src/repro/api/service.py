@@ -54,25 +54,28 @@ from typing import (
 
 from repro.api.checkpoint import (
     CHECKPOINT_VERSION,
+    COLUMN_DTYPES,
     DIFF_COLUMNS,
+    IDENTITY_COLUMNS,
     Checkpoint,
     CheckpointColumns,
     ColumnsBuilder,
+    EpochColumns,
+    Interner,
     blame_from_dict,
     blame_to_dict,
     decode_paths,
     delta_rows,
-    encode_paths,
+    encode_identity,
     epoch_columns,
-    gc_paused,
     payload_fingerprint,
+    take_rows,
 )
 from repro.api.events import (
     EpochTick,
     Evidence,
     PathEvidence,
     RetransmissionEvidence,
-    copy_path,
 )
 from repro.api.wire import (
     aggregate_updates,
@@ -189,20 +192,30 @@ class ServiceStats:
         return dataclasses.asdict(self)
 
 
-class _EpochState:
-    """Evidence records and the live incremental tally of one open epoch.
+#: the identity cargo of no rows.
+_NO_CARGO: EpochColumns = encode_identity([], Interner())
 
-    The tally's rows are the record of arrival: every admitted path is
-    appended to ``rec_seqs``, ``rec_paths`` *and* the tally, in sequence order
-    or not, so record ``i`` and tally row ``i`` are always the same piece of
-    evidence and ``tally.row_of_flow`` answers "which record does a count
-    update for this flow bind to" — the flow's most recently *arrived* one —
-    for records and tally alike.
+
+class _EpochState:
+    """The live incremental tally of one open epoch and what it does not hold.
+
+    The tally's rows are the record of arrival *and* the only holder of what
+    the analysis reads (flow id, hop ids, retransmission count): every
+    admitted path is appended to it, in sequence order or not.  Beside it the
+    service keeps, row for row, the record's sequence number (``rec_seqs``)
+    and its *identity cargo* — five-tuple, hosts, ``complete``, path epoch,
+    which only a checkpoint or ``evidence_for_epoch`` ever asks for: rows
+    ``[0, k)`` as :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the
+    service's name table (``cargo``), rows ``[k, n)`` as bare references to
+    the path objects as they arrived (``refs``), columnized the first time
+    somebody needs them and never again.
     """
 
     __slots__ = (
         "rec_seqs",
-        "rec_paths",
+        "cargo",
+        "refs",
+        "names",
         "seqs",
         "retransmission_seqs",
         "tally",
@@ -215,18 +228,22 @@ class _EpochState:
         "cached_at",
     )
 
-    def __init__(self, tally) -> None:
-        #: parallel per-record lists (seq, path), aligned 1:1 with the tally's
-        #: rows; in seq order whenever ``not dirty``.  Parallel lists instead
-        #: of tuples: the bulk ingest path appends hundreds of thousands of
-        #: records per epoch, and the per-record tuple was measurable
-        #: allocation churn.
+    def __init__(self, tally, names: Interner) -> None:
+        #: the records' sequence numbers, aligned 1:1 with the tally's rows;
+        #: increasing whenever ``not dirty``.
         self.rec_seqs: List[int] = []
-        self.rec_paths: List[DiscoveredPath] = []
+        #: identity columns of the first rows; the arrays are never written
+        #: in place, so checkpoints share them (and a restore's are adopted).
+        self.cargo: EpochColumns = _NO_CARGO
+        #: the path objects of the remaining rows.  Only their identity
+        #: fields are ever read, and nothing is ever written to them.
+        self.refs: List[DiscoveredPath] = []
+        #: the service's name table (``cargo``'s host/address ids index it).
+        self.names = names
         #: seen sequence numbers (duplicate-delivery suppression).
         self.seqs: set = set()
         #: the subset of ``seqs`` consumed by retransmission updates (their
-        #: effect lives in the paths' counts, so checkpoints persist the ids).
+        #: effect lives in the rows' counts, so checkpoints persist the ids).
         self.retransmission_seqs: set = set()
         #: the live tally; always holds every record, row for row.
         self.tally = tally
@@ -256,24 +273,34 @@ class _EpochState:
 
         Buffered in ``pending_retransmissions`` while the flow has no path.
         """
-        row = self.tally.row_of_flow(flow_id)
-        if row is None:
+        if self.tally.row_of_flow(flow_id) is None:
             self.pending_retransmissions[flow_id] = (
                 self.pending_retransmissions.get(flow_id, 0) + extra
             )
         else:
-            self.rec_paths[row].retransmissions += extra
             self.tally.bump_retransmissions(flow_id, extra)
             self.mutations += 1
+
+    def identity_columns(self) -> EpochColumns:
+        """Every row's identity cargo as columns (``refs`` are columnized)."""
+        if self.refs:
+            fresh = encode_identity(self.refs, self.names)
+            self.cargo = {
+                name: np.concatenate((self.cargo[name], col))
+                for name, col in fresh.items()
+            }
+            self.refs = []
+        return self.cargo
 
     def in_seq_order(self) -> None:
         """Permute records and tally rows into sequence order (if dirty)."""
         if not self.dirty:
             return
         order = np.argsort(np.array(self.rec_seqs, dtype=np.int64), kind="stable")
-        picks = order.tolist()
-        self.rec_seqs = list(map(self.rec_seqs.__getitem__, picks))
-        self.rec_paths = list(map(self.rec_paths.__getitem__, picks))
+        self.rec_seqs = list(map(self.rec_seqs.__getitem__, order.tolist()))
+        self.cargo = {
+            name: col[order] for name, col in self.identity_columns().items()
+        }
         self.tally = self.tally.reordered(order)
         self.dirty = False
 
@@ -354,6 +381,8 @@ class Zero07Service:
             link_index=self._link_index,
         )
         self._sinks: List[ReportSink] = list(sinks)
+        #: host names and addresses, interned for the epochs' identity cargo.
+        self._names = Interner()
         self._epochs: Dict[int, _EpochState] = {}
         #: finalized reports, insertion-ordered, bounded by retain_reports.
         self._final_reports: Dict[int, EpochReport] = {}
@@ -423,16 +452,16 @@ class Zero07Service:
     def evidence_for_epoch(self, epoch: int) -> List[Tuple[int, DiscoveredPath]]:
         """The open epoch's ``(seq, path)`` records in sequence order.
 
-        Returns an empty list for unknown/finalized epochs.  The paths are the
-        service's own live copies — treat them as read-only.
+        Returns an empty list for unknown/finalized epochs.  An edge, not a
+        view: the paths are built fresh on every call from the tally's
+        current hops and counts and the records' identity cargo, so nothing
+        done to them reaches the service.
         """
         state = self._epochs.get(epoch)
         if state is None:
             return []
-        records = zip(state.rec_seqs, state.rec_paths)
-        if state.dirty:
-            return sorted(records, key=lambda r: r[0])
-        return list(records)
+        tables = CheckpointColumns({}, self._names.items, self._link_index.items)
+        return list(zip(*decode_paths(self._epoch_columns(state), tables)))
 
     # ------------------------------------------------------------------
     # ingestion
@@ -462,13 +491,12 @@ class Zero07Service:
         falls back to the event-at-a-time path — results are bit-identical
         either way, only the speed differs.
 
-        ``owned=True`` declares that the caller hands over ownership of the
-        events: the service skips its defensive per-event path copies.  Only
-        pass it for streams whose paths nobody else will read or mutate
-        (freshly generated or deserialized events).  The default remains
-        copy-on-ingest, which is what live monitoring sources need — they
-        mutate their ``DiscoveredPath`` objects in place on later
-        retransmissions.
+        ``owned`` is accepted and both values do the same thing: what the
+        analysis reads of a path (flow id, links, count) is written into the
+        tally's columns at ingest — that *is* the defensive copy — and the
+        service never writes to a path object, so a source may keep bumping
+        its ``DiscoveredPath.retransmissions`` in place (as the monitoring
+        agent's cache does) whether it declared a hand-over or not.
         """
         if "ingest" in self.__dict__:
             # ``ingest`` was wrapped on the instance (EvidenceRecorder taps
@@ -497,13 +525,13 @@ class Zero07Service:
             else:
                 epoch = int(epochs[0])
                 if int(epochs[-1]) == epoch and bool((epochs == epoch).all()):
-                    self._ingest_evidence_run(epoch, body, owned, seqs)
+                    self._ingest_evidence_run(epoch, body, seqs)
                     if tail:
                         self.ingest(events[-1])
                     return
         for kind, epoch, chunk in iter_evidence_runs(events):
             if kind == "run":
-                self._ingest_evidence_run(epoch, chunk, owned)
+                self._ingest_evidence_run(epoch, chunk)
             else:
                 self.ingest(chunk[0])
 
@@ -520,22 +548,18 @@ class Zero07Service:
         (the process-backed shard executor decodes wire batches into exactly
         one epoch's run, sequence numbers included): skips the segmentation
         scan of :meth:`ingest_batch` and reuses the caller's ``seqs`` array.
-        Semantics are identical to ``ingest_batch(run, owned=owned)`` for a
-        run that contains no ticks and spans a single epoch.
+        Semantics are identical to ``ingest_batch(run)`` for a run that
+        contains no ticks and spans a single epoch (``owned``: see there).
         """
         if "ingest" in self.__dict__:
             for event in run:
                 self.ingest(event)
             return
-        self._ingest_evidence_run(epoch, run, owned, seqs)
+        self._ingest_evidence_run(epoch, run, seqs)
 
     def consume(self, source: EvidenceSource, owned: bool = False) -> None:
-        """Drain an :class:`EvidenceSource` into the service.
-
-        ``owned=True`` skips defensive path copies (see :meth:`ingest_batch`);
-        only use it when the source will never replay the same events into
-        another consumer.
-        """
+        """Drain an :class:`EvidenceSource` into the service (``owned``: see
+        :meth:`ingest_batch`)."""
         self.ingest_batch(source.events(), owned=owned)
 
     def _seen_epoch(self, epoch: int) -> None:
@@ -551,7 +575,7 @@ class Zero07Service:
     def _state(self, epoch: int) -> _EpochState:
         state = self._epochs.get(epoch)
         if state is None:
-            state = _EpochState(self._new_tally())
+            state = _EpochState(self._new_tally(), self._names)
             self._epochs[epoch] = state
         return state
 
@@ -560,8 +584,9 @@ class Zero07Service:
             return ArrayVoteTally(policy=self._vote_policy, index=self._link_index)
         return VoteTally(policy=self._vote_policy)
 
-    def _ingest_path(self, event: PathEvidence, owned: bool = False) -> None:
-        if not event.path.links:  # before the seq is marked seen
+    def _ingest_path(self, event: PathEvidence) -> None:
+        path = event.path
+        if not path.links:  # before the seq is marked seen
             raise ValueError(EMPTY_PATH)
         if self._is_late(event.epoch):
             return
@@ -573,13 +598,13 @@ class Zero07Service:
         state.seqs.add(event.seq)
         if event.seq > state.max_seq:
             state.max_seq = event.seq
-        path = event.path if owned else copy_path(event.path)
+        # a buffered count goes to its flow's first arriving path
         pending = state.pending_retransmissions.pop(path.flow_id, 0)
-        if pending:
-            path.retransmissions += pending
         state.rec_seqs.append(event.seq)
-        state.rec_paths.append(path)
-        state.tally.add_flow(path.flow_id, path.links, path.retransmissions)
+        state.refs.append(path)
+        state.tally.add_flow(
+            path.flow_id, path.links, path.retransmissions + pending
+        )
         if event.seq > state.last_seq:
             state.last_seq = event.seq
         else:  # a path below the running highest path seq: out of order
@@ -607,7 +632,7 @@ class Zero07Service:
     # ------------------------------------------------------------------
     # batched fast path (bit-identical to the per-event path)
     # ------------------------------------------------------------------
-    def _ingest_evidence_fallback(self, run: List[Evidence], owned: bool) -> None:
+    def _ingest_evidence_fallback(self, run: List[Evidence]) -> None:
         """Event-at-a-time replay of a run (handles every edge case).
 
         Mirrors :meth:`ingest`'s dispatch exactly — subclasses are accepted
@@ -616,7 +641,7 @@ class Zero07Service:
         """
         for event in run:
             if isinstance(event, PathEvidence):
-                self._ingest_path(event, owned)
+                self._ingest_path(event)
             elif isinstance(event, RetransmissionEvidence):
                 self._ingest_retransmission(event)
             else:
@@ -626,7 +651,6 @@ class Zero07Service:
         self,
         epoch: int,
         run: List[Evidence],
-        owned: bool,
         seqs: Optional[np.ndarray] = None,
     ) -> None:
         """Bulk-ingest one epoch's run of path + retransmission evidence.
@@ -637,8 +661,8 @@ class Zero07Service:
         numpy-summed bump per *changed flow* instead of one Python dispatch
         per event.  Because count updates never move votes, applying them
         after the run's paths is state-identical to the interleaved per-event
-        order (integer sums commute; the path objects and tally rows end in
-        exactly the same state).  A run stays on this path whether it extends
+        order (integer sums commute; the tally rows end in exactly the same
+        state).  A run stays on this path whether it extends
         the epoch, lands below the watermark (late but disjoint from
         everything seen: appended in arrival order, the rows permuted into
         sequence order at the next report) or redelivers only seen sequence
@@ -651,7 +675,7 @@ class Zero07Service:
             self.stats.late_events += len(run)
             return
         if len(run) < 8:
-            self._ingest_evidence_fallback(run, owned)
+            self._ingest_evidence_fallback(run)
             return
         self._seen_epoch(epoch)
         state = self._state(epoch)
@@ -664,12 +688,12 @@ class Zero07Service:
         # slipped past the attribute gate — the per-event path knows how to
         # handle, or loudly reject, it.  Never swallow events.
         if columns is not None:
-            raw_paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
+            paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
             if not bulk_admissible(
                 seqs,
                 state.max_seq,
-                map(operator.attrgetter("links"), raw_paths),
-                map(operator.attrgetter("flow_id"), raw_paths),
+                map(operator.attrgetter("links"), paths),
+                map(operator.attrgetter("flow_id"), paths),
                 path_seqs,
                 upd_flows,
                 upd_seqs,
@@ -681,18 +705,22 @@ class Zero07Service:
                 columns = None
         if columns is None:
             self.stats.fallback_events += len(run)
-            self._ingest_evidence_fallback(run, owned)
+            self._ingest_evidence_fallback(run)
             return
 
-        if raw_paths:
-            paths = raw_paths if owned else [copy_path(p) for p in raw_paths]
+        if paths:
+            first_row = state.tally.num_flows
+            state.rec_seqs.extend(path_seqs)
+            state.refs.extend(paths)
+            state.tally.add_flows(paths)
             pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
-                for path in paths:
-                    path.retransmissions += pending.pop(path.flow_id, 0)
-            state.rec_seqs.extend(path_seqs)
-            state.rec_paths.extend(paths)
-            state.tally.add_flows(paths)
+                rows, extras = [], []
+                for row, path in enumerate(paths, first_row):
+                    if path.flow_id in pending:
+                        rows.append(row)
+                        extras.append(pending.pop(path.flow_id))
+                state.tally.bump_rows(rows, extras)
             if path_seqs[0] < state.last_seq:
                 # same count as per event: the run's seqs increase, so a path
                 # is below the running highest path seq iff it is below the
@@ -706,11 +734,8 @@ class Zero07Service:
             self.stats.paths_ingested += len(paths)
 
         if upd_flows:
-            # flow -> record resolution through the tally's row map: rows
-            # align 1:1 with ``rec_paths``.
             flow_list, extras = aggregate_updates(upd_flows, upd_counts)
             rows = list(map(state.tally.row_of_flow, flow_list))
-            rec_paths = state.rec_paths
             if None in rows:  # some flows' paths have not arrived: buffer them
                 pending = state.pending_retransmissions
                 known_rows: List[int] = []
@@ -722,8 +747,6 @@ class Zero07Service:
                         known_rows.append(row)
                         known_extras.append(extra)
                 rows, extras = known_rows, known_extras
-            for row, extra in zip(rows, extras):
-                rec_paths[row].retransmissions += extra
             state.tally.bump_rows(rows, extras)
             if rows:
                 state.mutations += 1
@@ -757,7 +780,6 @@ class Zero07Service:
     # materialization
     # ------------------------------------------------------------------
     def _materialize(self, epoch: int, state: Optional[_EpochState], final: bool) -> EpochReport:
-        paths: Optional[List[DiscoveredPath]] = None
         if state is None:
             tally = self._new_tally()
         else:
@@ -769,10 +791,8 @@ class Zero07Service:
             # deep-copying them, which is what keeps repeated mid-epoch
             # queries O(changed rows), not O(epoch).
             tally = state.tally if final else state.tally.snapshot()
-            if self.engine != "arrays":  # the arrays analysis reads the tally only
-                paths = list(state.rec_paths)
         self.stats.reports_materialized += 1
-        return self._agent.analyze_tally(epoch, tally, paths)
+        return self._agent.analyze_tally(epoch, tally)
 
     def report(self, epoch: Optional[int] = None) -> EpochReport:
         """Materialize the :class:`EpochReport` of ``epoch`` right now.
@@ -857,9 +877,12 @@ class Zero07Service:
         restoring.  Without ``base`` the checkpoint is full and directly
         restorable.
 
-        The records are columnized straight from the live buffers (and only
-        the records a delta carries are); the returned columns are copies, so
-        later ingests never show through a checkpoint already taken.
+        Flow ids, counts and hops are copied out of the tally's buffers and
+        each record's identity is columnized at most once in the service's
+        life (by the first checkpoint, permutation or ``evidence_for_epoch``
+        that meets it), so a delta capture costs O(new records).  The
+        returned columns are copies or arrays nobody writes again: later
+        ingests never show through a checkpoint already taken.
         """
         payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
@@ -894,18 +917,7 @@ class Zero07Service:
         epochs: List[Dict[str, Any]] = []
         for epoch in sorted(self._epochs):
             state = self._epochs[epoch]
-            seqs = np.array(state.rec_seqs, dtype=np.int64)
-            paths = state.rec_paths
-            if state.dirty:
-                order = np.argsort(seqs, kind="stable")
-                seqs = seqs[order]
-                paths = list(map(paths.__getitem__, order.tolist()))
-            # consumed update seqs: their effect is already inside the
-            # records' counts, but redeliveries after a restore must still be
-            # recognized as duplicates.
-            retrans_seqs = np.array(
-                sorted(state.retransmission_seqs), dtype=np.int64
-            )
+            cols = self._epoch_columns(state)
             pending = {
                 str(flow): count
                 for flow, count in sorted(state.pending_retransmissions.items())
@@ -913,37 +925,55 @@ class Zero07Service:
             base_entry = base_entries.get(epoch)
             if base_entry is not None:
                 known = epoch_columns(base_entry, base.columns, DIFF_COLUMNS)
-                counts = np.fromiter(
-                    map(operator.attrgetter("retransmissions"), paths),
-                    dtype=np.int64,
-                    count=len(paths),
-                )
-                rows = delta_rows(seqs, counts, known)
-                retrans_seqs = np.setdiff1d(retrans_seqs, known["rs"])
+                rows = delta_rows(cols["seq"], cols["retr"], known)
+                retrans_seqs = np.setdiff1d(cols["rs"], known["rs"])
                 if (
                     not len(rows)
                     and not len(retrans_seqs)
                     and pending == base_entry["pending_retransmissions"]
                 ):
                     continue  # untouched since the base — the merge keeps base's copy
-                seqs = seqs[rows]
-                paths = list(map(paths.__getitem__, rows.tolist()))
-            epochs.append(
-                builder.add_epoch(
-                    f"e{len(epochs)}",
-                    epoch,
-                    encode_paths(seqs, paths, retrans_seqs, builder),
-                    pending,
-                )
-            )
+                cols = take_rows(cols, rows)
+                cols["rs"] = retrans_seqs
+            # np.array copies: the tally's buffers stay the service's own
+            cols = {
+                name: np.array(col, dtype=COLUMN_DTYPES[name])
+                for name, col in cols.items()
+            }
+            epochs.append(builder.add_epoch(f"e{len(epochs)}", epoch, cols, pending))
         payload["epochs"] = epochs
-        return Checkpoint(payload, builder.build())
+        return Checkpoint(
+            payload,
+            CheckpointColumns(
+                builder.arrays, list(self._names.items), list(self._link_index.items)
+            ),
+        )
+
+    def _epoch_columns(self, state: _EpochState) -> EpochColumns:
+        """One open epoch as checkpoint columns over the service's name table
+        and link index, rows in sequence order (put there first if need be).
+
+        ``flow``/``retr``/``hop`` may be views of the tally's live buffers and
+        the identity columns are the state's own: copy before keeping.
+        """
+        state.in_seq_order()
+        flows, counts, lengths, hops = state.tally.record_columns()
+        if self.engine != "arrays":  # the dict oracle holds link objects
+            hops = self._link_index.fast_ids(hops)
+        cols = dict(state.identity_columns())
+        cols["seq"] = np.array(state.rec_seqs, dtype=np.int64)
+        cols["flow"] = np.asarray(flows, dtype=np.int64)
+        cols["retr"] = np.asarray(counts, dtype=np.int64)
+        cols["len"] = np.asarray(lengths, dtype=np.int64)
+        cols["hop"] = np.asarray(hops, dtype=np.int64)
+        # consumed update seqs: their effect is already inside the rows'
+        # counts, but redeliveries after a restore must still be recognized
+        # as duplicates.
+        cols["rs"] = np.array(sorted(state.retransmission_seqs), dtype=np.int64)
+        return cols
 
     def _seed_epoch(
-        self,
-        entry: Dict[str, Any],
-        columns: CheckpointColumns,
-        link_ids: Optional[np.ndarray],
+        self, entry: Dict[str, Any], columns: CheckpointColumns, link_ids: np.ndarray
     ) -> None:
         """Seed one open epoch's state straight from its checkpoint columns.
 
@@ -951,28 +981,26 @@ class Zero07Service:
         sequence number, so the incremental tally can be folded in one bulk
         pass — state-identical to replaying every record through
         :meth:`ingest` (same fold order, same floats), at a fraction of the
-        cost.  The arrays engine folds the columns themselves
-        (``link_ids[i]`` is the index id of ``columns.links[i]``); the dict
-        engine, the oracle, folds the decoded paths (``link_ids is None``).
+        cost — and the identity columns are adopted as they are: ``columns``'
+        name table is this service's, and ``link_ids[i]`` is the index id of
+        ``columns.links[i]``.  No path object is built.
         """
         epoch = int(entry["epoch"])
         cols = epoch_columns(entry, columns)
-        seqs, paths = decode_paths(cols, columns)
+        seqs = cols["seq"].tolist()
         self._seen_epoch(epoch)
         state = self._state(epoch)
         state.rec_seqs = seqs
-        state.rec_paths = paths
+        state.cargo = {name: cols[name] for name in IDENTITY_COLUMNS}
         state.seqs = set(seqs)
         if seqs:
-            if link_ids is None:
-                state.tally.add_flows(paths)
-            else:
-                state.tally.add_columns(
-                    link_ids[cols["hop"]], cols["len"], cols["flow"], cols["retr"]
-                )
+            hops = link_ids[cols["hop"]]
+            if self.engine != "arrays":  # the dict oracle folds link objects
+                hops = list(map(self._link_index.link_of, hops.tolist()))
+            state.tally.add_columns(hops, cols["len"], cols["flow"], cols["retr"])
             state.last_seq = seqs[-1]
             state.max_seq = seqs[-1]
-        self.stats.paths_ingested += len(paths)
+        self.stats.paths_ingested += len(seqs)
         for flow, count in entry["pending_retransmissions"].items():
             # exactly a seq-less buffered update through live ingest
             state.bump_flow(int(flow), int(count))
@@ -992,9 +1020,10 @@ class Zero07Service:
     ) -> "Zero07Service":
         """Rebuild a service from a :class:`Checkpoint`.
 
-        The open epochs' evidence is re-folded in sequence order, so every
-        subsequent :meth:`report` is bit-identical to what the checkpointed
-        service would have produced.  Works for both serializations (v1 JSON
+        The open epochs' tallies are re-folded from the checkpoint's columns
+        in sequence order, so every subsequent :meth:`report` is bit-identical
+        to what the checkpointed service would have produced; no record is
+        decoded into a path object.  Works for both serializations (v1 JSON
         and v2 binary); delta checkpoints must be applied to their base
         first.  Sinks are not serialized — pass the ones the resumed service
         should notify.
@@ -1019,16 +1048,14 @@ class Zero07Service:
             retain_reports=int(payload["retain_reports"]),
             link_index=link_index,
         )
-        link_ids = None
-        if service.engine == "arrays":
-            link_ids = np.fromiter(
-                map(service._link_index.intern, columns.links),
-                dtype=np.int64,
-                count=len(columns.links),
-            )
-        with gc_paused():
-            for entry in payload["epochs"]:
-                service._seed_epoch(entry, columns, link_ids)
+        service._names = Interner(columns.names)
+        link_ids = np.fromiter(
+            map(service._link_index.intern, columns.links),
+            dtype=np.int64,
+            count=len(columns.links),
+        )
+        for entry in payload["epochs"]:
+            service._seed_epoch(entry, columns, link_ids)
         service._max_epoch_seen = (
             int(payload["max_epoch_seen"])
             if payload["max_epoch_seen"] is not None

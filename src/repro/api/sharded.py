@@ -374,8 +374,9 @@ class ShardedService:
         the fast-path preconditions (duplicates, buffered pending updates,
         unknown flows) fall back to :meth:`ingest` individually — the
         surrounding bulk stretches stay on the fast path and results are
-        bit-identical either way.  ``owned=True`` propagates to the shards
-        (skips their defensive path copies; fallbacks stay defensive).
+        bit-identical either way.  ``owned=True`` lets the process backend
+        read the events on its wire lane after this call returns (the shard
+        services themselves never copy or write to a path, ``owned`` or not).
         """
         if "ingest" in self.__dict__:
             # ``ingest`` was wrapped on the instance (an EvidenceRecorder

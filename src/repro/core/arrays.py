@@ -31,6 +31,7 @@ equivalence tests.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +55,10 @@ class ItemIndex:
     #: (epoch-cache semantics) so sources that allocate fresh link objects
     #: per path cannot grow it without limit.
     MAX_ID_MEMO = 65_536
+
+    #: ``item -> key`` for :meth:`sort_ranks`: a key that orders like the item
+    #: but compares in C (``None``: the items already do, e.g. strings).
+    _sort_key = None
 
     def __init__(self, items: Iterable = ()) -> None:
         self._items: List = []
@@ -194,7 +199,10 @@ class ItemIndex:
     def sort_ranks(self) -> np.ndarray:
         """``ranks[id]`` = position of the item in the sorted item order."""
         if self._ranks is None or len(self._ranks) != len(self._items):
-            order = sorted(range(len(self._items)), key=self._items.__getitem__)
+            keys = self._items
+            if self._sort_key is not None:  # once per item, not once per comparison
+                keys = list(map(self._sort_key, keys))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
             ranks = np.empty(len(self._items), dtype=np.int64)
             ranks[np.asarray(order, dtype=np.int64)] = np.arange(
                 len(self._items), dtype=np.int64
@@ -205,6 +213,10 @@ class ItemIndex:
 
 class LinkIndex(ItemIndex):
     """An :class:`ItemIndex` specialised to :class:`DirectedLink` objects."""
+
+    # ``DirectedLink`` is ``order=True`` over exactly these fields, and its
+    # generated ``__lt__`` builds both tuples on every comparison.
+    _sort_key = attrgetter("src", "dst")
 
     @classmethod
     def from_topology(cls, topology) -> "LinkIndex":
@@ -559,6 +571,20 @@ class ArrayVoteTally:
     def retransmissions_array(self) -> np.ndarray:
         """Retransmission counts per row (a view of the buffer)."""
         return self._retransmissions[: self._rows]
+
+    def record_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(flow_ids, retransmissions, lengths, link_ids)`` of every row —
+        :meth:`add_columns`'s arguments read back, ``link_ids`` in this
+        tally's index.  Views of the live buffers (only ``lengths`` is
+        fresh): copy what must outlive the next write to the tally.
+        """
+        indptr, cols, _ = self.path_matrix()
+        return (
+            self.flow_ids_array(),
+            self.retransmissions_array(),
+            np.diff(indptr),
+            cols,
+        )
 
     # ------------------------------------------------------------------
     # queries (the VoteTally API)

@@ -10,6 +10,7 @@ traced at all).  Votes are tallied per epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
 from repro.discovery.agent import DiscoveredPath
@@ -169,6 +170,39 @@ class VoteTally:
             row += 1
         self._items_cache = None
         self._rank_cache = None
+
+    def add_columns(
+        self,
+        links: Sequence[DirectedLink],
+        lengths: Sequence[int],
+        flow_ids: Sequence[int],
+        retransmissions: Sequence[int],
+    ) -> None:
+        """Record the votes of many flows given as columns.
+
+        The twin of :meth:`ArrayVoteTally.add_columns
+        <repro.core.arrays.ArrayVoteTally.add_columns>` in this engine's
+        terms: ``links`` holds the paths' hops back to back as link objects,
+        ``lengths`` the hop count of each path (any integer sequences, numpy
+        columns included).  State-identical to one :meth:`add_flow` per path.
+        """
+        stop = 0
+        for flow_id, length, count in zip(flow_ids, lengths, retransmissions):
+            start, stop = stop, stop + int(length)
+            self.add_flow(int(flow_id), links[start:stop], int(count))
+
+    def record_columns(
+        self,
+    ) -> Tuple[List[int], List[int], List[int], List[DirectedLink]]:
+        """``(flow_ids, retransmissions, lengths, links)`` of every row —
+        :meth:`add_columns`'s arguments read back (fresh lists)."""
+        rows = self._contributions
+        return (
+            [row.flow_id for row in rows],
+            [row.retransmissions for row in rows],
+            [len(row.links) for row in rows],
+            list(chain.from_iterable(row.links for row in rows)),
+        )
 
     # ------------------------------------------------------------------
     # queries

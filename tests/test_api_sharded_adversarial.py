@@ -10,6 +10,8 @@ defensive copying path — with no aliasing leak in either direction.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -399,16 +401,39 @@ class TestEvidenceOwnership:
         assert contribution.retransmissions == 6
 
     def test_owned_ingest_transfers_ownership(self):
-        """owned=True hands the objects over: the service may mutate them."""
-        path = make_path(99, L[:3], retransmissions=1)
-        events = [
-            PathEvidence(epoch=0, seq=i, path=make_path(i, L[:3])) for i in range(10)
-        ]
-        events[0] = PathEvidence(epoch=0, seq=0, path=path)
-        events.append(RetransmissionEvidence(epoch=0, flow_id=99, retransmissions=5, seq=10))
-        service = Zero07Service()
-        service.ingest_batch(events, owned=True)
-        assert path.retransmissions == 6  # the service now owns this object
+        """``owned=True`` used to let the service bump the caller's objects;
+        now it transfers nothing: the service never writes to a path object,
+        ``owned`` or not, per event or in bulk — counts live in the tally."""
+        for owned in (False, True):
+            for bulk in (False, True):
+                path = make_path(99, L[:3], retransmissions=1)
+                events = [
+                    PathEvidence(epoch=0, seq=i, path=make_path(i, L[:3]))
+                    for i in range(1, 10)
+                ]
+                events.insert(
+                    0, RetransmissionEvidence(epoch=0, flow_id=99, retransmissions=2)
+                )  # buffered until the path arrives
+                events.insert(1, PathEvidence(epoch=0, seq=0, path=path))
+                events.append(
+                    RetransmissionEvidence(epoch=0, flow_id=99, retransmissions=5, seq=10)
+                )
+                before = dataclasses.replace(path, links=list(path.links))
+                service = Zero07Service()
+                if bulk:
+                    service.ingest_batch(events[:1])
+                    service.ingest_batch(events[1:], owned=owned)
+                else:
+                    for event in events:
+                        service.ingest(event)
+                service.report(0)
+                service.checkpoint()
+                assert path == before  # the caller's object, untouched
+                counts = {
+                    c.flow_id: c.retransmissions
+                    for c in service.report(0).tally.contributions
+                }
+                assert counts[99] == 1 + 2 + 5
 
     def test_replaying_one_stream_into_two_services_cannot_alias(self):
         """The copying default protects replay sources from cross-service leaks."""

@@ -87,6 +87,29 @@ class TestLinkIndex:
         assert index.item_of(1) == "t2"
         assert index.sort_ranks().tolist() == [1, 0]
 
+    @pytest.mark.parametrize("kind", ["links", "switch names"])
+    def test_sort_ranks_are_the_items_own_order(self, kind):
+        """The ranks sort on a key that compares in C; the order they encode
+        must stay the items' own ``<`` — shared sources, shared destinations,
+        names where string and numeric order differ."""
+        import random
+
+        nodes = [f"{tier}{pod}-{n}" for tier in ("t0", "t1", "t2") for pod in range(3) for n in (1, 2, 10)]
+        if kind == "links":
+            items = [L(a, b) for a in nodes for b in nodes if a != b]
+            index = LinkIndex()
+        else:
+            items = list(nodes)
+            index = ItemIndex()
+        random.Random(19).shuffle(items)
+        for cut in (len(items) // 3, len(items)):  # ranks are rebuilt on growth
+            for item in items[:cut]:
+                index.intern(item)
+            position = {item: rank for rank, item in enumerate(sorted(items[:cut]))}
+            assert index.sort_ranks().tolist() == [
+                position[item] for item in items[:cut]
+            ]
+
 
 class TestArrayVoteTally:
     def test_matches_dict_tally_on_small_example(self):
