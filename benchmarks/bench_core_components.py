@@ -4,7 +4,8 @@ The paper stresses that 007 is lightweight: negligible CPU, tiny memory, and
 an analysis step cheap enough to run centrally every 30 seconds.  These
 micro-benchmarks measure the throughput of the building blocks: ECMP routing,
 flow transfer simulation, vote tallying, Algorithm 1 (in both the dict
-reference engine and the vectorized array engine), and traceroute path
+reference engine and the vectorized array engine), a cold report on a large
+fabric with its per-link tables unread and read, and traceroute path
 discovery.
 """
 
@@ -12,11 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.service import Zero07Service
+from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import ArrayVoteTally, LinkIndex
 from repro.core.blame import BlameConfig, find_problematic_links
 from repro.core.votes import VoteTally
 from repro.discovery.icmp import IcmpRateLimiter
 from repro.discovery.traceroute import TracerouteEngine
+from repro.fleet.runner import build_generator
 from repro.netsim.links import LinkStateTable
 from repro.netsim.tcp import simulate_transfer, simulate_transfers_batch
 from repro.routing.ecmp import EcmpRouter
@@ -179,6 +183,42 @@ def test_bench_tally_blame_medium_arrays(benchmark, medium_link_lists):
         return find_problematic_links(tally, BlameConfig())
 
     benchmark.pedantic(tally_and_blame_arrays, rounds=3, iterations=1)
+
+
+@pytest.fixture(scope="module")
+def large_fabric_tally():
+    """A mid-epoch tally on the ruler's ``large`` fabric (``operator_trickle``'s
+    stream: ~2.8k voted links, a couple of detections) and an agent for it."""
+    generator = build_generator("large", "uniform", "flap", 5, 32_768)
+    service = Zero07Service(engine="arrays")
+    service.ingest_batch(generator.epoch_events(0, tick=False)[:10_240])
+    return service.report(0).tally, AnalysisAgent(engine="arrays")
+
+
+def test_bench_cold_report_large_unread(benchmark, large_fabric_tally):
+    """What a tick or a cold ``report()`` pays on the arrays engine: snapshot,
+    fold, blame kernel, O(detections) objects — no per-link table."""
+    tally, agent = large_fabric_tally
+    report = benchmark(lambda: agent.analyze_tally(0, tally.snapshot()))
+    assert report._ranked is None and report.blame._final is None
+
+
+def test_bench_cold_report_large_every_link_field_read(benchmark, large_fabric_tally):
+    """The same report plus a reader of every per-link field right away — the
+    cost no ruler workload times in-process.  Must stay at or below what the
+    eager report cost before the tables went on demand (CHANGES.md, PR 20)."""
+    tally, agent = large_fabric_tally
+
+    def report_and_read():
+        report = agent.analyze_tally(0, tally.snapshot())
+        return (
+            report.ranked_links,
+            report.blame.final_votes,
+            report.blame.votes_at_detection,
+        )
+
+    ranked, final, _ = benchmark(report_and_read)
+    assert len(ranked) == len(final) > 2_500
 
 
 def test_bench_traceroute(benchmark, fabric):

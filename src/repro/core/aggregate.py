@@ -152,8 +152,6 @@ class MultiEpochAggregator:
         """
         self._epochs_seen.append(report.epoch)
         self._detections_per_epoch.append(len(report.detected_links))
-        top_votes = report.ranked_links[0][1] if report.ranked_links else 0.0
-        self._max_votes_per_epoch.append(top_votes)
 
         tally = report.tally
         if hasattr(tally, "voted_ids"):
@@ -164,13 +162,17 @@ class MultiEpochAggregator:
             self._epochs_voted[ids] += 1
             self._total_votes[ids] += votes
             self._max_votes[ids] = np.maximum(self._max_votes[ids], votes)
+            top_votes = float(votes.max()) if len(votes) else 0.0
         else:
-            voted_ids = [self._index.intern(link) for link, _ in report.ranked_links]
+            ranked = report.ranked_links
+            voted_ids = [self._index.intern(link) for link, _ in ranked]
             self._grow()
-            for idx, (_, votes) in zip(voted_ids, report.ranked_links):
+            for idx, (_, votes) in zip(voted_ids, ranked):
                 self._epochs_voted[idx] += 1
                 self._total_votes[idx] += votes
                 self._max_votes[idx] = max(self._max_votes[idx], votes)
+            top_votes = ranked[0][1] if ranked else 0.0
+        self._max_votes_per_epoch.append(top_votes)
         detected_ids = [self._index.intern(link) for link in report.detected_links]
         self._grow()
         for idx in detected_ids:

@@ -15,8 +15,6 @@ reports — same detections, same deterministic tie-breaks, same floats.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 from dataclasses import dataclass, field
 from typing import (
@@ -30,7 +28,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.blame import BlameConfig, BlameResult, find_problematic_links
+from repro.core.blame import (
+    BlameConfig,
+    BlameResult,
+    derived_once,
+    find_problematic_links,
+)
 from repro.core.noise import NoiseClassification, classify_noise_flows
 from repro.core.ranking import attribute_flow_causes, rank_links
 from repro.core.votes import VotePolicy, VoteTally
@@ -50,54 +53,64 @@ class FlowCounts(NamedTuple):
 
 _PerFlow = Tuple[NoiseClassification, Dict[int, DirectedLink]]
 
-# One lock for every report's first per-flow read (not one per report, which
-# would make reports unpicklable): the derivation holds the GIL anyway.
-_DERIVING = threading.Lock()
-
 
 @dataclass(eq=False)
 class EpochReport:
     """Everything 007 concluded about one epoch.
 
-    The paper's two outputs are split the way it splits them.  The *link
-    verdict* — ``ranked_links``, ``blame``, ``num_paths_analyzed`` — is
-    computed when the report is built.  The *per-flow* answers — ``noise``
-    and ``flow_causes`` — are, on the arrays engine, derived from the
-    report's own tally the first time either is read and kept from then on
-    (one derivation, whichever thread asks first); the dict oracle hands
-    them in eagerly.  A report's tally is never written after the report
-    exists (final reports own it, mid-epoch ones hold a snapshot), so a late
-    read returns exactly what an immediate one would.  Reports compare by
-    identity: every query surface promises "the identical object".
+    Three tiers on the arrays engine.  The *decision* — ``blame``'s
+    ``detected_links``, ``votes_at_detection`` and ``threshold_votes``, and
+    ``num_paths_analyzed`` — is computed when the report is built, with the
+    votes it was reached on kept as arrays (``blame.arrays``).  The *per-link
+    tables* — ``ranked_links`` and ``blame.final_votes`` — and the *per-flow*
+    answers — ``noise`` and ``flow_causes`` — are derived the first time they
+    are read and kept from then on (one derivation each, whichever thread
+    asks first), from those arrays and from the report's own tally; the dict
+    oracle hands everything in eagerly.  The arrays are frozen and a report's
+    tally is never written after the report exists (final reports own it,
+    mid-epoch ones hold a snapshot), so a late read returns exactly what an
+    immediate one would, and it breaks ties with the link index's sort ranks
+    as of the build (``blame.arrays.sort_ranks``), never with the live
+    index's, which the ingesting thread may be growing (relative link order
+    does not change).  Reports compare by identity: every query surface
+    promises "the identical object".
     """
 
     epoch: int
     tally: VoteTally
-    ranked_links: List[Tuple[DirectedLink, float]]
     blame: BlameResult
     num_paths_analyzed: int
+    #: ``ranked_links``; ``None`` until first read on the arrays engine.
+    _ranked: Optional[List[Tuple[DirectedLink, float]]] = field(
+        default=None, repr=False
+    )
     #: ``(noise, flow_causes)``; ``None`` until first read on the arrays engine.
     _per_flow: Optional[_PerFlow] = field(default=None, repr=False)
     _attribute_noise_flows: bool = field(default=False, repr=False)
-    #: the link index's sort ranks as of the build (arrays engine): a late
-    #: read breaks ties with these and never touches the index, which the
-    #: ingesting thread may be growing (relative link order does not change).
-    _sort_ranks: Optional[np.ndarray] = field(default=None, repr=False)
     _flow_counts: Optional[FlowCounts] = field(default=None, init=False, repr=False)
 
+    def _ranked_table(self, n: Optional[int] = None):
+        arrays = self.blame.arrays
+        return list(
+            arrays.table(arrays.index.items, arrays.votes, arrays.ranked()[:n])
+        )
+
+    @property
+    def ranked_links(self) -> List[Tuple[DirectedLink, float]]:
+        """Every voted link with its votes, most voted first, ties in link order."""
+        return derived_once(self, "_ranked", self._ranked_table)
+
     def _forced(self) -> _PerFlow:
-        per_flow = self._per_flow
-        if per_flow is None:
-            with _DERIVING:
-                per_flow = self._per_flow
-                if per_flow is None:
-                    per_flow = self._per_flow = _per_flow_arrays(
-                        self.tally,
-                        self.blame.detected_links,
-                        self._attribute_noise_flows,
-                        self._sort_ranks,
-                    )
-        return per_flow
+        return derived_once(
+            self,
+            "_per_flow",
+            lambda: _per_flow_arrays(
+                self.tally,
+                self.blame.detected_links,
+                self._attribute_noise_flows,
+                self.blame.arrays.sort_ranks,
+            ),
+        )
 
     @property
     def noise(self) -> NoiseClassification:
@@ -138,13 +151,17 @@ class EpochReport:
         return self.flow_causes.get(flow_id)
 
     def top_links(self, n: int = 5) -> List[Tuple[DirectedLink, float]]:
-        """The ``n`` most voted links of the epoch."""
-        return self.ranked_links[:n]
+        """The ``n`` most voted links of the epoch (none for ``n <= 0``) —
+        O(n) objects: an unread ``ranked_links`` stays unbuilt."""
+        if n <= 0:
+            return []
+        ranked = self._ranked
+        return self._ranked_table(n) if ranked is None else ranked[:n]
 
     def summary(self) -> str:
         """One-line human-readable summary of the epoch."""
-        top = self.ranked_links[0] if self.ranked_links else None
-        top_text = f"{top[0]} ({top[1]:.2f} votes)" if top else "none"
+        top = self.top_links(1)
+        top_text = f"{top[0][0]} ({top[0][1]:.2f} votes)" if top else "none"
         return (
             f"epoch {self.epoch}: {self.num_paths_analyzed} flows voted, "
             f"{len(self.detected_links)} problematic link(s), top link {top_text}, "
@@ -294,26 +311,23 @@ class AnalysisAgent:
         return EpochReport(
             epoch=epoch,
             tally=tally,
-            ranked_links=rank_links(tally),
             blame=blame,
             num_paths_analyzed=len(paths),
+            _ranked=rank_links(tally),
             _per_flow=(noise, flow_causes),
         )
 
     def _analyze_array_tally(self, epoch: int, tally) -> EpochReport:
-        """The vectorized link verdict over a built tally (bit-identical);
-        the report derives its per-flow fields from ``tally`` when asked."""
+        """The vectorized decision over a built tally (bit-identical); the
+        report derives its per-link and per-flow fields when asked."""
         from repro.core.arrays import find_problematic_links_arrays
 
-        blame = find_problematic_links_arrays(tally, self._blame_config)
         return EpochReport(
             epoch=epoch,
             tally=tally,
-            ranked_links=tally.items(),
-            blame=blame,
+            blame=find_problematic_links_arrays(tally, self._blame_config),
             num_paths_analyzed=tally.num_flows,
             _attribute_noise_flows=self._attribute_noise_flows,
-            _sort_ranks=tally.index.sort_ranks(),
         )
 
     def analyze_epochs(

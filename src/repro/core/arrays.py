@@ -30,6 +30,7 @@ equivalence tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -64,6 +65,7 @@ class ItemIndex:
         self._items: List = []
         self._ids: Dict[object, int] = {}
         self._ranks: Optional[np.ndarray] = None
+        self._names: List[str] = []
         #: id(object) -> id, plus strong refs keeping those objects alive so
         #: a recycled id() can never alias a dead memo entry.  The sorted
         #: key/value arrays are the memo's vectorized view (searchsorted
@@ -190,6 +192,15 @@ class ItemIndex:
         """All interned items in id order (live list — do not mutate)."""
         return self._items
 
+    def names(self) -> List[str]:
+        """``str(item)`` per id, computed once per item (live list — do not
+        mutate).  Grown by replacement, never in place: a reader on another
+        thread than the one interning always holds a complete list."""
+        names = self._names
+        if len(names) < len(self._items):
+            names = self._names = names + list(map(str, self._items[len(names) :]))
+        return names
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -249,6 +260,17 @@ class LinkIndex(ItemIndex):
         return self._items
 
 
+#: hops per block of ``add_columns``' first-vote scan: small enough that what
+#: the first blocks mark as voted already screens most of the later ones.
+_FIRST_VOTE_BLOCK = 4096
+
+
+def _link_table(labels: Sequence, ids: np.ndarray, values: np.ndarray):
+    """``(labels[id], value)`` pairs through C-level iterators: no Python-level
+    call per link.  ``labels`` is an index's ``items`` or ``names()``."""
+    return zip(map(labels.__getitem__, ids.tolist()), values.tolist())
+
+
 def _grown(buf: np.ndarray, used: int, need: int, slack: int = 0) -> np.ndarray:
     """A reallocated copy of ``buf[:used]`` with geometrically grown capacity.
 
@@ -301,6 +323,11 @@ class ArrayVoteTally:
         self._row_by_flow: Optional[Dict[int, int]] = {}
         self._first_seen: List[int] = []  # voted link ids, first-vote order
         self._voted: set = set()
+        #: ``_first_seen`` as an id array and as a mask over link ids, each
+        #: caught up when next asked for (the mask holds ``_masked`` entries).
+        self._voted_ids = np.empty(0, dtype=np.int64)
+        self._voted_mask = np.zeros(0, dtype=bool)
+        self._masked = 0
         # The materialized view: running vote/support accumulators holding
         # the first ``_folded_rows`` rows.
         self._folded_rows = 0
@@ -457,13 +484,34 @@ class ArrayVoteTally:
         if len(voted) != len(self._index):
             # only scan for first votes while unvoted interned links remain;
             # once every known link has voted (the steady state of a
-            # long-running stream) the scan can never add anything.
-            first_seen_append = self._first_seen.append
-            for lid in dict.fromkeys(cols.tolist()):
-                if lid not in voted:
-                    voted.add(lid)
-                    first_seen_append(lid)
+            # long-running stream) the scan can never add anything.  Each
+            # block is screened through the voted mask first, so Python only
+            # walks the hops of links that had not voted before their block
+            # — after the first blocks of an epoch, next to none.
+            seen = self._seen_mask()
+            for lo in range(0, len(cols), _FIRST_VOTE_BLOCK):
+                block = cols[lo : lo + _FIRST_VOTE_BLOCK]
+                fresh = block[~seen[block]]
+                if len(fresh):
+                    fresh = list(dict.fromkeys(fresh.tolist()))
+                    seen[fresh] = True
+                    voted.update(fresh)
+                    self._first_seen.extend(fresh)
+            self._masked = len(self._first_seen)
         self._invalidate()
+
+    def _seen_mask(self) -> np.ndarray:
+        """``mask[id]``: has the link voted — over every id of the index,
+        caught up with the first votes since it was last asked for, so a call
+        costs what changed, not the size of the fabric."""
+        mask, size = self._voted_mask, len(self._index)
+        if len(mask) < size:
+            self._voted_mask = np.zeros(max(size, 2 * len(mask)), dtype=bool)
+            self._voted_mask[: len(mask)] = mask
+            mask = self._voted_mask
+        mask[self._first_seen[self._masked :]] = True
+        self._masked = len(self._first_seen)
+        return mask
 
     def _flow_rows(self) -> Dict[int, int]:
         """The flow-id -> latest-row map (rebuilt on first use by a snapshot)."""
@@ -561,8 +609,11 @@ class ArrayVoteTally:
         )
 
     def voted_ids(self) -> np.ndarray:
-        """Ids of links with at least one vote, in first-vote order."""
-        return np.asarray(self._first_seen, dtype=np.int64)
+        """Ids of links with at least one vote, in first-vote order (kept
+        until another link votes — do not mutate)."""
+        if len(self._voted_ids) != len(self._first_seen):
+            self._voted_ids = np.asarray(self._first_seen, dtype=np.int64)
+        return self._voted_ids
 
     def flow_ids_array(self) -> np.ndarray:
         """Flow ids per row (a view of the buffer)."""
@@ -615,8 +666,7 @@ class ArrayVoteTally:
 
     def links(self) -> List[DirectedLink]:
         """Links with at least one vote, sorted."""
-        link_of = self._index.link_of
-        return sorted(link_of(lid) for lid in self._first_seen)
+        return sorted(map(self._index.items.__getitem__, self._first_seen))
 
     def items(self) -> List[Tuple[DirectedLink, float]]:
         """``(link, votes)`` pairs sorted by decreasing votes, ties by link order.
@@ -627,37 +677,32 @@ class ArrayVoteTally:
         without constructing and comparing O(links) tuples.
         """
         if self._items_cache is None:
-            votes = self.votes_array()
             ids = self.voted_ids()
-            if len(ids):
-                ranks = self._index.sort_ranks()
-                ordered = ids[np.lexsort((ranks[ids], -votes[ids]))]
-                link_of = self._index.link_of
-                self._items_cache = list(
-                    zip(map(link_of, ordered.tolist()), votes[ordered].tolist())
-                )
-            else:
-                self._items_cache = []
+            votes = self.votes_array()[ids]
+            order = np.lexsort((self._index.sort_ranks()[ids], -votes))
+            self._items_cache = list(
+                _link_table(self._index.items, ids[order], votes[order])
+            )
         return list(self._items_cache)
 
     def as_dict(self) -> Dict[DirectedLink, float]:
         """A copy of the tally, keyed by link in first-vote order."""
-        votes = self.votes_array()
-        link_of = self._index.link_of
-        return {link_of(lid): float(votes[lid]) for lid in self._first_seen}
+        ids = self.voted_ids()
+        return dict(_link_table(self._index.items, ids, self.votes_array()[ids]))
 
     @property
     def contributions(self) -> List[VoteContribution]:
         """Per-flow contributions, rebuilt from the CSR rows on demand."""
         if self._contributions_cache is None:
-            link_of = self._index.link_of
             rows = self._rows
             bounds = self._indptr[: rows + 1].tolist()
-            cols = self._cols[: self._hops].tolist()
+            hops = list(
+                map(self._index.items.__getitem__, self._cols[: self._hops].tolist())
+            )
             self._contributions_cache = [
                 VoteContribution(
                     flow_id=flow_id,
-                    links=tuple(map(link_of, cols[start:stop])),
+                    links=tuple(hops[start:stop]),
                     weight=weight,
                     retransmissions=retransmissions,
                 )
@@ -677,8 +722,8 @@ class ArrayVoteTally:
         return self._rows
 
     def top(self, n: int = 1) -> List[Tuple[DirectedLink, float]]:
-        """The ``n`` most voted links."""
-        return self.items()[:n]
+        """The ``n`` most voted links (none for ``n <= 0``)."""
+        return self.items()[:n] if n > 0 else []
 
     def max_link(self) -> Optional[DirectedLink]:
         """The single most voted link (``None`` when no votes were cast)."""
@@ -717,6 +762,7 @@ class ArrayVoteTally:
         clone._row_by_flow = None
         clone._first_seen = list(self._first_seen)
         clone._voted = set(self._voted)
+        clone._voted_ids = self.voted_ids()
         clone._votes = self._votes.copy()
         clone._support = self._support.copy()
         return clone
@@ -838,39 +884,78 @@ def blame_kernel(
     return detected, votes_at, votes
 
 
+@dataclass(eq=False)
+class VerdictArrays:
+    """What Algorithm 1 read and left behind, frozen when it ran.
+
+    A report's per-link tables (``EpochReport.ranked_links``,
+    ``BlameResult.final_votes``) are derived from these when first read;
+    whoever wants the numbers without the objects reads the arrays.  Ids
+    keep their meaning while an index grows and the ranking uses the sort
+    ranks as of the run, so a late read equals an immediate one.
+    """
+
+    index: LinkIndex
+    #: voted link ids in first-vote order, then — position for position —
+    #: their votes before Algorithm 1 and what it left of them.
+    ids: np.ndarray
+    votes: np.ndarray
+    final: np.ndarray
+    #: blamed ids in blame order, and their votes when blamed.
+    detected: List[int]
+    votes_at: List[float]
+    sort_ranks: np.ndarray
+    _ranked: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def ranked(self) -> np.ndarray:
+        """Positions of ``ids`` by decreasing votes, ties in link order: one
+        ``lexsort``, kept (threads racing here compute equal arrays)."""
+        if self._ranked is None:
+            self._ranked = np.lexsort((self.sort_ranks[self.ids], -self.votes))
+        return self._ranked
+
+    def table(self, labels: Sequence, values: np.ndarray, positions=slice(None)):
+        """``(labels[id], value)`` for the given positions of ``ids``."""
+        return _link_table(labels, self.ids[positions], values[positions])
+
+
 def find_problematic_links_arrays(
     tally: ArrayVoteTally, config: Optional[BlameConfig] = None
 ) -> BlameResult:
-    """Algorithm 1 over an :class:`ArrayVoteTally` (see :mod:`repro.core.blame`)."""
+    """Algorithm 1 over an :class:`ArrayVoteTally` (see :mod:`repro.core.blame`).
+
+    Only the decision becomes objects here, O(detections) of them; the
+    result's ``final_votes`` is derived from its ``arrays`` when first read.
+    """
     config = config or BlameConfig()
     total_votes = tally.total_votes()
-    result = BlameResult(threshold_votes=config.threshold_fraction * total_votes)
-    if total_votes <= 0.0:
-        return result
-
+    threshold_votes = config.threshold_fraction * total_votes
     votes = tally.votes_array()
-    support = tally.support_array()
-    indptr, cols, weights = tally.path_matrix()
-    eligible = support >= config.min_flow_support
-    detected, votes_at, final = blame_kernel(
-        votes,
-        indptr,
-        cols,
-        weights,
-        eligible,
-        tally.index.sort_ranks(),
-        result.threshold_votes,
-        config,
+    sort_ranks = tally.index.sort_ranks()
+    detected, votes_at, final = [], [], votes
+    if total_votes > 0.0:
+        indptr, cols, weights = tally.path_matrix()
+        detected, votes_at, final = blame_kernel(
+            votes,
+            indptr,
+            cols,
+            weights,
+            tally.support_array() >= config.min_flow_support,
+            sort_ranks,
+            threshold_votes,
+            config,
+        )
+    ids = tally.voted_ids()
+    detected_links = list(map(tally.index.items.__getitem__, detected))
+    return BlameResult(
+        detected_links=detected_links,
+        votes_at_detection=dict(zip(detected_links, votes_at)),
+        threshold_votes=threshold_votes,
+        final_votes=None,
+        arrays=VerdictArrays(
+            tally.index, ids, votes[ids], final[ids], detected, votes_at, sort_ranks
+        ),
     )
-    link_of = tally.index.link_of
-    result.detected_links = [link_of(lid) for lid in detected]
-    result.votes_at_detection = {
-        link_of(lid): v for lid, v in zip(detected, votes_at)
-    }
-    result.final_votes = {
-        link_of(lid): float(final[lid]) for lid in tally.voted_ids()
-    }
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -908,9 +993,11 @@ def attribute_flow_causes_arrays(
     rank_to_id[ranks] = np.arange(len(ranks), dtype=np.int64)
     best_ids = rank_to_id[best_rank]
 
-    link_of = tally.index.link_of
     return dict(
-        zip(flow_ids[rows].tolist(), map(link_of, best_ids.tolist()))
+        zip(
+            flow_ids[rows].tolist(),
+            map(tally.index.items.__getitem__, best_ids.tolist()),
+        )
     )
 
 

@@ -11,13 +11,35 @@ those flows contributed elsewhere — and the loop repeats.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Literal, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Set, Tuple
 
 from repro.core.votes import VoteContribution, VoteTally
 from repro.topology.elements import DirectedLink
 
+if TYPE_CHECKING:
+    from repro.core.arrays import VerdictArrays
+
 AdjustmentPolicy = Literal["paths", "none"]
+
+# One lock for every first read of a derived report field (not one per
+# object, which would make reports unpicklable): a derivation holds the GIL
+# anyway.
+_DERIVING = threading.Lock()
+
+
+def derived_once(holder, slot: str, derive):
+    """``holder.<slot>``, set to ``derive()`` by whichever thread first finds
+    it ``None`` — once, so every reader gets the identical object."""
+    value = getattr(holder, slot)
+    if value is None:
+        with _DERIVING:
+            value = getattr(holder, slot)
+            if value is None:
+                value = derive()
+                setattr(holder, slot, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,7 +82,9 @@ class BlameResult:
     votes_at_detection: Dict[DirectedLink, float] = field(default_factory=dict)
     #: the threshold (in votes) used for the stop condition.
     threshold_votes: float = 0.0
-    #: remaining adjusted tally when the algorithm stopped.
+    #: remaining adjusted tally when the algorithm stopped, in first-vote
+    #: order.  The arrays engine passes ``None`` beside ``arrays`` and the
+    #: dict is built when first read (a property, installed below the class).
     final_votes: Dict[DirectedLink, float] = field(default_factory=dict)
     #: membership cache for ``in`` checks; invalidated when detected_links
     #: grows or is rebound.  (In-place same-length element replacement is not
@@ -71,6 +95,8 @@ class BlameResult:
     _detected_set_key: Optional[Tuple[int, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: arrays engine: the :class:`~repro.core.arrays.VerdictArrays` of the run.
+    arrays: Optional[VerdictArrays] = field(default=None, repr=False, compare=False)
 
     @property
     def num_detected(self) -> int:
@@ -83,6 +109,18 @@ class BlameResult:
             self._detected_set = frozenset(self.detected_links)
             self._detected_set_key = key
         return link in self._detected_set
+
+    def _final_votes(self) -> Dict[DirectedLink, float]:
+        arrays = self.arrays
+        return dict(arrays.table(arrays.index.items, arrays.final))
+
+
+# After ``@dataclass`` ran, so ``final_votes`` is still a constructor keyword
+# and a compared field while its value lives in ``_final``.
+BlameResult.final_votes = property(
+    lambda self: derived_once(self, "_final", self._final_votes),
+    lambda self, value: setattr(self, "_final", value),
+)
 
 
 def find_problematic_links(

@@ -266,8 +266,8 @@ class VoteTally:
         return len(self._contributions)
 
     def top(self, n: int = 1) -> List[Tuple[DirectedLink, float]]:
-        """The ``n`` most voted links."""
-        return self.items()[:n]
+        """The ``n`` most voted links (none for ``n <= 0``)."""
+        return self.items()[:n] if n > 0 else []
 
     def max_link(self) -> Optional[DirectedLink]:
         """The single most voted link (``None`` when no votes were cast)."""

@@ -124,14 +124,32 @@ def report_to_json(report: EpochReport) -> Dict:
     ``null``: the document is O(links), whatever the epoch's flow count.
     ``flows`` says how long each of the three would be; the ``flows`` verb
     serves their content, and ``FleetQueryClient.report_signature`` puts the
-    full signature back together for bit-identity checks.
+    full signature back together for bit-identity checks.  An arrays-engine
+    report is written from its vote arrays and the link index's name table
+    (``str(link)`` once per link, not once per link per reply); its per-link
+    tables stay unbuilt.
     """
     blame = report.blame
-    detected = [str(link) for link in blame.detected_links]
+    arrays = blame.arrays
+    if arrays is None:  # a dict-engine report: the tables are all it has
+
+        def named(pairs):
+            return [(str(link), votes) for link, votes in pairs]
+
+        detected = list(map(str, blame.detected_links))
+        ranked = named(report.ranked_links)
+        at_detection = named(blame.votes_at_detection.items())
+        final = named(blame.final_votes.items())
+    else:
+        names = arrays.index.names()
+        detected = list(map(names.__getitem__, arrays.detected))
+        ranked = list(arrays.table(names, arrays.votes, arrays.ranked()))
+        at_detection = zip(detected, arrays.votes_at)
+        final = arrays.table(names, arrays.final)
     return {
         "epoch": report.epoch,
         "detected_links": detected,
-        "top_links": [[str(link), votes] for link, votes in report.top_links(10)],
+        "top_links": list(map(list, ranked[:10])),
         "num_paths_analyzed": report.num_paths_analyzed,
         "summary": report.summary(),
         # layout owned by repro.testing.report_signature; the paging tests
@@ -139,14 +157,14 @@ def report_to_json(report: EpochReport) -> Dict:
         "signature": [
             report.epoch,
             detected,
-            [(str(link), votes) for link, votes in report.ranked_links],
+            ranked,
             None,
             None,
             None,
             report.num_paths_analyzed,
             blame.threshold_votes,
-            sorted((str(link), v) for link, v in blame.votes_at_detection.items()),
-            sorted((str(link), v) for link, v in blame.final_votes.items()),
+            sorted(at_detection),
+            sorted(final),
         ],
         "flows": report.flow_counts()._asdict(),
     }

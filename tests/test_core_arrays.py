@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import arrays as arrays_module
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import (
@@ -210,6 +211,54 @@ class TestArrayVoteTally:
         for flow, row in binding.items():
             assert twin.row_of_flow(flow) == new_row[row]
         assert ArrayVoteTally().reordered(np.empty(0, dtype=np.int64)).num_flows == 0
+
+    def test_first_vote_order_of_a_bulk_feed_is_the_per_path_loops(self):
+        """``add_columns`` screens hops for first votes block by block; the
+        order it records (the fold order, hence every float) is the per-path
+        loop's for a whole-epoch call, a chunked feed and a permuted rebuild
+        — with links first voting in every block and interned links that
+        never vote."""
+        rng = np.random.default_rng(20)
+        pool = [L(f"n{i}", f"n{i + 1}") for i in range(700)]
+        paths = [
+            _path(
+                k,  # the links in play grow with k: first votes in every block
+                [pool[i] for i in rng.integers(0, 5 + k // 6, int(rng.integers(1, 7)))],
+            )
+            for k in range(4_000)
+        ]
+        assert sum(len(p.links) for p in paths) > 3 * arrays_module._FIRST_VOTE_BLOCK
+        index = LinkIndex(reversed(pool + [L("never", "votes")]))
+        order = rng.permutation(len(paths))
+
+        def per_path(sequence):
+            tally = ArrayVoteTally(index=index)
+            for path in sequence:
+                tally.add_flow(path.flow_id, path.links, path.retransmissions)
+            return tally
+
+        whole, chunked = ArrayVoteTally(index=index), ArrayVoteTally(index=index)
+        whole.add_flows(paths)
+        for start in range(0, len(paths), 900):
+            chunked.add_flows(paths[start : start + 900])
+            chunked.snapshot()  # a mid-epoch report between deliveries
+        reference = per_path(paths)
+        assert len(reference.voted_ids()) > 600
+        assert whole.voted_ids().tolist() == reference.voted_ids().tolist()
+        assert _buffers(whole) == _buffers(chunked) == _buffers(reference)
+        permuted = per_path([paths[row] for row in order.tolist()])
+        assert permuted.voted_ids().tolist() != reference.voted_ids().tolist()
+        assert _buffers(whole.reordered(order)) == _buffers(permuted)
+
+    @pytest.mark.parametrize("engine", ["dicts", "arrays"])
+    def test_the_top_none_is_empty_not_all_but_the_last(self, engine):
+        paths = [_path(k, [L("a", "b"), L(f"b{k % 3}", "c")]) for k in range(6)]
+        report = AnalysisAgent(engine=engine).analyze_epoch(0, paths)
+        assert len(report.ranked_links) == 4
+        for n in (0, -1, -4):
+            assert report.top_links(n) == [] and report.tally.top(n) == []
+        assert report.top_links(2) == report.tally.top(2) == report.ranked_links[:2]
+        assert report.top_links(9) == report.ranked_links
 
     def test_rank_of(self):
         tally = ArrayVoteTally()

@@ -13,6 +13,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,11 +24,15 @@ from repro.api.events import (
     RetransmissionEvidence,
     copy_evidence,
 )
-from repro.api.service import Zero07Service
+from repro.api.service import DetectionLogSink, Zero07Service
+from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
+from repro.core.arrays import LinkIndex
 from repro.core.blame import BlameConfig
 from repro.discovery.agent import DiscoveredPath
 from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.fleet.analyzer import report_to_json
+from repro.fleet.runner import build_generator
 from repro.routing.fivetuple import FiveTuple
 from repro.testing import report_signature
 from repro.topology.elements import DirectedLink
@@ -74,6 +79,22 @@ def assert_reports_identical(ref, got):
     assert got.noise.failure_flows == ref.noise.failure_flows
     assert got.tally.total_votes() == ref.tally.total_votes()
     assert got.tally.items() == ref.tally.items()
+    assert _link_side(got) == _link_side(ref)
+    assert got.blame == ref.blame  # same class, every compared field
+    assert ref.blame == got.blame
+
+
+def _link_side(report):
+    """The per-link tables and everything served from them, dict order and
+    list order included."""
+    voted = len(report.ranked_links)
+    return (
+        list(report.ranked_links),
+        list(report.blame.final_votes.items()),
+        list(report.blame.votes_at_detection.items()),
+        [report.top_links(n) for n in (-1, 0, 1, 10, voted + 5)],
+        report.summary(),
+    )
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -221,8 +242,12 @@ def _per_flow(report):
     )
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
+def _reports_held_unread(seed, monkeypatch):
+    """``(arrays report nobody has read, what an arrays report read at once
+    said per flow, the dict oracle's report)`` after each of four deliveries
+    (one out of order) and after the tick — handed back once a next epoch
+    has grown the link index with links that sort first and the live
+    index's ``sort_ranks`` has been made to raise."""
     rng = np.random.default_rng(seed)
     events = _retraced_stream(rng, num_flows=150)
     a, b, c = len(events) // 3, len(events) // 2, 3 * len(events) // 4
@@ -230,13 +255,13 @@ def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
     late = Zero07Service(engine="arrays")
     at_once = Zero07Service(engine="arrays")
     oracle = Zero07Service(engine="dicts")
-    held = []  # (the arrays report nobody has read yet, what the others said then)
+    held = []
     for run in deliveries:
         for service in (late, at_once, oracle):
             service.ingest_batch([copy_evidence(event) for event in run])
         now = _per_flow(at_once.report(0))
         assert now == _per_flow(oracle.report(0))
-        held.append((late.report(0), now))
+        held.append((late.report(0), now, oracle.report(0)))
     assert late.stats.out_of_order_events > 0  # the swap forced a permutation
     for service in (late, at_once, oracle):
         service.ingest(EpochTick(0))
@@ -248,7 +273,7 @@ def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
         service.ingest_batch([PathEvidence(epoch=1, seq=0, path=first)])
     final = _per_flow(at_once.report(0))
     assert final == _per_flow(oracle.report(0))
-    held.append((late.report(0), final))
+    held.append((late.report(0), final, oracle.report(0)))
     noise, failure = final[1], final[2]
     assert noise & failure  # a re-traced flow sits in both
     assert final[3] == (len(final[0]), len(noise), len(failure))
@@ -259,23 +284,106 @@ def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
         raise AssertionError("a late read took sort ranks from the live index")
 
     monkeypatch.setattr(index, "sort_ranks", live_ranks)
-    for report, expected in held:
+    for report, _, _ in held:
         assert report.tally.index is index
-        assert len(report._sort_ranks) < len(index)  # it grew since
+        assert len(report.blame.arrays.sort_ranks) < len(index)  # it grew since
+    assert len({id(report) for report, _, _ in held}) == len(held)
+    return held
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_flow_fields_read_late_equal_those_read_at_once(seed, monkeypatch):
+    for report, expected, _ in _reports_held_unread(seed, monkeypatch):
         assert report._per_flow is None  # not derived until somebody asks
         assert tuple(report.flow_counts()) == expected[3]
         assert report._per_flow is None  # and counting does not derive
         assert _per_flow(report) == expected
-    assert len({id(report) for report, _ in held}) == len(held)
 
 
-def test_a_report_can_be_pickled_and_copied_before_and_after_the_first_read():
-    paths = _random_paths(np.random.default_rng(6), num_flows=200)
+def _tables_unbuilt(report) -> bool:
+    return report._ranked is None and report.blame._final is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_link_tables_read_late_equal_the_dict_oracles(seed, monkeypatch):
+    held = _reports_held_unread(seed, monkeypatch)
+    assert any(len(oracle.blame.detected_links) > 1 for _, _, oracle in held)
+    for report, _, oracle in held:
+        assert _tables_unbuilt(report)  # not derived until somebody asks
+        # what is sliced off the ranked ids leaves them unbuilt
+        assert report.top_links(10) == oracle.top_links(10)
+        assert report.top_links(0) == report.top_links(-1) == []
+        assert report.summary() == oracle.summary()
+        assert report.detected_links == oracle.detected_links
+        assert _tables_unbuilt(report)
+        assert _link_side(report) == _link_side(oracle)
+        assert report.blame == oracle.blame
+        assert report.ranked_links is report.ranked_links
+        assert report.blame.final_votes is report.blame.final_votes
+
+
+def test_a_report_and_a_tick_do_no_per_link_work(monkeypatch):
+    """The ruler's ``large`` fabric: ~2.8k voted links, a couple of detections.
+    At the parent a cold report hashed and looked up every voted link twice."""
+    events = build_generator("large", "uniform", "flap", 5, 8_192).epoch_events(
+        0, tick=False
+    )
+    service = Zero07Service(engine="arrays", sinks=[DetectionLogSink()])
+    service.ingest_batch(events[:6_000])
+    service.report(0)
+    service.ingest_batch(events[6_000:])  # warm: every link object is interned
+
+    calls = Counter()
+    link_hash, link_of = DirectedLink.__hash__, LinkIndex.link_of
+
+    def counted_hash(link):
+        calls["hash"] += 1
+        return link_hash(link)
+
+    def counted_link_of(index, lid):
+        calls["link_of"] += 1
+        return link_of(index, lid)
+
+    monkeypatch.setattr(DirectedLink, "__hash__", counted_hash)
+    monkeypatch.setattr(LinkIndex, "link_of", counted_link_of)
+    cold = service.report(0)
+    assert len(cold.blame.arrays.ids) > 2_500
+    assert cold.detected_links
+    assert sum(calls.values()) <= 4 * len(cold.detected_links)
+    calls.clear()
+    service.ingest(EpochTick(0))
+    final = service.report(0)
+    assert final is not cold and final.detected_links
+    assert sum(calls.values()) <= 4 * len(final.detected_links)
+    monkeypatch.undo()
+
+    aggregator = MultiEpochAggregator()
+    for report in (cold, final):
+        assert report.summary().startswith("epoch 0: ")
+        assert len(report.top_links(10)) == 10
+        aggregator.ingest(report)
+        assert len(report_to_json(report)["signature"][9]) == len(cold.blame.arrays.ids)
+        assert _tables_unbuilt(report)
+    assert aggregator.max_votes_per_epoch()[0] == final.ranked_links[0][1]
+
+
+@pytest.mark.parametrize("num_flows", [200, 0])
+def test_a_report_can_be_pickled_and_copied_before_and_after_the_first_read(
+    num_flows,
+):
+    paths = _random_paths(np.random.default_rng(6), num_flows=num_flows)
     report = AnalysisAgent(engine="arrays").analyze_epoch(0, paths)
+    oracle = AnalysisAgent(engine="dicts").analyze_epoch(0, paths)
     unread = pickle.loads(pickle.dumps(report)), copy.deepcopy(report)
+    assert all(_tables_unbuilt(twin) and twin._per_flow is None for twin in unread)
     expected = report_signature(report)  # forces
-    for twin in unread + (pickle.loads(pickle.dumps(report)),):
+    assert expected == report_signature(oracle)
+    read = pickle.loads(pickle.dumps(report)), copy.deepcopy(report)
+    assert not any(_tables_unbuilt(twin) for twin in read)
+    for twin in unread + read:
         assert report_signature(twin) == expected
+        assert _link_side(twin) == _link_side(oracle)
+        assert twin.blame == oracle.blame
 
 
 def test_threads_forcing_one_report_get_the_identical_objects():
@@ -294,10 +402,17 @@ def test_threads_forcing_one_report_get_the_identical_objects():
             def force(index):
                 barrier.wait(timeout=10)
                 if index % 2:
-                    seen.append((report.noise, report.flow_causes))
+                    seen.append(
+                        (
+                            report.noise,
+                            report.flow_causes,
+                            report.ranked_links,
+                            report.blame.final_votes,
+                        )
+                    )
                 else:
-                    causes = report.flow_causes
-                    seen.append((report.noise, causes))
+                    final, causes = report.blame.final_votes, report.flow_causes
+                    seen.append((report.noise, causes, report.ranked_links, final))
 
             threads = [
                 threading.Thread(target=force, args=(index,))
@@ -309,7 +424,7 @@ def test_threads_forcing_one_report_get_the_identical_objects():
                 thread.join(timeout=10)
                 assert not thread.is_alive()
             assert len(seen) == threads_per_report
-            assert all(noise is seen[0][0] for noise, _ in seen)
-            assert all(causes is seen[0][1] for _, causes in seen)
+            for forced in seen:
+                assert all(mine is first for mine, first in zip(forced, seen[0]))
     finally:
         sys.setswitchinterval(interval)

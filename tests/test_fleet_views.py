@@ -737,6 +737,44 @@ class TestQueryArguments:
             assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
 
 
+@pytest.mark.parametrize("core_kind", CORE_KINDS)
+def test_the_report_line_is_pinned_to_the_dict_oracles_signature(core_kind):
+    """The reply's bytes are a function of the evidence, not of the engine or
+    of how ``report_to_json`` gets at the votes: assembled here from nothing
+    but ``report_signature`` and ``summary()`` of a dict-engine report."""
+    events = retraced_events()
+    core = make_core(core_kind)
+    analyzer = FleetAnalyzer(core, expected_agents=1)
+    feed = CoreFeed(core) if core_kind == "columns" else None
+    cuts = [0, len(events) - 400, len(events)]
+    for view, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+        if feed is not None:
+            feed.deliver(("chunk", 0, events[lo:hi]))
+        else:
+            core.service.ingest_batch(events[lo:hi])
+        oracle = oracle_report(events[:hi])
+        signature = list(report_signature(oracle))
+        assert len(signature[1]) > 1 and len(signature[2]) > 10
+        causes, noise, failure = signature[3:6]
+        signature[3:6] = None, None, None
+        document = {
+            "epoch": 0,
+            "detected_links": signature[1],
+            "top_links": signature[2][:10],
+            "num_paths_analyzed": signature[6],
+            "summary": oracle.summary(),
+            "signature": signature,
+            "flows": {
+                "causes": len(causes),
+                "noise": len(noise),
+                "failure": len(failure),
+            },
+        }
+        line = analyzer._answer(b'{"cmd": "report", "epoch": 0}')
+        assert line == reply_line({"ok": True, "report": document, "view": view})
+    core.close()
+
+
 class TestReplySize:
     def test_the_report_line_is_o_links_not_o_flows(self):
         """The ruler's ``fleet_tcp`` epoch: 40 000 events on ``medium``.  The
