@@ -45,6 +45,7 @@ import io
 import json
 import os
 import struct
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -64,6 +65,7 @@ from typing import (
 import numpy as np
 
 from repro.api.events import link_from_str, link_to_str, path_to_dict
+from repro.core.arrays import ItemIndex
 from repro.core.blame import BlameConfig
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
@@ -83,6 +85,12 @@ _CONTAINER_VERSION = 1
 
 #: magic + u32 container version + u64 compressed-header length.
 _CONTAINER_HEADER = struct.Struct("<4sIQ")
+
+#: deflate level of the ``npz`` body.  A save stalls the ingest thread, and
+#: the wide columns (``seq``, ``flow``, ``sp``) barely compress at any level:
+#: level 1 writes ~4 % more bytes than numpy's fixed 6 in about a third of the
+#: time.  Readers do not care (``np.load`` inflates either).
+_BODY_DEFLATE_LEVEL = 1
 
 
 def blame_to_dict(config: BlameConfig) -> Dict[str, Any]:
@@ -108,32 +116,6 @@ def blame_from_dict(data: Dict[str, Any]) -> BlameConfig:
 # ----------------------------------------------------------------------
 # record columns (the in-memory form and the binary body)
 # ----------------------------------------------------------------------
-class Interner:
-    """Interns hashable items to dense ids (the name and link tables)."""
-
-    __slots__ = ("ids", "items")
-
-    def __init__(self, items: Iterable = ()) -> None:
-        self.items: List[Any] = list(items)
-        self.ids: Dict[Any, int] = {item: idx for idx, item in enumerate(self.items)}
-
-    def intern(self, item) -> int:
-        idx = self.ids.get(item)
-        if idx is None:
-            idx = len(self.items)
-            self.ids[item] = idx
-            self.items.append(item)
-        return idx
-
-    def intern_all(self, items: Sequence) -> np.ndarray:
-        """The ids of a whole column; new values join in first-occurrence order."""
-        for item in dict.fromkeys(items):
-            self.intern(item)
-        return np.fromiter(
-            map(self.ids.__getitem__, items), dtype=np.int32, count=len(items)
-        )
-
-
 @dataclass(frozen=True)
 class CheckpointColumns:
     """Checkpointed records: dense per-epoch columns + shared interner tables.
@@ -200,8 +182,8 @@ class ColumnsBuilder:
 
     def __init__(self, names: Iterable = (), links: Iterable = ()) -> None:
         self.arrays: Dict[str, np.ndarray] = {}
-        self.names = Interner(names)
-        self.links = Interner(links)
+        self.names = ItemIndex(names)
+        self.links = ItemIndex(links)
 
     def add_epoch(
         self, prefix: str, epoch: int, cols: EpochColumns, pending: Dict[str, int]
@@ -224,8 +206,8 @@ class ColumnsBuilder:
         ``source``'s table entries are interned here once; re-expressing an
         epoch's ids then costs one take per id column.
         """
-        name_map = self.names.intern_all(source.names)
-        link_map = self.links.intern_all(source.links)
+        name_map = self.names.fast_ids(source.names, dtype=np.int32)
+        link_map = self.links.fast_ids(source.links, dtype=np.int32)
 
         def adopt(entry: Dict[str, Any]) -> EpochColumns:
             cols = epoch_columns(entry, source)
@@ -276,7 +258,7 @@ def _encode_records(
     }
 
 
-def encode_identity(paths: List[DiscoveredPath], names: Interner) -> EpochColumns:
+def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColumns:
     """The :data:`IDENTITY_COLUMNS` of path objects, names interned in ``names``.
 
     One C-level pass per column.  Flow id, links and retransmission count
@@ -290,7 +272,7 @@ def encode_identity(paths: List[DiscoveredPath], names: Interner) -> EpochColumn
         )
 
     def ids(attr: str, source: list) -> np.ndarray:
-        return names.intern_all(list(map(attrgetter(attr), source)))
+        return names.fast_ids(list(map(attrgetter(attr), source)), dtype=np.int32)
 
     five_tuples = list(map(attrgetter("five_tuple"), paths))
     return {
@@ -966,9 +948,14 @@ class Checkpoint:
             json.dumps(header, sort_keys=True).encode("utf-8")
         )
         body = io.BytesIO()
-        np.savez_compressed(
-            body, **{key: _narrowed(col) for key, col in columns.arrays.items()}
-        )
+        with zipfile.ZipFile(
+            body, "w", zipfile.ZIP_DEFLATED, compresslevel=_BODY_DEFLATE_LEVEL
+        ) as npz:  # a plain ``.npz``: one ``.npy`` member per column
+            for key, col in columns.arrays.items():
+                with npz.open(f"{key}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array(
+                        member, _narrowed(col), allow_pickle=False
+                    )
         return (
             _CONTAINER_HEADER.pack(
                 CHECKPOINT_MAGIC, _CONTAINER_VERSION, len(header_blob)

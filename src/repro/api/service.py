@@ -61,7 +61,6 @@ from repro.api.checkpoint import (
     CheckpointColumns,
     ColumnsBuilder,
     EpochColumns,
-    Interner,
     blame_from_dict,
     blame_to_dict,
     decode_paths,
@@ -84,7 +83,7 @@ from repro.api.wire import (
     seqs_of,
 )
 from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
-from repro.core.arrays import ArrayVoteTally, LinkIndex
+from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import EMPTY_PATH, VotePolicy, VoteTally
 from repro.discovery.agent import DiscoveredPath
@@ -193,7 +192,7 @@ class ServiceStats:
 
 
 #: the identity cargo of no rows.
-_NO_CARGO: EpochColumns = encode_identity([], Interner())
+_NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
 
 
 class _EpochState:
@@ -228,7 +227,7 @@ class _EpochState:
         "cached_at",
     )
 
-    def __init__(self, tally, names: Interner) -> None:
+    def __init__(self, tally, names: ItemIndex) -> None:
         #: the records' sequence numbers, aligned 1:1 with the tally's rows;
         #: increasing whenever ``not dirty``.
         self.rec_seqs: List[int] = []
@@ -382,7 +381,7 @@ class Zero07Service:
         )
         self._sinks: List[ReportSink] = list(sinks)
         #: host names and addresses, interned for the epochs' identity cargo.
-        self._names = Interner()
+        self._names = ItemIndex()
         self._epochs: Dict[int, _EpochState] = {}
         #: finalized reports, insertion-ordered, bounded by retain_reports.
         self._final_reports: Dict[int, EpochReport] = {}
@@ -1048,12 +1047,8 @@ class Zero07Service:
             retain_reports=int(payload["retain_reports"]),
             link_index=link_index,
         )
-        service._names = Interner(columns.names)
-        link_ids = np.fromiter(
-            map(service._link_index.intern, columns.links),
-            dtype=np.int64,
-            count=len(columns.links),
-        )
+        service._names = ItemIndex(columns.names)
+        link_ids = service._link_index.fast_ids(columns.links)
         for entry in payload["epochs"]:
             service._seed_epoch(entry, columns, link_ids)
         service._max_epoch_seen = (

@@ -215,7 +215,7 @@ class ShardedService:
         #: against this watermark instead of per-update set membership.
         self._max_seq: Dict[int, int] = {}
         #: interned host names plus their CRC shard table, so bulk routing is
-        #: an id-memo gather instead of per-event hashing.
+        #: one table gather over interned ids.
         self._host_index = ItemIndex()
         self._host_shards = np.zeros(0, dtype=np.int64)
         #: epochs with evidence routed to some shard and not yet finalized —
@@ -477,10 +477,7 @@ class ShardedService:
         if len(self._host_index) > _HOST_INDEX_MAX:
             self._host_index = ItemIndex()
             self._host_shards = np.zeros(0, dtype=np.int64)
-        host_ids = np.asarray(
-            self._host_index.fast_ids([e.path.src_host for e in paths]),
-            dtype=np.int64,
-        )
+        host_ids = self._host_index.fast_ids([e.path.src_host for e in paths])
         table = self._host_shards
         if len(table) < len(self._host_index):
             known = self._host_index.items

@@ -10,8 +10,9 @@ vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
   pickling), and the strings — host names, IPs, ``"src->dst"`` links — are
   interned once per *connection*: each message carries only the table entries
   the receiving stream has not seen yet, so a steady-state message is pure
-  integers.  The decoder rebuilds shared ``DirectedLink``/string objects per
-  table entry, which keeps the worker-side tally's identity memo hot.
+  integers.  The decoder rebuilds one ``DirectedLink``/string object per
+  table entry and every decoded path shares them (a memory saving; interning
+  resolves equal links alike, shared or not).
 
 * :class:`EvidenceColumnStore` — the coordinator-side accumulator behind
   parallel finalize.  As the sharded facade routes bulk runs to workers it
@@ -118,12 +119,6 @@ class WireEncoder:
         self._links_sent[stream] = 0
         self._names_sent[stream] = 0
 
-    def _ids(self, index: ItemIndex, items: List) -> Sequence[int]:
-        resolved = index.lookup_ids(map(id, items), len(items))
-        if resolved is None:
-            resolved = index.fast_ids(items)
-        return resolved
-
     def encode_run(
         self,
         stream: int,
@@ -164,12 +159,12 @@ class WireEncoder:
         lids = self._links.hop_ids(links_list, total_hops)
 
         five_tuples = [p.five_tuple for p in paths]
-        name_ids = self._ids(
-            self._names,
+        name_ids = self._names.fast_ids(
             [p.src_host for p in paths]
             + [p.dst_host for p in paths]
             + [ft.src_ip for ft in five_tuples]
             + [ft.dst_ip for ft in five_tuples],
+            dtype=np.int32,
         )
 
         link_lo = self._links_sent[stream]
@@ -209,8 +204,8 @@ class WireEncoder:
         out += _attr_i64(paths, "retransmissions").tobytes()
         out += _attr_i64(paths, "epoch").tobytes()
         out += lengths.tobytes()
-        out += np.asarray(lids, dtype=np.int32).tobytes()
-        out += np.asarray(name_ids, dtype=np.int32).tobytes()
+        out += lids.astype(np.int32).tobytes()
+        out += name_ids.tobytes()
         out += np.fromiter(
             map(operator.attrgetter("src_port"), five_tuples),
             dtype=np.int32,
@@ -501,9 +496,7 @@ class LinkRemap:
         """Translate wire link ids into target-index ids (int64 copy)."""
         table = self._table
         if len(self._map) < len(table):
-            fresh = np.asarray(
-                self._index.fast_ids(table[len(self._map) :]), dtype=np.int64
-            )
+            fresh = self._index.fast_ids(table[len(self._map) :])
             self._map = np.concatenate([self._map, fresh])
         return self._map[lids]
 

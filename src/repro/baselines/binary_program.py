@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.baselines.setcover import greedy_max_coverage
 from repro.routing.routing_matrix import RoutingMatrix
@@ -67,6 +66,8 @@ def solve_binary_program(
     if not exact:
         blamed = greedy_max_coverage(routing)
         return BinaryProgramResult(blamed_links=blamed, exact=False, objective=len(blamed))
+
+    from scipy.optimize import Bounds, LinearConstraint, milp  # exact solve only
 
     matrix = routing.matrix.astype(float)
     ones = np.ones(num_flows)

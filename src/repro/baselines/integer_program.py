@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.routing.routing_matrix import RoutingMatrix
 from repro.topology.elements import DirectedLink
@@ -96,6 +95,8 @@ def _solve_exact(
     routing: RoutingMatrix, counts: np.ndarray, time_limit_s: float
 ) -> Optional[IntegerProgramResult]:
     """Exact MILP formulation; returns ``None`` when the solver fails."""
+    from scipy.optimize import Bounds, LinearConstraint, milp  # exact solve only
+
     num_flows, num_links = routing.matrix.shape
     total = float(counts.sum())
     big_m = max(total, 1.0)

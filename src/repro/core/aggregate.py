@@ -131,10 +131,8 @@ class MultiEpochAggregator:
         if table is None:
             table = np.zeros(0, dtype=np.int64)
         if len(table) < len(foreign):
-            new_ids = [
-                self._index.intern(link) for link in foreign.links[len(table) :]
-            ]
-            table = np.concatenate([table, np.asarray(new_ids, dtype=np.int64)])
+            fresh = self._index.fast_ids(foreign.links[len(table) :])
+            table = np.concatenate([table, fresh])
             self._translations[foreign] = table
             self._grow()
         return table

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,41 +48,17 @@ class ItemIndex:
 
     Ids are assigned in first-intern order; :meth:`sort_ranks` provides the
     rank of each id under the items' natural ordering, which the blame kernel
-    uses for the deterministic "smallest item wins" tie-break.
+    uses for the deterministic "smallest item wins" tie-break.  The one
+    interner of the code base: link tables, name tables, host routing.
     """
 
-    #: identity-memo bound; when exceeded the memo is dropped wholesale
-    #: (epoch-cache semantics) so sources that allocate fresh link objects
-    #: per path cannot grow it without limit.
-    MAX_ID_MEMO = 65_536
-
-    #: ``item -> key`` for :meth:`sort_ranks`: a key that orders like the item
-    #: but compares in C (``None``: the items already do, e.g. strings).
-    _sort_key = None
-
     def __init__(self, items: Iterable = ()) -> None:
-        self._items: List = []
-        self._ids: Dict[object, int] = {}
+        #: table positions are kept as given (a checkpoint's tables are
+        #: adopted position for position).
+        self._items: List = list(items)
+        self._ids: Dict[object, int] = dict(zip(self._items, range(len(self._items))))
         self._ranks: Optional[np.ndarray] = None
         self._names: List[str] = []
-        #: id(object) -> id, plus strong refs keeping those objects alive so
-        #: a recycled id() can never alias a dead memo entry.  The sorted
-        #: key/value arrays are the memo's vectorized view (searchsorted
-        #: lookup over fresh object batches beats per-item boxed-int dict
-        #: lookups); rebuilt whenever the dict grows.
-        self._id_memo: Dict[int, int] = {}
-        self._memo_refs: List = []
-        self._memo_keys: Optional[np.ndarray] = None
-        self._memo_vals: Optional[np.ndarray] = None
-        #: dense pointer table: cell ``(id - base) >> 4`` -> interned id.
-        #: Live CPython objects are >= 16 bytes, so object starts are unique
-        #: at 16-byte granularity and the mapping is collision-free while the
-        #: memo's strong refs keep its objects alive.  ``None`` when the
-        #: memoized ids span too wide a heap range (searchsorted fallback).
-        self._memo_table: Optional[np.ndarray] = None
-        self._memo_base = 0
-        for item in items:
-            self.intern(item)
 
     # ------------------------------------------------------------------
     def intern(self, item) -> int:
@@ -93,91 +68,31 @@ class ItemIndex:
             idx = len(self._items)
             self._ids[item] = idx
             self._items.append(item)
-            self._ranks = None
         return idx
 
     def id_of(self, item) -> int:
         """The id of an already-interned item (raises ``KeyError`` if unknown)."""
         return self._ids[item]
 
-    def fast_ids(self, items: Sequence) -> List[int]:
-        """Intern many items, resolving repeat *objects* at C speed.
+    def fast_ids(self, items: Sequence, dtype=np.int64) -> np.ndarray:
+        """Intern many items: ``[self.intern(x) for x in items]`` as an array.
 
-        Items are hashed by (often slow, Python-level) ``__hash__`` only on
-        the first sighting of each distinct object; afterwards an identity
-        memo answers through a builtin int lookup, so callers that reuse one
-        object per logical item (the evidence load generator shares one
-        ``DirectedLink`` per fabric direction) pay no Python-level work at
-        all.  Equivalent to ``[self.intern(x) for x in items]``.
+        One C-level pass of dict lookups; only a batch holding a never-seen
+        item takes the interning pass (new items join in first-occurrence
+        order) and is looked up again.  Equal items resolve alike whether or
+        not they are the same object.
         """
         if not isinstance(items, (list, tuple)):
             items = list(items)
-        if not items:
-            return []
-        resolved = self.lookup_ids(map(id, items), len(items))
-        if resolved is not None:
-            return resolved.tolist()
-        memo = self._id_memo
-        if len(memo) > self.MAX_ID_MEMO:
-            memo.clear()
-            self._memo_refs.clear()
-        intern = self.intern
-        refs_append = self._memo_refs.append
-        memo_get = memo.get
-        ids = []
-        ids_append = ids.append
-        for item in items:
-            key = id(item)
-            idx = memo_get(key)
-            if idx is None:
-                idx = intern(item)
-                memo[key] = idx
-                refs_append(item)
-            ids_append(idx)
-        memo_keys = np.fromiter(memo.keys(), dtype=np.int64, count=len(memo))
-        order = np.argsort(memo_keys)
-        self._memo_keys = memo_keys[order]
-        self._memo_vals = np.fromiter(memo.values(), dtype=np.int64, count=len(memo))[
-            order
-        ]
-        base = int(self._memo_keys[0])
-        span = ((int(self._memo_keys[-1]) - base) >> 4) + 1
-        if span <= max(1 << 21, 64 * len(memo)):
-            table = np.full(span, -1, dtype=np.int64)
-            table[(self._memo_keys - base) >> 4] = self._memo_vals
-            self._memo_table = table
-            self._memo_base = base
-        else:
-            self._memo_table = None
-        return ids
-
-    def lookup_ids(self, object_ids, count: int) -> Optional[np.ndarray]:
-        """Vectorized memo lookup over an iterable of ``id()`` values.
-
-        One ``fromiter`` + one ``searchsorted`` — no per-item boxed-int dict
-        lookups.  Returns the ids as an int64 array, or ``None`` when any
-        object is not memoized yet (the caller falls back to :meth:`fast_ids`
-        on the materialized items).
-        """
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        keys = self._memo_keys
-        if keys is None or not len(keys):
-            return None
-        obj_ids = np.fromiter(object_ids, dtype=np.int64, count=count)
-        table = self._memo_table
-        if table is not None:
-            cells = (obj_ids - self._memo_base) >> 4
-            if bool((cells >= 0).all()) and bool((cells < len(table)).all()):
-                vals = table[cells]
-                if int(vals.min()) >= 0:
-                    return vals
-            return None
-        pos = keys.searchsorted(obj_ids)
-        pos[pos == len(keys)] = 0
-        if not bool((keys[pos] == obj_ids).all()):
-            return None
-        return self._memo_vals[pos]
+        lookup = self._ids.__getitem__
+        try:
+            return np.fromiter(map(lookup, items), dtype=dtype, count=len(items))
+        except KeyError:  # a never-seen item: intern the new ones, look up again
+            known = len(self._items)
+            fresh = [item for item in dict.fromkeys(items) if item not in self._ids]
+            self._ids.update(zip(fresh, range(known, known + len(fresh))))
+            self._items.extend(fresh)
+            return np.fromiter(map(lookup, items), dtype=dtype, count=len(items))
 
     def get(self, item) -> Optional[int]:
         """The id of ``item`` or ``None`` when it was never interned."""
@@ -210,24 +125,15 @@ class ItemIndex:
     def sort_ranks(self) -> np.ndarray:
         """``ranks[id]`` = position of the item in the sorted item order."""
         if self._ranks is None or len(self._ranks) != len(self._items):
-            keys = self._items
-            if self._sort_key is not None:  # once per item, not once per comparison
-                keys = list(map(self._sort_key, keys))
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            ranks = np.empty(len(self._items), dtype=np.int64)
-            ranks[np.asarray(order, dtype=np.int64)] = np.arange(
-                len(self._items), dtype=np.int64
-            )
+            count = len(self._items)
+            ranks = np.empty(count, dtype=np.int64)
+            ranks[sorted(range(count), key=self._items.__getitem__)] = np.arange(count)
             self._ranks = ranks
         return self._ranks
 
 
 class LinkIndex(ItemIndex):
     """An :class:`ItemIndex` specialised to :class:`DirectedLink` objects."""
-
-    # ``DirectedLink`` is ``order=True`` over exactly these fields, and its
-    # generated ``__lt__`` builds both tuples on every comparison.
-    _sort_key = attrgetter("src", "dst")
 
     @classmethod
     def from_topology(cls, topology) -> "LinkIndex":
@@ -241,18 +147,22 @@ class LinkIndex(ItemIndex):
         """The link with id ``idx``."""
         return self._items[idx]
 
-    def hop_ids(self, links_list: Sequence[Sequence[DirectedLink]], hops: int):
+    def hop_ids(
+        self, links_list: Sequence[Sequence[DirectedLink]], hops: int
+    ) -> np.ndarray:
         """Ids of the ``hops`` links of many paths, back to back.
 
-        One flattened pass through the identity memo: repeat link objects
-        (sources share one object per fabric direction) are resolved by a
-        vectorized lookup streaming straight off ``chain`` — no intermediate
-        hop list, no per-hop dict lookups.
+        One dict lookup per hop streaming straight off ``chain`` — no
+        intermediate hop list unless a link has to be interned first.
         """
-        lids = self.lookup_ids(map(id, chain.from_iterable(links_list)), hops)
-        if lids is None:  # first sighting of some link object: full intern
-            lids = self.fast_ids(list(chain.from_iterable(links_list)))
-        return lids
+        try:
+            return np.fromiter(
+                map(self._ids.__getitem__, chain.from_iterable(links_list)),
+                dtype=np.int64,
+                count=hops,
+            )
+        except KeyError:
+            return self.fast_ids(list(chain.from_iterable(links_list)))
 
     @property
     def links(self) -> List[DirectedLink]:
@@ -412,9 +322,8 @@ class ArrayVoteTally:
         the CSR rows, the first-vote link order (which fixes the vote fold
         order, and therefore every float) and the flow bookkeeping all come
         out the same — but the per-call overhead (contribution objects, cache
-        invalidation, interner dispatch) is paid once per batch.  Workloads
-        that reuse link objects (the load generator shares one object per
-        fabric link) hit the interner's dict once per hop.
+        invalidation, interner dispatch) is paid once per batch; links
+        cost one dict lookup per hop (:meth:`LinkIndex.hop_ids`).
         """
         if not isinstance(paths, list):
             paths = list(paths)

@@ -60,6 +60,8 @@ class ExperimentResult:
 
         def fmt(value: Any) -> str:
             if isinstance(value, float):
+                if 0 < abs(value) < 1e-3:  # a rate: "0.000" would hide it
+                    return f"{value:.3g}"
                 return float_format.format(value)
             return str(value)
 

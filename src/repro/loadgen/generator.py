@@ -18,7 +18,8 @@ script says — the same event vocabulary the netsim scenario engine compiles.
 
 Paths are assembled from pre-interned :class:`DirectedLink` objects (one
 object per fabric link, shared by every event), which keeps generation fast
-and lets the analysis engines intern links once instead of once per event.
+and a stream's memory small; the engines intern by value, so sharing is no
+speed requirement on a source.
 Every stream is reproducible: the generator draws all randomness from
 ``numpy`` generators keyed on ``(seed, epoch)``, so epoch ``k`` of a given
 generator configuration is identical no matter which epochs were generated
@@ -140,7 +141,7 @@ class EvidenceLoadGenerator:
         for pod, ids in enumerate(by_pod):
             self._hosts_by_pod[pod] = np.asarray(ids, dtype=np.int64)
         #: one shared DirectedLink object per fabric direction — paths reuse
-        #: them, so the analysis engines intern each link exactly once.
+        #: them, so a stream holds one object per link however many events.
         self._links: Dict[Tuple[str, str], DirectedLink] = {
             (link.src, link.dst): link for link in topo.directed_links()
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class SwitchTier(enum.IntEnum):
@@ -92,9 +92,15 @@ class Host:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class DirectedLink:
-    """A directed link ``src -> dst`` between two node names."""
+class DirectedLink(NamedTuple):
+    """A directed link ``src -> dst`` between two node names.
+
+    A named tuple: hash, equality and ordering are ``tuple``'s own (C level,
+    no Python frame per call), which is what lets the interners
+    (:class:`repro.core.arrays.ItemIndex`) resolve hop streams by plain dict
+    lookups.  Consequently a link equals the plain tuple ``(src, dst)`` and
+    ``json.dumps`` encodes it as a two-element list.
+    """
 
     src: str
     dst: str

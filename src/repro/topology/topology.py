@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-import networkx as nx
-
 from repro.topology.elements import (
     DirectedLink,
     Host,
@@ -157,13 +155,15 @@ class Topology:
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.Graph:
+    def to_networkx(self) -> "networkx.Graph":
         """Export the topology as an undirected :class:`networkx.Graph`.
 
         Node attributes carry ``kind`` (``"host"``/``"switch"``) and, for
         switches, ``tier`` and ``pod``.  Edge attribute ``level`` carries the
         :class:`LinkLevel`.
         """
+        import networkx as nx  # only this export needs it
+
         graph = nx.Graph()
         for host in self._hosts.values():
             graph.add_node(host.name, kind="host", pod=host.pod, tor=host.tor)

@@ -11,7 +11,9 @@ it.  Pinned here:
 * a buffered count lands on its flow's *first* arriving record;
 * the binary container's bytes are a function of the records (narrow columns,
   compacted tables), and old containers keep loading;
-* ``Checkpoint.save`` is durable before it is visible.
+* ``Checkpoint.save`` is durable before it is visible;
+* an analyzer, shard worker or agent process starts without the libraries
+  only the baselines and the graph export use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import pathlib
 import struct
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -281,6 +286,22 @@ class TestCanonicalContainer:
             assert again.columns.arrays[key].dtype == col.dtype
             assert (again.columns.arrays[key] == col).all()
 
+    @pytest.mark.parametrize("name", ["full", "base", "delta"])
+    def test_the_body_is_the_npz_numpy_would_write_but_deflated_faster(self, name):
+        fixtures = pathlib.Path(__file__).parent / "data" / "checkpoints"
+        checkpoint = Checkpoint.load(fixtures / f"{name}.ckpt")
+        blob = checkpoint.to_bytes()
+        assert checkpoint.to_bytes() == blob  # no timestamp, no ordering left to chance
+        assert Checkpoint.from_bytes(blob) == checkpoint
+        written = npz_of(blob)
+        numpys = io.BytesIO()
+        np.savez_compressed(numpys, **written)  # the parent's writer, level 6
+        with np.load(io.BytesIO(numpys.getvalue())) as body:
+            assert body.files == list(written)
+            assert all(body[key].dtype == col.dtype for key, col in written.items())
+        body_len = len(blob) - blob.index(b"PK\x03\x04")
+        assert body_len <= 1.06 * len(numpys.getvalue())
+
     def test_a_value_past_32_bits_keeps_its_column_int64(self):
         big = 2**32 + 5
         service = Zero07Service()
@@ -405,3 +426,16 @@ class TestDurableSave:
         self._service().checkpoint().save(target)
         monkeypatch.undo()
         assert Checkpoint.load(target).payload["stats"]["paths_ingested"] == 10
+
+
+def test_a_launch_imports_neither_networkx_nor_scipy():
+    modules = "repro.cli, repro.api, repro.fleet.analyzer, repro.fleet.agent, repro.loadgen"
+    code = (
+        f"import sys, {modules}\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'networkx', 'scipy'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, sys.path))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr

@@ -847,9 +847,12 @@ class TestContainerDamage:
     exactly the original's."""
 
     @pytest.fixture(scope="class")
-    def container(self):
-        blob = (CHECKPOINT_FIXTURES / "full.ckpt").read_bytes()
-        return blob, Zero07Service.restore(Checkpoint.from_bytes(blob)).checkpoint().to_json()
+    def containers(self):
+        """``full.ckpt`` as shipped and as this code writes it again."""
+        shipped = (CHECKPOINT_FIXTURES / "full.ckpt").read_bytes()
+        checkpoint = Checkpoint.from_bytes(shipped)
+        document = Zero07Service.restore(checkpoint).checkpoint().to_json()
+        return [(shipped, document), (checkpoint.to_bytes(), document)]
 
     @staticmethod
     def _loads_to(blob, document):
@@ -859,21 +862,21 @@ class TestContainerDamage:
             return True
         return Zero07Service.restore(checkpoint).checkpoint().to_json() == document
 
-    def test_single_bit_flips(self, container):
+    def test_single_bit_flips(self, containers):
         import random
 
-        blob, document = container
         rng = random.Random(14)
-        for _ in range(600):
-            damaged = bytearray(blob)
-            damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-            assert self._loads_to(bytes(damaged), document)
+        for blob, document in containers:
+            for _ in range(600):
+                damaged = bytearray(blob)
+                damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
+                assert self._loads_to(bytes(damaged), document)
 
-    def test_truncations(self, container):
-        blob, document = container
-        for cut in range(0, len(blob), max(1, len(blob) // 60)):
-            with pytest.raises(ValueError):
-                Checkpoint.from_bytes(blob[:cut])
+    def test_truncations(self, containers):
+        for blob, _ in containers:
+            for cut in range(0, len(blob), max(1, len(blob) // 60)):
+                with pytest.raises(ValueError):
+                    Checkpoint.from_bytes(blob[:cut])
 
     @pytest.mark.parametrize(
         "column, damage",

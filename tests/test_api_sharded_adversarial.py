@@ -351,14 +351,15 @@ class TestFastPathEngagement:
             )
 
     def test_empty_interning_batches_are_harmless(self):
-        """Regression: fast_ids/lookup_ids on empty input return nothing."""
-        from repro.core.arrays import ItemIndex
+        """Regression: fast_ids/hop_ids on empty input return nothing."""
+        from repro.core.arrays import LinkIndex
 
-        index = ItemIndex()
-        assert index.fast_ids([]) == []
-        index.fast_ids(["a", "b"])  # populate the memo (and its dense table)
-        assert index.fast_ids([]) == []
-        assert len(index.lookup_ids(iter(()), 0)) == 0
+        index = LinkIndex()
+        for after_use in (False, True):
+            assert index.fast_ids([]).tolist() == []
+            assert index.hop_ids([], 0).tolist() == []
+            assert len(index) == (2 if after_use else 0)
+            index.fast_ids([L[0], L[1]])
 
     def test_adversarial_stream_does_fall_back(self):
         """...and genuinely disordered runs still take the safe path."""

@@ -65,6 +65,17 @@ class TestLinkIndex:
         assert L("a", "b") in index
         assert index.get(L("x", "y")) is None
 
+    def test_bulk_interning_is_by_value_in_first_occurrence_order(self):
+        index = LinkIndex([L("b", "c")])
+        batch = [L("x", "y"), L("b", "c"), ("a", "b"), L("x", "y")]
+        ids = index.fast_ids(batch, dtype=np.int32)
+        assert ids.dtype == np.int32 and ids.tolist() == [1, 0, 2, 1]
+        hops = index.hop_ids([[L("a", "b")], [L("q", "r"), L("x", "y")]], 3)
+        assert hops.dtype == np.int64 and hops.tolist() == [2, 3, 1]
+        assert index.links == [L("b", "c"), L("x", "y"), L("a", "b"), L("q", "r")]
+        # a dict and a list (plus two derived caches): nothing keyed by id()
+        assert set(vars(index)) == {"_items", "_ids", "_ranks", "_names"}
+
     def test_sort_ranks_follow_link_ordering(self):
         index = LinkIndex([L("c", "d"), L("a", "b"), L("b", "c")])
         ranks = index.sort_ranks()
@@ -90,9 +101,8 @@ class TestLinkIndex:
 
     @pytest.mark.parametrize("kind", ["links", "switch names"])
     def test_sort_ranks_are_the_items_own_order(self, kind):
-        """The ranks sort on a key that compares in C; the order they encode
-        must stay the items' own ``<`` — shared sources, shared destinations,
-        names where string and numeric order differ."""
+        """Shared sources, shared destinations, names where string and
+        numeric order differ."""
         import random
 
         nodes = [f"{tier}{pod}-{n}" for tier in ("t0", "t1", "t2") for pod in range(3) for n in (1, 2, 10)]

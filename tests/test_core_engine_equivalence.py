@@ -18,11 +18,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.api.checkpoint import Checkpoint
 from repro.api.events import (
     EpochTick,
     PathEvidence,
     RetransmissionEvidence,
     copy_evidence,
+    evidence_from_dict,
+    evidence_to_dict,
 )
 from repro.api.service import DetectionLogSink, Zero07Service
 from repro.core.aggregate import MultiEpochAggregator
@@ -231,6 +234,36 @@ def _retraced_stream(rng: np.random.Generator, num_flows: int) -> list:
                 )
             )
     return events
+
+
+@pytest.mark.parametrize("entry", ["ingest", "ingest_batch", "restore"])
+def test_interning_does_not_depend_on_link_object_identity(entry):
+    """A source that builds a fresh ``DirectedLink`` per hop (as
+    ``events.path_from_dict`` does) gets the report of one that shares them."""
+    # no Python-level hash or compare creeps back unnoticed
+    assert DirectedLink.__hash__ is tuple.__hash__ and DirectedLink.__lt__ is tuple.__lt__
+    shared = _retraced_stream(np.random.default_rng(11), num_flows=150)
+    fresh = [evidence_from_dict(evidence_to_dict(event)) for event in shared]
+    hops = [link for e in fresh if type(e) is PathEvidence for link in e.path.links]
+    assert len(set(map(id, hops))) == len(hops) > len(set(hops))
+
+    def signature(engine, events):
+        service = Zero07Service(engine=engine)
+        events = [copy_evidence(event) for event in events]
+        if entry == "ingest":
+            for event in events:
+                service.ingest(event)
+            return report_signature(service.report(0))
+        service.ingest_batch(events[: len(events) // 2])
+        if entry == "restore":
+            saved = service.checkpoint().to_bytes()
+            service = Zero07Service.restore(Checkpoint.from_bytes(saved))
+        service.ingest_batch(events[len(events) // 2 :])
+        return report_signature(service.report(0))
+
+    expected = signature("arrays", shared)
+    assert expected[1]  # something was detected
+    assert signature("arrays", fresh) == expected == signature("dicts", fresh)
 
 
 def _per_flow(report):

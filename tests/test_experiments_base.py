@@ -40,6 +40,16 @@ class TestExperimentResult:
         assert "0.900" in table
         assert "recall" in table
 
+    def test_format_table_keeps_small_rates_readable(self):
+        result = ExperimentResult(name="noise")
+        for noise, accuracy in [(1e-6, 1.0), (5e-5, 0.486), (0.0, 7)]:
+            result.add_point({"noise": noise}, {"accuracy": accuracy})
+        cells = [
+            [cell.strip() for cell in line.split("|")]
+            for line in result.format_table().splitlines()[3:]
+        ]
+        assert cells == [["1e-06", "1.000"], ["5e-05", "0.486"], ["0.000", "7"]]
+
     def test_format_empty_result(self):
         empty = ExperimentResult(name="empty")
         assert "no data" in empty.format_table()

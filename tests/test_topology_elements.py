@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import pickle
+
 import pytest
 
+from repro.api.events import link_from_str, link_to_str
 from repro.topology.elements import (
     DirectedLink,
     Host,
@@ -17,6 +22,8 @@ from repro.topology.elements import (
 
 
 class TestDirectedLink:
+    """A named tuple: its hash, equality and order are ``tuple``'s, in C."""
+
     def test_reversed(self):
         link = DirectedLink("a", "b")
         assert link.reversed() == DirectedLink("b", "a")
@@ -29,9 +36,21 @@ class TestDirectedLink:
     def test_ordering_is_total(self):
         links = [DirectedLink("b", "a"), DirectedLink("a", "b"), DirectedLink("a", "a")]
         assert sorted(links) == sorted(links, key=lambda l: (l.src, l.dst))
+        assert all(hash(l) == hash((l.src, l.dst)) for l in links)
 
     def test_str(self):
-        assert str(DirectedLink("x", "y")) == "x->y"
+        link = DirectedLink("x", dst="y")
+        assert str(link) == "x->y" and link_from_str(link_to_str(link)) == link
+        assert link == DirectedLink(src="x", dst="y") and (link.src, link.dst) == ("x", "y")
+        with pytest.raises(AttributeError):
+            link.src = "c"
+        for twin in (pickle.loads(pickle.dumps(link)), copy.deepcopy(link)):
+            assert type(twin) is DirectedLink and twin == link
+
+    def test_what_being_a_tuple_changed(self):
+        """New with the named tuple (the dataclass said ``False`` and raised)."""
+        assert DirectedLink("a", "b") == ("a", "b") != Link("a", "b")
+        assert json.dumps(DirectedLink("a", "b")) == '["a", "b"]'
 
 
 class TestLink:
