@@ -194,6 +194,12 @@ class ServiceStats:
 #: the identity cargo of no rows.
 _NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
 
+#: a bulk run at least this long folds the tally as it lands, so the tick finds
+#: nothing to catch up on.  A fold costs ~50 us plus ~0.1 us a row: four 400-row
+#: folds take 376 us where the report after them folds the 1 600 rows in 205
+#: (``operator_trickle``'s 512-event deliveries read 2-5 % slower folded singly).
+_EAGER_FOLD_EVENTS = 2048
+
 
 class _EpochState:
     """The live incremental tally of one open epoch and what it does not hold.
@@ -754,6 +760,9 @@ class Zero07Service:
 
         state.seqs.update(seqs.tolist())
         state.max_seq = max(state.max_seq, int(seqs[-1]))
+        if len(run) >= _EAGER_FOLD_EVENTS and self.engine == "arrays" and not state.dirty:
+            # rows out of sequence order are rebuilt by the next report anyway
+            state.tally.votes_array()
 
     def _ingest_tick(self, event: EpochTick) -> None:
         if self._is_late(event.epoch):

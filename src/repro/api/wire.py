@@ -591,6 +591,28 @@ def aggregate_updates(
 # ----------------------------------------------------------------------
 # coordinator-side merged tallies
 # ----------------------------------------------------------------------
+class TallyLane:
+    """A contiguous stretch of one epoch's sequence space, folded as it arrives.
+
+    The store keeps one per open epoch — the rows from the epoch's start on.
+    A *side* lane (:meth:`EvidenceColumnStore.open_lane`) takes a stretch that
+    arrives before the rows preceding it, so its fold is paid on arrival too,
+    and joins them once they are in (:meth:`EvidenceColumnStore.join`).
+    """
+
+    __slots__ = ("tally", "first_seq", "max_seq", "waiting", "clean")
+
+    def __init__(self, tally: ArrayVoteTally) -> None:
+        self.tally = tally
+        self.first_seq = self.max_seq = -1
+        #: a side lane's count updates for flows it holds no row of, summed
+        #: per flow: they bind to the rows before the lane when it joins.
+        self.waiting: Dict[int, int] = {}
+        #: every run so far passed the bulk proofs (a side lane's verdict
+        #: waits for the join; an epoch's own lane goes dirty at once).
+        self.clean = True
+
+
 class EvidenceColumnStore:
     """Folds merged epoch tallies as bulk runs stream through the facade.
 
@@ -609,8 +631,7 @@ class EvidenceColumnStore:
     ) -> None:
         self._links = link_index
         self._policy: VotePolicy = policy
-        self._tallies: Dict[int, ArrayVoteTally] = {}
-        self._max_seq: Dict[int, int] = {}
+        self._lanes: Dict[int, TallyLane] = {}
         self._dirty: set = set()
 
     # ------------------------------------------------------------------
@@ -625,14 +646,21 @@ class EvidenceColumnStore:
 
     def pop(self, epoch: int) -> None:
         """Release the epoch's buffers (after its final report)."""
-        self._tallies.pop(epoch, None)
-        self._max_seq.pop(epoch, None)
+        self._lanes.pop(epoch, None)
         self._dirty.discard(epoch)
+
+    def open_lane(self) -> TallyLane:
+        """A side lane for a stretch that arrived ahead of the rows before it."""
+        return TallyLane(ArrayVoteTally(self._policy, self._links))
+
+    def _own_lane(self, epoch: int) -> TallyLane:
+        return self._lanes.get(epoch) or self._lanes.setdefault(epoch, self.open_lane())
 
     # ------------------------------------------------------------------
     def _admit(
         self,
         epoch: int,
+        side: Optional[TallyLane],
         seqs: np.ndarray,
         hops: Iterable,
         path_flows: Iterable[int],
@@ -642,48 +670,51 @@ class EvidenceColumnStore:
         upd_counts: Sequence[int],
         add_paths: Callable[[ArrayVoteTally], None],
     ) -> None:
-        """Validate one run, then fold it into the epoch's tally.
+        """Validate one run, then fold it into the epoch's own lane or ``side``.
 
         The preconditions are the service's (:func:`bulk_admissible`); a
-        violation marks the epoch dirty *without* touching the tally, so a
-        half-applied run can never leak into a merged report.  The fold is
-        paid here, when the run is appended, so :meth:`build_tally` stays a
-        snapshot.
+        violation marks the epoch dirty — or the side lane, which then
+        dirties the epoch it joins — so a half-applied run can never leak
+        into a merged report.  The fold is paid here, when the run is
+        appended, so :meth:`build_tally` stays a snapshot.
         """
-        if not len(seqs):
+        if not len(seqs) or epoch in self._dirty:
             return
+        lane = side or self._own_lane(epoch)
+        if not lane.clean:
+            return
+        tally = lane.tally
         try:
-            clean = bulk_admissible(
-                seqs,
-                self._max_seq.get(epoch, -1),
-                hops,
-                path_flows,
-                path_seqs,
-                upd_flows,
-                upd_seqs,
+            lane.clean = bulk_admissible(
+                seqs, lane.max_seq, hops, path_flows, path_seqs, upd_flows, upd_seqs
             )
         except ValueError:
             # an empty path: the shard service raises on it, and whatever
             # state survives that is per-event territory.
-            clean = False
-        if not clean:
-            self.mark_dirty(epoch)
-            return
-        tally = self._tallies.get(epoch)
-        if tally is None:
-            tally = self._tallies[epoch] = ArrayVoteTally(self._policy, self._links)
-        add_paths(tally)
-        if upd_flows:
-            flows, extras = aggregate_updates(upd_flows, upd_counts)
-            rows = list(map(tally.row_of_flow, flows))
-            if None in rows:
-                # an update for a flow the columns never saw — only possible
-                # if the facade routed through older per-event state; replay.
-                self.mark_dirty(epoch)
-                return
+            lane.clean = False
+        if lane.clean:
+            add_paths(tally)
+            rows, extras = [], []
+            for flow, extra in zip(*aggregate_updates(upd_flows, upd_counts)):
+                row = tally.row_of_flow(flow)
+                if row is not None:
+                    rows.append(row)
+                    extras.append(extra)
+                elif side:  # its row is before the lane: the join binds it
+                    side.waiting[flow] = side.waiting.get(flow, 0) + extra
+                else:
+                    # a flow the columns never saw — only possible if the
+                    # facade routed through older per-event state; replay.
+                    lane.clean = False
             tally.bump_rows(rows, extras)
+        if not lane.clean:
+            if not side:
+                self.mark_dirty(epoch)
+            return
         tally.votes_array()
-        self._max_seq[epoch] = int(seqs[-1])
+        if lane.first_seq < 0:
+            lane.first_seq = int(seqs[0])
+        lane.max_seq = int(seqs[-1])
 
     def append_run(
         self,
@@ -703,6 +734,7 @@ class EvidenceColumnStore:
         paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
         self._admit(
             epoch,
+            None,
             seqs,
             map(operator.attrgetter("links"), paths),
             map(operator.attrgetter("flow_id"), paths),
@@ -714,19 +746,19 @@ class EvidenceColumnStore:
         )
 
     def append_columns(
-        self, epoch: int, run: WireRun, link_ids: np.ndarray
+        self, epoch: int, run: WireRun, link_ids: np.ndarray, lane: Optional[TallyLane] = None
     ) -> None:
         """Fold one committed wire run, object-free.
 
         The columnar twin of :meth:`append_run`, fed straight from a
         :class:`WireRun`'s arrays plus pre-remapped link ids
         (:meth:`LinkRemap.ids` of ``run.lids``) — no :class:`DiscoveredPath`
-        objects are ever built.
+        objects are ever built.  With ``lane``, a side lane of this store,
+        the run continues that lane instead of the epoch's own rows.
         """
-        if epoch in self._dirty:
-            return
         self._admit(
             epoch,
+            lane,
             run.seqs,
             run.lengths.tolist(),
             run.flow_ids.tolist(),
@@ -739,18 +771,40 @@ class EvidenceColumnStore:
             ),
         )
 
+    def join(self, epoch: int, lane: TallyLane) -> None:
+        """Append a side lane's rows after the epoch's own, which precede them.
+
+        The lane's waiting count updates bind to those earlier rows, then the
+        tallies merge by :meth:`ArrayVoteTally.extend` — the same doubles as
+        folding the stretches in sequence order.  A lane that overlaps the
+        rows before it, holds an unproven run or waits on a flow nobody
+        traced marks the epoch dirty instead.
+        """
+        if epoch in self._dirty:
+            return
+        own = self._own_lane(epoch)
+        rows = list(map(own.tally.row_of_flow, lane.waiting))
+        if not lane.clean or lane.first_seq <= own.max_seq or None in rows:
+            self.mark_dirty(epoch)
+            return
+        own.tally.bump_rows(rows, list(lane.waiting.values()))
+        own.tally.extend(lane.tally)
+        own.max_seq = lane.max_seq
+
     # ------------------------------------------------------------------
-    def build_tally(self, epoch: int) -> Optional[ArrayVoteTally]:
+    def build_tally(self, epoch: int, final: bool = False) -> Optional[ArrayVoteTally]:
         """The epoch's merged tally, or ``None`` when replay is required.
 
         Bit-identical to replaying the epoch's evidence in global sequence
         order through a fresh :class:`ArrayVoteTally` — it *is* such a tally,
         fed run by run in that order — and independent of later appends (a
-        snapshot; an empty tally for an epoch the store never saw).
+        snapshot; an empty tally for an epoch the store never saw).  The
+        ``final`` build hands over the live tally itself and forgets the
+        epoch: nothing is appended to a closed epoch, so nothing is copied.
         """
         if epoch in self._dirty:
             return None
-        tally = self._tallies.get(epoch)
-        if tally is None:
+        lane = self._lanes.pop(epoch, None) if final else self._lanes.get(epoch)
+        if lane is None:
             return ArrayVoteTally(self._policy, self._links)
-        return tally.snapshot()
+        return lane.tally if final else lane.tally.snapshot()

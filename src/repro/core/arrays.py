@@ -229,8 +229,10 @@ class ArrayVoteTally:
         self._weights = np.empty(0, dtype=np.float64)
         self._flow_ids = np.empty(0, dtype=np.int64)
         self._retransmissions = np.empty(0, dtype=np.int64)
-        #: flow id -> latest row; ``None`` on a snapshot until first needed.
-        self._row_by_flow: Optional[Dict[int, int]] = {}
+        #: flow id -> latest row over the first ``_mapped`` rows; the rest is
+        #: caught up when next asked for (a snapshot starts from none).
+        self._row_by_flow: Dict[int, int] = {}
+        self._mapped = 0
         self._first_seen: List[int] = []  # voted link ids, first-vote order
         self._voted: set = set()
         #: ``_first_seen`` as an id array and as a mask over link ids, each
@@ -293,7 +295,6 @@ class ArrayVoteTally:
         self._retransmissions[row] = retransmissions
         self._rows = row + 1
         self._hops = stop
-        self._flow_rows()[flow_id] = row
         self._invalidate()
         return VoteContribution(
             flow_id=flow_id,
@@ -386,9 +387,6 @@ class ArrayVoteTally:
         self._flow_ids[row:rows] = flow_ids
         self._retransmissions[row:rows] = retransmissions
         self._rows, self._hops = rows, hops
-        self._flow_rows().update(
-            zip(self._flow_ids[row:rows].tolist(), range(row, rows))
-        )
         voted = self._voted
         if len(voted) != len(self._index):
             # only scan for first votes while unvoted interned links remain;
@@ -423,11 +421,14 @@ class ArrayVoteTally:
         return mask
 
     def _flow_rows(self) -> Dict[int, int]:
-        """The flow-id -> latest-row map (rebuilt on first use by a snapshot)."""
-        if self._row_by_flow is None:
-            self._row_by_flow = dict(
-                zip(self._flow_ids[: self._rows].tolist(), range(self._rows))
+        """The flow-id -> latest-row map, caught up with the rows appended
+        since it was last asked for."""
+        mapped, rows = self._mapped, self._rows
+        if mapped < rows:
+            self._row_by_flow.update(
+                zip(self._flow_ids[mapped:rows].tolist(), range(mapped, rows))
             )
+            self._mapped = rows
         return self._row_by_flow
 
     def row_of_flow(self, flow_id: int) -> Optional[int]:
@@ -483,15 +484,21 @@ class ArrayVoteTally:
         np.add.at(self._votes, tail_cols, np.repeat(self._weights[lo:hi], lengths))
         # Support is integer-exact in any order: count the distinct
         # (row, link) pairs of the tail rows (each row's hops are folded
-        # exactly once, so pairs never repeat across folds).  Sort plus
-        # adjacent-diff rather than numpy's ``unique``, whose hash path
-        # (numpy >= 2.3) is slowest on nearly-all-distinct input like this.
-        pair_keys = np.repeat(np.arange(lo, hi, dtype=np.int64), lengths)
-        pair_keys *= n
-        pair_keys += tail_cols
-        pair_keys.sort()
-        distinct = np.concatenate(([True], pair_keys[1:] != pair_keys[:-1]))
-        self._support += np.bincount(pair_keys[distinct] % n, minlength=n)
+        # exactly once, so pairs never repeat across folds).  No sort: a hop
+        # repeats an earlier hop of its own row iff it equals the hop ``s``
+        # places back and that hop is not before the row's start, for some
+        # ``s`` below the longest row (at most 8 hops in any Clos; a longer
+        # path stays exact and only costs more passes).
+        row_start = np.repeat(bounds[:-1] - bounds[0], lengths)
+        repeats = []
+        for s in range(1, int(lengths.max())):
+            later = np.flatnonzero(tail_cols[s:] == tail_cols[:-s]) + s
+            repeats.append(later[row_start[later] <= later - s])
+        if any(map(len, repeats)):  # looped paths: rare
+            once = np.ones(len(tail_cols), dtype=bool)
+            once[np.concatenate(repeats)] = False
+            tail_cols = tail_cols[once]
+        self._support += np.bincount(tail_cols, minlength=n)
         self._folded_rows = hi
 
     @property
@@ -668,7 +675,6 @@ class ArrayVoteTally:
         clone._weights = self._weights[:rows]
         clone._flow_ids = self._flow_ids[:rows]
         clone._retransmissions = self._retransmissions[:rows].copy()
-        clone._row_by_flow = None
         clone._first_seen = list(self._first_seen)
         clone._voted = set(self._voted)
         clone._voted_ids = self.voted_ids()
@@ -677,6 +683,44 @@ class ArrayVoteTally:
         return clone
 
     copy = snapshot
+
+    def extend(self, other: "ArrayVoteTally") -> None:
+        """Append ``other``'s rows after this tally's own; ``other`` is only read.
+
+        State-identical to feeding ``other``'s flows here after this tally's
+        (its counts as bumped since): the CSR rows are copied, links this
+        tally had not seen join the first-vote order in ``other``'s, the vote
+        accumulator is *continued* over ``other``'s hops by one unbuffered
+        ``np.add.at`` — the same left-to-right doubles — and ``other``'s
+        support, already counted, is added (the rows are disjoint).  A flow
+        both sides hold is bound to ``other``'s latest row of it.  The ordered
+        merge for contiguous stretches of one epoch folded apart; both
+        tallies must share the link index and the vote policy.
+        """
+        if other._index is not self._index or other._policy != self._policy:
+            raise ValueError("extend needs a tally over the same index and policy")
+        count = other._rows
+        if not count:
+            return
+        support = other.support_array()
+        self._fold()
+        indptr, cols, weights = other.path_matrix()
+        row, start = self._rows, self._hops
+        rows, hops = row + count, start + len(cols)
+        self._reserve(rows, hops)
+        self._cols[start:hops] = cols
+        self._indptr[row + 1 : rows + 1] = indptr[1:] + start
+        self._weights[row:rows] = weights
+        self._flow_ids[row:rows] = other.flow_ids_array()
+        self._retransmissions[row:rows] = other.retransmissions_array()
+        self._rows = self._folded_rows = rows
+        self._hops = hops
+        fresh = [lid for lid in other._first_seen if lid not in self._voted]
+        self._voted.update(fresh)
+        self._first_seen.extend(fresh)
+        np.add.at(self._votes, cols, np.repeat(weights, np.diff(indptr)))
+        self._support += support
+        self._invalidate()
 
     def reordered(self, order: np.ndarray) -> "ArrayVoteTally":
         """A fresh tally holding this tally's rows in the order ``order``.
@@ -711,6 +755,7 @@ class ArrayVoteTally:
             new_row[order] = np.arange(rows, dtype=np.int64)
             old_rows = np.fromiter(bound.values(), dtype=np.int64, count=len(bound))
             clone._row_by_flow = dict(zip(bound.keys(), new_row[old_rows].tolist()))
+            clone._mapped = rows
         return clone
 
 

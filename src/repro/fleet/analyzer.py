@@ -21,17 +21,22 @@ analysis core.  Two interchangeable cores implement ingestion:
 
 Ordering discipline: agents send *contiguous* slices of each epoch's
 sequence space, so the analyzer reassembles the exact global order by
-sorting whole chunks — never individual events.  A chunk that extends the
-epoch's flushed prefix is ingested immediately; anything else stages until
-its gap closes or the epoch's tick barrier (every expected agent ticked)
-flushes the remainder.  Redelivered chunks after a reconnect are dropped or
-trimmed against the flushed watermark, and whatever slips through is
-deduplicated by the service's per-epoch sequence tracking — at-least-once
-delivery with exactly-once effect.
+sorting whole stretches of chunks — never individual events.  A chunk that
+extends the epoch's flushed prefix is ingested immediately; anything else
+joins a *lane* — the contiguous stretch it continues — which the columnar
+core folds on arrival into a tally of its own, and which joins the prefix
+(one ``ArrayVoteTally.extend``) the moment its gap closes, or at the
+epoch's tick barrier (every expected agent ticked) with whatever gap is
+left.  So the barrier has no fold to catch up on, however far ahead of one
+another the agents run.  Redelivered chunks after a reconnect are dropped or
+trimmed against the flushed watermark and the lanes, and whatever slips
+through is deduplicated by the service's per-epoch sequence tracking —
+at-least-once delivery with exactly-once effect.
 
 Backpressure: each connection gets a byte credit window in its WELCOME;
 evidence is acked (with the epoch/seq watermark and cumulative bytes) as it
-is staged.  When total staged bytes exceed the configured bound the
+is staged; a lane's bytes stay staged, folded or not, until it joins.  When
+total staged bytes exceed the configured bound the
 analyzer defers acks — agents stall on their windows — and releases them as
 flushes drain the backlog; each deferral episode counts one backpressure
 engagement.
@@ -54,6 +59,7 @@ from repro.api.service import ReportUnavailableError, Zero07Service
 from repro.api.wire import (
     EvidenceColumnStore,
     LinkRemap,
+    TallyLane,
     WireDecoder,
     WireProtocolError,
     WireRun,
@@ -289,9 +295,11 @@ class ColumnarIngestCore:
     :class:`EvidenceColumnStore` — the fold is paid per chunk, so a report
     is a snapshot (``build_tally``) plus ``analyze_tally``, bit-identical to
     an ``ingest_batch`` replay by the store's contract — and keeps the raw
-    :class:`WireRun` for replay.  Epochs the store marks
+    :class:`WireRun` for replay.  Chunks ahead of the sequence prefix fold
+    into a side lane (:meth:`open_lane`) and join it when the rows before
+    them are in (:meth:`join_lane`).  Epochs the store marks
     dirty (reordering the chunk sort could not hide, duplicates that slipped
-    the trim, seq-less updates) replay their retained chunks through a
+    the trim, overlapping lanes, seq-less updates) replay their retained chunks through a
     throwaway :class:`Zero07Service`, whose duplicate/out-of-order tolerance
     is the correctness oracle.  Arrays engine only.
 
@@ -341,12 +349,25 @@ class ColumnarIngestCore:
         """What left the vector path, for the ``stats`` verb."""
         return {"replayed_epochs": self.replayed_epochs}
 
-    def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
-        """Fold one in-order chunk's columns into the epoch's store."""
+    def append_chunk(self, run: WireRun, remap: Optional[LinkRemap], lane: Optional[TallyLane] = None) -> None:
+        """Fold one chunk's columns into the epoch's store: the next in
+        sequence order, or — with ``lane``, from :meth:`open_lane` — the next
+        of a stretch that is ahead of it (retained by whoever joins it)."""
         if remap is None:
             raise ValueError("columnar core needs each connection's LinkRemap")
-        self._retained.setdefault(run.epoch, []).append(("run", run, None))
-        self._store.append_columns(run.epoch, run, remap.ids(run.lids))
+        if lane is None:
+            self._retained.setdefault(run.epoch, []).append(("run", run, None))
+        self._store.append_columns(run.epoch, run, remap.ids(run.lids), lane)
+
+    def open_lane(self) -> TallyLane:
+        """A side lane for chunks that arrive ahead of the flushed prefix."""
+        return self._store.open_lane()
+
+    def join_lane(self, epoch: int, lane: TallyLane, runs: List[WireRun]) -> None:
+        """The rows before ``lane`` are all in: append its rows (and ``runs``,
+        the chunks it was folded from, to what a dirty epoch replays)."""
+        self._retained.setdefault(epoch, []).extend(("run", run, None) for run in runs)
+        self._store.join(epoch, lane)
 
     def append_events(self, epoch: int, events: List, seqs) -> None:
         """Fold an already-materialized (e.g. trimmed) run into the store."""
@@ -364,9 +385,9 @@ class ColumnarIngestCore:
             service.ingest_batch(events, owned=(kind == "run"))
         return service
 
-    def _materialize(self, epoch: int) -> EpochReport:
+    def _materialize(self, epoch: int, final: bool = False) -> EpochReport:
         if self._store.is_clean(epoch):
-            tally = self._store.build_tally(epoch)
+            tally = self._store.build_tally(epoch, final)
             if tally is not None:
                 return self._agent.analyze_tally(epoch, tally)
         self.replayed_epochs += 1
@@ -384,7 +405,7 @@ class ColumnarIngestCore:
             )
         )
         for e in range(start, epoch + 1):
-            report = self._materialize(e)
+            report = self._materialize(e, final=True)
             self._final_reports[e] = report
             while len(self._final_reports) > self._retain_reports:
                 del self._final_reports[next(iter(self._final_reports))]
@@ -440,16 +461,28 @@ class ColumnarIngestCore:
 # ---------------------------------------------------------------------------
 # staging
 # ---------------------------------------------------------------------------
-class _EpochStage:
-    """Out-of-order chunks of one open epoch, keyed by first sequence."""
+class _Lane:
+    """A contiguous stretch of chunks ahead of the flushed prefix: parked, and
+    in columns mode folded on arrival into ``folded``, a side lane of the core."""
 
-    __slots__ = ("chunks", "next_seq", "ticked", "staged_bytes")
+    __slots__ = ("first_seq", "next_seq", "runs", "nbytes", "folded")
+
+    def __init__(self, first_seq: int, folded: Optional[TallyLane]) -> None:
+        self.first_seq = self.next_seq = first_seq
+        self.runs: List[Tuple[WireRun, Optional[LinkRemap]]] = []
+        self.nbytes = 0
+        self.folded = folded
+
+
+class _EpochStage:
+    """One open epoch: the flushed prefix's watermark and the lanes ahead of it."""
+
+    __slots__ = ("lanes", "next_seq", "ticked")
 
     def __init__(self) -> None:
-        self.chunks: Dict[int, Tuple[WireRun, Optional[LinkRemap]]] = {}
+        self.lanes: List[_Lane] = []
         self.next_seq = 0
         self.ticked: set = set()
-        self.staged_bytes = 0
 
 
 class _Connection:
@@ -733,17 +766,27 @@ class FleetAnalyzer:
         self.stats.evidence_events += run.n_events
         if run.n_events == 0:
             return
-        if run.last_seq < stage.next_seq:
-            self.stats.duplicate_chunks += 1  # fully behind the watermark
+        first, last = run.first_seq, run.last_seq
+        lanes = stage.lanes
+        if last < stage.next_seq or any(
+            lane.first_seq <= first and last < lane.next_seq for lane in lanes
+        ):
+            self.stats.duplicate_chunks += 1  # behind the watermark or in a lane
             return
-        first = run.first_seq
-        if first in stage.chunks:
-            old_run, _ = stage.chunks[first]
-            stage.staged_bytes -= old_run.nbytes
-            self._staged_bytes -= old_run.nbytes
-            self.stats.duplicate_chunks += 1
-        stage.chunks[first] = (run, remap)
-        stage.staged_bytes += run.nbytes
+        if first <= stage.next_seq:
+            self._append_chunk(stage, run, remap)
+            return
+        # ahead of the flushed prefix: continue the lane it extends, else
+        # open one; the columns core folds it now, not when the gap closes.
+        lane = next((lane for lane in lanes if lane.next_seq == first), None)
+        if lane is None:
+            lane = _Lane(first, None if remap is None else self.core.open_lane())
+            lanes.append(lane)
+        if lane.folded is not None:
+            self.core.append_chunk(run, remap, lane.folded)
+        lane.runs.append((run, remap))
+        lane.next_seq = last + 1
+        lane.nbytes += run.nbytes
         self._staged_bytes += run.nbytes
 
     def _append_chunk(self, stage: _EpochStage, run: WireRun, remap) -> None:
@@ -760,26 +803,23 @@ class FleetAnalyzer:
         if run.last_seq >= stage.next_seq:
             stage.next_seq = run.last_seq + 1
 
-    def _flush_ready(self, epoch: int, stage: _EpochStage) -> None:
-        """Flush the maximal in-order chunk prefix into the core."""
-        chunks = stage.chunks
-        while chunks:
-            first = min(chunks)  # chunk count stays small: O(agents)
-            if first > stage.next_seq:
+    def _flush_ready(self, epoch: int, stage: _EpochStage, barrier: bool = False) -> None:
+        """Join, in first-sequence order, the lanes the flushed prefix has
+        reached — at the tick barrier every lane, gap or not."""
+        lanes = stage.lanes
+        while lanes:
+            lane = min(lanes, key=lambda lane: lane.first_seq)  # O(agents)
+            if lane.first_seq > stage.next_seq and not barrier:
                 return
-            run, remap = chunks.pop(first)
-            stage.staged_bytes -= run.nbytes
-            self._staged_bytes -= run.nbytes
-            self._append_chunk(stage, run, remap)
-
-    def _flush_all(self, epoch: int, stage: _EpochStage) -> None:
-        """Tick-barrier flush: everything staged, in sequence order."""
-        for first in sorted(stage.chunks):
-            run, remap = stage.chunks[first]
-            stage.staged_bytes -= run.nbytes
-            self._staged_bytes -= run.nbytes
-            self._append_chunk(stage, run, remap)
-        stage.chunks.clear()
+            lanes.remove(lane)
+            self._staged_bytes -= lane.nbytes
+            if lane.folded is None:
+                for run, remap in lane.runs:
+                    self._append_chunk(stage, run, remap)
+            else:
+                self.core.join_lane(epoch, lane.folded, [run for run, _ in lane.runs])
+                self.stats.chunks_flushed += len(lane.runs)
+                stage.next_seq = max(stage.next_seq, lane.next_seq)
 
     def _on_tick(self, connection: _Connection, epoch: int) -> None:
         self.stats.ticks_received += 1
@@ -796,7 +836,7 @@ class FleetAnalyzer:
         # barrier complete: every expected agent ticked, so (per-connection
         # FIFO) every chunk of this and every earlier epoch has arrived.
         for e in sorted(e for e in self._stages if e <= epoch):
-            self._flush_all(e, self._stages.pop(e))
+            self._flush_ready(e, self._stages.pop(e), barrier=True)
         self.core.tick(epoch)
         self.stats.epochs_finalized = self.core.epochs_finalized
 

@@ -30,8 +30,9 @@ from repro.api.events import (
 from repro.api.service import DetectionLogSink, Zero07Service
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
-from repro.core.arrays import LinkIndex
+from repro.core.arrays import ArrayVoteTally, LinkIndex
 from repro.core.blame import BlameConfig
+from repro.core.votes import VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.fleet.analyzer import report_to_json
@@ -174,6 +175,109 @@ def _path_from_links(flow_id, links):
         complete=True,
         retransmissions=4,
     )
+
+
+def _looped_flows(rng, num_flows, nodes, flow_pool):
+    """Paths that may cross a link more than once; flow ids drawn from a small
+    pool, so lists built over the same pool trace some flows again."""
+    pool = [DirectedLink(a, b) for a in nodes for b in nodes if a != b]
+    return [
+        _path_from_links(
+            int(rng.choice(flow_pool)),
+            [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(1, 8)))],
+        )
+        for _ in range(num_flows)
+    ]
+
+
+def _fed(index, *flow_lists):
+    tally = ArrayVoteTally(index=index)
+    for flows in flow_lists:
+        tally.add_flows(flows)
+    return tally
+
+
+def _tally_state(tally, flow_pool):
+    """Everything a report, a count update or a checkpoint reads of a tally."""
+    agent = AnalysisAgent(engine="arrays", link_index=tally.index)
+    return (
+        tally.votes_array().tobytes(),
+        tally.support_array().tolist(),
+        tally.voted_ids().tolist(),
+        [column.tolist() for column in tally.record_columns()],
+        [tally.row_of_flow(flow) for flow in flow_pool],
+        report_signature(agent.analyze_tally(0, tally)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extend_equals_feeding_the_flows_in_order(seed):
+    """``a.extend(b)`` is a tally fed A then B, float for float; it reads
+    ``b`` only and leaves earlier snapshots of ``a`` alone; and it
+    associates: (a+b)+c == a+(b+c) == A + B + C."""
+    rng = np.random.default_rng(seed)
+    flow_pool = list(range(40))
+    few, more = [f"n{i}" for i in range(4)], [f"n{i}" for i in range(7)]
+    # B and C cross links A never saw; seeds 0 and 1 leave one side empty
+    A = _looped_flows(rng, 0 if seed == 0 else 60, few, flow_pool)
+    B = _looped_flows(rng, 0 if seed == 1 else 50, more, flow_pool)
+    C = _looped_flows(rng, 30, more, flow_pool)
+    index = LinkIndex()
+
+    a, b = _fed(index, A), _fed(index, B)
+    if B:
+        b.bump_retransmissions(B[0].flow_id, 3)  # counts ride along as they stand
+    before = a.snapshot()
+    a_alone, b_alone = _tally_state(before, flow_pool), _tally_state(b, flow_pool)
+    a.extend(b)
+    fed = _fed(index, A, B)
+    if B:
+        fed.bump_retransmissions(B[0].flow_id, 3)
+    assert _tally_state(a, flow_pool) == _tally_state(fed, flow_pool)
+    assert _tally_state(b, flow_pool) == b_alone
+    assert _tally_state(before, flow_pool) == a_alone
+
+    left = _fed(index, A)
+    left.extend(_fed(index, B))
+    left.extend(_fed(index, C))
+    tail = _fed(index, B)
+    tail.extend(_fed(index, C))
+    right = _fed(index, A)
+    right.extend(tail)
+    whole = _tally_state(_fed(index, A, B, C), flow_pool)
+    assert _tally_state(left, flow_pool) == whole
+    assert _tally_state(right, flow_pool) == whole
+
+    with pytest.raises(ValueError, match="same index"):
+        a.extend(ArrayVoteTally())
+
+
+def test_support_counts_a_flow_once_per_link_however_often_it_crosses_it():
+    """The fold finds a row's repeated links without sorting: the dict
+    oracle's support on paths that cross a link twice and thrice, and on a
+    40-hop path (any length stays exact, only slower)."""
+    W, X, Y, Z = (DirectedLink(f"s{i}", f"s{i + 1}") for i in range(4))
+    long_walk = [DirectedLink(f"w{i % 9}", f"w{(i + 1) % 9}") for i in range(40)]
+    paths = [
+        _path_from_links(0, [X, Y, X]),
+        _path_from_links(1, [Y, Y, Z, Y]),
+        _path_from_links(2, [X, X, X]),
+        _path_from_links(3, long_walk),
+        _path_from_links(4, [Z, X, W, X, Z]),
+        _path_from_links(5, [Y]),
+        _path_from_links(6, [X, Y]),  # X, Y next to row 5's Y: other rows do not count
+    ]
+    oracle = VoteTally()
+    oracle.add_flows(paths)
+    for chunk in (len(paths), 2, 1):  # one fold, and folds that split the rows
+        tally = ArrayVoteTally()
+        for lo in range(0, len(paths), chunk):
+            tally.add_flows(paths[lo : lo + chunk])
+            tally.support_array()
+        assert {
+            link: tally.support_of(link) for link in tally.links()
+        } == oracle.support_map()
+        assert tally.as_dict() == oracle.as_dict()
 
 
 def test_empty_epoch_equivalent():

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import struct
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
 from repro.api.service import Zero07Service
 from repro.api.sharded import ShardedService
 from repro.fleet import protocol
@@ -37,15 +39,89 @@ def generator():
     return build_generator("tiny", "skewed", "none", SEED, EVENTS_PER_EPOCH)
 
 
-def reference_signatures(epochs=EPOCHS):
+def generated_stream(epoch):
+    return generator().epoch_events(epoch, tick=False)
+
+
+def retraced_stream(epoch):
+    """The generator's epoch, then some of its flows traced a second time —
+    so a flow is traced in two agents' slices — and counted again after
+    that; the generator's own count updates already cross slice boundaries.
+    (Flows counted near the end are left alone: a chunk that counts a flow
+    and then traces it again is per-event territory for every core.)"""
+    events = generated_stream(epoch)
+    counted_late = {
+        event.flow_id
+        for event in events[-300:]
+        if isinstance(event, RetransmissionEvidence)
+    }
+    paths = [
+        event.path
+        for event in events
+        if isinstance(event, PathEvidence) and event.path.flow_id not in counted_late
+    ]
+    for path in paths[::40]:
+        events.append(
+            PathEvidence(epoch, len(events), replace(path, retransmissions=1))
+        )
+        events.append(RetransmissionEvidence(epoch, path.flow_id, 2, len(events)))
+    return events
+
+
+def reference_signatures(epochs=EPOCHS, stream=generated_stream):
     """Signatures of the uninterrupted single-process replay."""
     service = Zero07Service(engine="arrays", retain_reports=epochs)
-    gen = generator()
     signatures = []
     for epoch in range(epochs):
-        service.ingest_batch(gen.epoch_events(epoch, tick=True))
+        service.ingest_batch(stream(epoch) + [EpochTick(epoch)])
         signatures.append(json_signature(service.report(epoch)))
     return signatures
+
+
+def deliver_slices(endpoint, agents, arrival, overlap=0, chunk_events=128):
+    """Each agent sends its contiguous slice of every epoch of the retraced
+    stream (each but the first starting ``overlap`` events early).
+
+    ``streamed``: whole slices, arriving as the sockets deliver them.
+    Otherwise one chunk at a time, each acked before the next is sent, so
+    chunks arrive in the order sent: ``in-order`` (agent 0's slice, then
+    agent 1's, ...), ``reversed`` (the last agent's slice first) or
+    ``round-robin`` (every agent's first chunk, then every agent's second).
+    """
+    clients = [
+        FleetAgentClient(f"t-{index}", endpoint, chunk_events=chunk_events)
+        for index in range(agents)
+    ]
+    for client in clients:
+        client.connect()
+    for epoch in range(EPOCHS):
+        events = retraced_stream(epoch)
+        cuts = [index * len(events) // agents for index in range(agents + 1)]
+        parts = [
+            events[max(0, cuts[index] - overlap) : cuts[index + 1]]
+            for index in range(agents)
+        ]
+        if arrival == "streamed":
+            for client, part in zip(clients, parts):
+                client.send_run(epoch, part)
+        else:
+            sends = [
+                (index, lo)
+                for index in range(agents)
+                for lo in range(0, len(parts[index]), chunk_events)
+            ]
+            if arrival == "reversed":
+                sends.sort(key=lambda send: -send[0])
+            elif arrival == "round-robin":
+                sends.sort(key=lambda send: send[1])
+            for index, lo in sends:
+                clients[index].send_run(epoch, parts[index][lo : lo + chunk_events])
+                clients[index].drain()
+        for client in clients:
+            client.tick(epoch)
+    for client in clients:
+        client.drain()
+        client.close()
 
 
 def send_all_slices(endpoint, agents=AGENTS, epochs=EPOCHS, **client_kw):
@@ -106,9 +182,9 @@ def make_core(kind):
 
 @pytest.fixture
 def tcp_thread():
-    def start(core, **analyzer_kw):
+    def start(core, expected_agents=AGENTS, **analyzer_kw):
         analyzer = FleetAnalyzer(
-            core, expected_agents=AGENTS, idle_timeout=60.0, **analyzer_kw
+            core, expected_agents=expected_agents, idle_timeout=60.0, **analyzer_kw
         )
         thread = AnalyzerThread(
             analyzer,
@@ -125,20 +201,104 @@ def tcp_thread():
 
 
 @pytest.mark.parametrize(
-    "core_kind", ["columns", "events-arrays", "events-dicts", "sharded"]
+    "core_kind, agents, arrival",
+    [
+        (core_kind, 2, "streamed")
+        for core_kind in ("columns", "events-arrays", "events-dicts", "sharded")
+    ]
+    + [
+        (core_kind, 3, arrival)
+        for core_kind in ("columns", "events-arrays")
+        for arrival in ("in-order", "reversed", "round-robin")
+    ],
 )
-def test_tcp_reports_bit_identical_to_replay(tcp_thread, core_kind):
-    thread = tcp_thread(make_core(core_kind))
-    send_all_slices(thread.endpoint)
+def test_tcp_reports_bit_identical_to_replay(tcp_thread, core_kind, agents, arrival):
+    thread = tcp_thread(make_core(core_kind), expected_agents=agents)
+    deliver_slices(thread.endpoint, agents, arrival)
     served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
-    # in-order chunks never leave the vector path, whatever the core
+    # contiguous slices never leave the vector path, whatever the core and
+    # whichever slice arrives first: chunks ahead of the flushed prefix fold
+    # into side lanes (columns) or wait their turn (events), nothing replays
     counter = "replayed_epochs" if core_kind == "columns" else "fallback_events"
     assert served[counter] == 0
-    assert query_signatures(thread.query_endpoint) == reference_signatures()
+    reference = reference_signatures(stream=retraced_stream)
+    assert query_signatures(thread.query_endpoint) == reference
     stats = thread.analyzer.stats
     assert stats.protocol_errors == 0
     assert stats.chunks_flushed > 0
-    assert stats.evidence_events == EPOCHS * EVENTS_PER_EPOCH
+    assert stats.duplicate_chunks == stats.trimmed_chunks == 0
+    assert stats.evidence_events == sum(
+        len(retraced_stream(epoch)) for epoch in range(EPOCHS)
+    )
+
+
+@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
+def test_overlapping_slices_stay_bit_identical(tcp_thread, core_kind):
+    # the tail agent's slice starts 200 events inside the head agent's and
+    # arrives first: a side lane cannot be trimmed, so the columns core
+    # replays the epoch; the events core trims chunk by chunk as ever.
+    core = make_core(core_kind)
+    thread = tcp_thread(core)
+    deliver_slices(thread.endpoint, AGENTS, "reversed", overlap=200)
+    wait_finalized(thread.query_endpoint, EPOCHS - 1)
+    reference = reference_signatures(stream=retraced_stream)
+    assert query_signatures(thread.query_endpoint) == reference
+    if core_kind == "columns":
+        assert core.replayed_epochs >= 1
+    else:
+        assert thread.analyzer.stats.trimmed_chunks >= 1
+
+
+@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
+def test_report_after_a_sequence_gap_closes_covers_what_was_ahead(
+    tcp_thread, core_kind
+):
+    thread = tcp_thread(make_core(core_kind))
+    events = generated_stream(0)
+    clients = {
+        name: FleetAgentClient(name, thread.endpoint, chunk_events=256)
+        for name in ("t-0", "t-1", "again")
+    }
+    for client in clients.values():
+        client.connect()
+
+    def send(name, lo, hi):
+        clients[name].send_run(0, events[lo:hi])
+        clients[name].drain()
+
+    def signature():
+        with FleetQueryClient(thread.query_endpoint) as query:
+            return query.report_signature(0)
+
+    def replay(upto):
+        service = Zero07Service(engine="arrays")
+        service.ingest_batch(events[:upto])
+        return json_signature(service.report(0))
+
+    send("t-1", 600, 900)  # ahead of a gap: not in any report yet
+    assert signature() == replay(0)
+    send("t-0", 0, 600)  # the gap closes: no tick needed to see both
+    assert signature() == replay(900)
+    stats = thread.analyzer.stats
+    assert (stats.duplicate_chunks, stats.trimmed_chunks) == (0, 0)
+    send("again", 600, 856)  # the tail's first chunk once more
+    assert (stats.duplicate_chunks, stats.trimmed_chunks) == (1, 0)
+    send("again", 800, 1000)  # half behind the watermark
+    assert (stats.duplicate_chunks, stats.trimmed_chunks) == (1, 1)
+    assert signature() == replay(1000)
+    send("t-1", 1000, len(events))
+    for epoch in range(EPOCHS):
+        if epoch:
+            clients["t-0"].send_run(epoch, generated_stream(epoch))
+        for name in ("t-0", "t-1"):
+            clients[name].tick(epoch)
+    for client in clients.values():
+        client.drain()
+        client.close()
+    served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
+    assert query_signatures(thread.query_endpoint) == reference_signatures()
+    if core_kind == "columns":
+        assert served["replayed_epochs"] == 0
 
 
 def test_unix_socket_reports_bit_identical_to_replay(tmp_path):

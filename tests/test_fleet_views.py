@@ -132,6 +132,24 @@ def test_core_dirty_epoch_replays_once_per_change_not_per_query():
     assert feed.core.replayed_epochs == replays
 
 
+def test_the_final_report_owns_the_tally_the_store_held():
+    """An open epoch's report is a snapshot; the closing one takes the live
+    tally itself, since the store drops the epoch in the next statement."""
+    feed = CoreFeed(ColumnarIngestCore())
+    first = epoch_events(0)
+    feed.deliver(("chunk", 0, first[0:600]))
+    core = feed.core
+    held = core._store._lanes[0].tally
+    early = core.report(0)
+    assert early.tally is not held
+    early_signature = report_signature(early)
+    feed.deliver(("chunk", 0, first[600:1200]))
+    feed.deliver(("tick", 0, None))
+    assert core.report(0).tally is held
+    assert 0 not in core._store._lanes
+    assert report_signature(early) == early_signature
+
+
 # ----------------------------------------------------------------------
 # the analyzer on real sockets
 # ----------------------------------------------------------------------
