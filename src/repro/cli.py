@@ -1,6 +1,6 @@
 """Command-line interface for the 007 reproduction.
 
-Three subcommands cover the common workflows:
+The subcommands cover the common workflows:
 
 * ``scenario`` — run the full pipeline on a synthetic Clos fabric with injected
   failures and print the epoch report plus accuracy/precision/recall.
@@ -9,9 +9,6 @@ Three subcommands cover the common workflows:
   ``--timeline`` script) without running it, ``--config out.json`` runs one.
 * ``experiment`` — regenerate one of the paper's tables/figures by name
   (``fig03``, ``table1``, ``sec83`` ...) and print its rows.
-* ``bench`` — drive the streaming service with a fabric-scale synthetic
-  evidence workload (``repro.loadgen``) and write the versioned
-  ``BENCH_service.json`` perf artifact (``repro.bench``).
 * ``checkpoint`` — inspect, convert (JSON <-> binary) and merge (delta onto
   base) service checkpoints written by ``Checkpoint.save``.
 * ``fleet`` — the distributed deployment: ``fleet analyzer`` serves the
@@ -183,104 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the experiment's default trials per sweep point",
-    )
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="fabric-scale load benchmark of the streaming service "
-        "(writes the versioned BENCH_service.json perf artifact)",
-    )
-    bench.add_argument(
-        "--fabric",
-        default="medium",
-        choices=["tiny", "small", "medium", "large"],
-        help="fabric preset the synthetic evidence workload is generated over",
-    )
-    bench.add_argument(
-        "--events",
-        type=int,
-        default=1_000_000,
-        help="total evidence events across all epochs (ticks not counted)",
-    )
-    bench.add_argument("--epochs", type=int, default=8)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--shards",
-        default="1,2,4",
-        help="comma-separated shard counts to benchmark (1 = unsharded)",
-    )
-    bench.add_argument(
-        "--engine",
-        choices=["arrays", "dicts", "both"],
-        default="both",
-        help="analysis engine(s) to benchmark",
-    )
-    bench.add_argument(
-        "--backend",
-        default="inline",
-        help="comma-separated executor backends to benchmark "
-        "(inline, process, or both as 'inline,process')",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-process cap for the process backend "
-        "(default: one worker per shard)",
-    )
-    bench.add_argument(
-        "--profile",
-        choices=["uniform", "skewed", "hot-tor"],
-        default="skewed",
-        help="traffic mix of the synthetic workload",
-    )
-    bench.add_argument(
-        "--timeline",
-        choices=["none", "flap", "burst"],
-        default="none",
-        help="scripted failure timeline biasing the workload over time",
-    )
-    bench.add_argument(
-        "--baseline-events",
-        type=int,
-        default=None,
-        help="cap on the per-event ingest baseline measurement "
-        "(default: min(events, 250000))",
-    )
-    bench.add_argument(
-        "--json",
-        metavar="PATH",
-        default="BENCH_service.json",
-        help="where to write the schema-validated perf document "
-        "('-' prints it to stdout instead)",
-    )
-    bench.add_argument(
-        "--artifacts-dir",
-        metavar="DIR",
-        default=None,
-        help="also write one JSON artifact per (engine, backend, shards) "
-        "run into DIR",
-    )
-    bench.add_argument(
-        "--fleet",
-        action="store_true",
-        help="also measure socket ingest (tcp/unix/inproc agents) and record "
-        "the v4 'fleet' block",
-    )
-    bench.add_argument(
-        "--fleet-agents",
-        type=int,
-        default=4,
-        help="agent sender processes for the fleet measurement",
-    )
-    bench.add_argument(
-        "--fleet-events",
-        type=int,
-        default=400_000,
-        help="total events of the fleet measurement (multiple of 4 epochs)",
-    )
-    bench.add_argument(
-        "--quiet", action="store_true", help="suppress per-epoch progress lines"
     )
 
     checkpoint = subparsers.add_parser(
@@ -708,86 +607,6 @@ def _run_experiment_command(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _run_bench_command(args: argparse.Namespace, out) -> int:
-    import json as json_module
-
-    from repro.bench import (
-        BenchConfig,
-        format_bench_table,
-        run_service_bench,
-        write_bench_report,
-    )
-    from repro.loadgen import WorkloadProfile
-
-    try:
-        shard_counts = tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        )
-    except ValueError:
-        print(f"error: --shards must be comma-separated ints: {args.shards!r}",
-              file=sys.stderr)
-        return 2
-    shard_counts = tuple(dict.fromkeys(shard_counts))  # dedupe, keep order
-    engines = ("arrays", "dicts") if args.engine == "both" else (args.engine,)
-    backends = tuple(
-        dict.fromkeys(
-            part.strip() for part in args.backend.split(",") if part.strip()
-        )
-    )
-    try:
-        config = BenchConfig(
-            fabric=args.fabric,
-            events=args.events,
-            epochs=args.epochs,
-            seed=args.seed,
-            profile=WorkloadProfile.named(args.profile),
-            engines=engines,
-            shard_counts=shard_counts,
-            backends=backends,
-            workers=args.workers,
-            baseline_events=args.baseline_events,
-            timeline=args.timeline,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else (lambda message: print(message, file=out))
-    document = run_service_bench(config, progress=progress)
-    if args.fleet:
-        from repro.bench.fleet import FleetBenchConfig, run_fleet_bench
-
-        try:
-            fleet_config = FleetBenchConfig(
-                fabric=args.fabric,
-                events=args.fleet_events,
-                agents=args.fleet_agents,
-                profile=args.profile,
-                seed=args.seed,
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        document["fleet"] = run_fleet_bench(fleet_config, progress=progress)
-    print(format_bench_table(document), file=out)
-    if args.json == "-":
-        print(json_module.dumps(document, indent=2, sort_keys=True), file=out)
-        if args.artifacts_dir is not None:
-            # per-run artifacts are still wanted; keep a document copy next
-            # to them so the directory is self-contained.
-            from pathlib import Path
-
-            write_bench_report(
-                document,
-                Path(args.artifacts_dir) / "BENCH_service.json",
-                artifacts_dir=args.artifacts_dir,
-            )
-            print(f"wrote per-run artifacts to {args.artifacts_dir}", file=out)
-    else:
-        write_bench_report(document, args.json, artifacts_dir=args.artifacts_dir)
-        print(f"wrote schema-valid perf document to {args.json}", file=out)
-    return 0
-
-
 def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
     from pathlib import Path
 
@@ -1197,8 +1016,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _run_scenario_command(args, out)
     if args.command == "experiment":
         return _run_experiment_command(args, out)
-    if args.command == "bench":
-        return _run_bench_command(args, out)
     if args.command == "checkpoint":
         return _run_checkpoint_command(args, out)
     if args.command == "fleet":

@@ -1,5 +1,7 @@
-"""Figure 4: Algorithm 1 precision/recall vs number of failed links
-(Theorem 2 regime), compared against the integer and binary programs."""
+"""Figure 4: Algorithm 1 precision/recall vs number of failed links, compared
+against the integer and binary programs; the description names Theorem 2's
+bound on the number of failed links for the fabric and the swept counts past
+it."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from typing import Optional, Sequence
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import SweepRunner, run_point_sweep
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sweeps import detection_metrics
+from repro.experiments.sweeps import detection_metrics, theorem2_bound_label
 
 DEFAULT_FAILED_LINK_COUNTS = (2, 6, 10, 14)
 
@@ -32,7 +34,8 @@ def run_fig04(
     ]
     return run_point_sweep(
         name="Figure 4",
-        description="Algorithm 1 precision/recall vs #failed links (Theorem 2 holds)",
+        description="Algorithm 1 precision/recall vs #failed links; "
+        + theorem2_bound_label(base, failed_link_counts),
         points=points,
         metric_fns=detection_metrics(include_baselines=include_baselines),
         trials=trials,

@@ -7,14 +7,25 @@ processes when experiments run with ``workers > 1``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.runner import SweepRunner
 from repro.experiments.scenario import ScenarioConfig, ScenarioResult
+from repro.theory.theorem2 import max_detectable_bad_links
 
 MetricFn = Callable[[ScenarioResult], float]
+
+
+def theorem2_bound_label(config: ScenarioConfig, failed_link_counts: Sequence[int]) -> str:
+    """Theorem 2's bound on k for ``config``'s fabric, and the swept k past it."""
+    bound = max_detectable_bad_links(config.topology_params())
+    outside = [str(k) for k in failed_link_counts if k >= bound]
+    label = f"Theorem 2 bound k < {bound:.1f}"
+    if not outside:
+        return f"{label}; every k inside it"
+    return f"{label}; k = {', '.join(outside)} outside it"
 
 
 # ----------------------------------------------------------------------

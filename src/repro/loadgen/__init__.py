@@ -16,7 +16,7 @@ traffic/failure profile, without running the simulator:
   :class:`~repro.netsim.script.ScenarioScript` whose flap/burst/drain/reboot
   events become time-varying bad-link windows.
 * :data:`FABRIC_PRESETS` / :func:`fabric_parameters` — named fabric sizings
-  shared with the ``repro bench`` CLI.
+  the ruler's workloads are generated over (``ruler/harness.py``).
 
 The exported names are snapshot-tested (``tests/test_api_surface.py``).
 """

@@ -4,7 +4,7 @@
 monitoring agents would produce on a Clos fabric — ECMP-valid discovered
 paths for flows that suffered retransmissions, O(1) count bumps for flows
 that retransmit again, and epoch ticks — without running the TCP simulator.
-This is what lets the benchmark harness (and the hardening tests) drive
+This is what lets the ruler (``ruler/``) and the hardening tests drive
 :class:`~repro.api.service.Zero07Service` at fabric scale: millions of
 events, deterministic per ``(seed, epoch)``, generated in seconds.
 
@@ -169,23 +169,6 @@ class EvidenceLoadGenerator:
     def bad_links_for_epoch(self, epoch: int) -> List[DirectedLink]:
         """The directed links evidence concentrates on during ``epoch``."""
         return [spec.link for spec in self._active_specs(epoch)]
-
-    def describe(self) -> str:
-        """One-line human-readable description of the workload."""
-        p = self._params
-        return (
-            f"{len(self._hosts)} hosts ({p.npod} pods x {p.n0} ToRs x "
-            f"{p.hosts_per_tor}), {len(self._links)} directed links, "
-            f"{self._events_per_epoch} events/epoch, "
-            f"profile {self._profile.popularity}"
-            + (
-                f" + hot-ToR {self._profile.hot_tor_fraction:.0%}"
-                if self._profile.hot_tor_fraction
-                else ""
-            )
-            + f", {len(self._static_specs)} static bad link(s), "
-            f"{len(self._windows)} scripted window(s)"
-        )
 
     # ------------------------------------------------------------------
     # bad-link resolution

@@ -16,10 +16,11 @@ from typing import Dict, Union
 
 from repro.topology.clos import ClosParameters
 
-#: named fabric sizings shared by ``repro bench`` and the test batteries.
-#: ``medium`` is the default benchmark fabric: 3 pods x 8 ToRs x 6 hosts
-#: (144 hosts, ~1.5k directed links) — big enough that per-event Python
-#: dispatch dominates, small enough to run a million events in seconds.
+#: named fabric sizings shared by the ruler's workloads and the test
+#: batteries.  ``medium`` — 3 pods x 8 ToRs x 6 hosts (144 hosts, ~1.5k
+#: directed links) — carries the ruler's ``steady_ingest``,
+#: ``sharded_process`` and ``fleet_tcp``; ``large`` carries
+#: ``operator_trickle``; ``tiny`` carries every workload under ``--quick``.
 FABRIC_PRESETS: Dict[str, ClosParameters] = {
     "tiny": ClosParameters(npod=2, n0=2, n1=2, n2=2, hosts_per_tor=2),
     "small": ClosParameters(npod=2, n0=4, n1=3, n2=3, hosts_per_tor=4),

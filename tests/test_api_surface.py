@@ -115,24 +115,12 @@ EXPECTED_SIGNATURES = {
 }
 
 
-#: pinned exports of the loadgen/bench packages (the perf-harness surface).
+#: pinned exports of the loadgen package (the synthetic-workload surface).
 EXPECTED_LOADGEN_EXPORTS = {
     "EvidenceLoadGenerator",
     "WorkloadProfile",
     "FABRIC_PRESETS",
     "fabric_parameters",
-}
-
-EXPECTED_BENCH_EXPORTS = {
-    "BenchConfig",
-    "run_service_bench",
-    "write_bench_report",
-    "format_bench_table",
-    "BENCH_SCHEMA_VERSION",
-    "BenchSchemaError",
-    "validate_bench_report",
-    "FleetBenchConfig",
-    "run_fleet_bench",
 }
 
 #: pinned exports of the distributed fleet subsystem (``repro.fleet``):
@@ -168,7 +156,7 @@ EXPECTED_FLEET_EXPORTS = {
     "FleetQueryClient",
 }
 
-#: pinned signatures of the loadgen/bench entry points.
+#: pinned signatures of the loadgen and fleet entry points.
 EXPECTED_HARNESS_SIGNATURES = {
     "repro.loadgen.EvidenceLoadGenerator.__init__": (
         "(self, fabric: 'Union[str, ClosParameters]' = 'medium', "
@@ -188,15 +176,6 @@ EXPECTED_HARNESS_SIGNATURES = {
     ),
     "repro.loadgen.fabric_parameters": (
         "(fabric: 'Union[str, ClosParameters]') -> 'ClosParameters'"
-    ),
-    "repro.bench.run_service_bench": (
-        "(config: 'Optional[BenchConfig]' = None, "
-        "progress: 'Optional[Callable[[str], None]]' = None) -> 'Dict[str, Any]'"
-    ),
-    "repro.bench.validate_bench_report": "(document: 'Any') -> 'Dict[str, Any]'",
-    "repro.bench.run_fleet_bench": (
-        "(config: 'Optional[FleetBenchConfig]' = None, "
-        "progress: 'Optional[Callable[[str], None]]' = None) -> 'Dict'"
     ),
     "repro.fleet.run_fleet": (
         "(config: 'FleetRunConfig', "
@@ -241,16 +220,12 @@ def test_core_entry_point_signatures_are_pinned():
     )
 
 
-def test_loadgen_and_bench_exports_are_exactly_the_snapshot():
-    import repro.bench as bench
+def test_loadgen_exports_are_exactly_the_snapshot():
     import repro.loadgen as loadgen
 
     assert set(loadgen.__all__) == EXPECTED_LOADGEN_EXPORTS
-    assert set(bench.__all__) == EXPECTED_BENCH_EXPORTS
-    for module, names in ((loadgen, EXPECTED_LOADGEN_EXPORTS),
-                          (bench, EXPECTED_BENCH_EXPORTS)):
-        for name in names:
-            assert hasattr(module, name), f"{module.__name__}.{name} is missing"
+    for name in EXPECTED_LOADGEN_EXPORTS:
+        assert hasattr(loadgen, name), f"repro.loadgen.{name} is missing"
 
 
 def test_fleet_exports_are_exactly_the_snapshot():
@@ -261,7 +236,7 @@ def test_fleet_exports_are_exactly_the_snapshot():
         assert hasattr(fleet, name), f"repro.fleet.{name} is missing"
 
 
-def test_loadgen_and_bench_signatures_are_pinned():
+def test_loadgen_and_fleet_signatures_are_pinned():
     import importlib
 
     drifted = {}
@@ -276,7 +251,7 @@ def test_loadgen_and_bench_signatures_are_pinned():
         if actual != expected:
             drifted[dotted] = actual
     assert not drifted, (
-        "loadgen/bench API signatures drifted — if intentional, update the "
+        "loadgen/fleet API signatures drifted — if intentional, update the "
         f"snapshot in the same commit: {drifted}"
     )
 

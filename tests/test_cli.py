@@ -27,18 +27,6 @@ class TestParser:
         args = build_parser().parse_args(["theory", "--pods", "4", "--tmax", "50"])
         assert args.pods == 4 and args.tmax == 50
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.fabric == "medium"
-        assert args.events == 1_000_000
-        assert args.shards == "1,2,4"
-        assert args.engine == "both"
-        assert args.json == "BENCH_service.json"
-
-    def test_bench_rejects_unknown_fabric(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--fabric", "galactic"])
-
 
 class TestCommands:
     def test_scenario_command_output(self):
@@ -81,79 +69,6 @@ class TestCommands:
         out = io.StringIO()
         main(["theory", "--pods", "2", "--bad-links", "10000"], out=out)
         assert "exceeds the detectable bound" in out.getvalue()
-
-    def test_bench_command_writes_schema_valid_document(self, tmp_path):
-        import json
-
-        from repro.bench import validate_bench_report
-
-        out = io.StringIO()
-        target = tmp_path / "BENCH_service.json"
-        code = main(
-            [
-                "bench",
-                "--fabric", "tiny",
-                "--events", "1200",
-                "--epochs", "2",
-                "--shards", "1,2",
-                "--engine", "arrays",
-                "--baseline-events", "400",
-                "--json", str(target),
-                "--artifacts-dir", str(tmp_path / "runs"),
-                "--quiet",
-            ],
-            out=out,
-        )
-        assert code == 0
-        assert "wrote schema-valid perf document" in out.getvalue()
-        document = validate_bench_report(json.loads(target.read_text()))
-        assert {
-            (r["engine"], r["backend"], r["num_shards"])
-            for r in document["runs"]
-        } == {
-            ("arrays", "inline", 1),
-            ("arrays", "inline", 2),
-        }
-        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
-            "bench_run_arrays_inline_shards1.json",
-            "bench_run_arrays_inline_shards2.json",
-        ]
-
-    def test_bench_command_accepts_process_backend(self, tmp_path):
-        import json
-
-        from repro.bench import validate_bench_report
-
-        out = io.StringIO()
-        target = tmp_path / "BENCH_service.json"
-        code = main(
-            [
-                "bench",
-                "--fabric", "tiny",
-                "--events", "1200",
-                "--epochs", "2",
-                "--shards", "1,2",
-                "--engine", "arrays",
-                "--backend", "inline,process",
-                "--workers", "2",
-                "--baseline-events", "400",
-                "--json", str(target),
-                "--quiet",
-            ],
-            out=out,
-        )
-        assert code == 0
-        document = validate_bench_report(json.loads(target.read_text()))
-        assert {
-            (r["backend"], r["num_shards"]) for r in document["runs"]
-        } == {("inline", 1), ("inline", 2), ("process", 2)}
-
-    def test_bench_rejects_bad_backend(self):
-        assert main(["bench", "--backend", "smoke-signals", "--quiet"]) == 2
-
-    def test_bench_rejects_bad_shards(self):
-        assert main(["bench", "--shards", "nope", "--quiet"]) == 2
-        assert main(["bench", "--shards", "0", "--quiet"]) == 2
 
 
 class TestCheckpointCommand:

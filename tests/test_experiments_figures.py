@@ -7,6 +7,8 @@ shape, so the benchmark harness cannot silently rot.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.experiments.ablations import (
     run_vote_policy_ablation,
 )
 from repro.experiments.fig01_motivation import run_fig01
-from repro.experiments.fig03_accuracy_optimal import run_fig03
+from repro.experiments.fig03_accuracy_optimal import DEFAULT_FAILED_LINK_COUNTS, run_fig03
 from repro.experiments.fig04_detection_optimal import run_fig04
 from repro.experiments.fig05_drop_rates import run_fig05_single
 from repro.experiments.fig06_noise import run_fig06
@@ -25,11 +27,14 @@ from repro.experiments.fig10_detection_single import run_fig10
 from repro.experiments.fig11_link_location import run_fig11
 from repro.experiments.fig12_skewed_drop_rates import run_fig12
 from repro.experiments.fig13_testcluster_votes import run_fig13
+from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.sec67_network_size import run_sec67
 from repro.experiments.sec72_two_links import run_sec72
 from repro.experiments.sec82_everflow_validation import run_sec82
 from repro.experiments.sec83_vm_reboots import run_sec83
+from repro.experiments.sweeps import theorem2_bound_label
 from repro.experiments.table1_icmp import run_table1
+from repro.theory.theorem2 import max_detectable_bad_links
 
 
 class TestSimulationFigures:
@@ -53,6 +58,20 @@ class TestSimulationFigures:
     def test_fig04_detection_metrics_present(self):
         result = run_fig04(failed_link_counts=(2,), trials=1, seed=0, include_baselines=False)
         assert {"precision_007", "recall_007"} <= set(result.points[0].metrics)
+
+    def test_fig03_and_fig04_state_theorem2s_bound_and_the_k_past_it(self):
+        """The bound quoted is Theorem 2's on the base fabric (k < 7.6), and
+        every swept k past it is named as outside it, never as inside."""
+        bound = max_detectable_bad_links(ScenarioConfig().topology_params())
+        assert theorem2_bound_label(ScenarioConfig(), DEFAULT_FAILED_LINK_COUNTS) == (
+            f"Theorem 2 bound k < {bound:.1f}; k = 10, 14 outside it"
+        )
+        for run in (run_fig03, run_fig04):
+            result = run(failed_link_counts=(2, 10), trials=1, seed=0, include_baselines=False)
+            stated = re.search(r"Theorem 2 bound k < ([\d.]+); (.*)$", result.description)
+            assert stated is not None, result.description
+            assert float(stated.group(1)) == pytest.approx(bound, abs=0.05)
+            assert stated.group(2) == "k = 10 outside it"
 
     def test_fig05_single_sweep_shape(self):
         result = run_fig05_single(drop_rates=(5e-3,), trials=1, seed=0, include_baselines=False)
