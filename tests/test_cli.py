@@ -2,11 +2,51 @@
 
 from __future__ import annotations
 
+import argparse
 import io
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _verbs(parser, prefix=()):
+    """Every leaf command path of the parser, e.g. ``("fleet", "run")``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _verbs(sub, (*prefix, name))
+            return
+    yield prefix
+
+
+def _documented_commands():
+    """The argv text after ``repro-007`` / ``python -m repro.cli`` in the
+    docs' fenced blocks and in the CI workflow, comments and ``&`` dropped."""
+    sources = [
+        match.group(1)
+        for doc in ("EXPERIMENTS.md", "API.md")
+        for match in re.finditer(r"^```\w*\n(.*?)^```", (REPO / doc).read_text(), re.M | re.S)
+    ]
+    sources.append((REPO / ".github" / "workflows" / "ci.yml").read_text())
+    commands = []
+    for text in sources:
+        for line in re.sub(r"\\\n\s*", " ", text).splitlines():
+            match = re.search(r"(?:repro-007|python -m repro\.cli) (.*)", line)
+            if match:
+                command = " ".join(shlex.split(match.group(1), comments=True)).rstrip(" &")
+                if command not in commands:
+                    commands.append(command)
+    return commands
+
+
+VERBS = list(_verbs(build_parser()))
+DOCUMENTED_COMMANDS = _documented_commands()
 
 
 class TestParser:
@@ -26,6 +66,31 @@ class TestParser:
     def test_theory_arguments(self):
         args = build_parser().parse_args(["theory", "--pods", "4", "--tmax", "50"])
         assert args.pods == 4 and args.tmax == 50
+
+    def test_bench_is_not_a_verb(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(["bench"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", VERBS, ids=[" ".join(v) for v in VERBS])
+    def test_every_verb_renders_its_help(self, verb, capsys):
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args([*verb, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro-007 {' '.join(verb)} ")
+
+
+class TestDocumentedCommands:
+    """Every ``repro-007`` command in EXPERIMENTS.md's and API.md's fenced
+    blocks, and every ``python -m repro.cli`` command CI runs, parses: a verb,
+    flag or choice that the docs name and the CLI no longer has fails here."""
+
+    @pytest.mark.parametrize("command", DOCUMENTED_COMMANDS)
+    def test_documented_command_parses(self, command):
+        argv = shlex.split(re.sub(r"<\w+>|\$\{\{[^}]*\}\}", "placeholder", command))
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 class TestCommands:

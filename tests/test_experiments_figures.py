@@ -73,6 +73,22 @@ class TestSimulationFigures:
             assert float(stated.group(1)) == pytest.approx(bound, abs=0.05)
             assert stated.group(2) == "k = 10 outside it"
 
+    @pytest.mark.parametrize(
+        "config, counts, stated",
+        [
+            (ScenarioConfig(), (2, 6), "k < 7.6; every k inside it"),
+            (ScenarioConfig(), (), "k < 7.6; every k inside it"),
+            (ScenarioConfig(), (14, 2, 10), "k < 7.6; k = 14, 10 outside it"),
+            (ScenarioConfig(npod=3), (2, 6, 10, 14), "k < 5.8; k = 6, 10, 14 outside it"),
+        ],
+        ids=["inside", "empty", "sweep-order", "three-pods"],
+    )
+    def test_theorem2_bound_label_follows_the_fabric_and_the_sweep(self, config, counts, stated):
+        assert max_detectable_bad_links(config.topology_params()) == pytest.approx(
+            float(stated.split()[2].rstrip(";")), abs=0.05
+        )
+        assert theorem2_bound_label(config, counts) == f"Theorem 2 bound {stated}"
+
     def test_fig05_single_sweep_shape(self):
         result = run_fig05_single(drop_rates=(5e-3,), trials=1, seed=0, include_baselines=False)
         assert result.points[0].parameters["drop_rate"] == 5e-3
