@@ -29,12 +29,11 @@ Installed as the ``repro-007`` console script; also runnable via
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.experiments.base import ExperimentResult
+from repro.experiments.figures import FIGURES, MEASURED, run_figure
 from repro.experiments.runner import SweepRunner
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.netsim.script import ScenarioScript
@@ -45,52 +44,6 @@ from repro.theory.theorem2 import (
     noise_tolerance_bound,
 )
 from repro.topology.clos import ClosParameters
-
-#: experiment name -> zero-argument callable returning an ExperimentResult.
-def _experiment_registry() -> Dict[str, Callable[[], ExperimentResult]]:
-    from repro.experiments import (
-        ablations,
-        fig01_motivation,
-        fig03_accuracy_optimal,
-        fig04_detection_optimal,
-        fig05_drop_rates,
-        fig06_noise,
-        fig07_connections,
-        fig08_skew,
-        fig09_hot_tor,
-        fig10_detection_single,
-        fig11_link_location,
-        fig12_skewed_drop_rates,
-        fig13_testcluster_votes,
-        sec66_transient,
-        sec67_network_size,
-        sec72_two_links,
-        sec82_everflow_validation,
-        sec83_vm_reboots,
-        table1_icmp,
-    )
-
-    return {
-        "fig01": fig01_motivation.run_fig01,
-        "table1": table1_icmp.run_table1,
-        "fig03": fig03_accuracy_optimal.run_fig03,
-        "fig04": fig04_detection_optimal.run_fig04,
-        "fig05": fig05_drop_rates.run_fig05,
-        "fig06": fig06_noise.run_fig06,
-        "fig07": fig07_connections.run_fig07,
-        "fig08": fig08_skew.run_fig08,
-        "fig09": fig09_hot_tor.run_fig09,
-        "fig10": fig10_detection_single.run_fig10,
-        "fig11": fig11_link_location.run_fig11,
-        "fig12": fig12_skewed_drop_rates.run_fig12,
-        "sec66": sec66_transient.run_sec66,
-        "sec67": sec67_network_size.run_sec67,
-        "fig13": fig13_testcluster_votes.run_fig13,
-        "sec72": sec72_two_links.run_sec72,
-        "sec82": sec82_everflow_validation.run_sec82,
-        "sec83": sec83_vm_reboots.run_sec83,
-        "ablations": ablations.run_all_ablations,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     experiment = subparsers.add_parser("experiment", help="regenerate a table/figure")
-    experiment.add_argument("name", choices=sorted(_experiment_registry()))
+    experiment.add_argument("name", choices=sorted([*FIGURES, *MEASURED]))
     experiment.add_argument(
         "--workers",
         type=int,
@@ -578,31 +531,24 @@ def _run_scenario_command(args: argparse.Namespace, out) -> int:
 
 
 def _run_experiment_command(args: argparse.Namespace, out) -> int:
-    experiment_fn = _experiment_registry()[args.name]
-    # Sweep-based experiments accept a SweepRunner and a trial count; the
-    # cluster/production regenerations (fig01, table1, fig13, sec72/82/83)
-    # don't — forward only the keywords each experiment understands.
-    parameters = inspect.signature(experiment_fn).parameters
-    kwargs: Dict[str, object] = {}
-    if args.workers and args.workers > 1:
-        if "runner" in parameters:
-            kwargs["runner"] = SweepRunner(workers=args.workers)
-        else:
+    figure = FIGURES.get(args.name)
+    if figure is not None:
+        runner = SweepRunner(workers=max(1, args.workers))
+        result = run_figure(figure, trials=args.trials, runner=runner)
+    else:
+        if args.workers > 1:
             print(
                 f"warning: experiment {args.name!r} does not run sweeps; "
                 "--workers ignored",
                 file=sys.stderr,
             )
-    if args.trials is not None:
-        if "trials" in parameters:
-            kwargs["trials"] = args.trials
-        else:
+        if args.trials is not None:
             print(
                 f"warning: experiment {args.name!r} has no trial count; "
                 "--trials ignored",
                 file=sys.stderr,
             )
-    result = experiment_fn(**kwargs)
+        result = MEASURED[args.name]()
     print(result.format_table(), file=out)
     return 0
 

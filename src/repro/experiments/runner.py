@@ -1,20 +1,19 @@
 """Parallel experiment runner: fan sweep points and trials over worker processes.
 
-Every ``fig*``/``sec*`` regeneration is the same shape of work — a list of
-sweep points, each run for several trials with forked seeds, each trial scored
-by a set of metric functions, trial scores averaged per point.  The
-:class:`SweepRunner` owns that shape once: it expands ``points x trials`` into
-independent tasks, runs them serially (``workers <= 1``) or across a
-``multiprocessing`` pool, and reassembles the results **in task order**, so
-the produced :class:`~repro.experiments.base.ExperimentResult` rows are
-byte-identical regardless of the worker count.
+Every sweep of the figure matrix (:mod:`repro.experiments.figures`) is the
+same shape of work — a list of sweep points, each run for several trials
+with forked seeds, each trial scored by a set of metric functions, trial
+scores averaged per point.  The :class:`SweepRunner` owns that shape once:
+it expands ``points x trials`` into independent tasks, runs them serially
+(``workers <= 1``) or across a ``multiprocessing`` pool, and reassembles the
+results **in task order**, so the produced
+:class:`~repro.experiments.base.ExperimentResult` rows are byte-identical
+regardless of the worker count.
 
 Determinism contract
 --------------------
-* Trial seeds are forked as ``base_seed + TRIAL_SEED_STRIDE * trial`` — the
-  exact derivation ``sweeps.average_over_trials`` has always used, so a
-  ``SweepRunner(workers=1)`` reproduces the historical serial results
-  bit-for-bit.
+* Trial seeds are forked as ``base_seed + TRIAL_SEED_STRIDE * trial``, so a
+  trial's scenario does not depend on the worker that runs it.
 * Tasks are generated in ``(point, trial)`` order and results are reassembled
   by task index (``Pool.map`` preserves order), never by completion time.
 
@@ -36,8 +35,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 
 MetricFn = Callable[["ScenarioResult"], float]
 
-#: seed stride between trials — must match the historical serial derivation in
-#: ``sweeps.average_over_trials`` so forked seeds reproduce its results.
+#: seed stride between trials; changing it changes every sweep's rows.
 TRIAL_SEED_STRIDE = 1009
 
 
@@ -117,7 +115,6 @@ class SweepRunner:
     ) -> Dict[str, float]:
         """Average each metric over ``trials`` forked-seed runs of ``config``.
 
-        Drop-in equivalent of the serial ``sweeps.average_over_trials``:
         ``nan`` trial values are ignored; a metric that is ``nan`` in every
         trial stays ``nan``.
         """
@@ -167,24 +164,3 @@ class SweepRunner:
             }
             result.add_point(parameters, averaged)
         return result
-
-
-def run_point_sweep(
-    name: str,
-    description: str,
-    points: Sequence[Tuple[Dict[str, Any], ScenarioConfig]],
-    metric_fns: Mapping[str, MetricFn],
-    trials: int = 3,
-    base_seed: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> ExperimentResult:
-    """Run a sweep through ``runner`` (a fresh serial runner when ``None``)."""
-    active = runner if runner is not None else SweepRunner(workers=1)
-    return active.run_sweep(
-        points,
-        metric_fns,
-        trials=trials,
-        base_seed=base_seed,
-        name=name,
-        description=description,
-    )

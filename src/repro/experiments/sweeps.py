@@ -1,4 +1,4 @@
-"""Sweep helpers shared by the per-figure experiment modules.
+"""Metric sets and the Theorem 2 label shared by the figure matrix.
 
 The metric functions are deliberately module-level ``def``s (not lambdas):
 :class:`~repro.experiments.runner.SweepRunner` pickles them into worker
@@ -7,12 +7,12 @@ processes when experiments run with ``workers > 1``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
-from repro.experiments.runner import SweepRunner
 from repro.experiments.scenario import ScenarioConfig, ScenarioResult
+from repro.metrics.evaluation import top_k_recall
 from repro.theory.theorem2 import max_detectable_bad_links
 
 MetricFn = Callable[[ScenarioResult], float]
@@ -71,6 +71,12 @@ def metric_recall_binary(result: ScenarioResult) -> float:
     return result.binary_program_detection(exact=False).recall
 
 
+def metric_topk_recall_007(result: ScenarioResult) -> float:
+    """Recall if the top-k voted links were selected instead of thresholding."""
+    ranked = [link for link, _ in result.reports[0].ranked_links]
+    return top_k_recall(ranked, result.failure_scenario.bad_links)
+
+
 # ----------------------------------------------------------------------
 # time-aware metrics (dynamic scenarios with per-epoch ground truth)
 # ----------------------------------------------------------------------
@@ -103,70 +109,6 @@ def metric_detected_fraction_007(result: ScenarioResult) -> float:
         return float("nan")
     detected = sum(1 for latency in latencies.values() if latency is not None)
     return detected / len(latencies)
-
-
-# ----------------------------------------------------------------------
-# aggregate metrics (the MultiEpochAggregator / ReportSink view)
-# ----------------------------------------------------------------------
-def metric_mean_detections_per_epoch(result: ScenarioResult) -> float:
-    """Mean links flagged per epoch (Section 8.3's operator-facing number)."""
-    return result.aggregate().detections_per_epoch()[0]
-
-
-def metric_false_alarm_fraction(result: ScenarioResult) -> float:
-    """Share of detection events naming a link not bad that epoch (truth-aware)."""
-    return result.aggregate().false_alarm_fraction()
-
-
-def aggregate_metrics() -> Dict[str, MetricFn]:
-    """Fleet-health metrics computed through the multi-epoch aggregator.
-
-    Module-level (picklable) like every other metric set, so sweeps over the
-    aggregator view parallelize across workers too.
-    """
-    return {
-        "detections_per_epoch": metric_mean_detections_per_epoch,
-        "false_alarm_fraction": metric_false_alarm_fraction,
-    }
-
-
-# ----------------------------------------------------------------------
-def average_over_trials(
-    config: ScenarioConfig,
-    metric_fns: Mapping[str, MetricFn],
-    trials: int = 3,
-    base_seed: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
-) -> Dict[str, float]:
-    """Run ``config`` ``trials`` times (different seeds) and average each metric.
-
-    ``nan`` values (e.g. accuracy when no flow crossed a failed link in a
-    trial) are ignored in the average; a metric that is ``nan`` in every trial
-    stays ``nan``.  Pass a :class:`SweepRunner` to fan the trials out over a
-    worker pool; the default serial runner produces identical results.
-    """
-    active = runner if runner is not None else SweepRunner(workers=1)
-    return active.run_trials(config, metric_fns, trials=trials, base_seed=base_seed)
-
-
-def standard_metrics(include_baselines: bool = True) -> Dict[str, MetricFn]:
-    """The metric set most figures report: accuracy + detection for 007 and baselines."""
-    metrics: Dict[str, MetricFn] = {
-        "accuracy_007": metric_accuracy_007,
-        "precision_007": metric_precision_007,
-        "recall_007": metric_recall_007,
-    }
-    if include_baselines:
-        metrics.update(
-            {
-                "accuracy_integer": metric_accuracy_integer,
-                "precision_integer": metric_precision_integer,
-                "recall_integer": metric_recall_integer,
-                "precision_binary": metric_precision_binary,
-                "recall_binary": metric_recall_binary,
-            }
-        )
-    return metrics
 
 
 def dynamic_metrics() -> Dict[str, MetricFn]:

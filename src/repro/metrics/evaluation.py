@@ -245,7 +245,7 @@ def mean_time_to_detection(
     are excluded from the mean (coverage is recall's job); when no episode
     was ever detected the mean is ``nan`` — callers aggregating across
     trials must treat ``nan`` as "no data", not as a value
-    (:func:`repro.experiments.runner.run_sweep` does).
+    (:meth:`repro.experiments.runner.SweepRunner.run_sweep` does).
     """
     latencies = [
         latency

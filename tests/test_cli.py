@@ -63,6 +63,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_experiment_names_are_the_nineteen_experiments(self):
+        (verbs,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        (name,) = [a for a in verbs.choices["experiment"]._actions if a.dest == "name"]
+        assert name.choices == sorted(
+            ["fig01", "table1", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09",
+             "fig10", "fig11", "fig12", "sec66", "sec67", "fig13", "sec72", "sec82", "sec83",
+             "ablations"]
+        )
+
     def test_theory_arguments(self):
         args = build_parser().parse_args(["theory", "--pods", "4", "--tmax", "50"])
         assert args.pods == 4 and args.tmax == 50
@@ -124,6 +137,19 @@ class TestCommands:
         assert code == 0
         assert "Theorem 1" in text
         assert "Theorem 2" in text
+
+    def test_a_measured_experiment_warns_about_workers_and_trials(self, capsys, monkeypatch):
+        from repro.experiments import figures
+        from repro.experiments.base import ExperimentResult
+
+        monkeypatch.setitem(figures.MEASURED, "table1", lambda: ExperimentResult("Table 1"))
+        out = io.StringIO()
+        assert main(["experiment", "table1", "--workers", "2", "--trials", "3"], out=out) == 0
+        assert capsys.readouterr().err == (
+            "warning: experiment 'table1' does not run sweeps; --workers ignored\n"
+            "warning: experiment 'table1' has no trial count; --trials ignored\n"
+        )
+        assert out.getvalue() == "Table 1: (no data)\n"
 
     def test_theory_single_pod_message(self):
         out = io.StringIO()

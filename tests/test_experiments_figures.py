@@ -1,40 +1,71 @@
-"""Smoke tests for the per-figure experiment modules (tiny configurations).
+"""Tests for the experiments: the figure matrix against its golden, and the
+measured experiments at tiny configurations.
 
-The full-size regenerations live in ``benchmarks/``; here we only verify that
-every experiment module runs end to end and produces rows of the expected
-shape, so the benchmark harness cannot silently rot.
+Every matrix row runs narrowed to the first value of each axis at one trial
+and must reproduce ``tests/golden/figures.json`` exactly; the golden holds
+the rows the per-figure modules produced before they became rows of
+:data:`repro.experiments.figures.FIGURES`.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments.ablations import (
-    run_adjustment_ablation,
-    run_threshold_ablation,
-    run_vote_policy_ablation,
-)
+from repro.experiments.figures import FIGURES, MEASURED, Figure, run_figure
 from repro.experiments.fig01_motivation import run_fig01
-from repro.experiments.fig03_accuracy_optimal import DEFAULT_FAILED_LINK_COUNTS, run_fig03
-from repro.experiments.fig04_detection_optimal import run_fig04
-from repro.experiments.fig05_drop_rates import run_fig05_single
-from repro.experiments.fig06_noise import run_fig06
-from repro.experiments.fig09_hot_tor import run_fig09
-from repro.experiments.fig10_detection_single import run_fig10
-from repro.experiments.fig11_link_location import run_fig11
-from repro.experiments.fig12_skewed_drop_rates import run_fig12
 from repro.experiments.fig13_testcluster_votes import run_fig13
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sec67_network_size import run_sec67
 from repro.experiments.sec72_two_links import run_sec72
 from repro.experiments.sec82_everflow_validation import run_sec82
 from repro.experiments.sec83_vm_reboots import run_sec83
 from repro.experiments.sweeps import theorem2_bound_label
 from repro.experiments.table1_icmp import run_table1
 from repro.theory.theorem2 import max_detectable_bad_links
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "figures.json").read_text())
+
+
+def narrowed(figure: Figure, **axes) -> Figure:
+    """``figure`` with the named axes replaced and every other axis cut to its
+    first value."""
+    panels = tuple(
+        replace(panel, axes={c: axes.get(c, values[:1]) for c, values in panel.axes.items()})
+        for panel in figure.panels
+    )
+    return replace(figure, panels=panels)
+
+
+def _nan_as_none(row: dict) -> dict:
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+
+
+class TestFigureMatrix:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_row_at_its_first_axis_values_matches_the_golden(self, name):
+        result = run_figure(narrowed(FIGURES[name]), trials=1)
+        assert {
+            "name": result.name,
+            "description": result.description,
+            "rows": [_nan_as_none(row) for row in result.rows()],
+        } == GOLDEN[name]
+
+    def test_the_golden_covers_every_row_and_only_the_rows(self):
+        assert set(GOLDEN) == set(FIGURES)
+        assert not set(FIGURES) & set(MEASURED)
+
+    def test_experiments_md_tables_exactly_the_registry(self):
+        text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text()
+        table = re.search(r"^\| name \| paper artifact \|.*?\n\n", text, re.M | re.S).group(0)
+        names = re.findall(r"^\| `(\w+)` \|", table, re.M)
+        assert sorted(names) == sorted([*FIGURES, *MEASURED])
+        assert len(names) == len(set(names))
 
 
 class TestSimulationFigures:
@@ -49,25 +80,18 @@ class TestSimulationFigures:
         assert ours["max_T"] <= ours["tmax"]
         assert ours["frac_T=0"] + ours["frac_0<T<=3"] + ours["frac_T>3"] == pytest.approx(1.0)
 
-    def test_fig03_accuracy_high_for_single_point(self):
-        result = run_fig03(failed_link_counts=(2,), trials=1, seed=0, include_baselines=False)
-        assert len(result.points) == 1
-        accuracy = result.points[0].metrics["accuracy_007"]
-        assert np.isnan(accuracy) or accuracy >= 0.5
-
-    def test_fig04_detection_metrics_present(self):
-        result = run_fig04(failed_link_counts=(2,), trials=1, seed=0, include_baselines=False)
-        assert {"precision_007", "recall_007"} <= set(result.points[0].metrics)
-
     def test_fig03_and_fig04_state_theorem2s_bound_and_the_k_past_it(self):
         """The bound quoted is Theorem 2's on the base fabric (k < 7.6), and
         every swept k past it is named as outside it, never as inside."""
         bound = max_detectable_bad_links(ScenarioConfig().topology_params())
-        assert theorem2_bound_label(ScenarioConfig(), DEFAULT_FAILED_LINK_COUNTS) == (
+        (panel,) = FIGURES["fig03"].panels
+        assert theorem2_bound_label(ScenarioConfig(), panel.axes["num_failed_links"]) == (
             f"Theorem 2 bound k < {bound:.1f}; k = 10, 14 outside it"
         )
-        for run in (run_fig03, run_fig04):
-            result = run(failed_link_counts=(2, 10), trials=1, seed=0, include_baselines=False)
+        stating = [name for name, figure in FIGURES.items() if figure.theorem2]
+        assert stating == ["fig03", "fig04"]
+        for name in stating:
+            result = run_figure(narrowed(FIGURES[name], num_failed_links=(2, 10)), trials=1)
             stated = re.search(r"Theorem 2 bound k < ([\d.]+); (.*)$", result.description)
             assert stated is not None, result.description
             assert float(stated.group(1)) == pytest.approx(bound, abs=0.05)
@@ -88,38 +112,6 @@ class TestSimulationFigures:
             float(stated.split()[2].rstrip(";")), abs=0.05
         )
         assert theorem2_bound_label(config, counts) == f"Theorem 2 bound {stated}"
-
-    def test_fig05_single_sweep_shape(self):
-        result = run_fig05_single(drop_rates=(5e-3,), trials=1, seed=0, include_baselines=False)
-        assert result.points[0].parameters["drop_rate"] == 5e-3
-
-    def test_fig06_noise_rows(self):
-        result = run_fig06(
-            noise_levels=(1e-6,), failed_link_counts=(1,), trials=1, seed=0, include_baselines=False
-        )
-        assert len(result.points) == 1
-
-    def test_fig09_hot_tor_rows(self):
-        result = run_fig09(skews=(0.5,), failed_link_counts=(1,), trials=1, seed=0)
-        assert result.points[0].parameters["skew"] == 0.5
-
-    def test_fig10_rows(self):
-        result = run_fig10(drop_rates=(5e-3,), trials=1, seed=0, include_baselines=False)
-        assert len(result.points) == 1
-
-    def test_fig11_locations(self):
-        result = run_fig11(drop_rates=(5e-3,), trials=1, seed=0)
-        assert len(result.points) == 4
-
-    def test_fig12_metrics_are_probabilities(self):
-        result = run_fig12(failed_link_counts=(2,), trials=1, seed=0, include_baselines=False)
-        point = result.points[0]
-        for name in ("precision_007", "recall_007", "topk_recall_007"):
-            assert 0.0 <= point.metrics[name] <= 1.0
-
-    def test_sec67_rows(self):
-        result = run_sec67(pod_counts=(2,), trials=1, seed=0, include_baselines=False, many_failures=0)
-        assert len(result.points) == 1
 
 
 class TestClusterAndProductionFigures:
@@ -149,17 +141,3 @@ class TestClusterAndProductionFigures:
             metrics["frac_detections_t1_t2"],
         ]
         assert all(0.0 <= f <= 1.0 for f in fractions)
-
-
-class TestAblations:
-    def test_vote_policy_rows(self):
-        result = run_vote_policy_ablation(trials=1, seed=0, num_bad_links=2)
-        assert {p.parameters["vote_policy"] for p in result.points} == {"inverse_hops", "unit"}
-
-    def test_threshold_rows(self):
-        result = run_threshold_ablation(thresholds=(0.01, 0.05), trials=1, seed=0, num_bad_links=2)
-        assert len(result.points) == 2
-
-    def test_adjustment_rows(self):
-        result = run_adjustment_ablation(trials=1, seed=0, num_bad_links=2)
-        assert {p.parameters["adjustment"] for p in result.points} == {"paths", "none"}

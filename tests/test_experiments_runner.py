@@ -1,8 +1,8 @@
 """Unit tests for the parallel sweep runner.
 
-The load-bearing properties: per-trial seed forking matches the serial
-``average_over_trials`` derivation bit-for-bit, and results are byte-identical
-regardless of the worker count.
+The load-bearing properties: per-trial seeds fork as ``base + 1009 * trial``,
+results are byte-identical regardless of the worker count, points keep their
+order, and ``nan`` trials are skipped in the average.
 """
 
 from __future__ import annotations
@@ -10,14 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import (
-    SweepRunner,
-    TRIAL_SEED_STRIDE,
-    fork_trial_seed,
-    run_point_sweep,
-)
+from repro.experiments.runner import SweepRunner, TRIAL_SEED_STRIDE, fork_trial_seed
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.experiments.sweeps import accuracy_metrics, average_over_trials
+from repro.experiments.sweeps import accuracy_metrics
 
 #: a deliberately tiny scenario so every test stays fast.
 TINY = dict(
@@ -45,14 +40,6 @@ class TestSeedForking:
     def test_fork_matches_historical_derivation(self):
         assert fork_trial_seed(7, 0) == 7
         assert fork_trial_seed(7, 3) == 7 + 3 * TRIAL_SEED_STRIDE
-
-    def test_run_trials_matches_serial_average_bit_for_bit(self):
-        """SweepRunner(workers=1) must equal the historical serial results."""
-        config = _config(seed=5)
-        metrics = accuracy_metrics(include_baselines=False)
-        serial = average_over_trials(config, metrics, trials=3, base_seed=5)
-        runner = SweepRunner(workers=1).run_trials(config, metrics, trials=3, base_seed=5)
-        assert serial == runner  # exact float equality, not approx
 
     def test_trials_differ_across_seeds(self):
         """Forked trials really run different scenarios (not the same seed)."""
@@ -91,51 +78,17 @@ class TestNanHandling:
         assert np.isnan(averaged["always_nan"])
 
 
-class TestRunPointSweep:
+class TestRunnerDefaults:
     def test_default_runner_is_serial(self):
-        metrics = accuracy_metrics(include_baselines=False)
-        result = run_point_sweep(
-            name="t",
-            description="",
-            points=[({}, _config())],
-            metric_fns=metrics,
-            trials=1,
-            base_seed=0,
-        )
-        expected = average_over_trials(_config(), metrics, trials=1, base_seed=0)
-        got = result.points[0].metrics
-        assert got.keys() == expected.keys()
-        for key in expected:
-            # identical bits, including the all-trials-nan case
-            assert np.array([got[key]]).tobytes() == np.array([expected[key]]).tobytes()
+        """``SweepRunner()`` and ``workers=0`` run in-process, so a lambda
+        (unpicklable) metric works, and trials see forked seeds."""
+        for runner in (SweepRunner(), SweepRunner(workers=0)):
+            assert runner.workers == 1
+            averaged = runner.run_trials(
+                _config(), {"seed": lambda result: result.config.seed}, trials=2, base_seed=0
+            )
+            assert averaged["seed"] == fork_trial_seed(0, 1) / 2
 
     def test_invalid_workers_raise(self):
         with pytest.raises(ValueError):
             SweepRunner(workers=-1)
-
-
-class TestAggregateMetrics:
-    """The aggregator-backed metric set rides the sweep runner (and pickles)."""
-
-    def test_aggregate_metrics_serial(self):
-        from repro.experiments.sweeps import aggregate_metrics
-
-        config = _config(seed=3)
-        scores = average_over_trials(config, aggregate_metrics(), trials=2)
-        assert set(scores) == {"detections_per_epoch", "false_alarm_fraction"}
-        assert scores["detections_per_epoch"] >= 0.0
-
-    def test_aggregate_metrics_parallel_matches_serial(self):
-        from repro.experiments.sweeps import aggregate_metrics
-
-        config = _config(seed=3)
-        serial = SweepRunner(workers=1).run_trials(
-            config, aggregate_metrics(), trials=2
-        )
-        parallel = SweepRunner(workers=2).run_trials(
-            config, aggregate_metrics(), trials=2
-        )
-        for key in serial:
-            assert np.array([serial[key]]).tobytes() == np.array(
-                [parallel[key]]
-            ).tobytes()

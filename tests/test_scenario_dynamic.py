@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.aggregate import MultiEpochAggregator
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.scenario import ScenarioConfig, run_scenario, run_trials
-from repro.experiments.sec66_transient import run_sec66
 from repro.netsim.script import ScenarioScript
 from repro.netsim.traffic import SkewedTraffic
 from repro.topology.elements import LinkLevel, SwitchTier
@@ -196,7 +197,13 @@ class TestRunTrialsAliasing:
 
 class TestSweepAndCliExposure:
     def test_sec66_experiment_runs(self):
-        result = run_sec66(drop_rates=(1e-2,), epochs=6, trials=1)
+        (panel,) = FIGURES["sec66"].panels
+        panel = replace(
+            panel,
+            base={**panel.base, "epochs": 6},
+            axes={**panel.axes, "flap_drop_rate": (1e-2,)},
+        )
+        result = run_figure(replace(FIGURES["sec66"], panels=(panel,)), trials=1)
         (point,) = result.points
         assert point.parameters["flap_drop_rate"] == 1e-2
         assert 0.0 <= point.metrics["mean_epoch_precision_007"] <= 1.0
