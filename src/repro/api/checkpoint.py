@@ -4,7 +4,9 @@ A :class:`Checkpoint` is a frozen snapshot of everything a
 :class:`~repro.api.service.Zero07Service` (or
 :class:`~repro.api.sharded.ShardedService`) needs to resume *bit-identically*:
 the analysis configuration, the epoch bookkeeping, and every open epoch's
-evidence records in sequence order.  Finalized epochs' reports are not
+evidence records in the order they arrived (each with its unique sequence
+number; files written before arrival order was kept hold them sorted, and
+read the same way).  Finalized epochs' reports are not
 checkpointed — they were already delivered to the report sinks; a restored
 service picks up exactly where ingestion stopped.
 
@@ -67,6 +69,7 @@ import numpy as np
 from repro.api.events import link_from_str, link_to_str, path_to_dict
 from repro.core.arrays import ItemIndex
 from repro.core.blame import BlameConfig
+from repro.core.votes import PathTooLongError, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 
@@ -86,11 +89,13 @@ _CONTAINER_VERSION = 1
 #: magic + u32 container version + u64 compressed-header length.
 _CONTAINER_HEADER = struct.Struct("<4sIQ")
 
-#: deflate level of the ``npz`` body.  A save stalls the ingest thread, and
-#: the wide columns (``seq``, ``flow``, ``sp``) barely compress at any level:
-#: level 1 writes ~4 % more bytes than numpy's fixed 6 in about a third of the
-#: time.  Readers do not care (``np.load`` inflates either).
-_BODY_DEFLATE_LEVEL = 1
+#: deflate level of the header and the ``npz`` body.  A save stalls the
+#: ingest thread, and the wide columns (``seq``, ``flow``, ``sp``) barely
+#: compress at any level: level 1 writes ~4 % more bytes than numpy's fixed 6
+#: in about a third of the time; the header (the name/link tables, ~90 KB of
+#: JSON on a 2.8k-link fabric) deflates in a fifth of level 6's time to
+#: ~8 KB more.  Readers do not care (zlib and ``np.load`` inflate either).
+_DEFLATE_LEVEL = 1
 
 
 def blame_to_dict(config: BlameConfig) -> Dict[str, Any]:
@@ -405,8 +410,9 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
     """Raise ``ValueError`` unless every epoch's columns are self-consistent.
 
     Restore and merge trust the columns (ids index tables, ``len`` delimits
-    ``hop``, sorted seqs are searched), so whatever was parsed from outside is
-    checked here once, vectorized.
+    ``hop``, seqs key the records), so whatever was parsed from outside is
+    checked here once, vectorized; a path longer than ``MAX_HOPS`` raises
+    :class:`~repro.core.votes.PathTooLongError`.
     """
     tables = {name: len(columns.names) for name in _NAME_COLUMNS}
     tables["hop"] = len(columns.links)
@@ -423,8 +429,11 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
             lens, seq = cols["len"], cols["seq"]
             if int(lens.sum()) != len(cols["hop"]) or (count and int(lens.min()) < 1):
                 raise ValueError(f"{where}: path lengths do not delimit the hops")
-            if not bool((seq[1:] > seq[:-1]).all()):
-                raise ValueError(f"{where}: record seqs are not strictly increasing")
+            if count:
+                check_hop_counts(1, int(lens.max()))
+            ordered = np.sort(seq)
+            if not bool((ordered[1:] > ordered[:-1]).all()):
+                raise ValueError(f"{where}: record seqs are not unique")
             for name, size in tables.items():
                 ids = cols[name]
                 if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
@@ -477,18 +486,33 @@ def payload_fingerprint(
     return _service_fingerprint(payload, columns)
 
 
+def _matches(seq: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(found, at)``: whether each of ``seq`` is among the unique ``keys``,
+    and where (``at`` is meaningful where ``found``); neither side need be
+    sorted."""
+    if not len(keys):
+        return np.zeros(len(seq), dtype=bool), np.zeros(len(seq), dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    at = order[np.minimum(np.searchsorted(keys, seq, sorter=order), len(keys) - 1)]
+    return keys[at] == seq, at
+
+
 def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndarray:
     """Indices of the live records a delta against ``base`` has to carry.
 
-    ``seq`` (sorted) and ``retr`` are the live epoch's columns; a record is
-    carried when its seq is new or its retransmission count was bumped since
-    the base (count updates mutate existing records in place).
+    ``seq`` and ``retr`` are the live epoch's columns; a record is carried
+    when its seq is new or its retransmission count was bumped since the
+    base (count updates mutate existing records in place).  Records keep
+    their arrival order, so the base is normally the live epoch's first rows
+    and a diff of their counts; otherwise records are matched by seq.
     """
-    base_seq = base["seq"]
-    if not len(base_seq):
-        return np.arange(len(seq))
-    at = np.minimum(np.searchsorted(base_seq, seq), len(base_seq) - 1)
-    return np.flatnonzero((base_seq[at] != seq) | (base["retr"][at] != retr))
+    base_seq, base_retr = base["seq"], base["retr"]
+    known = len(base_seq)
+    if known <= len(seq) and np.array_equal(seq[:known], base_seq):
+        bumped = np.flatnonzero(retr[:known] != base_retr)
+        return np.concatenate((bumped, np.arange(known, len(seq))))
+    found, at = _matches(seq, base_seq)
+    return np.flatnonzero(~found | (base_retr[at] != retr))
 
 
 def shard_bases(base: "Checkpoint", num_shards: int) -> List["Checkpoint"]:
@@ -593,17 +617,20 @@ def take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
 
 
 def _merge_epoch(base: EpochColumns, delta: EpochColumns) -> EpochColumns:
-    """One epoch's base records overlaid with its delta records (same tables)."""
-    both = {
-        name: np.concatenate((base[name], delta[name]))
+    """One epoch's base records overlaid with its delta records (same tables).
+
+    A delta record whose seq the base holds carries that record's bumped
+    count (a seq's path never changes); the others are new and follow the
+    base's records in the delta's order — the live epoch's arrival order.
+    """
+    found, at = _matches(delta["seq"], base["seq"])
+    fresh = take_rows(delta, np.flatnonzero(~found))
+    merged = {
+        name: np.concatenate((base[name], fresh[name]))
         for name in _EPOCH_COLUMNS
         if name != "rs"
     }
-    # changed counts replace the base record of the same seq
-    keep = np.ones(len(both["seq"]), dtype=bool)
-    keep[: len(base["seq"])] = ~np.isin(base["seq"], delta["seq"])
-    rows = np.flatnonzero(keep)
-    merged = take_rows(both, rows[np.argsort(both["seq"][rows], kind="stable")])
+    merged["retr"][at[found]] = delta["retr"][found]
     merged["rs"] = np.union1d(base["rs"], delta["rs"])
     return merged
 
@@ -791,7 +818,7 @@ class Checkpoint:
         have produced at the delta's capture time.  The delta's recorded base
         fingerprint must match this checkpoint.  A column merge: the delta's
         table ids are re-expressed in this checkpoint's tables, then each
-        epoch is a concatenation and one sort by seq — no record is decoded.
+        epoch is a concatenation keyed by seq — no record is decoded.
         """
         self.validate()
         delta.validate()
@@ -945,11 +972,11 @@ class Checkpoint:
             },
         }
         header_blob = zlib.compress(
-            json.dumps(header, sort_keys=True).encode("utf-8")
+            json.dumps(header, sort_keys=True).encode("utf-8"), _DEFLATE_LEVEL
         )
         body = io.BytesIO()
         with zipfile.ZipFile(
-            body, "w", zipfile.ZIP_DEFLATED, compresslevel=_BODY_DEFLATE_LEVEL
+            body, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
         ) as npz:  # a plain ``.npz``: one ``.npy`` member per column
             for key, col in columns.arrays.items():
                 with npz.open(f"{key}.npy", "w", force_zip64=True) as member:
@@ -996,6 +1023,8 @@ class Checkpoint:
                 ),
             )
             _validate_columns(checkpoint.payload, checkpoint.columns)
+        except PathTooLongError:
+            raise
         except Exception as exc:
             # the bytes come from outside and every layer below names damage
             # differently (zlib.error, BadZipFile, EOFError, KeyError, ...):

@@ -38,9 +38,10 @@ class PathEvidence:
 
     ``seq`` is the per-epoch discovery sequence number assigned by the
     evidence source (0, 1, 2, ... in discovery order).  Sequence numbers make
-    delivery robust: the service sorts by ``seq`` before analysing, so any
-    chunking or reordering of the stream yields the same report, and duplicate
-    deliveries (at-least-once transports) are dropped idempotently.
+    delivery robust: a flow traced more than once is bound to its highest-seq
+    path, so (votes being order-free) any chunking or reordering of the
+    stream yields the same report, and duplicate deliveries (at-least-once
+    transports) are dropped idempotently.
     """
 
     epoch: int

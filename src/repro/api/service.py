@@ -9,10 +9,10 @@ retransmission an O(1) bump — on both the dict and the array engine), and an
 any moment — including mid-epoch, before the epoch's tick arrives.  Reports
 are bit-identical to the legacy batch loop, which consumed the discovered
 paths in sequence order: the tally's rows are the record of arrival (every
-admitted path is appended, in or out of order), and an epoch whose rows are
-not in sequence order is put there by one stable argsort and one row
-permutation of the tally's own columns before a report reads it — the same
-fold order as a fresh sequence-ordered build, hence the same doubles.
+admitted path is appended, in or out of order), votes are integer units
+whose sums do not depend on that order, and a flow traced more than once is
+bound to its highest-seq record — so no report has to put the rows in
+sequence order first.
 
 Three protocols define the system boundary:
 
@@ -78,6 +78,7 @@ from repro.api.events import (
 )
 from repro.api.wire import (
     aggregate_updates,
+    bind_updates,
     bulk_admissible,
     run_columns,
     seqs_of,
@@ -85,7 +86,7 @@ from repro.api.wire import (
 from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.blame import BlameConfig
-from repro.core.votes import EMPTY_PATH, VotePolicy, VoteTally
+from repro.core.votes import VotePolicy, VoteTally, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
 
 
@@ -205,26 +206,24 @@ class _EpochState:
     """The live incremental tally of one open epoch and what it does not hold.
 
     The tally's rows are the record of arrival *and* the only holder of what
-    the analysis reads (flow id, hop ids, retransmission count): every
-    admitted path is appended to it, in sequence order or not.  Beside it the
-    service keeps, row for row, the record's sequence number (``rec_seqs``)
-    and its *identity cargo* — five-tuple, hosts, ``complete``, path epoch,
-    which only a checkpoint or ``evidence_for_epoch`` ever asks for: rows
-    ``[0, k)`` as :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the
-    service's name table (``cargo``), rows ``[k, n)`` as bare references to
-    the path objects as they arrived (``refs``), columnized the first time
-    somebody needs them and never again.
+    the analysis reads (flow id, hop ids, retransmission count, sequence
+    number): every admitted path is appended to it, in sequence order or
+    not.  Beside it the service keeps, row for row, the record's *identity
+    cargo* — five-tuple, hosts, ``complete``, path epoch, which only a
+    checkpoint or ``evidence_for_epoch`` ever asks for: rows ``[0, k)`` as
+    :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the service's name
+    table (``cargo``), rows ``[k, n)`` as bare references to the path
+    objects as they arrived (``refs``), columnized the first time somebody
+    needs them and never again.
     """
 
     __slots__ = (
-        "rec_seqs",
         "cargo",
         "refs",
         "names",
         "seqs",
         "retransmission_seqs",
         "tally",
-        "dirty",
         "last_seq",
         "max_seq",
         "pending_retransmissions",
@@ -234,9 +233,6 @@ class _EpochState:
     )
 
     def __init__(self, tally, names: ItemIndex) -> None:
-        #: the records' sequence numbers, aligned 1:1 with the tally's rows;
-        #: increasing whenever ``not dirty``.
-        self.rec_seqs: List[int] = []
         #: identity columns of the first rows; the arrays are never written
         #: in place, so checkpoints share them (and a restore's are adopted).
         self.cargo: EpochColumns = _NO_CARGO
@@ -252,9 +248,6 @@ class _EpochState:
         self.retransmission_seqs: set = set()
         #: the live tally; always holds every record, row for row.
         self.tally = tally
-        #: the rows are not in seq order (a path arrived below ``last_seq``);
-        #: the next materialization permutes them into place.
-        self.dirty = False
         #: highest *path* sequence number seen so far.
         self.last_seq = -1
         #: highest sequence number seen by *any* event kind (paths and
@@ -274,7 +267,7 @@ class _EpochState:
         self.cached_at = -1
 
     def bump_flow(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to the flow's latest-arrived record.
+        """Add ``extra`` retransmissions to the flow's highest-seq record.
 
         Buffered in ``pending_retransmissions`` while the flow has no path.
         """
@@ -296,18 +289,6 @@ class _EpochState:
             }
             self.refs = []
         return self.cargo
-
-    def in_seq_order(self) -> None:
-        """Permute records and tally rows into sequence order (if dirty)."""
-        if not self.dirty:
-            return
-        order = np.argsort(np.array(self.rec_seqs, dtype=np.int64), kind="stable")
-        self.rec_seqs = list(map(self.rec_seqs.__getitem__, order.tolist()))
-        self.cargo = {
-            name: col[order] for name, col in self.identity_columns().items()
-        }
-        self.tally = self.tally.reordered(order)
-        self.dirty = False
 
 
 def iter_evidence_runs(events: List[Evidence]):
@@ -466,7 +447,8 @@ class Zero07Service:
         if state is None:
             return []
         tables = CheckpointColumns({}, self._names.items, self._link_index.items)
-        return list(zip(*decode_paths(self._epoch_columns(state), tables)))
+        records = zip(*decode_paths(self._epoch_columns(state), tables))
+        return sorted(records, key=operator.itemgetter(0))
 
     # ------------------------------------------------------------------
     # ingestion
@@ -591,8 +573,8 @@ class Zero07Service:
 
     def _ingest_path(self, event: PathEvidence) -> None:
         path = event.path
-        if not path.links:  # before the seq is marked seen
-            raise ValueError(EMPTY_PATH)
+        # before the seq is marked seen
+        check_hop_counts(len(path.links), len(path.links))
         if self._is_late(event.epoch):
             return
         self._seen_epoch(event.epoch)
@@ -605,16 +587,14 @@ class Zero07Service:
             state.max_seq = event.seq
         # a buffered count goes to its flow's first arriving path
         pending = state.pending_retransmissions.pop(path.flow_id, 0)
-        state.rec_seqs.append(event.seq)
         state.refs.append(path)
         state.tally.add_flow(
-            path.flow_id, path.links, path.retransmissions + pending
+            path.flow_id, path.links, path.retransmissions + pending, event.seq
         )
         if event.seq > state.last_seq:
             state.last_seq = event.seq
         else:  # a path below the running highest path seq: out of order
             self.stats.out_of_order_events += 1
-            state.dirty = True
         state.mutations += 1
         self.stats.paths_ingested += 1
 
@@ -669,8 +649,8 @@ class Zero07Service:
         order (integer sums commute; the tally rows end in exactly the same
         state).  A run stays on this path whether it extends
         the epoch, lands below the watermark (late but disjoint from
-        everything seen: appended in arrival order, the rows permuted into
-        sequence order at the next report) or redelivers only seen sequence
+        everything seen: appended in arrival order, which no report minds)
+        or redelivers only seen sequence
         numbers (dropped with one set test); runs shorter than 8 events and
         genuinely mixed ones — partial duplicates, in-run reordering, a flow
         re-traced after its update, exotic kinds — replay per event, and the
@@ -697,7 +677,11 @@ class Zero07Service:
             if not bulk_admissible(
                 seqs,
                 state.max_seq,
-                map(operator.attrgetter("links"), paths),
+                np.fromiter(
+                    map(len, map(operator.attrgetter("links"), paths)),
+                    dtype=np.int64,
+                    count=len(paths),
+                ),
                 map(operator.attrgetter("flow_id"), paths),
                 path_seqs,
                 upd_flows,
@@ -715,9 +699,8 @@ class Zero07Service:
 
         if paths:
             first_row = state.tally.num_flows
-            state.rec_seqs.extend(path_seqs)
             state.refs.extend(paths)
-            state.tally.add_flows(paths)
+            state.tally.add_flows(paths, path_seqs)
             pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
                 rows, extras = [], []
@@ -733,25 +716,17 @@ class Zero07Service:
                 self.stats.out_of_order_events += bisect_left(
                     path_seqs, state.last_seq
                 )
-                state.dirty = True
             state.last_seq = max(state.last_seq, path_seqs[-1])
             state.mutations += 1
             self.stats.paths_ingested += len(paths)
 
         if upd_flows:
-            flow_list, extras = aggregate_updates(upd_flows, upd_counts)
-            rows = list(map(state.tally.row_of_flow, flow_list))
-            if None in rows:  # some flows' paths have not arrived: buffer them
-                pending = state.pending_retransmissions
-                known_rows: List[int] = []
-                known_extras: List[int] = []
-                for flow_id, row, extra in zip(flow_list, rows, extras):
-                    if row is None:
-                        pending[flow_id] = pending.get(flow_id, 0) + extra
-                    else:
-                        known_rows.append(row)
-                        known_extras.append(extra)
-                rows, extras = known_rows, known_extras
+            # flows whose paths have not arrived are buffered
+            rows, extras = bind_updates(
+                state.tally,
+                *aggregate_updates(upd_flows, upd_counts),
+                state.pending_retransmissions,
+            )
             state.tally.bump_rows(rows, extras)
             if rows:
                 state.mutations += 1
@@ -760,8 +735,7 @@ class Zero07Service:
 
         state.seqs.update(seqs.tolist())
         state.max_seq = max(state.max_seq, int(seqs[-1]))
-        if len(run) >= _EAGER_FOLD_EVENTS and self.engine == "arrays" and not state.dirty:
-            # rows out of sequence order are rebuilt by the next report anyway
+        if len(run) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
             state.tally.votes_array()
 
     def _ingest_tick(self, event: EpochTick) -> None:
@@ -791,7 +765,6 @@ class Zero07Service:
         if state is None:
             tally = self._new_tally()
         else:
-            state.in_seq_order()
             # Mid-epoch reports snapshot the tally so later ingests cannot
             # mutate an already-returned report; the final report owns the
             # live tally (no copy) since the epoch's state is dropped.  A
@@ -885,10 +858,11 @@ class Zero07Service:
         restoring.  Without ``base`` the checkpoint is full and directly
         restorable.
 
-        Flow ids, counts and hops are copied out of the tally's buffers and
-        each record's identity is columnized at most once in the service's
-        life (by the first checkpoint, permutation or ``evidence_for_epoch``
-        that meets it), so a delta capture costs O(new records).  The
+        Records are kept in arrival order.  Flow ids, counts, seqs and hops
+        are copied out of the tally's buffers and each record's identity is
+        columnized at most once in the service's life (by the first
+        checkpoint or ``evidence_for_epoch`` that meets it), so a delta
+        capture costs O(new records).  The
         returned columns are copies or arrays nobody writes again: later
         ingests never show through a checkpoint already taken.
         """
@@ -959,17 +933,17 @@ class Zero07Service:
 
     def _epoch_columns(self, state: _EpochState) -> EpochColumns:
         """One open epoch as checkpoint columns over the service's name table
-        and link index, rows in sequence order (put there first if need be).
+        and link index, rows in arrival order.
 
-        ``flow``/``retr``/``hop`` may be views of the tally's live buffers and
-        the identity columns are the state's own: copy before keeping.
+        ``seq``/``flow``/``retr``/``hop`` may be views of the tally's live
+        buffers and the identity columns are the state's own: copy before
+        keeping.
         """
-        state.in_seq_order()
-        flows, counts, lengths, hops = state.tally.record_columns()
+        flows, counts, lengths, hops, seqs = state.tally.record_columns()
         if self.engine != "arrays":  # the dict oracle holds link objects
             hops = self._link_index.fast_ids(hops)
         cols = dict(state.identity_columns())
-        cols["seq"] = np.array(state.rec_seqs, dtype=np.int64)
+        cols["seq"] = np.asarray(seqs, dtype=np.int64)
         cols["flow"] = np.asarray(flows, dtype=np.int64)
         cols["retr"] = np.asarray(counts, dtype=np.int64)
         cols["len"] = np.asarray(lengths, dtype=np.int64)
@@ -985,29 +959,28 @@ class Zero07Service:
     ) -> None:
         """Seed one open epoch's state straight from its checkpoint columns.
 
-        Checkpoints store an epoch's records already sorted by (unique)
-        sequence number, so the incremental tally can be folded in one bulk
-        pass — state-identical to replaying every record through
-        :meth:`ingest` (same fold order, same floats), at a fraction of the
-        cost — and the identity columns are adopted as they are: ``columns``'
-        name table is this service's, and ``link_ids[i]`` is the index id of
-        ``columns.links[i]``.  No path object is built.
+        The records (unique sequence numbers, in the order they arrived, or
+        sorted in older files) are folded in one bulk pass — state-identical
+        to replaying every record through :meth:`ingest`, at a fraction of
+        the cost — and the identity columns are adopted as they are:
+        ``columns``' name table is this service's, and ``link_ids[i]`` is the
+        index id of ``columns.links[i]``.  No path object is built.
         """
         epoch = int(entry["epoch"])
         cols = epoch_columns(entry, columns)
-        seqs = cols["seq"].tolist()
+        seqs = cols["seq"]
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        state.rec_seqs = seqs
         state.cargo = {name: cols[name] for name in IDENTITY_COLUMNS}
-        state.seqs = set(seqs)
-        if seqs:
+        state.seqs = set(seqs.tolist())
+        if len(seqs):
             hops = link_ids[cols["hop"]]
             if self.engine != "arrays":  # the dict oracle folds link objects
                 hops = list(map(self._link_index.link_of, hops.tolist()))
-            state.tally.add_columns(hops, cols["len"], cols["flow"], cols["retr"])
-            state.last_seq = seqs[-1]
-            state.max_seq = seqs[-1]
+            state.tally.add_columns(
+                hops, cols["len"], cols["flow"], cols["retr"], seqs
+            )
+            state.last_seq = state.max_seq = int(seqs.max())
         self.stats.paths_ingested += len(seqs)
         for flow, count in entry["pending_retransmissions"].items():
             # exactly a seq-less buffered update through live ingest
@@ -1028,8 +1001,8 @@ class Zero07Service:
     ) -> "Zero07Service":
         """Rebuild a service from a :class:`Checkpoint`.
 
-        The open epochs' tallies are re-folded from the checkpoint's columns
-        in sequence order, so every subsequent :meth:`report` is bit-identical
+        The open epochs' tallies are re-folded from the checkpoint's columns,
+        so every subsequent :meth:`report` is bit-identical
         to what the checkpointed service would have produced; no record is
         decoded into a path object.  Works for both serializations (v1 JSON
         and v2 binary); delta checkpoints must be applied to their base

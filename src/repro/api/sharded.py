@@ -14,9 +14,7 @@ Where the shards *run* is pluggable (:mod:`repro.api.executor`):
 
 * ``backend="inline"`` (default) — every shard in this process, the original
   serial behavior and the correctness oracle.  Merged reports **replay** the
-  shards' evidence in global sequence order through a fresh analysis;
-  summing per-shard float tallies would fold votes in a different order and
-  drift by ULPs.
+  shards' evidence in global sequence order through a fresh analysis.
 * ``backend="process"`` — shards hosted by worker processes behind the
   binary evidence transport of :mod:`repro.api.wire`.  Bulk ingest then
   costs the coordinator only routing + encoding (workers tally off the

@@ -16,14 +16,14 @@ vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
 
 * :class:`EvidenceColumnStore` — the coordinator-side accumulator behind
   parallel finalize.  As the sharded facade routes bulk runs to workers it
-  folds the same runs, in **global sequence order**, into one
-  :class:`~repro.core.arrays.ArrayVoteTally` per open epoch — the very class
-  (and the very incremental fold) an unsharded service uses — so a merged
-  epoch tally is a snapshot of it: no worker round-trip, no per-path replay,
-  bit-identical to the replay an inline deployment performs.  Any delivery
-  the bulk path cannot prove clean (reordering, duplicates, pending buffers,
-  per-event ingest) marks the epoch *dirty* and the facade falls back to
-  gather-and-replay, which remains the correctness oracle.
+  folds the same runs into one :class:`~repro.core.arrays.ArrayVoteTally`
+  per open epoch — the very class (and the very incremental fold) an
+  unsharded service uses — so a merged epoch tally is a snapshot of it: no
+  worker round-trip, no per-path replay, bit-identical to the replay an
+  inline deployment performs.  Any delivery the bulk path cannot prove
+  clean (reordering, duplicates, pending buffers, per-event ingest) marks
+  the epoch *dirty* and the facade falls back to gather-and-replay, which
+  remains the correctness oracle.
 
 The proofs that make a run safe to fold in bulk (:func:`bulk_admissible`) and
 the per-flow aggregation of its count updates (:func:`aggregate_updates`) are
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.api.events import Evidence, PathEvidence, RetransmissionEvidence
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
-from repro.core.votes import EMPTY_PATH, VotePolicy
+from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -402,9 +402,10 @@ class WireDecoder:
     def decode_columns(self, data) -> WireRun:
         """Decode one message into a :class:`WireRun` of raw columns.
 
-        Validates the header and folds the message's table deltas into the
-        stream state, but builds no event objects — column views over the
-        input buffer only.  The returned run keeps ``data`` alive.
+        Validates the header and the hop counts (``PathTooLongError``), then
+        folds the message's table deltas into the stream state, but builds
+        no event objects — column views over the input buffer only.  The
+        returned run keeps ``data`` alive.
         """
         data = memoryview(data)
         (
@@ -423,14 +424,8 @@ class WireDecoder:
         ) = _HEADER.unpack_from(data, 0)
         if magic != WIRE_MAGIC:
             raise WireProtocolError(f"bad magic {magic!r}")
-        offset = _HEADER.size
-        self._extend_tables(
-            link_lo,
-            bytes(data[offset : offset + links_len]),
-            name_lo,
-            bytes(data[offset + links_len : offset + links_len + names_len]),
-        )
-        offset += links_len + names_len
+        blobs = _HEADER.size
+        offset = blobs + links_len + names_len
 
         run = WireRun()
         run.shard = shard
@@ -466,6 +461,14 @@ class WireDecoder:
         n_updates = n_events - n_paths
         run.upd_flows = column(np.int64, n_updates)
         run.upd_counts = column(np.int64, n_updates)
+        if n_paths and int(run.lengths.max()) > MAX_HOPS:
+            raise PathTooLongError(int(run.lengths.max()))
+        self._extend_tables(
+            link_lo,
+            bytes(data[blobs : blobs + links_len]),
+            name_lo,
+            bytes(data[blobs + links_len : blobs + links_len + names_len]),
+        )
         return run
 
     def decode(
@@ -534,7 +537,7 @@ def run_columns(run: Sequence[Evidence], seqs: np.ndarray):
 def bulk_admissible(
     seqs: np.ndarray,
     max_seq: int,
-    hops: Iterable,
+    lengths: np.ndarray,
     path_flows: Iterable[int],
     path_seqs: Iterable[int],
     upd_flows: Sequence[int],
@@ -551,13 +554,13 @@ def bulk_admissible(
     test against ``seen``, the epoch's seen sequence numbers, when the caller
     keeps them (without ``seen`` a late run is never admissible) — and (b) no
     updated flow is traced *again* later in the run (per-event would bump the
-    earlier record, bulk the final one).  ``hops`` holds one entry per path,
-    falsy for a path without known links (link lists or hop counts both
-    work); such a run is malformed for every ingest path, so it raises
-    ``ValueError`` here, before the caller has touched any state.
+    earlier record, bulk the final one).  ``lengths`` holds each path's hop
+    count; a path without links or with too many is malformed for every
+    ingest path, so it raises here (:func:`~repro.core.votes.check_hop_counts`),
+    before the caller has touched any state.
     """
-    if not all(hops):
-        raise ValueError(EMPTY_PATH)
+    if len(lengths):
+        check_hop_counts(int(lengths.min()), int(lengths.max()))
     first = int(seqs[0])
     if first < 0:  # a seq-less update leads the run (see seqs_of)
         return False
@@ -588,6 +591,21 @@ def aggregate_updates(
     return unique_flows.tolist(), totals.astype(np.int64).tolist()
 
 
+def bind_updates(
+    tally, flows: List[int], extras: List[int], unbound: Dict[int, int]
+) -> Tuple[List[int], List[int]]:
+    """The tally rows :func:`aggregate_updates`' totals bump, and those
+    totals; a flow the tally holds no row of adds its total to ``unbound``."""
+    rows = list(map(tally.flow_rows().get, flows))
+    if None not in rows:
+        return rows, extras
+    for flow, row, extra in zip(flows, rows, extras):
+        if row is None:
+            unbound[flow] = unbound.get(flow, 0) + extra
+    known = [i for i, row in enumerate(rows) if row is not None]
+    return [rows[i] for i in known], [extras[i] for i in known]
+
+
 # ----------------------------------------------------------------------
 # coordinator-side merged tallies
 # ----------------------------------------------------------------------
@@ -597,7 +615,8 @@ class TallyLane:
     The store keeps one per open epoch — the rows from the epoch's start on.
     A *side* lane (:meth:`EvidenceColumnStore.open_lane`) takes a stretch that
     arrives before the rows preceding it, so its fold is paid on arrival too,
-    and joins them once they are in (:meth:`EvidenceColumnStore.join`).
+    and joins the epoch's rows later, in any order
+    (:meth:`EvidenceColumnStore.join`).
     """
 
     __slots__ = ("tally", "first_seq", "max_seq", "waiting", "clean")
@@ -617,13 +636,14 @@ class EvidenceColumnStore:
     """Folds merged epoch tallies as bulk runs stream through the facade.
 
     The facade appends each committed bulk stretch *before* partitioning it to
-    workers, so the rows land in exactly the global sequence order an
-    unsharded service would fold them in — which is the whole bit-identity
-    argument behind :meth:`build_tally`.  Anything the bulk path cannot prove
-    ordered and duplicate-free (sequence regressions, pending buffers,
-    per-event ingestion, restores) marks the epoch dirty, and
-    :meth:`build_tally` returns ``None`` so the caller replays gathered
-    evidence instead — the two paths agree bit-for-bit whenever both apply.
+    workers; integer vote units make the fold order-free, so the merged tally
+    is bit-identical to an unsharded service's over the same evidence —
+    which is the whole argument behind :meth:`build_tally`.  Anything the
+    bulk path cannot prove duplicate-free and bound like the per-event path
+    (sequence regressions, pending buffers, per-event ingestion, restores)
+    marks the epoch dirty, and :meth:`build_tally` returns ``None`` so the
+    caller replays gathered evidence instead — the two paths agree
+    bit-for-bit whenever both apply.
     """
 
     def __init__(
@@ -662,7 +682,7 @@ class EvidenceColumnStore:
         epoch: int,
         side: Optional[TallyLane],
         seqs: np.ndarray,
-        hops: Iterable,
+        lengths: np.ndarray,
         path_flows: Iterable[int],
         path_seqs: Iterable[int],
         upd_flows: Sequence[int],
@@ -686,31 +706,26 @@ class EvidenceColumnStore:
         tally = lane.tally
         try:
             lane.clean = bulk_admissible(
-                seqs, lane.max_seq, hops, path_flows, path_seqs, upd_flows, upd_seqs
+                seqs, lane.max_seq, lengths, path_flows, path_seqs, upd_flows, upd_seqs
             )
         except ValueError:
-            # an empty path: the shard service raises on it, and whatever
-            # state survives that is per-event territory.
+            # a path no vote can be cast from: the shard service raises on
+            # it, and whatever state survives that is per-event territory.
             lane.clean = False
         if lane.clean:
             add_paths(tally)
-            rows, extras = [], []
-            for flow, extra in zip(*aggregate_updates(upd_flows, upd_counts)):
-                row = tally.row_of_flow(flow)
-                if row is not None:
-                    rows.append(row)
-                    extras.append(extra)
-                elif side:  # its row is before the lane: the join binds it
-                    side.waiting[flow] = side.waiting.get(flow, 0) + extra
-                else:
-                    # a flow the columns never saw — only possible if the
-                    # facade routed through older per-event state; replay.
-                    lane.clean = False
-            tally.bump_rows(rows, extras)
+            # updated flows without rows wait on the lane: a side lane's are
+            # before it (the join binds them); the epoch's own lane never saw
+            # them (the facade routed through older per-event state): replay.
+            rows, extras = bind_updates(
+                tally, *aggregate_updates(upd_flows, upd_counts), lane.waiting
+            )
+            lane.clean = side is not None or not lane.waiting
         if not lane.clean:
             if not side:
                 self.mark_dirty(epoch)
             return
+        tally.bump_rows(rows, extras)
         tally.votes_array()
         if lane.first_seq < 0:
             lane.first_seq = int(seqs[0])
@@ -736,13 +751,17 @@ class EvidenceColumnStore:
             epoch,
             None,
             seqs,
-            map(operator.attrgetter("links"), paths),
+            np.fromiter(
+                map(len, map(operator.attrgetter("links"), paths)),
+                dtype=np.int64,
+                count=len(paths),
+            ),
             map(operator.attrgetter("flow_id"), paths),
             path_seqs,
             upd_flows,
             upd_seqs,
             upd_counts,
-            lambda tally: tally.add_flows(paths),
+            lambda tally: tally.add_flows(paths, path_seqs),
         )
 
     def append_columns(
@@ -756,51 +775,61 @@ class EvidenceColumnStore:
         objects are ever built.  With ``lane``, a side lane of this store,
         the run continues that lane instead of the epoch's own rows.
         """
+        path_seqs = run.path_seqs()
         self._admit(
             epoch,
             lane,
             run.seqs,
-            run.lengths.tolist(),
+            run.lengths,
             run.flow_ids.tolist(),
-            run.path_seqs().tolist(),
+            path_seqs.tolist(),
             run.upd_flows.tolist(),
             run.update_seqs().tolist(),
             run.upd_counts,
             lambda tally: tally.add_columns(
-                link_ids, run.lengths, run.flow_ids, run.retrans
+                link_ids, run.lengths, run.flow_ids, run.retrans, path_seqs
             ),
         )
 
     def join(self, epoch: int, lane: TallyLane) -> None:
-        """Append a side lane's rows after the epoch's own, which precede them.
+        """Add a side lane's rows to the epoch's own, in whatever order the
+        lanes come.
 
-        The lane's waiting count updates bind to those earlier rows, then the
-        tallies merge by :meth:`ArrayVoteTally.extend` — the same doubles as
-        folding the stretches in sequence order.  A lane that overlaps the
-        rows before it, holds an unproven run or waits on a flow nobody
-        traced marks the epoch dirty instead.
+        The lane's waiting count updates bind to the epoch's rows, then the
+        tallies merge by :meth:`ArrayVoteTally.extend`, which adds the
+        lane's votes and support.  A lane that shares a sequence number
+        with the epoch's rows, holds an unproven run or waits on a flow
+        nobody traced marks the epoch dirty instead.
         """
         if epoch in self._dirty:
             return
         own = self._own_lane(epoch)
-        rows = list(map(own.tally.row_of_flow, lane.waiting))
-        if not lane.clean or lane.first_seq <= own.max_seq or None in rows:
+        rows = list(map(own.tally.flow_rows().get, lane.waiting))
+        seqs = own.tally.seqs_array()
+        if (
+            not lane.clean
+            or None in rows
+            or (
+                lane.first_seq <= own.max_seq
+                and bool(((seqs >= lane.first_seq) & (seqs <= lane.max_seq)).any())
+            )
+        ):
             self.mark_dirty(epoch)
             return
         own.tally.bump_rows(rows, list(lane.waiting.values()))
         own.tally.extend(lane.tally)
-        own.max_seq = lane.max_seq
+        own.max_seq = max(own.max_seq, lane.max_seq)
 
     # ------------------------------------------------------------------
     def build_tally(self, epoch: int, final: bool = False) -> Optional[ArrayVoteTally]:
         """The epoch's merged tally, or ``None`` when replay is required.
 
-        Bit-identical to replaying the epoch's evidence in global sequence
-        order through a fresh :class:`ArrayVoteTally` — it *is* such a tally,
-        fed run by run in that order — and independent of later appends (a
-        snapshot; an empty tally for an epoch the store never saw).  The
-        ``final`` build hands over the live tally itself and forgets the
-        epoch: nothing is appended to a closed epoch, so nothing is copied.
+        Reports from it are bit-identical to replaying the epoch's evidence
+        through a fresh :class:`ArrayVoteTally` — it *is* such a tally, fed
+        run by run — and it is independent of later appends (a snapshot; an
+        empty tally for an epoch the store never saw).  The ``final`` build
+        hands over the live tally itself and forgets the epoch: nothing is
+        appended to a closed epoch, so nothing is copied.
         """
         if epoch in self._dirty:
             return None

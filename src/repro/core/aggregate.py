@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.analysis import EpochReport
 from repro.core.arrays import LinkIndex
+from repro.core.votes import VOTE_UNITS
 from repro.netsim.failures import FailureScenario
 from repro.topology.elements import DirectedLink, LinkLevel
 from repro.topology.topology import Topology
@@ -156,7 +157,7 @@ class MultiEpochAggregator:
             table = self._translate(tally.index)
             voted = tally.voted_ids()
             ids = table[voted]
-            votes = tally.votes_array()[voted]
+            votes = tally.votes_array()[voted] / VOTE_UNITS
             self._epochs_voted[ids] += 1
             self._total_votes[ids] += votes
             self._max_votes[ids] = np.maximum(self._max_votes[ids], votes)

@@ -183,18 +183,15 @@ def _per_flow_arrays(
     )
 
     noise = classify_noise_flows_arrays(tally, detected_links)
-    if attribute_noise_flows:
-        rows = np.arange(tally.num_flows, dtype=np.int64)
-    elif noise.failure_flows:
-        # membership by flow id, not by per-row failure mask: a flow id
-        # appearing in several rows keeps every one of its rows (and thus
-        # the same last-row-wins cause) exactly like the dict engine.
+    # a flow traced more than once is attributed on its bound row, like the
+    # dict engine
+    bound = tally.flow_rows() if attribute_noise_flows or noise.failure_flows else {}
+    rows = np.fromiter(bound.values(), dtype=np.int64, count=len(bound))
+    if not attribute_noise_flows and len(rows):
         failure_ids = np.fromiter(
             noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
         )
-        rows = np.flatnonzero(np.isin(tally.flow_ids_array(), failure_ids))
-    else:
-        rows = np.empty(0, dtype=np.int64)
+        rows = rows[np.isin(tally.flow_ids_array()[rows], failure_ids)]
     return noise, attribute_flow_causes_arrays(tally, rows, sort_ranks)
 
 
@@ -270,42 +267,33 @@ class AnalysisAgent:
 
         tally = VoteTally(policy=self._vote_policy)
         tally.add_discovered_paths(paths)
-        return self._analyze_dict_tally(epoch, tally, list(paths))
+        return self._analyze_dict_tally(epoch, tally)
 
-    def analyze_tally(
-        self,
-        epoch: int,
-        tally,
-        paths: Optional[Sequence[DiscoveredPath]] = None,
-    ) -> EpochReport:
+    def analyze_tally(self, epoch: int, tally) -> EpochReport:
         """Materialize a report from an *externally accumulated* tally.
 
         This is the streaming entry point: the 007 service grows a tally
         incrementally as evidence arrives and materializes reports on demand
         (including mid-epoch) by handing the tally here.  Array-backed tallies
         are dispatched to the vectorized path regardless of this agent's
-        ``engine`` setting; dict tallies need ``paths`` — the discovered paths
-        behind the tally, in contribution order (defaults to the tally's own
-        contribution records, which carry the same flow ids, links and
-        retransmission counts).
+        ``engine`` setting.
         """
         if hasattr(tally, "votes_array"):
             return self._analyze_array_tally(epoch, tally)
-        if paths is None:
-            paths = tally.contributions
-        return self._analyze_dict_tally(epoch, tally, paths)
+        return self._analyze_dict_tally(epoch, tally)
 
-    def _analyze_dict_tally(
-        self, epoch: int, tally: VoteTally, paths: Sequence
-    ) -> EpochReport:
+    def _analyze_dict_tally(self, epoch: int, tally: VoteTally) -> EpochReport:
         """The reference (pure-Python) epoch analysis over a built tally."""
+        paths = tally.contributions
         blame = find_problematic_links(tally, self._blame_config)
         noise = classify_noise_flows(paths, blame.detected_links)
 
-        if self._attribute_noise_flows:
-            attributable = list(paths)
-        else:
-            attributable = [p for p in paths if p.flow_id in noise.failure_flows]
+        # one path per flow: the contribution the flow is bound to
+        attributable = [
+            paths[row]
+            for flow, row in tally.flow_rows().items()
+            if self._attribute_noise_flows or flow in noise.failure_flows
+        ]
         flow_causes = attribute_flow_causes(tally, attributable)
 
         return EpochReport(

@@ -9,36 +9,42 @@ its vectorized twin:
 * :class:`ItemIndex` / :class:`LinkIndex` intern hashable items (links, switch
   names) to dense integer ids so per-link state lives in flat arrays;
 * :class:`ArrayVoteTally` stores an epoch's discovered paths as a CSR matrix
-  (``indptr``/``cols``/``weights``) in one set of grown numpy buffers and
-  folds the vote tally *and* the per-link distinct-flow support
+  (``indptr``/``cols``, one row per flow) in one set of grown numpy buffers
+  and folds the vote tally *and* the per-link distinct-flow support
   incrementally over the rows appended since the last query;
 * :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax + one
-  ``numpy.subtract.at`` over the hit rows' hops per detection, clamped at zero
-  afterwards, instead of re-scanning contribution lists;
+  ``numpy.subtract.at`` over the hit rows' hops per detection instead of
+  re-scanning contribution lists;
 * helpers vectorize ranking, per-flow culprit attribution and noise
   classification over the same matrix.
 
-Every function is bit-compatible with the dict engine: votes are accumulated in
-the same traversal order (an unbuffered ``numpy.add.at`` adds weights per
-occurrence, left to right, exactly like the dict fold), totals are summed in
-first-seen link order, ties break on the same lexicographic link ordering, and
-one clamp per detection equals a clamp per subtraction (:func:`blame_kernel`)
-— so the two engines produce identical detections, rankings, flow causes and
-thresholds, and the dict engine remains the reference oracle in the
-equivalence tests.
+Both engines count votes in integer units of ``1/VOTE_UNITS``
+(:mod:`repro.core.votes`), which float64 holds exactly: a fold is one
+``bincount`` whose result does not depend on the order, partition or
+chunking of the rows, Algorithm 1 compares units with the threshold, and
+votes are divided by ``VOTE_UNITS`` only where a report shows them.  Ties
+break on the same lexicographic link ordering in both engines, so they
+produce identical detections, rankings, flow causes and thresholds, and the
+dict engine remains the reference oracle in the equivalence tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.blame import BlameConfig, BlameResult
 from repro.core.noise import NoiseClassification
-from repro.core.votes import EMPTY_PATH, VoteContribution, VotePolicy
+from repro.core.votes import (
+    MAX_HOPS,
+    VOTE_UNITS,
+    VoteContribution,
+    VotePolicy,
+    check_hop_counts,
+)
 from repro.discovery.agent import DiscoveredPath
 from repro.topology.elements import DirectedLink
 
@@ -170,9 +176,10 @@ class LinkIndex(ItemIndex):
         return self._items
 
 
-#: hops per block of ``add_columns``' first-vote scan: small enough that what
-#: the first blocks mark as voted already screens most of the later ones.
-_FIRST_VOTE_BLOCK = 4096
+#: ``[h]``: the vote per link of an ``h``-hop path, in units (index 0 unused).
+_UNITS_BY_HOPS = np.array(
+    [0.0] + [float(VOTE_UNITS // hops) for hops in range(1, MAX_HOPS + 1)]
+)
 
 
 def _link_table(labels: Sequence, ids: np.ndarray, values: np.ndarray):
@@ -199,16 +206,15 @@ class ArrayVoteTally:
     Paths are stored as a CSR matrix over a :class:`LinkIndex`, in one set of
     geometrically grown numpy buffers that every entry point writes directly:
     ``cols`` holds the interned link ids of every path back to back,
-    ``indptr`` delimits the rows (flows), ``weights`` holds each flow's
-    per-link vote value, ``flow_ids``/``retransmissions`` its bookkeeping.
-    The vote tally and the per-link distinct-flow support are an incrementally
-    maintained materialized view: each query folds only the rows appended
-    since the last query into running accumulators (an unbuffered
-    ``np.add.at`` applies the new votes per occurrence, left to right — the
-    very fold one ``bincount`` over the whole epoch performs, so the floats
-    are bit-identical to a from-scratch build and to the dict engine).
+    ``indptr`` delimits the rows (flows), ``flow_ids``/``retransmissions``/
+    ``seqs`` hold each row's bookkeeping (a row's vote follows from its
+    length).  The vote tally and the per-link distinct-flow support are an
+    incrementally maintained materialized view: each query folds only the
+    rows appended since the last query into running accumulators, with one
+    ``bincount`` of integer vote units — exact, however the rows were cut
+    into folds, ordered or split between tallies (:meth:`extend`).
     Mid-epoch queries therefore cost O(rows touched since the last query),
-    not O(epoch).
+    not O(epoch).  Flows are bound as in :class:`~repro.core.votes.VoteTally`.
     """
 
     def __init__(
@@ -226,20 +232,15 @@ class ArrayVoteTally:
         self._hops = 0
         self._cols = np.empty(0, dtype=np.int64)
         self._indptr = np.zeros(1, dtype=np.int64)
-        self._weights = np.empty(0, dtype=np.float64)
         self._flow_ids = np.empty(0, dtype=np.int64)
         self._retransmissions = np.empty(0, dtype=np.int64)
-        #: flow id -> latest row over the first ``_mapped`` rows; the rest is
-        #: caught up when next asked for (a snapshot starts from none).
+        self._seqs = np.empty(0, dtype=np.int64)
+        #: flow id -> bound row over the first ``_mapped`` rows (highest seq
+        #: ``_top_seq``); the rest is caught up when next asked for (a
+        #: snapshot starts from none).
         self._row_by_flow: Dict[int, int] = {}
         self._mapped = 0
-        self._first_seen: List[int] = []  # voted link ids, first-vote order
-        self._voted: set = set()
-        #: ``_first_seen`` as an id array and as a mask over link ids, each
-        #: caught up when next asked for (the mask holds ``_masked`` entries).
-        self._voted_ids = np.empty(0, dtype=np.int64)
-        self._voted_mask = np.zeros(0, dtype=bool)
-        self._masked = 0
+        self._top_seq = -1
         # The materialized view: running vote/support accumulators holding
         # the first ``_folded_rows`` rows.
         self._folded_rows = 0
@@ -261,45 +262,45 @@ class ArrayVoteTally:
         """Make room for ``rows`` rows and ``hops`` hops in total."""
         if hops > len(self._cols):
             self._cols = _grown(self._cols, self._hops, hops)
-        if rows > len(self._weights):
+        if rows > len(self._flow_ids):
             used = self._rows
             self._indptr = _grown(self._indptr, used + 1, rows, slack=1)
-            self._weights = _grown(self._weights, used, rows)
             self._flow_ids = _grown(self._flow_ids, used, rows)
             self._retransmissions = _grown(self._retransmissions, used, rows)
+            self._seqs = _grown(self._seqs, used, rows)
+
+    def _units(self, lengths: np.ndarray) -> np.ndarray:
+        """Each row's vote per link in units (float64), from its hop count."""
+        if self._policy == "unit":
+            return np.full(len(lengths), float(VOTE_UNITS))
+        return _UNITS_BY_HOPS[lengths]
 
     def add_flow(
         self,
         flow_id: int,
         links: Sequence[DirectedLink],
         retransmissions: int = 1,
+        seq: Optional[int] = None,
     ) -> VoteContribution:
-        """Record the votes of one flow that suffered retransmissions."""
-        if not links:
-            raise ValueError(EMPTY_PATH)
-        weight = 1.0 if self._policy == "unit" else 1.0 / len(links)
+        """Record the votes of one flow that suffered retransmissions
+        (``seq``: the record's sequence number, default its row index)."""
+        check_hop_counts(len(links), len(links))
         row, start = self._rows, self._hops
         stop = start + len(links)
-        if stop > len(self._cols) or row >= len(self._weights):
+        if stop > len(self._cols) or row >= len(self._flow_ids):
             self._reserve(row + 1, stop)
-        lids = list(map(self._index.intern, links))
-        self._cols[start:stop] = lids
-        voted = self._voted
-        for lid in lids:
-            if lid not in voted:
-                voted.add(lid)
-                self._first_seen.append(lid)
+        self._cols[start:stop] = list(map(self._index.intern, links))
         self._indptr[row + 1] = stop
-        self._weights[row] = weight
         self._flow_ids[row] = flow_id
         self._retransmissions[row] = retransmissions
+        self._seqs[row] = row if seq is None else seq
         self._rows = row + 1
         self._hops = stop
         self._invalidate()
         return VoteContribution(
             flow_id=flow_id,
             links=tuple(links),
-            weight=weight,
+            units=VOTE_UNITS if self._policy == "unit" else VOTE_UNITS // len(links),
             retransmissions=retransmissions,
         )
 
@@ -316,15 +317,15 @@ class ArrayVoteTally:
         for path in paths:
             self.add_discovered_path(path)
 
-    def add_flows(self, paths: Sequence[DiscoveredPath]) -> None:
+    def add_flows(
+        self, paths: Sequence[DiscoveredPath], seqs: Optional[Sequence[int]] = None
+    ) -> None:
         """Record the votes of many flows in one pass (the streaming bulk path).
 
-        State-identical to calling :meth:`add_flow` per path in list order —
-        the CSR rows, the first-vote link order (which fixes the vote fold
-        order, and therefore every float) and the flow bookkeeping all come
-        out the same — but the per-call overhead (contribution objects, cache
-        invalidation, interner dispatch) is paid once per batch; links
-        cost one dict lookup per hop (:meth:`LinkIndex.hop_ids`).
+        State-identical to calling :meth:`add_flow` per path (``seqs``: one
+        per path) in list order, but the per-call overhead (contribution
+        objects, cache invalidation, interner dispatch) is paid once per
+        batch; links cost one dict lookup per hop (:meth:`LinkIndex.hop_ids`).
         """
         if not isinstance(paths, list):
             paths = list(paths)
@@ -334,14 +335,14 @@ class ArrayVoteTally:
         # C-level iterators (map/attrgetter/chain), no Python-level loop.
         links_list = [path.links for path in paths]
         lengths = np.fromiter(map(len, links_list), dtype=np.int64, count=len(paths))
-        if lengths.min() == 0:  # before the interner sees any of the run
-            raise ValueError(EMPTY_PATH)
+        check_hop_counts(int(lengths.min()), int(lengths.max()))  # before interning
         lids = self._index.hop_ids(links_list, int(lengths.sum()))
         self.add_columns(
             lids,
             lengths,
             [path.flow_id for path in paths],
             [path.retransmissions for path in paths],
+            seqs,
         )
 
     def add_columns(
@@ -350,29 +351,31 @@ class ArrayVoteTally:
         lengths: Sequence[int],
         flow_ids: Sequence[int],
         retransmissions: Sequence[int],
+        seqs: Optional[Sequence[int]] = None,
     ) -> None:
         """Record the votes of many flows given as columns (bulk arrays).
 
         ``link_ids`` holds the paths' hops back to back as ids already
         interned in this tally's :class:`LinkIndex`, ``lengths`` the hop
-        count of each path, ``flow_ids``/``retransmissions`` one entry per
-        path.  State-identical to :meth:`add_flows` over the same paths —
-        the entry point for callers that never build path objects (the
-        coordinator's column store, the columnar fleet core).  Raises
-        ``ValueError`` before mutating anything when a path is empty, the
-        columns disagree in length or an id is not in the index.
+        count of each path, ``flow_ids``/``retransmissions``/``seqs`` one
+        entry per path (``seqs`` defaults to the row indices).
+        State-identical to :meth:`add_flows` over the same paths — the entry
+        point for callers that never build path objects (the coordinator's
+        column store, the columnar fleet core, a restore).  Raises
+        ``ValueError`` before mutating anything when a path is empty or too
+        long, the columns disagree in length or an id is not in the index.
         """
         lengths = np.asarray(lengths, dtype=np.int64)
         count = len(lengths)
         if not count:
             return
         cols = np.asarray(link_ids, dtype=np.int64)
-        if int(lengths.min()) <= 0:
-            raise ValueError(EMPTY_PATH)
+        check_hop_counts(int(lengths.min()), int(lengths.max()))
         if (
             int(lengths.sum()) != len(cols)
             or len(flow_ids) != count
             or len(retransmissions) != count
+            or (seqs is not None and len(seqs) != count)
         ):
             raise ValueError("path columns disagree in length")
         if int(cols.min()) < 0 or int(cols.max()) >= len(self._index):
@@ -383,76 +386,59 @@ class ArrayVoteTally:
         self._cols[start:hops] = cols
         np.cumsum(lengths, out=self._indptr[row + 1 : rows + 1])
         self._indptr[row + 1 : rows + 1] += start
-        self._weights[row:rows] = 1.0 if self._policy == "unit" else 1.0 / lengths
         self._flow_ids[row:rows] = flow_ids
         self._retransmissions[row:rows] = retransmissions
+        self._seqs[row:rows] = np.arange(row, rows) if seqs is None else seqs
         self._rows, self._hops = rows, hops
-        voted = self._voted
-        if len(voted) != len(self._index):
-            # only scan for first votes while unvoted interned links remain;
-            # once every known link has voted (the steady state of a
-            # long-running stream) the scan can never add anything.  Each
-            # block is screened through the voted mask first, so Python only
-            # walks the hops of links that had not voted before their block
-            # — after the first blocks of an epoch, next to none.
-            seen = self._seen_mask()
-            for lo in range(0, len(cols), _FIRST_VOTE_BLOCK):
-                block = cols[lo : lo + _FIRST_VOTE_BLOCK]
-                fresh = block[~seen[block]]
-                if len(fresh):
-                    fresh = list(dict.fromkeys(fresh.tolist()))
-                    seen[fresh] = True
-                    voted.update(fresh)
-                    self._first_seen.extend(fresh)
-            self._masked = len(self._first_seen)
         self._invalidate()
 
-    def _seen_mask(self) -> np.ndarray:
-        """``mask[id]``: has the link voted — over every id of the index,
-        caught up with the first votes since it was last asked for, so a call
-        costs what changed, not the size of the fabric."""
-        mask, size = self._voted_mask, len(self._index)
-        if len(mask) < size:
-            self._voted_mask = np.zeros(max(size, 2 * len(mask)), dtype=bool)
-            self._voted_mask[: len(mask)] = mask
-            mask = self._voted_mask
-        mask[self._first_seen[self._masked :]] = True
-        self._masked = len(self._first_seen)
-        return mask
-
-    def _flow_rows(self) -> Dict[int, int]:
-        """The flow-id -> latest-row map, caught up with the rows appended
-        since it was last asked for."""
+    def flow_rows(self) -> Dict[int, int]:
+        """flow id -> its bound row, caught up with the rows appended since
+        it was last asked for (live: do not mutate)."""
         mapped, rows = self._mapped, self._rows
         if mapped < rows:
-            self._row_by_flow.update(
-                zip(self._flow_ids[mapped:rows].tolist(), range(mapped, rows))
-            )
+            bound, seqs = self._row_by_flow, self._seqs
+            # Python lists: most catch-ups are one row (a per-event update)
+            new = seqs[mapped:rows].tolist()
+            if new[0] >= self._top_seq and new == sorted(new):
+                # every new row outranks the rows before it: the later wins
+                flows, order = self._flow_ids[mapped:rows], range(mapped, rows)
+            else:  # in seq order, each row that outranks its flow's bound row
+                order = np.argsort(seqs[mapped:rows], kind="stable") + mapped
+                prior = np.fromiter(
+                    map(bound.get, self._flow_ids[order].tolist(), repeat(-1)),
+                    dtype=np.int64,
+                    count=len(order),
+                )
+                order = order[(prior < 0) | (seqs[prior] <= seqs[order])]
+                flows, order = self._flow_ids[order], order.tolist()
+            bound.update(zip(flows.tolist(), order))
+            self._top_seq = max(self._top_seq, max(new))
             self._mapped = rows
         return self._row_by_flow
 
     def row_of_flow(self, flow_id: int) -> Optional[int]:
-        """Row index of ``flow_id``'s latest contribution (``None`` if unknown)."""
-        return self._flow_rows().get(flow_id)
+        """Row index of ``flow_id``'s bound row (``None`` if unknown)."""
+        return self.flow_rows().get(flow_id)
 
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Bulk :meth:`bump_retransmissions` by row index.
 
         One cache invalidation for the whole batch instead of one per flow;
-        row indices come from :meth:`row_of_flow`.
+        row indices come from :meth:`flow_rows`.
         """
         if len(rows):
             np.add.at(self._retransmissions, rows, extras)
         self._contributions_cache = None
 
     def bump_retransmissions(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to ``flow_id``'s latest row.
+        """Add ``extra`` retransmissions to ``flow_id``'s bound row.
 
-        O(1): votes/weights are untouched (the flow's path is unchanged), so
-        only the rebuilt-on-demand contribution view is invalidated, not the
-        fold.  Raises ``KeyError`` for unknown flows.
+        O(1): votes are untouched (the flow's path is unchanged), so only the
+        rebuilt-on-demand contribution view is invalidated, not the fold.
+        Raises ``KeyError`` for unknown flows.
         """
-        self._retransmissions[self._flow_rows()[flow_id]] += extra
+        self._retransmissions[self.flow_rows()[flow_id]] += extra
         self._contributions_cache = None
 
     # ------------------------------------------------------------------
@@ -476,19 +462,17 @@ class ArrayVoteTally:
         bounds = self._indptr[lo : hi + 1]
         tail_cols = self._cols[bounds[0] : bounds[-1]]
         lengths = np.diff(bounds)
-        # Unbuffered in-place add: the tail's votes land per occurrence,
-        # left to right, continuing the accumulator exactly where the
-        # previous fold stopped — the same left-to-right double fold one
-        # bincount over the whole epoch performs (a chunk-wise partial
-        # bincount would reassociate the additions and drift by ULPs).
-        np.add.at(self._votes, tail_cols, np.repeat(self._weights[lo:hi], lengths))
-        # Support is integer-exact in any order: count the distinct
-        # (row, link) pairs of the tail rows (each row's hops are folded
-        # exactly once, so pairs never repeat across folds).  No sort: a hop
-        # repeats an earlier hop of its own row iff it equals the hop ``s``
-        # places back and that hop is not before the row's start, for some
-        # ``s`` below the longest row (at most 8 hops in any Clos; a longer
-        # path stays exact and only costs more passes).
+        # Integer units: exact in float64, so the sum is the same whatever
+        # the order of the rows or the folds they were cut into.
+        self._votes += np.bincount(
+            tail_cols, weights=np.repeat(self._units(lengths), lengths), minlength=n
+        )
+        # Support counts the distinct (row, link) pairs of the tail rows
+        # (each row's hops are folded exactly once, so pairs never repeat
+        # across folds).  No sort: a hop repeats an earlier hop of its own
+        # row iff it equals the hop ``s`` places back and that hop is not
+        # before the row's start, for some ``s`` below the longest row (at
+        # most ``MAX_HOPS``).
         row_start = np.repeat(bounds[:-1] - bounds[0], lengths)
         repeats = []
         for s in range(1, int(lengths.max())):
@@ -507,7 +491,8 @@ class ArrayVoteTally:
         return self._index
 
     def votes_array(self) -> np.ndarray:
-        """Votes per link id (length = size of the index at fold time)."""
+        """Votes per link id in units of ``1/VOTE_UNITS`` (float64 holding
+        integers; length = size of the index at fold time)."""
         self._fold()
         return self._votes
 
@@ -517,19 +502,14 @@ class ArrayVoteTally:
         return self._support
 
     def path_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The CSR rows: ``(indptr, cols, weights)``."""
-        return (
-            self._indptr[: self._rows + 1],
-            self._cols[: self._hops],
-            self._weights[: self._rows],
-        )
+        """The CSR rows: ``(indptr, cols, units)``, ``units`` each row's vote
+        per link (computed afresh)."""
+        indptr, cols = _csr(self)
+        return indptr, cols, self._units(np.diff(indptr))
 
     def voted_ids(self) -> np.ndarray:
-        """Ids of links with at least one vote, in first-vote order (kept
-        until another link votes — do not mutate)."""
-        if len(self._voted_ids) != len(self._first_seen):
-            self._voted_ids = np.asarray(self._first_seen, dtype=np.int64)
-        return self._voted_ids
+        """Ids of links with at least one vote, ascending."""
+        return np.flatnonzero(self.support_array())
 
     def flow_ids_array(self) -> np.ndarray:
         """Flow ids per row (a view of the buffer)."""
@@ -539,18 +519,25 @@ class ArrayVoteTally:
         """Retransmission counts per row (a view of the buffer)."""
         return self._retransmissions[: self._rows]
 
-    def record_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(flow_ids, retransmissions, lengths, link_ids)`` of every row —
-        :meth:`add_columns`'s arguments read back, ``link_ids`` in this
+    def seqs_array(self) -> np.ndarray:
+        """Sequence numbers per row (a view of the buffer)."""
+        return self._seqs[: self._rows]
+
+    def record_columns(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(flow_ids, retransmissions, lengths, link_ids, seqs)`` of every
+        row — :meth:`add_columns`'s arguments read back, ``link_ids`` in this
         tally's index.  Views of the live buffers (only ``lengths`` is
         fresh): copy what must outlive the next write to the tally.
         """
-        indptr, cols, _ = self.path_matrix()
+        indptr, cols = _csr(self)
         return (
             self.flow_ids_array(),
             self.retransmissions_array(),
             np.diff(indptr),
             cols,
+            self.seqs_array(),
         )
 
     # ------------------------------------------------------------------
@@ -564,25 +551,20 @@ class ArrayVoteTally:
     def votes_of(self, link: DirectedLink) -> float:
         """Current vote tally of ``link`` (0 for links never voted for)."""
         lid = self._index.get(link)
-        if lid is None or lid not in self._voted:
-            return 0.0
-        return float(self.votes_array()[lid])
+        return 0.0 if lid is None else float(self.votes_array()[lid]) / VOTE_UNITS
 
     def support_of(self, link: DirectedLink) -> int:
         """Number of distinct flows that voted for ``link``."""
         lid = self._index.get(link)
-        if lid is None or lid not in self._voted:
-            return 0
-        return int(self.support_array()[lid])
+        return 0 if lid is None else int(self.support_array()[lid])
 
     def total_votes(self) -> float:
-        """Sum of all votes cast (same fold order as the dict engine)."""
-        votes = self.votes_array()
-        return float(sum(votes[self.voted_ids()].tolist()))
+        """Sum of all votes cast."""
+        return float(self.votes_array().sum()) / VOTE_UNITS
 
     def links(self) -> List[DirectedLink]:
         """Links with at least one vote, sorted."""
-        return sorted(map(self._index.items.__getitem__, self._first_seen))
+        return sorted(map(self._index.items.__getitem__, self.voted_ids().tolist()))
 
     def items(self) -> List[Tuple[DirectedLink, float]]:
         """``(link, votes)`` pairs sorted by decreasing votes, ties by link order.
@@ -597,37 +579,36 @@ class ArrayVoteTally:
             votes = self.votes_array()[ids]
             order = np.lexsort((self._index.sort_ranks()[ids], -votes))
             self._items_cache = list(
-                _link_table(self._index.items, ids[order], votes[order])
+                _link_table(self._index.items, ids[order], votes[order] / VOTE_UNITS)
             )
         return list(self._items_cache)
 
     def as_dict(self) -> Dict[DirectedLink, float]:
-        """A copy of the tally, keyed by link in first-vote order."""
+        """A copy of the tally, keyed by link in id order."""
         ids = self.voted_ids()
-        return dict(_link_table(self._index.items, ids, self.votes_array()[ids]))
+        votes = self.votes_array()[ids] / VOTE_UNITS
+        return dict(_link_table(self._index.items, ids, votes))
 
     @property
     def contributions(self) -> List[VoteContribution]:
         """Per-flow contributions, rebuilt from the CSR rows on demand."""
         if self._contributions_cache is None:
-            rows = self._rows
-            bounds = self._indptr[: rows + 1].tolist()
-            hops = list(
-                map(self._index.items.__getitem__, self._cols[: self._hops].tolist())
-            )
+            indptr, cols, units = self.path_matrix()
+            bounds = indptr.tolist()
+            hops = list(map(self._index.items.__getitem__, cols.tolist()))
             self._contributions_cache = [
                 VoteContribution(
                     flow_id=flow_id,
                     links=tuple(hops[start:stop]),
-                    weight=weight,
+                    units=row_units,
                     retransmissions=retransmissions,
                 )
-                for flow_id, start, stop, weight, retransmissions in zip(
-                    self._flow_ids[:rows].tolist(),
+                for flow_id, start, stop, row_units, retransmissions in zip(
+                    self.flow_ids_array().tolist(),
                     bounds,
                     bounds[1:],
-                    self._weights[:rows].tolist(),
-                    self._retransmissions[:rows].tolist(),
+                    units.astype(np.int64).tolist(),
+                    self.retransmissions_array().tolist(),
                 )
             ]
         return list(self._contributions_cache)
@@ -663,7 +644,7 @@ class ArrayVoteTally:
         or reallocates, it never writes inside it, and a snapshot's own first
         append finds its views full and reallocates) and only the state
         mutated in place afterwards is copied: votes, support, retransmission
-        counts and the voted-link bookkeeping.
+        counts.
         """
         self._fold()
         clone = ArrayVoteTally(policy=self._policy, index=self._index)
@@ -672,12 +653,9 @@ class ArrayVoteTally:
         clone._hops = hops
         clone._cols = self._cols[:hops]
         clone._indptr = self._indptr[: rows + 1]
-        clone._weights = self._weights[:rows]
         clone._flow_ids = self._flow_ids[:rows]
         clone._retransmissions = self._retransmissions[:rows].copy()
-        clone._first_seen = list(self._first_seen)
-        clone._voted = set(self._voted)
-        clone._voted_ids = self.voted_ids()
+        clone._seqs = self._seqs[:rows]
         clone._votes = self._votes.copy()
         clone._support = self._support.copy()
         return clone
@@ -687,14 +665,10 @@ class ArrayVoteTally:
     def extend(self, other: "ArrayVoteTally") -> None:
         """Append ``other``'s rows after this tally's own; ``other`` is only read.
 
-        State-identical to feeding ``other``'s flows here after this tally's
-        (its counts as bumped since): the CSR rows are copied, links this
-        tally had not seen join the first-vote order in ``other``'s, the vote
-        accumulator is *continued* over ``other``'s hops by one unbuffered
-        ``np.add.at`` — the same left-to-right doubles — and ``other``'s
-        support, already counted, is added (the rows are disjoint).  A flow
-        both sides hold is bound to ``other``'s latest row of it.  The ordered
-        merge for contiguous stretches of one epoch folded apart; both
+        The merge of two parts of one epoch folded apart, in any order: the
+        CSR rows (counts as bumped since, seqs) are copied and ``other``'s
+        votes and support, already folded, are added (the rows are disjoint;
+        integer units add exactly).  Flows are bound by seq, as ever.  Both
         tallies must share the link index and the vote policy.
         """
         if other._index is not self._index or other._policy != self._policy:
@@ -702,61 +676,22 @@ class ArrayVoteTally:
         count = other._rows
         if not count:
             return
-        support = other.support_array()
+        votes, support = other.votes_array(), other.support_array()
         self._fold()
-        indptr, cols, weights = other.path_matrix()
+        flows, retransmissions, _, cols, seqs = other.record_columns()
         row, start = self._rows, self._hops
         rows, hops = row + count, start + len(cols)
         self._reserve(rows, hops)
         self._cols[start:hops] = cols
-        self._indptr[row + 1 : rows + 1] = indptr[1:] + start
-        self._weights[row:rows] = weights
-        self._flow_ids[row:rows] = other.flow_ids_array()
-        self._retransmissions[row:rows] = other.retransmissions_array()
+        self._indptr[row + 1 : rows + 1] = other._indptr[1 : count + 1] + start
+        self._flow_ids[row:rows] = flows
+        self._retransmissions[row:rows] = retransmissions
+        self._seqs[row:rows] = seqs
         self._rows = self._folded_rows = rows
         self._hops = hops
-        fresh = [lid for lid in other._first_seen if lid not in self._voted]
-        self._voted.update(fresh)
-        self._first_seen.extend(fresh)
-        np.add.at(self._votes, cols, np.repeat(weights, np.diff(indptr)))
-        self._support += support
+        self._votes[: len(votes)] += votes
+        self._support[: len(support)] += support
         self._invalidate()
-
-    def reordered(self, order: np.ndarray) -> "ArrayVoteTally":
-        """A fresh tally holding this tally's rows in the order ``order``.
-
-        ``order`` is a permutation of the row indices.  The result is
-        state-identical to a new tally fed the same flows in that order (one
-        CSR gather and one :meth:`add_columns`: same first-vote link order,
-        same fold order, hence the same doubles), except that every flow stays
-        bound to the *same record* as here — the flow -> row map is carried
-        through the permutation instead of being re-derived from the new row
-        order (a later :meth:`snapshot` does re-derive its own, so bind
-        updates through the live tally).  This tally and its snapshots are
-        left untouched.
-        """
-        order = np.asarray(order, dtype=np.int64)
-        clone = ArrayVoteTally(policy=self._policy, index=self._index)
-        if not len(order):
-            return clone
-        rows = self._rows
-        flat, _, lengths = _hops_of_rows(self._indptr[: rows + 1], order)
-        clone.add_columns(
-            self._cols[flat],
-            lengths,
-            self._flow_ids[order],
-            self._retransmissions[order],
-        )
-        bound = self._flow_rows()
-        if len(bound) != rows:
-            # some flow was traced more than once: the record it is bound to
-            # need not be its last row in the new order (as add_columns took it)
-            new_row = np.empty(rows, dtype=np.int64)
-            new_row[order] = np.arange(rows, dtype=np.int64)
-            old_rows = np.fromiter(bound.values(), dtype=np.int64, count=len(bound))
-            clone._row_by_flow = dict(zip(bound.keys(), new_row[old_rows].tolist()))
-            clone._mapped = rows
-        return clone
 
 
 # ----------------------------------------------------------------------
@@ -787,12 +722,14 @@ def blame_kernel(
     ``votes`` array is not modified.  Each detection finds the still-alive rows
     holding the blamed id with one ``cols == best`` scan (O(hops); no sorted
     index is kept) and discounts their hops (the id itself exempt) with one
-    unbuffered ``np.subtract.at`` in (row, hop) order, then clamps the touched
-    ids at 0.  ``weights`` must be non-negative (``ValueError`` otherwise): an
-    id's votes then only fall, so the dict engine's ``max(0.0, v - w)`` per
-    subtraction equals the unclamped value until that first reaches zero or
-    below and is 0 from then on, while the unclamped value stays non-positive
-    — one clamp at the end yields the same doubles, bit for bit.
+    unbuffered ``np.subtract.at``, then clamps the touched ids at 0.
+    ``weights`` must be non-negative (``ValueError`` otherwise).  Link blame
+    passes integer vote units, whose differences are exact: an id's votes are
+    the units of its alive rows and never go below zero.  Switch blame passes
+    float votes, where an id's votes only fall, so a ``max(0.0, v - w)`` per
+    subtraction in (row, hop) order equals the unclamped value until that
+    first reaches zero or below and is 0 from then on — one clamp at the end
+    yields the same doubles, bit for bit.
     """
     if not bool((weights >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")
@@ -850,7 +787,7 @@ class VerdictArrays:
     """
 
     index: LinkIndex
-    #: voted link ids in first-vote order, then — position for position —
+    #: voted link ids, ascending, then — position for position —
     #: their votes before Algorithm 1 and what it left of them.
     ids: np.ndarray
     votes: np.ndarray
@@ -880,34 +817,42 @@ def find_problematic_links_arrays(
 
     Only the decision becomes objects here, O(detections) of them; the
     result's ``final_votes`` is derived from its ``arrays`` when first read.
+    The kernel runs in vote units; votes are divided by ``VOTE_UNITS`` on
+    the way out.
     """
     config = config or BlameConfig()
-    total_votes = tally.total_votes()
-    threshold_votes = config.threshold_fraction * total_votes
     votes = tally.votes_array()
+    total = float(votes.sum())
     sort_ranks = tally.index.sort_ranks()
-    detected, votes_at, final = [], [], votes
-    if total_votes > 0.0:
-        indptr, cols, weights = tally.path_matrix()
-        detected, votes_at, final = blame_kernel(
+    detected, at, final = [], [], votes
+    if total > 0.0:
+        indptr, cols, units = tally.path_matrix()
+        detected, at, final = blame_kernel(
             votes,
             indptr,
             cols,
-            weights,
+            units,
             tally.support_array() >= config.min_flow_support,
             sort_ranks,
-            threshold_votes,
+            config.threshold_fraction * total,
             config,
         )
     ids = tally.voted_ids()
     detected_links = list(map(tally.index.items.__getitem__, detected))
+    votes_at = [units / VOTE_UNITS for units in at]
     return BlameResult(
         detected_links=detected_links,
         votes_at_detection=dict(zip(detected_links, votes_at)),
-        threshold_votes=threshold_votes,
+        threshold_votes=config.threshold_fraction * (total / VOTE_UNITS),
         final_votes=None,
         arrays=VerdictArrays(
-            tally.index, ids, votes[ids], final[ids], detected, votes_at, sort_ranks
+            tally.index,
+            ids,
+            votes[ids] / VOTE_UNITS,
+            final[ids] / VOTE_UNITS,
+            detected,
+            votes_at,
+            sort_ranks,
         ),
     )
 
@@ -915,6 +860,12 @@ def find_problematic_links_arrays(
 # ----------------------------------------------------------------------
 # vectorized ranking, attribution and noise classification
 # ----------------------------------------------------------------------
+def _csr(tally: ArrayVoteTally) -> Tuple[np.ndarray, np.ndarray]:
+    """The tally's ``(indptr, cols)`` (:meth:`ArrayVoteTally.path_matrix`
+    without the row units)."""
+    return tally._indptr[: tally._rows + 1], tally._cols[: tally._hops]
+
+
 def attribute_flow_causes_arrays(
     tally: ArrayVoteTally, rows: np.ndarray, sort_ranks: Optional[np.ndarray] = None
 ) -> Dict[int, DirectedLink]:
@@ -929,7 +880,7 @@ def attribute_flow_causes_arrays(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return {}
-    indptr, cols, _ = tally.path_matrix()
+    indptr, cols = _csr(tally)
     votes = tally.votes_array()
     ranks = tally.index.sort_ranks() if sort_ranks is None else sort_ranks
     flow_ids = tally.flow_ids_array()
@@ -962,7 +913,7 @@ def failure_rows_mask(
 ) -> np.ndarray:
     """Per row of the path matrix: is that record a failure drop (it crosses
     a detected link or retransmitted more than a lone noise drop would)."""
-    indptr, cols, _ = tally.path_matrix()
+    indptr, cols = _csr(tally)
     num_rows = len(indptr) - 1
     retrans = tally.retransmissions_array()
 

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Literal, Optional, Set, Tuple
 
-from repro.core.votes import VoteContribution, VoteTally
+from repro.core.votes import VOTE_UNITS, VoteContribution, VoteTally
 from repro.topology.elements import DirectedLink
 
 if TYPE_CHECKING:
@@ -82,9 +82,9 @@ class BlameResult:
     votes_at_detection: Dict[DirectedLink, float] = field(default_factory=dict)
     #: the threshold (in votes) used for the stop condition.
     threshold_votes: float = 0.0
-    #: remaining adjusted tally when the algorithm stopped, in first-vote
-    #: order.  The arrays engine passes ``None`` beside ``arrays`` and the
-    #: dict is built when first read (a property, installed below the class).
+    #: remaining adjusted tally when the algorithm stopped, every voted link.
+    #: The arrays engine passes ``None`` beside ``arrays`` and the dict is
+    #: built when first read (a property, installed below the class).
     final_votes: Dict[DirectedLink, float] = field(default_factory=dict)
     #: membership cache for ``in`` checks; invalidated when detected_links
     #: grows or is rebound.  (In-place same-length element replacement is not
@@ -138,12 +138,16 @@ def find_problematic_links(
         from repro.core.arrays import find_problematic_links_arrays
 
         return find_problematic_links_arrays(tally, config)
-    total_votes = tally.total_votes()
-    result = BlameResult(threshold_votes=config.threshold_fraction * total_votes)
-    if total_votes <= 0.0:
+    # the loop runs in integer vote units (exact, so ties are real ties);
+    # votes become floats only in the result
+    votes: Dict[DirectedLink, int] = tally.unit_votes()
+    total = sum(votes.values())
+    result = BlameResult(
+        threshold_votes=config.threshold_fraction * (total / VOTE_UNITS)
+    )
+    if total <= 0:
         return result
-
-    votes: Dict[DirectedLink, float] = tally.as_dict()
+    threshold = config.threshold_fraction * total
     remaining: List[VoteContribution] = list(tally.contributions)
     blamed: Set[DirectedLink] = set()
     # one O(total hops) pass for every link's support — per-link support_of()
@@ -166,21 +170,21 @@ def find_problematic_links(
         best = max(v for _, v in candidates)
         tied = sorted(link for link, v in candidates if v == best)
         lmax, vmax = tied[0], best
-        if vmax < result.threshold_votes or vmax <= 0.0:
+        if vmax < threshold or vmax <= 0:
             break
         blamed.add(lmax)
         result.detected_links.append(lmax)
-        result.votes_at_detection[lmax] = vmax
+        result.votes_at_detection[lmax] = vmax / VOTE_UNITS
 
         if config.adjustment == "paths":
             remaining = _discount_flows_through(votes, remaining, lmax)
 
-    result.final_votes = dict(votes)
+    result.final_votes = {link: units / VOTE_UNITS for link, units in votes.items()}
     return result
 
 
 def _discount_flows_through(
-    votes: Dict[DirectedLink, float],
+    votes: Dict[DirectedLink, int],
     contributions: List[VoteContribution],
     blamed_link: DirectedLink,
 ) -> List[VoteContribution]:
@@ -189,7 +193,8 @@ def _discount_flows_through(
     The votes such flows contributed to *other* links are removed from the
     working tally; the flows themselves are removed from the remaining pool so
     later iterations do not discount them twice.  Returns the surviving
-    contributions.
+    contributions.  A link's units are the sum over the remaining flows that
+    cross it, exactly, so they never drop below zero.
     """
     survivors: List[VoteContribution] = []
     for contribution in contributions:
@@ -197,7 +202,6 @@ def _discount_flows_through(
             survivors.append(contribution)
             continue
         for link in contribution.links:
-            if link == blamed_link:
-                continue
-            votes[link] = max(0.0, votes.get(link, 0.0) - contribution.weight)
+            if link != blamed_link:
+                votes[link] -= contribution.units
     return survivors

@@ -5,11 +5,17 @@ path; each vote is worth ``1/h`` where ``h`` is the number of links on the
 path (every link is a priori equally likely to have caused the drop).  Flows
 without retransmissions cast no votes (their value is 0, so they need not be
 traced at all).  Votes are tallied per epoch.
+
+Votes are counted in whole units of ``1/VOTE_UNITS``: 840 = lcm(1..8) and
+no path in a Clos has more than ``MAX_HOPS`` = 8 links, so ``1/h`` is
+``840/h`` units.  Integer sums do not depend on the order they are taken in,
+so a tally is the same whatever order, partition or chunking its flows
+arrive in; votes are divided by 840 only where a report shows them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
 
@@ -18,8 +24,34 @@ from repro.topology.elements import DirectedLink
 
 VotePolicy = Literal["inverse_hops", "unit"]
 
+#: one vote in integer units: lcm(1, ..., MAX_HOPS).
+VOTE_UNITS = 840
+
+#: the longest path whose ``1/h`` vote is a whole number of units.
+MAX_HOPS = 8
+
 #: the one rejection every ingest path gives a path without known links.
 EMPTY_PATH = "a voting flow must have at least one known link"
+
+
+class PathTooLongError(ValueError):
+    """A voting path has more than :data:`MAX_HOPS` links: its vote is not
+    a whole number of units."""
+
+    def __init__(self, hops: int) -> None:
+        super().__init__(f"a voting path has {hops} links; at most {MAX_HOPS} vote")
+        self.hops = hops
+
+    def __reduce__(self):
+        return PathTooLongError, (self.hops,)
+
+
+def check_hop_counts(shortest: int, longest: int) -> None:
+    """Raise when a path of ``shortest``..``longest`` hops cannot vote."""
+    if shortest < 1:
+        raise ValueError(EMPTY_PATH)
+    if longest > MAX_HOPS:
+        raise PathTooLongError(longest)
 
 
 @dataclass(frozen=True)
@@ -28,7 +60,8 @@ class VoteContribution:
 
     flow_id: int
     links: Tuple[DirectedLink, ...]
-    weight: float
+    #: the vote each link got, in units of ``1/VOTE_UNITS``.
+    units: int
     retransmissions: int = 1
 
     @property
@@ -46,15 +79,22 @@ class VoteTally:
         ``"inverse_hops"`` (the paper's scheme, default) gives each link of a
         bad flow ``1/h`` votes; ``"unit"`` gives each link a full vote and is
         provided for the ablation benchmark.
+
+    Votes are kept per link as integer units.  Each contribution has the
+    sequence number of its record (default: its row index); a flow traced
+    more than once is *bound* to its highest-seq contribution (equal seqs:
+    the later), the one count updates bump and attribution reads, whatever
+    order the records arrived in.
     """
 
     def __init__(self, policy: VotePolicy = "inverse_hops") -> None:
         if policy not in ("inverse_hops", "unit"):
             raise ValueError(f"unknown vote policy {policy!r}")
         self._policy: VotePolicy = policy
-        self._votes: Dict[DirectedLink, float] = {}
+        self._votes: Dict[DirectedLink, int] = {}
         self._support: Dict[DirectedLink, int] = {}
         self._contributions: List[VoteContribution] = []
+        self._seqs: List[int] = []
         self._row_by_flow: Dict[int, int] = {}
         self._items_cache: Optional[List[Tuple[DirectedLink, float]]] = None
         self._rank_cache: Optional[Dict[DirectedLink, int]] = None
@@ -67,50 +107,56 @@ class VoteTally:
         flow_id: int,
         links: Sequence[DirectedLink],
         retransmissions: int = 1,
+        seq: Optional[int] = None,
     ) -> VoteContribution:
         """Record the votes of one flow that suffered retransmissions."""
-        if not links:
-            raise ValueError(EMPTY_PATH)
-        weight = 1.0 if self._policy == "unit" else 1.0 / len(links)
+        check_hop_counts(len(links), len(links))
+        units = VOTE_UNITS if self._policy == "unit" else VOTE_UNITS // len(links)
         contribution = VoteContribution(
             flow_id=flow_id,
             links=tuple(links),
-            weight=weight,
+            units=units,
             retransmissions=retransmissions,
         )
+        votes = self._votes
         for link in links:
-            self._votes[link] = self._votes.get(link, 0.0) + weight
+            votes[link] = votes.get(link, 0) + units
         # a link repeated within one path still counts this flow once
         for link in set(links):
             self._support[link] = self._support.get(link, 0) + 1
-        self._row_by_flow[flow_id] = len(self._contributions)
+        row = len(self._contributions)
+        seq = row if seq is None else seq
+        bound = self._row_by_flow.get(flow_id)
+        if bound is None or self._seqs[bound] <= seq:
+            self._row_by_flow[flow_id] = row
         self._contributions.append(contribution)
+        self._seqs.append(seq)
         self._items_cache = None
         self._rank_cache = None
         return contribution
 
+    def flow_rows(self) -> Dict[int, int]:
+        """flow id -> the row it is bound to (live: do not mutate)."""
+        return self._row_by_flow
+
     def row_of_flow(self, flow_id: int) -> Optional[int]:
-        """Row index of ``flow_id``'s latest contribution (``None`` if unknown)."""
+        """Row index of ``flow_id``'s bound contribution (``None`` if unknown)."""
         return self._row_by_flow.get(flow_id)
 
     def bump_retransmissions(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to ``flow_id``'s latest contribution.
+        """Add ``extra`` retransmissions to ``flow_id``'s bound contribution.
 
         The streaming service uses this O(1) update when an already-traced
         flow retransmits again mid-epoch: the flow's path (and therefore its
         votes) is unchanged, only the retransmission count — which noise
         classification reads — grows.  Raises ``KeyError`` for unknown flows.
         """
-        row = self._row_by_flow[flow_id]
-        contribution = self._contributions[row]
-        self._contributions[row] = replace(
-            contribution, retransmissions=contribution.retransmissions + extra
-        )
+        self.bump_rows([self._row_by_flow[flow_id]], [extra])
 
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Bulk :meth:`bump_retransmissions` by row index.
 
-        Row indices come from :meth:`row_of_flow`; state-identical to bumping
+        Row indices come from :meth:`flow_rows`; state-identical to bumping
         each flow individually.
         """
         contributions = self._contributions
@@ -133,43 +179,17 @@ class VoteTally:
         for path in paths:
             self.add_discovered_path(path)
 
-    def add_flows(self, paths: Sequence[DiscoveredPath]) -> None:
-        """Record the votes of many flows in one pass (the streaming bulk path).
-
-        State-identical to calling :meth:`add_flow` per path in list order —
-        votes are folded in the same traversal order, so every float matches —
-        but with the per-call dispatch and cache-invalidation overhead paid
-        once per batch instead of once per flow.
-        """
-        unit = self._policy == "unit"
-        votes = self._votes
-        votes_get = votes.get
-        support = self._support
-        support_get = support.get
-        contributions = self._contributions
-        row_by_flow = self._row_by_flow
-        row = len(contributions)
-        for path in paths:
-            links = path.links
-            if not links:
-                raise ValueError(EMPTY_PATH)
-            weight = 1.0 if unit else 1.0 / len(links)
-            for link in links:
-                votes[link] = votes_get(link, 0.0) + weight
-            for link in set(links):
-                support[link] = support_get(link, 0) + 1
-            row_by_flow[path.flow_id] = row
-            contributions.append(
-                VoteContribution(
-                    flow_id=path.flow_id,
-                    links=tuple(links),
-                    weight=weight,
-                    retransmissions=path.retransmissions,
-                )
-            )
-            row += 1
-        self._items_cache = None
-        self._rank_cache = None
+    def add_flows(
+        self, paths: Sequence[DiscoveredPath], seqs: Optional[Sequence[int]] = None
+    ) -> None:
+        """Record the votes of many flows (``seqs``: one per path)."""
+        self.add_columns(
+            list(chain.from_iterable(path.links for path in paths)),
+            [len(path.links) for path in paths],
+            [path.flow_id for path in paths],
+            [path.retransmissions for path in paths],
+            seqs,
+        )
 
     def add_columns(
         self,
@@ -177,6 +197,7 @@ class VoteTally:
         lengths: Sequence[int],
         flow_ids: Sequence[int],
         retransmissions: Sequence[int],
+        seqs: Optional[Sequence[int]] = None,
     ) -> None:
         """Record the votes of many flows given as columns.
 
@@ -184,24 +205,30 @@ class VoteTally:
         <repro.core.arrays.ArrayVoteTally.add_columns>` in this engine's
         terms: ``links`` holds the paths' hops back to back as link objects,
         ``lengths`` the hop count of each path (any integer sequences, numpy
-        columns included).  State-identical to one :meth:`add_flow` per path.
+        columns included).  State-identical to one :meth:`add_flow` per path;
+        every path is checked before the first one is added.
         """
+        lengths = [int(length) for length in lengths]
+        check_hop_counts(min(lengths, default=1), max(lengths, default=1))
+        if seqs is None:
+            seqs = range(self.num_flows, self.num_flows + len(lengths))
         stop = 0
-        for flow_id, length, count in zip(flow_ids, lengths, retransmissions):
-            start, stop = stop, stop + int(length)
-            self.add_flow(int(flow_id), links[start:stop], int(count))
+        for flow_id, length, count, seq in zip(flow_ids, lengths, retransmissions, seqs):
+            start, stop = stop, stop + length
+            self.add_flow(int(flow_id), links[start:stop], int(count), int(seq))
 
     def record_columns(
         self,
-    ) -> Tuple[List[int], List[int], List[int], List[DirectedLink]]:
-        """``(flow_ids, retransmissions, lengths, links)`` of every row —
-        :meth:`add_columns`'s arguments read back (fresh lists)."""
+    ) -> Tuple[List[int], List[int], List[int], List[DirectedLink], List[int]]:
+        """``(flow_ids, retransmissions, lengths, links, seqs)`` of every row
+        — :meth:`add_columns`'s arguments read back (fresh lists)."""
         rows = self._contributions
         return (
             [row.flow_id for row in rows],
             [row.retransmissions for row in rows],
             [len(row.links) for row in rows],
             list(chain.from_iterable(row.links for row in rows)),
+            list(self._seqs),
         )
 
     # ------------------------------------------------------------------
@@ -212,9 +239,13 @@ class VoteTally:
         """The vote-value policy in use."""
         return self._policy
 
+    def unit_votes(self) -> Dict[DirectedLink, int]:
+        """A copy of the tally in units of ``1/VOTE_UNITS``."""
+        return dict(self._votes)
+
     def votes_of(self, link: DirectedLink) -> float:
         """Current vote tally of ``link`` (0 for links never voted for)."""
-        return self._votes.get(link, 0.0)
+        return self._votes.get(link, 0) / VOTE_UNITS
 
     def support_of(self, link: DirectedLink) -> int:
         """Number of distinct flows that voted for ``link`` (O(1) lookup)."""
@@ -233,7 +264,7 @@ class VoteTally:
 
     def total_votes(self) -> float:
         """Sum of all votes cast."""
-        return float(sum(self._votes.values()))
+        return sum(self._votes.values()) / VOTE_UNITS
 
     def links(self) -> List[DirectedLink]:
         """Links with at least one vote, sorted."""
@@ -246,14 +277,17 @@ class VoteTally:
         queries after the tally is complete cost a copy, not a sort.
         """
         if self._items_cache is None:
-            self._items_cache = sorted(
-                self._votes.items(), key=lambda kv: (-kv[1], kv[0])
-            )
+            self._items_cache = [
+                (link, units / VOTE_UNITS)
+                for link, units in sorted(
+                    self._votes.items(), key=lambda kv: (-kv[1], kv[0])
+                )
+            ]
         return list(self._items_cache)
 
     def as_dict(self) -> Dict[DirectedLink, float]:
         """A copy of the tally."""
-        return dict(self._votes)
+        return {link: units / VOTE_UNITS for link, units in self._votes.items()}
 
     @property
     def contributions(self) -> List[VoteContribution]:
@@ -293,29 +327,8 @@ class VoteTally:
         clone._votes = dict(self._votes)
         clone._support = dict(self._support)
         clone._contributions = list(self._contributions)
+        clone._seqs = list(self._seqs)
         clone._row_by_flow = dict(self._row_by_flow)
-        return clone
-
-    def reordered(self, order: Sequence[int]) -> "VoteTally":
-        """A fresh tally holding this tally's contributions in the order ``order``.
-
-        ``order`` is a permutation of the row indices.  Votes and support are
-        re-folded from the contributions in that order — state-identical to a
-        new tally fed the same flows that way — while every flow stays bound
-        to the *same contribution* as here: the flow -> row map is carried
-        through the permutation, not re-derived from the new row order.
-        """
-        clone = VoteTally(policy=self._policy)
-        new_row = {}
-        for row in order:
-            contribution = self._contributions[row]
-            new_row[row] = len(new_row)
-            clone.add_flow(
-                contribution.flow_id, contribution.links, contribution.retransmissions
-            )
-        clone._row_by_flow = {
-            flow: new_row[row] for flow, row in self._row_by_flow.items()
-        }
         return clone
 
     def snapshot(self) -> "VoteTally":

@@ -20,15 +20,14 @@ analysis core.  Two interchangeable cores implement ingestion:
   oracle.
 
 Ordering discipline: agents send *contiguous* slices of each epoch's
-sequence space, so the analyzer reassembles the exact global order by
-sorting whole stretches of chunks — never individual events.  A chunk that
-extends the epoch's flushed prefix is ingested immediately; anything else
-joins a *lane* — the contiguous stretch it continues — which the columnar
-core folds on arrival into a tally of its own, and which joins the prefix
-(one ``ArrayVoteTally.extend``) the moment its gap closes, or at the
-epoch's tick barrier (every expected agent ticked) with whatever gap is
-left.  So the barrier has no fold to catch up on, however far ahead of one
-another the agents run.  Redelivered chunks after a reconnect are dropped or
+sequence space.  A chunk that extends the epoch's flushed prefix is ingested
+immediately; anything else joins a *lane* — the contiguous stretch it
+continues — which the columnar core folds on arrival into a tally of its
+own, and which joins the prefix (one ``ArrayVoteTally.extend``) the moment
+its gap closes, or at the epoch's tick barrier (every expected agent
+ticked) with whatever gap is left, lanes in any order: integer vote units
+add up the same.  So the barrier has no fold to catch up on, however far
+ahead of one another the agents run.  Redelivered chunks after a reconnect are dropped or
 trimmed against the flushed watermark and the lanes, and whatever slips
 through is deduplicated by the service's per-epoch sequence tracking —
 at-least-once delivery with exactly-once effect.
@@ -67,7 +66,7 @@ from repro.api.wire import (
 from repro.core.analysis import AnalysisAgent, EpochReport
 from repro.core.arrays import LinkIndex
 from repro.core.blame import BlameConfig
-from repro.core.votes import VotePolicy
+from repro.core.votes import PathTooLongError, VotePolicy
 from repro.fleet import protocol
 from repro.fleet.protocol import (
     Endpoint,
@@ -297,9 +296,9 @@ class ColumnarIngestCore:
     an ``ingest_batch`` replay by the store's contract — and keeps the raw
     :class:`WireRun` for replay.  Chunks ahead of the sequence prefix fold
     into a side lane (:meth:`open_lane`) and join it when the rows before
-    them are in (:meth:`join_lane`).  Epochs the store marks
-    dirty (reordering the chunk sort could not hide, duplicates that slipped
-    the trim, overlapping lanes, seq-less updates) replay their retained chunks through a
+    them are in, or at the barrier (:meth:`join_lane`).  Epochs the store
+    marks dirty (duplicates that slipped the trim, lanes sharing a sequence
+    number, seq-less updates) replay their retained chunks through a
     throwaway :class:`Zero07Service`, whose duplicate/out-of-order tolerance
     is the correctness oracle.  Arrays engine only.
 
@@ -626,7 +625,7 @@ class FleetAnalyzer:
         self._connections.append(connection)
         try:
             await self._agent_loop(reader, connection)
-        except (FleetProtocolError, WireProtocolError) as exc:
+        except (FleetProtocolError, WireProtocolError, PathTooLongError) as exc:
             self.stats.protocol_errors += 1
             await self._send_error(connection, exc)
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -804,22 +803,30 @@ class FleetAnalyzer:
             stage.next_seq = run.last_seq + 1
 
     def _flush_ready(self, epoch: int, stage: _EpochStage, barrier: bool = False) -> None:
-        """Join, in first-sequence order, the lanes the flushed prefix has
-        reached — at the tick barrier every lane, gap or not."""
+        """Join the lanes the flushed prefix has reached — at the tick
+        barrier every lane, each behind a gap (the others joined already), in
+        the order they opened: the votes add up the same."""
         lanes = stage.lanes
         while lanes:
-            lane = min(lanes, key=lambda lane: lane.first_seq)  # O(agents)
-            if lane.first_seq > stage.next_seq and not barrier:
+            lane = next(
+                (lane for lane in lanes if barrier or lane.first_seq <= stage.next_seq),
+                None,
+            )
+            if lane is None:
                 return
             lanes.remove(lane)
             self._staged_bytes -= lane.nbytes
-            if lane.folded is None:
+            if lane.folded is not None:
+                self.core.join_lane(epoch, lane.folded, [run for run, _ in lane.runs])
+            elif barrier:  # behind a gap: nothing to trim it against
+                for run, remap in lane.runs:
+                    self.core.append_chunk(run, remap)
+            else:
                 for run, remap in lane.runs:
                     self._append_chunk(stage, run, remap)
-            else:
-                self.core.join_lane(epoch, lane.folded, [run for run, _ in lane.runs])
-                self.stats.chunks_flushed += len(lane.runs)
-                stage.next_seq = max(stage.next_seq, lane.next_seq)
+                continue
+            self.stats.chunks_flushed += len(lane.runs)
+            stage.next_seq = max(stage.next_seq, lane.next_seq)
 
     def _on_tick(self, connection: _Connection, epoch: int) -> None:
         self.stats.ticks_received += 1

@@ -37,6 +37,7 @@ from repro.api import (
 )
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
+from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.experiments.scenario import ScenarioConfig, build_system, run_scenario
 from repro.metrics.evaluation import StreamingDetectionScorer
@@ -93,6 +94,9 @@ def make_path(flow_id, links, retransmissions=1, src_host="h0", epoch=0):
 
 
 L = [DirectedLink(f"n{i}", f"n{i + 1}") for i in range(6)]
+
+#: a walk long enough for a path one hop past the longest that votes.
+LONG = [DirectedLink(f"w{i}", f"w{i + 1}") for i in range(9)]
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +255,28 @@ class TestEvidenceSemantics:
         )
         assert report_signature(report) == report_signature(replay.advance_epoch(0))
 
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    @pytest.mark.parametrize("entry", ["ingest_batch", "ingest"])
+    def test_a_path_longer_than_eight_hops_is_rejected_before_any_state_changes(
+        self, engine, entry
+    ):
+        service = Zero07Service(engine=engine)
+        service.ingest_batch(
+            [PathEvidence(0, seq, make_path(seq, LONG[:8])) for seq in range(10)]
+        )
+        run = [
+            PathEvidence(0, seq, make_path(seq, LONG[: 9 if seq == 14 else 3]))
+            for seq in range(10, 22)
+        ]
+        before = service.checkpoint().to_bytes()
+        with pytest.raises(PathTooLongError, match="9 links") as raised:
+            if entry == "ingest_batch":
+                service.ingest_batch(run)
+            else:
+                service.ingest(run[4])
+        assert raised.value.hops == 9
+        assert service.checkpoint().to_bytes() == before
+
     def test_retransmission_seq_dedup_survives_checkpoint(self):
         service = Zero07Service()
         service.ingest(PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2])))
@@ -328,11 +354,12 @@ class TestOutOfOrderDelivery:
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_a_report_between_arrivals_does_not_move_a_later_count(self, engine):
-        """Regression: ``report()`` used to put the rebuilt tally in seq order
-        and re-derive "the flow's latest row" from it, so a later count update
-        bumped the flow's highest-seq *row* but its last-arrived *record* —
-        the live report and a restored service disagreed.  The binding is the
-        most recently arrived record, with or without a read in between."""
+        """A count update binds to the flow's highest-seq record, whatever
+        order its records arrived in: flow 1 is traced at seq 5, then at seq
+        3 (late), then updated.  It used to bind to the last-arrived seq-3
+        record, where an in-order replay binds it to seq 5.  The binding is
+        the same with or without a read in between, after a restore taken
+        before or after the update, and in the in-order replay."""
         arrivals, update = self.retrace_then_update()
 
         def run(query: bool) -> Zero07Service:
@@ -346,22 +373,32 @@ class TestOutOfOrderDelivery:
                 service.report(0)
             return service
 
-        def counts(service):
+        def records(service):
             return [
-                (c.flow_id, [str(link) for link in c.links], c.retransmissions)
-                for c in service.report(0).tally.contributions
+                (seq, path.flow_id, [str(link) for link in path.links], path.retransmissions)
+                for seq, path in service.evidence_for_epoch(0)
             ]
 
         queried, unqueried = run(query=True), run(query=False)
         assert queried.checkpoint().to_bytes() == unqueried.checkpoint().to_bytes()
-        late_record = (1, [str(L[0]), str(L[4])], 4)  # seq 3: arrived last
-        assert counts(queried) == counts(unqueried)
-        assert counts(queried)[0] == late_record
+        assert records(queried) == records(unqueried)
+        assert records(queried)[:2] == [
+            (3, 1, [str(L[0]), str(L[4])], 1),
+            (5, 1, [str(L[0]), str(L[1])], 4),  # the highest seq takes the update
+        ]
+        in_order = Zero07Service(engine=engine)
+        for event in sorted(arrivals, key=lambda event: event.seq) + [update]:
+            in_order.ingest(event)
+        before_update = Zero07Service(engine=engine)
+        for event in arrivals:
+            before_update.ingest(event)
+        resumed = Zero07Service.restore(before_update.checkpoint())
+        resumed.ingest(update)
         restored = Zero07Service.restore(queried.checkpoint())
-        assert counts(restored) == counts(queried)
-        assert report_signature(restored.report(0)) == report_signature(
-            queried.report(0)
-        )
+        expected = report_signature(queried.report(0))
+        for twin in (in_order, resumed, restored):
+            assert records(twin) == records(queried)
+            assert report_signature(twin.report(0)) == expected
 
     @staticmethod
     def chunked_epoch(chunks: int = 4, size: int = 16):
@@ -788,7 +825,7 @@ class TestDeltaCheckpoint:
         service.ingest_batch(
             [PathEvidence(0, 200 + i, make_path(50 + i, L[1:4])) for i in range(9)]
         )
-        # out of order: the next report re-sorts the live buffers
+        # out of order: the record stays where it arrived, last
         service.ingest(PathEvidence(0, 5, make_path(99, L[:2])))
         assert service.stats.out_of_order_events == 1
         service.report(0)
@@ -796,7 +833,7 @@ class TestDeltaCheckpoint:
         delta = service.checkpoint(base=base)
         (carried,) = delta.materialize().payload["epochs"]
         assert [seq for seq, _ in carried["records"]] == (
-            [0, 2, 4, 5, 6] + list(range(200, 209))
+            [0, 2, 4, 6] + list(range(200, 209)) + [5]
         )
         assert carried["retransmission_seqs"] == list(range(100, 111))
         assert base.apply_delta(delta) == service.checkpoint()
@@ -881,7 +918,7 @@ class TestContainerDamage:
     @pytest.mark.parametrize(
         "column, damage",
         [
-            ("seq", lambda a: a[::-1]),  # not increasing
+            ("seq", lambda a: a[[*range(1, len(a)), len(a) - 1]]),  # a seq twice
             ("len", lambda a: a + 1),  # does not delimit the hops
             ("len", lambda a: a * 0),  # empty paths
             ("hop", lambda a: a + 10_000),  # outside the link table
@@ -901,6 +938,25 @@ class TestContainerDamage:
             CheckpointColumns(arrays, good.columns.names, good.columns.links),
         )
         with pytest.raises(ValueError, match="corrupt binary checkpoint"):
+            Checkpoint.from_bytes(crafted.to_bytes())
+
+    def test_a_path_longer_than_eight_hops_is_rejected_on_restore(self):
+        from repro.api.checkpoint import CheckpointColumns
+
+        good = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
+        arrays = dict(good.columns.arrays)
+        lens, hops = arrays["e0_len"].copy(), arrays["e0_hop"]
+        # the first record crosses its first link again until it has 9 hops
+        arrays["e0_hop"] = hops[[0] * (9 - int(lens[0])) + list(range(len(hops)))]
+        lens[0] = 9
+        arrays["e0_len"] = lens
+        crafted = Checkpoint(
+            good.payload,
+            CheckpointColumns(arrays, good.columns.names, good.columns.links),
+        )
+        with pytest.raises(PathTooLongError, match="9 links"):
+            Zero07Service.restore(crafted)
+        with pytest.raises(PathTooLongError, match="9 links"):
             Checkpoint.from_bytes(crafted.to_bytes())
 
 

@@ -240,79 +240,6 @@ class TestFastPathEngagement:
             per_event.checkpoint()
         )
 
-    def test_dirty_rebuild_keeps_arrival_order_update_binding(self):
-        """Regression: after a bulk batch and an out-of-order re-trace, and
-        after a report has put the rows in seq order, a count update must
-        still bump the most recently *arrived* record — exactly like a pure
-        per-event stream."""
-        base = [
-            PathEvidence(epoch=0, seq=i, path=make_path(i, L[:3])) for i in range(10)
-        ]
-        tail = [
-            PathEvidence(epoch=0, seq=20, path=make_path(0, L[1:4], retransmissions=5)),
-            PathEvidence(epoch=0, seq=15, path=make_path(0, L[2:5], retransmissions=3)),
-        ]
-        update = RetransmissionEvidence(epoch=0, flow_id=0, retransmissions=10, seq=21)
-
-        mixed = Zero07Service()
-        mixed.ingest_batch(base)  # fast path
-        for event in tail:
-            mixed.ingest(event)  # seq 15 after 20: rows out of seq order
-        mixed.report(0)  # permutes records and tally rows into seq order
-        mixed.ingest(update)
-
-        pure = Zero07Service()
-        for event in base + tail:
-            pure.ingest(event)
-        pure.report(0)
-        pure.ingest(update)
-
-        def record_view(service):
-            return [
-                (seq, path.flow_id, path.retransmissions)
-                for seq, path in service.evidence_for_epoch(0)
-            ]
-
-        assert record_view(mixed) == record_view(pure)
-        assert mixed.checkpoint().to_json() == pure.checkpoint().to_json()
-        assert report_signature(mixed.report(0)) == report_signature(pure.report(0))
-
-    def test_rebuild_then_batch_keeps_arrival_order_update_binding(self):
-        """Regression (mirror direction): per-event out-of-order re-trace,
-        report() (permutes the records), then a *later* bulk batch, then
-        a count update — the update must still bind by arrival order."""
-        tail = [
-            PathEvidence(epoch=0, seq=20, path=make_path(0, L[1:4], retransmissions=5)),
-            PathEvidence(epoch=0, seq=15, path=make_path(0, L[2:5], retransmissions=3)),
-        ]
-        later = [
-            PathEvidence(epoch=0, seq=30 + i, path=make_path(100 + i, L[:3]))
-            for i in range(10)
-        ]
-        update = RetransmissionEvidence(epoch=0, flow_id=0, retransmissions=10, seq=50)
-
-        mixed = Zero07Service()
-        for event in tail:
-            mixed.ingest(event)  # rows out of seq order
-        mixed.report(0)  # permutes records and rows
-        mixed.ingest_batch(later)  # fast path
-        mixed.ingest(update)
-
-        pure = Zero07Service()
-        for event in tail + later:
-            pure.ingest(event)
-        pure.report(0)
-        pure.ingest(update)
-
-        assert [
-            (seq, p.flow_id, p.retransmissions)
-            for seq, p in mixed.evidence_for_epoch(0)
-        ] == [
-            (seq, p.flow_id, p.retransmissions)
-            for seq, p in pure.evidence_for_epoch(0)
-        ]
-        assert mixed.checkpoint().to_json() == pure.checkpoint().to_json()
-
     def test_exotic_event_kinds_are_not_swallowed_by_the_fast_path(self):
         """Regression: a PathEvidence subclass mid-batch must be ingested with
         per-event semantics (isinstance dispatch), never silently dropped

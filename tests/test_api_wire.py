@@ -27,6 +27,7 @@ from repro.api import (
 )
 from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import LinkIndex
+from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.testing import report_signature
@@ -150,6 +151,23 @@ class TestCodecRoundTrip:
 
         with pytest.raises(WireProtocolError):
             WireDecoder().decode(memoryview(bytes(_HEADER.size)))
+
+    def test_a_path_longer_than_eight_hops_is_rejected_before_the_tables_grow(self):
+        walk = [DirectedLink(f"w{i}", f"w{i + 1}") for i in range(9)]
+        message = WireEncoder(streams=1).encode_run(
+            0,
+            0,
+            0,
+            [
+                PathEvidence(epoch=0, seq=0, path=make_path(1, L[:3])),
+                PathEvidence(epoch=0, seq=1, path=make_path(2, walk)),
+            ],
+        )
+        decoder = WireDecoder()
+        with pytest.raises(PathTooLongError, match="9 links") as raised:
+            decoder.decode_columns(memoryview(message))
+        assert raised.value.hops == 9
+        assert decoder.links_table == []
 
 
 class TestEvidenceColumnStore:

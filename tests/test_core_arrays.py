@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import arrays as arrays_module
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import (
@@ -17,7 +16,7 @@ from repro.core.arrays import (
 )
 from repro.core.blame import BlameConfig, find_problematic_links
 from repro.core.switches import SwitchVoteTally, find_problematic_switches
-from repro.core.votes import VoteTally
+from repro.core.votes import PathTooLongError, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -174,91 +173,17 @@ class TestArrayVoteTally:
         assert tally.votes_of(L("a", "b")) == 1.0
         assert clone.votes_of(L("a", "b")) == 2.0
 
-    def test_reordered_equals_a_fresh_build_in_that_order(self):
-        """A row permutation is buffer-for-buffer the tally a fresh build in
-        that order gives (same first-vote order, same fold, same doubles),
-        keeps every flow bound to the record it was bound to, and leaves the
-        source tally and its earlier snapshots alone."""
-        rng = np.random.default_rng(16)
-        pool = [L(f"n{i}", f"n{i + 1}") for i in range(40)]
-        paths = [
-            _path(
-                int(rng.integers(0, 120)),  # few ids: flows get re-traced
-                [pool[i] for i in rng.integers(0, 40, int(rng.integers(1, 7)))],
-                int(rng.integers(1, 5)),
-            )
-            for _ in range(700)
-        ]
-        order = rng.permutation(len(paths))
-        index = LinkIndex(reversed(pool))  # ids differ from first-vote order
-
-        tally = ArrayVoteTally(index=index)
-        tally.add_flows(paths[:300])
-        tally.votes_array()  # folded part-way, like a tally queried mid-epoch
-        tally.add_flows(paths[300:])
-        before = tally.snapshot()
-        frozen = _buffers(before)
-        binding = {p.flow_id: row for row, p in enumerate(paths)}  # last arrival
-        moved = tally.reordered(order)
-
-        fresh = ArrayVoteTally(index=index)
-        fresh.add_flows([paths[row] for row in order.tolist()])
-        assert _buffers(moved) == _buffers(fresh)
-        assert moved.contributions == fresh.contributions
-        new_row = {int(old): new for new, old in enumerate(order.tolist())}
-        for flow, row in binding.items():
-            assert moved.row_of_flow(flow) == new_row[row]
-            assert tally.row_of_flow(flow) == row
-        assert _buffers(before) == frozen
-        assert _buffers(tally.snapshot()) == frozen
-
-        reference = VoteTally()
-        reference.add_discovered_paths(paths)
-        twin = reference.reordered(order)
-        assert twin.contributions == moved.contributions
-        assert twin.as_dict() == moved.as_dict()
-        assert list(twin.as_dict()) == list(moved.as_dict())
-        for flow, row in binding.items():
-            assert twin.row_of_flow(flow) == new_row[row]
-        assert ArrayVoteTally().reordered(np.empty(0, dtype=np.int64)).num_flows == 0
-
-    def test_first_vote_order_of_a_bulk_feed_is_the_per_path_loops(self):
-        """``add_columns`` screens hops for first votes block by block; the
-        order it records (the fold order, hence every float) is the per-path
-        loop's for a whole-epoch call, a chunked feed and a permuted rebuild
-        — with links first voting in every block and interned links that
-        never vote."""
-        rng = np.random.default_rng(20)
-        pool = [L(f"n{i}", f"n{i + 1}") for i in range(700)]
-        paths = [
-            _path(
-                k,  # the links in play grow with k: first votes in every block
-                [pool[i] for i in rng.integers(0, 5 + k // 6, int(rng.integers(1, 7)))],
-            )
-            for k in range(4_000)
-        ]
-        assert sum(len(p.links) for p in paths) > 3 * arrays_module._FIRST_VOTE_BLOCK
-        index = LinkIndex(reversed(pool + [L("never", "votes")]))
-        order = rng.permutation(len(paths))
-
-        def per_path(sequence):
-            tally = ArrayVoteTally(index=index)
-            for path in sequence:
-                tally.add_flow(path.flow_id, path.links, path.retransmissions)
-            return tally
-
-        whole, chunked = ArrayVoteTally(index=index), ArrayVoteTally(index=index)
-        whole.add_flows(paths)
-        for start in range(0, len(paths), 900):
-            chunked.add_flows(paths[start : start + 900])
-            chunked.snapshot()  # a mid-epoch report between deliveries
-        reference = per_path(paths)
-        assert len(reference.voted_ids()) > 600
-        assert whole.voted_ids().tolist() == reference.voted_ids().tolist()
-        assert _buffers(whole) == _buffers(chunked) == _buffers(reference)
-        permuted = per_path([paths[row] for row in order.tolist()])
-        assert permuted.voted_ids().tolist() != reference.voted_ids().tolist()
-        assert _buffers(whole.reordered(order)) == _buffers(permuted)
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_add_columns_rejects_a_path_longer_than_eight_hops_untouched(self, engine):
+        walk = [L(f"w{i}", f"w{i + 1}") for i in range(9)]
+        if engine == "arrays":
+            tally, hops = ArrayVoteTally(index=LinkIndex(walk)), [0, 1, *range(9)]
+        else:
+            tally, hops = VoteTally(), walk[:2] + walk
+        with pytest.raises(PathTooLongError, match="9 links") as raised:
+            tally.add_columns(hops, [2, 9], [1, 2], [1, 1])
+        assert raised.value.hops == 9
+        assert tally.num_flows == 0 and tally.total_votes() == 0.0
 
     @pytest.mark.parametrize("engine", ["dicts", "arrays"])
     def test_the_top_none_is_empty_not_all_but_the_last(self, engine):

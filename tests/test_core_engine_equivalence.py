@@ -41,6 +41,11 @@ from repro.routing.fivetuple import FiveTuple
 from repro.testing import report_signature
 from repro.topology.elements import DirectedLink
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # pragma: no cover - hypothesis is optional
+    given = None
+
 
 def _random_paths(rng: np.random.Generator, num_flows: int) -> list:
     """Random multi-hop paths over a small synthetic link pool."""
@@ -89,12 +94,12 @@ def assert_reports_identical(ref, got):
 
 
 def _link_side(report):
-    """The per-link tables and everything served from them, dict order and
-    list order included."""
+    """The per-link tables and everything served from them, list order
+    included."""
     voted = len(report.ranked_links)
     return (
         list(report.ranked_links),
-        list(report.blame.final_votes.items()),
+        report.blame.final_votes,
         list(report.blame.votes_at_detection.items()),
         [report.top_links(n) for n in (-1, 0, 1, 10, voted + 5)],
         report.summary(),
@@ -177,87 +182,113 @@ def _path_from_links(flow_id, links):
     )
 
 
-def _looped_flows(rng, num_flows, nodes, flow_pool):
-    """Paths that may cross a link more than once; flow ids drawn from a small
-    pool, so lists built over the same pool trace some flows again."""
-    pool = [DirectedLink(a, b) for a in nodes for b in nodes if a != b]
-    return [
-        _path_from_links(
-            int(rng.choice(flow_pool)),
-            [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(1, 8)))],
+#: links interned before any test tally sees them, so a link's id does not
+#: depend on the order records arrive in.
+_POOL = [DirectedLink(f"n{a}", f"n{b}") for a in range(5) for b in range(5) if a != b]
+
+
+def _record(flow_id, hops, retransmissions):
+    path = _path_from_links(flow_id, [_POOL[k] for k in hops])
+    return dataclasses.replace(path, retransmissions=retransmissions)
+
+
+def _bound_seqs(tally):
+    """flow id -> the seq of the record the flow is bound to."""
+    seqs = tally.record_columns()[4]
+    return {flow: int(seqs[row]) for flow, row in tally.flow_rows().items()}
+
+
+if given is not None:
+
+    @st.composite
+    def split_epochs(draw):
+        """An epoch's records (seq = position; few flow ids, so flows are
+        traced again; up to 8 hops that may cross a link twice), an arrival
+        order of them and a partition of that order into consecutive parts."""
+        records = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 9),
+                    st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=8),
+                    st.integers(1, 3),
+                ),
+                min_size=1,
+                max_size=60,
+            )
         )
-        for _ in range(num_flows)
+        order = draw(st.permutations(range(len(records))))
+        cuts = draw(st.lists(st.integers(0, len(records)), max_size=4))
+        return [_record(*record) for record in records], order, sorted(set(cuts))
+
+    @given(split_epochs())
+    def test_any_order_and_partition_of_an_epoch_folds_to_the_same_bits(case):
+        """Each part folded into a tally of its own and the parts merged by
+        ``extend`` give the arrays of a whole-epoch fold in seq order byte
+        for byte, and the same report; the dict oracle fed the arrival order
+        gives equal votes (``==``) and the same report; ``extend`` only reads
+        its argument and leaves earlier snapshots alone."""
+        paths, order, cuts = case
+        index = LinkIndex(_POOL)
+
+        def fold(rows):
+            tally = ArrayVoteTally(index=index)
+            tally.add_flows([paths[row] for row in rows], list(rows))
+            return tally
+
+        whole = fold(range(len(paths)))
+        bounds = [0, *cuts, len(order)]
+        merged, *parts = [fold(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        before = merged.snapshot()
+        frozen = [(t.votes_array().tobytes(), t.num_flows) for t in [before, *parts]]
+        for part in parts:
+            merged.extend(part)
+        assert [(t.votes_array().tobytes(), t.num_flows) for t in [before, *parts]] == frozen
+        oracle = VoteTally()
+        oracle.add_flows([paths[row] for row in order], order)
+
+        assert merged.votes_array().tobytes() == whole.votes_array().tobytes()
+        assert merged.support_array().tobytes() == whole.support_array().tobytes()
+        assert merged.as_dict() == whole.as_dict() == oracle.as_dict()
+        assert merged.total_votes() == whole.total_votes() == oracle.total_votes()
+        assert _bound_seqs(merged) == _bound_seqs(whole) == _bound_seqs(oracle)
+        agent = AnalysisAgent(engine="arrays", link_index=index)
+        report, expected = agent.analyze_tally(0, merged), agent.analyze_tally(0, whole)
+        assert report_to_json(report) == report_to_json(expected)
+        assert report_signature(report) == report_signature(expected)
+        assert report_signature(report) == report_signature(
+            AnalysisAgent(engine="dicts").analyze_tally(0, oracle)
+        )
+        with pytest.raises(ValueError, match="same index"):
+            merged.extend(ArrayVoteTally())
+
+
+def test_an_exact_tie_is_blamed_in_link_order():
+    """Two links with exactly 8/3 votes each: the smaller one is blamed
+    first on both engines.  As doubles, sixteen sixths (the smaller link's)
+    sum to less than eight thirds (the larger one's), which blamed the larger
+    link first; every other link has a single voter, so only the two can be
+    blamed."""
+    first, second = DirectedLink("a", "b"), DirectedLink("z", "y")
+    paths = [
+        _path_from_links(k, [first, *(DirectedLink(f"f{k}", f"{h}") for h in range(5))])
+        for k in range(16)
+    ] + [
+        _path_from_links(16 + k, [second, *(DirectedLink(f"g{k}", f"{h}") for h in range(2))])
+        for k in range(8)
     ]
-
-
-def _fed(index, *flow_lists):
-    tally = ArrayVoteTally(index=index)
-    for flows in flow_lists:
-        tally.add_flows(flows)
-    return tally
-
-
-def _tally_state(tally, flow_pool):
-    """Everything a report, a count update or a checkpoint reads of a tally."""
-    agent = AnalysisAgent(engine="arrays", link_index=tally.index)
-    return (
-        tally.votes_array().tobytes(),
-        tally.support_array().tolist(),
-        tally.voted_ids().tolist(),
-        [column.tolist() for column in tally.record_columns()],
-        [tally.row_of_flow(flow) for flow in flow_pool],
-        report_signature(agent.analyze_tally(0, tally)),
-    )
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_extend_equals_feeding_the_flows_in_order(seed):
-    """``a.extend(b)`` is a tally fed A then B, float for float; it reads
-    ``b`` only and leaves earlier snapshots of ``a`` alone; and it
-    associates: (a+b)+c == a+(b+c) == A + B + C."""
-    rng = np.random.default_rng(seed)
-    flow_pool = list(range(40))
-    few, more = [f"n{i}" for i in range(4)], [f"n{i}" for i in range(7)]
-    # B and C cross links A never saw; seeds 0 and 1 leave one side empty
-    A = _looped_flows(rng, 0 if seed == 0 else 60, few, flow_pool)
-    B = _looped_flows(rng, 0 if seed == 1 else 50, more, flow_pool)
-    C = _looped_flows(rng, 30, more, flow_pool)
-    index = LinkIndex()
-
-    a, b = _fed(index, A), _fed(index, B)
-    if B:
-        b.bump_retransmissions(B[0].flow_id, 3)  # counts ride along as they stand
-    before = a.snapshot()
-    a_alone, b_alone = _tally_state(before, flow_pool), _tally_state(b, flow_pool)
-    a.extend(b)
-    fed = _fed(index, A, B)
-    if B:
-        fed.bump_retransmissions(B[0].flow_id, 3)
-    assert _tally_state(a, flow_pool) == _tally_state(fed, flow_pool)
-    assert _tally_state(b, flow_pool) == b_alone
-    assert _tally_state(before, flow_pool) == a_alone
-
-    left = _fed(index, A)
-    left.extend(_fed(index, B))
-    left.extend(_fed(index, C))
-    tail = _fed(index, B)
-    tail.extend(_fed(index, C))
-    right = _fed(index, A)
-    right.extend(tail)
-    whole = _tally_state(_fed(index, A, B, C), flow_pool)
-    assert _tally_state(left, flow_pool) == whole
-    assert _tally_state(right, flow_pool) == whole
-
-    with pytest.raises(ValueError, match="same index"):
-        a.extend(ArrayVoteTally())
+    for engine in ("dicts", "arrays"):
+        report = AnalysisAgent(engine=engine).analyze_epoch(0, paths)
+        assert report.detected_links == [first, second]
+        assert report.blame.votes_at_detection == {first: 8 / 3, second: 8 / 3}
+        assert report.top_links(2) == [(first, 8 / 3), (second, 8 / 3)]
 
 
 def test_support_counts_a_flow_once_per_link_however_often_it_crosses_it():
     """The fold finds a row's repeated links without sorting: the dict
     oracle's support on paths that cross a link twice and thrice, and on a
-    40-hop path (any length stays exact, only slower)."""
+    walk of the longest length that votes, around a three-link loop."""
     W, X, Y, Z = (DirectedLink(f"s{i}", f"s{i + 1}") for i in range(4))
-    long_walk = [DirectedLink(f"w{i % 9}", f"w{(i + 1) % 9}") for i in range(40)]
+    long_walk = [DirectedLink(f"w{i % 3}", f"w{(i + 1) % 3}") for i in range(8)]
     paths = [
         _path_from_links(0, [X, Y, X]),
         _path_from_links(1, [Y, Y, Z, Y]),

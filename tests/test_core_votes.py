@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.votes import VoteTally
+from repro.core.votes import VOTE_UNITS, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -31,7 +31,7 @@ class TestVoteValues:
         tally = VoteTally()
         links = _links(("h", "tor"), ("tor", "t1"), ("t1", "tor2"), ("tor2", "h2"))
         contribution = tally.add_flow(1, links)
-        assert contribution.weight == pytest.approx(0.25)
+        assert contribution.units == VOTE_UNITS // 4
         for link in links:
             assert tally.votes_of(link) == pytest.approx(0.25)
         assert tally.total_votes() == pytest.approx(1.0)

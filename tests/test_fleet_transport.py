@@ -301,6 +301,35 @@ def test_report_after_a_sequence_gap_closes_covers_what_was_ahead(
         assert served["replayed_epochs"] == 0
 
 
+@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
+def test_lanes_behind_a_gap_join_at_the_barrier_in_any_order(tcp_thread, core_kind):
+    """Two stretches ahead of a prefix that never arrives, the later one
+    first: the tick barrier joins both lanes, in the order they were opened,
+    and the report is a replay of what was delivered — without a replay."""
+    core = make_core(core_kind)
+    thread = tcp_thread(core)
+    paths = [e for e in generated_stream(0) if isinstance(e, PathEvidence)]
+    clients = [
+        FleetAgentClient(f"t-{index}", thread.endpoint, chunk_events=64)
+        for index in range(AGENTS)
+    ]
+    for client, part in zip(clients, (paths[300:450], paths[100:200])):
+        client.connect()
+        client.send_run(0, part)
+        client.drain()
+    for client in clients:
+        client.tick(0)
+        client.drain()
+        client.close()
+    served = wait_finalized(thread.query_endpoint, 0)
+    replay = Zero07Service(engine="arrays")
+    replay.ingest_batch(paths[100:200] + paths[300:450])
+    with FleetQueryClient(thread.query_endpoint) as query:
+        assert query.report_signature(0) == json_signature(replay.report(0))
+    counter = "replayed_epochs" if core_kind == "columns" else "fallback_events"
+    assert served[counter] == 0
+
+
 def test_unix_socket_reports_bit_identical_to_replay(tmp_path):
     analyzer = FleetAnalyzer(
         ColumnarIngestCore(retain_reports=EPOCHS),

@@ -293,11 +293,11 @@ def test_out_of_order_chunked_delivery_equals_per_event(rng, codec):
     """A chunked arrays service == a per-event dicts service, same arrivals.
 
     Late, redelivered and half-redelivered chunks either stay on the vector
-    path (appended in arrival order, permuted into seq order at the next
-    read) or replay per event; either way every query, the records, the
-    checkpoint document and the perturbation counters must equal what the
-    oracle — the dict engine fed one event at a time in the same arrival
-    order — holds, across reads and a restart at drawn cuts.
+    path (appended in arrival order) or replay per event; either way every
+    query, the records, the checkpoint document and the perturbation
+    counters must equal what the oracle — the dict engine fed one event at
+    a time in the same arrival order — holds, across reads and a restart at
+    drawn cuts.
     """
     deliveries = late_deliveries(late_epoch(rng), rng)
     restart_at = rng.randrange(len(deliveries))
