@@ -37,6 +37,7 @@ import dataclasses
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from typing import (
@@ -77,6 +78,7 @@ from repro.api.events import (
     RetransmissionEvidence,
 )
 from repro.api.wire import (
+    RunColumns,
     aggregate_updates,
     bind_updates,
     bulk_admissible,
@@ -176,8 +178,8 @@ class ServiceStats:
     duplicate_events: int = 0
     out_of_order_events: int = 0
     late_events: int = 0
-    #: events of a bulk-sized (>= 8 events) run that left the vector path
-    #: and were replayed one at a time.
+    #: events of a delivered bulk-sized (>= 8 events) run that left the
+    #: vector path and were replayed one at a time.
     fallback_events: int = 0
     reports_materialized: int = 0
     epochs_finalized: int = 0
@@ -201,6 +203,45 @@ _NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
 #: (``operator_trickle``'s 512-event deliveries read 2-5 % slower folded singly).
 _EAGER_FOLD_EVENTS = 2048
 
+#: per-event ``ingest`` joins a pending run that is admitted at this length (or
+#: sooner, before anything reads or extends its epoch).  An admission costs
+#: ~90 us plus ~1.1 us an event: 512 keeps the fixed cost near 0.18 us an
+#: event and caps what a cold report absorbs at ~0.6 ms.
+_PENDING_RUN_EVENTS = 512
+
+
+def _capture(event: Evidence) -> tuple:
+    """What the analysis reads of one evidence event, read now: ``(seq, flow
+    id, count, links, path)``, links and path ``None`` for a count update.
+
+    Raises like every ingest path: ``TypeError`` on a foreign kind,
+    ``ValueError`` / ``PathTooLongError`` on a path that cannot vote.
+    """
+    if isinstance(event, PathEvidence):
+        path = event.path
+        links = tuple(path.links)
+        check_hop_counts(len(links), len(links))
+        return event.seq, path.flow_id, path.retransmissions, links, path
+    if isinstance(event, RetransmissionEvidence):
+        return event.seq, event.flow_id, event.retransmissions, None, None
+    raise TypeError(f"not an evidence event: {event!r}")
+
+
+def _pending_columns(run: List[tuple]) -> RunColumns:
+    """The edge of a pending run: its captured rows as :class:`RunColumns`."""
+    seqs = [row[0] for row in run]
+    if None in seqs:  # a seq-less update (see seqs_of)
+        seqs = [-1 if seq is None else seq for seq in seqs]
+    paths = [row for row in run if row[3] is not None]
+    updates = [row for row in run if row[3] is None]
+    path_seqs, flows, counts, links, refs = zip(*paths) if paths else ((),) * 5
+    upd_seqs, upd_flows, upd_counts, _, _ = zip(*updates) if updates else ((),) * 5
+    lengths = np.fromiter(map(len, links), dtype=np.int64, count=len(links))
+    return RunColumns(
+        np.array(seqs, dtype=np.int64), path_seqs, flows, counts, links, lengths, refs,
+        upd_flows, upd_seqs, upd_counts
+    )
+
 
 class _EpochState:
     """The live incremental tally of one open epoch and what it does not hold.
@@ -208,7 +249,9 @@ class _EpochState:
     The tally's rows are the record of arrival *and* the only holder of what
     the analysis reads (flow id, hop ids, retransmission count, sequence
     number): every admitted path is appended to it, in sequence order or
-    not.  Beside it the service keeps, row for row, the record's *identity
+    not — a delivered batch's at once, a per-event ``ingest``'s when the
+    service's pending run it joined is admitted.  Beside it the service
+    keeps, row for row, the record's *identity
     cargo* — five-tuple, hosts, ``complete``, path epoch, which only a
     checkpoint or ``evidence_for_epoch`` ever asks for: rows ``[0, k)`` as
     :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the service's name
@@ -257,11 +300,14 @@ class _EpochState:
         #: retransmission updates that arrived before their flow's path.
         self.pending_retransmissions: Dict[int, int] = {}
         #: change watermark: bumped by every ingest that can alter a report
-        #: (new paths, applied count updates).  The epoch's materialized view
+        #: (new paths, applied count updates) and by every event joining the
+        #: pending run (taken back when the run is admitted, which counts what
+        #: it changed).  The epoch's materialized view
         #: — the last mid-epoch report — is cached together with the
         #: watermark it was computed at, so a query that lands with no rows
         #: touched since the previous query returns the cached report
-        #: outright instead of re-running the analysis.
+        #: outright instead of re-running the analysis.  ``cached_at`` equals
+        #: it only once a report was cached (the watermark never goes below 0).
         self.mutations = 0
         self.cached_report: Optional[EpochReport] = None
         self.cached_at = -1
@@ -271,12 +317,13 @@ class _EpochState:
 
         Buffered in ``pending_retransmissions`` while the flow has no path.
         """
-        if self.tally.row_of_flow(flow_id) is None:
+        row = self.tally.flow_rows().get(flow_id)
+        if row is None:
             self.pending_retransmissions[flow_id] = (
                 self.pending_retransmissions.get(flow_id, 0) + extra
             )
         else:
-            self.tally.bump_retransmissions(flow_id, extra)
+            self.tally.bump_rows([row], [extra])
             self.mutations += 1
 
     def identity_columns(self) -> EpochColumns:
@@ -374,11 +421,24 @@ class Zero07Service:
         self._final_reports: Dict[int, EpochReport] = {}
         self._last_finalized: Optional[int] = None
         self._max_epoch_seen: Optional[int] = None
-        self.stats = ServiceStats()
+        self._stats = ServiceStats()
+        #: per-event ``ingest``'s captured rows (:func:`_capture`), all of
+        #: epoch ``_pending_epoch``, whose state ``_pending_state`` is.
+        self._pending: List[tuple] = []
+        self._pending_epoch: Optional[int] = None
+        self._pending_state: Optional[_EpochState] = None
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    @property
+    def stats(self) -> ServiceStats:
+        """Counters of what the service ingested and produced.  Reading them
+        admits the pending run first, so every ingested event is counted."""
+        if self._pending:
+            self._flush()
+        return self._stats
+
     @property
     def agent(self) -> AnalysisAgent:
         """The analysis agent reports are materialized with."""
@@ -443,6 +503,7 @@ class Zero07Service:
         current hops and counts and the records' identity cargo, so nothing
         done to them reaches the service.
         """
+        self._flush()
         state = self._epochs.get(epoch)
         if state is None:
             return []
@@ -454,15 +515,39 @@ class Zero07Service:
     # ingestion
     # ------------------------------------------------------------------
     def ingest(self, event: Evidence) -> None:
-        """Ingest one evidence event (path, retransmission update, or tick)."""
-        if isinstance(event, PathEvidence):
-            self._ingest_path(event)
-        elif isinstance(event, RetransmissionEvidence):
-            self._ingest_retransmission(event)
-        elif isinstance(event, EpochTick):
+        """Ingest one evidence event (path, retransmission update, or tick).
+
+        A path or count update is checked at once — a foreign kind raises
+        ``TypeError``, a path without links ``ValueError``, one with too many
+        :class:`~repro.core.votes.PathTooLongError`, and an event of a
+        finalized epoch counts in ``stats.late_events`` — and then joins its
+        epoch's *pending run*: what the analysis reads of it (seq, flow id,
+        count, links) is captured here, so a source that changes its objects
+        afterwards is not seen.  The run is admitted like a delivered batch
+        (folded in bulk when the proofs hold, replayed per event otherwise)
+        at 512 events, and before anything reads or extends its epoch: a
+        cold report, a tick, a checkpoint, ``evidence_for_epoch``, a batch,
+        a ``stats`` read, an event of another epoch or of an evidence
+        subclass.  Results are bit-identical to admitting every event alone.
+        """
+        if isinstance(event, EpochTick):
             self._ingest_tick(event)
-        else:
-            raise TypeError(f"not an evidence event: {event!r}")
+            return
+        row = _capture(event)
+        epoch = event.epoch
+        if self._is_late(epoch):
+            return
+        if epoch != self._pending_epoch:
+            self._flush()
+            self._seen_epoch(epoch)
+            self._pending_epoch, self._pending_state = epoch, self._state(epoch)
+        self._pending_state.mutations += 1
+        self._pending.append(row)
+        if len(self._pending) >= _PENDING_RUN_EVENTS or type(event) not in (
+            PathEvidence,
+            RetransmissionEvidence,
+        ):
+            self._flush()
 
     def ingest_batch(self, events: Iterable[Evidence], owned: bool = False) -> None:
         """Ingest many evidence events in order.
@@ -476,11 +561,12 @@ class Zero07Service:
         per *changed flow*, not once per event.  Any batch that violates the
         fast path's preconditions (duplicates, reordering, pending state)
         falls back to the event-at-a-time path — results are bit-identical
-        either way, only the speed differs.
+        either way, only the speed differs.  Per-event :meth:`ingest` joins
+        a pending run that the same admission takes.
 
         ``owned`` is accepted and both values do the same thing: what the
-        analysis reads of a path (flow id, links, count) is written into the
-        tally's columns at ingest — that *is* the defensive copy — and the
+        analysis reads of a path (flow id, links, count) is captured at
+        ingest — that *is* the defensive copy — and the
         service never writes to a path object, so a source may keep bumping
         its ``DiscoveredPath.retransmissions`` in place (as the monitoring
         agent's cache does) whether it declared a hand-over or not.
@@ -553,9 +639,9 @@ class Zero07Service:
         if self._max_epoch_seen is None or epoch > self._max_epoch_seen:
             self._max_epoch_seen = epoch
 
-    def _is_late(self, epoch: int) -> bool:
+    def _is_late(self, epoch: int, events: int = 1) -> bool:
         if self._last_finalized is not None and epoch <= self._last_finalized:
-            self.stats.late_events += 1
+            self._stats.late_events += events
             return True
         return False
 
@@ -571,66 +657,21 @@ class Zero07Service:
             return ArrayVoteTally(policy=self._vote_policy, index=self._link_index)
         return VoteTally(policy=self._vote_policy)
 
-    def _ingest_path(self, event: PathEvidence) -> None:
-        path = event.path
-        # before the seq is marked seen
-        check_hop_counts(len(path.links), len(path.links))
-        if self._is_late(event.epoch):
-            return
-        self._seen_epoch(event.epoch)
-        state = self._state(event.epoch)
-        if event.seq in state.seqs:
-            self.stats.duplicate_events += 1
-            return
-        state.seqs.add(event.seq)
-        if event.seq > state.max_seq:
-            state.max_seq = event.seq
-        # a buffered count goes to its flow's first arriving path
-        pending = state.pending_retransmissions.pop(path.flow_id, 0)
-        state.refs.append(path)
-        state.tally.add_flow(
-            path.flow_id, path.links, path.retransmissions + pending, event.seq
-        )
-        if event.seq > state.last_seq:
-            state.last_seq = event.seq
-        else:  # a path below the running highest path seq: out of order
-            self.stats.out_of_order_events += 1
-        state.mutations += 1
-        self.stats.paths_ingested += 1
-
-    def _ingest_retransmission(self, event: RetransmissionEvidence) -> None:
-        if self._is_late(event.epoch):
-            return
-        self._seen_epoch(event.epoch)
-        state = self._state(event.epoch)
-        if event.seq is not None:
-            if event.seq in state.seqs:
-                self.stats.duplicate_events += 1
-                return
-            state.seqs.add(event.seq)
-            state.retransmission_seqs.add(event.seq)
-            if event.seq > state.max_seq:
-                state.max_seq = event.seq
-        state.bump_flow(event.flow_id, event.retransmissions)
-        self.stats.retransmission_updates += 1
-
     # ------------------------------------------------------------------
-    # batched fast path (bit-identical to the per-event path)
+    # one admission for every delivery (bit-identical to the per-event path)
     # ------------------------------------------------------------------
-    def _ingest_evidence_fallback(self, run: List[Evidence]) -> None:
-        """Event-at-a-time replay of a run (handles every edge case).
-
-        Mirrors :meth:`ingest`'s dispatch exactly — subclasses are accepted
-        via ``isinstance``, unknown kinds raise — so the fast path may hand
-        *anything* here and get per-event semantics.
-        """
-        for event in run:
-            if isinstance(event, PathEvidence):
-                self._ingest_path(event)
-            elif isinstance(event, RetransmissionEvidence):
-                self._ingest_retransmission(event)
-            else:
-                raise TypeError(f"not an evidence event: {event!r}")
+    def _flush(self) -> None:
+        """Admit the pending run (see :meth:`ingest`); no-op when empty."""
+        run = self._pending
+        if not run:
+            return
+        self._pending = []
+        state = self._pending_state
+        state.mutations -= len(run)  # the admission counts what the run changed
+        if len(run) < 8:
+            self._ingest_evidence_fallback(state, run)
+        else:
+            self._admit(state, _pending_columns(run), run, batch=False)
 
     def _ingest_evidence_run(
         self,
@@ -638,10 +679,35 @@ class Zero07Service:
         run: List[Evidence],
         seqs: Optional[np.ndarray] = None,
     ) -> None:
-        """Bulk-ingest one epoch's run of path + retransmission evidence.
+        """The edge of a delivered run: one epoch's path + retransmission
+        evidence, as columns for :meth:`_admit`.
+
+        Runs shorter than 8 events replay per event, and so do runs holding
+        exotic kinds (a PathEvidence subclass slipped past the attribute
+        gate: the per-event path knows how to handle, or loudly reject, it —
+        never swallow events), counted in ``stats.fallback_events``.
+        """
+        if not run or self._is_late(epoch, len(run)):
+            return
+        self._flush()
+        self._seen_epoch(epoch)
+        state = self._state(epoch)
+        rows = map(_capture, run)  # read per event, only if replayed
+        if len(run) < 8:
+            self._ingest_evidence_fallback(state, rows)
+            return
+        cols = run_columns(run, seqs_of(run) if seqs is None else seqs)
+        if cols is None:
+            self._stats.fallback_events += len(run)
+            self._ingest_evidence_fallback(state, rows)
+        else:
+            self._admit(state, cols, rows, batch=True)
+
+    def _admit(self, state: _EpochState, cols: RunColumns, rows, batch: bool) -> None:
+        """Fold one run of an epoch in bulk, or replay its ``rows`` per event.
 
         The vectorized path applies all path evidence with one bulk
-        ``add_flows`` tally update, then folds the run's retransmission
+        ``add_columns`` tally update, then folds the run's retransmission
         updates aggregated per flow (``np.unique``/``np.bincount``) — one
         numpy-summed bump per *changed flow* instead of one Python dispatch
         per event.  Because count updates never move votes, applying them
@@ -651,98 +717,103 @@ class Zero07Service:
         the epoch, lands below the watermark (late but disjoint from
         everything seen: appended in arrival order, which no report minds)
         or redelivers only seen sequence
-        numbers (dropped with one set test); runs shorter than 8 events and
-        genuinely mixed ones — partial duplicates, in-run reordering, a flow
-        re-traced after its update, exotic kinds — replay per event, and the
-        latter are counted in ``stats.fallback_events``.
+        numbers (dropped with one set test); genuinely mixed ones — partial
+        duplicates, in-run reordering, a flow re-traced after its update —
+        replay per event, counted in ``stats.fallback_events`` when a
+        ``batch`` delivered them.  Validation mutates nothing, so a run that
+        fails a proof is replayed from untouched state, never half-applied.
         """
-        if self._last_finalized is not None and epoch <= self._last_finalized:
-            self.stats.late_events += len(run)
-            return
-        if len(run) < 8:
-            self._ingest_evidence_fallback(run)
-            return
-        self._seen_epoch(epoch)
-        state = self._state(epoch)
-        # Validation mutates nothing, so a run that fails a proof below is
-        # replayed per event from untouched state, never half-applied.
-        if seqs is None:
-            seqs = seqs_of(run)
-        columns = run_columns(run, seqs)
-        # ``None``: an exotic event kind (e.g. a PathEvidence subclass)
-        # slipped past the attribute gate — the per-event path knows how to
-        # handle, or loudly reject, it.  Never swallow events.
-        if columns is not None:
-            paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
-            if not bulk_admissible(
-                seqs,
-                state.max_seq,
-                np.fromiter(
-                    map(len, map(operator.attrgetter("links"), paths)),
-                    dtype=np.int64,
-                    count=len(paths),
-                ),
-                map(operator.attrgetter("flow_id"), paths),
-                path_seqs,
-                upd_flows,
-                upd_seqs,
-                state.seqs,
-            ):
-                if state.seqs.issuperset(seqs.tolist()):  # a redelivered run
-                    self.stats.duplicate_events += len(run)
-                    return
-                columns = None
-        if columns is None:
-            self.stats.fallback_events += len(run)
-            self._ingest_evidence_fallback(run)
+        stats, seqs = self._stats, cols.seqs
+        if not bulk_admissible(cols, state.max_seq, state.seqs):
+            if state.seqs.issuperset(seqs.tolist()):  # a redelivered run
+                stats.duplicate_events += len(seqs)
+                return
+            if batch:
+                stats.fallback_events += len(seqs)
+            self._ingest_evidence_fallback(state, rows)
             return
 
-        if paths:
+        path_seqs = cols.path_seqs
+        if path_seqs:
             first_row = state.tally.num_flows
-            state.refs.extend(paths)
-            state.tally.add_flows(paths, path_seqs)
+            state.refs.extend(cols.refs)
+            if self.engine == "arrays":
+                hops = self._link_index.hop_ids(cols.links, int(cols.lengths.sum()))
+            else:  # the dict oracle folds link objects
+                hops = list(chain.from_iterable(cols.links))
+            state.tally.add_columns(
+                hops, cols.lengths, cols.flows, cols.counts, path_seqs
+            )
             pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
-                rows, extras = [], []
-                for row, path in enumerate(paths, first_row):
-                    if path.flow_id in pending:
-                        rows.append(row)
-                        extras.append(pending.pop(path.flow_id))
-                state.tally.bump_rows(rows, extras)
+                bumped, extras = [], []
+                for row, flow in enumerate(cols.flows, first_row):
+                    if flow in pending:
+                        bumped.append(row)
+                        extras.append(pending.pop(flow))
+                state.tally.bump_rows(bumped, extras)
             if path_seqs[0] < state.last_seq:
                 # same count as per event: the run's seqs increase, so a path
                 # is below the running highest path seq iff it is below the
                 # one the run found.
-                self.stats.out_of_order_events += bisect_left(
-                    path_seqs, state.last_seq
-                )
+                stats.out_of_order_events += bisect_left(path_seqs, state.last_seq)
             state.last_seq = max(state.last_seq, path_seqs[-1])
             state.mutations += 1
-            self.stats.paths_ingested += len(paths)
+            stats.paths_ingested += len(path_seqs)
 
-        if upd_flows:
+        if cols.upd_flows:
             # flows whose paths have not arrived are buffered
-            rows, extras = bind_updates(
+            bumped, extras = bind_updates(
                 state.tally,
-                *aggregate_updates(upd_flows, upd_counts),
+                *aggregate_updates(cols.upd_flows, cols.upd_counts),
                 state.pending_retransmissions,
             )
-            state.tally.bump_rows(rows, extras)
-            if rows:
+            state.tally.bump_rows(bumped, extras)
+            if bumped:
                 state.mutations += 1
-            state.retransmission_seqs.update(upd_seqs)
-            self.stats.retransmission_updates += len(upd_flows)
+            state.retransmission_seqs.update(cols.upd_seqs)
+            stats.retransmission_updates += len(cols.upd_flows)
 
         state.seqs.update(seqs.tolist())
         state.max_seq = max(state.max_seq, int(seqs[-1]))
-        if len(run) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
+        if len(seqs) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
             state.tally.votes_array()
+
+    def _ingest_evidence_fallback(self, state: _EpochState, rows) -> None:
+        """Event-at-a-time replay of captured rows (:func:`_capture`): the
+        per-event semantics every admission is bit-identical to."""
+        stats = self._stats
+        for seq, flow, count, links, path in rows:
+            if seq is not None or links is not None:  # seq-less updates always apply
+                if seq in state.seqs:
+                    stats.duplicate_events += 1
+                    continue
+                state.seqs.add(seq)
+                if seq > state.max_seq:
+                    state.max_seq = seq
+            if links is None:  # a count update
+                if seq is not None:
+                    state.retransmission_seqs.add(seq)
+                state.bump_flow(flow, count)
+                stats.retransmission_updates += 1
+                continue
+            # a buffered count goes to its flow's first arriving path
+            count += state.pending_retransmissions.pop(flow, 0)
+            state.refs.append(path)
+            state.tally.add_flow(flow, links, count, seq)
+            if seq > state.last_seq:
+                state.last_seq = seq
+            else:  # a path below the running highest path seq: out of order
+                stats.out_of_order_events += 1
+            state.mutations += 1
+            stats.paths_ingested += 1
 
     def _ingest_tick(self, event: EpochTick) -> None:
         if self._is_late(event.epoch):
             return
         self._seen_epoch(event.epoch)
-        self.stats.ticks += 1
+        self._flush()
+        self._stats.ticks += 1
         # Finalize every epoch up to the tick — including evidence-less gap
         # epochs, which still get their (empty) reports exactly like the
         # batch loop emits one report per epoch.  The starting point is the
@@ -772,7 +843,7 @@ class Zero07Service:
             # deep-copying them, which is what keeps repeated mid-epoch
             # queries O(changed rows), not O(epoch).
             tally = state.tally if final else state.tally.snapshot()
-        self.stats.reports_materialized += 1
+        self._stats.reports_materialized += 1
         return self._agent.analyze_tally(epoch, tally)
 
     def report(self, epoch: Optional[int] = None) -> EpochReport:
@@ -807,14 +878,14 @@ class Zero07Service:
                 epoch, self._last_finalized, self._retain_reports
             )
         state = self._epochs.get(epoch)
-        if (
-            state is not None
-            and state.cached_report is not None
-            and state.cached_at == state.mutations
-        ):
+        if state is not None and state.cached_at == state.mutations:
             # the materialized view: no rows were touched since the previous
             # query, so the previous query's report *is* the current report.
             return state.cached_report
+        if self._pending:
+            self._flush()
+            if state is not None and state.cached_at == state.mutations:
+                return state.cached_report  # the run changed nothing
         report = self._materialize(epoch, state, final=False)
         if state is not None:
             state.cached_report = report
@@ -830,7 +901,7 @@ class Zero07Service:
             del self._final_reports[oldest]
         if self._last_finalized is None or epoch > self._last_finalized:
             self._last_finalized = epoch
-        self.stats.epochs_finalized += 1
+        self._stats.epochs_finalized += 1
         for sink in self._sinks:
             sink.on_report(report)
         return report
@@ -866,6 +937,7 @@ class Zero07Service:
         returned columns are copies or arrays nobody writes again: later
         ingests never show through a checkpoint already taken.
         """
+        self._flush()
         payload: Dict[str, Any] = {
             "version": CHECKPOINT_VERSION,
             "kind": "service",
@@ -876,7 +948,7 @@ class Zero07Service:
             "retain_reports": self._retain_reports,
             "max_epoch_seen": self._max_epoch_seen,
             "last_finalized": self._last_finalized,
-            "stats": self.stats.as_dict(),
+            "stats": self._stats.as_dict(),
         }
         base_entries: Dict[int, Dict[str, Any]] = {}
         if base is not None:
@@ -981,11 +1053,11 @@ class Zero07Service:
                 hops, cols["len"], cols["flow"], cols["retr"], seqs
             )
             state.last_seq = state.max_seq = int(seqs.max())
-        self.stats.paths_ingested += len(seqs)
+        self._stats.paths_ingested += len(seqs)
         for flow, count in entry["pending_retransmissions"].items():
             # exactly a seq-less buffered update through live ingest
             state.bump_flow(int(flow), int(count))
-            self.stats.retransmission_updates += 1
+            self._stats.retransmission_updates += 1
         retrans_seqs = cols["rs"].tolist()
         if retrans_seqs:
             state.retransmission_seqs.update(retrans_seqs)
@@ -1045,6 +1117,6 @@ class Zero07Service:
         )
         stats = payload.get("stats", {})
         for name, value in stats.items():
-            if hasattr(service.stats, name):
-                setattr(service.stats, name, int(value))
+            if hasattr(service._stats, name):
+                setattr(service._stats, name, int(value))
         return service

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -507,42 +507,59 @@ class LinkRemap:
 # ----------------------------------------------------------------------
 # bulk admission (shared by the service and the merged column store)
 # ----------------------------------------------------------------------
-def run_columns(run: Sequence[Evidence], seqs: np.ndarray):
-    """Split a single-epoch run into its paths and its count-update columns.
+class RunColumns(NamedTuple):
+    """One single-epoch run as the bulk admission reads it: every event's seq
+    (:func:`seqs_of`), the paths' columns (``refs``: the path objects, kept
+    for their identity cargo only; both ``links`` and ``refs`` are empty for a
+    wire run, whose hops travel as ids), then the count updates' columns."""
 
-    Returns ``(paths, path_seqs, upd_flows, upd_seqs, upd_counts)`` — the
-    :class:`DiscoveredPath` objects and plain lists — or ``None`` when the
-    run holds anything but exact :class:`PathEvidence` /
+    seqs: np.ndarray
+    path_seqs: Sequence[int]
+    flows: Sequence[int]
+    counts: Sequence[int]
+    links: Sequence[Sequence[DirectedLink]]
+    lengths: np.ndarray
+    refs: Sequence[DiscoveredPath]
+    upd_flows: Sequence[int]
+    upd_seqs: Sequence[int]
+    upd_counts: Sequence[int]
+
+
+def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumns]:
+    """The edge of a delivered run: its events as :class:`RunColumns`.
+
+    ``None`` when the run holds anything but exact :class:`PathEvidence` /
     :class:`RetransmissionEvidence` instances (subclasses and foreign kinds
     belong to the per-event path, which handles or loudly rejects them).
     """
     paths = [e.path for e in run if type(e) is PathEvidence]
-    if len(paths) == len(run):
-        return paths, seqs.tolist(), [], [], []
-    updates = [e for e in run if type(e) is RetransmissionEvidence]
-    if len(paths) + len(updates) != len(run):
-        return None
-    is_update = np.fromiter(
-        (type(e) is RetransmissionEvidence for e in run), dtype=bool, count=len(run)
-    )
-    return (
+    updates = []
+    path_seqs = seqs
+    if len(paths) != len(run):
+        updates = [e for e in run if type(e) is RetransmissionEvidence]
+        if len(paths) + len(updates) != len(run):
+            return None
+        is_update = np.fromiter(
+            (type(e) is RetransmissionEvidence for e in run), dtype=bool, count=len(run)
+        )
+        path_seqs = seqs[~is_update]
+    links = [path.links for path in paths]
+    return RunColumns(
+        seqs,
+        path_seqs.tolist(),
+        [path.flow_id for path in paths],
+        [path.retransmissions for path in paths],
+        links,
+        np.fromiter(map(len, links), dtype=np.int64, count=len(links)),
         paths,
-        seqs[~is_update].tolist(),
         [e.flow_id for e in updates],
-        seqs[is_update].tolist(),
+        seqs[is_update].tolist() if updates else [],
         [e.retransmissions for e in updates],
     )
 
 
 def bulk_admissible(
-    seqs: np.ndarray,
-    max_seq: int,
-    lengths: np.ndarray,
-    path_flows: Iterable[int],
-    path_seqs: Iterable[int],
-    upd_flows: Sequence[int],
-    upd_seqs: Sequence[int],
-    seen: Optional[Set[int]] = None,
+    cols: RunColumns, max_seq: int, seen: Optional[Set[int]] = None
 ) -> bool:
     """Whether a single-epoch run may be folded in bulk; mutates nothing.
 
@@ -554,11 +571,12 @@ def bulk_admissible(
     test against ``seen``, the epoch's seen sequence numbers, when the caller
     keeps them (without ``seen`` a late run is never admissible) — and (b) no
     updated flow is traced *again* later in the run (per-event would bump the
-    earlier record, bulk the final one).  ``lengths`` holds each path's hop
-    count; a path without links or with too many is malformed for every
-    ingest path, so it raises here (:func:`~repro.core.votes.check_hop_counts`),
-    before the caller has touched any state.
+    earlier record, bulk the final one).  A path without links or with too
+    many (``cols.lengths``) is malformed for every ingest path, so it raises
+    here (:func:`~repro.core.votes.check_hop_counts`), before the caller has
+    touched any state.
     """
+    seqs, lengths = cols.seqs, cols.lengths
     if len(lengths):
         check_hop_counts(int(lengths.min()), int(lengths.max()))
     first = int(seqs[0])
@@ -568,10 +586,11 @@ def bulk_admissible(
         return False
     if not bool((np.diff(seqs) > 0).all()):
         return False
-    if upd_flows:
-        seq_of_last_path = dict(zip(path_flows, path_seqs)).get
+    if cols.upd_flows:
+        seq_of_last_path = dict(zip(cols.flows, cols.path_seqs)).get
         return not any(
-            seq_of_last_path(flow, -1) > seq for flow, seq in zip(upd_flows, upd_seqs)
+            seq_of_last_path(flow, -1) > seq
+            for flow, seq in zip(cols.upd_flows, cols.upd_seqs)
         )
     return True
 
@@ -681,13 +700,7 @@ class EvidenceColumnStore:
         self,
         epoch: int,
         side: Optional[TallyLane],
-        seqs: np.ndarray,
-        lengths: np.ndarray,
-        path_flows: Iterable[int],
-        path_seqs: Iterable[int],
-        upd_flows: Sequence[int],
-        upd_seqs: Sequence[int],
-        upd_counts: Sequence[int],
+        cols: RunColumns,
         add_paths: Callable[[ArrayVoteTally], None],
     ) -> None:
         """Validate one run, then fold it into the epoch's own lane or ``side``.
@@ -698,6 +711,7 @@ class EvidenceColumnStore:
         into a merged report.  The fold is paid here, when the run is
         appended, so :meth:`build_tally` stays a snapshot.
         """
+        seqs = cols.seqs
         if not len(seqs) or epoch in self._dirty:
             return
         lane = side or self._own_lane(epoch)
@@ -705,9 +719,7 @@ class EvidenceColumnStore:
             return
         tally = lane.tally
         try:
-            lane.clean = bulk_admissible(
-                seqs, lane.max_seq, lengths, path_flows, path_seqs, upd_flows, upd_seqs
-            )
+            lane.clean = bulk_admissible(cols, lane.max_seq)
         except ValueError:
             # a path no vote can be cast from: the shard service raises on
             # it, and whatever state survives that is per-event territory.
@@ -718,7 +730,7 @@ class EvidenceColumnStore:
             # before it (the join binds them); the epoch's own lane never saw
             # them (the facade routed through older per-event state): replay.
             rows, extras = bind_updates(
-                tally, *aggregate_updates(upd_flows, upd_counts), lane.waiting
+                tally, *aggregate_updates(cols.upd_flows, cols.upd_counts), lane.waiting
             )
             lane.clean = side is not None or not lane.waiting
         if not lane.clean:
@@ -742,26 +754,12 @@ class EvidenceColumnStore:
             return
         if seqs is None:
             seqs = seqs_of(run)
-        columns = run_columns(run, seqs)
-        if columns is None:
+        cols = run_columns(run, seqs)
+        if cols is None:
             self.mark_dirty(epoch)
             return
-        paths, path_seqs, upd_flows, upd_seqs, upd_counts = columns
         self._admit(
-            epoch,
-            None,
-            seqs,
-            np.fromiter(
-                map(len, map(operator.attrgetter("links"), paths)),
-                dtype=np.int64,
-                count=len(paths),
-            ),
-            map(operator.attrgetter("flow_id"), paths),
-            path_seqs,
-            upd_flows,
-            upd_seqs,
-            upd_counts,
-            lambda tally: tally.add_flows(paths, path_seqs),
+            epoch, None, cols, lambda tally: tally.add_flows(cols.refs, cols.path_seqs)
         )
 
     def append_columns(
@@ -776,16 +774,22 @@ class EvidenceColumnStore:
         the run continues that lane instead of the epoch's own rows.
         """
         path_seqs = run.path_seqs()
-        self._admit(
-            epoch,
-            lane,
+        cols = RunColumns(
             run.seqs,
-            run.lengths,
-            run.flow_ids.tolist(),
             path_seqs.tolist(),
+            run.flow_ids.tolist(),
+            run.retrans,
+            (),
+            run.lengths,
+            (),
             run.upd_flows.tolist(),
             run.update_seqs().tolist(),
             run.upd_counts,
+        )
+        self._admit(
+            epoch,
+            lane,
+            cols,
             lambda tally: tally.add_columns(
                 link_ids, run.lengths, run.flow_ids, run.retrans, path_seqs
             ),

@@ -422,23 +422,16 @@ class ArrayVoteTally:
         return self.flow_rows().get(flow_id)
 
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
-        """Bulk :meth:`bump_retransmissions` by row index.
+        """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
+        come from :meth:`flow_rows`).
 
-        One cache invalidation for the whole batch instead of one per flow;
-        row indices come from :meth:`flow_rows`.
-        """
-        if len(rows):
-            np.add.at(self._retransmissions, rows, extras)
-        self._contributions_cache = None
-
-    def bump_retransmissions(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to ``flow_id``'s bound row.
-
-        O(1): votes are untouched (the flow's path is unchanged), so only the
+        Votes are untouched (the flows' paths are unchanged), so only the
         rebuilt-on-demand contribution view is invalidated, not the fold.
-        Raises ``KeyError`` for unknown flows.
         """
-        self._retransmissions[self.flow_rows()[flow_id]] += extra
+        if len(rows) == 1:  # a per-event update: add.at costs ~10x an index
+            self._retransmissions[rows[0]] += extras[0]
+        elif len(rows):
+            np.add.at(self._retransmissions, rows, extras)
         self._contributions_cache = None
 
     # ------------------------------------------------------------------

@@ -143,21 +143,14 @@ class VoteTally:
         """Row index of ``flow_id``'s bound contribution (``None`` if unknown)."""
         return self._row_by_flow.get(flow_id)
 
-    def bump_retransmissions(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to ``flow_id``'s bound contribution.
-
-        The streaming service uses this O(1) update when an already-traced
-        flow retransmits again mid-epoch: the flow's path (and therefore its
-        votes) is unchanged, only the retransmission count — which noise
-        classification reads — grows.  Raises ``KeyError`` for unknown flows.
-        """
-        self.bump_rows([self._row_by_flow[flow_id]], [extra])
-
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
-        """Bulk :meth:`bump_retransmissions` by row index.
+        """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
+        come from :meth:`flow_rows`).
 
-        Row indices come from :meth:`flow_rows`; state-identical to bumping
-        each flow individually.
+        The streaming service's update when an already-traced flow
+        retransmits again mid-epoch: the flow's path (and therefore its
+        votes) is unchanged, only the retransmission count — which noise
+        classification reads — grows.
         """
         contributions = self._contributions
         for row, extra in zip(rows, extras):

@@ -32,11 +32,13 @@ import pytest
 
 from repro.api import (
     Checkpoint,
+    EpochTick,
     PathEvidence,
     RetransmissionEvidence,
     Zero07Service,
 )
 from repro.api.checkpoint import COLUMN_DTYPES
+from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.testing import report_signature
@@ -195,6 +197,53 @@ class TestCallerPathsStayTheCallers:
         assert records == Checkpoint.from_json(before).materialize().payload[
             "epochs"
         ][0]["records"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("count", [5, 10])  # replayed per event / in bulk
+    def test_mutating_a_pending_path_changes_nothing(self, engine, count):
+        """Per-event ``ingest`` captures what the analysis reads: paths bumped
+        and extended while their events still wait in the pending run, with
+        no read in between, are not seen."""
+        untouched = Zero07Service(engine=engine)
+        for event in paths(range(count), 0) + bumps([1], 50, count=2):
+            untouched.ingest(event)
+        events = paths(range(count), 0)
+        service = Zero07Service(engine=engine)
+        for event in events + bumps([1], 50, count=2):
+            service.ingest(event)
+        for event in events:
+            event.path.retransmissions += 5
+            event.path.links.append(L[7])
+        assert report_signature(service.report(0)) == report_signature(
+            untouched.report(0)
+        )
+        assert service.checkpoint().to_bytes() == untouched.checkpoint().to_bytes()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_per_event_ingest_rejects_and_counts_at_once(self, engine):
+        """The eager checks stay eager: a rejected event raises from
+        ``ingest`` itself and leaves nothing behind, and a late one is
+        counted before the pending run is admitted."""
+        service = Zero07Service(engine=engine)
+        twin = Zero07Service(engine=engine)
+        for event in paths(range(3), 0):
+            service.ingest(event)
+            twin.ingest(event)
+        with pytest.raises(TypeError):
+            service.ingest(object())
+        with pytest.raises(ValueError, match="at least one known link"):
+            service.ingest(PathEvidence(0, 20, make_path(20, links=[])))
+        with pytest.raises(PathTooLongError):
+            service.ingest(PathEvidence(0, 21, make_path(21, links=L + L[:1])))
+        assert service.checkpoint().to_bytes() == twin.checkpoint().to_bytes()
+
+        service.ingest(EpochTick(0))
+        service.ingest(PathEvidence(1, 0, make_path(30)))  # joins epoch 1's run
+        service.ingest(PathEvidence(0, 22, make_path(31)))  # epoch 0 is closed
+        assert service._stats.late_events == 1
+        assert len(service._pending) == 1  # counted without admitting the run
+        assert service.stats.late_events == 1
+        assert service.stats.paths_ingested == 4
 
 
 class TestEvidenceForEpochIsAnEdge:
