@@ -563,44 +563,6 @@ def assemble_shards(
     return payloads, builder.build()
 
 
-def sharded_payload_delta(
-    full: Dict[str, Any], base: "Checkpoint"
-) -> Dict[str, Any]:
-    """Turn a sharded payload into a delta against ``base`` (routing state).
-
-    ``full["shards"]`` must already hold the shards' own deltas (captured
-    against :func:`shard_bases`); this adds the facade's part.  Shard-to-host
-    assignment is a pure function of the host name, so the facade's
-    ``flow_shard``/``retrans_seqs`` maps only ever *grow* within an epoch —
-    the delta carries the new entries and the merge rebuilds the rest from
-    the base.
-    """
-    known_flows = base.payload["flow_shard"]
-    flow_shard: Dict[str, Dict[str, int]] = {}
-    for epoch, flows in full["flow_shard"].items():
-        known = known_flows.get(epoch)
-        if known is None:
-            flow_shard[epoch] = dict(flows)
-            continue
-        fresh = {flow: shard for flow, shard in flows.items() if flow not in known}
-        if fresh:
-            flow_shard[epoch] = fresh
-    known_seqs = base.payload["retrans_seqs"]
-    retrans_seqs: Dict[str, List[int]] = {}
-    for epoch, seqs in full["retrans_seqs"].items():
-        known = set(known_seqs.get(epoch, ()))
-        fresh = [seq for seq in seqs if seq not in known]
-        if fresh or epoch not in known_seqs:
-            retrans_seqs[epoch] = fresh
-    return {
-        **full,
-        "delta": True,
-        "base": payload_fingerprint(base.payload, base.columns),
-        "flow_shard": flow_shard,
-        "retrans_seqs": retrans_seqs,
-    }
-
-
 def take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
     """The records ``rows`` of ``cols``, in that order (hops gathered by CSR)."""
     lens = cols["len"].astype(np.int64)
@@ -801,7 +763,12 @@ class Checkpoint:
         return bool(self.payload.get("delta", False))
 
     def validate(self) -> "Checkpoint":
-        """Raise ``ValueError`` when the payload cannot be restored."""
+        """Raise ``ValueError`` when the payload cannot be restored.
+
+        A sharded payload that carries a ``flow_shard`` map was written when
+        shards were placed by reporting host; its shard states partition the
+        flows differently from today's ``flow_id % num_shards`` placement.
+        """
         if self.version not in SUPPORTED_CHECKPOINT_VERSIONS:
             raise ValueError(
                 f"checkpoint version {self.version} not in supported "
@@ -809,6 +776,12 @@ class Checkpoint:
             )
         if self.kind not in ("service", "sharded"):
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
+        if "flow_shard" in self.payload:
+            raise ValueError(
+                "sharded checkpoint written with host placement "
+                "(crc32(src_host)); shards are now placed by "
+                "flow_id % num_shards, so its shard states cannot be restored"
+            )
         return self
 
     def apply_delta(self, delta: "Checkpoint") -> "Checkpoint":
@@ -849,27 +822,6 @@ class Checkpoint:
                 "delta checkpoint does not match this base (fingerprint "
                 f"mismatch: expected {expected}, base is {actual})"
             )
-        last_finalized = patch["last_finalized"]
-
-        def keep(epoch_key: str) -> bool:
-            return last_finalized is None or int(epoch_key) > last_finalized
-
-        flow_shard = {
-            epoch: dict(flows)
-            for epoch, flows in base["flow_shard"].items()
-            if keep(epoch)
-        }
-        for epoch, flows in patch["flow_shard"].items():
-            flow_shard.setdefault(epoch, {}).update(flows)
-        retrans_seqs = {
-            epoch: list(seqs)
-            for epoch, seqs in base["retrans_seqs"].items()
-            if keep(epoch)
-        }
-        for epoch, seqs in patch["retrans_seqs"].items():
-            retrans_seqs[epoch] = sorted(
-                set(retrans_seqs.get(epoch, ())) | set(seqs)
-            )
         merged = {
             "version": CHECKPOINT_VERSION,
             "kind": "sharded",
@@ -877,9 +829,6 @@ class Checkpoint:
             "retain_reports": patch["retain_reports"],
             "max_epoch_seen": patch["max_epoch_seen"],
             "last_finalized": patch["last_finalized"],
-            "flow_shard": flow_shard,
-            "pending": patch["pending"],
-            "retrans_seqs": retrans_seqs,
             "shards": [
                 _merge_service_payload(
                     base_shard,

@@ -1,7 +1,10 @@
 """Pluggable shard execution for :class:`~repro.api.sharded.ShardedService`.
 
-The sharded facade routes evidence; *where the shard services live* is this
-module's concern:
+The sharded facade places each evidence event on shard ``flow_id %
+num_shards``; *where the shard services live* is this module's concern.
+Bulk evidence arrives as one run plus a shard id per event
+(:meth:`ShardExecutor.submit_vector_run`, the only bulk submission), split
+here into per-shard sub-runs that keep the run's order:
 
 * :class:`InlineExecutor` — every shard is a :class:`Zero07Service` in the
   calling process.  This is the original (and oracle) behavior: cheap,
@@ -19,10 +22,13 @@ pipeline threads:
 * the **store lane** folds each submitted run into the coordinator's
   :class:`~repro.api.wire.EvidenceColumnStore` (the merged per-epoch tally
   behind parallel finalize) in submission order;
-* the **wire lane** owns the encoder and every pipe's write end: it encodes
-  batches, partitions vectorized runs into per-shard sub-runs, and performs
-  the (GIL-releasing, possibly blocking) ``send_bytes`` calls, absorbing pipe
-  backpressure without ever blocking the store lane or the coordinator.
+* the **wire lane** owns the encoder and every pipe's write end: it splits
+  each run into per-shard sub-runs, encodes them, and performs the
+  (GIL-releasing, possibly blocking) ``send_bytes`` calls, absorbing pipe
+  backpressure without ever blocking the store lane or the coordinator.  A
+  run the caller still owns is encoded on the caller's thread, and its
+  frames are queued on the lanes all the same: only lane threads write to
+  the pipes.
 
 ``drain_store()`` is the read barrier for the column store; ``drain_wire()``
 is the full barrier every sync command sits behind.  ``pause_wire()`` /
@@ -69,11 +75,25 @@ _OP_EVENT = b"E"  # pickled (shard, event) — the per-event slow path
 _OP_CONTROL = b"C"  # pickled control tuple; some expect a reply
 
 
+def _shard_slices(
+    run: Sequence[Evidence], shard_ids: np.ndarray, seqs: np.ndarray, num_shards: int
+) -> List[Tuple[int, List[Evidence], np.ndarray]]:
+    """Each shard's non-empty slice of ``run`` as ``(shard, events, seqs)``,
+    in run order (``shard_ids[i]`` owns ``run[i]``)."""
+    slices = []
+    for shard in range(num_shards):
+        rows = np.flatnonzero(shard_ids == shard)
+        if len(rows):
+            events = list(map(run.__getitem__, rows.tolist()))
+            slices.append((shard, events, seqs[rows]))
+    return slices
+
+
 class ShardExecutor:
     """The execution contract the sharded facade programs against.
 
-    ``submit_runs`` / ``submit_vector_run`` / ``submit_event`` / ``tick`` are
-    *asynchronous*: they enqueue work in shard order and return.
+    ``submit_vector_run`` / ``submit_event`` / ``tick`` are *asynchronous*:
+    they enqueue work in shard order and return.
     ``evidence_for_epoch`` / ``checkpoint_shards`` / ``restore_shards`` are
     *synchronous*: they only return after every previously submitted command
     has been fully applied (per-shard FIFO ordering makes the barrier
@@ -83,20 +103,6 @@ class ShardExecutor:
 
     num_shards: int
     workers: int
-
-    def submit_runs(
-        self,
-        epoch: int,
-        stretch: Optional[List[Evidence]],
-        sub_runs: Sequence[List[Evidence]],
-        owned: bool,
-    ) -> None:
-        """Hand each shard its (possibly empty) slice of one bulk stretch.
-
-        ``stretch`` is the same events in global order (the column-store
-        feed); executors without a store may ignore it.
-        """
-        raise NotImplementedError
 
     def submit_vector_run(
         self,
@@ -175,17 +181,9 @@ class InlineExecutor(ShardExecutor):
         self._config = dict(service_config)
         self._shards = [Zero07Service(**service_config) for _ in range(num_shards)]
 
-    def submit_runs(self, epoch, stretch, sub_runs, owned):
-        for shard, sub in enumerate(sub_runs):
-            if sub:
-                self._shards[shard].ingest_batch(sub, owned=owned)
-
     def submit_vector_run(self, epoch, run, shard_ids, seqs, owned):
-        sub_runs: List[List[Evidence]] = [[] for _ in range(self.num_shards)]
-        appends = [sub.append for sub in sub_runs]
-        for event, shard in zip(run, shard_ids.tolist()):
-            appends[shard](event)
-        self.submit_runs(epoch, None, sub_runs, owned)
+        for shard, sub, sub_seqs in _shard_slices(run, shard_ids, seqs, self.num_shards):
+            self._shards[shard].ingest_run(epoch, sub, owned=owned, seqs=sub_seqs)
 
     def submit_event(self, shard, event):
         self._shards[shard].ingest(event)
@@ -545,16 +543,11 @@ class ProcessExecutor(ShardExecutor):
     # -- store lane ----------------------------------------------------
     def _process_store_job(self, job) -> None:
         kind = job[0]
-        if kind == "run":
-            _, epoch, stretch, sub_runs, seqs = job
-            if self._store is not None and stretch is not None:
-                self._store.append_run(epoch, stretch, seqs=seqs)
-            self._wire.put(("encode", epoch, sub_runs))
-        elif kind == "vrun":
+        if kind == "vrun":
             _, epoch, run, shard_ids, seqs = job
             if self._store is not None:
                 self._store.append_run(epoch, run, seqs=seqs)
-            self._wire.put(("partition", epoch, run, shard_ids))
+            self._wire.put(("partition", epoch, run, shard_ids, seqs))
         elif kind == "dirty":
             if self._store is not None:
                 self._store.mark_dirty(job[1])
@@ -572,33 +565,26 @@ class ProcessExecutor(ShardExecutor):
         else:
             self._conns[worker].send_bytes(frame)
 
-    def _encode_sub_runs(self, epoch: int, sub_runs) -> List[Tuple[int, bytes]]:
+    def _encode_sub_runs(
+        self, epoch: int, run, shard_ids: np.ndarray, seqs: np.ndarray
+    ) -> List[Tuple[int, bytes]]:
         frames = []
-        for shard, sub in enumerate(sub_runs):
-            if sub:
-                worker = self._worker_of(shard)
-                frames.append(
-                    (
-                        worker,
-                        _OP_BATCH
-                        + self._encoder.encode_run(worker, shard, epoch, sub),
-                    )
+        for shard, sub, sub_seqs in _shard_slices(run, shard_ids, seqs, self.num_shards):
+            worker = self._worker_of(shard)
+            frames.append(
+                (
+                    worker,
+                    _OP_BATCH
+                    + self._encoder.encode_run(worker, shard, epoch, sub, sub_seqs),
                 )
+            )
         return frames
 
     def _process_wire_job(self, job) -> None:
         kind = job[0]
-        if kind == "encode":
-            _, epoch, sub_runs = job
-            for worker, frame in self._encode_sub_runs(epoch, sub_runs):
-                self._send_frame(worker, frame)
-        elif kind == "partition":
-            _, epoch, run, shard_ids = job
-            sub_runs: List[List[Evidence]] = [[] for _ in range(self.num_shards)]
-            appends = [sub.append for sub in sub_runs]
-            for event, shard in zip(run, shard_ids.tolist()):
-                appends[shard](event)
-            for worker, frame in self._encode_sub_runs(epoch, sub_runs):
+        if kind == "partition":
+            _, epoch, run, shard_ids, seqs = job
+            for worker, frame in self._encode_sub_runs(epoch, run, shard_ids, seqs):
                 self._send_frame(worker, frame)
         elif kind == "frame":
             _, worker, frame = job
@@ -647,28 +633,20 @@ class ProcessExecutor(ShardExecutor):
         self._lane.put(("forget", epoch))
 
     # -- submissions ----------------------------------------------------
-    def submit_runs(self, epoch, stretch, sub_runs, owned):
-        self._check_open()
-        if owned:
-            self._lane.put(("run", epoch, stretch, sub_runs, None))
-            return
-        # the caller may mutate the events after we return: capture them now
-        # (columns + encoded frames), then queue only the immutable bytes.
-        self.drain_wire()
-        if self._store is not None and stretch is not None:
-            self._store.append_run(epoch, stretch)
-        for worker, frame in self._encode_sub_runs(epoch, sub_runs):
-            self._lane.put(("frame", worker, frame))
-
     def submit_vector_run(self, epoch, run, shard_ids, seqs, owned):
         self._check_open()
         if owned:
             self._lane.put(("vrun", epoch, run, shard_ids, seqs))
             return
+        # the caller may mutate the events after we return: capture them now
+        # (columns + encoded frames), then queue only the immutable bytes —
+        # the wire lane writes them, so a dead worker latches like any other
+        # transport failure.
         self.drain_wire()
         if self._store is not None:
             self._store.append_run(epoch, run, seqs=seqs)
-        self._process_wire_job(("partition", epoch, list(run), shard_ids))
+        for worker, frame in self._encode_sub_runs(epoch, run, shard_ids, seqs):
+            self._lane.put(("frame", worker, frame))
 
     def submit_event(self, shard, event):
         self._check_open()

@@ -21,9 +21,9 @@ vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
   unsharded service uses — so a merged epoch tally is a snapshot of it: no
   worker round-trip, no per-path replay, bit-identical to the replay an
   inline deployment performs.  Any delivery the bulk path cannot prove
-  clean (reordering, duplicates, pending buffers, per-event ingest) marks
-  the epoch *dirty* and the facade falls back to gather-and-replay, which
-  remains the correctness oracle.
+  clean (reordering, duplicates, updates ahead of their path, per-event
+  ingest) marks the epoch *dirty* and the facade falls back to
+  gather-and-replay, which remains the correctness oracle.
 
 The proofs that make a run safe to fold in bulk (:func:`bulk_admissible`) and
 the per-flow aggregation of its count updates (:func:`aggregate_updates`) are
@@ -130,8 +130,8 @@ class WireEncoder:
         """Encode one single-epoch evidence run for ``stream``'s decoder.
 
         The run must contain only :class:`PathEvidence` and
-        :class:`RetransmissionEvidence` events of ``epoch`` (the bulk-routing
-        invariant the sharded facade already enforces).
+        :class:`RetransmissionEvidence` events of ``epoch`` (what
+        :func:`~repro.api.service.iter_evidence_runs` segments a batch into).
         """
         paths = [e.path for e in run if type(e) is PathEvidence]
         n_events = len(run)
@@ -654,14 +654,14 @@ class TallyLane:
 class EvidenceColumnStore:
     """Folds merged epoch tallies as bulk runs stream through the facade.
 
-    The facade appends each committed bulk stretch *before* partitioning it to
+    The executor appends each submitted bulk run *before* partitioning it to
     workers; integer vote units make the fold order-free, so the merged tally
     is bit-identical to an unsharded service's over the same evidence —
     which is the whole argument behind :meth:`build_tally`.  Anything the
     bulk path cannot prove duplicate-free and bound like the per-event path
-    (sequence regressions, pending buffers, per-event ingestion, restores)
-    marks the epoch dirty, and :meth:`build_tally` returns ``None`` so the
-    caller replays gathered evidence instead — the two paths agree
+    (sequence regressions, updates ahead of their path, per-event ingestion,
+    restores) marks the epoch dirty, and :meth:`build_tally` returns ``None``
+    so the caller replays gathered evidence instead — the two paths agree
     bit-for-bit whenever both apply.
     """
 
@@ -728,7 +728,7 @@ class EvidenceColumnStore:
             add_paths(tally)
             # updated flows without rows wait on the lane: a side lane's are
             # before it (the join binds them); the epoch's own lane never saw
-            # them (the facade routed through older per-event state): replay.
+            # them (an update ahead of its path, or a path sent per event): replay.
             rows, extras = bind_updates(
                 tally, *aggregate_updates(cols.upd_flows, cols.upd_counts), lane.waiting
             )

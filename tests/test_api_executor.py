@@ -7,10 +7,6 @@ On top of equivalence, the transport has liveness obligations: a dead worker
 surfaces as :class:`ShardExecutorError` on the next executor call (never a
 hang), ``close()`` is idempotent, and a coordinator killed by ``SIGINT``
 leaves no orphan worker processes behind.
-
-The routing-layer regressions ride along: the bounded host→shard LRU, the
-bounded vectorized-router host table, and the segmented bulk scan that must
-keep clean stretches on the bulk path around pending-involved events.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from repro.api import (
     ShardExecutorError,
     Zero07Service,
 )
-from repro.api.sharded import _HostShardLru
 from repro.discovery.agent import DiscoveredPath
 from repro.loadgen import EvidenceLoadGenerator, WorkloadProfile
 from repro.routing.fivetuple import FiveTuple
@@ -127,9 +122,9 @@ class TestProcessBackendEquivalence:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_report_view_follows_vector_routed_runs(self, engine, backend):
-        """Runs long enough for the vectorized router bump the epoch's view
-        version too: a repeat query returns the identical object (no second
-        merge), the query after the next run the unsharded service's answer."""
+        """Vector-placed runs bump the epoch's view version: a repeat query
+        returns the identical object (no second merge), the query after the
+        next run the unsharded service's answer."""
         events = [
             e
             for e in loadgen_events(epochs=1, events_per_epoch=2_400)
@@ -247,11 +242,19 @@ class TestProcessBackendEquivalence:
 
 
 class TestWorkerFailure:
-    def test_dead_worker_raises_instead_of_hanging(self):
-        events = [e for e in loadgen_events(epochs=1) if not isinstance(e, EpochTick)]
+    @pytest.mark.parametrize("run_length", [100, 700])
+    def test_dead_worker_raises_instead_of_hanging(self, run_length):
+        """Runs the caller still owns are encoded on its thread, but their
+        frames are written by the wire lane, so a dead worker surfaces as
+        ShardExecutorError at any run length, never a raw BrokenPipeError."""
+        events = [
+            e
+            for e in loadgen_events(epochs=1, events_per_epoch=20_000)
+            if not isinstance(e, EpochTick)
+        ]
         fleet = ShardedService(2, backend="process")
         try:
-            fleet.ingest_batch(events[:100])
+            fleet.ingest_batch(events[:run_length])
             executor = fleet.executor
             executor.ping()  # barrier: workers alive and caught up
             executor._processes[0].kill()
@@ -261,7 +264,7 @@ class TestWorkerFailure:
                 # the death may latch on the wire lane (broken pipe) or at
                 # the sync reply; either way it must surface, promptly.
                 while time.monotonic() < deadline:
-                    fleet.ingest_batch(list(events[100:200]))
+                    fleet.ingest_batch(events[run_length : 2 * run_length])
                     executor.ping()
             with pytest.raises(ShardExecutorError):
                 fleet.checkpoint()
@@ -381,103 +384,3 @@ class TestTeardown:
     def test_executor_refuses_zero_workers(self):
         with pytest.raises(ValueError):
             ProcessExecutor(2, {}, workers=0)
-
-
-class TestRoutingStateBounds:
-    def test_host_shard_lru_caps_and_evicts_least_recent(self):
-        lru = _HostShardLru(capacity=3)
-        for i in range(3):
-            lru.store(f"h{i}", i)
-        assert lru.lookup("h0") == 0  # refresh h0
-        lru.store("h3", 3)  # evicts h1, the least recently used
-        assert len(lru) == 3
-        assert "h1" not in lru
-        assert "h0" in lru and "h3" in lru
-        assert lru.lookup("h1") is None
-
-    def test_facade_host_memo_stays_bounded_under_host_churn(self):
-        fleet = ShardedService(2, backend="inline")
-        fleet._shard_by_host = _HostShardLru(capacity=16)
-        events = [
-            PathEvidence(
-                epoch=0, seq=i, path=make_path(i, L[:2], src_host=f"host-{i}")
-            )
-            for i in range(64)
-        ]
-        # small stretches keep the scanning path (and its memo) in play
-        for i in range(0, 64, 16):
-            fleet.ingest_batch(events[i : i + 16])
-        assert len(fleet._shard_by_host) <= 16
-
-    def test_vectorized_router_table_stays_bounded_under_host_churn(self):
-        import repro.api.sharded as sharded
-
-        fleet = ShardedService(2, backend="inline")
-        single = Zero07Service()
-        original = sharded._HOST_INDEX_MAX
-        sharded._HOST_INDEX_MAX = 600
-        try:
-            for batch in range(3):
-                events = [
-                    PathEvidence(
-                        epoch=0,
-                        seq=batch * 1000 + i,
-                        path=make_path(
-                            batch * 1000 + i,
-                            L[:2],
-                            src_host=f"churn-{batch}-{i}",
-                        ),
-                    )
-                    for i in range(600)
-                ]
-                fleet.ingest_batch(events)
-                single.ingest_batch(events)
-            assert len(fleet._host_index) <= 601
-            assert report_signature(fleet.report(0)) == report_signature(
-                single.report(0)
-            )
-        finally:
-            sharded._HOST_INDEX_MAX = original
-
-
-class TestSegmentedBulkScan:
-    def test_pending_involved_events_do_not_break_the_whole_run(self):
-        """One update-before-path pair must punt just itself to the per-event
-        path; the surrounding clean events stay on the bulk path."""
-        events = []
-        for i in range(40):
-            events.append(
-                PathEvidence(
-                    epoch=0, seq=2 * i, path=make_path(i, L[:3], src_host=f"h{i % 4}")
-                )
-            )
-        # flow 555's update precedes its path: both are per-event territory
-        events.insert(
-            10,
-            RetransmissionEvidence(epoch=0, flow_id=555, retransmissions=3, seq=999),
-        )
-        events.insert(
-            20, PathEvidence(epoch=0, seq=1000, path=make_path(555, L[2:5]))
-        )
-        fleet = ShardedService(2, backend="inline")
-        submitted = []
-        original = fleet.executor.submit_event
-
-        def spy(shard, event):
-            submitted.append(event)
-            return original(shard, event)
-
-        fleet.executor.submit_event = spy
-        fleet.ingest_batch(events)
-        # the pending update, its path, and the synthesized drain — not the
-        # ~40 clean events around them
-        assert 0 < len(submitted) <= 4
-        single = Zero07Service()
-        single.ingest_batch(
-            [e for e in events]
-        )
-        fleet.ingest(EpochTick(0))
-        single.ingest(EpochTick(0))
-        assert report_signature(fleet.report(0)) == report_signature(
-            single.report(0)
-        )

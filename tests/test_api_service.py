@@ -586,6 +586,32 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             ShardedService.restore(checkpoint)
 
+    def test_host_placed_sharded_checkpoints_are_refused(self):
+        """A sharded payload with the facade's old routing maps was written
+        under crc32(src_host) placement: restore and delta merges refuse it,
+        naming the placement change, whichever side of a merge it is on."""
+        fleet = ShardedService(num_shards=2)
+        fleet.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        base = fleet.checkpoint()
+        fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
+        delta = fleet.checkpoint(base=base)
+
+        def host_placed(checkpoint):
+            payload = json.loads(checkpoint.to_json())
+            payload.update(
+                flow_shard={"0": {"1": 1}}, pending={}, retrans_seqs={"0": []}
+            )
+            return Checkpoint(payload)
+
+        match = "host placement.*flow_id % num_shards"
+        with pytest.raises(ValueError, match=match):
+            ShardedService.restore(host_placed(base))
+        with pytest.raises(ValueError, match=match):
+            host_placed(base).apply_delta(delta)
+        with pytest.raises(ValueError, match=match):
+            base.apply_delta(host_placed(delta))
+        ShardedService.restore(base.apply_delta(delta))  # today's shape merges
+
     def test_sharded_checkpoint_round_trip(self):
         config = static_config()
         _, events = recorded_run(config)

@@ -1,11 +1,11 @@
 """Adversarial sharding tests + evidence-ownership (aliasing) equivalence.
 
 Pathological partitions must not break the bit-for-bit agreement between
-:class:`ShardedService` and the unsharded service: every flow on one shard,
-shards with no traffic at all, single-host fabrics where no flow can exist.
-The facade's pending-retransmission buffers must drain when epochs finalize,
-and the ``owned=True`` fast path must be observationally identical to the
-defensive copying path — with no aliasing leak in either direction.
+:class:`ShardedService` and the unsharded service: every flow on one shard
+(``flow_id % num_shards``), shards with no traffic at all, single-host
+fabrics where no flow can exist.  Orphan count updates must drain with their
+epoch, and the ``owned=True`` fast path must be observationally identical to
+the defensive copying path — with no aliasing leak in either direction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.api import (
     RetransmissionEvidence,
     ShardedService,
     Zero07Service,
-    shard_of_host,
 )
 from repro.discovery.agent import DiscoveredPath
 from repro.loadgen import EvidenceLoadGenerator, WorkloadProfile
@@ -71,26 +70,37 @@ def assert_fleet_matches_single(events, num_shards, epochs, **kwargs):
 
 class TestPathologicalPartitions:
     def test_all_traffic_on_one_shard(self):
-        """Every flow reported by one host: one shard takes all the load."""
-        paths = [make_path(i, L[i % 4 : i % 4 + 3], src_host="h0") for i in range(40)]
+        """Every flow id congruent modulo the shard count: one shard takes
+        all the load, however many hosts report."""
+        num_shards, hot = 4, 3
+        paths = [
+            make_path(hot + num_shards * i, L[i % 4 : i % 4 + 3], src_host=f"h{i}")
+            for i in range(40)
+        ]
         events = [PathEvidence(epoch=0, seq=i, path=p) for i, p in enumerate(paths)]
         events.append(EpochTick(0))
-        num_shards = 4
         fleet = assert_fleet_matches_single(events, num_shards, epochs=1)
-        hot = shard_of_host("h0", num_shards)
         for shard in range(num_shards):
             expected = len(paths) if shard == hot else 0
             assert fleet.shard(shard).stats.paths_ingested == expected
 
-    def test_more_shards_than_hosts_leaves_shards_empty(self):
-        events = loadgen_events(
-            fabric=ClosParameters(npod=1, n0=1, n1=1, n2=1, hosts_per_tor=2),
-            epochs=2,
+    def test_more_shards_than_flows_leaves_shards_empty(self):
+        """Three flows on eight shards: five shards never see an event, and
+        an update follows its flow's path to shard ``flow_id % 8``."""
+        flows = (3, 11, 14)
+        events = [
+            PathEvidence(epoch=0, seq=i, path=make_path(flow, L[i : i + 3]))
+            for i, flow in enumerate(flows)
+        ]
+        events.append(
+            RetransmissionEvidence(epoch=0, flow_id=14, retransmissions=2, seq=3)
         )
-        fleet = assert_fleet_matches_single(events, num_shards=8, epochs=2)
+        events.append(EpochTick(0))
+        fleet = assert_fleet_matches_single(events, num_shards=8, epochs=1)
         loads = [fleet.shard(i).stats.paths_ingested for i in range(8)]
-        assert sum(1 for load in loads if load == 0) >= 6
-        assert sum(loads) > 0
+        assert loads == [0, 0, 0, 2, 0, 0, 1, 0]
+        updates = [fleet.shard(i).stats.retransmission_updates for i in range(8)]
+        assert updates == [0, 0, 0, 0, 0, 0, 1, 0]
 
     def test_single_host_fabric(self):
         """A fabric with one host produces no flows; everything stays empty."""
@@ -106,6 +116,87 @@ class TestPathologicalPartitions:
     def test_loadgen_stream_agreement_with_unsharded(self, num_shards):
         events = loadgen_events(epochs=2)
         assert_fleet_matches_single(events, num_shards, epochs=2)
+
+
+def shard_counters(fleet):
+    """Per-shard ``(paths_ingested, retransmission_updates)`` on either backend."""
+    if fleet.backend == "process":
+        stats = fleet.executor.stats()
+    else:
+        stats = [fleet.shard(i).stats.as_dict() for i in range(fleet.num_shards)]
+    return [(s["paths_ingested"], s["retransmission_updates"]) for s in stats]
+
+
+class TestFlowPlacement:
+    """``ingest`` and the vectorized pass of ``ingest_run`` share one rule."""
+
+    NUM_SHARDS = 3
+
+    def placement_events(self):
+        """A 700-event run (past the bulk threshold) of wide flow ids, with a
+        count update for every fifth flow, then its tick."""
+        events = []
+        for i in range(600):
+            flow = 2**40 + 7919 * i
+            path = dataclasses.replace(
+                make_path(i, L[i % 4 : i % 4 + 3]), flow_id=flow
+            )
+            events.append(PathEvidence(epoch=0, seq=len(events), path=path))
+            if i % 6 == 0:
+                events.append(
+                    RetransmissionEvidence(
+                        epoch=0, flow_id=flow, retransmissions=2, seq=len(events)
+                    )
+                )
+        events.append(EpochTick(0))
+        return events
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_per_event_and_bulk_placement_agree(self, backend):
+        events = self.placement_events()
+        expected = [[0, 0] for _ in range(self.NUM_SHARDS)]
+        for event in events[:-1]:
+            if isinstance(event, PathEvidence):
+                expected[event.path.flow_id % self.NUM_SHARDS][0] += 1
+            else:
+                expected[event.flow_id % self.NUM_SHARDS][1] += 1
+        single = Zero07Service()
+        single.ingest_batch(events)
+        per_event = ShardedService(self.NUM_SHARDS, backend=backend)
+        bulk = ShardedService(self.NUM_SHARDS, backend=backend)
+        with per_event, bulk:
+            for event in events:
+                per_event.ingest(event)
+            bulk.ingest_batch(events)
+            for fleet in (per_event, bulk):
+                assert shard_counters(fleet) == [tuple(e) for e in expected]
+                assert report_signature(fleet.report(0)) == report_signature(
+                    single.report(0)
+                )
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_ingest_run_hands_the_callers_seqs_to_the_shards(
+        self, backend, monkeypatch
+    ):
+        """Given ``seqs``, the facade never re-derives them from the run."""
+        import repro.api.sharded as sharded
+        from repro.api.wire import seqs_of
+
+        run = self.placement_events()[:-1]
+        seqs = seqs_of(run)
+
+        def boom(run):
+            raise AssertionError("ingest_run re-derived the seqs it was given")
+
+        monkeypatch.setattr(sharded, "seqs_of", boom)
+        single = Zero07Service()
+        single.ingest_run(0, run, seqs=seqs)
+        with ShardedService(self.NUM_SHARDS, backend=backend) as fleet:
+            fleet.ingest_run(0, run, seqs=seqs)
+            fleet.ingest(EpochTick(0))
+            assert report_signature(fleet.report(0)) == report_signature(
+                single.report(0)
+            )
 
 
 class TestAdversarialOrderings:
@@ -155,34 +246,30 @@ class TestAdversarialOrderings:
 
 class TestPendingBufferDrain:
     def test_pending_retransmissions_drain_on_epoch_tick(self):
-        """Regression: facade buffers for orphan count updates must not leak.
+        """Regression: orphan count updates must not leak.
 
-        A RetransmissionEvidence whose path never arrives sits in the
-        facade's pending buffer; the epoch's tick must drop it together with
-        the routing and dedup state for that epoch.
+        A RetransmissionEvidence whose path never arrives waits on its
+        flow's shard; it invents no evidence, and the epoch's tick releases
+        it with the rest of the epoch on every shard.
         """
         fleet = ShardedService(num_shards=2)
         fleet.ingest(RetransmissionEvidence(epoch=0, flow_id=7, retransmissions=3, seq=0))
-        fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(1, L[:3])))
-        assert fleet._pending[0] == {7: 3}
-        fleet.ingest(EpochTick(0))
-        assert fleet._pending == {}
-        assert fleet._flow_shard == {}
-        assert fleet._retrans_seqs == {}
-        # the orphan update never invented evidence
+        fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[:3])))
+        assert fleet.shard(1).open_epochs == [0]  # the orphan waits on 7 % 2
         assert fleet.report(0).num_paths_analyzed == 1
+        fleet.ingest(EpochTick(0))
+        assert fleet.report(0).num_paths_analyzed == 1
+        assert [fleet.shard(i).open_epochs for i in range(2)] == [[], []]
         # late arrivals for the finalized epoch do not resurrect state
         fleet.ingest(PathEvidence(epoch=0, seq=2, path=make_path(7, L[1:4])))
         fleet.ingest(RetransmissionEvidence(epoch=0, flow_id=7, seq=3))
-        assert fleet._pending == {} and fleet._flow_shard == {}
+        assert [fleet.shard(i).open_epochs for i in range(2)] == [[], []]
+        assert fleet.report(0).num_paths_analyzed == 1
 
     def test_pending_buffers_drain_after_batched_ingest(self):
         events = loadgen_events(epochs=2)
         fleet = ShardedService(num_shards=4)
         fleet.ingest_batch(events, owned=True)
-        assert fleet._pending == {}
-        assert fleet._flow_shard == {}
-        assert fleet._retrans_seqs == {}
         for shard in range(4):
             assert fleet.shard(shard).open_epochs == []
 
