@@ -10,8 +10,8 @@ around — the same separation the paper draws between per-host agents (which
 * :mod:`repro.api.service` — :class:`Zero07Service` (``ingest`` /
   ``ingest_batch`` / on-demand ``report`` / ``checkpoint``), the
   :class:`EvidenceSource` and :class:`ReportSink` protocols, and stock sinks.
-* :mod:`repro.api.sharded` — :class:`ShardedService`, host-partitioned
-  scale-out that agrees bit-for-bit with a single service.
+* :mod:`repro.api.sharded` — :class:`ShardedService`, flow-partitioned
+  scale-out whose fleet-wide view is one coordinator service.
 * :mod:`repro.api.checkpoint` — :class:`Checkpoint` save/restore of analysis
   state (stop a service, resume it bit-identically).
 * :mod:`repro.api.sources` — monitoring bridge, replay sources, recorder.

@@ -18,7 +18,7 @@ and columnizes the identity of each record at most once, a delta is a column
 diff against its base, :meth:`Checkpoint.apply_delta` a column merge, and a
 restore adopts the columns — the tally is folded from them and the identity
 columns become the restored service's own; path objects are decoded only at
-the edges (:meth:`Checkpoint.materialize`, ``evidence_for_epoch``).
+the edges (:meth:`Checkpoint.materialize`, a service's evidence listing).
 
 Two serializations of the same payload exist:
 
@@ -180,7 +180,7 @@ class ColumnsBuilder:
 
     Epochs arrive as a live service's columns (capture), as JSON records
     (``from_json``) or as columns of another checkpoint (delta merge, shard
-    assembly) and end up under one pair of name/link tables.
+    split) and end up under one pair of name/link tables.
     """
 
     __slots__ = ("arrays", "names", "links")
@@ -332,10 +332,11 @@ def decode_paths(
     hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
     paths: List[DiscoveredPath] = []
     append = paths.append
-    # A sharded fleet's gather-and-replay report decodes whole epochs, so the
-    # per-record dataclass machinery (``__init__`` + ``FiveTuple.__post_init__``
-    # validation) is bypassed: every value was validated when a service first
-    # ingested it, and both classes store their fields in a plain ``__dict__``.
+    # A service's evidence listing and the JSON codec decode whole epochs, so
+    # the per-record dataclass machinery (``__init__`` +
+    # ``FiveTuple.__post_init__`` validation) is bypassed: every value was
+    # validated when a service first ingested it, and both classes store
+    # their fields in a plain ``__dict__``.
     new_path = DiscoveredPath.__new__
     new_ft = FiveTuple.__new__
     set_attr = object.__setattr__
@@ -370,40 +371,21 @@ def decode_paths(
     return seqs, paths
 
 
-def _service_sections(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """The service-shaped sub-payloads (the payload itself, or its shards)."""
-    if payload.get("kind") == "sharded":
-        return list(payload.get("shards", ()))
-    return [payload]
-
-
 def _map_epochs(
     payload: Dict[str, Any],
     convert: Callable[[str, Dict[str, Any]], Dict[str, Any]],
 ) -> Dict[str, Any]:
     """A copy of ``payload`` with every epoch entry replaced by ``convert``'s.
 
-    ``convert(prefix, entry)`` receives the entry's canonical column prefix:
-    ``e{j}`` for a service's ``j``-th entry, ``s{i}e{j}`` inside shard ``i``.
+    ``convert(prefix, entry)`` receives the entry's canonical column prefix,
+    ``e{j}`` for the ``j``-th entry.
     """
-
-    def section(prefix: str, body: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            **body,
-            "epochs": [
-                convert(f"{prefix}e{j}", entry)
-                for j, entry in enumerate(body["epochs"])
-            ],
-        }
-
-    if payload.get("kind") == "sharded":
-        return {
-            **payload,
-            "shards": [
-                section(f"s{i}", shard) for i, shard in enumerate(payload["shards"])
-            ],
-        }
-    return section("", payload)
+    return {
+        **payload,
+        "epochs": [
+            convert(f"e{j}", entry) for j, entry in enumerate(payload["epochs"])
+        ],
+    }
 
 
 def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> None:
@@ -416,36 +398,45 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
     """
     tables = {name: len(columns.names) for name in _NAME_COLUMNS}
     tables["hop"] = len(columns.links)
-    for section in _service_sections(payload):
-        for entry in section["epochs"]:
-            where = f"epoch {entry['epoch']}"
-            cols = epoch_columns(entry, columns)
-            count = entry["records"]["count"]
-            for name, col in cols.items():
-                if col.ndim != 1 or col.dtype.kind not in "iu":
-                    raise ValueError(f"{where}: column {name!r} is not an id vector")
-            if any(len(cols[name]) != count for name in _RECORD_COLUMNS):
-                raise ValueError(f"{where}: record columns disagree with count={count}")
-            lens, seq = cols["len"], cols["seq"]
-            if int(lens.sum()) != len(cols["hop"]) or (count and int(lens.min()) < 1):
-                raise ValueError(f"{where}: path lengths do not delimit the hops")
-            if count:
-                check_hop_counts(1, int(lens.max()))
-            ordered = np.sort(seq)
-            if not bool((ordered[1:] > ordered[:-1]).all()):
-                raise ValueError(f"{where}: record seqs are not unique")
-            for name, size in tables.items():
-                ids = cols[name]
-                if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
-                    raise ValueError(f"{where}: column {name!r} points outside its table")
+    # a payload without ``epochs`` is of a retired shape, which ``validate``
+    # names after the parse
+    for entry in payload.get("epochs", ()):
+        where = f"epoch {entry['epoch']}"
+        cols = epoch_columns(entry, columns)
+        count = entry["records"]["count"]
+        for name, col in cols.items():
+            if col.ndim != 1 or col.dtype.kind not in "iu":
+                raise ValueError(f"{where}: column {name!r} is not an id vector")
+        if any(len(cols[name]) != count for name in _RECORD_COLUMNS):
+            raise ValueError(f"{where}: record columns disagree with count={count}")
+        lens, seq = cols["len"], cols["seq"]
+        if int(lens.sum()) != len(cols["hop"]) or (count and int(lens.min()) < 1):
+            raise ValueError(f"{where}: path lengths do not delimit the hops")
+        if count:
+            check_hop_counts(1, int(lens.max()))
+        ordered = np.sort(seq)
+        if not bool((ordered[1:] > ordered[:-1]).all()):
+            raise ValueError(f"{where}: record seqs are not unique")
+        for name, size in tables.items():
+            ids = cols[name]
+            if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
+                raise ValueError(f"{where}: column {name!r} points outside its table")
 
 
 # ----------------------------------------------------------------------
 # delta checkpoints
 # ----------------------------------------------------------------------
-def _service_fingerprint(
+def payload_fingerprint(
     payload: Dict[str, Any], columns: CheckpointColumns
 ) -> Dict[str, Any]:
+    """A structural fingerprint a delta uses to recognize its base.
+
+    Cheap (per-epoch record counts, highest record seq, consumed-update
+    counts, finalization markers) but strong enough that applying a delta to
+    the wrong base fails loudly instead of merging garbage.  A sharded
+    checkpoint holds its coordinator service's payload, so it prints like a
+    service's (``apply_delta`` compares the kinds).
+    """
     epochs = {}
     for entry in payload["epochs"]:
         cols = epoch_columns(entry, columns, DIFF_COLUMNS)
@@ -461,29 +452,6 @@ def _service_fingerprint(
         "max_epoch_seen": payload["max_epoch_seen"],
         "epochs": epochs,
     }
-
-
-def payload_fingerprint(
-    payload: Dict[str, Any], columns: CheckpointColumns
-) -> Dict[str, Any]:
-    """A structural fingerprint a delta uses to recognize its base.
-
-    Cheap (per-epoch record counts, highest record seq, consumed-update
-    counts, finalization markers) but strong enough that applying a delta to
-    the wrong base fails loudly instead of merging garbage.
-    """
-    if payload.get("kind") == "sharded":
-        return {
-            "kind": "sharded",
-            "num_shards": payload["num_shards"],
-            "last_finalized": payload["last_finalized"],
-            "max_epoch_seen": payload["max_epoch_seen"],
-            "shards": [
-                _service_fingerprint(shard, columns)
-                for shard in payload["shards"]
-            ],
-        }
-    return _service_fingerprint(payload, columns)
 
 
 def _matches(seq: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -513,54 +481,6 @@ def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndar
         return np.concatenate((bumped, np.arange(known, len(seq))))
     found, at = _matches(seq, base_seq)
     return np.flatnonzero(~found | (base_retr[at] != retr))
-
-
-def shard_bases(base: "Checkpoint", num_shards: int) -> List["Checkpoint"]:
-    """Per-shard views of a sharded delta base, for the shards' own captures.
-
-    Each view keeps only what a delta capture reads (``DIFF_COLUMNS``), so a
-    process fleet is not sent the base's other columns or its tables.
-    """
-    payload = base.payload
-    if int(payload["num_shards"]) != num_shards or len(payload["shards"]) != num_shards:
-        raise ValueError(
-            "delta base has a different shard layout "
-            f"({payload['num_shards']} shards vs {num_shards})"
-        )
-    views = []
-    for shard in payload["shards"]:
-        arrays = {}
-        for entry in shard["epochs"]:
-            prefix = entry["records"]["__columns__"]
-            for name, col in epoch_columns(entry, base.columns, DIFF_COLUMNS).items():
-                arrays[f"{prefix}_{name}"] = col
-        views.append(Checkpoint(shard, CheckpointColumns(arrays, [], [])))
-    return views
-
-
-def assemble_shards(
-    shards: Sequence["Checkpoint"],
-) -> Tuple[List[Dict[str, Any]], CheckpointColumns]:
-    """A sharded payload's ``shards`` list + shared columns from shard captures."""
-    builder = ColumnsBuilder()
-    payloads = []
-    for i, shard in enumerate(shards):
-        adopt = builder.adopter(shard.columns)
-        payloads.append(
-            {
-                **shard.payload,
-                "epochs": [
-                    builder.add_epoch(
-                        f"s{i}e{j}",
-                        entry["epoch"],
-                        adopt(entry),
-                        entry["pending_retransmissions"],
-                    )
-                    for j, entry in enumerate(shard.payload["epochs"])
-                ],
-            }
-        )
-    return payloads, builder.build()
 
 
 def take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
@@ -610,29 +530,33 @@ _SERVICE_STATE_KEYS = (
 )
 
 
-def _merge_service_payload(
+def _merge_payload(
     base: Dict[str, Any],
     base_columns: CheckpointColumns,
     delta: Dict[str, Any],
     adopt: Callable[[Dict[str, Any]], EpochColumns],
     builder: ColumnsBuilder,
-    section: str,
 ) -> Dict[str, Any]:
-    """Merge one service-shaped delta onto its base into ``builder``.
+    """Merge a delta payload onto its base into ``builder``.
 
     ``builder``'s tables start as the base's, so base epochs are stored as
     they are; ``adopt`` re-expresses the delta's epochs in those tables.
     """
     expected = delta["base"]
-    actual = _service_fingerprint(base, base_columns)
+    actual = payload_fingerprint(base, base_columns)
     if expected != actual:
         raise ValueError(
             "delta checkpoint does not match this base (fingerprint mismatch: "
             f"expected {expected}, base is {actual})"
         )
-    merged: Dict[str, Any] = {"version": CHECKPOINT_VERSION, "kind": "service"}
+    merged: Dict[str, Any] = {
+        "version": CHECKPOINT_VERSION,
+        "kind": delta.get("kind", "service"),
+    }
     for key in _SERVICE_STATE_KEYS:
         merged[key] = delta[key]
+    if "num_shards" in delta:  # a sharded fleet's: its coordinator's payload
+        merged["num_shards"] = delta["num_shards"]
     last_finalized = delta["last_finalized"]
     base_epochs = {entry["epoch"]: entry for entry in base["epochs"]}
     delta_epochs = {entry["epoch"]: entry for entry in delta["epochs"]}
@@ -647,10 +571,7 @@ def _merge_service_payload(
             cols = adopt(entry) if cols is None else _merge_epoch(cols, adopt(entry))
         epochs.append(
             builder.add_epoch(
-                f"{section}e{len(epochs)}",
-                epoch,
-                cols,
-                entry["pending_retransmissions"],
+                f"e{len(epochs)}", epoch, cols, entry["pending_retransmissions"]
             )
         )
     merged["epochs"] = epochs
@@ -663,13 +584,9 @@ def _merge_service_payload(
 def _compacted(payload: Dict[str, Any], columns: CheckpointColumns) -> CheckpointColumns:
     """``columns`` over tables cut down to the entries its records use, in
     order of first use (epoch by epoch, column by column): a function of the
-    records alone, whatever tables the service, a merge or a shard assembly
-    accumulated them under."""
-    prefixes = [
-        entry["records"]["__columns__"]
-        for section in _service_sections(payload)
-        for entry in section["epochs"]
-    ]
+    records alone, whatever tables the service or a merge accumulated them
+    under."""
+    prefixes = [entry["records"]["__columns__"] for entry in payload["epochs"]]
     arrays = dict(columns.arrays)
 
     def compact(table: list, names: Sequence[str]) -> list:
@@ -765,9 +682,10 @@ class Checkpoint:
     def validate(self) -> "Checkpoint":
         """Raise ``ValueError`` when the payload cannot be restored.
 
-        A sharded payload that carries a ``flow_shard`` map was written when
-        shards were placed by reporting host; its shard states partition the
-        flows differently from today's ``flow_id % num_shards`` placement.
+        A sharded payload that still holds a ``shards`` list is of the
+        per-shard format: one service payload per shard (placed by host, or
+        later by flow) and no fleet-wide records.  A sharded checkpoint is
+        now its coordinator service's payload plus ``num_shards``.
         """
         if self.version not in SUPPORTED_CHECKPOINT_VERSIONS:
             raise ValueError(
@@ -776,11 +694,12 @@ class Checkpoint:
             )
         if self.kind not in ("service", "sharded"):
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
-        if "flow_shard" in self.payload:
+        if self.kind == "sharded" and "shards" in self.payload:
             raise ValueError(
-                "sharded checkpoint written with host placement "
-                "(crc32(src_host)); shards are now placed by "
-                "flow_id % num_shards, so its shard states cannot be restored"
+                "sharded checkpoint in the retired per-shard format (a "
+                "'shards' list of shard payloads); a sharded checkpoint is "
+                "now its coordinator service's payload plus num_shards, so "
+                "this one cannot be restored or merged"
             )
         return self
 
@@ -806,43 +725,14 @@ class Checkpoint:
                 f"delta kind {delta.kind!r} does not match base kind {self.kind!r}"
             )
         full, delta = self.columnar(), delta.columnar()
-        base, patch = full.payload, delta.payload
-        base_columns = full.columns
-        builder = ColumnsBuilder(base_columns.names, base_columns.links)
-        adopt = builder.adopter(delta.columns)
-        if self.kind == "service":
-            merged = _merge_service_payload(
-                base, base_columns, patch, adopt, builder, ""
-            )
-            return Checkpoint(merged, builder.build())
-        expected = patch["base"]
-        actual = payload_fingerprint(base, base_columns)
-        if expected != actual:
-            raise ValueError(
-                "delta checkpoint does not match this base (fingerprint "
-                f"mismatch: expected {expected}, base is {actual})"
-            )
-        merged = {
-            "version": CHECKPOINT_VERSION,
-            "kind": "sharded",
-            "num_shards": patch["num_shards"],
-            "retain_reports": patch["retain_reports"],
-            "max_epoch_seen": patch["max_epoch_seen"],
-            "last_finalized": patch["last_finalized"],
-            "shards": [
-                _merge_service_payload(
-                    base_shard,
-                    base_columns,
-                    delta_shard,
-                    adopt,
-                    builder,
-                    f"s{i}",
-                )
-                for i, (base_shard, delta_shard) in enumerate(
-                    zip(base["shards"], patch["shards"])
-                )
-            ],
-        }
+        builder = ColumnsBuilder(full.columns.names, full.columns.links)
+        merged = _merge_payload(
+            full.payload,
+            full.columns,
+            delta.payload,
+            builder.adopter(delta.columns),
+            builder,
+        )
         return Checkpoint(merged, builder.build())
 
     # ------------------------------------------------------------------

@@ -7,33 +7,31 @@ Bulk evidence arrives as one run plus a shard id per event
 here into per-shard sub-runs that keep the run's order:
 
 * :class:`InlineExecutor` — every shard is a :class:`Zero07Service` in the
-  calling process.  This is the original (and oracle) behavior: cheap,
-  deterministic, fully introspectable.
+  calling process: cheap, deterministic, fully introspectable.
 * :class:`ProcessExecutor` — shards live in worker processes.  Bulk evidence
   travels as :mod:`repro.api.wire` binary batches over per-worker pipes, and
-  control (tick / report / checkpoint / shutdown) rides the same FIFO pipe as
+  control (tick / stats / restore / shutdown) rides the same FIFO pipe as
   small pickled frames, so a sync request implicitly drains everything queued
   before it — deterministic sequencing without extra barriers.
 
+The facade's fleet-wide view is its own coordinator service, so no executor
+is ever asked for evidence, reports or checkpoints: shards serve
+partition-local views (``shard(i)``, ``stats()``) and nothing else.
+
 Transport discipline (``ProcessExecutor``): the coordinator's evidence intake
-must stay a pure routing pass, so everything else is deferred onto two
-pipeline threads:
+must stay a pure routing pass, so the rest is deferred onto one pipeline
+thread, the **wire lane**.  It owns the encoder (and its link table) and
+every pipe's write end: it splits each run into per-shard sub-runs, encodes
+them, and performs the (GIL-releasing, possibly blocking) ``send_bytes``
+calls, absorbing pipe backpressure without ever blocking the coordinator.  A
+run the caller still owns is encoded on the caller's thread once the lane is
+drained, and its frames are queued on the lane all the same: only the lane
+writes to the pipes.
 
-* the **store lane** folds each submitted run into the coordinator's
-  :class:`~repro.api.wire.EvidenceColumnStore` (the merged per-epoch tally
-  behind parallel finalize) in submission order;
-* the **wire lane** owns the encoder and every pipe's write end: it splits
-  each run into per-shard sub-runs, encodes them, and performs the
-  (GIL-releasing, possibly blocking) ``send_bytes`` calls, absorbing pipe
-  backpressure without ever blocking the store lane or the coordinator.  A
-  run the caller still owns is encoded on the caller's thread, and its
-  frames are queued on the lanes all the same: only lane threads write to
-  the pipes.
-
-``drain_store()`` is the read barrier for the column store; ``drain_wire()``
-is the full barrier every sync command sits behind.  ``pause_wire()`` /
-``resume_wire()`` let the facade keep encode work out of a measured finalize
-window — a paused wire lane just queues; a sync barrier lifts the pause.
+``drain_wire()`` is the full barrier every sync command sits behind.
+``pause_wire()`` / ``resume_wire()`` let the facade keep encode work out of
+the coordinator's finalize window — a paused wire lane just queues; a sync
+barrier lifts the pause.
 
 Worker discipline: workers drop their priority (``os.nice(19)``) — evidence
 intake at the coordinator must never be starved by shard-side analysis,
@@ -61,8 +59,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.events import EpochTick, Evidence
-from repro.api.wire import EvidenceColumnStore, WireDecoder, WireEncoder
-from repro.core.arrays import LinkIndex
+from repro.api.wire import WireDecoder, WireEncoder
 
 
 class ShardExecutorError(RuntimeError):
@@ -93,12 +90,11 @@ class ShardExecutor:
     """The execution contract the sharded facade programs against.
 
     ``submit_vector_run`` / ``submit_event`` / ``tick`` are *asynchronous*:
-    they enqueue work in shard order and return.
-    ``evidence_for_epoch`` / ``checkpoint_shards`` / ``restore_shards`` are
-    *synchronous*: they only return after every previously submitted command
+    they enqueue work in shard order and return.  ``restore_shards`` is
+    *synchronous*: it only returns after every previously submitted command
     has been fully applied (per-shard FIFO ordering makes the barrier
-    implicit).  The store/wire hooks are no-ops everywhere the work is
-    already synchronous (the inline backend).
+    implicit).  The pipeline hooks are no-ops everywhere the work is already
+    synchronous (the inline backend).
     """
 
     num_shards: int
@@ -123,21 +119,12 @@ class ShardExecutor:
         """Deliver an :class:`EpochTick` to every shard."""
         raise NotImplementedError
 
-    def evidence_for_epoch(self, epoch: int) -> List[Tuple[int, Any]]:
-        """Every shard's buffered ``(seq, path)`` records for ``epoch``."""
-        raise NotImplementedError
-
-    def checkpoint_shards(self, bases: Optional[Sequence[Any]] = None) -> List[Any]:
-        """Every shard's own :class:`~repro.api.checkpoint.Checkpoint`, in
-        shard order — deltas against ``bases[shard]`` when ``bases`` is given."""
-        raise NotImplementedError
-
     def restore_shards(self, payloads: Sequence[Dict[str, Any]], columns) -> None:
         """Rebuild every shard service from its checkpoint payload.
 
-        ``columns`` is the sharded checkpoint's
-        :class:`~repro.api.checkpoint.CheckpointColumns`; the shard payloads
-        carry column markers into it.
+        ``columns`` is the :class:`~repro.api.checkpoint.CheckpointColumns`
+        the shard payloads carry column markers into
+        (:func:`~repro.api.sharded.split_by_flow` builds both).
         """
         raise NotImplementedError
 
@@ -145,19 +132,13 @@ class ShardExecutor:
         """The in-process shard service (inline backend only)."""
         raise NotImplementedError
 
-    def fallback_events(self) -> int:
-        """Events the shards replayed one at a time, summed; never a round trip."""
-        raise NotImplementedError
+    # -- pipeline hooks (async backends override) ----------------------
+    def check(self) -> None:
+        """Raise :class:`ShardExecutorError` if the transport has failed."""
 
-    # -- store/wire pipeline hooks (async backends override) -----------
     def drain_store(self) -> None:
-        """Barrier: the column store reflects every submitted run."""
-
-    def mark_dirty(self, epoch: int) -> None:
-        """Queue a column-store dirty mark behind earlier submissions."""
-
-    def forget_epoch(self, epoch: int) -> None:
-        """Queue a column-store release behind earlier submissions."""
+        """No-op barrier: the facade folds every run into its coordinator
+        service on the caller's thread, before the run is queued."""
 
     def pause_wire(self) -> None:
         """Hold back encode/send work (keeps a timed window contention-free)."""
@@ -171,14 +152,13 @@ class ShardExecutor:
 
 
 class InlineExecutor(ShardExecutor):
-    """All shards in the calling process — the original serial behavior."""
+    """All shards in the calling process."""
 
     def __init__(self, num_shards: int, service_config: Dict[str, Any]) -> None:
         from repro.api.service import Zero07Service
 
         self.num_shards = num_shards
         self.workers = 0
-        self._config = dict(service_config)
         self._shards = [Zero07Service(**service_config) for _ in range(num_shards)]
 
     def submit_vector_run(self, epoch, run, shard_ids, seqs, owned):
@@ -193,17 +173,6 @@ class InlineExecutor(ShardExecutor):
         for shard in self._shards:
             shard.ingest(event)
 
-    def evidence_for_epoch(self, epoch):
-        merged: List[Tuple[int, Any]] = []
-        for shard in self._shards:
-            merged.extend(shard.evidence_for_epoch(epoch))
-        return merged
-
-    def checkpoint_shards(self, bases=None):
-        if bases is None:
-            bases = [None] * self.num_shards
-        return [shard.checkpoint(base) for shard, base in zip(self._shards, bases)]
-
     def restore_shards(self, payloads, columns):
         from repro.api.checkpoint import Checkpoint
         from repro.api.service import Zero07Service
@@ -215,9 +184,6 @@ class InlineExecutor(ShardExecutor):
 
     def shard_service(self, index):
         return self._shards[index]
-
-    def fallback_events(self):
-        return sum(shard.stats.fallback_events for shard in self._shards)
 
     def close(self):
         pass
@@ -339,32 +305,6 @@ def _worker_main(conn, shard_ids: List[int], service_config: Dict[str, Any]) -> 
                     continue
                 if name == "ping":
                     conn.send(("ok", sorted(services)))
-                elif name == "evidence":
-                    conn.send(
-                        (
-                            "ok",
-                            {
-                                shard: (
-                                    service.evidence_for_epoch(command[1]),
-                                    service.stats.fallback_events,
-                                )
-                                for shard, service in services.items()
-                            },
-                        )
-                    )
-                elif name == "checkpoint":
-                    bases = command[1]
-                    conn.send(
-                        (
-                            "ok",
-                            {
-                                shard: service.checkpoint(
-                                    None if bases is None else bases[shard]
-                                )
-                                for shard, service in services.items()
-                            },
-                        )
-                    )
                 elif name == "restore":
                     services = {
                         shard: Zero07Service.restore(
@@ -416,11 +356,11 @@ def _terminate_processes(processes) -> None:
 class ProcessExecutor(ShardExecutor):
     """Shards hosted by ``workers`` OS processes (``shard % workers`` each).
 
-    The executor feeds the coordinator-side :class:`EvidenceColumnStore` (the
-    facade hands its store in and reads it back behind :meth:`drain_store`)
-    and owns the wire encoder (used only by the wire-lane thread; the restore
-    protocol resets both ends' interning tables through the same FIFO, so the
-    per-stream watermarks never skew).
+    The executor owns the wire encoder and its link table, used only by the
+    wire-lane thread — or by the caller once the lane is drained — so no two
+    threads ever intern into one table.  The restore protocol resets both
+    ends' interning tables through the same FIFO, so the per-stream
+    watermarks never skew.
     """
 
     def __init__(
@@ -428,11 +368,7 @@ class ProcessExecutor(ShardExecutor):
         num_shards: int,
         service_config: Dict[str, Any],
         workers: Optional[int] = None,
-        link_index: Optional[LinkIndex] = None,
-        store: Optional[EvidenceColumnStore] = None,
     ) -> None:
-        import multiprocessing
-
         if workers is None:
             workers = num_shards
         if workers < 1:
@@ -440,18 +376,13 @@ class ProcessExecutor(ShardExecutor):
         workers = min(workers, num_shards)
         self.num_shards = num_shards
         self.workers = workers
-        self._store = store
         self._closed = False
         self._error: Optional[BaseException] = None
         self._service_config = dict(service_config)
-        self._link_index = link_index
-        #: shard -> its ``fallback_events`` as of the latest reply that
-        #: carried it (evidence gather, checkpoint, stats, restore).
-        self._fallbacks: Dict[int, int] = {}
         self._spawn()
 
     def _spawn(self) -> None:
-        """Fork the worker fleet and start the pipeline lanes."""
+        """Fork the worker fleet and start the wire lane."""
         import multiprocessing
 
         try:
@@ -476,18 +407,11 @@ class ProcessExecutor(ShardExecutor):
             child_conn.close()
             self._conns.append(parent_conn)
             self._processes.append(process)
-        self._encoder = WireEncoder(
-            streams=self.workers, link_index=self._link_index
-        )
-        # a respawn must keep interning into the same table the facade's
-        # merge path shares, even when the executor was built without one.
-        self._link_index = self._encoder.link_index
-        # lanes start only after every fork: forking a process that already
-        # runs threads is where orphaned locks come from.
+        self._encoder = WireEncoder(streams=self.workers)
+        # the lane starts only after every fork: forking a process that
+        # already runs threads is where orphaned locks come from.
         self._wire = _Lane("repro-wire-lane", self._process_wire_job, self._latch)
-        self._lane = _Lane("repro-store-lane", self._process_store_job, self._latch)
         self._wire.start()
-        self._lane.start()
         self._finalizer = weakref.finalize(
             self, _terminate_processes, list(self._processes)
         )
@@ -503,10 +427,9 @@ class ProcessExecutor(ShardExecutor):
 
         Used by :meth:`restore_shards`: a restore overwrites every shard's
         state anyway, so nothing of the dead fleet is worth salvaging — the
-        lanes (which exit after latching an error), the pipes and the worker
+        lane (which exits after latching an error), the pipes and the worker
         processes are all replaced and the error latch is cleared.
         """
-        self._lane.stop()
         self._wire.stop()
         for conn in self._conns:
             try:
@@ -525,11 +448,10 @@ class ProcessExecutor(ShardExecutor):
     def _latch(self, exc: BaseException) -> None:
         if self._error is None:
             self._error = exc
-        for lane in (self._lane, self._wire):
-            with lane.cond:
-                lane.cond.notify_all()
+        with self._wire.cond:
+            self._wire.cond.notify_all()
 
-    def _check_error(self) -> None:
+    def check(self) -> None:
         if self._error is not None:
             raise ShardExecutorError(
                 f"shard transport failed: {self._error!r}"
@@ -538,24 +460,7 @@ class ProcessExecutor(ShardExecutor):
     def _check_open(self) -> None:
         if self._closed:
             raise ShardExecutorError("executor is closed")
-        self._check_error()
-
-    # -- store lane ----------------------------------------------------
-    def _process_store_job(self, job) -> None:
-        kind = job[0]
-        if kind == "vrun":
-            _, epoch, run, shard_ids, seqs = job
-            if self._store is not None:
-                self._store.append_run(epoch, run, seqs=seqs)
-            self._wire.put(("partition", epoch, run, shard_ids, seqs))
-        elif kind == "dirty":
-            if self._store is not None:
-                self._store.mark_dirty(job[1])
-        elif kind == "forget":
-            if self._store is not None:
-                self._store.pop(job[1])
-        else:  # passthrough frames/restores ride the same FIFO
-            self._wire.put(job)
+        self.check()
 
     # -- wire lane -----------------------------------------------------
     def _send_frame(self, worker: Optional[int], frame: bytes) -> None:
@@ -599,10 +504,6 @@ class ProcessExecutor(ShardExecutor):
                 self._send_frame(worker, frame)
 
     # -- pipeline barriers ---------------------------------------------
-    def drain_store(self) -> None:
-        self._check_error()
-        self._lane.wait_drained(self._check_error)
-
     def drain_wire(self) -> None:
         """Full barrier: every queued frame has been written to its pipe.
 
@@ -610,9 +511,8 @@ class ProcessExecutor(ShardExecutor):
         on the flush; the pause is only a scheduling hint.
         """
         self.resume_wire()
-        self._check_error()
-        self._lane.wait_drained(self._check_error)
-        self._wire.wait_drained(self._check_error)
+        self.check()
+        self._wire.wait_drained(self.check)
 
     def pause_wire(self) -> None:
         self._wire.gate.clear()
@@ -624,45 +524,57 @@ class ProcessExecutor(ShardExecutor):
         with self._wire.cond:
             self._wire.cond.notify_all()
 
-    def mark_dirty(self, epoch: int) -> None:
-        self._check_open()
-        self._lane.put(("dirty", epoch))
-
-    def forget_epoch(self, epoch: int) -> None:
-        self._check_open()
-        self._lane.put(("forget", epoch))
-
     # -- submissions ----------------------------------------------------
     def submit_vector_run(self, epoch, run, shard_ids, seqs, owned):
         self._check_open()
         if owned:
-            self._lane.put(("vrun", epoch, run, shard_ids, seqs))
+            self._wire.put(("partition", epoch, run, shard_ids, seqs))
             return
-        # the caller may mutate the events after we return: capture them now
-        # (columns + encoded frames), then queue only the immutable bytes —
-        # the wire lane writes them, so a dead worker latches like any other
-        # transport failure.
+        # the caller may mutate the events after we return: encode them now,
+        # then queue only the immutable bytes — the wire lane writes them, so
+        # a dead worker latches like any other transport failure.
         self.drain_wire()
-        if self._store is not None:
-            self._store.append_run(epoch, run, seqs=seqs)
         for worker, frame in self._encode_sub_runs(epoch, run, shard_ids, seqs):
-            self._lane.put(("frame", worker, frame))
+            self._wire.put(("frame", worker, frame))
 
     def submit_event(self, shard, event):
         self._check_open()
         frame = _OP_EVENT + pickle.dumps(
             (shard, event), protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._lane.put(("frame", self._worker_of(shard), frame))
+        self._wire.put(("frame", self._worker_of(shard), frame))
 
     def tick(self, epoch):
         self._check_open()
         frame = _OP_CONTROL + pickle.dumps(
             ("tick", epoch), protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._lane.put(("frame", None, frame))
+        self._wire.put(("frame", None, frame))
 
     # -- sync commands ---------------------------------------------------
+    def _replies(self, command: str) -> List[Any]:
+        """One reply per worker to a queued sync ``command``.
+
+        A worker that died before replying latches the failure, so every
+        later call raises too.
+        """
+        self.drain_wire()
+        replies = []
+        for worker in range(self.workers):
+            try:
+                status, payload = self._conns[worker].recv()
+            except (EOFError, OSError) as exc:
+                self._latch(exc)
+                raise ShardExecutorError(
+                    f"shard worker {worker} died before replying to {command!r}"
+                ) from exc
+            if status != "ok":
+                raise ShardExecutorError(
+                    f"shard worker {worker} failed during {command!r}:\n{payload}"
+                )
+            replies.append(payload)
+        return replies
+
     def _sync(self, command: Tuple) -> List[Any]:
         """Broadcast a control request; gather one reply per worker.
 
@@ -672,40 +584,8 @@ class ProcessExecutor(ShardExecutor):
         """
         self._check_open()
         frame = _OP_CONTROL + pickle.dumps(command, protocol=pickle.HIGHEST_PROTOCOL)
-        self._lane.put(("frame", None, frame))
-        self.drain_wire()
-        replies = []
-        for worker in range(self.workers):
-            try:
-                status, payload = self._conns[worker].recv()
-            except (EOFError, OSError) as exc:
-                raise ShardExecutorError(
-                    f"shard worker {worker} died before replying to "
-                    f"{command[0]!r}"
-                ) from exc
-            if status != "ok":
-                raise ShardExecutorError(
-                    f"shard worker {worker} failed during {command[0]!r}:\n"
-                    f"{payload}"
-                )
-            replies.append(payload)
-        return replies
-
-    def evidence_for_epoch(self, epoch):
-        merged: List[Tuple[int, Any]] = []
-        for by_shard in self._sync(("evidence", epoch)):
-            for shard, (records, fallbacks) in by_shard.items():
-                merged.extend(records)
-                self._fallbacks[shard] = fallbacks
-        return merged
-
-    def checkpoint_shards(self, bases=None):
-        checkpoints: Dict[int, Any] = {}
-        for by_shard in self._sync(("checkpoint", bases)):
-            checkpoints.update(by_shard)
-        for shard, checkpoint in checkpoints.items():
-            self._fallbacks[shard] = checkpoint.payload["stats"]["fallback_events"]
-        return [checkpoints[shard] for shard in range(self.num_shards)]
+        self._wire.put(("frame", None, frame))
+        return self._replies(command[0])
 
     def restore_shards(self, payloads, columns):
         if self._closed:
@@ -732,23 +612,8 @@ class ProcessExecutor(ShardExecutor):
                     ),
                 )
             )
-        self._lane.put(("restore", frames))
-        self._fallbacks = {
-            shard: payload.get("stats", {}).get("fallback_events", 0)
-            for shard, payload in enumerate(payloads)
-        }
-        self.drain_wire()
-        for worker in range(self.workers):
-            try:
-                status, payload = self._conns[worker].recv()
-            except (EOFError, OSError) as exc:
-                raise ShardExecutorError(
-                    f"shard worker {worker} died during restore"
-                ) from exc
-            if status != "ok":
-                raise ShardExecutorError(
-                    f"shard worker {worker} failed during restore:\n{payload}"
-                )
+        self._wire.put(("restore", frames))
+        self._replies("restore")
 
     def ping(self) -> None:
         """Round-trip every worker (tests use this as a liveness barrier)."""
@@ -759,17 +624,12 @@ class ProcessExecutor(ShardExecutor):
         merged: Dict[int, Dict[str, Any]] = {}
         for by_shard in self._sync(("stats",)):
             merged.update(by_shard)
-        for shard, counters in merged.items():
-            self._fallbacks[shard] = counters["fallback_events"]
         return [merged[shard] for shard in range(self.num_shards)]
-
-    def fallback_events(self):
-        return sum(self._fallbacks.values())
 
     def shard_service(self, index):
         raise ShardExecutorError(
             "shard services live in worker processes under the process "
-            "backend — use merged reports, checkpoint_shards() or stats()"
+            "backend — use fleet-wide reports, checkpoints or stats()"
         )
 
     def close(self):
@@ -778,7 +638,7 @@ class ProcessExecutor(ShardExecutor):
         self._closed = True
         shutdown = _OP_CONTROL + pickle.dumps(("shutdown",))
         try:
-            self._lane.put(("frame", None, shutdown))
+            self._wire.put(("frame", None, shutdown))
             self.drain_wire()
         except ShardExecutorError:
             pass
@@ -788,7 +648,6 @@ class ProcessExecutor(ShardExecutor):
                     conn.recv()
             except (EOFError, OSError):
                 pass
-        self._lane.stop()
         self._wire.stop()
         for conn in self._conns:
             try:
@@ -802,5 +661,5 @@ class ProcessExecutor(ShardExecutor):
 
     @property
     def encoder(self) -> WireEncoder:
-        """The executor's wire encoder (shares the facade's link index)."""
+        """The executor's wire encoder (owned by the wire lane)."""
         return self._encoder

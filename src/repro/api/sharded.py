@@ -1,40 +1,32 @@
 """Flow-sharded composition of :class:`~repro.api.service.Zero07Service`.
 
-The 007 analysis is voting — and votes merge.  :class:`ShardedService`
-places every evidence event on shard ``flow_id % num_shards`` (a path's
-``path.flow_id``, an update's ``flow_id``), and materializes *fleet-wide*
-reports by merging the shards' evidence back in global sequence order.
+:class:`ShardedService` places every evidence event on shard ``flow_id %
+num_shards`` (a path's ``path.flow_id``, an update's ``flow_id``), and keeps
+the fleet-wide view in one **coordinator** :class:`Zero07Service` that
+ingests every event and run the facade places, on the caller's thread,
+before the shards see it.  That is the paper's analysis agent: one tally of
+every host's evidence, one run of Algorithm 1 over it.  Reports, ticks,
+sinks, retention, the epoch markers, ``fallback_events`` and checkpoints all
+come from the coordinator, so a sharded deployment agrees bit-for-bit with a
+single service by construction — it *is* one.
+
 Everything the analysis reads of an event — the vote its path casts, the
 retransmission count, the duplicate identity (``seq``), the highest-seq
 binding of count updates — is scoped to one flow, and a flow never spans
-shards, so each shard service applies every rule locally, exactly as an
-unsharded service would: the facade keeps no routing state.  Because every
-path event carries its per-epoch sequence number, the merged view
-reconstructs exactly the stream an unsharded service would have ingested, so
-a sharded deployment agrees bit-for-bit with a single service — the property
-that makes scale-out safe.
+shards, so each shard service holds exactly the unsharded service's view of
+its flows: the partition-local reports of :meth:`ShardedService.shard` and
+the per-shard counters of ``executor.stats()``.
 
 Where the shards *run* is pluggable (:mod:`repro.api.executor`):
 
-* ``backend="inline"`` (default) — every shard in this process, the original
-  serial behavior and the correctness oracle.  Merged reports **replay** the
-  shards' evidence in global sequence order through a fresh analysis.
+* ``backend="inline"`` (default) — every shard in this process.
 * ``backend="process"`` — shards hosted by worker processes behind the
-  binary evidence transport of :mod:`repro.api.wire`.  Bulk ingest then
-  costs the coordinator only routing + encoding (workers tally off the
-  critical path at low priority), and merged reports come from the
-  coordinator's own :class:`~repro.api.wire.EvidenceColumnStore`, which
-  folded the same runs in global sequence order, as they were submitted,
-  into one live tally per open epoch — finalize is a snapshot of that
-  tally, without a worker round-trip or a rebuild.  Deliveries the bulk path
-  cannot prove clean (reordering, duplicates, updates ahead of their path,
-  per-event ingestion, restores) mark the epoch dirty and finalize falls
-  back to gather-and-replay, identical to the inline path.
+  binary evidence transport of :mod:`repro.api.wire`; the caller's thread
+  folds and routes, and the executor's wire lane encodes and sends.
 
-Per-shard reports remain available through :meth:`ShardedService.shard` on
-the inline backend; under the process backend the shard services live in
-workers and :meth:`shard` raises
-:class:`~repro.api.executor.ShardExecutorError`.
+Per-shard services are handed out by :meth:`ShardedService.shard` on the
+inline backend; under the process backend they live in workers and
+:meth:`shard` raises :class:`~repro.api.executor.ShardExecutorError`.
 """
 
 from __future__ import annotations
@@ -45,11 +37,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.checkpoint import (
-    CHECKPOINT_VERSION,
     Checkpoint,
-    assemble_shards,
-    payload_fingerprint,
-    shard_bases,
+    CheckpointColumns,
+    ColumnsBuilder,
+    blame_from_dict,
+    epoch_columns,
+    take_rows,
 )
 from repro.api.events import (
     EpochTick,
@@ -57,24 +50,12 @@ from repro.api.events import (
     PathEvidence,
     RetransmissionEvidence,
 )
-from repro.api.executor import (
-    InlineExecutor,
-    ProcessExecutor,
-    ShardExecutor,
-    ShardExecutorError,
-)
-from repro.api.service import (
-    ReportSink,
-    ReportUnavailableError,
-    Zero07Service,
-    iter_evidence_runs,
-)
-from repro.api.wire import EvidenceColumnStore, seqs_of
-from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
-from repro.core.arrays import LinkIndex
+from repro.api.executor import InlineExecutor, ProcessExecutor, ShardExecutor
+from repro.api.service import ReportSink, Zero07Service, iter_evidence_runs
+from repro.api.wire import seqs_of
+from repro.core.analysis import EngineKind, EpochReport
 from repro.core.blame import BlameConfig
 from repro.core.votes import VotePolicy
-from repro.discovery.agent import DiscoveredPath
 
 
 def shard_of_host(host: str, num_shards: int) -> int:
@@ -87,16 +68,58 @@ def shard_of_host(host: str, num_shards: int) -> int:
     return zlib.crc32(host.encode("utf-8")) % num_shards
 
 
+def _relabel(checkpoint: Checkpoint, **fields: Any) -> Checkpoint:
+    """``checkpoint`` with ``fields`` set in its payload (columns shared)."""
+    return Checkpoint({**checkpoint.payload, **fields}, checkpoint.columns)
+
+
+def split_by_flow(
+    checkpoint: Checkpoint, num_shards: int
+) -> Tuple[List[Dict[str, Any]], CheckpointColumns]:
+    """The shard payloads of a columnar sharded checkpoint, for
+    :meth:`~repro.api.executor.ShardExecutor.restore_shards`.
+
+    Shard ``i`` gets every epoch's records of the flows with ``flow %
+    num_shards == i``, in arrival order, and their pending counts; every
+    shard gets the epoch's consumed update seqs (an update carries no flow,
+    and seqs are unique per epoch).  Shard counters restart from the
+    restored records.
+    """
+    payload, columns = checkpoint.payload, checkpoint.columns
+    builder = ColumnsBuilder()
+    shards = [
+        {**payload, "kind": "service", "stats": {}, "epochs": []}
+        for _ in range(num_shards)
+    ]
+    for entry in payload["epochs"]:
+        cols = epoch_columns(entry, columns)
+        owner = cols["flow"] % num_shards
+        for shard, body in enumerate(shards):
+            part = take_rows(cols, np.flatnonzero(owner == shard))
+            part["rs"] = cols["rs"]
+            pending = {
+                flow: count
+                for flow, count in entry["pending_retransmissions"].items()
+                if int(flow) % num_shards == shard
+            }
+            prefix = f"s{shard}e{len(body['epochs'])}"
+            body["epochs"].append(
+                builder.add_epoch(prefix, entry["epoch"], part, pending)
+            )
+    return shards, CheckpointColumns(builder.arrays, columns.names, columns.links)
+
+
 class ShardedService:
     """``num_shards`` services behind one ingest/report facade.
 
-    Constructor parameters mirror :class:`Zero07Service`; sinks observe the
-    *merged* (fleet-wide) finalized reports.  ``backend`` selects where the
-    shard services execute (``"inline"`` in-process, ``"process"`` on worker
-    processes) and ``workers`` caps the process pool (default: one worker
-    per shard).  Every event goes to shard ``flow_id % num_shards``, and
-    checkpoints are backend-agnostic: a checkpoint taken inline restores
-    onto the process backend and vice versa, bit-identically.
+    Constructor parameters mirror :class:`Zero07Service`; the coordinator
+    service is built from them and sinks observe its (fleet-wide) finalized
+    reports.  ``backend`` selects where the shard services execute
+    (``"inline"`` in-process, ``"process"`` on worker processes) and
+    ``workers`` caps the process pool (default: one worker per shard).  Every
+    event goes to shard ``flow_id % num_shards``, and checkpoints are
+    backend-agnostic: a checkpoint taken inline restores onto the process
+    backend and vice versa, bit-identically.
     """
 
     def __init__(
@@ -117,7 +140,6 @@ class ShardedService:
             raise ValueError(f"unknown shard backend {backend!r}")
         self._num_shards = num_shards
         self._backend = backend
-        self._retain_reports = retain_reports
         service_config = dict(
             blame_config=blame_config,
             vote_policy=vote_policy,
@@ -125,47 +147,15 @@ class ShardedService:
             attribute_noise_flows=attribute_noise_flows,
             retain_reports=retain_reports,
         )
-        #: merge-side analysis agent with its own persistent link index.
-        self._merge_index = LinkIndex() if engine == "arrays" else None
-        self._agent = AnalysisAgent(
-            blame_config=blame_config,
-            vote_policy=vote_policy,
-            attribute_noise_flows=attribute_noise_flows,
-            engine=engine,
-            link_index=self._merge_index,
-        )
-        #: merged-column finalize only exists where it is bit-provable: the
-        #: arrays engine (the dict engine's merged fold must replay).  The
-        #: process executor's store lane owns all writes to it; the facade
-        #: only reads behind :meth:`ShardExecutor.drain_store`.
-        self._store: Optional[EvidenceColumnStore] = (
-            EvidenceColumnStore(self._merge_index, vote_policy)
-            if backend == "process" and engine == "arrays"
-            else None
-        )
+        #: the fleet-wide view: every placed event and run, in placement order.
+        self._service = Zero07Service(**service_config, sinks=sinks)
         self._executor: ShardExecutor
         if backend == "inline":
             self._executor = InlineExecutor(num_shards, service_config)
         else:
             self._executor = ProcessExecutor(
-                num_shards,
-                service_config,
-                workers=workers,
-                link_index=self._merge_index,
-                store=self._store,
+                num_shards, service_config, workers=workers
             )
-        self._sinks: List[ReportSink] = list(sinks)
-        #: epochs with evidence routed to some shard and not yet finalized —
-        #: tracked here so ticking never needs a worker round-trip — each
-        #: with its change version: bumped on every admission for the epoch
-        #: (conservatively: a duplicate may bump), so a merged report stays
-        #: current exactly while its epoch's version stands.
-        self._open: Dict[int, int] = {}
-        #: open epoch -> (version it was merged at, the merged report).
-        self._views: Dict[int, Tuple[int, EpochReport]] = {}
-        self._final_reports: Dict[int, EpochReport] = {}
-        self._last_finalized: Optional[int] = None
-        self._max_epoch_seen: Optional[int] = None
 
     # ------------------------------------------------------------------
     @property
@@ -187,7 +177,7 @@ class ShardedService:
         """The shard service at ``index`` (partition-local reports/stats).
 
         Only the inline backend can hand out the live object; the process
-        backend raises :class:`ShardExecutorError` (use merged reports,
+        backend raises :class:`ShardExecutorError` (use fleet-wide reports,
         ``executor.stats()`` or checkpoints instead).
         """
         return self._executor.shard_service(index)
@@ -195,28 +185,22 @@ class ShardedService:
     @property
     def current_epoch(self) -> Optional[int]:
         """The most advanced epoch seen across the fleet."""
-        return self._max_epoch_seen
+        return self._service.current_epoch
 
     @property
     def last_finalized_epoch(self) -> Optional[int]:
-        """The highest epoch whose merged report was finalized by a tick
-        (``None`` before the first)."""
-        return self._last_finalized
+        """The highest epoch finalized by a tick (``None`` before the first)."""
+        return self._service.last_finalized_epoch
 
     @property
     def fallback_events(self) -> int:
-        """Events the shards replayed one at a time, summed over the fleet.
-
-        Local and cheap on both backends: the process backend answers from
-        what each worker last reported (with gathered evidence, a checkpoint,
-        ``executor.stats()`` or a restore), never with a round trip of its
-        own, so it may trail the workers until the next such reply.
-        """
-        return self._executor.fallback_events()
+        """Events of delivered runs the fleet-wide view replayed one at a
+        time — an unsharded service's count; never a worker round trip."""
+        return self._service.stats.fallback_events
 
     def add_sink(self, sink: ReportSink) -> None:
-        """Register a sink for future merged finalized reports."""
-        self._sinks.append(sink)
+        """Register a sink for future fleet-wide finalized reports."""
+        self._service.add_sink(sink)
 
     def close(self) -> None:
         """Tear down the executor (worker processes, pipes).  Idempotent."""
@@ -228,55 +212,47 @@ class ShardedService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _seen_epoch(self, epoch: int) -> None:
-        if self._max_epoch_seen is None or epoch > self._max_epoch_seen:
-            self._max_epoch_seen = epoch
-
-    def _touch(self, epoch: int) -> None:
-        """Evidence for ``epoch`` was admitted: open it, outdate its view."""
-        self._open[epoch] = self._open.get(epoch, 0) + 1
-
     def _is_late(self, epoch: int) -> bool:
-        return self._last_finalized is not None and epoch <= self._last_finalized
+        last = self._service.last_finalized_epoch
+        return last is not None and epoch <= last
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def ingest(self, event: Evidence) -> None:
-        """Route one evidence event to shard ``flow_id % num_shards`` (ticks
-        finalize the fleet)."""
-        if isinstance(event, PathEvidence):
-            flow_id = event.path.flow_id
-        elif isinstance(event, RetransmissionEvidence):
-            flow_id = event.flow_id
-        elif isinstance(event, EpochTick):
-            if self._is_late(event.epoch):
-                return
-            self._seen_epoch(event.epoch)
-            self._finalize_through(event.epoch)
-            self._executor.tick(event.epoch)
+        """Ingest one event into the fleet-wide view, then route it to shard
+        ``flow_id % num_shards`` (ticks finalize the fleet and broadcast)."""
+        executor = self._executor
+        if isinstance(event, EpochTick):
+            executor.check()
+            late = self._is_late(event.epoch)
+            # hold back the wire lane's encode/send work while the
+            # coordinator finalizes: the workers consume it at their own
+            # pace, and it would compete for the CPU inside this window.
+            executor.pause_wire()
+            try:
+                self._service.ingest(event)
+            finally:
+                executor.resume_wire()
+            if not late:
+                executor.tick(event.epoch)
             return
-        else:
-            raise TypeError(f"not an evidence event: {event!r}")
+        self._service.ingest(event)  # checks the event first
         if self._is_late(event.epoch):
             return
-        self._seen_epoch(event.epoch)
-        self._touch(event.epoch)
-        if self._store is not None:
-            self._executor.mark_dirty(event.epoch)
-        self._executor.submit_event(flow_id % self._num_shards, event)
+        flow_id = (
+            event.path.flow_id if isinstance(event, PathEvidence) else event.flow_id
+        )
+        executor.submit_event(flow_id % self._num_shards, event)
 
     def ingest_batch(self, events, owned: bool = False) -> None:
         """Ingest many evidence events in order.
 
-        Every maximal single-epoch evidence run is placed in one vectorized
-        pass (:meth:`ingest_run`) and each shard's sub-run goes to that
-        shard's own batched admission, which folds it in bulk or replays it
-        per event exactly as an unsharded service would; ticks and other
-        kinds go through :meth:`ingest`.  ``owned=True`` lets the process
-        backend read the events on its wire lane after this call returns (the
-        shard services themselves never copy or write to a path, ``owned`` or
-        not).
+        Every maximal single-epoch evidence run goes through
+        :meth:`ingest_run`; ticks and other kinds go through :meth:`ingest`.
+        ``owned=True`` lets the process backend read the events on its wire
+        lane after this call returns (the services themselves never copy or
+        write to a path, ``owned`` or not).
         """
         if "ingest" in self.__dict__:
             # ``ingest`` was wrapped on the instance (an EvidenceRecorder
@@ -298,24 +274,29 @@ class ShardedService:
         owned: bool = False,
         seqs: Optional[np.ndarray] = None,
     ) -> None:
-        """Place one single-epoch evidence run on the shards in one pass.
+        """Ingest one single-epoch evidence run, then place it on the shards
+        in one vectorized pass.
 
         The sharded twin of :meth:`Zero07Service.ingest_run` — the hand-off
         hook for transports that already segmented the stream into one
         epoch's tickless run of :class:`PathEvidence` and
         :class:`RetransmissionEvidence`.  ``seqs`` (the run's sequence
         numbers, as :func:`~repro.api.wire.seqs_of` computes them) is passed
-        through to the column store and the shards instead of re-derived.
+        through to the coordinator and the shards instead of re-derived.
+        The coordinator folds the run before it is queued for the wire lane.
         Each shard's sub-run keeps the run's order, so every shard service
-        sees exactly its flows' slice of the stream an unsharded service
-        would, and handles duplicates, reordering and updates ahead of their
-        path the same way.
+        sees exactly its flows' slice of the stream.
         """
         if "ingest" in self.__dict__:
             for event in run:
                 self.ingest(event)
             return
-        if not run or self._is_late(epoch):
+        if not run:
+            return
+        if seqs is None:
+            seqs = seqs_of(run)
+        self._service.ingest_run(epoch, run, owned, seqs)
+        if self._is_late(epoch):
             return
         flows = np.fromiter(
             (
@@ -325,111 +306,26 @@ class ShardedService:
             dtype=np.int64,
             count=len(run),
         )
-        self._seen_epoch(epoch)
-        self._touch(epoch)
         self._executor.submit_vector_run(
-            epoch,
-            run,
-            flows % self._num_shards,
-            seqs_of(run) if seqs is None else seqs,
-            owned,
+            epoch, run, flows % self._num_shards, seqs, owned
         )
 
     # ------------------------------------------------------------------
-    # merged materialization
+    # reports
     # ------------------------------------------------------------------
-    def _merged_paths(self, epoch: int) -> List[DiscoveredPath]:
-        merged: List[Tuple[int, DiscoveredPath]] = list(
-            self._executor.evidence_for_epoch(epoch)
-        )
-        merged.sort(key=lambda record: record[0])
-        return [path for _, path in merged]
-
-    def _merged_report(self, epoch: int) -> EpochReport:
-        """The fleet-wide report, from the merged tally or gathered replay.
-
-        Both paths fold the epoch's evidence in global sequence order, so
-        they are bit-identical; the column store already folded each run
-        when it was appended, so a provably clean epoch skips the worker
-        round-trip and the per-path replay and costs only a snapshot.
-        """
-        if self._store is not None:
-            self._executor.drain_store()
-            if self._store.is_clean(epoch):
-                tally = self._store.build_tally(epoch)
-                if tally is not None:
-                    return self._agent.analyze_tally(epoch, tally)
-        return self._agent.analyze_epoch(epoch, self._merged_paths(epoch))
-
     def report(self, epoch: Optional[int] = None) -> EpochReport:
-        """The merged fleet-wide report of ``epoch`` (mid-epoch queries work).
+        """The fleet-wide report of ``epoch`` (mid-epoch queries work).
 
-        Bit-identical to an unsharded :meth:`Zero07Service.report` over the
-        same evidence stream: the merge folds all shards' evidence in the
-        global sequence order the source emitted it in.  An open epoch keeps
-        its last merged report as a versioned view: while the facade admitted
-        no evidence for the epoch since the previous query, the identical
-        report object is returned — before any store drain or worker round
-        trip.
+        The coordinator service's :meth:`Zero07Service.report` — its cached
+        view, ``epoch=None``, retention and
+        :class:`~repro.api.service.ReportUnavailableError` included — with
+        no worker round trip.
         """
-        if epoch is None:
-            epoch = self._max_epoch_seen if self._max_epoch_seen is not None else 0
-            if (
-                epoch not in self._final_reports
-                and self._last_finalized is not None
-                and epoch <= self._last_finalized
-            ):
-                # mirror Zero07Service: after a boundary restore, "right now"
-                # is the next open epoch, not the unserialized closed one.
-                epoch = self._last_finalized + 1
-        if epoch in self._final_reports:
-            return self._final_reports[epoch]
-        if self._is_late(epoch):
-            raise ReportUnavailableError(
-                epoch, self._last_finalized, self._retain_reports
-            )
-        version = self._open.get(epoch)
-        if version is None:
-            return self._merged_report(epoch)  # no evidence: nothing to keep
-        view = self._views.get(epoch)
-        if view is None or view[0] != version:
-            view = self._views[epoch] = (version, self._merged_report(epoch))
-        return view[1]
-
-    def _finalize_through(self, epoch: int) -> None:
-        # mirror Zero07Service: every epoch up to the tick finalizes, gap
-        # (evidence-less) epochs included, one merged report per epoch.
-        open_epochs = [e for e in self._open if e <= epoch]
-        if self._last_finalized is not None:
-            start = self._last_finalized + 1
-        elif open_epochs:
-            start = min(open_epochs)
-        else:
-            start = epoch
-        # hold back the executor's encode/send work while we finalize: the
-        # merged reports come from the coordinator's own columns, and the
-        # wire traffic (which the workers consume at their own pace) would
-        # otherwise compete for the CPU inside this latency-sensitive window.
-        self._executor.pause_wire()
-        try:
-            for e in range(start, epoch + 1):
-                report = self._merged_report(e)
-                self._final_reports[e] = report
-                while len(self._final_reports) > self._retain_reports:
-                    del self._final_reports[next(iter(self._final_reports))]
-                if self._last_finalized is None or e > self._last_finalized:
-                    self._last_finalized = e
-                for sink in self._sinks:
-                    sink.on_report(report)
-                self._open.pop(e, None)
-                self._views.pop(e, None)
-                if self._store is not None:
-                    self._executor.forget_epoch(e)
-        finally:
-            self._executor.resume_wire()
+        self._executor.check()
+        return self._service.report(epoch)
 
     def advance_epoch(self, epoch: int) -> EpochReport:
-        """Tick ``epoch`` closed fleet-wide and return the merged report."""
+        """Tick ``epoch`` closed fleet-wide and return its report."""
         self.ingest(EpochTick(epoch))
         return self.report(epoch)
 
@@ -437,43 +333,28 @@ class ShardedService:
     # checkpointing
     # ------------------------------------------------------------------
     def checkpoint(self, base: Optional[Checkpoint] = None) -> Checkpoint:
-        """Snapshot the whole fleet (every shard plus the epoch markers).
+        """Snapshot the fleet: the coordinator service's checkpoint payload
+        plus ``kind: "sharded"`` and ``num_shards``, without a worker round
+        trip.
 
-        The payload is backend-agnostic — the process executor gathers its
-        workers' shard states into exactly the structure the inline backend
-        writes, so checkpoints restore across backends.  With ``base`` — a
-        *full* sharded checkpoint taken earlier from this same fleet — the
-        result is a **delta** checkpoint carrying only the evidence that
-        changed since the base; apply it with ``base.apply_delta(delta)``
-        before restoring.
+        With ``base`` — a *full* sharded checkpoint taken earlier from this
+        same fleet — the result is a **delta** checkpoint carrying only the
+        evidence that changed since the base; apply it with
+        ``base.apply_delta(delta)`` before restoring.
         """
-        bases = None
+        self._executor.check()
         if base is not None:
             base.validate()
-            if base.is_delta:
-                raise ValueError(
-                    "the base of a delta checkpoint must be a full checkpoint"
-                )
             if base.kind != "sharded":
                 raise ValueError(
                     f"base checkpoint kind {base.kind!r} does not match 'sharded'"
                 )
-            base = base.columnar()
-            bases = shard_bases(base, self._num_shards)
-        shards, columns = assemble_shards(self._executor.checkpoint_shards(bases))
-        payload: Dict[str, Any] = {
-            "version": CHECKPOINT_VERSION,
-            "kind": "sharded",
-            "num_shards": self._num_shards,
-            "retain_reports": self._retain_reports,
-            "max_epoch_seen": self._max_epoch_seen,
-            "last_finalized": self._last_finalized,
-            "shards": shards,
-        }
-        if base is not None:
-            payload["delta"] = True
-            payload["base"] = payload_fingerprint(base.payload, base.columns)
-        return Checkpoint(payload, columns)
+            base = _relabel(base, kind="service")
+        return _relabel(
+            self._service.checkpoint(base),
+            kind="sharded",
+            num_shards=self._num_shards,
+        )
 
     @classmethod
     def restore(
@@ -485,55 +366,30 @@ class ShardedService:
     ) -> "ShardedService":
         """Rebuild a sharded fleet from a :class:`Checkpoint`.
 
-        ``backend``/``workers`` choose the execution strategy of the restored
-        fleet independently of the one that took the checkpoint.  Works for
-        both serializations (v1 JSON and v2 binary); delta checkpoints must
-        be applied to their base first.  A checkpoint written when shards
-        were placed by host is refused with ``ValueError``
-        (:meth:`Checkpoint.validate`).
+        Restores the coordinator service, then each shard from its flows'
+        rows (:func:`split_by_flow`).  ``backend``/``workers`` choose the
+        execution strategy of the restored fleet independently of the one
+        that took the checkpoint.  Works for both serializations (v1 JSON
+        and v2 binary); delta checkpoints must be applied to their base
+        first.  A checkpoint of the old shape, with one payload per shard,
+        is refused with ``ValueError`` (:meth:`Checkpoint.validate`).
         """
-        payload = checkpoint.validate().payload
-        if checkpoint.is_delta:
-            raise ValueError(
-                "cannot restore a delta checkpoint directly; merge it onto "
-                "its full base first with base.apply_delta(delta)"
-            )
-        if payload.get("kind") != "sharded":
-            raise ValueError(f"not a sharded checkpoint: kind={payload.get('kind')!r}")
+        checkpoint.validate()
+        if checkpoint.kind != "sharded":
+            raise ValueError(f"not a sharded checkpoint: kind={checkpoint.kind!r}")
         checkpoint = checkpoint.columnar()
+        service = Zero07Service.restore(_relabel(checkpoint, kind="service"), sinks)
         payload = checkpoint.payload
-        shard_payloads = payload["shards"]
-        first = shard_payloads[0]
-        from repro.api.checkpoint import blame_from_dict
-
         fleet = cls(
             num_shards=int(payload["num_shards"]),
-            blame_config=blame_from_dict(first["blame"]),
-            vote_policy=first["vote_policy"],
-            engine=first["engine"],
-            attribute_noise_flows=bool(first["attribute_noise_flows"]),
-            sinks=sinks,
+            blame_config=blame_from_dict(payload["blame"]),
+            vote_policy=payload["vote_policy"],
+            engine=payload["engine"],
+            attribute_noise_flows=bool(payload["attribute_noise_flows"]),
             retain_reports=int(payload["retain_reports"]),
             backend=backend,
             workers=workers,
         )
-        fleet._executor.restore_shards(shard_payloads, checkpoint.columns)
-        for shard_payload in shard_payloads:
-            for epoch_data in shard_payload.get("epochs", []):
-                fleet._touch(int(epoch_data["epoch"]))
-        if fleet._store is not None:
-            # restored epochs were not streamed through the column store —
-            # their merged reports come from gather-and-replay.
-            for epoch in fleet._open:
-                fleet._executor.mark_dirty(epoch)
-        fleet._max_epoch_seen = (
-            int(payload["max_epoch_seen"])
-            if payload["max_epoch_seen"] is not None
-            else None
-        )
-        fleet._last_finalized = (
-            int(payload["last_finalized"])
-            if payload["last_finalized"] is not None
-            else None
-        )
+        fleet._service = service
+        fleet._executor.restore_shards(*split_by_flow(checkpoint, fleet._num_shards))
         return fleet

@@ -1,29 +1,30 @@
-"""Binary evidence transport for the process-backed sharded service.
+"""Binary evidence transport, and the columnar fleet core's accumulator.
 
 Two pieces live here, both built around the same column-wise extraction the
 vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
 
 * :class:`WireEncoder` / :class:`WireDecoder` — a compact batch codec for
   single-epoch runs of :class:`~repro.api.events.PathEvidence` /
-  :class:`~repro.api.events.RetransmissionEvidence`.  Every per-event field
-  travels as a flat numpy buffer (one ``tobytes`` per column, no per-event
+  :class:`~repro.api.events.RetransmissionEvidence`, spoken by fleet agents
+  and by the process-backed shard executor.  Every per-event field travels
+  as a flat numpy buffer (one ``tobytes`` per column, no per-event
   pickling), and the strings — host names, IPs, ``"src->dst"`` links — are
-  interned once per *connection*: each message carries only the table entries
-  the receiving stream has not seen yet, so a steady-state message is pure
-  integers.  The decoder rebuilds one ``DirectedLink``/string object per
-  table entry and every decoded path shares them (a memory saving; interning
-  resolves equal links alike, shared or not).
+  interned once per *connection*: each message carries only the table
+  entries the receiving stream has not seen yet, so a steady-state message
+  is pure integers.  The decoder checks a whole message — counts, exact
+  length, event kinds, path lengths, table ranges, every id — before its
+  tables grow, so damage is a :class:`WireProtocolError`, never different
+  blame.  It rebuilds one ``DirectedLink``/string object per table entry
+  and every decoded path shares them (a memory saving; interning resolves
+  equal links alike, shared or not).
 
-* :class:`EvidenceColumnStore` — the coordinator-side accumulator behind
-  parallel finalize.  As the sharded facade routes bulk runs to workers it
-  folds the same runs into one :class:`~repro.core.arrays.ArrayVoteTally`
-  per open epoch — the very class (and the very incremental fold) an
-  unsharded service uses — so a merged epoch tally is a snapshot of it: no
-  worker round-trip, no per-path replay, bit-identical to the replay an
-  inline deployment performs.  Any delivery the bulk path cannot prove
-  clean (reordering, duplicates, updates ahead of their path, per-event
-  ingest) marks the epoch *dirty* and the facade falls back to
-  gather-and-replay, which remains the correctness oracle.
+* :class:`EvidenceColumnStore` — the accumulator of the columnar fleet core
+  (:class:`~repro.fleet.analyzer.ColumnarIngestCore`).  It folds each
+  committed run into one :class:`~repro.core.arrays.ArrayVoteTally` per open
+  epoch — the very class (and the very incremental fold) a service uses — so
+  an epoch's tally is a snapshot of it, bit-identical to a replay.  Any
+  delivery the bulk path cannot prove clean (reordering, duplicates, updates
+  ahead of their path) marks the epoch *dirty*, and the core replays it.
 
 The proofs that make a run safe to fold in bulk (:func:`bulk_admissible`) and
 the per-flow aggregation of its count updates (:func:`aggregate_updates`) are
@@ -53,8 +54,30 @@ WIRE_MAGIC = b"RW01"
 _HEADER = struct.Struct("<4sqqiiiiiiiii")
 
 
+#: bytes one path adds to a message: flow id, count and path epoch (int64),
+#: hop count, four name ids, two ports and the protocol (int32), ``complete``.
+_PATH_BYTES = 3 * 8 + 8 * 4 + 1
+
+
 class WireProtocolError(ValueError):
     """A message violated the framing or the per-stream table discipline."""
+
+
+def _table_delta(blob, lo: int, hi: int, size: int, table: str) -> List[str]:
+    """The entries ``[lo, hi)`` a message adds to a stream table of ``size``."""
+    if lo != size or hi < lo:
+        raise WireProtocolError(
+            f"table delta out of order: {table} [{lo}, {hi}) onto {size} entries"
+        )
+    try:
+        entries = bytes(blob).decode("utf-8").split("\x00") if hi > lo else []
+    except UnicodeDecodeError as exc:
+        raise WireProtocolError(f"{table} table delta is not UTF-8") from exc
+    if len(entries) != hi - lo or (hi == lo and len(blob)):
+        raise WireProtocolError(
+            f"{table} table delta holds {len(entries)} entries for [{lo}, {hi})"
+        )
+    return entries
 
 
 def _attr_i64(items, name: str) -> np.ndarray:
@@ -88,9 +111,9 @@ class WireEncoder:
     how much of each table its decoder has already seen, so messages stay
     self-contained per connection while interning work is shared.
 
-    The link table may be an externally shared :class:`LinkIndex` (the
-    sharded facade passes its merge-side index) so link ids line up with the
-    coordinator's own column store for free.
+    ``link_index`` lets a new encoder keep an earlier one's link table (the
+    process executor's restore resets its streams that way), so interning
+    work survives; only one thread at a time may intern into a table.
     """
 
     def __init__(
@@ -105,7 +128,7 @@ class WireEncoder:
 
     @property
     def link_index(self) -> LinkIndex:
-        """The shared link interner (ids appear verbatim on the wire)."""
+        """The link interner (ids appear verbatim on the wire)."""
         return self._links
 
     def reset_stream(self, stream: int) -> None:
@@ -384,30 +407,20 @@ class WireDecoder:
         """The stream's accumulated link table (append-only; do not mutate)."""
         return self._links
 
-    def _extend_tables(
-        self, link_lo: int, links_blob: bytes, name_lo: int, names_blob: bytes
-    ) -> None:
-        if link_lo != len(self._links) or name_lo != len(self._names):
-            raise WireProtocolError(
-                f"table delta out of order: link {link_lo}/{len(self._links)}, "
-                f"name {name_lo}/{len(self._names)}"
-            )
-        if links_blob:
-            for text in links_blob.decode("utf-8").split("\x00"):
-                src, _, dst = text.partition("->")
-                self._links.append(DirectedLink(src, dst))
-        if names_blob:
-            self._names.extend(names_blob.decode("utf-8").split("\x00"))
-
     def decode_columns(self, data) -> WireRun:
         """Decode one message into a :class:`WireRun` of raw columns.
 
-        Validates the header and the hop counts (``PathTooLongError``), then
-        folds the message's table deltas into the stream state, but builds
-        no event objects — column views over the input buffer only.  The
-        returned run keeps ``data`` alive.
+        Checks the whole message before the stream's tables grow: the
+        header's counts against the exact length, the event kinds, the path
+        lengths (``PathTooLongError`` past 8 hops), the table-delta ranges
+        and every link and name id — any damage raises
+        :class:`WireProtocolError`.  Then folds the message's table deltas
+        into the stream state, but builds no event objects — column views
+        over the input buffer only.  The returned run keeps ``data`` alive.
         """
         data = memoryview(data)
+        if len(data) < _HEADER.size:
+            raise WireProtocolError(f"a {len(data)}-byte message has no header")
         (
             magic,
             epoch,
@@ -416,16 +429,33 @@ class WireDecoder:
             n_paths,
             total_hops,
             link_lo,
-            _link_hi,
+            link_hi,
             name_lo,
-            _name_hi,
+            name_hi,
             links_len,
             names_len,
         ) = _HEADER.unpack_from(data, 0)
         if magic != WIRE_MAGIC:
             raise WireProtocolError(f"bad magic {magic!r}")
+        n_updates = n_events - n_paths
+        if min(n_paths, n_updates, total_hops, links_len, names_len) < 0:
+            raise WireProtocolError(
+                f"bad counts: {n_paths} paths of {n_events} events, "
+                f"{total_hops} hops, table blobs of {links_len}/{names_len} bytes"
+            )
         blobs = _HEADER.size
-        offset = blobs + links_len + names_len
+        body = offset = blobs + links_len + names_len
+        size = (
+            body
+            + 9 * n_events
+            + _PATH_BYTES * n_paths
+            + 4 * total_hops
+            + 16 * n_updates
+        )
+        if len(data) != size:
+            raise WireProtocolError(
+                f"a {len(data)}-byte message whose header describes {size} bytes"
+            )
 
         run = WireRun()
         run.shard = shard
@@ -450,25 +480,48 @@ class WireDecoder:
         run.path_epochs = column(np.int64, n_paths)
         run.lengths = column(np.int32, n_paths)
         run.lids = column(np.int32, total_hops)
-        run.src_hosts = column(np.int32, n_paths)
-        run.dst_hosts = column(np.int32, n_paths)
-        run.src_ips = column(np.int32, n_paths)
-        run.dst_ips = column(np.int32, n_paths)
+        name_ids = column(np.int32, 4 * n_paths)
+        run.src_hosts, run.dst_hosts, run.src_ips, run.dst_ips = name_ids.reshape(
+            4, n_paths
+        )
         run.src_ports = column(np.int32, n_paths)
         run.dst_ports = column(np.int32, n_paths)
         run.protocols = column(np.int32, n_paths)
         run.complete = column(np.uint8, n_paths)
-        n_updates = n_events - n_paths
         run.upd_flows = column(np.int64, n_updates)
         run.upd_counts = column(np.int64, n_updates)
-        if n_paths and int(run.lengths.max()) > MAX_HOPS:
-            raise PathTooLongError(int(run.lengths.max()))
-        self._extend_tables(
-            link_lo,
-            bytes(data[blobs : blobs + links_len]),
-            name_lo,
-            bytes(data[blobs + links_len : blobs + links_len + names_len]),
+        kinds, lengths = run.kinds, run.lengths
+        if n_events and (
+            int(kinds.max()) > 1 or int(np.count_nonzero(kinds)) != n_updates
+        ):
+            raise WireProtocolError(
+                f"event kinds disagree with {n_paths} paths of {n_events} events"
+            )
+        if n_paths:
+            if int(lengths.max()) > MAX_HOPS:
+                raise PathTooLongError(int(lengths.max()))
+            if int(lengths.min()) < 1:
+                raise WireProtocolError("a path without links")
+        if int(lengths.sum()) != total_hops:
+            raise WireProtocolError(f"path lengths do not sum to {total_hops} hops")
+        links = _table_delta(
+            data[blobs : blobs + links_len], link_lo, link_hi, len(self._links), "link"
         )
+        names = _table_delta(
+            data[blobs + links_len : body], name_lo, name_hi, len(self._names), "name"
+        )
+        for ids, bound, table in (
+            (run.lids, link_hi, "link"),
+            (name_ids, name_hi, "name"),
+        ):
+            if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < bound:
+                raise WireProtocolError(
+                    f"a {table} id outside the stream's {bound}-entry table"
+                )
+        for text in links:
+            src, _, dst = text.partition("->")
+            self._links.append(DirectedLink(src, dst))
+        self._names.extend(names)
         return run
 
     def decode(
@@ -652,17 +705,15 @@ class TallyLane:
 
 
 class EvidenceColumnStore:
-    """Folds merged epoch tallies as bulk runs stream through the facade.
+    """Folds epoch tallies as committed bulk runs arrive.
 
-    The executor appends each submitted bulk run *before* partitioning it to
-    workers; integer vote units make the fold order-free, so the merged tally
-    is bit-identical to an unsharded service's over the same evidence —
-    which is the whole argument behind :meth:`build_tally`.  Anything the
-    bulk path cannot prove duplicate-free and bound like the per-event path
-    (sequence regressions, updates ahead of their path, per-event ingestion,
-    restores) marks the epoch dirty, and :meth:`build_tally` returns ``None``
-    so the caller replays gathered evidence instead — the two paths agree
-    bit-for-bit whenever both apply.
+    Integer vote units make the fold order-free, so an epoch's tally is
+    bit-identical to an unsharded service's over the same evidence — which
+    is the whole argument behind :meth:`build_tally`.  Anything the bulk
+    path cannot prove duplicate-free and bound like the per-event path
+    (sequence regressions, updates ahead of their path) marks the epoch
+    dirty, and :meth:`build_tally` returns ``None`` so the caller replays the
+    epoch instead — the two paths agree bit-for-bit whenever both apply.
     """
 
     def __init__(
@@ -721,8 +772,8 @@ class EvidenceColumnStore:
         try:
             lane.clean = bulk_admissible(cols, lane.max_seq)
         except ValueError:
-            # a path no vote can be cast from: the shard service raises on
-            # it, and whatever state survives that is per-event territory.
+            # a path no vote can be cast from: a service raises on it, and
+            # whatever state survives that is per-event territory.
             lane.clean = False
         if lane.clean:
             add_paths(tally)

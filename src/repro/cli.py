@@ -581,28 +581,18 @@ def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
                 file=out,
             )
             if checkpoint.kind == "sharded":
-                sections = [
-                    (f"shard {i}", shard)
-                    for i, shard in enumerate(payload["shards"])
-                ]
                 print(f"  num_shards={payload['num_shards']}", file=out)
-            else:
-                sections = [("service", payload)]
-            for label, section in sections:
-                epochs = section.get("epochs", [])
-                if not epochs:
-                    print(f"  {label}: no open epochs", file=out)
-                    continue
-                for entry in epochs:
-                    updates = len(
-                        epoch_columns(entry, checkpoint.columns, ("rs",))["rs"]
-                    )
-                    print(
-                        f"  {label}: epoch {entry['epoch']}: "
-                        f"{entry['records']['count']:,} path records, "
-                        f"{updates:,} consumed update seqs",
-                        file=out,
-                    )
+            epochs = payload.get("epochs", [])
+            if not epochs:
+                print(f"  {checkpoint.kind}: no open epochs", file=out)
+            for entry in epochs:
+                updates = len(epoch_columns(entry, checkpoint.columns, ("rs",))["rs"])
+                print(
+                    f"  {checkpoint.kind}: epoch {entry['epoch']}: "
+                    f"{entry['records']['count']:,} path records, "
+                    f"{updates:,} consumed update seqs",
+                    file=out,
+                )
             return 0
         if args.checkpoint_command == "convert":
             checkpoint = Checkpoint.load(args.src)

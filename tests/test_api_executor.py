@@ -29,6 +29,7 @@ from repro.api import (
     ShardExecutorError,
     Zero07Service,
 )
+from repro.api.sharded import split_by_flow
 from repro.discovery.agent import DiscoveredPath
 from repro.loadgen import EvidenceLoadGenerator, WorkloadProfile
 from repro.routing.fivetuple import FiveTuple
@@ -122,9 +123,10 @@ class TestProcessBackendEquivalence:
     @pytest.mark.parametrize("backend", ["inline", "process"])
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_report_view_follows_vector_routed_runs(self, engine, backend):
-        """Vector-placed runs bump the epoch's view version: a repeat query
-        returns the identical object (no second merge), the query after the
-        next run the unsharded service's answer."""
+        """Vector-placed runs move the coordinator service's view: a repeat
+        query returns the identical object (no second analysis), the query
+        after the next run — and after the tick — the unsharded service's
+        answer."""
         events = [
             e
             for e in loadgen_events(epochs=1, events_per_epoch=2_400)
@@ -140,17 +142,20 @@ class TestProcessBackendEquivalence:
                 assert report_signature(first) == report_signature(single.report(0))
                 assert fleet.report(0) is first
                 assert fleet.report() is first
-            fleet.ingest(EpochTick(0))
-            assert fleet._views == {} and fleet._open == {}
+            for service in (fleet, single):
+                service.ingest(EpochTick(0))
+            assert report_signature(fleet.report(0)) == report_signature(
+                single.report(0)
+            )
             assert fleet.report(0) is fleet.report(0)
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_fallback_events_is_served_without_a_worker_round_trip(
         self, backend, monkeypatch
     ):
-        """The fleet-wide counter is what the workers last reported (here with
-        the evidence a report of the reordered epoch gathers, then with a
-        checkpoint and its restore) — reading it never syncs the pipeline."""
+        """The fleet-wide counter is the coordinator service's — what an
+        unsharded service counts for the same deliveries — so reading,
+        checkpointing and restoring it never sync the pipeline."""
         paths = [
             PathEvidence(
                 epoch=0,
@@ -160,24 +165,47 @@ class TestProcessBackendEquivalence:
             for i in range(96)
         ]
 
-        def feed(fleet):
-            fleet.ingest_batch(paths[:64])
-            fleet.ingest_batch(paths[32:])  # half redelivered: shards replay it
-            return fleet.report(0)
+        def feed(service):
+            service.ingest_batch(paths[:64])
+            service.ingest_batch(paths[32:])  # half redelivered: replayed per event
+            return service.report(0)
 
-        with ShardedService(2) as inline:
-            feed(inline)
-            expected = sum(inline.shard(i).stats.fallback_events for i in range(2))
+        single = Zero07Service()
+        feed(single)
+        expected = single.stats.fallback_events
         assert expected > 0
         with ShardedService(2, backend=backend) as fleet:
             feed(fleet)
             with monkeypatch.context() as patch:
                 patch.setattr(type(fleet.executor), "_sync", None, raising=False)
                 assert fleet.fallback_events == expected
-            checkpoint = fleet.checkpoint()
+                checkpoint = fleet.checkpoint()
         with ShardedService.restore(checkpoint, backend=backend) as restored:
             monkeypatch.setattr(type(restored.executor), "_sync", None, raising=False)
             assert restored.fallback_events == expected
+
+    def test_reports_ticks_and_checkpoints_never_round_trip(self, monkeypatch):
+        """The process backend answers from its coordinator service: with the
+        workers' sync command gone, every report, tick and checkpoint still
+        equals the unsharded service's."""
+        events = [e for e in loadgen_events(epochs=2) if not isinstance(e, EpochTick)]
+        monkeypatch.setattr(ProcessExecutor, "_sync", None)
+        single = Zero07Service()
+        with ShardedService(2, backend="process") as fleet:
+            for epoch in range(2):
+                body = [e for e in events if e.epoch == epoch]
+                for service in (fleet, single):
+                    service.ingest_batch(body)
+                assert report_signature(fleet.report(epoch)) == report_signature(
+                    single.report(epoch)
+                )
+                records = fleet.checkpoint().materialize().payload["epochs"]
+                assert records == single.checkpoint().materialize().payload["epochs"]
+                for service in (fleet, single):
+                    service.ingest(EpochTick(epoch))
+                assert report_signature(fleet.report()) == report_signature(
+                    single.report()
+                )
 
     def test_workers_fewer_than_shards(self):
         events = loadgen_events(epochs=1)
@@ -291,9 +319,7 @@ class TestWorkerFailure:
                 while time.monotonic() < deadline:
                     executor.ping()
                     time.sleep(0.05)
-            executor.restore_shards(
-                checkpoint.payload["shards"], checkpoint.columns
-            )
+            executor.restore_shards(*split_by_flow(checkpoint, fleet.num_shards))
             assert report_signature(fleet.report(0)) == mid
             fleet.ingest_batch(events[half:])  # the revived fleet keeps working
             fleet.ingest(EpochTick(0))
@@ -310,7 +336,7 @@ class TestWorkerFailure:
         checkpoint = fleet.checkpoint()
         fleet.close()
         with pytest.raises(ShardExecutorError):
-            fleet.executor.restore_shards(checkpoint.payload["shards"], None)
+            fleet.executor.restore_shards(*split_by_flow(checkpoint, 2))
 
     def test_calls_after_close_raise(self):
         fleet = ShardedService(2, backend="process")

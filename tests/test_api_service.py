@@ -586,30 +586,33 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             ShardedService.restore(checkpoint)
 
-    def test_host_placed_sharded_checkpoints_are_refused(self):
-        """A sharded payload with the facade's old routing maps was written
-        under crc32(src_host) placement: restore and delta merges refuse it,
-        naming the placement change, whichever side of a merge it is on."""
+    def test_per_shard_sharded_checkpoints_are_refused(self):
+        """A sharded payload with a ``shards`` list — one service payload per
+        shard, the format before the coordinator service — is refused by
+        loads, restore and delta merges, naming the change, whichever side
+        of a merge it is on."""
         fleet = ShardedService(num_shards=2)
         fleet.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
         base = fleet.checkpoint()
+        assert base.payload["num_shards"] == 2 and "shards" not in base.payload
         fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
         delta = fleet.checkpoint(base=base)
 
-        def host_placed(checkpoint):
-            payload = json.loads(checkpoint.to_json())
-            payload.update(
-                flow_shard={"0": {"1": 1}}, pending={}, retrans_seqs={"0": []}
-            )
-            return Checkpoint(payload)
+        def per_shard(checkpoint):
+            document = json.loads(checkpoint.to_json())
+            shard = dict(document, kind="service")
+            del document["epochs"]
+            return Checkpoint(dict(document, shards=[shard, shard]))
 
-        match = "host placement.*flow_id % num_shards"
+        match = "retired per-shard format"
         with pytest.raises(ValueError, match=match):
-            ShardedService.restore(host_placed(base))
+            ShardedService.restore(per_shard(base))
         with pytest.raises(ValueError, match=match):
-            host_placed(base).apply_delta(delta)
+            Checkpoint.from_json(json.dumps(per_shard(base).payload))
         with pytest.raises(ValueError, match=match):
-            base.apply_delta(host_placed(delta))
+            per_shard(base).apply_delta(delta)
+        with pytest.raises(ValueError, match=match):
+            base.apply_delta(per_shard(delta))
         ShardedService.restore(base.apply_delta(delta))  # today's shape merges
 
     def test_sharded_checkpoint_round_trip(self):

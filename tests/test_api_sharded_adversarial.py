@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.api import (
+    Checkpoint,
     EpochTick,
     EvidenceRecorder,
     PathEvidence,
@@ -272,6 +273,36 @@ class TestPendingBufferDrain:
         fleet.ingest_batch(events, owned=True)
         for shard in range(4):
             assert fleet.shard(shard).open_epochs == []
+
+
+class TestRestoredShards:
+    def test_each_shard_restores_its_flows(self):
+        """A sharded checkpoint is the coordinator's; restore splits its rows
+        by ``flow % num_shards``, so every inline shard reports, lists its
+        evidence and counts its paths as it did before the checkpoint."""
+        events = [e for e in loadgen_events(epochs=2) if not isinstance(e, EpochTick)]
+        # a count update ahead of its path waits on shard 999_999 % 3 == 0
+        events.append(
+            RetransmissionEvidence(epoch=1, flow_id=999_999, retransmissions=3, seq=10**6)
+        )
+        fleet = ShardedService(num_shards=3)
+        fleet.ingest_batch(events)
+        restored = ShardedService.restore(
+            Checkpoint.from_bytes(fleet.checkpoint().to_bytes())
+        )
+        for i in range(3):
+            before, after = fleet.shard(i), restored.shard(i)
+            assert before.open_epochs == [0, 1]
+            assert after.stats.paths_ingested == before.stats.paths_ingested > 0
+            for epoch in before.open_epochs:
+                assert report_signature(after.report(epoch)) == report_signature(
+                    before.report(epoch)
+                )
+                assert after.evidence_for_epoch(epoch) == before.evidence_for_epoch(
+                    epoch
+                )
+        orphan = restored.shard(0).checkpoint().payload["epochs"][1]
+        assert orphan["pending_retransmissions"] == {"999999": 3}
 
 
 class TestFastPathEngagement:

@@ -96,6 +96,15 @@ EXPECTED_SIGNATURES = {
     "ShardedService.checkpoint": (
         "(self, base: 'Optional[Checkpoint]' = None) -> 'Checkpoint'"
     ),
+    "ShardedService.restore": (
+        "(checkpoint: 'Checkpoint', sinks: 'Sequence[ReportSink]' = (), "
+        "backend: 'str' = 'inline', workers: 'Optional[int]' = None) "
+        "-> \"'ShardedService'\""
+    ),
+    "ProcessExecutor.__init__": (
+        "(self, num_shards: 'int', service_config: 'Dict[str, Any]', "
+        "workers: 'Optional[int]' = None) -> 'None'"
+    ),
     "Checkpoint.to_json": "(self, indent: 'int | None' = None) -> 'str'",
     "Checkpoint.from_json": "(text: 'str') -> \"'Checkpoint'\"",
     "Checkpoint.to_bytes": "(self) -> 'bytes'",
@@ -218,6 +227,24 @@ def test_core_entry_point_signatures_are_pinned():
         "public API signatures drifted — if intentional, update the snapshot "
         f"in the same commit: {drifted}"
     )
+
+
+def test_shard_executors_serve_shards_only():
+    """Evidence, reports and checkpoints come from the sharded facade's
+    coordinator service, so the executor contract has no verb for them."""
+    public = {name for name in vars(api.ShardExecutor) if not name.startswith("_")}
+    assert public == {
+        "submit_vector_run",
+        "submit_event",
+        "tick",
+        "restore_shards",
+        "shard_service",
+        "check",
+        "drain_store",
+        "pause_wire",
+        "resume_wire",
+        "close",
+    }
 
 
 def test_loadgen_exports_are_exactly_the_snapshot():

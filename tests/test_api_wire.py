@@ -1,16 +1,19 @@
 """Unit battery for the binary evidence transport (:mod:`repro.api.wire`).
 
-The codec is the process backend's correctness floor: every event a worker
-ingests came through ``WireEncoder.encode_run`` → pipe → ``WireDecoder``,
-and every merged finalize on a clean epoch comes from the coordinator's
+The codec is the process backend's and the fleet's correctness floor: every
+event a worker or analyzer ingests came through ``WireEncoder.encode_run`` →
+pipe or socket → ``WireDecoder``, and the columnar fleet core folds into an
 :class:`EvidenceColumnStore`.  These tests pin the round-trip exactly, the
-per-stream table discipline, and the store's clean/dirty semantics —
+per-stream table discipline, the refusal of damaged messages, and the
+store's clean/dirty semantics —
 including the degenerate shapes (repeated links in one path, mixed runs,
 out-of-order seqs) where a silent mismatch would survive the happy-path
 equivalence suites.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.api import (
     WireProtocolError,
     evidence_to_dict,
 )
+from repro.api.wire import _HEADER
 from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import LinkIndex
 from repro.core.votes import PathTooLongError
@@ -147,8 +151,6 @@ class TestCodecRoundTrip:
             )
 
     def test_bad_magic_is_rejected(self):
-        from repro.api.wire import _HEADER
-
         with pytest.raises(WireProtocolError):
             WireDecoder().decode(memoryview(bytes(_HEADER.size)))
 
@@ -168,6 +170,93 @@ class TestCodecRoundTrip:
             decoder.decode_columns(memoryview(message))
         assert raised.value.hops == 9
         assert decoder.links_table == []
+
+
+#: header fields, in ``_HEADER`` order.
+_FIELDS = (
+    "magic", "epoch", "shard", "n_events", "n_paths", "total_hops",
+    "link_lo", "link_hi", "name_lo", "name_hi", "links_len", "names_len",
+)
+
+
+def _header(message):
+    return dict(zip(_FIELDS, _HEADER.unpack_from(message)))
+
+
+def _with_header(message, **changes):
+    header = _header(message)
+    for name, change in changes.items():
+        header[name] = change(header[name])
+    return _HEADER.pack(*header.values()) + message[_HEADER.size :]
+
+
+def _with_value(message, column, index, change, fmt="<i"):
+    """``message`` with entry ``index`` of ``column`` replaced by ``change``'s."""
+    header = _header(message)
+    kinds = _HEADER.size + header["links_len"] + header["names_len"]
+    lengths = kinds + 9 * header["n_events"] + 24 * header["n_paths"]
+    lids = lengths + 4 * header["n_paths"]
+    starts = {
+        "kinds": kinds,
+        "lengths": lengths,
+        "lids": lids,
+        "names": lids + 4 * header["total_hops"],
+    }
+    size = struct.calcsize(fmt)
+    at = starts[column] + size * index
+    (value,) = struct.unpack_from(fmt, message, at)
+    return message[:at] + struct.pack(fmt, change(value)) + message[at + size :]
+
+
+#: damage a message can take in transit; the decoder refuses every one.
+DAMAGE = {
+    "hop id -1": lambda m: _with_value(m, "lids", 0, lambda v: -1),
+    "hop id past the table": lambda m: _with_value(
+        m, "lids", 0, lambda v: _header(m)["link_hi"]
+    ),
+    "name id past the table": lambda m: _with_value(
+        m, "names", 0, lambda v: _header(m)["name_hi"]
+    ),
+    "more events than bytes": lambda m: _with_header(m, n_events=lambda v: v + 1),
+    "more paths than events": lambda m: _with_header(
+        m, n_paths=lambda v: _header(m)["n_events"] + 1
+    ),
+    "a negative path count": lambda m: _with_header(m, n_paths=lambda v: -1),
+    "a trailing byte": lambda m: m + b"\x00",
+    "a missing byte": lambda m: m[:-1],
+    "a kind outside 0/1": lambda m: _with_value(m, "kinds", 0, lambda v: 2, "<B"),
+    "kinds off the path count": lambda m: _with_value(
+        m, "kinds", 0, lambda v: 1 - v, "<B"
+    ),
+    "a path without links": lambda m: _with_value(
+        _with_value(m, "lengths", 0, lambda v: 0), "lengths", 1, lambda v: v + 3
+    ),
+    "lengths off the hop count": lambda m: _with_value(m, "lengths", 0, lambda v: v + 1),
+    "a link range past its delta": lambda m: _with_header(m, link_hi=lambda v: v + 1),
+    "a name range short of its delta": lambda m: _with_header(
+        m, name_hi=lambda v: v - 1
+    ),
+    "a table delta out of order": lambda m: _with_header(m, link_lo=lambda v: v + 1),
+}
+
+
+class TestDamagedMessages:
+    """A message is checked whole before the stream's tables grow: damage is
+    a ``WireProtocolError`` — never numpy's bare ``ValueError``, never an id
+    that wraps around to another table entry."""
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_is_refused_before_the_tables_grow(self, damage):
+        message = WireEncoder(streams=1).encode_run(0, 0, 0, mixed_run(n=4))
+        decoder = WireDecoder()
+        with pytest.raises(WireProtocolError):
+            decoder.decode_columns(DAMAGE[damage](message))
+        assert decoder.links_table == []
+        # nothing of the damaged message was kept: the intact one decodes
+        _, _, events, _ = decoder.decode(message)
+        assert [evidence_to_dict(e) for e in events] == [
+            evidence_to_dict(e) for e in mixed_run(n=4)
+        ]
 
 
 class TestEvidenceColumnStore:

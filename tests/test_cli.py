@@ -204,6 +204,22 @@ class TestCheckpointCommand:
         ) == 0
         assert "json checkpoint" in out.getvalue()
 
+    def test_inspect_prints_the_shard_count_and_epochs_of_a_fleet(self, tmp_path):
+        from repro.api import ShardedService
+        from repro.loadgen import EvidenceLoadGenerator
+
+        generator = EvidenceLoadGenerator(fabric="tiny", events_per_epoch=400, seed=5)
+        fleet = ShardedService(num_shards=3)
+        fleet.ingest_batch(generator.epoch_events(0, tick=False), owned=True)
+        checkpoint = fleet.checkpoint()
+        checkpoint.save(tmp_path / "fleet.bin")
+        out = io.StringIO()
+        assert main(["checkpoint", "inspect", str(tmp_path / "fleet.bin")], out=out) == 0
+        text = out.getvalue()
+        assert "kind=sharded" in text and "num_shards=3" in text
+        (entry,) = checkpoint.payload["epochs"]
+        assert f"sharded: epoch 0: {entry['records']['count']:,} path records" in text
+
     def test_convert_round_trips_between_serializations(self, checkpoints):
         from repro.api import Checkpoint
 

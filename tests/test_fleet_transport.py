@@ -449,6 +449,41 @@ def test_version_mismatch_is_rejected_naming_both_versions(tcp_thread):
         time.sleep(0.02)
 
 
+def test_a_damaged_evidence_frame_is_one_wire_error(tcp_thread):
+    """A header that claims more events than its frame carries is a wire
+    protocol error: counted once, answered with an ERROR frame ``wire``."""
+    from repro.api.wire import _HEADER, WireEncoder
+
+    thread = tcp_thread(ColumnarIngestCore())
+    sock = thread.endpoint.connect(timeout=10.0)
+    try:
+        hello = protocol.encode_hello("damaged")
+        sock.sendall(protocol.encode_frame(protocol.FRAME_HELLO, hello))
+        payload = WireEncoder().encode_run(0, 0, 0, generated_stream(0)[:64])
+        fields = list(_HEADER.unpack_from(payload))
+        fields[3] += 1  # n_events
+        damaged = _HEADER.pack(*fields) + payload[_HEADER.size :]
+        sock.sendall(protocol.encode_frame(protocol.FRAME_EVIDENCE, damaged))
+        reader = FrameReader()
+        frames = []
+        while not any(kind == protocol.FRAME_ERROR for kind, _ in frames):
+            data = sock.recv(1 << 16)
+            if not data:
+                break
+            reader.feed(data)
+            frames.extend(reader.frames())
+        errors = [body for kind, body in frames if kind == protocol.FRAME_ERROR]
+        assert errors, "analyzer closed without an ERROR frame"
+        assert protocol.decode_error(errors[0]).code == "wire"
+    finally:
+        sock.close()
+    deadline = time.monotonic() + 10.0
+    while thread.analyzer.stats.protocol_errors < 1:
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+    assert thread.analyzer.stats.protocol_errors == 1
+
+
 def test_describe_reports_protocol_version_and_core(tcp_thread):
     thread = tcp_thread(ColumnarIngestCore())
     with FleetQueryClient(thread.query_endpoint) as query:

@@ -406,10 +406,9 @@ def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind)
     if core_kind == "columns":
         assert list(core._retained) == [3]
         assert core._views == {} and core._final_reports == {}
-    elif core_kind == "sharded":
-        assert list(core.service._open) == [3] and core.service._views == {}
-    else:
-        assert list(core.service._epochs) == [3]
+    else:  # a sharded service's fleet-wide view is its coordinator service
+        service = getattr(core.service, "_service", core.service)
+        assert list(service._epochs) == [3]
 
 
 # -- epochs_finalized -----------------------------------------------------
