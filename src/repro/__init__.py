@@ -6,11 +6,9 @@ analysis core (voting, ranking, Algorithm 1), optimization baselines, the
 theoretical bounds from the paper, and an experiment harness that regenerates
 every table and figure of the evaluation section.
 
-Quickstart
-----------
->>> from repro import quick_scenario
->>> report = quick_scenario(num_bad_links=2, seed=7)
->>> sorted(report.detected_links)[:2]  # doctest: +SKIP
+Quickstart: ``python examples/quickstart.py`` builds a small Clos fabric,
+injects one lossy link, runs one epoch of the full pipeline and prints the
+ranking and the detected links.  The test suite runs every example script.
 """
 
 from repro.core.pipeline import Zero07System, SystemConfig
@@ -42,25 +40,5 @@ __all__ = [
     "UniformTraffic",
     "SkewedTraffic",
     "HotTorTraffic",
-    "quick_scenario",
     "__version__",
 ]
-
-
-def quick_scenario(num_bad_links: int = 1, seed: int = 0, epochs: int = 1):
-    """Run a small end-to-end 007 scenario and return the last epoch report.
-
-    This is a convenience wrapper used by the README quickstart and the
-    doctest suite.  It builds a two-pod Clos topology, injects
-    ``num_bad_links`` random link failures, runs the full 007 pipeline for
-    ``epochs`` epochs and returns the final :class:`EpochReport`.
-    """
-    from repro.experiments.scenario import ScenarioConfig, run_scenario
-
-    config = ScenarioConfig(
-        num_bad_links=num_bad_links,
-        seed=seed,
-        epochs=epochs,
-    )
-    result = run_scenario(config)
-    return result.reports[-1]

@@ -159,11 +159,6 @@ class DetectionLogSink:
         """Record the epoch's detections."""
         self.rows.append((report.epoch, list(report.detected_links)))
 
-    @property
-    def epochs_with_detections(self) -> int:
-        """Number of finalized epochs that flagged at least one link."""
-        return sum(1 for _, links in self.rows if links)
-
 
 # ----------------------------------------------------------------------
 # service state
@@ -487,13 +482,6 @@ class Zero07Service:
     def add_sink(self, sink: ReportSink) -> None:
         """Register a sink for future finalized reports."""
         self._sinks.append(sink)
-
-    def remove_sink(self, sink: ReportSink) -> None:
-        """Unregister a sink (no-op when it was never added)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
 
     def evidence_for_epoch(self, epoch: int) -> List[Tuple[int, DiscoveredPath]]:
         """The open epoch's ``(seq, path)`` records in sequence order.

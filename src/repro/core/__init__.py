@@ -17,13 +17,6 @@ from repro.core.arrays import (
     find_problematic_links_arrays,
 )
 from repro.core.pipeline import SystemConfig, Zero07System
-from repro.core.switches import (
-    SwitchVoteTally,
-    build_switch_tally,
-    find_problematic_switches,
-    link_tally_to_switch_votes,
-)
-from repro.core.latency import LatencyDiagnosis, LatencyReport, RttObservation
 from repro.core.aggregate import LinkHealthRecord, MultiEpochAggregator
 
 __all__ = [
@@ -44,13 +37,6 @@ __all__ = [
     "EpochReport",
     "SystemConfig",
     "Zero07System",
-    "SwitchVoteTally",
-    "build_switch_tally",
-    "find_problematic_switches",
-    "link_tally_to_switch_votes",
-    "LatencyDiagnosis",
-    "LatencyReport",
-    "RttObservation",
     "MultiEpochAggregator",
     "LinkHealthRecord",
 ]

@@ -6,8 +6,9 @@ re-scans the per-flow ``VoteContribution`` lists inside Algorithm 1, which makes
 the per-epoch analysis the dominant cost at large fabric sizes.  This module is
 its vectorized twin:
 
-* :class:`ItemIndex` / :class:`LinkIndex` intern hashable items (links, switch
-  names) to dense integer ids so per-link state lives in flat arrays;
+* :class:`ItemIndex` / :class:`LinkIndex` intern hashable items (links, host
+  names and addresses) to dense integer ids so per-link state lives in flat
+  arrays;
 * :class:`ArrayVoteTally` stores an epoch's discovered paths as a CSR matrix
   (``indptr``/``cols``, one row per flow) in one set of grown numpy buffers
   and folds the vote tally *and* the per-link distinct-flow support
@@ -709,20 +710,23 @@ def blame_kernel(
     threshold_votes: float,
     config: BlameConfig,
 ) -> Tuple[List[int], List[float], np.ndarray]:
-    """The argmax + masked-discounting loop shared by link and switch blame.
+    """Algorithm 1's argmax + masked-discounting loop for link blame.
 
     Returns ``(detected_ids, votes_at_detection, final_votes)``.  The input
     ``votes`` array is not modified.  Each detection finds the still-alive rows
     holding the blamed id with one ``cols == best`` scan (O(hops); no sorted
     index is kept) and discounts their hops (the id itself exempt) with one
     unbuffered ``np.subtract.at``, then clamps the touched ids at 0.
-    ``weights`` must be non-negative (``ValueError`` otherwise).  Link blame
-    passes integer vote units, whose differences are exact: an id's votes are
-    the units of its alive rows and never go below zero.  Switch blame passes
-    float votes, where an id's votes only fall, so a ``max(0.0, v - w)`` per
-    subtraction in (row, hop) order equals the unclamped value until that
-    first reaches zero or below and is 0 from then on — one clamp at the end
-    yields the same doubles, bit for bit.
+    Its one caller, :func:`find_problematic_links_arrays`, passes integer vote
+    units, whose differences are exact: an id's votes are the units of its
+    alive rows and never go below zero.
+
+    Input contract: ``weights`` must be non-negative (``ValueError``
+    otherwise); beyond that, any float votes are accepted.  An id's votes
+    then only fall, so a ``max(0.0, v - w)`` per subtraction in (row, hop)
+    order equals the unclamped value until that first reaches zero or below
+    and is 0 from then on — one clamp at the end yields the same doubles,
+    bit for bit.
     """
     if not bool((weights >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")

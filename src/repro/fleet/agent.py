@@ -289,11 +289,6 @@ class FleetAgentClient:
         self._sock.sendall(protocol.encode_frame(protocol.FRAME_HEARTBEAT))
         self.stats.heartbeats += 1
 
-    @property
-    def unacked_chunks(self) -> int:
-        """Chunks sent but not yet covered by an ACK watermark."""
-        return len(self._unacked)
-
     # -- socket plumbing ----------------------------------------------
     def _ensure_connected(self) -> None:
         if self._sock is None:

@@ -356,15 +356,3 @@ class StreamingDetectionScorer:
     def epochs_scored(self) -> int:
         """Number of epochs scored so far."""
         return len(self.scores)
-
-    def mean_precision(self) -> float:
-        """Mean per-epoch precision (``nan`` before any epoch was scored)."""
-        if not self.scores:
-            return float("nan")
-        return sum(s.precision for s in self.scores.values()) / len(self.scores)
-
-    def mean_recall(self) -> float:
-        """Mean per-epoch recall (``nan`` before any epoch was scored)."""
-        if not self.scores:
-            return float("nan")
-        return sum(s.recall for s in self.scores.values()) / len(self.scores)

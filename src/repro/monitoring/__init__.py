@@ -1,6 +1,5 @@
 """TCP monitoring agent (the ETW-fed component of 007)."""
 
-from repro.monitoring.etw import EtwEventSource
 from repro.monitoring.agent import TcpMonitoringAgent
 
-__all__ = ["EtwEventSource", "TcpMonitoringAgent"]
+__all__ = ["TcpMonitoringAgent"]

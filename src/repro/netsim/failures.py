@@ -27,11 +27,6 @@ class FailureScenario:
         """Number of failed directed links."""
         return len(self.bad_links)
 
-    @property
-    def bad_physical_links(self) -> Set[Link]:
-        """Physical links with at least one failed direction."""
-        return {link.undirected() for link in self.bad_links}
-
     def drop_rate_of(self, link: DirectedLink) -> float:
         """Injected drop rate of a failed link (0 for non-failed links)."""
         return self.drop_rates.get(link, 0.0)

@@ -47,7 +47,3 @@ class FlowRecord:
     def true_drop_link(self) -> Optional[DirectedLink]:
         """Ground truth: the link that dropped the most of this flow's packets."""
         return self.result.dominant_drop_link()
-
-    def drops_on(self, link: DirectedLink) -> int:
-        """Ground truth: packets of this flow dropped by ``link``."""
-        return self.result.drops_by_link.get(link, 0)

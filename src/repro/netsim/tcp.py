@@ -231,22 +231,3 @@ def simulate_transfers_batch(
             )
         )
     return results
-
-
-def probability_of_retransmission(
-    path: Path, num_packets: int, link_table: LinkStateTable
-) -> float:
-    """Analytic probability that a transfer over ``path`` sees >= 1 retransmission.
-
-    ``1 - prod_l (1 - p_l)^n`` — used by the theory module and by tests as an
-    oracle for the Monte-Carlo model above (first-round approximation).
-    """
-    if num_packets <= 0:
-        return 0.0
-    log_ok = 0.0
-    for link in path.links:
-        p = link_table.drop_probability(link)
-        if p >= 1.0:
-            return 1.0
-        log_ok += num_packets * np.log1p(-p)
-    return float(1.0 - np.exp(log_ok))

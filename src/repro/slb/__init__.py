@@ -2,9 +2,8 @@
 
 from repro.slb.loadbalancer import (
     SlbQueryError,
-    SnatTable,
     SoftwareLoadBalancer,
     VirtualSwitch,
 )
 
-__all__ = ["SoftwareLoadBalancer", "VirtualSwitch", "SnatTable", "SlbQueryError"]
+__all__ = ["SoftwareLoadBalancer", "VirtualSwitch", "SlbQueryError"]

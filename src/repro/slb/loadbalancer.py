@@ -46,33 +46,6 @@ class VirtualSwitch:
         return self.mappings.get(flow_key)
 
 
-class SnatTable:
-    """Source NAT table: rewrites the source of outbound flows.
-
-    007 assumes connections are SNAT-bypassed; when they are not, the ICMP
-    responses carry the translated source and the agent must ask the SLB to
-    undo the translation (Section 9.1).  The table supports both directions.
-    """
-
-    def __init__(self, nat_ip: str = "snat-gateway") -> None:
-        self._nat_ip = nat_ip
-        self._forward: Dict[Tuple, FiveTuple] = {}
-        self._next_port = 40000
-
-    def translate(self, flow: FiveTuple) -> FiveTuple:
-        """Rewrite the source of ``flow``; remembers the reverse mapping."""
-        translated = flow.with_source(self._nat_ip, self._next_port)
-        self._forward[translated.canonical_key()] = flow
-        self._next_port += 1
-        if self._next_port > 65000:
-            self._next_port = 40000
-        return translated
-
-    def reverse(self, translated: FiveTuple) -> Optional[FiveTuple]:
-        """Return the original flow for a translated five-tuple."""
-        return self._forward.get(translated.canonical_key())
-
-
 class SoftwareLoadBalancer:
     """VIP -> DIP assignment with vSwitch registration.
 

@@ -55,8 +55,3 @@ def level2_icmp_rate(params: ClosParameters, ct: float) -> float:
     hosts = params.hosts_per_tor
     r2 = (n0 / (n1 * n2)) * (n0 * (npod - 1) / (n0 * npod - 1)) * ct * hosts
     return n1 * r2
-
-
-def validates_tmax(params: ClosParameters, ct: float, tmax: int = 100) -> bool:
-    """True when per-host rate ``ct`` keeps every switch at or below ``tmax``."""
-    return max(level1_icmp_rate(params, ct), level2_icmp_rate(params, ct)) <= tmax + 1e-9

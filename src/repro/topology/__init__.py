@@ -1,8 +1,8 @@
 """Datacenter topology substrate.
 
 Provides the parametric Clos topology the paper's theorems are stated for,
-the small test-cluster topology of Section 7, node/link primitives, and IP
-addressing (including the router-alias map used by the path discovery agent).
+node/link primitives, and IP addressing (including the router-alias map
+used by the path discovery agent).
 """
 
 from repro.topology.elements import (
@@ -15,7 +15,6 @@ from repro.topology.elements import (
     SwitchTier,
 )
 from repro.topology.clos import ClosParameters, ClosTopology
-from repro.topology.testcluster import TestClusterTopology
 from repro.topology.addressing import AddressPlan
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "SwitchTier",
     "ClosParameters",
     "ClosTopology",
-    "TestClusterTopology",
     "AddressPlan",
 ]

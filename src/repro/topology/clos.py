@@ -168,12 +168,6 @@ class ClosTopology(Topology):
         """Tier-3 switches (empty unless ``n3 > 0``)."""
         return self.switches_of_tier(SwitchTier.T3)
 
-    def pod_of(self, name: str) -> Optional[int]:
-        """Pod index of a host or switch (``None`` for T2/T3 switches)."""
-        if self.is_host(name):
-            return self.host(name).pod
-        return self.switch(name).pod
-
     def expected_hop_count(self, src_host: str, dst_host: str) -> int:
         """Number of links on the path between two hosts under ECMP routing.
 

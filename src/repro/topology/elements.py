@@ -10,7 +10,7 @@ and is used for inventory and reporting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 
@@ -135,33 +135,3 @@ class Link:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"{self.a}--{self.b}"
-
-
-@dataclass
-class LinkAggregationGroup:
-    """A LAG: several physical member cables presented as one L3 link.
-
-    The paper notes that unless *all* members of a LAG fail, the L3 path is
-    unaffected.  We model a LAG as a set of member identifiers attached to a
-    single :class:`Link`; the L3 link is considered down only when every
-    member is down.
-    """
-
-    link: Link
-    members: list[str] = field(default_factory=list)
-    down_members: set[str] = field(default_factory=set)
-
-    def fail_member(self, member: str) -> None:
-        """Mark a member cable as failed."""
-        if member not in self.members:
-            raise ValueError(f"{member} is not part of LAG {self.link}")
-        self.down_members.add(member)
-
-    def restore_member(self, member: str) -> None:
-        """Restore a previously failed member cable."""
-        self.down_members.discard(member)
-
-    @property
-    def is_down(self) -> bool:
-        """True when every member of the LAG has failed."""
-        return bool(self.members) and set(self.members) == self.down_members

@@ -111,10 +111,6 @@ class Topology:
         """Return the ToR switch of ``host_name``."""
         return self._switches[self._hosts[host_name].tor]
 
-    def neighbors(self, name: str) -> List[str]:
-        """Return the neighbour names of node ``name``."""
-        return list(self._adjacency[name])
-
     # ------------------------------------------------------------------
     # link queries
     # ------------------------------------------------------------------

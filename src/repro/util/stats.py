@@ -2,39 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
-
-
-def empirical_cdf(values: Iterable[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(x, F(x))`` arrays describing the empirical CDF of ``values``.
-
-    ``x`` is sorted ascending and ``F(x)[i]`` is the fraction of samples less
-    than or equal to ``x[i]``.  An empty input yields two empty arrays.
-    """
-    data = np.asarray(sorted(values), dtype=float)
-    if data.size == 0:
-        return data, data
-    frac = np.arange(1, data.size + 1, dtype=float) / data.size
-    return data, frac
-
-
-def mean_confidence_interval(
-    values: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float]:
-    """Return ``(mean, half_width)`` of a normal-approximation confidence interval."""
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        return float("nan"), float("nan")
-    mean = float(np.mean(data))
-    if data.size == 1:
-        return mean, 0.0
-    # Normal approximation; adequate for the tens of repetitions used in the
-    # experiment sweeps and avoids a scipy dependency in the hot path.
-    z = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}.get(round(confidence, 2), 1.96)
-    half = float(z * np.std(data, ddof=1) / np.sqrt(data.size))
-    return mean, half
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -15,7 +15,6 @@ from repro.core.arrays import (
     find_problematic_links_arrays,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
-from repro.core.switches import SwitchVoteTally, find_problematic_switches
 from repro.core.votes import PathTooLongError, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
@@ -304,39 +303,9 @@ class TestBlameKernel:
             )
 
 
-class TestSwitchEngines:
-    def _tally(self, rng):
-        tally = SwitchVoteTally()
-        switches = [f"s{i}" for i in range(12)]
-        for flow_id in range(60):
-            count = int(rng.integers(1, 5))
-            chosen = rng.choice(len(switches), size=count, replace=False)
-            tally.add_flow(flow_id, [switches[i] for i in chosen])
-        return tally
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_array_switch_blame_matches_dict(self, seed):
-        tally = self._tally(np.random.default_rng(seed))
-        for config in (BlameConfig(), BlameConfig(adjustment="none"),
-                       BlameConfig(threshold_fraction=0.2)):
-            assert find_problematic_switches(
-                tally, config, engine="arrays"
-            ) == find_problematic_switches(tally, config, engine="dicts")
-
-    def test_empty_switch_tally(self):
-        assert find_problematic_switches(SwitchVoteTally(), engine="arrays") == []
-
-    def test_hand_populated_votes_fall_back_to_dict_loop(self):
-        # A tally whose public votes dict was filled without contributions
-        # has nothing for the CSR rebuild; the dict loop must serve it.
-        tally = SwitchVoteTally(votes={"s1": 10.0})
-        assert find_problematic_switches(tally, engine="arrays") == ["s1"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            find_problematic_switches(SwitchVoteTally(), engine="array")
-        with pytest.raises(ValueError):
-            AnalysisAgent(engine="array")
+def test_unknown_engine_rejected():
+    with pytest.raises(ValueError):
+        AnalysisAgent(engine="array")
 
 
 class TestArrayAggregator:

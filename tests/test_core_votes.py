@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.votes import VOTE_UNITS, VoteTally
+from repro.core.votes import (
+    MAX_HOPS,
+    VOTE_UNITS,
+    PathTooLongError,
+    VoteTally,
+    check_hop_counts,
+)
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -60,6 +66,20 @@ class TestVoteValues:
 
     def test_votes_of_unvoted_link_is_zero(self):
         assert VoteTally().votes_of(DirectedLink("a", "b")) == 0.0
+
+
+class TestHopCountGuard:
+    def test_paths_of_one_to_max_hops_vote(self):
+        check_hop_counts(1, MAX_HOPS)
+
+    def test_empty_path_rejected(self):
+        with pytest.raises(ValueError, match="at least one known link"):
+            check_hop_counts(0, 3)
+
+    def test_path_past_max_hops_names_its_length(self):
+        with pytest.raises(PathTooLongError) as raised:
+            check_hop_counts(2, MAX_HOPS + 1)
+        assert raised.value.hops == MAX_HOPS + 1
 
 
 class TestDiscoveredPathIngestion:

@@ -213,6 +213,31 @@ class TestHandshakeValidation:
         assert error.code == "wire"
         assert "bad chunk" in str(error)
 
+    def test_undecodable_error_frame_still_yields_a_peer_error(self):
+        error = protocol.decode_error(b"\xff\xfe garbage")
+        assert error.code == "undecodable"
+
+    def test_short_handshake_rejected(self):
+        with pytest.raises(HandshakeError, match="too short"):
+            protocol.decode_welcome(FLEET_MAGIC)
+
+    def test_welcome_acked_must_be_an_object(self):
+        payload = struct.pack(
+            "<4sH", FLEET_MAGIC, FLEET_PROTOCOL_VERSION
+        ) + b'{"credit_bytes": 64, "acked": [1, 2]}'
+        with pytest.raises(HandshakeError, match="acked"):
+            protocol.decode_welcome(payload)
+
+
+class TestFixedPayloads:
+    def test_tick_round_trips(self):
+        assert protocol.decode_tick(protocol.encode_tick(123456789)) == 123456789
+
+    @pytest.mark.parametrize("decode", [protocol.decode_tick, protocol.decode_ack])
+    def test_wrong_payload_length_rejected(self, decode):
+        with pytest.raises(FleetProtocolError, match="bytes"):
+            decode(b"\x00" * 7)
+
 
 class TestEndpoints:
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from repro.metrics.evaluation import (
     detection_precision_recall,
     false_alarm_rate_after_clear,
     mean_time_to_detection,
+    per_epoch_detection,
     per_flow_accuracy,
     time_to_detection,
     top_k_recall,
@@ -109,6 +110,26 @@ class TestTopKRecall:
 
     def test_no_true_links(self):
         assert top_k_recall([A], []) == 1.0
+
+
+class TestPerEpochDetection:
+    def test_each_epoch_is_scored_against_its_own_truth(self):
+        # A is bad only in epoch 1: flagging it in epoch 0 is a false alarm.
+        scores = per_epoch_detection([[A], [A], []], [[], [A], [B]])
+        assert [(s.precision, s.recall) for s in scores] == [
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (0.0, 0.0),
+        ]
+
+    def test_physical_collapses_directions_per_epoch(self):
+        reverse = DirectedLink("b", "a")
+        assert per_epoch_detection([[reverse]], [[A]])[0].recall == 0.0
+        assert per_epoch_detection([[reverse]], [[A]], physical=True)[0].recall == 1.0
+
+    def test_epoch_counts_must_match(self):
+        with pytest.raises(ValueError, match="epoch count mismatch"):
+            per_epoch_detection([[A]], [[A], [A]])
 
 
 def _timeline(epochs, bad=(), detected=()):

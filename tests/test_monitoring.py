@@ -1,4 +1,4 @@
-"""Unit tests for the ETW-like event bus and the TCP monitoring agent."""
+"""Unit tests for the TCP monitoring agent."""
 
 from __future__ import annotations
 
@@ -9,28 +9,8 @@ from repro.discovery.agent import PathDiscoveryAgent
 from repro.discovery.icmp import IcmpRateLimiter
 from repro.discovery.traceroute import TracerouteEngine
 from repro.monitoring.agent import TcpMonitoringAgent
-from repro.monitoring.etw import EtwEventSource
 from repro.netsim.events import ConnectionSetupFailureEvent, RetransmissionEvent
 from repro.routing.fivetuple import FiveTuple
-
-
-class TestEtwEventSource:
-    def test_publish_reaches_all_subscribers(self):
-        bus = EtwEventSource()
-        seen_a, seen_b = [], []
-        bus.subscribe(seen_a.append)
-        bus.subscribe(seen_b.append)
-        bus.publish("event")
-        assert seen_a == ["event"] and seen_b == ["event"]
-        assert bus.published == 1
-
-    def test_subscribers_called_in_order(self):
-        bus = EtwEventSource()
-        order = []
-        bus.subscribe(lambda e: order.append("first"))
-        bus.subscribe(lambda e: order.append("second"))
-        bus.publish(None)
-        assert order == ["first", "second"]
 
 
 @pytest.fixture()

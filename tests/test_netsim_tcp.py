@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.netsim.links import LinkStateTable
-from repro.netsim.tcp import (
-    probability_of_retransmission,
-    simulate_transfer,
-    simulate_transfers_batch,
-)
+from repro.netsim.tcp import simulate_transfer, simulate_transfers_batch
 from repro.routing.paths import Path
 from repro.topology.clos import ClosTopology
 from repro.topology.elements import DirectedLink
@@ -200,22 +196,13 @@ class TestBatchedTransfer:
 
 
 class TestAnalyticProbability:
-    def test_zero_packets_zero_probability(self, fabric):
-        _, table, path = fabric
-        assert probability_of_retransmission(path, 0, table) == 0.0
-
-    def test_blackhole_gives_one(self, fabric):
-        _, table, path = fabric
-        table.reset_noise(rng=0)
-        table.inject_failure(path.links[0], 1.0)
-        assert probability_of_retransmission(path, 1, table) == 1.0
-        table.reset_noise(rng=0)
-
     def test_matches_monte_carlo(self, fabric):
         _, table, path = fabric
         table.reset_noise(rng=0)
         table.inject_failure(path.links[1], 0.01)
-        analytic = probability_of_retransmission(path, 100, table)
+        # P(>= 1 retransmission) = 1 - prod over the path of (1 - p_link)^n
+        keep = [(1.0 - table.drop_probability(link)) ** 100 for link in path.links]
+        analytic = 1.0 - np.prod(keep)
         rng = np.random.default_rng(0)
         hits = sum(
             simulate_transfer(path, 100, table, rng=rng).has_retransmission

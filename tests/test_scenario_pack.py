@@ -35,7 +35,12 @@ from repro.scenarios import (
     run_pack,
     write_golden,
 )
-from repro.scenarios.pack import _nan_mean
+from repro.scenarios.pack import (
+    _nan_mean,
+    default_pack_dir,
+    validate_expected_data,
+    validate_scenario_data,
+)
 from repro.topology.clos import ClosParameters, ClosTopology
 from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
 
@@ -180,6 +185,88 @@ class TestSchemaValidation:
     def test_empty_pack_directory_is_rejected(self, tmp_path):
         with pytest.raises(PackValidationError, match="no scenarios"):
             load_pack(tmp_path)
+
+    def test_scenario_document_must_be_an_object(self):
+        with pytest.raises(PackValidationError, match="JSON object"):
+            validate_scenario_data([minimal_document("bad")], "bad")
+
+    def test_tags_must_be_strings(self):
+        document = minimal_document("bad")
+        document["tags"] = ["gray", 7]
+        with pytest.raises(PackValidationError, match="tags"):
+            validate_scenario_data(document, "bad")
+
+
+def golden_document(**overrides) -> dict:
+    document = {
+        "pack_version": 1,
+        "name": "ok",
+        "metrics": {"mean_epoch_recall_007": {"value": None, "tolerance": 0.0}},
+        "per_epoch": {"precision": [1.0], "recall": [0, 1], "tolerance": 0.005},
+    }
+    document.update(overrides)
+    return document
+
+
+class TestGoldenValidation:
+    def test_well_formed_golden_is_returned_unchanged(self):
+        document = golden_document()
+        assert validate_expected_data(document, "ok") is document
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"metrics": {}}, "non-empty"),
+            ({"metrics": {"recall_007": 1.0}}, "unknown metric"),
+            ({"metrics": {"mean_epoch_recall_007": 1.0}}, "must be an object"),
+            (
+                {"metrics": {"mean_epoch_recall_007": {"value": "high", "tolerance": 0}}},
+                "number or null",
+            ),
+            ({"metrics": {"mean_epoch_recall_007": {"value": 1.0}}}, "missing keys"),
+            (
+                {"per_epoch": {"precision": [], "recall": [], "tolerance": 0, "f1": []}},
+                "unknown keys",
+            ),
+            (
+                {"per_epoch": {"precision": ["1.0"], "recall": [], "tolerance": 0}},
+                "list of numbers",
+            ),
+        ],
+        ids=[
+            "empty-metrics",
+            "static-metric",
+            "entry-not-object",
+            "value-not-number",
+            "entry-missing-tolerance",
+            "per-epoch-unknown-key",
+            "per-epoch-non-numeric",
+        ],
+    )
+    def test_malformed_golden_is_rejected(self, overrides, message):
+        with pytest.raises(PackValidationError, match=message):
+            validate_expected_data(golden_document(**overrides), "ok")
+
+    def test_golden_document_must_be_an_object(self):
+        with pytest.raises(PackValidationError, match="JSON object"):
+            validate_expected_data("expected", "ok")
+
+
+class TestDefaultPackDir:
+    def test_environment_variable_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCENARIO_PACK", str(tmp_path / "elsewhere"))
+        assert default_pack_dir() == tmp_path / "elsewhere"
+
+    def test_scenarios_in_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SCENARIO_PACK", raising=False)
+        (tmp_path / "scenarios").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert default_pack_dir() == tmp_path / "scenarios"
+
+    def test_falls_back_to_the_checkout_pack(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SCENARIO_PACK", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert default_pack_dir() == PACK_DIR
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Unit tests for the software load balancer, vSwitch and SNAT models."""
+"""Unit tests for the software load balancer and vSwitch models."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.routing.fivetuple import FiveTuple
-from repro.slb.loadbalancer import SlbQueryError, SnatTable, SoftwareLoadBalancer
+from repro.slb.loadbalancer import SlbQueryError, SoftwareLoadBalancer
 
 
 class TestVipManagement:
@@ -64,22 +64,3 @@ class TestConnectionEstablishment:
         assert vswitch.lookup(app.canonical_key()) is None
         # The SLB itself still knows the mapping (the reason 007 queries it).
         assert slb.query_dip(app) == "server"
-
-
-class TestSnatTable:
-    def test_translate_and_reverse(self):
-        snat = SnatTable()
-        flow = FiveTuple("vm-1", "internet-host", 1234, 80)
-        translated = snat.translate(flow)
-        assert translated.src_ip == "snat-gateway"
-        assert snat.reverse(translated) == flow
-
-    def test_unknown_reverse_is_none(self):
-        snat = SnatTable()
-        assert snat.reverse(FiveTuple("a", "b", 1, 2)) is None
-
-    def test_ports_differ_across_translations(self):
-        snat = SnatTable()
-        a = snat.translate(FiveTuple("vm-1", "x", 1, 80))
-        b = snat.translate(FiveTuple("vm-2", "x", 1, 80))
-        assert a.src_port != b.src_port

@@ -10,7 +10,6 @@ from repro.theory.theorem1 import (
     level1_icmp_rate,
     level2_icmp_rate,
     traceroute_rate_bound,
-    validates_tmax,
 )
 from repro.theory.theorem2 import (
     alpha,
@@ -40,8 +39,8 @@ class TestTheorem1:
     def test_bound_keeps_switches_under_tmax(self):
         params = PAPER_LIKE
         ct = traceroute_rate_bound(params, tmax=100)
-        assert validates_tmax(params, ct, tmax=100)
-        assert not validates_tmax(params, ct * 4, tmax=100)
+        assert max(level1_icmp_rate(params, ct), level2_icmp_rate(params, ct)) <= 100
+        assert max(level1_icmp_rate(params, ct * 4), level2_icmp_rate(params, ct * 4)) > 100
 
     def test_single_pod_uses_level1_term(self):
         params = ClosParameters(npod=1, n0=10, n1=4, n2=2, hosts_per_tor=4)

@@ -1,12 +1,14 @@
-"""Unit tests for the Clos topology builder and the test cluster."""
+"""Unit tests for the Clos topology builder and the Section 7 test cluster."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments import fig13_testcluster_votes as fig13
+from repro.experiments.scenario import inject_failures
+from repro.netsim.links import LinkStateTable
 from repro.topology.clos import ClosParameters, ClosTopology
 from repro.topology.elements import Link, LinkLevel, SwitchTier
-from repro.topology.testcluster import TestClusterTopology as Section7ClusterTopology
 
 
 class TestClosParameters:
@@ -17,6 +19,12 @@ class TestClosParameters:
         assert params.num_level1_links == 2 * 3 * 2
         assert params.num_level2_links == 2 * 2 * 2
         assert params.num_links == 12 + 12 + 8
+
+    def test_tier3_link_counts(self):
+        params = ClosParameters(npod=1, n0=2, n1=2, n2=2, hosts_per_tor=1, n3=3)
+        assert params.num_level3_links == 2 * 3
+        assert params.num_links == 2 + 4 + 4 + 6
+        assert ClosParameters().num_level3_links == 0
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -112,12 +120,26 @@ class TestClosTopology:
 
 
 class TestSection7Cluster:
-    def test_defaults_match_section7(self):
-        cluster = Section7ClusterTopology()
+    """Figure 13 runs on the paper's test cluster: one pod, 10 ToRs, 40 hosts."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        return ClosTopology(fig13.testcluster_config(drop_rate=1e-2).topology_params())
+
+    def test_defaults_match_section7(self, cluster):
         assert cluster.params.npod == 1
         assert len(cluster.tors()) == 10
-        assert len(cluster.controlled_hosts) == 40
+        assert len(cluster.hosts) == 40
 
-    def test_is_single_pod(self):
-        cluster = Section7ClusterTopology(num_tors=4, num_t1=2, hosts_per_tor=2)
+    def test_is_single_pod(self, cluster):
         assert all(s.pod == 0 for s in cluster.tors())
+        assert cluster.links_of_level(LinkLevel.LEVEL3) == []
+
+    def test_failure_is_one_t1_to_tor_link(self, cluster):
+        config = fig13.testcluster_config(drop_rate=5e-3)
+        table = LinkStateTable(cluster, rng=0)
+        scenario = inject_failures(config, cluster, table, seed=0)
+        (bad,) = scenario.bad_links
+        assert cluster.link_level(bad) == LinkLevel.LEVEL1
+        assert cluster.switch(bad.src).tier == SwitchTier.T1
+        assert scenario.drop_rates[bad] == 5e-3

@@ -1,4 +1,4 @@
-"""Unit tests for topology primitives (links, switches, hosts, LAGs)."""
+"""Unit tests for topology primitives (links, switches, hosts)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.topology.elements import (
     DirectedLink,
     Host,
     Link,
-    LinkAggregationGroup,
     LinkLevel,
     NodeKind,
     Switch,
@@ -83,29 +82,3 @@ class TestSwitchAndHost:
         assert LinkLevel.HOST == 0
         assert LinkLevel.LEVEL1 == 1
         assert LinkLevel.LEVEL2 == 2
-
-
-class TestLinkAggregationGroup:
-    def test_not_down_until_all_members_fail(self):
-        lag = LinkAggregationGroup(link=Link.of("a", "b"), members=["m1", "m2"])
-        assert not lag.is_down
-        lag.fail_member("m1")
-        assert not lag.is_down
-        lag.fail_member("m2")
-        assert lag.is_down
-
-    def test_restore_member(self):
-        lag = LinkAggregationGroup(link=Link.of("a", "b"), members=["m1"])
-        lag.fail_member("m1")
-        assert lag.is_down
-        lag.restore_member("m1")
-        assert not lag.is_down
-
-    def test_unknown_member_raises(self):
-        lag = LinkAggregationGroup(link=Link.of("a", "b"), members=["m1"])
-        with pytest.raises(ValueError):
-            lag.fail_member("m99")
-
-    def test_empty_lag_is_never_down(self):
-        lag = LinkAggregationGroup(link=Link.of("a", "b"))
-        assert not lag.is_down

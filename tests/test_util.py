@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.util.rng import ensure_rng, spawn_rng
-from repro.util.stats import empirical_cdf, mean_confidence_interval, percentile
+from repro.util.stats import percentile
 
 
 class TestEnsureRng:
@@ -45,38 +45,6 @@ class TestSpawnRng:
         gen = np.random.default_rng(0)
         child = spawn_rng(gen, 0)
         assert isinstance(child, np.random.Generator)
-
-
-class TestEmpiricalCdf:
-    def test_empty(self):
-        x, f = empirical_cdf([])
-        assert x.size == 0 and f.size == 0
-
-    def test_sorted_and_normalised(self):
-        x, f = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(x) == [1.0, 2.0, 3.0]
-        assert f[-1] == pytest.approx(1.0)
-        assert f[0] == pytest.approx(1 / 3)
-
-    def test_monotone(self):
-        _, f = empirical_cdf(np.random.default_rng(0).normal(size=50))
-        assert all(b >= a for a, b in zip(f, f[1:]))
-
-
-class TestMeanConfidenceInterval:
-    def test_empty_is_nan(self):
-        mean, half = mean_confidence_interval([])
-        assert np.isnan(mean) and np.isnan(half)
-
-    def test_single_sample_zero_width(self):
-        mean, half = mean_confidence_interval([5.0])
-        assert mean == 5.0 and half == 0.0
-
-    def test_width_shrinks_with_samples(self):
-        rng = np.random.default_rng(0)
-        small = mean_confidence_interval(rng.normal(size=10))[1]
-        large = mean_confidence_interval(rng.normal(size=1000))[1]
-        assert large < small
 
 
 class TestPercentile:
