@@ -47,7 +47,6 @@ from repro.api.executor import (
 )
 from repro.api.sharded import ShardedService, shard_of_host
 from repro.api.wire import (
-    EvidenceColumnStore,
     LinkRemap,
     WireDecoder,
     WireEncoder,
@@ -90,7 +89,6 @@ __all__ = [
     "WireDecoder",
     "WireRun",
     "LinkRemap",
-    "EvidenceColumnStore",
     "WireProtocolError",
     # checkpointing
     "Checkpoint",

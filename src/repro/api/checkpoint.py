@@ -293,6 +293,29 @@ def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColum
     }
 
 
+def remap_identity(
+    cols: EpochColumns, table: Sequence[str], names: ItemIndex
+) -> EpochColumns:
+    """Identity columns whose name ids index ``table``, over ``names`` instead.
+
+    New names are interned in the order :func:`encode_identity` would meet
+    them (source hosts, destination hosts, source IPs, destination IPs), so
+    a run delivered as columns leaves the name table a run of path objects
+    would.  A ``table`` that is ``names``' own is taken as it is.
+    """
+    if table is names.items:
+        return cols
+    stacked = np.concatenate([cols[name] for name in _NAME_COLUMNS])
+    used, first, inverse = np.unique(stacked, return_index=True, return_inverse=True)
+    met = np.argsort(first)
+    ids = np.empty(len(used), dtype=np.int32)
+    ids[met] = names.fast_ids(list(map(table.__getitem__, used[met].tolist())), np.int32)
+    remapped = dict(cols)
+    for name, col in zip(_NAME_COLUMNS, ids[inverse].reshape(len(_NAME_COLUMNS), -1)):
+        remapped[name] = col
+    return remapped
+
+
 def epoch_columns(
     entry: Dict[str, Any],
     columns: CheckpointColumns,

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, groupby
 
 import numpy as np
 from typing import (
@@ -69,6 +68,7 @@ from repro.api.checkpoint import (
     encode_identity,
     epoch_columns,
     payload_fingerprint,
+    remap_identity,
     take_rows,
 )
 from repro.api.events import (
@@ -79,6 +79,7 @@ from repro.api.events import (
 )
 from repro.api.wire import (
     RunColumns,
+    SeqRuns,
     aggregate_updates,
     bind_updates,
     bulk_admissible,
@@ -224,17 +225,27 @@ def _capture(event: Evidence) -> tuple:
 
 def _pending_columns(run: List[tuple]) -> RunColumns:
     """The edge of a pending run: its captured rows as :class:`RunColumns`."""
-    seqs = [row[0] for row in run]
-    if None in seqs:  # a seq-less update (see seqs_of)
-        seqs = [-1 if seq is None else seq for seq in seqs]
+    seqs = np.fromiter(
+        (-1 if row[0] is None else row[0] for row in run),  # see seqs_of
+        dtype=np.int64,
+        count=len(run),
+    )
+    updates = np.fromiter((row[3] is None for row in run), dtype=bool, count=len(run))
     paths = [row for row in run if row[3] is not None]
-    updates = [row for row in run if row[3] is None]
-    path_seqs, flows, counts, links, refs = zip(*paths) if paths else ((),) * 5
-    upd_seqs, upd_flows, upd_counts, _, _ = zip(*updates) if updates else ((),) * 5
-    lengths = np.fromiter(map(len, links), dtype=np.int64, count=len(links))
+    counted = [row for row in run if row[3] is None]
+    _, flows, counts, links, refs = zip(*paths) if paths else ((),) * 5
+    _, upd_flows, upd_counts, _, _ = zip(*counted) if counted else ((),) * 5
     return RunColumns(
-        np.array(seqs, dtype=np.int64), path_seqs, flows, counts, links, lengths, refs,
-        upd_flows, upd_seqs, upd_counts
+        seqs,
+        updates if counted else None,
+        seqs[~updates],
+        np.array(flows, dtype=np.int64),
+        np.array(counts, dtype=np.int64),
+        np.fromiter(map(len, links), dtype=np.int64, count=len(links)),
+        list(refs),
+        seqs[updates],
+        np.array(upd_flows, dtype=np.int64),
+        np.array(upd_counts, dtype=np.int64),
     )
 
 
@@ -244,15 +255,15 @@ class _EpochState:
     The tally's rows are the record of arrival *and* the only holder of what
     the analysis reads (flow id, hop ids, retransmission count, sequence
     number): every admitted path is appended to it, in sequence order or
-    not — a delivered batch's at once, a per-event ``ingest``'s when the
+    not — a delivered run's at once, a per-event ``ingest``'s when the
     service's pending run it joined is admitted.  Beside it the service
-    keeps, row for row, the record's *identity
-    cargo* — five-tuple, hosts, ``complete``, path epoch, which only a
-    checkpoint or ``evidence_for_epoch`` ever asks for: rows ``[0, k)`` as
+    keeps, row for row, the record's *identity cargo* — five-tuple, hosts,
+    ``complete``, path epoch, which only a checkpoint or
+    ``evidence_for_epoch`` ever asks for: rows ``[0, k)`` as
     :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the service's name
-    table (``cargo``), rows ``[k, n)`` as bare references to the path
-    objects as they arrived (``refs``), columnized the first time somebody
-    needs them and never again.
+    table (``cargo``), rows ``[k, n)`` as the runs delivered them (``refs``:
+    path objects, or a decoded run's identity columns over its stream's name
+    table), columnized the first time somebody needs them and never again.
     """
 
     __slots__ = (
@@ -274,23 +285,25 @@ class _EpochState:
         #: identity columns of the first rows; the arrays are never written
         #: in place, so checkpoints share them (and a restore's are adopted).
         self.cargo: EpochColumns = _NO_CARGO
-        #: the path objects of the remaining rows.  Only their identity
-        #: fields are ever read, and nothing is ever written to them.
-        self.refs: List[DiscoveredPath] = []
+        #: the identity of the remaining rows, one entry per admission: a
+        #: list of path objects (only their identity fields are ever read,
+        #: and nothing is ever written to them) or an ``(identity columns,
+        #: name table)`` pair.
+        self.refs: list = []
         #: the service's name table (``cargo``'s host/address ids index it).
         self.names = names
         #: seen sequence numbers (duplicate-delivery suppression).
-        self.seqs: set = set()
-        #: the subset of ``seqs`` consumed by retransmission updates (their
-        #: effect lives in the rows' counts, so checkpoints persist the ids).
-        self.retransmission_seqs: set = set()
+        self.seqs = SeqRuns()
+        #: the seqs consumed by retransmission updates, one array per
+        #: admission (their effect lives in the rows' counts, so checkpoints
+        #: persist the ids).
+        self.retransmission_seqs: List[np.ndarray] = []
         #: the live tally; always holds every record, row for row.
         self.tally = tally
         #: highest *path* sequence number seen so far.
         self.last_seq = -1
         #: highest sequence number seen by *any* event kind (paths and
-        #: retransmission updates share the space); the batched fast path
-        #: uses it to prove a whole batch is duplicate-free in O(1).
+        #: retransmission updates share the space): a run above it is new.
         self.max_seq = -1
         #: retransmission updates that arrived before their flow's path.
         self.pending_retransmissions: Dict[int, int] = {}
@@ -324,10 +337,16 @@ class _EpochState:
     def identity_columns(self) -> EpochColumns:
         """Every row's identity cargo as columns (``refs`` are columnized)."""
         if self.refs:
-            fresh = encode_identity(self.refs, self.names)
+            parts = [self.cargo]
+            for objects, pieces in groupby(self.refs, key=lambda ref: type(ref) is list):
+                if objects:
+                    paths = list(chain.from_iterable(pieces))
+                    parts.append(encode_identity(paths, self.names))
+                else:
+                    parts.extend(remap_identity(*piece, self.names) for piece in pieces)
             self.cargo = {
-                name: np.concatenate((self.cargo[name], col))
-                for name, col in fresh.items()
+                name: np.concatenate([part[name] for part in parts])
+                for name in IDENTITY_COLUMNS
             }
             self.refs = []
         return self.cargo
@@ -618,6 +637,34 @@ class Zero07Service:
             return
         self._ingest_evidence_run(epoch, run, seqs)
 
+    def ingest_columns(
+        self, epoch: int, cols: RunColumns, hop_ids: np.ndarray
+    ) -> int:
+        """Admit one decoded single-epoch run, in any order against the
+        epoch's other runs: ``cols`` as :class:`~repro.api.wire.RunColumns`
+        (:meth:`WireRun.columns <repro.api.wire.WireRun.columns>`), its paths'
+        hops back to back as ids of :attr:`link_index` (a
+        :class:`~repro.api.wire.LinkRemap` translates a stream's).
+
+        The events the epoch saw before are dropped with one mask (counted
+        in ``stats.duplicate_events``) and the rest is folded in bulk; only
+        a rest that fails a proof is materialized (``cols.events``) and
+        replayed per event, counted in ``stats.fallback_events``.  The
+        identity cargo's name ids are remapped into the service's name table
+        when a checkpoint first reads them.  Results are bit-identical to
+        ``ingest_run`` of the materialized events.  Returns how many events
+        were dropped as seen before.
+        """
+        count = len(cols.seqs)
+        if not count or self._is_late(epoch, count):
+            return 0
+        self._flush()
+        self._seen_epoch(epoch)
+        events = cols.events
+        return self._admit(
+            self._state(epoch), cols, hop_ids, lambda: map(_capture, events()), True
+        )
+
     def consume(self, source: EvidenceSource, owned: bool = False) -> None:
         """Drain an :class:`EvidenceSource` into the service (``owned``: see
         :meth:`ingest_batch`)."""
@@ -648,6 +695,13 @@ class Zero07Service:
     # ------------------------------------------------------------------
     # one admission for every delivery (bit-identical to the per-event path)
     # ------------------------------------------------------------------
+    def _hops(self, links: List[Sequence], lengths: np.ndarray):
+        """The hops of paths given by their links, back to back, as the
+        engine folds them: link-index ids, or the dict oracle's objects."""
+        if self.engine == "arrays":
+            return self._link_index.hop_ids(links, int(lengths.sum()))
+        return list(chain.from_iterable(links))
+
     def _flush(self) -> None:
         """Admit the pending run (see :meth:`ingest`); no-op when empty."""
         run = self._pending
@@ -658,8 +712,10 @@ class Zero07Service:
         state.mutations -= len(run)  # the admission counts what the run changed
         if len(run) < 8:
             self._ingest_evidence_fallback(state, run)
-        else:
-            self._admit(state, _pending_columns(run), run, batch=False)
+            return
+        cols = _pending_columns(run)
+        links = [row[3] for row in run if row[3] is not None]
+        self._admit(state, cols, links, lambda: run, False)
 
     def _ingest_evidence_run(
         self,
@@ -680,114 +736,153 @@ class Zero07Service:
         self._flush()
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        rows = map(_capture, run)  # read per event, only if replayed
+        rows = lambda: map(_capture, run)  # noqa: E731 - read per event, if replayed
         if len(run) < 8:
-            self._ingest_evidence_fallback(state, rows)
+            self._ingest_evidence_fallback(state, rows())
             return
         cols = run_columns(run, seqs_of(run) if seqs is None else seqs)
         if cols is None:
             self._stats.fallback_events += len(run)
-            self._ingest_evidence_fallback(state, rows)
-        else:
-            self._admit(state, cols, rows, batch=True)
+            self._ingest_evidence_fallback(state, rows())
+            return
+        links = [path.links for path in cols.cargo]
+        self._admit(state, cols, links, rows, True)
 
-    def _admit(self, state: _EpochState, cols: RunColumns, rows, batch: bool) -> None:
-        """Fold one run of an epoch in bulk, or replay its ``rows`` per event.
+    def _admit(
+        self, state: _EpochState, cols: RunColumns, hops, rows, batch: bool
+    ) -> int:
+        """Fold one run of an epoch in bulk, or replay ``rows()`` per event;
+        returns how many of its events were dropped as seen before.
 
-        The vectorized path applies all path evidence with one bulk
-        ``add_columns`` tally update, then folds the run's retransmission
-        updates aggregated per flow (``np.unique``/``np.bincount``) — one
+        ``hops`` are the paths' hops back to back as link-index ids, or each
+        path's links, interned only once the hop counts are checked: a path
+        that cannot vote raises before any state changes.
+
+        A run that reaches below the epoch's highest seq drops the events
+        whose seqs the epoch saw with one :class:`~repro.api.wire.SeqRuns`
+        lookup, exactly as per event.  The rest (late or not: rows are
+        appended in arrival order, which no report minds) folds with one
+        bulk ``add_columns`` tally update, then the run's retransmission
+        updates summed per flow (one sort, ``np.add.reduceat``) — one
         numpy-summed bump per *changed flow* instead of one Python dispatch
         per event.  Because count updates never move votes, applying them
-        after the run's paths is state-identical to the interleaved per-event
-        order (integer sums commute; the tally rows end in exactly the same
-        state).  A run stays on this path whether it extends
-        the epoch, lands below the watermark (late but disjoint from
-        everything seen: appended in arrival order, which no report minds)
-        or redelivers only seen sequence
-        numbers (dropped with one set test); genuinely mixed ones — partial
-        duplicates, in-run reordering, a flow re-traced after its update —
-        replay per event, counted in ``stats.fallback_events`` when a
-        ``batch`` delivered them.  Validation mutates nothing, so a run that
-        fails a proof is replayed from untouched state, never half-applied.
+        after the run's paths is state-identical to the interleaved
+        per-event order (integer sums commute; the tally rows end in exactly
+        the same state).  A rest that fails a proof
+        (:func:`~repro.api.wire.bulk_admissible`: in-run duplicates or
+        reordering with updates, seq-less updates, a flow re-traced after
+        its update) is replayed per event, counted in
+        ``stats.fallback_events`` when a ``batch`` delivered it.  Validation
+        mutates nothing, so such a run is replayed from untouched state,
+        never half-applied.
         """
         stats, seqs = self._stats, cols.seqs
-        if not bulk_admissible(cols, state.max_seq, state.seqs):
-            if state.seqs.issuperset(seqs.tolist()):  # a redelivered run
-                stats.duplicate_events += len(seqs)
-                return
+        if len(cols.lengths):  # before interning: a path that cannot vote raises
+            check_hop_counts(int(cols.lengths.min()), int(cols.lengths.max()))
+        if not isinstance(hops, np.ndarray):  # each path's links
+            hops = self._hops(hops, cols.lengths)
+        dropped = 0
+        if int(seqs.min()) <= state.max_seq:
+            seen = state.seqs.contains(seqs)
+            dropped = int(np.count_nonzero(seen))
+            if dropped:
+                stats.duplicate_events += dropped
+                if dropped == len(seqs):  # a redelivered run
+                    return dropped
+                keep = ~seen
+                cols, hop_keep = cols.take(keep)
+                if isinstance(hops, np.ndarray):
+                    hops = hops[hop_keep]
+                else:
+                    hops = list(compress(hops, hop_keep.tolist()))
+                replay = rows
+                rows = lambda: compress(replay(), keep.tolist())  # noqa: E731
+                seqs = cols.seqs
+        if not bulk_admissible(cols):
             if batch:
                 stats.fallback_events += len(seqs)
-            self._ingest_evidence_fallback(state, rows)
-            return
+            self._ingest_evidence_fallback(state, rows())
+            return dropped
 
-        path_seqs = cols.path_seqs
-        if path_seqs:
-            first_row = state.tally.num_flows
-            state.refs.extend(cols.refs)
-            if self.engine == "arrays":
-                hops = self._link_index.hop_ids(cols.links, int(cols.lengths.sum()))
-            else:  # the dict oracle folds link objects
-                hops = list(chain.from_iterable(cols.links))
-            state.tally.add_columns(
-                hops, cols.lengths, cols.flows, cols.counts, path_seqs
-            )
+        tally, path_seqs = state.tally, cols.path_seqs
+        if len(path_seqs):
+            first_row = tally.num_flows
+            state.refs.append(cols.cargo)
+            if self.engine != "arrays" and isinstance(hops, np.ndarray):
+                hops = list(map(self._link_index.link_of, hops.tolist()))
+            tally.add_columns(hops, cols.lengths, cols.flows, cols.counts, path_seqs)
             pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
-                bumped, extras = [], []
-                for row, flow in enumerate(cols.flows, first_row):
-                    if flow in pending:
-                        bumped.append(row)
-                        extras.append(pending.pop(flow))
-                state.tally.bump_rows(bumped, extras)
-            if path_seqs[0] < state.last_seq:
-                # same count as per event: the run's seqs increase, so a path
-                # is below the running highest path seq iff it is below the
-                # one the run found.
-                stats.out_of_order_events += bisect_left(path_seqs, state.last_seq)
-            state.last_seq = max(state.last_seq, path_seqs[-1])
+                waiting = np.fromiter(pending, dtype=np.int64, count=len(pending))
+                hit = np.flatnonzero(np.isin(cols.flows, waiting))
+                if len(hit):
+                    flows, first = np.unique(cols.flows[hit], return_index=True)
+                    tally.bump_rows(
+                        hit[first] + first_row, list(map(pending.pop, flows.tolist()))
+                    )
+            # same count as per event: a path below the highest path seq
+            # before it is out of order
+            before = np.maximum.accumulate(
+                np.concatenate(([state.last_seq], path_seqs[:-1]))
+            )
+            stats.out_of_order_events += int(np.count_nonzero(path_seqs < before))
+            state.last_seq = max(state.last_seq, int(path_seqs.max()))
             state.mutations += 1
             stats.paths_ingested += len(path_seqs)
 
-        if cols.upd_flows:
+        if len(cols.upd_flows):
             # flows whose paths have not arrived are buffered
             bumped, extras = bind_updates(
-                state.tally,
+                tally,
                 *aggregate_updates(cols.upd_flows, cols.upd_counts),
                 state.pending_retransmissions,
             )
-            state.tally.bump_rows(bumped, extras)
-            if bumped:
+            tally.bump_rows(bumped, extras)
+            if len(bumped):
                 state.mutations += 1
-            state.retransmission_seqs.update(cols.upd_seqs)
+            state.retransmission_seqs.append(cols.upd_seqs)
             stats.retransmission_updates += len(cols.upd_flows)
 
-        state.seqs.update(seqs.tolist())
-        state.max_seq = max(state.max_seq, int(seqs[-1]))
+        state.seqs.add_run(seqs)
+        state.max_seq = max(state.max_seq, int(seqs.max()))
         if len(seqs) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
-            state.tally.votes_array()
+            tally.votes_array()
+        return dropped
 
     def _ingest_evidence_fallback(self, state: _EpochState, rows) -> None:
         """Event-at-a-time replay of captured rows (:func:`_capture`): the
-        per-event semantics every admission is bit-identical to."""
-        stats = self._stats
-        for seq, flow, count, links, path in rows:
+        per-event semantics every admission is bit-identical to.
+
+        Which rows' seqs the epoch saw before is one lookup for all of them,
+        so every row is captured first: one that cannot be raises before
+        any state changes.
+        """
+        captured = list(rows)
+        seqs = np.fromiter(
+            (-1 if row[0] is None else row[0] for row in captured),
+            dtype=np.int64,
+            count=len(captured),
+        )
+        seen_before = state.seqs.contains(seqs).tolist()
+        stats, fresh, counted, paths = self._stats, set(), [], []
+        state.refs.append(paths)
+        for (seq, flow, count, links, path), seen in zip(captured, seen_before):
             if seq is not None or links is not None:  # seq-less updates always apply
-                if seq in state.seqs:
+                if seen or seq in fresh:
                     stats.duplicate_events += 1
                     continue
-                state.seqs.add(seq)
+                fresh.add(seq)
                 if seq > state.max_seq:
                     state.max_seq = seq
             if links is None:  # a count update
                 if seq is not None:
-                    state.retransmission_seqs.add(seq)
+                    counted.append(seq)
                 state.bump_flow(flow, count)
                 stats.retransmission_updates += 1
                 continue
             # a buffered count goes to its flow's first arriving path
             count += state.pending_retransmissions.pop(flow, 0)
-            state.refs.append(path)
+            paths.append(path)
             state.tally.add_flow(flow, links, count, seq)
             if seq > state.last_seq:
                 state.last_seq = seq
@@ -795,6 +890,9 @@ class Zero07Service:
                 stats.out_of_order_events += 1
             state.mutations += 1
             stats.paths_ingested += 1
+        state.seqs.add(fresh)
+        if counted:
+            state.retransmission_seqs.append(np.array(counted, dtype=np.int64))
 
     def _ingest_tick(self, event: EpochTick) -> None:
         if self._is_late(event.epoch):
@@ -1011,7 +1109,8 @@ class Zero07Service:
         # consumed update seqs: their effect is already inside the rows'
         # counts, but redeliveries after a restore must still be recognized
         # as duplicates.
-        cols["rs"] = np.array(sorted(state.retransmission_seqs), dtype=np.int64)
+        runs = state.retransmission_seqs
+        cols["rs"] = np.sort(np.concatenate(runs)) if runs else np.zeros(0, np.int64)
         return cols
 
     def _seed_epoch(
@@ -1020,37 +1119,45 @@ class Zero07Service:
         """Seed one open epoch's state straight from its checkpoint columns.
 
         The records (unique sequence numbers, in the order they arrived, or
-        sorted in older files) are folded in one bulk pass — state-identical
-        to replaying every record through :meth:`ingest`, at a fraction of
-        the cost — and the identity columns are adopted as they are:
-        ``columns``' name table is this service's, and ``link_ids[i]`` is the
-        index id of ``columns.links[i]``.  No path object is built.
+        sorted in older files) are one :meth:`ingest_columns` run —
+        state-identical to replaying every record through :meth:`ingest`, at
+        a fraction of the cost — whose identity columns are adopted as they
+        are: ``columns``' name table is this service's, and ``link_ids[i]``
+        is the index id of ``columns.links[i]``.  No path object is built.
+        The consumed update seqs join the seen ones as one more run.
         """
         epoch = int(entry["epoch"])
         cols = epoch_columns(entry, columns)
-        seqs = cols["seq"]
+        seqs, none = cols["seq"], cols["seq"][:0]
+        identity = {name: cols[name] for name in IDENTITY_COLUMNS}
+        records = RunColumns(
+            seqs,
+            None,
+            seqs,
+            cols["flow"],
+            cols["retr"],
+            cols["len"],
+            (identity, self._names.items),
+            none,
+            none,
+            none,
+            lambda: [
+                PathEvidence(epoch, seq, path)
+                for seq, path in zip(*decode_paths(cols, columns))
+            ],
+        )
+        self.ingest_columns(epoch, records, link_ids[cols["hop"]])
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        state.cargo = {name: cols[name] for name in IDENTITY_COLUMNS}
-        state.seqs = set(seqs.tolist())
-        if len(seqs):
-            hops = link_ids[cols["hop"]]
-            if self.engine != "arrays":  # the dict oracle folds link objects
-                hops = list(map(self._link_index.link_of, hops.tolist()))
-            state.tally.add_columns(
-                hops, cols["len"], cols["flow"], cols["retr"], seqs
-            )
-            state.last_seq = state.max_seq = int(seqs.max())
-        self._stats.paths_ingested += len(seqs)
         for flow, count in entry["pending_retransmissions"].items():
             # exactly a seq-less buffered update through live ingest
             state.bump_flow(int(flow), int(count))
             self._stats.retransmission_updates += 1
-        retrans_seqs = cols["rs"].tolist()
-        if retrans_seqs:
-            state.retransmission_seqs.update(retrans_seqs)
-            state.seqs.update(retrans_seqs)
-            state.max_seq = max(state.max_seq, max(retrans_seqs))
+        retrans_seqs = cols["rs"]
+        if len(retrans_seqs):
+            state.retransmission_seqs.append(retrans_seqs)
+            state.seqs.add_run(retrans_seqs)
+            state.max_seq = max(state.max_seq, int(retrans_seqs.max()))
 
     @classmethod
     def restore(

@@ -198,6 +198,12 @@ class ShardedService:
         time — an unsharded service's count; never a worker round trip."""
         return self._service.stats.fallback_events
 
+    @property
+    def duplicate_events(self) -> int:
+        """Events the fleet-wide view dropped as seen before (redelivered
+        evidence) — an unsharded service's count."""
+        return self._service.stats.duplicate_events
+
     def add_sink(self, sink: ReportSink) -> None:
         """Register a sink for future fleet-wide finalized reports."""
         self._service.add_sink(sink)

@@ -1,7 +1,4 @@
-"""Binary evidence transport, and the columnar fleet core's accumulator.
-
-Two pieces live here, both built around the same column-wise extraction the
-vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
+"""Binary evidence transport, and the bulk admission of a decoded run.
 
 * :class:`WireEncoder` / :class:`WireDecoder` — a compact batch codec for
   single-epoch runs of :class:`~repro.api.events.PathEvidence` /
@@ -18,30 +15,33 @@ vectorized ingest path already uses (:meth:`Zero07Service.ingest_batch`):
   and every decoded path shares them (a memory saving; interning resolves
   equal links alike, shared or not).
 
-* :class:`EvidenceColumnStore` — the accumulator of the columnar fleet core
-  (:class:`~repro.fleet.analyzer.ColumnarIngestCore`).  It folds each
-  committed run into one :class:`~repro.core.arrays.ArrayVoteTally` per open
-  epoch — the very class (and the very incremental fold) a service uses — so
-  an epoch's tally is a snapshot of it, bit-identical to a replay.  Any
-  delivery the bulk path cannot prove clean (reordering, duplicates, updates
-  ahead of their path) marks the epoch *dirty*, and the core replays it.
-
-The proofs that make a run safe to fold in bulk (:func:`bulk_admissible`) and
-the per-flow aggregation of its count updates (:func:`aggregate_updates`) are
-shared with :meth:`Zero07Service.ingest_batch`.
+* :class:`RunColumns` — one run as :meth:`Zero07Service.ingest_columns
+  <repro.api.service.Zero07Service.ingest_columns>` admits it, arrays end to
+  end: a decoded :class:`WireRun` (:meth:`WireRun.columns`), a delivered
+  list of events (:func:`run_columns`) or a restored checkpoint epoch.  The
+  proofs that make a run safe to fold in bulk (:func:`bulk_admissible`), the
+  per-flow aggregation of its count updates (:func:`aggregate_updates`,
+  :func:`bind_updates`) and an epoch's seen sequence numbers
+  (:class:`SeqRuns`) live beside it.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.events import Evidence, PathEvidence, RetransmissionEvidence
+from repro.api.events import (
+    EpochTick,
+    Evidence,
+    PathEvidence,
+    RetransmissionEvidence,
+)
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
-from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy, check_hop_counts
+from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
@@ -260,12 +260,12 @@ class WireRun:
 
     The cheap half of decoding: header fields plus numpy views over the
     message buffer (which the run keeps alive), with the decoder's shared
-    link/name tables referenced for the expensive half.  Hot consumers (the
-    fleet analyzer's columnar ingest) read the arrays directly; anything
-    that needs real :class:`~repro.api.events.Evidence` objects calls
-    :meth:`materialize`, which is exactly the loop ``WireDecoder.decode``
-    always performed.  The tables are append-only, so a retained run can be
-    materialized at any later point of the stream.
+    link/name tables referenced for the expensive half.  The fleet analyzer
+    admits :meth:`columns` as they are; anything that needs real
+    :class:`~repro.api.events.Evidence` objects calls :meth:`materialize`,
+    which is exactly the loop ``WireDecoder.decode`` always performed.  The
+    tables are append-only, so a kept run can be materialized at any later
+    point of the stream.
     """
 
     __slots__ = (
@@ -292,31 +292,47 @@ class WireRun:
         "upd_counts",
         "links_table",
         "names_table",
-        "nbytes",
         "_data",
     )
-
-    @property
-    def first_seq(self) -> int:
-        """The run's first sequence number (-1 for an empty run)."""
-        return int(self.seqs[0]) if self.n_events else -1
 
     @property
     def last_seq(self) -> int:
         """The run's last sequence number (-1 for an empty run)."""
         return int(self.seqs[-1]) if self.n_events else -1
 
-    def path_seqs(self) -> np.ndarray:
-        """Sequence numbers of just the path events, in run order."""
-        if self.n_paths == self.n_events:
-            return self.seqs
-        return self.seqs[self.kinds == 0]
+    def columns(self) -> "RunColumns":
+        """The run as :class:`RunColumns`: views of the message, no copy.
 
-    def update_seqs(self) -> np.ndarray:
-        """Sequence numbers of just the count updates, in run order."""
-        if self.n_paths == self.n_events:
-            return self.seqs[:0]
-        return self.seqs[self.kinds != 0]
+        The identity cargo's name ids index :attr:`names_table`; the hops
+        (``lids``) index the decoder's link table, which a
+        :class:`LinkRemap` translates.
+        """
+        seqs = self.seqs
+        updates = None if self.n_paths == self.n_events else self.kinds != 0
+        identity = {
+            "comp": self.complete,
+            "pep": self.path_epochs,
+            "sh": self.src_hosts,
+            "dh": self.dst_hosts,
+            "sip": self.src_ips,
+            "dip": self.dst_ips,
+            "sp": self.src_ports,
+            "dp": self.dst_ports,
+            "pr": self.protocols,
+        }
+        return RunColumns(
+            seqs,
+            updates,
+            seqs if updates is None else seqs[~updates],
+            self.flow_ids,
+            self.retrans,
+            self.lengths,
+            (identity, self.names_table),
+            seqs[:0] if updates is None else seqs[updates],
+            self.upd_flows,
+            self.upd_counts,
+            self.materialize,
+        )
 
     def materialize(self) -> List[Evidence]:
         """Rebuild the run's evidence events (the expensive decode half)."""
@@ -464,7 +480,6 @@ class WireDecoder:
         run.n_paths = n_paths
         run.links_table = self._links
         run.names_table = self._names
-        run.nbytes = len(data)
         run._data = data
 
         def column(dtype, count):
@@ -538,9 +553,9 @@ class LinkRemap:
     The decoder's table and the target index are both append-only, so the
     mapping is a growable integer gather table: entries are interned into the
     index the first time their table position appears, and every later
-    message remaps with one numpy fancy-index.  This is what lets a columnar
-    consumer fold wire runs from many independent streams into one merged
-    column store without touching per-event objects.
+    message remaps with one numpy fancy-index.  This is what lets one
+    service admit wire runs from many independent streams without touching
+    per-event objects.
     """
 
     def __init__(self, decoder: WireDecoder, index: LinkIndex) -> None:
@@ -554,341 +569,265 @@ class LinkRemap:
         if len(self._map) < len(table):
             fresh = self._index.fast_ids(table[len(self._map) :])
             self._map = np.concatenate([self._map, fresh])
-        return self._map[lids]
+        return self._map.take(lids)
 
 
 # ----------------------------------------------------------------------
-# bulk admission (shared by the service and the merged column store)
+# bulk admission (the service's, for every delivery)
 # ----------------------------------------------------------------------
+#: the identity cargo of a run's paths: the path objects themselves
+#: (columnized when first needed), or identity columns whose name ids index
+#: the given name table.
+Cargo = Union[List[DiscoveredPath], Tuple[Dict[str, np.ndarray], Sequence[str]]]
+
+
 class RunColumns(NamedTuple):
-    """One single-epoch run as the bulk admission reads it: every event's seq
-    (:func:`seqs_of`), the paths' columns (``refs``: the path objects, kept
-    for their identity cargo only; both ``links`` and ``refs`` are empty for a
-    wire run, whose hops travel as ids), then the count updates' columns."""
+    """One single-epoch run as the bulk admission reads it, arrays end to end.
+
+    Every event's seq (:func:`seqs_of`) and which events are count updates
+    (``updates``; ``None`` when none is), the paths' columns and identity
+    cargo, then the count updates' columns; the hops travel beside it.
+    ``events`` rebuilds the run's evidence events for a run that fails a
+    proof and is replayed per event (``None``: the caller keeps its own).
+    """
 
     seqs: np.ndarray
-    path_seqs: Sequence[int]
-    flows: Sequence[int]
-    counts: Sequence[int]
-    links: Sequence[Sequence[DirectedLink]]
+    updates: Optional[np.ndarray]
+    path_seqs: np.ndarray
+    flows: np.ndarray
+    counts: np.ndarray
     lengths: np.ndarray
-    refs: Sequence[DiscoveredPath]
-    upd_flows: Sequence[int]
-    upd_seqs: Sequence[int]
-    upd_counts: Sequence[int]
+    cargo: Cargo
+    upd_seqs: np.ndarray
+    upd_flows: np.ndarray
+    upd_counts: np.ndarray
+    events: Optional[Callable[[], Sequence[Evidence]]] = None
+
+    def take(self, keep: np.ndarray) -> Tuple["RunColumns", np.ndarray]:
+        """The run's events ``keep`` (a mask over ``seqs``) without
+        ``events``, and the mask over the hops that keeps their paths'."""
+        updates = self.updates
+        if updates is None:
+            paths, kept = keep, keep[:0]
+        else:
+            paths, kept = keep[~updates], keep[updates]
+            updates = updates[keep]
+        cargo = self.cargo
+        if isinstance(cargo, list):
+            cargo = list(compress(cargo, paths.tolist()))
+        else:
+            cargo = ({name: col[paths] for name, col in cargo[0].items()}, cargo[1])
+        taken = RunColumns(
+            self.seqs[keep],
+            updates,
+            self.path_seqs[paths],
+            self.flows[paths],
+            self.counts[paths],
+            self.lengths[paths],
+            cargo,
+            self.upd_seqs[kept],
+            self.upd_flows[kept],
+            self.upd_counts[kept],
+        )
+        return taken, np.repeat(paths, self.lengths)
 
 
 def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumns]:
-    """The edge of a delivered run: its events as :class:`RunColumns`.
+    """The edge of a delivered run: its events as :class:`RunColumns`, the
+    path objects as the cargo (whose links the caller reads for the hops).
 
     ``None`` when the run holds anything but exact :class:`PathEvidence` /
     :class:`RetransmissionEvidence` instances (subclasses and foreign kinds
     belong to the per-event path, which handles or loudly rejects them).
     """
     paths = [e.path for e in run if type(e) is PathEvidence]
-    updates = []
-    path_seqs = seqs
+    updates, counted = None, []
+    path_seqs = upd_seqs = seqs
     if len(paths) != len(run):
-        updates = [e for e in run if type(e) is RetransmissionEvidence]
-        if len(paths) + len(updates) != len(run):
+        counted = [e for e in run if type(e) is RetransmissionEvidence]
+        if len(paths) + len(counted) != len(run):
             return None
-        is_update = np.fromiter(
+        updates = np.fromiter(
             (type(e) is RetransmissionEvidence for e in run), dtype=bool, count=len(run)
         )
-        path_seqs = seqs[~is_update]
-    links = [path.links for path in paths]
+        path_seqs, upd_seqs = seqs[~updates], seqs[updates]
     return RunColumns(
         seqs,
-        path_seqs.tolist(),
-        [path.flow_id for path in paths],
-        [path.retransmissions for path in paths],
-        links,
-        np.fromiter(map(len, links), dtype=np.int64, count=len(links)),
+        updates,
+        path_seqs,
+        _attr_i64(paths, "flow_id"),
+        _attr_i64(paths, "retransmissions"),
+        np.fromiter(
+            (len(path.links) for path in paths), dtype=np.int64, count=len(paths)
+        ),
         paths,
-        [e.flow_id for e in updates],
-        seqs[is_update].tolist() if updates else [],
-        [e.retransmissions for e in updates],
+        upd_seqs if counted else seqs[:0],
+        _attr_i64(counted, "flow_id"),
+        _attr_i64(counted, "retransmissions"),
+        lambda: run,
     )
 
 
-def bulk_admissible(
-    cols: RunColumns, max_seq: int, seen: Optional[Set[int]] = None
-) -> bool:
+def _merged(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """One sorted array of two disjoint sorted ones."""
+    if first[-1] < second[0]:
+        return np.concatenate((first, second))
+    if second[-1] < first[0]:
+        return np.concatenate((second, first))
+    # two sorted stretches: the stable sort merges them in linear time
+    return np.sort(np.concatenate((first, second)), kind="stable")
+
+
+class SeqRuns:
+    """A set of sequence numbers kept as sorted int64 runs.
+
+    An admitted run goes in whole, as one array; a per-event replay's fresh
+    seqs collect in a small tail set until it fills.  Runs merge lazily, by
+    the logarithmic method — a new run absorbs the runs before it that are
+    at most twice its size — so an epoch keeps O(log n) runs and each seq
+    is merged O(log n) times.  Membership of a whole run of seqs is one
+    ``searchsorted`` per run.
+    """
+
+    #: seqs the tail set holds before they become a run of their own.
+    TAIL = 64
+
+    __slots__ = ("_runs", "_tail")
+
+    def __init__(self) -> None:
+        self._runs: List[np.ndarray] = []
+        self._tail: set = set()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._runs)) + len(self._tail)
+
+    def add_run(self, seqs: np.ndarray) -> None:
+        """Add distinct seqs, in any order, none of which is in the set."""
+        if not len(seqs):
+            return
+        # a run out of order is mostly in order: the stable sort merges it
+        run = seqs if bool((np.diff(seqs) > 0).all()) else np.sort(seqs, kind="stable")
+        runs = self._runs
+        while runs and len(runs[-1]) <= 2 * len(run):
+            run = _merged(runs.pop(), run)
+        runs.append(run)
+
+    def add(self, seqs) -> None:
+        """Add a few seqs none of which is in the set (a replay's)."""
+        tail = self._tail
+        tail.update(seqs)
+        if len(tail) >= self.TAIL:
+            self._tail = set()
+            self.add_run(np.array(sorted(tail), dtype=np.int64))
+
+    def contains(self, seqs: np.ndarray) -> np.ndarray:
+        """Per seq of ``seqs``: whether it is in the set."""
+        found = np.zeros(len(seqs), dtype=bool)
+        if not len(seqs):
+            return found
+        low, high = seqs.min(), seqs.max()
+        for run in self._runs:
+            if run[0] > high or run[-1] < low:
+                continue
+            at = np.minimum(np.searchsorted(run, seqs), len(run) - 1)
+            found |= run[at] == seqs
+        if self._tail:
+            tail = np.fromiter(self._tail, dtype=np.int64, count=len(self._tail))
+            found |= np.isin(seqs, tail)
+        return found
+
+
+def bulk_admissible(cols: RunColumns) -> bool:
     """Whether a single-epoch run may be folded in bulk; mutates nothing.
 
-    Bulk folding applies the run's paths first and its count updates after,
-    which equals the interleaved per-event order only if (a) the run is in
-    strictly increasing sequence order and duplicate-free against everything
-    already seen — proven in O(1) when it starts above ``max_seq``, and for a
-    *late* run (one that lands at or below the watermark) by one disjointness
-    test against ``seen``, the epoch's seen sequence numbers, when the caller
-    keeps them (without ``seen`` a late run is never admissible) — and (b) no
-    updated flow is traced *again* later in the run (per-event would bump the
-    earlier record, bulk the final one).  A path without links or with too
-    many (``cols.lengths``) is malformed for every ingest path, so it raises
-    here (:func:`~repro.core.votes.check_hop_counts`), before the caller has
-    touched any state.
+    The caller has dropped the events it saw before, so the run is disjoint
+    from its epoch.  Bulk folding applies the run's paths first and its
+    count updates after, which equals the per-event order only if (a) the
+    run holds no duplicate and no seq-less update (-1, see :func:`seqs_of`)
+    — proven by strictly increasing seqs, or for a run of paths only in any
+    order (a restored epoch, in arrival order) by sorting them — and (b)
+    no updated flow is traced again after the update (per event the update
+    would bump the earlier record, in bulk the final one).
     """
-    seqs, lengths = cols.seqs, cols.lengths
-    if len(lengths):
-        check_hop_counts(int(lengths.min()), int(lengths.max()))
-    first = int(seqs[0])
-    if first < 0:  # a seq-less update leads the run (see seqs_of)
-        return False
-    if first <= max_seq and (seen is None or not seen.isdisjoint(seqs.tolist())):
+    seqs = cols.seqs
+    if int(seqs.min()) < 0:
         return False
     if not bool((np.diff(seqs) > 0).all()):
-        return False
-    if cols.upd_flows:
-        seq_of_last_path = dict(zip(cols.flows, cols.path_seqs)).get
-        return not any(
-            seq_of_last_path(flow, -1) > seq
-            for flow, seq in zip(cols.upd_flows, cols.upd_seqs)
+        return cols.updates is None and bool(
+            (np.diff(np.sort(seqs, kind="stable")) > 0).all()
         )
-    return True
+    flows, upd_flows = cols.flows, cols.upd_flows
+    if not len(upd_flows) or not len(flows):
+        return True
+    # (b) the run's paths each updated flow needs (up to its last path;
+    # the stable sort keeps a flow's last path last) against the paths
+    # ahead of the update: needing more means a path after it.
+    order = np.argsort(flows, kind="stable")
+    ranked = flows[order]
+    last = np.append(ranked[1:] != ranked[:-1], True)
+    traced, ends = ranked[last], order[last] + 1
+    at = np.minimum(np.searchsorted(traced, upd_flows), len(traced) - 1)
+    needed = np.where(traced[at] == upd_flows, ends[at], 0)
+    ahead = np.flatnonzero(cols.updates) - np.arange(len(upd_flows))
+    return not bool((needed > ahead).any())
 
 
 def aggregate_updates(
-    flows: Sequence[int], counts: Sequence[int]
-) -> Tuple[List[int], List[int]]:
+    flows: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
     """Sum a run's retransmission updates per flow: ``(flows, totals)``.
 
     Count updates never move votes and integer sums commute, so one bump per
     *changed flow* is state-identical to one per event.
     """
-    unique_flows, inverse = np.unique(
-        np.asarray(flows, dtype=np.int64), return_inverse=True
-    )
-    totals = np.bincount(inverse, weights=np.asarray(counts, dtype=np.float64))
-    return unique_flows.tolist(), totals.astype(np.int64).tolist()
+    order = np.argsort(flows, kind="stable")
+    ranked = flows[order]
+    starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
+    return ranked[starts], np.add.reduceat(counts[order], starts)
 
 
 def bind_updates(
-    tally, flows: List[int], extras: List[int], unbound: Dict[int, int]
-) -> Tuple[List[int], List[int]]:
-    """The tally rows :func:`aggregate_updates`' totals bump, and those
-    totals; a flow the tally holds no row of adds its total to ``unbound``."""
-    rows = list(map(tally.flow_rows().get, flows))
-    if None not in rows:
+    tally, flows: np.ndarray, extras: np.ndarray, unbound: Dict[int, int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The tally rows :func:`aggregate_updates`' totals bump (each flow's
+    bound row, ``tally.bound_rows``), and those totals; a flow the tally
+    holds no row of adds its total to ``unbound``."""
+    rows = tally.bound_rows(flows)
+    bound = rows >= 0
+    if bool(bound.all()):
         return rows, extras
-    for flow, row, extra in zip(flows, rows, extras):
-        if row is None:
-            unbound[flow] = unbound.get(flow, 0) + extra
-    known = [i for i, row in enumerate(rows) if row is not None]
-    return [rows[i] for i in known], [extras[i] for i in known]
-
-
-# ----------------------------------------------------------------------
-# coordinator-side merged tallies
-# ----------------------------------------------------------------------
-class TallyLane:
-    """A contiguous stretch of one epoch's sequence space, folded as it arrives.
-
-    The store keeps one per open epoch — the rows from the epoch's start on.
-    A *side* lane (:meth:`EvidenceColumnStore.open_lane`) takes a stretch that
-    arrives before the rows preceding it, so its fold is paid on arrival too,
-    and joins the epoch's rows later, in any order
-    (:meth:`EvidenceColumnStore.join`).
-    """
-
-    __slots__ = ("tally", "first_seq", "max_seq", "waiting", "clean")
-
-    def __init__(self, tally: ArrayVoteTally) -> None:
-        self.tally = tally
-        self.first_seq = self.max_seq = -1
-        #: a side lane's count updates for flows it holds no row of, summed
-        #: per flow: they bind to the rows before the lane when it joins.
-        self.waiting: Dict[int, int] = {}
-        #: every run so far passed the bulk proofs (a side lane's verdict
-        #: waits for the join; an epoch's own lane goes dirty at once).
-        self.clean = True
+    for flow, extra in zip(flows[~bound].tolist(), extras[~bound].tolist()):
+        unbound[flow] = unbound.get(flow, 0) + extra
+    return rows[bound], extras[bound]
 
 
 class EvidenceColumnStore:
-    """Folds epoch tallies as committed bulk runs arrive.
-
-    Integer vote units make the fold order-free, so an epoch's tally is
-    bit-identical to an unsharded service's over the same evidence — which
-    is the whole argument behind :meth:`build_tally`.  Anything the bulk
-    path cannot prove duplicate-free and bound like the per-event path
-    (sequence regressions, updates ahead of their path) marks the epoch
-    dirty, and :meth:`build_tally` returns ``None`` so the caller replays the
-    epoch instead — the two paths agree bit-for-bit whenever both apply.
-    """
+    """Epoch tallies of delivered runs, for the ruler's wire replay
+    (``ruler/layers.py`` times its ``store.*`` layers): a thin wrapper of a
+    plain :class:`~repro.api.service.Zero07Service`, which admits the runs."""
 
     def __init__(
         self, link_index: LinkIndex, policy: VotePolicy = "inverse_hops"
     ) -> None:
-        self._links = link_index
-        self._policy: VotePolicy = policy
-        self._lanes: Dict[int, TallyLane] = {}
-        self._dirty: set = set()
+        from repro.api.service import Zero07Service
 
-    # ------------------------------------------------------------------
-    def mark_dirty(self, epoch: int) -> None:
-        """Disqualify ``epoch`` from column-store finalize (replay instead)."""
-        self.pop(epoch)
-        self._dirty.add(epoch)
-
-    def is_clean(self, epoch: int) -> bool:
-        """Whether the epoch's merged tally can be built from the columns."""
-        return epoch not in self._dirty
-
-    def pop(self, epoch: int) -> None:
-        """Release the epoch's buffers (after its final report)."""
-        self._lanes.pop(epoch, None)
-        self._dirty.discard(epoch)
-
-    def open_lane(self) -> TallyLane:
-        """A side lane for a stretch that arrived ahead of the rows before it."""
-        return TallyLane(ArrayVoteTally(self._policy, self._links))
-
-    def _own_lane(self, epoch: int) -> TallyLane:
-        return self._lanes.get(epoch) or self._lanes.setdefault(epoch, self.open_lane())
-
-    # ------------------------------------------------------------------
-    def _admit(
-        self,
-        epoch: int,
-        side: Optional[TallyLane],
-        cols: RunColumns,
-        add_paths: Callable[[ArrayVoteTally], None],
-    ) -> None:
-        """Validate one run, then fold it into the epoch's own lane or ``side``.
-
-        The preconditions are the service's (:func:`bulk_admissible`); a
-        violation marks the epoch dirty — or the side lane, which then
-        dirties the epoch it joins — so a half-applied run can never leak
-        into a merged report.  The fold is paid here, when the run is
-        appended, so :meth:`build_tally` stays a snapshot.
-        """
-        seqs = cols.seqs
-        if not len(seqs) or epoch in self._dirty:
-            return
-        lane = side or self._own_lane(epoch)
-        if not lane.clean:
-            return
-        tally = lane.tally
-        try:
-            lane.clean = bulk_admissible(cols, lane.max_seq)
-        except ValueError:
-            # a path no vote can be cast from: a service raises on it, and
-            # whatever state survives that is per-event territory.
-            lane.clean = False
-        if lane.clean:
-            add_paths(tally)
-            # updated flows without rows wait on the lane: a side lane's are
-            # before it (the join binds them); the epoch's own lane never saw
-            # them (an update ahead of its path, or a path sent per event): replay.
-            rows, extras = bind_updates(
-                tally, *aggregate_updates(cols.upd_flows, cols.upd_counts), lane.waiting
-            )
-            lane.clean = side is not None or not lane.waiting
-        if not lane.clean:
-            if not side:
-                self.mark_dirty(epoch)
-            return
-        tally.bump_rows(rows, extras)
-        tally.votes_array()
-        if lane.first_seq < 0:
-            lane.first_seq = int(seqs[0])
-        lane.max_seq = int(seqs[-1])
+        self._service = Zero07Service(vote_policy=policy, link_index=link_index)
+        self._policy, self._links = policy, link_index
 
     def append_run(
-        self,
-        epoch: int,
-        run: Sequence[Evidence],
-        seqs: Optional[np.ndarray] = None,
+        self, epoch: int, run: Sequence[Evidence], seqs: Optional[np.ndarray] = None
     ) -> None:
-        """Fold one committed bulk stretch of evidence objects."""
-        if epoch in self._dirty:
-            return
-        if seqs is None:
-            seqs = seqs_of(run)
-        cols = run_columns(run, seqs)
-        if cols is None:
-            self.mark_dirty(epoch)
-            return
-        self._admit(
-            epoch, None, cols, lambda tally: tally.add_flows(cols.refs, cols.path_seqs)
-        )
+        """Admit one tickless run of ``epoch``'s evidence objects."""
+        self._service.ingest_run(epoch, run, seqs=seqs)
 
-    def append_columns(
-        self, epoch: int, run: WireRun, link_ids: np.ndarray, lane: Optional[TallyLane] = None
-    ) -> None:
-        """Fold one committed wire run, object-free.
-
-        The columnar twin of :meth:`append_run`, fed straight from a
-        :class:`WireRun`'s arrays plus pre-remapped link ids
-        (:meth:`LinkRemap.ids` of ``run.lids``) — no :class:`DiscoveredPath`
-        objects are ever built.  With ``lane``, a side lane of this store,
-        the run continues that lane instead of the epoch's own rows.
-        """
-        path_seqs = run.path_seqs()
-        cols = RunColumns(
-            run.seqs,
-            path_seqs.tolist(),
-            run.flow_ids.tolist(),
-            run.retrans,
-            (),
-            run.lengths,
-            (),
-            run.upd_flows.tolist(),
-            run.update_seqs().tolist(),
-            run.upd_counts,
-        )
-        self._admit(
-            epoch,
-            lane,
-            cols,
-            lambda tally: tally.add_columns(
-                link_ids, run.lengths, run.flow_ids, run.retrans, path_seqs
-            ),
-        )
-
-    def join(self, epoch: int, lane: TallyLane) -> None:
-        """Add a side lane's rows to the epoch's own, in whatever order the
-        lanes come.
-
-        The lane's waiting count updates bind to the epoch's rows, then the
-        tallies merge by :meth:`ArrayVoteTally.extend`, which adds the
-        lane's votes and support.  A lane that shares a sequence number
-        with the epoch's rows, holds an unproven run or waits on a flow
-        nobody traced marks the epoch dirty instead.
-        """
-        if epoch in self._dirty:
-            return
-        own = self._own_lane(epoch)
-        rows = list(map(own.tally.flow_rows().get, lane.waiting))
-        seqs = own.tally.seqs_array()
-        if (
-            not lane.clean
-            or None in rows
-            or (
-                lane.first_seq <= own.max_seq
-                and bool(((seqs >= lane.first_seq) & (seqs <= lane.max_seq)).any())
-            )
-        ):
-            self.mark_dirty(epoch)
-            return
-        own.tally.bump_rows(rows, list(lane.waiting.values()))
-        own.tally.extend(lane.tally)
-        own.max_seq = max(own.max_seq, lane.max_seq)
-
-    # ------------------------------------------------------------------
-    def build_tally(self, epoch: int, final: bool = False) -> Optional[ArrayVoteTally]:
-        """The epoch's merged tally, or ``None`` when replay is required.
-
-        Reports from it are bit-identical to replaying the epoch's evidence
-        through a fresh :class:`ArrayVoteTally` — it *is* such a tally, fed
-        run by run — and it is independent of later appends (a snapshot; an
-        empty tally for an epoch the store never saw).  The ``final`` build
-        hands over the live tally itself and forgets the epoch: nothing is
-        appended to a closed epoch, so nothing is copied.
-        """
-        if epoch in self._dirty:
-            return None
-        lane = self._lanes.pop(epoch, None) if final else self._lanes.get(epoch)
-        if lane is None:
+    def build_tally(self, epoch: int) -> ArrayVoteTally:
+        """A snapshot of the epoch's tally (an empty one for an epoch the
+        store never saw): the fold alone, without a report's blame."""
+        state = self._service._epochs.get(epoch)
+        if state is None:
             return ArrayVoteTally(self._policy, self._links)
-        return lane.tally if final else lane.tally.snapshot()
+        return state.tally.snapshot()
+
+    def pop(self, epoch: int) -> None:
+        """Forget the epoch."""
+        self._service._epochs.pop(epoch, None)

@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["events", "columns"],
         default="events",
-        help="ingest core: decoded events through a real service, or the "
-        "arrays-only columnar fold",
+        help="accepted for compatibility: both values admit every chunk's "
+        "columns into one service",
     )
     fleet_analyzer.add_argument(
         "--engine", choices=["arrays", "dicts"], default="arrays"
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="service shards behind the events mode (1 = unsharded)",
+        help="service shards behind the analyzer (1 = unsharded)",
     )
     fleet_analyzer.add_argument(
         "--backend",
@@ -308,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument("--agents", type=int, default=4)
     fleet_run.add_argument("--shards", type=int, default=2)
-    fleet_run.add_argument(
-        "--mode", choices=["events", "columns"], default="events"
-    )
     fleet_run.add_argument(
         "--engine", choices=["arrays", "dicts"], default="arrays"
     )
@@ -628,35 +625,22 @@ def _run_fleet_analyzer_command(args: argparse.Namespace, out) -> int:
     import asyncio
     import os
 
-    from repro.fleet.analyzer import (
-        ColumnarIngestCore,
-        FleetAnalyzer,
-        ServiceIngestCore,
-    )
+    from repro.api.service import Zero07Service
+    from repro.api.sharded import ShardedService
+    from repro.fleet.analyzer import FleetAnalyzer, ServiceIngestCore
     from repro.fleet.protocol import parse_endpoint
 
-    if args.mode == "columns":
-        if args.engine != "arrays":
-            print("error: the columns mode is arrays-only", file=sys.stderr)
-            return 2
-        core = ColumnarIngestCore(retain_reports=args.retain_reports)
+    if args.shards == 1:
+        service = Zero07Service(engine=args.engine, retain_reports=args.retain_reports)
     else:
-        from repro.api.service import Zero07Service
-        from repro.api.sharded import ShardedService
-
-        if args.shards == 1:
-            service = Zero07Service(
-                engine=args.engine, retain_reports=args.retain_reports
-            )
-        else:
-            service = ShardedService(
-                num_shards=args.shards,
-                engine=args.engine,
-                backend=args.backend,
-                workers=args.workers,
-                retain_reports=args.retain_reports,
-            )
-        core = ServiceIngestCore(service)
+        service = ShardedService(
+            num_shards=args.shards,
+            engine=args.engine,
+            backend=args.backend,
+            workers=args.workers,
+            retain_reports=args.retain_reports,
+        )
+    core = ServiceIngestCore(service)
     analyzer = FleetAnalyzer(
         core,
         expected_agents=args.num_agents,
@@ -741,7 +725,6 @@ def _run_fleet_run_command(args: argparse.Namespace, out) -> int:
             agents=args.agents,
             shards=args.shards,
             transport=args.transport,
-            mode=args.mode,
             engine=args.engine,
             backend=args.backend,
             workers=args.workers,

@@ -213,7 +213,7 @@ class ArrayVoteTally:
     incrementally maintained materialized view: each query folds only the
     rows appended since the last query into running accumulators, with one
     ``bincount`` of integer vote units — exact, however the rows were cut
-    into folds, ordered or split between tallies (:meth:`extend`).
+    into folds or ordered.
     Mid-epoch queries therefore cost O(rows touched since the last query),
     not O(epoch).  Flows are bound as in :class:`~repro.core.votes.VoteTally`.
     """
@@ -242,6 +242,12 @@ class ArrayVoteTally:
         self._row_by_flow: Dict[int, int] = {}
         self._mapped = 0
         self._top_seq = -1
+        #: the same binding as a sorted index over the first ``_indexed``
+        #: rows, for whole runs of flows (:meth:`bound_rows`): flow ids
+        #: ascending and, position for position, their bound rows.
+        self._bound_flows = np.empty(0, dtype=np.int64)
+        self._bound_rows = np.empty(0, dtype=np.int64)
+        self._indexed = 0
         # The materialized view: running vote/support accumulators holding
         # the first ``_folded_rows`` rows.
         self._folded_rows = 0
@@ -361,8 +367,8 @@ class ArrayVoteTally:
         count of each path, ``flow_ids``/``retransmissions``/``seqs`` one
         entry per path (``seqs`` defaults to the row indices).
         State-identical to :meth:`add_flows` over the same paths — the entry
-        point for callers that never build path objects (the coordinator's
-        column store, the columnar fleet core, a restore).  Raises
+        point for callers that never build path objects (every bulk
+        admission of the service: decoded wire runs, restores).  Raises
         ``ValueError`` before mutating anything when a path is empty or too
         long, the columns disagree in length or an id is not in the index.
         """
@@ -417,6 +423,59 @@ class ArrayVoteTally:
             self._top_seq = max(self._top_seq, max(new))
             self._mapped = rows
         return self._row_by_flow
+
+    def bound_rows(self, flows: np.ndarray) -> np.ndarray:
+        """Each of ``flows``' bound row, ``-1`` for a flow without one.
+
+        The rule of :meth:`flow_rows` — the highest seq wins, the later row
+        a tie — kept as a sorted flow index for a whole run of flows, caught
+        up with the rows appended since it was last asked for: per new flow
+        one insertion, per known flow one seq comparison, no Python loop.
+        """
+        if self._indexed < self._rows:
+            self._index_rows()
+        known = self._bound_flows
+        if not len(known):
+            return np.full(len(flows), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(known, flows), len(known) - 1)
+        return np.where(known[at] == flows, self._bound_rows[at], -1)
+
+    def _index_rows(self) -> None:
+        """Catch the sorted flow index up with the rows appended since."""
+        lo, hi = self._indexed, self._rows
+        self._indexed = hi
+        seqs = self._seqs
+        new_flows = self._flow_ids[lo:hi]
+        # each flow's winner among the new rows: the last of its group in
+        # (flow, seq) order, rows tied on both in row order (stable)
+        order = np.lexsort((seqs[lo:hi], new_flows))
+        ranked = new_flows[order]
+        last = np.append(ranked[1:] != ranked[:-1], True)
+        flows_in, rows_in = ranked[last], order[last] + lo
+        known, rows = self._bound_flows, self._bound_rows
+        if not len(known) or known[-1] < flows_in[0]:
+            # every flow is new and above the known ones (ids that grow)
+            self._bound_flows = np.concatenate((known, flows_in))
+            self._bound_rows = np.concatenate((rows, rows_in))
+            return
+        at = np.searchsorted(known, flows_in)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == flows_in[hit]
+        # a later row outranks its flow's bound row unless its seq is lower
+        beats = seqs[rows_in[hit]] >= seqs[rows[at[hit]]]
+        rows[at[hit][beats]] = rows_in[hit][beats]
+        # the new flows land in order among the known ones
+        fresh = ~hit
+        into = at[fresh] + np.arange(int(np.count_nonzero(fresh)))
+        kept = np.ones(len(known) + len(into), dtype=bool)
+        kept[into] = False
+        for name, old, new in (
+            ("_bound_flows", known, flows_in[fresh]),
+            ("_bound_rows", rows, rows_in[fresh]),
+        ):
+            merged = np.empty(len(kept), dtype=np.int64)
+            merged[into], merged[kept] = new, old
+            setattr(self, name, merged)
 
     def row_of_flow(self, flow_id: int) -> Optional[int]:
         """Row index of ``flow_id``'s bound row (``None`` if unknown)."""
@@ -655,37 +714,6 @@ class ArrayVoteTally:
         return clone
 
     copy = snapshot
-
-    def extend(self, other: "ArrayVoteTally") -> None:
-        """Append ``other``'s rows after this tally's own; ``other`` is only read.
-
-        The merge of two parts of one epoch folded apart, in any order: the
-        CSR rows (counts as bumped since, seqs) are copied and ``other``'s
-        votes and support, already folded, are added (the rows are disjoint;
-        integer units add exactly).  Flows are bound by seq, as ever.  Both
-        tallies must share the link index and the vote policy.
-        """
-        if other._index is not self._index or other._policy != self._policy:
-            raise ValueError("extend needs a tally over the same index and policy")
-        count = other._rows
-        if not count:
-            return
-        votes, support = other.votes_array(), other.support_array()
-        self._fold()
-        flows, retransmissions, _, cols, seqs = other.record_columns()
-        row, start = self._rows, self._hops
-        rows, hops = row + count, start + len(cols)
-        self._reserve(rows, hops)
-        self._cols[start:hops] = cols
-        self._indptr[row + 1 : rows + 1] = other._indptr[1 : count + 1] + start
-        self._flow_ids[row:rows] = flows
-        self._retransmissions[row:rows] = retransmissions
-        self._seqs[row:rows] = seqs
-        self._rows = self._folded_rows = rows
-        self._hops = hops
-        self._votes[: len(votes)] += votes
-        self._support[: len(support)] += support
-        self._invalidate()
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,10 @@ arrive in; votes are divided by 840 only where a report shows them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Literal, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.discovery.agent import DiscoveredPath
 from repro.topology.elements import DirectedLink
@@ -143,6 +145,14 @@ class VoteTally:
         """Row index of ``flow_id``'s bound contribution (``None`` if unknown)."""
         return self._row_by_flow.get(flow_id)
 
+    def bound_rows(self, flows: np.ndarray) -> np.ndarray:
+        """Each of ``flows``' bound row, ``-1`` for a flow without one."""
+        return np.fromiter(
+            map(self._row_by_flow.get, flows.tolist(), repeat(-1)),
+            dtype=np.int64,
+            count=len(flows),
+        )
+
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
         come from :meth:`flow_rows`).
@@ -153,7 +163,7 @@ class VoteTally:
         classification reads — grows.
         """
         contributions = self._contributions
-        for row, extra in zip(rows, extras):
+        for row, extra in zip(rows, map(int, extras)):
             contribution = contributions[row]
             contributions[row] = replace(
                 contribution, retransmissions=contribution.retransmissions + extra

@@ -9,10 +9,11 @@ open.  This package adds the missing wire:
   HELLO/WELCOME handshake, heartbeats, and the
   :class:`~repro.fleet.protocol.FleetProtocolError` taxonomy (a peer death
   is always a loud error, never a hang).
-* :mod:`repro.fleet.analyzer` — the asyncio analyzer front-end: per-agent
-  chunk reassembly, tick barriers, credit-based backpressure, two ingest
-  cores (full-service ``events`` and arrays-only columnar ``columns``),
-  and a newline-JSON query socket for mid-epoch reports.
+* :mod:`repro.fleet.analyzer` — the asyncio analyzer front-end: every
+  decoded chunk admitted on arrival into one streaming service (columns
+  straight into a :class:`~repro.api.service.Zero07Service`), tick
+  barriers, per-connection credit windows, and a newline-JSON query socket
+  for mid-epoch reports.
 * :mod:`repro.fleet.agent` — the synchronous agent client: bounded send
   window, at-least-once redelivery from acked watermarks, reconnect with
   jittered exponential backoff; a run interrupted by reconnects finalizes
@@ -28,7 +29,6 @@ from repro.fleet.agent import AgentStats, FleetAgentClient, KILL_EXIT_CODE
 from repro.fleet.analyzer import (
     AnalyzerStats,
     AnalyzerThread,
-    ColumnarIngestCore,
     FleetAnalyzer,
     ServiceIngestCore,
 )
@@ -72,7 +72,6 @@ __all__ = [
     "AnalyzerThread",
     "AnalyzerStats",
     "ServiceIngestCore",
-    "ColumnarIngestCore",
     # agent
     "FleetAgentClient",
     "AgentStats",

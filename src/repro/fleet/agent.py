@@ -8,8 +8,8 @@ frame.  Delivery is at-least-once with exactly-once effect:
 * every chunk is retained (events + sequence numbers) until the analyzer's
   ACK watermark covers its last sequence number;
 * sends block on the WELCOME credit window — unacked payload bytes never
-  exceed the analyzer's grant, which is how analyzer backpressure (deferred
-  acks) propagates to the sender;
+  exceed the analyzer's grant, so an analyzer that acks slowly slows the
+  sender;
 * on any socket error the client reconnects with capped exponential backoff
   plus jitter, replays its HELLO, trims the retained chunks against the
   WELCOME's per-epoch acked watermarks, re-encodes the survivors on the

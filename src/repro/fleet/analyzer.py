@@ -1,44 +1,27 @@
-"""The fleet analyzer: an asyncio front-end over the streaming service.
+"""The fleet analyzer: an asyncio front-end over one streaming service.
 
-One process accepts N agent connections (TCP or Unix sockets), reassembles
-the global evidence order from contiguous per-agent chunks, and feeds the
-analysis core.  Two interchangeable cores implement ingestion:
+One process accepts N agent connections (TCP or Unix sockets) and admits
+every evidence chunk the moment it is decoded, in whatever order the
+connections deliver: :class:`ServiceIngestCore` hands the chunk's
+:class:`~repro.api.wire.WireRun` columns, link ids remapped onto the
+service's index (:class:`~repro.api.wire.LinkRemap`), to
+:meth:`Zero07Service.ingest_columns
+<repro.api.service.Zero07Service.ingest_columns>` — no per-event objects,
+no staging.  Integer vote units make the fold order-free, so a chunk that
+lands ahead of a gap in the sequence space is an ordinary late run, and a
+report covers every chunk that has arrived.
 
-* :class:`ServiceIngestCore` — decodes every chunk to evidence objects and
-  hands them to a real :class:`~repro.api.service.Zero07Service` /
-  :class:`~repro.api.sharded.ShardedService` through the vectorized
-  ``ingest_run`` path.  Full service semantics (both engines, process
-  backend, checkpoints) at object-decode speed.
-* :class:`ColumnarIngestCore` — folds each chunk's
-  :class:`~repro.api.wire.WireRun` columns straight into an
-  :class:`~repro.api.wire.EvidenceColumnStore` (no per-event objects), and
-  materializes reports with ``AnalysisAgent.analyze_tally``.  Reports are
-  bit-identical to an ``ingest_batch`` replay — the store's own proven
-  contract — at several times the object-decode throughput.  Any delivery
-  the columns cannot prove clean falls back to replaying the epoch's
-  retained chunks through a throwaway service, which is the correctness
-  oracle.
+An epoch closes at its tick barrier: once every expected agent ticked it,
+per-connection FIFO order guarantees all of its chunks are in, and the
+service finalizes it.  Redelivered chunks after a reconnect are dropped by
+the service's per-epoch seen sequence numbers, whole or in part
+(``duplicate_chunks`` / ``trimmed_chunks``) — at-least-once delivery with
+exactly-once effect — and the analyzer state is the service's, so
+``core.service.checkpoint()`` captures it and a restored service resumes it.
 
-Ordering discipline: agents send *contiguous* slices of each epoch's
-sequence space.  A chunk that extends the epoch's flushed prefix is ingested
-immediately; anything else joins a *lane* — the contiguous stretch it
-continues — which the columnar core folds on arrival into a tally of its
-own, and which joins the prefix (one ``ArrayVoteTally.extend``) the moment
-its gap closes, or at the epoch's tick barrier (every expected agent
-ticked) with whatever gap is left, lanes in any order: integer vote units
-add up the same.  So the barrier has no fold to catch up on, however far
-ahead of one another the agents run.  Redelivered chunks after a reconnect are dropped or
-trimmed against the flushed watermark and the lanes, and whatever slips
-through is deduplicated by the service's per-epoch sequence tracking —
-at-least-once delivery with exactly-once effect.
-
-Backpressure: each connection gets a byte credit window in its WELCOME;
-evidence is acked (with the epoch/seq watermark and cumulative bytes) as it
-is staged; a lane's bytes stay staged, folded or not, until it joins.  When
-total staged bytes exceed the configured bound the
-analyzer defers acks — agents stall on their windows — and releases them as
-flushes drain the backlog; each deferral episode counts one backpressure
-engagement.
+Flow control: each connection gets a byte credit window in its WELCOME and
+every chunk is acked (with the epoch/seq watermark and cumulative bytes)
+once it is admitted, so an agent never has more than the window in flight.
 """
 
 from __future__ import annotations
@@ -46,27 +29,16 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.api.events import EpochTick
 from repro.api.service import ReportUnavailableError, Zero07Service
-from repro.api.wire import (
-    EvidenceColumnStore,
-    LinkRemap,
-    TallyLane,
-    WireDecoder,
-    WireProtocolError,
-    WireRun,
-)
-from repro.core.analysis import AnalysisAgent, EpochReport
+from repro.api.wire import LinkRemap, WireDecoder, WireProtocolError, WireRun
+from repro.core.analysis import EpochReport
 from repro.core.arrays import LinkIndex
-from repro.core.blame import BlameConfig
-from repro.core.votes import PathTooLongError, VotePolicy
+from repro.core.votes import PathTooLongError
 from repro.fleet import protocol
 from repro.fleet.protocol import (
     Endpoint,
@@ -92,8 +64,9 @@ class AnalyzerStats:
     frames_received: int = 0
     bytes_received: int = 0
     evidence_events: int = 0
-    chunks_staged: int = 0
-    chunks_flushed: int = 0
+    #: chunks of open epochs admitted into the core, and of those the ones
+    #: whose events were all (``duplicate``) or partly (``trimmed``) seen.
+    chunks_admitted: int = 0
     duplicate_chunks: int = 0
     trimmed_chunks: int = 0
     late_chunks: int = 0
@@ -101,8 +74,6 @@ class AnalyzerStats:
     epochs_finalized: int = 0
     protocol_errors: int = 0
     connection_timeouts: int = 0
-    backpressure_engagements: int = 0
-    acks_deferred: int = 0
     heartbeats: int = 0
     #: ``report`` queries received, how many reused a cached reply line, and
     #: how many distinct reports were encoded — hits + encodes + error
@@ -214,21 +185,22 @@ class _FinalizedCount:
 
 
 class ServiceIngestCore:
-    """Feed decoded evidence runs into a real streaming service.
+    """Admit decoded chunks into a streaming service, on arrival.
 
-    Works with :class:`Zero07Service` and :class:`ShardedService` alike —
-    both expose ``ingest_run``/``ingest``/``report``.  The analyzer owns the
-    chunk ordering; this core just materializes each chunk's events and
-    hands them over ``owned=True`` (the decode allocated them for exactly
-    this consumer).
+    A :class:`Zero07Service` takes each chunk's columns as they are
+    (:meth:`~repro.api.service.Zero07Service.ingest_columns`); a
+    :class:`~repro.api.sharded.ShardedService` takes its materialized
+    events (``ingest_run``).  Either drops what its epoch saw before, so the
+    analyzer hands every chunk over in arrival order and keeps nothing.
     """
-
-    mode = "events"
 
     def __init__(self, service) -> None:
         self.service = service
         self._finalized = _FinalizedCount()
         service.add_sink(self._finalized)
+        #: ``id`` of a decoder's link table -> its remap, for chunks handed
+        #: over without one (the remap keeps the table, so the id is unique).
+        self._remaps: Dict[int, LinkRemap] = {}
 
     @property
     def last_finalized(self) -> Optional[int]:
@@ -247,15 +219,29 @@ class ServiceIngestCore:
             return {"fallback_events": service.stats.fallback_events}
         return {"fallback_events": service.fallback_events}
 
-    def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> None:
-        """Ingest one in-order chunk (events are materialized here)."""
-        self.service.ingest_run(
-            run.epoch, run.materialize(), owned=True, seqs=run.seqs
-        )
+    def remap(self, decoder: WireDecoder) -> Optional[LinkRemap]:
+        """One connection's link ids onto the service's index (``None``:
+        the service takes events)."""
+        if not isinstance(self.service, Zero07Service):
+            return None
+        return LinkRemap(decoder, self.service.link_index)
 
-    def append_events(self, epoch: int, events: List, seqs) -> None:
-        """Ingest an already-materialized (e.g. trimmed) run."""
-        self.service.ingest_run(epoch, events, owned=True, seqs=seqs)
+    def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> int:
+        """Admit one chunk, in any order; returns how many of its events
+        the epoch saw before.  Without ``remap`` the core keeps one per
+        decoder table."""
+        service = self.service
+        if not isinstance(service, Zero07Service):
+            before = service.duplicate_events
+            service.ingest_run(run.epoch, run.materialize(), owned=True, seqs=run.seqs)
+            return service.duplicate_events - before
+        if remap is None:
+            remap = self._remaps.get(id(run.links_table))
+            if remap is None:
+                remap = self._remaps[id(run.links_table)] = LinkRemap(
+                    run, service.link_index
+                )
+        return service.ingest_columns(run.epoch, run.columns(), remap.ids(run.lids))
 
     def tick(self, epoch: int) -> None:
         """Close ``epoch`` (and any gap epochs before it)."""
@@ -270,10 +256,9 @@ class ServiceIngestCore:
         return self.service.report(epoch)
 
     def describe(self) -> Dict:
-        """Mode and service shape, for ``meta.json`` and the query socket."""
+        """Service shape, for ``meta.json`` and the query socket."""
         service = self.service
         return {
-            "mode": self.mode,
             "service": type(service).__name__,
             "engine": getattr(service, "engine", None),
             "num_shards": getattr(service, "num_shards", 1),
@@ -286,204 +271,22 @@ class ServiceIngestCore:
             close()
 
 
-class ColumnarIngestCore:
-    """Fold wire chunks into merged tallies; build reports without objects.
-
-    The hot path folds each chunk's columns (link ids remapped onto one
-    shared :class:`LinkIndex`) into the epoch's live tally inside an
-    :class:`EvidenceColumnStore` — the fold is paid per chunk, so a report
-    is a snapshot (``build_tally``) plus ``analyze_tally``, bit-identical to
-    an ``ingest_batch`` replay by the store's contract — and keeps the raw
-    :class:`WireRun` for replay.  Chunks ahead of the sequence prefix fold
-    into a side lane (:meth:`open_lane`) and join it when the rows before
-    them are in, or at the barrier (:meth:`join_lane`).  Epochs the store
-    marks dirty (duplicates that slipped the trim, lanes sharing a sequence
-    number, seq-less updates) replay their retained chunks through a
-    throwaway :class:`Zero07Service`, whose duplicate/out-of-order tolerance
-    is the correctness oracle.  Arrays engine only.
-
-    An open epoch keeps its last report as a versioned view: the version is
-    the number of chunks retained for the epoch (every append adds one), so
-    a query that finds it unchanged returns the identical report object
-    without a snapshot, an analysis or — for a dirty epoch — a replay.
-    """
-
-    mode = "columns"
-
-    def __init__(
-        self,
-        blame_config: Optional[BlameConfig] = None,
-        vote_policy: VotePolicy = "inverse_hops",
-        retain_reports: int = 16,
-    ) -> None:
-        self._blame_config = blame_config or BlameConfig()
-        self._vote_policy: VotePolicy = vote_policy
-        self._retain_reports = retain_reports
-        self._link_index = LinkIndex()
-        self._store = EvidenceColumnStore(self._link_index, vote_policy)
-        self._agent = AnalysisAgent(
-            blame_config=self._blame_config,
-            vote_policy=vote_policy,
-            engine="arrays",
-            link_index=self._link_index,
-        )
-        #: per-epoch retained chunks, arrival order, for dirty-epoch replay.
-        self._retained: Dict[int, List] = {}
-        #: open epoch -> (chunks retained when materialized, that report);
-        #: only ever holds epochs that are in ``_retained``.
-        self._views: Dict[int, Tuple[int, EpochReport]] = {}
-        self._final_reports: Dict[int, EpochReport] = {}
-        self._last_finalized: Optional[int] = None
-        #: epochs closed by :meth:`tick`, gap epochs included.
-        self.epochs_finalized = 0
-        #: epochs that replayed instead of folding columns (visible in stats).
-        self.replayed_epochs = 0
-
-    @property
-    def last_finalized(self) -> Optional[int]:
-        """The newest epoch closed by a tick barrier."""
-        return self._last_finalized
-
-    def counters(self) -> Dict[str, int]:
-        """What left the vector path, for the ``stats`` verb."""
-        return {"replayed_epochs": self.replayed_epochs}
-
-    def append_chunk(self, run: WireRun, remap: Optional[LinkRemap], lane: Optional[TallyLane] = None) -> None:
-        """Fold one chunk's columns into the epoch's store: the next in
-        sequence order, or — with ``lane``, from :meth:`open_lane` — the next
-        of a stretch that is ahead of it (retained by whoever joins it)."""
-        if remap is None:
-            raise ValueError("columnar core needs each connection's LinkRemap")
-        if lane is None:
-            self._retained.setdefault(run.epoch, []).append(("run", run, None))
-        self._store.append_columns(run.epoch, run, remap.ids(run.lids), lane)
-
-    def open_lane(self) -> TallyLane:
-        """A side lane for chunks that arrive ahead of the flushed prefix."""
-        return self._store.open_lane()
-
-    def join_lane(self, epoch: int, lane: TallyLane, runs: List[WireRun]) -> None:
-        """The rows before ``lane`` are all in: append its rows (and ``runs``,
-        the chunks it was folded from, to what a dirty epoch replays)."""
-        self._retained.setdefault(epoch, []).extend(("run", run, None) for run in runs)
-        self._store.join(epoch, lane)
-
-    def append_events(self, epoch: int, events: List, seqs) -> None:
-        """Fold an already-materialized (e.g. trimmed) run into the store."""
-        self._retained.setdefault(epoch, []).append(("events", events, seqs))
-        self._store.append_run(epoch, events, seqs=np.asarray(seqs, dtype=np.int64))
-
-    def _replay_service(self, epoch: int) -> Zero07Service:
-        service = Zero07Service(
-            blame_config=self._blame_config,
-            vote_policy=self._vote_policy,
-            engine="arrays",
-        )
-        for kind, payload, seqs in self._retained.get(epoch, []):
-            events = payload.materialize() if kind == "run" else payload
-            service.ingest_batch(events, owned=(kind == "run"))
-        return service
-
-    def _materialize(self, epoch: int, final: bool = False) -> EpochReport:
-        if self._store.is_clean(epoch):
-            tally = self._store.build_tally(epoch, final)
-            if tally is not None:
-                return self._agent.analyze_tally(epoch, tally)
-        self.replayed_epochs += 1
-        return self._replay_service(epoch).report(epoch)
-
-    def tick(self, epoch: int) -> None:
-        """Close every epoch up to ``epoch``, caching final reports."""
-        if self._last_finalized is not None and epoch <= self._last_finalized:
-            return
-        start = (
-            self._last_finalized + 1
-            if self._last_finalized is not None
-            else min(
-                (e for e in self._retained if e <= epoch), default=epoch
-            )
-        )
-        for e in range(start, epoch + 1):
-            report = self._materialize(e, final=True)
-            self._final_reports[e] = report
-            while len(self._final_reports) > self._retain_reports:
-                del self._final_reports[next(iter(self._final_reports))]
-            self._last_finalized = e
-            self.epochs_finalized += 1
-            self._store.pop(e)
-            self._retained.pop(e, None)
-            self._views.pop(e, None)
-
-    def report(self, epoch: Optional[int] = None) -> EpochReport:
-        """Final report if closed, else the open epoch's current view.
-
-        While no chunk for the epoch arrived since the previous query the
-        identical report object is returned.
-        """
-        if epoch is None:
-            open_epochs = self._retained.keys()
-            if open_epochs:
-                epoch = max(open_epochs)
-            elif self._last_finalized is not None:
-                epoch = self._last_finalized
-            else:
-                epoch = 0
-        if epoch in self._final_reports:
-            return self._final_reports[epoch]
-        if self._last_finalized is not None and epoch <= self._last_finalized:
-            raise ReportUnavailableError(
-                epoch, self._last_finalized, self._retain_reports
-            )
-        retained = self._retained.get(epoch)
-        if retained is None:
-            # nobody sent evidence for this epoch: the empty report, and no
-            # state — a polling client must not be able to grow the core.
-            return self._materialize(epoch)
-        view = self._views.get(epoch)
-        if view is None or view[0] != len(retained):
-            view = self._views[epoch] = (len(retained), self._materialize(epoch))
-        return view[1]
-
-    def describe(self) -> Dict:
-        """Mode and analysis shape, for ``meta.json`` and the query socket."""
-        return {
-            "mode": self.mode,
-            "service": "columnar",
-            "engine": "arrays",
-            "num_shards": 1,
-        }
-
-    def close(self) -> None:
-        """Nothing to release (no worker processes)."""
-
-
-# ---------------------------------------------------------------------------
-# staging
-# ---------------------------------------------------------------------------
-class _Lane:
-    """A contiguous stretch of chunks ahead of the flushed prefix: parked, and
-    in columns mode folded on arrival into ``folded``, a side lane of the core."""
-
-    __slots__ = ("first_seq", "next_seq", "runs", "nbytes", "folded")
-
-    def __init__(self, first_seq: int, folded: Optional[TallyLane]) -> None:
-        self.first_seq = self.next_seq = first_seq
-        self.runs: List[Tuple[WireRun, Optional[LinkRemap]]] = []
-        self.nbytes = 0
-        self.folded = folded
-
-
-class _EpochStage:
-    """One open epoch: the flushed prefix's watermark and the lanes ahead of it."""
-
-    __slots__ = ("lanes", "next_seq", "ticked")
+class ColumnarIngestCore(ServiceIngestCore):
+    """A :class:`ServiceIngestCore` over a plain arrays
+    :class:`Zero07Service`: the name (and ``_link_index``) the ruler's
+    ``fleet_tcp`` in-process replay builds its chain with."""
 
     def __init__(self) -> None:
-        self.lanes: List[_Lane] = []
-        self.next_seq = 0
-        self.ticked: set = set()
+        super().__init__(Zero07Service(engine="arrays"))
+
+    @property
+    def _link_index(self) -> LinkIndex:
+        return self.service.link_index
 
 
+# ---------------------------------------------------------------------------
+# transport
+# ---------------------------------------------------------------------------
 class _Connection:
     """Per-connection transport state."""
 
@@ -493,7 +296,6 @@ class _Connection:
         "remap",
         "agent_id",
         "acked_bytes",
-        "deferred_acks",
         "reader_state",
     )
 
@@ -503,7 +305,6 @@ class _Connection:
         self.remap: Optional[LinkRemap] = None
         self.agent_id: Optional[str] = None
         self.acked_bytes = 0
-        self.deferred_acks: List[Tuple[int, int, int]] = []
         self.reader_state = FrameReader()
 
 
@@ -520,7 +321,6 @@ class FleetAnalyzer:
         core,
         expected_agents: int,
         credit_bytes: int = 8 * 1024 * 1024,
-        stage_limit_bytes: int = 64 * 1024 * 1024,
         idle_timeout: float = 30.0,
         handshake_timeout: float = 10.0,
     ) -> None:
@@ -529,15 +329,13 @@ class FleetAnalyzer:
         self.core = core
         self.expected_agents = expected_agents
         self.credit_bytes = credit_bytes
-        self.stage_limit_bytes = stage_limit_bytes
         self.idle_timeout = idle_timeout
         self.handshake_timeout = handshake_timeout
         self.stats = AnalyzerStats()
         #: agent_id -> {"acked": {epoch: seq}, "connects": int, "ticked": int}
         self.agents: Dict[str, Dict] = {}
-        self._stages: Dict[int, _EpochStage] = {}
-        self._staged_bytes = 0
-        self._backpressured = False
+        #: open epoch -> the agents that ticked it.
+        self._ticked: Dict[int, set] = {}
         self._connections: List[_Connection] = []
         self._shutdown = asyncio.Event()
         self._servers: List[asyncio.base_events.Server] = []
@@ -668,11 +466,7 @@ class FleetAnalyzer:
         hello = protocol.decode_hello(payload)
         agent_id = hello["agent_id"]
         connection.agent_id = agent_id
-        connection.remap = (
-            LinkRemap(connection.decoder, self.core._link_index)
-            if isinstance(self.core, ColumnarIngestCore)
-            else None
-        )
+        connection.remap = self.core.remap(connection.decoder)
         record = self.agents.setdefault(
             agent_id, {"acked": {}, "connects": 0, "ticks": 0}
         )
@@ -698,7 +492,6 @@ class FleetAnalyzer:
                 await self._on_evidence(connection, payload)
             elif frame_type == protocol.FRAME_TICK:
                 self._on_tick(connection, protocol.decode_tick(payload))
-                await self._release_deferred_acks()
             elif frame_type == protocol.FRAME_HEARTBEAT:
                 self.stats.heartbeats += 1
                 connection.writer.write(
@@ -727,106 +520,27 @@ class FleetAnalyzer:
             self.stats.bytes_received += len(data)
             frame_reader.feed(data)
 
-    # -- evidence staging ---------------------------------------------
+    # -- evidence -----------------------------------------------------
     async def _on_evidence(self, connection: _Connection, payload: bytes) -> None:
         run = connection.decoder.decode_columns(payload)
-        epoch = run.epoch
+        epoch, stats = run.epoch, self.stats
         last_finalized = self.core.last_finalized
         if last_finalized is not None and epoch <= last_finalized:
-            self.stats.late_chunks += 1
+            stats.late_chunks += 1
             await self._ack(connection, epoch, run.last_seq, len(payload))
             return
-        stage = self._stages.get(epoch)
-        if stage is None:
-            stage = self._stages[epoch] = _EpochStage()
-        self._stage_chunk(stage, run, connection.remap)
-        self._flush_ready(epoch, stage)
-        if self._backpressured and self._staged_bytes <= self.stage_limit_bytes:
-            # a flush drained the backlog: wake the stalled senders now, not
-            # at the next tick — they may be blocked on their credit windows.
-            await self._release_deferred_acks()
-        watermark = run.last_seq
+        stats.evidence_events += run.n_events
+        if run.n_events:
+            stats.chunks_admitted += 1
+            seen = self.core.append_chunk(run, connection.remap)
+            if seen == run.n_events:
+                stats.duplicate_chunks += 1
+            elif seen:
+                stats.trimmed_chunks += 1
         acked = self.agents[connection.agent_id]["acked"]
-        if watermark > acked.get(epoch, -1):
-            acked[epoch] = watermark
-        if self._staged_bytes > self.stage_limit_bytes:
-            if not self._backpressured:
-                self._backpressured = True
-                self.stats.backpressure_engagements += 1
-            self.stats.acks_deferred += 1
-            connection.deferred_acks.append((epoch, watermark, len(payload)))
-        else:
-            await self._ack(connection, epoch, watermark, len(payload))
-
-    def _stage_chunk(
-        self, stage: _EpochStage, run: WireRun, remap: Optional[LinkRemap]
-    ) -> None:
-        self.stats.chunks_staged += 1
-        self.stats.evidence_events += run.n_events
-        if run.n_events == 0:
-            return
-        first, last = run.first_seq, run.last_seq
-        lanes = stage.lanes
-        if last < stage.next_seq or any(
-            lane.first_seq <= first and last < lane.next_seq for lane in lanes
-        ):
-            self.stats.duplicate_chunks += 1  # behind the watermark or in a lane
-            return
-        if first <= stage.next_seq:
-            self._append_chunk(stage, run, remap)
-            return
-        # ahead of the flushed prefix: continue the lane it extends, else
-        # open one; the columns core folds it now, not when the gap closes.
-        lane = next((lane for lane in lanes if lane.next_seq == first), None)
-        if lane is None:
-            lane = _Lane(first, None if remap is None else self.core.open_lane())
-            lanes.append(lane)
-        if lane.folded is not None:
-            self.core.append_chunk(run, remap, lane.folded)
-        lane.runs.append((run, remap))
-        lane.next_seq = last + 1
-        lane.nbytes += run.nbytes
-        self._staged_bytes += run.nbytes
-
-    def _append_chunk(self, stage: _EpochStage, run: WireRun, remap) -> None:
-        if run.first_seq < stage.next_seq:
-            # redelivery overlaps the flushed prefix: trim to fresh events.
-            self.stats.trimmed_chunks += 1
-            cut = int(np.searchsorted(run.seqs, stage.next_seq))
-            events = run.materialize()[cut:]
-            if events:
-                self.core.append_events(run.epoch, events, run.seqs[cut:])
-        else:
-            self.core.append_chunk(run, remap)
-        self.stats.chunks_flushed += 1
-        if run.last_seq >= stage.next_seq:
-            stage.next_seq = run.last_seq + 1
-
-    def _flush_ready(self, epoch: int, stage: _EpochStage, barrier: bool = False) -> None:
-        """Join the lanes the flushed prefix has reached — at the tick
-        barrier every lane, each behind a gap (the others joined already), in
-        the order they opened: the votes add up the same."""
-        lanes = stage.lanes
-        while lanes:
-            lane = next(
-                (lane for lane in lanes if barrier or lane.first_seq <= stage.next_seq),
-                None,
-            )
-            if lane is None:
-                return
-            lanes.remove(lane)
-            self._staged_bytes -= lane.nbytes
-            if lane.folded is not None:
-                self.core.join_lane(epoch, lane.folded, [run for run, _ in lane.runs])
-            elif barrier:  # behind a gap: nothing to trim it against
-                for run, remap in lane.runs:
-                    self.core.append_chunk(run, remap)
-            else:
-                for run, remap in lane.runs:
-                    self._append_chunk(stage, run, remap)
-                continue
-            self.stats.chunks_flushed += len(lane.runs)
-            stage.next_seq = max(stage.next_seq, lane.next_seq)
+        if run.last_seq > acked.get(epoch, -1):
+            acked[epoch] = run.last_seq
+        await self._ack(connection, epoch, run.last_seq, len(payload))
 
     def _on_tick(self, connection: _Connection, epoch: int) -> None:
         self.stats.ticks_received += 1
@@ -834,16 +548,14 @@ class FleetAnalyzer:
         last_finalized = self.core.last_finalized
         if last_finalized is not None and epoch <= last_finalized:
             return  # re-tick after reconnect: already closed, idempotent
-        stage = self._stages.get(epoch)
-        if stage is None:
-            stage = self._stages[epoch] = _EpochStage()
-        stage.ticked.add(connection.agent_id)
-        if len(stage.ticked) < self.expected_agents:
+        ticked = self._ticked.setdefault(epoch, set())
+        ticked.add(connection.agent_id)
+        if len(ticked) < self.expected_agents:
             return
         # barrier complete: every expected agent ticked, so (per-connection
         # FIFO) every chunk of this and every earlier epoch has arrived.
-        for e in sorted(e for e in self._stages if e <= epoch):
-            self._flush_ready(e, self._stages.pop(e), barrier=True)
+        for closed in [e for e in self._ticked if e <= epoch]:
+            del self._ticked[closed]
         self.core.tick(epoch)
         self.stats.epochs_finalized = self.core.epochs_finalized
 
@@ -858,18 +570,6 @@ class FleetAnalyzer:
             )
         )
         await connection.writer.drain()
-
-    async def _release_deferred_acks(self) -> None:
-        if self._staged_bytes > self.stage_limit_bytes:
-            return
-        self._backpressured = False
-        for connection in self._connections:
-            while connection.deferred_acks:
-                epoch, seq, nbytes = connection.deferred_acks.pop(0)
-                try:
-                    await self._ack(connection, epoch, seq, nbytes)
-                except Exception:
-                    break  # the reconnect path re-acks via WELCOME watermarks
 
     # -- query socket --------------------------------------------------
     #: reply lines kept for repeated ``report`` queries: the open epochs a
@@ -1036,7 +736,6 @@ class FleetAnalyzer:
                     }
                     for agent_id, record in self.agents.items()
                 },
-                "staged_bytes": self._staged_bytes,
                 "last_finalized": self.core.last_finalized,
                 **self.core.counters(),
             }

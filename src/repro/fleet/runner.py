@@ -208,7 +208,6 @@ class FleetRunConfig:
     agents: int = 4
     shards: int = 2
     transport: str = "tcp"  # tcp | unix
-    mode: str = "events"  # events (full service) | columns (arrays turbo)
     engine: str = "arrays"
     backend: str = "inline"
     workers: Optional[int] = None
@@ -231,10 +230,6 @@ class FleetRunConfig:
             raise ValueError("shards must be >= 1")
         if self.transport not in ("tcp", "unix"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.mode not in ("events", "columns"):
-            raise ValueError(f"unknown analyzer mode {self.mode!r}")
-        if self.mode == "columns" and self.engine != "arrays":
-            raise ValueError("the columns analyzer mode is arrays-only")
         if self.engine not in ("arrays", "dicts"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeline not in FLEET_TIMELINES:
@@ -401,8 +396,6 @@ def run_fleet(
         query_bind,
         "--num-agents",
         str(config.agents),
-        "--mode",
-        config.mode,
         "--engine",
         config.engine,
         "--shards",

@@ -165,9 +165,15 @@ class TestProcessBackendEquivalence:
             for i in range(96)
         ]
 
+        # a flow traced again after its count update: replayed per event
+        retraced = paths[64:] + [
+            RetransmissionEvidence(epoch=0, flow_id=70, seq=96),
+            PathEvidence(epoch=0, seq=97, path=make_path(70, L[:2])),
+        ]
+
         def feed(service):
             service.ingest_batch(paths[:64])
-            service.ingest_batch(paths[32:])  # half redelivered: replayed per event
+            service.ingest_batch(retraced)
             return service.report(0)
 
         single = Zero07Service()

@@ -476,24 +476,39 @@ class TestOutOfOrderDelivery:
             per_event.report(0)
         )
 
-    def test_a_half_duplicate_chunk_replays_per_event_and_is_counted(self):
+    def test_a_half_duplicate_chunk_drops_its_seen_half_and_folds_the_rest(self):
         first, second, *_ = self.chunked_epoch()
-        service = Zero07Service()
+        service, per_event = Zero07Service(), Zero07Service()
         service.ingest_batch(first)
         straddling = first[8:] + second[:8]
         service.ingest_batch(straddling)
-        assert service.stats.fallback_events == len(straddling)
-        assert service.stats.duplicate_events == 8
-        # ... and the count rides the checkpoint and its restore
+        for event in first + straddling:
+            per_event.ingest(event)
+            per_event.stats  # admits the one-event run per event
+        assert service.stats.fallback_events == 0
+        assert service.stats.duplicate_events == per_event.stats.duplicate_events == 8
+        assert report_signature(service.report(0)) == report_signature(
+            per_event.report(0)
+        )
+        assert service.checkpoint() == per_event.checkpoint()
+
+    def test_a_replayed_run_is_counted_and_the_count_rides_the_checkpoint(self):
+        first, second, *_ = self.chunked_epoch()
+        service = Zero07Service()
+        service.ingest_batch(first)
+        # a flow traced after its count update: per-event territory
+        retraced = second + [PathEvidence(0, 99, make_path(second[3].flow_id, L[:2]))]
+        service.ingest_batch(retraced)
+        assert service.stats.fallback_events == len(retraced)
         checkpoint = service.checkpoint()
-        assert checkpoint.payload["stats"]["fallback_events"] == len(straddling)
+        assert checkpoint.payload["stats"]["fallback_events"] == len(retraced)
         restored = Zero07Service.restore(
             Checkpoint.from_bytes(checkpoint.to_bytes())
         )
-        assert restored.stats.fallback_events == len(straddling)
+        assert restored.stats.fallback_events == len(retraced)
         # runs below the bulk threshold were never on the vector path
         service.ingest_batch(second[8:12])
-        assert service.stats.fallback_events == len(straddling)
+        assert service.stats.fallback_events == len(retraced)
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_a_run_led_by_a_seq_less_update_replays_per_event(self, engine):
@@ -517,7 +532,8 @@ class TestOutOfOrderDelivery:
             assert evidence_document(chunked.checkpoint()) == evidence_document(
                 per_event.checkpoint()
             )
-        led_events = sum(len(run) for run in deliveries if run is not third)
+        # the redelivery drops its seen events and replays the update alone
+        led_events = len(deliveries[0]) + len(late) + 1
         assert chunked.stats.fallback_events == led_events
         assert chunked.stats.duplicate_events == len(second)
         records = dict(chunked.evidence_for_epoch(0))

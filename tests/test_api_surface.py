@@ -42,7 +42,6 @@ EXPECTED_EXPORTS = {
     "WireDecoder",
     "WireRun",
     "LinkRemap",
-    "EvidenceColumnStore",
     "WireProtocolError",
     # checkpointing
     "Checkpoint",
@@ -71,6 +70,9 @@ EXPECTED_SIGNATURES = {
     "Zero07Service.ingest": "(self, event: 'Evidence') -> 'None'",
     "Zero07Service.ingest_batch": (
         "(self, events: 'Iterable[Evidence]', owned: 'bool' = False) -> 'None'"
+    ),
+    "Zero07Service.ingest_columns": (
+        "(self, epoch: 'int', cols: 'RunColumns', hop_ids: 'np.ndarray') -> 'int'"
     ),
     "Zero07Service.report": "(self, epoch: 'Optional[int]' = None) -> 'EpochReport'",
     "Zero07Service.advance_epoch": "(self, epoch: 'int') -> 'EpochReport'",
@@ -153,7 +155,6 @@ EXPECTED_FLEET_EXPORTS = {
     "AnalyzerThread",
     "AnalyzerStats",
     "ServiceIngestCore",
-    "ColumnarIngestCore",
     # agent
     "FleetAgentClient",
     "AgentStats",
@@ -197,7 +198,6 @@ EXPECTED_HARNESS_SIGNATURES = {
     "repro.fleet.FleetAnalyzer.__init__": (
         "(self, core, expected_agents: 'int', "
         "credit_bytes: 'int' = 8388608, "
-        "stage_limit_bytes: 'int' = 67108864, "
         "idle_timeout: 'float' = 30.0, "
         "handshake_timeout: 'float' = 10.0) -> 'None'"
     ),

@@ -2,10 +2,10 @@
 
 The codec is the process backend's and the fleet's correctness floor: every
 event a worker or analyzer ingests came through ``WireEncoder.encode_run`` →
-pipe or socket → ``WireDecoder``, and the columnar fleet core folds into an
-:class:`EvidenceColumnStore`.  These tests pin the round-trip exactly, the
-per-stream table discipline, the refusal of damaged messages, and the
-store's clean/dirty semantics —
+pipe or socket → ``WireDecoder``, and the fleet analyzer admits its columns
+with ``Zero07Service.ingest_columns``.  These tests pin the round-trip
+exactly, the per-stream table discipline, the refusal of damaged messages,
+and the admission of decoded columns —
 including the degenerate shapes (repeated links in one path, mixed runs,
 out-of-order seqs) where a silent mismatch would survive the happy-path
 equivalence suites.
@@ -19,16 +19,17 @@ import numpy as np
 import pytest
 
 from repro.api import (
-    EvidenceColumnStore,
+    EpochTick,
     LinkRemap,
     PathEvidence,
     RetransmissionEvidence,
     WireDecoder,
     WireEncoder,
     WireProtocolError,
+    Zero07Service,
     evidence_to_dict,
 )
-from repro.api.wire import _HEADER
+from repro.api.wire import _HEADER, EvidenceColumnStore
 from repro.core.analysis import AnalysisAgent
 from repro.core.arrays import LinkIndex
 from repro.core.votes import PathTooLongError
@@ -259,95 +260,24 @@ class TestDamagedMessages:
         ]
 
 
-class TestEvidenceColumnStore:
-    def agent_and_store(self):
-        index = LinkIndex()
-        agent = AnalysisAgent(engine="arrays", link_index=index)
-        return agent, EvidenceColumnStore(index)
+class TestIngestColumns:
+    """``Zero07Service.ingest_columns`` of decoded runs against ``ingest_batch``
+    of the same events: one admission behind both entries."""
 
-    def test_clean_epoch_tally_matches_replay(self):
-        agent, store = self.agent_and_store()
-        run = mixed_run(n=16)
-        store.append_run(0, run[:20])
-        store.append_run(0, run[20:])
-        assert store.is_clean(0)
-        tally = store.build_tally(0)
-        by_tally = agent.analyze_tally(0, tally)
-        by_replay = agent.analyze_epoch(
-            0, [e.path for e in run if type(e) is PathEvidence]
-        )
-        assert report_signature(by_tally) == report_signature(by_replay)
-
-    def test_repeated_link_in_one_path_counts_support_once(self):
-        """A routing loop repeats a link inside one path; support is
-        distinct (path, link) pairs, so the repeat must not double-count."""
-        agent, store = self.agent_and_store()
-        loopy = make_path(1, [L[0], L[1], L[0]])
-        run = [
-            PathEvidence(epoch=0, seq=0, path=loopy),
-            PathEvidence(epoch=0, seq=1, path=make_path(2, L[:2])),
-        ]
-        store.append_run(0, run)
-        by_tally = agent.analyze_tally(0, store.build_tally(0))
-        by_replay = agent.analyze_epoch(0, [loopy, run[1].path])
-        assert report_signature(by_tally) == report_signature(by_replay)
-
-    def test_seq_regression_marks_dirty_without_mutating(self):
-        _, store = self.agent_and_store()
-        store.append_run(0, [PathEvidence(epoch=0, seq=5, path=make_path(1, L[:2]))])
-        store.append_run(0, [PathEvidence(epoch=0, seq=5, path=make_path(2, L[:2]))])
-        assert not store.is_clean(0)
-        assert store.build_tally(0) is None
-
-    def test_update_before_later_retrace_marks_dirty(self):
-        _, store = self.agent_and_store()
-        run = [
-            PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2])),
-            RetransmissionEvidence(epoch=0, flow_id=1, retransmissions=2, seq=1),
-            PathEvidence(epoch=0, seq=2, path=make_path(1, L[2:4])),
-            RetransmissionEvidence(epoch=0, flow_id=1, retransmissions=1, seq=1),
-        ]
-        store.append_run(0, run)
-        assert not store.is_clean(0)
-
-    def test_update_after_path_lands_on_the_path_row(self):
-        agent, store = self.agent_and_store()
-        path = make_path(7, L[:3], retransmissions=1)
-        run = [
-            PathEvidence(epoch=0, seq=0, path=path),
-            RetransmissionEvidence(epoch=0, flow_id=7, retransmissions=4, seq=1),
-        ]
-        store.append_run(0, run)
-        replayed = make_path(7, L[:3], retransmissions=5)
-        by_tally = agent.analyze_tally(0, store.build_tally(0))
-        by_replay = agent.analyze_epoch(0, [replayed])
-        assert report_signature(by_tally) == report_signature(by_replay)
-
-    def test_pop_forgets_the_epoch_and_clears_dirty(self):
-        _, store = self.agent_and_store()
-        store.append_run(0, [PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2]))])
-        store.mark_dirty(0)
-        store.pop(0)
-        assert store.is_clean(0)
-        # a popped epoch rebuilds as empty, exactly like a gap epoch
-        assert store.build_tally(0).items() == []
-
-    def test_epochs_are_independent(self):
-        agent, store = self.agent_and_store()
-        store.append_run(0, [PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2]))])
-        store.mark_dirty(0)
-        store.append_run(1, [PathEvidence(epoch=1, seq=0, path=make_path(2, L[1:4]))])
-        assert not store.is_clean(0)
-        assert store.is_clean(1)
-        assert store.build_tally(1) is not None
-
-    # -- one accumulator behind both entries ---------------------------
     @staticmethod
-    def columns_of(run, index, epoch=0):
-        """Ship ``run`` over a fresh wire stream: ``(WireRun, remapped ids)``."""
+    def deliver(service, decoder, run, epoch=0):
+        """Ship ``run`` over ``decoder``'s wire stream into ``service``."""
+        wire_run = decoder.decode_columns(
+            decoder.encoder.encode_run(0, 0, epoch, run)
+        )
+        remap = LinkRemap(decoder, service.link_index)
+        return service.ingest_columns(epoch, wire_run.columns(), remap.ids(wire_run.lids))
+
+    @staticmethod
+    def stream():
         decoder = WireDecoder()
-        wire_run = decoder.decode_columns(WireEncoder().encode_run(0, 0, epoch, run))
-        return wire_run, LinkRemap(decoder, index).ids(wire_run.lids)
+        decoder.encoder = WireEncoder()
+        return decoder
 
     @staticmethod
     def tally_state(tally):
@@ -361,34 +291,102 @@ class TestEvidenceColumnStore:
             tally.retransmissions_array().tolist(),
         )
 
-    def test_append_run_and_append_columns_build_equal_tallies(self):
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0, 0)])
+    def test_objects_and_columns_admit_to_the_same_state(self, order, engine):
+        """Chunks in order, ahead of a gap and redelivered: equal tallies,
+        reports, counters and checkpoints (name tables included)."""
         run = mixed_run(n=16)
-        by_objects, index = EvidenceColumnStore(LinkIndex()), LinkIndex()
-        by_columns = EvidenceColumnStore(index)
-        for chunk in (run[:9], run[9:20], run[20:]):
-            by_objects.append_run(0, chunk)
-            by_columns.append_columns(0, *self.columns_of(chunk, index))
-        assert by_columns.is_clean(0)
-        assert self.tally_state(by_columns.build_tally(0)) == self.tally_state(
-            by_objects.build_tally(0)
-        )
+        chunks = (run[:9], run[9:20], run[20:])
+        by_objects, by_columns = Zero07Service(engine=engine), Zero07Service(engine=engine)
+        decoder = self.stream()
+        for k in order:
+            by_objects.ingest_batch(chunks[k])
+            self.deliver(by_columns, decoder, chunks[k])
+        report = by_columns.report(0)
+        if engine == "arrays":
+            assert self.tally_state(report.tally) == self.tally_state(
+                by_objects.report(0).tally
+            )
+        assert report_signature(report) == report_signature(by_objects.report(0))
+        assert by_columns.stats == by_objects.stats
+        assert by_columns.stats.fallback_events == 0
+        assert by_columns.checkpoint() == by_objects.checkpoint()
 
-    def test_built_tally_is_unaffected_by_later_appends(self):
-        index = LinkIndex()
-        agent = AnalysisAgent(engine="arrays", link_index=index)
-        store = EvidenceColumnStore(index)
-        run = mixed_run(n=16)
-        store.append_run(0, run[:12])
-        built = store.build_tally(0)
-        before = self.tally_state(built), report_signature(agent.analyze_tally(0, built))
-        store.append_run(0, run[12:20])  # paths + updates of earlier flows
-        store.append_columns(0, *self.columns_of(run[20:], index))
-        store.append_run(
-            0, [RetransmissionEvidence(epoch=0, flow_id=0, retransmissions=9, seq=99)]
+    def test_repeated_link_in_one_path_counts_support_once(self):
+        """A routing loop repeats a link inside one path; support is
+        distinct (path, link) pairs, so the repeat must not double-count."""
+        loopy = make_path(1, [L[0], L[1], L[0]])
+        run = [PathEvidence(epoch=0, seq=seq, path=make_path(seq, L[:2])) for seq in range(2, 9)]
+        service = Zero07Service()
+        self.deliver(service, self.stream(), [PathEvidence(epoch=0, seq=0, path=loopy)] + run)
+        by_replay = AnalysisAgent(engine="arrays").analyze_epoch(
+            0, [loopy] + [e.path for e in run]
         )
-        assert store.is_clean(0)
-        assert store.build_tally(0).num_flows == 16 > built.num_flows
-        assert (
-            self.tally_state(built),
-            report_signature(agent.analyze_tally(0, built)),
-        ) == before
+        assert report_signature(service.report(0)) == report_signature(by_replay)
+
+    def test_an_update_after_its_path_lands_on_the_path_row(self):
+        path = make_path(7, L[:3], retransmissions=1)
+        run = [PathEvidence(epoch=0, seq=0, path=path)] + [
+            RetransmissionEvidence(epoch=0, flow_id=7, retransmissions=1, seq=seq)
+            for seq in range(1, 9)
+        ]
+        service = Zero07Service()
+        self.deliver(service, self.stream(), run)
+        assert service.stats.fallback_events == 0
+        (record,) = service.evidence_for_epoch(0)
+        assert record[1].retransmissions == 9
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_flow_traced_after_its_update_is_replayed_per_event(self, engine):
+        run = mixed_run(n=6)
+        run.append(PathEvidence(epoch=0, seq=99, path=make_path(0, L[3:5])))
+        by_columns, per_event = Zero07Service(engine=engine), Zero07Service(engine=engine)
+        self.deliver(by_columns, self.stream(), run)
+        for event in run:
+            per_event.ingest(event)
+            per_event.stats  # admits the one-event run
+        assert by_columns.stats.fallback_events == len(run)
+        assert report_signature(by_columns.report(0)) == report_signature(
+            per_event.report(0)
+        )
+        assert by_columns.evidence_for_epoch(0) == per_event.evidence_for_epoch(0)
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_straddling_redelivery_drops_only_what_was_seen(self, engine):
+        run = mixed_run(n=16)
+        service, decoder = Zero07Service(engine=engine), self.stream()
+        assert self.deliver(service, decoder, run[:20]) == 0
+        assert self.deliver(service, decoder, run[10:]) == 10
+        assert self.deliver(service, decoder, run[:8]) == 8
+        whole = Zero07Service()
+        whole.ingest_batch(run)
+        assert service.stats.duplicate_events == 18
+        assert service.stats.fallback_events == 0
+        assert report_signature(service.report(0)) == report_signature(whole.report(0))
+
+    def test_a_finalized_epoch_counts_a_late_run(self):
+        service = Zero07Service()
+        service.ingest(EpochTick(0))
+        assert self.deliver(service, self.stream(), mixed_run(n=4)) == 0
+        assert service.stats.late_events == 8
+
+
+def test_the_column_store_name_is_a_plain_service_underneath():
+    """``EvidenceColumnStore`` keeps the ruler's wire replay running: runs in,
+    a snapshot of the tally a report reads out, the epoch forgotten by
+    ``pop``."""
+    index = LinkIndex()
+    store = EvidenceColumnStore(index)
+    run = mixed_run(n=12)
+    store.append_run(0, run)
+    tally = store.build_tally(0)
+    assert tally.index is index and tally.num_flows == 12
+    reference = Zero07Service()
+    reference.ingest_batch(run)
+    by_store = AnalysisAgent(engine="arrays", link_index=index).analyze_tally(0, tally)
+    assert report_signature(by_store) == report_signature(reference.report(0))
+    store.append_run(0, mixed_run(n=16))  # flows 12..15 are new
+    assert tally.num_flows == 12  # a snapshot: later runs do not reach it
+    store.pop(0)
+    assert store.build_tally(0).num_flows == 0

@@ -204,6 +204,23 @@ class TestArrayVoteTally:
         assert tally.rank_of(L("x", "y")) is None
 
 
+class TestBoundRows:
+    """``bound_rows`` — the index a run's count updates bind through — keeps
+    ``flow_rows``' rule on both engines (the catch-up over any arrival order
+    is ``test_core_engine_equivalence.py``'s property)."""
+
+    @pytest.mark.parametrize("engine", [ArrayVoteTally, VoteTally])
+    def test_highest_seq_wins_and_a_tie_goes_to_the_later_row(self, engine):
+        tally = engine()
+        tally.add_flow(7, [L("a", "b")], seq=5)
+        tally.add_flow(8, [L("a", "b")], seq=6)
+        tally.add_flow(7, [L("b", "c")], seq=3)  # later, but a lower seq
+        tally.add_flow(8, [L("b", "c")], seq=6)  # later, an equal seq
+        flows = np.array([7, 8, 9], dtype=np.int64)
+        assert tally.bound_rows(flows).tolist() == [0, 3, -1]
+        assert tally.flow_rows() == {7: 0, 8: 3}
+
+
 class TestArrayBlame:
     def test_dispatch_from_find_problematic_links(self):
         tally = ArrayVoteTally()

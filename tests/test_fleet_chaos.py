@@ -4,7 +4,7 @@ Three failure modes against a live analyzer:
 
 * a scripted kill — the agent process dies mid-run without closing its
   socket (``os._exit``), is relaunched, and the finalized reports must be
-  bit-identical to an uninterrupted replay on both engines;
+  bit-identical to an uninterrupted replay on both engines and sharded;
 * a severed connection at a frame boundary — the client reconnects with
   backoff and redelivers from its acked watermark; nothing is lost or
   double-counted;
@@ -21,14 +21,10 @@ import time
 import pytest
 
 from repro.api.service import Zero07Service
+from repro.api.sharded import ShardedService
 from repro.fleet import protocol
 from repro.fleet.agent import KILL_EXIT_CODE, FleetAgentClient
-from repro.fleet.analyzer import (
-    AnalyzerThread,
-    ColumnarIngestCore,
-    FleetAnalyzer,
-    ServiceIngestCore,
-)
+from repro.fleet.analyzer import AnalyzerThread, FleetAnalyzer, ServiceIngestCore
 from repro.fleet.protocol import Endpoint, parse_endpoint
 from repro.fleet.runner import FleetQueryClient, build_generator, json_signature
 
@@ -97,11 +93,14 @@ def _agent_process(endpoint_text, fail_after_events):
     client.close()
 
 
-@pytest.mark.parametrize("engine", ["arrays", "dicts"])
+@pytest.mark.parametrize("engine", ["arrays", "dicts", "sharded"])
 def test_scripted_kill_and_relaunch_is_bit_identical(engine):
-    core = ServiceIngestCore(
-        Zero07Service(engine=engine, retain_reports=EPOCHS)
-    )
+    if engine == "sharded":
+        service = ShardedService(num_shards=2, retain_reports=EPOCHS)
+        engine = "arrays"
+    else:
+        service = Zero07Service(engine=engine, retain_reports=EPOCHS)
+    core = ServiceIngestCore(service)
     thread = start_thread(core)
     try:
         victim = multiprocessing.Process(
@@ -122,8 +121,8 @@ def test_scripted_kill_and_relaunch_is_bit_identical(engine):
         assert query_signatures(thread.query_endpoint) == (
             reference_signatures(engine)
         )
-        # the relaunch resent the victim's already-staged prefix: the
-        # analyzer must have dropped or trimmed it, not double-counted.
+        # the relaunch resent the victim's already-admitted prefix: the
+        # service must have dropped it, not double-counted.
         stats = thread.analyzer.stats
         assert stats.duplicate_chunks + stats.trimmed_chunks >= 1
     finally:
@@ -131,7 +130,7 @@ def test_scripted_kill_and_relaunch_is_bit_identical(engine):
 
 
 def test_sever_and_reconnect_redelivers_without_loss():
-    core = ColumnarIngestCore(retain_reports=EPOCHS)
+    core = ServiceIngestCore(Zero07Service(retain_reports=EPOCHS))
     thread = start_thread(core)
     try:
         gen = generator()
@@ -164,7 +163,7 @@ def test_sever_and_reconnect_redelivers_without_loss():
 
 
 def test_mid_frame_sever_raises_typed_error_without_desync():
-    core = ColumnarIngestCore(retain_reports=EPOCHS)
+    core = ServiceIngestCore(Zero07Service(retain_reports=EPOCHS))
     thread = start_thread(core)
     try:
         # a ghost connection handshakes, sends half an EVIDENCE frame and
@@ -220,7 +219,7 @@ def test_mid_frame_sever_raises_typed_error_without_desync():
 
 def test_redelivery_after_acked_prefix_is_not_double_counted():
     """Sever after everything was acked: the replay must be fully trimmed."""
-    core = ColumnarIngestCore(retain_reports=EPOCHS)
+    core = ServiceIngestCore(Zero07Service(retain_reports=EPOCHS))
     thread = start_thread(core)
     try:
         gen = generator()

@@ -31,7 +31,6 @@ class TestFleetRunConfig:
         config = FleetRunConfig(run_dir=str(tmp_path))
         assert config.agents == 4
         assert config.transport == "tcp"
-        assert config.as_dict()["mode"] == "events"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -39,8 +38,6 @@ class TestFleetRunConfig:
             {"agents": 0},
             {"shards": 0},
             {"transport": "carrier-pigeon"},
-            {"mode": "quantum"},
-            {"mode": "columns", "engine": "dicts"},
             {"engine": "quantum"},
             {"timeline": "apocalypse"},
             {"epochs": 0},
@@ -81,7 +78,6 @@ class TestCliPlumbing:
                 "--transport", "unix",
                 "--agents", "3",
                 "--shards", "1",
-                "--mode", "columns",
                 "--timeline", "flap",
                 "--kill-agent", "1",
                 "--no-verify-replay",
@@ -89,7 +85,6 @@ class TestCliPlumbing:
         )
         assert args.transport == "unix"
         assert args.agents == 3
-        assert args.mode == "columns"
         assert args.timeline == "flap"
         assert args.kill_agent == 1
         assert args.no_verify_replay is True
@@ -122,7 +117,6 @@ def completed_run(tmp_path_factory):
         agents=2,
         shards=1,
         transport="tcp",
-        mode="events",
         epochs=2,
         events_per_epoch=600,
         seed=13,

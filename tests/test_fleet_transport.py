@@ -2,9 +2,9 @@
 
 N agent clients stream interleaved slices of a deterministic workload at an
 in-process analyzer over real TCP/Unix sockets; every final report must be
-bit-identical to a single-process ``ingest_batch`` replay — across both
-ingest cores, both engines, and the sharded service.  Backpressure,
-heartbeats, mid-epoch queries and version rejection ride the same harness.
+bit-identical to a single-process ``ingest_batch`` replay — on both engines
+and the sharded service, whatever order the chunks arrive in.  Heartbeats,
+mid-epoch queries and version rejection ride the same harness.
 """
 
 from __future__ import annotations
@@ -15,17 +15,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api.checkpoint import Checkpoint
 from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
 from repro.api.service import Zero07Service
 from repro.api.sharded import ShardedService
 from repro.fleet import protocol
 from repro.fleet.agent import FleetAgentClient
-from repro.fleet.analyzer import (
-    AnalyzerThread,
-    ColumnarIngestCore,
-    FleetAnalyzer,
-    ServiceIngestCore,
-)
+from repro.fleet.analyzer import AnalyzerThread, FleetAnalyzer, ServiceIngestCore
 from repro.fleet.protocol import Endpoint, FrameReader
 from repro.fleet.runner import FleetQueryClient, build_generator, json_signature
 
@@ -162,17 +158,9 @@ def query_signatures(query_endpoint, epochs=EPOCHS):
         return [query.report_signature(epoch) for epoch in range(epochs)]
 
 
-def make_core(kind):
-    if kind == "columns":
-        return ColumnarIngestCore(retain_reports=EPOCHS)
-    if kind == "events-arrays":
-        return ServiceIngestCore(
-            Zero07Service(engine="arrays", retain_reports=EPOCHS)
-        )
-    if kind == "events-dicts":
-        return ServiceIngestCore(
-            Zero07Service(engine="dicts", retain_reports=EPOCHS)
-        )
+def make_core(kind="arrays"):
+    if kind in ("arrays", "dicts"):
+        return ServiceIngestCore(Zero07Service(engine=kind, retain_reports=EPOCHS))
     if kind == "sharded":
         return ServiceIngestCore(
             ShardedService(num_shards=2, retain_reports=EPOCHS)
@@ -203,57 +191,45 @@ def tcp_thread():
 @pytest.mark.parametrize(
     "core_kind, agents, arrival",
     [
-        (core_kind, 2, "streamed")
-        for core_kind in ("columns", "events-arrays", "events-dicts", "sharded")
+        (core_kind, 2, "streamed") for core_kind in ("arrays", "dicts", "sharded")
     ]
-    + [
-        (core_kind, 3, arrival)
-        for core_kind in ("columns", "events-arrays")
-        for arrival in ("in-order", "reversed", "round-robin")
-    ],
+    + [("arrays", 3, arrival) for arrival in ("in-order", "reversed", "round-robin")],
 )
 def test_tcp_reports_bit_identical_to_replay(tcp_thread, core_kind, agents, arrival):
     thread = tcp_thread(make_core(core_kind), expected_agents=agents)
     deliver_slices(thread.endpoint, agents, arrival)
     served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
-    # contiguous slices never leave the vector path, whatever the core and
-    # whichever slice arrives first: chunks ahead of the flushed prefix fold
-    # into side lanes (columns) or wait their turn (events), nothing replays
-    counter = "replayed_epochs" if core_kind == "columns" else "fallback_events"
-    assert served[counter] == 0
+    # contiguous slices never leave the vector path, whichever slice arrives
+    # first: a chunk ahead of a gap is admitted on arrival as a late run
+    assert served["fallback_events"] == 0
     reference = reference_signatures(stream=retraced_stream)
     assert query_signatures(thread.query_endpoint) == reference
     stats = thread.analyzer.stats
     assert stats.protocol_errors == 0
-    assert stats.chunks_flushed > 0
+    assert stats.chunks_admitted > 0
     assert stats.duplicate_chunks == stats.trimmed_chunks == 0
     assert stats.evidence_events == sum(
         len(retraced_stream(epoch)) for epoch in range(EPOCHS)
     )
 
 
-@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
-def test_overlapping_slices_stay_bit_identical(tcp_thread, core_kind):
+@pytest.mark.parametrize("engine", ["arrays", "dicts"])
+def test_overlapping_slices_stay_bit_identical(tcp_thread, engine):
     # the tail agent's slice starts 200 events inside the head agent's and
-    # arrives first: a side lane cannot be trimmed, so the columns core
-    # replays the epoch; the events core trims chunk by chunk as ever.
-    core = make_core(core_kind)
-    thread = tcp_thread(core)
+    # arrives first: the head's chunks that reach into it drop the events
+    # already seen with one mask and fold the rest; nothing replays.
+    thread = tcp_thread(make_core(engine))
     deliver_slices(thread.endpoint, AGENTS, "reversed", overlap=200)
-    wait_finalized(thread.query_endpoint, EPOCHS - 1)
+    served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
     reference = reference_signatures(stream=retraced_stream)
     assert query_signatures(thread.query_endpoint) == reference
-    if core_kind == "columns":
-        assert core.replayed_epochs >= 1
-    else:
-        assert thread.analyzer.stats.trimmed_chunks >= 1
+    assert thread.analyzer.stats.trimmed_chunks >= 1
+    assert served["fallback_events"] == 0
 
 
-@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
-def test_report_after_a_sequence_gap_closes_covers_what_was_ahead(
-    tcp_thread, core_kind
-):
-    thread = tcp_thread(make_core(core_kind))
+@pytest.mark.parametrize("engine", ["arrays", "dicts"])
+def test_a_report_covers_a_chunk_ahead_of_a_sequence_gap_on_arrival(tcp_thread, engine):
+    thread = tcp_thread(make_core(engine))
     events = generated_stream(0)
     clients = {
         name: FleetAgentClient(name, thread.endpoint, chunk_events=256)
@@ -270,13 +246,13 @@ def test_report_after_a_sequence_gap_closes_covers_what_was_ahead(
         with FleetQueryClient(thread.query_endpoint) as query:
             return query.report_signature(0)
 
-    def replay(upto):
+    def replay(upto, start=0):
         service = Zero07Service(engine="arrays")
-        service.ingest_batch(events[:upto])
+        service.ingest_batch(events[start:upto])
         return json_signature(service.report(0))
 
-    send("t-1", 600, 900)  # ahead of a gap: not in any report yet
-    assert signature() == replay(0)
+    send("t-1", 600, 900)  # ahead of a gap: in the report at once
+    assert signature() == replay(900, start=600)
     send("t-0", 0, 600)  # the gap closes: no tick needed to see both
     assert signature() == replay(900)
     stats = thread.analyzer.stats
@@ -297,17 +273,14 @@ def test_report_after_a_sequence_gap_closes_covers_what_was_ahead(
         client.close()
     served = wait_finalized(thread.query_endpoint, EPOCHS - 1)
     assert query_signatures(thread.query_endpoint) == reference_signatures()
-    if core_kind == "columns":
-        assert served["replayed_epochs"] == 0
+    assert served["fallback_events"] == 0
 
 
-@pytest.mark.parametrize("core_kind", ["columns", "events-arrays"])
-def test_lanes_behind_a_gap_join_at_the_barrier_in_any_order(tcp_thread, core_kind):
+def test_stretches_behind_a_gap_finalize_at_the_barrier_in_any_order(tcp_thread):
     """Two stretches ahead of a prefix that never arrives, the later one
-    first: the tick barrier joins both lanes, in the order they were opened,
-    and the report is a replay of what was delivered — without a replay."""
-    core = make_core(core_kind)
-    thread = tcp_thread(core)
+    first: the tick barrier finalizes the epoch with the gap still open, and
+    the report is a replay of what was delivered — all on the vector path."""
+    thread = tcp_thread(make_core())
     paths = [e for e in generated_stream(0) if isinstance(e, PathEvidence)]
     clients = [
         FleetAgentClient(f"t-{index}", thread.endpoint, chunk_events=64)
@@ -326,13 +299,12 @@ def test_lanes_behind_a_gap_join_at_the_barrier_in_any_order(tcp_thread, core_ki
     replay.ingest_batch(paths[100:200] + paths[300:450])
     with FleetQueryClient(thread.query_endpoint) as query:
         assert query.report_signature(0) == json_signature(replay.report(0))
-    counter = "replayed_epochs" if core_kind == "columns" else "fallback_events"
-    assert served[counter] == 0
+    assert served["fallback_events"] == 0
 
 
 def test_unix_socket_reports_bit_identical_to_replay(tmp_path):
     analyzer = FleetAnalyzer(
-        ColumnarIngestCore(retain_reports=EPOCHS),
+        make_core(),
         expected_agents=AGENTS,
         idle_timeout=60.0,
     )
@@ -351,43 +323,81 @@ def test_unix_socket_reports_bit_identical_to_replay(tmp_path):
         thread.stop()
 
 
-def test_columnar_core_never_fell_back_to_replay(tcp_thread):
-    core = ColumnarIngestCore(retain_reports=EPOCHS)
-    thread = tcp_thread(core)
-    send_all_slices(thread.endpoint)
-    wait_finalized(thread.query_endpoint, EPOCHS - 1)
-    assert core.replayed_epochs == 0
-
-
-def test_backpressure_engages_and_run_stays_bit_identical(tcp_thread):
-    # a deliberately tiny staging bound: the second agent's out-of-order
-    # slice must push staged bytes past it, defer acks, and still converge.
-    thread = tcp_thread(
-        ColumnarIngestCore(retain_reports=EPOCHS), stage_limit_bytes=4096
-    )
+def test_an_agent_a_full_epoch_ahead_converges_with_nothing_staged(tcp_thread):
+    """The tail agent sends both epochs' slices before the head sends any:
+    every chunk is admitted (and acked) on arrival, so the tail's epoch 1 is
+    in the open epoch's report while epoch 0 still waits for the head."""
+    thread = tcp_thread(make_core())
     gen = generator()
     tail = FleetAgentClient("t-1", thread.endpoint, chunk_events=256)
     head = FleetAgentClient("t-0", thread.endpoint, chunk_events=256)
     tail.connect()
     head.connect()
     for epoch in range(EPOCHS):
-        # the tail slice arrives first, so nothing can flush until the
-        # head slice closes the sequence gap.
         tail.send_run(epoch, gen.agent_events(epoch, 1, AGENTS))
-        head.send_run(epoch, gen.agent_events(epoch, 0, AGENTS))
         tail.tick(epoch)
+    tail.drain()
+    ahead = Zero07Service(engine="arrays")
+    ahead.ingest_batch(gen.agent_events(1, 1, AGENTS))
+    with FleetQueryClient(thread.query_endpoint) as query:
+        assert query.report_signature(1) == json_signature(ahead.report(1))
+    for epoch in range(EPOCHS):
+        head.send_run(epoch, gen.agent_events(epoch, 0, AGENTS))
         head.tick(epoch)
     for client in (tail, head):
         client.drain()
         client.close()
     stats = wait_finalized(thread.query_endpoint, EPOCHS - 1)
-    assert stats["stats"]["backpressure_engagements"] >= 1
-    assert stats["stats"]["acks_deferred"] >= 1
+    assert stats["fallback_events"] == 0
     assert query_signatures(thread.query_endpoint) == reference_signatures()
 
 
+@pytest.mark.parametrize("engine", ["arrays", "dicts"])
+def test_an_analyzer_restored_from_its_checkpoint_converges_bit_identically(
+    tcp_thread, engine
+):
+    """Two agents mid-epoch: the analyzer's service is checkpointed and a
+    fresh analyzer restored from it; the agents send the rest from their
+    ack watermarks, one of them a chunk early (a redelivery the restored
+    service drops), and every finalized report equals the uninterrupted
+    run's."""
+    gen = generator()
+    slices = [
+        [gen.agent_events(epoch, index, AGENTS) for index in range(AGENTS)]
+        for epoch in range(EPOCHS)
+    ]
+    names = [f"t-{index}" for index in range(AGENTS)]
+    first = tcp_thread(make_core(engine))
+    for index, name in enumerate(names):
+        client = FleetAgentClient(name, first.endpoint, chunk_events=128)
+        client.connect()
+        client.send_run(0, slices[0][index][: 300 + 200 * index])
+        client.drain()  # acked: admitted into the service
+        client.close()
+    watermarks = [first.analyzer.agents[name]["acked"][0] for name in names]
+    checkpoint = Checkpoint.from_bytes(first.analyzer.core.service.checkpoint().to_bytes())
+    first.stop()
+
+    second = tcp_thread(ServiceIngestCore(Zero07Service.restore(checkpoint)))
+    for index, name in enumerate(names):
+        events = slices[0][index]
+        resume = next(k for k, event in enumerate(events) if event.seq > watermarks[index])
+        client = FleetAgentClient(name, second.endpoint, chunk_events=128)
+        client.connect()
+        client.send_run(0, events[resume - 128 * index :])
+        client.tick(0)
+        client.send_run(1, slices[1][index])
+        client.tick(1)
+        client.drain()
+        client.close()
+    served = wait_finalized(second.query_endpoint, EPOCHS - 1)
+    assert query_signatures(second.query_endpoint) == reference_signatures()
+    assert second.analyzer.stats.duplicate_chunks >= 1
+    assert served["fallback_events"] == 0
+
+
 def test_heartbeat_is_echoed(tcp_thread):
-    thread = tcp_thread(ColumnarIngestCore())
+    thread = tcp_thread(make_core())
     client = FleetAgentClient("t-0", thread.endpoint)
     client.connect()
     client.heartbeat()
@@ -403,7 +413,7 @@ def test_heartbeat_is_echoed(tcp_thread):
 
 
 def test_mid_epoch_report_matches_partial_replay(tcp_thread):
-    thread = tcp_thread(ColumnarIngestCore())
+    thread = tcp_thread(make_core())
     gen = generator()
     events = gen.epoch_events(0, tick=False)
     partial = events[:700]
@@ -420,7 +430,7 @@ def test_mid_epoch_report_matches_partial_replay(tcp_thread):
 
 
 def test_version_mismatch_is_rejected_naming_both_versions(tcp_thread):
-    thread = tcp_thread(ColumnarIngestCore())
+    thread = tcp_thread(make_core())
     sock = thread.endpoint.connect(timeout=10.0)
     try:
         body = b'{"agent_id":"old","epoch_watermark":-1}'
@@ -454,7 +464,7 @@ def test_a_damaged_evidence_frame_is_one_wire_error(tcp_thread):
     protocol error: counted once, answered with an ERROR frame ``wire``."""
     from repro.api.wire import _HEADER, WireEncoder
 
-    thread = tcp_thread(ColumnarIngestCore())
+    thread = tcp_thread(make_core())
     sock = thread.endpoint.connect(timeout=10.0)
     try:
         hello = protocol.encode_hello("damaged")
@@ -485,9 +495,9 @@ def test_a_damaged_evidence_frame_is_one_wire_error(tcp_thread):
 
 
 def test_describe_reports_protocol_version_and_core(tcp_thread):
-    thread = tcp_thread(ColumnarIngestCore())
+    thread = tcp_thread(make_core())
     with FleetQueryClient(thread.query_endpoint) as query:
         description = query.request({"cmd": "describe"})["describe"]
     assert description["protocol_version"] == protocol.FLEET_PROTOCOL_VERSION
-    assert description["mode"] == "columns"
+    assert description["service"] == "Zero07Service"
     assert description["expected_agents"] == AGENTS

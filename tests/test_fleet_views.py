@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
@@ -25,7 +24,6 @@ from repro.fleet.agent import FleetAgentClient
 from repro.fleet.analyzer import (
     FLOWS_PAGE_LIMIT,
     AnalyzerThread,
-    ColumnarIngestCore,
     FleetAnalyzer,
     ServiceIngestCore,
     report_to_json,
@@ -48,29 +46,30 @@ def reply_line(response) -> bytes:
     return json.dumps(response, sort_keys=True).encode("utf-8") + b"\n"
 
 
+def service_core(retain_reports=16):
+    return ServiceIngestCore(Zero07Service(engine="arrays", retain_reports=retain_reports))
+
+
 # ----------------------------------------------------------------------
-# (a) the columnar core's versioned view
+# (a) the core's view
 # ----------------------------------------------------------------------
 class CoreFeed:
-    """Delivers ``("chunk" | "events" | "tick", epoch, events)`` steps to a
-    core over its own wire stream, as one agent connection would."""
+    """Delivers ``("chunk" | "tick", epoch, events)`` steps to a core over
+    its own wire stream, as one agent connection would."""
 
     def __init__(self, core) -> None:
         self.core = core
         self._encoder = WireEncoder(streams=1)
         self._decoder = WireDecoder()
-        self._remap = LinkRemap(self._decoder, core._link_index)
+        self._remap = LinkRemap(self._decoder, core.service.link_index)
 
     def deliver(self, step) -> None:
         kind, epoch, events = step
         if kind == "tick":
             self.core.tick(epoch)
-        elif kind == "chunk":
+        else:
             payload = self._encoder.encode_run(0, 0, epoch, events)
             self.core.append_chunk(self._decoder.decode_columns(payload), self._remap)
-        else:  # what the analyzer hands over after trimming a redelivery
-            seqs = np.asarray([event.seq for event in events], dtype=np.int64)
-            self.core.append_events(epoch, events, seqs)
 
 
 def core_deliveries():
@@ -78,12 +77,12 @@ def core_deliveries():
     return [
         ("chunk", 0, first[0:200]),
         ("chunk", 0, first[200:400]),
-        ("events", 0, first[400:600]),  # the fresh tail of a trimmed chunk
+        ("chunk", 0, first[300:600]),  # a redelivery that reaches further
         ("chunk", 1, second[0:300]),
         ("chunk", 0, first[800:1000]),
-        ("chunk", 0, first[600:800]),  # behind the previous: marks 0 dirty
-        ("chunk", 0, first[0:200]),  # a duplicate that slipped the trim
-        ("events", 1, second[300:450]),
+        ("chunk", 0, first[600:800]),  # behind the previous: a late run
+        ("chunk", 0, first[0:200]),  # a duplicate
+        ("chunk", 1, second[300:450]),
         ("chunk", 0, first[1000:1200]),
         ("tick", 0, None),
         ("chunk", 1, second[450:1200]),
@@ -93,12 +92,12 @@ def core_deliveries():
 
 def test_core_view_is_identical_until_evidence_arrives_and_never_stale():
     deliveries = core_deliveries()
-    feed = CoreFeed(ColumnarIngestCore())
+    feed = CoreFeed(service_core())
     core = feed.core
     previous = {}
     for upto, step in enumerate(deliveries, start=1):
         feed.deliver(step)
-        fresh = CoreFeed(ColumnarIngestCore())
+        fresh = CoreFeed(service_core())
         service = Zero07Service(engine="arrays")
         for kind, epoch, events in deliveries[:upto]:
             fresh.deliver((kind, epoch, events))
@@ -108,46 +107,68 @@ def test_core_view_is_identical_until_evidence_arrives_and_never_stale():
             expected = report_signature(fresh.core.report(epoch))
             assert report_signature(report) == expected, (upto, epoch)
             assert report_signature(service.report(epoch)) == expected, (upto, epoch)
-            if epoch not in core._retained and epoch not in core._final_reports:
+            closed = core.last_finalized is not None and epoch <= core.last_finalized
+            if epoch not in core.service.open_epochs and not closed:
                 continue  # no evidence yet: an empty report, and no state
             assert core.report(epoch) is report, (upto, epoch)
             if step[1] != epoch and epoch in previous:
                 # a delivery or a tick for another epoch leaves this view alone
                 assert report is previous[epoch], (upto, epoch)
             previous[epoch] = report
-    assert core.replayed_epochs > 0  # epoch 0 went dirty on the way
-    assert core._views == {} and core._retained == {}
+    assert core.service.stats.fallback_events == 0
+    assert core.service.open_epochs == []
 
 
-def test_core_dirty_epoch_replays_once_per_change_not_per_query():
-    feed = CoreFeed(ColumnarIngestCore())
-    first = epoch_events(0)
-    feed.deliver(("chunk", 0, first[200:400]))
-    feed.deliver(("chunk", 0, first[0:200]))  # out of order: dirty
-    assert not feed.core._store.is_clean(0)
-    report = feed.core.report(0)
-    replays = feed.core.replayed_epochs
-    for _ in range(5):
-        assert feed.core.report(0) is report
-    assert feed.core.replayed_epochs == replays
-
-
-def test_the_final_report_owns_the_tally_the_store_held():
+def test_the_final_report_owns_the_tally_the_service_held():
     """An open epoch's report is a snapshot; the closing one takes the live
-    tally itself, since the store drops the epoch in the next statement."""
-    feed = CoreFeed(ColumnarIngestCore())
+    tally itself, since the service drops the epoch in the next statement."""
+    feed = CoreFeed(service_core())
     first = epoch_events(0)
     feed.deliver(("chunk", 0, first[0:600]))
     core = feed.core
-    held = core._store._lanes[0].tally
+    held = core.service._epochs[0].tally
     early = core.report(0)
     assert early.tally is not held
     early_signature = report_signature(early)
     feed.deliver(("chunk", 0, first[600:1200]))
     feed.deliver(("tick", 0, None))
     assert core.report(0).tally is held
-    assert 0 not in core._store._lanes
+    assert core.service.open_epochs == []
     assert report_signature(early) == early_signature
+
+
+def test_chunks_without_a_remap_go_through_their_decoders_tables():
+    """``append_chunk(run, None)`` keeps one remap per decoder table: two
+    streams whose tables list the links in different orders fold to the
+    report of one in-order delivery."""
+    events = epoch_events(0)
+    core = service_core()
+    streams = [(WireEncoder(), WireDecoder()) for _ in range(2)]
+    for index, part in ((1, events[600:900]), (0, events[:600]), (1, events[900:])):
+        encoder, decoder = streams[index]
+        payload = encoder.encode_run(0, 0, 0, part)
+        core.append_chunk(decoder.decode_columns(payload), None)
+    assert len(core._remaps) == 2
+    reference = Zero07Service(engine="arrays")
+    reference.ingest_batch(events)
+    assert report_signature(core.report(0)) == report_signature(reference.report(0))
+
+
+def test_the_columnar_core_name_builds_the_one_core():
+    """The name the ruler's ``fleet_tcp`` replay builds: a service core over
+    a plain arrays service, with that service's link index as ``_link_index``."""
+    core = analyzer_module.ColumnarIngestCore()
+    assert isinstance(core, ServiceIngestCore)
+    assert core._link_index is core.service.link_index
+    assert core.service.engine == "arrays"
+    feed = CoreFeed(core)
+    events = epoch_events(0)
+    feed.deliver(("chunk", 0, events))
+    feed.deliver(("tick", 0, None))
+    reference = Zero07Service(engine="arrays")
+    reference.ingest_batch(events)
+    assert report_signature(core.report(0)) == report_signature(reference.report(0))
+    assert core.describe()["service"] == "Zero07Service"
 
 
 # ----------------------------------------------------------------------
@@ -213,14 +234,12 @@ def wait_finalized(query_endpoint, epoch, timeout=30.0):
 
 
 def make_core(kind):
-    if kind == "columns":
-        return ColumnarIngestCore()
     if kind == "service":
         return ServiceIngestCore(Zero07Service(engine="arrays"))
     return ServiceIngestCore(ShardedService(num_shards=2))
 
 
-CORE_KINDS = ["columns", "service", "sharded"]
+CORE_KINDS = ["service", "sharded"]
 
 
 # -- (c) the reply line ---------------------------------------------------
@@ -265,7 +284,7 @@ def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(
 def test_counters_match_a_fleet_tcp_shaped_query_pass(analyzer_thread):
     """Cold + repeat after chunks of both agents, then the finalized report:
     every repeat reuses its line and every distinct report is encoded once."""
-    thread = analyzer_thread(ColumnarIngestCore(), expected_agents=2)
+    thread = analyzer_thread(service_core(), expected_agents=2)
     events = epoch_events(0)
     half = len(events) // 2
     agents = [
@@ -305,7 +324,7 @@ def test_counters_match_a_fleet_tcp_shaped_query_pass(analyzer_thread):
 
 
 def test_evicted_epoch_answers_unavailable_never_a_stale_line(analyzer_thread):
-    core = ColumnarIngestCore(retain_reports=1)
+    core = service_core(retain_reports=1)
     thread = analyzer_thread(core)
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
@@ -333,7 +352,7 @@ def test_evicted_epoch_answers_unavailable_never_a_stale_line(analyzer_thread):
 
 def test_line_table_is_bounded_oldest_out_first(analyzer_thread):
     epochs = FleetAnalyzer.REPORT_LINES_KEPT + 2
-    thread = analyzer_thread(ColumnarIngestCore(retain_reports=epochs))
+    thread = analyzer_thread(service_core(retain_reports=epochs))
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
     for epoch in range(epochs):
@@ -353,7 +372,7 @@ def test_line_table_is_bounded_oldest_out_first(analyzer_thread):
 
 # -- input hardening ------------------------------------------------------
 def test_overlong_query_line_is_answered_and_the_connection_closed(analyzer_thread):
-    thread = analyzer_thread(ColumnarIngestCore())
+    thread = analyzer_thread(service_core())
     with RawQuery(thread.query_endpoint) as query:
         line = query.ask_raw(b"x" * (FleetAnalyzer.READ_LIMIT + 1))
         assert json.loads(line) == {
@@ -367,7 +386,7 @@ def test_overlong_query_line_is_answered_and_the_connection_closed(analyzer_thre
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b'"report"', b"7", b"null"])
 def test_non_object_query_is_rejected_with_a_stable_error(analyzer_thread, body):
-    thread = analyzer_thread(ColumnarIngestCore())
+    thread = analyzer_thread(service_core())
     with RawQuery(thread.query_endpoint) as query:
         assert json.loads(query.ask_raw(body + b"\n")) == {
             "ok": False,
@@ -378,7 +397,7 @@ def test_non_object_query_is_rejected_with_a_stable_error(analyzer_thread, body)
 
 @pytest.mark.parametrize("epoch", ["3", True, False, 1.0, [0], {"e": 0}])
 def test_report_epoch_must_be_an_integer_or_null(analyzer_thread, epoch):
-    thread = analyzer_thread(ColumnarIngestCore())
+    thread = analyzer_thread(service_core())
     with RawQuery(thread.query_endpoint) as query:
         assert json.loads(query.ask({"cmd": "report", "epoch": epoch})) == {
             "ok": False,
@@ -403,12 +422,10 @@ def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind)
     assert thread.analyzer._report_lines == {}
     assert len(thread.analyzer._view_tokens) == 0
     assert thread.analyzer.stats.report_queries == 1_000
-    if core_kind == "columns":
-        assert list(core._retained) == [3]
-        assert core._views == {} and core._final_reports == {}
-    else:  # a sharded service's fleet-wide view is its coordinator service
-        service = getattr(core.service, "_service", core.service)
-        assert list(service._epochs) == [3]
+    # a sharded service's fleet-wide view is its coordinator service
+    service = getattr(core.service, "_service", core.service)
+    assert list(service._epochs) == [3]
+    assert service._final_reports == {}
 
 
 # -- epochs_finalized -----------------------------------------------------
@@ -513,7 +530,7 @@ class TestFlowPaging:
 
     def test_a_page_is_capped_and_says_where_it_is(self, analyzer_thread, monkeypatch):
         monkeypatch.setattr(analyzer_module, "FLOWS_PAGE_LIMIT", 50)
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         events = epoch_events(0)
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
@@ -569,7 +586,7 @@ class TestFlowPaging:
     def test_a_chunk_between_two_pages_moves_the_view_and_the_pager_restarts(
         self, analyzer_thread
     ):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         events = retraced_events()
         cut = 600
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
@@ -608,7 +625,7 @@ class TestFlowPaging:
         assert signature != json_signature(oracle_report(events[:cut]))
 
     def test_an_epoch_that_never_settles_is_an_error_not_a_blend(self, analyzer_thread):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         events = epoch_events(0)
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=50)
         client.connect()
@@ -632,7 +649,7 @@ class TestFlowPaging:
         client.close()
 
     def test_the_helper_on_an_empty_epoch_and_on_bad_arguments(self, analyzer_thread):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         with FleetQueryClient(thread.query_endpoint) as query:
             assert query.report_signature(9) == json_signature(
                 Zero07Service().report(9)
@@ -646,7 +663,7 @@ class TestFlowPaging:
 class TestQueryArguments:
     def test_every_report_query_is_counted_rejected_ones_too(self, analyzer_thread):
         """``hits + encodes + error replies == queries``, as AnalyzerStats says."""
-        thread = analyzer_thread(ColumnarIngestCore(retain_reports=1))
+        thread = analyzer_thread(service_core(retain_reports=1))
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
         for epoch in (0, 1):
@@ -667,7 +684,7 @@ class TestQueryArguments:
 
     @pytest.mark.parametrize("verb", ["report", "flows"])
     def test_a_negative_epoch_is_an_error_reply(self, analyzer_thread, verb):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         with RawQuery(thread.query_endpoint) as query:
             assert json.loads(query.ask({"cmd": verb, "epoch": -3})) == {
                 "ok": False,
@@ -697,7 +714,7 @@ class TestQueryArguments:
         ],
     )
     def test_flows_arguments_are_checked(self, analyzer_thread, arguments, error):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         with RawQuery(thread.query_endpoint) as query:
             reply = json.loads(query.ask({"cmd": "flows", **arguments}))
             assert reply == {"ok": False, "error": error}
@@ -706,7 +723,7 @@ class TestQueryArguments:
         assert thread.analyzer.stats.flows_queries == 2
 
     def test_flows_of_an_evicted_epoch_answers_like_report(self, analyzer_thread):
-        thread = analyzer_thread(ColumnarIngestCore(retain_reports=1))
+        thread = analyzer_thread(service_core(retain_reports=1))
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
         for epoch in (0, 1):
@@ -724,7 +741,7 @@ class TestQueryArguments:
             assert query.ask({"cmd": "flows", "epoch": 0, "ids": [1]}) == unavailable
 
     def test_flows_queries_and_reply_bytes_are_counted(self, analyzer_thread):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
         client.send_run(0, epoch_events(0))
@@ -749,7 +766,7 @@ class TestQueryArguments:
         assert thread.analyzer.stats.query_bytes_sent == sent + len(stats_line)
 
     def test_describe_names_the_query_version(self, analyzer_thread):
-        thread = analyzer_thread(ColumnarIngestCore())
+        thread = analyzer_thread(service_core())
         with FleetQueryClient(thread.query_endpoint) as query:
             assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
 
@@ -762,7 +779,7 @@ def test_the_report_line_is_pinned_to_the_dict_oracles_signature(core_kind):
     events = retraced_events()
     core = make_core(core_kind)
     analyzer = FleetAnalyzer(core, expected_agents=1)
-    feed = CoreFeed(core) if core_kind == "columns" else None
+    feed = CoreFeed(core) if core_kind == "service" else None
     cuts = [0, len(events) - 400, len(events)]
     for view, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
         if feed is not None:
