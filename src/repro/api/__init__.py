@@ -57,8 +57,6 @@ from repro.api.sources import (
     EvidenceRecorder,
     MonitoringEvidenceStream,
     ReplayEvidenceSource,
-    partition_evidence,
-    path_evidence_stream,
 )
 
 __all__ = [
@@ -97,6 +95,4 @@ __all__ = [
     "MonitoringEvidenceStream",
     "ReplayEvidenceSource",
     "EvidenceRecorder",
-    "path_evidence_stream",
-    "partition_evidence",
 ]

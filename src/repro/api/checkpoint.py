@@ -540,6 +540,10 @@ def _merge_epoch(base: EpochColumns, delta: EpochColumns) -> EpochColumns:
     return merged
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: service-payload keys a merged checkpoint takes verbatim from the delta.
 _SERVICE_STATE_KEYS = (
     "engine",
@@ -708,7 +712,9 @@ class Checkpoint:
         A sharded payload that still holds a ``shards`` list is of the
         per-shard format: one service payload per shard (placed by host, or
         later by flow) and no fleet-wide records.  A sharded checkpoint is
-        now its coordinator service's payload plus ``num_shards``.
+        now its coordinator service's payload plus ``num_shards``.  Every
+        stats counter is an integer, and each epoch marker an integer or
+        ``None``.
         """
         if self.version not in SUPPORTED_CHECKPOINT_VERSIONS:
             raise ValueError(
@@ -724,6 +730,13 @@ class Checkpoint:
                 "now its coordinator service's payload plus num_shards, so "
                 "this one cannot be restored or merged"
             )
+        stats = self.payload.get("stats", {})
+        if not isinstance(stats, dict) or not all(map(_is_int, stats.values())):
+            raise ValueError(f"checkpoint stats are not integer counters: {stats!r}")
+        for marker in ("last_finalized", "max_epoch_seen"):
+            value = self.payload.get(marker)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"checkpoint {marker} is not an epoch: {value!r}")
         return self
 
     def apply_delta(self, delta: "Checkpoint") -> "Checkpoint":

@@ -578,13 +578,6 @@ class Zero07Service:
         its ``DiscoveredPath.retransmissions`` in place (as the monitoring
         agent's cache does) whether it declared a hand-over or not.
         """
-        if "ingest" in self.__dict__:
-            # ``ingest`` was wrapped on the instance (EvidenceRecorder taps
-            # it to capture the stream) — every event must flow through the
-            # wrapper, so the fast path would silently bypass the tap.
-            for event in events:
-                self.ingest(event)
-            return
         events = events if isinstance(events, list) else list(events)
         total = len(events)
         if total >= 8:
@@ -631,10 +624,6 @@ class Zero07Service:
         Semantics are identical to ``ingest_batch(run)`` for a run that
         contains no ticks and spans a single epoch (``owned``: see there).
         """
-        if "ingest" in self.__dict__:
-            for event in run:
-                self.ingest(event)
-            return
         self._ingest_evidence_run(epoch, run, seqs)
 
     def ingest_columns(
@@ -1211,7 +1200,9 @@ class Zero07Service:
             else None
         )
         stats = payload.get("stats", {})
+        unknown = set(stats) - {spec.name for spec in dataclasses.fields(ServiceStats)}
+        if unknown:
+            raise ValueError(f"checkpoint stats that are no counter: {sorted(unknown)}")
         for name, value in stats.items():
-            if hasattr(service._stats, name):
-                setattr(service._stats, name, int(value))
+            setattr(service._stats, name, value)
         return service

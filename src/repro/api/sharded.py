@@ -260,12 +260,6 @@ class ShardedService:
         lane after this call returns (the services themselves never copy or
         write to a path, ``owned`` or not).
         """
-        if "ingest" in self.__dict__:
-            # ``ingest`` was wrapped on the instance (an EvidenceRecorder
-            # tap) — every event must flow through the wrapper.
-            for event in events:
-                self.ingest(event)
-            return
         events = events if isinstance(events, list) else list(events)
         for kind, epoch, chunk in iter_evidence_runs(events):
             if kind == "run":
@@ -293,10 +287,6 @@ class ShardedService:
         Each shard's sub-run keeps the run's order, so every shard service
         sees exactly its flows' slice of the stream.
         """
-        if "ingest" in self.__dict__:
-            for event in run:
-                self.ingest(event)
-            return
         if not run:
             return
         if seqs is None:

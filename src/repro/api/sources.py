@@ -14,10 +14,6 @@
 * :class:`EvidenceRecorder` — a transparent ingest tap that snapshots every
   event flowing into a service, for capture/replay and shard-equivalence
   testing.
-* :func:`path_evidence_stream` — turn a batch of discovered paths into the
-  equivalent evidence stream (the batch → streaming adapter).
-* :func:`partition_evidence` — contiguous per-agent slices of one epoch's
-  evidence (the batch → fleet adapter).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.api.events import (
-    EpochTick,
     Evidence,
     PathEvidence,
     RetransmissionEvidence,
@@ -34,49 +29,6 @@ from repro.api.events import (
 from repro.api.service import Zero07Service
 from repro.discovery.agent import DiscoveredPath
 from repro.monitoring.agent import TcpMonitoringAgent
-
-
-def path_evidence_stream(
-    epoch: int, paths: Sequence[DiscoveredPath], tick: bool = False
-) -> Iterator[Evidence]:
-    """The evidence stream equivalent to a batch of discovered paths.
-
-    Sequence numbers follow list order (the batch analysis order), so a
-    service ingesting this stream produces reports bit-identical to
-    ``AnalysisAgent.analyze_epoch(epoch, paths)``.  With ``tick=True`` the
-    stream ends with the epoch's :class:`EpochTick`.
-    """
-    for seq, path in enumerate(paths):
-        yield PathEvidence(epoch=epoch, seq=seq, path=path)
-    if tick:
-        yield EpochTick(epoch=epoch)
-
-
-def partition_evidence(
-    events: Sequence[Evidence], num_partitions: int
-) -> List[List[Evidence]]:
-    """Split one epoch's evidence into contiguous per-agent slices.
-
-    Partition ``i`` of ``n`` gets the events at positions
-    ``[i*len/n, (i+1)*len/n)`` with their original sequence numbers — so the
-    union of all partitions is exactly the input stream, and each partition
-    is itself a strictly-increasing-seq run.  This is the fleet's slicing
-    discipline: contiguous ranges let the analyzer reassemble the global
-    order by sorting whole chunks (never individual events), which keeps
-    multi-agent ingestion on the service's vectorized fast path.  Ticks do
-    not belong in the slices (the analyzer synthesizes one tick per epoch
-    from the agents' tick barrier) and are rejected here.
-    """
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    events = events if isinstance(events, list) else list(events)
-    if any(isinstance(event, EpochTick) for event in events):
-        raise ValueError("partition_evidence takes tickless runs")
-    n = len(events)
-    return [
-        events[(i * n) // num_partitions : ((i + 1) * n) // num_partitions]
-        for i in range(num_partitions)
-    ]
 
 
 class ReplayEvidenceSource:
@@ -94,45 +46,71 @@ class ReplayEvidenceSource:
 
 
 class EvidenceRecorder:
-    """Wraps a service's ``ingest`` to capture a snapshot of every event.
+    """Taps a service's ``ingest``, ``ingest_batch`` and ``ingest_run`` to
+    capture a snapshot of every event.
 
     The recorder deep-copies path payloads at capture time (sources mutate
     them in place on later retransmissions), so :meth:`replay` reproduces the
     original stream faithfully on any other service — the capture/replay tool
-    behind the shard- and checkpoint-equivalence tests.
+    behind the shard- and checkpoint-equivalence tests.  Batches and runs
+    reach the service whole, so a tapped service folds them as an untapped
+    one would.
     """
+
+    _ENTRY_POINTS = ("ingest", "ingest_batch", "ingest_run")
 
     def __init__(self, service: Zero07Service) -> None:
         self._service = service
-        #: whether ``ingest`` was already shadowed on the instance (another
-        #: recorder's tap) — detach must restore it, not delete it.
-        self._wrapped_instance_attr = "ingest" in service.__dict__
-        self._inner = service.ingest
+        #: the entry points shadowed on the instance before this tap (another
+        #: recorder's): detach re-installs them rather than deleting.
+        self._shadowed = {
+            name: service.__dict__.get(name) for name in self._ENTRY_POINTS
+        }
+        self._inner = {name: getattr(service, name) for name in self._ENTRY_POINTS}
+        #: > 0 while forwarding: an entry point the service calls from
+        #: another (a batch's tick through ``ingest``) is already recorded.
+        self._forwarding = 0
         self.events: List[Evidence] = []
-        service.ingest = self.ingest  # type: ignore[method-assign]
+        for name in self._ENTRY_POINTS:
+            setattr(service, name, getattr(self, name))
+
+    def _forward(self, name: str, events: Sequence[Evidence], *args) -> None:
+        if not self._forwarding:
+            self.events.extend(map(copy_evidence, events))
+        self._forwarding += 1
+        try:
+            self._inner[name](*args)
+        finally:
+            self._forwarding -= 1
 
     def ingest(self, event: Evidence) -> None:
         """Record a snapshot of ``event``, then forward it to the service."""
-        self.events.append(copy_evidence(event))
-        self._inner(event)
+        self._forward("ingest", (event,), event)
+
+    def ingest_batch(self, events: Iterable[Evidence], owned: bool = False) -> None:
+        """Record snapshots of ``events``, then forward the batch."""
+        events = events if isinstance(events, list) else list(events)
+        self._forward("ingest_batch", events, events, owned)
+
+    def ingest_run(
+        self, epoch: int, run: List[Evidence], owned: bool = False, seqs=None
+    ) -> None:
+        """Record snapshots of ``run``, then forward the run."""
+        self._forward("ingest_run", run, epoch, run, owned, seqs)
 
     def detach(self) -> None:
-        """Restore the ``ingest`` that was in place before this recorder.
+        """Restore the entry points that were in place before this recorder.
 
         If this recorder wrapped another instance-level tap (stacked
         recorders), that tap is re-installed; otherwise the instance
-        attribute is deleted so lookup falls back to the class method —
-        re-assigning the bound method would leave an instance attribute
-        behind, which ``ingest_batch`` treats as "still tapped" and would
-        permanently disable its vectorized fast path.
+        attributes are deleted so lookup falls back to the class methods.
+        Detaching twice is harmless.
         """
-        if self._wrapped_instance_attr:
-            self._service.ingest = self._inner  # type: ignore[method-assign]
-            return
-        try:
-            del self._service.ingest
-        except AttributeError:  # already detached
-            pass
+        for name, shadowed in self._shadowed.items():
+            if shadowed is not None:
+                setattr(self._service, name, shadowed)
+            else:
+                self._service.__dict__.pop(name, None)
 
     def source(self) -> ReplayEvidenceSource:
         """The captured stream as a replayable source."""

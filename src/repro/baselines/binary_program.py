@@ -33,11 +33,6 @@ class BinaryProgramResult:
     exact: bool = False
     objective: float = 0.0
 
-    @property
-    def num_blamed(self) -> int:
-        """Number of links the program blames."""
-        return len(self.blamed_links)
-
 
 def solve_binary_program(
     routing: RoutingMatrix,

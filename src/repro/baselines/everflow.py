@@ -10,7 +10,7 @@ the hosts it was enabled on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.netsim.flows import FlowRecord
 from repro.routing.paths import Path
@@ -33,7 +33,6 @@ class EverflowCapture:
         )
         self._drop_links: Dict[int, Optional[DirectedLink]] = {}
         self._paths: Dict[int, Path] = {}
-        self._captured_flows = 0
 
     # ------------------------------------------------------------------
     def capture_epoch(self, flows: Iterable[FlowRecord]) -> None:
@@ -41,7 +40,6 @@ class EverflowCapture:
         for flow in flows:
             if self._enabled is not None and flow.src_host not in self._enabled:
                 continue
-            self._captured_flows += 1
             self._paths[flow.flow_id] = flow.path
             self._drop_links[flow.flow_id] = flow.true_drop_link()
 
@@ -63,8 +61,3 @@ class EverflowCapture:
         return sorted(
             flow_id for flow_id, link in self._drop_links.items() if link is not None
         )
-
-    @property
-    def captured_flows(self) -> int:
-        """Number of flows captured so far."""
-        return self._captured_flows

@@ -18,7 +18,7 @@ the exact solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,15 +45,6 @@ class IntegerProgramResult:
             )
             if count > 0
         ]
-
-    def ranking(self) -> List[Tuple[DirectedLink, float]]:
-        """``(link, assigned drops)`` sorted by decreasing drops."""
-        return sorted(self.drop_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-    @property
-    def num_blamed(self) -> int:
-        """Number of links with positive assigned drops."""
-        return len(self.blamed_links)
 
 
 def solve_integer_program(

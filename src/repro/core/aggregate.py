@@ -74,7 +74,6 @@ class MultiEpochAggregator:
         self._truth_lookup = truth_lookup
         self._index = link_index if link_index is not None else LinkIndex()
         self._detections_per_epoch: List[int] = []
-        self._max_votes_per_epoch: List[float] = []
         self._epochs_seen: List[int] = []
         # per-link-id statistics, grown on demand to the index size
         self._epochs_voted = np.zeros(len(self._index), dtype=np.int64)
@@ -86,7 +85,6 @@ class MultiEpochAggregator:
         self._epochs_bad = np.zeros(len(self._index), dtype=np.int64)
         self._true_detections = np.zeros(len(self._index), dtype=np.int64)
         self._false_detections = np.zeros(len(self._index), dtype=np.int64)
-        self._epochs_with_truth = 0
         # translation tables from a foreign LinkIndex to this aggregator's
         # ids; weak keys so dead per-epoch indexes are not retained forever.
         self._translations: "weakref.WeakKeyDictionary[LinkIndex, np.ndarray]" = (
@@ -161,7 +159,6 @@ class MultiEpochAggregator:
             self._epochs_voted[ids] += 1
             self._total_votes[ids] += votes
             self._max_votes[ids] = np.maximum(self._max_votes[ids], votes)
-            top_votes = float(votes.max()) if len(votes) else 0.0
         else:
             ranked = report.ranked_links
             voted_ids = [self._index.intern(link) for link, _ in ranked]
@@ -170,8 +167,6 @@ class MultiEpochAggregator:
                 self._epochs_voted[idx] += 1
                 self._total_votes[idx] += votes
                 self._max_votes[idx] = max(self._max_votes[idx], votes)
-            top_votes = ranked[0][1] if ranked else 0.0
-        self._max_votes_per_epoch.append(top_votes)
         detected_ids = [self._index.intern(link) for link in report.detected_links]
         self._grow()
         for idx in detected_ids:
@@ -179,7 +174,6 @@ class MultiEpochAggregator:
             self._last_detected[idx] = report.epoch
 
         if truth is not None:
-            self._epochs_with_truth += 1
             bad_ids = {self._index.intern(link) for link in truth.bad_links}
             self._grow()
             for idx in bad_ids:
@@ -198,19 +192,6 @@ class MultiEpochAggregator:
         """
         truth = self._truth_lookup(report.epoch) if self._truth_lookup else None
         self.ingest(report, truth=truth)
-
-    def ingest_many(
-        self,
-        reports: List[EpochReport],
-        truths: Optional[List[FailureScenario]] = None,
-    ) -> None:
-        """Fold several epoch reports (and optional per-epoch truths) in order."""
-        if truths is not None and len(truths) != len(reports):
-            raise ValueError(
-                f"got {len(reports)} reports but {len(truths)} truth scenarios"
-            )
-        for i, report in enumerate(reports):
-            self.ingest(report, truth=truths[i] if truths is not None else None)
 
     # ------------------------------------------------------------------
     @property
@@ -232,15 +213,6 @@ class MultiEpochAggregator:
             false_detections=int(self._false_detections[idx]),
         )
 
-    def record_of(self, link: DirectedLink) -> Optional[LinkHealthRecord]:
-        """The health record of one link (``None`` if it was never seen)."""
-        idx = self._index.get(link)
-        if idx is None or idx >= len(self._epochs_voted):
-            return None
-        if self._epochs_voted[idx] == 0 and self._epochs_detected[idx] == 0:
-            return None
-        return self._record_at(idx)
-
     def recurrent_offenders(self, min_epochs_detected: int = 2) -> List[LinkHealthRecord]:
         """Links detected in at least ``min_epochs_detected`` epochs, worst first.
 
@@ -253,27 +225,6 @@ class MultiEpochAggregator:
         ]
         return sorted(offenders, key=lambda r: (-r.epochs_detected, -r.total_votes))
 
-    @property
-    def epochs_with_truth(self) -> int:
-        """Number of ingested epochs that carried ground truth."""
-        return self._epochs_with_truth
-
-    def detection_event_counts(self) -> Tuple[int, int]:
-        """(true, false) detection events over the truth-carrying epochs."""
-        return int(self._true_detections.sum()), int(self._false_detections.sum())
-
-    def false_alarm_fraction(self) -> float:
-        """Share of detection events naming a link that was not bad that epoch.
-
-        Only meaningful when per-epoch truth was ingested; ``nan`` when no
-        truth-scored detection events exist yet.
-        """
-        true_events, false_events = self.detection_event_counts()
-        total = true_events + false_events
-        if total == 0:
-            return float("nan")
-        return false_events / total
-
     def detections_per_epoch(self) -> Tuple[float, float]:
         """Mean and standard deviation of links flagged per epoch (Section 8.3)."""
         if not self._detections_per_epoch:
@@ -281,15 +232,6 @@ class MultiEpochAggregator:
         return (
             float(np.mean(self._detections_per_epoch)),
             float(np.std(self._detections_per_epoch)),
-        )
-
-    def max_votes_per_epoch(self) -> Tuple[float, float]:
-        """Mean and standard deviation of the per-epoch maximum vote tally."""
-        if not self._max_votes_per_epoch:
-            return 0.0, 0.0
-        return (
-            float(np.mean(self._max_votes_per_epoch)),
-            float(np.std(self._max_votes_per_epoch)),
         )
 
     def detection_breakdown_by_level(self) -> Dict[str, float]:

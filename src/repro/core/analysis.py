@@ -19,7 +19,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import (
     Dict,
-    Iterable,
     List,
     Literal,
     NamedTuple,
@@ -317,12 +316,3 @@ class AnalysisAgent:
             num_paths_analyzed=tally.num_flows,
             _attribute_noise_flows=self._attribute_noise_flows,
         )
-
-    def analyze_epochs(
-        self, paths_by_epoch: Dict[int, Sequence[DiscoveredPath]]
-    ) -> List[EpochReport]:
-        """Analyse several epochs and return their reports in epoch order."""
-        return [
-            self.analyze_epoch(epoch, paths_by_epoch[epoch])
-            for epoch in sorted(paths_by_epoch)
-        ]

@@ -77,10 +77,6 @@ class ItemIndex:
             self._items.append(item)
         return idx
 
-    def id_of(self, item) -> int:
-        """The id of an already-interned item (raises ``KeyError`` if unknown)."""
-        return self._ids[item]
-
     def fast_ids(self, items: Sequence, dtype=np.int64) -> np.ndarray:
         """Intern many items: ``[self.intern(x) for x in items]`` as an array.
 
@@ -104,10 +100,6 @@ class ItemIndex:
     def get(self, item) -> Optional[int]:
         """The id of ``item`` or ``None`` when it was never interned."""
         return self._ids.get(item)
-
-    def item_of(self, idx: int):
-        """The item with id ``idx``."""
-        return self._items[idx]
 
     @property
     def items(self) -> List:
@@ -141,14 +133,6 @@ class ItemIndex:
 
 class LinkIndex(ItemIndex):
     """An :class:`ItemIndex` specialised to :class:`DirectedLink` objects."""
-
-    @classmethod
-    def from_topology(cls, topology) -> "LinkIndex":
-        """Pre-populate the index with every directed link of a topology.
-
-        Links are interned in sorted order so ids coincide with sort ranks.
-        """
-        return cls(sorted(topology.directed_links()))
 
     def link_of(self, idx: int) -> DirectedLink:
         """The link with id ``idx``."""
@@ -477,10 +461,6 @@ class ArrayVoteTally:
             merged[into], merged[kept] = new, old
             setattr(self, name, merged)
 
-    def row_of_flow(self, flow_id: int) -> Optional[int]:
-        """Row index of ``flow_id``'s bound row (``None`` if unknown)."""
-        return self.flow_rows().get(flow_id)
-
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
         come from :meth:`flow_rows`).
@@ -674,11 +654,6 @@ class ArrayVoteTally:
     def top(self, n: int = 1) -> List[Tuple[DirectedLink, float]]:
         """The ``n`` most voted links (none for ``n <= 0``)."""
         return self.items()[:n] if n > 0 else []
-
-    def max_link(self) -> Optional[DirectedLink]:
-        """The single most voted link (``None`` when no votes were cast)."""
-        items = self.items()
-        return items[0][0] if items else None
 
     def rank_of(self, link: DirectedLink) -> Optional[int]:
         """1-based rank of ``link`` in :meth:`items` (``None`` when unvoted)."""

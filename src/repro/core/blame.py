@@ -98,11 +98,6 @@ class BlameResult:
     #: arrays engine: the :class:`~repro.core.arrays.VerdictArrays` of the run.
     arrays: Optional[VerdictArrays] = field(default=None, repr=False, compare=False)
 
-    @property
-    def num_detected(self) -> int:
-        """Number of links flagged as problematic."""
-        return len(self.detected_links)
-
     def __contains__(self, link: DirectedLink) -> bool:
         key = (id(self.detected_links), len(self.detected_links))
         if self._detected_set is None or self._detected_set_key != key:

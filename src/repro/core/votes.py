@@ -141,10 +141,6 @@ class VoteTally:
         """flow id -> the row it is bound to (live: do not mutate)."""
         return self._row_by_flow
 
-    def row_of_flow(self, flow_id: int) -> Optional[int]:
-        """Row index of ``flow_id``'s bound contribution (``None`` if unknown)."""
-        return self._row_by_flow.get(flow_id)
-
     def bound_rows(self, flows: np.ndarray) -> np.ndarray:
         """Each of ``flows``' bound row, ``-1`` for a flow without one."""
         return np.fromiter(
@@ -305,11 +301,6 @@ class VoteTally:
     def top(self, n: int = 1) -> List[Tuple[DirectedLink, float]]:
         """The ``n`` most voted links (none for ``n <= 0``)."""
         return self.items()[:n] if n > 0 else []
-
-    def max_link(self) -> Optional[DirectedLink]:
-        """The single most voted link (``None`` when no votes were cast)."""
-        items = self.items()
-        return items[0][0] if items else None
 
     def rank_of(self, link: DirectedLink) -> Optional[int]:
         """1-based rank of ``link`` in :meth:`items` (``None`` when unvoted).

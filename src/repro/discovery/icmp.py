@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 DEFAULT_TMAX = 100
 
@@ -50,8 +50,6 @@ class IcmpRateLimiter:
         self._tmax = tmax_per_second
         self._counts: Dict[Tuple[str, int], int] = defaultdict(int)
         self._switches: set[str] = set()
-        self._denied = 0
-        self._granted = 0
 
     # ------------------------------------------------------------------
     @property
@@ -73,31 +71,11 @@ class IcmpRateLimiter:
         self._switches.add(switch)
         key = (switch, int(time_s))
         if self._counts[key] >= self._tmax:
-            self._denied += 1
             return False
         self._counts[key] += 1
-        self._granted += 1
         return True
 
     # ------------------------------------------------------------------
-    def responses_of_switch(self, switch: str) -> int:
-        """Total ICMP responses sent by ``switch`` so far."""
-        return sum(c for (s, _), c in self._counts.items() if s == switch)
-
-    def per_second_counts(self, switch: str) -> List[int]:
-        """The nonzero per-second counts of ``switch``."""
-        return [c for (s, _), c in sorted(self._counts.items()) if s == switch]
-
-    @property
-    def granted(self) -> int:
-        """Total responses granted."""
-        return self._granted
-
-    @property
-    def denied(self) -> int:
-        """Total responses suppressed by the cap."""
-        return self._denied
-
     def usage_stats(self, total_seconds: int) -> IcmpUsageStats:
         """Compute the Table 1 distribution over ``total_seconds`` of operation.
 
@@ -128,5 +106,3 @@ class IcmpRateLimiter:
     def reset(self) -> None:
         """Clear all counters (statistics start over)."""
         self._counts.clear()
-        self._denied = 0
-        self._granted = 0

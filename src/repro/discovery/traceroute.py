@@ -49,27 +49,12 @@ class TracerouteResult:
     reached_destination: bool = False
 
     @property
-    def probes_sent(self) -> int:
-        """Number of probe packets emitted."""
-        return len(self.probes)
-
-    @property
     def complete(self) -> bool:
         """True when the full path (every link) was discovered."""
         return (
             self.true_path is not None
             and len(self.discovered_links) == self.true_path.hop_count
         )
-
-    @property
-    def responders(self) -> List[Optional[str]]:
-        """Responding node per TTL (``None`` where no answer arrived)."""
-        return [probe.responder for probe in self.probes]
-
-    def last_responding_hop(self) -> Optional[str]:
-        """Deepest node that answered (useful when a blackhole cut the trace)."""
-        answered = [p.responder for p in self.probes if p.responder is not None]
-        return answered[-1] if answered else None
 
 
 class TracerouteEngine:

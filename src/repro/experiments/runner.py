@@ -106,21 +106,6 @@ class SweepRunner:
         """Execute tasks, returning their metric dicts in task order."""
         return self.map(_run_task, tasks)
 
-    def run_trials(
-        self,
-        config: ScenarioConfig,
-        metric_fns: Mapping[str, MetricFn],
-        trials: int = 3,
-        base_seed: Optional[int] = None,
-    ) -> Dict[str, float]:
-        """Average each metric over ``trials`` forked-seed runs of ``config``.
-
-        ``nan`` trial values are ignored; a metric that is ``nan`` in every
-        trial stays ``nan``.
-        """
-        result = self.run_sweep([({}, config)], metric_fns, trials=trials, base_seed=base_seed)
-        return result.points[0].metrics
-
     def run_sweep(
         self,
         points: Sequence[Tuple[Dict[str, Any], ScenarioConfig]],

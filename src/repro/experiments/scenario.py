@@ -9,7 +9,7 @@ paper's evaluation section does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,7 +23,6 @@ from repro.core.pipeline import SystemConfig, Zero07System
 from repro.core.votes import VotePolicy
 from repro.metrics.evaluation import (
     DetectionScore,
-    detection_latencies,
     detection_precision_recall,
     false_alarm_rate_after_clear,
     mean_time_to_detection,
@@ -275,12 +274,6 @@ class ScenarioResult:
         """Epochs from each failure's onset to its first in-window detection."""
         return time_to_detection(self.detected_by_epoch(), self._truth_links_by_epoch())
 
-    def detection_latencies_007(self) -> Dict[DirectedLink, List[Optional[int]]]:
-        """Per-episode detection latency for every link that ever went bad."""
-        return detection_latencies(
-            self.detected_by_epoch(), self._truth_links_by_epoch()
-        )
-
     def mean_time_to_detection_007(self) -> float:
         """Mean detection latency in epochs (``nan`` when nothing was detected)."""
         return mean_time_to_detection(
@@ -298,30 +291,6 @@ class ScenarioResult:
             self._truth_links_by_epoch(),
             include_gaps=include_gaps,
         )
-
-    # ------------------------------------------------------------------
-    # multi-epoch aggregation (the ReportSink path, replayed post hoc)
-    # ------------------------------------------------------------------
-    def aggregate(self, topology: Optional[ClosTopology] = None):
-        """A :class:`~repro.core.aggregate.MultiEpochAggregator` over this run.
-
-        Replays every report (with its per-epoch ground truth) through the
-        aggregator's :meth:`~repro.core.aggregate.MultiEpochAggregator.ingest`
-        — the same fold a live scenario performs when the aggregator is
-        attached as a report sink.  The default (own-topology) aggregation is
-        built once and cached, so several aggregate metrics over one result
-        share a single replay.
-        """
-        from repro.core.aggregate import MultiEpochAggregator
-
-        if topology is None and getattr(self, "_aggregate_cache", None) is not None:
-            return self._aggregate_cache
-        aggregator = MultiEpochAggregator(topology=topology or self.topology)
-        for i, report in enumerate(self.reports):
-            aggregator.ingest(report, truth=self.truth_for_epoch(i))
-        if topology is None:
-            self._aggregate_cache = aggregator
-        return aggregator
 
     # ------------------------------------------------------------------
     # scoring the optimization baselines
@@ -513,18 +482,3 @@ def run_scenario(config: ScenarioConfig, sinks: Sequence = ()) -> ScenarioResult
         system=system,
         truth_by_epoch=truth_by_epoch,
     )
-
-
-def run_trials(
-    config: ScenarioConfig, trials: int, base_seed: Optional[int] = None
-) -> List[ScenarioResult]:
-    """Run the same scenario several times with different seeds."""
-    results = []
-    for trial in range(trials):
-        seed = (base_seed if base_seed is not None else config.seed) + 1000 * trial
-        # Deep-copy the nested mutable config: ``replace(config, ...)`` alone
-        # would alias one BlameConfig instance across every trial (the same
-        # class of bug Zero07System fixes for SystemConfig/SimulationConfig).
-        trial_config = replace(config, seed=seed, blame=replace(config.blame))
-        results.append(run_scenario(trial_config))
-    return results

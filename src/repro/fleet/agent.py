@@ -65,7 +65,6 @@ class AgentStats:
     redelivered_chunks: int = 0
     redelivered_events: int = 0
     credit_stalls: int = 0
-    heartbeats: int = 0
     ticks_sent: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -144,7 +143,6 @@ class FleetAgentClient:
         self._inflight_bytes = 0
         self._ticked: List[int] = []
         self._epoch_watermark = -1
-        self._last_send = 0.0
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------
@@ -229,7 +227,6 @@ class FleetAgentClient:
                 self._sock.sendall(frame)
                 self._inflight_bytes += retained.nbytes
                 self.stats.bytes_sent += len(frame)
-                self._last_send = time.monotonic()
                 self._pump(block=False)
                 return
             except (OSError, FleetProtocolError):
@@ -282,12 +279,6 @@ class FleetAgentClient:
                 self._sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-
-    def heartbeat(self) -> None:
-        """Send one HEARTBEAT (the analyzer echoes it)."""
-        self._ensure_connected()
-        self._sock.sendall(protocol.encode_frame(protocol.FRAME_HEARTBEAT))
-        self.stats.heartbeats += 1
 
     # -- socket plumbing ----------------------------------------------
     def _ensure_connected(self) -> None:

@@ -27,7 +27,7 @@ import json
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: magic prefix of HELLO/WELCOME payloads ("fleet 007").
 FLEET_MAGIC = b"F007"
@@ -133,16 +133,6 @@ class FrameReader:
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
         self._max = max_frame_bytes
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes received but not yet consumed as complete frames."""
-        return len(self._buffer)
-
-    @property
-    def at_boundary(self) -> bool:
-        """True when no partial frame is buffered."""
-        return not self._buffer
 
     def feed(self, data: bytes) -> None:
         """Append received bytes to the parse buffer."""

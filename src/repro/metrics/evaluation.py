@@ -28,13 +28,6 @@ class DetectionScore:
     false_positives: int
     false_negatives: int
 
-    @property
-    def f1(self) -> float:
-        """Harmonic mean of precision and recall (0 when both are 0)."""
-        if self.precision + self.recall == 0:
-            return 0.0
-        return 2 * self.precision * self.recall / (self.precision + self.recall)
-
 
 def _normalize(links: Iterable[DirectedLink | Link], physical: bool) -> Set:
     """Optionally collapse directed links onto physical links before comparing."""
@@ -351,8 +344,3 @@ class StreamingDetectionScorer:
         self.scores[report.epoch] = detection_precision_recall(
             report.detected_links, bad_links, physical=self._physical
         )
-
-    @property
-    def epochs_scored(self) -> int:
-        """Number of epochs scored so far."""
-        return len(self.scores)

@@ -12,7 +12,6 @@ from repro.netsim.tcp import TransferResult, simulate_transfer
 from repro.netsim.flows import FlowRecord
 from repro.netsim.traffic import (
     HotTorTraffic,
-    ReplayTraffic,
     SkewedTraffic,
     TrafficDemand,
     TrafficGenerator,
@@ -34,8 +33,6 @@ from repro.netsim.script import (
     ScenarioScript,
     SwitchReboot,
     TrafficShift,
-    random_burst_script,
-    random_flap_script,
 )
 from repro.netsim.simulator import EpochResult, EpochSimulator, SimulationConfig
 
@@ -49,7 +46,6 @@ __all__ = [
     "UniformTraffic",
     "SkewedTraffic",
     "HotTorTraffic",
-    "ReplayTraffic",
     "RetransmissionEvent",
     "ConnectionSetupFailureEvent",
     "FailureInjector",
@@ -64,8 +60,6 @@ __all__ = [
     "ScenarioScript",
     "SwitchReboot",
     "TrafficShift",
-    "random_burst_script",
-    "random_flap_script",
     "EpochResult",
     "EpochSimulator",
     "SimulationConfig",

@@ -27,10 +27,6 @@ class FailureScenario:
         """Number of failed directed links."""
         return len(self.bad_links)
 
-    def drop_rate_of(self, link: DirectedLink) -> float:
-        """Injected drop rate of a failed link (0 for non-failed links)."""
-        return self.drop_rates.get(link, 0.0)
-
 
 class FailureInjector:
     """Injects failures into a :class:`LinkStateTable` over a Clos topology."""
@@ -125,25 +121,6 @@ class FailureInjector:
             self._link_table.inject_failure(dominant, rate)
             scenario.drop_rates[dominant] = rate
         return scenario
-
-    def fail_switch(self, switch: str, drop_rate: float = 1.0) -> FailureScenario:
-        """Fail every link adjacent to ``switch`` (both directions)."""
-        scenario = FailureScenario()
-        for physical in self._topology.links_of_node(switch):
-            for direction in physical.directions():
-                self._link_table.inject_failure(direction, drop_rate)
-                scenario.bad_links.append(direction)
-                scenario.drop_rates[direction] = drop_rate
-        return scenario
-
-    def blackhole_link(self, link: Link | DirectedLink) -> FailureScenario:
-        """Take a physical link fully down (traceroutes die there too)."""
-        physical = link.undirected() if isinstance(link, DirectedLink) else link
-        self._link_table.set_link_down(physical)
-        directions = list(physical.directions())
-        return FailureScenario(
-            bad_links=directions, drop_rates={d: 1.0 for d in directions}
-        )
 
     # ------------------------------------------------------------------
     def _oriented(self, physical: Link) -> Tuple[DirectedLink, DirectedLink]:

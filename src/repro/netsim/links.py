@@ -9,7 +9,7 @@ higher, injected drop rate.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.topology.elements import DirectedLink, Link
 from repro.topology.topology import Topology
@@ -137,24 +137,6 @@ class LinkStateTable:
     def failed_links(self) -> Set[DirectedLink]:
         """Ground-truth set of failed directed links."""
         return set(self._failed)
-
-    @property
-    def failed_physical_links(self) -> Set[Link]:
-        """Ground-truth set of physical links with at least one failed direction."""
-        return {link.undirected() for link in self._failed}
-
-    @property
-    def down_links(self) -> Set[Link]:
-        """Physical links that are completely down."""
-        return set(self._down)
-
-    def good_links(self) -> List[DirectedLink]:
-        """All directed links that are not failed."""
-        return [l for l in self._drop_prob if l not in self._failed]
-
-    def drop_probabilities(self) -> Dict[DirectedLink, float]:
-        """A copy of the full drop-probability table."""
-        return dict(self._drop_prob)
 
     def __len__(self) -> int:
         return len(self._drop_prob)

@@ -24,15 +24,13 @@ the per-epoch ground-truth :class:`~repro.netsim.failures.FailureScenario`.
 
 Events with ``link=None``/``switch=None`` pick a random target of the given
 level/tier at compile time, so one script describes a *family* of scenarios
-whose concrete victims vary with the compile seed.  The module also ships
-random-schedule generators (:func:`random_flap_script`,
-:func:`random_burst_script`) for fuzzing-style studies.
+whose concrete victims vary with the compile seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.netsim.failures import FailureScenario, TransientFailure, TransientFailureSchedule
 from repro.netsim.links import LinkStateTable
@@ -456,19 +454,6 @@ class ScenarioScript:
             )
         )
 
-    def expand_fabric(
-        self,
-        epoch: int,
-        switch: Optional[str] = None,
-        tier: Optional[SwitchTier] = SwitchTier.T2,
-    ) -> "ScenarioScript":
-        """``switch``'s links are dark until ``epoch``, healthy from then on."""
-        return self.add(FabricExpansion(epoch=epoch, switch=switch, tier=tier))
-
-    def shift_traffic(self, epoch: int, traffic: str = "uniform", **kwargs) -> "ScenarioScript":
-        """Swap the workload from ``epoch`` onward."""
-        return self.add(TrafficShift(epoch=epoch, traffic=traffic, **kwargs))
-
     # -- introspection --------------------------------------------------
     @property
     def horizon(self) -> int:
@@ -765,64 +750,3 @@ class CompiledScenarioScript:
                 packets_per_flow=packets,
             )
         raise ValueError(f"unknown traffic kind {shift.traffic!r}")
-
-
-# ----------------------------------------------------------------------
-# random-schedule generators
-# ----------------------------------------------------------------------
-def random_flap_script(
-    num_flaps: int,
-    epochs: int,
-    rng: RngLike = 0,
-    levels: Sequence[LinkLevel] = (LinkLevel.LEVEL1, LinkLevel.LEVEL2),
-    drop_rate_range: Tuple[float, float] = (1e-3, 1e-2),
-    duration_range: Tuple[int, int] = (1, 3),
-) -> ScenarioScript:
-    """A script of ``num_flaps`` random link flaps inside ``epochs`` epochs.
-
-    Start epochs, durations, drop rates and levels are drawn from ``rng``;
-    the concrete victim links are still resolved at compile time, so the
-    script itself stays topology-free.
-    """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    generator = ensure_rng(rng)
-    script = ScenarioScript()
-    low, high = duration_range
-    for _ in range(num_flaps):
-        duration = int(generator.integers(low, high + 1))
-        start = int(generator.integers(0, max(1, epochs - duration + 1)))
-        script.flap(
-            start=start,
-            duration=duration,
-            drop_rate=float(generator.uniform(*drop_rate_range)),
-            level=levels[int(generator.integers(0, len(levels)))],
-        )
-    return script
-
-
-def random_burst_script(
-    num_bursts: int,
-    epochs: int,
-    rng: RngLike = 0,
-    level: LinkLevel = LinkLevel.LEVEL2,
-    links_per_burst: Tuple[int, int] = (2, 4),
-    drop_rate_range: Tuple[float, float] = (2e-3, 2e-2),
-    duration_range: Tuple[int, int] = (1, 2),
-) -> ScenarioScript:
-    """A script of ``num_bursts`` random congestion bursts inside ``epochs``."""
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
-    generator = ensure_rng(rng)
-    script = ScenarioScript()
-    for _ in range(num_bursts):
-        duration = int(generator.integers(duration_range[0], duration_range[1] + 1))
-        start = int(generator.integers(0, max(1, epochs - duration + 1)))
-        script.burst(
-            start=start,
-            duration=duration,
-            level=level,
-            num_links=int(generator.integers(links_per_burst[0], links_per_burst[1] + 1)),
-            drop_rate=float(generator.uniform(*drop_rate_range)),
-        )
-    return script

@@ -10,7 +10,7 @@ subscribers (the 007 monitoring agent) exactly as ETW would on the end host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.netsim.events import ConnectionSetupFailureEvent, RetransmissionEvent
 from repro.netsim.flows import FlowRecord
@@ -70,10 +70,6 @@ class EpochResult:
     def num_flows(self) -> int:
         """Number of connections attempted this epoch."""
         return len(self.flows)
-
-    def flows_with_retransmissions(self) -> List[FlowRecord]:
-        """The flows that suffered at least one retransmission."""
-        return [f for f in self.flows if f.has_retransmission]
 
     @property
     def total_drops(self) -> int:

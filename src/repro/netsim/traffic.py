@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,29 +206,3 @@ class HotTorTraffic(SkewedTraffic):
     def hot_tor(self) -> str:
         """The single sink ToR."""
         return self._hot_tors[0]
-
-
-class ReplayTraffic(TrafficGenerator):
-    """Replays a recorded list of demands, one list per epoch (Section 7 setup).
-
-    Epochs beyond the recorded trace wrap around, mimicking the paper's replay
-    of a 6-hour production capture with shifted start times.
-    """
-
-    def __init__(
-        self,
-        topology: ClosTopology,
-        demands_per_epoch: Sequence[Sequence[TrafficDemand]],
-    ) -> None:
-        super().__init__(topology)
-        if not demands_per_epoch:
-            raise ValueError("demands_per_epoch must not be empty")
-        self._trace = [list(epoch) for epoch in demands_per_epoch]
-
-    def pick_destination(
-        self, rng: np.random.Generator, src_host: str
-    ) -> Optional[str]:  # pragma: no cover - not used by replay
-        raise NotImplementedError("ReplayTraffic replays recorded demands")
-
-    def generate(self, epoch: int, rng: RngLike = None) -> List[TrafficDemand]:
-        return list(self._trace[epoch % len(self._trace)])

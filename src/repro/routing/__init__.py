@@ -4,7 +4,6 @@ from repro.routing.fivetuple import FiveTuple
 from repro.routing.paths import Path
 from repro.routing.ecmp import EcmpRouter
 from repro.routing.routing_matrix import RoutingMatrix, build_routing_matrix
-from repro.routing.bgp import BgpRerouter
 
 __all__ = [
     "FiveTuple",
@@ -12,5 +11,4 @@ __all__ = [
     "EcmpRouter",
     "RoutingMatrix",
     "build_routing_matrix",
-    "BgpRerouter",
 ]

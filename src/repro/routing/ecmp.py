@@ -7,13 +7,13 @@ proprietary and change across reboots — which is why 007 must *measure* paths
 with traceroute instead of computing them.
 
 The router also honours a ``link_down`` predicate so that BGP-style rerouting
-around failed links can be simulated (see :mod:`repro.routing.bgp`).
+around failed links can be simulated.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.routing.fivetuple import FiveTuple
 from repro.routing.paths import Path
@@ -53,7 +53,7 @@ class EcmpRouter:
         lookups (data packets, then the traceroute of the same flow, then
         re-routes across epochs) hit the cache.  Caching suspends itself while
         a custom ``link_down`` predicate is installed — predicates are often
-        stateful (e.g. :class:`~repro.routing.bgp.BgpRerouter`) and can change
+        stateful and can change
         routing without the router seeing a mutation.
     max_cached_routes:
         Size bound of the memo table.  Long runs route a fresh source port per
@@ -91,12 +91,6 @@ class EcmpRouter:
     def topology(self) -> ClosTopology:
         """The topology this router forwards over."""
         return self._topology
-
-    def set_link_down_predicate(self, predicate: Optional[LinkDownPredicate]) -> None:
-        """Replace the link-down predicate (``None`` restores "all links up")."""
-        self._link_down = predicate or (lambda link: False)
-        self._has_custom_link_down = predicate is not None
-        self.clear_route_cache()
 
     def reseed_switch(self, switch: str, rng: RngLike = None) -> None:
         """Change a switch's ECMP seed, as happens when the switch reboots."""
@@ -183,10 +177,6 @@ class EcmpRouter:
         self._append_hop(nodes, dst_t1, dst_tor)
         self._append_hop(nodes, dst_tor, dst_host)
         return Path.from_nodes(nodes)
-
-    def route_reverse(self, flow: FiveTuple, src_host: str, dst_host: str) -> Path:
-        """Path of the reverse direction (ACKs): hashes the reversed five-tuple."""
-        return self.route(flow.reversed(), dst_host, src_host)
 
     # ------------------------------------------------------------------
     def all_paths(self, src_host: str, dst_host: str) -> List[Path]:

@@ -45,14 +45,6 @@ class FiveTuple:
             dst_port=self.dst_port if dst_port is None else dst_port,
         )
 
-    def with_source(self, src_ip: str, src_port: int | None = None) -> "FiveTuple":
-        """Return a copy with the source rewritten (SNAT rewriting)."""
-        return replace(
-            self,
-            src_ip=src_ip,
-            src_port=self.src_port if src_port is None else src_port,
-        )
-
     def canonical_key(self) -> tuple:
         """A hashable key identifying the flow (direction sensitive)."""
         return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.topology.elements import DirectedLink
@@ -49,18 +49,6 @@ class Path:
     def nodes(self) -> List[str]:
         """Ordered node names along the path."""
         return [self.links[0].src] + [link.dst for link in self.links]
-
-    def switch_hops(self) -> List[str]:
-        """The intermediate nodes (everything but the two end hosts)."""
-        return self.nodes()[1:-1]
-
-    def contains_link(self, link: DirectedLink) -> bool:
-        """True when ``link`` (directed) lies on this path."""
-        return link in self.links
-
-    def contains_node(self, name: str) -> bool:
-        """True when ``name`` is visited by this path."""
-        return name in self.nodes()
 
     def prefix(self, num_links: int) -> "Path":
         """Return the first ``num_links`` links (used for partial traceroutes)."""

@@ -40,10 +40,6 @@ class RoutingMatrix:
         """Column index of ``link`` (raises ``KeyError`` if absent)."""
         return self._column_of[link]
 
-    def links_of_flow(self, row: int) -> List[DirectedLink]:
-        """The links traversed by the flow in ``row``."""
-        return [self.links[j] for j in np.flatnonzero(self.matrix[row])]
-
 
 def build_routing_matrix(
     paths: Sequence[Path | Sequence[DirectedLink]],

@@ -28,6 +28,16 @@ def pair_of_hosts(topology: ClosTopology, cross_pod: bool = True) -> tuple[str, 
     raise RuntimeError("no suitable host pair found")
 
 
+def health_records(aggregator) -> dict:
+    """link -> :class:`LinkHealthRecord` of every link a
+    :class:`MultiEpochAggregator` saw voted for or detected."""
+    return {
+        record.link: record
+        for record in aggregator.recurrent_offenders(min_epochs_detected=0)
+        if record.epochs_voted or record.epochs_detected
+    }
+
+
 def report_signature(report) -> tuple:
     """Every user-visible field of an :class:`EpochReport`, exact floats.
 

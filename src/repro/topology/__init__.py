@@ -1,8 +1,7 @@
 """Datacenter topology substrate.
 
 Provides the parametric Clos topology the paper's theorems are stated for,
-node/link primitives, and IP addressing (including the router-alias map
-used by the path discovery agent).
+and node/link primitives.
 """
 
 from repro.topology.elements import (
@@ -15,7 +14,6 @@ from repro.topology.elements import (
     SwitchTier,
 )
 from repro.topology.clos import ClosParameters, ClosTopology
-from repro.topology.addressing import AddressPlan
 
 __all__ = [
     "DirectedLink",
@@ -27,5 +25,4 @@ __all__ = [
     "SwitchTier",
     "ClosParameters",
     "ClosTopology",
-    "AddressPlan",
 ]

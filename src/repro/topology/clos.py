@@ -164,10 +164,6 @@ class ClosTopology(Topology):
         """Tier-2 switches."""
         return self.switches_of_tier(SwitchTier.T2)
 
-    def tier3s(self) -> List[Switch]:
-        """Tier-3 switches (empty unless ``n3 > 0``)."""
-        return self.switches_of_tier(SwitchTier.T3)
-
     def expected_hop_count(self, src_host: str, dst_host: str) -> int:
         """Number of links on the path between two hosts under ECMP routing.
 

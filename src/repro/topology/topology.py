@@ -2,13 +2,13 @@
 
 A topology is a collection of :class:`~repro.topology.elements.Switch` and
 :class:`~repro.topology.elements.Host` nodes plus undirected physical links.
-It offers graph-style queries (neighbours, link levels, networkx export) that
+It offers graph-style queries (link levels, adjacency) that
 the routing, simulation and analysis layers rely on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.topology.elements import (
     DirectedLink,
@@ -88,28 +88,12 @@ class Topology:
         """True when ``name`` refers to a switch."""
         return name in self._switches
 
-    def node_names(self) -> Iterator[str]:
-        """Iterate over every node name (hosts then switches)."""
-        yield from self._hosts
-        yield from self._switches
-
     def switches_of_tier(self, tier: SwitchTier, pod: Optional[int] = None) -> List[Switch]:
         """Return switches of ``tier`` (restricted to ``pod`` when given)."""
         result = [s for s in self._switches.values() if s.tier == tier]
         if pod is not None:
             result = [s for s in result if s.pod == pod]
         return sorted(result, key=lambda s: s.name)
-
-    def hosts_under_tor(self, tor_name: str) -> List[Host]:
-        """Return the hosts attached to ToR switch ``tor_name``."""
-        return sorted(
-            (h for h in self._hosts.values() if h.tor == tor_name),
-            key=lambda h: h.name,
-        )
-
-    def tor_of_host(self, host_name: str) -> Switch:
-        """Return the ToR switch of ``host_name``."""
-        return self._switches[self._hosts[host_name].tor]
 
     # ------------------------------------------------------------------
     # link queries
@@ -147,29 +131,6 @@ class Topology:
     def num_links(self, directed: bool = False) -> int:
         """Number of links (doubled when ``directed``)."""
         return len(self._links) * (2 if directed else 1)
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> "networkx.Graph":
-        """Export the topology as an undirected :class:`networkx.Graph`.
-
-        Node attributes carry ``kind`` (``"host"``/``"switch"``) and, for
-        switches, ``tier`` and ``pod``.  Edge attribute ``level`` carries the
-        :class:`LinkLevel`.
-        """
-        import networkx as nx  # only this export needs it
-
-        graph = nx.Graph()
-        for host in self._hosts.values():
-            graph.add_node(host.name, kind="host", pod=host.pod, tor=host.tor)
-        for switch in self._switches.values():
-            graph.add_node(
-                switch.name, kind="switch", tier=switch.tier, pod=switch.pod
-            )
-        for link, level in self._links.items():
-            graph.add_edge(link.a, link.b, level=level)
-        return graph
 
     def describe(self) -> str:
         """Return a one-line human-readable summary of the topology."""

@@ -33,8 +33,8 @@ from repro.api import (
     Zero07Service,
     evidence_from_dict,
     evidence_to_dict,
-    path_evidence_stream,
 )
+from repro.api.service import iter_evidence_runs
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
 from repro.core.votes import PathTooLongError
@@ -43,7 +43,7 @@ from repro.experiments.scenario import ScenarioConfig, build_system, run_scenari
 from repro.metrics.evaluation import StreamingDetectionScorer
 from repro.netsim.script import ScenarioScript
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import evidence_document, report_signature
+from repro.testing import evidence_document, health_records, report_signature
 from repro.topology.elements import DirectedLink, LinkLevel
 
 FAST = dict(npod=2, n0=4, n1=2, n2=2, hosts_per_tor=2, connections_per_host=25)
@@ -91,6 +91,12 @@ def make_path(flow_id, links, retransmissions=1, src_host="h0", epoch=0):
         retransmissions=retransmissions,
         epoch=epoch,
     )
+
+
+def evidence_stream(epoch, paths, tick=False):
+    """One epoch's paths as evidence in list order, its tick last if asked."""
+    events = [PathEvidence(epoch=epoch, seq=i, path=path) for i, path in enumerate(paths)]
+    return events + [EpochTick(epoch=epoch)] if tick else events
 
 
 L = [DirectedLink(f"n{i}", f"n{i + 1}") for i in range(6)]
@@ -166,7 +172,7 @@ class TestMidEpochReport:
 
     def test_mid_epoch_report_is_immutable_snapshot(self):
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
         first = service.report(0)
         before = report_signature(first)
         service.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[2:5])))
@@ -302,9 +308,9 @@ class TestEvidenceSemantics:
     def test_out_of_order_delivery_is_resequenced(self):
         paths = [make_path(i, L[i : i + 2]) for i in range(4)]
         in_order = Zero07Service()
-        in_order.ingest_batch(path_evidence_stream(0, paths))
+        in_order.ingest_batch(evidence_stream(0, paths))
         shuffled = Zero07Service()
-        events = list(path_evidence_stream(0, paths))
+        events = list(evidence_stream(0, paths))
         shuffled.ingest_batch([events[2], events[0], events[3], events[1]])
         assert shuffled.stats.out_of_order_events > 0
         assert report_signature(shuffled.report(0)) == report_signature(
@@ -320,7 +326,7 @@ class TestEvidenceSemantics:
 
     def test_tick_finalizes_and_releases_buffers(self):
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         assert service.open_epochs == []
         assert service.last_finalized_epoch == 0
         assert service.stats.epochs_finalized == 1
@@ -571,7 +577,7 @@ class TestCheckpoint:
     def test_checkpoint_round_trips_through_disk(self, tmp_path):
         service = Zero07Service()
         service.ingest_batch(
-            path_evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
+            evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
         )
         path = tmp_path / "service.ckpt.json"
         service.checkpoint().save(path)
@@ -583,14 +589,14 @@ class TestCheckpoint:
     def test_report_default_works_right_after_a_boundary_restore(self):
         """report() must answer (not raise) when restored at an epoch boundary."""
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         restored = Zero07Service.restore(
             Checkpoint.from_json(service.checkpoint().to_json())
         )
         report = restored.report()  # the closed report was not serialized
         assert report.epoch == 1 and report.num_paths_analyzed == 0
         fleet = ShardedService(num_shards=2)
-        fleet.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        fleet.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         restored_fleet = ShardedService.restore(
             Checkpoint.from_json(fleet.checkpoint().to_json())
         )
@@ -602,13 +608,52 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             ShardedService.restore(checkpoint)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("stats", {"as_dict": 2}),  # not a counter: it would shadow a method
+            ("stats", {"paths_ingested": None}),
+            ("stats", {"ticks": 1.0}),
+            ("stats", {"ticks": True}),
+            ("stats", {"seqs": 3}),
+            ("stats", [1, 2]),
+            ("last_finalized", [1]),
+            ("last_finalized", "0"),
+            ("max_epoch_seen", 2.5),
+        ],
+    )
+    def test_malformed_stats_and_epoch_markers_are_refused(self, key, value):
+        """A checkpoint's stats hold only integer service counters and its
+        epoch markers are integers: anything else is a ``ValueError`` at load
+        or restore, never a service that breaks later."""
+        service = Zero07Service()
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        payload = json.loads(service.checkpoint().to_json())
+        if key == "stats" and isinstance(value, dict):
+            value = {**payload["stats"], **value}
+        payload[key] = value
+        with pytest.raises(ValueError):
+            Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
+
+    def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
+        """Older checkpoints predate ``fallback_events``: a missing counter
+        restores at its default, the others as saved."""
+        service = Zero07Service()
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        payload = json.loads(service.checkpoint().to_json())
+        del payload["stats"]["fallback_events"]
+        restored = Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
+        assert restored.stats.fallback_events == 0
+        assert restored.stats.as_dict() == service.stats.as_dict()
+        assert restored.checkpoint().payload["stats"] == service.stats.as_dict()
+
     def test_per_shard_sharded_checkpoints_are_refused(self):
         """A sharded payload with a ``shards`` list — one service payload per
         shard, the format before the coordinator service — is refused by
         loads, restore and delta merges, naming the change, whichever side
         of a merge it is on."""
         fleet = ShardedService(num_shards=2)
-        fleet.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        fleet.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
         base = fleet.checkpoint()
         assert base.payload["num_shards"] == 2 and "shards" not in base.payload
         fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
@@ -700,7 +745,7 @@ class TestBinaryCheckpoint:
     def test_binary_survives_a_disk_round_trip(self, tmp_path):
         service = Zero07Service()
         service.ingest_batch(
-            path_evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
+            evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
         )
         path = tmp_path / "service.ckpt"
         service.checkpoint().save(path)  # binary is the default format
@@ -714,7 +759,7 @@ class TestBinaryCheckpoint:
         """A payload with version 1 (the pre-binary format) still restores."""
         service = Zero07Service()
         service.ingest_batch(
-            path_evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[2:5])])
+            evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[2:5])])
         )
         payload = json.loads(service.checkpoint().to_json())
         payload["version"] = 1
@@ -728,7 +773,7 @@ class TestBinaryCheckpoint:
     def test_save_survives_a_torn_write(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous checkpoint intact."""
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
         target = tmp_path / "service.ckpt"
         service.checkpoint().save(target)
         good = target.read_bytes()
@@ -824,7 +869,7 @@ class TestDeltaCheckpoint:
 
     def test_delta_cannot_restore_directly(self):
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
         base = service.checkpoint()
         service.ingest(PathEvidence(epoch=0, seq=7, path=make_path(2, L[1:4])))
         delta = service.checkpoint(base=base)
@@ -833,7 +878,7 @@ class TestDeltaCheckpoint:
 
     def test_apply_delta_rejects_a_mismatched_base(self):
         service = Zero07Service()
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])]))
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
         base = service.checkpoint()
         service.ingest(PathEvidence(epoch=0, seq=7, path=make_path(2, L[1:4])))
         delta = service.checkpoint(base=base)
@@ -1013,7 +1058,7 @@ class TestReportUnavailable:
         service = Zero07Service(retain_reports=1)
         for epoch in range(3):
             service.ingest_batch(
-                path_evidence_stream(
+                evidence_stream(
                     epoch, [make_path(epoch, L[:3], epoch=epoch)], tick=True
                 )
             )
@@ -1029,7 +1074,7 @@ class TestReportUnavailable:
         service = Zero07Service(retain_reports=1)
         for epoch in range(3):
             service.ingest_batch(
-                path_evidence_stream(
+                evidence_stream(
                     epoch, [make_path(epoch, L[:3], epoch=epoch)], tick=True
                 )
             )
@@ -1042,7 +1087,7 @@ class TestReportUnavailable:
         fleet = ShardedService(num_shards=2, retain_reports=1)
         for epoch in range(3):
             fleet.ingest_batch(
-                path_evidence_stream(
+                evidence_stream(
                     epoch, [make_path(epoch, L[:3], epoch=epoch)], tick=True
                 )
             )
@@ -1091,10 +1136,111 @@ class TestShardedService:
     def test_mid_epoch_merged_report(self):
         paths = [make_path(i, L[i % 3 : i % 3 + 3], src_host=f"h{i}") for i in range(6)]
         fleet = ShardedService(num_shards=4)
-        fleet.ingest_batch(path_evidence_stream(0, paths))
+        fleet.ingest_batch(evidence_stream(0, paths))
         single = Zero07Service()
-        single.ingest_batch(path_evidence_stream(0, paths))
+        single.ingest_batch(evidence_stream(0, paths))
         assert report_signature(fleet.report(0)) == report_signature(single.report(0))
+
+
+@pytest.mark.parametrize(
+    "shape, runs",
+    [
+        ("", []),
+        ("p0 p0 u0", [(0, 3)]),
+        ("p0 u0 t0 p1", [(0, 2), (None, 1), (1, 1)]),
+        ("p0 p1 p0", [(0, 1), (1, 1), (0, 1)]),  # never merged across epochs
+        ("t0 t1", [(None, 1), (None, 1)]),
+    ],
+)
+def test_a_batch_segments_into_maximal_single_epoch_runs(shape, runs):
+    """``iter_evidence_runs``: p = path, u = count update, t = tick, each
+    with its epoch; a run is ``(epoch, length)``, a lone event ``(None, 1)``."""
+    events = []
+    for seq, token in enumerate(shape.split()):
+        kind, epoch = token[0], int(token[1:])
+        if kind == "p":
+            path = make_path(seq, L[:2])
+            events.append(PathEvidence(epoch=epoch, seq=seq, path=path))
+        elif kind == "u":
+            events.append(
+                RetransmissionEvidence(epoch=epoch, flow_id=0, retransmissions=2, seq=seq)
+            )
+        else:
+            events.append(EpochTick(epoch=epoch))
+    segments = list(iter_evidence_runs(events))
+    assert [(epoch, len(chunk)) for _, epoch, chunk in segments] == runs
+    assert [event for _, _, chunk in segments for event in chunk] == events
+
+
+# ----------------------------------------------------------------------
+# the evidence recorder tap
+# ----------------------------------------------------------------------
+def tapped_stream():
+    """Two epochs: paths, a count update, and each epoch's tick."""
+    first = evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
+    update = RetransmissionEvidence(epoch=0, flow_id=1, retransmissions=2, seq=2)
+    second = evidence_stream(1, [make_path(3, L[2:5], epoch=1)], tick=True)
+    return first + [update, EpochTick(epoch=0)] + second
+
+
+SERVICES = {
+    "service": Zero07Service,
+    "sharded": lambda: ShardedService(num_shards=2),
+}
+
+
+class TestEvidenceRecorder:
+    @pytest.mark.parametrize("kind", SERVICES)
+    def test_a_tapped_batch_is_recorded_once_with_its_ticks(self, kind):
+        """``ingest_batch`` hands ticks and runs on to ``ingest`` and
+        ``ingest_run``: the tap records each event once all the same."""
+        events = tapped_stream()
+        service = SERVICES[kind]()
+        recorder = EvidenceRecorder(service)
+        service.ingest_batch(events)
+        assert list(map(evidence_to_dict, recorder.events)) == list(
+            map(evidence_to_dict, events)
+        )
+        replayed = SERVICES[kind]()
+        recorder.replay(replayed)
+        for epoch in (0, 1):
+            assert report_signature(replayed.report(epoch)) == report_signature(
+                service.report(epoch)
+            )
+
+    @pytest.mark.parametrize("kind", SERVICES)
+    def test_stacked_recorders_each_record_a_batch_once(self, kind):
+        events = tapped_stream()
+        service = SERVICES[kind]()
+        inner, outer = EvidenceRecorder(service), EvidenceRecorder(service)
+        service.ingest_batch(events)
+        assert len(inner.events) == len(outer.events) == len(events)
+
+    def test_a_tapped_run_is_recorded_and_folded_as_one_run(self):
+        run = evidence_stream(0, [make_path(flow, L[:3]) for flow in range(12)])
+        tapped, plain = Zero07Service(), Zero07Service()
+        recorder = EvidenceRecorder(tapped)
+        tapped.ingest_run(0, run)
+        plain.ingest_run(0, run)
+        assert len(recorder.events) == len(run)
+        assert tapped.stats.as_dict() == plain.stats.as_dict()
+        assert report_signature(tapped.report(0)) == report_signature(plain.report(0))
+
+    def test_a_tapped_batch_reaches_the_service_whole(self, monkeypatch):
+        """A tapped batch is not split into per-event ``ingest`` calls, so it
+        keeps the batch fast path (``fallback_events`` stays 0)."""
+
+        def per_event(self, event):
+            raise AssertionError("a tapped batch was replayed event by event")
+
+        monkeypatch.setattr(Zero07Service, "ingest", per_event)
+        events = evidence_stream(0, [make_path(flow, L[:3]) for flow in range(64)])
+        service = Zero07Service()
+        recorder = EvidenceRecorder(service)
+        service.ingest_batch(events)
+        assert len(recorder.events) == 64
+        assert service.stats.paths_ingested == 64
+        assert service.stats.fallback_events == 0
 
 
 # ----------------------------------------------------------------------
@@ -1122,13 +1268,13 @@ class TestReportSinks:
             replayed.ingest(report)
         assert streamed.epochs_ingested == replayed.epochs_ingested == config.epochs
         assert streamed.detections_per_epoch() == replayed.detections_per_epoch()
-        assert streamed.max_votes_per_epoch() == replayed.max_votes_per_epoch()
+        assert health_records(streamed) == health_records(replayed)
 
     def test_streaming_detection_scorer_skips_epochs_without_truth(self):
         scorer = StreamingDetectionScorer(truth_lookup=lambda epoch: None)
         service = Zero07Service(sinks=(scorer,))
-        service.ingest_batch(path_evidence_stream(0, [make_path(1, L[:3])], tick=True))
-        assert scorer.epochs_scored == 0
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
+        assert len(scorer.scores) == 0
 
     def test_streaming_detection_scorer(self):
         config = static_config()
@@ -1136,7 +1282,7 @@ class TestReportSinks:
         scorer = StreamingDetectionScorer(truth_lookup=system.ground_truth)
         system.service.add_sink(scorer)
         system.run(config.epochs)
-        assert scorer.epochs_scored == config.epochs
+        assert len(scorer.scores) == config.epochs
         result = run_scenario(config)
         for epoch in range(config.epochs):
             expected = result.detection_007(epoch_index=epoch)

@@ -515,6 +515,8 @@ class TestEvidenceOwnership:
         recorder.detach()
         recorder.detach()  # idempotent
         assert "ingest" not in service.__dict__
+        assert "ingest_batch" not in service.__dict__
+        assert "ingest_run" not in service.__dict__
 
         def boom(self, run, owned):
             raise AssertionError("fast path disabled after recorder detach")
@@ -539,3 +541,5 @@ class TestEvidenceOwnership:
         assert len(inner.events) == 2 and len(outer.events) == 1
         inner.detach()
         assert "ingest" not in service.__dict__
+        assert "ingest_batch" not in service.__dict__
+        assert "ingest_run" not in service.__dict__

@@ -50,8 +50,6 @@ EXPECTED_EXPORTS = {
     "MonitoringEvidenceStream",
     "ReplayEvidenceSource",
     "EvidenceRecorder",
-    "path_evidence_stream",
-    "partition_evidence",
 }
 
 #: pinned signatures of the stable entry points.  The modules use
@@ -118,10 +116,6 @@ EXPECTED_SIGNATURES = {
     "Checkpoint.apply_delta": "(self, delta: \"'Checkpoint'\") -> \"'Checkpoint'\"",
     "ReportSink.on_report": "(self, report: 'EpochReport') -> 'None'",
     "EvidenceSource.events": "(self) -> 'Iterable[Evidence]'",
-    "path_evidence_stream": (
-        "(epoch: 'int', paths: 'Sequence[DiscoveredPath]', "
-        "tick: 'bool' = False) -> 'Iterator[Evidence]'"
-    ),
     "shard_of_host": "(host: 'str', num_shards: 'int') -> 'int'",
 }
 

@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core.blame import BlameConfig
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.netsim.script import ScenarioScript
+from repro.netsim.script import FabricExpansion, ScenarioScript, TrafficShift
 from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
 
 
@@ -29,13 +29,13 @@ def full_script() -> ScenarioScript:
         .reboot_switch(epoch=8, switch="t2-0", tier=None)
         .drain(start=3, duration=1, link=Link.of("t2-0", "pod1-t1-0"))
         .drain(start=5, duration=2, level=LinkLevel.HOST)
-        .shift_traffic(epoch=7, traffic="skewed", connections_per_host=(10, 20))
-        .shift_traffic(epoch=9, traffic="hot_tor", hot_tor_skew=0.7)
+        .add(TrafficShift(epoch=7, traffic="skewed", connections_per_host=(10, 20)))
+        .add(TrafficShift(epoch=9, traffic="hot_tor", hot_tor_skew=0.7))
         .linecard(start=2, duration=3, num_links=2, drop_rate=0.05,
                   blackhole=False, switch="pod0-t1-0")
         .linecard(start=6, duration=1, tier=SwitchTier.T2)
-        .expand_fabric(epoch=4, switch="t2-1")
-        .expand_fabric(epoch=2, tier=SwitchTier.T1)
+        .add(FabricExpansion(epoch=4, switch="t2-1"))
+        .add(FabricExpansion(epoch=2, tier=SwitchTier.T1))
     )
 
 

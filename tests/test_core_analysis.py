@@ -102,11 +102,3 @@ class TestAnalyzeEpoch:
         agent = AnalysisAgent()
         report = agent.analyze_epoch(0, _failure_paths())
         assert len(report.top_links(3)) == 3
-
-
-class TestAnalyzeEpochs:
-    def test_multiple_epochs_sorted(self):
-        agent = AnalysisAgent()
-        reports = agent.analyze_epochs({2: _failure_paths(5), 1: _failure_paths(3)})
-        assert [r.epoch for r in reports] == [1, 2]
-        assert reports[0].num_paths_analyzed == 3

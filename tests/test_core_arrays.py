@@ -18,6 +18,7 @@ from repro.core.blame import BlameConfig, find_problematic_links
 from repro.core.votes import PathTooLongError, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
+from repro.testing import health_records
 from repro.topology.elements import DirectedLink
 
 
@@ -86,15 +87,15 @@ class TestLinkIndex:
         index.intern(L("a", "b"))
         assert index.sort_ranks().tolist() == [1, 0]
 
-    def test_from_topology_ids_equal_ranks(self, small_topology):
-        index = LinkIndex.from_topology(small_topology)
+    def test_sorted_topology_links_have_ids_equal_to_ranks(self, small_topology):
+        index = LinkIndex(sorted(small_topology.directed_links()))
         assert len(index) == small_topology.num_links(directed=True)
         assert index.sort_ranks().tolist() == list(range(len(index)))
 
     def test_item_index_interns_strings(self):
         index = ItemIndex(["tor1", "t2"])
-        assert index.id_of("tor1") == 0
-        assert index.item_of(1) == "t2"
+        assert index.get("tor1") == 0
+        assert index.items[1] == "t2"
         assert index.sort_ranks().tolist() == [1, 0]
 
     @pytest.mark.parametrize("kind", ["links", "switch names"])
@@ -136,7 +137,7 @@ class TestArrayVoteTally:
         assert arr.items() == ref.items()
         assert arr.links() == ref.links()
         assert arr.as_dict() == ref.as_dict()
-        assert arr.max_link() == ref.max_link()
+        assert arr.top(1) == ref.top(1)
         for link in ref.links() + [L("z", "z")]:
             assert arr.votes_of(link) == ref.votes_of(link)
             assert arr.support_of(link) == ref.support_of(link)
@@ -162,7 +163,7 @@ class TestArrayVoteTally:
         # second epoch's tally must not see first epoch's votes
         assert second.votes_of(L("a", "b")) == 0.0
         assert second.votes_of(L("b", "c")) == 1.0
-        assert index.id_of(L("a", "b")) == 0 and index.id_of(L("b", "c")) == 1
+        assert index.get(L("a", "b")) == 0 and index.get(L("b", "c")) == 1
 
     def test_copy_is_independent(self):
         tally = ArrayVoteTally()
@@ -334,24 +335,21 @@ class TestArrayAggregator:
             1: [_path(3, [L("a", "b"), L("c", "d")], retransmissions=4),
                 _path(4, [L("a", "b")], retransmissions=4)],
         }
-        return agent.analyze_epochs(paths_by_epoch)
+        return [agent.analyze_epoch(epoch, paths_by_epoch[epoch]) for epoch in (0, 1)]
 
     @pytest.mark.parametrize("engine", ["dicts", "arrays"])
     def test_aggregates_match_across_engines(self, engine):
         reference = MultiEpochAggregator()
-        reference.ingest_many(self._reports("dicts"))
         aggregator = MultiEpochAggregator()
-        aggregator.ingest_many(self._reports(engine))
+        for want, got in zip(self._reports("dicts"), self._reports(engine)):
+            reference.ingest(want)
+            aggregator.ingest(got)
 
         assert aggregator.epochs_ingested == 2
         assert aggregator.detections_per_epoch() == reference.detections_per_epoch()
-        assert aggregator.max_votes_per_epoch() == reference.max_votes_per_epoch()
-        for link in (L("a", "b"), L("b", "c"), L("c", "d")):
-            got, want = aggregator.record_of(link), reference.record_of(link)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got == want
-        assert aggregator.record_of(L("z", "z")) is None
+        records = health_records(aggregator)
+        assert records == health_records(reference)
+        assert set(records) == {L("a", "b"), L("b", "c"), L("c", "d")}
         offenders = aggregator.recurrent_offenders(min_epochs_detected=2)
         assert offenders == reference.recurrent_offenders(min_epochs_detected=2)
 
@@ -361,7 +359,7 @@ class TestArrayAggregator:
         array_reports = self._reports("arrays")
         aggregator.ingest(dict_reports[0])
         aggregator.ingest(array_reports[1])
-        record = aggregator.record_of(L("a", "b"))
+        record = health_records(aggregator).get(L("a", "b"))
         assert record is not None and record.epochs_voted == 2
 
     def test_aggregator_shared_index_fast_path(self):
@@ -370,7 +368,7 @@ class TestArrayAggregator:
         report = agent.analyze_epoch(0, [_path(1, [L("a", "b")], retransmissions=4)])
         aggregator = MultiEpochAggregator(link_index=index)
         aggregator.ingest(report)
-        assert aggregator.record_of(L("a", "b")).epochs_voted == 1
+        assert health_records(aggregator)[L("a", "b")].epochs_voted == 1
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +412,8 @@ def _drive(add_chunk, paths, stops, cuts=(), actions=None):
         if stop and stop in stops:
             picks, extras = stops[stop]
             flows = [paths[pick % stop].flow_id for pick in picks]
-            tally.bump_rows([tally.row_of_flow(flow) for flow in flows], extras)
+            rows = tally.flow_rows()
+            tally.bump_rows([rows.get(flow) for flow in flows], extras)
             action = actions[stop] if actions else None
             if action == "query":
                 tally.votes_array()

@@ -50,7 +50,6 @@ class TestSingleFailure:
     def test_empty_tally_detects_nothing(self):
         result = find_problematic_links(VoteTally())
         assert result.detected_links == []
-        assert result.num_detected == 0
 
     def test_threshold_votes_recorded(self):
         tally = VoteTally()
@@ -110,7 +109,7 @@ class TestMultipleFailures:
         result = find_problematic_links(
             self._two_failure_tally(), BlameConfig(max_links=1)
         )
-        assert result.num_detected == 1
+        assert len(result.detected_links) == 1
 
     def test_higher_threshold_detects_fewer(self):
         tally = self._two_failure_tally()

@@ -38,7 +38,7 @@ from repro.experiments.scenario import ScenarioConfig, run_scenario
 from repro.fleet.analyzer import report_to_json
 from repro.fleet.runner import build_generator
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import report_signature
+from repro.testing import health_records, report_signature
 from repro.topology.elements import DirectedLink
 
 try:
@@ -323,11 +323,10 @@ def test_multi_epoch_persistent_index_equivalent():
     paths_by_epoch = {e: _random_paths(rng, 40) for e in range(4)}
     ref_agent = AnalysisAgent(engine="dicts")
     got_agent = AnalysisAgent(engine="arrays")
-    for ref, got in zip(
-        ref_agent.analyze_epochs(paths_by_epoch),
-        got_agent.analyze_epochs(paths_by_epoch),
-    ):
-        assert_reports_identical(ref, got)
+    for epoch, paths in paths_by_epoch.items():
+        assert_reports_identical(
+            ref_agent.analyze_epoch(epoch, paths), got_agent.analyze_epoch(epoch, paths)
+        )
 
 
 def test_fig10_single_failure_scenario_equivalent():
@@ -446,7 +445,7 @@ def _reports_held_unread(seed, monkeypatch):
     assert noise & failure  # a re-traced flow sits in both
     assert final[3] == (len(final[0]), len(noise), len(failure))
     index = late.report(1).tally.index
-    assert index.sort_ranks()[index.id_of(DirectedLink("a", "b"))] == 0
+    assert index.sort_ranks()[index.get(DirectedLink("a", "b"))] == 0
 
     def live_ranks():
         raise AssertionError("a late read took sort ranks from the live index")
@@ -532,7 +531,8 @@ def test_a_report_and_a_tick_do_no_per_link_work(monkeypatch):
         aggregator.ingest(report)
         assert len(report_to_json(report)["signature"][9]) == len(cold.blame.arrays.ids)
         assert _tables_unbuilt(report)
-    assert aggregator.max_votes_per_epoch()[0] == final.ranked_links[0][1]
+    top = max(record.max_votes for record in health_records(aggregator).values())
+    assert top == final.ranked_links[0][1]
 
 
 @pytest.mark.parametrize("num_flows", [200, 0])

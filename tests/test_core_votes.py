@@ -113,12 +113,12 @@ class TestQueries:
         tally = VoteTally()
         tally.add_flow(1, _links(("a", "b")))
         tally.add_flow(2, _links(("c", "d"), ("d", "e")))
-        assert tally.max_link() == DirectedLink("a", "b")
+        assert tally.top(1)[0][0] == DirectedLink("a", "b")
         assert len(tally.top(2)) == 2
 
     def test_empty_tally(self):
         tally = VoteTally()
-        assert tally.max_link() is None
+        assert tally.top(1) == []
         assert tally.items() == []
         assert tally.total_votes() == 0.0
 

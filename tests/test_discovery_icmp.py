@@ -20,30 +20,16 @@ class TestRateLimiting:
         assert limiter.allow("b", 0.0)
         assert not limiter.allow("a", 0.0)
 
-    def test_counters(self):
-        limiter = IcmpRateLimiter(tmax_per_second=1)
-        limiter.allow("a", 0.0)
-        limiter.allow("a", 0.0)
-        assert limiter.granted == 1
-        assert limiter.denied == 1
-
     def test_invalid_tmax_raises(self):
         with pytest.raises(ValueError):
             IcmpRateLimiter(tmax_per_second=0)
-
-    def test_responses_of_switch(self):
-        limiter = IcmpRateLimiter()
-        for second in range(5):
-            limiter.allow("sw", float(second))
-        assert limiter.responses_of_switch("sw") == 5
-        assert limiter.per_second_counts("sw") == [1, 1, 1, 1, 1]
 
     def test_reset(self):
         limiter = IcmpRateLimiter()
         limiter.allow("sw", 0.0)
         limiter.reset()
-        assert limiter.granted == 0
-        assert limiter.responses_of_switch("sw") == 0
+        stats = limiter.usage_stats(total_seconds=1)
+        assert stats.fraction_zero == 1.0 and stats.max_rate == 0
 
 
 class TestUsageStats:

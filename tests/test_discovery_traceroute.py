@@ -30,7 +30,7 @@ class TestCompleteTrace:
         assert trace.complete
         assert trace.reached_destination
         assert trace.discovered_links == list(true_path.links)
-        assert trace.probes_sent == true_path.hop_count
+        assert len(trace.probes) == true_path.hop_count
 
     def test_trace_matches_data_path_for_same_five_tuple(self, small_topology, router, engine):
         src, dst = pair_of_hosts(small_topology, cross_pod=True)
@@ -44,8 +44,8 @@ class TestCompleteTrace:
         flow = _flow(src, dst)
         trace = engine.trace(flow, src, dst)
         path_nodes = router.route(flow, src, dst).nodes()
-        for responder in trace.responders:
-            assert responder in path_nodes
+        for probe in trace.probes:
+            assert probe.responder in path_nodes
 
     def test_ip_id_encodes_ttl(self, small_topology, engine):
         src, dst = pair_of_hosts(small_topology)
@@ -65,7 +65,8 @@ class TestPartialTrace:
         trace = engine.trace(flow, src, dst)
         assert not trace.complete
         assert not trace.reached_destination
-        assert trace.last_responding_hop() == true_path.nodes()[2]
+        answered = [probe.responder for probe in trace.probes if probe.responder]
+        assert answered[-1] == true_path.nodes()[2]
         assert set(trace.discovered_links) <= set(true_path.links[:2])
 
     def test_rate_limited_hop_missing(self, small_topology, router, link_table):
@@ -94,7 +95,7 @@ class TestPartialTrace:
         router = EcmpRouter(small_topology, rng=0, link_down=lambda l: l in down)
         engine = TracerouteEngine(router, link_table, IcmpRateLimiter(), rng=0)
         trace = engine.trace(_flow(src, dst), src, dst)
-        assert trace.probes_sent == 0
+        assert trace.probes == []
         assert trace.discovered_links == []
         assert not trace.complete
 

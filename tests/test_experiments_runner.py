@@ -72,10 +72,10 @@ class TestWorkerCountInvariance:
 
 class TestNanHandling:
     def test_all_nan_metric_stays_nan(self):
-        averaged = SweepRunner(workers=1).run_trials(
-            _config(), {"always_nan": _nan_metric}, trials=2, base_seed=0
+        result = SweepRunner(workers=1).run_sweep(
+            [({}, _config())], {"always_nan": _nan_metric}, trials=2, base_seed=0
         )
-        assert np.isnan(averaged["always_nan"])
+        assert np.isnan(result.points[0].metrics["always_nan"])
 
 
 class TestRunnerDefaults:
@@ -84,10 +84,13 @@ class TestRunnerDefaults:
         (unpicklable) metric works, and trials see forked seeds."""
         for runner in (SweepRunner(), SweepRunner(workers=0)):
             assert runner.workers == 1
-            averaged = runner.run_trials(
-                _config(), {"seed": lambda result: result.config.seed}, trials=2, base_seed=0
+            result = runner.run_sweep(
+                [({}, _config())],
+                {"seed": lambda result: result.config.seed},
+                trials=2,
+                base_seed=0,
             )
-            assert averaged["seed"] == fork_trial_seed(0, 1) / 2
+            assert result.points[0].metrics["seed"] == fork_trial_seed(0, 1) / 2
 
     def test_invalid_workers_raise(self):
         with pytest.raises(ValueError):

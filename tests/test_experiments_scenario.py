@@ -10,7 +10,6 @@ from repro.experiments.scenario import (
     build_traffic,
     inject_failures,
     run_scenario,
-    run_trials,
 )
 from repro.netsim.links import LinkStateTable
 from repro.netsim.traffic import HotTorTraffic, SkewedTraffic, UniformTraffic
@@ -118,11 +117,3 @@ class TestRunScenario:
     def test_integer_program_accuracy_runs(self, result):
         accuracy = result.accuracy_integer_program(exact=False)
         assert np.isnan(accuracy) or 0.0 <= accuracy <= 1.0
-
-
-class TestRunTrials:
-    def test_trials_use_distinct_seeds(self):
-        config = ScenarioConfig(**FAST, num_bad_links=1, seed=3, drop_rate_range=(5e-3, 5e-3))
-        results = run_trials(config, trials=2)
-        assert len(results) == 2
-        assert results[0].config.seed != results[1].config.seed

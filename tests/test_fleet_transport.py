@@ -398,18 +398,23 @@ def test_an_analyzer_restored_from_its_checkpoint_converges_bit_identically(
 
 def test_heartbeat_is_echoed(tcp_thread):
     thread = tcp_thread(make_core())
-    client = FleetAgentClient("t-0", thread.endpoint)
-    client.connect()
-    client.heartbeat()
-    deadline = time.monotonic() + 10.0
-    with FleetQueryClient(thread.query_endpoint) as query:
-        while True:
+    sock = thread.endpoint.connect(timeout=10.0)
+    try:
+        hello = protocol.encode_hello("t-0")
+        sock.sendall(protocol.encode_frame(protocol.FRAME_HELLO, hello))
+        sock.sendall(protocol.encode_frame(protocol.FRAME_HEARTBEAT))
+        reader = FrameReader()
+        kinds = []
+        while protocol.FRAME_HEARTBEAT not in kinds:
+            data = sock.recv(1 << 16)
+            assert data, "analyzer closed without echoing the heartbeat"
+            reader.feed(data)
+            kinds.extend(kind for kind, _ in reader.frames())
+        with FleetQueryClient(thread.query_endpoint) as query:
             stats = query.request({"cmd": "stats"})
-            if stats["stats"]["heartbeats"] >= 1:
-                break
-            assert time.monotonic() < deadline
-            time.sleep(0.02)
-    client.close()
+        assert stats["stats"]["heartbeats"] >= 1
+    finally:
+        sock.close()
 
 
 def test_mid_epoch_report_matches_partial_replay(tcp_thread):

@@ -83,16 +83,14 @@ class TestBlackholePartialTraceroutes:
         # Re-run manually with a blackhole on a level-1 link.
         from repro.experiments.scenario import build_traffic
         from repro.core.pipeline import SystemConfig, Zero07System
-        from repro.netsim.failures import FailureInjector
         from repro.netsim.links import LinkStateTable
         from repro.netsim.simulator import SimulationConfig
         from repro.topology.clos import ClosTopology
 
         topology = ClosTopology(config.topology_params())
         link_table = LinkStateTable(topology, rng=1)
-        injector = FailureInjector(topology, link_table, rng=1)
         physical = topology.links_of_level(LinkLevel.LEVEL1)[5]
-        scenario = injector.blackhole_link(physical)
+        link_table.set_link_down(physical)
         system = Zero07System(
             topology,
             build_traffic(config, topology),

@@ -27,7 +27,6 @@ class TestDetectionPrecisionRecall:
     def test_perfect_detection(self):
         score = detection_precision_recall([A, B], [A, B])
         assert score.precision == 1.0 and score.recall == 1.0
-        assert score.f1 == 1.0
 
     def test_false_positive_lowers_precision(self):
         score = detection_precision_recall([A, B, C], [A, B])
@@ -43,7 +42,6 @@ class TestDetectionPrecisionRecall:
     def test_empty_detection_with_failures(self):
         score = detection_precision_recall([], [A])
         assert score.precision == 0.0 and score.recall == 0.0
-        assert score.f1 == 0.0
 
     def test_empty_detection_no_failures(self):
         score = detection_precision_recall([], [])

@@ -47,10 +47,6 @@ class TestRandomFailures:
         scenario = injector.inject_random_failures(8)
         assert len(set(scenario.bad_links)) == 8
 
-    def test_drop_rate_of_unknown_link_is_zero(self, injector):
-        scenario = injector.inject_random_failures(1)
-        assert scenario.drop_rate_of(DirectedLink("x", "y")) == 0.0
-
 
 class TestTargetedFailures:
     def test_level_failure_upward(self, small_topology, injector):
@@ -73,19 +69,6 @@ class TestTargetedFailures:
         rates = sorted(scenario.drop_rates.values(), reverse=True)
         assert rates[0] >= 0.1
         assert all(r <= 1e-3 for r in rates[1:])
-
-    def test_switch_failure_covers_all_adjacent_links(self, small_topology, injector, link_table):
-        switch = small_topology.tier1s(0)[0].name
-        scenario = injector.fail_switch(switch)
-        adjacent = small_topology.links_of_node(switch)
-        assert len(scenario.bad_links) == 2 * len(adjacent)
-        assert all(link_table.is_failed(l) for l in scenario.bad_links)
-
-    def test_blackhole_link(self, small_topology, injector, link_table):
-        physical = small_topology.links[0]
-        scenario = injector.blackhole_link(physical)
-        assert link_table.is_down(physical)
-        assert set(scenario.bad_links) == set(physical.directions())
 
 
 class TestTransientFailures:
@@ -169,8 +152,10 @@ class TestTransientScheduleVmRebootInterplay:
     def test_flap_on_storage_path_reboots_only_during_active_epochs(
         self, small_topology
     ):
+        from types import SimpleNamespace
+
         from repro.netsim.simulator import EpochSimulator
-        from repro.netsim.traffic import ReplayTraffic, TrafficDemand
+        from repro.netsim.traffic import TrafficDemand
         from repro.routing.ecmp import EcmpRouter
         from repro.testing import pair_of_hosts
 
@@ -180,7 +165,8 @@ class TestTransientScheduleVmRebootInterplay:
         demand = TrafficDemand(
             src_host=src, dst_host=dst, num_packets=30, kind="storage"
         )
-        traffic = ReplayTraffic(small_topology, [[demand]])
+        # the same single storage demand every epoch
+        traffic = SimpleNamespace(generate=lambda epoch, rng: [demand])
         simulator = EpochSimulator(
             topology=small_topology,
             router=router,

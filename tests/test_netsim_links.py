@@ -23,9 +23,9 @@ class TestNoiseInitialisation:
         with pytest.raises(ValueError):
             LinkStateTable(small_topology, noise_low=0.5, noise_high=0.1)
 
-    def test_no_failures_initially(self, link_table):
+    def test_no_failures_initially(self, small_topology, link_table):
         assert link_table.failed_links == set()
-        assert link_table.down_links == set()
+        assert not any(link_table.is_down(link) for link in small_topology.links)
 
 
 class TestFailureInjection:
@@ -63,11 +63,6 @@ class TestFailureInjection:
         assert not link_table.is_failed(link)
         assert link_table.drop_probability(link) <= 1e-6
 
-    def test_failed_physical_links(self, small_topology, link_table):
-        link = small_topology.directed_links()[0]
-        link_table.inject_failure(link, 0.1)
-        assert link.undirected() in link_table.failed_physical_links
-
 
 class TestBlackholes:
     def test_set_link_down(self, small_topology, link_table):
@@ -97,15 +92,3 @@ class TestReset:
         link_table.reset_noise(rng=1)
         assert link_table.failed_links == set()
         assert link_table.drop_probability(link) <= 1e-6
-
-    def test_good_links_excludes_failed(self, small_topology, link_table):
-        link = small_topology.directed_links()[0]
-        link_table.inject_failure(link, 0.3)
-        assert link not in link_table.good_links()
-        assert len(link_table.good_links()) == len(link_table) - 1
-
-    def test_drop_probabilities_copy(self, small_topology, link_table):
-        snapshot = link_table.drop_probabilities()
-        link = small_topology.directed_links()[0]
-        link_table.inject_failure(link, 0.9)
-        assert snapshot[link] <= 1e-6

@@ -12,11 +12,11 @@ from repro.netsim.script import (
     CongestionBurst,
     FabricExpansion,
     LinecardFailure,
+    LinkDrain,
     LinkFlap,
     ScenarioScript,
+    SwitchReboot,
     TrafficShift,
-    random_burst_script,
-    random_flap_script,
 )
 from repro.netsim.traffic import HotTorTraffic, SkewedTraffic, UniformTraffic
 from repro.routing.ecmp import EcmpRouter
@@ -31,7 +31,7 @@ class TestScriptBuilder:
             .burst(start=4, duration=1)
             .reboot_switch(epoch=6)
             .drain(start=8, duration=2)
-            .shift_traffic(epoch=3, traffic="skewed")
+            .add(TrafficShift(epoch=3, traffic="skewed"))
         )
         assert len(script) == 5
 
@@ -42,9 +42,31 @@ class TestScriptBuilder:
     def test_empty_script_horizon(self):
         assert ScenarioScript().horizon == 0
 
+    @pytest.mark.parametrize(
+        "event, horizon",
+        [
+            (LinkFlap(start_epoch=2, duration_epochs=3), 5),
+            (CongestionBurst(start_epoch=1, duration_epochs=2), 3),
+            # the reseed fires in the epoch after the outage
+            (SwitchReboot(epoch=2, outage_epochs=2), 5),
+            (SwitchReboot(epoch=2, outage_epochs=0), 4),  # an outage lasts an epoch
+            (LinkDrain(start_epoch=4, duration_epochs=1), 5),
+            (LinecardFailure(start_epoch=0, duration_epochs=3), 3),
+            (FabricExpansion(epoch=3), 4),  # the cutover epoch is simulated
+            (TrafficShift(epoch=6), 7),
+        ],
+    )
+    def test_each_event_kind_sets_the_horizon(self, event, horizon):
+        assert ScenarioScript().add(event).horizon == horizon
+
     def test_scripts_are_picklable(self):
         # the sweep runner ships configs (including scripts) to worker processes
-        script = random_flap_script(3, epochs=10, rng=0).shift_traffic(5, "hot_tor")
+        script = (
+            ScenarioScript()
+            .flap(start=1, duration=2, drop_rate=5e-3, level=LinkLevel.LEVEL2)
+            .burst(start=3, duration=1, num_links=2)
+            .add(TrafficShift(5, "hot_tor"))
+        )
         clone = pickle.loads(pickle.dumps(script))
         assert clone.events == script.events
 
@@ -225,7 +247,7 @@ class TestFabricExpansion:
     def test_links_dark_before_cutover_healthy_after(self, small_topology):
         link_table = LinkStateTable(small_topology, rng=0)
         switch = small_topology.switches_of_tier(SwitchTier.T2)[0].name
-        script = ScenarioScript().expand_fabric(epoch=2, switch=switch)
+        script = ScenarioScript().add(FabricExpansion(epoch=2, switch=switch))
         compiled = script.compile(small_topology, link_table, rng=0)
 
         expected = {
@@ -248,12 +270,12 @@ class TestFabricExpansion:
         self, small_topology, link_table
     ):
         switch = small_topology.switches_of_tier(SwitchTier.T2)[0].name
-        script = ScenarioScript().expand_fabric(epoch=0, switch=switch)
+        script = ScenarioScript().add(FabricExpansion(epoch=0, switch=switch))
         compiled = script.compile(small_topology, link_table, rng=0)
         assert compiled.apply_epoch(0).bad_links == []
 
     def test_horizon_includes_the_cutover_epoch(self, small_topology, link_table):
-        script = ScenarioScript().expand_fabric(epoch=3)
+        script = ScenarioScript().add(FabricExpansion(epoch=3))
         assert script.horizon == 4
         compiled = script.compile(small_topology, link_table, rng=0)
         # the dark window is [0, 3); the cutover epoch itself must still be
@@ -263,8 +285,8 @@ class TestFabricExpansion:
 
 class TestTrafficShift:
     def test_shift_builds_generator_of_kind(self, small_topology, link_table):
-        script = ScenarioScript().shift_traffic(
-            epoch=2, traffic="skewed", num_hot_tors=2, hot_fraction=0.9
+        script = ScenarioScript().add(
+            TrafficShift(epoch=2, traffic="skewed", num_hot_tors=2, hot_fraction=0.9)
         )
         compiled = script.compile(small_topology, link_table, rng=0)
         assert compiled.traffic_for_epoch(0) is None
@@ -277,7 +299,7 @@ class TestTrafficShift:
         current = UniformTraffic(
             small_topology, connections_per_host=17, packets_per_flow=(10, 20)
         )
-        script = ScenarioScript().shift_traffic(epoch=1, traffic="hot_tor")
+        script = ScenarioScript().add(TrafficShift(epoch=1, traffic="hot_tor"))
         compiled = script.compile(small_topology, link_table, rng=0)
         shifted = compiled.traffic_for_epoch(1, current=current)
         assert isinstance(shifted, HotTorTraffic)
@@ -291,44 +313,11 @@ class TestTrafficShift:
             compiled.traffic_for_epoch(0)
 
     def test_shift_applies_when_epochs_start_late(self, small_topology, link_table):
-        script = ScenarioScript().shift_traffic(epoch=0, traffic="skewed")
+        script = ScenarioScript().add(TrafficShift(epoch=0, traffic="skewed"))
         compiled = script.compile(small_topology, link_table, rng=0)
         shifted = compiled.traffic_for_epoch(3)  # first epoch driven is 3
         assert isinstance(shifted, SkewedTraffic)
         assert compiled.traffic_for_epoch(4) is None  # fires only once
-
-
-class TestRandomScheduleGenerators:
-    def test_random_flap_script_event_count_and_bounds(self):
-        script = random_flap_script(
-            5, epochs=12, rng=7, drop_rate_range=(1e-3, 1e-2), duration_range=(1, 3)
-        )
-        assert len(script) == 5
-        for event in script.events:
-            assert isinstance(event, LinkFlap)
-            assert event.link is None  # victims resolved at compile time
-            assert 0 <= event.start_epoch
-            assert event.end_epoch <= 12
-            assert 1 <= event.duration_epochs <= 3
-            assert 1e-3 <= event.drop_rate <= 1e-2
-
-    def test_random_flap_script_is_seed_deterministic(self):
-        assert (
-            random_flap_script(4, epochs=10, rng=11).events
-            == random_flap_script(4, epochs=10, rng=11).events
-        )
-
-    def test_random_burst_script_bounds(self):
-        script = random_burst_script(3, epochs=6, rng=2, links_per_burst=(2, 3))
-        assert len(script) == 3
-        for event in script.events:
-            assert isinstance(event, CongestionBurst)
-            assert 2 <= event.num_links <= 3
-            assert event.end_epoch <= 6
-
-    def test_epochs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            random_flap_script(1, epochs=0)
 
 
 class TestTransientScheduleExtensions:

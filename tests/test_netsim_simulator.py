@@ -60,7 +60,7 @@ class TestEpochSimulation:
         assert len(result.retransmission_events) > 0
         assert result.total_drops > 0
         flow_ids_with_events = {e.flow_id for e in result.retransmission_events}
-        flows_with_retx = {f.flow_id for f in result.flows_with_retransmissions()}
+        flows_with_retx = {f.flow_id for f in result.flows if f.has_retransmission}
         assert flow_ids_with_events == flows_with_retx
 
     def test_subscribers_receive_events(self, small_topology, router, link_table):

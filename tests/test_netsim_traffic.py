@@ -7,9 +7,7 @@ import pytest
 
 from repro.netsim.traffic import (
     HotTorTraffic,
-    ReplayTraffic,
     SkewedTraffic,
-    TrafficDemand,
     UniformTraffic,
 )
 
@@ -98,22 +96,3 @@ class TestHotTorTraffic:
     def test_default_sink_is_first_tor(self, small_topology):
         traffic = HotTorTraffic(small_topology)
         assert traffic.hot_tor == small_topology.tors()[0].name
-
-
-class TestReplayTraffic:
-    def test_replays_recorded_demands(self, small_topology):
-        hosts = sorted(small_topology.hosts)
-        trace = [[TrafficDemand(hosts[0], hosts[-1], 10)], [TrafficDemand(hosts[1], hosts[-2], 5)]]
-        traffic = ReplayTraffic(small_topology, trace)
-        assert traffic.generate(0) == trace[0]
-        assert traffic.generate(1) == trace[1]
-
-    def test_wraps_around(self, small_topology):
-        hosts = sorted(small_topology.hosts)
-        trace = [[TrafficDemand(hosts[0], hosts[-1], 10)]]
-        traffic = ReplayTraffic(small_topology, trace)
-        assert traffic.generate(5) == trace[0]
-
-    def test_empty_trace_raises(self, small_topology):
-        with pytest.raises(ValueError):
-            ReplayTraffic(small_topology, [])

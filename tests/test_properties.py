@@ -122,11 +122,11 @@ class TestVotingProperties:
 
     @given(paths=st.lists(path_links_strategy, min_size=1, max_size=15))
     @settings(max_examples=50)
-    def test_max_link_has_max_votes(self, paths):
+    def test_top_link_has_max_votes(self, paths):
         tally = VoteTally()
         for flow_id, links in enumerate(paths):
             tally.add_flow(flow_id, links)
-        top = tally.max_link()
+        ((top, _),) = tally.top(1)
         assert tally.votes_of(top) == max(v for _, v in tally.items())
 
 
@@ -185,7 +185,6 @@ class TestMetricProperties:
         score = detection_precision_recall(detected, truth)
         assert 0.0 <= score.precision <= 1.0
         assert 0.0 <= score.recall <= 1.0
-        assert 0.0 <= score.f1 <= 1.0
 
     @given(
         ranked=st.lists(link_strategy, max_size=10, unique=True),

@@ -17,7 +17,10 @@ def _flow(src: str, dst: str, port: int = 1000) -> FiveTuple:
 class TestRouteStructure:
     def test_same_tor_path_has_two_links(self, small_topology, router):
         tor = small_topology.tors(0)[0]
-        hosts = [h.name for h in small_topology.hosts_under_tor(tor.name)]
+        hosts = [
+            host for host in sorted(small_topology.hosts)
+            if small_topology.host(host).tor == tor.name
+        ]
         path = router.route(_flow(hosts[0], hosts[1]), hosts[0], hosts[1])
         assert path.hop_count == 2
         assert path.nodes() == [hosts[0], tor.name, hosts[1]]
@@ -163,24 +166,8 @@ class TestRouteCache:
         rerouted = router.route(flow, src, dst)
         assert path.links[1] not in rerouted.links
 
-    def test_set_predicate_clears_cache_and_none_restores(self, small_topology):
-        router = EcmpRouter(small_topology, rng=0)
-        src, dst = pair_of_hosts(small_topology)
-        flow = _flow(src, dst)
-        path = router.route(flow, src, dst)
-        blocked = path.links[1]
-        router.set_link_down_predicate(lambda l: l == blocked)
-        assert blocked not in router.route(flow, src, dst).links
-        router.set_link_down_predicate(None)
-        assert router.cache_enabled
-        assert router.route(flow, src, dst) == path
-
 
 class TestReverseAndEnumeration:
-    def test_route_reverse_endpoints(self, small_topology, router):
-        src, dst = pair_of_hosts(small_topology)
-        reverse = router.route_reverse(_flow(src, dst), src, dst)
-        assert reverse.src == dst and reverse.dst == src
 
     def test_all_paths_counts(self, small_topology, router):
         params = small_topology.params

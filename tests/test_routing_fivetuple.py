@@ -30,11 +30,6 @@ class TestFiveTuple:
         flow = FiveTuple("a", "vip", 1000, 443)
         assert flow.with_destination("d", 8443).dst_port == 8443
 
-    def test_with_source_rewrites_snat(self):
-        flow = FiveTuple("a", "b", 1000, 443)
-        nat = flow.with_source("nat", 40000)
-        assert nat.src_ip == "nat" and nat.src_port == 40000
-
     def test_invalid_port_raises(self):
         with pytest.raises(ValueError):
             FiveTuple("a", "b", -1, 443)

@@ -1,14 +1,13 @@
-"""Unit tests for the routing matrix builder and the BGP rerouter."""
+"""Unit tests for ``build_routing_matrix`` and the routing matrix it returns."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.routing.bgp import BgpRerouter
 from repro.routing.paths import Path
 from repro.routing.routing_matrix import build_routing_matrix
-from repro.topology.elements import DirectedLink, Link
+from repro.topology.elements import DirectedLink
 
 
 class TestRoutingMatrix:
@@ -29,10 +28,6 @@ class TestRoutingMatrix:
         routing = build_routing_matrix(paths)
         col = routing.column_of(DirectedLink("tor1", "t1"))
         assert list(routing.matrix[:, col]) == [1, 1, 0]
-
-    def test_links_of_flow(self, paths):
-        routing = build_routing_matrix(paths)
-        assert set(routing.links_of_flow(0)) == set(paths[0].links)
 
     def test_accepts_plain_link_sequences(self):
         links = [DirectedLink("a", "b"), DirectedLink("x", "y")]
@@ -57,43 +52,3 @@ class TestRoutingMatrix:
     def test_rows_have_hop_count_ones(self, paths):
         routing = build_routing_matrix(paths)
         assert list(routing.matrix.sum(axis=1)) == [p.hop_count for p in paths]
-
-
-class TestBgpRerouter:
-    def test_withdraw_and_predicate(self):
-        rerouter = BgpRerouter()
-        link = Link.of("tor1", "t1")
-        rerouter.withdraw_link(link)
-        assert rerouter.is_link_down(DirectedLink("tor1", "t1"))
-        assert rerouter.is_link_down(DirectedLink("t1", "tor1"))
-
-    def test_restore(self):
-        rerouter = BgpRerouter()
-        link = Link.of("tor1", "t1")
-        rerouter.withdraw_link(link)
-        rerouter.restore_link(link)
-        assert not rerouter.is_link_down(DirectedLink("tor1", "t1"))
-
-    def test_withdraw_directed_link_affects_physical(self):
-        rerouter = BgpRerouter()
-        rerouter.withdraw_link(DirectedLink("t1", "tor1"))
-        assert Link.of("tor1", "t1") in rerouter.withdrawn_links
-
-    def test_convergence_delay(self):
-        rerouter = BgpRerouter(convergence_epochs=2)
-        link = Link.of("a", "b")
-        rerouter.withdraw_link(link)
-        assert not rerouter.is_link_down(DirectedLink("a", "b"))
-        rerouter.advance_epoch()
-        assert not rerouter.is_link_down(DirectedLink("a", "b"))
-        rerouter.advance_epoch()
-        assert rerouter.is_link_down(DirectedLink("a", "b"))
-
-    def test_negative_convergence_raises(self):
-        with pytest.raises(ValueError):
-            BgpRerouter(convergence_epochs=-1)
-
-    def test_withdraw_many(self):
-        rerouter = BgpRerouter()
-        rerouter.withdraw_many([Link.of("a", "b"), Link.of("c", "d")])
-        assert len(rerouter.withdrawn_links) == 2

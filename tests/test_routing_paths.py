@@ -37,17 +37,6 @@ class TestPathQueries:
         assert path.hop_count == 4
         assert len(path) == 4
 
-    def test_switch_hops_excludes_endpoints(self, path):
-        assert path.switch_hops() == ["tor1", "t1", "tor2"]
-
-    def test_contains_link_is_directional(self, path):
-        assert path.contains_link(DirectedLink("tor1", "t1"))
-        assert not path.contains_link(DirectedLink("t1", "tor1"))
-
-    def test_contains_node(self, path):
-        assert path.contains_node("t1")
-        assert not path.contains_node("t9")
-
     def test_prefix(self, path):
         prefix = path.prefix(2)
         assert prefix.hop_count == 2

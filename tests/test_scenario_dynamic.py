@@ -5,15 +5,15 @@ from __future__ import annotations
 import io
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.aggregate import MultiEpochAggregator
 from repro.experiments.figures import FIGURES, run_figure
-from repro.experiments.scenario import ScenarioConfig, run_scenario, run_trials
-from repro.netsim.script import ScenarioScript
+from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.netsim.script import ScenarioScript, TrafficShift
 from repro.netsim.traffic import SkewedTraffic
+from repro.testing import health_records
 from repro.topology.elements import LinkLevel, SwitchTier
 
 #: small fabric shared by the dynamic tests (fast but non-trivial).
@@ -132,8 +132,8 @@ class TestOtherTimelines:
         assert set(result.truth_by_epoch[2].bad_links) == static
 
     def test_traffic_shift_swaps_generator_mid_run(self):
-        script = ScenarioScript().shift_traffic(
-            epoch=1, traffic="skewed", num_hot_tors=2, hot_fraction=0.9
+        script = ScenarioScript().add(
+            TrafficShift(epoch=1, traffic="skewed", num_hot_tors=2, hot_fraction=0.9)
         )
         config = ScenarioConfig(
             **FAST, failure_kind="none", epochs=2, seed=1, script=script
@@ -152,47 +152,31 @@ class TestOtherTimelines:
 
 
 class TestAggregatorWithTruth:
-    def test_truth_columns_and_false_alarm_fraction(self):
+    def test_truth_columns(self):
         result = run_scenario(flap_config())
         aggregator = MultiEpochAggregator(topology=result.topology)
-        aggregator.ingest_many(result.reports, truths=result.truth_by_epoch)
+        for report, truth in zip(result.reports, result.truth_by_epoch):
+            aggregator.ingest(report, truth=truth)
 
         assert aggregator.epochs_ingested == 8
-        assert aggregator.epochs_with_truth == 8
         (flapped,) = result.truth_by_epoch[2].bad_links
-        record = aggregator.record_of(flapped)
+        records = health_records(aggregator)
+        record = records.get(flapped)
         assert record is not None
         assert record.epochs_bad == 3
         assert record.true_detections >= 1
         assert record.false_detections == 0
 
-        true_events, false_events = aggregator.detection_event_counts()
-        assert true_events >= 1 and false_events == 0
-        assert aggregator.false_alarm_fraction() == 0.0
-
-    def test_truth_length_mismatch_raises(self):
-        result = run_scenario(flap_config())
-        aggregator = MultiEpochAggregator()
-        with pytest.raises(ValueError):
-            aggregator.ingest_many(result.reports, truths=result.truth_by_epoch[:-1])
+        assert sum(r.true_detections for r in records.values()) >= 1
+        assert sum(r.false_detections for r in records.values()) == 0
 
     def test_without_truth_behaviour_unchanged(self):
         result = run_scenario(flap_config())
         aggregator = MultiEpochAggregator()
-        aggregator.ingest_many(result.reports)
-        assert aggregator.epochs_with_truth == 0
-        assert np.isnan(aggregator.false_alarm_fraction())
-
-
-class TestRunTrialsAliasing:
-    def test_trials_do_not_share_the_blame_config(self):
-        config = ScenarioConfig(
-            **FAST, num_bad_links=1, seed=3, drop_rate_range=(5e-3, 5e-3)
-        )
-        results = run_trials(config, trials=2)
-        assert results[0].config.blame is not results[1].config.blame
-        assert results[0].config.blame is not config.blame
-        assert results[0].config.blame == config.blame  # equal values, distinct objects
+        for report in result.reports:
+            aggregator.ingest(report)
+        records = health_records(aggregator).values()
+        assert sum(r.true_detections + r.false_detections for r in records) == 0
 
 
 class TestSweepAndCliExposure:

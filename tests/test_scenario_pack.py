@@ -24,7 +24,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.loadgen.generator import EvidenceLoadGenerator
 from repro.loadgen.profiles import WorkloadProfile
 from repro.netsim.links import LinkStateTable
-from repro.netsim.script import ScenarioScript
+from repro.netsim.script import FabricExpansion, ScenarioScript
 from repro.scenarios import (
     PackValidationError,
     ScenarioOutcome,
@@ -361,7 +361,7 @@ WINDOW_SCRIPTS = {
     "linecard": ScenarioScript().linecard(
         start=2, duration=2, num_links=2, switch="pod1-t1-0"
     ),
-    "expand": ScenarioScript().expand_fabric(epoch=3, switch="t2-1"),
+    "expand": ScenarioScript().add(FabricExpansion(epoch=3, switch="t2-1")),
 }
 
 EXPLICIT_VICTIMS = {
@@ -476,17 +476,17 @@ class TestNanAwareAggregation:
         # is odd, so the metric is nan there — the average must still be the
         # finite trial's value, not nan.
         runner = SweepRunner(workers=1)
-        metrics = runner.run_trials(
-            TINY_CONFIG, {"m": _metric_nan_for_odd_seed}, trials=2, base_seed=0
+        result = runner.run_sweep(
+            [({}, TINY_CONFIG)], {"m": _metric_nan_for_odd_seed}, trials=2, base_seed=0
         )
-        assert metrics["m"] == pytest.approx(1.25)
+        assert result.points[0].metrics["m"] == pytest.approx(1.25)
 
     def test_all_nan_trials_stay_nan(self):
         runner = SweepRunner(workers=1)
-        metrics = runner.run_trials(
-            TINY_CONFIG, {"m": _metric_nan_for_odd_seed}, trials=1, base_seed=1
+        result = runner.run_sweep(
+            [({}, TINY_CONFIG)], {"m": _metric_nan_for_odd_seed}, trials=1, base_seed=1
         )
-        assert math.isnan(metrics["m"])
+        assert math.isnan(result.points[0].metrics["m"])
 
 
 def make_outcome(**metrics) -> ScenarioOutcome:

@@ -71,18 +71,6 @@ class TestClosTopology:
                 for t2 in small_topology.tier2s():
                     assert small_topology.has_link(t1.name, t2.name)
 
-    def test_hosts_under_tor(self, small_topology):
-        tor = small_topology.tors(0)[0]
-        hosts = small_topology.hosts_under_tor(tor.name)
-        assert len(hosts) == small_topology.params.hosts_per_tor
-        assert all(h.tor == tor.name for h in hosts)
-
-    def test_tor_of_host(self, small_topology):
-        host = sorted(small_topology.hosts)[0]
-        tor = small_topology.tor_of_host(host)
-        assert tor.tier == SwitchTier.TOR
-        assert small_topology.has_link(host, tor.name)
-
     def test_expected_hop_count(self, small_topology):
         hosts = sorted(small_topology.hosts)
         same_tor = [h for h in hosts if small_topology.host(h).tor == small_topology.host(hosts[0]).tor]
@@ -101,14 +89,9 @@ class TestClosTopology:
         tor = small_topology.host(host).tor
         assert small_topology.link_level(Link.of(host, tor)) == LinkLevel.HOST
 
-    def test_to_networkx(self, small_topology):
-        graph = small_topology.to_networkx()
-        assert graph.number_of_nodes() == len(small_topology.hosts) + len(small_topology.switches)
-        assert graph.number_of_edges() == len(small_topology.links)
-
     def test_optional_tier3(self):
         topo = ClosTopology(npod=1, n0=2, n1=2, n2=2, hosts_per_tor=1, n3=2)
-        assert len(topo.tier3s()) == 2
+        assert len(topo.switches_of_tier(SwitchTier.T3)) == 2
         assert len(topo.links_of_level(LinkLevel.LEVEL3)) == 4
 
     def test_validate_passes(self, small_topology):
