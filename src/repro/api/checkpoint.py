@@ -440,6 +440,9 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
         ordered = np.sort(seq)
         if not bool((ordered[1:] > ordered[:-1]).all()):
             raise ValueError(f"{where}: record seqs are not unique")
+        for name in ("seq", "rs"):  # kept only for events with a seq
+            if len(cols[name]) and int(cols[name].min()) < 0:
+                raise ValueError(f"{where}: column {name!r} holds a negative seq")
         for name, size in tables.items():
             ids = cols[name]
             if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
@@ -544,6 +547,16 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+#: service counters that are no longer kept: a checkpoint that holds one
+#: restores and merges without it.
+_RETIRED_STATS = ("fallback_events",)
+
+
+def current_stats(stats: Dict[str, int]) -> Dict[str, int]:
+    """A checkpoint's ``stats`` without the retired counters."""
+    return {name: value for name, value in stats.items() if name not in _RETIRED_STATS}
+
+
 #: service-payload keys a merged checkpoint takes verbatim from the delta.
 _SERVICE_STATE_KEYS = (
     "engine",
@@ -582,6 +595,7 @@ def _merge_payload(
     }
     for key in _SERVICE_STATE_KEYS:
         merged[key] = delta[key]
+    merged["stats"] = current_stats(delta["stats"])
     if "num_shards" in delta:  # a sharded fleet's: its coordinator's payload
         merged["num_shards"] = delta["num_shards"]
     last_finalized = delta["last_finalized"]

@@ -3,8 +3,9 @@
 :class:`Zero07Service` is the always-on core the rest of the system is built
 around: evidence events (:mod:`repro.api.events`) are *ingested* one at a
 time or in batches, an **incremental vote tally** is maintained per open epoch
-with O(changed-flows) work (each path costs one ``add_flow``, each repeat
-retransmission an O(1) bump — on both the dict and the array engine), and an
+with O(changed-flows) work (each admitted run appends its paths with one
+``add_columns`` and bumps each updated flow once — on both the dict and the
+array engine), and an
 :class:`~repro.core.analysis.EpochReport` can be *materialized on demand* at
 any moment — including mid-epoch, before the epoch's tick arrives.  Reports
 are bit-identical to the legacy batch loop, which consumed the discovered
@@ -36,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
 
 import numpy as np
 from typing import (
@@ -63,6 +64,7 @@ from repro.api.checkpoint import (
     EpochColumns,
     blame_from_dict,
     blame_to_dict,
+    current_stats,
     decode_paths,
     delta_rows,
     encode_identity,
@@ -82,7 +84,7 @@ from repro.api.wire import (
     SeqRuns,
     aggregate_updates,
     bind_updates,
-    bulk_admissible,
+    retrace_cuts,
     run_columns,
     seqs_of,
 )
@@ -174,9 +176,6 @@ class ServiceStats:
     duplicate_events: int = 0
     out_of_order_events: int = 0
     late_events: int = 0
-    #: events of a delivered bulk-sized (>= 8 events) run that left the
-    #: vector path and were replayed one at a time.
-    fallback_events: int = 0
     reports_materialized: int = 0
     epochs_finalized: int = 0
 
@@ -211,20 +210,25 @@ def _capture(event: Evidence) -> tuple:
     id, count, links, path)``, links and path ``None`` for a count update.
 
     Raises like every ingest path: ``TypeError`` on a foreign kind,
-    ``ValueError`` / ``PathTooLongError`` on a path that cannot vote.
+    ``ValueError`` / ``PathTooLongError`` on a path that cannot vote or has
+    no seq ``>= 0``.
     """
     if isinstance(event, PathEvidence):
         path = event.path
         links = tuple(path.links)
         check_hop_counts(len(links), len(links))
+        if event.seq is None or event.seq < 0:
+            raise ValueError(f"a path's seq must be an integer >= 0: {event.seq!r}")
         return event.seq, path.flow_id, path.retransmissions, links, path
     if isinstance(event, RetransmissionEvidence):
         return event.seq, event.flow_id, event.retransmissions, None, None
     raise TypeError(f"not an evidence event: {event!r}")
 
 
-def _pending_columns(run: List[tuple]) -> RunColumns:
-    """The edge of a pending run: its captured rows as :class:`RunColumns`."""
+def _pending_columns(run: List[tuple]) -> Tuple[RunColumns, List[tuple]]:
+    """The edge of captured rows (:func:`_capture`): a pending run, or a
+    delivered one of evidence subclasses.  Returns them as
+    :class:`RunColumns` and the paths' links, read at capture."""
     seqs = np.fromiter(
         (-1 if row[0] is None else row[0] for row in run),  # see seqs_of
         dtype=np.int64,
@@ -246,7 +250,7 @@ def _pending_columns(run: List[tuple]) -> RunColumns:
         seqs[updates],
         np.array(upd_flows, dtype=np.int64),
         np.array(upd_counts, dtype=np.int64),
-    )
+    ), list(links)
 
 
 class _EpochState:
@@ -274,7 +278,6 @@ class _EpochState:
         "retransmission_seqs",
         "tally",
         "last_seq",
-        "max_seq",
         "pending_retransmissions",
         "mutations",
         "cached_report",
@@ -302,9 +305,6 @@ class _EpochState:
         self.tally = tally
         #: highest *path* sequence number seen so far.
         self.last_seq = -1
-        #: highest sequence number seen by *any* event kind (paths and
-        #: retransmission updates share the space): a run above it is new.
-        self.max_seq = -1
         #: retransmission updates that arrived before their flow's path.
         self.pending_retransmissions: Dict[int, int] = {}
         #: change watermark: bumped by every ingest that can alter a report
@@ -319,20 +319,6 @@ class _EpochState:
         self.mutations = 0
         self.cached_report: Optional[EpochReport] = None
         self.cached_at = -1
-
-    def bump_flow(self, flow_id: int, extra: int) -> None:
-        """Add ``extra`` retransmissions to the flow's highest-seq record.
-
-        Buffered in ``pending_retransmissions`` while the flow has no path.
-        """
-        row = self.tally.flow_rows().get(flow_id)
-        if row is None:
-            self.pending_retransmissions[flow_id] = (
-                self.pending_retransmissions.get(flow_id, 0) + extra
-            )
-        else:
-            self.tally.bump_rows([row], [extra])
-            self.mutations += 1
 
     def identity_columns(self) -> EpochColumns:
         """Every row's identity cargo as columns (``refs`` are columnized)."""
@@ -525,17 +511,18 @@ class Zero07Service:
         """Ingest one evidence event (path, retransmission update, or tick).
 
         A path or count update is checked at once — a foreign kind raises
-        ``TypeError``, a path without links ``ValueError``, one with too many
+        ``TypeError``, a path without links or without a seq ``>= 0``
+        ``ValueError``, one with too many
         :class:`~repro.core.votes.PathTooLongError`, and an event of a
         finalized epoch counts in ``stats.late_events`` — and then joins its
         epoch's *pending run*: what the analysis reads of it (seq, flow id,
         count, links) is captured here, so a source that changes its objects
         afterwards is not seen.  The run is admitted like a delivered batch
-        (folded in bulk when the proofs hold, replayed per event otherwise)
-        at 512 events, and before anything reads or extends its epoch: a
-        cold report, a tick, a checkpoint, ``evidence_for_epoch``, a batch,
-        a ``stats`` read, an event of another epoch or of an evidence
-        subclass.  Results are bit-identical to admitting every event alone.
+        (:meth:`_admit`) at 512 events, and before anything reads or extends
+        its epoch: a cold report, a tick, a checkpoint,
+        ``evidence_for_epoch``, a batch, a ``stats`` read, an event of
+        another epoch.  Results are bit-identical to admitting every event
+        alone.
         """
         if isinstance(event, EpochTick):
             self._ingest_tick(event)
@@ -550,26 +537,20 @@ class Zero07Service:
             self._pending_epoch, self._pending_state = epoch, self._state(epoch)
         self._pending_state.mutations += 1
         self._pending.append(row)
-        if len(self._pending) >= _PENDING_RUN_EVENTS or type(event) not in (
-            PathEvidence,
-            RetransmissionEvidence,
-        ):
+        if len(self._pending) >= _PENDING_RUN_EVENTS:
             self._flush()
 
     def ingest_batch(self, events: Iterable[Evidence], owned: bool = False) -> None:
         """Ingest many evidence events in order.
 
-        Homogeneous runs (consecutive events of one kind for one epoch, in
-        strictly increasing sequence order — exactly what the monitoring
-        bridge, the load generator and checkpoint replays emit) take a
-        vectorized fast path: path runs update the tally with one bulk
-        ``add_flows`` call instead of per-event dispatch, and retransmission
-        runs are aggregated per flow with numpy so the tally is bumped once
-        per *changed flow*, not once per event.  Any batch that violates the
-        fast path's preconditions (duplicates, reordering, pending state)
-        falls back to the event-at-a-time path — results are bit-identical
-        either way, only the speed differs.  Per-event :meth:`ingest` joins
-        a pending run that the same admission takes.
+        The batch is cut into maximal single-epoch runs of evidence, and
+        ticks; each run is admitted as a whole (:meth:`_admit`): its paths
+        update the tally with one bulk ``add_columns`` call, its count
+        updates are summed per flow with numpy, so the tally is bumped once
+        per *changed flow*, not once per event.  Runs of any length, order,
+        duplication or evidence kind are admitted that way, bit-identical
+        to ingesting their events one at a time.  Per-event :meth:`ingest`
+        joins a pending run that the same admission takes.
 
         ``owned`` is accepted and both values do the same thing: what the
         analysis reads of a path (flow id, links, count) is captured at
@@ -579,13 +560,12 @@ class Zero07Service:
         agent's cache does) whether it declared a hand-over or not.
         """
         events = events if isinstance(events, list) else list(events)
-        total = len(events)
-        if total >= 8:
-            # Common shape: one epoch's evidence, optionally ending with its
-            # tick.  Both checks run through C iterators — EpochTick has no
-            # ``seq``, so a single attrgetter pass proves "evidence only".
-            tail = 1 if type(events[-1]) is EpochTick else 0
-            body = events[:-1] if tail else events
+        # Common shape: one epoch's evidence, optionally ending with its
+        # tick.  Both checks run through C iterators — EpochTick has no
+        # ``seq``, so a single attrgetter pass proves "evidence only".
+        tail = 1 if events and type(events[-1]) is EpochTick else 0
+        body = events[:-1] if tail else events
+        if body:
             try:
                 seqs = seqs_of(body)
                 epochs = np.fromiter(
@@ -635,24 +615,18 @@ class Zero07Service:
         hops back to back as ids of :attr:`link_index` (a
         :class:`~repro.api.wire.LinkRemap` translates a stream's).
 
-        The events the epoch saw before are dropped with one mask (counted
-        in ``stats.duplicate_events``) and the rest is folded in bulk; only
-        a rest that fails a proof is materialized (``cols.events``) and
-        replayed per event, counted in ``stats.fallback_events``.  The
-        identity cargo's name ids are remapped into the service's name table
-        when a checkpoint first reads them.  Results are bit-identical to
-        ``ingest_run`` of the materialized events.  Returns how many events
-        were dropped as seen before.
+        The run is admitted like every other (:meth:`_admit`: duplicates
+        dropped, counted in ``stats.duplicate_events``, the rest folded in
+        bulk).  The identity cargo's name ids are remapped into the
+        service's name table when a checkpoint first reads them.  Results
+        are bit-identical to ``ingest_run`` of the materialized events.
+        Returns how many events were dropped as seen before.
         """
         count = len(cols.seqs)
         if not count or self._is_late(epoch, count):
             return 0
         self._flush()
-        self._seen_epoch(epoch)
-        events = cols.events
-        return self._admit(
-            self._state(epoch), cols, hop_ids, lambda: map(_capture, events()), True
-        )
+        return self._admit(epoch, cols, hop_ids)
 
     def consume(self, source: EvidenceSource, owned: bool = False) -> None:
         """Drain an :class:`EvidenceSource` into the service (``owned``: see
@@ -682,29 +656,17 @@ class Zero07Service:
         return VoteTally(policy=self._vote_policy)
 
     # ------------------------------------------------------------------
-    # one admission for every delivery (bit-identical to the per-event path)
+    # one admission for every delivery (bit-identical to one event at a time)
     # ------------------------------------------------------------------
-    def _hops(self, links: List[Sequence], lengths: np.ndarray):
-        """The hops of paths given by their links, back to back, as the
-        engine folds them: link-index ids, or the dict oracle's objects."""
-        if self.engine == "arrays":
-            return self._link_index.hop_ids(links, int(lengths.sum()))
-        return list(chain.from_iterable(links))
-
     def _flush(self) -> None:
         """Admit the pending run (see :meth:`ingest`); no-op when empty."""
         run = self._pending
         if not run:
             return
         self._pending = []
-        state = self._pending_state
-        state.mutations -= len(run)  # the admission counts what the run changed
-        if len(run) < 8:
-            self._ingest_evidence_fallback(state, run)
-            return
-        cols = _pending_columns(run)
-        links = [row[3] for row in run if row[3] is not None]
-        self._admit(state, cols, links, lambda: run, False)
+        # the admission counts what the run changed
+        self._pending_state.mutations -= len(run)
+        self._admit(self._pending_epoch, *_pending_columns(run))
 
     def _ingest_evidence_run(
         self,
@@ -713,92 +675,76 @@ class Zero07Service:
         seqs: Optional[np.ndarray] = None,
     ) -> None:
         """The edge of a delivered run: one epoch's path + retransmission
-        evidence, as columns for :meth:`_admit`.
-
-        Runs shorter than 8 events replay per event, and so do runs holding
-        exotic kinds (a PathEvidence subclass slipped past the attribute
-        gate: the per-event path knows how to handle, or loudly reject, it —
-        never swallow events), counted in ``stats.fallback_events``.
+        evidence, as columns for :meth:`_admit`.  A run holding evidence
+        subclasses is captured event by event, as per-event ingest does (a
+        foreign kind raises ``TypeError`` there, before any state changes).
         """
         if not run or self._is_late(epoch, len(run)):
             return
         self._flush()
-        self._seen_epoch(epoch)
-        state = self._state(epoch)
-        rows = lambda: map(_capture, run)  # noqa: E731 - read per event, if replayed
-        if len(run) < 8:
-            self._ingest_evidence_fallback(state, rows())
-            return
         cols = run_columns(run, seqs_of(run) if seqs is None else seqs)
         if cols is None:
-            self._stats.fallback_events += len(run)
-            self._ingest_evidence_fallback(state, rows())
-            return
-        links = [path.links for path in cols.cargo]
-        self._admit(state, cols, links, rows, True)
+            self._admit(epoch, *_pending_columns(list(map(_capture, run))))
+        else:
+            self._admit(epoch, cols, [path.links for path in cols.cargo])
 
-    def _admit(
-        self, state: _EpochState, cols: RunColumns, hops, rows, batch: bool
-    ) -> int:
-        """Fold one run of an epoch in bulk, or replay ``rows()`` per event;
-        returns how many of its events were dropped as seen before.
+    def _admit(self, epoch: int, cols: RunColumns, hops) -> int:
+        """Admit one run of ``epoch``; returns how many of its events were
+        dropped as seen before.  The one place evidence reaches a tally.
 
         ``hops`` are the paths' hops back to back as link-index ids, or each
-        path's links, interned only once the hop counts are checked: a path
-        that cannot vote raises before any state changes.
+        path's links, interned only once the run is checked: a path that
+        cannot vote or has no seq ``>= 0`` raises before any state changes.
 
-        A run that reaches below the epoch's highest seq drops the events
-        whose seqs the epoch saw with one :class:`~repro.api.wire.SeqRuns`
-        lookup, exactly as per event.  The rest (late or not: rows are
-        appended in arrival order, which no report minds) folds with one
-        bulk ``add_columns`` tally update, then the run's retransmission
-        updates summed per flow (one sort, ``np.add.reduceat``) — one
-        numpy-summed bump per *changed flow* instead of one Python dispatch
-        per event.  Because count updates never move votes, applying them
-        after the run's paths is state-identical to the interleaved
-        per-event order (integer sums commute; the tally rows end in exactly
-        the same state).  A rest that fails a proof
-        (:func:`~repro.api.wire.bulk_admissible`: in-run duplicates or
-        reordering with updates, seq-less updates, a flow re-traced after
-        its update) is replayed per event, counted in
-        ``stats.fallback_events`` when a ``batch`` delivered it.  Validation
-        mutates nothing, so such a run is replayed from untouched state,
-        never half-applied.
+        Then, in order: the events the epoch saw before and the repeats
+        inside the run are dropped with one mask
+        (:meth:`~repro.api.wire.SeqRuns.duplicates`; a seq-less update is
+        never a duplicate).  The rest is cut before every path that
+        re-traces a flow whose count update came earlier in the run
+        (:func:`~repro.api.wire.retrace_cuts`), and each piece — almost
+        always the whole run — is folded in bulk (:meth:`_fold`).  So a
+        run of any length, order, duplication or evidence kind is admitted
+        like a series of one-event runs.
         """
-        stats, seqs = self._stats, cols.seqs
-        if len(cols.lengths):  # before interning: a path that cannot vote raises
+        path_seqs = cols.path_seqs
+        if len(path_seqs):
             check_hop_counts(int(cols.lengths.min()), int(cols.lengths.max()))
+            if int(path_seqs.min()) < 0:
+                raise ValueError("a path's seq must be an integer >= 0")
         if not isinstance(hops, np.ndarray):  # each path's links
-            hops = self._hops(hops, cols.lengths)
-        dropped = 0
-        if int(seqs.min()) <= state.max_seq:
-            seen = state.seqs.contains(seqs)
-            dropped = int(np.count_nonzero(seen))
-            if dropped:
-                stats.duplicate_events += dropped
-                if dropped == len(seqs):  # a redelivered run
-                    return dropped
-                keep = ~seen
-                cols, hop_keep = cols.take(keep)
-                if isinstance(hops, np.ndarray):
-                    hops = hops[hop_keep]
-                else:
-                    hops = list(compress(hops, hop_keep.tolist()))
-                replay = rows
-                rows = lambda: compress(replay(), keep.tolist())  # noqa: E731
-                seqs = cols.seqs
-        if not bulk_admissible(cols):
-            if batch:
-                stats.fallback_events += len(seqs)
-            self._ingest_evidence_fallback(state, rows())
-            return dropped
+            hops = self._link_index.hop_ids(hops, int(cols.lengths.sum()))
+        self._seen_epoch(epoch)
+        state = self._state(epoch)
+        drop = state.seqs.duplicates(cols.seqs)
+        dropped = int(np.count_nonzero(drop))
+        if dropped:
+            self._stats.duplicate_events += dropped
+            if dropped == len(drop):  # a redelivered run
+                return dropped
+            cols, hop_keep = cols.take(~drop)
+            hops = hops[hop_keep]
+        for piece, hop_range in cols.split(retrace_cuts(cols, state.tally)):
+            self._fold(state, piece, hops[hop_range])
+        return dropped
 
-        tally, path_seqs = state.tally, cols.path_seqs
+    def _fold(self, state: _EpochState, cols: RunColumns, hops: np.ndarray) -> None:
+        """Fold one duplicate-free piece of a run that no path re-traces
+        after its flow's count update (see :meth:`_admit`) in bulk.
+
+        One ``add_columns`` tally update appends the paths in arrival order
+        (late or not: no report minds the order of the rows), then the
+        piece's count updates summed per flow (one sort,
+        ``np.add.reduceat``) bump each *changed flow*'s bound row once.
+        Count updates never move votes and integer sums commute, so
+        applying them after the piece's paths leaves the tally exactly as
+        the interleaved per-event order does.
+        """
+        stats, tally, path_seqs = self._stats, state.tally, cols.path_seqs
         if len(path_seqs):
             first_row = tally.num_flows
             state.refs.append(cols.cargo)
-            if self.engine != "arrays" and isinstance(hops, np.ndarray):
-                hops = list(map(self._link_index.link_of, hops.tolist()))
+            if self.engine != "arrays":  # the dict oracle folds link objects
+                hops = list(map(self._link_index.links.__getitem__, hops.tolist()))
             tally.add_columns(hops, cols.lengths, cols.flows, cols.counts, path_seqs)
             pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
@@ -819,6 +765,7 @@ class Zero07Service:
             state.mutations += 1
             stats.paths_ingested += len(path_seqs)
 
+        seqs = cols.seqs
         if len(cols.upd_flows):
             # flows whose paths have not arrived are buffered
             bumped, extras = bind_updates(
@@ -829,59 +776,14 @@ class Zero07Service:
             tally.bump_rows(bumped, extras)
             if len(bumped):
                 state.mutations += 1
-            state.retransmission_seqs.append(cols.upd_seqs)
+            upd_seqs = cols.upd_seqs[cols.upd_seqs >= 0]  # seq-less: never seen
+            if len(upd_seqs):
+                state.retransmission_seqs.append(upd_seqs)
             stats.retransmission_updates += len(cols.upd_flows)
-
+            seqs = seqs[seqs >= 0]
         state.seqs.add_run(seqs)
-        state.max_seq = max(state.max_seq, int(seqs.max()))
-        if len(seqs) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
+        if len(cols.seqs) >= _EAGER_FOLD_EVENTS and self.engine == "arrays":
             tally.votes_array()
-        return dropped
-
-    def _ingest_evidence_fallback(self, state: _EpochState, rows) -> None:
-        """Event-at-a-time replay of captured rows (:func:`_capture`): the
-        per-event semantics every admission is bit-identical to.
-
-        Which rows' seqs the epoch saw before is one lookup for all of them,
-        so every row is captured first: one that cannot be raises before
-        any state changes.
-        """
-        captured = list(rows)
-        seqs = np.fromiter(
-            (-1 if row[0] is None else row[0] for row in captured),
-            dtype=np.int64,
-            count=len(captured),
-        )
-        seen_before = state.seqs.contains(seqs).tolist()
-        stats, fresh, counted, paths = self._stats, set(), [], []
-        state.refs.append(paths)
-        for (seq, flow, count, links, path), seen in zip(captured, seen_before):
-            if seq is not None or links is not None:  # seq-less updates always apply
-                if seen or seq in fresh:
-                    stats.duplicate_events += 1
-                    continue
-                fresh.add(seq)
-                if seq > state.max_seq:
-                    state.max_seq = seq
-            if links is None:  # a count update
-                if seq is not None:
-                    counted.append(seq)
-                state.bump_flow(flow, count)
-                stats.retransmission_updates += 1
-                continue
-            # a buffered count goes to its flow's first arriving path
-            count += state.pending_retransmissions.pop(flow, 0)
-            paths.append(path)
-            state.tally.add_flow(flow, links, count, seq)
-            if seq > state.last_seq:
-                state.last_seq = seq
-            else:  # a path below the running highest path seq: out of order
-                stats.out_of_order_events += 1
-            state.mutations += 1
-            stats.paths_ingested += 1
-        state.seqs.add(fresh)
-        if counted:
-            state.retransmission_seqs.append(np.array(counted, dtype=np.int64))
 
     def _ingest_tick(self, event: EpochTick) -> None:
         if self._is_late(event.epoch):
@@ -1113,7 +1015,8 @@ class Zero07Service:
         a fraction of the cost — whose identity columns are adopted as they
         are: ``columns``' name table is this service's, and ``link_ids[i]``
         is the index id of ``columns.links[i]``.  No path object is built.
-        The consumed update seqs join the seen ones as one more run.
+        The buffered counts are the epoch's as saved, and the consumed update
+        seqs join the seen ones as one more run.
         """
         epoch = int(entry["epoch"])
         cols = epoch_columns(entry, columns)
@@ -1130,23 +1033,18 @@ class Zero07Service:
             none,
             none,
             none,
-            lambda: [
-                PathEvidence(epoch, seq, path)
-                for seq, path in zip(*decode_paths(cols, columns))
-            ],
         )
         self.ingest_columns(epoch, records, link_ids[cols["hop"]])
         self._seen_epoch(epoch)
         state = self._state(epoch)
-        for flow, count in entry["pending_retransmissions"].items():
-            # exactly a seq-less buffered update through live ingest
-            state.bump_flow(int(flow), int(count))
-            self._stats.retransmission_updates += 1
+        state.pending_retransmissions = {
+            int(flow): int(count)
+            for flow, count in entry["pending_retransmissions"].items()
+        }
         retrans_seqs = cols["rs"]
         if len(retrans_seqs):
             state.retransmission_seqs.append(retrans_seqs)
             state.seqs.add_run(retrans_seqs)
-            state.max_seq = max(state.max_seq, int(retrans_seqs.max()))
 
     @classmethod
     def restore(
@@ -1199,7 +1097,7 @@ class Zero07Service:
             if payload["last_finalized"] is not None
             else None
         )
-        stats = payload.get("stats", {})
+        stats = current_stats(payload.get("stats", {}))
         unknown = set(stats) - {spec.name for spec in dataclasses.fields(ServiceStats)}
         if unknown:
             raise ValueError(f"checkpoint stats that are no counter: {sorted(unknown)}")

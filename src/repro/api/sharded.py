@@ -6,7 +6,7 @@ the fleet-wide view in one **coordinator** :class:`Zero07Service` that
 ingests every event and run the facade places, on the caller's thread,
 before the shards see it.  That is the paper's analysis agent: one tally of
 every host's evidence, one run of Algorithm 1 over it.  Reports, ticks,
-sinks, retention, the epoch markers, ``fallback_events`` and checkpoints all
+sinks, retention, the epoch markers, the counters and checkpoints all
 come from the coordinator, so a sharded deployment agrees bit-for-bit with a
 single service by construction — it *is* one.
 
@@ -191,12 +191,6 @@ class ShardedService:
     def last_finalized_epoch(self) -> Optional[int]:
         """The highest epoch finalized by a tick (``None`` before the first)."""
         return self._service.last_finalized_epoch
-
-    @property
-    def fallback_events(self) -> int:
-        """Events of delivered runs the fleet-wide view replayed one at a
-        time — an unsharded service's count; never a worker round trip."""
-        return self._service.stats.fallback_events
 
     @property
     def duplicate_events(self) -> int:

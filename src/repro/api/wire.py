@@ -18,11 +18,12 @@
 * :class:`RunColumns` — one run as :meth:`Zero07Service.ingest_columns
   <repro.api.service.Zero07Service.ingest_columns>` admits it, arrays end to
   end: a decoded :class:`WireRun` (:meth:`WireRun.columns`), a delivered
-  list of events (:func:`run_columns`) or a restored checkpoint epoch.  The
-  proofs that make a run safe to fold in bulk (:func:`bulk_admissible`), the
-  per-flow aggregation of its count updates (:func:`aggregate_updates`,
-  :func:`bind_updates`) and an epoch's seen sequence numbers
-  (:class:`SeqRuns`) live beside it.
+  list of events (:func:`run_columns`) or a restored checkpoint epoch.  What
+  the one admission reads of it lives beside it: an epoch's seen sequence
+  numbers (:class:`SeqRuns`, which also finds a run's duplicates), where a
+  run must be cut so that it folds like one event at a time
+  (:func:`retrace_cuts`), and the per-flow aggregation of its count
+  updates (:func:`aggregate_updates`, :func:`bind_updates`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import compress
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,9 +90,9 @@ def _attr_i64(items, name: str) -> np.ndarray:
 def seqs_of(run: Sequence[Evidence]) -> np.ndarray:
     """The run's sequence numbers (``None`` encoded as -1).
 
-    Real sequence numbers are non-negative, so a seq-less update can never
-    pass :func:`bulk_admissible`: a -1 that leads the run is refused outright,
-    one further in breaks the strictly-increasing proof.
+    Real sequence numbers are non-negative: a path's -1 is refused at
+    admission, and an update's marks it seq-less, which no duplicate check
+    drops and no set of seen seqs holds.
     """
     try:
         return _attr_i64(run, "seq")
@@ -331,7 +332,6 @@ class WireRun:
             seqs[:0] if updates is None else seqs[updates],
             self.upd_flows,
             self.upd_counts,
-            self.materialize,
         )
 
     def materialize(self) -> List[Evidence]:
@@ -428,11 +428,12 @@ class WireDecoder:
 
         Checks the whole message before the stream's tables grow: the
         header's counts against the exact length, the event kinds, the path
-        lengths (``PathTooLongError`` past 8 hops), the table-delta ranges
-        and every link and name id — any damage raises
-        :class:`WireProtocolError`.  Then folds the message's table deltas
-        into the stream state, but builds no event objects — column views
-        over the input buffer only.  The returned run keeps ``data`` alive.
+        lengths (``PathTooLongError`` past 8 hops), the paths' seqs (each
+        ``>= 0``), the table-delta ranges and every link and name id — any
+        damage raises :class:`WireProtocolError`.  Then folds the message's
+        table deltas into the stream state, but builds no event objects —
+        column views over the input buffer only.  The returned run keeps
+        ``data`` alive.
         """
         data = memoryview(data)
         if len(data) < _HEADER.size:
@@ -519,6 +520,9 @@ class WireDecoder:
                 raise WireProtocolError("a path without links")
         if int(lengths.sum()) != total_hops:
             raise WireProtocolError(f"path lengths do not sum to {total_hops} hops")
+        path_seqs = run.seqs if n_updates == 0 else run.seqs[kinds == 0]
+        if n_paths and int(path_seqs.min()) < 0:
+            raise WireProtocolError("a path without a sequence number")
         links = _table_delta(
             data[blobs : blobs + links_len], link_lo, link_hi, len(self._links), "link"
         )
@@ -582,13 +586,11 @@ Cargo = Union[List[DiscoveredPath], Tuple[Dict[str, np.ndarray], Sequence[str]]]
 
 
 class RunColumns(NamedTuple):
-    """One single-epoch run as the bulk admission reads it, arrays end to end.
+    """One single-epoch run as the admission reads it, arrays end to end.
 
     Every event's seq (:func:`seqs_of`) and which events are count updates
     (``updates``; ``None`` when none is), the paths' columns and identity
     cargo, then the count updates' columns; the hops travel beside it.
-    ``events`` rebuilds the run's evidence events for a run that fails a
-    proof and is replayed per event (``None``: the caller keeps its own).
     """
 
     seqs: np.ndarray
@@ -601,35 +603,55 @@ class RunColumns(NamedTuple):
     upd_seqs: np.ndarray
     upd_flows: np.ndarray
     upd_counts: np.ndarray
-    events: Optional[Callable[[], Sequence[Evidence]]] = None
 
     def take(self, keep: np.ndarray) -> Tuple["RunColumns", np.ndarray]:
-        """The run's events ``keep`` (a mask over ``seqs``) without
-        ``events``, and the mask over the hops that keeps their paths'."""
-        updates = self.updates
-        if updates is None:
+        """The run's events ``keep`` (a mask over ``seqs``), and the mask
+        over the hops that keeps their paths'."""
+        if self.updates is None:
             paths, kept = keep, keep[:0]
         else:
-            paths, kept = keep[~updates], keep[updates]
-            updates = updates[keep]
+            paths, kept = keep[~self.updates], keep[self.updates]
+        return self._part(keep, paths, kept), np.repeat(paths, self.lengths)
+
+    def split(self, cuts: Sequence[int]) -> List[Tuple["RunColumns", slice]]:
+        """The run as pieces of consecutive events, cut before each of
+        ``cuts`` (ascending positions in ``seqs``), each with the slice of
+        the hops its paths take."""
+        if not cuts:
+            return [(self, slice(None))]
+        updated = np.concatenate(([0], np.cumsum(self.updates)))
+        hops = np.concatenate(([0], np.cumsum(self.lengths)))
+        bounds = [0, *cuts, len(self.seqs)]
+        pieces = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            ulo, uhi = int(updated[lo]), int(updated[hi])
+            plo, phi = lo - ulo, hi - uhi
+            piece = self._part(slice(lo, hi), slice(plo, phi), slice(ulo, uhi))
+            pieces.append((piece, slice(int(hops[plo]), int(hops[phi]))))
+        return pieces
+
+    def _part(self, events, paths, updates) -> "RunColumns":
+        """The run's events, paths and count updates selected by masks or
+        by slices."""
         cargo = self.cargo
         if isinstance(cargo, list):
-            cargo = list(compress(cargo, paths.tolist()))
+            cargo = cargo[paths] if isinstance(paths, slice) else list(
+                compress(cargo, paths.tolist())
+            )
         else:
             cargo = ({name: col[paths] for name, col in cargo[0].items()}, cargo[1])
-        taken = RunColumns(
-            self.seqs[keep],
-            updates,
+        return RunColumns(
+            self.seqs[events],
+            None if self.updates is None else self.updates[events],
             self.path_seqs[paths],
             self.flows[paths],
             self.counts[paths],
             self.lengths[paths],
             cargo,
-            self.upd_seqs[kept],
-            self.upd_flows[kept],
-            self.upd_counts[kept],
+            self.upd_seqs[updates],
+            self.upd_flows[updates],
+            self.upd_counts[updates],
         )
-        return taken, np.repeat(paths, self.lengths)
 
 
 def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumns]:
@@ -637,8 +659,8 @@ def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumn
     path objects as the cargo (whose links the caller reads for the hops).
 
     ``None`` when the run holds anything but exact :class:`PathEvidence` /
-    :class:`RetransmissionEvidence` instances (subclasses and foreign kinds
-    belong to the per-event path, which handles or loudly rejects them).
+    :class:`RetransmissionEvidence` instances: the caller captures such a
+    run event by event, as per-event ingest does.
     """
     paths = [e.path for e in run if type(e) is PathEvidence]
     updates, counted = None, []
@@ -664,7 +686,6 @@ def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumn
         upd_seqs if counted else seqs[:0],
         _attr_i64(counted, "flow_id"),
         _attr_i64(counted, "retransmissions"),
-        lambda: run,
     )
 
 
@@ -681,25 +702,20 @@ def _merged(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 class SeqRuns:
     """A set of sequence numbers kept as sorted int64 runs.
 
-    An admitted run goes in whole, as one array; a per-event replay's fresh
-    seqs collect in a small tail set until it fills.  Runs merge lazily, by
+    An admitted run's seqs go in whole, as one array.  Runs merge lazily, by
     the logarithmic method — a new run absorbs the runs before it that are
     at most twice its size — so an epoch keeps O(log n) runs and each seq
-    is merged O(log n) times.  Membership of a whole run of seqs is one
-    ``searchsorted`` per run.
+    is merged O(log n) times.  Finding a whole run's duplicates is one
+    ``searchsorted`` per run it overlaps.
     """
 
-    #: seqs the tail set holds before they become a run of their own.
-    TAIL = 64
-
-    __slots__ = ("_runs", "_tail")
+    __slots__ = ("_runs",)
 
     def __init__(self) -> None:
         self._runs: List[np.ndarray] = []
-        self._tail: set = set()
 
     def __len__(self) -> int:
-        return sum(map(len, self._runs)) + len(self._tail)
+        return sum(map(len, self._runs))
 
     def add_run(self, seqs: np.ndarray) -> None:
         """Add distinct seqs, in any order, none of which is in the set."""
@@ -712,64 +728,66 @@ class SeqRuns:
             run = _merged(runs.pop(), run)
         runs.append(run)
 
-    def add(self, seqs) -> None:
-        """Add a few seqs none of which is in the set (a replay's)."""
-        tail = self._tail
-        tail.update(seqs)
-        if len(tail) >= self.TAIL:
-            self._tail = set()
-            self.add_run(np.array(sorted(tail), dtype=np.int64))
-
-    def contains(self, seqs: np.ndarray) -> np.ndarray:
-        """Per seq of ``seqs``: whether it is in the set."""
+    def duplicates(self, seqs: np.ndarray) -> np.ndarray:
+        """Per seq of ``seqs``: whether it is in the set or repeats an
+        earlier seq of ``seqs``.  A negative seq — a seq-less update, see
+        :func:`seqs_of` — never is."""
         found = np.zeros(len(seqs), dtype=bool)
         if not len(seqs):
             return found
+        if not bool((np.diff(seqs) > 0).all()):  # each repeat after its first
+            order = np.argsort(seqs, kind="stable")
+            ranked = seqs[order]
+            found[order[1:][ranked[1:] == ranked[:-1]]] = True
         low, high = seqs.min(), seqs.max()
         for run in self._runs:
             if run[0] > high or run[-1] < low:
                 continue
             at = np.minimum(np.searchsorted(run, seqs), len(run) - 1)
             found |= run[at] == seqs
-        if self._tail:
-            tail = np.fromiter(self._tail, dtype=np.int64, count=len(self._tail))
-            found |= np.isin(seqs, tail)
+        if low < 0:
+            found &= seqs >= 0
         return found
 
 
-def bulk_admissible(cols: RunColumns) -> bool:
-    """Whether a single-epoch run may be folded in bulk; mutates nothing.
+def retrace_cuts(cols: RunColumns, tally) -> List[int]:
+    """Where a duplicate-free run must be cut to fold like one event at a
+    time: before each path that re-traces a flow whose count update came
+    earlier in the same piece (a re-trace: ``tally``, the epoch's, holds a
+    row of the flow, or an earlier path of the run traces it).
 
-    The caller has dropped the events it saw before, so the run is disjoint
-    from its epoch.  Bulk folding applies the run's paths first and its
-    count updates after, which equals the per-event order only if (a) the
-    run holds no duplicate and no seq-less update (-1, see :func:`seqs_of`)
-    — proven by strictly increasing seqs, or for a run of paths only in any
-    order (a restored epoch, in arrival order) by sorting them — and (b)
-    no updated flow is traced again after the update (per event the update
-    would bump the earlier record, in bulk the final one).
+    A bulk fold applies a piece's paths first and its count updates after.
+    That equals admitting its events one at a time unless an updated flow
+    is traced again after the update: one at a time the update bumps the
+    record bound before that path, in bulk the one bound after.  A flow's
+    first trace after its update needs no cut: the update waits for that
+    path either way.
     """
-    seqs = cols.seqs
-    if int(seqs.min()) < 0:
-        return False
-    if not bool((np.diff(seqs) > 0).all()):
-        return cols.updates is None and bool(
-            (np.diff(np.sort(seqs, kind="stable")) > 0).all()
-        )
     flows, upd_flows = cols.flows, cols.upd_flows
     if not len(upd_flows) or not len(flows):
-        return True
-    # (b) the run's paths each updated flow needs (up to its last path;
-    # the stable sort keeps a flow's last path last) against the paths
-    # ahead of the update: needing more means a path after it.
-    order = np.argsort(flows, kind="stable")
-    ranked = flows[order]
-    last = np.append(ranked[1:] != ranked[:-1], True)
-    traced, ends = ranked[last], order[last] + 1
-    at = np.minimum(np.searchsorted(traced, upd_flows), len(traced) - 1)
-    needed = np.where(traced[at] == upd_flows, ends[at], 0)
-    ahead = np.flatnonzero(cols.updates) - np.arange(len(upd_flows))
-    return not bool((needed > ahead).any())
+        return []
+    span = len(cols.seqs) + 1
+    updated, upd_ranks = np.unique(upd_flows, return_inverse=True)
+    ranks = np.minimum(np.searchsorted(updated, flows), len(updated) - 1)
+    # each path's latest earlier update of its flow, as (flow rank, position)
+    keys = np.sort(upd_ranks * span + np.flatnonzero(cols.updates))
+    positions = np.flatnonzero(~cols.updates)
+    at = np.searchsorted(keys, ranks * span + positions) - 1
+    latest = keys[np.maximum(at, 0)]
+    hit = (updated[ranks] == flows) & (at >= 0) & (latest // span == ranks)
+    candidates = np.flatnonzero(hit)
+    if not len(candidates):
+        return []
+    since = latest % span
+    first = np.zeros(len(flows), dtype=bool)
+    first[np.unique(flows, return_index=True)[1]] = True
+    retraces = ~first[candidates] | (tally.bound_rows(flows[candidates]) >= 0)
+    cuts, start = [], 0
+    for path in candidates[retraces].tolist():
+        if since[path] >= start:  # the update is in the current piece
+            start = int(positions[path])
+            cuts.append(start)
+    return cuts
 
 
 def aggregate_updates(

@@ -184,13 +184,14 @@ def _per_flow_arrays(
     noise = classify_noise_flows_arrays(tally, detected_links)
     # a flow traced more than once is attributed on its bound row, like the
     # dict engine
-    bound = tally.flow_rows() if attribute_noise_flows or noise.failure_flows else {}
-    rows = np.fromiter(bound.values(), dtype=np.int64, count=len(bound))
-    if not attribute_noise_flows and len(rows):
-        failure_ids = np.fromiter(
-            noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
-        )
-        rows = rows[np.isin(tally.flow_ids_array()[rows], failure_ids)]
+    rows = np.zeros(0, dtype=np.int64)
+    if attribute_noise_flows or noise.failure_flows:
+        flows, rows = tally.bound_index
+        if not attribute_noise_flows:
+            failure_ids = np.fromiter(
+                noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
+            )
+            rows = rows[np.isin(flows, failure_ids)]
     return noise, attribute_flow_causes_arrays(tally, rows, sort_ranks)
 
 

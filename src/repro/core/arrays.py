@@ -32,7 +32,7 @@ dict engine remains the reference oracle in the equivalence tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,14 +220,9 @@ class ArrayVoteTally:
         self._flow_ids = np.empty(0, dtype=np.int64)
         self._retransmissions = np.empty(0, dtype=np.int64)
         self._seqs = np.empty(0, dtype=np.int64)
-        #: flow id -> bound row over the first ``_mapped`` rows (highest seq
-        #: ``_top_seq``); the rest is caught up when next asked for (a
-        #: snapshot starts from none).
-        self._row_by_flow: Dict[int, int] = {}
-        self._mapped = 0
-        self._top_seq = -1
-        #: the same binding as a sorted index over the first ``_indexed``
-        #: rows, for whole runs of flows (:meth:`bound_rows`): flow ids
+        #: each flow's bound row — its highest-seq row, the later row a tie —
+        #: as a sorted index over the first ``_indexed`` rows, caught up
+        #: when next asked for (a snapshot starts from none): flow ids
         #: ascending and, position for position, their bound rows.
         self._bound_flows = np.empty(0, dtype=np.int64)
         self._bound_rows = np.empty(0, dtype=np.int64)
@@ -383,46 +378,30 @@ class ArrayVoteTally:
         self._rows, self._hops = rows, hops
         self._invalidate()
 
-    def flow_rows(self) -> Dict[int, int]:
-        """flow id -> its bound row, caught up with the rows appended since
-        it was last asked for (live: do not mutate)."""
-        mapped, rows = self._mapped, self._rows
-        if mapped < rows:
-            bound, seqs = self._row_by_flow, self._seqs
-            # Python lists: most catch-ups are one row (a per-event update)
-            new = seqs[mapped:rows].tolist()
-            if new[0] >= self._top_seq and new == sorted(new):
-                # every new row outranks the rows before it: the later wins
-                flows, order = self._flow_ids[mapped:rows], range(mapped, rows)
-            else:  # in seq order, each row that outranks its flow's bound row
-                order = np.argsort(seqs[mapped:rows], kind="stable") + mapped
-                prior = np.fromiter(
-                    map(bound.get, self._flow_ids[order].tolist(), repeat(-1)),
-                    dtype=np.int64,
-                    count=len(order),
-                )
-                order = order[(prior < 0) | (seqs[prior] <= seqs[order])]
-                flows, order = self._flow_ids[order], order.tolist()
-            bound.update(zip(flows.tolist(), order))
-            self._top_seq = max(self._top_seq, max(new))
-            self._mapped = rows
-        return self._row_by_flow
-
-    def bound_rows(self, flows: np.ndarray) -> np.ndarray:
-        """Each of ``flows``' bound row, ``-1`` for a flow without one.
-
-        The rule of :meth:`flow_rows` — the highest seq wins, the later row
-        a tie — kept as a sorted flow index for a whole run of flows, caught
-        up with the rows appended since it was last asked for: per new flow
-        one insertion, per known flow one seq comparison, no Python loop.
-        """
+    @property
+    def bound_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(flows, rows)``: every flow id, ascending, and position for
+        position its bound row — its highest-seq row, the later row a tie —
+        caught up with the rows appended since it was last asked for: per
+        new flow one insertion, per known flow one seq comparison, no
+        Python loop.  Do not mutate."""
         if self._indexed < self._rows:
             self._index_rows()
-        known = self._bound_flows
+        return self._bound_flows, self._bound_rows
+
+    def flow_rows(self) -> Dict[int, int]:
+        """flow id -> its bound row: :attr:`bound_index` as a fresh dict."""
+        flows, rows = self.bound_index
+        return dict(zip(flows.tolist(), rows.tolist()))
+
+    def bound_rows(self, flows: np.ndarray) -> np.ndarray:
+        """Each of ``flows``' bound row (:attr:`bound_index`), ``-1`` for a
+        flow without one."""
+        known, rows = self.bound_index
         if not len(known):
             return np.full(len(flows), -1, dtype=np.int64)
         at = np.minimum(np.searchsorted(known, flows), len(known) - 1)
-        return np.where(known[at] == flows, self._bound_rows[at], -1)
+        return np.where(known[at] == flows, rows[at], -1)
 
     def _index_rows(self) -> None:
         """Catch the sorted flow index up with the rows appended since."""
@@ -463,14 +442,12 @@ class ArrayVoteTally:
 
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
-        come from :meth:`flow_rows`).
+        come from :meth:`bound_rows`).
 
         Votes are untouched (the flows' paths are unchanged), so only the
         rebuilt-on-demand contribution view is invalidated, not the fold.
         """
-        if len(rows) == 1:  # a per-event update: add.at costs ~10x an index
-            self._retransmissions[rows[0]] += extras[0]
-        elif len(rows):
+        if len(rows):
             np.add.at(self._retransmissions, rows, extras)
         self._contributions_cache = None
 

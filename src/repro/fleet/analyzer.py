@@ -212,13 +212,6 @@ class ServiceIngestCore:
         """Epochs this core's ticks closed, gap epochs included."""
         return self._finalized.count
 
-    def counters(self) -> Dict[str, int]:
-        """What left the vector path, for the ``stats`` verb; never blocks."""
-        service = self.service
-        if isinstance(service, Zero07Service):
-            return {"fallback_events": service.stats.fallback_events}
-        return {"fallback_events": service.fallback_events}
-
     def remap(self, decoder: WireDecoder) -> Optional[LinkRemap]:
         """One connection's link ids onto the service's index (``None``:
         the service takes events)."""
@@ -737,7 +730,6 @@ class FleetAnalyzer:
                     for agent_id, record in self.agents.items()
                 },
                 "last_finalized": self.core.last_finalized,
-                **self.core.counters(),
             }
         if command == "describe":
             description = self.core.describe()

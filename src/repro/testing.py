@@ -61,13 +61,10 @@ def report_signature(report) -> tuple:
 
 
 def evidence_document(checkpoint) -> dict:
-    """A service checkpoint's JSON document minus what depends on *how* the
-    evidence was delivered or folded rather than on *what* arrived in which
-    order: the engine name and the ``fallback_events`` counter (a chunked
-    delivery may replay runs per event that a per-event delivery never
-    forms).  Two services fed the same arrival order must agree on the rest.
+    """A service checkpoint's JSON document minus the engine name: what two
+    services fed the same arrival order agree on, whichever engine folds it
+    and however the evidence was cut into deliveries.
     """
     document = json.loads(checkpoint.to_json())
     del document["engine"]
-    del document["stats"]["fallback_events"]
     return document

@@ -150,7 +150,7 @@ class TestProcessBackendEquivalence:
             assert fleet.report(0) is fleet.report(0)
 
     @pytest.mark.parametrize("backend", ["inline", "process"])
-    def test_fallback_events_is_served_without_a_worker_round_trip(
+    def test_duplicate_events_is_served_without_a_worker_round_trip(
         self, backend, monkeypatch
     ):
         """The fleet-wide counter is the coordinator service's — what an
@@ -165,30 +165,24 @@ class TestProcessBackendEquivalence:
             for i in range(96)
         ]
 
-        # a flow traced again after its count update: replayed per event
-        retraced = paths[64:] + [
-            RetransmissionEvidence(epoch=0, flow_id=70, seq=96),
-            PathEvidence(epoch=0, seq=97, path=make_path(70, L[:2])),
-        ]
-
         def feed(service):
             service.ingest_batch(paths[:64])
-            service.ingest_batch(retraced)
+            service.ingest_batch(paths[48:])  # a straddling redelivery
             return service.report(0)
 
         single = Zero07Service()
         feed(single)
-        expected = single.stats.fallback_events
-        assert expected > 0
+        expected = single.stats.duplicate_events
+        assert expected == 16
         with ShardedService(2, backend=backend) as fleet:
             feed(fleet)
             with monkeypatch.context() as patch:
                 patch.setattr(type(fleet.executor), "_sync", None, raising=False)
-                assert fleet.fallback_events == expected
+                assert fleet.duplicate_events == expected
                 checkpoint = fleet.checkpoint()
         with ShardedService.restore(checkpoint, backend=backend) as restored:
             monkeypatch.setattr(type(restored.executor), "_sync", None, raising=False)
-            assert restored.fallback_events == expected
+            assert restored.duplicate_events == expected
 
     def test_reports_ticks_and_checkpoints_never_round_trip(self, monkeypatch):
         """The process backend answers from its coordinator service: with the

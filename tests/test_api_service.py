@@ -451,7 +451,6 @@ class TestOutOfOrderDelivery:
         for chunk in (fourth, first):
             service.ingest_batch(chunk)
         whole = in_order(first, second, third, fourth)
-        assert service.stats.fallback_events == 0
         assert service.stats.duplicate_events == len(second) + len(first)
         assert service.stats.out_of_order_events == sum(
             1 for event in second if isinstance(event, PathEvidence)
@@ -475,7 +474,6 @@ class TestOutOfOrderDelivery:
         for event in first + [ahead] + rest:
             per_event.ingest(event)
         below = sum(1 for e in second[:9] if isinstance(e, PathEvidence))
-        assert chunked.stats.fallback_events == 0
         assert chunked.stats.out_of_order_events == below
         assert per_event.stats.out_of_order_events == below
         assert report_signature(chunked.report(0)) == report_signature(
@@ -491,33 +489,14 @@ class TestOutOfOrderDelivery:
         for event in first + straddling:
             per_event.ingest(event)
             per_event.stats  # admits the one-event run per event
-        assert service.stats.fallback_events == 0
         assert service.stats.duplicate_events == per_event.stats.duplicate_events == 8
         assert report_signature(service.report(0)) == report_signature(
             per_event.report(0)
         )
         assert service.checkpoint() == per_event.checkpoint()
 
-    def test_a_replayed_run_is_counted_and_the_count_rides_the_checkpoint(self):
-        first, second, *_ = self.chunked_epoch()
-        service = Zero07Service()
-        service.ingest_batch(first)
-        # a flow traced after its count update: per-event territory
-        retraced = second + [PathEvidence(0, 99, make_path(second[3].flow_id, L[:2]))]
-        service.ingest_batch(retraced)
-        assert service.stats.fallback_events == len(retraced)
-        checkpoint = service.checkpoint()
-        assert checkpoint.payload["stats"]["fallback_events"] == len(retraced)
-        restored = Zero07Service.restore(
-            Checkpoint.from_bytes(checkpoint.to_bytes())
-        )
-        assert restored.stats.fallback_events == len(retraced)
-        # runs below the bulk threshold were never on the vector path
-        service.ingest_batch(second[8:12])
-        assert service.stats.fallback_events == len(retraced)
-
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
-    def test_a_run_led_by_a_seq_less_update_replays_per_event(self, engine):
+    def test_a_run_led_by_a_seq_less_update_equals_per_event_ingest(self, engine):
         """Regression: a seq-less update (encoded -1) leading a run passed the
         late-run proof — -1 entered the seen seqs and the checkpoint's ``rs``
         column, and a redelivery was then dropped whole although a seq-less
@@ -538,9 +517,7 @@ class TestOutOfOrderDelivery:
             assert evidence_document(chunked.checkpoint()) == evidence_document(
                 per_event.checkpoint()
             )
-        # the redelivery drops its seen events and replays the update alone
-        led_events = len(deliveries[0]) + len(late) + 1
-        assert chunked.stats.fallback_events == led_events
+        # the redelivery drops its seen events and applies the update again
         assert chunked.stats.duplicate_events == len(second)
         records = dict(chunked.evidence_for_epoch(0))
         assert records[second[0].seq].retransmissions == 1 + 1  # was buffered
@@ -636,16 +613,37 @@ class TestCheckpoint:
             Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
 
     def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
-        """Older checkpoints predate ``fallback_events``: a missing counter
-        restores at its default, the others as saved."""
+        """A missing counter restores at its default, the others as saved."""
         service = Zero07Service()
         service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         payload = json.loads(service.checkpoint().to_json())
-        del payload["stats"]["fallback_events"]
+        del payload["stats"]["out_of_order_events"]
         restored = Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
-        assert restored.stats.fallback_events == 0
+        assert restored.stats.out_of_order_events == 0
         assert restored.stats.as_dict() == service.stats.as_dict()
         assert restored.checkpoint().payload["stats"] == service.stats.as_dict()
+
+    def test_the_retired_fallback_counter_is_dropped_on_read(self):
+        """Checkpoints written before the per-event replay was removed hold
+        ``fallback_events``: restore and ``apply_delta`` drop that one key
+        (any other unknown counter is still refused)."""
+        service = Zero07Service()
+        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
+        base = service.checkpoint()
+        service.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
+        delta = service.checkpoint(base=base)
+
+        def written_before(checkpoint):
+            payload = json.loads(checkpoint.to_json())
+            payload["stats"]["fallback_events"] = 3
+            return Checkpoint.from_json(json.dumps(payload))
+
+        merged = written_before(base).apply_delta(written_before(delta))
+        assert merged.payload["stats"] == service.stats.as_dict()
+        for old in (written_before(service.checkpoint()), merged):
+            restored = Zero07Service.restore(old)
+            assert restored.stats.as_dict() == service.stats.as_dict()
+            assert restored.checkpoint() == service.checkpoint()
 
     def test_per_shard_sharded_checkpoints_are_refused(self):
         """A sharded payload with a ``shards`` list — one service payload per
@@ -1009,6 +1007,8 @@ class TestContainerDamage:
         "column, damage",
         [
             ("seq", lambda a: a[[*range(1, len(a)), len(a) - 1]]),  # a seq twice
+            ("seq", lambda a: a - 1),  # a record without a seq (-1)
+            ("rs", lambda a: a - 100),  # consumed update seqs below 0
             ("len", lambda a: a + 1),  # does not delimit the hops
             ("len", lambda a: a * 0),  # empty paths
             ("hop", lambda a: a + 10_000),  # outside the link table
@@ -1227,8 +1227,8 @@ class TestEvidenceRecorder:
         assert report_signature(tapped.report(0)) == report_signature(plain.report(0))
 
     def test_a_tapped_batch_reaches_the_service_whole(self, monkeypatch):
-        """A tapped batch is not split into per-event ``ingest`` calls, so it
-        keeps the batch fast path (``fallback_events`` stays 0)."""
+        """A tapped batch is not split into per-event ``ingest`` calls: the
+        service admits it whole."""
 
         def per_event(self, event):
             raise AssertionError("a tapped batch was replayed event by event")
@@ -1240,7 +1240,6 @@ class TestEvidenceRecorder:
         service.ingest_batch(events)
         assert len(recorder.events) == 64
         assert service.stats.paths_ingested == 64
-        assert service.stats.fallback_events == 0
 
 
 # ----------------------------------------------------------------------

@@ -201,7 +201,7 @@ class TestFlowPlacement:
 
 
 class TestAdversarialOrderings:
-    """The batched facade must fall back gracefully and stay bit-identical."""
+    """A scrambled batch is admitted bit-identically to per-event ingest."""
 
     def scrambled_events(self):
         events = [e for e in loadgen_events(epochs=1) if not isinstance(e, EpochTick)]
@@ -235,12 +235,9 @@ class TestAdversarialOrderings:
         assert report_signature(batched.report(0)) == report_signature(
             per_event.report(0)
         )
-        # the scrambled batch is a genuinely mixed run: replayed, and counted
-        assert batched.stats.fallback_events > 0 == per_event.stats.fallback_events
-        expected = dict(
-            per_event.stats.as_dict(), fallback_events=batched.stats.fallback_events
-        )
-        assert batched.stats.as_dict() == expected
+        # the scrambled batch is a genuinely mixed run, counted alike
+        assert batched.stats.as_dict() == per_event.stats.as_dict()
+        assert batched.checkpoint().to_bytes() == per_event.checkpoint().to_bytes()
         assert batched.stats.duplicate_events > 0
         assert batched.stats.out_of_order_events > 0
 
@@ -305,24 +302,23 @@ class TestRestoredShards:
         assert orphan["pending_retransmissions"] == {"999999": 3}
 
 
-class TestFastPathEngagement:
-    """The vectorized batch path must actually engage on in-order streams.
+class TestBatchAdmission:
+    """A batch is admitted whole, bit-identically to per-event ingest."""
 
-    A timing-free regression guard: if a precondition check silently breaks
-    and every batch degrades to the per-event fallback, the 5x speedup claim
-    dies without any test noticing — so assert the fallback is never taken
-    for the workloads the fast path was built for.
-    """
-
-    def test_loadgen_stream_never_falls_back(self, monkeypatch):
-        def boom(self, run, owned):
-            raise AssertionError("vectorized fast path fell back unexpectedly")
-
-        monkeypatch.setattr(Zero07Service, "_ingest_evidence_fallback", boom)
+    def test_loadgen_stream_batched_equals_per_event(self):
         events = loadgen_events(epochs=2)
         service = Zero07Service(retain_reports=2)
         service.ingest_batch(events, owned=True)
         assert service.stats.epochs_finalized == 2
+        per_event = Zero07Service(retain_reports=2)
+        for event in events:
+            per_event.ingest(event)
+            per_event.stats  # admits the one-event run
+        for epoch in (0, 1):
+            assert report_signature(service.report(epoch)) == report_signature(
+                per_event.report(epoch)
+            )
+        assert service.stats.as_dict() == per_event.stats.as_dict()
 
         fleet = ShardedService(num_shards=4, retain_reports=2)
         fleet.ingest_batch(loadgen_events(epochs=2), owned=True)
@@ -505,10 +501,10 @@ class TestEvidenceOwnership:
             service.report(0)
         )
 
-    def test_detached_recorder_re_enables_the_fast_path(self, monkeypatch):
+    def test_detached_recorder_leaves_the_service_as_it_was(self):
         """Regression: detach() must remove the instance-level ingest wrapper
-        entirely — leaving one behind silently disables the vectorized batch
-        path for the rest of the service's life."""
+        entirely — leaving one behind would keep cutting batches into
+        per-event calls for the rest of the service's life."""
         service = Zero07Service(retain_reports=2)
         recorder = EvidenceRecorder(service)
         service.ingest_batch(loadgen_events(epochs=1))
@@ -518,14 +514,16 @@ class TestEvidenceOwnership:
         assert "ingest_batch" not in service.__dict__
         assert "ingest_run" not in service.__dict__
 
-        def boom(self, run, owned):
-            raise AssertionError("fast path disabled after recorder detach")
-
-        monkeypatch.setattr(Zero07Service, "_ingest_evidence_fallback", boom)
         service.ingest_batch(
             loadgen_events(epochs=2)[len(loadgen_events(epochs=1)) :], owned=True
         )
         assert service.stats.epochs_finalized == 2
+        untapped = Zero07Service(retain_reports=2)
+        untapped.ingest_batch(loadgen_events(epochs=2))
+        assert service.stats.as_dict() == untapped.stats.as_dict()
+        assert report_signature(service.report(1)) == report_signature(
+            untapped.report(1)
+        )
 
     def test_stacked_recorders_detach_innermost_first(self):
         """Detaching the outer recorder must re-install the inner tap, and

@@ -293,9 +293,8 @@ def test_evidence_event_fields_are_pinned():
 
 
 def test_service_stats_fields_are_pinned():
-    """The counters ride every checkpoint's ``stats`` block, the process
-    executor's ``stats()`` and (``fallback_events``) the analyzer's ``stats``
-    verb: names and order are part of the surface."""
+    """The counters ride every checkpoint's ``stats`` block and the process
+    executor's ``stats()``: names and order are part of the surface."""
     import dataclasses
 
     assert [f.name for f in dataclasses.fields(api.ServiceStats)] == [
@@ -305,7 +304,6 @@ def test_service_stats_fields_are_pinned():
         "duplicate_events",
         "out_of_order_events",
         "late_events",
-        "fallback_events",
         "reports_materialized",
         "epochs_finalized",
     ]

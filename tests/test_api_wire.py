@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    Checkpoint,
     EpochTick,
     LinkRemap,
     PathEvidence,
@@ -199,6 +200,7 @@ def _with_value(message, column, index, change, fmt="<i"):
     lids = lengths + 4 * header["n_paths"]
     starts = {
         "kinds": kinds,
+        "seqs": kinds + header["n_events"],
         "lengths": lengths,
         "lids": lids,
         "names": lids + 4 * header["total_hops"],
@@ -225,6 +227,7 @@ DAMAGE = {
     "a negative path count": lambda m: _with_header(m, n_paths=lambda v: -1),
     "a trailing byte": lambda m: m + b"\x00",
     "a missing byte": lambda m: m[:-1],
+    "a path seq below 0": lambda m: _with_value(m, "seqs", 0, lambda v: -1, "<q"),
     "a kind outside 0/1": lambda m: _with_value(m, "kinds", 0, lambda v: 2, "<B"),
     "kinds off the path count": lambda m: _with_value(
         m, "kinds", 0, lambda v: 1 - v, "<B"
@@ -310,7 +313,6 @@ class TestIngestColumns:
             )
         assert report_signature(report) == report_signature(by_objects.report(0))
         assert by_columns.stats == by_objects.stats
-        assert by_columns.stats.fallback_events == 0
         assert by_columns.checkpoint() == by_objects.checkpoint()
 
     def test_repeated_link_in_one_path_counts_support_once(self):
@@ -333,24 +335,78 @@ class TestIngestColumns:
         ]
         service = Zero07Service()
         self.deliver(service, self.stream(), run)
-        assert service.stats.fallback_events == 0
         (record,) = service.evidence_for_epoch(0)
         assert record[1].retransmissions == 9
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
-    def test_a_flow_traced_after_its_update_is_replayed_per_event(self, engine):
-        run = mixed_run(n=6)
-        run.append(PathEvidence(epoch=0, seq=99, path=make_path(0, L[3:5])))
-        by_columns, per_event = Zero07Service(engine=engine), Zero07Service(engine=engine)
-        self.deliver(by_columns, self.stream(), run)
+    @pytest.mark.parametrize("retraces", [1, 3])
+    @pytest.mark.parametrize("delivery", ["columns", "batch"])
+    def test_k_retraces_after_updates_fold_as_k_plus_one_pieces(
+        self, delivery, retraces, engine, monkeypatch
+    ):
+        """Each path that re-traces a flow after the flow's count update in
+        the same run cuts the run before it (a first trace after its update
+        does not); every piece folds in bulk, and the whole equals admitting
+        the events one at a time."""
+        run = mixed_run(n=6)  # each path followed by its flow's update
+        for flow in range(retraces):  # a re-trace, then the next flow's update
+            run.append(PathEvidence(0, 20 + 2 * flow, make_path(flow, L[3:5])))
+            run.append(RetransmissionEvidence(0, flow + 1, 2, seq=21 + 2 * flow))
+        run.append(RetransmissionEvidence(0, 50, 3, seq=40))  # ahead of its path
+        run.append(PathEvidence(0, 41, make_path(50, L[:2])))
+        folds = []
+        fold = Zero07Service._fold
+        monkeypatch.setattr(
+            Zero07Service, "_fold", lambda self, *args: folds.append(fold(self, *args))
+        )
+        service = Zero07Service(engine=engine)
+        if delivery == "columns":
+            self.deliver(service, self.stream(), run)
+        else:
+            service.ingest_batch(run)
+        assert len(folds) == retraces + 1
+        per_event = Zero07Service(engine=engine)
         for event in run:
             per_event.ingest(event)
             per_event.stats  # admits the one-event run
-        assert by_columns.stats.fallback_events == len(run)
-        assert report_signature(by_columns.report(0)) == report_signature(
+        assert service.stats.as_dict() == per_event.stats.as_dict()
+        assert report_signature(service.report(0)) == report_signature(
             per_event.report(0)
         )
-        assert by_columns.evidence_for_epoch(0) == per_event.evidence_for_epoch(0)
+        assert service.evidence_for_epoch(0) == per_event.evidence_for_epoch(0)
+        assert service.checkpoint().to_bytes() == per_event.checkpoint().to_bytes()
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_one_mask_drops_repeats_and_seen_events_but_no_seq_less_update(
+        self, engine
+    ):
+        """A run's repeated seqs (a path's seq taken again by an update
+        included) and the seqs its epoch saw are dropped; its seq-less
+        updates all apply and never join the seen seqs."""
+        seen = mixed_run(n=2)  # seqs 0..3
+        run = [
+            PathEvidence(0, 4, make_path(7, L[:2])),
+            RetransmissionEvidence(0, 7, 2),  # seq-less
+            PathEvidence(0, 1, make_path(8, L[1:3])),  # seen: dropped
+            RetransmissionEvidence(0, 7, 5, seq=4),  # a repeat of the path's 4
+            RetransmissionEvidence(0, 7, 3),  # seq-less again
+            PathEvidence(0, 5, make_path(9, L[2:4])),
+            PathEvidence(0, 5, make_path(9, L[2:4])),  # a repeat
+        ]
+        service, per_event = Zero07Service(engine=engine), Zero07Service(engine=engine)
+        self.deliver(service, self.stream(), seen)
+        assert self.deliver(service, self.stream(), run) == 3
+        for event in seen + run:
+            per_event.ingest(event)
+            per_event.stats  # admits the one-event run
+        assert service.stats.as_dict() == per_event.stats.as_dict()
+        assert service.stats.duplicate_events == 3
+        assert dict(service.evidence_for_epoch(0))[4].retransmissions == 2 + 3
+        blob = service.checkpoint().to_bytes()
+        assert blob == per_event.checkpoint().to_bytes()
+        # a seq-less update in the consumed seqs would be refused here
+        restored = Zero07Service.restore(Checkpoint.from_bytes(blob))
+        assert restored.evidence_for_epoch(0) == service.evidence_for_epoch(0)
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_a_straddling_redelivery_drops_only_what_was_seen(self, engine):
@@ -362,7 +418,6 @@ class TestIngestColumns:
         whole = Zero07Service()
         whole.ingest_batch(run)
         assert service.stats.duplicate_events == 18
-        assert service.stats.fallback_events == 0
         assert report_signature(service.report(0)) == report_signature(whole.report(0))
 
     def test_a_finalized_epoch_counts_a_late_run(self):
@@ -370,6 +425,32 @@ class TestIngestColumns:
         service.ingest(EpochTick(0))
         assert self.deliver(service, self.stream(), mixed_run(n=4)) == 0
         assert service.stats.late_events == 8
+
+
+class TestPathSeqs:
+    """A path's seq is an integer ``>= 0`` at every entry point, checked
+    before any state changes (wire messages and checkpoint columns are
+    refused whole: ``DAMAGE`` and the checkpoint's damaged-column tests)."""
+
+    @pytest.mark.parametrize("seq", [None, -1])
+    @pytest.mark.parametrize("entry", ["ingest", "ingest_batch", "ingest_run"])
+    def test_a_path_without_a_seq_raises_before_any_state_changes(self, entry, seq):
+        run = mixed_run(n=5)[:9] + [PathEvidence(0, seq, make_path(99, L[:2]))]
+        service, reference = Zero07Service(), Zero07Service()
+        with pytest.raises(ValueError, match="seq"):
+            if entry == "ingest":
+                reference.ingest_batch(run[:9])  # ingested before the bad one
+                for event in run:
+                    service.ingest(event)
+            elif entry == "ingest_batch":
+                service.ingest_batch(run)
+            else:
+                service.ingest_run(0, run)
+        assert service.stats.as_dict() == reference.stats.as_dict()
+        assert service.checkpoint().to_bytes() == reference.checkpoint().to_bytes()
+        assert report_signature(service.report(0)) == report_signature(
+            reference.report(0)
+        )
 
 
 def test_the_column_store_name_is_a_plain_service_underneath():

@@ -115,7 +115,6 @@ def test_core_view_is_identical_until_evidence_arrives_and_never_stale():
                 # a delivery or a tick for another epoch leaves this view alone
                 assert report is previous[epoch], (upto, epoch)
             previous[epoch] = report
-    assert core.service.stats.fallback_events == 0
     assert core.service.open_epochs == []
 
 

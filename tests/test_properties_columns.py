@@ -1,16 +1,18 @@
 """Property-based test: ``Zero07Service.ingest_columns`` is per-event ingest.
 
 Hypothesis draws a wire stream — epochs of paths over a few flow ids (so
-flows are traced again), count updates with and without a ``seq``, updates
-ahead of their flow's path — splits each epoch into contiguous agent slices,
-cuts every slice into random chunks, interleaves the agents' chunks (an
-agent may run an epoch ahead), redelivers windows of what an agent already
-sent, and now and then checkpoints and restores the columns service.  Every
-chunk goes over its agent's own wire stream into ``ingest_columns``; the
-oracle is a dicts-engine service fed the same events through per-event
-``ingest``, with a ``stats`` read after every event (which admits it alone).
-Reports, records and the counters must be equal at every read.  The
-seen-seq structure (``SeqRuns``) is checked against a Python set directly.
+flows are traced again, some right after their update), count updates with
+and without a ``seq``, updates ahead of their flow's path — splits each
+epoch into contiguous agent slices, cuts every slice into chunks of 1-24
+events (some with two events swapped and one of them repeated inside the
+chunk), interleaves the agents' chunks (an agent may run an epoch ahead),
+redelivers windows of what an agent already sent, and now and then
+checkpoints and restores the columns service.  Every chunk goes over its
+agent's own wire stream into ``ingest_columns``; the oracle is a
+dicts-engine service fed the same events through per-event ``ingest``, with
+a ``stats`` read after every event (which admits it alone).  Reports,
+records and the counters must be equal at every read.  The seen-seq
+structure (``SeqRuns``) is checked against a Python set directly.
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ def deliveries(rng, epochs: int, agents: int):
             while lo < hi:
                 step = rng.randint(1, 24)
                 chunk = events[lo : lo + step]
+                if rng.random() < 0.3:  # reordered, and a seq repeated inside
+                    i, j = rng.randrange(len(chunk)), rng.randrange(len(chunk))
+                    chunk[i], chunk[j] = chunk[j], chunk[i]
+                    chunk.insert(rng.randrange(len(chunk) + 1), rng.choice(chunk))
                 queues[agent].append((epoch, chunk))
                 sent.extend(chunk)
                 lo += step
@@ -151,18 +157,19 @@ def test_ingest_columns_equals_per_event_ingest(engine, seed, epochs, agents):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 400), max_size=40)), max_size=40))
+@given(st.lists(st.lists(st.integers(-1, 400), max_size=40), max_size=40))
 def test_seq_runs_hold_what_a_set_holds(steps):
-    """Whole runs (any order) and a replay's few seqs, disjoint from what is
-    held, merge lazily; membership always equals a Python set's."""
+    """Whole runs (any order, disjoint from what is held) merge lazily; a
+    run's duplicates — seqs held, or repeated earlier in the run, never a
+    negative one — are always what a Python set says."""
     runs, seen = SeqRuns(), set()
-    queries = np.arange(-2, 403, dtype=np.int64)
-    for whole, seqs in steps:
-        fresh = list(dict.fromkeys(seq for seq in seqs if seq not in seen))
-        if whole:
-            runs.add_run(np.array(fresh, dtype=np.int64))
-        else:
-            runs.add(fresh)
+    for seqs in steps:
+        expected, earlier = [], set()
+        for seq in seqs:
+            expected.append(seq >= 0 and (seq in seen or seq in earlier))
+            earlier.add(seq)
+        assert runs.duplicates(np.array(seqs, dtype=np.int64)).tolist() == expected
+        fresh = list(dict.fromkeys(seq for seq in seqs if seq >= 0 and seq not in seen))
+        runs.add_run(np.array(fresh, dtype=np.int64))
         seen.update(fresh)
         assert len(runs) == len(seen)
-        assert runs.contains(queries).tolist() == [int(q) in seen for q in queries]

@@ -1,15 +1,16 @@
-"""Property-based test: per-event ingest's pending run changes nothing.
+"""Property-based test: a run of any shape is admitted like one-event runs.
 
 ``Zero07Service.ingest`` of a path or count update joins its epoch's pending
-run, admitted in bulk (or replayed per event) later.  The oracle is the same
-stream with a ``stats`` read after every ``ingest()``: the read admits a
-one-event run down the per-event path, which is what every ingest did before
-the pending run existed.  Hypothesis draws interleavings of per-event events
-— new paths, duplicates, swapped neighbours, seq-less updates, updates ahead
-of their path, re-traces, late events, evidence subclasses, a second open
-epoch — with ``ingest_batch`` chunks, reports, ``stats`` reads, checkpoint →
-restore cycles and ticks.  Reports, ``stats.as_dict()`` and checkpoint bytes
-must be equal at every read, on both engines.
+run, admitted later; ``ingest_batch`` admits each of its runs at once.  The
+oracle is the same stream with a ``stats`` read after every ``ingest()``:
+the read admits a one-event run.  Hypothesis draws interleavings of
+per-event events — new paths, duplicates, swapped neighbours, seq-less
+updates, updates ahead of their path, re-traces (some right after their
+update), late events, evidence subclasses, a second open epoch — with
+``ingest_batch`` chunks of 1-20 events drawn from the same shapes, some
+repeating a seq inside the chunk, and reports, ``stats`` reads, checkpoint
+→ restore cycles and ticks.  Reports, ``stats.as_dict()`` and checkpoint
+bytes must be equal at every read, on both engines.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ LINKS = [DirectedLink(f"s{i}", f"s{i + 1}") for i in range(10)]
 
 
 class TracedPathEvidence(PathEvidence):
-    """An evidence subclass: admitted at once, with per-event semantics."""
+    """An evidence subclass: captured like any path."""
 
 
 class TracedRetransmissionEvidence(RetransmissionEvidence):
@@ -109,6 +110,14 @@ class Stream:
             self.delivered.append(event)
             path = PathEvidence(epoch, self._seq(epoch), make_path(rng, flow, epoch))
             return [event] + self.event() + [path]
+        elif draw < 0.40 + 0.12 * noise and traced:  # an update, then a re-trace
+            flow = rng.choice(traced)
+            update = RetransmissionEvidence(
+                epoch=epoch, flow_id=flow, retransmissions=1, seq=self._seq(epoch)
+            )
+            path = PathEvidence(epoch, self._seq(epoch), make_path(rng, flow, epoch))
+            self.delivered += [update, path]
+            return [update, path]
         else:
             if traced and rng.random() < 0.15 * noise:
                 flow = rng.choice(traced)  # a re-trace
@@ -132,8 +141,11 @@ class Stream:
                 ops.append(("redeliver", (self.epoch, seen)))
             elif draw < 0.78:
                 chunk = []
-                while len(chunk) < self.rng.choice((3, 8, 12, 20)):
+                while len(chunk) < self.rng.choice((1, 2, 3, 5, 7, 8, 12, 20)):
                     chunk += self.event()
+                if self.rng.random() < 0.3 * self.noise:  # a seq repeated inside
+                    repeat = self.rng.choice(chunk)
+                    chunk.insert(self.rng.randrange(len(chunk) + 1), repeat)
                 ops.append(("batch", chunk))
             elif draw < 0.86:
                 ops.append(("report", self.epoch + self.rng.randint(-1, 1)))
@@ -183,10 +195,12 @@ def test_pending_runs_equal_per_event_admission(seed, engine, run_limit, length,
             if op == "event":
                 pending.ingest(arg)
                 oracle.ingest(arg)
-                oracle.stats  # admits a one-event run: today's per-event path
+                oracle.stats  # admits a one-event run
             elif op == "batch":
                 pending.ingest_batch(arg)
-                oracle.ingest_batch(arg)
+                for event in arg:
+                    oracle.ingest(event)
+                    oracle.stats
             elif op == "report":
                 assert report_or_error(pending, arg) == report_or_error(oracle, arg)
                 assert report_or_error(pending, arg) == report_or_error(oracle, arg)
