@@ -79,15 +79,7 @@ from repro.api.events import (
     PathEvidence,
     RetransmissionEvidence,
 )
-from repro.api.wire import (
-    RunColumns,
-    SeqRuns,
-    aggregate_updates,
-    bind_updates,
-    retrace_cuts,
-    run_columns,
-    seqs_of,
-)
+from repro.api.wire import RunColumns, SeqRuns, bind_updates, run_columns, seqs_of
 from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.blame import BlameConfig
@@ -696,15 +688,11 @@ class Zero07Service:
         path's links, interned only once the run is checked: a path that
         cannot vote or has no seq ``>= 0`` raises before any state changes.
 
-        Then, in order: the events the epoch saw before and the repeats
-        inside the run are dropped with one mask
-        (:meth:`~repro.api.wire.SeqRuns.duplicates`; a seq-less update is
-        never a duplicate).  The rest is cut before every path that
-        re-traces a flow whose count update came earlier in the run
-        (:func:`~repro.api.wire.retrace_cuts`), and each piece — almost
-        always the whole run — is folded in bulk (:meth:`_fold`).  So a
-        run of any length, order, duplication or evidence kind is admitted
-        like a series of one-event runs.
+        Then the events the epoch saw before and the repeats inside the run
+        are dropped with one mask (:meth:`~repro.api.wire.SeqRuns.duplicates`;
+        a seq-less update is never a duplicate), and the rest is folded in
+        bulk (:meth:`_fold`).  So a run of any length, order, duplication
+        or evidence kind is admitted like a series of one-event runs.
         """
         path_seqs = cols.path_seqs
         if len(path_seqs):
@@ -723,30 +711,36 @@ class Zero07Service:
                 return dropped
             cols, hop_keep = cols.take(~drop)
             hops = hops[hop_keep]
-        for piece, hop_range in cols.split(retrace_cuts(cols, state.tally)):
-            self._fold(state, piece, hops[hop_range])
+        self._fold(state, cols, hops)
         return dropped
 
     def _fold(self, state: _EpochState, cols: RunColumns, hops: np.ndarray) -> None:
-        """Fold one duplicate-free piece of a run that no path re-traces
-        after its flow's count update (see :meth:`_admit`) in bulk.
+        """Fold one duplicate-free run (see :meth:`_admit`) in bulk.
 
-        One ``add_columns`` tally update appends the paths in arrival order
-        (late or not: no report minds the order of the rows), then the
-        piece's count updates summed per flow (one sort,
-        ``np.add.reduceat``) bump each *changed flow*'s bound row once.
-        Count updates never move votes and integer sums commute, so
-        applying them after the piece's paths leaves the tally exactly as
-        the interleaved per-event order does.
+        Each count update is bound first to the row it binds to at its
+        position (:func:`~repro.api.wire.bind_updates`); one without a row
+        joins the epoch's buffered counts.  Then one ``add_columns`` tally
+        update appends the paths in arrival order (late or not: no report
+        minds the order of the rows), the buffered counts go to their
+        flow's first arrival, and the bound updates bump their rows.  Count
+        updates never move votes and integer sums commute, so this leaves
+        the tally exactly as the interleaved per-event order does.
         """
         stats, tally, path_seqs = self._stats, state.tally, cols.path_seqs
+        pending = state.pending_retransmissions
+        if len(cols.upd_flows):
+            rows = bind_updates(cols, tally)
+            unbound = rows < 0
+            for flow, extra in zip(
+                cols.upd_flows[unbound].tolist(), cols.upd_counts[unbound].tolist()
+            ):
+                pending[flow] = pending.get(flow, 0) + extra
         if len(path_seqs):
             first_row = tally.num_flows
             state.refs.append(cols.cargo)
             if self.engine != "arrays":  # the dict oracle folds link objects
                 hops = list(map(self._link_index.links.__getitem__, hops.tolist()))
             tally.add_columns(hops, cols.lengths, cols.flows, cols.counts, path_seqs)
-            pending = state.pending_retransmissions
             if pending:  # buffered counts go to their flow's first arrival
                 waiting = np.fromiter(pending, dtype=np.int64, count=len(pending))
                 hit = np.flatnonzero(np.isin(cols.flows, waiting))
@@ -767,14 +761,8 @@ class Zero07Service:
 
         seqs = cols.seqs
         if len(cols.upd_flows):
-            # flows whose paths have not arrived are buffered
-            bumped, extras = bind_updates(
-                tally,
-                *aggregate_updates(cols.upd_flows, cols.upd_counts),
-                state.pending_retransmissions,
-            )
-            tally.bump_rows(bumped, extras)
-            if len(bumped):
+            tally.bump_rows(rows[~unbound], cols.upd_counts[~unbound])
+            if not bool(unbound.all()):
                 state.mutations += 1
             upd_seqs = cols.upd_seqs[cols.upd_seqs >= 0]  # seq-less: never seen
             if len(upd_seqs):
@@ -811,17 +799,19 @@ class Zero07Service:
     # ------------------------------------------------------------------
     def _materialize(self, epoch: int, state: Optional[_EpochState], final: bool) -> EpochReport:
         if state is None:
-            tally = self._new_tally()
+            tally, prior = self._new_tally(), None
         else:
             # Mid-epoch reports snapshot the tally so later ingests cannot
             # mutate an already-returned report; the final report owns the
             # live tally (no copy) since the epoch's state is dropped.  A
             # snapshot shares the tally's append-only buffers instead of
             # deep-copying them, which is what keeps repeated mid-epoch
-            # queries O(changed rows), not O(epoch).
+            # queries O(changed rows), not O(epoch).  Algorithm 1 resumes
+            # from the previous report, whose rows are a prefix of these.
             tally = state.tally if final else state.tally.snapshot()
+            prior = state.cached_report
         self._stats.reports_materialized += 1
-        return self._agent.analyze_tally(epoch, tally)
+        return self._agent.analyze_tally(epoch, tally, prior)
 
     def report(self, epoch: Optional[int] = None) -> EpochReport:
         """Materialize the :class:`EpochReport` of ``epoch`` right now.

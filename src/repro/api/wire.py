@@ -20,10 +20,8 @@
   end: a decoded :class:`WireRun` (:meth:`WireRun.columns`), a delivered
   list of events (:func:`run_columns`) or a restored checkpoint epoch.  What
   the one admission reads of it lives beside it: an epoch's seen sequence
-  numbers (:class:`SeqRuns`, which also finds a run's duplicates), where a
-  run must be cut so that it folds like one event at a time
-  (:func:`retrace_cuts`), and the per-flow aggregation of its count
-  updates (:func:`aggregate_updates`, :func:`bind_updates`).
+  numbers (:class:`SeqRuns`, which also finds a run's duplicates) and the
+  row each of its count updates binds to (:func:`bind_updates`).
 """
 
 from __future__ import annotations
@@ -608,41 +606,17 @@ class RunColumns(NamedTuple):
         """The run's events ``keep`` (a mask over ``seqs``), and the mask
         over the hops that keeps their paths'."""
         if self.updates is None:
-            paths, kept = keep, keep[:0]
+            paths, updates = keep, keep[:0]
         else:
-            paths, kept = keep[~self.updates], keep[self.updates]
-        return self._part(keep, paths, kept), np.repeat(paths, self.lengths)
-
-    def split(self, cuts: Sequence[int]) -> List[Tuple["RunColumns", slice]]:
-        """The run as pieces of consecutive events, cut before each of
-        ``cuts`` (ascending positions in ``seqs``), each with the slice of
-        the hops its paths take."""
-        if not cuts:
-            return [(self, slice(None))]
-        updated = np.concatenate(([0], np.cumsum(self.updates)))
-        hops = np.concatenate(([0], np.cumsum(self.lengths)))
-        bounds = [0, *cuts, len(self.seqs)]
-        pieces = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            ulo, uhi = int(updated[lo]), int(updated[hi])
-            plo, phi = lo - ulo, hi - uhi
-            piece = self._part(slice(lo, hi), slice(plo, phi), slice(ulo, uhi))
-            pieces.append((piece, slice(int(hops[plo]), int(hops[phi]))))
-        return pieces
-
-    def _part(self, events, paths, updates) -> "RunColumns":
-        """The run's events, paths and count updates selected by masks or
-        by slices."""
+            paths, updates = keep[~self.updates], keep[self.updates]
         cargo = self.cargo
         if isinstance(cargo, list):
-            cargo = cargo[paths] if isinstance(paths, slice) else list(
-                compress(cargo, paths.tolist())
-            )
+            cargo = list(compress(cargo, paths.tolist()))
         else:
             cargo = ({name: col[paths] for name, col in cargo[0].items()}, cargo[1])
         return RunColumns(
-            self.seqs[events],
-            None if self.updates is None else self.updates[events],
+            self.seqs[keep],
+            None if self.updates is None else self.updates[keep],
             self.path_seqs[paths],
             self.flows[paths],
             self.counts[paths],
@@ -651,7 +625,7 @@ class RunColumns(NamedTuple):
             self.upd_seqs[updates],
             self.upd_flows[updates],
             self.upd_counts[updates],
-        )
+        ), np.repeat(paths, self.lengths)
 
 
 def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumns]:
@@ -750,73 +724,45 @@ class SeqRuns:
         return found
 
 
-def retrace_cuts(cols: RunColumns, tally) -> List[int]:
-    """Where a duplicate-free run must be cut to fold like one event at a
-    time: before each path that re-traces a flow whose count update came
-    earlier in the same piece (a re-trace: ``tally``, the epoch's, holds a
-    row of the flow, or an earlier path of the run traces it).
-
-    A bulk fold applies a piece's paths first and its count updates after.
-    That equals admitting its events one at a time unless an updated flow
-    is traced again after the update: one at a time the update bumps the
-    record bound before that path, in bulk the one bound after.  A flow's
-    first trace after its update needs no cut: the update waits for that
-    path either way.
+def bind_updates(cols: RunColumns, tally) -> np.ndarray:
+    """Each count update's row, bound at its position in a duplicate-free
+    run: its flow's highest-seq row (the later row a tie) among ``tally``'s
+    — the epoch's before the run — and the run's earlier paths, which are
+    numbered from ``tally.num_flows`` on in run order; ``-1`` for an
+    update whose flow has no row yet.  One pass, whatever the interleaving:
+    admitting the events one at a time binds each update to that row too.
     """
-    flows, upd_flows = cols.flows, cols.upd_flows
-    if not len(upd_flows) or not len(flows):
-        return []
-    span = len(cols.seqs) + 1
-    updated, upd_ranks = np.unique(upd_flows, return_inverse=True)
-    ranks = np.minimum(np.searchsorted(updated, flows), len(updated) - 1)
-    # each path's latest earlier update of its flow, as (flow rank, position)
-    keys = np.sort(upd_ranks * span + np.flatnonzero(cols.updates))
-    positions = np.flatnonzero(~cols.updates)
-    at = np.searchsorted(keys, ranks * span + positions) - 1
-    latest = keys[np.maximum(at, 0)]
-    hit = (updated[ranks] == flows) & (at >= 0) & (latest // span == ranks)
-    candidates = np.flatnonzero(hit)
-    if not len(candidates):
-        return []
-    since = latest % span
-    first = np.zeros(len(flows), dtype=bool)
-    first[np.unique(flows, return_index=True)[1]] = True
-    retraces = ~first[candidates] | (tally.bound_rows(flows[candidates]) >= 0)
-    cuts, start = [], 0
-    for path in candidates[retraces].tolist():
-        if since[path] >= start:  # the update is in the current piece
-            start = int(positions[path])
-            cuts.append(start)
-    return cuts
-
-
-def aggregate_updates(
-    flows: np.ndarray, counts: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum a run's retransmission updates per flow: ``(flows, totals)``.
-
-    Count updates never move votes and integer sums commute, so one bump per
-    *changed flow* is state-identical to one per event.
-    """
+    rows = tally.bound_rows(cols.upd_flows)
+    if not len(cols.flows):
+        return rows
+    # the events by flow, in run order within a flow (a stable sort)
+    updates = cols.updates
+    flows = np.empty(len(updates), dtype=np.int64)
+    flows[~updates], flows[updates] = cols.flows, cols.upd_flows
     order = np.argsort(flows, kind="stable")
+    # a path's key is 1 + its rank by (seq, position), an update's 0; the
+    # running maximum within a flow is an update's best earlier path
+    by_seq = np.argsort(cols.path_seqs, kind="stable")
+    rank = np.empty(len(by_seq), dtype=np.int64)
+    rank[by_seq] = np.arange(1, len(by_seq) + 1)
+    key = np.zeros(len(updates), dtype=np.int64)
+    key[~updates] = rank
     ranked = flows[order]
-    starts = np.flatnonzero(np.append(True, ranked[1:] != ranked[:-1]))
-    return ranked[starts], np.add.reduceat(counts[order], starts)
-
-
-def bind_updates(
-    tally, flows: np.ndarray, extras: np.ndarray, unbound: Dict[int, int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The tally rows :func:`aggregate_updates`' totals bump (each flow's
-    bound row, ``tally.bound_rows``), and those totals; a flow the tally
-    holds no row of adds its total to ``unbound``."""
-    rows = tally.bound_rows(flows)
-    bound = rows >= 0
-    if bool(bound.all()):
-        return rows, extras
-    for flow, extra in zip(flows[~bound].tolist(), extras[~bound].tolist()):
-        unbound[flow] = unbound.get(flow, 0) + extra
-    return rows[bound], extras[bound]
+    lift = np.cumsum(np.append(False, ranked[1:] != ranked[:-1])) * (len(by_seq) + 1)
+    best = np.empty_like(key)
+    best[order] = np.maximum.accumulate(key[order] + lift) - lift
+    best = best[updates]
+    found = np.flatnonzero(best)
+    if len(found):
+        path = by_seq[best[found] - 1]
+        known = rows[found]
+        # the run's path outranks the tally's row unless its seq is lower
+        beats = known < 0
+        beats[~beats] = (
+            cols.path_seqs[path[~beats]] >= tally.seqs_array()[known[~beats]]
+        )
+        rows[found[beats]] = tally.num_flows + path[beats]
+    return rows
 
 
 class EvidenceColumnStore:

@@ -269,17 +269,22 @@ class AnalysisAgent:
         tally.add_discovered_paths(paths)
         return self._analyze_dict_tally(epoch, tally)
 
-    def analyze_tally(self, epoch: int, tally) -> EpochReport:
+    def analyze_tally(
+        self, epoch: int, tally, prior: Optional[EpochReport] = None
+    ) -> EpochReport:
         """Materialize a report from an *externally accumulated* tally.
 
         This is the streaming entry point: the 007 service grows a tally
         incrementally as evidence arrives and materializes reports on demand
-        (including mid-epoch) by handing the tally here.  Array-backed tallies
-        are dispatched to the vectorized path regardless of this agent's
-        ``engine`` setting.
+        (including mid-epoch) by handing the tally here, with the epoch's
+        previous report as ``prior`` — a report of this agent on the first
+        rows of the same tally, which Algorithm 1 resumes from on the arrays
+        engine (the dict oracle always runs from scratch).  Array-backed
+        tallies are dispatched to the vectorized path regardless of this
+        agent's ``engine`` setting.
         """
         if hasattr(tally, "votes_array"):
-            return self._analyze_array_tally(epoch, tally)
+            return self._analyze_array_tally(epoch, tally, prior)
         return self._analyze_dict_tally(epoch, tally)
 
     def _analyze_dict_tally(self, epoch: int, tally: VoteTally) -> EpochReport:
@@ -305,7 +310,9 @@ class AnalysisAgent:
             _per_flow=(noise, flow_causes),
         )
 
-    def _analyze_array_tally(self, epoch: int, tally) -> EpochReport:
+    def _analyze_array_tally(
+        self, epoch: int, tally, prior: Optional[EpochReport] = None
+    ) -> EpochReport:
         """The vectorized decision over a built tally (bit-identical); the
         report derives its per-link and per-flow fields when asked."""
         from repro.core.arrays import find_problematic_links_arrays
@@ -313,7 +320,7 @@ class AnalysisAgent:
         return EpochReport(
             epoch=epoch,
             tally=tally,
-            blame=find_problematic_links_arrays(tally, self._blame_config),
+            blame=find_problematic_links_arrays(tally, self._blame_config, prior),
             num_paths_analyzed=tally.num_flows,
             _attribute_noise_flows=self._attribute_noise_flows,
         )

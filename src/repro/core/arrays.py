@@ -31,9 +31,10 @@ dict engine remains the reference oracle in the equivalence tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from repro.core.votes import (
 )
 from repro.discovery.agent import DiscoveredPath
 from repro.topology.elements import DirectedLink
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.analysis import EpochReport
 
 
 class ItemIndex:
@@ -64,7 +68,8 @@ class ItemIndex:
         #: adopted position for position).
         self._items: List = list(items)
         self._ids: Dict[object, int] = dict(zip(self._items, range(len(self._items))))
-        self._ranks: Optional[np.ndarray] = None
+        #: the first items in sorted order and, by id, their ranks in it.
+        self._order: Tuple[List, np.ndarray] = ([], np.zeros(0, dtype=np.int64))
         self._names: List[str] = []
 
     # ------------------------------------------------------------------
@@ -122,13 +127,33 @@ class ItemIndex:
         return item in self._ids
 
     def sort_ranks(self) -> np.ndarray:
-        """``ranks[id]`` = position of the item in the sorted item order."""
-        if self._ranks is None or len(self._ranks) != len(self._items):
-            count = len(self._items)
-            ranks = np.empty(count, dtype=np.int64)
-            ranks[sorted(range(count), key=self._items.__getitem__)] = np.arange(count)
-            self._ranks = ranks
-        return self._ranks
+        """``ranks[id]`` = position of the item in the sorted item order.
+
+        Caught up with the items interned since it was last asked for by
+        merging them into the kept sorted order, one ``bisect`` per new
+        item: no re-sort of the known ones.  The array is replaced, never
+        written in place — reports hold the ranks of their build.
+        """
+        ordered, ranks = self._order
+        known, count = len(ranks), len(self._items)
+        if known < count:
+            items = self._items
+            fresh = sorted(range(known, count), key=items.__getitem__)
+            # a new item lands before the ``at`` known items above it
+            at = np.fromiter(
+                map(bisect_left, repeat(ordered), map(items.__getitem__, fresh)),
+                dtype=np.int64,
+                count=len(fresh),
+            )
+            merged = np.empty(count, dtype=np.int64)
+            merged[:known] = ranks + np.searchsorted(at, ranks, side="right")
+            new_ids = np.fromiter(fresh, dtype=np.int64, count=len(fresh))
+            merged[new_ids] = at + np.arange(len(fresh))
+            by_rank = np.empty(count, dtype=np.int64)
+            by_rank[merged] = np.arange(count)
+            ranks = merged
+            self._order = (list(map(items.__getitem__, by_rank.tolist())), ranks)
+        return ranks
 
 
 class LinkIndex(ItemIndex):
@@ -680,6 +705,27 @@ def _hops_of_rows(indptr: np.ndarray, rows: np.ndarray):
     return flat, starts, lengths
 
 
+def _rows_holding(
+    row_of: np.ndarray, hops: np.ndarray, link: int, alive: np.ndarray
+) -> np.ndarray:
+    """The alive rows holding ``link``, ascending, each once (a looped path
+    repeats): one scan of ``hops``, whose rows are ``row_of``."""
+    rows = row_of[hops == link]
+    rows = rows[alive[rows]]
+    return rows[np.diff(rows, prepend=-1) > 0]
+
+
+def _discount(votes, indptr, cols, weights, rows, best) -> None:
+    """Take ``rows``' votes off every hop they cross, once per occurrence,
+    clamped at 0; ``best`` keeps its votes."""
+    flat, _, lengths = _hops_of_rows(indptr, rows)
+    touched = cols[flat]
+    own = votes[best]
+    np.subtract.at(votes, touched, np.repeat(weights[rows], lengths))
+    votes[touched[~(votes[touched] > 0.0)]] = 0.0
+    votes[best] = own
+
+
 def blame_kernel(
     votes: np.ndarray,
     indptr: np.ndarray,
@@ -689,37 +735,63 @@ def blame_kernel(
     sort_ranks: np.ndarray,
     threshold_votes: float,
     config: BlameConfig,
-) -> Tuple[List[int], List[float], np.ndarray]:
+    prior: Optional[Tuple[int, List[int], np.ndarray, np.ndarray]] = None,
+) -> Tuple[List[int], List[float], List[np.ndarray]]:
     """Algorithm 1's argmax + masked-discounting loop for link blame.
 
-    Returns ``(detected_ids, votes_at_detection, final_votes)``.  The input
-    ``votes`` array is not modified.  Each detection finds the still-alive rows
-    holding the blamed id with one ``cols == best`` scan (O(hops); no sorted
-    index is kept) and discounts their hops (the id itself exempt) with one
-    unbuffered ``np.subtract.at``, then clamps the touched ids at 0.
-    Its one caller, :func:`find_problematic_links_arrays`, passes integer vote
-    units, whose differences are exact: an id's votes are the units of its
-    alive rows and never go below zero.
+    Returns ``(detected_ids, votes_at_detection, steps)``: ``steps[k]`` is
+    the votes at the start of greedy step ``k``, and ``steps[-1]`` what the
+    loop left.  The input ``votes`` array is not modified.  Each detection
+    finds the still-alive rows holding the blamed id with one scan of their
+    hops (no sorted index is kept) and discounts their hops (the id itself
+    exempt: a blamed id keeps its votes at detection) with one unbuffered
+    ``np.subtract.at``, then clamps the touched ids at 0.
+
+    ``prior`` resumes an earlier run over the first ``rows`` rows:
+    ``(rows, detected, ids, steps)``, its detections and, over the ids it
+    saw voted, its ``steps``.  ``votes`` then starts as the earlier run's
+    step-0 votes plus ``tail``, the votes of the rows appended since; at
+    each step the recorded votes plus ``tail`` are the votes a fresh run
+    would hold, and while the argmax repeats the recorded detection only
+    the appended rows holding it are found and taken off ``tail``.  From
+    the first step that decides otherwise the ordinary loop runs on, every
+    row holding none of the earlier detections alive.  Every step is still
+    decided on the current eligibility, threshold and ranks, so the result
+    equals a fresh run's exactly — for integer votes, which its one caller,
+    :func:`find_problematic_links_arrays`, passes: an id's votes are then
+    the units of its alive rows and never go below zero.
+
+    Cost: a fresh run scans every hop once per detection, O(hops); a
+    resumed one scans the appended hops and rebuilds the votes once per
+    step, O(new hops) plus O(links), and pays one O(hops) scan when it
+    leaves the recorded detections.
 
     Input contract: ``weights`` must be non-negative (``ValueError``
-    otherwise); beyond that, any float votes are accepted.  An id's votes
-    then only fall, so a ``max(0.0, v - w)`` per subtraction in (row, hop)
-    order equals the unclamped value until that first reaches zero or below
-    and is 0 from then on — one clamp at the end yields the same doubles,
-    bit for bit.
+    otherwise); beyond that, a fresh run accepts any float votes.  An id's
+    votes then only fall, so a ``max(0.0, v - w)`` per subtraction in (row,
+    hop) order equals the unclamped value until that first reaches zero or
+    below and is 0 from then on — one clamp at the end yields the same
+    doubles, bit for bit.
     """
     if not bool((weights >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")
     votes = votes.copy()
-    num_rows = len(indptr) - 1
     blamed = np.zeros(len(votes), dtype=bool)
-    alive = np.ones(num_rows, dtype=bool)
+    alive = np.ones(len(indptr) - 1, dtype=bool)
     detected: List[int] = []
     votes_at: List[float] = []
-    # row of every hop; built on the first detection (most epochs have none)
-    row_of_pos: Optional[np.ndarray] = None
-
-    while len(detected) < config.max_links:
+    steps: List[np.ndarray] = []
+    # rows ``[first, ...)`` are scanned, their hops' rows built on the first
+    # detection (most epochs have none); ``tail`` is not None while resuming
+    first, tail, row_of = 0, None, None
+    if prior is not None:
+        first, recorded, prior_ids, prior_steps = prior
+    while True:
+        if tail is not None:  # the recorded votes plus the appended rows'
+            votes = tail.copy()
+            votes[prior_ids] += prior_steps[len(detected)]
+        if len(detected) >= config.max_links:
+            break
         candidate = eligible & ~blamed
         if not candidate.any():
             break
@@ -729,27 +801,30 @@ def blame_kernel(
             break
         tied = np.flatnonzero(masked == vmax)
         best = int(tied[np.argmin(sort_ranks[tied])]) if len(tied) > 1 else int(tied[0])
+        if prior is not None:
+            step = len(detected)
+            if step < len(recorded) and best == recorded[step]:
+                if tail is None:  # step 0's votes are the tally's own
+                    tail = votes.copy()
+                    tail[prior_ids] -= prior_steps[0]
+            else:  # decided otherwise: the ordinary loop from here on
+                prior = tail = None
+                if detected:
+                    below = np.flatnonzero(np.isin(cols[: indptr[first]], detected))
+                    alive[np.searchsorted(indptr, below, side="right") - 1] = False
+                first, row_of = 0, None
+        steps.append(votes.copy())
         blamed[best] = True
         detected.append(best)
         votes_at.append(vmax)
-
         if config.adjustment == "paths":
-            if row_of_pos is None:
-                row_of_pos = np.repeat(np.arange(num_rows), np.diff(indptr))
-            # alive rows holding ``best``, ascending, each once (a looped path repeats)
-            rows = row_of_pos[cols == best]
-            rows = rows[alive[rows]]
-            rows = rows[np.diff(rows, prepend=-1) > 0]
+            if row_of is None:
+                row_of = np.repeat(np.arange(first, len(alive)), np.diff(indptr[first:]))
+            rows = _rows_holding(row_of, cols[indptr[first] :], best, alive)
             alive[rows] = False
-            # Every hop of those rows is discounted, once per occurrence;
-            # ``best`` is exempt: its votes are put back afterwards.
-            flat, _, lengths = _hops_of_rows(indptr, rows)
-            touched = cols[flat]
-            own = votes[best]
-            np.subtract.at(votes, touched, np.repeat(weights[rows], lengths))
-            votes[touched[~(votes[touched] > 0.0)]] = 0.0
-            votes[best] = own
-    return detected, votes_at, votes
+            _discount(votes if tail is None else tail, indptr, cols, weights, rows, best)
+    steps.append(votes)
+    return detected, votes_at, steps
 
 
 @dataclass(eq=False)
@@ -760,7 +835,9 @@ class VerdictArrays:
     ``BlameResult.final_votes``) are derived from these when first read;
     whoever wants the numbers without the objects reads the arrays.  Ids
     keep their meaning while an index grows and the ranking uses the sort
-    ranks as of the run, so a late read equals an immediate one.
+    ranks as of the run, so a late read equals an immediate one.  A later
+    run over more rows of the same tally resumes from ``steps``
+    (:func:`blame_kernel`).
     """
 
     index: LinkIndex
@@ -773,6 +850,9 @@ class VerdictArrays:
     detected: List[int]
     votes_at: List[float]
     sort_ranks: np.ndarray
+    #: ``[k]``: the votes of ``ids`` at the start of greedy step ``k``, in
+    #: units (``[0]`` before Algorithm 1, ``[-1]`` what it left).
+    steps: np.ndarray
     _ranked: Optional[np.ndarray] = field(default=None, repr=False)
 
     def ranked(self) -> np.ndarray:
@@ -788,23 +868,29 @@ class VerdictArrays:
 
 
 def find_problematic_links_arrays(
-    tally: ArrayVoteTally, config: Optional[BlameConfig] = None
+    tally: ArrayVoteTally,
+    config: Optional[BlameConfig] = None,
+    prior: Optional["EpochReport"] = None,
 ) -> BlameResult:
     """Algorithm 1 over an :class:`ArrayVoteTally` (see :mod:`repro.core.blame`).
 
     Only the decision becomes objects here, O(detections) of them; the
     result's ``final_votes`` is derived from its ``arrays`` when first read.
     The kernel runs in vote units; votes are divided by ``VOTE_UNITS`` on
-    the way out.
+    the way out.  ``prior``, a report on the first rows of this same tally
+    under the same ``config``, lets the kernel resume from its verdict.
     """
     config = config or BlameConfig()
     votes = tally.votes_array()
     total = float(votes.sum())
     sort_ranks = tally.index.sort_ranks()
-    detected, at, final = [], [], votes
+    detected, at, steps = [], [], [votes]
     if total > 0.0:
+        if prior is not None:
+            arrays = prior.blame.arrays
+            prior = (prior.num_paths_analyzed, arrays.detected, arrays.ids, arrays.steps)
         indptr, cols, units = tally.path_matrix()
-        detected, at, final = blame_kernel(
+        detected, at, steps = blame_kernel(
             votes,
             indptr,
             cols,
@@ -813,6 +899,7 @@ def find_problematic_links_arrays(
             sort_ranks,
             config.threshold_fraction * total,
             config,
+            prior,
         )
     ids = tally.voted_ids()
     detected_links = list(map(tally.index.items.__getitem__, detected))
@@ -826,10 +913,11 @@ def find_problematic_links_arrays(
             tally.index,
             ids,
             votes[ids] / VOTE_UNITS,
-            final[ids] / VOTE_UNITS,
+            steps[-1][ids] / VOTE_UNITS,
             detected,
             votes_at,
             sort_ranks,
+            np.stack([step[ids] for step in steps]),
         ),
     )
 

@@ -149,6 +149,10 @@ class VoteTally:
             count=len(flows),
         )
 
+    def seqs_array(self) -> np.ndarray:
+        """Sequence numbers per row (a fresh array)."""
+        return np.array(self._seqs, dtype=np.int64)
+
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
         come from :meth:`flow_rows`).

@@ -37,6 +37,7 @@ from repro.api import (
 from repro.api.service import iter_evidence_runs
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
+from repro.core.blame import BlameConfig
 from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.experiments.scenario import ScenarioConfig, build_system, run_scenario
@@ -178,6 +179,48 @@ class TestMidEpochReport:
         service.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[2:5])))
         assert report_signature(first) == before
         assert service.report(0).num_paths_analyzed == 2
+
+    def test_a_stable_stream_resumes_without_rescanning_old_rows(self, monkeypatch):
+        """While the detections repeat, each cold report and the tick resume
+        Algorithm 1 from the previous report: every scan for a blamed link's
+        rows covers only the hops past that report's watermark, and the
+        verdict is a fresh run's, per-step votes included."""
+        import repro.core.arrays as arrays
+
+        bad, worse = DirectedLink("b", "B"), DirectedLink("a", "A")
+        spread = [DirectedLink(f"x{k}", f"y{k}") for k in range(8)]
+        paths = []
+        for flow in range(300):  # per 10 flows: 5 on ``worse``, 3 on ``bad``
+            k, kind = flow % 8, flow % 10
+            if kind < 5:
+                paths.append(make_path(flow, [worse, spread[k]]))
+            else:
+                paths.append(make_path(flow, [bad, spread[7 - k]] if kind < 8 else [spread[k]]))
+        events = evidence_stream(0, paths)
+        config = BlameConfig(threshold_fraction=0.1)
+        service = Zero07Service(blame_config=config)
+        service.ingest_batch(events[:100])
+        previous = service.report(0)
+        assert previous.detected_links == [worse, bad]
+        scans = []
+        holding = arrays._rows_holding
+        monkeypatch.setattr(
+            arrays,
+            "_rows_holding",
+            lambda row_of, hops, *rest: scans.append((int(row_of[0]), len(hops)))
+            or holding(row_of, hops, *rest),
+        )
+        for stop in (200, 300):
+            service.ingest_batch(events[stop - 100 : stop])
+            scans.clear()
+            report = service.report(0) if stop < 300 else service.advance_epoch(0)
+            indptr, cols, _ = report.tally.path_matrix()
+            watermark = previous.num_paths_analyzed
+            assert scans == [(watermark, len(cols) - indptr[watermark])] * 2
+            fresh = AnalysisAgent(blame_config=config).analyze_epoch(0, paths[:stop])
+            assert report_signature(report) == report_signature(fresh)
+            assert report.blame.arrays.steps.tobytes() == fresh.blame.arrays.steps.tobytes()
+            previous = report
 
     def test_empty_epoch_report(self):
         service = Zero07Service()

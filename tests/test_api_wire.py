@@ -341,19 +341,28 @@ class TestIngestColumns:
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     @pytest.mark.parametrize("retraces", [1, 3])
     @pytest.mark.parametrize("delivery", ["columns", "batch"])
-    def test_k_retraces_after_updates_fold_as_k_plus_one_pieces(
+    def test_k_retraces_after_updates_fold_in_one_piece(
         self, delivery, retraces, engine, monkeypatch
     ):
-        """Each path that re-traces a flow after the flow's count update in
-        the same run cuts the run before it (a first trace after its update
-        does not); every piece folds in bulk, and the whole equals admitting
-        the events one at a time."""
+        """Paths that re-trace a flow after the flow's count update in the
+        same run do not cut it: each update binds to the row bound at its
+        position, the run folds whole, and the whole equals admitting the
+        events one at a time."""
         run = mixed_run(n=6)  # each path followed by its flow's update
-        for flow in range(retraces):  # a re-trace, then the next flow's update
-            run.append(PathEvidence(0, 20 + 2 * flow, make_path(flow, L[3:5])))
-            run.append(RetransmissionEvidence(0, flow + 1, 2, seq=21 + 2 * flow))
+        for flow in range(retraces):  # a re-trace, its update, the next flow's
+            run.append(PathEvidence(0, 20 + 3 * flow, make_path(flow, L[3:5])))
+            run.append(RetransmissionEvidence(0, flow, 4, seq=21 + 3 * flow))
+            run.append(RetransmissionEvidence(0, flow + 1, 2, seq=22 + 3 * flow))
         run.append(RetransmissionEvidence(0, 50, 3, seq=40))  # ahead of its path
         run.append(PathEvidence(0, 41, make_path(50, L[:2])))
+        run += [  # re-traces below and above their flow's seq, then updates
+            PathEvidence(0, 60, make_path(60, L[:2])),
+            PathEvidence(0, 55, make_path(60, L[2:4])),
+            RetransmissionEvidence(0, 60, 5, seq=61),
+            PathEvidence(0, 70, make_path(61, L[:2])),
+            PathEvidence(0, 75, make_path(61, L[1:3])),
+            RetransmissionEvidence(0, 61, 6, seq=76),
+        ]
         folds = []
         fold = Zero07Service._fold
         monkeypatch.setattr(
@@ -364,7 +373,7 @@ class TestIngestColumns:
             self.deliver(service, self.stream(), run)
         else:
             service.ingest_batch(run)
-        assert len(folds) == retraces + 1
+        assert len(folds) == 1
         per_event = Zero07Service(engine=engine)
         for event in run:
             per_event.ingest(event)

@@ -15,7 +15,7 @@ from repro.core.arrays import (
     find_problematic_links_arrays,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
-from repro.core.votes import PathTooLongError, VoteTally
+from repro.core.votes import VOTE_UNITS, PathTooLongError, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.testing import health_records
@@ -73,7 +73,7 @@ class TestLinkIndex:
         assert hops.dtype == np.int64 and hops.tolist() == [2, 3, 1]
         assert index.links == [L("b", "c"), L("x", "y"), L("a", "b"), L("q", "r")]
         # a dict and a list (plus two derived caches): nothing keyed by id()
-        assert set(vars(index)) == {"_items", "_ids", "_ranks", "_names"}
+        assert set(vars(index)) == {"_items", "_ids", "_order", "_names"}
 
     def test_sort_ranks_follow_link_ordering(self):
         index = LinkIndex([L("c", "d"), L("a", "b"), L("b", "c")])
@@ -304,13 +304,108 @@ class TestBlameKernel:
             )
             before = votes.tobytes()
             want_ids, want_at, want_final, clamped = _clamped_walk(*args)
-            got_ids, got_at, got_final = blame_kernel(*args)
+            got_ids, got_at, got_steps = blame_kernel(*args)
             assert (got_ids, got_at) == (want_ids, want_at)
-            assert got_final.tobytes() == want_final.tobytes()
+            assert got_steps[-1].tobytes() == want_final.tobytes()
+            assert len(got_steps) == len(got_ids) + 1
             assert votes.tobytes() == before  # the input is not modified
             clamps += clamped
             multi += len(want_ids) > 2  # later detections meet dead rows
         assert clamps and multi  # the cases do reach what they are here for
+
+    @staticmethod
+    def _run(indptr, cols, weights, rows, n, config, min_support, prior=None):
+        """Algorithm 1 in integer units over the first ``rows`` rows, as
+        :func:`find_problematic_links_arrays` runs it: ``(ids, result)``."""
+        stop = int(indptr[rows])
+        lengths = np.diff(indptr[: rows + 1])
+        hops = cols[:stop]
+        votes = np.bincount(hops, weights=np.repeat(weights[:rows], lengths), minlength=n)
+        row_of = np.repeat(np.arange(rows), lengths)
+        support = np.bincount(np.unique(row_of * n + hops) % n, minlength=n)
+        ids = np.flatnonzero(support)
+        if not votes.sum():
+            return ids, ([], [], [votes])
+        return ids, blame_kernel(
+            votes,
+            indptr[: rows + 1],
+            hops,
+            weights[:rows],
+            support >= min_support,
+            np.arange(n)[::-1].copy(),  # ties to the larger id
+            config.threshold_fraction * float(votes.sum()),
+            config,
+            prior,
+        )
+
+    def _assert_resumes_at_every_prefix(self, indptr, cols, weights, n, config, min_support):
+        """Resume from the run over every prefix; returns, per prefix, how
+        many of its detections the full run repeats and whether a link it
+        blamed gains votes in the appended rows."""
+        rows = len(indptr) - 1
+        _, fresh = self._run(indptr, cols, weights, rows, n, config, min_support)
+        shapes = []
+        for watermark in range(rows + 1):
+            ids, (detected, _, steps) = self._run(
+                indptr, cols, weights, watermark, n, config, min_support
+            )
+            prior = (watermark, detected, ids, np.stack([step[ids] for step in steps]))
+            _, resumed = self._run(indptr, cols, weights, rows, n, config, min_support, prior)
+            assert resumed[:2] == fresh[:2]
+            assert [s.tobytes() for s in resumed[2]] == [s.tobytes() for s in fresh[2]]
+            same = 0
+            while same < min(len(detected), len(fresh[0])) and detected[same] == fresh[0][same]:
+                same += 1
+            gains = bool(np.isin(cols[indptr[watermark] :], detected[:same]).any())
+            shapes.append((same, same == len(detected) == len(fresh[0]), gains))
+        return shapes
+
+    @pytest.mark.parametrize("policy", ["inverse_hops", "unit"])
+    def test_resuming_a_prefix_run_equals_a_fresh_run(self, policy):
+        """For every watermark r, the run over all rows resumed from the run
+        over the first r rows is the fresh run, step by step, whether the
+        recorded detections all repeat, none does or some do."""
+        rng = np.random.default_rng(37)
+        followed = diverged_at_0 = diverged_later = gained = 0
+        for case in range(40):
+            n, rows = int(rng.integers(3, 9)), int(rng.integers(4, 24))
+            lengths = rng.integers(1, 6, size=rows)
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            # skewed ids: a few links collect most votes, near ties included
+            cols = np.minimum(rng.geometric(0.35, size=indptr[-1]) - 1, n - 1)
+            looped = np.flatnonzero(lengths > 2)[::3]
+            cols[indptr[looped] + 2] = cols[indptr[looped]]
+            weights = (
+                np.full(rows, float(VOTE_UNITS))
+                if policy == "unit"
+                else (VOTE_UNITS // lengths).astype(float)
+            )
+            config = BlameConfig(
+                threshold_fraction=float(rng.choice([0.01, 0.1, 0.3])),
+                max_links=int(rng.choice([2, 1000])),
+                adjustment="none" if case % 10 == 9 else "paths",
+            )
+            for same, whole, gains in self._assert_resumes_at_every_prefix(
+                indptr, cols, weights, n, config, int(rng.choice([1, 2]))
+            ):
+                followed += whole and same > 0
+                diverged_at_0 += not whole and same == 0
+                diverged_later += not whole and same > 0
+                gained += gains
+        assert followed and diverged_at_0 and diverged_later and gained
+
+    def test_a_near_tie_that_flips_resumes_into_the_ordinary_loop(self):
+        """Links 1 and 2 a vote apart: the first detection (0) repeats and
+        gains votes after the watermark, then 2 overtakes the recorded
+        second detection, 1."""
+        unit = float(VOTE_UNITS)
+        paths = [[0, 3], [0], [0], [1], [1], [2]] + [[0], [2], [2]]
+        indptr = np.concatenate(([0], np.cumsum([len(p) for p in paths])))
+        cols = np.array([hop for path in paths for hop in path])
+        weights = np.full(len(paths), unit)
+        config = BlameConfig(threshold_fraction=0.01)
+        shapes = self._assert_resumes_at_every_prefix(indptr, cols, weights, 4, config, 1)
+        assert shapes[6] == (1, False, True)  # a repeat, a gain, then a flip
 
     def test_rejects_negative_weights(self):
         one = np.ones(1)
@@ -446,6 +541,28 @@ def _link_state(tally):
 
 
 if given is not None:
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_merged_sort_ranks_equal_a_full_sort(batches):
+        """Links interned in batches (repeats included) and ranked after
+        each: the ranks merged in are those of a full sort, and the arrays
+        handed out before are never written."""
+        index, handed = LinkIndex(), []
+        for batch in batches:
+            index.fast_ids([L(f"s{a}", f"d{b}") for a, b in batch])
+            ranks = index.sort_ranks()
+            full = np.empty(len(index), dtype=np.int64)
+            full[sorted(range(len(index)), key=index.links.__getitem__)] = np.arange(len(index))
+            assert ranks.tolist() == full.tolist()
+            handed.append((ranks, ranks.copy()))
+        for ranks, copy in handed:
+            assert ranks.tolist() == copy.tolist()
 
     @st.composite
     def tally_scripts(draw):
