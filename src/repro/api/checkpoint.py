@@ -10,35 +10,35 @@ read the same way).  Finalized epochs' reports are not
 checkpointed — they were already delivered to the report sinks; a restored
 service picks up exactly where ingestion stopped.
 
-In memory a checkpoint's records are **columns** from capture to restore
+A checkpoint's records are **columns** from capture to disk and back
 (:class:`CheckpointColumns`: per-epoch arrays of sequence numbers, flow ids,
 CSR link ids, five-tuple components, ... over shared name/link tables).
 ``checkpoint()`` copies what the analysis reads out of the tally's buffers
 and columnizes the identity of each record at most once, a delta is a column
 diff against its base, :meth:`Checkpoint.apply_delta` a column merge, and a
 restore adopts the columns — the tally is folded from them and the identity
-columns become the restored service's own; path objects are decoded only at
-the edges (:meth:`Checkpoint.materialize`, a service's evidence listing).
+columns become the restored service's own.  Path objects are decoded only
+for a service's evidence listing.
 
-Two serializations of the same payload exist:
-
-* **Binary** (format version 2, the default for :meth:`Checkpoint.save`) — a
-  small container: magic ``R7CK``, a zlib-compressed JSON header carrying the
-  configuration, counters and name/link tables, followed by an ``npz`` blob
-  of the columns, each in the smallest unsigned dtype that holds it (widened
-  back to the in-memory dtypes on load).
-* **JSON** (format version 1 and 2) — plain dicts/lists/strings/numbers (see
-  :mod:`repro.api.events` for the path/link codecs).  Human-readable and
-  diffable; an edge codec: :meth:`Checkpoint.to_json` /
-  :meth:`Checkpoint.materialize` build the per-record path dicts,
-  :meth:`Checkpoint.from_json` columnizes them once.  Typically ~20x the
-  binary size.
+:meth:`Checkpoint.save` writes one format, a small **binary container**
+(payload version 2): magic ``R7CK``, a zlib-compressed JSON header carrying
+the configuration, counters and name/link tables, followed by an ``npz``
+blob of the columns, each in the smallest unsigned dtype that holds it
+(widened back to the in-memory dtypes on load).  **JSON documents** (payload
+version 1 and 2: plain dicts/lists/strings/numbers, see
+:mod:`repro.api.events` for the path/link codecs), which earlier versions
+could also write, stay readable: :meth:`Checkpoint.from_json` and
+:meth:`Checkpoint.load` columnize their records once, and
+``repro checkpoint convert`` upgrades such a file to a container.
 
 **Delta checkpoints** carry only the evidence that arrived since a full base
 checkpoint (new records, records whose retransmission counts changed, new
-consumed update seqs) plus the current counters.
-:meth:`Checkpoint.apply_delta` merges a delta onto its base — verified by a
-structural fingerprint — yielding a full checkpoint again.
+consumed update seqs) plus the current counters.  The capture takes the
+base's records as a prefix of the live epoch's when they are, and matches
+records by seq otherwise.  :meth:`Checkpoint.apply_delta` merges a delta onto
+its base — verified by a structural fingerprint — yielding a full checkpoint
+again: a base record the delta carries gets the delta's count in place, and
+the delta's new records follow the base's in the delta's order.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -66,7 +65,7 @@ from typing import (
 
 import numpy as np
 
-from repro.api.events import link_from_str, link_to_str, path_to_dict
+from repro.api.events import link_from_str, link_to_str
 from repro.core.arrays import ItemIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import PathTooLongError, check_hop_counts
@@ -355,11 +354,10 @@ def decode_paths(
     hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
     paths: List[DiscoveredPath] = []
     append = paths.append
-    # A service's evidence listing and the JSON codec decode whole epochs, so
-    # the per-record dataclass machinery (``__init__`` +
-    # ``FiveTuple.__post_init__`` validation) is bypassed: every value was
-    # validated when a service first ingested it, and both classes store
-    # their fields in a plain ``__dict__``.
+    # A service's evidence listing decodes whole epochs, so the per-record
+    # dataclass machinery (``__init__`` + ``FiveTuple.__post_init__``
+    # validation) is bypassed: every value was validated when a service first
+    # ingested it, and both classes store their fields in a plain ``__dict__``.
     new_path = DiscoveredPath.__new__
     new_ft = FiveTuple.__new__
     set_attr = object.__setattr__
@@ -392,23 +390,6 @@ def decode_paths(
         append(path)
         pos = end
     return seqs, paths
-
-
-def _map_epochs(
-    payload: Dict[str, Any],
-    convert: Callable[[str, Dict[str, Any]], Dict[str, Any]],
-) -> Dict[str, Any]:
-    """A copy of ``payload`` with every epoch entry replaced by ``convert``'s.
-
-    ``convert(prefix, entry)`` receives the entry's canonical column prefix,
-    ``e{j}`` for the ``j``-th entry.
-    """
-    return {
-        **payload,
-        "epochs": [
-            convert(f"e{j}", entry) for j, entry in enumerate(payload["epochs"])
-        ],
-    }
 
 
 def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> None:
@@ -547,16 +528,6 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: service counters that are no longer kept: a checkpoint that holds one
-#: restores and merges without it.
-_RETIRED_STATS = ("fallback_events",)
-
-
-def current_stats(stats: Dict[str, int]) -> Dict[str, int]:
-    """A checkpoint's ``stats`` without the retired counters."""
-    return {name: value for name, value in stats.items() if name not in _RETIRED_STATS}
-
-
 #: service-payload keys a merged checkpoint takes verbatim from the delta.
 _SERVICE_STATE_KEYS = (
     "engine",
@@ -595,7 +566,6 @@ def _merge_payload(
     }
     for key in _SERVICE_STATE_KEYS:
         merged[key] = delta[key]
-    merged["stats"] = current_stats(delta["stats"])
     if "num_shards" in delta:  # a sharded fleet's: its coordinator's payload
         merged["num_shards"] = delta["num_shards"]
     last_finalized = delta["last_finalized"]
@@ -686,24 +656,30 @@ def _fsync(path: Path) -> None:
 class Checkpoint:
     """A frozen snapshot of a service's resumable analysis state.
 
-    ``payload`` is the JSON-shaped state.  In the working form — what
-    ``checkpoint()``, :meth:`from_bytes`, :meth:`from_json` and
-    :meth:`apply_delta` return, and what restore, diff and merge operate on —
-    the payload's epoch entries carry ``{"__columns__": prefix}`` markers and
-    the records themselves live in ``columns``.  The document form
-    (``columns is None``: what :meth:`materialize` returns and
-    ``Checkpoint(payload=json_document)`` builds) holds the records as JSON
-    lists; every operation columnizes it first (:meth:`columnar`).
+    ``payload`` is the JSON-shaped state; its epoch entries carry
+    ``{"__columns__": prefix}`` markers and the records themselves live in
+    ``columns`` — from ``checkpoint()`` through :meth:`to_bytes` to restore.
     """
 
     payload: Dict[str, Any]
-    columns: Optional[CheckpointColumns] = field(default=None, repr=False)
+    columns: CheckpointColumns = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
-        """Equal content: the same JSON document, whatever the form."""
+        """Equal content: what :meth:`to_bytes` writes — the payload and the
+        columns over compacted tables — compared without decoding a record."""
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        return self.materialize().payload == other.materialize().payload
+        mine = _compacted(self.payload, self.columns)
+        theirs = _compacted(other.payload, other.columns)
+        return (
+            self.payload == other.payload
+            and (mine.names, mine.links) == (theirs.names, theirs.links)
+            and mine.arrays.keys() == theirs.arrays.keys()
+            and all(
+                np.array_equal(col, theirs.arrays[key])
+                for key, col in mine.arrays.items()
+            )
+        )
 
     @property
     def kind(self) -> str:
@@ -774,11 +750,10 @@ class Checkpoint:
             raise ValueError(
                 f"delta kind {delta.kind!r} does not match base kind {self.kind!r}"
             )
-        full, delta = self.columnar(), delta.columnar()
-        builder = ColumnsBuilder(full.columns.names, full.columns.links)
+        builder = ColumnsBuilder(self.columns.names, self.columns.links)
         merged = _merge_payload(
-            full.payload,
-            full.columns,
+            self.payload,
+            self.columns,
             delta.payload,
             builder.adopter(delta.columns),
             builder,
@@ -786,63 +761,40 @@ class Checkpoint:
         return Checkpoint(merged, builder.build())
 
     # ------------------------------------------------------------------
-    # the two forms
-    # ------------------------------------------------------------------
-    def materialize(self) -> "Checkpoint":
-        """The document form: a payload of pure JSON primitives (no columns)."""
-        columns = self.columns
-        if columns is None:
-            return self
-
-        def to_document(_prefix: str, entry: Dict[str, Any]) -> Dict[str, Any]:
-            cols = epoch_columns(entry, columns)
-            seqs, paths = decode_paths(cols, columns)
-            return {
-                **entry,
-                "records": [
-                    [seq, path_to_dict(path)] for seq, path in zip(seqs, paths)
-                ],
-                "retransmission_seqs": cols["rs"].tolist(),
-            }
-
-        return Checkpoint(_map_epochs(self.payload, to_document))
-
-    def columnar(self) -> "Checkpoint":
-        """The working form: records columnized, markers in the payload."""
-        if self.columns is not None:
-            return self
-        builder = ColumnsBuilder()
-
-        def to_columns(prefix: str, entry: Dict[str, Any]) -> Dict[str, Any]:
-            cols = _encode_records(
-                entry["records"], entry["retransmission_seqs"], builder
-            )
-            return builder.add_epoch(
-                prefix, entry["epoch"], cols, entry["pending_retransmissions"]
-            )
-
-        payload = _map_epochs(self.payload, to_columns)
-        columns = CheckpointColumns(
-            builder.arrays,
-            builder.names.items,
-            [link_from_str(text) for text in builder.links.items],
-        )
-        _validate_columns(payload, columns)
-        return Checkpoint(payload, columns)
-
-    # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def to_json(self, indent: int | None = None) -> str:
-        """The checkpoint as a JSON document (round-trips exactly)."""
-        return json.dumps(
-            self.materialize().payload, indent=indent, sort_keys=True
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
-        """Parse a checkpoint from :meth:`to_json` output."""
-        return cls(payload=json.loads(text)).validate().columnar()
+        """Read a JSON checkpoint document (payload version 1 or 2, full or
+        delta), as written before the container was the only format.
+
+        Each epoch's ``[[seq, path_dict], ...]`` records are columnized once,
+        under the canonical prefix ``e{j}`` of the ``j``-th epoch entry.
+        """
+        document = json.loads(text)
+        builder = ColumnsBuilder()
+        epochs = [
+            builder.add_epoch(
+                f"e{j}",
+                entry["epoch"],
+                _encode_records(
+                    entry["records"], entry["retransmission_seqs"], builder
+                ),
+                entry["pending_retransmissions"],
+            )
+            # no ``epochs``: a retired shape, which ``validate`` names
+            for j, entry in enumerate(document.get("epochs", ()))
+        ]
+        checkpoint = cls(
+            {**document, "epochs": epochs},
+            CheckpointColumns(
+                builder.arrays,
+                builder.names.items,
+                list(map(link_from_str, builder.links.items)),
+            ),
+        ).validate()
+        _validate_columns(checkpoint.payload, checkpoint.columns)
+        return checkpoint
 
     def to_bytes(self) -> bytes:
         """The checkpoint in the compact binary container format.
@@ -851,10 +803,9 @@ class Checkpoint:
         entries in use, in order of first use, and each column is written in
         the smallest unsigned dtype that holds it.
         """
-        checkpoint = self.columnar()
-        columns = _compacted(checkpoint.payload, checkpoint.columns)
+        columns = _compacted(self.payload, self.columns)
         header = {
-            "payload": checkpoint.payload,
+            "payload": self.payload,
             "tables": {
                 "names": columns.names,
                 "links": [link_to_str(link) for link in columns.links],
@@ -923,26 +874,20 @@ class Checkpoint:
             ) from exc
         return checkpoint.validate()
 
-    def save(self, path: Union[str, Path], format: str = "binary") -> None:
-        """Write the checkpoint to ``path`` atomically.
+    def save(self, path: Union[str, Path]) -> None:
+        """Write the checkpoint's container (:meth:`to_bytes`) to ``path``
+        atomically.
 
-        ``format="binary"`` (default) writes the compact container;
-        ``format="json"`` writes indented JSON.  Either way the bytes land in
-        a temp file first, are flushed to disk (``os.fsync``) and only then
-        moved into place with ``os.replace``, so a crash mid-write can never
-        leave a truncated checkpoint behind — the previous file (if any)
-        survives intact.  The directory is synced afterwards, best effort.
+        The bytes land in a temp file first, are flushed to disk
+        (``os.fsync``) and only then moved into place with ``os.replace``, so
+        a crash mid-write can never leave a truncated checkpoint behind — the
+        previous file (if any) survives intact.  The directory is synced
+        afterwards, best effort.
         """
-        if format == "json":
-            data = (self.to_json(indent=2) + "\n").encode("utf-8")
-        elif format == "binary":
-            data = self.to_bytes()
-        else:
-            raise ValueError(f"unknown checkpoint format {format!r}")
         target = Path(path)
         tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
         try:
-            tmp.write_bytes(data)
+            tmp.write_bytes(self.to_bytes())
             _fsync(tmp)
             os.replace(tmp, target)
         except BaseException:
@@ -955,7 +900,8 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Checkpoint":
-        """Read a checkpoint previously written with :meth:`save` (any format)."""
+        """Read a checkpoint file: a container written by :meth:`save`, or a
+        JSON document (:meth:`from_json`)."""
         data = Path(path).read_bytes()
         if data.startswith(CHECKPOINT_MAGIC):
             return cls.from_bytes(data)

@@ -64,7 +64,6 @@ from repro.api.checkpoint import (
     EpochColumns,
     blame_from_dict,
     blame_to_dict,
-    current_stats,
     decode_paths,
     delta_rows,
     encode_identity,
@@ -928,7 +927,6 @@ class Zero07Service:
                 raise ValueError(
                     f"base checkpoint kind {base.kind!r} does not match 'service'"
                 )
-            base = base.columnar()
             payload["delta"] = True
             payload["base"] = payload_fingerprint(base.payload, base.columns)
             base_entries = {
@@ -1048,10 +1046,10 @@ class Zero07Service:
         The open epochs' tallies are re-folded from the checkpoint's columns,
         so every subsequent :meth:`report` is bit-identical
         to what the checkpointed service would have produced; no record is
-        decoded into a path object.  Works for both serializations (v1 JSON
-        and v2 binary); delta checkpoints must be applied to their base
-        first.  Sinks are not serialized — pass the ones the resumed service
-        should notify.
+        decoded into a path object.  Works for a checkpoint however it was
+        read (a container, or a v1/v2 JSON document); delta checkpoints must
+        be applied to their base first.  Sinks are not serialized — pass the
+        ones the resumed service should notify.
         """
         checkpoint.validate()
         if checkpoint.is_delta:
@@ -1062,7 +1060,6 @@ class Zero07Service:
         kind = checkpoint.payload.get("kind")
         if kind != "service":
             raise ValueError(f"not a service checkpoint: kind={kind!r}")
-        checkpoint = checkpoint.columnar()
         payload, columns = checkpoint.payload, checkpoint.columns
         service = cls(
             blame_config=blame_from_dict(payload["blame"]),
@@ -1087,7 +1084,7 @@ class Zero07Service:
             if payload["last_finalized"] is not None
             else None
         )
-        stats = current_stats(payload.get("stats", {}))
+        stats = payload.get("stats", {})
         unknown = set(stats) - {spec.name for spec in dataclasses.fields(ServiceStats)}
         if unknown:
             raise ValueError(f"checkpoint stats that are no counter: {sorted(unknown)}")

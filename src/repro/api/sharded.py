@@ -359,15 +359,15 @@ class ShardedService:
         Restores the coordinator service, then each shard from its flows'
         rows (:func:`split_by_flow`).  ``backend``/``workers`` choose the
         execution strategy of the restored fleet independently of the one
-        that took the checkpoint.  Works for both serializations (v1 JSON
-        and v2 binary); delta checkpoints must be applied to their base
-        first.  A checkpoint of the old shape, with one payload per shard,
-        is refused with ``ValueError`` (:meth:`Checkpoint.validate`).
+        that took the checkpoint.  Works for a checkpoint however it was
+        read (a container, or a v1/v2 JSON document); delta checkpoints must
+        be applied to their base first.  A checkpoint of the old shape, with
+        one payload per shard, is refused with ``ValueError``
+        (:meth:`Checkpoint.validate`).
         """
         checkpoint.validate()
         if checkpoint.kind != "sharded":
             raise ValueError(f"not a sharded checkpoint: kind={checkpoint.kind!r}")
-        checkpoint = checkpoint.columnar()
         service = Zero07Service.restore(_relabel(checkpoint, kind="service"), sinks)
         payload = checkpoint.payload
         fleet = cls(

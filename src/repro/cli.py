@@ -9,8 +9,8 @@ The subcommands cover the common workflows:
   ``--timeline`` script) without running it, ``--config out.json`` runs one.
 * ``experiment`` — regenerate one of the paper's tables/figures by name
   (``fig03``, ``table1``, ``sec83`` ...) and print its rows.
-* ``checkpoint`` — inspect, convert (JSON <-> binary) and merge (delta onto
-  base) service checkpoints written by ``Checkpoint.save``.
+* ``checkpoint`` — inspect, convert (JSON document -> container) and merge
+  (delta onto base) service checkpoints.
 * ``fleet`` — the distributed deployment: ``fleet analyzer`` serves the
   socket ingest front-end, ``fleet agent`` streams one agent's evidence
   slice at it, and ``fleet run`` orchestrates N agents + one analyzer on
@@ -149,16 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_inspect.add_argument("path", help="checkpoint file (JSON or binary)")
     ckpt_convert = checkpoint_sub.add_parser(
         "convert",
-        help="rewrite a checkpoint in the other serialization",
+        help="rewrite a checkpoint (e.g. a JSON document) as a binary container",
     )
     ckpt_convert.add_argument("src", help="source checkpoint (JSON or binary)")
     ckpt_convert.add_argument("dst", help="destination path")
-    ckpt_convert.add_argument(
-        "--format",
-        choices=["binary", "json"],
-        default="binary",
-        help="serialization to write (default: binary)",
-    )
     ckpt_merge = checkpoint_sub.add_parser(
         "merge",
         help="apply a delta checkpoint onto its full base",
@@ -166,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_merge.add_argument("base", help="full base checkpoint")
     ckpt_merge.add_argument("delta", help="delta checkpoint taken against it")
     ckpt_merge.add_argument("out", help="where to write the merged checkpoint")
-    ckpt_merge.add_argument(
-        "--format",
-        choices=["binary", "json"],
-        default="binary",
-        help="serialization to write (default: binary)",
-    )
 
     fleet = subparsers.add_parser(
         "fleet",
@@ -593,22 +581,18 @@ def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
             return 0
         if args.checkpoint_command == "convert":
             checkpoint = Checkpoint.load(args.src)
-            checkpoint.save(args.dst, format=args.format)
+            checkpoint.save(args.dst)
             size = Path(args.dst).stat().st_size
-            print(
-                f"wrote {args.format} checkpoint to {args.dst} "
-                f"({size:,} bytes)",
-                file=out,
-            )
+            print(f"wrote binary checkpoint to {args.dst} ({size:,} bytes)", file=out)
             return 0
         if args.checkpoint_command == "merge":
             base = Checkpoint.load(args.base)
             delta = Checkpoint.load(args.delta)
             merged = base.apply_delta(delta)
-            merged.save(args.out, format=args.format)
+            merged.save(args.out)
             size = Path(args.out).stat().st_size
             print(
-                f"merged {args.delta} onto {args.base}; wrote {args.format} "
+                f"merged {args.delta} onto {args.base}; wrote binary "
                 f"checkpoint to {args.out} ({size:,} bytes)",
                 file=out,
             )

@@ -28,10 +28,26 @@ class NoRouteError(RuntimeError):
     """Raised when every candidate next hop toward the destination is down."""
 
 
+_MASK64 = (1 << 64) - 1
+
+
 def _stable_hash(*parts: object) -> int:
-    """A process-stable 32-bit hash of the given parts."""
-    payload = "|".join(str(p) for p in parts).encode("utf-8")
-    return zlib.crc32(payload)
+    """A process-stable 32-bit hash of the given parts.
+
+    CRC-32 alone is affine over GF(2): with a power-of-two fan-out, each
+    switch's ``h % n`` is one fixed linear map of the flow key XOR a constant
+    of its seed, so switches choose in lockstep (ECMP polarization) and a
+    cross-pod flow never takes some (T1, T2, T1') combinations.  The
+    splitmix64 finalizer over the CRC breaks the linearity.
+    """
+    x = zlib.crc32("|".join(str(p) for p in parts).encode("utf-8"))
+    x = (x * 0x9E3779B97F4A7C15) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x & 0xFFFFFFFF
 
 
 class EcmpRouter:
@@ -107,10 +123,6 @@ class EcmpRouter:
     def clear_route_cache(self) -> None:
         """Drop every memoized route (seeds or reachability changed)."""
         self._route_cache.clear()
-
-    def seed_of(self, switch: str) -> int:
-        """The (normally proprietary) ECMP seed of ``switch``."""
-        return self._seeds[switch]
 
     # ------------------------------------------------------------------
     def route(self, flow: FiveTuple, src_host: str, dst_host: str) -> Path:

@@ -9,7 +9,7 @@ the ``tests/`` suite once ended up importing ``benchmarks/conftest.py``.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 
 from repro.topology.clos import ClosTopology
 
@@ -60,11 +60,12 @@ def report_signature(report) -> tuple:
     )
 
 
-def evidence_document(checkpoint) -> dict:
-    """A service checkpoint's JSON document minus the engine name: what two
-    services fed the same arrival order agree on, whichever engine folds it
-    and however the evidence was cut into deliveries.
+def evidence_document(checkpoint):
+    """A service checkpoint with its engine name blanked: what two services
+    fed the same arrival order agree on, whichever engine folds it and
+    however the evidence was cut into deliveries.  Compare two with ``==``
+    (:meth:`~repro.api.checkpoint.Checkpoint.__eq__`: canonical content).
     """
-    document = json.loads(checkpoint.to_json())
-    del document["engine"]
-    return document
+    return dataclasses.replace(
+        checkpoint, payload={**checkpoint.payload, "engine": None}
+    )

@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.api import (
+    Checkpoint,
     EpochTick,
     PathEvidence,
     ProcessExecutor,
@@ -83,6 +84,12 @@ def run_reports(service, events, epochs):
         if close is not None:
             close()
     return signatures
+
+
+def open_epochs(checkpoint):
+    """The checkpoint's open epochs and their records, nothing else: compare
+    two with ``==``."""
+    return Checkpoint({"epochs": checkpoint.payload["epochs"]}, checkpoint.columns)
 
 
 class TestProcessBackendEquivalence:
@@ -199,8 +206,9 @@ class TestProcessBackendEquivalence:
                 assert report_signature(fleet.report(epoch)) == report_signature(
                     single.report(epoch)
                 )
-                records = fleet.checkpoint().materialize().payload["epochs"]
-                assert records == single.checkpoint().materialize().payload["epochs"]
+                assert open_epochs(fleet.checkpoint()) == open_epochs(
+                    single.checkpoint()
+                )
                 for service in (fleet, single):
                     service.ingest(EpochTick(epoch))
                 assert report_signature(fleet.report()) == report_signature(
@@ -221,11 +229,9 @@ class TestProcessBackendEquivalence:
             fleet.ingest_batch(events[: len(events) // 2])
             checkpoint = fleet.checkpoint()
             mid = report_signature(fleet.report(0))
-        from repro.api import Checkpoint
-
-        restored_json = Checkpoint.from_json(checkpoint.to_json())
+        loaded = Checkpoint.from_bytes(checkpoint.to_bytes())
         for backend in ("inline", "process"):
-            restored = ShardedService.restore(restored_json, backend=backend)
+            restored = ShardedService.restore(loaded, backend=backend)
             try:
                 assert report_signature(restored.report(0)) == mid
                 restored.ingest_batch(events[len(events) // 2 :])

@@ -19,7 +19,6 @@ it.  Pinned here:
 from __future__ import annotations
 
 import io
-import json
 import os
 import pathlib
 import struct
@@ -37,7 +36,7 @@ from repro.api import (
     RetransmissionEvidence,
     Zero07Service,
 )
-from repro.api.checkpoint import COLUMN_DTYPES
+from repro.api.checkpoint import COLUMN_DTYPES, decode_paths, epoch_columns
 from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
@@ -91,12 +90,18 @@ def no_decode(monkeypatch):
         yield
 
 
-def document(checkpoint) -> dict:
-    """The checkpoint's JSON document, but for the counter of analysis runs: a
-    freshly restored service has no cached view to answer a query from."""
-    payload = json.loads(checkpoint.to_json())
-    del payload["stats"]["reports_materialized"]
-    return payload
+def document(checkpoint: Checkpoint) -> Checkpoint:
+    """The checkpoint but for the counter of analysis runs: a freshly
+    restored service has no cached view to answer a query from."""
+    stats = dict(checkpoint.payload["stats"])
+    del stats["reports_materialized"]
+    return Checkpoint({**checkpoint.payload, "stats": stats}, checkpoint.columns)
+
+
+def first_epoch_records(checkpoint: Checkpoint) -> tuple:
+    """``(seqs, paths)`` of the checkpoint's first open epoch, decoded."""
+    entry = checkpoint.payload["epochs"][0]
+    return decode_paths(epoch_columns(entry, checkpoint.columns), checkpoint.columns)
 
 
 def npz_of(blob: bytes):
@@ -181,7 +186,7 @@ class TestCallerPathsStayTheCallers:
             for event in events:
                 service.ingest(event)
         report = report_signature(service.report(0))
-        before = service.checkpoint().to_json()
+        before = service.checkpoint()
         for event in events:
             event.path.retransmissions += 5
             event.path.links.append(L[7])
@@ -191,11 +196,8 @@ class TestCallerPathsStayTheCallers:
             (seq, path.retransmissions, path.links)
             for seq, path in service.evidence_for_epoch(0)
         ] == [(2 * flow, 1, L[flow % 4 : flow % 4 + 3]) for flow in range(10)]
-        later = Checkpoint.from_json(service.checkpoint().to_json()).materialize()
-        records = later.payload["epochs"][0]["records"]
-        assert records == Checkpoint.from_json(before).materialize().payload[
-            "epochs"
-        ][0]["records"]
+        later = Checkpoint.from_bytes(service.checkpoint().to_bytes())
+        assert first_epoch_records(later) == first_epoch_records(before)
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("count", [5, 10])  # replayed per event / in bulk
@@ -253,7 +255,7 @@ class TestEvidenceForEpochIsAnEdge:
         service.ingest_batch(paths(range(10), 0))  # late: not in seq order
         service.ingest(bumps([12], 100, count=4)[0])
         report = report_signature(service.report(0))
-        before = service.checkpoint().to_json()
+        before = service.checkpoint()
         records = service.evidence_for_epoch(0)
         assert [seq for seq, _ in records] == sorted(seq for seq, _ in records)
         by_flow = {path.flow_id: path for _, path in records}
@@ -263,7 +265,7 @@ class TestEvidenceForEpochIsAnEdge:
             path.retransmissions += 9
             path.links.clear()
             path.src_host = "elsewhere"
-        assert service.checkpoint().to_json() == before
+        assert service.checkpoint() == before
         service.ingest(bumps([12], 101, count=0)[0])  # drop the cached view
         assert report_signature(service.report(0)) == report
         fresh = service.evidence_for_epoch(0)

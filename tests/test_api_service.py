@@ -34,6 +34,7 @@ from repro.api import (
     evidence_from_dict,
     evidence_to_dict,
 )
+from repro.api.checkpoint import epoch_columns
 from repro.api.service import iter_evidence_runs
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
@@ -48,6 +49,10 @@ from repro.testing import evidence_document, health_records, report_signature
 from repro.topology.elements import DirectedLink, LinkLevel
 
 FAST = dict(npod=2, n0=4, n1=2, n2=2, hosts_per_tor=2, connections_per_host=25)
+
+#: R7CK containers written by an earlier commit, and the same states as JSON
+#: documents written by the last commit that wrote JSON (see the README there).
+CHECKPOINT_FIXTURES = pathlib.Path(__file__).parent / "data" / "checkpoints"
 
 
 def static_config(engine="arrays") -> ScenarioConfig:
@@ -332,7 +337,7 @@ class TestEvidenceSemantics:
         update = RetransmissionEvidence(epoch=0, flow_id=1, retransmissions=1, seq=1)
         service.ingest(update)
         restored = Zero07Service.restore(
-            Checkpoint.from_json(service.checkpoint().to_json())
+            Checkpoint.from_bytes(service.checkpoint().to_bytes())
         )
         restored.ingest(update)  # redelivered across the restart
         [contribution] = restored.report(0).tally.contributions
@@ -578,7 +583,7 @@ class TestCheckpoint:
 
         interrupted = Zero07Service(blame_config=config.blame, engine=engine)
         interrupted.ingest_batch(events[:half])
-        checkpoint = Checkpoint.from_json(interrupted.checkpoint().to_json())
+        checkpoint = Checkpoint.from_bytes(interrupted.checkpoint().to_bytes())
         resumed = Zero07Service.restore(checkpoint)
         resumed.ingest_batch(events[half:])
 
@@ -599,7 +604,7 @@ class TestCheckpoint:
         service.ingest_batch(
             evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
         )
-        path = tmp_path / "service.ckpt.json"
+        path = tmp_path / "service.ckpt"
         service.checkpoint().save(path)
         restored = Zero07Service.restore(Checkpoint.load(path))
         assert report_signature(restored.report(0)) == report_signature(
@@ -611,14 +616,14 @@ class TestCheckpoint:
         service = Zero07Service()
         service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         restored = Zero07Service.restore(
-            Checkpoint.from_json(service.checkpoint().to_json())
+            Checkpoint.from_bytes(service.checkpoint().to_bytes())
         )
         report = restored.report()  # the closed report was not serialized
         assert report.epoch == 1 and report.num_paths_analyzed == 0
         fleet = ShardedService(num_shards=2)
         fleet.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
         restored_fleet = ShardedService.restore(
-            Checkpoint.from_json(fleet.checkpoint().to_json())
+            Checkpoint.from_bytes(fleet.checkpoint().to_bytes())
         )
         assert restored_fleet.report().epoch == 1
 
@@ -636,6 +641,7 @@ class TestCheckpoint:
             ("stats", {"ticks": 1.0}),
             ("stats", {"ticks": True}),
             ("stats", {"seqs": 3}),
+            ("stats", {"fallback_events": 3}),  # retired: no counter any more
             ("stats", [1, 2]),
             ("last_finalized", [1]),
             ("last_finalized", "0"),
@@ -646,9 +652,7 @@ class TestCheckpoint:
         """A checkpoint's stats hold only integer service counters and its
         epoch markers are integers: anything else is a ``ValueError`` at load
         or restore, never a service that breaks later."""
-        service = Zero07Service()
-        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
-        payload = json.loads(service.checkpoint().to_json())
+        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
         if key == "stats" and isinstance(value, dict):
             value = {**payload["stats"], **value}
         payload[key] = value
@@ -657,36 +661,14 @@ class TestCheckpoint:
 
     def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
         """A missing counter restores at its default, the others as saved."""
-        service = Zero07Service()
-        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])], tick=True))
-        payload = json.loads(service.checkpoint().to_json())
+        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
+        saved = dict(payload["stats"])
+        assert saved["out_of_order_events"] > 0
         del payload["stats"]["out_of_order_events"]
         restored = Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
         assert restored.stats.out_of_order_events == 0
-        assert restored.stats.as_dict() == service.stats.as_dict()
-        assert restored.checkpoint().payload["stats"] == service.stats.as_dict()
-
-    def test_the_retired_fallback_counter_is_dropped_on_read(self):
-        """Checkpoints written before the per-event replay was removed hold
-        ``fallback_events``: restore and ``apply_delta`` drop that one key
-        (any other unknown counter is still refused)."""
-        service = Zero07Service()
-        service.ingest_batch(evidence_stream(0, [make_path(1, L[:3])]))
-        base = service.checkpoint()
-        service.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
-        delta = service.checkpoint(base=base)
-
-        def written_before(checkpoint):
-            payload = json.loads(checkpoint.to_json())
-            payload["stats"]["fallback_events"] = 3
-            return Checkpoint.from_json(json.dumps(payload))
-
-        merged = written_before(base).apply_delta(written_before(delta))
-        assert merged.payload["stats"] == service.stats.as_dict()
-        for old in (written_before(service.checkpoint()), merged):
-            restored = Zero07Service.restore(old)
-            assert restored.stats.as_dict() == service.stats.as_dict()
-            assert restored.checkpoint() == service.checkpoint()
+        assert restored.stats.as_dict() == {**saved, "out_of_order_events": 0}
+        assert restored.checkpoint().payload["stats"] == restored.stats.as_dict()
 
     def test_per_shard_sharded_checkpoints_are_refused(self):
         """A sharded payload with a ``shards`` list — one service payload per
@@ -700,21 +682,22 @@ class TestCheckpoint:
         fleet.ingest(PathEvidence(epoch=0, seq=1, path=make_path(2, L[1:4])))
         delta = fleet.checkpoint(base=base)
 
-        def per_shard(checkpoint):
-            document = json.loads(checkpoint.to_json())
-            shard = dict(document, kind="service")
+        def per_shard(name):
+            """A fixture document re-shaped as a per-shard sharded payload."""
+            document = json.loads((CHECKPOINT_FIXTURES / f"{name}.json").read_text())
+            shard = dict(document)
             del document["epochs"]
-            return Checkpoint(dict(document, shards=[shard, shard]))
+            return dict(document, kind="sharded", shards=[shard, shard])
 
         match = "retired per-shard format"
         with pytest.raises(ValueError, match=match):
-            ShardedService.restore(per_shard(base))
+            ShardedService.restore(Checkpoint(per_shard("base"), base.columns))
         with pytest.raises(ValueError, match=match):
-            Checkpoint.from_json(json.dumps(per_shard(base).payload))
+            Checkpoint.from_json(json.dumps(per_shard("base")))
         with pytest.raises(ValueError, match=match):
-            per_shard(base).apply_delta(delta)
+            Checkpoint(per_shard("base"), base.columns).apply_delta(delta)
         with pytest.raises(ValueError, match=match):
-            base.apply_delta(per_shard(delta))
+            base.apply_delta(Checkpoint(per_shard("delta"), delta.columns))
         ShardedService.restore(base.apply_delta(delta))  # today's shape merges
 
     def test_sharded_checkpoint_round_trip(self):
@@ -724,7 +707,7 @@ class TestCheckpoint:
         fleet = ShardedService(num_shards=2, blame_config=config.blame)
         fleet.ingest_batch(events[:half])
         restored = ShardedService.restore(
-            Checkpoint.from_json(fleet.checkpoint().to_json())
+            Checkpoint.from_bytes(fleet.checkpoint().to_bytes())
         )
         restored.ingest_batch(events[half:])
         reference = ShardedService(num_shards=2, blame_config=config.blame)
@@ -755,21 +738,6 @@ class TestBinaryCheckpoint:
                 service.report(epoch)
             )
 
-    def test_binary_is_several_times_smaller_than_json(self):
-        from repro.loadgen import EvidenceLoadGenerator
-
-        generator = EvidenceLoadGenerator(
-            fabric="tiny", events_per_epoch=2_000, seed=7
-        )
-        service = Zero07Service()
-        service.ingest_batch(generator.epoch_events(0, tick=False), owned=True)
-        checkpoint = service.checkpoint()
-        blob = checkpoint.to_bytes()
-        text = checkpoint.to_json()
-        # the artifact test enforces the <= 25% acceptance bar on the real
-        # workload; at test scale the container must still win by 4x.
-        assert len(blob) < len(text.encode("utf-8")) // 4
-
     def test_sharded_binary_round_trip(self):
         config = static_config()
         _, events = recorded_run(config)
@@ -789,7 +757,7 @@ class TestBinaryCheckpoint:
             evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[1:4])])
         )
         path = tmp_path / "service.ckpt"
-        service.checkpoint().save(path)  # binary is the default format
+        service.checkpoint().save(path)
         assert path.read_bytes()[:4] == b"R7CK"
         restored = Zero07Service.restore(Checkpoint.load(path))
         assert report_signature(restored.report(0)) == report_signature(
@@ -797,19 +765,20 @@ class TestBinaryCheckpoint:
         )
 
     def test_v1_json_checkpoints_stay_restorable(self):
-        """A payload with version 1 (the pre-binary format) still restores."""
-        service = Zero07Service()
-        service.ingest_batch(
-            evidence_stream(0, [make_path(1, L[:3]), make_path(2, L[2:5])])
+        """A payload with version 1 (the pre-binary format) still restores,
+        to the state its container twin restores to."""
+        v1 = Checkpoint.load(CHECKPOINT_FIXTURES / "full.v1.json")
+        assert v1.version == 1
+        restored = Zero07Service.restore(v1)
+        reference = Zero07Service.restore(
+            Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
         )
-        payload = json.loads(service.checkpoint().to_json())
-        payload["version"] = 1
-        restored = Zero07Service.restore(
-            Checkpoint.from_json(json.dumps(payload))
-        )
-        assert report_signature(restored.report(0)) == report_signature(
-            service.report(0)
-        )
+        assert restored.open_epochs == reference.open_epochs
+        for epoch in reference.open_epochs:
+            assert report_signature(restored.report(epoch)) == report_signature(
+                reference.report(epoch)
+            )
+        assert restored.checkpoint() == reference.checkpoint()
 
     def test_save_survives_a_torn_write(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous checkpoint intact."""
@@ -962,29 +931,28 @@ class TestDeltaCheckpoint:
         service.report(0)
         assert base.to_bytes() == before
         delta = service.checkpoint(base=base)
-        (carried,) = delta.materialize().payload["epochs"]
-        assert [seq for seq, _ in carried["records"]] == (
-            [0, 2, 4, 6] + list(range(200, 209)) + [5]
-        )
-        assert carried["retransmission_seqs"] == list(range(100, 111))
+        (carried,) = delta.payload["epochs"]
+        carried = epoch_columns(carried, delta.columns)
+        assert carried["seq"].tolist() == [0, 2, 4, 6] + list(range(200, 209)) + [5]
+        assert carried["rs"].tolist() == list(range(100, 111))
         assert base.apply_delta(delta) == service.checkpoint()
         assert base.to_bytes() == before
 
     def test_equality_compares_the_records_not_their_count(self):
-        def capture(flow_id):
+        def capture(flow_id, links=L[:3]):
             service = Zero07Service()
-            service.ingest(PathEvidence(0, 0, make_path(flow_id, L[:3])))
+            service.ingest(PathEvidence(0, 0, make_path(flow_id, links)))
             return service.checkpoint()
 
         assert capture(1) == capture(1)
-        assert capture(1) == Checkpoint.from_json(capture(1).to_json())
+        assert capture(1) == Checkpoint.from_bytes(capture(1).to_bytes())
         assert capture(1) != capture(2)  # same shape, different content
+        assert capture(1) != capture(1, L[1:4])  # same ids, other links
 
 
 # ----------------------------------------------------------------------
 # the container boundary: old bytes, damaged bytes
 # ----------------------------------------------------------------------
-CHECKPOINT_FIXTURES = pathlib.Path(__file__).parent / "data" / "checkpoints"
 
 
 class TestContainerCompatibility:
@@ -997,7 +965,7 @@ class TestContainerCompatibility:
         )
         assert delta.is_delta and not base.is_delta and not full.is_delta
         merged = base.apply_delta(delta)
-        assert merged.to_json() == full.to_json()
+        assert merged == full
         restored = Zero07Service.restore(merged)
         reference = Zero07Service.restore(full)
         assert restored.open_epochs == reference.open_epochs == [1, 2]
@@ -1007,6 +975,31 @@ class TestContainerCompatibility:
             )
         # and what this code writes is the same document again
         assert Checkpoint.from_bytes(merged.to_bytes()) == full
+
+    def test_json_documents_load_equal_to_their_containers(self):
+        """``tests/data/checkpoints/*.json`` were written by the last commit
+        with a JSON writer: each loads equal to its container (same bytes
+        again), the JSON base and delta merge to the full container, and
+        every JSON full checkpoint restores bit-identically."""
+        def load(name):
+            return Checkpoint.load(CHECKPOINT_FIXTURES / name)
+
+        containers = {name: load(f"{name}.ckpt") for name in ("base", "delta", "full")}
+        for name, container in containers.items():
+            document = load(f"{name}.json")
+            assert document == container
+            assert document.to_bytes() == container.to_bytes()
+        merged = load("base.json").apply_delta(load("delta.json"))
+        assert merged == containers["full"]
+        reference = Zero07Service.restore(containers["full"])
+        for full in (merged, load("full.json"), load("full.v1.json")):
+            restored = Zero07Service.restore(full)
+            assert restored.open_epochs == reference.open_epochs
+            for epoch in reference.open_epochs:
+                assert report_signature(restored.report(epoch)) == report_signature(
+                    reference.report(epoch)
+                )
+            assert restored.checkpoint() == reference.checkpoint()
 
 
 class TestContainerDamage:
@@ -1019,26 +1012,26 @@ class TestContainerDamage:
         """``full.ckpt`` as shipped and as this code writes it again."""
         shipped = (CHECKPOINT_FIXTURES / "full.ckpt").read_bytes()
         checkpoint = Checkpoint.from_bytes(shipped)
-        document = Zero07Service.restore(checkpoint).checkpoint().to_json()
-        return [(shipped, document), (checkpoint.to_bytes(), document)]
+        state = Zero07Service.restore(checkpoint).checkpoint()
+        return [(shipped, state), (checkpoint.to_bytes(), state)]
 
     @staticmethod
-    def _loads_to(blob, document):
+    def _loads_to(blob, state):
         try:
             checkpoint = Checkpoint.from_bytes(blob)
         except ValueError:
             return True
-        return Zero07Service.restore(checkpoint).checkpoint().to_json() == document
+        return Zero07Service.restore(checkpoint).checkpoint() == state
 
     def test_single_bit_flips(self, containers):
         import random
 
         rng = random.Random(14)
-        for blob, document in containers:
+        for blob, state in containers:
             for _ in range(600):
                 damaged = bytearray(blob)
                 damaged[rng.randrange(len(blob))] ^= 1 << rng.randrange(8)
-                assert self._loads_to(bytes(damaged), document)
+                assert self._loads_to(bytes(damaged), state)
 
     def test_truncations(self, containers):
         for blob, _ in containers:

@@ -105,13 +105,10 @@ EXPECTED_SIGNATURES = {
         "(self, num_shards: 'int', service_config: 'Dict[str, Any]', "
         "workers: 'Optional[int]' = None) -> 'None'"
     ),
-    "Checkpoint.to_json": "(self, indent: 'int | None' = None) -> 'str'",
     "Checkpoint.from_json": "(text: 'str') -> \"'Checkpoint'\"",
     "Checkpoint.to_bytes": "(self) -> 'bytes'",
     "Checkpoint.from_bytes": "(data: 'bytes') -> \"'Checkpoint'\"",
-    "Checkpoint.save": (
-        "(self, path: 'Union[str, Path]', format: 'str' = 'binary') -> 'None'"
-    ),
+    "Checkpoint.save": "(self, path: 'Union[str, Path]') -> 'None'",
     "Checkpoint.load": "(path: 'Union[str, Path]') -> \"'Checkpoint'\"",
     "Checkpoint.apply_delta": "(self, delta: \"'Checkpoint'\") -> \"'Checkpoint'\"",
     "ReportSink.on_report": "(self, report: 'EpochReport') -> 'None'",

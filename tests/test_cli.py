@@ -14,6 +14,9 @@ from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
+#: the committed checkpoint fixtures: containers and JSON documents.
+CHECKPOINT_FIXTURES = REPO / "tests" / "data" / "checkpoints"
+
 
 def _verbs(parser, prefix=()):
     """Every leaf command path of the parser, e.g. ``("fleet", "run")``."""
@@ -179,7 +182,7 @@ class TestCheckpointCommand:
         base.save(tmp_path / "base.bin")
         service.ingest_batch(generator.epoch_events(1, tick=False), owned=True)
         service.checkpoint(base=base).save(tmp_path / "delta.bin")
-        service.checkpoint().save(tmp_path / "full.json", format="json")
+        service.checkpoint().save(tmp_path / "full.bin")
         return tmp_path
 
     def test_inspect_prints_format_kind_and_epochs(self, checkpoints):
@@ -200,7 +203,7 @@ class TestCheckpointCommand:
 
         out = io.StringIO()
         assert main(
-            ["checkpoint", "inspect", str(checkpoints / "full.json")], out=out
+            ["checkpoint", "inspect", str(CHECKPOINT_FIXTURES / "full.json")], out=out
         ) == 0
         assert "json checkpoint" in out.getvalue()
 
@@ -220,22 +223,25 @@ class TestCheckpointCommand:
         (entry,) = checkpoint.payload["epochs"]
         assert f"sharded: epoch 0: {entry['records']['count']:,} path records" in text
 
-    def test_convert_round_trips_between_serializations(self, checkpoints):
+    def test_convert_upgrades_a_json_document_to_a_container(self, tmp_path):
         from repro.api import Checkpoint
 
         out = io.StringIO()
+        converted = tmp_path / "base.bin"
         assert main(
             [
                 "checkpoint", "convert",
-                str(checkpoints / "base.bin"),
-                str(checkpoints / "base.json"),
-                "--format", "json",
+                str(CHECKPOINT_FIXTURES / "base.json"),
+                str(converted),
             ],
             out=out,
         ) == 0
-        original = Checkpoint.load(checkpoints / "base.bin")
-        converted = Checkpoint.load(checkpoints / "base.json")
-        assert converted == original
+        assert f"wrote binary checkpoint to {converted}" in out.getvalue()
+        container = Checkpoint.load(CHECKPOINT_FIXTURES / "base.ckpt")
+        assert converted.read_bytes() == container.to_bytes()
+        assert Checkpoint.load(converted) == Checkpoint.load(
+            CHECKPOINT_FIXTURES / "base.json"
+        )
 
     def test_merge_reproduces_the_full_checkpoint(self, checkpoints):
         from repro.api import Checkpoint
@@ -251,35 +257,35 @@ class TestCheckpointCommand:
             out=out,
         ) == 0
         merged = Checkpoint.load(checkpoints / "merged.bin")
-        full = Checkpoint.load(checkpoints / "full.json")
+        full = Checkpoint.load(checkpoints / "full.bin")
         assert merged == full
 
-    def _inspect_convert_merge(self, directory, base, delta, full):
-        """Drive all three subcommands on ``base``/``delta`` files; the merge
-        must reproduce ``full`` and the inspection must count its records."""
+    def _inspect_convert_merge(self, out_dir, base, delta, full):
+        """Drive all three subcommands on the ``base``/``delta`` files, writing
+        into ``out_dir``; the merge must reproduce ``full`` and the inspection
+        must count its records."""
         from repro.api import Checkpoint
+        from repro.api.checkpoint import epoch_columns
 
-        for name, fmt in ((base, "json"), (base, "binary")):
-            converted = directory / f"converted.{fmt}"
-            assert main(
-                ["checkpoint", "convert", str(directory / name), str(converted),
-                 "--format", fmt],
-                out=io.StringIO(),
-            ) == 0
-            assert Checkpoint.load(converted) == Checkpoint.load(directory / name)
-        merged = directory / "merged.out"
+        converted = out_dir / "converted.bin"
         assert main(
-            ["checkpoint", "merge", str(directory / base), str(directory / delta),
-             str(merged)],
+            ["checkpoint", "convert", str(base), str(converted)],
+            out=io.StringIO(),
+        ) == 0
+        assert Checkpoint.load(converted) == Checkpoint.load(base)
+        merged = out_dir / "merged.out"
+        assert main(
+            ["checkpoint", "merge", str(base), str(delta), str(merged)],
             out=io.StringIO(),
         ) == 0
         assert Checkpoint.load(merged) == full
         out = io.StringIO()
         assert main(["checkpoint", "inspect", str(merged)], out=out) == 0
-        for entry in full.materialize().payload["epochs"]:
+        for entry in full.payload["epochs"]:
+            updates = epoch_columns(entry, full.columns, ("rs",))["rs"]
             assert (
-                f"epoch {entry['epoch']}: {len(entry['records']):,} path records, "
-                f"{len(entry['retransmission_seqs']):,} consumed update seqs"
+                f"epoch {entry['epoch']}: {entry['records']['count']:,} path "
+                f"records, {len(updates):,} consumed update seqs"
             ) in out.getvalue()
 
     def test_commands_on_containers_of_live_captures(self, checkpoints):
@@ -288,20 +294,18 @@ class TestCheckpointCommand:
         from repro.api import Checkpoint
 
         self._inspect_convert_merge(
-            checkpoints, "base.bin", "delta.bin",
-            Checkpoint.load(checkpoints / "full.json"),
+            checkpoints, checkpoints / "base.bin", checkpoints / "delta.bin",
+            Checkpoint.load(checkpoints / "full.bin"),
         )
 
-    def test_commands_on_json_documents(self, checkpoints):
+    def test_commands_on_json_documents(self, tmp_path):
         from repro.api import Checkpoint
 
-        for name in ("base", "delta"):
-            Checkpoint.load(checkpoints / f"{name}.bin").save(
-                checkpoints / f"{name}.json", format="json"
-            )
         self._inspect_convert_merge(
-            checkpoints, "base.json", "delta.json",
-            Checkpoint.load(checkpoints / "full.json"),
+            tmp_path,
+            CHECKPOINT_FIXTURES / "base.json",
+            CHECKPOINT_FIXTURES / "delta.json",
+            Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt"),
         )
 
     def test_merge_rejects_a_mismatched_base(self, checkpoints, capsys):
@@ -310,7 +314,7 @@ class TestCheckpointCommand:
         assert main(
             [
                 "checkpoint", "merge",
-                str(checkpoints / "full.json"),
+                str(CHECKPOINT_FIXTURES / "full.json"),
                 str(checkpoints / "delta.bin"),
                 str(checkpoints / "bad.bin"),
             ],

@@ -20,7 +20,21 @@ from repro.netsim.script import (
 )
 from repro.netsim.traffic import HotTorTraffic, SkewedTraffic, UniformTraffic
 from repro.routing.ecmp import EcmpRouter
+from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink, LinkLevel, SwitchTier
+
+
+def cross_pod_routes(router, topology):
+    """The routes of a fixed set of cross-pod flows: a reseed of any switch
+    moves some of them."""
+    hosts = sorted(topology.hosts)
+    return [
+        router.route(FiveTuple(src, dst, port, 443), src, dst).nodes()
+        for src in hosts
+        for dst in hosts
+        if topology.host(src).pod != topology.host(dst).pod
+        for port in range(1000, 1004)
+    ]
 
 
 class TestScriptBuilder:
@@ -139,18 +153,19 @@ class TestCompile:
         # reason).
         compiled = script.compile(small_topology, link_table, router=router, rng=99)
 
-        seed_before = router.seed_of(switch)
+        routes_before = cross_pod_routes(router, small_topology)
         adjacent = small_topology.links_of_node(switch)
 
         truth = compiled.apply_epoch(1)
-        assert router.seed_of(switch) == seed_before  # still down, not yet reseeded
+        # still down, not yet reseeded
+        assert cross_pod_routes(router, small_topology) == routes_before
         expected = {d for link in adjacent for d in link.directions()}
         assert set(truth.bad_links) == expected
         assert all(rate == 1.0 for rate in truth.drop_rates.values())
 
         truth = compiled.apply_epoch(3)  # back up, reseeded
         assert truth.bad_links == []
-        assert router.seed_of(switch) != seed_before
+        assert cross_pod_routes(router, small_topology) != routes_before
         assert all(not link_table.is_down(link) for link in adjacent)
 
     def test_random_switch_matches_tier(self, small_topology, link_table):
@@ -175,13 +190,13 @@ class TestCompile:
         switch = small_topology.switches_of_tier(SwitchTier.T1)[0].name
         script = ScenarioScript().reboot_switch(epoch=1, switch=switch, outage_epochs=1)
         compiled = script.compile(small_topology, link_table, router=router, rng=99)
-        seed_before = router.seed_of(switch)
+        routes_before = cross_pod_routes(router, small_topology)
         compiled.apply_epoch(1)
         compiled.apply_epoch(5)  # epoch 2 (the due reseed) was never applied
-        assert router.seed_of(switch) != seed_before
-        seed_after = router.seed_of(switch)
+        routes_after = cross_pod_routes(router, small_topology)
+        assert routes_after != routes_before
         compiled.apply_epoch(6)  # the reseed fires exactly once
-        assert router.seed_of(switch) == seed_after
+        assert cross_pod_routes(router, small_topology) == routes_after
 
 
 class TestLinecardFailure:

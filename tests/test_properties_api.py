@@ -69,15 +69,13 @@ workloads = st.lists(
 
 engines = st.sampled_from(["arrays", "dicts"])
 seeds = st.randoms(use_true_random=False)
-checkpoint_codecs = st.sampled_from(["memory", "bytes", "json"])
+checkpoint_codecs = st.sampled_from(["memory", "bytes"])
 
 
 def through_codec(checkpoint: Checkpoint, codec: str) -> Checkpoint:
-    """The checkpoint as held in memory, or after a serialization round trip."""
+    """The checkpoint as held in memory, or after a container round trip."""
     if codec == "bytes":
         return Checkpoint.from_bytes(checkpoint.to_bytes())
-    if codec == "json":
-        return Checkpoint.from_json(checkpoint.to_json())
     return checkpoint
 
 

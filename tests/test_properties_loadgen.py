@@ -152,7 +152,7 @@ def test_checkpoint_at_any_cut_point_is_invisible(workload, engine, cut):
     interrupted = Zero07Service(engine=engine, retain_reports=epochs)
     interrupted.ingest_batch(events[:split])
     resumed = Zero07Service.restore(
-        Checkpoint.from_json(interrupted.checkpoint().to_json())
+        Checkpoint.from_bytes(interrupted.checkpoint().to_bytes())
     )
     resumed.ingest_batch(events[split:])
 

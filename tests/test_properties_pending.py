@@ -154,7 +154,7 @@ class Stream:
             elif draw < 0.94:
                 ops.append(("evidence", self.epoch))
             elif draw < 0.97:
-                ops.append(("restart", self.rng.choice(("memory", "bytes", "json"))))
+                ops.append(("restart", self.rng.choice(("memory", "bytes"))))
             else:
                 ops.append(("tick", self.epoch))
                 self.epoch += 1
@@ -164,8 +164,6 @@ class Stream:
 def through_codec(checkpoint: Checkpoint, codec: str) -> Checkpoint:
     if codec == "bytes":
         return Checkpoint.from_bytes(checkpoint.to_bytes())
-    if codec == "json":
-        return Checkpoint.from_json(checkpoint.to_json())
     return checkpoint
 
 

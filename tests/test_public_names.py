@@ -50,9 +50,6 @@ TEST_ORACLES = {
         "tests/test_core_engine_equivalence.py::"
         "test_support_counts_a_flow_once_per_link_however_often_it_crosses_it"
     ),
-    "EcmpRouter.seed_of": (
-        "tests/test_routing_ecmp.py::TestEcmpDeterminism::test_reseed_switch"
-    ),
     "FleetAgentClient.sever": (
         "tests/test_fleet_chaos.py::test_sever_and_reconnect_redelivers_without_loss"
     ),

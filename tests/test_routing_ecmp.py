@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import collections
+import random
+
 import pytest
 
 from repro.testing import pair_of_hosts
 from repro.routing.ecmp import EcmpRouter, NoRouteError
 from repro.routing.fivetuple import FiveTuple
+from repro.topology.clos import ClosTopology
 from repro.topology.elements import DirectedLink, SwitchTier
+
+
+#: the 99.9th percentile of the chi-square distribution with 127 degrees of
+#: freedom (scipy.stats.chi2.ppf(0.999, 127)).
+CHI2_127_P999 = 181.99
 
 
 def _flow(src: str, dst: str, port: int = 1000) -> FiveTuple:
@@ -78,10 +87,45 @@ class TestEcmpDeterminism:
         assert differences > 0
 
     def test_reseed_switch(self, small_topology, router):
-        tor = small_topology.host(sorted(small_topology.hosts)[0]).tor
-        before = router.seed_of(tor)
+        """A reseed (a reboot) redraws the switch's choices: flows move."""
+        src = sorted(small_topology.hosts)[0]
+        tor = small_topology.host(src).tor
+        dsts = [h for h in sorted(small_topology.hosts) if small_topology.host(h).tor != tor]
+
+        def first_hops():
+            return [
+                router.route(_flow(src, dst, port), src, dst).nodes()[2]
+                for dst in dsts
+                for port in range(1000, 1016)
+            ]
+
+        before = first_hops()
+        assert first_hops() == before
         router.reseed_switch(tor, rng=99)
-        assert router.seed_of(tor) != before
+        assert first_hops() != before
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_pod_flows_use_every_switch_triple_uniformly(self, seed):
+        """No polarization: on the default fabric (4 T1s per pod, 4 T2s)
+        cross-pod flows take every (source T1, T2, destination T1) triple of
+        both directions, about equally often.  A hash linear over GF(2) makes
+        the switches choose in lockstep and leaves a third or more unused."""
+        topology = ClosTopology(npod=2, n0=10, n1=4, n2=4, hosts_per_tor=3)
+        router = EcmpRouter(topology, rng=seed)
+        hosts = sorted(topology.hosts)
+        rng = random.Random(seed)
+        counts = collections.Counter()
+        port = 10_000
+        while sum(counts.values()) < 2_560:  # ~20 flows per triple
+            src, dst = rng.sample(hosts, 2)
+            if topology.host(src).pod != topology.host(dst).pod:
+                nodes = router.route(_flow(src, dst, port), src, dst).nodes()
+                counts[tuple(nodes[2:5])] += 1
+                port += 1
+        assert len(counts) == 2 * 4 * 4 * 4
+        expected = sum(counts.values()) / len(counts)
+        statistic = sum((n - expected) ** 2 / expected for n in counts.values())
+        assert statistic < CHI2_127_P999
 
     def test_ecmp_spreads_across_all_t1s(self, small_topology, router):
         src, dst = pair_of_hosts(small_topology)

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import shutil
 
 import pytest
@@ -44,7 +45,8 @@ from repro.scenarios.pack import (
 from repro.topology.clos import ClosParameters, ClosTopology
 from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
 
-PACK_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACK_DIR = REPO / "scenarios"
 
 EXPECTED_NAMES = {
     "gray_failure_silent_drops",
@@ -77,6 +79,14 @@ class TestRegistry:
     def test_every_scenario_carries_a_golden(self, pack):
         missing = [name for name, s in pack.items() if s.expected is None]
         assert missing == []
+
+    def test_ci_runs_every_scenario_against_its_golden(self, pack):
+        """The goldens are checked only by CI's ``scenario-pack`` job, one
+        matrix entry per scenario: a scenario left out is never checked."""
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = re.search(r"^  scenario-pack:\n(.*?)(?=^  \S)", ci, re.M | re.S).group(1)
+        matrix = re.search(r"^( +)scenario:\n((?:\1  - \S+\n)+)", job, re.M).group(2)
+        assert sorted(re.findall(r"- (\S+)", matrix)) == sorted(pack)
 
     def test_every_timeline_fits_inside_the_simulated_epochs(self, pack):
         for scenario in pack.values():
