@@ -265,8 +265,12 @@ def _encode_records(
 def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColumns:
     """The :data:`IDENTITY_COLUMNS` of path objects, names interned in ``names``.
 
-    One C-level pass per column.  Flow id, links and retransmission count
-    are not read: the tally a path was folded into holds those.
+    One C-level pass per column, and one interning pass over the four name
+    columns end to end — source hosts, destination hosts, source IPs,
+    destination IPs — so new names get ids in that order.  A wire message
+    carries these columns too (:class:`~repro.api.wire.WireEncoder`).  Flow
+    id, links and retransmission count are not read: the tally a path was
+    folded into holds those.
     """
     count = len(paths)
 
@@ -275,17 +279,22 @@ def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColum
             map(attrgetter(attr), source), dtype=COLUMN_DTYPES[name], count=count
         )
 
-    def ids(attr: str, source: list) -> np.ndarray:
-        return names.fast_ids(list(map(attrgetter(attr), source)), dtype=np.int32)
-
     five_tuples = list(map(attrgetter("five_tuple"), paths))
+    ids = names.fast_ids(
+        list(map(attrgetter("src_host"), paths))
+        + list(map(attrgetter("dst_host"), paths))
+        + list(map(attrgetter("src_ip"), five_tuples))
+        + list(map(attrgetter("dst_ip"), five_tuples)),
+        dtype=np.int32,
+    )
+    sh, dh, sip, dip = ids.reshape(len(_NAME_COLUMNS), count)
     return {
         "comp": column("comp", "complete", paths),
         "pep": column("pep", "epoch", paths),
-        "sh": ids("src_host", paths),
-        "dh": ids("dst_host", paths),
-        "sip": ids("src_ip", five_tuples),
-        "dip": ids("dst_ip", five_tuples),
+        "sh": sh,
+        "dh": dh,
+        "sip": sip,
+        "dip": dip,
         "sp": column("sp", "src_port", five_tuples),
         "dp": column("dp", "dst_port", five_tuples),
         "pr": column("pr", "protocol", five_tuples),
@@ -332,7 +341,8 @@ def decode_paths(
 
     Paths are constructed fresh on every call (so repeated restores from one
     checkpoint never share mutable path objects) but share the table's
-    :class:`DirectedLink` objects and strings.
+    :class:`DirectedLink` objects and strings.  A decoded wire message's
+    columns decode here too (:meth:`~repro.api.wire.WireRun.materialize`).
     """
     seqs = cols["seq"].tolist()
     flows = cols["flow"].tolist()
@@ -354,10 +364,11 @@ def decode_paths(
     hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
     paths: List[DiscoveredPath] = []
     append = paths.append
-    # A service's evidence listing decodes whole epochs, so the per-record
-    # dataclass machinery (``__init__`` + ``FiveTuple.__post_init__``
-    # validation) is bypassed: every value was validated when a service first
-    # ingested it, and both classes store their fields in a plain ``__dict__``.
+    # Whole epochs decode at once, so the per-record dataclass machinery
+    # (``__init__`` + ``FiveTuple.__post_init__`` validation) is bypassed:
+    # every value was checked where it entered — a path object's own
+    # constructor, ``WireDecoder.decode_columns`` or ``_validate_columns`` —
+    # and both classes store their fields in a plain ``__dict__``.
     new_path = DiscoveredPath.__new__
     new_ft = FiveTuple.__new__
     set_attr = object.__setattr__
@@ -396,12 +407,14 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
     """Raise ``ValueError`` unless every epoch's columns are self-consistent.
 
     Restore and merge trust the columns (ids index tables, ``len`` delimits
-    ``hop``, seqs key the records), so whatever was parsed from outside is
-    checked here once, vectorized; a path longer than ``MAX_HOPS`` raises
-    :class:`~repro.core.votes.PathTooLongError`.
+    ``hop``, seqs key the records, ports and protocols fit a
+    :class:`~repro.routing.fivetuple.FiveTuple`), so whatever was parsed from
+    outside is checked here once, vectorized; a path longer than
+    ``MAX_HOPS`` raises :class:`~repro.core.votes.PathTooLongError`.
     """
-    tables = {name: len(columns.names) for name in _NAME_COLUMNS}
-    tables["hop"] = len(columns.links)
+    # each bounded column's exclusive upper bound
+    bounds = dict.fromkeys(_NAME_COLUMNS, len(columns.names))
+    bounds.update(hop=len(columns.links), sp=1 << 16, dp=1 << 16, pr=1 << 8)
     # a payload without ``epochs`` is of a retired shape, which ``validate``
     # names after the parse
     for entry in payload.get("epochs", ()):
@@ -424,10 +437,10 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
         for name in ("seq", "rs"):  # kept only for events with a seq
             if len(cols[name]) and int(cols[name].min()) < 0:
                 raise ValueError(f"{where}: column {name!r} holds a negative seq")
-        for name, size in tables.items():
-            ids = cols[name]
-            if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < size:
-                raise ValueError(f"{where}: column {name!r} points outside its table")
+        for name, size in bounds.items():
+            col = cols[name]
+            if len(col) and not 0 <= int(col.min()) <= int(col.max()) < size:
+                raise ValueError(f"{where}: column {name!r} leaves [0, {size})")
 
 
 # ----------------------------------------------------------------------

@@ -33,16 +33,16 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.events import (
-    EpochTick,
-    Evidence,
-    PathEvidence,
-    RetransmissionEvidence,
+from repro.api.checkpoint import (
+    IDENTITY_COLUMNS,
+    CheckpointColumns,
+    decode_paths,
+    encode_identity,
 )
+from repro.api.events import Evidence, PathEvidence, RetransmissionEvidence
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy
 from repro.discovery.agent import DiscoveredPath
-from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
 
 WIRE_MAGIC = b"RW01"
@@ -56,6 +56,13 @@ _HEADER = struct.Struct("<4sqqiiiiiiiii")
 #: bytes one path adds to a message: flow id, count and path epoch (int64),
 #: hop count, four name ids, two ports and the protocol (int32), ``complete``.
 _PATH_BYTES = 3 * 8 + 8 * 4 + 1
+
+#: the identity columns a message carries after the hops, in order (the path
+#: epochs travel beside the flow ids).
+_MESSAGE_IDENTITY = ("sh", "dh", "sip", "dip", "sp", "dp", "pr", "comp")
+
+#: the largest source port, destination port and protocol a path can carry.
+_FIVE_TUPLE_MAX = np.array([[0xFFFF], [0xFFFF], [0xFF]], dtype=np.uint32)
 
 
 class WireProtocolError(ValueError):
@@ -180,14 +187,7 @@ class WireEncoder:
         total_hops = int(lengths.sum())
         lids = self._links.hop_ids(links_list, total_hops)
 
-        five_tuples = [p.five_tuple for p in paths]
-        name_ids = self._names.fast_ids(
-            [p.src_host for p in paths]
-            + [p.dst_host for p in paths]
-            + [ft.src_ip for ft in five_tuples]
-            + [ft.dst_ip for ft in five_tuples],
-            dtype=np.int32,
-        )
+        identity = encode_identity(paths, self._names)
 
         link_lo = self._links_sent[stream]
         link_hi = len(self._links)
@@ -224,30 +224,11 @@ class WireEncoder:
         out += np.ascontiguousarray(seqs, dtype=np.int64).tobytes()
         out += _attr_i64(paths, "flow_id").tobytes()
         out += _attr_i64(paths, "retransmissions").tobytes()
-        out += _attr_i64(paths, "epoch").tobytes()
+        out += identity["pep"].tobytes()
         out += lengths.tobytes()
         out += lids.astype(np.int32).tobytes()
-        out += name_ids.tobytes()
-        out += np.fromiter(
-            map(operator.attrgetter("src_port"), five_tuples),
-            dtype=np.int32,
-            count=n_paths,
-        ).tobytes()
-        out += np.fromiter(
-            map(operator.attrgetter("dst_port"), five_tuples),
-            dtype=np.int32,
-            count=n_paths,
-        ).tobytes()
-        out += np.fromiter(
-            map(operator.attrgetter("protocol"), five_tuples),
-            dtype=np.int32,
-            count=n_paths,
-        ).tobytes()
-        out += np.fromiter(
-            map(operator.attrgetter("complete"), paths),
-            dtype=np.uint8,
-            count=n_paths,
-        ).tobytes()
+        for name in _MESSAGE_IDENTITY:
+            out += identity[name].tobytes()
         if updates:
             out += _attr_i64(updates, "flow_id").tobytes()
             out += _attr_i64(updates, "retransmissions").tobytes()
@@ -259,12 +240,13 @@ class WireRun:
 
     The cheap half of decoding: header fields plus numpy views over the
     message buffer (which the run keeps alive), with the decoder's shared
-    link/name tables referenced for the expensive half.  The fleet analyzer
-    admits :meth:`columns` as they are; anything that needs real
-    :class:`~repro.api.events.Evidence` objects calls :meth:`materialize`,
-    which is exactly the loop ``WireDecoder.decode`` always performed.  The
-    tables are append-only, so a kept run can be materialized at any later
-    point of the stream.
+    link/name tables referenced for the expensive half.  The paths' identity
+    is the checkpoint's record columns (:data:`identity` over
+    :data:`~repro.api.checkpoint.IDENTITY_COLUMNS`, name ids indexing
+    :attr:`names_table`).  The fleet analyzer admits :meth:`columns` as they
+    are; anything that needs real :class:`~repro.api.events.Evidence`
+    objects calls :meth:`materialize`.  The tables are append-only, so a
+    kept run can be materialized at any later point of the stream.
     """
 
     __slots__ = (
@@ -276,17 +258,9 @@ class WireRun:
         "seqs",
         "flow_ids",
         "retrans",
-        "path_epochs",
         "lengths",
         "lids",
-        "src_hosts",
-        "dst_hosts",
-        "src_ips",
-        "dst_ips",
-        "src_ports",
-        "dst_ports",
-        "protocols",
-        "complete",
+        "identity",
         "upd_flows",
         "upd_counts",
         "links_table",
@@ -299,105 +273,64 @@ class WireRun:
         """The run's last sequence number (-1 for an empty run)."""
         return int(self.seqs[-1]) if self.n_events else -1
 
+    def _path_seqs(self) -> np.ndarray:
+        seqs = self.seqs
+        return seqs if self.n_paths == self.n_events else seqs[self.kinds == 0]
+
     def columns(self) -> "RunColumns":
         """The run as :class:`RunColumns`: views of the message, no copy.
 
-        The identity cargo's name ids index :attr:`names_table`; the hops
-        (``lids``) index the decoder's link table, which a
+        The identity cargo is :attr:`identity` with :attr:`names_table`; the
+        hops (``lids``) index the decoder's link table, which a
         :class:`LinkRemap` translates.
         """
         seqs = self.seqs
         updates = None if self.n_paths == self.n_events else self.kinds != 0
-        identity = {
-            "comp": self.complete,
-            "pep": self.path_epochs,
-            "sh": self.src_hosts,
-            "dh": self.dst_hosts,
-            "sip": self.src_ips,
-            "dip": self.dst_ips,
-            "sp": self.src_ports,
-            "dp": self.dst_ports,
-            "pr": self.protocols,
-        }
         return RunColumns(
             seqs,
             updates,
-            seqs if updates is None else seqs[~updates],
+            self._path_seqs(),
             self.flow_ids,
             self.retrans,
             self.lengths,
-            (identity, self.names_table),
+            (self.identity, self.names_table),
             seqs[:0] if updates is None else seqs[updates],
             self.upd_flows,
             self.upd_counts,
         )
 
     def materialize(self) -> List[Evidence]:
-        """Rebuild the run's evidence events (the expensive decode half)."""
-        epoch = self.epoch
-        names = self.names_table
-        links_table = self.links_table
-        flow_ids = self.flow_ids.tolist()
-        retrans = self.retrans.tolist()
-        path_epochs = self.path_epochs.tolist()
-        lengths = self.lengths.tolist()
-        lids = self.lids.tolist()
-        src_hosts = self.src_hosts.tolist()
-        dst_hosts = self.dst_hosts.tolist()
-        src_ips = self.src_ips.tolist()
-        dst_ips = self.dst_ips.tolist()
-        src_ports = self.src_ports.tolist()
-        dst_ports = self.dst_ports.tolist()
-        protocols = self.protocols.tolist()
-        complete = self.complete.tolist()
-        paths: List[DiscoveredPath] = []
-        pos = 0
-        for i in range(self.n_paths):
-            length = lengths[i]
-            paths.append(
-                DiscoveredPath(
-                    flow_id=flow_ids[i],
-                    five_tuple=FiveTuple(
-                        src_ip=names[src_ips[i]],
-                        dst_ip=names[dst_ips[i]],
-                        src_port=src_ports[i],
-                        dst_port=dst_ports[i],
-                        protocol=protocols[i],
-                    ),
-                    src_host=names[src_hosts[i]],
-                    dst_host=names[dst_hosts[i]],
-                    links=[links_table[j] for j in lids[pos : pos + length]],
-                    complete=bool(complete[i]),
-                    retransmissions=retrans[i],
-                    epoch=path_epochs[i],
-                )
-            )
-            pos += length
+        """Rebuild the run's evidence events (the expensive decode half).
 
-        seqs_list = self.seqs.tolist()
-        n_updates = self.n_events - self.n_paths
-        if n_updates == 0:
+        The paths come from the checkpoint's record codec
+        (:func:`~repro.api.checkpoint.decode_paths`), which trusts the
+        columns: :meth:`WireDecoder.decode_columns` checked every value.
+        """
+        epoch = self.epoch
+        path_seqs, paths = decode_paths(
+            dict(
+                self.identity,
+                seq=self._path_seqs(),
+                flow=self.flow_ids,
+                retr=self.retrans,
+                len=self.lengths,
+                hop=self.lids,
+            ),
+            CheckpointColumns({}, self.names_table, self.links_table),
+        )
+        if self.n_paths == self.n_events:
             return [
-                PathEvidence(epoch, seq, path)
-                for seq, path in zip(seqs_list, paths)
+                PathEvidence(epoch, seq, path) for seq, path in zip(path_seqs, paths)
             ]
-        upd_flows = self.upd_flows.tolist()
-        upd_counts = self.upd_counts.tolist()
+        updates = zip(self.upd_flows.tolist(), self.upd_counts.tolist())
+        path_iter = iter(paths)
         events: List[Evidence] = []
         append = events.append
-        path_iter = iter(paths)
-        upd_i = 0
-        for kind, seq in zip(self.kinds.tolist(), seqs_list):
+        for kind, seq in zip(self.kinds.tolist(), self.seqs.tolist()):
             if kind:
-                append(
-                    RetransmissionEvidence(
-                        epoch,
-                        upd_flows[upd_i],
-                        upd_counts[upd_i],
-                        None if seq < 0 else seq,
-                    )
-                )
-                upd_i += 1
+                flow, count = next(updates)
+                seq = None if seq < 0 else seq
+                append(RetransmissionEvidence(epoch, flow, count, seq))
             else:
                 append(PathEvidence(epoch, seq, next(path_iter)))
         return events
@@ -427,8 +360,10 @@ class WireDecoder:
         Checks the whole message before the stream's tables grow: the
         header's counts against the exact length, the event kinds, the path
         lengths (``PathTooLongError`` past 8 hops), the paths' seqs (each
-        ``>= 0``), the table-delta ranges and every link and name id — any
-        damage raises :class:`WireProtocolError`.  Then folds the message's
+        ``>= 0``), ports and protocols (a
+        :class:`~repro.routing.fivetuple.FiveTuple`'s ranges), the
+        table-delta ranges and every link and name id — any damage raises
+        :class:`WireProtocolError`.  Then folds the message's
         table deltas into the stream state, but builds no event objects —
         column views over the input buffer only.  The returned run keeps
         ``data`` alive.
@@ -491,17 +426,23 @@ class WireDecoder:
         run.seqs = column(np.int64, n_events)
         run.flow_ids = column(np.int64, n_paths)
         run.retrans = column(np.int64, n_paths)
-        run.path_epochs = column(np.int64, n_paths)
+        path_epochs = column(np.int64, n_paths)
         run.lengths = column(np.int32, n_paths)
         run.lids = column(np.int32, total_hops)
         name_ids = column(np.int32, 4 * n_paths)
-        run.src_hosts, run.dst_hosts, run.src_ips, run.dst_ips = name_ids.reshape(
-            4, n_paths
+        five_tuple = column(np.int32, 3 * n_paths)  # sp | dp | pr
+        complete = column(np.uint8, n_paths)
+        run.identity = dict(
+            zip(
+                IDENTITY_COLUMNS,
+                (
+                    complete,
+                    path_epochs,
+                    *name_ids.reshape(4, n_paths),
+                    *five_tuple.reshape(3, n_paths),
+                ),
+            )
         )
-        run.src_ports = column(np.int32, n_paths)
-        run.dst_ports = column(np.int32, n_paths)
-        run.protocols = column(np.int32, n_paths)
-        run.complete = column(np.uint8, n_paths)
         run.upd_flows = column(np.int64, n_updates)
         run.upd_counts = column(np.int64, n_updates)
         kinds, lengths = run.kinds, run.lengths
@@ -518,9 +459,11 @@ class WireDecoder:
                 raise WireProtocolError("a path without links")
         if int(lengths.sum()) != total_hops:
             raise WireProtocolError(f"path lengths do not sum to {total_hops} hops")
-        path_seqs = run.seqs if n_updates == 0 else run.seqs[kinds == 0]
-        if n_paths and int(path_seqs.min()) < 0:
+        if n_paths and int(run._path_seqs().min()) < 0:
             raise WireProtocolError("a path without a sequence number")
+        # negative values wrap past every bound
+        if (five_tuple.view(np.uint32).reshape(3, n_paths) > _FIVE_TUPLE_MAX).any():
+            raise WireProtocolError("a port or protocol out of range")
         links = _table_delta(
             data[blobs : blobs + links_len], link_lo, link_hi, len(self._links), "link"
         )

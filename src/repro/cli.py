@@ -226,22 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility: both values admit every chunk's "
         "columns into one service",
     )
-    fleet_analyzer.add_argument(
-        "--engine", choices=["arrays", "dicts"], default="arrays"
-    )
-    fleet_analyzer.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="service shards behind the analyzer (1 = unsharded)",
-    )
-    fleet_analyzer.add_argument(
-        "--backend",
-        choices=["inline", "process"],
-        default="inline",
-        help="shard executor backend when --shards > 1",
-    )
-    fleet_analyzer.add_argument("--workers", type=int, default=None)
     fleet_analyzer.add_argument("--retain-reports", type=int, default=16)
     fleet_analyzer.add_argument(
         "--idle-timeout",
@@ -295,14 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport", choices=["tcp", "unix"], default="tcp"
     )
     fleet_run.add_argument("--agents", type=int, default=4)
-    fleet_run.add_argument("--shards", type=int, default=2)
-    fleet_run.add_argument(
-        "--engine", choices=["arrays", "dicts"], default="arrays"
-    )
-    fleet_run.add_argument(
-        "--backend", choices=["inline", "process"], default="inline"
-    )
-    fleet_run.add_argument("--workers", type=int, default=None)
     _fleet_workload_arguments(fleet_run, events_default=4000)
     fleet_run.add_argument(
         "--kill-agent",
@@ -610,23 +586,11 @@ def _run_fleet_analyzer_command(args: argparse.Namespace, out) -> int:
     import os
 
     from repro.api.service import Zero07Service
-    from repro.api.sharded import ShardedService
     from repro.fleet.analyzer import FleetAnalyzer, ServiceIngestCore
     from repro.fleet.protocol import parse_endpoint
 
-    if args.shards == 1:
-        service = Zero07Service(engine=args.engine, retain_reports=args.retain_reports)
-    else:
-        service = ShardedService(
-            num_shards=args.shards,
-            engine=args.engine,
-            backend=args.backend,
-            workers=args.workers,
-            retain_reports=args.retain_reports,
-        )
-    core = ServiceIngestCore(service)
     analyzer = FleetAnalyzer(
-        core,
+        ServiceIngestCore(Zero07Service(retain_reports=args.retain_reports)),
         expected_agents=args.num_agents,
         idle_timeout=args.idle_timeout,
     )
@@ -707,11 +671,7 @@ def _run_fleet_run_command(args: argparse.Namespace, out) -> int:
         config = FleetRunConfig(
             run_dir=args.run_dir,
             agents=args.agents,
-            shards=args.shards,
             transport=args.transport,
-            engine=args.engine,
-            backend=args.backend,
-            workers=args.workers,
             fabric=args.fabric,
             profile=args.profile,
             timeline=args.timeline,

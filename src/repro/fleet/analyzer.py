@@ -185,16 +185,15 @@ class _FinalizedCount:
 
 
 class ServiceIngestCore:
-    """Admit decoded chunks into a streaming service, on arrival.
+    """Admit decoded chunks into one :class:`Zero07Service`, on arrival.
 
-    A :class:`Zero07Service` takes each chunk's columns as they are
-    (:meth:`~repro.api.service.Zero07Service.ingest_columns`); a
-    :class:`~repro.api.sharded.ShardedService` takes its materialized
-    events (``ingest_run``).  Either drops what its epoch saw before, so the
+    The service takes each chunk's columns as they are
+    (:meth:`~repro.api.service.Zero07Service.ingest_columns`), link ids
+    remapped onto its index, and drops what its epoch saw before, so the
     analyzer hands every chunk over in arrival order and keeps nothing.
     """
 
-    def __init__(self, service) -> None:
+    def __init__(self, service: Zero07Service) -> None:
         self.service = service
         self._finalized = _FinalizedCount()
         service.add_sink(self._finalized)
@@ -212,29 +211,23 @@ class ServiceIngestCore:
         """Epochs this core's ticks closed, gap epochs included."""
         return self._finalized.count
 
-    def remap(self, decoder: WireDecoder) -> Optional[LinkRemap]:
-        """One connection's link ids onto the service's index (``None``:
-        the service takes events)."""
-        if not isinstance(self.service, Zero07Service):
-            return None
+    def remap(self, decoder: WireDecoder) -> LinkRemap:
+        """One connection's link ids onto the service's index."""
         return LinkRemap(decoder, self.service.link_index)
 
     def append_chunk(self, run: WireRun, remap: Optional[LinkRemap]) -> int:
         """Admit one chunk, in any order; returns how many of its events
         the epoch saw before.  Without ``remap`` the core keeps one per
         decoder table."""
-        service = self.service
-        if not isinstance(service, Zero07Service):
-            before = service.duplicate_events
-            service.ingest_run(run.epoch, run.materialize(), owned=True, seqs=run.seqs)
-            return service.duplicate_events - before
         if remap is None:
             remap = self._remaps.get(id(run.links_table))
             if remap is None:
                 remap = self._remaps[id(run.links_table)] = LinkRemap(
-                    run, service.link_index
+                    run, self.service.link_index
                 )
-        return service.ingest_columns(run.epoch, run.columns(), remap.ids(run.lids))
+        return self.service.ingest_columns(
+            run.epoch, run.columns(), remap.ids(run.lids)
+        )
 
     def tick(self, epoch: int) -> None:
         """Close ``epoch`` (and any gap epochs before it)."""
@@ -243,25 +236,17 @@ class ServiceIngestCore:
     def report(self, epoch: Optional[int] = None) -> EpochReport:
         """The service's report for ``epoch`` (mid-epoch queries included).
 
-        Both services return the identical object while no evidence for the
+        The service returns the identical object while no evidence for the
         epoch arrived, which is what the query socket's line cache keys on.
         """
         return self.service.report(epoch)
 
     def describe(self) -> Dict:
         """Service shape, for ``meta.json`` and the query socket."""
-        service = self.service
         return {
-            "service": type(service).__name__,
-            "engine": getattr(service, "engine", None),
-            "num_shards": getattr(service, "num_shards", 1),
+            "service": type(self.service).__name__,
+            "engine": self.service.engine,
         }
-
-    def close(self) -> None:
-        """Release service resources (worker processes, pipes)."""
-        close = getattr(self.service, "close", None)
-        if close is not None:
-            close()
 
 
 class ColumnarIngestCore(ServiceIngestCore):
@@ -304,9 +289,9 @@ class _Connection:
 class FleetAnalyzer:
     """Accepts agent connections and drives one ingest core.
 
-    Use :meth:`run` inside an event loop, or :func:`start_analyzer_thread`
-    for a blocking host (tests, the fleet runner's in-process mode).  The
-    instance is single-use: once shut down it does not restart.
+    Use :meth:`run` inside an event loop, or an :class:`AnalyzerThread` for
+    a blocking host (the tests).  The instance is single-use: once shut down
+    it does not restart.
     """
 
     def __init__(
@@ -403,7 +388,6 @@ class FleetAnalyzer:
                 os.unlink(path)
             except OSError:
                 pass
-        self.core.close()
 
     def shutdown(self) -> None:
         """Ask :meth:`run` to wind the servers down."""

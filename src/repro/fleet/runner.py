@@ -206,11 +206,7 @@ class FleetRunConfig:
 
     run_dir: str
     agents: int = 4
-    shards: int = 2
     transport: str = "tcp"  # tcp | unix
-    engine: str = "arrays"
-    backend: str = "inline"
-    workers: Optional[int] = None
     fabric: str = "tiny"
     profile: str = "skewed"
     timeline: str = "none"
@@ -226,12 +222,8 @@ class FleetRunConfig:
     def __post_init__(self) -> None:
         if self.agents < 1:
             raise ValueError("agents must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.transport not in ("tcp", "unix"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.engine not in ("arrays", "dicts"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeline not in FLEET_TIMELINES:
             raise ValueError(f"unknown fleet timeline {self.timeline!r}")
         if self.epochs < 1:
@@ -349,9 +341,7 @@ def _replay_signatures(config: FleetRunConfig) -> List[List]:
         config.seed,
         config.events_per_epoch,
     )
-    service = Zero07Service(
-        engine=config.engine, retain_reports=max(8, config.epochs)
-    )
+    service = Zero07Service(retain_reports=max(8, config.epochs))
     for epoch in range(config.epochs):
         service.ingest_batch(generator.epoch_events(epoch, tick=True))
     return [
@@ -396,19 +386,11 @@ def run_fleet(
         query_bind,
         "--num-agents",
         str(config.agents),
-        "--engine",
-        config.engine,
-        "--shards",
-        str(config.shards),
-        "--backend",
-        config.backend,
         "--retain-reports",
         str(max(16, config.epochs)),
         "--ready-file",
         str(ready_path),
     ]
-    if config.workers is not None:
-        analyzer_command += ["--workers", str(config.workers)]
 
     meta = {
         "schema": RUN_SCHEMA,

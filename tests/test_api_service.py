@@ -659,6 +659,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
 
+    def test_a_protocol_past_255_is_refused(self):
+        """A record's five-tuple is checked where the document enters, as a
+        path object's constructor would: no restore lists a ``FiveTuple``
+        that could not exist."""
+        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
+        payload["epochs"][0]["records"][0][1]["five_tuple"][4] = 300
+        with pytest.raises(ValueError, match="'pr' leaves"):
+            Checkpoint.from_json(json.dumps(payload))
+
     def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
         """A missing counter restores at its default, the others as saved."""
         payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
@@ -1049,6 +1058,7 @@ class TestContainerDamage:
             ("len", lambda a: a * 0),  # empty paths
             ("hop", lambda a: a + 10_000),  # outside the link table
             ("sh", lambda a: a - 10_000),  # outside the name table
+            ("sp", lambda a: a * 0 + 70_000),  # past the largest port
             ("flow", lambda a: a[:-1]),  # shorter than count
             ("retr", lambda a: a.astype(float)),  # not integers
         ],

@@ -204,6 +204,7 @@ def _with_value(message, column, index, change, fmt="<i"):
         "lengths": lengths,
         "lids": lids,
         "names": lids + 4 * header["total_hops"],
+        "ports": lids + 4 * header["total_hops"] + 16 * header["n_paths"],
     }
     size = struct.calcsize(fmt)
     at = starts[column] + size * index
@@ -241,6 +242,13 @@ DAMAGE = {
         m, name_hi=lambda v: v - 1
     ),
     "a table delta out of order": lambda m: _with_header(m, link_lo=lambda v: v + 1),
+    "a source port past 65535": lambda m: _with_value(m, "ports", 0, lambda v: 70_000),
+    "a negative destination port": lambda m: _with_value(
+        m, "ports", _header(m)["n_paths"], lambda v: -1
+    ),
+    "a protocol past 255": lambda m: _with_value(
+        m, "ports", 2 * _header(m)["n_paths"], lambda v: 300
+    ),
 }
 
 

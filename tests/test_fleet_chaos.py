@@ -4,7 +4,7 @@ Three failure modes against a live analyzer:
 
 * a scripted kill — the agent process dies mid-run without closing its
   socket (``os._exit``), is relaunched, and the finalized reports must be
-  bit-identical to an uninterrupted replay on both engines and sharded;
+  bit-identical to an uninterrupted replay on both engines;
 * a severed connection at a frame boundary — the client reconnects with
   backoff and redelivers from its acked watermark; nothing is lost or
   double-counted;
@@ -21,7 +21,6 @@ import time
 import pytest
 
 from repro.api.service import Zero07Service
-from repro.api.sharded import ShardedService
 from repro.fleet import protocol
 from repro.fleet.agent import KILL_EXIT_CODE, FleetAgentClient
 from repro.fleet.analyzer import AnalyzerThread, FleetAnalyzer, ServiceIngestCore
@@ -93,14 +92,9 @@ def _agent_process(endpoint_text, fail_after_events):
     client.close()
 
 
-@pytest.mark.parametrize("engine", ["arrays", "dicts", "sharded"])
+@pytest.mark.parametrize("engine", ["arrays", "dicts"])
 def test_scripted_kill_and_relaunch_is_bit_identical(engine):
-    if engine == "sharded":
-        service = ShardedService(num_shards=2, retain_reports=EPOCHS)
-        engine = "arrays"
-    else:
-        service = Zero07Service(engine=engine, retain_reports=EPOCHS)
-    core = ServiceIngestCore(service)
+    core = ServiceIngestCore(Zero07Service(engine=engine, retain_reports=EPOCHS))
     thread = start_thread(core)
     try:
         victim = multiprocessing.Process(

@@ -36,9 +36,7 @@ class TestFleetRunConfig:
         "overrides",
         [
             {"agents": 0},
-            {"shards": 0},
             {"transport": "carrier-pigeon"},
-            {"engine": "quantum"},
             {"timeline": "apocalypse"},
             {"epochs": 0},
             {"kill_agent": 4},  # only agents 0..3 exist
@@ -66,7 +64,6 @@ class TestCliPlumbing:
         assert args.fleet_command == "run"
         assert args.transport == "tcp"
         assert args.agents == 4
-        assert args.shards == 2
         assert args.timeline == "none"
         assert args.no_verify_replay is False
 
@@ -77,7 +74,6 @@ class TestCliPlumbing:
                 "--run-dir", "/tmp/r",
                 "--transport", "unix",
                 "--agents", "3",
-                "--shards", "1",
                 "--timeline", "flap",
                 "--kill-agent", "1",
                 "--no-verify-replay",
@@ -107,6 +103,14 @@ class TestCliPlumbing:
                  "--transport", "pigeon"]
             )
 
+    def test_fleet_run_has_no_shard_option(self, capsys):
+        """One service is behind every fleet analyzer: ``--shards`` is a
+        usage error, not a silently ignored flag."""
+        with pytest.raises(SystemExit) as stop:
+            main(["fleet", "run", "--run-dir", "/tmp/r", "--shards", "2"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def completed_run(tmp_path_factory):
@@ -115,7 +119,6 @@ def completed_run(tmp_path_factory):
     config = FleetRunConfig(
         run_dir=str(run_dir),
         agents=2,
-        shards=1,
         transport="tcp",
         epochs=2,
         events_per_epoch=600,
@@ -135,6 +138,8 @@ class TestEndToEndRun:
         assert summary["converged"] is True
         assert summary["replay_equivalent"] is True
         assert all(entry["replay_match"] for entry in summary["epochs"])
+        # a default run: one service behind the analyzer
+        assert summary["analyzer"]["describe"]["service"] == "Zero07Service"
 
     def test_scripted_kill_fired_and_recovered(self, completed_run):
         _, summary = completed_run
@@ -171,7 +176,6 @@ class TestEndToEndRun:
                 "fleet", "run",
                 "--run-dir", str(tmp_path / "cli-run"),
                 "--agents", "2",
-                "--shards", "1",
                 "--epochs", "2",
                 "--events-per-epoch", "400",
                 "--chunk-events", "128",

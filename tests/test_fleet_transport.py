@@ -2,8 +2,8 @@
 
 N agent clients stream interleaved slices of a deterministic workload at an
 in-process analyzer over real TCP/Unix sockets; every final report must be
-bit-identical to a single-process ``ingest_batch`` replay — on both engines
-and the sharded service, whatever order the chunks arrive in.  Heartbeats,
+bit-identical to a single-process ``ingest_batch`` replay — on both engines,
+whatever order the chunks arrive in.  Heartbeats,
 mid-epoch queries and version rejection ride the same harness.
 """
 
@@ -18,7 +18,6 @@ import pytest
 from repro.api.checkpoint import Checkpoint
 from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
 from repro.api.service import Zero07Service
-from repro.api.sharded import ShardedService
 from repro.fleet import protocol
 from repro.fleet.agent import FleetAgentClient
 from repro.fleet.analyzer import AnalyzerThread, FleetAnalyzer, ServiceIngestCore
@@ -158,14 +157,8 @@ def query_signatures(query_endpoint, epochs=EPOCHS):
         return [query.report_signature(epoch) for epoch in range(epochs)]
 
 
-def make_core(kind="arrays"):
-    if kind in ("arrays", "dicts"):
-        return ServiceIngestCore(Zero07Service(engine=kind, retain_reports=EPOCHS))
-    if kind == "sharded":
-        return ServiceIngestCore(
-            ShardedService(num_shards=2, retain_reports=EPOCHS)
-        )
-    raise AssertionError(kind)
+def make_core(engine="arrays"):
+    return ServiceIngestCore(Zero07Service(engine=engine, retain_reports=EPOCHS))
 
 
 @pytest.fixture
@@ -191,7 +184,7 @@ def tcp_thread():
 @pytest.mark.parametrize(
     "core_kind, agents, arrival",
     [
-        (core_kind, 2, "streamed") for core_kind in ("arrays", "dicts", "sharded")
+        (core_kind, 2, "streamed") for core_kind in ("arrays", "dicts")
     ]
     + [("arrays", 3, arrival) for arrival in ("in-order", "reversed", "round-robin")],
 )

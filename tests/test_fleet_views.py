@@ -17,7 +17,6 @@ import pytest
 
 from repro.api.events import EpochTick, PathEvidence, RetransmissionEvidence
 from repro.api.service import ReportUnavailableError, Zero07Service
-from repro.api.sharded import ShardedService
 from repro.api.wire import LinkRemap, WireDecoder, WireEncoder
 from repro.fleet import analyzer as analyzer_module
 from repro.fleet.agent import FleetAgentClient
@@ -232,21 +231,9 @@ def wait_finalized(query_endpoint, epoch, timeout=30.0):
             time.sleep(0.02)
 
 
-def make_core(kind):
-    if kind == "service":
-        return ServiceIngestCore(Zero07Service(engine="arrays"))
-    return ServiceIngestCore(ShardedService(num_shards=2))
-
-
-CORE_KINDS = ["service", "sharded"]
-
-
 # -- (c) the reply line ---------------------------------------------------
-@pytest.mark.parametrize("core_kind", CORE_KINDS)
-def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(
-    analyzer_thread, core_kind
-):
-    thread = analyzer_thread(make_core(core_kind))
+def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(analyzer_thread):
+    thread = analyzer_thread(service_core())
     stats = thread.analyzer.stats
     events = epoch_events(0)
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
@@ -405,9 +392,8 @@ def test_report_epoch_must_be_an_integer_or_null(analyzer_thread, epoch):
     assert thread.analyzer.stats.report_queries == 1  # rejected, and counted
 
 
-@pytest.mark.parametrize("core_kind", CORE_KINDS)
-def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind):
-    core = make_core(core_kind)
+def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread):
+    core = service_core()
     thread = analyzer_thread(core)
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
@@ -421,18 +407,15 @@ def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind)
     assert thread.analyzer._report_lines == {}
     assert len(thread.analyzer._view_tokens) == 0
     assert thread.analyzer.stats.report_queries == 1_000
-    # a sharded service's fleet-wide view is its coordinator service
-    service = getattr(core.service, "_service", core.service)
-    assert list(service._epochs) == [3]
-    assert service._final_reports == {}
+    assert list(core.service._epochs) == [3]
+    assert core.service._final_reports == {}
 
 
 # -- epochs_finalized -----------------------------------------------------
-@pytest.mark.parametrize("core_kind", CORE_KINDS)
-def test_epochs_finalized_counts_what_the_ticks_closed(analyzer_thread, core_kind):
+def test_epochs_finalized_counts_what_the_ticks_closed(analyzer_thread):
     """A stream that starts at epoch 5 and skips epoch 6: one epoch after the
     first tick (not 6), three after the second (the gap epoch closes too)."""
-    thread = analyzer_thread(make_core(core_kind))
+    thread = analyzer_thread(service_core())
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
     client.send_run(5, epoch_events(5)[:CHUNK])
@@ -494,11 +477,8 @@ def flow_entry(report, flow):
 
 
 class TestFlowPaging:
-    @pytest.mark.parametrize("core_kind", CORE_KINDS)
-    def test_paged_signature_and_counts_equal_the_oracle(
-        self, analyzer_thread, core_kind
-    ):
-        thread = analyzer_thread(make_core(core_kind))
+    def test_paged_signature_and_counts_equal_the_oracle(self, analyzer_thread):
+        thread = analyzer_thread(service_core())
         events = retraced_events()
         cut = len(events) - 40  # mid-epoch first: some re-traces still to come
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
@@ -554,9 +534,8 @@ class TestFlowPaging:
             assert query.report_signature(0) == json_signature(expected)
         client.close()
 
-    @pytest.mark.parametrize("core_kind", CORE_KINDS)
-    def test_ids_lookup_equals_cause_of_flow(self, analyzer_thread, core_kind):
-        thread = analyzer_thread(make_core(core_kind))
+    def test_ids_lookup_equals_cause_of_flow(self, analyzer_thread):
+        thread = analyzer_thread(service_core())
         events = retraced_events()
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
@@ -770,21 +749,17 @@ class TestQueryArguments:
             assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
 
 
-@pytest.mark.parametrize("core_kind", CORE_KINDS)
-def test_the_report_line_is_pinned_to_the_dict_oracles_signature(core_kind):
+def test_the_report_line_is_pinned_to_the_dict_oracles_signature():
     """The reply's bytes are a function of the evidence, not of the engine or
     of how ``report_to_json`` gets at the votes: assembled here from nothing
     but ``report_signature`` and ``summary()`` of a dict-engine report."""
     events = retraced_events()
-    core = make_core(core_kind)
+    core = service_core()
     analyzer = FleetAnalyzer(core, expected_agents=1)
-    feed = CoreFeed(core) if core_kind == "service" else None
+    feed = CoreFeed(core)
     cuts = [0, len(events) - 400, len(events)]
     for view, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
-        if feed is not None:
-            feed.deliver(("chunk", 0, events[lo:hi]))
-        else:
-            core.service.ingest_batch(events[lo:hi])
+        feed.deliver(("chunk", 0, events[lo:hi]))
         oracle = oracle_report(events[:hi])
         signature = list(report_signature(oracle))
         assert len(signature[1]) > 1 and len(signature[2]) > 10
@@ -805,7 +780,6 @@ def test_the_report_line_is_pinned_to_the_dict_oracles_signature(core_kind):
         }
         line = analyzer._answer(b'{"cmd": "report", "epoch": 0}')
         assert line == reply_line({"ok": True, "report": document, "view": view})
-    core.close()
 
 
 class TestReplySize:
