@@ -49,6 +49,15 @@ def service_core(retain_reports=16):
     return ServiceIngestCore(Zero07Service(engine="arrays", retain_reports=retain_reports))
 
 
+def make_core(kind):
+    """The fleet's one core on the default engine, or on the dict oracle."""
+    engine = {"service": "arrays", "dicts": "dicts"}[kind]
+    return ServiceIngestCore(Zero07Service(engine=engine))
+
+
+CORE_KINDS = ["service", "dicts"]
+
+
 # ----------------------------------------------------------------------
 # (a) the core's view
 # ----------------------------------------------------------------------
@@ -232,8 +241,11 @@ def wait_finalized(query_endpoint, epoch, timeout=30.0):
 
 
 # -- (c) the reply line ---------------------------------------------------
-def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(analyzer_thread):
-    thread = analyzer_thread(service_core())
+@pytest.mark.parametrize("core_kind", CORE_KINDS)
+def test_repeated_report_is_byte_equal_and_fresh_after_the_next_chunk(
+    analyzer_thread, core_kind
+):
+    thread = analyzer_thread(make_core(core_kind))
     stats = thread.analyzer.stats
     events = epoch_events(0)
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
@@ -392,8 +404,9 @@ def test_report_epoch_must_be_an_integer_or_null(analyzer_thread, epoch):
     assert thread.analyzer.stats.report_queries == 1  # rejected, and counted
 
 
-def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread):
-    core = service_core()
+@pytest.mark.parametrize("core_kind", CORE_KINDS)
+def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread, core_kind):
+    core = make_core(core_kind)
     thread = analyzer_thread(core)
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
@@ -412,10 +425,11 @@ def test_polling_never_seen_epochs_allocates_nothing(analyzer_thread):
 
 
 # -- epochs_finalized -----------------------------------------------------
-def test_epochs_finalized_counts_what_the_ticks_closed(analyzer_thread):
+@pytest.mark.parametrize("core_kind", CORE_KINDS)
+def test_epochs_finalized_counts_what_the_ticks_closed(analyzer_thread, core_kind):
     """A stream that starts at epoch 5 and skips epoch 6: one epoch after the
     first tick (not 6), three after the second (the gap epoch closes too)."""
-    thread = analyzer_thread(service_core())
+    thread = analyzer_thread(make_core(core_kind))
     client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
     client.connect()
     client.send_run(5, epoch_events(5)[:CHUNK])
@@ -477,8 +491,11 @@ def flow_entry(report, flow):
 
 
 class TestFlowPaging:
-    def test_paged_signature_and_counts_equal_the_oracle(self, analyzer_thread):
-        thread = analyzer_thread(service_core())
+    @pytest.mark.parametrize("core_kind", CORE_KINDS)
+    def test_paged_signature_and_counts_equal_the_oracle(
+        self, analyzer_thread, core_kind
+    ):
+        thread = analyzer_thread(make_core(core_kind))
         events = retraced_events()
         cut = len(events) - 40  # mid-epoch first: some re-traces still to come
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
@@ -534,8 +551,9 @@ class TestFlowPaging:
             assert query.report_signature(0) == json_signature(expected)
         client.close()
 
-    def test_ids_lookup_equals_cause_of_flow(self, analyzer_thread):
-        thread = analyzer_thread(service_core())
+    @pytest.mark.parametrize("core_kind", CORE_KINDS)
+    def test_ids_lookup_equals_cause_of_flow(self, analyzer_thread, core_kind):
+        thread = analyzer_thread(make_core(core_kind))
         events = retraced_events()
         client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
         client.connect()
@@ -749,12 +767,13 @@ class TestQueryArguments:
             assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
 
 
-def test_the_report_line_is_pinned_to_the_dict_oracles_signature():
+@pytest.mark.parametrize("core_kind", CORE_KINDS)
+def test_the_report_line_is_pinned_to_the_dict_oracles_signature(core_kind):
     """The reply's bytes are a function of the evidence, not of the engine or
     of how ``report_to_json`` gets at the votes: assembled here from nothing
     but ``report_signature`` and ``summary()`` of a dict-engine report."""
     events = retraced_events()
-    core = service_core()
+    core = make_core(core_kind)
     analyzer = FleetAnalyzer(core, expected_agents=1)
     feed = CoreFeed(core)
     cuts = [0, len(events) - 400, len(events)]
