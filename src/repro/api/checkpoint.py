@@ -20,16 +20,13 @@ restore adopts the columns — the tally is folded from them and the identity
 columns become the restored service's own.  Path objects are decoded only
 for a service's evidence listing.
 
-:meth:`Checkpoint.save` writes one format, a small **binary container**
-(payload version 2): magic ``R7CK``, a zlib-compressed JSON header carrying
-the configuration, counters and name/link tables, followed by an ``npz``
-blob of the columns, each in the smallest unsigned dtype that holds it
-(widened back to the in-memory dtypes on load).  **JSON documents** (payload
-version 1 and 2: plain dicts/lists/strings/numbers, see
-:mod:`repro.api.events` for the path/link codecs), which earlier versions
-could also write, stay readable: :meth:`Checkpoint.from_json` and
-:meth:`Checkpoint.load` columnize their records once, and
-``repro checkpoint convert`` upgrades such a file to a container.
+:meth:`Checkpoint.save` writes the one checkpoint form, a small **binary
+container** (payload version 2): magic ``R7CK``, a zlib-compressed JSON header
+carrying the configuration, counters and name/link tables, followed by an
+``npz`` blob of the columns, each in the smallest unsigned dtype that holds it
+(widened back to the in-memory dtypes on load).  It is also the only form
+:meth:`Checkpoint.load` reads: JSON checkpoint documents, which earlier
+versions wrote, are retired and refused with a ``ValueError`` that says so.
 
 **Delta checkpoints** carry only the evidence that arrived since a full base
 checkpoint (new records, records whose retransmission counts changed, new
@@ -72,12 +69,10 @@ from repro.core.votes import PathTooLongError, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 
-#: payload schema version written by :meth:`Zero07Service.checkpoint`;
-#: version 2 added delta checkpoints and the binary container.
+#: payload schema version written by :meth:`Zero07Service.checkpoint` and
+#: the only one :meth:`Checkpoint.validate` accepts; version 2 added delta
+#: checkpoints and the binary container.
 CHECKPOINT_VERSION = 2
-
-#: payload versions :meth:`Checkpoint.validate` accepts (v1 stays readable).
-SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
 
 #: magic prefix of the binary container (followed by a container version).
 CHECKPOINT_MAGIC = b"R7CK"
@@ -177,9 +172,9 @@ EpochColumns = Dict[str, np.ndarray]
 class ColumnsBuilder:
     """Assembles a checkpoint's :class:`CheckpointColumns` epoch by epoch.
 
-    Epochs arrive as a live service's columns (capture), as JSON records
-    (``from_json``) or as columns of another checkpoint (delta merge, shard
-    split) and end up under one pair of name/link tables.
+    Epochs arrive as a live service's columns (capture) or as columns of
+    another checkpoint (delta merge, shard split) and end up under one pair
+    of name/link tables.
     """
 
     __slots__ = ("arrays", "names", "links")
@@ -225,41 +220,6 @@ class ColumnsBuilder:
     def build(self) -> CheckpointColumns:
         """The assembled columns (the builder must not be used afterwards)."""
         return CheckpointColumns(self.arrays, self.names.items, self.links.items)
-
-
-def _encode_records(
-    records: List[list], retransmission_seqs: List[int], builder: ColumnsBuilder
-) -> EpochColumns:
-    """Columnize one epoch's JSON ``[[seq, path_dict], ...]`` records.
-
-    Links are interned as the document's ``"src->dst"`` strings.
-    """
-    cols: Dict[str, list] = {name: [] for name in _RECORD_COLUMNS}
-    hops: List[int] = []
-    intern_name = builder.names.intern
-    intern_link = builder.links.intern
-    for seq, pd in records:
-        ft = pd["five_tuple"]
-        link_strs = pd["links"]
-        cols["seq"].append(seq)
-        cols["flow"].append(pd["flow_id"])
-        cols["retr"].append(pd["retransmissions"])
-        cols["comp"].append(1 if pd["complete"] else 0)
-        cols["pep"].append(pd["epoch"])
-        cols["len"].append(len(link_strs))
-        cols["sh"].append(intern_name(pd["src_host"]))
-        cols["dh"].append(intern_name(pd["dst_host"]))
-        cols["sip"].append(intern_name(ft[0]))
-        cols["dip"].append(intern_name(ft[1]))
-        cols["sp"].append(ft[2])
-        cols["dp"].append(ft[3])
-        cols["pr"].append(ft[4])
-        hops.extend(map(intern_link, link_strs))
-    cols["hop"] = hops
-    cols["rs"] = retransmission_seqs
-    return {
-        name: np.asarray(col, dtype=COLUMN_DTYPES[name]) for name, col in cols.items()
-    }
 
 
 def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColumns:
@@ -492,7 +452,10 @@ def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndar
     when its seq is new or its retransmission count was bumped since the
     base (count updates mutate existing records in place).  Records keep
     their arrival order, so the base is normally the live epoch's first rows
-    and a diff of their counts; otherwise records are matched by seq.
+    and a diff of their counts.  Otherwise records are matched by seq: a base
+    taken earlier from this same stream need not be a prefix of the live
+    rows — a replica fed the same epoch in another arrival order holds the
+    same seqs in another order.
     """
     base_seq, base_retr = base["seq"], base["retr"]
     known = len(base_seq)
@@ -543,6 +506,7 @@ def _is_int(value: Any) -> bool:
 
 #: service-payload keys a merged checkpoint takes verbatim from the delta.
 _SERVICE_STATE_KEYS = (
+    "kind",
     "engine",
     "vote_policy",
     "attribute_noise_flows",
@@ -573,10 +537,7 @@ def _merge_payload(
             "delta checkpoint does not match this base (fingerprint mismatch: "
             f"expected {expected}, base is {actual})"
         )
-    merged: Dict[str, Any] = {
-        "version": CHECKPOINT_VERSION,
-        "kind": delta.get("kind", "service"),
-    }
+    merged: Dict[str, Any] = {"version": CHECKPOINT_VERSION}
     for key in _SERVICE_STATE_KEYS:
         merged[key] = delta[key]
     if "num_shards" in delta:  # a sharded fleet's: its coordinator's payload
@@ -697,7 +658,7 @@ class Checkpoint:
     @property
     def kind(self) -> str:
         """``"service"`` or ``"sharded"``."""
-        return self.payload.get("kind", "service")
+        return self.payload.get("kind")
 
     @property
     def version(self) -> int:
@@ -716,13 +677,19 @@ class Checkpoint:
         per-shard format: one service payload per shard (placed by host, or
         later by flow) and no fleet-wide records.  A sharded checkpoint is
         now its coordinator service's payload plus ``num_shards``.  Every
-        stats counter is an integer, and each epoch marker an integer or
-        ``None``.
+        stats counter is an integer, each epoch marker an integer or
+        ``None``, ``retain_reports`` an integer, ``attribute_noise_flows`` a
+        bool and ``blame`` a whole :class:`BlameConfig`.  Each epoch entry
+        names a distinct integer epoch above ``last_finalized`` (finalized
+        epochs are never checkpointed) and at most ``max_epoch_seen``, and
+        maps flows to non-negative pending retransmission counts.  All of it
+        costs O(epochs + pending entries); the records' columns are checked
+        once, where bytes enter (:meth:`from_bytes`).
         """
-        if self.version not in SUPPORTED_CHECKPOINT_VERSIONS:
+        if self.version != CHECKPOINT_VERSION:
             raise ValueError(
-                f"checkpoint version {self.version} not in supported "
-                f"{SUPPORTED_CHECKPOINT_VERSIONS}"
+                f"checkpoint payload version {self.version} is not the "
+                f"supported version {CHECKPOINT_VERSION}"
             )
         if self.kind not in ("service", "sharded"):
             raise ValueError(f"unknown checkpoint kind {self.kind!r}")
@@ -740,6 +707,45 @@ class Checkpoint:
             value = self.payload.get(marker)
             if value is not None and not _is_int(value):
                 raise ValueError(f"checkpoint {marker} is not an epoch: {value!r}")
+        retain = self.payload.get("retain_reports")
+        if not _is_int(retain):
+            raise ValueError(f"checkpoint retain_reports is no integer: {retain!r}")
+        noise = self.payload.get("attribute_noise_flows")
+        if not isinstance(noise, bool):
+            raise ValueError(f"checkpoint attribute_noise_flows is no bool: {noise!r}")
+        try:
+            blame_from_dict(self.payload["blame"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint blame is no blame config: {exc!r}") from None
+        epochs = self.payload.get("epochs")
+        if not isinstance(epochs, list):
+            raise ValueError("checkpoint has no list of epoch entries")
+        last_finalized = self.payload.get("last_finalized")
+        max_seen = self.payload.get("max_epoch_seen")
+        seen = set()
+        for entry in epochs:
+            epoch = entry.get("epoch")
+            if (
+                not _is_int(epoch)
+                or epoch in seen
+                or (last_finalized is not None and epoch <= last_finalized)
+                or max_seen is None
+                or epoch > max_seen
+            ):
+                raise ValueError(
+                    f"checkpoint epoch entry {epoch!r} is not a distinct open "
+                    f"epoch (last_finalized={last_finalized}, "
+                    f"max_epoch_seen={max_seen})"
+                )
+            seen.add(epoch)
+            pending = entry.get("pending_retransmissions")
+            if not isinstance(pending, dict) or not all(
+                _is_int(count) and count >= 0 for count in pending.values()
+            ):
+                raise ValueError(
+                    f"epoch {epoch}: pending_retransmissions is not a map of "
+                    "flows to counts >= 0"
+                )
         return self
 
     def apply_delta(self, delta: "Checkpoint") -> "Checkpoint":
@@ -776,39 +782,6 @@ class Checkpoint:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    @classmethod
-    def from_json(cls, text: str) -> "Checkpoint":
-        """Read a JSON checkpoint document (payload version 1 or 2, full or
-        delta), as written before the container was the only format.
-
-        Each epoch's ``[[seq, path_dict], ...]`` records are columnized once,
-        under the canonical prefix ``e{j}`` of the ``j``-th epoch entry.
-        """
-        document = json.loads(text)
-        builder = ColumnsBuilder()
-        epochs = [
-            builder.add_epoch(
-                f"e{j}",
-                entry["epoch"],
-                _encode_records(
-                    entry["records"], entry["retransmission_seqs"], builder
-                ),
-                entry["pending_retransmissions"],
-            )
-            # no ``epochs``: a retired shape, which ``validate`` names
-            for j, entry in enumerate(document.get("epochs", ()))
-        ]
-        checkpoint = cls(
-            {**document, "epochs": epochs},
-            CheckpointColumns(
-                builder.arrays,
-                builder.names.items,
-                list(map(link_from_str, builder.links.items)),
-            ),
-        ).validate()
-        _validate_columns(checkpoint.payload, checkpoint.columns)
-        return checkpoint
-
     def to_bytes(self) -> bytes:
         """The checkpoint in the compact binary container format.
 
@@ -851,17 +824,16 @@ class Checkpoint:
         Raises ``ValueError`` for anything that is not a well-formed
         container — whatever zlib, zipfile, numpy or json made of the damage.
         """
-        if len(data) < _CONTAINER_HEADER.size or not data.startswith(
-            CHECKPOINT_MAGIC
-        ):
-            raise ValueError("not a binary checkpoint (bad magic)")
-        _, container_version, header_len = _CONTAINER_HEADER.unpack_from(data)
-        if container_version != _CONTAINER_VERSION:
+        if not data.startswith(CHECKPOINT_MAGIC):
             raise ValueError(
-                f"unsupported binary checkpoint container v{container_version}"
+                "not a checkpoint container (no R7CK magic): only containers "
+                "load, JSON checkpoint documents are retired"
             )
-        header_end = _CONTAINER_HEADER.size + header_len
         try:
+            _, container_version, header_len = _CONTAINER_HEADER.unpack_from(data)
+            if container_version != _CONTAINER_VERSION:
+                raise ValueError(f"unsupported container v{container_version}")
+            header_end = _CONTAINER_HEADER.size + header_len
             header = json.loads(
                 zlib.decompress(data[_CONTAINER_HEADER.size : header_end])
             )
@@ -913,9 +885,5 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Checkpoint":
-        """Read a checkpoint file: a container written by :meth:`save`, or a
-        JSON document (:meth:`from_json`)."""
-        data = Path(path).read_bytes()
-        if data.startswith(CHECKPOINT_MAGIC):
-            return cls.from_bytes(data)
-        return cls.from_json(data.decode("utf-8"))
+        """Read a container written by :meth:`save` (:meth:`from_bytes`)."""
+        return cls.from_bytes(Path(path).read_bytes())

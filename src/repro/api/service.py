@@ -1006,7 +1006,7 @@ class Zero07Service:
         The buffered counts are the epoch's as saved, and the consumed update
         seqs join the seen ones as one more run.
         """
-        epoch = int(entry["epoch"])
+        epoch = entry["epoch"]
         cols = epoch_columns(entry, columns)
         seqs, none = cols["seq"], cols["seq"][:0]
         identity = {name: cols[name] for name in IDENTITY_COLUMNS}
@@ -1026,8 +1026,7 @@ class Zero07Service:
         self._seen_epoch(epoch)
         state = self._state(epoch)
         state.pending_retransmissions = {
-            int(flow): int(count)
-            for flow, count in entry["pending_retransmissions"].items()
+            int(flow): count for flow, count in entry["pending_retransmissions"].items()
         }
         retrans_seqs = cols["rs"]
         if len(retrans_seqs):
@@ -1046,10 +1045,9 @@ class Zero07Service:
         The open epochs' tallies are re-folded from the checkpoint's columns,
         so every subsequent :meth:`report` is bit-identical
         to what the checkpointed service would have produced; no record is
-        decoded into a path object.  Works for a checkpoint however it was
-        read (a container, or a v1/v2 JSON document); delta checkpoints must
-        be applied to their base first.  Sinks are not serialized — pass the
-        ones the resumed service should notify.
+        decoded into a path object.  Delta checkpoints must be applied to
+        their base first.  Sinks are not serialized — pass the ones the
+        resumed service should notify.
         """
         checkpoint.validate()
         if checkpoint.is_delta:
@@ -1065,7 +1063,7 @@ class Zero07Service:
             blame_config=blame_from_dict(payload["blame"]),
             vote_policy=payload["vote_policy"],
             engine=payload["engine"],
-            attribute_noise_flows=bool(payload["attribute_noise_flows"]),
+            attribute_noise_flows=payload["attribute_noise_flows"],
             sinks=sinks,
             retain_reports=int(payload["retain_reports"]),
             link_index=link_index,
@@ -1074,16 +1072,9 @@ class Zero07Service:
         link_ids = service._link_index.fast_ids(columns.links)
         for entry in payload["epochs"]:
             service._seed_epoch(entry, columns, link_ids)
-        service._max_epoch_seen = (
-            int(payload["max_epoch_seen"])
-            if payload["max_epoch_seen"] is not None
-            else None
-        )
-        service._last_finalized = (
-            int(payload["last_finalized"])
-            if payload["last_finalized"] is not None
-            else None
-        )
+        # ``validate`` checked the markers: integers or None
+        service._max_epoch_seen = payload["max_epoch_seen"]
+        service._last_finalized = payload["last_finalized"]
         stats = payload.get("stats", {})
         unknown = set(stats) - {spec.name for spec in dataclasses.fields(ServiceStats)}
         if unknown:

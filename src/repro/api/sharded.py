@@ -359,9 +359,8 @@ class ShardedService:
         Restores the coordinator service, then each shard from its flows'
         rows (:func:`split_by_flow`).  ``backend``/``workers`` choose the
         execution strategy of the restored fleet independently of the one
-        that took the checkpoint.  Works for a checkpoint however it was
-        read (a container, or a v1/v2 JSON document); delta checkpoints must
-        be applied to their base first.  A checkpoint of the old shape, with
+        that took the checkpoint.  Delta checkpoints must be applied to
+        their base first.  A checkpoint of the old shape, with
         one payload per shard, is refused with ``ValueError``
         (:meth:`Checkpoint.validate`).
         """
@@ -375,7 +374,7 @@ class ShardedService:
             blame_config=blame_from_dict(payload["blame"]),
             vote_policy=payload["vote_policy"],
             engine=payload["engine"],
-            attribute_noise_flows=bool(payload["attribute_noise_flows"]),
+            attribute_noise_flows=payload["attribute_noise_flows"],
             retain_reports=int(payload["retain_reports"]),
             backend=backend,
             workers=workers,

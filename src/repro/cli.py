@@ -9,8 +9,8 @@ The subcommands cover the common workflows:
   ``--timeline`` script) without running it, ``--config out.json`` runs one.
 * ``experiment`` — regenerate one of the paper's tables/figures by name
   (``fig03``, ``table1``, ``sec83`` ...) and print its rows.
-* ``checkpoint`` — inspect, convert (JSON document -> container) and merge
-  (delta onto base) service checkpoints.
+* ``checkpoint`` — inspect and merge (delta onto base) service checkpoint
+  containers.
 * ``fleet`` — the distributed deployment: ``fleet analyzer`` serves the
   socket ingest front-end, ``fleet agent`` streams one agent's evidence
   slice at it, and ``fleet run`` orchestrates N agents + one analyzer on
@@ -137,22 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     checkpoint = subparsers.add_parser(
         "checkpoint",
-        help="inspect, convert or merge service checkpoints",
+        help="inspect or merge service checkpoints",
     )
     checkpoint_sub = checkpoint.add_subparsers(
         dest="checkpoint_command", required=True
     )
     ckpt_inspect = checkpoint_sub.add_parser(
         "inspect",
-        help="print a checkpoint's format, kind, counters and epoch contents",
+        help="print a checkpoint's kind, counters and epoch contents",
     )
-    ckpt_inspect.add_argument("path", help="checkpoint file (JSON or binary)")
-    ckpt_convert = checkpoint_sub.add_parser(
-        "convert",
-        help="rewrite a checkpoint (e.g. a JSON document) as a binary container",
-    )
-    ckpt_convert.add_argument("src", help="source checkpoint (JSON or binary)")
-    ckpt_convert.add_argument("dst", help="destination path")
+    ckpt_inspect.add_argument("path", help="checkpoint container file")
     ckpt_merge = checkpoint_sub.add_parser(
         "merge",
         help="apply a delta checkpoint onto its full base",
@@ -517,22 +511,16 @@ def _run_experiment_command(args: argparse.Namespace, out) -> int:
 def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
     from pathlib import Path
 
-    from repro.api.checkpoint import (
-        CHECKPOINT_MAGIC,
-        Checkpoint,
-        epoch_columns,
-    )
+    from repro.api.checkpoint import Checkpoint, epoch_columns
 
     try:
         if args.checkpoint_command == "inspect":
-            path = Path(args.path)
-            data = path.read_bytes()
-            fmt = "binary" if data.startswith(CHECKPOINT_MAGIC) else "json"
-            checkpoint = Checkpoint.load(path)
+            data = Path(args.path).read_bytes()
+            checkpoint = Checkpoint.from_bytes(data)
             payload = checkpoint.payload
             delta_text = " (delta)" if checkpoint.is_delta else ""
             print(
-                f"{path}: {fmt} checkpoint, payload v{checkpoint.version}, "
+                f"{args.path}: binary checkpoint, payload v{checkpoint.version}, "
                 f"kind={checkpoint.kind}{delta_text}, {len(data):,} bytes",
                 file=out,
             )
@@ -543,7 +531,7 @@ def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
             )
             if checkpoint.kind == "sharded":
                 print(f"  num_shards={payload['num_shards']}", file=out)
-            epochs = payload.get("epochs", [])
+            epochs = payload["epochs"]
             if not epochs:
                 print(f"  {checkpoint.kind}: no open epochs", file=out)
             for entry in epochs:
@@ -554,12 +542,6 @@ def _run_checkpoint_command(args: argparse.Namespace, out) -> int:
                     f"{updates:,} consumed update seqs",
                     file=out,
                 )
-            return 0
-        if args.checkpoint_command == "convert":
-            checkpoint = Checkpoint.load(args.src)
-            checkpoint.save(args.dst)
-            size = Path(args.dst).stat().st_size
-            print(f"wrote binary checkpoint to {args.dst} ({size:,} bytes)", file=out)
             return 0
         if args.checkpoint_command == "merge":
             base = Checkpoint.load(args.base)

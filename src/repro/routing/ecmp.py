@@ -194,9 +194,9 @@ class EcmpRouter:
     def all_paths(self, src_host: str, dst_host: str) -> List[Path]:
         """Enumerate every ECMP-usable path between two hosts (ignoring failures).
 
-        Used by the analytic vote-adjustment step of Algorithm 1 and by tests;
-        the count is ``n1`` for intra-pod flows and ``n1 * n2 * n1`` for
-        cross-pod flows.
+        A test oracle (``TEST_ORACLES`` in ``tests/test_public_names.py``);
+        nothing in the package calls it.  The count is ``n1`` for intra-pod
+        flows and ``n1 * n2 * n1`` for cross-pod flows.
         """
         topo = self._topology
         src = topo.host(src_host)

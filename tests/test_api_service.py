@@ -34,7 +34,7 @@ from repro.api import (
     evidence_from_dict,
     evidence_to_dict,
 )
-from repro.api.checkpoint import epoch_columns
+from repro.api.checkpoint import CheckpointColumns, epoch_columns
 from repro.api.service import iter_evidence_runs
 from repro.core.aggregate import MultiEpochAggregator
 from repro.core.analysis import AnalysisAgent
@@ -50,9 +50,20 @@ from repro.topology.elements import DirectedLink, LinkLevel
 
 FAST = dict(npod=2, n0=4, n1=2, n2=2, hosts_per_tor=2, connections_per_host=25)
 
-#: R7CK containers written by an earlier commit, and the same states as JSON
-#: documents written by the last commit that wrote JSON (see the README there).
+#: R7CK containers written by an earlier commit (see the README there).
 CHECKPOINT_FIXTURES = pathlib.Path(__file__).parent / "data" / "checkpoints"
+
+
+def repacked_full(edit=None, columns=None):
+    """``full.ckpt`` as container bytes again, after ``edit`` changed a copy of
+    its payload and ``columns`` (if given) replaced its arrays."""
+    good = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
+    payload = json.loads(json.dumps(good.payload))
+    if edit is not None:
+        edit(payload)
+    if columns is not None:
+        columns = CheckpointColumns(columns, good.columns.names, good.columns.links)
+    return Checkpoint(payload, columns or good.columns).to_bytes()
 
 
 def static_config(engine="arrays") -> ScenarioConfig:
@@ -652,29 +663,75 @@ class TestCheckpoint:
         """A checkpoint's stats hold only integer service counters and its
         epoch markers are integers: anything else is a ``ValueError`` at load
         or restore, never a service that breaks later."""
-        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
-        if key == "stats" and isinstance(value, dict):
-            value = {**payload["stats"], **value}
-        payload[key] = value
+
+        def edit(payload):
+            payload[key] = (
+                {**payload["stats"], **value}
+                if key == "stats" and isinstance(value, dict)
+                else value
+            )
+
         with pytest.raises(ValueError):
-            Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
+            Zero07Service.restore(Checkpoint.from_bytes(repacked_full(edit)))
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # the same epoch twice: a restore kept the last entry only
+            (lambda p: p["epochs"][1].update(epoch=1), "distinct open epoch"),
+            # at or below last_finalized: no report could ever be made of it
+            (lambda p: p["epochs"][0].update(epoch=-5), "distinct open epoch"),
+            (lambda p: p["epochs"][0].update(epoch=0), "distinct open epoch"),
+            (lambda p: p["epochs"][0].update(epoch=1.5), "distinct open epoch"),
+            # past the last epoch seen (2): the service's clock runs behind
+            (lambda p: p.update(max_epoch_seen=1), "distinct open epoch"),
+            (lambda p: p.update(max_epoch_seen=None), "distinct open epoch"),
+            (lambda p: p["epochs"][0].update(pending_retransmissions=[]), "pending"),
+            (
+                lambda p: p["epochs"][0].update(pending_retransmissions={"7": -1}),
+                "pending",
+            ),
+            (lambda p: p.update(blame={}), "blame"),
+            (lambda p: p.update(retain_reports=2.5), "retain_reports"),  # int(2.5)
+            # bool("false") is True
+            (lambda p: p.update(attribute_noise_flows="false"), "attribute_noise"),
+            (lambda p: p.update(version=1), "version"),
+        ],
+        ids=[
+            "epoch-twice", "epoch-finalized", "epoch-at-last-finalized",
+            "epoch-fraction", "epoch-past-max-seen", "epoch-without-max-seen",
+            "pending-list", "pending-negative", "blame-empty", "retain-fraction",
+            "noise-string", "version-1",
+        ],
+    )
+    def test_malformed_payloads_are_refused_before_restore(self, edit, match):
+        """Payloads from outside are checked where they enter — per epoch
+        entry and pending count, not per record — so no malformed epoch,
+        pending map or setting reaches a restored service."""
+        with pytest.raises(ValueError, match=match):
+            Zero07Service.restore(Checkpoint.from_bytes(repacked_full(edit)))
 
     def test_a_protocol_past_255_is_refused(self):
-        """A record's five-tuple is checked where the document enters, as a
+        """A record's five-tuple is checked where the container enters, as a
         path object's constructor would: no restore lists a ``FiveTuple``
         that could not exist."""
-        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
-        payload["epochs"][0]["records"][0][1]["five_tuple"][4] = 300
+        good = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
+        arrays = dict(good.columns.arrays)
+        arrays["e0_pr"] = arrays["e0_pr"].copy()
+        arrays["e0_pr"][0] = 300
         with pytest.raises(ValueError, match="'pr' leaves"):
-            Checkpoint.from_json(json.dumps(payload))
+            Checkpoint.from_bytes(repacked_full(columns=arrays))
 
     def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
         """A missing counter restores at its default, the others as saved."""
-        payload = json.loads((CHECKPOINT_FIXTURES / "full.json").read_text())
-        saved = dict(payload["stats"])
+        full = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
+        saved = dict(full.payload["stats"])
         assert saved["out_of_order_events"] > 0
-        del payload["stats"]["out_of_order_events"]
-        restored = Zero07Service.restore(Checkpoint.from_json(json.dumps(payload)))
+
+        def edit(payload):
+            del payload["stats"]["out_of_order_events"]
+
+        restored = Zero07Service.restore(Checkpoint.from_bytes(repacked_full(edit)))
         assert restored.stats.out_of_order_events == 0
         assert restored.stats.as_dict() == {**saved, "out_of_order_events": 0}
         assert restored.checkpoint().payload["stats"] == restored.stats.as_dict()
@@ -692,17 +749,18 @@ class TestCheckpoint:
         delta = fleet.checkpoint(base=base)
 
         def per_shard(name):
-            """A fixture document re-shaped as a per-shard sharded payload."""
-            document = json.loads((CHECKPOINT_FIXTURES / f"{name}.json").read_text())
-            shard = dict(document)
-            del document["epochs"]
-            return dict(document, kind="sharded", shards=[shard, shard])
+            """A fixture container's payload re-shaped as a per-shard sharded
+            one: a service payload per shard, no fleet-wide records."""
+            payload = Checkpoint.load(CHECKPOINT_FIXTURES / f"{name}.ckpt").payload
+            return dict(payload, kind="sharded", shards=[payload] * 2, epochs=[])
 
         match = "retired per-shard format"
         with pytest.raises(ValueError, match=match):
             ShardedService.restore(Checkpoint(per_shard("base"), base.columns))
         with pytest.raises(ValueError, match=match):
-            Checkpoint.from_json(json.dumps(per_shard("base")))
+            Checkpoint.from_bytes(
+                Checkpoint(per_shard("base"), base.columns).to_bytes()
+            )
         with pytest.raises(ValueError, match=match):
             Checkpoint(per_shard("base"), base.columns).apply_delta(delta)
         with pytest.raises(ValueError, match=match):
@@ -772,22 +830,6 @@ class TestBinaryCheckpoint:
         assert report_signature(restored.report(0)) == report_signature(
             service.report(0)
         )
-
-    def test_v1_json_checkpoints_stay_restorable(self):
-        """A payload with version 1 (the pre-binary format) still restores,
-        to the state its container twin restores to."""
-        v1 = Checkpoint.load(CHECKPOINT_FIXTURES / "full.v1.json")
-        assert v1.version == 1
-        restored = Zero07Service.restore(v1)
-        reference = Zero07Service.restore(
-            Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
-        )
-        assert restored.open_epochs == reference.open_epochs
-        for epoch in reference.open_epochs:
-            assert report_signature(restored.report(epoch)) == report_signature(
-                reference.report(epoch)
-            )
-        assert restored.checkpoint() == reference.checkpoint()
 
     def test_save_survives_a_torn_write(self, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous checkpoint intact."""
@@ -947,6 +989,45 @@ class TestDeltaCheckpoint:
         assert base.apply_delta(delta) == service.checkpoint()
         assert base.to_bytes() == before
 
+    def test_a_base_in_another_arrival_order_merges_by_seq(self):
+        """A base taken earlier from this same stream need not be a prefix of
+        the live rows: here a second service got the same epoch in reverse
+        arrival order.  The delta matches records by seq, carrying the bumped
+        and the new ones, and the merge holds the live counts and consumed
+        update seqs."""
+        paths = [
+            PathEvidence(0, 2 * i, make_path(i, L[i % 3 : i % 3 + 3]))
+            for i in range(12)
+        ]
+        live, replica = Zero07Service(), Zero07Service()
+        live.ingest_batch(paths)
+        replica.ingest_batch(paths[::-1])
+        base = replica.checkpoint()
+        live.ingest_batch(
+            [
+                RetransmissionEvidence(
+                    epoch=0, flow_id=i % 4, retransmissions=1, seq=100 + i
+                )
+                for i in range(6)
+            ]
+            + [PathEvidence(0, 200 + i, make_path(50 + i, L[1:4])) for i in range(5)]
+        )
+        delta = live.checkpoint(base=base)
+        (carried,) = delta.payload["epochs"]
+        assert epoch_columns(carried, delta.columns)["seq"].tolist() == [
+            0, 2, 4, 6, 200, 201, 202, 203, 204,
+        ]
+
+        def by_seq(checkpoint):
+            out = {}
+            for entry in checkpoint.payload["epochs"]:
+                cols = epoch_columns(entry, checkpoint.columns)
+                counts = dict(zip(cols["seq"].tolist(), cols["retr"].tolist()))
+                out[entry["epoch"]] = (counts, cols["rs"].tolist())
+            return out
+
+        assert by_seq(base.apply_delta(delta)) == by_seq(live.checkpoint())
+
     def test_equality_compares_the_records_not_their_count(self):
         def capture(flow_id, links=L[:3]):
             service = Zero07Service()
@@ -985,30 +1066,13 @@ class TestContainerCompatibility:
         # and what this code writes is the same document again
         assert Checkpoint.from_bytes(merged.to_bytes()) == full
 
-    def test_json_documents_load_equal_to_their_containers(self):
-        """``tests/data/checkpoints/*.json`` were written by the last commit
-        with a JSON writer: each loads equal to its container (same bytes
-        again), the JSON base and delta merge to the full container, and
-        every JSON full checkpoint restores bit-identically."""
-        def load(name):
-            return Checkpoint.load(CHECKPOINT_FIXTURES / name)
-
-        containers = {name: load(f"{name}.ckpt") for name in ("base", "delta", "full")}
-        for name, container in containers.items():
-            document = load(f"{name}.json")
-            assert document == container
-            assert document.to_bytes() == container.to_bytes()
-        merged = load("base.json").apply_delta(load("delta.json"))
-        assert merged == containers["full"]
-        reference = Zero07Service.restore(containers["full"])
-        for full in (merged, load("full.json"), load("full.v1.json")):
-            restored = Zero07Service.restore(full)
-            assert restored.open_epochs == reference.open_epochs
-            for epoch in reference.open_epochs:
-                assert report_signature(restored.report(epoch)) == report_signature(
-                    reference.report(epoch)
-                )
-            assert restored.checkpoint() == reference.checkpoint()
+    def test_a_json_document_is_refused_as_retired(self, tmp_path):
+        """Only containers load: a JSON checkpoint document, which earlier
+        versions wrote, is one ``ValueError`` naming its retirement."""
+        document = tmp_path / "full.json"
+        document.write_text(json.dumps({"version": 2, "kind": "service", "epochs": []}))
+        with pytest.raises(ValueError, match="JSON checkpoint documents are retired"):
+            Checkpoint.load(document)
 
 
 class TestContainerDamage:

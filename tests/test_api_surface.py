@@ -105,7 +105,6 @@ EXPECTED_SIGNATURES = {
         "(self, num_shards: 'int', service_config: 'Dict[str, Any]', "
         "workers: 'Optional[int]' = None) -> 'None'"
     ),
-    "Checkpoint.from_json": "(text: 'str') -> \"'Checkpoint'\"",
     "Checkpoint.to_bytes": "(self) -> 'bytes'",
     "Checkpoint.from_bytes": "(data: 'bytes') -> \"'Checkpoint'\"",
     "Checkpoint.save": "(self, path: 'Union[str, Path]') -> 'None'",

@@ -14,7 +14,7 @@ from repro.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: the committed checkpoint fixtures: containers and JSON documents.
+#: the committed checkpoint fixtures: containers written by an earlier commit.
 CHECKPOINT_FIXTURES = REPO / "tests" / "data" / "checkpoints"
 
 
@@ -166,7 +166,7 @@ class TestCommands:
 
 
 class TestCheckpointCommand:
-    """``repro-007 checkpoint``: inspect / convert / merge on-disk checkpoints."""
+    """``repro-007 checkpoint``: inspect / merge on-disk checkpoints."""
 
     @pytest.fixture()
     def checkpoints(self, tmp_path):
@@ -203,9 +203,26 @@ class TestCheckpointCommand:
 
         out = io.StringIO()
         assert main(
-            ["checkpoint", "inspect", str(CHECKPOINT_FIXTURES / "full.json")], out=out
+            ["checkpoint", "inspect", str(CHECKPOINT_FIXTURES / "full.ckpt")], out=out
         ) == 0
-        assert "json checkpoint" in out.getvalue()
+        assert "binary checkpoint" in out.getvalue()
+
+    def test_json_documents_are_refused_and_convert_is_gone(
+        self, checkpoints, capsys
+    ):
+        """JSON checkpoint documents are retired: ``inspect`` and ``merge``
+        exit 2 naming the retirement, and there is no ``convert`` to upgrade
+        one."""
+        document = checkpoints / "x.json"
+        document.write_text('{"version": 2, "kind": "service", "epochs": []}')
+        assert main(["checkpoint", "inspect", str(document)], out=io.StringIO()) == 2
+        assert "JSON checkpoint documents are retired" in capsys.readouterr().err
+        merge = [str(document), str(checkpoints / "delta.bin"), str(checkpoints / "m")]
+        assert main(["checkpoint", "merge", *merge], out=io.StringIO()) == 2
+        assert "JSON checkpoint documents are retired" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["checkpoint", "convert", str(document), str(checkpoints / "c")])
+        assert exit_info.value.code == 2
 
     def test_inspect_prints_the_shard_count_and_epochs_of_a_fleet(self, tmp_path):
         from repro.api import ShardedService
@@ -222,26 +239,6 @@ class TestCheckpointCommand:
         assert "kind=sharded" in text and "num_shards=3" in text
         (entry,) = checkpoint.payload["epochs"]
         assert f"sharded: epoch 0: {entry['records']['count']:,} path records" in text
-
-    def test_convert_upgrades_a_json_document_to_a_container(self, tmp_path):
-        from repro.api import Checkpoint
-
-        out = io.StringIO()
-        converted = tmp_path / "base.bin"
-        assert main(
-            [
-                "checkpoint", "convert",
-                str(CHECKPOINT_FIXTURES / "base.json"),
-                str(converted),
-            ],
-            out=out,
-        ) == 0
-        assert f"wrote binary checkpoint to {converted}" in out.getvalue()
-        container = Checkpoint.load(CHECKPOINT_FIXTURES / "base.ckpt")
-        assert converted.read_bytes() == container.to_bytes()
-        assert Checkpoint.load(converted) == Checkpoint.load(
-            CHECKPOINT_FIXTURES / "base.json"
-        )
 
     def test_merge_reproduces_the_full_checkpoint(self, checkpoints):
         from repro.api import Checkpoint
@@ -260,19 +257,13 @@ class TestCheckpointCommand:
         full = Checkpoint.load(checkpoints / "full.bin")
         assert merged == full
 
-    def _inspect_convert_merge(self, out_dir, base, delta, full):
-        """Drive all three subcommands on the ``base``/``delta`` files, writing
-        into ``out_dir``; the merge must reproduce ``full`` and the inspection
-        must count its records."""
+    def _merge_inspect(self, out_dir, base, delta, full):
+        """Merge the ``base``/``delta`` files into ``out_dir`` and inspect the
+        result; the merge must reproduce ``full`` and the inspection must
+        count its records."""
         from repro.api import Checkpoint
         from repro.api.checkpoint import epoch_columns
 
-        converted = out_dir / "converted.bin"
-        assert main(
-            ["checkpoint", "convert", str(base), str(converted)],
-            out=io.StringIO(),
-        ) == 0
-        assert Checkpoint.load(converted) == Checkpoint.load(base)
         merged = out_dir / "merged.out"
         assert main(
             ["checkpoint", "merge", str(base), str(delta), str(merged)],
@@ -290,31 +281,31 @@ class TestCheckpointCommand:
 
     def test_commands_on_containers_of_live_captures(self, checkpoints):
         """Columns written exactly as ``checkpoint()`` captured them (tables
-        in capture order, a delta's own prefixes) — never through JSON."""
+        in capture order, a delta's own prefixes)."""
         from repro.api import Checkpoint
 
-        self._inspect_convert_merge(
+        self._merge_inspect(
             checkpoints, checkpoints / "base.bin", checkpoints / "delta.bin",
             Checkpoint.load(checkpoints / "full.bin"),
         )
 
-    def test_commands_on_json_documents(self, tmp_path):
+    def test_commands_on_containers_of_an_earlier_commit(self, tmp_path):
         from repro.api import Checkpoint
 
-        self._inspect_convert_merge(
+        self._merge_inspect(
             tmp_path,
-            CHECKPOINT_FIXTURES / "base.json",
-            CHECKPOINT_FIXTURES / "delta.json",
+            CHECKPOINT_FIXTURES / "base.ckpt",
+            CHECKPOINT_FIXTURES / "delta.ckpt",
             Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt"),
         )
 
     def test_merge_rejects_a_mismatched_base(self, checkpoints, capsys):
-        # full.json is not the base the delta was taken against — the
+        # full.ckpt is not the base the delta was taken against — the
         # fingerprint check must fail loudly instead of merging garbage.
         assert main(
             [
                 "checkpoint", "merge",
-                str(CHECKPOINT_FIXTURES / "full.json"),
+                str(CHECKPOINT_FIXTURES / "full.ckpt"),
                 str(checkpoints / "delta.bin"),
                 str(checkpoints / "bad.bin"),
             ],
