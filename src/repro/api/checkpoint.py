@@ -30,9 +30,10 @@ versions wrote, are retired and refused with a ``ValueError`` that says so.
 
 **Delta checkpoints** carry only the evidence that arrived since a full base
 checkpoint (new records, records whose retransmission counts changed, new
-consumed update seqs) plus the current counters.  The capture takes the
-base's records as a prefix of the live epoch's when they are, and matches
-records by seq otherwise.  :meth:`Checkpoint.apply_delta` merges a delta onto
+consumed update seqs) plus the current counters.  Records keep their
+arrival order, so a base's records are a prefix of the live epoch's and the
+capture diffs only that prefix's counts; a base from another service is
+refused.  :meth:`Checkpoint.apply_delta` merges a delta onto
 its base — verified by a structural fingerprint — yielding a full checkpoint
 again: a base record the delta carries gets the delta's count in place, and
 the delta's new records follow the base's in the delta's order.
@@ -55,6 +56,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Optional,
     Sequence,
     Tuple,
     Union,
@@ -394,9 +396,10 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
         ordered = np.sort(seq)
         if not bool((ordered[1:] > ordered[:-1]).all()):
             raise ValueError(f"{where}: record seqs are not unique")
-        for name in ("seq", "rs"):  # kept only for events with a seq
+        # seqs are kept only for events with one; ingest refuses counts < 0
+        for name in ("seq", "rs", "retr"):
             if len(cols[name]) and int(cols[name].min()) < 0:
-                raise ValueError(f"{where}: column {name!r} holds a negative seq")
+                raise ValueError(f"{where}: column {name!r} holds a value < 0")
         for name, size in bounds.items():
             col = cols[name]
             if len(col) and not 0 <= int(col.min()) <= int(col.max()) < size:
@@ -449,21 +452,21 @@ def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndar
     """Indices of the live records a delta against ``base`` has to carry.
 
     ``seq`` and ``retr`` are the live epoch's columns; a record is carried
-    when its seq is new or its retransmission count was bumped since the
-    base (count updates mutate existing records in place).  Records keep
-    their arrival order, so the base is normally the live epoch's first rows
-    and a diff of their counts.  Otherwise records are matched by seq: a base
-    taken earlier from this same stream need not be a prefix of the live
-    rows — a replica fed the same epoch in another arrival order holds the
-    same seqs in another order.
+    when it is new or its retransmission count was bumped since the base
+    (count updates mutate existing records in place).  Records keep their
+    arrival order, also through a restore or a merge, so a base taken
+    earlier from this same service holds the live epoch's first rows; any
+    other base raises ``ValueError``.
     """
-    base_seq, base_retr = base["seq"], base["retr"]
+    base_seq = base["seq"]
     known = len(base_seq)
-    if known <= len(seq) and np.array_equal(seq[:known], base_seq):
-        bumped = np.flatnonzero(retr[:known] != base_retr)
-        return np.concatenate((bumped, np.arange(known, len(seq))))
-    found, at = _matches(seq, base_seq)
-    return np.flatnonzero(~found | (base_retr[at] != retr))
+    if known > len(seq) or not np.array_equal(seq[:known], base_seq):
+        raise ValueError(
+            "the base's records are not a prefix of this service's: a base "
+            "must be a full checkpoint taken earlier from this same service"
+        )
+    bumped = np.flatnonzero(retr[:known] != base["retr"])
+    return np.concatenate((bumped, np.arange(known, len(seq))))
 
 
 def take_rows(cols: EpochColumns, rows: np.ndarray) -> EpochColumns:
@@ -656,8 +659,9 @@ class Checkpoint:
         )
 
     @property
-    def kind(self) -> str:
-        """``"service"`` or ``"sharded"``."""
+    def kind(self) -> Optional[str]:
+        """``"service"`` or ``"sharded"``; ``None`` when the payload names no
+        kind, which :meth:`validate` refuses."""
         return self.payload.get("kind")
 
     @property
@@ -676,15 +680,12 @@ class Checkpoint:
         A sharded payload that still holds a ``shards`` list is of the
         per-shard format: one service payload per shard (placed by host, or
         later by flow) and no fleet-wide records.  A sharded checkpoint is
-        now its coordinator service's payload plus ``num_shards``.  Every
-        stats counter is an integer, each epoch marker an integer or
-        ``None``, ``retain_reports`` an integer, ``attribute_noise_flows`` a
-        bool and ``blame`` a whole :class:`BlameConfig`.  Each epoch entry
-        names a distinct integer epoch above ``last_finalized`` (finalized
-        epochs are never checkpointed) and at most ``max_epoch_seen``, and
-        maps flows to non-negative pending retransmission counts.  All of it
-        costs O(epochs + pending entries); the records' columns are checked
-        once, where bytes enter (:meth:`from_bytes`).
+        now its coordinator service's payload plus ``num_shards``.  The
+        settings and counters must have their types, and each epoch entry
+        an integer epoch of its own in ``(last_finalized, max_epoch_seen]``,
+        columns of its own and pending counts ``>= 0``: O(epochs + pending
+        entries).  The records' columns are checked once, where bytes enter
+        (:meth:`from_bytes`).
         """
         if self.version != CHECKPOINT_VERSION:
             raise ValueError(
@@ -722,7 +723,7 @@ class Checkpoint:
             raise ValueError("checkpoint has no list of epoch entries")
         last_finalized = self.payload.get("last_finalized")
         max_seen = self.payload.get("max_epoch_seen")
-        seen = set()
+        seen, prefixes = set(), set()
         for entry in epochs:
             epoch = entry.get("epoch")
             if (
@@ -738,6 +739,13 @@ class Checkpoint:
                     f"max_epoch_seen={max_seen})"
                 )
             seen.add(epoch)
+            prefix = entry["records"]["__columns__"]
+            if prefix in prefixes:
+                raise ValueError(
+                    f"epoch {epoch}: its records are another epoch's "
+                    f"(columns {prefix!r})"
+                )
+            prefixes.add(prefix)
             pending = entry.get("pending_retransmissions")
             if not isinstance(pending, dict) or not all(
                 _is_int(count) and count >= 0 for count in pending.values()

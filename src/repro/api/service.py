@@ -202,7 +202,7 @@ def _capture(event: Evidence) -> tuple:
 
     Raises like every ingest path: ``TypeError`` on a foreign kind,
     ``ValueError`` / ``PathTooLongError`` on a path that cannot vote or has
-    no seq ``>= 0``.
+    no seq ``>= 0`` or a retransmission count below 0.
     """
     if isinstance(event, PathEvidence):
         path = event.path
@@ -210,10 +210,14 @@ def _capture(event: Evidence) -> tuple:
         check_hop_counts(len(links), len(links))
         if event.seq is None or event.seq < 0:
             raise ValueError(f"a path's seq must be an integer >= 0: {event.seq!r}")
-        return event.seq, path.flow_id, path.retransmissions, links, path
-    if isinstance(event, RetransmissionEvidence):
-        return event.seq, event.flow_id, event.retransmissions, None, None
-    raise TypeError(f"not an evidence event: {event!r}")
+        row = event.seq, path.flow_id, path.retransmissions, links, path
+    elif isinstance(event, RetransmissionEvidence):
+        row = event.seq, event.flow_id, event.retransmissions, None, None
+    else:
+        raise TypeError(f"not an evidence event: {event!r}")
+    if row[2] < 0:
+        raise ValueError(f"a retransmission count must be >= 0: {row[2]!r}")
+    return row
 
 
 def _pending_columns(run: List[tuple]) -> Tuple[RunColumns, List[tuple]]:
@@ -685,7 +689,8 @@ class Zero07Service:
 
         ``hops`` are the paths' hops back to back as link-index ids, or each
         path's links, interned only once the run is checked: a path that
-        cannot vote or has no seq ``>= 0`` raises before any state changes.
+        cannot vote or has no seq ``>= 0``, or a retransmission count below 0
+        (which no checkpoint could restore), raises before any state changes.
 
         Then the events the epoch saw before and the repeats inside the run
         are dropped with one mask (:meth:`~repro.api.wire.SeqRuns.duplicates`;
@@ -698,6 +703,9 @@ class Zero07Service:
             check_hop_counts(int(cols.lengths.min()), int(cols.lengths.max()))
             if int(path_seqs.min()) < 0:
                 raise ValueError("a path's seq must be an integer >= 0")
+        for counts in (cols.counts, cols.upd_counts):
+            if len(counts) and int(counts.min()) < 0:
+                raise ValueError("a retransmission count must be >= 0")
         if not isinstance(hops, np.ndarray):  # each path's links
             hops = self._link_index.hop_ids(hops, int(cols.lengths.sum()))
         self._seen_epoch(epoch)
@@ -1055,9 +1063,8 @@ class Zero07Service:
                 "cannot restore a delta checkpoint directly; merge it onto "
                 "its full base first with base.apply_delta(delta)"
             )
-        kind = checkpoint.payload.get("kind")
-        if kind != "service":
-            raise ValueError(f"not a service checkpoint: kind={kind!r}")
+        if checkpoint.kind != "service":
+            raise ValueError(f"not a service checkpoint: kind={checkpoint.kind!r}")
         payload, columns = checkpoint.payload, checkpoint.columns
         service = cls(
             blame_config=blame_from_dict(payload["blame"]),
@@ -1065,7 +1072,7 @@ class Zero07Service:
             engine=payload["engine"],
             attribute_noise_flows=payload["attribute_noise_flows"],
             sinks=sinks,
-            retain_reports=int(payload["retain_reports"]),
+            retain_reports=payload["retain_reports"],
             link_index=link_index,
         )
         service._names = ItemIndex(columns.names)

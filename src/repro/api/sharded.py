@@ -375,7 +375,7 @@ class ShardedService:
             vote_policy=payload["vote_policy"],
             engine=payload["engine"],
             attribute_noise_flows=payload["attribute_noise_flows"],
-            retain_reports=int(payload["retain_reports"]),
+            retain_reports=payload["retain_reports"],
             backend=backend,
             workers=workers,
         )

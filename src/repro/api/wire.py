@@ -359,8 +359,8 @@ class WireDecoder:
 
         Checks the whole message before the stream's tables grow: the
         header's counts against the exact length, the event kinds, the path
-        lengths (``PathTooLongError`` past 8 hops), the paths' seqs (each
-        ``>= 0``), ports and protocols (a
+        lengths (``PathTooLongError`` past 8 hops), the paths' seqs and all
+        retransmission counts (each ``>= 0``), ports and protocols (a
         :class:`~repro.routing.fivetuple.FiveTuple`'s ranges), the
         table-delta ranges and every link and name id — any damage raises
         :class:`WireProtocolError`.  Then folds the message's
@@ -461,6 +461,10 @@ class WireDecoder:
             raise WireProtocolError(f"path lengths do not sum to {total_hops} hops")
         if n_paths and int(run._path_seqs().min()) < 0:
             raise WireProtocolError("a path without a sequence number")
+        if (n_paths and int(run.retrans.min()) < 0) or (
+            n_updates and int(run.upd_counts.min()) < 0
+        ):
+            raise WireProtocolError("a retransmission count below 0")
         # negative values wrap past every bound
         if (five_tuple.view(np.uint32).reshape(3, n_paths) > _FIVE_TUPLE_MAX).any():
             raise WireProtocolError("a port or protocol out of range")

@@ -366,11 +366,14 @@ class TestCanonicalContainer:
         assert [p.flow_id for _, p in restored.evidence_for_epoch(0)] == [1, big]
 
     def test_a_negative_value_is_never_wrapped(self):
+        """A column with a value below 0 keeps its signed dtype: here a flow
+        id, since ingest refuses retransmission counts below 0."""
         service = Zero07Service()
-        service.ingest(PathEvidence(0, 0, make_path(1)))
-        service.ingest(bumps([1], 1, count=-3)[0])
+        service.ingest(PathEvidence(0, 0, make_path(-5)))
         loaded = Checkpoint.from_bytes(service.checkpoint().to_bytes())
-        assert loaded.columns.arrays["e0_retr"].tolist() == [-2]
+        assert loaded.columns.arrays["e0_flow"].tolist() == [-5]
+        restored = Zero07Service.restore(loaded)
+        assert [p.flow_id for _, p in restored.evidence_for_epoch(0)] == [-5]
 
     def test_the_bytes_depend_on_the_ingest_history_alone(self):
         """Same deliveries, different lives: queries, checkpoints and

@@ -342,6 +342,35 @@ class TestEvidenceSemantics:
         assert raised.value.hops == 9
         assert service.checkpoint().to_bytes() == before
 
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    @pytest.mark.parametrize("entry", ["ingest_batch", "ingest"])
+    def test_a_count_below_zero_is_rejected_before_any_state_changes(
+        self, engine, entry
+    ):
+        """A retransmission count below 0, on a path or on an update that
+        arrives before its path, is refused where evidence enters: every
+        state ingest accepts round-trips through a container."""
+        service = Zero07Service(engine=engine)
+        service.ingest_batch(
+            [PathEvidence(0, seq, make_path(seq, L[:2])) for seq in range(3)]
+        )
+        before = service.checkpoint().to_bytes()
+        for bad in (
+            PathEvidence(0, 3, make_path(3, L[:2], retransmissions=-1)),
+            RetransmissionEvidence(0, flow_id=9, retransmissions=-2, seq=4),
+        ):
+            with pytest.raises(ValueError, match="count must be >= 0"):
+                if entry == "ingest_batch":
+                    service.ingest_batch(
+                        [PathEvidence(0, 5, make_path(5, L[1:3])), bad]
+                    )
+                else:
+                    service.ingest(bad)
+            assert service.checkpoint().to_bytes() == before
+        service.ingest(RetransmissionEvidence(0, flow_id=9, retransmissions=0, seq=4))
+        restored = Checkpoint.from_bytes(service.checkpoint().to_bytes())
+        assert restored == service.checkpoint()
+
     def test_retransmission_seq_dedup_survives_checkpoint(self):
         service = Zero07Service()
         service.ingest(PathEvidence(epoch=0, seq=0, path=make_path(1, L[:2])))
@@ -691,6 +720,11 @@ class TestCheckpoint:
                 lambda p: p["epochs"][0].update(pending_retransmissions={"7": -1}),
                 "pending",
             ),
+            # epoch 2 named epoch 1's columns: it restored with their records
+            (
+                lambda p: p["epochs"][1].update(records=p["epochs"][0]["records"]),
+                "another epoch's",
+            ),
             (lambda p: p.update(blame={}), "blame"),
             (lambda p: p.update(retain_reports=2.5), "retain_reports"),  # int(2.5)
             # bool("false") is True
@@ -700,8 +734,8 @@ class TestCheckpoint:
         ids=[
             "epoch-twice", "epoch-finalized", "epoch-at-last-finalized",
             "epoch-fraction", "epoch-past-max-seen", "epoch-without-max-seen",
-            "pending-list", "pending-negative", "blame-empty", "retain-fraction",
-            "noise-string", "version-1",
+            "pending-list", "pending-negative", "records-shared", "blame-empty",
+            "retain-fraction", "noise-string", "version-1",
         ],
     )
     def test_malformed_payloads_are_refused_before_restore(self, edit, match):
@@ -989,44 +1023,19 @@ class TestDeltaCheckpoint:
         assert base.apply_delta(delta) == service.checkpoint()
         assert base.to_bytes() == before
 
-    def test_a_base_in_another_arrival_order_merges_by_seq(self):
-        """A base taken earlier from this same stream need not be a prefix of
-        the live rows: here a second service got the same epoch in reverse
-        arrival order.  The delta matches records by seq, carrying the bumped
-        and the new ones, and the merge holds the live counts and consumed
-        update seqs."""
+    def test_a_base_from_another_service_is_refused(self):
+        """Records keep their arrival order, so a base taken from this same
+        service is a prefix of its rows; a base from a service fed the same
+        epoch in another order is not, and the capture refuses it rather
+        than guess how the two streams line up."""
         paths = [
-            PathEvidence(0, 2 * i, make_path(i, L[i % 3 : i % 3 + 3]))
-            for i in range(12)
+            PathEvidence(0, i, make_path(i, L[i % 3 : i % 3 + 3])) for i in range(6)
         ]
         live, replica = Zero07Service(), Zero07Service()
         live.ingest_batch(paths)
         replica.ingest_batch(paths[::-1])
-        base = replica.checkpoint()
-        live.ingest_batch(
-            [
-                RetransmissionEvidence(
-                    epoch=0, flow_id=i % 4, retransmissions=1, seq=100 + i
-                )
-                for i in range(6)
-            ]
-            + [PathEvidence(0, 200 + i, make_path(50 + i, L[1:4])) for i in range(5)]
-        )
-        delta = live.checkpoint(base=base)
-        (carried,) = delta.payload["epochs"]
-        assert epoch_columns(carried, delta.columns)["seq"].tolist() == [
-            0, 2, 4, 6, 200, 201, 202, 203, 204,
-        ]
-
-        def by_seq(checkpoint):
-            out = {}
-            for entry in checkpoint.payload["epochs"]:
-                cols = epoch_columns(entry, checkpoint.columns)
-                counts = dict(zip(cols["seq"].tolist(), cols["retr"].tolist()))
-                out[entry["epoch"]] = (counts, cols["rs"].tolist())
-            return out
-
-        assert by_seq(base.apply_delta(delta)) == by_seq(live.checkpoint())
+        with pytest.raises(ValueError, match="not a prefix"):
+            live.checkpoint(base=replica.checkpoint())
 
     def test_equality_compares_the_records_not_their_count(self):
         def capture(flow_id, links=L[:3]):

@@ -201,10 +201,12 @@ def _with_value(message, column, index, change, fmt="<i"):
     starts = {
         "kinds": kinds,
         "seqs": kinds + header["n_events"],
+        "retrans": kinds + 9 * header["n_events"] + 8 * header["n_paths"],
         "lengths": lengths,
         "lids": lids,
         "names": lids + 4 * header["total_hops"],
         "ports": lids + 4 * header["total_hops"] + 16 * header["n_paths"],
+        "upd_counts": len(message) - 8 * (header["n_events"] - header["n_paths"]),
     }
     size = struct.calcsize(fmt)
     at = starts[column] + size * index
@@ -229,6 +231,12 @@ DAMAGE = {
     "a trailing byte": lambda m: m + b"\x00",
     "a missing byte": lambda m: m[:-1],
     "a path seq below 0": lambda m: _with_value(m, "seqs", 0, lambda v: -1, "<q"),
+    "a path's count below 0": lambda m: _with_value(
+        m, "retrans", 0, lambda v: -1, "<q"
+    ),
+    "an update's count below 0": lambda m: _with_value(
+        m, "upd_counts", 0, lambda v: -1, "<q"
+    ),
     "a kind outside 0/1": lambda m: _with_value(m, "kinds", 0, lambda v: 2, "<B"),
     "kinds off the path count": lambda m: _with_value(
         m, "kinds", 0, lambda v: 1 - v, "<B"
