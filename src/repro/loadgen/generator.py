@@ -16,10 +16,14 @@ are resolved against the fabric at construction time into *bad-link windows*,
 so evidence shifts onto the scripted victims during exactly the epochs the
 script says — the same event vocabulary the netsim scenario engine compiles.
 
-Paths are assembled from pre-interned :class:`DirectedLink` objects (one
-object per fabric link, shared by every event), which keeps generation fast
-and a stream's memory small; the engines intern by value, so sharing is no
-speed requirement on a source.
+An epoch is generated as arrays: every flow is a row of integer columns
+``(src, dst, up-T1, T2, down-T1)`` — a flow forced through a bad link is a
+normal flow whose spec pins some of them — its 2/4/6-hop path is gathered
+from a link-id table built once per fabric, and the event objects are built
+once, for the requested slice of the epoch only.  Paths share one
+:class:`DirectedLink` object per fabric direction, which keeps a stream's
+memory small; the engines intern by value, so sharing is no speed
+requirement on a source.
 Every stream is reproducible: the generator draws all randomness from
 ``numpy`` generators keyed on ``(seed, epoch)``, so epoch ``k`` of a given
 generator configuration is identical no matter which epochs were generated
@@ -28,6 +32,8 @@ before it, from which process, in which order.
 
 from __future__ import annotations
 
+import gc
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -53,19 +59,30 @@ class _BadLinkSpec:
     """A resolved bad directed link plus everything needed to route through it.
 
     ``kind`` encodes the link's position in the Clos hierarchy (and its
-    direction); ``src_candidates``/``dst_candidates`` are host-index arrays a
-    flow through the link may start/end at; ``nodes`` carries the fixed
-    switch names of the forced hops.
+    direction); ``src_candidates``/``dst_candidates`` are host-id arrays a
+    flow through the link may start/end at (one host for a host link);
+    ``pins`` are the switch ids the link forces into a flow's
+    ``(up-T1, T2, down-T1)`` columns, -1 where the flow's own draw stands.
     """
 
-    __slots__ = ("kind", "link", "src_candidates", "dst_candidates", "nodes")
+    __slots__ = ("kind", "link", "src_candidates", "dst_candidates", "pins")
 
-    def __init__(self, kind, link, src_candidates, dst_candidates, nodes):
+    def __init__(self, kind, link, src_candidates, dst_candidates, pins=(-1, -1, -1)):
         self.kind = kind
         self.link = link
         self.src_candidates = src_candidates
         self.dst_candidates = dst_candidates
-        self.nodes = nodes
+        self.pins = pins
+
+
+def _candidate(
+    specs: List[_BadLinkSpec], field: str, pick: np.ndarray, draw: np.ndarray
+) -> np.ndarray:
+    """Host ``draw % len`` of each picked spec's ``field`` candidates."""
+    arrays = [getattr(spec, field) for spec in specs]
+    sizes = np.array([len(a) for a in arrays], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    return np.concatenate(arrays)[starts[pick] + draw % sizes[pick]]
 
 
 class EvidenceLoadGenerator:
@@ -108,6 +125,8 @@ class EvidenceLoadGenerator:
         self._events_per_epoch = int(events_per_epoch)
         self._topology = ClosTopology(self._params)
         self._index_fabric()
+        #: events an epoch emits (none without two hosts to talk)
+        self._epoch_len = self._events_per_epoch if len(self._hosts) >= 2 else 0
         rng = np.random.default_rng([self._seed, 0xFAB])
         self._static_specs = self._resolve_static_bad_links(rng)
         self._windows = self._resolve_script(script, rng)
@@ -119,32 +138,55 @@ class EvidenceLoadGenerator:
     # fabric indexing
     # ------------------------------------------------------------------
     def _index_fabric(self) -> None:
+        """Integer tables of the fabric: hosts and switches become ids, and
+        every directed link an id into ``_link_objs`` (the shared objects)."""
         topo = self._topology
         self._hosts: List[str] = sorted(topo.hosts)
         self._host_ids: Dict[str, int] = {h: i for i, h in enumerate(self._hosts)}
-        self._host_tor: List[str] = [topo.host(h).tor for h in self._hosts]
-        self._host_pod: List[int] = [topo.host(h).pod for h in self._hosts]
+        self._host_names = np.empty(len(self._hosts), dtype=object)
+        self._host_names[:] = self._hosts
+        switch_ids = {name: i for i, name in enumerate(sorted(topo.switches))}
+        self._switch_ids = switch_ids
+        tors = [topo.host(h).tor for h in self._hosts]
+        self._host_tor = np.array([switch_ids[t] for t in tors], dtype=np.int64)
+        self._host_pod = np.array(
+            [topo.host(h).pod for h in self._hosts], dtype=np.int64
+        )
         npod = self._params.npod
-        self._pod_t1: List[List[str]] = [
-            [s.name for s in topo.tier1s(pod)] for pod in range(npod)
-        ]
-        self._t2: List[str] = [s.name for s in topo.tier2s()]
-        self._hosts_by_tor: Dict[str, np.ndarray] = {}
-        self._hosts_by_pod: List[np.ndarray] = [np.empty(0, np.int64)] * npod
+        #: ``[pod, j]`` -> the pod's j-th T1 (every pod has ``n1``).
+        self._pod_t1 = np.array(
+            [[switch_ids[s.name] for s in topo.tier1s(pod)] for pod in range(npod)],
+            dtype=np.int64,
+        )
+        self._t2 = np.array(
+            [switch_ids[s.name] for s in topo.tier2s()], dtype=np.int64
+        )
         by_tor: Dict[str, List[int]] = {}
-        by_pod: List[List[int]] = [[] for _ in range(npod)]
-        for i, h in enumerate(self._hosts):
-            by_tor.setdefault(self._host_tor[i], []).append(i)
-            by_pod[self._host_pod[i]].append(i)
-        for tor, ids in by_tor.items():
-            self._hosts_by_tor[tor] = np.asarray(ids, dtype=np.int64)
-        for pod, ids in enumerate(by_pod):
-            self._hosts_by_pod[pod] = np.asarray(ids, dtype=np.int64)
+        for i, tor in enumerate(tors):
+            by_tor.setdefault(tor, []).append(i)
+        self._hosts_by_tor: Dict[str, np.ndarray] = {
+            tor: np.asarray(ids, dtype=np.int64) for tor, ids in by_tor.items()
+        }
+        self._hosts_by_pod: List[np.ndarray] = [
+            np.flatnonzero(self._host_pod == pod) for pod in range(npod)
+        ]
         #: one shared DirectedLink object per fabric direction — paths reuse
         #: them, so a stream holds one object per link however many events.
         self._links: Dict[Tuple[str, str], DirectedLink] = {
             (link.src, link.dst): link for link in topo.directed_links()
         }
+        self._link_objs = np.empty(len(self._links), dtype=object)
+        self._up_link = np.zeros(len(self._hosts), dtype=np.int64)
+        self._down_link = np.zeros(len(self._hosts), dtype=np.int64)
+        self._switch_link = np.full((len(switch_ids),) * 2, -1, dtype=np.int64)
+        for lid, link in enumerate(self._links.values()):
+            self._link_objs[lid] = link
+            if link.src in self._host_ids:
+                self._up_link[self._host_ids[link.src]] = lid
+            elif link.dst in self._host_ids:
+                self._down_link[self._host_ids[link.dst]] = lid
+            else:
+                self._switch_link[switch_ids[link.src], switch_ids[link.dst]] = lid
 
     @property
     def params(self) -> ClosParameters:
@@ -188,46 +230,42 @@ class EvidenceLoadGenerator:
         topo = self._topology
         all_hosts = np.arange(len(self._hosts), dtype=np.int64)
         if topo.is_host(link.src):  # host -> ToR (up)
-            src_fixed = self._host_ids[link.src]
-            dst = all_hosts[all_hosts != src_fixed]
-            if not len(dst):
+            fixed = all_hosts == self._host_ids[link.src]
+            if fixed.all():
                 return None
-            return _BadLinkSpec("host_up", link, None, dst, (src_fixed,))
+            return _BadLinkSpec("host_up", link, all_hosts[fixed], all_hosts[~fixed])
         if topo.is_host(link.dst):  # ToR -> host (down)
-            dst_fixed = self._host_ids[link.dst]
-            src = all_hosts[all_hosts != dst_fixed]
-            if not len(src):
+            fixed = all_hosts == self._host_ids[link.dst]
+            if fixed.all():
                 return None
-            return _BadLinkSpec("host_down", link, src, None, (dst_fixed,))
+            return _BadLinkSpec("host_down", link, all_hosts[~fixed], all_hosts[fixed])
 
+        ids = self._switch_ids
         src_switch = topo.switch(link.src)
-        dst_switch = topo.switch(link.dst)
-        tiers = (src_switch.tier, dst_switch.tier)
         level = topo.link_level(link)
         if level == LinkLevel.LEVEL1:
-            tor, t1 = (
-                (link.src, link.dst) if tiers[0] == 0 else (link.dst, link.src)
-            )
+            up = src_switch.tier == 0
+            tor, t1 = (link.src, link.dst) if up else (link.dst, link.src)
             under = self._hosts_by_tor.get(tor, np.empty(0, np.int64))
             outside = np.setdiff1d(all_hosts, under, assume_unique=True)
             if not len(under) or not len(outside):
                 return None
-            pod = topo.switch(tor).pod
-            if tiers[0] == 0:  # ToR -> T1: flows *from* hosts under the ToR
-                return _BadLinkSpec("l1_up", link, under, outside, (tor, t1, pod))
-            return _BadLinkSpec("l1_down", link, outside, under, (t1, tor, pod))
+            if up:  # ToR -> T1: flows *from* hosts under the ToR
+                return _BadLinkSpec("l1_up", link, under, outside, (ids[t1], -1, -1))
+            # T1 -> ToR: the down-T1 of a cross-pod flow; the single T1 of a
+            # same-pod one (``_draw_flows`` moves the pin to its up column)
+            return _BadLinkSpec("l1_down", link, outside, under, (-1, -1, ids[t1]))
         if level == LinkLevel.LEVEL2:
-            t1, t2 = (
-                (link.src, link.dst) if tiers[0] == 1 else (link.dst, link.src)
-            )
-            pod = topo.switch(t1).pod
-            inside = self._hosts_by_pod[pod]
+            up = src_switch.tier == 1
+            t1, t2 = (link.src, link.dst) if up else (link.dst, link.src)
+            inside = self._hosts_by_pod[topo.switch(t1).pod]
             outside = np.setdiff1d(all_hosts, inside, assume_unique=True)
             if not len(inside) or not len(outside):
                 return None
-            if tiers[0] == 1:  # T1 -> T2: cross-pod flows leaving ``pod``
-                return _BadLinkSpec("l2_up", link, inside, outside, (t1, t2, pod))
-            return _BadLinkSpec("l2_down", link, outside, inside, (t2, t1, pod))
+            t1, t2 = ids[t1], ids[t2]
+            if up:  # T1 -> T2: cross-pod flows leaving the pod
+                return _BadLinkSpec("l2_up", link, inside, outside, (t1, t2, -1))
+            return _BadLinkSpec("l2_down", link, outside, inside, (-1, t2, t1))
         return None  # level-3 links are never traversed (paper Section 4.1)
 
     def _resolve_static_bad_links(self, rng: np.random.Generator) -> List[_BadLinkSpec]:
@@ -396,98 +434,6 @@ class EvidenceLoadGenerator:
         return specs
 
     # ------------------------------------------------------------------
-    # path assembly
-    # ------------------------------------------------------------------
-    def _normal_path(
-        self, src_i: int, dst_i: int, t1u: int, t2c: int, t1d: int
-    ) -> List[DirectedLink]:
-        links = self._links
-        hosts = self._hosts
-        s, d = hosts[src_i], hosts[dst_i]
-        st, dt = self._host_tor[src_i], self._host_tor[dst_i]
-        if st == dt:
-            return [links[(s, st)], links[(st, d)]]
-        sp, dp = self._host_pod[src_i], self._host_pod[dst_i]
-        up_t1s = self._pod_t1[sp]
-        t1 = up_t1s[t1u % len(up_t1s)]
-        if sp == dp:
-            return [links[(s, st)], links[(st, t1)], links[(t1, dt)], links[(dt, d)]]
-        t2 = self._t2[t2c % len(self._t2)]
-        down_t1s = self._pod_t1[dp]
-        t1b = down_t1s[t1d % len(down_t1s)]
-        return [
-            links[(s, st)],
-            links[(st, t1)],
-            links[(t1, t2)],
-            links[(t2, t1b)],
-            links[(t1b, dt)],
-            links[(dt, d)],
-        ]
-
-    def _bad_path(
-        self, spec: _BadLinkSpec, r_src: int, r_dst: int, t1u: int, t2c: int, t1d: int
-    ) -> Tuple[int, int, List[DirectedLink]]:
-        """A valid fabric path forced through ``spec``'s bad link."""
-        links = self._links
-        hosts = self._hosts
-        kind = spec.kind
-        if kind == "host_up":
-            src_i = spec.nodes[0]
-            dst_i = int(spec.dst_candidates[r_dst % len(spec.dst_candidates)])
-            return src_i, dst_i, self._normal_path(src_i, dst_i, t1u, t2c, t1d)
-        if kind == "host_down":
-            dst_i = spec.nodes[0]
-            src_i = int(spec.src_candidates[r_src % len(spec.src_candidates)])
-            return src_i, dst_i, self._normal_path(src_i, dst_i, t1u, t2c, t1d)
-        src_i = int(spec.src_candidates[r_src % len(spec.src_candidates)])
-        dst_i = int(spec.dst_candidates[r_dst % len(spec.dst_candidates)])
-        s, d = hosts[src_i], hosts[dst_i]
-        st, dt = self._host_tor[src_i], self._host_tor[dst_i]
-        sp, dp = self._host_pod[src_i], self._host_pod[dst_i]
-        if kind == "l1_up":
-            tor, t1, pod = spec.nodes
-            if dp == pod:
-                return src_i, dst_i, [
-                    links[(s, tor)], links[(tor, t1)], links[(t1, dt)], links[(dt, d)],
-                ]
-            t2 = self._t2[t2c % len(self._t2)]
-            down = self._pod_t1[dp]
-            t1b = down[t1d % len(down)]
-            return src_i, dst_i, [
-                links[(s, tor)], links[(tor, t1)], links[(t1, t2)],
-                links[(t2, t1b)], links[(t1b, dt)], links[(dt, d)],
-            ]
-        if kind == "l1_down":
-            t1, tor, pod = spec.nodes
-            if sp == pod:
-                return src_i, dst_i, [
-                    links[(s, st)], links[(st, t1)], links[(t1, tor)], links[(tor, d)],
-                ]
-            up = self._pod_t1[sp]
-            t1a = up[t1u % len(up)]
-            t2 = self._t2[t2c % len(self._t2)]
-            return src_i, dst_i, [
-                links[(s, st)], links[(st, t1a)], links[(t1a, t2)],
-                links[(t2, t1)], links[(t1, tor)], links[(tor, d)],
-            ]
-        if kind == "l2_up":
-            t1, t2, _pod = spec.nodes
-            down = self._pod_t1[dp]
-            t1b = down[t1d % len(down)]
-            return src_i, dst_i, [
-                links[(s, st)], links[(st, t1)], links[(t1, t2)],
-                links[(t2, t1b)], links[(t1b, dt)], links[(dt, d)],
-            ]
-        # l2_down: T2 -> T1 into the destination pod
-        t2, t1, _pod = spec.nodes
-        up = self._pod_t1[sp]
-        t1a = up[t1u % len(up)]
-        return src_i, dst_i, [
-            links[(s, st)], links[(st, t1a)], links[(t1a, t2)],
-            links[(t2, t1)], links[(t1, dt)], links[(dt, d)],
-        ]
-
-    # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
     def _popularity_weights(self) -> Optional[np.ndarray]:
@@ -513,16 +459,20 @@ class EvidenceLoadGenerator:
             return rng.integers(0, len(self._hosts), size=count)
         return rng.choice(len(self._hosts), size=count, p=weights)
 
-    def _make_paths(
+    def _draw_flows(
         self, epoch: int, count: int, rng: np.random.Generator
-    ) -> List[DiscoveredPath]:
+    ) -> Tuple[np.ndarray, ...]:
+        """Draw ``count`` path flows as integer columns ``(src, dst, up, t2,
+        down, retransmissions, src_port)``; ``up``/``t2``/``down`` are the
+        switch ids of the flow's up-T1, T2 and down-T1 (a same-pod flow
+        crosses only ``up``, a same-ToR flow none).  A bad flow is a normal
+        flow whose endpoints come from its spec's candidates and whose spec
+        pins some of the switch columns."""
         profile = self._profile
         specs = self._active_specs(epoch)
-        weights = self._weights
+        src = self._draw_hosts(rng, count, self._weights)
+        dst = self._draw_hosts(rng, count, self._weights)
         hot = self._hot
-
-        src = self._draw_hosts(rng, count, weights)
-        dst = self._draw_hosts(rng, count, weights)
         if hot is not None:
             sink = rng.random(count) < profile.hot_tor_fraction
             dst[sink] = hot[rng.integers(0, len(hot), size=int(sink.sum()))]
@@ -533,51 +483,119 @@ class EvidenceLoadGenerator:
             bad_pick = rng.integers(0, len(specs), size=count)
         else:
             bad = np.zeros(count, dtype=bool)
-            bad_pick = None
+        rows = np.flatnonzero(bad)
         retrans = np.ones(count, dtype=np.int64)
-        num_bad = int(bad.sum())
-        if num_bad:
-            retrans[bad] = rng.integers(
-                1, profile.max_initial_retransmissions + 1, size=num_bad
+        if len(rows):
+            retrans[rows] = rng.integers(
+                1, profile.max_initial_retransmissions + 1, size=len(rows)
             )
         ports = rng.integers(1024, 65536, size=count)
 
-        hosts = self._hosts
-        num_hosts = len(hosts)
-        flow_base = epoch * self._events_per_epoch
-        paths: List[DiscoveredPath] = []
-        append = paths.append
-        for i in range(count):
-            if bad[i]:
-                spec = specs[bad_pick[i]]
-                src_i, dst_i, path_links = self._bad_path(
-                    spec, int(r_src[i]), int(r_dst[i]),
-                    int(t1u[i]), int(t2c[i]), int(t1d[i]),
-                )
-            else:
-                src_i = int(src[i])
-                dst_i = int(dst[i])
-                if dst_i == src_i:
-                    dst_i = (dst_i + 1) % num_hosts
-                path_links = self._normal_path(
-                    src_i, dst_i, int(t1u[i]), int(t2c[i]), int(t1d[i])
-                )
-            s, d = hosts[src_i], hosts[dst_i]
-            append(
-                DiscoveredPath(
-                    flow_id=flow_base + i,
-                    five_tuple=FiveTuple(
-                        src_ip=s, dst_ip=d, src_port=int(ports[i]), dst_port=443
-                    ),
-                    src_host=s,
-                    dst_host=d,
-                    links=path_links,
-                    complete=True,
-                    retransmissions=int(retrans[i]),
-                    epoch=epoch,
-                )
+        dst = np.where(dst == src, (dst + 1) % len(self._hosts), dst)
+        if len(rows):
+            pick = bad_pick[rows]
+            src[rows] = _candidate(specs, "src_candidates", pick, r_src[rows])
+            dst[rows] = _candidate(specs, "dst_candidates", pick, r_dst[rows])
+        pod_src, pod_dst = self._host_pod[src], self._host_pod[dst]
+        n1 = self._pod_t1.shape[1]
+        up = self._pod_t1[pod_src, t1u % n1]
+        t2 = self._t2[t2c % len(self._t2)]
+        down = self._pod_t1[pod_dst, t1d % n1]
+        if len(rows):
+            pin_up, pin_t2, pin_down = np.array([s.pins for s in specs])[pick].T
+            # a same-pod flow's single T1 sits in its up column
+            same_pod = pod_src[rows] == pod_dst[rows]
+            pin_up = np.where(same_pod & (pin_down >= 0), pin_down, pin_up)
+            for column, pin in ((up, pin_up), (t2, pin_t2), (down, pin_down)):
+                column[rows] = np.where(pin >= 0, pin, column[rows])
+        return src, dst, up, t2, down, retrans, ports
+
+    def _assemble(self, src, dst, up, t2, down) -> List[List[DirectedLink]]:
+        """Each flow's path as a fresh list of the shared link objects: hop
+        columns gathered from the link-id tables, masked to 2/4/6 hops."""
+        tor_src, tor_dst = self._host_tor[src], self._host_tor[dst]
+        leaves_tor = tor_src != tor_dst
+        cross_pod = self._host_pod[src] != self._host_pod[dst]
+        link = self._switch_link
+        hops = np.stack(
+            [
+                self._up_link[src],
+                link[tor_src, up],
+                link[up, np.where(cross_pod, t2, tor_dst)],
+                link[t2, down],
+                link[down, tor_dst],
+                self._down_link[dst],
+            ],
+            axis=1,
+        )
+        keep = np.ones(hops.shape, dtype=bool)
+        keep[:, 1] = keep[:, 2] = leaves_tor
+        keep[:, 3] = keep[:, 4] = cross_pod
+        flat = self._link_objs.take(hops[keep]).tolist()
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
+
+    def _events(self, epoch: int, lo: int, hi: int) -> List[Evidence]:
+        """Events ``[lo, hi)`` of the epoch (no tick).  Every draw covers the
+        whole epoch, so a slice's events do not depend on the slicing; the
+        objects are built for the slice only."""
+        if lo >= hi:
+            return []
+        rng = np.random.default_rng([self._seed, 0x5EED, int(epoch)])
+        n = self._events_per_epoch
+        repeats = int(n * self._profile.repeat_fraction)
+        flows = self._draw_flows(epoch, n - repeats, rng)
+        is_repeat = np.zeros(n, dtype=bool)
+        if repeats:
+            positions = rng.choice(np.arange(1, n), size=repeats, replace=False)
+            is_repeat[positions] = True
+        pick = rng.integers(0, np.iinfo(np.int64).max, size=n)
+        extra = rng.integers(1, self._profile.max_extra_retransmissions + 1, size=n)
+
+        path_seq = np.flatnonzero(~is_repeat)
+        repeat_seq = np.flatnonzero(is_repeat)
+        a, b = np.searchsorted(path_seq, (lo, hi)).tolist()
+        c, d = np.searchsorted(repeat_seq, (lo, hi)).tolist()
+        path_seq, repeat_seq = path_seq[a:b], repeat_seq[c:d]
+        flow_base = epoch * n
+        # the j-th repeat follows seq - j paths and bumps one of them
+        repeat_flow = flow_base + pick[repeat_seq] % (repeat_seq - np.arange(c, d))
+        src, dst, up, t2, down, retrans, ports = (column[a:b] for column in flows)
+        s = self._host_names.take(src).tolist()
+        t = self._host_names.take(dst).tolist()
+        order = np.empty(hi - lo, dtype=np.int64)
+        order[path_seq - lo] = np.arange(b - a)
+        order[repeat_seq - lo] = np.arange(b - a, b - a + d - c)
+        # every object below is new, acyclic and returned: a collection
+        # during the build would free nothing
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            paths = map(
+                DiscoveredPath,
+                range(flow_base + a, flow_base + b),
+                map(FiveTuple, s, t, ports.tolist(), repeat(443)),
+                s,
+                t,
+                self._assemble(src, dst, up, t2, down),
+                repeat(True),
+                retrans.tolist(),
+                repeat(epoch),
             )
-        return paths
+            events: List[Evidence] = list(
+                map(PathEvidence, repeat(epoch), path_seq.tolist(), paths)
+            )
+            events += map(
+                RetransmissionEvidence,
+                repeat(epoch),
+                repeat_flow.tolist(),
+                extra[repeat_seq].tolist(),
+                repeat_seq.tolist(),
+            )
+            return list(map(events.__getitem__, order.tolist()))
+        finally:
+            if was_enabled:
+                gc.enable()
 
     # ------------------------------------------------------------------
     # streams
@@ -591,39 +609,7 @@ class EvidenceLoadGenerator:
         ``profile.repeat_fraction``) and, with ``tick=True``, ends with the
         epoch's :class:`EpochTick`.
         """
-        rng = np.random.default_rng([self._seed, 0x5EED, int(epoch)])
-        n = self._events_per_epoch
-        out: List[Evidence] = []
-        if n > 0 and len(self._hosts) >= 2:
-            repeats = int(n * self._profile.repeat_fraction)
-            paths = self._make_paths(epoch, n - repeats, rng)
-            is_repeat = np.zeros(n, dtype=bool)
-            if repeats:
-                positions = rng.choice(np.arange(1, n), size=repeats, replace=False)
-                is_repeat[positions] = True
-            pick = rng.integers(0, np.iinfo(np.int64).max, size=n)
-            extra = rng.integers(
-                1, self._profile.max_extra_retransmissions + 1, size=n
-            )
-            emitted: List[int] = []
-            emit_flow = emitted.append
-            next_path = iter(paths).__next__
-            append = out.append
-            for seq in range(n):
-                if is_repeat[seq]:
-                    flow_id = emitted[int(pick[seq]) % len(emitted)]
-                    append(
-                        RetransmissionEvidence(
-                            epoch=epoch,
-                            flow_id=flow_id,
-                            retransmissions=int(extra[seq]),
-                            seq=seq,
-                        )
-                    )
-                else:
-                    path = next_path()
-                    emit_flow(path.flow_id)
-                    append(PathEvidence(epoch=epoch, seq=seq, path=path))
+        out = self._events(epoch, 0, self._epoch_len)
         if tick:
             out.append(EpochTick(epoch))
         return out
@@ -636,20 +622,19 @@ class EvidenceLoadGenerator:
         The fleet partitioning: agent ``i`` of ``n`` emits the events at
         positions ``[i*len/n, (i+1)*len/n)`` of :meth:`epoch_events` (no
         tick), keeping the original global sequence numbers.  Every agent
-        process regenerates only its own slice deterministically, and the
-        union across agents is exactly the single-process stream — which is
-        what makes a fleet run's reports comparable bit-for-bit against an
-        ``ingest_batch`` replay.
+        process draws the whole epoch but builds event objects for its own
+        slice only, and the union across agents is exactly the
+        single-process stream — which is what makes a fleet run's reports
+        comparable bit-for-bit against an ``ingest_batch`` replay.
         """
         if not 0 <= agent_index < num_agents:
             raise ValueError(
                 f"agent_index {agent_index} out of range for {num_agents} agents"
             )
-        events = self.epoch_events(epoch, tick=False)
-        n = len(events)
+        n = self._epoch_len
         lo = (agent_index * n) // num_agents
         hi = ((agent_index + 1) * n) // num_agents
-        return events[lo:hi]
+        return self._events(epoch, lo, hi)
 
     def iter_epochs(
         self, epochs: int, tick: bool = True

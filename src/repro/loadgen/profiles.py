@@ -11,6 +11,7 @@ Section 6.4/6.5 traffic mixes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Union
 
@@ -89,6 +90,8 @@ class WorkloadProfile:
     def __post_init__(self) -> None:
         if self.popularity not in ("uniform", "zipf"):
             raise ValueError(f"unknown popularity model {self.popularity!r}")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError("zipf_exponent must be finite")
         if not 0.0 <= self.hot_tor_fraction <= 1.0:
             raise ValueError("hot_tor_fraction must be in [0, 1]")
         if not 0.0 <= self.bad_path_fraction <= 1.0:
