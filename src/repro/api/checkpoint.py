@@ -22,11 +22,13 @@ for a service's evidence listing.
 
 :meth:`Checkpoint.save` writes the one checkpoint form, a small **binary
 container** (payload version 2): magic ``R7CK``, a zlib-compressed JSON header
-carrying the configuration, counters and name/link tables, followed by an
-``npz`` blob of the columns, each in the smallest unsigned dtype that holds it
-(widened back to the in-memory dtypes on load).  It is also the only form
-:meth:`Checkpoint.load` reads: JSON checkpoint documents, which earlier
-versions wrote, are retired and refused with a ``ValueError`` that says so.
+carrying the configuration, counters and name/link tables, followed by the
+stored (uncompressed) ``npz`` blob ``np.savez`` writes of the columns, each in
+the smallest unsigned dtype that holds it (widened back to the in-memory
+dtypes on load); bodies that earlier versions deflated load the same way.  It
+is also the only form :meth:`Checkpoint.load` reads: JSON checkpoint
+documents, which earlier versions wrote, are retired and refused with a
+``ValueError`` that says so.
 
 **Delta checkpoints** carry only the evidence that arrived since a full base
 checkpoint (new records, records whose retransmission counts changed, new
@@ -45,6 +47,7 @@ import io
 import json
 import os
 import struct
+import tempfile
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -85,12 +88,11 @@ _CONTAINER_VERSION = 1
 #: magic + u32 container version + u64 compressed-header length.
 _CONTAINER_HEADER = struct.Struct("<4sIQ")
 
-#: deflate level of the header and the ``npz`` body.  A save stalls the
-#: ingest thread, and the wide columns (``seq``, ``flow``, ``sp``) barely
-#: compress at any level: level 1 writes ~4 % more bytes than numpy's fixed 6
-#: in about a third of the time; the header (the name/link tables, ~90 KB of
-#: JSON on a 2.8k-link fabric) deflates in a fifth of level 6's time to
-#: ~8 KB more.  Readers do not care (zlib and ``np.load`` inflate either).
+#: deflate level of the JSON header.  Its name/link tables (~90 KB of JSON on
+#: a 2.8k-link fabric) shrink about 9x, and level 1 takes a fifth of level 6's
+#: time for ~8 KB more.  The ``npz`` body is stored, not deflated: a save
+#: stalls the ingest thread, and deflating the narrowed columns, which shrink
+#: only 1.5-1.9x, took about half of a save and a third of a load.
 _DEFLATE_LEVEL = 1
 
 
@@ -448,6 +450,27 @@ def _matches(seq: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
     return keys[at] == seq, at
 
 
+def _sorted_distinct(col: np.ndarray) -> np.ndarray:
+    """``np.unique(col)`` of a 1-D column, by sort and mask."""
+    col = np.sort(col)
+    keep = np.ones(len(col), dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=keep[1:])
+    return col[keep]
+
+
+# numpy 2's ``union1d``/``setdiff1d`` run a hash-based ``unique`` that takes
+# 10-20x longer than a sort on a checkpoint's int64 seq columns.
+def sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.union1d(a, b)``: the distinct values of both columns, sorted."""
+    return _sorted_distinct(np.concatenate((a, b)))
+
+
+def sorted_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.setdiff1d(a, b)``: the distinct values of ``a`` not in ``b``, sorted."""
+    distinct = _sorted_distinct(a)
+    return distinct[~np.isin(distinct, _sorted_distinct(b), assume_unique=True)]
+
+
 def delta_rows(seq: np.ndarray, retr: np.ndarray, base: EpochColumns) -> np.ndarray:
     """Indices of the live records a delta against ``base`` has to carry.
 
@@ -499,7 +522,7 @@ def _merge_epoch(base: EpochColumns, delta: EpochColumns) -> EpochColumns:
         if name != "rs"
     }
     merged["retr"][at[found]] = delta["retr"][found]
-    merged["rs"] = np.union1d(base["rs"], delta["rs"])
+    merged["rs"] = sorted_union(base["rs"], delta["rs"])
     return merged
 
 
@@ -795,7 +818,9 @@ class Checkpoint:
 
         The bytes are a function of the records: tables are compacted to the
         entries in use, in order of first use, and each column is written in
-        the smallest unsigned dtype that holds it.
+        the smallest unsigned dtype that holds it.  The body is the ``.npz``
+        ``np.savez`` writes for those columns: one stored ``.npy`` member per
+        column, whose CRC-32 ``np.load`` checks.
         """
         columns = _compacted(self.payload, self.columns)
         header = {
@@ -809,9 +834,7 @@ class Checkpoint:
             json.dumps(header, sort_keys=True).encode("utf-8"), _DEFLATE_LEVEL
         )
         body = io.BytesIO()
-        with zipfile.ZipFile(
-            body, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
-        ) as npz:  # a plain ``.npz``: one ``.npy`` member per column
+        with zipfile.ZipFile(body, "w", zipfile.ZIP_STORED) as npz:
             for key, col in columns.arrays.items():
                 with npz.open(f"{key}.npy", "w", force_zip64=True) as member:
                     np.lib.format.write_array(
@@ -871,16 +894,21 @@ class Checkpoint:
         """Write the checkpoint's container (:meth:`to_bytes`) to ``path``
         atomically.
 
-        The bytes land in a temp file first, are flushed to disk
-        (``os.fsync``) and only then moved into place with ``os.replace``, so
-        a crash mid-write can never leave a truncated checkpoint behind — the
-        previous file (if any) survives intact.  The directory is synced
-        afterwards, best effort.
+        The bytes land in a temp file of this call's own (``tempfile.mkstemp``
+        in the target's directory, so created readable by its owner only),
+        are flushed to disk (``os.fsync``) and only then moved into place with
+        ``os.replace``, so a crash mid-write can never leave a truncated
+        checkpoint behind — the previous file (if any) survives intact — and
+        concurrent saves to one path leave one of their checkpoints whole.
+        The directory is synced afterwards, best effort.
         """
         target = Path(path)
-        tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
+        blob = self.to_bytes()
+        fd, name = tempfile.mkstemp(prefix=f".{target.name}.tmp.", dir=target.parent)
+        os.close(fd)  # the name is this call's alone
+        tmp = Path(name)
         try:
-            tmp.write_bytes(self.to_bytes())
+            tmp.write_bytes(blob)
             _fsync(tmp)
             os.replace(tmp, target)
         except BaseException:

@@ -70,6 +70,7 @@ from repro.api.checkpoint import (
     epoch_columns,
     payload_fingerprint,
     remap_identity,
+    sorted_difference,
     take_rows,
 )
 from repro.api.events import (
@@ -953,7 +954,7 @@ class Zero07Service:
             if base_entry is not None:
                 known = epoch_columns(base_entry, base.columns, DIFF_COLUMNS)
                 rows = delta_rows(cols["seq"], cols["retr"], known)
-                retrans_seqs = np.setdiff1d(cols["rs"], known["rs"])
+                retrans_seqs = sorted_difference(cols["rs"], known["rs"])
                 if (
                     not len(rows)
                     and not len(retrans_seqs)

@@ -1121,6 +1121,39 @@ class TestContainerDamage:
                 with pytest.raises(ValueError):
                     Checkpoint.from_bytes(blob[:cut])
 
+    def test_a_bit_flip_inside_any_stored_member_is_refused(self, containers):
+        """A stored member has no deflate framing to trip on: its CRC-32
+        catches a flipped bit in the middle of its array data."""
+        import io
+        import zipfile
+
+        import numpy as np
+
+        blob = containers[1][0]
+        body_at = blob.index(b"PK\x03\x04")
+        with zipfile.ZipFile(io.BytesIO(blob[body_at:])) as npz:
+            members = npz.infolist()
+            arrays = {m.filename: npz.read(m) for m in members}
+        assert members and {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+        for member in members:
+            # local header: 30 bytes + name + extra, then the member's .npy
+            name_len, extra_len = np.frombuffer(
+                blob, "<u2", 2, body_at + member.header_offset + 26
+            ).tolist()
+            npy = arrays[member.filename]
+            data_len = int(np.load(io.BytesIO(npy)).nbytes)
+            assert data_len, member.filename
+            npy_header_len = len(npy) - data_len
+            at = (
+                body_at + member.header_offset + 30 + name_len + extra_len
+                + npy_header_len + data_len // 2
+            )
+            damaged = bytearray(blob)
+            damaged[at] ^= 0x10
+            crc = "corrupt binary checkpoint: BadZipFile: Bad CRC-32"
+            with pytest.raises(ValueError, match=crc):
+                Checkpoint.from_bytes(bytes(damaged))
+
     @pytest.mark.parametrize(
         "column, damage",
         [
