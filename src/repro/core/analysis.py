@@ -99,13 +99,22 @@ class EpochReport:
         """Every voted link with its votes, most voted first, ties in link order."""
         return derived_once(self, "_ranked", self._ranked_table)
 
+    def _failure_rows(self) -> np.ndarray:
+        """Per tally row: a failure drop?  Read off Algorithm 1's record of
+        the rows it took, no scan of the paths."""
+        from repro.core.arrays import failure_rows
+
+        return failure_rows(
+            self.blame.arrays.row_steps, self.tally.retransmissions_array()
+        )
+
     def _forced(self) -> _PerFlow:
         return derived_once(
             self,
             "_per_flow",
             lambda: _per_flow_arrays(
                 self.tally,
-                self.blame.detected_links,
+                self._failure_rows(),
                 self._attribute_noise_flows,
                 self.blame.arrays.sort_ranks,
             ),
@@ -130,8 +139,8 @@ class EpochReport:
             per_flow = self._per_flow
             if per_flow is None:
                 counts = _flow_counts_arrays(
-                    self.tally,
-                    self.blame.detected_links,
+                    self.tally.flow_ids_array(),
+                    self._failure_rows(),
                     self._attribute_noise_flows,
                 )
             else:
@@ -170,52 +179,53 @@ class EpochReport:
 
 def _per_flow_arrays(
     tally,
-    detected_links: Sequence[DirectedLink],
+    failure_rows: np.ndarray,
     attribute_noise_flows: bool,
     sort_ranks: np.ndarray,
 ) -> _PerFlow:
-    """Noise split and per-flow causes of an array tally (bit-identical to
-    the dict engine's)."""
-    from repro.core.arrays import (
-        attribute_flow_causes_arrays,
-        classify_noise_flows_arrays,
-    )
+    """Noise split and per-flow causes of an array tally, given its failure
+    rows (bit-identical to the dict engine's)."""
+    from repro.core.arrays import attribute_flow_causes_arrays, noise_split
 
-    noise = classify_noise_flows_arrays(tally, detected_links)
+    noise = noise_split(tally.flow_ids_array(), failure_rows)
     # a flow traced more than once is attributed on its bound row, like the
     # dict engine
     rows = np.zeros(0, dtype=np.int64)
     if attribute_noise_flows or noise.failure_flows:
         flows, rows = tally.bound_index
         if not attribute_noise_flows:
-            failure_ids = np.fromiter(
-                noise.failure_flows, dtype=np.int64, count=len(noise.failure_flows)
-            )
-            rows = rows[np.isin(flows, failure_ids)]
+            rows = rows[np.isin(flows, tally.flow_ids_array()[failure_rows])]
     return noise, attribute_flow_causes_arrays(tally, rows, sort_ranks)
 
 
 def _flow_counts_arrays(
-    tally, detected_links: Sequence[DirectedLink], attribute_noise_flows: bool
+    flow_ids: np.ndarray, failure_rows: np.ndarray, attribute_noise_flows: bool
 ) -> FlowCounts:
     """What ``len()`` of :func:`_per_flow_arrays`'s collections would say.
 
     Distinct flow ids among the noise rows and among the failure rows (a
     re-traced flow can sit in both); every failure flow gets a cause, and
-    with ``attribute_noise_flows`` every flow does.
+    with ``attribute_noise_flows`` every flow does.  When no flow was
+    re-traced — rows in flow order, or one sort says so — the rows are the
+    flows and the masks are counted as they are.
     """
-    from repro.core.arrays import failure_rows_mask
 
     def distinct(ids: np.ndarray) -> int:
         ids = np.sort(ids)
         return int(np.count_nonzero(ids[1:] != ids[:-1])) + 1 if len(ids) else 0
 
-    flow_ids = tally.flow_ids_array()
-    failure_rows = failure_rows_mask(tally, detected_links)
-    failure = distinct(flow_ids[failure_rows])
+    flows = len(flow_ids)
+    if not bool((flow_ids[1:] > flow_ids[:-1]).all()):
+        flows = distinct(flow_ids)
+    if flows == len(flow_ids):
+        failure = int(np.count_nonzero(failure_rows))
+        noise = flows - failure
+    else:
+        failure = distinct(flow_ids[failure_rows])
+        noise = distinct(flow_ids[~failure_rows])
     return FlowCounts(
-        causes=distinct(flow_ids) if attribute_noise_flows else failure,
-        noise=distinct(flow_ids[~failure_rows]),
+        causes=flows if attribute_noise_flows else failure,
+        noise=noise,
         failure=failure,
     )
 

@@ -735,27 +735,34 @@ def blame_kernel(
     sort_ranks: np.ndarray,
     threshold_votes: float,
     config: BlameConfig,
-    prior: Optional[Tuple[int, List[int], np.ndarray, np.ndarray]] = None,
-) -> Tuple[List[int], List[float], List[np.ndarray]]:
+    prior: Optional[Tuple[int, List[int], np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[List[int], List[float], List[np.ndarray], np.ndarray]:
     """Algorithm 1's argmax + masked-discounting loop for link blame.
 
-    Returns ``(detected_ids, votes_at_detection, steps)``: ``steps[k]`` is
-    the votes at the start of greedy step ``k``, and ``steps[-1]`` what the
-    loop left.  The input ``votes`` array is not modified.  Each detection
-    finds the still-alive rows holding the blamed id with one scan of their
-    hops (no sorted index is kept) and discounts their hops (the id itself
-    exempt: a blamed id keeps its votes at detection) with one unbuffered
-    ``np.subtract.at``, then clamps the touched ids at 0.
+    Returns ``(detected_ids, votes_at_detection, steps, row_steps)``:
+    ``steps[k]`` is the votes at the start of greedy step ``k``, and
+    ``steps[-1]`` what the loop left; ``row_steps[r]`` is the step of the
+    first detection whose id row ``r`` holds, ``-1`` for none — under
+    ``adjustment="paths"`` the step that took the row's votes.  The input
+    ``votes`` array is not modified.  Each detection finds the still-alive
+    rows holding the blamed id with one scan of their hops (no sorted index
+    is kept), records the step on them and discounts their hops (the id
+    itself exempt: a blamed id keeps its votes at detection) with one
+    unbuffered ``np.subtract.at``, then clamps the touched ids at 0.
+    Without adjustment no row is looked up inside the loop, and the record
+    costs one scan of every hop after it.
 
     ``prior`` resumes an earlier run over the first ``rows`` rows:
-    ``(rows, detected, ids, steps)``, its detections and, over the ids it
-    saw voted, its ``steps``.  ``votes`` then starts as the earlier run's
-    step-0 votes plus ``tail``, the votes of the rows appended since; at
-    each step the recorded votes plus ``tail`` are the votes a fresh run
-    would hold, and while the argmax repeats the recorded detection only
-    the appended rows holding it are found and taken off ``tail``.  From
-    the first step that decides otherwise the ordinary loop runs on, every
-    row holding none of the earlier detections alive.  Every step is still
+    ``(rows, detected, ids, steps, row_steps)``, its detections, over the
+    ids it saw voted its ``steps``, and its record.  ``votes`` then starts
+    as the earlier run's step-0 votes plus ``tail``, the votes of the rows
+    appended since; at each step the recorded votes plus ``tail`` are the
+    votes a fresh run would hold, and while the argmax repeats the recorded
+    detection only the appended rows holding it are found and taken off
+    ``tail`` (the earlier rows keep their record).  From the first step
+    that decides otherwise the ordinary loop runs on, every row holding
+    none of the earlier detections alive — the earlier rows' record says
+    which, O(rows).  Every step is still
     decided on the current eligibility, threshold and ranks, so the result
     equals a fresh run's exactly — for integer votes, which its one caller,
     :func:`find_problematic_links_arrays`, passes: an id's votes are then
@@ -763,8 +770,8 @@ def blame_kernel(
 
     Cost: a fresh run scans every hop once per detection, O(hops); a
     resumed one scans the appended hops and rebuilds the votes once per
-    step, O(new hops) plus O(links), and pays one O(hops) scan when it
-    leaves the recorded detections.
+    step, O(new hops) plus O(links), and pays one O(hops) scan per
+    detection after it leaves the recorded ones.
 
     Input contract: ``weights`` must be non-negative (``ValueError``
     otherwise); beyond that, a fresh run accepts any float votes.  An id's
@@ -778,6 +785,7 @@ def blame_kernel(
     votes = votes.copy()
     blamed = np.zeros(len(votes), dtype=bool)
     alive = np.ones(len(indptr) - 1, dtype=bool)
+    row_steps = np.full(len(alive), -1, dtype=np.int32)
     detected: List[int] = []
     votes_at: List[float] = []
     steps: List[np.ndarray] = []
@@ -785,7 +793,8 @@ def blame_kernel(
     # detection (most epochs have none); ``tail`` is not None while resuming
     first, tail, row_of = 0, None, None
     if prior is not None:
-        first, recorded, prior_ids, prior_steps = prior
+        first, recorded, prior_ids, prior_steps, prior_rows = prior
+        row_steps[:first] = prior_rows
     while True:
         if tail is not None:  # the recorded votes plus the appended rows'
             votes = tail.copy()
@@ -809,9 +818,8 @@ def blame_kernel(
                     tail[prior_ids] -= prior_steps[0]
             else:  # decided otherwise: the ordinary loop from here on
                 prior = tail = None
-                if detected:
-                    below = np.flatnonzero(np.isin(cols[: indptr[first]], detected))
-                    alive[np.searchsorted(indptr, below, side="right") - 1] = False
+                _forget_steps(row_steps[:first], step)
+                alive[:first] = row_steps[:first] < 0
                 first, row_of = 0, None
         steps.append(votes.copy())
         blamed[best] = True
@@ -822,9 +830,34 @@ def blame_kernel(
                 row_of = np.repeat(np.arange(first, len(alive)), np.diff(indptr[first:]))
             rows = _rows_holding(row_of, cols[indptr[first] :], best, alive)
             alive[rows] = False
+            row_steps[rows] = len(detected) - 1
             _discount(votes if tail is None else tail, indptr, cols, weights, rows, best)
     steps.append(votes)
-    return detected, votes_at, steps
+    if config.adjustment != "paths":
+        row_steps = _first_detection_steps(indptr, cols, detected, len(votes))
+    elif prior is not None:  # stopped while following: a shorter run's rows
+        _forget_steps(row_steps[:first], len(detected))
+    return detected, votes_at, steps, row_steps
+
+
+def _forget_steps(row_steps: np.ndarray, steps: int) -> None:
+    """Clear, in place, the record of rows taken at step ``steps`` or later."""
+    row_steps[row_steps >= steps] = -1
+
+
+def _first_detection_steps(
+    indptr: np.ndarray, cols: np.ndarray, detected: List[int], n: int
+) -> np.ndarray:
+    """Per row, the step of the first of ``detected`` it holds, ``-1`` for
+    none: one scan of every hop (every row has at least one)."""
+    rows = len(indptr) - 1
+    if not detected or not rows:
+        return np.full(rows, -1, dtype=np.int32)
+    step_of = np.full(n, len(detected), dtype=np.int32)
+    step_of[detected] = np.arange(len(detected), dtype=np.int32)
+    row_steps = np.minimum.reduceat(step_of[cols[: indptr[-1]]], indptr[:-1])
+    _forget_steps(row_steps, len(detected))
+    return row_steps
 
 
 @dataclass(eq=False)
@@ -836,8 +869,8 @@ class VerdictArrays:
     whoever wants the numbers without the objects reads the arrays.  Ids
     keep their meaning while an index grows and the ranking uses the sort
     ranks as of the run, so a late read equals an immediate one.  A later
-    run over more rows of the same tally resumes from ``steps``
-    (:func:`blame_kernel`).
+    run over more rows of the same tally resumes from ``steps`` and
+    ``row_steps`` (:func:`blame_kernel`).
     """
 
     index: LinkIndex
@@ -853,6 +886,11 @@ class VerdictArrays:
     #: ``[k]``: the votes of ``ids`` at the start of greedy step ``k``, in
     #: units (``[0]`` before Algorithm 1, ``[-1]`` what it left).
     steps: np.ndarray
+    #: ``[r]``: the greedy step of the first detection whose link row ``r``
+    #: of the tally holds, ``-1`` for none (int32, one entry per row the run
+    #: read).  Under ``adjustment="paths"`` the step that took the row's
+    #: votes; ``>= 0`` is the row half of a failure drop (:func:`failure_rows`).
+    row_steps: np.ndarray
     _ranked: Optional[np.ndarray] = field(default=None, repr=False)
 
     def ranked(self) -> np.ndarray:
@@ -885,12 +923,19 @@ def find_problematic_links_arrays(
     total = float(votes.sum())
     sort_ranks = tally.index.sort_ranks()
     detected, at, steps = [], [], [votes]
+    row_steps = np.full(tally.num_flows, -1, dtype=np.int32)
     if total > 0.0:
         if prior is not None:
             arrays = prior.blame.arrays
-            prior = (prior.num_paths_analyzed, arrays.detected, arrays.ids, arrays.steps)
+            prior = (
+                prior.num_paths_analyzed,
+                arrays.detected,
+                arrays.ids,
+                arrays.steps,
+                arrays.row_steps,
+            )
         indptr, cols, units = tally.path_matrix()
-        detected, at, steps = blame_kernel(
+        detected, at, steps, row_steps = blame_kernel(
             votes,
             indptr,
             cols,
@@ -918,6 +963,7 @@ def find_problematic_links_arrays(
             votes_at,
             sort_ranks,
             np.stack([step[ids] for step in steps]),
+            row_steps,
         ),
     )
 
@@ -971,13 +1017,25 @@ def attribute_flow_causes_arrays(
     )
 
 
+def failure_rows(
+    row_steps: np.ndarray,
+    retransmissions: np.ndarray,
+    max_noise_retransmissions: int = 1,
+) -> np.ndarray:
+    """Per row of the path matrix: is that record a failure drop (it crosses
+    a detected link — Algorithm 1's own record of the rows, O(rows) — or
+    retransmitted more than a lone noise drop would)."""
+    return (row_steps >= 0) | (retransmissions > max_noise_retransmissions)
+
+
 def failure_rows_mask(
     tally: ArrayVoteTally,
     detected_links: Sequence[DirectedLink],
     max_noise_retransmissions: int = 1,
 ) -> np.ndarray:
-    """Per row of the path matrix: is that record a failure drop (it crosses
-    a detected link or retransmitted more than a lone noise drop would)."""
+    """:func:`failure_rows` for any list of links: one scan of every hop
+    for the rows crossing one of them (the reference the record is checked
+    against)."""
     indptr, cols = _csr(tally)
     num_rows = len(indptr) - 1
     retrans = tally.retransmissions_array()
@@ -1002,8 +1060,15 @@ def classify_noise_flows_arrays(
     max_noise_retransmissions: int = 1,
 ) -> NoiseClassification:
     """Vectorized twin of :func:`repro.core.noise.classify_noise_flows`."""
-    failure = failure_rows_mask(tally, detected_links, max_noise_retransmissions)
-    flow_ids = tally.flow_ids_array()
+    return noise_split(
+        tally.flow_ids_array(),
+        failure_rows_mask(tally, detected_links, max_noise_retransmissions),
+    )
+
+
+def noise_split(flow_ids: np.ndarray, failure: np.ndarray) -> NoiseClassification:
+    """The flows of the noise rows and of the ``failure`` rows (a re-traced
+    flow can be in both)."""
     return NoiseClassification(
         noise_flows=frozenset(flow_ids[~failure].tolist()),
         failure_flows=frozenset(flow_ids[failure].tolist()),

@@ -75,9 +75,10 @@ class AnalyzerStats:
     protocol_errors: int = 0
     connection_timeouts: int = 0
     heartbeats: int = 0
-    #: ``report`` queries received, how many reused a cached reply line, and
-    #: how many distinct reports were encoded — hits + encodes + error
-    #: replies add up to the queries.
+    #: ``report`` queries received, how many were answered from a report
+    #: already encoded — an ``unchanged`` reply to the ``view`` the client
+    #: holds, or a cached reply line — and how many distinct reports were
+    #: encoded: hits + encodes + error replies add up to the queries.
     report_queries: int = 0
     report_view_hits: int = 0
     reports_encoded: int = 0
@@ -157,6 +158,15 @@ def _epoch_argument(request: Dict, verb: str) -> Optional[int]:
     if epoch < 0:
         raise ValueError(f"{verb} epoch must not be negative")
     return epoch
+
+
+def _view_argument(request: Dict) -> Optional[int]:
+    """A ``report`` query's ``view``: the token of the document the client
+    holds (a non-negative integer), or ``None`` (absent or ``null``)."""
+    view = request.get("view")
+    if view is not None and (type(view) is not int or view < 0):
+        raise ValueError("report view must be a non-negative integer or null")
+    return view
 
 
 def _count_argument(request: Dict, name: str, default: int) -> int:
@@ -310,7 +320,7 @@ class FleetAnalyzer:
         self.idle_timeout = idle_timeout
         self.handshake_timeout = handshake_timeout
         self.stats = AnalyzerStats()
-        #: agent_id -> {"acked": {epoch: seq}, "connects": int, "ticked": int}
+        #: agent_id -> {"acked": {open epoch: seq}, "connects": int, "ticks": int}
         self.agents: Dict[str, Dict] = {}
         #: open epoch -> the agents that ticked it.
         self._ticked: Dict[int, set] = {}
@@ -535,6 +545,13 @@ class FleetAnalyzer:
             del self._ticked[closed]
         self.core.tick(epoch)
         self.stats.epochs_finalized = self.core.epochs_finalized
+        # a chunk of a closed epoch is acked and dropped as late whatever its
+        # seq, so its watermark is dead weight in every WELCOME and ``stats``
+        closed = self.core.last_finalized
+        for record in self.agents.values():
+            acked = record["acked"]
+            for stale in [e for e in acked if e <= closed]:
+                del acked[stale]
 
     async def _ack(
         self, connection: _Connection, epoch: int, seq: int, nbytes: int
@@ -594,7 +611,9 @@ class FleetAnalyzer:
                 # counted before its arguments are checked: a rejected query
                 # is one of the error replies the counters add up with.
                 self.stats.report_queries += 1
-                return self._report_line(_epoch_argument(request, "report"))
+                return self._report_line(
+                    _epoch_argument(request, "report"), _view_argument(request)
+                )
             response = self._handle_query(request)
         except Exception as exc:  # malformed request → error reply
             response = {"ok": False, "error": str(exc)}
@@ -610,13 +629,15 @@ class FleetAnalyzer:
             view = self._view_tokens[report] = self._views_issued
         return view
 
-    def _report_line(self, epoch: Optional[int]) -> bytes:
+    def _report_line(self, epoch: Optional[int], view: Optional[int]) -> bytes:
         """The ``report`` reply, encoded once per distinct report object.
 
         Every core returns the identical report while nothing changed for
         the epoch, so a line is reusable exactly as long as ``core.report``
         keeps returning the object it was encoded from.  The entry holds
         that object, so its identity cannot be recycled under the line.
+        A client that names the ``view`` it holds, still the current
+        report's, gets ``unchanged`` instead of the line again.
         """
         lines = self._report_lines
         try:
@@ -624,6 +645,9 @@ class FleetAnalyzer:
         except ReportUnavailableError as exc:
             lines.pop(epoch, None)
             return _reply_line({"ok": False, "error": str(exc)})
+        if view is not None and self._view_tokens.get(report) == view:
+            self.stats.report_view_hits += 1
+            return _reply_line({"ok": True, "unchanged": True, "view": view})
         entry = lines.get(report.epoch)
         if entry is not None and entry[0] is report:
             self.stats.report_view_hits += 1
@@ -721,8 +745,9 @@ class FleetAnalyzer:
                 {
                     "protocol_version": protocol.FLEET_PROTOCOL_VERSION,
                     # 2: ``report`` carries the link verdict only, per-flow
-                    # attribution moved to the ``flows`` verb.
-                    "query_version": 2,
+                    # attribution moved to the ``flows`` verb; 3: ``report``
+                    # takes the ``view`` the client holds.
+                    "query_version": 3,
                     "expected_agents": self.expected_agents,
                     "credit_bytes": self.credit_bytes,
                 }

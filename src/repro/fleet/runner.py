@@ -98,12 +98,43 @@ def json_signature(report) -> List:
 class FleetQueryClient:
     """Blocking newline-JSON client of the analyzer's query socket."""
 
+    #: ``report`` replies held for conditional requests, one per epoch
+    #: argument, the least recently answered out first.
+    REPORTS_HELD = 4
+
     def __init__(self, endpoint: Endpoint, timeout: float = 10.0) -> None:
         self._sock = endpoint.connect(timeout=timeout)
         self._reader = self._sock.makefile("rb")
+        #: a ``report`` request's ``epoch`` -> the last full reply to it.
+        self._held: Dict[Optional[int], Dict] = {}
 
     def request(self, payload: Dict) -> Dict:
-        """One request/response round trip."""
+        """One request/response round trip.
+
+        A ``report`` request without a ``view`` names the view of the last
+        report this connection received for its ``epoch``; when the analyzer
+        answers ``unchanged``, that reply is returned again (the identical
+        dict: do not mutate it), so a repeat costs a short line instead of
+        the document.  An error reply drops what was held for the epoch.
+        """
+        key = payload.get("epoch")
+        if payload.get("cmd") != "report" or "view" in payload or not (
+            key is None or type(key) is int
+        ):
+            return self._round_trip(payload)
+        held = self._held.pop(key, None)
+        if held is not None:
+            payload = dict(payload, view=held["view"])
+        response = self._round_trip(payload)
+        if response.get("unchanged") and held is not None:
+            response = held
+        if "report" in response:
+            self._held[key] = response
+            if len(self._held) > self.REPORTS_HELD:
+                del self._held[next(iter(self._held))]
+        return response
+
+    def _round_trip(self, payload: Dict) -> Dict:
         self._sock.sendall(
             json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
         )

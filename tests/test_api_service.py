@@ -236,6 +236,10 @@ class TestMidEpochReport:
             fresh = AnalysisAgent(blame_config=config).analyze_epoch(0, paths[:stop])
             assert report_signature(report) == report_signature(fresh)
             assert report.blame.arrays.steps.tobytes() == fresh.blame.arrays.steps.tobytes()
+            assert (
+                report.blame.arrays.row_steps.tobytes()
+                == fresh.blame.arrays.row_steps.tobytes()
+            )
             previous = report
 
     def test_empty_epoch_report(self):

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.aggregate import MultiEpochAggregator
-from repro.core.analysis import AnalysisAgent
+from repro.core.analysis import AnalysisAgent, FlowCounts
 from repro.core.arrays import (
     ArrayVoteTally,
     ItemIndex,
     LinkIndex,
+    attribute_flow_causes_arrays,
     blame_kernel,
+    failure_rows_mask,
     find_problematic_links_arrays,
+    noise_split,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
 from repro.core.votes import VOTE_UNITS, PathTooLongError, VoteTally
@@ -243,12 +246,26 @@ class TestArrayBlame:
         assert find_problematic_links(VoteTally(), config).detected_links == []
 
 
+def _first_detection_per_row(indptr, cols, detected):
+    """Reference for ``row_steps``: per row, the position in ``detected`` of
+    the first detection it holds, ``-1`` for none."""
+    return [
+        min(
+            (k for k, link in enumerate(detected) if link in cols[start:stop]),
+            default=-1,
+        )
+        for start, stop in zip(indptr.tolist(), indptr[1:].tolist())
+    ]
+
+
 def _clamped_walk(votes, indptr, cols, weights, eligible, ranks, threshold, config):
     """Reference for :func:`blame_kernel`: Algorithm 1 with the dict engine's
-    per-hop ``max(0.0, v - w)`` in (row, hop) order.  Also returns how often
-    the clamp cut a negative value off."""
+    per-hop ``max(0.0, v - w)`` in (row, hop) order.  Also returns the step
+    that took each row (under ``"none"``, the first detection it holds) and
+    how often the clamp cut a negative value off."""
     votes, detected, votes_at, clamps = votes.tolist(), [], [], 0
     alive = [True] * (len(indptr) - 1)
+    taken = [-1] * len(alive)
     while len(detected) < config.max_links:
         open_ids = [
             i for i in range(len(votes)) if eligible[i] and i not in detected
@@ -263,11 +280,14 @@ def _clamped_walk(votes, indptr, cols, weights, eligible, ranks, threshold, conf
             hops = cols[indptr[row] : indptr[row + 1]].tolist()
             if config.adjustment == "paths" and alive[row] and best in hops:
                 alive[row] = False
+                taken[row] = len(detected) - 1
                 for col in hops:
                     if col != best:
                         clamps += votes[col] < weights[row]
                         votes[col] = max(0.0, votes[col] - float(weights[row]))
-    return detected, votes_at, np.asarray(votes), clamps
+    if config.adjustment != "paths":
+        taken = _first_detection_per_row(indptr, cols, detected)
+    return detected, votes_at, np.asarray(votes), taken, clamps
 
 
 class TestBlameKernel:
@@ -303,11 +323,14 @@ class TestBlameKernel:
                 config,
             )
             before = votes.tobytes()
-            want_ids, want_at, want_final, clamped = _clamped_walk(*args)
-            got_ids, got_at, got_steps = blame_kernel(*args)
+            want_ids, want_at, want_final, want_taken, clamped = _clamped_walk(*args)
+            got_ids, got_at, got_steps, got_taken = blame_kernel(*args)
             assert (got_ids, got_at) == (want_ids, want_at)
             assert got_steps[-1].tobytes() == want_final.tobytes()
             assert len(got_steps) == len(got_ids) + 1
+            assert got_taken.tolist() == want_taken
+            # whichever adjustment: the first detection the row holds
+            assert want_taken == _first_detection_per_row(indptr, cols, want_ids)
             assert votes.tobytes() == before  # the input is not modified
             clamps += clamped
             multi += len(want_ids) > 2  # later detections meet dead rows
@@ -325,7 +348,7 @@ class TestBlameKernel:
         support = np.bincount(np.unique(row_of * n + hops) % n, minlength=n)
         ids = np.flatnonzero(support)
         if not votes.sum():
-            return ids, ([], [], [votes])
+            return ids, ([], [], [votes], np.full(rows, -1, dtype=np.int32))
         return ids, blame_kernel(
             votes,
             indptr[: rows + 1],
@@ -346,13 +369,17 @@ class TestBlameKernel:
         _, fresh = self._run(indptr, cols, weights, rows, n, config, min_support)
         shapes = []
         for watermark in range(rows + 1):
-            ids, (detected, _, steps) = self._run(
+            ids, (detected, _, steps, taken) = self._run(
                 indptr, cols, weights, watermark, n, config, min_support
             )
-            prior = (watermark, detected, ids, np.stack([step[ids] for step in steps]))
+            prior = (watermark, detected, ids, np.stack([s[ids] for s in steps]), taken)
             _, resumed = self._run(indptr, cols, weights, rows, n, config, min_support, prior)
             assert resumed[:2] == fresh[:2]
             assert [s.tobytes() for s in resumed[2]] == [s.tobytes() for s in fresh[2]]
+            assert resumed[3].tobytes() == fresh[3].tobytes()
+            assert fresh[3].tolist() == _first_detection_per_row(
+                indptr, cols, fresh[0]
+            )
             same = 0
             while same < min(len(detected), len(fresh[0])) and detected[same] == fresh[0][same]:
                 same += 1
@@ -414,6 +441,122 @@ class TestBlameKernel:
                 one, np.array([0, 1]), np.array([0]), -one, one > 0, np.array([0]),
                 0.0, BlameConfig(),
             )
+
+
+def _per_flow_by_scan(report):
+    """A report's failure rows, noise split and flow causes the way they
+    were derived before Algorithm 1 kept its record: one scan of every hop
+    for the rows crossing a detected link."""
+    tally = report.tally
+    failure = failure_rows_mask(tally, report.detected_links)
+    noise = noise_split(tally.flow_ids_array(), failure)
+    flows, rows = tally.bound_index
+    if not report._attribute_noise_flows:
+        rows = rows[np.isin(flows, sorted(noise.failure_flows))]
+    return failure, noise, attribute_flow_causes_arrays(tally, rows)
+
+
+def _assert_per_flow_matches_the_scan(report):
+    """``flow_counts()`` (read first: counted on the record alone), then
+    ``noise`` and ``flow_causes`` equal the scan's."""
+    failure, noise, causes = _per_flow_by_scan(report)
+    assert report._failure_rows().tolist() == failure.tolist()
+    assert report.flow_counts() == FlowCounts(
+        len(causes), noise.num_noise, noise.num_failure
+    )
+    assert report._per_flow is None  # counting derived nothing per flow
+    assert report.noise == noise
+    assert report.flow_causes == causes
+
+
+class TestFailureRowsFromTheRecord:
+    """The per-flow answers read Algorithm 1's record of the rows it took
+    instead of scanning every hop for the detected links."""
+
+    @pytest.mark.parametrize("adjustment", ["paths", "none"])
+    def test_random_tallies_agree_with_the_hop_scan(self, adjustment):
+        rng = np.random.default_rng(53)
+        links = [L(f"r{i}", f"r{i + 1}") for i in range(10)]
+        seen = {"retraced": 0, "counted": 0, "none": 0, "some": 0, "resumed": 0}
+        for case in range(60):
+            rows = int(rng.integers(1, 50))
+            flows = [
+                rng.integers(0, max(2, rows // 2), size=rows),  # re-traced flows
+                rng.permutation(rows),  # a row per flow, out of order
+                np.arange(rows),  # a row per flow, in order
+            ][case % 3]
+            # skewed hops: a few links draw most of the votes
+            hops = [
+                np.minimum(rng.geometric(0.3, size=rng.integers(1, 6)) - 1, 9)
+                for _ in range(rows)
+            ]
+            counts = rng.choice([1, 1, 1, 2, 3, 5], size=rows)
+            config = BlameConfig(
+                threshold_fraction=float(rng.choice([0.01, 0.2, 0.9])),
+                adjustment=adjustment,
+                min_flow_support=int(rng.choice([1, 2])),
+            )
+            agent = AnalysisAgent(
+                blame_config=config, attribute_noise_flows=bool(case % 4 == 3)
+            )
+            tally, prior = ArrayVoteTally(), None
+            for stop in sorted({rows, *rng.integers(1, rows + 1, size=2).tolist()}):
+                for row in range(tally.num_flows, stop):
+                    tally.add_flow(
+                        int(flows[row]),
+                        [links[i] for i in hops[row]],
+                        int(counts[row]),
+                    )
+                # a mid-stream report resumes from the one before it
+                report = agent.analyze_tally(0, tally.snapshot(), prior)
+                _assert_per_flow_matches_the_scan(report)
+                seen["resumed"] += prior is not None and bool(prior.detected_links)
+                prior = report
+            seen["retraced"] += len(set(flows.tolist())) < rows
+            seen["counted"] += bool((counts > 1).any())
+            seen["none" if not report.detected_links else "some"] += 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("workload", ["steady_ingest", "operator_trickle", "fleet_tcp"])
+    def test_the_ruler_streams_agree_with_the_hop_scan(self, workload):
+        """Each ruler workload's stream (its profile, fabric, timeline and
+        events per epoch; the first three epochs) fed to a service in
+        thirds: every mid-epoch report and every final one."""
+        from repro.api.events import EpochTick
+        from repro.api.service import Zero07Service
+        from repro.fleet.runner import fleet_timeline
+        from repro.loadgen import EvidenceLoadGenerator, WorkloadProfile
+
+        fabric, profile, script, events = {
+            "steady_ingest": ("medium", WorkloadProfile.skewed(), None, 40_000),
+            "operator_trickle": (
+                "large",
+                WorkloadProfile.uniform(repeat_fraction=0.5),
+                fleet_timeline("flap"),
+                32_768,
+            ),
+            "fleet_tcp": (
+                "medium",
+                WorkloadProfile.hot_tor(),
+                fleet_timeline("flap"),
+                40_000,
+            ),
+        }[workload]
+        generator = EvidenceLoadGenerator(
+            fabric, profile, script=script, seed=3, events_per_epoch=events
+        )
+        service = Zero07Service()
+        detected = 0
+        for epoch in range(3):
+            stream = generator.epoch_events(epoch, tick=False)
+            for lo in range(0, len(stream), len(stream) // 3):
+                service.ingest_batch(stream[lo : lo + len(stream) // 3])
+                _assert_per_flow_matches_the_scan(service.report(epoch))
+            service.ingest(EpochTick(epoch))
+            report = service.report(epoch)
+            _assert_per_flow_matches_the_scan(report)
+            detected += len(report.detected_links)
+        assert detected
 
 
 def test_unknown_engine_rejected():

@@ -764,7 +764,189 @@ class TestQueryArguments:
     def test_describe_names_the_query_version(self, analyzer_thread):
         thread = analyzer_thread(service_core())
         with FleetQueryClient(thread.query_endpoint) as query:
-            assert query.request({"cmd": "describe"})["describe"]["query_version"] == 2
+            assert query.request({"cmd": "describe"})["describe"]["query_version"] == 3
+
+
+class SentPayloads:
+    """Records every request a :class:`FleetQueryClient` puts on the wire."""
+
+    def __init__(self, client, monkeypatch) -> None:
+        self.sent = []
+        round_trip = client._round_trip
+
+        def recorded(payload):
+            self.sent.append(dict(payload))
+            return round_trip(payload)
+
+        monkeypatch.setattr(client, "_round_trip", recorded)
+
+
+class TestConditionalReport:
+    """``report`` with the ``view`` the client holds: ``unchanged`` while
+    ``core.report`` returns the report behind it, the full reply otherwise."""
+
+    def test_a_repeat_is_a_short_reply_and_the_held_document(self, analyzer_thread):
+        thread = analyzer_thread(service_core())
+        stats = thread.analyzer.stats
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, epoch_events(0))
+        client.drain()
+        request = {"cmd": "report", "epoch": 0}
+        with FleetQueryClient(thread.query_endpoint) as query:
+            first = query.request(request)
+            sent = stats.query_bytes_sent
+            again = query.request(request)
+            assert stats.query_bytes_sent - sent < 200
+            assert stats.report_view_hits == 1 and stats.reports_encoded == 1
+            with FleetQueryClient(thread.query_endpoint) as other:
+                assert again == other.request(request) == first
+            assert len(json.dumps(first)) > 5_000  # what the repeat did not send
+        with RawQuery(thread.query_endpoint) as query:
+            view = first["view"]
+            assert query.ask({**request, "view": view}) == reply_line(
+                {"ok": True, "unchanged": True, "view": view}
+            )
+        client.close()
+
+    def test_new_evidence_a_finalize_and_another_epochs_view_get_full_replies(
+        self, analyzer_thread, monkeypatch
+    ):
+        thread = analyzer_thread(service_core())
+        stats = thread.analyzer.stats
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        events = epoch_events(0)
+        client.send_run(0, events[:600])
+        client.drain()
+        request = {"cmd": "report", "epoch": 0}
+        with FleetQueryClient(thread.query_endpoint) as query:
+            wire = SentPayloads(query, monkeypatch)
+            documents = [query.request(request)["report"]]
+            client.send_run(0, events[600:])  # new evidence
+            client.drain()
+            documents.append(query.request(request)["report"])
+            client.tick(0)  # the finalize
+            client.drain()
+            wait_finalized(thread.query_endpoint, 0)
+            documents.append(query.request(request)["report"])
+            client.send_run(1, epoch_events(1)[:400])
+            client.drain()
+            other = query.request({"cmd": "report", "epoch": 1})
+            views = [payload.get("view") for payload in wire.sent]
+        assert views[0] is None and None not in views[1:3]
+        assert views[3] is None  # nothing held for epoch 1 yet
+        assert stats.reports_encoded == 4 and stats.report_view_hits == 0
+        for upto, document in zip((600, 1200), documents):
+            reference = Zero07Service(engine="arrays")
+            reference.ingest_batch(events[:upto])
+            assert document == json.loads(
+                json.dumps(report_to_json(reference.report(0)))
+            )
+        assert documents[2]["num_paths_analyzed"] == documents[1]["num_paths_analyzed"]
+        with RawQuery(thread.query_endpoint) as query:
+            # the view held for epoch 0 does not stand for epoch 1's report
+            reply = json.loads(
+                query.ask({"cmd": "report", "epoch": 1, "view": views[2]})
+            )
+            assert reply["report"] == other["report"] and "unchanged" not in reply
+            assert reply["view"] == other["view"]
+        client.close()
+
+    def test_an_evicted_epoch_is_an_error_and_the_client_drops_its_document(
+        self, analyzer_thread, monkeypatch
+    ):
+        thread = analyzer_thread(service_core(retain_reports=1))
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        client.send_run(0, epoch_events(0)[:400])
+        client.tick(0)
+        client.drain()
+        wait_finalized(thread.query_endpoint, 0)
+        request = {"cmd": "report", "epoch": 0}
+        with FleetQueryClient(thread.query_endpoint) as query:
+            wire = SentPayloads(query, monkeypatch)
+            held = query.request(request)
+            assert query.request(request) is held
+            client.send_run(1, epoch_events(1)[:400])
+            client.tick(1)
+            client.drain()
+            wait_finalized(thread.query_endpoint, 1)
+            unavailable = {"ok": False, "error": str(ReportUnavailableError(0, 1, 1))}
+            assert query.request(request) == unavailable
+            assert query.request(request) == unavailable
+        assert [payload.get("view") for payload in wire.sent] == [
+            None,
+            held["view"],
+            held["view"],
+            None,  # dropped with the error
+        ]
+        client.close()
+
+    @pytest.mark.parametrize("view", [True, False, -1, 1.0, "1"])
+    def test_a_view_that_is_not_a_non_negative_integer_is_an_error_reply(
+        self, analyzer_thread, view
+    ):
+        thread = analyzer_thread(service_core())
+        with RawQuery(thread.query_endpoint) as query:
+            assert json.loads(
+                query.ask({"cmd": "report", "epoch": 0, "view": view})
+            ) == {"ok": False, "error": "report view must be a non-negative integer or null"}
+            # a null view is no view
+            assert json.loads(
+                query.ask({"cmd": "report", "epoch": 0, "view": None})
+            )["ok"] is True
+        assert thread.analyzer.stats.report_queries == 2
+
+    def test_hits_encodes_and_errors_add_up_to_the_queries(self, analyzer_thread):
+        thread = analyzer_thread(service_core())
+        client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+        client.connect()
+        events = epoch_events(0)
+        errors = 0
+        with FleetQueryClient(thread.query_endpoint) as query, RawQuery(
+            thread.query_endpoint
+        ) as raw:
+            for lo in (0, 400, 800):
+                client.send_run(0, events[lo : lo + 400])
+                client.drain()
+                view = query.request({"cmd": "report", "epoch": 0})["view"]
+                query.request({"cmd": "report", "epoch": 0})  # unchanged
+                raw.ask({"cmd": "report", "epoch": 0})  # the cached line
+                raw.ask({"cmd": "report", "epoch": 0, "view": view - 1})  # stale
+                for bad in ({"view": "x"}, {"epoch": -1}):
+                    errors += not json.loads(raw.ask({"cmd": "report", **bad}))["ok"]
+        client.close()
+        stats = thread.analyzer.stats
+        assert errors == 6 and stats.report_queries == 18
+        assert stats.report_view_hits == 9 and stats.reports_encoded == 3
+        assert stats.report_view_hits + stats.reports_encoded + errors == stats.report_queries
+
+
+def test_acked_watermarks_of_closed_epochs_are_dropped(analyzer_thread):
+    """A chunk of a closed epoch is dropped as late whatever its seq, so
+    closing an epoch drops its watermarks: over 300 epochs the map and the
+    ``stats`` reply stay flat (the map held one entry per epoch, and the
+    reply grew from 627 to 4 029 B)."""
+    thread = analyzer_thread(service_core())
+    generator = build_generator("tiny", "skewed", "none", 11, 20)
+    client = FleetAgentClient("v-0", thread.endpoint, chunk_events=CHUNK)
+    client.connect()
+    sizes = []
+    with RawQuery(thread.query_endpoint) as query:
+        for epoch in range(300):
+            client.send_run(epoch, generator.epoch_events(epoch, tick=False))
+            if epoch % 50 == 49:
+                client.drain()  # the open epoch's chunks are acked...
+                assert list(thread.analyzer.agents["v-0"]["acked"]) == [epoch]
+            client.tick(epoch)
+            if epoch % 50 == 49:
+                client.drain()
+                wait_finalized(thread.query_endpoint, epoch)
+                assert thread.analyzer.agents["v-0"]["acked"] == {}  # ...until it closes
+                sizes.append(len(query.ask({"cmd": "stats"})))
+    client.close()
+    assert max(sizes) - min(sizes) < 40, sizes  # counters gain digits, no more
 
 
 @pytest.mark.parametrize("core_kind", CORE_KINDS)
