@@ -835,7 +835,8 @@ def blame_kernel(
     steps.append(votes)
     if config.adjustment != "paths":
         row_steps = _first_detection_steps(indptr, cols, detected, len(votes))
-    elif prior is not None:  # stopped while following: a shorter run's rows
+    elif prior is not None and len(detected) < len(recorded):
+        # stopped short while following: the earlier run's later steps
         _forget_steps(row_steps[:first], len(detected))
     return detected, votes_at, steps, row_steps
 
@@ -922,9 +923,8 @@ def find_problematic_links_arrays(
     votes = tally.votes_array()
     total = float(votes.sum())
     sort_ranks = tally.index.sort_ranks()
-    detected, at, steps = [], [], [votes]
-    row_steps = np.full(tally.num_flows, -1, dtype=np.int32)
-    if total > 0.0:
+    detected, at, steps, row_steps = [], [], [votes], np.zeros(0, dtype=np.int32)
+    if total > 0.0:  # else there are no rows: every row casts votes
         if prior is not None:
             arrays = prior.blame.arrays
             prior = (
