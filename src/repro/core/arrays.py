@@ -706,12 +706,13 @@ def _hops_of_rows(indptr: np.ndarray, rows: np.ndarray):
 
 
 def _rows_holding(
-    row_of: np.ndarray, hops: np.ndarray, link: int, alive: np.ndarray
+    row_of: np.ndarray, hops: np.ndarray, link: int, row_steps: np.ndarray
 ) -> np.ndarray:
-    """The alive rows holding ``link``, ascending, each once (a looped path
-    repeats): one scan of ``hops``, whose rows are ``row_of``."""
+    """The alive rows (no step took them yet) holding ``link``, ascending,
+    each once (a looped path repeats): one scan of ``hops``, whose rows are
+    ``row_of``."""
     rows = row_of[hops == link]
-    rows = rows[alive[rows]]
+    rows = rows[row_steps[rows] < 0]
     return rows[np.diff(rows, prepend=-1) > 0]
 
 
@@ -746,9 +747,10 @@ def blame_kernel(
     ``adjustment="paths"`` the step that took the row's votes.  The input
     ``votes`` array is not modified.  Each detection finds the still-alive
     rows holding the blamed id with one scan of their hops (no sorted index
-    is kept), records the step on them and discounts their hops (the id
-    itself exempt: a blamed id keeps its votes at detection) with one
-    unbuffered ``np.subtract.at``, then clamps the touched ids at 0.
+    is kept), records the step on them — the record is what marks a row
+    dead — and discounts their hops (the id itself exempt: a blamed id
+    keeps its votes at detection) with one unbuffered ``np.subtract.at``,
+    then clamps the touched ids at 0.
     Without adjustment no row is looked up inside the loop, and the record
     costs one scan of every hop after it.
 
@@ -784,8 +786,7 @@ def blame_kernel(
         raise ValueError("blame_kernel needs non-negative weights")
     votes = votes.copy()
     blamed = np.zeros(len(votes), dtype=bool)
-    alive = np.ones(len(indptr) - 1, dtype=bool)
-    row_steps = np.full(len(alive), -1, dtype=np.int32)
+    row_steps = np.full(len(indptr) - 1, -1, dtype=np.int32)
     detected: List[int] = []
     votes_at: List[float] = []
     steps: List[np.ndarray] = []
@@ -793,8 +794,8 @@ def blame_kernel(
     # detection (most epochs have none); ``tail`` is not None while resuming
     first, tail, row_of = 0, None, None
     if prior is not None:
+        # the earlier rows' record is read back once the run leaves it
         first, recorded, prior_ids, prior_steps, prior_rows = prior
-        row_steps[:first] = prior_rows
     while True:
         if tail is not None:  # the recorded votes plus the appended rows'
             votes = tail.copy()
@@ -818,8 +819,8 @@ def blame_kernel(
                     tail[prior_ids] -= prior_steps[0]
             else:  # decided otherwise: the ordinary loop from here on
                 prior = tail = None
-                _forget_steps(row_steps[:first], step)
-                alive[:first] = row_steps[:first] < 0
+                if step:  # the rows the repeated steps took stay taken
+                    row_steps[:first] = _steps_before(prior_rows, step)
                 first, row_of = 0, None
         steps.append(votes.copy())
         blamed[best] = True
@@ -827,23 +828,25 @@ def blame_kernel(
         votes_at.append(vmax)
         if config.adjustment == "paths":
             if row_of is None:
-                row_of = np.repeat(np.arange(first, len(alive)), np.diff(indptr[first:]))
-            rows = _rows_holding(row_of, cols[indptr[first] :], best, alive)
-            alive[rows] = False
+                row_of = np.repeat(
+                    np.arange(first, len(row_steps)), np.diff(indptr[first:])
+                )
+            rows = _rows_holding(row_of, cols[indptr[first] :], best, row_steps)
             row_steps[rows] = len(detected) - 1
             _discount(votes if tail is None else tail, indptr, cols, weights, rows, best)
     steps.append(votes)
     if config.adjustment != "paths":
         row_steps = _first_detection_steps(indptr, cols, detected, len(votes))
-    elif prior is not None and len(detected) < len(recorded):
-        # stopped short while following: the earlier run's later steps
-        _forget_steps(row_steps[:first], len(detected))
+    elif prior is not None:  # followed the earlier run to its end or short
+        row_steps[:first] = _steps_before(prior_rows, len(detected))
     return detected, votes_at, steps, row_steps
 
 
-def _forget_steps(row_steps: np.ndarray, steps: int) -> None:
-    """Clear, in place, the record of rows taken at step ``steps`` or later."""
-    row_steps[row_steps >= steps] = -1
+def _steps_before(row_steps: np.ndarray, steps: int) -> np.ndarray:
+    """``row_steps`` with the rows taken at step ``steps`` or later alive
+    (the array itself when there are none)."""
+    later = row_steps >= steps
+    return np.where(later, -1, row_steps) if later.any() else row_steps
 
 
 def _first_detection_steps(
@@ -856,9 +859,9 @@ def _first_detection_steps(
         return np.full(rows, -1, dtype=np.int32)
     step_of = np.full(n, len(detected), dtype=np.int32)
     step_of[detected] = np.arange(len(detected), dtype=np.int32)
-    row_steps = np.minimum.reduceat(step_of[cols[: indptr[-1]]], indptr[:-1])
-    _forget_steps(row_steps, len(detected))
-    return row_steps
+    return _steps_before(
+        np.minimum.reduceat(step_of[cols[: indptr[-1]]], indptr[:-1]), len(detected)
+    )
 
 
 @dataclass(eq=False)

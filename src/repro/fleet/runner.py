@@ -126,7 +126,7 @@ class FleetQueryClient:
         if held is not None:
             payload = dict(payload, view=held["view"])
         response = self._round_trip(payload)
-        if response.get("unchanged") and held is not None:
+        if response.get("unchanged"):  # only ever the answer to a held view
             response = held
         if "report" in response:
             self._held[key] = response
