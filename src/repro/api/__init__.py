@@ -6,7 +6,7 @@ around — the same separation the paper draws between per-host agents (which
 
 * :mod:`repro.api.events` — the typed evidence vocabulary
   (:class:`PathEvidence`, :class:`RetransmissionEvidence`,
-  :class:`EpochTick`) with lossless JSON codecs.
+  :class:`EpochTick`).
 * :mod:`repro.api.service` — :class:`Zero07Service` (``ingest`` /
   ``ingest_batch`` / on-demand ``report`` / ``checkpoint``), the
   :class:`EvidenceSource` and :class:`ReportSink` protocols, and stock sinks.
@@ -27,8 +27,6 @@ from repro.api.events import (
     Evidence,
     PathEvidence,
     RetransmissionEvidence,
-    evidence_from_dict,
-    evidence_to_dict,
 )
 from repro.api.service import (
     CallbackSink,
@@ -65,8 +63,6 @@ __all__ = [
     "PathEvidence",
     "RetransmissionEvidence",
     "EpochTick",
-    "evidence_to_dict",
-    "evidence_from_dict",
     # service
     "Zero07Service",
     "ServiceStats",

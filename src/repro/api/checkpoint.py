@@ -602,13 +602,14 @@ def _compacted(payload: Dict[str, Any], columns: CheckpointColumns) -> Checkpoin
 
     def compact(table: list, names: Sequence[str]) -> list:
         keys = [f"{prefix}_{name}" for prefix in prefixes for name in names]
-        ids = np.concatenate([arrays[key] for key in keys] + [np.empty(0, np.int64)])
+        parts = [arrays[key] for key in keys]
+        ids = np.concatenate(parts) if parts else np.empty(0, np.int32)
         if ids.dtype.kind not in "iu" or (
             len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < len(table)
         ):
             return table  # self-inconsistent: written as it is, the reader rejects it
-        first = np.full(len(table), len(ids), dtype=np.int64)
-        np.minimum.at(first, ids, np.arange(len(ids)))
+        first = np.full(len(table), len(ids), dtype=np.int32)
+        np.minimum.at(first, ids, np.arange(len(ids), dtype=np.int32))
         kept = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(ids))]
         new_id = np.zeros(len(table), dtype=np.int32)
         new_id[kept] = np.arange(len(kept), dtype=np.int32)

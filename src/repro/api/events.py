@@ -17,18 +17,18 @@ boundary:
 * :class:`EpochTick` — an epoch boundary: the epoch is complete, the service
   may finalize its report and release the epoch's evidence buffers.
 
-Every event is a frozen dataclass with a lossless JSON codec
-(:func:`evidence_to_dict` / :func:`evidence_from_dict`), shared by
-:class:`~repro.api.checkpoint.Checkpoint` serialization.
+Every event is a frozen dataclass; the binary forms that carry them are the
+wire format (:mod:`repro.api.wire`) and the checkpoint container
+(:mod:`repro.api.checkpoint`), whose header spells links ``"src->dst"``
+(:func:`link_to_str` / :func:`link_from_str`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.discovery.agent import DiscoveredPath
-from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
 
 
@@ -96,7 +96,7 @@ def copy_evidence(event: Evidence) -> Evidence:
 
 
 # ----------------------------------------------------------------------
-# JSON codec
+# a directed link as text (the checkpoint header's link table)
 # ----------------------------------------------------------------------
 def link_to_str(link: DirectedLink) -> str:
     """Serialize a directed link as ``"src->dst"``."""
@@ -109,92 +109,3 @@ def link_from_str(text: str) -> DirectedLink:
     if not sep or not src or not dst:
         raise ValueError(f"not a directed link: {text!r}")
     return DirectedLink(src, dst)
-
-
-def five_tuple_to_list(ft: FiveTuple) -> list:
-    """Serialize a five-tuple as a 5-element JSON list."""
-    return [ft.src_ip, ft.dst_ip, ft.src_port, ft.dst_port, ft.protocol]
-
-
-def five_tuple_from_list(values: list) -> FiveTuple:
-    """Parse a five-tuple from its 5-element JSON list."""
-    src_ip, dst_ip, src_port, dst_port, protocol = values
-    return FiveTuple(
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=int(src_port),
-        dst_port=int(dst_port),
-        protocol=int(protocol),
-    )
-
-
-def path_to_dict(path: DiscoveredPath) -> Dict[str, Any]:
-    """Serialize a discovered path losslessly to JSON-ready primitives."""
-    return {
-        "flow_id": path.flow_id,
-        "five_tuple": five_tuple_to_list(path.five_tuple),
-        "src_host": path.src_host,
-        "dst_host": path.dst_host,
-        "links": [link_to_str(link) for link in path.links],
-        "complete": path.complete,
-        "retransmissions": path.retransmissions,
-        "epoch": path.epoch,
-    }
-
-
-def path_from_dict(data: Dict[str, Any]) -> DiscoveredPath:
-    """Rebuild a discovered path from :func:`path_to_dict` output."""
-    return DiscoveredPath(
-        flow_id=int(data["flow_id"]),
-        five_tuple=five_tuple_from_list(data["five_tuple"]),
-        src_host=data["src_host"],
-        dst_host=data["dst_host"],
-        links=[link_from_str(text) for text in data["links"]],
-        complete=bool(data["complete"]),
-        retransmissions=int(data["retransmissions"]),
-        epoch=int(data["epoch"]),
-    )
-
-
-def evidence_to_dict(event: Evidence) -> Dict[str, Any]:
-    """Serialize any evidence event with a ``"kind"`` discriminator."""
-    if isinstance(event, PathEvidence):
-        return {
-            "kind": "path",
-            "epoch": event.epoch,
-            "seq": event.seq,
-            "path": path_to_dict(event.path),
-        }
-    if isinstance(event, RetransmissionEvidence):
-        return {
-            "kind": "retransmission",
-            "epoch": event.epoch,
-            "flow_id": event.flow_id,
-            "retransmissions": event.retransmissions,
-            "seq": event.seq,
-        }
-    if isinstance(event, EpochTick):
-        return {"kind": "tick", "epoch": event.epoch}
-    raise TypeError(f"not an evidence event: {event!r}")
-
-
-def evidence_from_dict(data: Dict[str, Any]) -> Evidence:
-    """Rebuild an evidence event from :func:`evidence_to_dict` output."""
-    kind = data.get("kind")
-    if kind == "path":
-        return PathEvidence(
-            epoch=int(data["epoch"]),
-            seq=int(data["seq"]),
-            path=path_from_dict(data["path"]),
-        )
-    if kind == "retransmission":
-        seq = data.get("seq")
-        return RetransmissionEvidence(
-            epoch=int(data["epoch"]),
-            flow_id=int(data["flow_id"]),
-            retransmissions=int(data["retransmissions"]),
-            seq=None if seq is None else int(seq),
-        )
-    if kind == "tick":
-        return EpochTick(epoch=int(data["epoch"]))
-    raise ValueError(f"unknown evidence kind {kind!r}")

@@ -184,6 +184,9 @@ class ServiceStats:
 #: the identity cargo of no rows.
 _NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
 
+#: the checkpoint columns that may view the tally's live buffers.
+_TALLY_COLUMNS = frozenset(("seq", "flow", "retr", "len", "hop"))
+
 #: a bulk run at least this long folds the tally as it lands, so the tick finds
 #: nothing to catch up on.  A fold costs ~50 us plus ~0.1 us a row: four 400-row
 #: folds take 376 us where the report after them folds the 1 600 rows in 205
@@ -963,9 +966,13 @@ class Zero07Service:
                     continue  # untouched since the base — the merge keeps base's copy
                 cols = take_rows(cols, rows)
                 cols["rs"] = retrans_seqs
-            # np.array copies: the tally's buffers stay the service's own
+            # the tally's buffers stay the service's own: copy what may view
+            # them; the state only ever replaces its identity columns, and the
+            # consumed seqs are fresh, so the checkpoint shares those
             cols = {
-                name: np.array(col, dtype=COLUMN_DTYPES[name])
+                name: (np.array if name in _TALLY_COLUMNS else np.asarray)(
+                    col, dtype=COLUMN_DTYPES[name]
+                )
                 for name, col in cols.items()
             }
             epochs.append(builder.add_epoch(f"e{len(epochs)}", epoch, cols, pending))

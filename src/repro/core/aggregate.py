@@ -28,8 +28,8 @@ from repro.core.analysis import EpochReport
 from repro.core.arrays import LinkIndex
 from repro.core.votes import VOTE_UNITS
 from repro.netsim.failures import FailureScenario
+from repro.topology.clos import ClosTopology
 from repro.topology.elements import DirectedLink, LinkLevel
-from repro.topology.topology import Topology
 
 
 @dataclass
@@ -66,7 +66,7 @@ class MultiEpochAggregator:
 
     def __init__(
         self,
-        topology: Optional[Topology] = None,
+        topology: Optional[ClosTopology] = None,
         link_index: Optional[LinkIndex] = None,
         truth_lookup: Optional[Callable[[int], Optional[FailureScenario]]] = None,
     ) -> None:

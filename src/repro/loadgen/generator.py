@@ -19,8 +19,9 @@ script says — the same event vocabulary the netsim scenario engine compiles.
 An epoch is generated as arrays: every flow is a row of integer columns
 ``(src, dst, up-T1, T2, down-T1)`` — a flow forced through a bad link is a
 normal flow whose spec pins some of them — its 2/4/6-hop path is gathered
-from a link-id table built once per fabric, and the event objects are built
-once, for the requested slice of the epoch only.  Paths share one
+from the fabric's link-id tables (:class:`~repro.topology.clos.FabricIndex`,
+the topology's ``index``), and the event objects are built once, for the
+requested slice of the epoch only.  Paths share the index's one
 :class:`DirectedLink` object per fabric direction, which keeps a stream's
 memory small; the engines intern by value, so sharing is no speed
 requirement on a source.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import gc
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,69 +125,18 @@ class EvidenceLoadGenerator:
         self._seed = int(seed)
         self._events_per_epoch = int(events_per_epoch)
         self._topology = ClosTopology(self._params)
-        self._index_fabric()
+        self._index = self._topology.index
+        #: ``(src, dst)`` -> the fabric's shared link object: paths reuse
+        #: them, so a stream holds one object per link however many events.
+        self._links = self._index.links
         #: events an epoch emits (none without two hosts to talk)
-        self._epoch_len = self._events_per_epoch if len(self._hosts) >= 2 else 0
+        self._epoch_len = self._events_per_epoch if self.num_hosts >= 2 else 0
         rng = np.random.default_rng([self._seed, 0xFAB])
         self._static_specs = self._resolve_static_bad_links(rng)
         self._windows = self._resolve_script(script, rng)
         #: pure functions of the constructor arguments — computed once.
         self._weights = self._popularity_weights()
         self._hot = self._hot_hosts()
-
-    # ------------------------------------------------------------------
-    # fabric indexing
-    # ------------------------------------------------------------------
-    def _index_fabric(self) -> None:
-        """Integer tables of the fabric: hosts and switches become ids, and
-        every directed link an id into ``_link_objs`` (the shared objects)."""
-        topo = self._topology
-        self._hosts: List[str] = sorted(topo.hosts)
-        self._host_ids: Dict[str, int] = {h: i for i, h in enumerate(self._hosts)}
-        self._host_names = np.empty(len(self._hosts), dtype=object)
-        self._host_names[:] = self._hosts
-        switch_ids = {name: i for i, name in enumerate(sorted(topo.switches))}
-        self._switch_ids = switch_ids
-        tors = [topo.host(h).tor for h in self._hosts]
-        self._host_tor = np.array([switch_ids[t] for t in tors], dtype=np.int64)
-        self._host_pod = np.array(
-            [topo.host(h).pod for h in self._hosts], dtype=np.int64
-        )
-        npod = self._params.npod
-        #: ``[pod, j]`` -> the pod's j-th T1 (every pod has ``n1``).
-        self._pod_t1 = np.array(
-            [[switch_ids[s.name] for s in topo.tier1s(pod)] for pod in range(npod)],
-            dtype=np.int64,
-        )
-        self._t2 = np.array(
-            [switch_ids[s.name] for s in topo.tier2s()], dtype=np.int64
-        )
-        by_tor: Dict[str, List[int]] = {}
-        for i, tor in enumerate(tors):
-            by_tor.setdefault(tor, []).append(i)
-        self._hosts_by_tor: Dict[str, np.ndarray] = {
-            tor: np.asarray(ids, dtype=np.int64) for tor, ids in by_tor.items()
-        }
-        self._hosts_by_pod: List[np.ndarray] = [
-            np.flatnonzero(self._host_pod == pod) for pod in range(npod)
-        ]
-        #: one shared DirectedLink object per fabric direction — paths reuse
-        #: them, so a stream holds one object per link however many events.
-        self._links: Dict[Tuple[str, str], DirectedLink] = {
-            (link.src, link.dst): link for link in topo.directed_links()
-        }
-        self._link_objs = np.empty(len(self._links), dtype=object)
-        self._up_link = np.zeros(len(self._hosts), dtype=np.int64)
-        self._down_link = np.zeros(len(self._hosts), dtype=np.int64)
-        self._switch_link = np.full((len(switch_ids),) * 2, -1, dtype=np.int64)
-        for lid, link in enumerate(self._links.values()):
-            self._link_objs[lid] = link
-            if link.src in self._host_ids:
-                self._up_link[self._host_ids[link.src]] = lid
-            elif link.dst in self._host_ids:
-                self._down_link[self._host_ids[link.dst]] = lid
-            else:
-                self._switch_link[switch_ids[link.src], switch_ids[link.dst]] = lid
 
     @property
     def params(self) -> ClosParameters:
@@ -206,7 +156,7 @@ class EvidenceLoadGenerator:
     @property
     def num_hosts(self) -> int:
         """Number of hosts in the fabric."""
-        return len(self._hosts)
+        return len(self._index.hosts)
 
     def bad_links_for_epoch(self, epoch: int) -> List[DirectedLink]:
         """The directed links evidence concentrates on during ``epoch``."""
@@ -227,26 +177,26 @@ class EvidenceLoadGenerator:
         """Resolve a directed link into a routing spec (``None`` if no flow
         over this fabric can traverse it — e.g. a level-2 link in a 1-pod
         fabric, or a leaf link in a single-rack fabric with no peers)."""
-        topo = self._topology
-        all_hosts = np.arange(len(self._hosts), dtype=np.int64)
+        topo, index = self._topology, self._index
+        all_hosts = np.arange(self.num_hosts, dtype=np.int64)
         if topo.is_host(link.src):  # host -> ToR (up)
-            fixed = all_hosts == self._host_ids[link.src]
+            fixed = all_hosts == index.host_ids[link.src]
             if fixed.all():
                 return None
             return _BadLinkSpec("host_up", link, all_hosts[fixed], all_hosts[~fixed])
         if topo.is_host(link.dst):  # ToR -> host (down)
-            fixed = all_hosts == self._host_ids[link.dst]
+            fixed = all_hosts == index.host_ids[link.dst]
             if fixed.all():
                 return None
             return _BadLinkSpec("host_down", link, all_hosts[~fixed], all_hosts[fixed])
 
-        ids = self._switch_ids
+        ids = index.switch_ids
         src_switch = topo.switch(link.src)
         level = topo.link_level(link)
         if level == LinkLevel.LEVEL1:
             up = src_switch.tier == 0
             tor, t1 = (link.src, link.dst) if up else (link.dst, link.src)
-            under = self._hosts_by_tor.get(tor, np.empty(0, np.int64))
+            under = index.tor_hosts.get(tor, np.empty(0, np.int64))
             outside = np.setdiff1d(all_hosts, under, assume_unique=True)
             if not len(under) or not len(outside):
                 return None
@@ -258,7 +208,7 @@ class EvidenceLoadGenerator:
         if level == LinkLevel.LEVEL2:
             up = src_switch.tier == 1
             t1, t2 = (link.src, link.dst) if up else (link.dst, link.src)
-            inside = self._hosts_by_pod[topo.switch(t1).pod]
+            inside = index.pod_hosts[topo.switch(t1).pod]
             outside = np.setdiff1d(all_hosts, inside, assume_unique=True)
             if not len(inside) or not len(outside):
                 return None
@@ -437,10 +387,10 @@ class EvidenceLoadGenerator:
     # sampling
     # ------------------------------------------------------------------
     def _popularity_weights(self) -> Optional[np.ndarray]:
-        if self._profile.popularity != "zipf" or len(self._hosts) < 2:
+        if self._profile.popularity != "zipf" or self.num_hosts < 2:
             return None
         rng = np.random.default_rng([self._seed, 0x21F])
-        ranks = rng.permutation(len(self._hosts)) + 1
+        ranks = rng.permutation(self.num_hosts) + 1
         weights = 1.0 / np.power(ranks, self._profile.zipf_exponent)
         return weights / weights.sum()
 
@@ -448,16 +398,16 @@ class EvidenceLoadGenerator:
         if self._profile.hot_tor_fraction <= 0.0:
             return None
         rng = np.random.default_rng([self._seed, 0x407])
-        tors = sorted(self._hosts_by_tor)
-        hot = tors[int(rng.integers(0, len(tors)))]
-        return self._hosts_by_tor[hot]
+        tor_hosts = self._index.tor_hosts
+        tors = sorted(tor_hosts)
+        return tor_hosts[tors[int(rng.integers(0, len(tors)))]]
 
     def _draw_hosts(
         self, rng: np.random.Generator, count: int, weights: Optional[np.ndarray]
     ) -> np.ndarray:
         if weights is None:
-            return rng.integers(0, len(self._hosts), size=count)
-        return rng.choice(len(self._hosts), size=count, p=weights)
+            return rng.integers(0, self.num_hosts, size=count)
+        return rng.choice(self.num_hosts, size=count, p=weights)
 
     def _draw_flows(
         self, epoch: int, count: int, rng: np.random.Generator
@@ -491,16 +441,17 @@ class EvidenceLoadGenerator:
             )
         ports = rng.integers(1024, 65536, size=count)
 
-        dst = np.where(dst == src, (dst + 1) % len(self._hosts), dst)
+        dst = np.where(dst == src, (dst + 1) % self.num_hosts, dst)
         if len(rows):
             pick = bad_pick[rows]
             src[rows] = _candidate(specs, "src_candidates", pick, r_src[rows])
             dst[rows] = _candidate(specs, "dst_candidates", pick, r_dst[rows])
-        pod_src, pod_dst = self._host_pod[src], self._host_pod[dst]
-        n1 = self._pod_t1.shape[1]
-        up = self._pod_t1[pod_src, t1u % n1]
-        t2 = self._t2[t2c % len(self._t2)]
-        down = self._pod_t1[pod_dst, t1d % n1]
+        index = self._index
+        pod_src, pod_dst = index.host_pod[src], index.host_pod[dst]
+        n1 = index.pod_t1.shape[1]
+        up = index.pod_t1[pod_src, t1u % n1]
+        t2 = index.t2[t2c % len(index.t2)]
+        down = index.pod_t1[pod_dst, t1d % n1]
         if len(rows):
             pin_up, pin_t2, pin_down = np.array([s.pins for s in specs])[pick].T
             # a same-pod flow's single T1 sits in its up column
@@ -513,25 +464,26 @@ class EvidenceLoadGenerator:
     def _assemble(self, src, dst, up, t2, down) -> List[List[DirectedLink]]:
         """Each flow's path as a fresh list of the shared link objects: hop
         columns gathered from the link-id tables, masked to 2/4/6 hops."""
-        tor_src, tor_dst = self._host_tor[src], self._host_tor[dst]
+        index = self._index
+        tor_src, tor_dst = index.host_tor[src], index.host_tor[dst]
         leaves_tor = tor_src != tor_dst
-        cross_pod = self._host_pod[src] != self._host_pod[dst]
-        link = self._switch_link
+        cross_pod = index.host_pod[src] != index.host_pod[dst]
+        link = index.switch_link
         hops = np.stack(
             [
-                self._up_link[src],
+                index.up_link[src],
                 link[tor_src, up],
                 link[up, np.where(cross_pod, t2, tor_dst)],
                 link[t2, down],
                 link[down, tor_dst],
-                self._down_link[dst],
+                index.down_link[dst],
             ],
             axis=1,
         )
         keep = np.ones(hops.shape, dtype=bool)
         keep[:, 1] = keep[:, 2] = leaves_tor
         keep[:, 3] = keep[:, 4] = cross_pod
-        flat = self._link_objs.take(hops[keep]).tolist()
+        flat = index.link_objs.take(hops[keep]).tolist()
         ends = np.cumsum(keep.sum(axis=1)).tolist()
         return list(map(flat.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
@@ -561,8 +513,8 @@ class EvidenceLoadGenerator:
         # the j-th repeat follows seq - j paths and bumps one of them
         repeat_flow = flow_base + pick[repeat_seq] % (repeat_seq - np.arange(c, d))
         src, dst, up, t2, down, retrans, ports = (column[a:b] for column in flows)
-        s = self._host_names.take(src).tolist()
-        t = self._host_names.take(dst).tolist()
+        s = self._index.host_names.take(src).tolist()
+        t = self._index.host_names.take(dst).tolist()
         order = np.empty(hi - lo, dtype=np.int64)
         order[path_seq - lo] = np.arange(b - a)
         order[repeat_seq - lo] = np.arange(b - a, b - a + d - c)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from repro.topology.clos import ClosTopology
 from repro.topology.elements import DirectedLink, Link
-from repro.topology.topology import Topology
 from repro.util.rng import RngLike, ensure_rng
 
 DEFAULT_NOISE_LOW = 0.0
@@ -34,7 +34,7 @@ class LinkStateTable:
 
     def __init__(
         self,
-        topology: Topology,
+        topology: ClosTopology,
         noise_low: float = DEFAULT_NOISE_LOW,
         noise_high: float = DEFAULT_NOISE_HIGH,
         rng: RngLike = 0,

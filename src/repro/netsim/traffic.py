@@ -60,7 +60,7 @@ class TrafficGenerator(abc.ABC):
         self._topology = topology
         self._connections_per_host = connections_per_host
         self._packets_per_flow = packets_per_flow
-        self._hosts = sorted(topology.hosts)
+        self._hosts = topology.index.hosts
 
     @property
     def topology(self) -> ClosTopology:
@@ -103,10 +103,16 @@ class TrafficGenerator(abc.ABC):
         return demands
 
     # ------------------------------------------------------------------
-    def _hosts_outside_rack(self, src_host: str) -> List[str]:
-        """Hosts under a different ToR than ``src_host`` (the default victims)."""
-        src_tor = self._topology.host(src_host).tor
-        return [h for h in self._hosts if self._topology.host(h).tor != src_tor]
+    def _outside_rack(self, rng: np.random.Generator, src_tor: str) -> Optional[str]:
+        """A uniform draw among the hosts under a ToR other than ``src_tor``
+        (the default victims, in host order), or ``None`` when there are none."""
+        rack = self._topology.index.tor_hosts[src_tor]
+        count = len(self._hosts) - len(rack)
+        if not count:
+            return None
+        k = int(rng.integers(0, count))
+        # the rack's hosts are consecutive ids: the k-th host outside it
+        return self._hosts[k if k < rack[0] else k + len(rack)]
 
 
 class UniformTraffic(TrafficGenerator):
@@ -115,10 +121,7 @@ class UniformTraffic(TrafficGenerator):
     def pick_destination(
         self, rng: np.random.Generator, src_host: str
     ) -> Optional[str]:
-        candidates = self._hosts_outside_rack(src_host)
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(0, len(candidates)))]
+        return self._outside_rack(rng, self._topology.host(src_host).tor)
 
 
 class SkewedTraffic(TrafficGenerator):
@@ -154,9 +157,13 @@ class SkewedTraffic(TrafficGenerator):
             raise ValueError(f"unknown hot ToRs: {sorted(unknown)}")
         self._hot_tors = list(hot_tors)
         self._hot_fraction = hot_fraction
-        self._hot_hosts = [
-            h for h in self._hosts if topology.host(h).tor in set(self._hot_tors)
-        ]
+        hot = set(self._hot_tors)
+        self._hot_hosts = [h for h in self._hosts if topology.host(h).tor in hot]
+        #: a source under a hot ToR draws among the hot hosts outside it
+        self._hot_outside = {
+            tor: [h for h in self._hot_hosts if topology.host(h).tor != tor]
+            for tor in hot
+        }
 
     @property
     def hot_tors(self) -> List[str]:
@@ -168,16 +175,10 @@ class SkewedTraffic(TrafficGenerator):
     ) -> Optional[str]:
         src_tor = self._topology.host(src_host).tor
         if rng.random() < self._hot_fraction:
-            candidates = [
-                h for h in self._hot_hosts if self._topology.host(h).tor != src_tor
-            ]
-        else:
-            candidates = self._hosts_outside_rack(src_host)
-        if not candidates:
-            candidates = self._hosts_outside_rack(src_host)
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(0, len(candidates)))]
+            candidates = self._hot_outside.get(src_tor, self._hot_hosts)
+            if candidates:
+                return candidates[int(rng.integers(0, len(candidates)))]
+        return self._outside_rack(rng, src_tor)
 
 
 class HotTorTraffic(SkewedTraffic):

@@ -168,8 +168,8 @@ class EcmpRouter:
 
         # Up to a tier-1 switch of the source pod.
         src_pod = topo.host(src_host).pod
-        t1_candidates = [s.name for s in topo.tier1s(src_pod)]
-        t1 = self._select(src_tor, flow, t1_candidates)
+        pod_t1s = topo.index.pod_t1_names
+        t1 = self._select(src_tor, flow, pod_t1s[src_pod])
         self._append_hop(nodes, src_tor, t1)
 
         if src_pod == dst_pod:
@@ -178,12 +178,10 @@ class EcmpRouter:
             return Path.from_nodes(nodes)
 
         # Cross-pod: up to a tier-2 switch, down into the destination pod.
-        t2_candidates = [s.name for s in topo.tier2s()]
-        t2 = self._select(t1, flow, t2_candidates)
+        t2 = self._select(t1, flow, topo.index.t2_names)
         self._append_hop(nodes, t1, t2)
 
-        dst_t1_candidates = [s.name for s in topo.tier1s(dst_pod)]
-        dst_t1 = self._select(t2, flow, dst_t1_candidates)
+        dst_t1 = self._select(t2, flow, pod_t1s[dst_pod])
         self._append_hop(nodes, t2, dst_t1)
 
         self._append_hop(nodes, dst_t1, dst_tor)
@@ -203,30 +201,18 @@ class EcmpRouter:
         dst = topo.host(dst_host)
         if src.tor == dst.tor:
             return [Path.from_nodes([src_host, src.tor, dst_host])]
-        paths: List[Path] = []
+        pod_t1s = topo.index.pod_t1_names
         if src.pod == dst.pod:
-            for t1 in topo.tier1s(src.pod):
-                paths.append(
-                    Path.from_nodes([src_host, src.tor, t1.name, dst.tor, dst_host])
-                )
-            return paths
-        for t1 in topo.tier1s(src.pod):
-            for t2 in topo.tier2s():
-                for dst_t1 in topo.tier1s(dst.pod):
-                    paths.append(
-                        Path.from_nodes(
-                            [
-                                src_host,
-                                src.tor,
-                                t1.name,
-                                t2.name,
-                                dst_t1.name,
-                                dst.tor,
-                                dst_host,
-                            ]
-                        )
-                    )
-        return paths
+            return [
+                Path.from_nodes([src_host, src.tor, t1, dst.tor, dst_host])
+                for t1 in pod_t1s[src.pod]
+            ]
+        return [
+            Path.from_nodes([src_host, src.tor, t1, t2, dst_t1, dst.tor, dst_host])
+            for t1 in pod_t1s[src.pod]
+            for t2 in topo.index.t2_names
+            for dst_t1 in pod_t1s[dst.pod]
+        ]
 
     # ------------------------------------------------------------------
     def _select(self, switch: str, flow: FiveTuple, candidates: Sequence[str]) -> str:

@@ -1,7 +1,8 @@
 """Datacenter topology substrate.
 
 Provides the parametric Clos topology the paper's theorems are stated for,
-and node/link primitives.
+its integer index (:class:`FabricIndex`, built once per topology as
+``ClosTopology.index``), and node/link primitives.
 """
 
 from repro.topology.elements import (
@@ -13,7 +14,7 @@ from repro.topology.elements import (
     Switch,
     SwitchTier,
 )
-from repro.topology.clos import ClosParameters, ClosTopology
+from repro.topology.clos import ClosParameters, ClosTopology, FabricIndex
 
 __all__ = [
     "DirectedLink",
@@ -25,4 +26,5 @@ __all__ = [
     "SwitchTier",
     "ClosParameters",
     "ClosTopology",
+    "FabricIndex",
 ]

@@ -20,8 +20,6 @@ EXPECTED_EXPORTS = {
     "PathEvidence",
     "RetransmissionEvidence",
     "EpochTick",
-    "evidence_to_dict",
-    "evidence_from_dict",
     # service
     "Zero07Service",
     "ServiceStats",

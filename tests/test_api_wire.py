@@ -28,7 +28,6 @@ from repro.api import (
     WireEncoder,
     WireProtocolError,
     Zero07Service,
-    evidence_to_dict,
 )
 from repro.api.wire import _HEADER, EvidenceColumnStore
 from repro.core.analysis import AnalysisAgent
@@ -82,9 +81,7 @@ class TestCodecRoundTrip:
             memoryview(encoder.encode_run(0, 3, 0, run))
         )
         assert (shard, epoch) == (3, 0)
-        assert [evidence_to_dict(e) for e in events] == [
-            evidence_to_dict(e) for e in run
-        ]
+        assert events == run
         assert seqs.tolist() == [e.seq for e in run]
 
     def test_seq_less_updates_round_trip_as_none(self):
@@ -274,9 +271,7 @@ class TestDamagedMessages:
         assert decoder.links_table == []
         # nothing of the damaged message was kept: the intact one decodes
         _, _, events, _ = decoder.decode(message)
-        assert [evidence_to_dict(e) for e in events] == [
-            evidence_to_dict(e) for e in mixed_run(n=4)
-        ]
+        assert events == mixed_run(n=4)
 
 
 class TestIngestColumns:

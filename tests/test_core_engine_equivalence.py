@@ -24,8 +24,6 @@ from repro.api.events import (
     PathEvidence,
     RetransmissionEvidence,
     copy_evidence,
-    evidence_from_dict,
-    evidence_to_dict,
 )
 from repro.api.service import DetectionLogSink, Zero07Service
 from repro.core.aggregate import MultiEpochAggregator
@@ -368,12 +366,12 @@ def _retraced_stream(rng: np.random.Generator, num_flows: int) -> list:
 
 @pytest.mark.parametrize("entry", ["ingest", "ingest_batch", "restore"])
 def test_interning_does_not_depend_on_link_object_identity(entry):
-    """A source that builds a fresh ``DirectedLink`` per hop (as
-    ``events.path_from_dict`` does) gets the report of one that shares them."""
+    """A source that builds a fresh ``DirectedLink`` per hop (as any decoder
+    of a text form does) gets the report of one that shares them."""
     # no Python-level hash or compare creeps back unnoticed
     assert DirectedLink.__hash__ is tuple.__hash__ and DirectedLink.__lt__ is tuple.__lt__
     shared = _retraced_stream(np.random.default_rng(11), num_flows=150)
-    fresh = [evidence_from_dict(evidence_to_dict(event)) for event in shared]
+    fresh = [copy.deepcopy(event) for event in shared]
     hops = [link for e in fresh if type(e) is PathEvidence for link in e.path.links]
     assert len(set(map(id, hops))) == len(hops) > len(set(hops))
 

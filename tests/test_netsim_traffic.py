@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.netsim.traffic import (
     HotTorTraffic,
     SkewedTraffic,
+    TrafficDemand,
     UniformTraffic,
+    _sample_connection_count,
+    _sample_packets,
 )
+from repro.topology.clos import ClosParameters, ClosTopology
 
 
 class TestUniformTraffic:
@@ -96,3 +102,102 @@ class TestHotTorTraffic:
     def test_default_sink_is_first_tor(self, small_topology):
         traffic = HotTorTraffic(small_topology)
         assert traffic.hot_tor == small_topology.tors()[0].name
+
+
+# ----------------------------------------------------------------------
+# the per-host scan the generators drew from before the fabric index
+# ----------------------------------------------------------------------
+def scan_demands(topology, rng, connections, packets, hot_tors=None, hot_fraction=0.0):
+    """One epoch's demands as the generators computed them before the fabric
+    index: every connection lists its candidates by scanning all hosts.
+    ``hot_tors=None`` is uniform traffic; otherwise the skewed pick."""
+    hosts = sorted(topology.hosts)
+    tor = {h: topology.host(h).tor for h in hosts}
+    hot_hosts = [h for h in hosts if tor[h] in set(hot_tors or ())]
+
+    def outside_rack(src):
+        return [h for h in hosts if tor[h] != tor[src]]
+
+    def pick(src):
+        if hot_tors is None:
+            candidates = outside_rack(src)
+        else:
+            if rng.random() < hot_fraction:
+                candidates = [h for h in hot_hosts if tor[h] != tor[src]]
+            else:
+                candidates = outside_rack(src)
+            if not candidates:
+                candidates = outside_rack(src)
+        if not candidates:
+            return None
+        return candidates[int(rng.integers(0, len(candidates)))]
+
+    demands = []
+    for src in hosts:
+        for _ in range(_sample_connection_count(rng, connections)):
+            dst = pick(src)
+            if dst is None or dst == src:
+                continue
+            demands.append(TrafficDemand(src, dst, _sample_packets(rng, packets)))
+    return demands
+
+
+#: one ToR in all (no destination anywhere), one pod, ``tor10`` beside
+#: ``tor1``, then random sizings.
+SCAN_PARAMS = [
+    ClosParameters(npod=1, n0=1, n1=1, n2=1, hosts_per_tor=3),
+    ClosParameters(npod=1, n0=3, n1=2, n2=1, hosts_per_tor=1),
+    ClosParameters(npod=2, n0=11, n1=1, n2=2, hosts_per_tor=2),
+] + [
+    ClosParameters(
+        npod=r.randint(1, 3),
+        n0=r.randint(1, 6),
+        n1=r.randint(1, 3),
+        n2=r.randint(1, 3),
+        hosts_per_tor=r.randint(1, 4),
+    )
+    for r in map(random.Random, range(8))
+]
+
+
+class TestDemandsMatchTheHostScan:
+    @pytest.mark.parametrize("params", SCAN_PARAMS, ids=str)
+    def test_every_generator_draws_what_the_scan_drew(self, params):
+        topo = ClosTopology(params)
+        tors = [s.name for s in topo.tors()]
+        r = random.Random(str(params))
+        for seed in range(4):
+            connections = r.choice([3, (0, 4)])
+            packets = r.choice([10, (1, 50)])
+            hot = r.sample(tors, r.randint(0, len(tors)))
+            fraction = r.choice([0.0, 0.5, 0.9, 1.0])
+            cases = [
+                (UniformTraffic(topo, connections, packets), None, 0.0),
+                (
+                    SkewedTraffic(
+                        topo, connections, packets, hot_tors=hot, hot_fraction=fraction
+                    ),
+                    hot,
+                    fraction,
+                ),
+                (
+                    HotTorTraffic(topo, tors[-1], fraction, connections, packets),
+                    [tors[-1]],
+                    fraction,
+                ),
+            ]
+            for traffic, hot_tors, hot_fraction in cases:
+                expected = scan_demands(
+                    topo,
+                    np.random.default_rng(seed),
+                    connections,
+                    packets,
+                    hot_tors,
+                    hot_fraction,
+                )
+                assert traffic.generate(seed, rng=seed) == expected
+                if len(tors) == 1:
+                    assert expected == []
+                    assert traffic.pick_destination(
+                        np.random.default_rng(seed), sorted(topo.hosts)[0]
+                    ) is None

@@ -1,7 +1,10 @@
-"""Unit tests for the Clos topology builder and the Section 7 test cluster."""
+"""Unit tests for the Clos topology builder, its index and the Section 7 test cluster."""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.experiments import fig13_testcluster_votes as fig13
@@ -100,6 +103,81 @@ class TestClosTopology:
     def test_describe_mentions_counts(self, small_topology):
         text = small_topology.describe()
         assert str(len(small_topology.hosts)) in text
+
+
+def random_params(seed: int) -> ClosParameters:
+    rng = random.Random(seed)
+    return ClosParameters(
+        npod=rng.randint(1, 3),
+        n0=rng.randint(1, 12),
+        n1=rng.randint(1, 3),
+        n2=rng.randint(1, 3),
+        hosts_per_tor=rng.randint(1, 11),
+        n3=rng.randint(0, 2),
+    )
+
+
+#: the edges first (one pod, one ToR, one host a ToR, a tier 3; ``tor10``
+#: and ``host10`` sort before ``tor2``/``host2``), then random sizings.
+INDEX_PARAMS = [
+    ClosParameters(npod=1, n0=1, n1=1, n2=1, hosts_per_tor=1),
+    ClosParameters(npod=1, n0=1, n1=2, n2=1, hosts_per_tor=3),
+    ClosParameters(npod=3, n0=2, n1=1, n2=2, hosts_per_tor=1, n3=2),
+    ClosParameters(npod=2, n0=12, n1=3, n2=2, hosts_per_tor=11),
+] + [random_params(seed) for seed in range(12)]
+
+
+class TestFabricIndex:
+    """Every entry of ``ClosTopology.index`` against the topology's objects."""
+
+    @pytest.mark.parametrize("params", INDEX_PARAMS, ids=str)
+    def test_tables_agree_with_the_objects(self, params):
+        topo = ClosTopology(params)
+        index = topo.index
+        hosts = sorted(topo.hosts)
+        assert index.hosts == hosts
+        assert index.host_names.tolist() == hosts
+        assert index.host_ids == {h: i for i, h in enumerate(hosts)}
+        switch_of = sorted(topo.switches)
+        assert index.switch_ids == {name: i for i, name in enumerate(switch_of)}
+
+        for i, name in enumerate(hosts):
+            host = topo.host(name)
+            assert switch_of[index.host_tor[i]] == host.tor
+            assert index.host_pod[i] == host.pod
+            assert index.link_objs[index.up_link[i]] == (name, host.tor)
+            assert index.link_objs[index.down_link[i]] == (host.tor, name)
+        assert sorted(index.tor_hosts) == [s.name for s in topo.tors()]
+        for tor, ids in index.tor_hosts.items():
+            assert [hosts[i] for i in ids] == [
+                h for h in hosts if topo.host(h).tor == tor
+            ]
+            assert ids.tolist() == list(range(ids[0], ids[0] + len(ids)))
+        assert len(index.pod_hosts) == params.npod
+        for pod, ids in enumerate(index.pod_hosts):
+            assert [hosts[i] for i in ids] == [
+                h for h in hosts if topo.host(h).pod == pod
+            ]
+            assert ids.tolist() == list(range(ids[0], ids[0] + len(ids)))
+
+        for pod in range(params.npod):
+            names = [s.name for s in topo.tier1s(pod)]
+            assert index.pod_t1_names[pod] == names
+            assert [switch_of[i] for i in index.pod_t1[pod]] == names
+        assert index.t2_names == [s.name for s in topo.tier2s()]
+        assert [switch_of[i] for i in index.t2] == index.t2_names
+
+        directed = topo.directed_links()
+        assert list(index.links) == directed
+        assert index.link_objs.tolist() == directed
+        assert all(
+            index.links[link] is obj for link, obj in zip(directed, index.link_objs)
+        )
+        expected = np.full((len(switch_of),) * 2, -1)
+        for lid, link in enumerate(directed):
+            if topo.is_switch(link.src) and topo.is_switch(link.dst):
+                expected[index.switch_ids[link.src], index.switch_ids[link.dst]] = lid
+        assert np.array_equal(index.switch_link, expected)
 
 
 class TestSection7Cluster:
