@@ -185,18 +185,20 @@ class ServiceStats:
 _NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
 
 #: the checkpoint columns that may view the tally's live buffers.
-_TALLY_COLUMNS = frozenset(("seq", "flow", "retr", "len", "hop"))
+_TALLY_COLUMNS = frozenset(("seq", "flow", "retr", "len"))
 
 #: a bulk run at least this long folds the tally as it lands, so the tick finds
-#: nothing to catch up on.  A fold costs ~50 us plus ~0.1 us a row: four 400-row
-#: folds take 376 us where the report after them folds the 1 600 rows in 205
+#: nothing to catch up on.  A fold of the hop rows costs ~60 us plus ~0.04 us a
+#: row (``steady_ingest``-shaped rows, 2-CPU x86 host, numpy 2.4): four 400-row
+#: folds take ~290 us where the report after them folds the 1 600 rows in ~135
 #: (``operator_trickle``'s 512-event deliveries read 2-5 % slower folded singly).
 _EAGER_FOLD_EVENTS = 2048
 
 #: per-event ``ingest`` joins a pending run that is admitted at this length (or
 #: sooner, before anything reads or extends its epoch).  An admission costs
-#: ~90 us plus ~1.1 us an event: 512 keeps the fixed cost near 0.18 us an
-#: event and caps what a cold report absorbs at ~0.6 ms.
+#: ~220 us plus ~0.85 us an event (same host, flushed by reading ``stats``):
+#: 512 keeps the fixed cost near 0.43 us an event and caps what a cold report
+#: absorbs at ~0.65 ms.
 _PENDING_RUN_EVENTS = 512
 
 
@@ -988,7 +990,7 @@ class Zero07Service:
         """One open epoch as checkpoint columns over the service's name table
         and link index, rows in arrival order.
 
-        ``seq``/``flow``/``retr``/``hop`` may be views of the tally's live
+        ``seq``/``flow``/``retr``/``len`` may be views of the tally's live
         buffers and the identity columns are the state's own: copy before
         keeping.
         """
@@ -1000,7 +1002,7 @@ class Zero07Service:
         cols["flow"] = np.asarray(flows, dtype=np.int64)
         cols["retr"] = np.asarray(counts, dtype=np.int64)
         cols["len"] = np.asarray(lengths, dtype=np.int64)
-        cols["hop"] = np.asarray(hops, dtype=np.int64)
+        cols["hop"] = np.asarray(hops, dtype=COLUMN_DTYPES["hop"])
         # consumed update seqs: their effect is already inside the rows'
         # counts, but redeliveries after a restore must still be recognized
         # as duplicates.

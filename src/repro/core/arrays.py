@@ -1,4 +1,4 @@
-"""NumPy-backed analysis engine: interned links, CSR path matrices, array Algorithm 1.
+"""NumPy-backed analysis engine: interned links, fixed-width hop rows, array Algorithm 1.
 
 The dict-based reference engine (:mod:`repro.core.votes`, :mod:`repro.core.blame`)
 keys every tally on :class:`~repro.topology.elements.DirectedLink` objects and
@@ -9,15 +9,15 @@ its vectorized twin:
 * :class:`ItemIndex` / :class:`LinkIndex` intern hashable items (links, host
   names and addresses) to dense integer ids so per-link state lives in flat
   arrays;
-* :class:`ArrayVoteTally` stores an epoch's discovered paths as a CSR matrix
-  (``indptr``/``cols``, one row per flow) in one set of grown numpy buffers
-  and folds the vote tally *and* the per-link distinct-flow support
+* :class:`ArrayVoteTally` stores an epoch's discovered paths as one
+  ``MAX_HOPS``-wide row of link ids per flow, in one set of grown numpy
+  buffers, and folds the vote tally *and* the per-link distinct-flow support
   incrementally over the rows appended since the last query;
-* :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax + one
-  ``numpy.subtract.at`` over the hit rows' hops per detection instead of
-  re-scanning contribution lists;
+* :func:`find_problematic_links_arrays` runs Algorithm 1 as argmax, one
+  compare over the rows and one ``numpy.subtract.at`` over the hit rows per
+  detection instead of re-scanning contribution lists;
 * helpers vectorize ranking, per-flow culprit attribution and noise
-  classification over the same matrix.
+  classification over the same rows.
 
 Both engines count votes in integer units of ``1/VOTE_UNITS``
 (:mod:`repro.core.votes`), which float64 holds exactly: a fold is one
@@ -198,14 +198,69 @@ def _link_table(labels: Sequence, ids: np.ndarray, values: np.ndarray):
     return zip(map(labels.__getitem__, ids.tolist()), values.tolist())
 
 
-def _grown(buf: np.ndarray, used: int, need: int, slack: int = 0) -> np.ndarray:
-    """A reallocated copy of ``buf[:used]`` with geometrically grown capacity.
+#: the pad of a hop row's unused cells.  Indexing with it reads an array's
+#: last slot, so every per-link array a row indexes here carries one slot past
+#: the links (the *dump*) that no vote, count, membership test or argmax reads.
+PAD = -1
+
+#: one row's ``MAX_HOPS`` booleans read as one unsigned word.
+_ROW_WORD = np.dtype(f"u{MAX_HOPS}")
+
+#: ``[h]``: the used cells of an ``h``-hop row, as one word.
+_CELL_WORDS = (
+    (np.arange(MAX_HOPS) < np.arange(MAX_HOPS + 1)[:, None]).view(_ROW_WORD).ravel()
+)
+
+
+def _cells(lengths: np.ndarray) -> np.ndarray:
+    """The used cells of rows of these lengths: a ``(rows, MAX_HOPS)`` mask,
+    row-major in the order of the rows' hops back to back (a gather of one
+    word a row; a broadcast compare is ten times slower)."""
+    return _CELL_WORDS[lengths].view(bool).reshape(-1, MAX_HOPS)
+
+
+def hop_rows(
+    lengths: Sequence[int], link_ids: Sequence[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Paths given as CSR (``link_ids`` back to back, ``lengths`` hops each)
+    as hop rows: one left-aligned int32 row of ``MAX_HOPS`` cells per path,
+    the cells past its length ``PAD`` — written into ``out`` (all ``PAD``)
+    when given."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if out is None:
+        out = np.full((len(lengths), MAX_HOPS), PAD, dtype=np.int32)
+    out[_cells(lengths)] = link_ids
+    return out
+
+
+def _any_per_row(mask: np.ndarray) -> np.ndarray:
+    """``mask.any(axis=1)`` of a contiguous ``(rows, MAX_HOPS)`` boolean
+    matrix, one word read a row."""
+    return mask.view(_ROW_WORD).ravel() != 0
+
+
+def _row_min(values: np.ndarray) -> np.ndarray:
+    """``values.min(axis=1)`` of a ``(rows, MAX_HOPS)`` matrix, a column at
+    a time (numpy's reduction over eight-cell rows is several times slower)."""
+    low = values[:, 0].copy()
+    for column in range(1, values.shape[1]):
+        np.minimum(low, values[:, column], out=low)
+    return low
+
+
+def _grown(buf: np.ndarray, used: int, need: int, pad=None) -> np.ndarray:
+    """A reallocated copy of ``buf[:used]`` with geometrically grown capacity
+    (rows, for a matrix), the rest filled with ``pad`` when given.
 
     Growth reallocates instead of resizing in place, so array views handed out
     by earlier snapshots keep the old buffer alive and never observe the new
     writes; within one buffer, appends only touch ``buf[used:]``.
     """
-    grown = np.empty(max(need, 2 * len(buf), 1024) + slack, dtype=buf.dtype)
+    shape = (max(need, 2 * len(buf), 1024),) + buf.shape[1:]
+    if pad is None:
+        grown = np.empty(shape, dtype=buf.dtype)
+    else:
+        grown = np.full(shape, pad, dtype=buf.dtype)
     grown[:used] = buf[:used]
     return grown
 
@@ -213,18 +268,28 @@ def _grown(buf: np.ndarray, used: int, need: int, slack: int = 0) -> np.ndarray:
 class ArrayVoteTally:
     """A drop-in, array-backed replacement for :class:`~repro.core.votes.VoteTally`.
 
-    Paths are stored as a CSR matrix over a :class:`LinkIndex`, in one set of
+    Paths are stored as hop rows over a :class:`LinkIndex`, in one set of
     geometrically grown numpy buffers that every entry point writes directly:
-    ``cols`` holds the interned link ids of every path back to back,
-    ``indptr`` delimits the rows (flows), ``flow_ids``/``retransmissions``/
-    ``seqs`` hold each row's bookkeeping (a row's vote follows from its
-    length).  The vote tally and the per-link distinct-flow support are an
+    ``matrix`` holds one ``MAX_HOPS``-wide int32 row per path (flow), its
+    interned link ids left-aligned and the rest ``PAD``; ``lengths`` holds
+    each row's hop count (its vote follows from it) and ``flow_ids``/
+    ``retransmissions``/``seqs`` the rest of its bookkeeping.  "The rows
+    holding link X" is one compare over the matrix, and a row's hops are
+    its row: no offsets to look up.  CSR is only this class's edge format
+    (:meth:`add_columns` in, :meth:`record_columns` out).
+    The vote tally and the per-link distinct-flow support are an
     incrementally maintained materialized view: each query folds only the
     rows appended since the last query into running accumulators, with one
     ``bincount`` of integer vote units — exact, however the rows were cut
     into folds or ordered.
     Mid-epoch queries therefore cost O(rows touched since the last query),
     not O(epoch).  Flows are bound as in :class:`~repro.core.votes.VoteTally`.
+
+    Cost: a bulk append scatters its CSR into the rows with one masked
+    write and :meth:`record_columns` gathers it back with one masked read,
+    O(rows × MAX_HOPS) each (0.5-1 ms per 32 000 rows on a 2-CPU x86 host,
+    numpy 2.4); a fold is one ``bincount`` over the new rows' cells plus a
+    compare per hop position, O(new rows × longest new row).
     """
 
     def __init__(
@@ -236,12 +301,11 @@ class ArrayVoteTally:
             raise ValueError(f"unknown vote policy {policy!r}")
         self._policy: VotePolicy = policy
         self._index = index if index is not None else LinkIndex()
-        # The CSR buffers; ``_rows``/``_hops`` are the used lengths, and
-        # ``_indptr`` always has room for one more entry than the row buffers.
+        # The row buffers, ``_rows`` of them used; every matrix row past the
+        # used ones is all ``PAD`` (grown so, never written before use).
         self._rows = 0
-        self._hops = 0
-        self._cols = np.empty(0, dtype=np.int64)
-        self._indptr = np.zeros(1, dtype=np.int64)
+        self._matrix = np.empty((0, MAX_HOPS), dtype=np.int32)
+        self._lengths = np.empty(0, dtype=np.int64)
         self._flow_ids = np.empty(0, dtype=np.int64)
         self._retransmissions = np.empty(0, dtype=np.int64)
         self._seqs = np.empty(0, dtype=np.int64)
@@ -269,13 +333,12 @@ class ArrayVoteTally:
     # ------------------------------------------------------------------
     # accumulation
     # ------------------------------------------------------------------
-    def _reserve(self, rows: int, hops: int) -> None:
-        """Make room for ``rows`` rows and ``hops`` hops in total."""
-        if hops > len(self._cols):
-            self._cols = _grown(self._cols, self._hops, hops)
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows in total."""
         if rows > len(self._flow_ids):
             used = self._rows
-            self._indptr = _grown(self._indptr, used + 1, rows, slack=1)
+            self._matrix = _grown(self._matrix, used, rows, pad=PAD)
+            self._lengths = _grown(self._lengths, used, rows)
             self._flow_ids = _grown(self._flow_ids, used, rows)
             self._retransmissions = _grown(self._retransmissions, used, rows)
             self._seqs = _grown(self._seqs, used, rows)
@@ -296,17 +359,15 @@ class ArrayVoteTally:
         """Record the votes of one flow that suffered retransmissions
         (``seq``: the record's sequence number, default its row index)."""
         check_hop_counts(len(links), len(links))
-        row, start = self._rows, self._hops
-        stop = start + len(links)
-        if stop > len(self._cols) or row >= len(self._flow_ids):
-            self._reserve(row + 1, stop)
-        self._cols[start:stop] = list(map(self._index.intern, links))
-        self._indptr[row + 1] = stop
+        row = self._rows
+        if row >= len(self._flow_ids):
+            self._reserve(row + 1)
+        self._matrix[row, : len(links)] = list(map(self._index.intern, links))
+        self._lengths[row] = len(links)
         self._flow_ids[row] = flow_id
         self._retransmissions[row] = retransmissions
         self._seqs[row] = row if seq is None else seq
         self._rows = row + 1
-        self._hops = stop
         self._invalidate()
         return VoteContribution(
             flow_id=flow_id,
@@ -391,16 +452,15 @@ class ArrayVoteTally:
             raise ValueError("path columns disagree in length")
         if int(cols.min()) < 0 or int(cols.max()) >= len(self._index):
             raise ValueError("link id outside the tally's index")
-        row, start = self._rows, self._hops
-        rows, hops = row + count, start + len(cols)
-        self._reserve(rows, hops)
-        self._cols[start:hops] = cols
-        np.cumsum(lengths, out=self._indptr[row + 1 : rows + 1])
-        self._indptr[row + 1 : rows + 1] += start
+        row = self._rows
+        rows = row + count
+        self._reserve(rows)
+        hop_rows(lengths, cols, out=self._matrix[row:rows])
+        self._lengths[row:rows] = lengths
         self._flow_ids[row:rows] = flow_ids
         self._retransmissions[row:rows] = retransmissions
         self._seqs[row:rows] = np.arange(row, rows) if seqs is None else seqs
-        self._rows, self._hops = rows, hops
+        self._rows = rows
         self._invalidate()
 
     @property
@@ -494,30 +554,35 @@ class ArrayVoteTally:
         lo, hi = self._folded_rows, self._rows
         if hi == lo:
             return
-        bounds = self._indptr[lo : hi + 1]
-        tail_cols = self._cols[bounds[0] : bounds[-1]]
-        lengths = np.diff(bounds)
-        # Integer units: exact in float64, so the sum is the same whatever
-        # the order of the rows or the folds they were cut into.
-        self._votes += np.bincount(
-            tail_cols, weights=np.repeat(self._units(lengths), lengths), minlength=n
+        lengths = self._lengths[lo:hi]
+        width = int(lengths.max())
+        # One key per cell, ``(id + 1) * stride + row length``, hop ``j`` of
+        # every row in row ``j`` (long runs for the compares below): a pad's
+        # key falls in slot 0, which is dropped.
+        stride = MAX_HOPS + 1
+        keys = np.multiply(
+            self._matrix[lo:hi, :width].T, stride, dtype=np.intp, order="C"
         )
+        keys += lengths + stride
+        counts = np.bincount(keys.ravel(), minlength=(n + 1) * stride)
+        counts = counts.reshape(n + 1, stride)[1:]
+        # A link's votes are its cells per row length times that length's
+        # units: integers, exact in float64, so the sum is the same whatever
+        # the order of the rows or the folds they were cut into.
+        self._votes += counts @ self._units(np.arange(stride))
         # Support counts the distinct (row, link) pairs of the tail rows
-        # (each row's hops are folded exactly once, so pairs never repeat
-        # across folds).  No sort: a hop repeats an earlier hop of its own
-        # row iff it equals the hop ``s`` places back and that hop is not
-        # before the row's start, for some ``s`` below the longest row (at
-        # most ``MAX_HOPS``).
-        row_start = np.repeat(bounds[:-1] - bounds[0], lengths)
-        repeats = []
-        for s in range(1, int(lengths.max())):
-            later = np.flatnonzero(tail_cols[s:] == tail_cols[:-s]) + s
-            repeats.append(later[row_start[later] <= later - s])
-        if any(map(len, repeats)):  # looped paths: rare
-            once = np.ones(len(tail_cols), dtype=bool)
-            once[np.concatenate(repeats)] = False
-            tail_cols = tail_cols[once]
-        self._support += np.bincount(tail_cols, minlength=n)
+        # (each row is folded exactly once, so pairs never repeat across
+        # folds).  No sort: a cell repeats an earlier one of its row iff its
+        # key equals the key ``s`` hops before it, for some ``s`` below the
+        # longest row — pads equal pads, but a repeat needs a link.
+        support = counts.sum(axis=1)
+        repeats = np.zeros(keys.shape, dtype=bool)
+        for s in range(1, width):
+            repeats[s:] |= keys[s:] == keys[:-s]
+        repeats &= keys >= stride
+        if repeats.any():  # looped paths: rare
+            support -= np.bincount(keys[repeats] // stride - 1, minlength=n)
+        self._support += support
         self._folded_rows = hi
 
     @property
@@ -536,11 +601,14 @@ class ArrayVoteTally:
         self._fold()
         return self._support
 
-    def path_matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The CSR rows: ``(indptr, cols, units)``, ``units`` each row's vote
-        per link (computed afresh)."""
-        indptr, cols = _csr(self)
-        return indptr, cols, self._units(np.diff(indptr))
+    def hop_matrix(self) -> np.ndarray:
+        """The hop rows: one ``MAX_HOPS``-wide int32 row per flow, its link
+        ids left-aligned, then ``PAD`` (a view of the buffer)."""
+        return self._matrix[: self._rows]
+
+    def lengths_array(self) -> np.ndarray:
+        """Hop counts per row (a view of the buffer)."""
+        return self._lengths[: self._rows]
 
     def voted_ids(self) -> np.ndarray:
         """Ids of links with at least one vote, ascending."""
@@ -563,15 +631,16 @@ class ArrayVoteTally:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(flow_ids, retransmissions, lengths, link_ids, seqs)`` of every
         row — :meth:`add_columns`'s arguments read back, ``link_ids`` in this
-        tally's index.  Views of the live buffers (only ``lengths`` is
-        fresh): copy what must outlive the next write to the tally.
+        tally's index (int32, the rows' used cells back to back: the one
+        fresh column).  The rest are views of the live buffers: copy what
+        must outlive the next write to the tally.
         """
-        indptr, cols = _csr(self)
+        lengths = self.lengths_array()
         return (
             self.flow_ids_array(),
             self.retransmissions_array(),
-            np.diff(indptr),
-            cols,
+            lengths,
+            self.hop_matrix()[_cells(lengths)],
             self.seqs_array(),
         )
 
@@ -626,11 +695,11 @@ class ArrayVoteTally:
 
     @property
     def contributions(self) -> List[VoteContribution]:
-        """Per-flow contributions, rebuilt from the CSR rows on demand."""
+        """Per-flow contributions, rebuilt from the hop rows on demand."""
         if self._contributions_cache is None:
-            indptr, cols, units = self.path_matrix()
-            bounds = indptr.tolist()
-            hops = list(map(self._index.items.__getitem__, cols.tolist()))
+            flow_ids, counts, lengths, link_ids, _ = self.record_columns()
+            bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+            hops = list(map(self._index.items.__getitem__, link_ids.tolist()))
             self._contributions_cache = [
                 VoteContribution(
                     flow_id=flow_id,
@@ -639,11 +708,11 @@ class ArrayVoteTally:
                     retransmissions=retransmissions,
                 )
                 for flow_id, start, stop, row_units, retransmissions in zip(
-                    self.flow_ids_array().tolist(),
+                    flow_ids.tolist(),
                     bounds,
                     bounds[1:],
-                    units.astype(np.int64).tolist(),
-                    self.retransmissions_array().tolist(),
+                    self._units(lengths).astype(np.int64).tolist(),
+                    counts.tolist(),
                 )
             ]
         return list(self._contributions_cache)
@@ -669,20 +738,19 @@ class ArrayVoteTally:
     def snapshot(self) -> "ArrayVoteTally":
         """An independent point-in-time tally sharing the link index.
 
-        O(rows + links), not O(total hops): the CSR buffers are shared as
-        array views (safe — this tally appends past the snapshot's watermark
-        or reallocates, it never writes inside it, and a snapshot's own first
-        append finds its views full and reallocates) and only the state
-        mutated in place afterwards is copied: votes, support, retransmission
-        counts.
+        O(rows + links), not O(rows × MAX_HOPS): the row buffers are shared
+        as array views (safe — this tally appends past the snapshot's
+        watermark or reallocates, it never writes inside it, and a
+        snapshot's own first append finds its views full and reallocates)
+        and only the state mutated in place afterwards is copied: votes,
+        support, retransmission counts.
         """
         self._fold()
         clone = ArrayVoteTally(policy=self._policy, index=self._index)
-        rows, hops = self._rows, self._hops
+        rows = self._rows
         clone._rows = clone._folded_rows = rows
-        clone._hops = hops
-        clone._cols = self._cols[:hops]
-        clone._indptr = self._indptr[: rows + 1]
+        clone._matrix = self._matrix[:rows]
+        clone._lengths = self._lengths[:rows]
         clone._flow_ids = self._flow_ids[:rows]
         clone._retransmissions = self._retransmissions[:rows].copy()
         clone._seqs = self._seqs[:rows]
@@ -696,41 +764,28 @@ class ArrayVoteTally:
 # ----------------------------------------------------------------------
 # Algorithm 1 over arrays
 # ----------------------------------------------------------------------
-def _hops_of_rows(indptr: np.ndarray, rows: np.ndarray):
-    """``(flat, starts, lengths)``: the positions in ``cols`` of every hop of
-    ``rows`` back to back, and each row's segment start/length within them."""
-    lengths = indptr[rows + 1] - indptr[rows]
-    starts = np.cumsum(lengths) - lengths
-    flat = np.repeat(indptr[rows] - starts, lengths) + np.arange(lengths.sum())
-    return flat, starts, lengths
-
-
 def _rows_holding(
-    row_of: np.ndarray, hops: np.ndarray, link: int, row_steps: np.ndarray
+    matrix: np.ndarray, link: int, row_steps: np.ndarray, first: int
 ) -> np.ndarray:
-    """The alive rows (no step took them yet) holding ``link``, ascending,
-    each once (a looped path repeats): one scan of ``hops``, whose rows are
-    ``row_of``."""
-    rows = row_of[hops == link]
-    rows = rows[row_steps[rows] < 0]
-    return rows[np.diff(rows, prepend=-1) > 0]
+    """The alive rows (no step took them yet) from ``first`` on holding
+    ``link``, ascending, each once (a looped path repeats): one compare of
+    their cells, read as one word a row."""
+    rows = np.flatnonzero(_any_per_row(matrix[first:] == link)) + first
+    return rows[row_steps[rows] < 0]
 
 
-def _discount(votes, indptr, cols, weights, rows, best) -> None:
-    """Take ``rows``' votes off every hop they cross, once per occurrence,
-    clamped at 0; ``best`` keeps its votes."""
-    flat, _, lengths = _hops_of_rows(indptr, rows)
-    touched = cols[flat]
+def _discount(votes, matrix, weights, rows, best) -> None:
+    """Take ``rows``' votes off every cell they hold, once per occurrence
+    (a pad's off the dump slot), and clamp at 0; ``best`` keeps its votes."""
     own = votes[best]
-    np.subtract.at(votes, touched, np.repeat(weights[rows], lengths))
-    votes[touched[~(votes[touched] > 0.0)]] = 0.0
+    np.subtract.at(votes, matrix[rows].ravel(), np.repeat(weights[rows], MAX_HOPS))
+    np.maximum(votes, 0.0, out=votes)
     votes[best] = own
 
 
 def blame_kernel(
     votes: np.ndarray,
-    indptr: np.ndarray,
-    cols: np.ndarray,
+    matrix: np.ndarray,
     weights: np.ndarray,
     eligible: np.ndarray,
     sort_ranks: np.ndarray,
@@ -740,19 +795,22 @@ def blame_kernel(
 ) -> Tuple[List[int], List[float], List[np.ndarray], np.ndarray]:
     """Algorithm 1's argmax + masked-discounting loop for link blame.
 
+    ``matrix`` holds the paths as hop rows (:func:`hop_rows`: ids into
+    ``votes``, then ``PAD``), ``weights`` each row's vote per link.
     Returns ``(detected_ids, votes_at_detection, steps, row_steps)``:
     ``steps[k]`` is the votes at the start of greedy step ``k``, and
     ``steps[-1]`` what the loop left; ``row_steps[r]`` is the step of the
     first detection whose id row ``r`` holds, ``-1`` for none — under
     ``adjustment="paths"`` the step that took the row's votes.  The input
-    ``votes`` array is not modified.  Each detection finds the still-alive
-    rows holding the blamed id with one scan of their hops (no sorted index
-    is kept), records the step on them — the record is what marks a row
-    dead — and discounts their hops (the id itself exempt: a blamed id
-    keeps its votes at detection) with one unbuffered ``np.subtract.at``,
-    then clamps the touched ids at 0.
+    ``votes`` array is not modified: the loop works on a copy with one more
+    slot, where the pads' discounts land.  Each detection finds the
+    still-alive rows holding the blamed id with one compare over the matrix
+    (one word a row for "any cell"), records the step on them — the record
+    is what marks a row dead — and discounts their cells (the id itself
+    exempt: a blamed id keeps its votes at detection) with one unbuffered
+    ``np.subtract.at`` in (row, hop) order, then clamps every id at 0.
     Without adjustment no row is looked up inside the loop, and the record
-    costs one scan of every hop after it.
+    costs one gather of every cell after it.
 
     ``prior`` resumes an earlier run over the first ``rows`` rows:
     ``(rows, detected, ids, steps, row_steps)``, its detections, over the
@@ -770,29 +828,34 @@ def blame_kernel(
     :func:`find_problematic_links_arrays`, passes: an id's votes are then
     the units of its alive rows and never go below zero.
 
-    Cost: a fresh run scans every hop once per detection, O(hops); a
-    resumed one scans the appended hops and rebuilds the votes once per
-    step, O(new hops) plus O(links), and pays one O(hops) scan per
-    detection after it leaves the recorded ones.
+    Cost: a fresh run compares every row once per detection, O(rows), and
+    discounts O(hit rows); a resumed one compares the appended rows and
+    rebuilds the votes once per step, O(new rows) plus O(links), and pays
+    one O(rows) compare per detection after it leaves the recorded ones.
+    Every step also clamps O(links).
 
-    Input contract: ``weights`` must be non-negative (``ValueError``
-    otherwise); beyond that, a fresh run accepts any float votes.  An id's
-    votes then only fall, so a ``max(0.0, v - w)`` per subtraction in (row,
-    hop) order equals the unclamped value until that first reaches zero or
-    below and is 0 from then on — one clamp at the end yields the same
-    doubles, bit for bit.
+    Input contract: ``weights`` must be non-negative and ``votes`` finite
+    and non-negative, ``-0.0`` excluded (``ValueError`` otherwise); beyond
+    that, a fresh run accepts any float votes.  An id's votes then only
+    fall, so a ``max(0.0, v - w)`` per subtraction in (row, hop) order
+    equals the unclamped value until that first reaches zero or below and
+    is 0 from then on — one clamp at the end of a step yields the same
+    doubles, bit for bit, and leaves the ids no row touched as they were.
     """
     if not bool((weights >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")
-    votes = votes.copy()
-    blamed = np.zeros(len(votes), dtype=bool)
-    row_steps = np.full(len(indptr) - 1, -1, dtype=np.int32)
+    if not bool(np.isfinite(votes).all()) or bool(np.signbit(votes).any()):
+        raise ValueError("blame_kernel needs finite non-negative votes")
+    n = len(votes)
+    votes = np.append(votes, 0.0)  # the last slot: the pads' dump
+    # the ids still open for blame: eligible and not yet blamed, never the dump
+    candidate = np.append(eligible, False)
+    row_steps = np.full(len(matrix), -1, dtype=np.int32)
     detected: List[int] = []
     votes_at: List[float] = []
     steps: List[np.ndarray] = []
-    # rows ``[first, ...)`` are scanned, their hops' rows built on the first
-    # detection (most epochs have none); ``tail`` is not None while resuming
-    first, tail, row_of = 0, None, None
+    # rows ``[first, ...)`` are compared; ``tail`` is not None while resuming
+    first, tail = 0, None
     if prior is not None:
         # the earlier rows' record is read back once the run leaves it
         first, recorded, prior_ids, prior_steps, prior_rows = prior
@@ -801,9 +864,6 @@ def blame_kernel(
             votes = tail.copy()
             votes[prior_ids] += prior_steps[len(detected)]
         if len(detected) >= config.max_links:
-            break
-        candidate = eligible & ~blamed
-        if not candidate.any():
             break
         masked = np.where(candidate, votes, -np.inf)
         vmax = float(masked.max())
@@ -821,22 +881,18 @@ def blame_kernel(
                 prior = tail = None
                 if step:  # the rows the repeated steps took stay taken
                     row_steps[:first] = _steps_before(prior_rows, step)
-                first, row_of = 0, None
-        steps.append(votes.copy())
-        blamed[best] = True
+                first = 0
+        steps.append(votes[:n].copy())
+        candidate[best] = False
         detected.append(best)
         votes_at.append(vmax)
         if config.adjustment == "paths":
-            if row_of is None:
-                row_of = np.repeat(
-                    np.arange(first, len(row_steps)), np.diff(indptr[first:])
-                )
-            rows = _rows_holding(row_of, cols[indptr[first] :], best, row_steps)
+            rows = _rows_holding(matrix, best, row_steps, first)
             row_steps[rows] = len(detected) - 1
-            _discount(votes if tail is None else tail, indptr, cols, weights, rows, best)
-    steps.append(votes)
+            _discount(votes if tail is None else tail, matrix, weights, rows, best)
+    steps.append(votes[:n])
     if config.adjustment != "paths":
-        row_steps = _first_detection_steps(indptr, cols, detected, len(votes))
+        row_steps = _first_detection_steps(matrix, detected, n)
     elif prior is not None:  # followed the earlier run to its end or short
         row_steps[:first] = _steps_before(prior_rows, len(detected))
     return detected, votes_at, steps, row_steps
@@ -850,18 +906,16 @@ def _steps_before(row_steps: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _first_detection_steps(
-    indptr: np.ndarray, cols: np.ndarray, detected: List[int], n: int
+    matrix: np.ndarray, detected: List[int], n: int
 ) -> np.ndarray:
     """Per row, the step of the first of ``detected`` it holds, ``-1`` for
-    none: one scan of every hop (every row has at least one)."""
-    rows = len(indptr) - 1
-    if not detected or not rows:
-        return np.full(rows, -1, dtype=np.int32)
-    step_of = np.full(n, len(detected), dtype=np.int32)
+    none: one gather of every cell (ids below ``n``; a pad reads slot
+    ``n``, no detection's)."""
+    if not detected or not len(matrix):
+        return np.full(len(matrix), -1, dtype=np.int32)
+    step_of = np.full(n + 1, len(detected), dtype=np.int32)
     step_of[detected] = np.arange(len(detected), dtype=np.int32)
-    return _steps_before(
-        np.minimum.reduceat(step_of[cols[: indptr[-1]]], indptr[:-1]), len(detected)
-    )
+    return _steps_before(_row_min(step_of[matrix]), len(detected))
 
 
 @dataclass(eq=False)
@@ -937,12 +991,10 @@ def find_problematic_links_arrays(
                 arrays.steps,
                 arrays.row_steps,
             )
-        indptr, cols, units = tally.path_matrix()
         detected, at, steps, row_steps = blame_kernel(
             votes,
-            indptr,
-            cols,
-            units,
+            tally.hop_matrix(),
+            tally._units(tally.lengths_array()),
             tally.support_array() >= config.min_flow_support,
             sort_ranks,
             config.threshold_fraction * total,
@@ -974,16 +1026,10 @@ def find_problematic_links_arrays(
 # ----------------------------------------------------------------------
 # vectorized ranking, attribution and noise classification
 # ----------------------------------------------------------------------
-def _csr(tally: ArrayVoteTally) -> Tuple[np.ndarray, np.ndarray]:
-    """The tally's ``(indptr, cols)`` (:meth:`ArrayVoteTally.path_matrix`
-    without the row units)."""
-    return tally._indptr[: tally._rows + 1], tally._cols[: tally._hops]
-
-
 def attribute_flow_causes_arrays(
     tally: ArrayVoteTally, rows: np.ndarray, sort_ranks: Optional[np.ndarray] = None
 ) -> Dict[int, DirectedLink]:
-    """Per-flow culprit attribution for the given rows of the path matrix.
+    """Per-flow culprit attribution for the given rows of the tally.
 
     For each selected flow the most voted link on its own path wins; ties go to
     the smallest link, matching the dict engine's ``max(sorted(links), ...)``.
@@ -994,27 +1040,19 @@ def attribute_flow_causes_arrays(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return {}
-    indptr, cols = _csr(tally)
     votes = tally.votes_array()
     ranks = tally.index.sort_ranks() if sort_ranks is None else sort_ranks
-    flow_ids = tally.flow_ids_array()
-
-    flat, starts, lengths = _hops_of_rows(indptr, rows)
-    seg_cols = cols[flat]
-    seg_votes = votes[seg_cols]
-    seg_max = np.maximum.reduceat(seg_votes, starts)
-    is_max = seg_votes == np.repeat(seg_max, lengths)
-    seg_ranks = np.where(is_max, ranks[seg_cols], np.iinfo(np.int64).max)
-    best_rank = np.minimum.reduceat(seg_ranks, starts)
-
-    # map the winning rank back to its link id
-    rank_to_id = np.empty(len(ranks), dtype=np.int64)
-    rank_to_id[ranks] = np.arange(len(ranks), dtype=np.int64)
-    best_ids = rank_to_id[best_rank]
-
+    # each link's place in the order "most votes, then link order": a row's
+    # culprit is its cell placed first, and a pad (the last slot) is last
+    n = min(len(votes), len(ranks))
+    order = np.lexsort((ranks[:n], -votes[:n]))
+    place = np.empty(n + 1, dtype=np.int64)
+    place[order] = np.arange(n)
+    place[n] = n
+    best_ids = order[_row_min(place[tally.hop_matrix()[rows]])]
     return dict(
         zip(
-            flow_ids[rows].tolist(),
+            tally.flow_ids_array()[rows].tolist(),
             map(tally.index.items.__getitem__, best_ids.tolist()),
         )
     )
@@ -1036,25 +1074,17 @@ def failure_rows_mask(
     detected_links: Sequence[DirectedLink],
     max_noise_retransmissions: int = 1,
 ) -> np.ndarray:
-    """:func:`failure_rows` for any list of links: one scan of every hop
+    """:func:`failure_rows` for any list of links: one gather of every cell
     for the rows crossing one of them (the reference the record is checked
     against)."""
-    indptr, cols = _csr(tally)
-    num_rows = len(indptr) - 1
-    retrans = tally.retransmissions_array()
-
-    detected_mask = np.zeros(max(len(tally.index), 1), dtype=bool)
+    # the last slot is the pads': no detection
+    detected_mask = np.zeros(len(tally.index) + 1, dtype=bool)
     for link in detected_links:
         lid = tally.index.get(link)
         if lid is not None:
             detected_mask[lid] = True
-
-    if num_rows:
-        hit = detected_mask[cols].astype(np.int64)
-        touches = np.maximum.reduceat(hit, indptr[:-1]).astype(bool)
-    else:
-        touches = np.zeros(0, dtype=bool)
-    return touches | (retrans > max_noise_retransmissions)
+    touches = _any_per_row(detected_mask[tally.hop_matrix()])
+    return touches | (tally.retransmissions_array() > max_noise_retransmissions)
 
 
 def classify_noise_flows_arrays(

@@ -197,7 +197,7 @@ class TestMidEpochReport:
     def test_a_stable_stream_resumes_without_rescanning_old_rows(self, monkeypatch):
         """While the detections repeat, each cold report and the tick resume
         Algorithm 1 from the previous report: every scan for a blamed link's
-        rows covers only the hops past that report's watermark, and the
+        rows covers only the rows past that report's watermark, and the
         verdict is a fresh run's, per-step votes included."""
         import repro.core.arrays as arrays
 
@@ -221,16 +221,17 @@ class TestMidEpochReport:
         monkeypatch.setattr(
             arrays,
             "_rows_holding",
-            lambda row_of, hops, *rest: scans.append((int(row_of[0]), len(hops)))
-            or holding(row_of, hops, *rest),
+            lambda matrix, link, row_steps, first: scans.append(
+                (first, len(matrix) - first)
+            )
+            or holding(matrix, link, row_steps, first),
         )
         for stop in (200, 300):
             service.ingest_batch(events[stop - 100 : stop])
             scans.clear()
             report = service.report(0) if stop < 300 else service.advance_epoch(0)
-            indptr, cols, _ = report.tally.path_matrix()
             watermark = previous.num_paths_analyzed
-            assert scans == [(watermark, len(cols) - indptr[watermark])] * 2
+            assert scans == [(watermark, stop - watermark)] * 2
             fresh = AnalysisAgent(blame_config=config).analyze_epoch(0, paths[:stop])
             assert report_signature(report) == report_signature(fresh)
             assert report.blame.arrays.steps.tobytes() == fresh.blame.arrays.steps.tobytes()
@@ -239,6 +240,35 @@ class TestMidEpochReport:
                 == fresh.blame.arrays.row_steps.tobytes()
             )
             previous = report
+
+    def test_a_tick_and_a_cold_report_read_the_hop_rows_in_place(self, monkeypatch):
+        """Algorithm 1 reads the tally's own hop rows — a cold report's
+        snapshot shares them, the tick hands over the live tally — and
+        nothing on the way turns them back into CSR."""
+        import numpy as np
+
+        import repro.core.arrays as arrays
+
+        read = []
+        kernel = arrays.blame_kernel
+        monkeypatch.setattr(
+            arrays,
+            "blame_kernel",
+            lambda votes, matrix, *rest: read.append(matrix) or kernel(votes, matrix, *rest),
+        )
+
+        def no_csr(tally):
+            raise AssertionError("the hop rows were turned into CSR")
+
+        monkeypatch.setattr(arrays.ArrayVoteTally, "record_columns", no_csr)
+        paths = [make_path(flow, [L[flow % 3], L[3 + flow % 2]]) for flow in range(40)]
+        service = Zero07Service(blame_config=BlameConfig(threshold_fraction=0.1))
+        service.ingest_batch(evidence_stream(0, paths))
+        cold = service.report(0)
+        final = service.advance_epoch(0)
+        assert final.detected_links and cold.tally is not final.tally
+        live = final.tally.hop_matrix()
+        assert len(read) == 2 and all(np.shares_memory(rows, live) for rows in read)
 
     def test_empty_epoch_report(self):
         service = Zero07Service()

@@ -15,6 +15,7 @@ from repro.core.arrays import (
     blame_kernel,
     failure_rows_mask,
     find_problematic_links_arrays,
+    hop_rows,
     noise_split,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
@@ -42,14 +43,17 @@ def _path(flow_id, links, retransmissions=1):
 
 
 def _buffers(tally: ArrayVoteTally):
-    """Every buffer and accumulator of a tally, byte for byte."""
-    indptr, cols, weights = tally.path_matrix()
+    """Every buffer and accumulator of a tally, byte for byte; the hop rows
+    must be those its own CSR record rebuilds."""
+    flows, counts, lengths, link_ids, seqs = tally.record_columns()
+    assert tally.hop_matrix().tobytes() == hop_rows(lengths, link_ids).tobytes()
     return (
-        indptr.tobytes(),
-        cols.tobytes(),
-        weights.tobytes(),
-        tally.flow_ids_array().tobytes(),
-        tally.retransmissions_array().tobytes(),
+        tally.hop_matrix().tobytes(),
+        lengths.tobytes(),
+        link_ids.tobytes(),
+        flows.tobytes(),
+        counts.tobytes(),
+        seqs.tobytes(),
         tally.votes_array().tobytes(),
         tally.support_array().tobytes(),
         tally.voted_ids().tobytes(),
@@ -297,7 +301,7 @@ class TestBlameKernel:
         clamps = multi = 0
         for case in range(60):
             n, rows = int(rng.integers(2, 12)), int(rng.integers(1, 30))
-            lengths = rng.integers(1, 7, size=rows)
+            lengths = rng.integers(1, 9, size=rows)  # 8: a row without a pad
             indptr = np.concatenate(([0], np.cumsum(lengths)))
             cols = rng.integers(0, n, size=indptr[-1])
             looped = np.flatnonzero(lengths > 1)[::2]  # a link repeated in a path
@@ -324,7 +328,9 @@ class TestBlameKernel:
             )
             before = votes.tobytes()
             want_ids, want_at, want_final, want_taken, clamped = _clamped_walk(*args)
-            got_ids, got_at, got_steps, got_taken = blame_kernel(*args)
+            got_ids, got_at, got_steps, got_taken = blame_kernel(
+                votes, hop_rows(lengths, cols), *args[3:]
+            )
             assert (got_ids, got_at) == (want_ids, want_at)
             assert got_steps[-1].tobytes() == want_final.tobytes()
             assert len(got_steps) == len(got_ids) + 1
@@ -351,8 +357,7 @@ class TestBlameKernel:
             return ids, ([], [], [votes], np.full(rows, -1, dtype=np.int32))
         return ids, blame_kernel(
             votes,
-            indptr[: rows + 1],
-            hops,
+            hop_rows(lengths, hops),
             weights[:rows],
             support >= min_support,
             np.arange(n)[::-1].copy(),  # ties to the larger id
@@ -434,12 +439,22 @@ class TestBlameKernel:
         shapes = self._assert_resumes_at_every_prefix(indptr, cols, weights, 4, config, 1)
         assert shapes[6] == (1, False, True)  # a repeat, a gain, then a flip
 
-    def test_rejects_negative_weights(self):
+    @pytest.mark.parametrize(
+        "votes, weights",
+        [
+            (1.0, -1.0),  # a negative weight
+            (-1.0, 1.0),  # negative votes: the clamp would lift them to 0
+            (-0.0, 1.0),  # a clamp's 0 is +0.0
+            (np.nan, 1.0),
+            (np.inf, 1.0),
+        ],
+    )
+    def test_rejects_what_the_clamp_cannot_keep(self, votes, weights):
         one = np.ones(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             blame_kernel(
-                one, np.array([0, 1]), np.array([0]), -one, one > 0, np.array([0]),
-                0.0, BlameConfig(),
+                one * votes, hop_rows([1], [0]), one * weights, one > 0,
+                np.array([0]), 0.0, BlameConfig(),
             )
 
 
@@ -516,6 +531,18 @@ class TestFailureRowsFromTheRecord:
             seen["counted"] += bool((counts > 1).any())
             seen["none" if not report.detected_links else "some"] += 1
         assert all(seen.values()), seen
+
+    def test_a_pad_crosses_no_detected_link(self):
+        """Whichever link is detected — the last interned one too, which a
+        pad's ``-1`` would read without the dump slot — only the rows
+        holding it fail."""
+        links = [L("p", "q"), L("q", "r"), L("r", "s")]
+        tally = ArrayVoteTally()
+        for flow, hops in enumerate([[0, 1], [2], [1, 0, 1], [0]]):
+            tally.add_flow(flow, [links[i] for i in hops])
+        for k, link in enumerate(links):
+            holds = [k in hops for hops in ([0, 1], [2], [1, 0, 1], [0])]
+            assert failure_rows_mask(tally, [link]).tolist() == holds
 
     @pytest.mark.parametrize("workload", ["steady_ingest", "operator_trickle", "fleet_tcp"])
     def test_the_ruler_streams_agree_with_the_hop_scan(self, workload):
@@ -660,26 +687,35 @@ def _drive(add_chunk, paths, stops, cuts=(), actions=None):
     return tally, snapshots
 
 
-def _arrays_state(tally):
-    return (
-        tally.votes_array().tolist(),
-        tally.support_array().tolist(),
-        tally.voted_ids().tolist(),
-        tally.items(),
-        tally.flow_ids_array().tolist(),
-        tally.retransmissions_array().tolist(),
+def _csr_reference(tally, paths):
+    """What a tally built from ``paths`` holds, from their CSR alone:
+    ``(lengths, link_ids)`` as :meth:`~ArrayVoteTally.record_columns` gives
+    them back, and the votes and support of one ``bincount`` each."""
+    lengths = np.array([len(path.links) for path in paths], dtype=np.int64)
+    ids = np.array(
+        [tally.index.get(link) for path in paths for link in path.links],
+        dtype=np.int32,
     )
+    n = len(tally.index)
+    votes = np.bincount(ids, weights=np.repeat(VOTE_UNITS // lengths, lengths), minlength=n)
+    row_of = np.repeat(np.arange(len(paths)), lengths)
+    support = np.bincount(np.unique(row_of * n + ids) % n, minlength=n)
+    return lengths, ids, votes, support
 
 
 def _link_state(tally):
     """Index-size independent: a snapshot shares its parent's grown index."""
     link_of = tally.index.link_of
     votes, support = tally.votes_array().tolist(), tally.support_array().tolist()
+    flows, counts, lengths, link_ids, seqs = tally.record_columns()
     return (
         [(link_of(i), votes[i], support[i]) for i in tally.voted_ids().tolist()],
         tally.items(),
-        tally.flow_ids_array().tolist(),
-        tally.retransmissions_array().tolist(),
+        flows.tolist(),
+        counts.tolist(),
+        lengths.tolist(),
+        [link_of(i) for i in link_ids.tolist()],
+        seqs.tolist(),
     )
 
 
@@ -715,7 +751,7 @@ if given is not None:
                 st.lists(
                     st.tuples(
                         st.integers(0, 12),  # few ids: flows get re-traced
-                        st.lists(st.integers(0, 8), min_size=1, max_size=6),
+                        st.lists(st.integers(0, 8), min_size=1, max_size=8),
                         st.integers(0, 3),
                     ),
                     min_size=1,
@@ -724,11 +760,17 @@ if given is not None:
             )
         ]
         # always present: a flow traced twice whose second path loops back
-        # over its first link (one support count per row, not per hop)
+        # over its first link (one support count per row, not per hop)...
         first = paths[0]
         paths.insert(
             draw(st.integers(1, len(paths))),
-            _path(first.flow_id, [*first.links, POOL[4], first.links[0]]),
+            _path(first.flow_id, [*first.links[:6], POOL[4], first.links[0]]),
+        )
+        # ...and a row of eight hops, no pad, over a link first seen there:
+        # the index grows between appends
+        eight = [POOL[i] for i in draw(st.lists(st.integers(0, 8), min_size=7, max_size=7))]
+        paths.insert(
+            draw(st.integers(1, len(paths))), _path(13, [*eight, L("late", "link")])
         )
         position = st.integers(0, len(paths))
         bumps = st.lists(
@@ -755,7 +797,16 @@ if given is not None:
         finals = []
         for add_chunk, cuts, actions in variants:
             tally, snapshots = _drive(add_chunk, paths, stops, cuts, actions)
-            finals.append(_arrays_state(tally))
+            finals.append((_buffers(tally), tally.items()))
+            # the CSR goes in and comes back byte for byte; votes and
+            # support are one bincount of it
+            lengths, ids, votes, support = _csr_reference(tally, paths)
+            _, _, got_lengths, got_ids, seqs = tally.record_columns()
+            assert got_lengths.tobytes() == lengths.tobytes()
+            assert got_ids.tobytes() == ids.tobytes()
+            assert seqs.tolist() == list(range(len(paths)))
+            assert tally.votes_array().tolist() == votes.tolist()
+            assert tally.support_array().tolist() == support.tolist()
             add_chunk(tally, filler)  # grow the parent past a reallocation
             for position, snapshot in snapshots:
                 prefix = {s: b for s, b in stops.items() if s <= position}
@@ -771,6 +822,6 @@ if given is not None:
         whole.add_flows(paths)
         reference.add_discovered_paths(paths)
         assert cut_up.support_array().tolist() == whole.support_array().tolist()
-        assert whole.support_array().tolist() == finals[0][1]
+        assert whole.support_array().tobytes() == finals[0][0][7]
         for link in POOL:
             assert whole.support_of(link) == reference.support_of(link)
