@@ -50,7 +50,7 @@ import struct
 import tempfile
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import (
@@ -73,6 +73,7 @@ from repro.core.blame import BlameConfig
 from repro.core.votes import PathTooLongError, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
+from repro.util.jsonable import from_json
 
 #: payload schema version written by :meth:`Zero07Service.checkpoint` and
 #: the only one :meth:`Checkpoint.validate` accepts; version 2 added delta
@@ -94,26 +95,6 @@ _CONTAINER_HEADER = struct.Struct("<4sIQ")
 #: stalls the ingest thread, and deflating the narrowed columns, which shrink
 #: only 1.5-1.9x, took about half of a save and a third of a load.
 _DEFLATE_LEVEL = 1
-
-
-def blame_to_dict(config: BlameConfig) -> Dict[str, Any]:
-    """Serialize a :class:`BlameConfig` to JSON-ready primitives."""
-    return {
-        "threshold_fraction": config.threshold_fraction,
-        "adjustment": config.adjustment,
-        "min_flow_support": config.min_flow_support,
-        "max_links": config.max_links,
-    }
-
-
-def blame_from_dict(data: Dict[str, Any]) -> BlameConfig:
-    """Rebuild a :class:`BlameConfig` from :func:`blame_to_dict` output."""
-    return BlameConfig(
-        threshold_fraction=float(data["threshold_fraction"]),
-        adjustment=data["adjustment"],
-        min_flow_support=int(data["min_flow_support"]),
-        max_links=int(data["max_links"]),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -738,10 +719,14 @@ class Checkpoint:
         noise = self.payload.get("attribute_noise_flows")
         if not isinstance(noise, bool):
             raise ValueError(f"checkpoint attribute_noise_flows is no bool: {noise!r}")
+        blame = self.payload.get("blame")
         try:
-            blame_from_dict(self.payload["blame"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"checkpoint blame is no blame config: {exc!r}") from None
+            from_json(BlameConfig, blame)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint blame is no blame config: {exc}") from None
+        # complete as well as valid (no key is unknown): a capture writes them all
+        if len(blame) != len(fields(BlameConfig)):
+            raise ValueError(f"checkpoint blame is no complete blame config: {blame!r}")
         epochs = self.payload.get("epochs")
         if not isinstance(epochs, list):
             raise ValueError("checkpoint has no list of epoch entries")

@@ -62,8 +62,6 @@ from repro.api.checkpoint import (
     CheckpointColumns,
     ColumnsBuilder,
     EpochColumns,
-    blame_from_dict,
-    blame_to_dict,
     decode_paths,
     delta_rows,
     encode_identity,
@@ -71,7 +69,6 @@ from repro.api.checkpoint import (
     payload_fingerprint,
     remap_identity,
     sorted_difference,
-    take_rows,
 )
 from repro.api.events import (
     EpochTick,
@@ -85,6 +82,7 @@ from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import VotePolicy, VoteTally, check_hop_counts
 from repro.discovery.agent import DiscoveredPath
+from repro.util.jsonable import from_json, to_json
 
 
 class ReportUnavailableError(KeyError):
@@ -924,7 +922,7 @@ class Zero07Service:
             "engine": self.engine,
             "vote_policy": self._vote_policy,
             "attribute_noise_flows": self._attribute_noise_flows,
-            "blame": blame_to_dict(self._blame_config),
+            "blame": to_json(self._blame_config),
             "retain_reports": self._retain_reports,
             "max_epoch_seen": self._max_epoch_seen,
             "last_finalized": self._last_finalized,
@@ -950,24 +948,28 @@ class Zero07Service:
         epochs: List[Dict[str, Any]] = []
         for epoch in sorted(self._epochs):
             state = self._epochs[epoch]
-            cols = self._epoch_columns(state)
             pending = {
                 str(flow): count
                 for flow, count in sorted(state.pending_retransmissions.items())
             }
             base_entry = base_entries.get(epoch)
-            if base_entry is not None:
+            if base_entry is None:
+                cols = self._epoch_columns(state)
+            else:
                 known = epoch_columns(base_entry, base.columns, DIFF_COLUMNS)
-                rows = delta_rows(cols["seq"], cols["retr"], known)
-                retrans_seqs = sorted_difference(cols["rs"], known["rs"])
+                # the rows to carry follow from the seqs and counts alone:
+                # only their hops and identity are gathered
+                rows = delta_rows(
+                    state.tally.seqs_array(), state.tally.retransmissions_array(), known
+                )
+                cols = self._epoch_columns(state, rows)
+                cols["rs"] = sorted_difference(cols["rs"], known["rs"])
                 if (
                     not len(rows)
-                    and not len(retrans_seqs)
+                    and not len(cols["rs"])
                     and pending == base_entry["pending_retransmissions"]
                 ):
                     continue  # untouched since the base — the merge keeps base's copy
-                cols = take_rows(cols, rows)
-                cols["rs"] = retrans_seqs
             # the tally's buffers stay the service's own: copy what may view
             # them; the state only ever replaces its identity columns, and the
             # consumed seqs are fresh, so the checkpoint shares those
@@ -986,18 +988,24 @@ class Zero07Service:
             ),
         )
 
-    def _epoch_columns(self, state: _EpochState) -> EpochColumns:
-        """One open epoch as checkpoint columns over the service's name table
-        and link index, rows in arrival order.
+    def _epoch_columns(
+        self, state: _EpochState, rows: Optional[np.ndarray] = None
+    ) -> EpochColumns:
+        """One open epoch's records, all in arrival order or ``rows`` in that
+        order, as checkpoint columns over the service's name table and link
+        index.
 
         ``seq``/``flow``/``retr``/``len`` may be views of the tally's live
         buffers and the identity columns are the state's own: copy before
         keeping.
         """
-        flows, counts, lengths, hops, seqs = state.tally.record_columns()
+        flows, counts, lengths, hops, seqs = state.tally.record_columns(rows)
         if self.engine != "arrays":  # the dict oracle holds link objects
             hops = self._link_index.fast_ids(hops)
-        cols = dict(state.identity_columns())
+        cols = {
+            name: col if rows is None else col[rows]
+            for name, col in state.identity_columns().items()
+        }
         cols["seq"] = np.asarray(seqs, dtype=np.int64)
         cols["flow"] = np.asarray(flows, dtype=np.int64)
         cols["retr"] = np.asarray(counts, dtype=np.int64)
@@ -1077,7 +1085,7 @@ class Zero07Service:
             raise ValueError(f"not a service checkpoint: kind={checkpoint.kind!r}")
         payload, columns = checkpoint.payload, checkpoint.columns
         service = cls(
-            blame_config=blame_from_dict(payload["blame"]),
+            blame_config=from_json(BlameConfig, payload["blame"]),
             vote_policy=payload["vote_policy"],
             engine=payload["engine"],
             attribute_noise_flows=payload["attribute_noise_flows"],

@@ -40,7 +40,6 @@ from repro.api.checkpoint import (
     Checkpoint,
     CheckpointColumns,
     ColumnsBuilder,
-    blame_from_dict,
     epoch_columns,
     take_rows,
 )
@@ -371,7 +370,7 @@ class ShardedService:
         payload = checkpoint.payload
         fleet = cls(
             num_shards=int(payload["num_shards"]),
-            blame_config=blame_from_dict(payload["blame"]),
+            blame_config=service.blame_config,
             vote_policy=payload["vote_policy"],
             engine=payload["engine"],
             attribute_noise_flows=payload["attribute_noise_flows"],

@@ -627,22 +627,26 @@ class ArrayVoteTally:
         return self._seqs[: self._rows]
 
     def record_columns(
-        self,
+        self, rows: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(flow_ids, retransmissions, lengths, link_ids, seqs)`` of every
-        row — :meth:`add_columns`'s arguments read back, ``link_ids`` in this
-        tally's index (int32, the rows' used cells back to back: the one
-        fresh column).  The rest are views of the live buffers: copy what
-        must outlive the next write to the tally.
+        row, or of ``rows`` in that order — :meth:`add_columns`'s arguments
+        read back, ``link_ids`` in this tally's index (int32, the rows' used
+        cells back to back: a fresh column).  Without ``rows`` the rest are
+        views of the live buffers: copy what must outlive the next write to
+        the tally.
         """
-        lengths = self.lengths_array()
-        return (
+        columns = (
             self.flow_ids_array(),
             self.retransmissions_array(),
-            lengths,
-            self.hop_matrix()[_cells(lengths)],
+            self.lengths_array(),
+            self.hop_matrix(),
             self.seqs_array(),
         )
+        if rows is not None:
+            columns = tuple(column[rows] for column in columns)
+        flows, counts, lengths, matrix, seqs = columns
+        return flows, counts, lengths, matrix[_cells(lengths)], seqs
 
     # ------------------------------------------------------------------
     # queries (the VoteTally API)

@@ -153,6 +153,11 @@ class VoteTally:
         """Sequence numbers per row (a fresh array)."""
         return np.array(self._seqs, dtype=np.int64)
 
+    def retransmissions_array(self) -> np.ndarray:
+        """Retransmission counts per row (a fresh array)."""
+        counts = [row.retransmissions for row in self._contributions]
+        return np.array(counts, dtype=np.int64)
+
     def bump_rows(self, rows: Sequence[int], extras: Sequence[int]) -> None:
         """Add ``extras[i]`` retransmissions to row ``rows[i]`` (row indices
         come from :meth:`flow_rows`).
@@ -221,17 +226,20 @@ class VoteTally:
             self.add_flow(int(flow_id), links[start:stop], int(count), int(seq))
 
     def record_columns(
-        self,
+        self, rows: Optional[Sequence[int]] = None
     ) -> Tuple[List[int], List[int], List[int], List[DirectedLink], List[int]]:
-        """``(flow_ids, retransmissions, lengths, links, seqs)`` of every row
-        — :meth:`add_columns`'s arguments read back (fresh lists)."""
-        rows = self._contributions
+        """``(flow_ids, retransmissions, lengths, links, seqs)`` of every row,
+        or of ``rows`` in that order — :meth:`add_columns`'s arguments read
+        back (fresh lists)."""
+        if rows is None:
+            rows = range(len(self._contributions))
+        picked = [self._contributions[row] for row in rows]
         return (
-            [row.flow_id for row in rows],
-            [row.retransmissions for row in rows],
-            [len(row.links) for row in rows],
-            list(chain.from_iterable(row.links for row in rows)),
-            list(self._seqs),
+            [row.flow_id for row in picked],
+            [row.retransmissions for row in picked],
+            [len(row.links) for row in picked],
+            list(chain.from_iterable(row.links for row in picked)),
+            [self._seqs[row] for row in rows],
         )
 
     # ------------------------------------------------------------------

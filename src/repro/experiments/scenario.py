@@ -9,12 +9,11 @@ paper's evaluation section does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Literal, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.api.checkpoint import blame_from_dict, blame_to_dict
 from repro.baselines.binary_program import solve_binary_program
 from repro.baselines.integer_program import IntegerProgramResult, solve_integer_program
 from repro.core.analysis import EngineKind, EpochReport
@@ -32,20 +31,15 @@ from repro.metrics.evaluation import (
 )
 from repro.netsim.failures import FailureInjector, FailureScenario
 from repro.netsim.links import LinkStateTable
-from repro.netsim.script import ScenarioScript, pair_from_json, pair_to_json
+from repro.netsim.script import ScenarioScript
 from repro.netsim.simulator import EpochResult, SimulationConfig
-from repro.netsim.traffic import (
-    HotTorTraffic,
-    SkewedTraffic,
-    TrafficGenerator,
-    UniformTraffic,
-)
+from repro.netsim.traffic import TrafficGenerator, TrafficKind, traffic_generator
 from repro.routing.routing_matrix import build_routing_matrix
 from repro.topology.clos import ClosParameters, ClosTopology
 from repro.topology.elements import DirectedLink, LinkLevel
+from repro.util.jsonable import from_json, to_json
 from repro.util.rng import spawn_rng
 
-TrafficKind = Literal["uniform", "skewed", "hot_tor"]
 FailureKind = Literal["random", "skewed", "level", "none"]
 
 
@@ -62,8 +56,8 @@ class ScenarioConfig:
 
     # traffic ------------------------------------------------------------
     traffic: TrafficKind = "uniform"
-    connections_per_host: int | Tuple[int, int] = 40
-    packets_per_flow: int | Tuple[int, int] = 100
+    connections_per_host: Union[int, Tuple[int, int]] = 40
+    packets_per_flow: Union[int, Tuple[int, int]] = 100
     #: skewed-traffic parameters (Section 6.5)
     num_hot_tors: int = 3
     hot_fraction: float = 0.8
@@ -114,78 +108,17 @@ class ScenarioConfig:
     # serialization: scenarios as shareable JSON files
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        """The config as JSON-ready primitives (lossless round-trip).
+        """The config as JSON-ready primitives (:mod:`repro.util.jsonable`).
 
         ``repro-007 scenario --dump-config`` writes this; ``--config`` reads
         it back, so whole scenarios travel as ``*.json`` files.
         """
-        return {
-            "npod": self.npod,
-            "n0": self.n0,
-            "n1": self.n1,
-            "n2": self.n2,
-            "hosts_per_tor": self.hosts_per_tor,
-            "traffic": self.traffic,
-            "connections_per_host": pair_to_json(self.connections_per_host),
-            "packets_per_flow": pair_to_json(self.packets_per_flow),
-            "num_hot_tors": self.num_hot_tors,
-            "hot_fraction": self.hot_fraction,
-            "hot_tor_skew": self.hot_tor_skew,
-            "failure_kind": self.failure_kind,
-            "num_bad_links": self.num_bad_links,
-            "drop_rate_range": list(self.drop_rate_range),
-            "noise_range": list(self.noise_range),
-            "failure_levels": (
-                None
-                if self.failure_levels is None
-                else [int(level) for level in self.failure_levels]
-            ),
-            "failure_level": int(self.failure_level),
-            "failure_downward": self.failure_downward,
-            "dominant_drop_rate_range": list(self.dominant_drop_rate_range),
-            "minor_drop_rate_range": list(self.minor_drop_rate_range),
-            "script": None if self.script is None else self.script.to_dict(),
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "use_slb": self.use_slb,
-            "engine": self.engine,
-            "vote_policy": self.vote_policy,
-            "blame": blame_to_dict(self.blame),
-            "simulate_setup_failures": self.simulate_setup_failures,
-            "storage_flow_fraction": self.storage_flow_fraction,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ScenarioConfig":
-        """Rebuild a config from :meth:`to_dict` output (unknown keys raise)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown ScenarioConfig keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("connections_per_host", "packets_per_flow"):
-            if key in kwargs:
-                kwargs[key] = pair_from_json(kwargs[key])
-        for key in (
-            "drop_rate_range",
-            "noise_range",
-            "dominant_drop_rate_range",
-            "minor_drop_rate_range",
-        ):
-            if key in kwargs and kwargs[key] is not None:
-                lo, hi = kwargs[key]
-                kwargs[key] = (float(lo), float(hi))
-        if kwargs.get("failure_levels") is not None:
-            kwargs["failure_levels"] = tuple(
-                LinkLevel(level) for level in kwargs["failure_levels"]
-            )
-        if "failure_level" in kwargs:
-            kwargs["failure_level"] = LinkLevel(kwargs["failure_level"])
-        if isinstance(kwargs.get("blame"), dict):
-            kwargs["blame"] = blame_from_dict(kwargs["blame"])
-        if kwargs.get("script") is not None and isinstance(kwargs["script"], dict):
-            kwargs["script"] = ScenarioScript.from_dict(kwargs["script"])
-        return cls(**kwargs)
+        """Rebuild a config from :meth:`to_dict` output (faults raise ``ValueError``)."""
+        return from_json(cls, data)
 
 
 @dataclass
@@ -350,28 +283,9 @@ class ScenarioResult:
 # ----------------------------------------------------------------------
 def build_traffic(config: ScenarioConfig, topology: ClosTopology) -> TrafficGenerator:
     """Instantiate the traffic generator described by ``config``."""
-    if config.traffic == "uniform":
-        return UniformTraffic(
-            topology,
-            connections_per_host=config.connections_per_host,
-            packets_per_flow=config.packets_per_flow,
-        )
-    if config.traffic == "skewed":
-        return SkewedTraffic(
-            topology,
-            connections_per_host=config.connections_per_host,
-            packets_per_flow=config.packets_per_flow,
-            num_hot_tors=config.num_hot_tors,
-            hot_fraction=config.hot_fraction,
-        )
-    if config.traffic == "hot_tor":
-        return HotTorTraffic(
-            topology,
-            skew=config.hot_tor_skew,
-            connections_per_host=config.connections_per_host,
-            packets_per_flow=config.packets_per_flow,
-        )
-    raise ValueError(f"unknown traffic kind {config.traffic!r}")
+    return traffic_generator(
+        topology, config, config.connections_per_host, config.packets_per_flow
+    )
 
 
 def inject_failures(

@@ -34,14 +34,10 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.netsim.failures import FailureScenario, TransientFailure, TransientFailureSchedule
 from repro.netsim.links import LinkStateTable
-from repro.netsim.traffic import (
-    HotTorTraffic,
-    SkewedTraffic,
-    TrafficGenerator,
-    UniformTraffic,
-)
+from repro.netsim.traffic import TrafficGenerator, TrafficKind, traffic_generator
 from repro.topology.clos import ClosTopology
 from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
+from repro.util.jsonable import from_json, to_json
 from repro.util.rng import RngLike, ensure_rng
 
 
@@ -51,6 +47,9 @@ from repro.util.rng import RngLike, ensure_rng
 @dataclass(frozen=True)
 class LinkFlap:
     """A lossy link for a window of epochs (the classic flapping optic)."""
+
+    #: the event's tag in its JSON form (:mod:`repro.util.jsonable`).
+    kind = "flap"
 
     start_epoch: int
     duration_epochs: int
@@ -68,6 +67,8 @@ class LinkFlap:
 @dataclass(frozen=True)
 class CongestionBurst:
     """Several links of one level dropping at once (a congestion episode)."""
+
+    kind = "burst"
 
     start_epoch: int
     duration_epochs: int
@@ -90,6 +91,8 @@ class SwitchReboot:
     is why 007 measures paths instead of computing them.
     """
 
+    kind = "reboot"
+
     epoch: int
     outage_epochs: int = 1
     #: concrete switch name; when ``None`` a random switch of ``tier`` reboots.
@@ -106,6 +109,8 @@ class SwitchReboot:
 @dataclass(frozen=True)
 class LinkDrain:
     """An operator drains a physical link (fully down, both directions)."""
+
+    kind = "drain"
 
     start_epoch: int
     duration_epochs: int
@@ -128,6 +133,8 @@ class LinecardFailure:
     ``blackhole=False`` with a sub-1.0 ``drop_rate`` models a gray linecard
     that drops silently instead of dying.
     """
+
+    kind = "linecard"
 
     start_epoch: int
     duration_epochs: int
@@ -156,6 +163,8 @@ class FabricExpansion:
     epoch the cutover lands.
     """
 
+    kind = "expand"
+
     epoch: int
     #: concrete switch whose links come online; when ``None`` a random switch
     #: of ``tier`` is chosen at compile time.
@@ -177,8 +186,10 @@ class TrafficShift:
     at the time of the shift.
     """
 
+    kind = "shift"
+
     epoch: int
-    traffic: str = "uniform"  # "uniform" | "skewed" | "hot_tor"
+    traffic: TrafficKind = "uniform"
     connections_per_host: Optional[Union[int, Tuple[int, int]]] = None
     packets_per_flow: Optional[Union[int, Tuple[int, int]]] = None
     num_hot_tors: int = 3
@@ -200,158 +211,6 @@ ScenarioEvent = Union[
     FabricExpansion,
     TrafficShift,
 ]
-
-
-# ----------------------------------------------------------------------
-# event serialization (ScenarioScript.to_dict / from_dict)
-# ----------------------------------------------------------------------
-def pair_to_json(value):
-    """Serialize an ``int | (int, int)`` field (``None`` passes through)."""
-    if value is None or isinstance(value, int):
-        return value
-    return list(value)
-
-
-def pair_from_json(value):
-    """Invert :func:`pair_to_json` — tuples restore as tuples."""
-    if value is None or isinstance(value, int):
-        return value
-    lo, hi = value
-    return (int(lo), int(hi))
-
-
-def _event_to_dict(event: ScenarioEvent) -> dict:
-    """One scenario event as JSON-ready primitives with a ``"kind"`` tag."""
-    if isinstance(event, LinkFlap):
-        return {
-            "kind": "flap",
-            "start_epoch": event.start_epoch,
-            "duration_epochs": event.duration_epochs,
-            "drop_rate": event.drop_rate,
-            "link": None if event.link is None else [event.link.src, event.link.dst],
-            "level": None if event.level is None else int(event.level),
-        }
-    if isinstance(event, CongestionBurst):
-        return {
-            "kind": "burst",
-            "start_epoch": event.start_epoch,
-            "duration_epochs": event.duration_epochs,
-            "level": int(event.level),
-            "num_links": event.num_links,
-            "drop_rate": event.drop_rate,
-        }
-    if isinstance(event, SwitchReboot):
-        return {
-            "kind": "reboot",
-            "epoch": event.epoch,
-            "outage_epochs": event.outage_epochs,
-            "switch": event.switch,
-            "tier": None if event.tier is None else int(event.tier),
-        }
-    if isinstance(event, LinkDrain):
-        return {
-            "kind": "drain",
-            "start_epoch": event.start_epoch,
-            "duration_epochs": event.duration_epochs,
-            "link": None if event.link is None else [event.link.a, event.link.b],
-            "level": None if event.level is None else int(event.level),
-        }
-    if isinstance(event, LinecardFailure):
-        return {
-            "kind": "linecard",
-            "start_epoch": event.start_epoch,
-            "duration_epochs": event.duration_epochs,
-            "num_links": event.num_links,
-            "drop_rate": event.drop_rate,
-            "blackhole": event.blackhole,
-            "switch": event.switch,
-            "tier": None if event.tier is None else int(event.tier),
-        }
-    if isinstance(event, FabricExpansion):
-        return {
-            "kind": "expand",
-            "epoch": event.epoch,
-            "switch": event.switch,
-            "tier": None if event.tier is None else int(event.tier),
-        }
-    if isinstance(event, TrafficShift):
-        return {
-            "kind": "shift",
-            "epoch": event.epoch,
-            "traffic": event.traffic,
-            "connections_per_host": pair_to_json(event.connections_per_host),
-            "packets_per_flow": pair_to_json(event.packets_per_flow),
-            "num_hot_tors": event.num_hot_tors,
-            "hot_fraction": event.hot_fraction,
-            "hot_tor_skew": event.hot_tor_skew,
-        }
-    raise TypeError(f"unknown scenario event {event!r}")
-
-
-def _event_from_dict(data: dict) -> ScenarioEvent:
-    """Rebuild one scenario event from :func:`_event_to_dict` output."""
-    kind = data.get("kind")
-    if kind == "flap":
-        link = data.get("link")
-        return LinkFlap(
-            start_epoch=int(data["start_epoch"]),
-            duration_epochs=int(data["duration_epochs"]),
-            drop_rate=float(data["drop_rate"]),
-            link=None if link is None else DirectedLink(link[0], link[1]),
-            level=None if data.get("level") is None else LinkLevel(data["level"]),
-        )
-    if kind == "burst":
-        return CongestionBurst(
-            start_epoch=int(data["start_epoch"]),
-            duration_epochs=int(data["duration_epochs"]),
-            level=LinkLevel(data["level"]),
-            num_links=int(data["num_links"]),
-            drop_rate=float(data["drop_rate"]),
-        )
-    if kind == "reboot":
-        return SwitchReboot(
-            epoch=int(data["epoch"]),
-            outage_epochs=int(data["outage_epochs"]),
-            switch=data.get("switch"),
-            tier=None if data.get("tier") is None else SwitchTier(data["tier"]),
-        )
-    if kind == "drain":
-        link = data.get("link")
-        return LinkDrain(
-            start_epoch=int(data["start_epoch"]),
-            duration_epochs=int(data["duration_epochs"]),
-            link=None if link is None else Link.of(link[0], link[1]),
-            level=None if data.get("level") is None else LinkLevel(data["level"]),
-        )
-    if kind == "linecard":
-        return LinecardFailure(
-            start_epoch=int(data["start_epoch"]),
-            duration_epochs=int(data["duration_epochs"]),
-            num_links=int(data["num_links"]),
-            drop_rate=float(data["drop_rate"]),
-            blackhole=bool(data["blackhole"]),
-            switch=data.get("switch"),
-            tier=None if data.get("tier") is None else SwitchTier(data["tier"]),
-        )
-    if kind == "expand":
-        return FabricExpansion(
-            epoch=int(data["epoch"]),
-            switch=data.get("switch"),
-            tier=None if data.get("tier") is None else SwitchTier(data["tier"]),
-        )
-    if kind == "shift":
-        connections = data.get("connections_per_host")
-        packets = data.get("packets_per_flow")
-        return TrafficShift(
-            epoch=int(data["epoch"]),
-            traffic=data["traffic"],
-            connections_per_host=pair_from_json(connections),
-            packets_per_flow=pair_from_json(packets),
-            num_hot_tors=int(data["num_hot_tors"]),
-            hot_fraction=float(data["hot_fraction"]),
-            hot_tor_skew=float(data["hot_tor_skew"]),
-        )
-    raise ValueError(f"unknown scenario event kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -465,17 +324,13 @@ class ScenarioScript:
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:
-        """The script as JSON-ready primitives (lossless round-trip).
-
-        Scenario scripts serialize so whole scenarios can be shared as
-        ``*.json`` files (``ScenarioConfig.to_dict`` embeds this).
-        """
-        return {"events": [_event_to_dict(event) for event in self.events]}
+        """The script as JSON-ready primitives (:mod:`repro.util.jsonable`)."""
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioScript":
-        """Rebuild a script from :meth:`to_dict` output."""
-        return cls(events=[_event_from_dict(entry) for entry in data.get("events", [])])
+        """Rebuild a script from :meth:`to_dict` output (faults raise ``ValueError``)."""
+        return from_json(cls, data)
 
     # -- compilation ----------------------------------------------------
     def compile(
@@ -728,25 +583,4 @@ class CompiledScenarioScript:
             connections = current.connections_per_host if current is not None else 60
         if packets is None:
             packets = current.packets_per_flow if current is not None else 100
-        if shift.traffic == "uniform":
-            return UniformTraffic(
-                self._topology,
-                connections_per_host=connections,
-                packets_per_flow=packets,
-            )
-        if shift.traffic == "skewed":
-            return SkewedTraffic(
-                self._topology,
-                connections_per_host=connections,
-                packets_per_flow=packets,
-                num_hot_tors=shift.num_hot_tors,
-                hot_fraction=shift.hot_fraction,
-            )
-        if shift.traffic == "hot_tor":
-            return HotTorTraffic(
-                self._topology,
-                skew=shift.hot_tor_skew,
-                connections_per_host=connections,
-                packets_per_flow=packets,
-            )
-        raise ValueError(f"unknown traffic kind {shift.traffic!r}")
+        return traffic_generator(self._topology, shift, connections, packets)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.topology.clos import ClosTopology
 from repro.util.rng import RngLike, ensure_rng
+
+#: the traffic patterns a scenario or a traffic shift names.
+TrafficKind = Literal["uniform", "skewed", "hot_tor"]
 
 
 @dataclass(frozen=True)
@@ -207,3 +210,24 @@ class HotTorTraffic(SkewedTraffic):
     def hot_tor(self) -> str:
         """The single sink ToR."""
         return self._hot_tors[0]
+
+
+def traffic_generator(
+    topology: ClosTopology,
+    spec,
+    connections_per_host: int | Tuple[int, int],
+    packets_per_flow: int | Tuple[int, int],
+) -> TrafficGenerator:
+    """The generator ``spec.traffic`` names.  ``spec`` is a scenario config
+    or a traffic shift: both carry ``num_hot_tors``, ``hot_fraction`` and
+    ``hot_tor_skew``."""
+    sizes = dict(connections_per_host=connections_per_host, packets_per_flow=packets_per_flow)
+    if spec.traffic == "uniform":
+        return UniformTraffic(topology, **sizes)
+    if spec.traffic == "skewed":
+        return SkewedTraffic(
+            topology, num_hot_tors=spec.num_hot_tors, hot_fraction=spec.hot_fraction, **sizes
+        )
+    if spec.traffic == "hot_tor":
+        return HotTorTraffic(topology, skew=spec.hot_tor_skew, **sizes)
+    raise ValueError(f"unknown traffic kind {spec.traffic!r}")

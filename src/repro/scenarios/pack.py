@@ -146,9 +146,10 @@ def validate_scenario_data(data: Dict, name: str, where: str = "scenario.json") 
     the parsed :class:`ScenarioConfig`.  Raises :class:`PackValidationError`
     on any schema violation: unknown/missing keys, an unsupported version, a
     name not matching the directory, a non-positive trial count, a config
-    :meth:`ScenarioConfig.from_dict` rejects, or a scripted timeline longer
-    than the simulated epochs (a silently-truncated tail is the off-by-one
-    class of bug the pack exists to catch).
+    :meth:`ScenarioConfig.from_dict` rejects or one that does not re-dump to
+    itself (a missing key or a non-canonical value), or a scripted timeline
+    longer than the simulated epochs (a silently-truncated tail is the
+    off-by-one class of bug the pack exists to catch).
     """
     if not isinstance(data, dict):
         raise PackValidationError(f"{where}: expected a JSON object")
@@ -167,8 +168,16 @@ def validate_scenario_data(data: Dict, name: str, where: str = "scenario.json") 
         raise PackValidationError(f"{where}: tags must be a list of strings")
     try:
         config = ScenarioConfig.from_dict(data["config"])
-    except (TypeError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise PackValidationError(f"{where}: invalid config: {exc}") from exc
+    dumped = config.to_dict()
+    if dumped != data["config"]:
+        keys = sorted(k for k, v in dumped.items() if data["config"].get(k) != v)
+        raise PackValidationError(
+            f"{where}: config keys {keys} are missing or do not re-dump to "
+            f"themselves; write the config as `repro-007 scenario --config "
+            f"... --dump-config -` prints it"
+        )
     if config.script is not None and config.epochs < config.script.horizon:
         raise PackValidationError(
             f"{where}: epochs={config.epochs} < script horizon="

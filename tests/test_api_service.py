@@ -749,6 +749,8 @@ class TestCheckpoint:
                 "another epoch's",
             ),
             (lambda p: p.update(blame={}), "blame"),
+            (lambda p: p["blame"].update(treshold=0.1), "treshold"),
+            (lambda p: p["blame"].update(min_flow_support=2.5), "min_flow_support"),
             (lambda p: p.update(retain_reports=2.5), "retain_reports"),  # int(2.5)
             # bool("false") is True
             (lambda p: p.update(attribute_noise_flows="false"), "attribute_noise"),
@@ -758,6 +760,7 @@ class TestCheckpoint:
             "epoch-twice", "epoch-finalized", "epoch-at-last-finalized",
             "epoch-fraction", "epoch-past-max-seen", "epoch-without-max-seen",
             "pending-list", "pending-negative", "records-shared", "blame-empty",
+            "blame-typo", "blame-fraction",
             "retain-fraction", "noise-string", "version-1",
         ],
     )
@@ -1045,6 +1048,36 @@ class TestDeltaCheckpoint:
         assert carried["rs"].tolist() == list(range(100, 111))
         assert base.apply_delta(delta) == service.checkpoint()
         assert base.to_bytes() == before
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    def test_a_delta_gathers_only_the_rows_it_carries(self, engine, monkeypatch):
+        """The rows come from the seq and count columns; only their hops and
+        identity are gathered, never the whole epoch's."""
+        from repro.core.arrays import ArrayVoteTally
+        from repro.core.votes import VoteTally
+
+        service = Zero07Service(engine=engine)
+        service.ingest_batch(
+            [PathEvidence(0, i, make_path(i, L[i % 3 : i % 3 + 3])) for i in range(40)]
+        )
+        base = service.checkpoint()
+        service.ingest(
+            RetransmissionEvidence(epoch=0, flow_id=3, retransmissions=2, seq=100)
+        )
+        service.ingest_batch(
+            [PathEvidence(0, 200 + i, make_path(50 + i, L[1:4])) for i in range(2)]
+        )
+        tally = ArrayVoteTally if engine == "arrays" else VoteTally
+        record_columns = tally.record_columns
+        gathered = []
+        monkeypatch.setattr(
+            tally,
+            "record_columns",
+            lambda self, rows=None: gathered.append(rows) or record_columns(self, rows),
+        )
+        delta = service.checkpoint(base=base)
+        assert [list(rows) for rows in gathered] == [[3, 40, 41]]
+        assert base.apply_delta(delta) == service.checkpoint()
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_a_checkpoint_survives_ingest_bumps_and_a_tick(self, engine):

@@ -1,8 +1,10 @@
 """Scenario configs as shareable JSON files.
 
 ``ScenarioConfig.to_dict()/from_dict()`` (and the embedded
-``ScenarioScript`` codec) must round-trip losslessly, and the CLI must be
-able to dump and re-run a scenario from such a file.
+``ScenarioScript`` and ``BlameConfig`` forms, all written by
+``repro.util.jsonable``) must round-trip losslessly, refuse garbage with a
+``ValueError`` naming its key path, and the CLI must be able to dump and
+re-run a scenario from such a file.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ import pytest
 from repro.cli import main
 from repro.core.blame import BlameConfig
 from repro.experiments.scenario import ScenarioConfig, run_scenario
-from repro.netsim.script import FabricExpansion, ScenarioScript, TrafficShift
+from repro.netsim.script import (
+    CongestionBurst,
+    FabricExpansion,
+    LinecardFailure,
+    LinkDrain,
+    LinkFlap,
+    ScenarioScript,
+    SwitchReboot,
+    TrafficShift,
+)
 from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
 
 
@@ -122,7 +133,7 @@ class TestScriptRoundTrip:
         assert ScenarioScript.from_dict(ScenarioScript().to_dict()) == ScenarioScript()
 
     def test_unknown_event_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown scenario event kind"):
+        with pytest.raises(ValueError, match=r"events\[0\]\.kind: unknown kind 'meteor'"):
             ScenarioScript.from_dict({"events": [{"kind": "meteor"}]})
 
 
@@ -162,3 +173,225 @@ class TestCliConfigFiles:
         from repro.experiments.scenario import ScenarioConfig
 
         assert ScenarioConfig.from_dict(data).seed == 3
+
+
+# ----------------------------------------------------------------------
+# garbage documents: one ValueError naming the key path
+# ----------------------------------------------------------------------
+def full_document() -> dict:
+    return ScenarioConfig(script=full_script()).to_dict()
+
+
+def _set(path, value):
+    """A mutation that sets ``value`` at ``path`` (keys and list indices)."""
+
+    def mutate(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(document):
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return mutate
+
+
+def _event(index, key, value):
+    return _set(("script", "events", index, key), value)
+
+
+# full_script()'s events: 0 flap, 2 burst, 3 reboot, 5 drain, 7 shift,
+# 9 linecard, 11 expand.  Each row: (id, mutation, the error's path).
+#: garbage the per-class codecs that ``repro.util.jsonable`` replaced let
+#: through: coerced, truncated or ignored.
+FORMERLY_ACCEPTED = [
+    ("config-int-as-str", _set(("npod",), "2"), r"npod: expected int, got '2'"),
+    ("config-float-as-int", _set(("epochs",), 2.5), r"epochs: expected int"),
+    ("config-str-as-bool", _set(("use_slb",), "false"), r"use_slb: expected bool"),
+    (
+        "config-traffic",
+        _set(("traffic",), "bogus"),
+        r"traffic: expected Literal\['uniform', 'skewed', 'hot_tor'\], got 'bogus'",
+    ),
+    ("config-vote-policy", _set(("vote_policy",), "all"), r"vote_policy: expected"),
+    ("config-engine", _set(("engine",), "gpu"), r"engine: expected Literal\['dicts', 'arrays'\]"),
+    ("config-bool-as-level", _set(("failure_levels", 1), True), r"failure_levels\[1\]"),
+    ("script-unknown-key", _set(("script", "loop"), True), r"\['script\.loop'\]"),
+    ("script-not-an-object", _set(("script",), []), r"script: expected ScenarioScript"),
+    ("flap-truncated", _event(0, "duration_epochs", 2.7), r"events\[0\]\.duration_epochs"),
+    ("burst-typo", _event(2, "levl", 2), r"\['script\.events\[2\]\.levl'\]"),
+    ("reboot-bool-as-int", _event(3, "outage_epochs", True), r"events\[3\]\.outage_epochs"),
+    (
+        "drain-three-ends",
+        _event(5, "link", ["a", "b", "c"]),
+        r"events\[5\]\.link: expected Tuple\[str, str\]",
+    ),
+    ("shift-typo", _event(7, "hot_tor_skw", 0.9), r"\['script\.events\[7\]\.hot_tor_skw'\]"),
+    ("shift-traffic", _event(7, "traffic", "incast"), r"events\[7\]\.traffic: expected"),
+    ("linecard-str-as-bool", _event(9, "blackhole", "false"), r"events\[9\]\.blackhole"),
+    ("expand-int-as-name", _event(11, "switch", 7), r"events\[11\]\.switch: expected str, got 7"),
+    ("blame-typo", _set(("blame", "treshold"), 0.1), r"\['blame\.treshold'\]"),
+    ("blame-str-as-int", _set(("blame", "max_links"), "5"), r"blame\.max_links: expected int"),
+]
+#: garbage those codecs refused as well.
+FORMERLY_REFUSED = [
+    ("config-typo", _set(("typo_field",), 1), r"unknown ScenarioConfig keys: \['typo_field'\]"),
+    (
+        "config-pair-arity",
+        _set(("connections_per_host",), [1, 2, 3]),
+        r"connections_per_host: expected Union\[int, Tuple\[int, int\]\], got \[1, 2, 3\]",
+    ),
+    (
+        "config-range-arity",
+        _set(("drop_rate_range",), [0.1]),
+        r"drop_rate_range: expected Tuple\[float, float\], got \[0.1\]",
+    ),
+    (
+        "config-enum-range",
+        _set(("failure_level",), 9),
+        r"failure_level: expected LinkLevel, got 9",
+    ),
+    ("reboot-tier-name", _event(3, "tier", "T1"), r"events\[3\]\.tier: expected SwitchTier"),
+    (
+        "blame-out-of-range",
+        _set(("blame", "threshold_fraction"), 2.0),
+        r"blame: threshold_fraction must be in",
+    ),
+    # these two raised KeyError / IndexError, not ValueError
+    (
+        "flap-missing-start",
+        _drop(("script", "events", 0, "start_epoch")),
+        r"events\[0\]\.start_epoch: missing key",
+    ),
+    (
+        "flap-one-end",
+        _event(1, "link", ["pod0-tor0"]),
+        r"events\[1\]\.link: expected Tuple\[str, str\]",
+    ),
+]
+
+
+class TestGarbageDocuments:
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [pytest.param(m, p, id=i) for i, m, p in FORMERLY_ACCEPTED + FORMERLY_REFUSED],
+    )
+    def test_a_fault_raises_with_its_key_path(self, mutate, path):
+        document = full_document()
+        mutate(document)
+        with pytest.raises(ValueError, match=path):
+            ScenarioConfig.from_dict(document)
+
+    def test_every_fault_of_a_document_is_named_at_once(self):
+        document = full_document()
+        for _, mutate, _ in FORMERLY_ACCEPTED[:3]:
+            mutate(document)
+        with pytest.raises(ValueError) as raised:
+            ScenarioConfig.from_dict(document)
+        assert [fault.split(":")[0] for fault in str(raised.value).split("; ")] == [
+            "npod",
+            "epochs",
+            "use_slb",
+        ]
+
+    def test_missing_keys_take_the_defaults(self):
+        burst = {"kind": "burst", "start_epoch": 1, "duration_epochs": 2}
+        document = {"epochs": 3, "script": {"events": [burst]}}
+        config = ScenarioConfig.from_dict(document)
+        assert config == ScenarioConfig(
+            epochs=3, script=ScenarioScript([CongestionBurst(start_epoch=1, duration_epochs=2)])
+        )
+
+    def test_a_float_field_takes_an_int(self):
+        assert ScenarioConfig.from_dict({"hot_fraction": 1}).hot_fraction == 1.0
+
+
+# ----------------------------------------------------------------------
+# the round trip over generated configs
+# ----------------------------------------------------------------------
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_ints = st.integers(0, 50)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_names = st.sampled_from(["pod0-tor0", "pod0-t1-0", "pod1-t1-1", "t2-0", "t2-1"])
+_levels = st.sampled_from(list(LinkLevel))
+_tiers = st.sampled_from(list(SwitchTier))
+_pair = st.one_of(_ints, st.tuples(_ints, _ints))
+_EVENTS = [
+    st.builds(
+        LinkFlap, _ints, _ints, _floats,
+        st.none() | st.builds(DirectedLink, _names, _names), st.none() | _levels,
+    ),
+    st.builds(CongestionBurst, _ints, _ints, _levels, _ints, _floats),
+    st.builds(SwitchReboot, _ints, _ints, st.none() | _names, st.none() | _tiers),
+    st.builds(
+        LinkDrain, _ints, _ints,
+        st.none() | st.builds(Link.of, _names, _names), st.none() | _levels,
+    ),
+    st.builds(
+        LinecardFailure, _ints, _ints, _ints, _floats, st.booleans(),
+        st.none() | _names, st.none() | _tiers,
+    ),
+    st.builds(FabricExpansion, _ints, st.none() | _names, st.none() | _tiers),
+    st.builds(
+        TrafficShift, _ints, st.sampled_from(["uniform", "skewed", "hot_tor"]),
+        st.none() | _pair, st.none() | _pair, _ints, _floats, _floats,
+    ),
+]
+#: every kind at least once, then a few more, in any order.
+_scripts = st.builds(
+    lambda each, more: ScenarioScript(each + more),
+    st.tuples(*_EVENTS).flatmap(lambda each: st.permutations(list(each))),
+    st.lists(st.one_of(*_EVENTS), max_size=4),
+)
+_configs = st.builds(
+    ScenarioConfig,
+    npod=_ints, n0=_ints, n1=_ints, n2=_ints, hosts_per_tor=_ints,
+    traffic=st.sampled_from(["uniform", "skewed", "hot_tor"]),
+    connections_per_host=_pair, packets_per_flow=_pair,
+    num_hot_tors=_ints, hot_fraction=_floats, hot_tor_skew=_floats,
+    failure_kind=st.sampled_from(["random", "skewed", "level", "none"]),
+    num_bad_links=_ints,
+    drop_rate_range=st.tuples(_floats, _floats),
+    noise_range=st.tuples(_floats, _floats),
+    failure_levels=st.none() | st.lists(_levels, max_size=4).map(tuple),
+    failure_level=_levels,
+    failure_downward=st.booleans(),
+    dominant_drop_rate_range=st.tuples(_floats, _floats),
+    minor_drop_rate_range=st.tuples(_floats, _floats),
+    script=st.none() | _scripts,
+    epochs=_ints, seed=st.integers(0, 2**63), use_slb=st.booleans(),
+    engine=st.sampled_from(["arrays", "dicts"]),
+    vote_policy=st.sampled_from(["inverse_hops", "unit"]),
+    blame=st.builds(
+        BlameConfig,
+        st.floats(0.001, 0.999),
+        st.sampled_from(["paths", "none"]),
+        st.integers(1, 10),
+        st.integers(1, 2000),
+    ),
+    simulate_setup_failures=st.booleans(),
+    storage_flow_fraction=_floats,
+)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(config=_configs)
+def test_generated_configs_round_trip_through_json_text(config):
+    text = json.dumps(config.to_dict())
+    restored = ScenarioConfig.from_dict(json.loads(text))
+    assert restored == config
+    assert json.dumps(restored.to_dict()) == text
+    # a decode never writes into the document it reads
+    document = json.loads(text)
+    ScenarioConfig.from_dict(document)
+    assert document == json.loads(text)

@@ -598,6 +598,50 @@ class TestPackCli:
         out = io.StringIO()
         assert main(["pack", "validate", "--dir", str(PACK_DIR)], out=out) == 0
 
+    def test_validate_names_every_typo_of_a_copied_scenario(self, tmp_path):
+        """Three faults the per-class codecs let through: two unknown keys on
+        script events and a string where a bool belongs (``"false"`` is
+        truthy, so the SLB silently stayed on)."""
+        shutil.copytree(PACK_DIR / "incast_burst", tmp_path / "incast_burst")
+        path = tmp_path / "incast_burst" / "scenario.json"
+        document = json.loads(path.read_text())
+        shift, burst = document["config"]["script"]["events"]
+        burst["levl"] = 2
+        shift["hot_tor_skw"] = 0.9
+        document["config"]["use_slb"] = "false"
+        path.write_text(json.dumps(document))
+        out = io.StringIO()
+        assert main(["pack", "validate", "--dir", str(tmp_path)], out=out) == 1
+        text = out.getvalue()
+        for fault in ("script.events[1].levl", "script.events[0].hot_tor_skw", "use_slb"):
+            assert fault in text
+
+    @pytest.mark.parametrize(
+        "edit, keys",
+        [
+            (lambda config: config.pop("seed"), "['seed']"),
+            (lambda config: config["script"]["events"][0].pop("drop_rate"), "['script']"),
+            # a drain's ends are written sorted
+            (
+                lambda config: config["script"]["events"][1].update(link=["t2-0", "pod0-t1-0"]),
+                "['script']",
+            ),
+        ],
+        ids=["missing-key", "missing-event-key", "unsorted-link"],
+    )
+    def test_validate_refuses_a_config_that_does_not_re_dump_to_itself(
+        self, tmp_path, edit, keys
+    ):
+        config = ScenarioConfig(
+            epochs=4,
+            script=ScenarioScript().flap(start=1, duration=1).drain(start=2, duration=1),
+        ).to_dict()
+        edit(config)
+        document = dict(minimal_document("odd"), config=config)
+        directory = write_pack_scenario(tmp_path / "odd", document)
+        with pytest.raises(PackValidationError, match=re.escape(f"config keys {keys}")):
+            load_scenario(directory)
+
     def test_validate_fails_when_a_golden_is_missing(self, tmp_path):
         write_pack_scenario(tmp_path / "lonely", minimal_document("lonely"))
         out = io.StringIO()
