@@ -17,7 +17,6 @@ import collections.abc
 import dataclasses
 import enum
 import functools
-import re
 import typing
 from typing import Any, Dict, List, Literal, Tuple, Type, TypeVar, Union
 
@@ -68,8 +67,7 @@ def _fault(path: str, message: str) -> ValueError:
 
 def _mismatch(hint: Any, value: Any, path: str) -> ValueError:
     name = hint.__name__ if typing.get_origin(hint) is None else str(hint)
-    # typing.Tuple[int, int] -> Tuple[int, int]
-    return _fault(path, f"expected {re.sub(r'[a-z_.]+[.]', '', name)}, got {value!r}")
+    return _fault(path, f"expected {name}, got {value!r}")
 
 
 def _decode_each(items: Dict[Any, Tuple[Any, Any, str]], faults: List[str]) -> Dict:
@@ -97,13 +95,14 @@ def _decode(hint: Any, value: Any, path: str) -> Any:
             return _decode(members[0], value, path)
         kinds = {getattr(member, "kind", None): member for member in members}
         if None not in kinds and isinstance(value, dict):
-            if value.get("kind") not in kinds:
-                raise _fault(_at(path, "kind"), f"unknown kind {value.get('kind')!r}")
-            return _decode(kinds[value["kind"]], value, path)
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in kinds:
+                raise _fault(_at(path, "kind"), f"unknown kind {kind!r}")
+            return _decode(kinds[kind], value, path)
         for member in members:
             try:
                 return _decode(member, value, path)
-            except ValueError:
+            except (ValueError, OverflowError):
                 pass
         raise _mismatch(hint, value, path)
     if origin in (tuple, list, collections.abc.Sequence):
@@ -128,7 +127,7 @@ def _decode(hint: Any, value: Any, path: str) -> Any:
         raise _mismatch(hint, value, path)
     try:
         return hint(value)  # an int as a float, an enum member by its value
-    except ValueError:
+    except (ValueError, OverflowError):  # an int too large for a float
         raise _mismatch(hint, value, path) from None
 
 
