@@ -13,8 +13,8 @@ traffic/failure profile, without running the simulator:
   and how often already-traced flows retransmit again.
 * :class:`EvidenceLoadGenerator` — emits realistic, ECMP-valid evidence paths
   over the fabric, deterministic per seed, at millions of events; accepts a
-  :class:`~repro.netsim.script.ScenarioScript` whose flap/burst/drain/reboot
-  events become time-varying bad-link windows.
+  :class:`~repro.netsim.script.ScenarioScript`, whose failures (the ones
+  the simulator compiles) become time-varying bad links.
 * :data:`FABRIC_PRESETS` / :func:`fabric_parameters` — named fabric sizings
   the ruler's workloads are generated over (``ruler/harness.py``).
 

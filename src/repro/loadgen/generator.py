@@ -11,10 +11,14 @@ events, deterministic per ``(seed, epoch)``, generated in seconds.
 Realism knobs come from the :class:`~repro.loadgen.profiles.WorkloadProfile`
 (host popularity skew, hot-ToR sinks, evidence concentration on bad links,
 repeat-retransmission mix) and, for time variation, from a
-:class:`~repro.netsim.script.ScenarioScript`: flap/burst/drain/reboot events
-are resolved against the fabric at construction time into *bad-link windows*,
-so evidence shifts onto the scripted victims during exactly the epochs the
-script says — the same event vocabulary the netsim scenario engine compiles.
+:class:`~repro.netsim.script.ScenarioScript`.  The script is resolved at
+construction time by :meth:`~repro.netsim.script.ScenarioScript.resolve`, the
+resolver the simulator compiles with, so one generator state names the same
+failed links in both, and evidence shifts onto them during exactly the epochs
+the script says.  Every failure active in an epoch gets an equal share of
+``bad_path_fraction``, whatever its drop rate or blackhole flag: a drain and
+a 1 % flap draw the same evidence mass, and a link struck by two active
+failures draws two shares.
 
 An epoch is generated as arrays: every flow is a row of integer columns
 ``(src, dst, up-T1, T2, down-T1)`` — a flow forced through a bad link is a
@@ -42,18 +46,10 @@ import numpy as np
 from repro.api.events import EpochTick, Evidence, PathEvidence, RetransmissionEvidence
 from repro.discovery.agent import DiscoveredPath
 from repro.loadgen.profiles import WorkloadProfile, fabric_parameters
-from repro.netsim.script import (
-    CongestionBurst,
-    FabricExpansion,
-    LinecardFailure,
-    LinkDrain,
-    LinkFlap,
-    ScenarioScript,
-    SwitchReboot,
-)
+from repro.netsim.script import ScenarioScript
 from repro.routing.fivetuple import FiveTuple
 from repro.topology.clos import ClosParameters, ClosTopology
-from repro.topology.elements import DirectedLink, LinkLevel, SwitchTier
+from repro.topology.elements import DirectedLink, LinkLevel
 
 
 class _BadLinkSpec:
@@ -97,11 +93,15 @@ class EvidenceLoadGenerator:
     profile:
         The :class:`WorkloadProfile` (defaults to the uniform mix).
     script:
-        Optional :class:`ScenarioScript`; its flap/burst/drain/reboot/
-        linecard/expansion events are resolved (seeded random victims
-        included) into time-varying bad-link windows that bias evidence
-        during the scripted epochs.  ``TrafficShift`` events carry no
-        failure information and are ignored.
+        Optional :class:`ScenarioScript`, resolved by
+        :meth:`ScenarioScript.resolve` with the generator
+        ``default_rng([seed, 0xFAB])`` after the static bad-link draw.  Each
+        of its transient failures that a flow can cross biases evidence
+        during its epochs, with an equal share of ``bad_path_fraction`` per
+        active failure.  Reseeds and ``TrafficShift`` events carry no
+        failure and are ignored.  A script the fabric cannot hold (an
+        unknown victim, a burst of more links than there are) raises
+        ``ValueError`` as it does in the simulator.
     seed:
         Master seed; the whole stream is a pure function of
         ``(fabric, profile, script, seed, events_per_epoch)``.
@@ -133,7 +133,10 @@ class EvidenceLoadGenerator:
         self._epoch_len = self._events_per_epoch if self.num_hosts >= 2 else 0
         rng = np.random.default_rng([self._seed, 0xFAB])
         self._static_specs = self._resolve_static_bad_links(rng)
-        self._windows = self._resolve_script(script, rng)
+        failures = script.resolve(self._topology, rng).failures if script is not None else []
+        specs = [(failure, self._spec_for(failure.link)) for failure in failures]
+        #: each scripted failure that flows can cross, with its link's spec
+        self._windows = [(failure, spec) for failure, spec in specs if spec is not None]
         #: pure functions of the constructor arguments — computed once.
         self._weights = self._popularity_weights()
         self._hot = self._hot_hosts()
@@ -159,7 +162,9 @@ class EvidenceLoadGenerator:
         return len(self._index.hosts)
 
     def bad_links_for_epoch(self, epoch: int) -> List[DirectedLink]:
-        """The directed links evidence concentrates on during ``epoch``."""
+        """The directed links evidence concentrates on during ``epoch``, one
+        per active bad link (a link two scripted failures strike is listed
+        twice and draws two shares)."""
         return [spec.link for spec in self._active_specs(epoch)]
 
     # ------------------------------------------------------------------
@@ -238,150 +243,10 @@ class EvidenceLoadGenerator:
                 break
         return specs
 
-    def _resolve_script(
-        self, script: Optional[ScenarioScript], rng: np.random.Generator
-    ) -> List[Tuple[int, int, List[_BadLinkSpec]]]:
-        """Resolve script events into ``(start, end, specs)`` windows."""
-        if script is None:
-            return []
-        windows: List[Tuple[int, int, List[_BadLinkSpec]]] = []
-        for event in script.events:
-            if isinstance(event, LinkFlap):
-                if event.link is not None:
-                    victims = [self._canonical(event.link)]
-                else:
-                    victims = self._pick_of_level(event.level, 1, rng)
-                windows.append((event.start_epoch, event.end_epoch, victims))
-            elif isinstance(event, CongestionBurst):
-                victims = self._pick_of_level(event.level, event.num_links, rng)
-                windows.append((event.start_epoch, event.end_epoch, victims))
-            elif isinstance(event, LinkDrain):
-                if event.link is not None:
-                    directions = [
-                        self._links.get((d.src, d.dst))
-                        for d in event.link.directions()
-                    ]
-                    victims = [d for d in directions if d is not None]
-                else:
-                    victims = self._pick_of_level(event.level, 1, rng, both=True)
-                windows.append((event.start_epoch, event.end_epoch, victims))
-            elif isinstance(event, SwitchReboot):
-                victims = self._switch_victims(event, rng)
-                end = event.epoch + max(1, event.outage_epochs)
-                windows.append((event.epoch, end, victims))
-            elif isinstance(event, LinecardFailure):
-                victims = self._linecard_victims(event, rng)
-                windows.append((event.start_epoch, event.end_epoch, victims))
-            elif isinstance(event, FabricExpansion):
-                # Expansion links are dark (blackholed) until the cutover
-                # epoch: evidence concentrates on them during [0, epoch).
-                if event.epoch > 0:
-                    name = self._pick_switch(
-                        event.switch,
-                        event.tier if event.tier is not None else SwitchTier.T2,
-                        rng,
-                    )
-                    victims = self._all_directions_of(name)
-                    windows.append((0, event.epoch, victims))
-            # TrafficShift carries no failure; popularity is profile-driven.
-        resolved: List[Tuple[int, int, List[_BadLinkSpec]]] = []
-        for start, end, victims in windows:
-            specs = [
-                spec
-                for spec in (self._spec_for(v) for v in victims)
-                if spec is not None
-            ]
-            if specs:
-                resolved.append((start, end, specs))
-        return resolved
-
-    def _canonical(self, link: DirectedLink) -> DirectedLink:
-        found = self._links.get((link.src, link.dst))
-        if found is None:
-            raise ValueError(f"scripted link {link} does not exist in the fabric")
-        return found
-
-    def _pick_of_level(
-        self,
-        level: Optional[LinkLevel],
-        count: int,
-        rng: np.random.Generator,
-        both: bool = False,
-    ) -> List[DirectedLink]:
-        level = level if level is not None else LinkLevel.LEVEL1
-        links = sorted(self._topology.links_of_level(level))
-        if not links:
-            return []
-        picks = rng.permutation(len(links))[: max(1, count)]
-        victims: List[DirectedLink] = []
-        for idx in picks:
-            link = links[int(idx)]
-            directions = link.directions()
-            if both:
-                victims.extend(self._links[(d.src, d.dst)] for d in directions)
-            else:
-                chosen = directions[int(rng.integers(0, 2))]
-                victims.append(self._links[(chosen.src, chosen.dst)])
-        return victims
-
-    def _pick_switch(
-        self, name: Optional[str], tier: SwitchTier, rng: np.random.Generator
-    ) -> Optional[str]:
-        if name is not None:
-            return name
-        candidates = sorted(
-            s.name for s in self._topology.switches_of_tier(tier)
-        )
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(0, len(candidates)))]
-
-    def _all_directions_of(self, name: Optional[str]) -> List[DirectedLink]:
-        if name is None:
-            return []
-        victims: List[DirectedLink] = []
-        for link in self._topology.links_of_node(name):
-            for d in link.directions():
-                victims.append(self._links[(d.src, d.dst)])
-        return victims
-
-    def _switch_victims(
-        self, event: SwitchReboot, rng: np.random.Generator
-    ) -> List[DirectedLink]:
-        name = self._pick_switch(
-            event.switch,
-            event.tier if event.tier is not None else SwitchTier.T1,
-            rng,
-        )
-        return self._all_directions_of(name)
-
-    def _linecard_victims(
-        self, event: LinecardFailure, rng: np.random.Generator
-    ) -> List[DirectedLink]:
-        name = self._pick_switch(
-            event.switch,
-            event.tier if event.tier is not None else SwitchTier.T1,
-            rng,
-        )
-        if name is None:
-            return []
-        candidates = sorted(self._topology.links_of_node(name))
-        if not candidates:
-            return []
-        count = min(event.num_links, len(candidates))
-        chosen = rng.choice(len(candidates), size=count, replace=False)
-        victims: List[DirectedLink] = []
-        for idx in sorted(int(i) for i in chosen):
-            for d in candidates[idx].directions():
-                victims.append(self._links[(d.src, d.dst)])
-        return victims
-
     def _active_specs(self, epoch: int) -> List[_BadLinkSpec]:
-        specs = list(self._static_specs)
-        for start, end, window_specs in self._windows:
-            if start <= epoch < end:
-                specs.extend(window_specs)
-        return specs
+        return self._static_specs + [
+            spec for failure, spec in self._windows if failure.active(epoch)
+        ]
 
     # ------------------------------------------------------------------
     # sampling

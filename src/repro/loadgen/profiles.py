@@ -64,9 +64,11 @@ class WorkloadProfile:
         concentrates on.  A :class:`~repro.netsim.script.ScenarioScript`
         passed to the generator adds time-varying windows on top.
     bad_path_fraction:
-        Fraction of path evidence routed *through* a currently-bad link.
-        In production almost all retransmitting flows cross a bad link; the
-        remainder is noise drops with random paths.
+        Fraction of path evidence routed *through* a currently-bad link,
+        split equally among the bad links active in the epoch (whatever a
+        scripted failure's drop rate).  In production almost all
+        retransmitting flows cross a bad link; the remainder is noise drops
+        with random paths.
     max_initial_retransmissions:
         Bad flows carry ``1..max_initial_retransmissions`` retransmissions on
         their path evidence (noise flows always carry 1).

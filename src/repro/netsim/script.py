@@ -16,21 +16,26 @@ operators drain links — all while 007 keeps voting (Sections 6.6, 8.3).  A
 Scripts carry no topology references, so they are cheap to build, picklable
 (the sweep runner ships them to worker processes inside a
 :class:`~repro.experiments.scenario.ScenarioConfig`), and reusable across
-fabrics.  :meth:`ScenarioScript.compile` resolves them against a concrete
-topology/link table/router into a :class:`CompiledScenarioScript`, which
-drives a :class:`~repro.netsim.failures.TransientFailureSchedule` (and the
-router's ECMP reseeds, and traffic-generator swaps) epoch by epoch, returning
-the per-epoch ground-truth :class:`~repro.netsim.failures.FailureScenario`.
+fabrics.  :meth:`ScenarioScript.resolve` turns a script into concrete
+failures, reseeds and traffic shifts on one fabric; the simulator and the
+load generator both read scripts through it.  :meth:`ScenarioScript.compile`
+binds that resolution to a link table/router as a
+:class:`CompiledScenarioScript`, which drives a
+:class:`~repro.netsim.failures.TransientFailureSchedule` (and the router's ECMP
+reseeds, and traffic-generator swaps) epoch by epoch, returning the per-epoch
+ground-truth :class:`~repro.netsim.failures.FailureScenario`.
 
 Events with ``link=None``/``switch=None`` pick a random target of the given
-level/tier at compile time, so one script describes a *family* of scenarios
-whose concrete victims vary with the compile seed.
+level/tier when resolved, so one script describes a *family* of scenarios
+whose concrete victims vary with the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.netsim.failures import FailureScenario, TransientFailure, TransientFailureSchedule
 from repro.netsim.links import LinkStateTable
@@ -55,7 +60,7 @@ class LinkFlap:
     duration_epochs: int
     drop_rate: float = 0.01
     #: concrete victim; when ``None`` a random directed link of ``level`` is
-    #: chosen at compile time.
+    #: chosen when the script is resolved.
     link: Optional[DirectedLink] = None
     level: Optional[LinkLevel] = None
 
@@ -142,7 +147,7 @@ class LinecardFailure:
     drop_rate: float = 1.0
     blackhole: bool = True
     #: concrete switch name; when ``None`` a random switch of ``tier`` is
-    #: chosen at compile time.
+    #: chosen when the script is resolved.
     switch: Optional[str] = None
     tier: Optional[SwitchTier] = SwitchTier.T1
 
@@ -167,7 +172,7 @@ class FabricExpansion:
 
     epoch: int
     #: concrete switch whose links come online; when ``None`` a random switch
-    #: of ``tier`` is chosen at compile time.
+    #: of ``tier`` is chosen when the script is resolved.
     switch: Optional[str] = None
     tier: Optional[SwitchTier] = SwitchTier.T2
 
@@ -332,6 +337,75 @@ class ScenarioScript:
         """Rebuild a script from :meth:`to_dict` output (faults raise ``ValueError``)."""
         return from_json(cls, data)
 
+    # -- resolution -----------------------------------------------------
+    def resolve(self, topology: ClosTopology, rng: RngLike) -> "ResolvedScript":
+        """The script's failures, reseeds and traffic shifts on ``topology``.
+
+        The one place a script meets a fabric: the simulator (:meth:`compile`)
+        and the load generator (:class:`~repro.loadgen.EvidenceLoadGenerator`)
+        both read a script through it, so one generator state names the same
+        victims on both sides.  Random victims are drawn from ``rng`` in event
+        order; nothing else is touched.  A ``ValueError`` naming
+        ``events[i].<field>`` refuses an explicit link or switch that is not
+        in the fabric, and a burst or linecard of more links than there are.
+        """
+        rng = ensure_rng(rng)
+        failures: List[TransientFailure] = []
+        reseeds: Dict[int, List[str]] = {}
+        shifts: Dict[int, TrafficShift] = {}
+        for i, event in enumerate(self.events):
+            where = f"events[{i}]"
+            if isinstance(event, TrafficShift):
+                shifts[event.epoch] = event
+                continue
+            # windowed events carry their epochs; reboots and expansions set theirs
+            start = getattr(event, "start_epoch", None)
+            duration = getattr(event, "duration_epochs", None)
+            drop_rate, blackhole = 1.0, True
+            if isinstance(event, LinkFlap):
+                drop_rate, blackhole = event.drop_rate, False
+                if event.link is None:
+                    links = [_one(rng, _directions(_of_level(topology, event.level, where)))]
+                elif topology.has_link(*event.link):
+                    links = [event.link]
+                else:
+                    raise ValueError(f"{where}.link: {event.link} is not in the fabric")
+            elif isinstance(event, CongestionBurst):
+                drop_rate, blackhole = event.drop_rate, False
+                candidates = _directions(_of_level(topology, event.level, where))
+                links = _some(rng, candidates, event.num_links, where)
+            elif isinstance(event, LinkDrain):
+                if event.link is None:
+                    physical = _one(rng, _of_level(topology, event.level, where))
+                elif topology.has_link(event.link.a, event.link.b):
+                    physical = event.link
+                else:
+                    raise ValueError(f"{where}.link: {event.link} is not in the fabric")
+                links = list(physical.directions())
+            else:  # a switch event: reboot, linecard or expansion
+                if event.switch is None:
+                    switch = _one(rng, _of_tier(topology, event, where))
+                elif topology.is_switch(event.switch):
+                    switch = event.switch
+                else:
+                    raise ValueError(f"{where}.switch: {event.switch!r} is not in the fabric")
+                adjacent = topology.links_of_node(switch)
+                if isinstance(event, SwitchReboot):
+                    start, duration = event.epoch, max(1, event.outage_epochs)
+                    reseeds.setdefault(start + duration, []).append(switch)
+                elif isinstance(event, LinecardFailure):
+                    drop_rate, blackhole = event.drop_rate, event.blackhole
+                    adjacent = _some(rng, adjacent, event.num_links, where)
+                else:  # FabricExpansion: dark until the cutover (never at 0)
+                    start, duration = 0, event.epoch
+                    adjacent = adjacent if event.epoch > 0 else []
+                links = _directions(adjacent)
+            failures += (
+                TransientFailure(link, drop_rate, start, duration, blackhole)
+                for link in links
+            )
+        return ResolvedScript(failures, reseeds, shifts)
+
     # -- compilation ----------------------------------------------------
     def compile(
         self,
@@ -340,13 +414,63 @@ class ScenarioScript:
         router=None,
         rng: RngLike = 0,
     ) -> "CompiledScenarioScript":
-        """Resolve the script against a concrete fabric.
+        """Resolve the script against a concrete fabric (:meth:`resolve`).
 
-        Random victims (events with ``link=None``/``switch=None``) are drawn
-        here from ``rng``, so the same seed always yields the same concrete
-        scenario — both analysis engines compile to identical timelines.
+        Random victims are drawn from ``rng``, so the same seed always yields
+        the same concrete scenario — both analysis engines compile to
+        identical timelines.  The same generator then re-draws the ECMP seeds
+        of rebooted switches.
         """
         return CompiledScenarioScript(self, topology, link_table, router=router, rng=rng)
+
+
+class ResolvedScript(NamedTuple):
+    """A script's effects on one fabric (:meth:`ScenarioScript.resolve`)."""
+
+    #: every transient failure in event order: an event's links sorted, both
+    #: directions of a physical link.
+    failures: List[TransientFailure]
+    #: epoch -> switches whose ECMP seed is re-drawn once that epoch is applied.
+    reseeds: Dict[int, List[str]]
+    #: epoch -> the traffic shift taking effect from that epoch onward.
+    shifts: Dict[int, TrafficShift]
+
+
+def _of_level(topology: ClosTopology, level: Optional[LinkLevel], where: str) -> List[Link]:
+    level = level if level is not None else LinkLevel.LEVEL1
+    links = topology.links_of_level(level)
+    if not links:
+        raise ValueError(f"{where}.level: the topology has no links of level {level!r}")
+    return links
+
+
+def _of_tier(topology: ClosTopology, event: ScenarioEvent, where: str) -> List[str]:
+    tier = event.tier
+    if tier is None:
+        tier = SwitchTier.T2 if isinstance(event, FabricExpansion) else SwitchTier.T1
+    names = [switch.name for switch in topology.switches_of_tier(tier)]
+    if not names:
+        raise ValueError(f"{where}.tier: the topology has no switches of tier {tier!r}")
+    return names
+
+
+def _directions(links: List[Link]) -> List[DirectedLink]:
+    return [direction for link in links for direction in link.directions()]
+
+
+def _one(rng: np.random.Generator, candidates: list):
+    """One of ``candidates``, by one ``integers`` draw."""
+    return candidates[int(rng.integers(0, len(candidates)))]
+
+
+def _some(rng: np.random.Generator, candidates: list, count: int, where: str) -> list:
+    """``count`` distinct ``candidates`` in their order, by one ``choice`` draw."""
+    if count > len(candidates):
+        raise ValueError(
+            f"{where}.num_links: cannot pick {count} links, there are only {len(candidates)}"
+        )
+    chosen = rng.choice(len(candidates), size=count, replace=False)
+    return [candidates[i] for i in sorted(int(i) for i in chosen)]
 
 
 class CompiledScenarioScript:
@@ -368,12 +492,13 @@ class CompiledScenarioScript:
         self._topology = topology
         self._router = router
         self._rng = ensure_rng(rng)
+        resolved = script.resolve(topology, self._rng)
         self._schedule = TransientFailureSchedule(link_table)
-        #: epoch -> switches whose ECMP seed is re-drawn once that epoch (or
-        #: any later one) is applied; entries are consumed when they fire.
-        self._reseeds: Dict[int, List[str]] = {}
-        #: epoch -> traffic shift taking effect from that epoch onward.
-        self._shifts: Dict[int, TrafficShift] = {}
+        for failure in resolved.failures:
+            self._schedule.add(failure)
+        #: reseeds are consumed when they fire.
+        self._reseeds = resolved.reseeds
+        self._shifts = resolved.shifts
         #: epoch of the shift most recently handed out (so a shift fires once
         #: even when epochs are driven from a nonzero start or with gaps).
         self._applied_shift_epoch: Optional[int] = None
@@ -382,144 +507,6 @@ class CompiledScenarioScript:
         #: (e.g. a reboot's reseed epoch and an expansion's cutover epoch are
         #: part of the event even though no failure is active during them).
         self._declared_horizon = script.horizon
-        for event in script.events:
-            self._resolve(event)
-
-    # -- event resolution ----------------------------------------------
-    def _resolve(self, event: ScenarioEvent) -> None:
-        if isinstance(event, LinkFlap):
-            link = event.link if event.link is not None else self._random_directed_link(
-                event.level if event.level is not None else LinkLevel.LEVEL1
-            )
-            self._schedule.add(
-                TransientFailure(
-                    link=link,
-                    drop_rate=event.drop_rate,
-                    start_epoch=event.start_epoch,
-                    duration_epochs=event.duration_epochs,
-                )
-            )
-        elif isinstance(event, CongestionBurst):
-            for link in self._random_directed_links(event.level, event.num_links):
-                self._schedule.add(
-                    TransientFailure(
-                        link=link,
-                        drop_rate=event.drop_rate,
-                        start_epoch=event.start_epoch,
-                        duration_epochs=event.duration_epochs,
-                    )
-                )
-        elif isinstance(event, SwitchReboot):
-            switch = event.switch if event.switch is not None else self._random_switch(
-                event.tier if event.tier is not None else SwitchTier.T1
-            )
-            outage = max(1, event.outage_epochs)
-            for physical in self._topology.links_of_node(switch):
-                for direction in physical.directions():
-                    self._schedule.add(
-                        TransientFailure(
-                            link=direction,
-                            drop_rate=1.0,
-                            start_epoch=event.epoch,
-                            duration_epochs=outage,
-                            blackhole=True,
-                        )
-                    )
-            self._reseeds.setdefault(event.epoch + outage, []).append(switch)
-        elif isinstance(event, LinkDrain):
-            physical = event.link if event.link is not None else self._random_physical_link(
-                event.level if event.level is not None else LinkLevel.LEVEL1
-            )
-            for direction in physical.directions():
-                self._schedule.add(
-                    TransientFailure(
-                        link=direction,
-                        drop_rate=1.0,
-                        start_epoch=event.start_epoch,
-                        duration_epochs=event.duration_epochs,
-                        blackhole=True,
-                    )
-                )
-        elif isinstance(event, LinecardFailure):
-            switch = event.switch if event.switch is not None else self._random_switch(
-                event.tier if event.tier is not None else SwitchTier.T1
-            )
-            for physical in self._linecard_links(switch, event.num_links):
-                for direction in physical.directions():
-                    self._schedule.add(
-                        TransientFailure(
-                            link=direction,
-                            drop_rate=event.drop_rate,
-                            start_epoch=event.start_epoch,
-                            duration_epochs=event.duration_epochs,
-                            blackhole=event.blackhole,
-                        )
-                    )
-        elif isinstance(event, FabricExpansion):
-            switch = event.switch if event.switch is not None else self._random_switch(
-                event.tier if event.tier is not None else SwitchTier.T2
-            )
-            # links are dark from the start of the run until the cutover; an
-            # expansion at epoch 0 has no dark window (links were always up).
-            if event.epoch > 0:
-                for physical in self._topology.links_of_node(switch):
-                    for direction in physical.directions():
-                        self._schedule.add(
-                            TransientFailure(
-                                link=direction,
-                                drop_rate=1.0,
-                                start_epoch=0,
-                                duration_epochs=event.epoch,
-                                blackhole=True,
-                            )
-                        )
-        elif isinstance(event, TrafficShift):
-            self._shifts[event.epoch] = event
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown scenario event {event!r}")
-
-    # -- random victim selection ----------------------------------------
-    def _level_candidates(self, level: LinkLevel) -> List[Link]:
-        candidates = sorted(self._topology.links_of_level(level))
-        if not candidates:
-            raise ValueError(f"topology has no links of level {level!r}")
-        return candidates
-
-    def _random_physical_link(self, level: LinkLevel) -> Link:
-        candidates = self._level_candidates(level)
-        return candidates[int(self._rng.integers(0, len(candidates)))]
-
-    def _random_directed_link(self, level: LinkLevel) -> DirectedLink:
-        directed = [d for link in self._level_candidates(level) for d in link.directions()]
-        return directed[int(self._rng.integers(0, len(directed)))]
-
-    def _random_directed_links(self, level: LinkLevel, count: int) -> List[DirectedLink]:
-        directed = [d for link in self._level_candidates(level) for d in link.directions()]
-        if count > len(directed):
-            raise ValueError(
-                f"cannot pick {count} links, level {level!r} only has {len(directed)}"
-            )
-        chosen = self._rng.choice(len(directed), size=count, replace=False)
-        return [directed[int(i)] for i in sorted(int(i) for i in chosen)]
-
-    def _random_switch(self, tier: SwitchTier) -> str:
-        names = sorted(s.name for s in self._topology.switches_of_tier(tier))
-        if not names:
-            raise ValueError(f"topology has no switches of tier {tier!r}")
-        return names[int(self._rng.integers(0, len(names)))]
-
-    def _linecard_links(self, switch: str, count: int) -> List[Link]:
-        """``count`` of ``switch``'s physical links, drawn without replacement."""
-        candidates = sorted(self._topology.links_of_node(switch))
-        if not candidates:
-            raise ValueError(f"switch {switch!r} has no links")
-        if count > len(candidates):
-            raise ValueError(
-                f"cannot fail {count} linecard links, switch {switch!r} "
-                f"only has {len(candidates)}"
-            )
-        chosen = self._rng.choice(len(candidates), size=count, replace=False)
-        return [candidates[int(i)] for i in sorted(int(i) for i in chosen)]
 
     # -- epoch driving ---------------------------------------------------
     @property

@@ -423,20 +423,33 @@ def random_profile(rng):
     )
 
 
-def every_event_kind_script(rng):
-    """One script event of each kind, each live during some of epochs 0-3."""
+def every_event_kind_script(rng, topology):
+    """One script event of each kind, each live during some of epochs 0-3.
+
+    Burst and linecard counts are clamped to the fewest links a level or a
+    switch they may land on has: the resolver refuses a script asking for
+    more (the one-host fabric holds two directed links per level)."""
     start = lambda: rng.randrange(0, 3)  # noqa: E731
+    tiers = list(SwitchTier)[:3]
+    burst_max = min(
+        2 * len(topology.links_of_level(level))
+        for level in (LinkLevel.LEVEL1, LinkLevel.LEVEL2)
+    )
+    linecard_max = min(
+        len(topology.links_of_node(switch.name))
+        for tier in tiers
+        for switch in topology.switches_of_tier(tier)
+    )
     return (
         ScenarioScript()
         .flap(start(), 2, level=rng.choice(list(LinkLevel)[:3]))
         .burst(start(), 2, level=rng.choice([LinkLevel.LEVEL1, LinkLevel.LEVEL2]),
-               num_links=rng.randrange(1, 4))
+               num_links=min(rng.randrange(1, 4), burst_max))
         .drain(start(), 2, level=rng.choice(list(LinkLevel)[:3]))
-        .reboot_switch(start(), tier=rng.choice(list(SwitchTier)[:3]))
-        .linecard(start(), 2, num_links=rng.randrange(1, 4),
-                  tier=rng.choice(list(SwitchTier)[:3]))
-        .add(FabricExpansion(epoch=rng.randrange(1, 4),
-                             tier=rng.choice(list(SwitchTier)[:3])))
+        .reboot_switch(start(), tier=rng.choice(tiers))
+        .linecard(start(), 2, num_links=min(rng.randrange(1, 4), linecard_max),
+                  tier=rng.choice(tiers))
+        .add(FabricExpansion(epoch=rng.randrange(1, 4), tier=rng.choice(tiers)))
         .add(TrafficShift(epoch=start()))
     )
 
@@ -466,8 +479,9 @@ class TestArrayGeneratorMatchesPerFlowReference:
         fabric, expected_kinds = REFERENCE_FABRICS[name]
         rng = random.Random(name)
         kinds = set()
+        topology = ClosTopology(fabric_parameters(fabric))
         for _ in range(6):
-            script = every_event_kind_script(rng) if rng.random() < 0.7 else None
+            script = every_event_kind_script(rng, topology) if rng.random() < 0.7 else None
             generator = EvidenceLoadGenerator(
                 fabric,
                 random_profile(rng),

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.loadgen import EvidenceLoadGenerator
 from repro.netsim.failures import TransientFailure, TransientFailureSchedule
 from repro.netsim.links import LinkStateTable
 from repro.netsim.script import (
@@ -21,7 +22,7 @@ from repro.netsim.script import (
 from repro.netsim.traffic import HotTorTraffic, SkewedTraffic, UniformTraffic
 from repro.routing.ecmp import EcmpRouter
 from repro.routing.fivetuple import FiveTuple
-from repro.topology.elements import DirectedLink, LinkLevel, SwitchTier
+from repro.topology.elements import DirectedLink, Link, LinkLevel, SwitchTier
 
 
 def cross_pod_routes(router, topology):
@@ -83,6 +84,79 @@ class TestScriptBuilder:
         )
         clone = pickle.loads(pickle.dumps(script))
         assert clone.events == script.events
+
+
+#: a script the small fabric cannot hold -> the field its refusal names.
+#: Before one resolver: the drain put the missing link into the ground
+#: truth, the reboot did nothing, the linecard raised in the simulator only
+#: and the flap raised ``KeyError`` when its epoch was applied.
+UNHOLDABLE_SCRIPTS = {
+    "flap-missing-link": (
+        ScenarioScript().flap(0, 1).flap(2, 1, link=DirectedLink("pod0-tor0", "t2-0")),
+        r"events\[1\]\.link",
+    ),
+    "drain-missing-link": (
+        ScenarioScript().drain(0, 1, link=Link.of("pod0-tor0", "pod1-tor0")),
+        r"events\[0\]\.link",
+    ),
+    "reboot-unknown-switch": (
+        ScenarioScript().reboot_switch(0, switch="pod9-t1-0"),
+        r"events\[0\]\.switch",
+    ),
+    "reboot-of-a-host": (
+        ScenarioScript().reboot_switch(0, switch="pod0-tor0-host0"),
+        r"events\[0\]\.switch",
+    ),
+    "linecard-unknown-switch": (
+        ScenarioScript().flap(0, 1).linecard(0, 1, switch="t2-9"),
+        r"events\[1\]\.switch",
+    ),
+    "expand-unknown-switch": (
+        ScenarioScript().add(FabricExpansion(epoch=2, switch="t3-0")),
+        r"events\[0\]\.switch",
+    ),
+    "burst-too-many-links": (
+        ScenarioScript().burst(0, 1, level=LinkLevel.LEVEL2, num_links=17),
+        r"events\[0\]\.num_links",
+    ),
+    "linecard-too-many-links": (
+        ScenarioScript().linecard(0, 1, num_links=6, switch="pod0-t1-0"),
+        r"events\[0\]\.num_links",
+    ),
+}
+
+
+class TestResolve:
+    def test_resolve_is_what_compile_schedules(self, small_topology, link_table):
+        script = (
+            ScenarioScript()
+            .flap(start=0, duration=2, level=LinkLevel.LEVEL2)
+            .reboot_switch(epoch=1, tier=SwitchTier.T2, outage_epochs=2)
+            .linecard(start=1, duration=1, num_links=2, drop_rate=0.1, blackhole=False)
+            .add(TrafficShift(epoch=2, traffic="skewed"))
+        )
+        resolved = script.resolve(small_topology, rng=5)
+        compiled = script.compile(small_topology, link_table, rng=5)
+        assert resolved.failures == compiled.schedule.failures
+        [(due, [switch])] = resolved.reseeds.items()
+        assert due == 3 and small_topology.switch(switch).tier == SwitchTier.T2
+        assert resolved.shifts == {2: script.events[3]}
+        gray = [f for f in resolved.failures if not f.blackhole]
+        assert {f.drop_rate for f in gray} == {0.01, 0.1}
+        # the link table is untouched until an epoch is applied
+        assert not any(link_table.is_failed(f.link) for f in resolved.failures)
+
+    @pytest.mark.parametrize("name", sorted(UNHOLDABLE_SCRIPTS))
+    def test_a_script_the_fabric_cannot_hold_is_refused_by_both_sides(
+        self, name, small_params, small_topology, link_table
+    ):
+        script, field = UNHOLDABLE_SCRIPTS[name]
+        with pytest.raises(ValueError, match=field):
+            script.resolve(small_topology, rng=0)
+        with pytest.raises(ValueError, match=field):
+            script.compile(small_topology, link_table, rng=0)
+        with pytest.raises(ValueError, match=field):
+            EvidenceLoadGenerator(small_params, script=script, events_per_epoch=0)
 
 
 class TestCompile:

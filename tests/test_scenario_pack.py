@@ -4,7 +4,7 @@ Covers the pack registry (``repro.scenarios``), the strict schema validation
 (unknown keys/versions rejected), the nan-aware golden comparison, the
 ``repro-007 pack`` CLI, worker-count determinism, the lossless round-trip of
 every shipped scenario, and the regression test that netsim ground truth and
-the loadgen bad-link windows agree window-for-window for every script event
+the loadgen bad links are the same links in every epoch for every script event
 type (the off-by-one class of bug the pack exists to catch).
 """
 
@@ -17,6 +17,7 @@ import pathlib
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -25,7 +26,7 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.loadgen.generator import EvidenceLoadGenerator
 from repro.loadgen.profiles import WorkloadProfile
 from repro.netsim.links import LinkStateTable
-from repro.netsim.script import FabricExpansion, ScenarioScript
+from repro.netsim.script import FabricExpansion, ScenarioScript, TrafficShift
 from repro.scenarios import (
     PackValidationError,
     ScenarioOutcome,
@@ -347,7 +348,7 @@ class TestShippedScenarioRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# netsim truth windows == loadgen bad-link windows, per event type
+# netsim ground truth == loadgen bad links, epoch by epoch, per event type
 # ----------------------------------------------------------------------
 TINY_PARAMS = ClosParameters(npod=2, n0=2, n1=2, n2=2, hosts_per_tor=1)
 
@@ -364,14 +365,36 @@ WINDOW_SCRIPTS = {
     "burst": ScenarioScript().burst(
         start=1, duration=3, level=LinkLevel.LEVEL1, num_links=2
     ),
+    # 9 of the 16 directed level-1 links: more than there are physical ones
+    "burst_nine": ScenarioScript().burst(
+        start=0, duration=2, level=LinkLevel.LEVEL1, num_links=9
+    ),
     "drain_explicit": ScenarioScript().drain(start=2, duration=2, link=DRAIN_LINK),
+    "drain_random": ScenarioScript().drain(start=1, duration=2, level=LinkLevel.LEVEL2),
     "reboot": ScenarioScript().reboot_switch(
         epoch=1, switch="pod0-t1-1", outage_epochs=2
     ),
+    "reboot_random": ScenarioScript().reboot_switch(epoch=2, tier=SwitchTier.TOR),
     "linecard": ScenarioScript().linecard(
         start=2, duration=2, num_links=2, switch="pod1-t1-0"
     ),
+    "linecard_random": ScenarioScript().linecard(
+        start=1, duration=2, num_links=2, drop_rate=0.05, blackhole=False,
+        tier=SwitchTier.T2,
+    ),
     "expand": ScenarioScript().add(FabricExpansion(epoch=3, switch="t2-1")),
+    "expand_random": ScenarioScript().add(FabricExpansion(epoch=2)),
+    # every kind in one script: later events draw after earlier ones
+    "every_kind": (
+        ScenarioScript()
+        .flap(start=0, duration=2, level=LinkLevel.HOST)
+        .burst(start=1, duration=2, level=LinkLevel.LEVEL2, num_links=3)
+        .drain(start=2, duration=1)
+        .reboot_switch(epoch=1, tier=SwitchTier.T2)
+        .linecard(start=3, duration=1, num_links=1)
+        .add(FabricExpansion(epoch=1, tier=SwitchTier.T1))
+        .add(TrafficShift(epoch=2, traffic="skewed"))
+    ),
 }
 
 EXPLICIT_VICTIMS = {
@@ -390,59 +413,59 @@ EXPLICIT_VICTIMS = {
 }
 
 
+def both_sides(script, seed):
+    """The compiled script and the load generator, handed one generator
+    state: the load generator draws its victims from
+    ``default_rng([seed, 0xFAB])`` (no static bad links draw before)."""
+    topology = ClosTopology(TINY_PARAMS)
+    compiled = script.compile(
+        topology, LinkStateTable(topology, rng=0), rng=np.random.default_rng([seed, 0xFAB])
+    )
+    generator = EvidenceLoadGenerator(
+        fabric=TINY_PARAMS,
+        profile=WorkloadProfile(num_bad_links=0),
+        script=script,
+        seed=seed,
+        events_per_epoch=0,
+    )
+    return topology, compiled, generator
+
+
 class TestWindowAgreement:
-    """Every event type produces the *same* active window in the netsim
-    compiled script and the loadgen resolver — window for window, so a
-    scenario's last scripted epoch is simulated by both engines."""
+    """Netsim's ground truth and loadgen's bad links are the same links in
+    every epoch, for every event kind, random victims included: both read
+    the script through one resolver (``ScenarioScript.resolve``)."""
 
     @pytest.mark.parametrize("kind", sorted(WINDOW_SCRIPTS))
-    def test_netsim_and_loadgen_agree_window_for_window(self, kind):
+    def test_netsim_and_loadgen_agree_victim_for_victim(self, kind):
         script = WINDOW_SCRIPTS[kind]
-        topology = ClosTopology(TINY_PARAMS)
-        table = LinkStateTable(topology, rng=0)
-        compiled = script.compile(topology, table, rng=3)
-        assert compiled.horizon == script.horizon
+        for seed in range(20):
+            _, compiled, generator = both_sides(script, seed)
+            assert compiled.horizon == script.horizon
+            for epoch in range(script.horizon + 2):
+                truth = set(compiled.apply_epoch(epoch).bad_links)
+                bad = set(generator.bad_links_for_epoch(epoch))
+                assert truth == bad, f"{kind} seed {seed} epoch {epoch}"
+                # nothing leaks past the declared horizon
+                assert not truth or epoch < script.horizon
+                if truth and kind in EXPLICIT_VICTIMS:
+                    assert truth == EXPLICIT_VICTIMS[kind]
 
-        generator = EvidenceLoadGenerator(
-            fabric=TINY_PARAMS,
-            profile=WorkloadProfile(num_bad_links=0),
-            script=script,
-            seed=3,
-            events_per_epoch=0,
-        )
-        epochs = script.horizon + 2
-        netsim_active = {}
-        loadgen_active = {}
-        for epoch in range(epochs):
-            truth = set(compiled.apply_epoch(epoch).bad_links)
-            bad = set(generator.bad_links_for_epoch(epoch))
-            if truth:
-                netsim_active[epoch] = truth
-            if bad:
-                loadgen_active[epoch] = bad
-        assert set(netsim_active) == set(loadgen_active), (
-            f"{kind}: netsim bad epochs {sorted(netsim_active)} != "
-            f"loadgen bad epochs {sorted(loadgen_active)}"
-        )
-        # nothing leaks past the declared horizon on either side
-        assert all(epoch < script.horizon for epoch in netsim_active)
-        if kind in EXPLICIT_VICTIMS:
-            for epoch in netsim_active:
-                assert netsim_active[epoch] == EXPLICIT_VICTIMS[kind]
-                assert loadgen_active[epoch] == EXPLICIT_VICTIMS[kind]
+    def test_random_victims_vary_with_the_seed(self):
+        script = WINDOW_SCRIPTS["flap_random"]
+        victims = {
+            tuple(both_sides(script, seed)[2].bad_links_for_epoch(2)) for seed in range(20)
+        }
+        assert len(victims) > 1
+
+    def test_a_burst_of_nine_is_nine_links_on_both_sides(self):
+        _, compiled, generator = both_sides(WINDOW_SCRIPTS["burst_nine"], 0)
+        truth = compiled.apply_epoch(0).bad_links
+        assert len(set(truth)) == 9
+        assert len(set(generator.bad_links_for_epoch(0))) == 9
 
     def test_linecard_victims_stay_on_the_switch_in_both_engines(self):
-        script = WINDOW_SCRIPTS["linecard"]
-        topology = ClosTopology(TINY_PARAMS)
-        table = LinkStateTable(topology, rng=0)
-        compiled = script.compile(topology, table, rng=3)
-        generator = EvidenceLoadGenerator(
-            fabric=TINY_PARAMS,
-            profile=WorkloadProfile(num_bad_links=0),
-            script=script,
-            seed=3,
-            events_per_epoch=0,
-        )
+        topology, compiled, generator = both_sides(WINDOW_SCRIPTS["linecard"], 3)
         adjacent = {
             d
             for link in topology.links_of_node("pod1-t1-0")
@@ -451,7 +474,7 @@ class TestWindowAgreement:
         truth = set(compiled.apply_epoch(2).bad_links)
         bad = set(generator.bad_links_for_epoch(2))
         assert truth <= adjacent and len(truth) == 4  # 2 links, both directions
-        assert bad <= adjacent and len(bad) == 4
+        assert bad == truth
 
 
 # ----------------------------------------------------------------------
