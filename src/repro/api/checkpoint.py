@@ -67,7 +67,7 @@ from typing import (
 
 import numpy as np
 
-from repro.api.events import link_from_str, link_to_str
+from repro.api.events import link_from_str, links_to_str
 from repro.core.arrays import ItemIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import PathTooLongError, check_hop_counts
@@ -813,7 +813,7 @@ class Checkpoint:
             "payload": self.payload,
             "tables": {
                 "names": columns.names,
-                "links": [link_to_str(link) for link in columns.links],
+                "links": links_to_str(columns.links),
             },
         }
         header_blob = zlib.compress(

@@ -19,14 +19,14 @@ boundary:
 
 Every event is a frozen dataclass; the binary forms that carry them are the
 wire format (:mod:`repro.api.wire`) and the checkpoint container
-(:mod:`repro.api.checkpoint`), whose header spells links ``"src->dst"``
-(:func:`link_to_str` / :func:`link_from_str`).
+(:mod:`repro.api.checkpoint`), whose link tables both spell links
+``"src->dst"`` (:func:`links_to_str` / :func:`link_from_str`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.discovery.agent import DiscoveredPath
 from repro.topology.elements import DirectedLink
@@ -96,11 +96,27 @@ def copy_evidence(event: Evidence) -> Evidence:
 
 
 # ----------------------------------------------------------------------
-# a directed link as text (the checkpoint header's link table)
+# a directed link as text (the checkpoint header's and the wire's link tables)
 # ----------------------------------------------------------------------
-def link_to_str(link: DirectedLink) -> str:
-    """Serialize a directed link as ``"src->dst"``."""
-    return f"{link.src}->{link.dst}"
+def links_to_str(links: Sequence[DirectedLink]) -> List[str]:
+    """Serialize directed links as ``"src->dst"`` texts.
+
+    Raises ``ValueError`` naming the first link with an endpoint that holds
+    ``->`` or is empty: its text would load as another link, or as none.
+    One pass over the joined texts checks them all — a text holds exactly
+    one ``->`` unless an endpoint holds one — and only a table that fails it
+    is checked link by link.
+    """
+    texts = [f"{link.src}->{link.dst}" for link in links]
+    joined = "\x00" + "\x00".join(texts) + "\x00"
+    if joined.count("->") != len(texts) or "\x00->" in joined or "->\x00" in joined:
+        for src, dst in links:
+            if not src or not dst or "->" in src or "->" in dst:
+                raise ValueError(
+                    f"link {DirectedLink(src, dst)!r} cannot be written as "
+                    "'src->dst': an endpoint is empty or holds '->'"
+                )
+    return texts
 
 
 def link_from_str(text: str) -> DirectedLink:

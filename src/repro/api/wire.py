@@ -39,7 +39,13 @@ from repro.api.checkpoint import (
     decode_paths,
     encode_identity,
 )
-from repro.api.events import Evidence, PathEvidence, RetransmissionEvidence
+from repro.api.events import (
+    Evidence,
+    PathEvidence,
+    RetransmissionEvidence,
+    link_from_str,
+    links_to_str,
+)
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy
 from repro.discovery.agent import DiscoveredPath
@@ -194,7 +200,7 @@ class WireEncoder:
         name_lo = self._names_sent[stream]
         name_hi = len(self._names)
         links_blob = "\x00".join(
-            f"{l.src}->{l.dst}" for l in self._links.items[link_lo:link_hi]
+            links_to_str(self._links.items[link_lo:link_hi])
         ).encode("utf-8")
         names_blob = "\x00".join(self._names.items[name_lo:name_hi]).encode(
             "utf-8"
@@ -482,9 +488,11 @@ class WireDecoder:
                 raise WireProtocolError(
                     f"a {table} id outside the stream's {bound}-entry table"
                 )
-        for text in links:
-            src, _, dst = text.partition("->")
-            self._links.append(DirectedLink(src, dst))
+        try:
+            links = list(map(link_from_str, links))
+        except ValueError as exc:
+            raise WireProtocolError(str(exc)) from None
+        self._links.extend(links)
         self._names.extend(names)
         return run
 

@@ -289,7 +289,8 @@ class AnalysisAgent:
         (including mid-epoch) by handing the tally here, with the epoch's
         previous report as ``prior`` — a report of this agent on the first
         rows of the same tally, which Algorithm 1 resumes from on the arrays
-        engine (the dict oracle always runs from scratch).  Array-backed
+        engine, or whose verdict it reuses when that report read every row
+        (the dict oracle always runs from scratch).  Array-backed
         tallies are dispatched to the vectorized path regardless of this
         agent's ``engine`` setting.
         """

@@ -102,6 +102,19 @@ class ItemIndex:
             self._items.extend(fresh)
             return np.fromiter(map(lookup, items), dtype=dtype, count=len(items))
 
+    def table_ids(self, table: Sequence) -> np.ndarray:
+        """:meth:`fast_ids` of a table (a restored checkpoint's): an empty
+        index adopts a table in which no item repeats as it is, in one
+        hashing pass, the ids its positions; a repeated item keeps the id
+        of its first occurrence."""
+        if not self._items:
+            ids = dict(zip(table, range(len(table))))
+            if len(ids) == len(table):
+                self._ids = ids
+                self._items.extend(table)  # the list handed out stays live
+                return np.arange(len(table), dtype=np.int64)
+        return self.fast_ids(table)
+
     def get(self, item) -> Optional[int]:
         """The id of ``item`` or ``None`` when it was never interned."""
         return self._ids.get(item)
@@ -282,14 +295,17 @@ class ArrayVoteTally:
     rows appended since the last query into running accumulators, with one
     ``bincount`` of integer vote units — exact, however the rows were cut
     into folds or ordered.
-    Mid-epoch queries therefore cost O(rows touched since the last query),
-    not O(epoch).  Flows are bound as in :class:`~repro.core.votes.VoteTally`.
+    A fold therefore reads no earlier row, but it is not free of the
+    fabric's size: its counts have one slot per (link, row length).
+    Flows are bound as in :class:`~repro.core.votes.VoteTally`.
 
     Cost: a bulk append scatters its CSR into the rows with one masked
     write and :meth:`record_columns` gathers it back with one masked read,
     O(rows × MAX_HOPS) each (0.5-1 ms per 32 000 rows on a 2-CPU x86 host,
     numpy 2.4); a fold is one ``bincount`` over the new rows' cells plus a
-    compare per hop position, O(new rows × longest new row).
+    compare per hop position, O(new rows × longest new row), and one
+    product over those counts, O(links × MAX_HOPS) — on the 2 816-link
+    fabric a query-sized fold of ~1 000 rows takes ~0.3 ms (same host).
     """
 
     def __init__(
@@ -343,11 +359,12 @@ class ArrayVoteTally:
             self._retransmissions = _grown(self._retransmissions, used, rows)
             self._seqs = _grown(self._seqs, used, rows)
 
-    def _units(self, lengths: np.ndarray) -> np.ndarray:
-        """Each row's vote per link in units (float64), from its hop count."""
+    def units(self) -> np.ndarray:
+        """``[h]``: the vote per link of an ``h``-hop row in units (float64;
+        a row's vote follows from its hop count)."""
         if self._policy == "unit":
-            return np.full(len(lengths), float(VOTE_UNITS))
-        return _UNITS_BY_HOPS[lengths]
+            return np.full(MAX_HOPS + 1, float(VOTE_UNITS))
+        return _UNITS_BY_HOPS
 
     def add_flow(
         self,
@@ -569,7 +586,7 @@ class ArrayVoteTally:
         # A link's votes are its cells per row length times that length's
         # units: integers, exact in float64, so the sum is the same whatever
         # the order of the rows or the folds they were cut into.
-        self._votes += counts @ self._units(np.arange(stride))
+        self._votes += counts @ self.units()
         # Support counts the distinct (row, link) pairs of the tail rows
         # (each row is folded exactly once, so pairs never repeat across
         # folds).  No sort: a cell repeats an earlier one of its row iff its
@@ -715,7 +732,7 @@ class ArrayVoteTally:
                     flow_ids.tolist(),
                     bounds,
                     bounds[1:],
-                    self._units(lengths).astype(np.int64).tolist(),
+                    self.units()[lengths].astype(np.int64).tolist(),
                     counts.tolist(),
                 )
             ]
@@ -772,17 +789,19 @@ def _rows_holding(
     matrix: np.ndarray, link: int, row_steps: np.ndarray, first: int
 ) -> np.ndarray:
     """The alive rows (no step took them yet) from ``first`` on holding
-    ``link``, ascending, each once (a looped path repeats): one compare of
-    their cells, read as one word a row."""
-    rows = np.flatnonzero(_any_per_row(matrix[first:] == link)) + first
+    ``link``, ascending, each once (a looped path repeats), counted from
+    ``first``: ``row_steps`` is those rows' record.  One compare of their
+    cells, read as one word a row."""
+    rows = np.flatnonzero(_any_per_row(matrix[first:] == link))
     return rows[row_steps[rows] < 0]
 
 
 def _discount(votes, matrix, weights, rows, best) -> None:
-    """Take ``rows``' votes off every cell they hold, once per occurrence
-    (a pad's off the dump slot), and clamp at 0; ``best`` keeps its votes."""
+    """Take ``rows``' votes (``weights``, one a row) off every cell they
+    hold, once per occurrence (a pad's off the dump slot), and clamp at 0;
+    ``best`` keeps its votes."""
     own = votes[best]
-    np.subtract.at(votes, matrix[rows].ravel(), np.repeat(weights[rows], MAX_HOPS))
+    np.subtract.at(votes, matrix[rows].ravel(), np.repeat(weights, MAX_HOPS))
     np.maximum(votes, 0.0, out=votes)
     votes[best] = own
 
@@ -790,7 +809,8 @@ def _discount(votes, matrix, weights, rows, best) -> None:
 def blame_kernel(
     votes: np.ndarray,
     matrix: np.ndarray,
-    weights: np.ndarray,
+    lengths: np.ndarray,
+    units: np.ndarray,
     eligible: np.ndarray,
     sort_ranks: np.ndarray,
     threshold_votes: float,
@@ -800,7 +820,9 @@ def blame_kernel(
     """Algorithm 1's argmax + masked-discounting loop for link blame.
 
     ``matrix`` holds the paths as hop rows (:func:`hop_rows`: ids into
-    ``votes``, then ``PAD``), ``weights`` each row's vote per link.
+    ``votes``, then ``PAD``), ``lengths`` their hop counts and ``units[h]``
+    the vote per link of an ``h``-hop row: a row's weight is read only
+    when a detection takes the row.
     Returns ``(detected_ids, votes_at_detection, steps, row_steps)``:
     ``steps[k]`` is the votes at the start of greedy step ``k``, and
     ``steps[-1]`` what the loop left; ``row_steps[r]`` is the step of the
@@ -823,22 +845,26 @@ def blame_kernel(
     appended since; at each step the recorded votes plus ``tail`` are the
     votes a fresh run would hold, and while the argmax repeats the recorded
     detection only the appended rows holding it are found and taken off
-    ``tail`` (the earlier rows keep their record).  From the first step
-    that decides otherwise the ordinary loop runs on, every row holding
-    none of the earlier detections alive — the earlier rows' record says
-    which, O(rows).  Every step is still
+    ``tail``, and only they get a record: the earlier rows keep theirs,
+    joined to it by one concatenation at the end (rows taken at a step the
+    run no longer reaches come alive again, the one case that reads every
+    earlier row).  From the first step that decides otherwise the ordinary
+    loop runs on, every row holding none of the earlier detections alive —
+    the earlier rows' record says which, O(rows).  Every step is still
     decided on the current eligibility, threshold and ranks, so the result
     equals a fresh run's exactly — for integer votes, which its one caller,
     :func:`find_problematic_links_arrays`, passes: an id's votes are then
     the units of its alive rows and never go below zero.
 
     Cost: a fresh run compares every row once per detection, O(rows), and
-    discounts O(hit rows); a resumed one compares the appended rows and
-    rebuilds the votes once per step, O(new rows) plus O(links), and pays
-    one O(rows) compare per detection after it leaves the recorded ones.
-    Every step also clamps O(links).
+    discounts O(hit rows); every step also clamps and masks O(links).  A
+    resumed run compares only the appended rows and rebuilds the votes once
+    per step, O(new rows + links) a step; what grows with the earlier rows
+    is one concatenation of their record (a copy of 4 bytes a row), plus
+    one O(rows) compare per detection after the run leaves the recorded
+    ones.
 
-    Input contract: ``weights`` must be non-negative and ``votes`` finite
+    Input contract: ``units`` must be non-negative and ``votes`` finite
     and non-negative, ``-0.0`` excluded (``ValueError`` otherwise); beyond
     that, a fresh run accepts any float votes.  An id's votes then only
     fall, so a ``max(0.0, v - w)`` per subtraction in (row, hop) order
@@ -846,7 +872,7 @@ def blame_kernel(
     is 0 from then on — one clamp at the end of a step yields the same
     doubles, bit for bit, and leaves the ids no row touched as they were.
     """
-    if not bool((weights >= 0.0).all()):
+    if not bool((units >= 0.0).all()):
         raise ValueError("blame_kernel needs non-negative weights")
     if not bool(np.isfinite(votes).all()) or bool(np.signbit(votes).any()):
         raise ValueError("blame_kernel needs finite non-negative votes")
@@ -854,15 +880,16 @@ def blame_kernel(
     votes = np.append(votes, 0.0)  # the last slot: the pads' dump
     # the ids still open for blame: eligible and not yet blamed, never the dump
     candidate = np.append(eligible, False)
-    row_steps = np.full(len(matrix), -1, dtype=np.int32)
     detected: List[int] = []
     votes_at: List[float] = []
     steps: List[np.ndarray] = []
-    # rows ``[first, ...)`` are compared; ``tail`` is not None while resuming
+    # rows ``[first, ...)`` are compared and ``row_steps`` is their record;
+    # ``tail`` is not None while resuming
     first, tail = 0, None
     if prior is not None:
         # the earlier rows' record is read back once the run leaves it
         first, recorded, prior_ids, prior_steps, prior_rows = prior
+    row_steps = np.full(len(matrix) - first, -1, dtype=np.int32)
     while True:
         if tail is not None:  # the recorded votes plus the appended rows'
             votes = tail.copy()
@@ -881,10 +908,10 @@ def blame_kernel(
                 if tail is None:  # step 0's votes are the tally's own
                     tail = votes.copy()
                     tail[prior_ids] -= prior_steps[0]
-            else:  # decided otherwise: the ordinary loop from here on
+            else:  # decided otherwise: the ordinary loop from here on, over
+                # every row; the rows the repeated steps took stay taken
+                row_steps = np.concatenate((_steps_before(prior_rows, step), row_steps))
                 prior = tail = None
-                if step:  # the rows the repeated steps took stay taken
-                    row_steps[:first] = _steps_before(prior_rows, step)
                 first = 0
         steps.append(votes[:n].copy())
         candidate[best] = False
@@ -893,12 +920,17 @@ def blame_kernel(
         if config.adjustment == "paths":
             rows = _rows_holding(matrix, best, row_steps, first)
             row_steps[rows] = len(detected) - 1
-            _discount(votes if tail is None else tail, matrix, weights, rows, best)
+            rows += first
+            _discount(
+                votes if tail is None else tail, matrix, units[lengths[rows]], rows, best
+            )
     steps.append(votes[:n])
     if config.adjustment != "paths":
         row_steps = _first_detection_steps(matrix, detected, n)
     elif prior is not None:  # followed the earlier run to its end or short
-        row_steps[:first] = _steps_before(prior_rows, len(detected))
+        if len(detected) < len(recorded):
+            prior_rows = _steps_before(prior_rows, len(detected))
+        row_steps = np.concatenate((prior_rows, row_steps))
     return detected, votes_at, steps, row_steps
 
 
@@ -978,9 +1010,22 @@ def find_problematic_links_arrays(
     result's ``final_votes`` is derived from its ``arrays`` when first read.
     The kernel runs in vote units; votes are divided by ``VOTE_UNITS`` on
     the way out.  ``prior``, a report on the first rows of this same tally
-    under the same ``config``, lets the kernel resume from its verdict.
+    under the same ``config``, lets the kernel resume from its verdict —
+    or, when it covers every row, stands as the verdict: only count
+    updates can have arrived since, and they move no vote, support,
+    threshold or sort order.  The result is then a fresh
+    :class:`BlameResult` over the prior's arrays, O(detections).
     """
     config = config or BlameConfig()
+    if prior is not None and prior.num_paths_analyzed == tally.num_flows:
+        blame = prior.blame
+        return BlameResult(
+            detected_links=list(blame.detected_links),
+            votes_at_detection=dict(blame.votes_at_detection),
+            threshold_votes=blame.threshold_votes,
+            final_votes=None,
+            arrays=blame.arrays,
+        )
     votes = tally.votes_array()
     total = float(votes.sum())
     sort_ranks = tally.index.sort_ranks()
@@ -998,7 +1043,8 @@ def find_problematic_links_arrays(
         detected, at, steps, row_steps = blame_kernel(
             votes,
             tally.hop_matrix(),
-            tally._units(tally.lengths_array()),
+            tally.lengths_array(),
+            tally.units(),
             tally.support_array() >= config.min_flow_support,
             sort_ranks,
             config.threshold_fraction * total,

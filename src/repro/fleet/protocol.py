@@ -152,7 +152,9 @@ class FrameReader:
             end = header.size + length
             if len(self._buffer) < end:
                 return
-            payload = bytes(self._buffer[header.size : end])
+            # one copy, through a view released before the buffer shrinks
+            with memoryview(self._buffer) as view:
+                payload = bytes(view[header.size : end])
             del self._buffer[:end]
             yield frame_type, payload
 

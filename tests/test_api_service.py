@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -243,8 +244,9 @@ class TestMidEpochReport:
 
     def test_a_tick_and_a_cold_report_read_the_hop_rows_in_place(self, monkeypatch):
         """Algorithm 1 reads the tally's own hop rows — a cold report's
-        snapshot shares them, the tick hands over the live tally — and
-        nothing on the way turns them back into CSR."""
+        snapshot shares them, a tick after more rows hands over the live
+        tally — and nothing on the way turns them back into CSR.  A tick
+        over the rows the last report read reads none."""
         import numpy as np
 
         import repro.core.arrays as arrays
@@ -261,14 +263,93 @@ class TestMidEpochReport:
             raise AssertionError("the hop rows were turned into CSR")
 
         monkeypatch.setattr(arrays.ArrayVoteTally, "record_columns", no_csr)
-        paths = [make_path(flow, [L[flow % 3], L[3 + flow % 2]]) for flow in range(40)]
+        paths = [make_path(flow, [L[flow % 3], L[3 + flow % 2]]) for flow in range(60)]
+        events = evidence_stream(0, paths)
         service = Zero07Service(blame_config=BlameConfig(threshold_fraction=0.1))
-        service.ingest_batch(evidence_stream(0, paths))
+        service.ingest_batch(events[:40])
         cold = service.report(0)
+        service.ingest_batch(events[40:])
         final = service.advance_epoch(0)
         assert final.detected_links and cold.tally is not final.tally
         live = final.tally.hop_matrix()
         assert len(read) == 2 and all(np.shares_memory(rows, live) for rows in read)
+
+        read.clear()
+        service.ingest_batch(evidence_stream(1, paths))
+        cold = service.report(1)
+        final = service.advance_epoch(1)
+        assert final is not cold and final.detected_links == cold.detected_links
+        assert len(read) == 1 and np.shares_memory(read[0], final.tally.hop_matrix())
+
+    @pytest.mark.parametrize("since", ["nothing", "count updates", "rows"])
+    def test_a_report_over_the_rows_the_last_one_read_reuses_its_verdict(
+        self, monkeypatch, since
+    ):
+        """When the epoch's previous report read every row — nothing or only
+        count updates arrived since — the next report, mid-epoch or the
+        tick's, stands on its verdict without running Algorithm 1; after
+        appended rows it resumes.  Either way it is a new report over its
+        own tally that equals a fresh analysis of the evidence so far: the
+        signature, the per-step votes, the row record, the per-flow answers."""
+        import repro.core.arrays as arrays
+
+        runs = []
+        kernel = arrays.blame_kernel
+        monkeypatch.setattr(
+            arrays, "blame_kernel", lambda *args: runs.append(args) or kernel(*args)
+        )
+        bad, worse = DirectedLink("b", "B"), DirectedLink("a", "A")
+        spread = [DirectedLink(f"x{k}", f"y{k}") for k in range(8)]
+        paths = []
+        for flow in range(120):  # per 10 flows: 5 on ``worse``, 3 on ``bad``
+            k, kind = flow % 8, flow % 10
+            if kind < 5:
+                paths.append(make_path(flow, [worse, spread[k]]))
+            else:
+                paths.append(make_path(flow, [bad, spread[7 - k]] if kind < 8 else [spread[k]]))
+        config = BlameConfig(threshold_fraction=0.1)
+        counts = {flow: 1 for flow in range(120)}
+
+        def assert_fresh(report, rows):
+            traced = [
+                dataclasses.replace(path, retransmissions=counts[path.flow_id])
+                for path in paths[:rows]
+            ]
+            fresh = AnalysisAgent(blame_config=config).analyze_epoch(0, traced)
+            assert report.num_paths_analyzed == rows
+            assert report_signature(report) == report_signature(fresh)
+            for name in ("steps", "row_steps"):
+                got, want = getattr(report.blame.arrays, name), getattr(fresh.blame.arrays, name)
+                assert got.tobytes() == want.tobytes()
+            assert report.flow_counts() == fresh.flow_counts()
+
+        events = evidence_stream(0, paths)
+        service = Zero07Service(blame_config=config)
+        service.ingest_batch(events[:80])
+        first = service.report(0)
+        assert first.detected_links == [worse, bad] and len(runs) == 1
+        assert_fresh(first, 80)
+        runs.clear()
+        rows = 80
+        if since == "count updates":  # noise flows that now retransmit more
+            noise = [flow for flow in range(80) if flow % 10 >= 8]
+            service.ingest_batch(
+                [RetransmissionEvidence(epoch=0, flow_id=flow, retransmissions=2) for flow in noise]
+            )
+            counts.update((flow, 3) for flow in noise)
+        elif since == "rows":
+            service.ingest_batch(events[80:])
+            rows = 120
+        mid = service.report(0)
+        assert (mid is first) == (since == "nothing")
+        assert len(runs) == (since == "rows")
+        assert_fresh(mid, rows)
+        if since == "count updates":
+            assert mid.noise != first.noise and mid.blame.arrays is first.blame.arrays
+        runs.clear()
+        final = service.advance_epoch(0)
+        assert final is not mid and final.tally is not mid.tally and not runs
+        assert_fresh(final, rows)
 
     def test_empty_epoch_report(self):
         service = Zero07Service()
@@ -673,6 +754,23 @@ class TestCheckpoint:
         assert report_signature(restored.report(0)) == report_signature(
             service.report(0)
         )
+
+    def test_a_link_text_that_would_load_as_another_link_is_refused(self):
+        """The header spells links ``"src->dst"`` and loading splits at the
+        first ``->``: ``"a->b" -> "c"`` would come back as ``"a" -> "b->c"``,
+        so saving refuses it, naming the link.  Endpoints that merely hold
+        ``-`` or ``>`` round trip."""
+        odd = [DirectedLink("a-", ">b"), DirectedLink(">b", "a-"), DirectedLink("-", ">")]
+        service = Zero07Service()
+        service.ingest_batch(evidence_stream(0, [make_path(1, odd), make_path(2, odd[:2])]))
+        restored = Zero07Service.restore(Checkpoint.from_bytes(service.checkpoint().to_bytes()))
+        assert report_signature(restored.report(0)) == report_signature(service.report(0))
+        assert restored.report(0).tally.index.links == odd
+
+        bad = DirectedLink("a->b", "c")
+        service.ingest(PathEvidence(epoch=0, seq=2, path=make_path(3, [bad])))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            service.checkpoint().to_bytes()
 
     def test_report_default_works_right_after_a_boundary_restore(self):
         """report() must answer (not raise) when restored at an epoch boundary."""

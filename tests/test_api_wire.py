@@ -13,6 +13,7 @@ equivalence suites.
 
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -149,6 +150,21 @@ class TestCodecRoundTrip:
                 0, 0, 0, [Custom(epoch=0, flow_id=1, retransmissions=1, seq=0)]
             )
 
+    def test_a_link_text_that_would_decode_as_another_link_is_refused(self):
+        """Tables spell links ``"src->dst"`` and decoding splits at the first
+        ``->``: ``"a->b" -> "c"`` would come back as ``"a" -> "b->c"``, so the
+        encoder refuses it, naming the link.  Endpoints that merely hold
+        ``-`` or ``>`` round trip."""
+        odd = [DirectedLink("a-", ">b"), DirectedLink(">b", "a-"), DirectedLink("-", ">")]
+        run = [PathEvidence(epoch=0, seq=0, path=make_path(1, odd))]
+        encoder, decoder = WireEncoder(streams=1), WireDecoder()
+        _, _, events, _ = decoder.decode(encoder.encode_run(0, 0, 0, run))
+        assert events == run and decoder.links_table == odd
+
+        bad = DirectedLink("a->b", "c")
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            encoder.encode_run(0, 0, 0, [PathEvidence(0, 1, make_path(2, [bad]))])
+
     def test_bad_magic_is_rejected(self):
         with pytest.raises(WireProtocolError):
             WireDecoder().decode(memoryview(bytes(_HEADER.size)))
@@ -247,6 +263,7 @@ DAMAGE = {
         m, name_hi=lambda v: v - 1
     ),
     "a table delta out of order": lambda m: _with_header(m, link_lo=lambda v: v + 1),
+    "a link text without '->'": lambda m: m.replace(b"s0->s1", b"s0--s1", 1),
     "a source port past 65535": lambda m: _with_value(m, "ports", 0, lambda v: 70_000),
     "a negative destination port": lambda m: _with_value(
         m, "ports", _header(m)["n_paths"], lambda v: -1

@@ -19,7 +19,7 @@ from repro.core.arrays import (
     noise_split,
 )
 from repro.core.blame import BlameConfig, find_problematic_links
-from repro.core.votes import VOTE_UNITS, PathTooLongError, VoteTally
+from repro.core.votes import MAX_HOPS, VOTE_UNITS, PathTooLongError, VoteTally
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
 from repro.testing import health_records
@@ -81,6 +81,28 @@ class TestLinkIndex:
         assert index.links == [L("b", "c"), L("x", "y"), L("a", "b"), L("q", "r")]
         # a dict and a list (plus two derived caches): nothing keyed by id()
         assert set(vars(index)) == {"_items", "_ids", "_order", "_names"}
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_an_empty_index_adopts_a_table_in_one_hashing_pass(self, monkeypatch, repeat):
+        """A restored link table lands in an empty index: one hash per
+        link when no link repeats, first-occurrence ids when one does."""
+        table = [L(f"n{k}", f"n{k + 1}") for k in range(40)]
+        if repeat:
+            table += [table[3], table[0]]
+        hashes = []
+        link_hash = DirectedLink.__hash__
+        monkeypatch.setattr(
+            DirectedLink, "__hash__", lambda link: hashes.append(1) or link_hash(link)
+        )
+        index = LinkIndex()
+        live = index.links  # a holder of the live list sees it grow
+        ids = index.table_ids(table)
+        monkeypatch.undo()
+        assert ids.tolist() == list(range(40)) + ([3, 0] if repeat else [])
+        assert index.links is live and live == table[:40]
+        assert [index.get(link) for link in table[:40]] == list(range(40))
+        if not repeat:
+            assert len(hashes) == len(table)
 
     def test_sort_ranks_follow_link_ordering(self):
         index = LinkIndex([L("c", "d"), L("a", "b"), L("b", "c")])
@@ -306,7 +328,11 @@ class TestBlameKernel:
             cols = rng.integers(0, n, size=indptr[-1])
             looped = np.flatnonzero(lengths > 1)[::2]  # a link repeated in a path
             cols[indptr[looped] + 1] = cols[indptr[looped]]
-            weights = np.ones(rows) if case % 3 == 0 else 1.0 / lengths  # unit policy
+            # per hop count: the unit policy's, or 1/h
+            units = np.ones(MAX_HOPS + 1)
+            if case % 3:
+                units[1:] = 1.0 / np.arange(1, MAX_HOPS + 1)
+            weights = units[lengths]
             votes = np.zeros(n)
             np.add.at(votes, cols, np.repeat(weights, lengths))
             if case % 2:  # below the contributions: the clamp engages mid-walk
@@ -329,7 +355,7 @@ class TestBlameKernel:
             before = votes.tobytes()
             want_ids, want_at, want_final, want_taken, clamped = _clamped_walk(*args)
             got_ids, got_at, got_steps, got_taken = blame_kernel(
-                votes, hop_rows(lengths, cols), *args[3:]
+                votes, hop_rows(lengths, cols), lengths, units, *args[4:]
             )
             assert (got_ids, got_at) == (want_ids, want_at)
             assert got_steps[-1].tobytes() == want_final.tobytes()
@@ -343,13 +369,14 @@ class TestBlameKernel:
         assert clamps and multi  # the cases do reach what they are here for
 
     @staticmethod
-    def _run(indptr, cols, weights, rows, n, config, min_support, prior=None):
-        """Algorithm 1 in integer units over the first ``rows`` rows, as
-        :func:`find_problematic_links_arrays` runs it: ``(ids, result)``."""
+    def _run(indptr, cols, units, rows, n, config, min_support, prior=None):
+        """Algorithm 1 in integer units (``units[h]`` an ``h``-hop row's)
+        over the first ``rows`` rows, as :func:`find_problematic_links_arrays`
+        runs it: ``(ids, result)``."""
         stop = int(indptr[rows])
         lengths = np.diff(indptr[: rows + 1])
         hops = cols[:stop]
-        votes = np.bincount(hops, weights=np.repeat(weights[:rows], lengths), minlength=n)
+        votes = np.bincount(hops, weights=np.repeat(units[lengths], lengths), minlength=n)
         row_of = np.repeat(np.arange(rows), lengths)
         support = np.bincount(np.unique(row_of * n + hops) % n, minlength=n)
         ids = np.flatnonzero(support)
@@ -358,7 +385,8 @@ class TestBlameKernel:
         return ids, blame_kernel(
             votes,
             hop_rows(lengths, hops),
-            weights[:rows],
+            lengths,
+            units,
             support >= min_support,
             np.arange(n)[::-1].copy(),  # ties to the larger id
             config.threshold_fraction * float(votes.sum()),
@@ -366,19 +394,21 @@ class TestBlameKernel:
             prior,
         )
 
-    def _assert_resumes_at_every_prefix(self, indptr, cols, weights, n, config, min_support):
-        """Resume from the run over every prefix; returns, per prefix, how
-        many of its detections the full run repeats and whether a link it
-        blamed gains votes in the appended rows."""
+    def _assert_resumes_at_every_prefix(self, indptr, cols, units, n, config, min_support):
+        """Resume from the run over every prefix — the whole run's own rows
+        included: a resume over no appended rows, which a report skips (it
+        reuses the prior verdict) but the kernel keeps exact; returns, per
+        prefix, how many of its detections the full run repeats and whether
+        a link it blamed gains votes in the appended rows."""
         rows = len(indptr) - 1
-        _, fresh = self._run(indptr, cols, weights, rows, n, config, min_support)
+        _, fresh = self._run(indptr, cols, units, rows, n, config, min_support)
         shapes = []
         for watermark in range(rows + 1):
             ids, (detected, _, steps, taken) = self._run(
-                indptr, cols, weights, watermark, n, config, min_support
+                indptr, cols, units, watermark, n, config, min_support
             )
             prior = (watermark, detected, ids, np.stack([s[ids] for s in steps]), taken)
-            _, resumed = self._run(indptr, cols, weights, rows, n, config, min_support, prior)
+            _, resumed = self._run(indptr, cols, units, rows, n, config, min_support, prior)
             assert resumed[:2] == fresh[:2]
             assert [s.tobytes() for s in resumed[2]] == [s.tobytes() for s in fresh[2]]
             assert resumed[3].tobytes() == fresh[3].tobytes()
@@ -407,18 +437,14 @@ class TestBlameKernel:
             cols = np.minimum(rng.geometric(0.35, size=indptr[-1]) - 1, n - 1)
             looped = np.flatnonzero(lengths > 2)[::3]
             cols[indptr[looped] + 2] = cols[indptr[looped]]
-            weights = (
-                np.full(rows, float(VOTE_UNITS))
-                if policy == "unit"
-                else (VOTE_UNITS // lengths).astype(float)
-            )
+            units = ArrayVoteTally(policy=policy).units()
             config = BlameConfig(
                 threshold_fraction=float(rng.choice([0.01, 0.1, 0.3])),
                 max_links=int(rng.choice([2, 1000])),
                 adjustment="none" if case % 10 == 9 else "paths",
             )
             for same, whole, gains in self._assert_resumes_at_every_prefix(
-                indptr, cols, weights, n, config, int(rng.choice([1, 2]))
+                indptr, cols, units, n, config, int(rng.choice([1, 2]))
             ):
                 followed += whole and same > 0
                 diverged_at_0 += not whole and same == 0
@@ -434,9 +460,9 @@ class TestBlameKernel:
         paths = [[0, 3], [0], [0], [1], [1], [2]] + [[0], [2], [2]]
         indptr = np.concatenate(([0], np.cumsum([len(p) for p in paths])))
         cols = np.array([hop for path in paths for hop in path])
-        weights = np.full(len(paths), unit)
+        units = np.full(MAX_HOPS + 1, unit)
         config = BlameConfig(threshold_fraction=0.01)
-        shapes = self._assert_resumes_at_every_prefix(indptr, cols, weights, 4, config, 1)
+        shapes = self._assert_resumes_at_every_prefix(indptr, cols, units, 4, config, 1)
         assert shapes[6] == (1, False, True)  # a repeat, a gain, then a flip
 
     @pytest.mark.parametrize(
@@ -453,8 +479,8 @@ class TestBlameKernel:
         one = np.ones(1)
         with pytest.raises(ValueError, match="non-negative"):
             blame_kernel(
-                one * votes, hop_rows([1], [0]), one * weights, one > 0,
-                np.array([0]), 0.0, BlameConfig(),
+                one * votes, hop_rows([1], [0]), np.array([1]), np.array([0.0, weights]),
+                one > 0, np.array([0]), 0.0, BlameConfig(),
             )
 
 

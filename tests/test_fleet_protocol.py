@@ -121,6 +121,21 @@ class TestFrameReader:
             for _, payload in reader.frames()
         ] == [0, 1, 2]
 
+    def test_two_frames_in_one_feed_then_one_split_across_feeds(self):
+        """Each payload is its own ``bytes`` — one copy out of the buffer,
+        whose view is released before the buffer shrinks (a live export
+        would make the shrink raise ``BufferError``)."""
+        payloads = [bytes(range(7)), b"", bytes(range(200, 256)) * 3]
+        wire = [protocol.encode_frame(protocol.FRAME_EVIDENCE, p) for p in payloads]
+        reader = FrameReader()
+        reader.feed(wire[0] + wire[1] + wire[2][:9])
+        got = self.frames_of(reader)
+        reader.feed(wire[2][9:])
+        got += self.frames_of(reader)
+        assert got == [(protocol.FRAME_EVIDENCE, p) for p in payloads]
+        assert all(type(payload) is bytes for _, payload in got)
+        reader.close()
+
     def test_truncated_stream_raises_on_close(self):
         frame = protocol.encode_frame(
             protocol.FRAME_TICK, protocol.encode_tick(1)

@@ -12,11 +12,13 @@ transport scrambled delivery.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.api import (  # noqa: E402
     Checkpoint,
@@ -26,6 +28,7 @@ from repro.api import (  # noqa: E402
     Zero07Service,
 )
 from repro.core.analysis import AnalysisAgent  # noqa: E402
+from repro.core.blame import BlameConfig  # noqa: E402
 from repro.discovery.agent import DiscoveredPath  # noqa: E402
 from repro.routing.fivetuple import FiveTuple  # noqa: E402
 from repro.testing import evidence_document, report_signature  # noqa: E402
@@ -193,6 +196,70 @@ def test_interleaved_queries_equal_fresh_replay(
         assert report_signature(service.report(epoch)) == report_signature(
             replay.report(epoch)
         )
+
+
+@settings(derandomize=True, max_examples=40)
+@given(
+    epoch_flows=st.lists(flows, min_size=1, max_size=14),
+    cuts=st.lists(st.integers(min_value=0, max_value=14), min_size=1, max_size=4),
+    deltas=st.lists(
+        st.lists(st.integers(min_value=0, max_value=13), max_size=4),
+        min_size=4,
+        max_size=4,
+    ),
+    threshold=st.sampled_from([0.01, 0.2, 0.4]),
+)
+def test_reports_across_count_only_deltas_equal_fresh_analysis(
+    epoch_flows, cuts, deltas, threshold
+):
+    """Rows delivered in random cuts, each cut queried, then a count-only
+    delta (updates to flows already traced) queried again, then the tick:
+    every report equals a fresh analysis of the evidence so far — the
+    signature, the per-step votes and the row record — and a report whose
+    previous one read every row never runs Algorithm 1."""
+    import repro.core.arrays as arrays
+
+    config = BlameConfig(threshold_fraction=threshold)
+    counts = [1] * len(epoch_flows)
+    events = [
+        PathEvidence(epoch=0, seq=flow, path=make_path(flow, link_ids, 1, 0))
+        for flow, (link_ids, _) in enumerate(epoch_flows)
+    ]
+
+    def assert_fresh(report, rows):
+        fresh = AnalysisAgent(blame_config=config).analyze_epoch(
+            0,
+            [
+                make_path(flow, link_ids, counts[flow], 0)
+                for flow, (link_ids, _) in enumerate(epoch_flows[:rows])
+            ],
+        )
+        assert report_signature(report) == report_signature(fresh)
+        for name in ("steps", "row_steps"):
+            got, want = getattr(report.blame.arrays, name), getattr(fresh.blame.arrays, name)
+            assert got.tobytes() == want.tobytes()
+
+    service = Zero07Service(blame_config=config)
+    consumed = 0
+    with mock.patch.object(arrays, "blame_kernel", wraps=arrays.blame_kernel) as kernel:
+        for position, delta in zip(sorted(min(cut, len(events)) for cut in cuts), deltas):
+            service.ingest_batch(events[consumed:position])
+            consumed = position
+            assert_fresh(service.report(0), consumed)
+            traced = [flow for flow in delta if flow < consumed]
+            service.ingest_batch(
+                [RetransmissionEvidence(epoch=0, flow_id=flow) for flow in traced]
+            )
+            for flow in traced:
+                counts[flow] += 1
+            runs = kernel.call_count
+            report = service.report(0)
+            assert kernel.call_count == runs
+            assert_fresh(report, consumed)
+        runs = kernel.call_count
+        final = service.advance_epoch(0)
+        assert kernel.call_count == runs
+    assert_fresh(final, consumed)
 
 
 @given(workload=workloads, engine=engines)

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from repro.api.events import link_from_str, link_to_str
+from repro.api.events import link_from_str, links_to_str
 from repro.topology.elements import (
     DirectedLink,
     Host,
@@ -39,7 +39,7 @@ class TestDirectedLink:
 
     def test_str(self):
         link = DirectedLink("x", dst="y")
-        assert str(link) == "x->y" and link_from_str(link_to_str(link)) == link
+        assert str(link) == "x->y" and link_from_str(links_to_str([link])[0]) == link
         assert link == DirectedLink(src="x", dst="y") and (link.src, link.dst) == ("x", "y")
         with pytest.raises(AttributeError):
             link.src = "c"
