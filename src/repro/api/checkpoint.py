@@ -12,23 +12,23 @@ service picks up exactly where ingestion stopped.
 
 A checkpoint's records are **columns** from capture to disk and back
 (:class:`CheckpointColumns`: per-epoch arrays of sequence numbers, flow ids,
-CSR link ids, five-tuple components, ... over shared name/link tables).
-``checkpoint()`` copies what the analysis reads out of the tally's buffers
-and columnizes the identity of each record at most once, a delta is a column
+counts and CSR link ids over a shared link table) and hold what Algorithm 1
+reads, nothing else: no five-tuple, host, ``complete`` flag or path epoch.
+``checkpoint()`` copies them out of the tally's buffers, a delta is a column
 diff against its base, :meth:`Checkpoint.apply_delta` a column merge, and a
-restore adopts the columns — the tally is folded from them and the identity
-columns become the restored service's own.  Path objects are decoded only
-for a service's evidence listing.
+restore folds the tally from them.  No record is ever decoded into a path
+object.
 
 :meth:`Checkpoint.save` writes the one checkpoint form, a small **binary
-container** (payload version 2): magic ``R7CK``, a zlib-compressed JSON header
-carrying the configuration, counters and name/link tables, followed by the
-stored (uncompressed) ``npz`` blob ``np.savez`` writes of the columns, each in
-the smallest unsigned dtype that holds it (widened back to the in-memory
-dtypes on load); bodies that earlier versions deflated load the same way.  It
-is also the only form :meth:`Checkpoint.load` reads: JSON checkpoint
-documents, which earlier versions wrote, are retired and refused with a
-``ValueError`` that says so.
+container** (payload version 3): magic ``R7CK``, a zlib-compressed JSON header
+carrying the configuration, counters and link table, followed by the stored
+(uncompressed) ``npz`` blob ``np.savez`` writes of the columns, each in the
+smallest unsigned dtype that holds it (widened back to the in-memory dtypes on
+load); bodies that earlier versions deflated load the same way.  A version-2
+container still loads, as version 3: its nine identity columns and its name
+table are dropped unread.  The container is also the only form
+:meth:`Checkpoint.load` reads: JSON checkpoint documents, which earlier
+versions wrote, are retired and refused with a ``ValueError`` that says so.
 
 **Delta checkpoints** carry only the evidence that arrived since a full base
 checkpoint (new records, records whose retransmission counts changed, new
@@ -51,7 +51,6 @@ import tempfile
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -71,14 +70,20 @@ from repro.api.events import link_from_str, links_to_str
 from repro.core.arrays import ItemIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import PathTooLongError, check_hop_counts
-from repro.discovery.agent import DiscoveredPath
-from repro.routing.fivetuple import FiveTuple
 from repro.util.jsonable import from_json
 
 #: payload schema version written by :meth:`Zero07Service.checkpoint` and
 #: the only one :meth:`Checkpoint.validate` accepts; version 2 added delta
-#: checkpoints and the binary container.
-CHECKPOINT_VERSION = 2
+#: checkpoints and the binary container, version 3 dropped the records'
+#: identity columns and the name table.
+CHECKPOINT_VERSION = 3
+
+#: the record columns a version-2 container also holds — ``complete``, path
+#: epoch, hosts and five-tuple — which :meth:`Checkpoint.from_bytes` drops
+#: unread, with the name table their host/address ids index.
+_V2_IDENTITY_COLUMNS = frozenset(
+    ("comp", "pep", "sh", "dh", "sip", "dip", "sp", "dp", "pr")
+)
 
 #: magic prefix of the binary container (followed by a container version).
 CHECKPOINT_MAGIC = b"R7CK"
@@ -89,8 +94,8 @@ _CONTAINER_VERSION = 1
 #: magic + u32 container version + u64 compressed-header length.
 _CONTAINER_HEADER = struct.Struct("<4sIQ")
 
-#: deflate level of the JSON header.  Its name/link tables (~90 KB of JSON on
-#: a 2.8k-link fabric) shrink about 9x, and level 1 takes a fifth of level 6's
+#: deflate level of the JSON header.  Its link table (~90 KB of JSON on a
+#: 2.8k-link fabric) shrinks about 9x, and level 1 takes a fifth of level 6's
 #: time for ~8 KB more.  The ``npz`` body is stored, not deflated: a save
 #: stalls the ingest thread, and deflating the narrowed columns, which shrink
 #: only 1.5-1.9x, took about half of a save and a third of a load.
@@ -102,50 +107,32 @@ _DEFLATE_LEVEL = 1
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CheckpointColumns:
-    """Checkpointed records: dense per-epoch columns + shared interner tables.
+    """Checkpointed records: dense per-epoch columns + a shared link table.
 
     ``arrays`` maps ``"{prefix}_{column}"`` to one array per column of every
-    epoch (see ``_EPOCH_COLUMNS``); the ``sh``/``dh``/``sip``/``dip`` columns
-    hold ids into ``names`` and ``hop`` ids into ``links``.  ``links`` holds
-    one :class:`DirectedLink` object per table entry; every decoded path
-    shares them, and a restore interns each into the tally's index once.
-    Arrays are never written after construction, so checkpoints may share them.
+    epoch (see ``_EPOCH_COLUMNS``); the ``hop`` column holds ids into
+    ``links``, one :class:`DirectedLink` object per table entry, which a
+    restore interns into the tally's index once.  Arrays are never written
+    after construction, so checkpoints may share them.
     """
 
     arrays: Dict[str, np.ndarray]
-    names: List[str]
     links: List[Any]
 
 
-#: every array of one epoch and its in-memory dtype: the per-record columns
-#: in encode order, the CSR hop ids (``len`` delimits them) and the consumed
+#: every array of one epoch and its in-memory dtype: the per-record columns,
+#: the CSR hop ids (``len`` delimits them) and the consumed
 #: retransmission-update seqs.
 COLUMN_DTYPES = {
     "seq": np.int64,
     "flow": np.int64,
     "retr": np.int64,
-    "comp": np.uint8,
-    "pep": np.int64,
     "len": np.int32,
-    "sh": np.int32,
-    "dh": np.int32,
-    "sip": np.int32,
-    "dip": np.int32,
-    "sp": np.int32,
-    "dp": np.int32,
-    "pr": np.int32,
     "hop": np.int32,
     "rs": np.int64,
 }
 _EPOCH_COLUMNS = tuple(COLUMN_DTYPES)
 _RECORD_COLUMNS = _EPOCH_COLUMNS[:-2]
-
-#: the record columns that hold ids into the name table.
-_NAME_COLUMNS = ("sh", "dh", "sip", "dip")
-
-#: the record columns the analysis never reads — who the flow was, not what
-#: it voted for: ``complete``, path epoch, hosts and five-tuple.
-IDENTITY_COLUMNS = ("comp", "pep", "sh", "dh", "sip", "dip", "sp", "dp", "pr")
 
 #: the columns a delta capture compares with its base, and a fingerprint reads.
 DIFF_COLUMNS = ("seq", "retr", "rs")
@@ -158,15 +145,14 @@ class ColumnsBuilder:
     """Assembles a checkpoint's :class:`CheckpointColumns` epoch by epoch.
 
     Epochs arrive as a live service's columns (capture) or as columns of
-    another checkpoint (delta merge, shard split) and end up under one pair
-    of name/link tables.
+    another checkpoint (delta merge, shard split) and end up under one link
+    table.
     """
 
-    __slots__ = ("arrays", "names", "links")
+    __slots__ = ("arrays", "links")
 
-    def __init__(self, names: Iterable = (), links: Iterable = ()) -> None:
+    def __init__(self, links: Iterable = ()) -> None:
         self.arrays: Dict[str, np.ndarray] = {}
-        self.names = ItemIndex(names)
         self.links = ItemIndex(links)
 
     def add_epoch(
@@ -185,18 +171,16 @@ class ColumnsBuilder:
     def adopter(
         self, source: CheckpointColumns
     ) -> Callable[[Dict[str, Any]], EpochColumns]:
-        """A function giving an epoch entry of ``source`` in this builder's tables.
+        """A function giving an epoch entry of ``source`` in this builder's
+        link table.
 
         ``source``'s table entries are interned here once; re-expressing an
-        epoch's ids then costs one take per id column.
+        epoch's hops then costs one take.
         """
-        name_map = self.names.fast_ids(source.names, dtype=np.int32)
         link_map = self.links.fast_ids(source.links, dtype=np.int32)
 
         def adopt(entry: Dict[str, Any]) -> EpochColumns:
             cols = epoch_columns(entry, source)
-            for name in _NAME_COLUMNS:
-                cols[name] = name_map[cols[name]]
             cols["hop"] = link_map[cols["hop"]]
             return cols
 
@@ -204,69 +188,7 @@ class ColumnsBuilder:
 
     def build(self) -> CheckpointColumns:
         """The assembled columns (the builder must not be used afterwards)."""
-        return CheckpointColumns(self.arrays, self.names.items, self.links.items)
-
-
-def encode_identity(paths: List[DiscoveredPath], names: ItemIndex) -> EpochColumns:
-    """The :data:`IDENTITY_COLUMNS` of path objects, names interned in ``names``.
-
-    One C-level pass per column, and one interning pass over the four name
-    columns end to end — source hosts, destination hosts, source IPs,
-    destination IPs — so new names get ids in that order.  A wire message
-    carries these columns too (:class:`~repro.api.wire.WireEncoder`).  Flow
-    id, links and retransmission count are not read: the tally a path was
-    folded into holds those.
-    """
-    count = len(paths)
-
-    def column(name: str, attr: str, source: list) -> np.ndarray:
-        return np.fromiter(
-            map(attrgetter(attr), source), dtype=COLUMN_DTYPES[name], count=count
-        )
-
-    five_tuples = list(map(attrgetter("five_tuple"), paths))
-    ids = names.fast_ids(
-        list(map(attrgetter("src_host"), paths))
-        + list(map(attrgetter("dst_host"), paths))
-        + list(map(attrgetter("src_ip"), five_tuples))
-        + list(map(attrgetter("dst_ip"), five_tuples)),
-        dtype=np.int32,
-    )
-    sh, dh, sip, dip = ids.reshape(len(_NAME_COLUMNS), count)
-    return {
-        "comp": column("comp", "complete", paths),
-        "pep": column("pep", "epoch", paths),
-        "sh": sh,
-        "dh": dh,
-        "sip": sip,
-        "dip": dip,
-        "sp": column("sp", "src_port", five_tuples),
-        "dp": column("dp", "dst_port", five_tuples),
-        "pr": column("pr", "protocol", five_tuples),
-    }
-
-
-def remap_identity(
-    cols: EpochColumns, table: Sequence[str], names: ItemIndex
-) -> EpochColumns:
-    """Identity columns whose name ids index ``table``, over ``names`` instead.
-
-    New names are interned in the order :func:`encode_identity` would meet
-    them (source hosts, destination hosts, source IPs, destination IPs), so
-    a run delivered as columns leaves the name table a run of path objects
-    would.  A ``table`` that is ``names``' own is taken as it is.
-    """
-    if table is names.items:
-        return cols
-    stacked = np.concatenate([cols[name] for name in _NAME_COLUMNS])
-    used, first, inverse = np.unique(stacked, return_index=True, return_inverse=True)
-    met = np.argsort(first)
-    ids = np.empty(len(used), dtype=np.int32)
-    ids[met] = names.fast_ids(list(map(table.__getitem__, used[met].tolist())), np.int32)
-    remapped = dict(cols)
-    for name, col in zip(_NAME_COLUMNS, ids[inverse].reshape(len(_NAME_COLUMNS), -1)):
-        remapped[name] = col
-    return remapped
+        return CheckpointColumns(self.arrays, self.links.items)
 
 
 def epoch_columns(
@@ -279,87 +201,14 @@ def epoch_columns(
     return {name: columns.arrays[f"{prefix}_{name}"] for name in names}
 
 
-def decode_paths(
-    cols: EpochColumns, columns: CheckpointColumns
-) -> Tuple[List[int], List[DiscoveredPath]]:
-    """Rebuild ``(seqs, paths)`` from one epoch's columns.
-
-    Paths are constructed fresh on every call (so repeated restores from one
-    checkpoint never share mutable path objects) but share the table's
-    :class:`DirectedLink` objects and strings.  A decoded wire message's
-    columns decode here too (:meth:`~repro.api.wire.WireRun.materialize`).
-    """
-    seqs = cols["seq"].tolist()
-    flows = cols["flow"].tolist()
-    retrs = cols["retr"].tolist()
-    comps = cols["comp"].tolist()
-    peps = cols["pep"].tolist()
-    lens = cols["len"].tolist()
-    sps = cols["sp"].tolist()
-    dps = cols["dp"].tolist()
-    prs = cols["pr"].tolist()
-    names = columns.names
-    links = columns.links
-    # Hoist every table lookup out of the record loop: whole-column maps run
-    # through C iterators, the loop then only assembles per-record objects.
-    src_ips = list(map(names.__getitem__, cols["sip"].tolist()))
-    dst_ips = list(map(names.__getitem__, cols["dip"].tolist()))
-    src_hosts = list(map(names.__getitem__, cols["sh"].tolist()))
-    dst_hosts = list(map(names.__getitem__, cols["dh"].tolist()))
-    hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
-    paths: List[DiscoveredPath] = []
-    append = paths.append
-    # Whole epochs decode at once, so the per-record dataclass machinery
-    # (``__init__`` + ``FiveTuple.__post_init__`` validation) is bypassed:
-    # every value was checked where it entered — a path object's own
-    # constructor, ``WireDecoder.decode_columns`` or ``_validate_columns`` —
-    # and both classes store their fields in a plain ``__dict__``.
-    new_path = DiscoveredPath.__new__
-    new_ft = FiveTuple.__new__
-    set_attr = object.__setattr__
-    pos = 0
-    for i in range(len(seqs)):
-        end = pos + lens[i]
-        ft = new_ft(FiveTuple)
-        set_attr(
-            ft,
-            "__dict__",
-            {
-                "src_ip": src_ips[i],
-                "dst_ip": dst_ips[i],
-                "src_port": sps[i],
-                "dst_port": dps[i],
-                "protocol": prs[i],
-            },
-        )
-        path = new_path(DiscoveredPath)
-        path.__dict__ = {
-            "flow_id": flows[i],
-            "five_tuple": ft,
-            "src_host": src_hosts[i],
-            "dst_host": dst_hosts[i],
-            "links": hop_links[pos:end],
-            "complete": bool(comps[i]),
-            "retransmissions": retrs[i],
-            "epoch": peps[i],
-        }
-        append(path)
-        pos = end
-    return seqs, paths
-
-
 def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> None:
     """Raise ``ValueError`` unless every epoch's columns are self-consistent.
 
-    Restore and merge trust the columns (ids index tables, ``len`` delimits
-    ``hop``, seqs key the records, ports and protocols fit a
-    :class:`~repro.routing.fivetuple.FiveTuple`), so whatever was parsed from
-    outside is checked here once, vectorized; a path longer than
+    Restore and merge trust the columns (hop ids index the link table,
+    ``len`` delimits ``hop``, seqs key the records), so whatever was parsed
+    from outside is checked here once, vectorized; a path longer than
     ``MAX_HOPS`` raises :class:`~repro.core.votes.PathTooLongError`.
     """
-    # each bounded column's exclusive upper bound
-    bounds = dict.fromkeys(_NAME_COLUMNS, len(columns.names))
-    bounds.update(hop=len(columns.links), sp=1 << 16, dp=1 << 16, pr=1 << 8)
     # a payload without ``epochs`` is of a retired shape, which ``validate``
     # names after the parse
     for entry in payload.get("epochs", ()):
@@ -383,10 +232,9 @@ def _validate_columns(payload: Dict[str, Any], columns: CheckpointColumns) -> No
         for name in ("seq", "rs", "retr"):
             if len(cols[name]) and int(cols[name].min()) < 0:
                 raise ValueError(f"{where}: column {name!r} holds a value < 0")
-        for name, size in bounds.items():
-            col = cols[name]
-            if len(col) and not 0 <= int(col.min()) <= int(col.max()) < size:
-                raise ValueError(f"{where}: column {name!r} leaves [0, {size})")
+        hops, size = cols["hop"], len(columns.links)
+        if len(hops) and not 0 <= int(hops.min()) <= int(hops.max()) < size:
+            raise ValueError(f"{where}: column 'hop' leaves [0, {size})")
 
 
 # ----------------------------------------------------------------------
@@ -574,33 +422,25 @@ def _merge_payload(
 # the binary container's canonical body
 # ----------------------------------------------------------------------
 def _compacted(payload: Dict[str, Any], columns: CheckpointColumns) -> CheckpointColumns:
-    """``columns`` over tables cut down to the entries its records use, in
-    order of first use (epoch by epoch, column by column): a function of the
-    records alone, whatever tables the service or a merge accumulated them
-    under."""
-    prefixes = [entry["records"]["__columns__"] for entry in payload["epochs"]]
-    arrays = dict(columns.arrays)
-
-    def compact(table: list, names: Sequence[str]) -> list:
-        keys = [f"{prefix}_{name}" for prefix in prefixes for name in names]
-        parts = [arrays[key] for key in keys]
-        ids = np.concatenate(parts) if parts else np.empty(0, np.int32)
-        if ids.dtype.kind not in "iu" or (
-            len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < len(table)
-        ):
-            return table  # self-inconsistent: written as it is, the reader rejects it
-        first = np.full(len(table), len(ids), dtype=np.int32)
-        np.minimum.at(first, ids, np.arange(len(ids), dtype=np.int32))
-        kept = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(ids))]
-        new_id = np.zeros(len(table), dtype=np.int32)
-        new_id[kept] = np.arange(len(kept), dtype=np.int32)
-        for key in keys:
-            arrays[key] = new_id[arrays[key]]
-        return list(map(table.__getitem__, kept.tolist()))
-
-    names = compact(columns.names, _NAME_COLUMNS)
-    links = compact(columns.links, ("hop",))
-    return CheckpointColumns(arrays, names, links)
+    """``columns`` over a link table cut down to the entries its records use,
+    in order of first use (epoch by epoch): a function of the records alone,
+    whatever table the service or a merge accumulated them under."""
+    keys = [f"{entry['records']['__columns__']}_hop" for entry in payload["epochs"]]
+    table, arrays = columns.links, dict(columns.arrays)
+    parts = [arrays[key] for key in keys]
+    ids = np.concatenate(parts) if parts else np.empty(0, np.int32)
+    if ids.dtype.kind not in "iu" or (
+        len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < len(table)
+    ):
+        return columns  # self-inconsistent: written as it is, the reader rejects it
+    first = np.full(len(table), len(ids), dtype=np.int32)
+    np.minimum.at(first, ids, np.arange(len(ids), dtype=np.int32))
+    kept = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(ids))]
+    new_id = np.zeros(len(table), dtype=np.int32)
+    new_id[kept] = np.arange(len(kept), dtype=np.int32)
+    for key in keys:
+        arrays[key] = new_id[arrays[key]]
+    return CheckpointColumns(arrays, list(map(table.__getitem__, kept.tolist())))
 
 
 def _narrowed(col: np.ndarray) -> np.ndarray:
@@ -655,7 +495,7 @@ class Checkpoint:
         theirs = _compacted(other.payload, other.columns)
         return (
             self.payload == other.payload
-            and (mine.names, mine.links) == (theirs.names, theirs.links)
+            and mine.links == theirs.links
             and mine.arrays.keys() == theirs.arrays.keys()
             and all(
                 np.array_equal(col, theirs.arrays[key])
@@ -786,7 +626,7 @@ class Checkpoint:
             raise ValueError(
                 f"delta kind {delta.kind!r} does not match base kind {self.kind!r}"
             )
-        builder = ColumnsBuilder(self.columns.names, self.columns.links)
+        builder = ColumnsBuilder(self.columns.links)
         merged = _merge_payload(
             self.payload,
             self.columns,
@@ -811,10 +651,7 @@ class Checkpoint:
         columns = _compacted(self.payload, self.columns)
         header = {
             "payload": self.payload,
-            "tables": {
-                "names": columns.names,
-                "links": links_to_str(columns.links),
-            },
+            "tables": {"links": links_to_str(columns.links)},
         }
         header_blob = zlib.compress(
             json.dumps(header, sort_keys=True).encode("utf-8"), _DEFLATE_LEVEL
@@ -838,8 +675,10 @@ class Checkpoint:
     def from_bytes(cls, data: bytes) -> "Checkpoint":
         """Parse a checkpoint from :meth:`to_bytes` output.
 
-        Raises ``ValueError`` for anything that is not a well-formed
-        container — whatever zlib, zipfile, numpy or json made of the damage.
+        A version-2 container loads as version 3: its identity columns and
+        name table are dropped without being read or checked.  Raises
+        ``ValueError`` for anything that is not a well-formed container —
+        whatever zlib, zipfile, numpy or json made of the damage.
         """
         if not data.startswith(CHECKPOINT_MAGIC):
             raise ValueError(
@@ -854,13 +693,20 @@ class Checkpoint:
             header = json.loads(
                 zlib.decompress(data[_CONTAINER_HEADER.size : header_end])
             )
+            payload = header["payload"]
+            dropped = _V2_IDENTITY_COLUMNS if payload.get("version") == 2 else ()
             with np.load(io.BytesIO(data[header_end:]), allow_pickle=False) as blob:
-                arrays = {key: _widened(key, blob[key]) for key in blob.files}
+                arrays = {
+                    key: _widened(key, blob[key])
+                    for key in blob.files
+                    if key.rpartition("_")[2] not in dropped
+                }
+            if dropped:
+                payload = {**payload, "version": CHECKPOINT_VERSION}
             checkpoint = cls(
-                payload=header["payload"],
+                payload=payload,
                 columns=CheckpointColumns(
                     arrays=arrays,
-                    names=header["tables"]["names"],
                     links=[link_from_str(text) for text in header["tables"]["links"]],
                 ),
             )

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass
-from itertools import chain, groupby
 
 import numpy as np
 from typing import (
@@ -57,17 +56,13 @@ from repro.api.checkpoint import (
     CHECKPOINT_VERSION,
     COLUMN_DTYPES,
     DIFF_COLUMNS,
-    IDENTITY_COLUMNS,
     Checkpoint,
     CheckpointColumns,
     ColumnsBuilder,
     EpochColumns,
-    decode_paths,
     delta_rows,
-    encode_identity,
     epoch_columns,
     payload_fingerprint,
-    remap_identity,
     sorted_difference,
 )
 from repro.api.events import (
@@ -78,10 +73,9 @@ from repro.api.events import (
 )
 from repro.api.wire import RunColumns, SeqRuns, bind_updates, run_columns, seqs_of
 from repro.core.analysis import AnalysisAgent, EngineKind, EpochReport
-from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
+from repro.core.arrays import ArrayVoteTally, LinkIndex
 from repro.core.blame import BlameConfig
 from repro.core.votes import VotePolicy, VoteTally, check_hop_counts
-from repro.discovery.agent import DiscoveredPath
 from repro.util.jsonable import from_json, to_json
 
 
@@ -179,9 +173,6 @@ class ServiceStats:
         return dataclasses.asdict(self)
 
 
-#: the identity cargo of no rows.
-_NO_CARGO: EpochColumns = encode_identity([], ItemIndex())
-
 #: the checkpoint columns that may view the tally's live buffers.
 _TALLY_COLUMNS = frozenset(("seq", "flow", "retr", "len"))
 
@@ -205,7 +196,7 @@ _PENDING_RUN_EVENTS = 512
 
 def _capture(event: Evidence) -> tuple:
     """What the analysis reads of one evidence event, read now: ``(seq, flow
-    id, count, links, path)``, links and path ``None`` for a count update.
+    id, count, links)``, links ``None`` for a count update.
 
     Raises like every ingest path: ``TypeError`` on a foreign kind,
     ``ValueError`` / ``PathTooLongError`` on a path that cannot vote or has
@@ -217,9 +208,9 @@ def _capture(event: Evidence) -> tuple:
         check_hop_counts(len(links), len(links))
         if event.seq is None or event.seq < 0:
             raise ValueError(f"a path's seq must be an integer >= 0: {event.seq!r}")
-        row = event.seq, path.flow_id, path.retransmissions, links, path
+        row = event.seq, path.flow_id, path.retransmissions, links
     elif isinstance(event, RetransmissionEvidence):
-        row = event.seq, event.flow_id, event.retransmissions, None, None
+        row = event.seq, event.flow_id, event.retransmissions, None
     else:
         raise TypeError(f"not an evidence event: {event!r}")
     if row[2] < 0:
@@ -239,8 +230,8 @@ def _pending_columns(run: List[tuple]) -> Tuple[RunColumns, List[tuple]]:
     updates = np.fromiter((row[3] is None for row in run), dtype=bool, count=len(run))
     paths = [row for row in run if row[3] is not None]
     counted = [row for row in run if row[3] is None]
-    _, flows, counts, links, refs = zip(*paths) if paths else ((),) * 5
-    _, upd_flows, upd_counts, _, _ = zip(*counted) if counted else ((),) * 5
+    _, flows, counts, links = zip(*paths) if paths else ((),) * 4
+    _, upd_flows, upd_counts, _ = zip(*counted) if counted else ((),) * 4
     return RunColumns(
         seqs,
         updates if counted else None,
@@ -248,7 +239,6 @@ def _pending_columns(run: List[tuple]) -> Tuple[RunColumns, List[tuple]]:
         np.array(flows, dtype=np.int64),
         np.array(counts, dtype=np.int64),
         np.fromiter(map(len, links), dtype=np.int64, count=len(links)),
-        list(refs),
         seqs[updates],
         np.array(upd_flows, dtype=np.int64),
         np.array(upd_counts, dtype=np.int64),
@@ -262,20 +252,12 @@ class _EpochState:
     the analysis reads (flow id, hop ids, retransmission count, sequence
     number): every admitted path is appended to it, in sequence order or
     not — a delivered run's at once, a per-event ``ingest``'s when the
-    service's pending run it joined is admitted.  Beside it the service
-    keeps, row for row, the record's *identity cargo* — five-tuple, hosts,
-    ``complete``, path epoch, which only a checkpoint or
-    ``evidence_for_epoch`` ever asks for: rows ``[0, k)`` as
-    :data:`~repro.api.checkpoint.IDENTITY_COLUMNS` over the service's name
-    table (``cargo``), rows ``[k, n)`` as the runs delivered them (``refs``:
-    path objects, or a decoded run's identity columns over its stream's name
-    table), columnized the first time somebody needs them and never again.
+    service's pending run it joined is admitted.  Nothing else of a path is
+    kept: no five-tuple, host, ``complete`` flag or path epoch, and no
+    reference to a delivered path object.
     """
 
     __slots__ = (
-        "cargo",
-        "refs",
-        "names",
         "seqs",
         "retransmission_seqs",
         "tally",
@@ -286,17 +268,7 @@ class _EpochState:
         "cached_at",
     )
 
-    def __init__(self, tally, names: ItemIndex) -> None:
-        #: identity columns of the first rows; the arrays are never written
-        #: in place, so checkpoints share them (and a restore's are adopted).
-        self.cargo: EpochColumns = _NO_CARGO
-        #: the identity of the remaining rows, one entry per admission: a
-        #: list of path objects (only their identity fields are ever read,
-        #: and nothing is ever written to them) or an ``(identity columns,
-        #: name table)`` pair.
-        self.refs: list = []
-        #: the service's name table (``cargo``'s host/address ids index it).
-        self.names = names
+    def __init__(self, tally) -> None:
         #: seen sequence numbers (duplicate-delivery suppression).
         self.seqs = SeqRuns()
         #: the seqs consumed by retransmission updates, one array per
@@ -321,23 +293,6 @@ class _EpochState:
         self.mutations = 0
         self.cached_report: Optional[EpochReport] = None
         self.cached_at = -1
-
-    def identity_columns(self) -> EpochColumns:
-        """Every row's identity cargo as columns (``refs`` are columnized)."""
-        if self.refs:
-            parts = [self.cargo]
-            for objects, pieces in groupby(self.refs, key=lambda ref: type(ref) is list):
-                if objects:
-                    paths = list(chain.from_iterable(pieces))
-                    parts.append(encode_identity(paths, self.names))
-                else:
-                    parts.extend(remap_identity(*piece, self.names) for piece in pieces)
-            self.cargo = {
-                name: np.concatenate([part[name] for part in parts])
-                for name in IDENTITY_COLUMNS
-            }
-            self.refs = []
-        return self.cargo
 
 
 def iter_evidence_runs(events: List[Evidence]):
@@ -416,8 +371,6 @@ class Zero07Service:
             link_index=self._link_index,
         )
         self._sinks: List[ReportSink] = list(sinks)
-        #: host names and addresses, interned for the epochs' identity cargo.
-        self._names = ItemIndex()
         self._epochs: Dict[int, _EpochState] = {}
         #: finalized reports, insertion-ordered, bounded by retain_reports.
         self._final_reports: Dict[int, EpochReport] = {}
@@ -490,22 +443,6 @@ class Zero07Service:
         """Register a sink for future finalized reports."""
         self._sinks.append(sink)
 
-    def evidence_for_epoch(self, epoch: int) -> List[Tuple[int, DiscoveredPath]]:
-        """The open epoch's ``(seq, path)`` records in sequence order.
-
-        Returns an empty list for unknown/finalized epochs.  An edge, not a
-        view: the paths are built fresh on every call from the tally's
-        current hops and counts and the records' identity cargo, so nothing
-        done to them reaches the service.
-        """
-        self._flush()
-        state = self._epochs.get(epoch)
-        if state is None:
-            return []
-        tables = CheckpointColumns({}, self._names.items, self._link_index.items)
-        records = zip(*decode_paths(self._epoch_columns(state), tables))
-        return sorted(records, key=operator.itemgetter(0))
-
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
@@ -521,10 +458,9 @@ class Zero07Service:
         count, links) is captured here, so a source that changes its objects
         afterwards is not seen.  The run is admitted like a delivered batch
         (:meth:`_admit`) at 512 events, and before anything reads or extends
-        its epoch: a cold report, a tick, a checkpoint,
-        ``evidence_for_epoch``, a batch, a ``stats`` read, an event of
-        another epoch.  Results are bit-identical to admitting every event
-        alone.
+        its epoch: a cold report, a tick, a checkpoint, a batch, a ``stats``
+        read, an event of another epoch.  Results are bit-identical to
+        admitting every event alone.
         """
         if isinstance(event, EpochTick):
             self._ingest_tick(event)
@@ -619,9 +555,7 @@ class Zero07Service:
 
         The run is admitted like every other (:meth:`_admit`: duplicates
         dropped, counted in ``stats.duplicate_events``, the rest folded in
-        bulk).  The identity cargo's name ids are remapped into the
-        service's name table when a checkpoint first reads them.  Results
-        are bit-identical to ``ingest_run`` of the materialized events.
+        bulk).  Results are bit-identical to ``ingest_run`` of the materialized events.
         Returns how many events were dropped as seen before.
         """
         count = len(cols.seqs)
@@ -648,7 +582,7 @@ class Zero07Service:
     def _state(self, epoch: int) -> _EpochState:
         state = self._epochs.get(epoch)
         if state is None:
-            state = _EpochState(self._new_tally(), self._names)
+            state = _EpochState(self._new_tally())
             self._epochs[epoch] = state
         return state
 
@@ -684,11 +618,10 @@ class Zero07Service:
         if not run or self._is_late(epoch, len(run)):
             return
         self._flush()
-        cols = run_columns(run, seqs_of(run) if seqs is None else seqs)
-        if cols is None:
-            self._admit(epoch, *_pending_columns(list(map(_capture, run))))
-        else:
-            self._admit(epoch, cols, [path.links for path in cols.cargo])
+        edge = run_columns(run, seqs_of(run) if seqs is None else seqs)
+        if edge is None:
+            edge = _pending_columns(list(map(_capture, run)))
+        self._admit(epoch, *edge)
 
     def _admit(self, epoch: int, cols: RunColumns, hops) -> int:
         """Admit one run of ``epoch``; returns how many of its events were
@@ -751,7 +684,6 @@ class Zero07Service:
                 pending[flow] = pending.get(flow, 0) + extra
         if len(path_seqs):
             first_row = tally.num_flows
-            state.refs.append(cols.cargo)
             if self.engine != "arrays":  # the dict oracle folds link objects
                 hops = list(map(self._link_index.links.__getitem__, hops.tolist()))
             tally.add_columns(hops, cols.lengths, cols.flows, cols.counts, path_seqs)
@@ -911,13 +843,10 @@ class Zero07Service:
         restoring.  Without ``base`` the checkpoint is full and directly
         restorable.
 
-        Records are kept in arrival order.  Flow ids, counts, seqs and hops
-        are copied out of the tally's buffers and each record's identity is
-        columnized at most once in the service's life (by the first
-        checkpoint or ``evidence_for_epoch`` that meets it), so a delta
-        capture costs O(new records).  The
-        returned columns are copies or arrays nobody writes again: later
-        ingests never show through a checkpoint already taken.
+        Records are kept in arrival order: flow ids, counts, seqs and hops,
+        copied out of the tally's buffers, so a delta capture costs O(new
+        records).  The returned columns are copies or arrays nobody writes
+        again: later ingests never show through a checkpoint already taken.
         """
         self._flush()
         payload: Dict[str, Any] = {
@@ -962,7 +891,7 @@ class Zero07Service:
             else:
                 known = epoch_columns(base_entry, base.columns, DIFF_COLUMNS)
                 # the rows to carry follow from the seqs and counts alone:
-                # only their hops and identity are gathered
+                # only their hops are gathered
                 rows = delta_rows(
                     state.tally.seqs_array(), state.tally.retransmissions_array(), known
                 )
@@ -975,8 +904,7 @@ class Zero07Service:
                 ):
                     continue  # untouched since the base — the merge keeps base's copy
             # the tally's buffers stay the service's own: copy what may view
-            # them; the state only ever replaces its identity columns, and the
-            # consumed seqs are fresh, so the checkpoint shares those
+            # them; the consumed seqs are fresh, so the checkpoint shares them
             cols = {
                 name: (np.array if name in _TALLY_COLUMNS else np.asarray)(
                     col, dtype=COLUMN_DTYPES[name]
@@ -987,34 +915,28 @@ class Zero07Service:
         payload["epochs"] = epochs
         return Checkpoint(
             payload,
-            CheckpointColumns(
-                builder.arrays, list(self._names.items), list(self._link_index.items)
-            ),
+            CheckpointColumns(builder.arrays, list(self._link_index.items)),
         )
 
     def _epoch_columns(
         self, state: _EpochState, rows: Optional[np.ndarray] = None
     ) -> EpochColumns:
         """One open epoch's records, all in arrival order or ``rows`` in that
-        order, as checkpoint columns over the service's name table and link
-        index.
+        order, as checkpoint columns over the service's link index.
 
         ``seq``/``flow``/``retr``/``len`` may be views of the tally's live
-        buffers and the identity columns are the state's own: copy before
-        keeping.
+        buffers: copy before keeping.
         """
         flows, counts, lengths, hops, seqs = state.tally.record_columns(rows)
         if self.engine != "arrays":  # the dict oracle holds link objects
             hops = self._link_index.fast_ids(hops)
         cols = {
-            name: col if rows is None else col[rows]
-            for name, col in state.identity_columns().items()
+            "seq": np.asarray(seqs, dtype=np.int64),
+            "flow": np.asarray(flows, dtype=np.int64),
+            "retr": np.asarray(counts, dtype=np.int64),
+            "len": np.asarray(lengths, dtype=np.int64),
+            "hop": np.asarray(hops, dtype=COLUMN_DTYPES["hop"]),
         }
-        cols["seq"] = np.asarray(seqs, dtype=np.int64)
-        cols["flow"] = np.asarray(flows, dtype=np.int64)
-        cols["retr"] = np.asarray(counts, dtype=np.int64)
-        cols["len"] = np.asarray(lengths, dtype=np.int64)
-        cols["hop"] = np.asarray(hops, dtype=COLUMN_DTYPES["hop"])
         # consumed update seqs: their effect is already inside the rows'
         # counts, but redeliveries after a restore must still be recognized
         # as duplicates.
@@ -1030,27 +952,17 @@ class Zero07Service:
         The records (unique sequence numbers, in the order they arrived, or
         sorted in older files) are one :meth:`ingest_columns` run —
         state-identical to replaying every record through :meth:`ingest`, at
-        a fraction of the cost — whose identity columns are adopted as they
-        are: ``columns``' name table is this service's, and ``link_ids[i]``
-        is the index id of ``columns.links[i]``.  No path object is built.
+        a fraction of the cost — whose hops are ``link_ids[hop]``:
+        ``link_ids[i]`` is the index id of ``columns.links[i]``.  No path
+        object is built.
         The buffered counts are the epoch's as saved, and the consumed update
         seqs join the seen ones as one more run.
         """
         epoch = entry["epoch"]
         cols = epoch_columns(entry, columns)
         seqs, none = cols["seq"], cols["seq"][:0]
-        identity = {name: cols[name] for name in IDENTITY_COLUMNS}
         records = RunColumns(
-            seqs,
-            None,
-            seqs,
-            cols["flow"],
-            cols["retr"],
-            cols["len"],
-            (identity, self._names.items),
-            none,
-            none,
-            none,
+            seqs, None, seqs, cols["flow"], cols["retr"], cols["len"], none, none, none
         )
         self.ingest_columns(epoch, records, link_ids[cols["hop"]])
         self._seen_epoch(epoch)
@@ -1097,7 +1009,6 @@ class Zero07Service:
             retain_reports=payload["retain_reports"],
             link_index=link_index,
         )
-        service._names = ItemIndex(columns.names)
         link_ids = service._link_index.table_ids(columns.links)
         for entry in payload["epochs"]:
             service._seed_epoch(entry, columns, link_ids)

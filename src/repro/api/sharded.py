@@ -105,7 +105,7 @@ def split_by_flow(
             body["epochs"].append(
                 builder.add_epoch(prefix, entry["epoch"], part, pending)
             )
-    return shards, CheckpointColumns(builder.arrays, columns.names, columns.links)
+    return shards, CheckpointColumns(builder.arrays, columns.links)
 
 
 class ShardedService:

@@ -28,17 +28,10 @@ from __future__ import annotations
 
 import operator
 import struct
-from itertools import compress
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.checkpoint import (
-    IDENTITY_COLUMNS,
-    CheckpointColumns,
-    decode_paths,
-    encode_identity,
-)
 from repro.api.events import (
     Evidence,
     PathEvidence,
@@ -49,6 +42,7 @@ from repro.api.events import (
 from repro.core.arrays import ArrayVoteTally, ItemIndex, LinkIndex
 from repro.core.votes import MAX_HOPS, PathTooLongError, VotePolicy
 from repro.discovery.agent import DiscoveredPath
+from repro.routing.fivetuple import FiveTuple
 from repro.topology.elements import DirectedLink
 
 WIRE_MAGIC = b"RW01"
@@ -113,6 +107,114 @@ def seqs_of(run: Sequence[Evidence]) -> np.ndarray:
             dtype=np.int64,
             count=len(run),
         )
+
+
+# ----------------------------------------------------------------------
+# the paths' identity: five-tuple, hosts, ``complete``, path epoch
+# ----------------------------------------------------------------------
+def encode_identity(
+    paths: List[DiscoveredPath], names: ItemIndex
+) -> Dict[str, np.ndarray]:
+    """The identity columns a message carries of path objects, names
+    interned in ``names``: ``comp`` and ``pep`` (``complete`` and path
+    epoch), ``sh``/``dh``/``sip``/``dip`` (name ids) and ``sp``/``dp``/``pr``.
+
+    One C-level pass per column, and one interning pass over the four name
+    columns end to end — source hosts, destination hosts, source IPs,
+    destination IPs — so new names get ids in that order.  No analysis
+    reads these columns: flow id, links and count travel beside them.
+    """
+    count = len(paths)
+
+    def column(attr: str, source: list, dtype) -> np.ndarray:
+        values = map(operator.attrgetter(attr), source)
+        return np.fromiter(values, dtype=dtype, count=count)
+
+    five_tuples = list(map(operator.attrgetter("five_tuple"), paths))
+    ids = names.fast_ids(
+        list(map(operator.attrgetter("src_host"), paths))
+        + list(map(operator.attrgetter("dst_host"), paths))
+        + list(map(operator.attrgetter("src_ip"), five_tuples))
+        + list(map(operator.attrgetter("dst_ip"), five_tuples)),
+        dtype=np.int32,
+    )
+    sh, dh, sip, dip = ids.reshape(4, count)
+    return {
+        "comp": column("complete", paths, np.uint8),
+        "pep": column("epoch", paths, np.int64),
+        "sh": sh,
+        "dh": dh,
+        "sip": sip,
+        "dip": dip,
+        "sp": column("src_port", five_tuples, np.int32),
+        "dp": column("dst_port", five_tuples, np.int32),
+        "pr": column("protocol", five_tuples, np.int32),
+    }
+
+
+def decode_paths(
+    cols: Dict[str, np.ndarray], names: Sequence[str], links: Sequence[DirectedLink]
+) -> List[DiscoveredPath]:
+    """Rebuild path objects from a run's columns: ``flow``/``retr``/``len``/
+    ``hop`` (ids into ``links``) and the identity columns of
+    :func:`encode_identity` (name ids into ``names``).
+
+    Paths are constructed fresh on every call but share the tables'
+    :class:`DirectedLink` objects and strings.
+    """
+    flows = cols["flow"].tolist()
+    retrs = cols["retr"].tolist()
+    comps = cols["comp"].tolist()
+    peps = cols["pep"].tolist()
+    lens = cols["len"].tolist()
+    sps = cols["sp"].tolist()
+    dps = cols["dp"].tolist()
+    prs = cols["pr"].tolist()
+    # Hoist every table lookup out of the record loop: whole-column maps run
+    # through C iterators, the loop then only assembles per-record objects.
+    src_ips = list(map(names.__getitem__, cols["sip"].tolist()))
+    dst_ips = list(map(names.__getitem__, cols["dip"].tolist()))
+    src_hosts = list(map(names.__getitem__, cols["sh"].tolist()))
+    dst_hosts = list(map(names.__getitem__, cols["dh"].tolist()))
+    hop_links = list(map(links.__getitem__, cols["hop"].tolist()))
+    paths: List[DiscoveredPath] = []
+    append = paths.append
+    # Whole runs decode at once, so the per-record dataclass machinery
+    # (``__init__`` + ``FiveTuple.__post_init__`` validation) is bypassed:
+    # :meth:`WireDecoder.decode_columns` checked every value, and both
+    # classes store their fields in a plain ``__dict__``.
+    new_path = DiscoveredPath.__new__
+    new_ft = FiveTuple.__new__
+    set_attr = object.__setattr__
+    pos = 0
+    for i in range(len(flows)):
+        end = pos + lens[i]
+        ft = new_ft(FiveTuple)
+        set_attr(
+            ft,
+            "__dict__",
+            {
+                "src_ip": src_ips[i],
+                "dst_ip": dst_ips[i],
+                "src_port": sps[i],
+                "dst_port": dps[i],
+                "protocol": prs[i],
+            },
+        )
+        path = new_path(DiscoveredPath)
+        path.__dict__ = {
+            "flow_id": flows[i],
+            "five_tuple": ft,
+            "src_host": src_hosts[i],
+            "dst_host": dst_hosts[i],
+            "links": hop_links[pos:end],
+            "complete": bool(comps[i]),
+            "retransmissions": retrs[i],
+            "epoch": peps[i],
+        }
+        append(path)
+        pos = end
+    return paths
 
 
 class WireEncoder:
@@ -191,17 +293,21 @@ class WireEncoder:
             map(len, links_list), dtype=np.int64, count=n_paths
         ).astype(np.int32)
         total_hops = int(lengths.sum())
+        known = len(self._links)
         lids = self._links.hop_ids(links_list, total_hops)
+        link_lo = self._links_sent[stream]
+        link_hi = len(self._links)
+        try:
+            link_texts = links_to_str(self._links.items[link_lo:link_hi])
+        except ValueError:
+            self._links.truncate(known)  # a refused link joins no table
+            raise
 
         identity = encode_identity(paths, self._names)
 
-        link_lo = self._links_sent[stream]
-        link_hi = len(self._links)
         name_lo = self._names_sent[stream]
         name_hi = len(self._names)
-        links_blob = "\x00".join(
-            links_to_str(self._links.items[link_lo:link_hi])
-        ).encode("utf-8")
+        links_blob = "\x00".join(link_texts).encode("utf-8")
         names_blob = "\x00".join(self._names.items[name_lo:name_hi]).encode(
             "utf-8"
         )
@@ -247,12 +353,12 @@ class WireRun:
     The cheap half of decoding: header fields plus numpy views over the
     message buffer (which the run keeps alive), with the decoder's shared
     link/name tables referenced for the expensive half.  The paths' identity
-    is the checkpoint's record columns (:data:`identity` over
-    :data:`~repro.api.checkpoint.IDENTITY_COLUMNS`, name ids indexing
-    :attr:`names_table`).  The fleet analyzer admits :meth:`columns` as they
-    are; anything that needs real :class:`~repro.api.events.Evidence`
-    objects calls :meth:`materialize`.  The tables are append-only, so a
-    kept run can be materialized at any later point of the stream.
+    is :data:`identity` (:func:`encode_identity`'s columns, name ids indexing
+    :attr:`names_table`), which only :meth:`materialize` reads.  The fleet
+    analyzer admits :meth:`columns` as they are; anything that needs real
+    :class:`~repro.api.events.Evidence` objects calls :meth:`materialize`.
+    The tables are append-only, so a kept run can be materialized at any
+    later point of the stream.
     """
 
     __slots__ = (
@@ -286,9 +392,8 @@ class WireRun:
     def columns(self) -> "RunColumns":
         """The run as :class:`RunColumns`: views of the message, no copy.
 
-        The identity cargo is :attr:`identity` with :attr:`names_table`; the
-        hops (``lids``) index the decoder's link table, which a
-        :class:`LinkRemap` translates.
+        The identity columns are left out; the hops (``lids``) index the
+        decoder's link table, which a :class:`LinkRemap` translates.
         """
         seqs = self.seqs
         updates = None if self.n_paths == self.n_events else self.kinds != 0
@@ -299,7 +404,6 @@ class WireRun:
             self.flow_ids,
             self.retrans,
             self.lengths,
-            (self.identity, self.names_table),
             seqs[:0] if updates is None else seqs[updates],
             self.upd_flows,
             self.upd_counts,
@@ -308,25 +412,25 @@ class WireRun:
     def materialize(self) -> List[Evidence]:
         """Rebuild the run's evidence events (the expensive decode half).
 
-        The paths come from the checkpoint's record codec
-        (:func:`~repro.api.checkpoint.decode_paths`), which trusts the
-        columns: :meth:`WireDecoder.decode_columns` checked every value.
+        The paths come from :func:`decode_paths`, which trusts the columns:
+        :meth:`WireDecoder.decode_columns` checked every value.
         """
         epoch = self.epoch
-        path_seqs, paths = decode_paths(
+        paths = decode_paths(
             dict(
                 self.identity,
-                seq=self._path_seqs(),
                 flow=self.flow_ids,
                 retr=self.retrans,
                 len=self.lengths,
                 hop=self.lids,
             ),
-            CheckpointColumns({}, self.names_table, self.links_table),
+            self.names_table,
+            self.links_table,
         )
         if self.n_paths == self.n_events:
             return [
-                PathEvidence(epoch, seq, path) for seq, path in zip(path_seqs, paths)
+                PathEvidence(epoch, seq, path)
+                for seq, path in zip(self._path_seqs().tolist(), paths)
             ]
         updates = zip(self.upd_flows.tolist(), self.upd_counts.tolist())
         path_iter = iter(paths)
@@ -440,7 +544,7 @@ class WireDecoder:
         complete = column(np.uint8, n_paths)
         run.identity = dict(
             zip(
-                IDENTITY_COLUMNS,
+                ("comp", "pep", "sh", "dh", "sip", "dip", "sp", "dp", "pr"),
                 (
                     complete,
                     path_epochs,
@@ -532,18 +636,13 @@ class LinkRemap:
 # ----------------------------------------------------------------------
 # bulk admission (the service's, for every delivery)
 # ----------------------------------------------------------------------
-#: the identity cargo of a run's paths: the path objects themselves
-#: (columnized when first needed), or identity columns whose name ids index
-#: the given name table.
-Cargo = Union[List[DiscoveredPath], Tuple[Dict[str, np.ndarray], Sequence[str]]]
-
-
 class RunColumns(NamedTuple):
     """One single-epoch run as the admission reads it, arrays end to end.
 
     Every event's seq (:func:`seqs_of`) and which events are count updates
-    (``updates``; ``None`` when none is), the paths' columns and identity
-    cargo, then the count updates' columns; the hops travel beside it.
+    (``updates``; ``None`` when none is), the paths' columns, then the count
+    updates' columns; the hops travel beside it.  What Algorithm 1 reads,
+    and nothing else: no five-tuple, host, ``complete`` or path epoch.
     """
 
     seqs: np.ndarray
@@ -552,7 +651,6 @@ class RunColumns(NamedTuple):
     flows: np.ndarray
     counts: np.ndarray
     lengths: np.ndarray
-    cargo: Cargo
     upd_seqs: np.ndarray
     upd_flows: np.ndarray
     upd_counts: np.ndarray
@@ -564,11 +662,6 @@ class RunColumns(NamedTuple):
             paths, updates = keep, keep[:0]
         else:
             paths, updates = keep[~self.updates], keep[self.updates]
-        cargo = self.cargo
-        if isinstance(cargo, list):
-            cargo = list(compress(cargo, paths.tolist()))
-        else:
-            cargo = ({name: col[paths] for name, col in cargo[0].items()}, cargo[1])
         return RunColumns(
             self.seqs[keep],
             None if self.updates is None else self.updates[keep],
@@ -576,16 +669,17 @@ class RunColumns(NamedTuple):
             self.flows[paths],
             self.counts[paths],
             self.lengths[paths],
-            cargo,
             self.upd_seqs[updates],
             self.upd_flows[updates],
             self.upd_counts[updates],
         ), np.repeat(paths, self.lengths)
 
 
-def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumns]:
-    """The edge of a delivered run: its events as :class:`RunColumns`, the
-    path objects as the cargo (whose links the caller reads for the hops).
+def run_columns(
+    run: Sequence[Evidence], seqs: np.ndarray
+) -> Optional[Tuple[RunColumns, List[Sequence[DirectedLink]]]]:
+    """The edge of a delivered run: its events as :class:`RunColumns` and
+    each path's links, for the hops.  Nothing else of a path object is read.
 
     ``None`` when the run holds anything but exact :class:`PathEvidence` /
     :class:`RetransmissionEvidence` instances: the caller captures such a
@@ -602,20 +696,18 @@ def run_columns(run: Sequence[Evidence], seqs: np.ndarray) -> Optional[RunColumn
             (type(e) is RetransmissionEvidence for e in run), dtype=bool, count=len(run)
         )
         path_seqs, upd_seqs = seqs[~updates], seqs[updates]
+    links = [path.links for path in paths]
     return RunColumns(
         seqs,
         updates,
         path_seqs,
         _attr_i64(paths, "flow_id"),
         _attr_i64(paths, "retransmissions"),
-        np.fromiter(
-            (len(path.links) for path in paths), dtype=np.int64, count=len(paths)
-        ),
-        paths,
+        np.fromiter(map(len, links), dtype=np.int64, count=len(links)),
         upd_seqs if counted else seqs[:0],
         _attr_i64(counted, "flow_id"),
         _attr_i64(counted, "retransmissions"),
-    )
+    ), links
 
 
 def _merged(first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -115,6 +115,16 @@ class ItemIndex:
                 return np.arange(len(table), dtype=np.int64)
         return self.fast_ids(table)
 
+    def truncate(self, size: int) -> None:
+        """Forget every item interned after the first ``size``: take back a
+        batch that was refused after it was interned."""
+        for item in self._items[size:]:
+            del self._ids[item]
+        del self._items[size:]
+        self._names = self._names[:size]
+        if len(self._order[1]) > size:
+            self._order = ([], np.zeros(0, dtype=np.int64))
+
     def get(self, item) -> Optional[int]:
         """The id of ``item`` or ``None`` when it was never interned."""
         return self._ids.get(item)

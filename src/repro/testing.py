@@ -10,6 +10,9 @@ the ``tests/`` suite once ended up importing ``benchmarks/conftest.py``.
 from __future__ import annotations
 
 import dataclasses
+import operator
+
+import numpy as np
 
 from repro.topology.clos import ClosTopology
 
@@ -69,3 +72,23 @@ def evidence_document(checkpoint):
     return dataclasses.replace(
         checkpoint, payload={**checkpoint.payload, "engine": None}
     )
+
+
+def epoch_records(service, epoch: int) -> list:
+    """``(seq, flow id, count, links)`` of each record of ``service``'s open
+    ``epoch``, in seq order, read back from the tally's ``record_columns()``
+    (either engine; ``[]`` for an epoch that is not open).  Reading ``stats``
+    admits the pending run first."""
+    service.stats
+    state = service._epochs.get(epoch)
+    if state is None:
+        return []
+    flows, counts, lengths, hops, seqs = state.tally.record_columns()
+    if isinstance(hops, np.ndarray):  # the arrays engine's link ids
+        hops = list(map(service.link_index.link_of, hops.tolist()))
+    ends = np.cumsum(np.asarray(lengths, dtype=np.int64)).tolist()
+    records = [
+        (int(seq), int(flow), int(count), hops[end - int(length) : end])
+        for seq, flow, count, length, end in zip(seqs, flows, counts, lengths, ends)
+    ]
+    return sorted(records, key=operator.itemgetter(0))

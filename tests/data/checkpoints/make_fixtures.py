@@ -1,7 +1,8 @@
 """Write a base/delta/full checkpoint triple with the code on PYTHONPATH.
 
-The committed ``*.ckpt`` files were written by this script at commit bfa57bd;
-see README.md.  Usage: ``make_fixtures.py OUT_DIR``.
+The committed ``*.ckpt`` files were written by this script at commit bfa57bd
+(payload version 2); this code writes version 3, so do not run it over them.
+See README.md.  Usage: ``make_fixtures.py OUT_DIR``.
 """
 
 import random

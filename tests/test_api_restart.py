@@ -1,13 +1,12 @@
 """The restart path holds columns, not path objects.
 
-What the analysis reads of a record (flow id, hops, count) lives once, in the
-tally; the service keeps the record's ``seq`` and its identity cargo beside
-it.  Pinned here:
+What the analysis reads of a record (flow id, hops, count, ``seq``) lives
+once, in the tally, and nothing else of a path is kept.  Pinned here:
 
-* a restore adopts the checkpoint's columns — nothing is decoded into path
+* a restore folds the checkpoint's columns — nothing is decoded into path
   objects, however the restored service is used afterwards;
-* the service never reads a caller's path again for what the tally holds, and
-  never writes to one;
+* the service never reads a caller's path again for what the tally holds,
+  never writes to one and keeps no reference to one;
 * a buffered count lands on its flow's *first* arriving record;
 * the binary container's bytes are a function of the records (narrow columns,
   compacted tables), and old containers keep loading;
@@ -18,20 +17,25 @@ it.  Pinned here:
 
 from __future__ import annotations
 
+import gc
 import io
+import json
 import os
 import pathlib
 import struct
 import subprocess
 import sys
 import threading
+import weakref
 import zipfile
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.api import (
+    CHECKPOINT_VERSION,
     Checkpoint,
     EpochTick,
     PathEvidence,
@@ -40,7 +44,6 @@ from repro.api import (
 )
 from repro.api.checkpoint import (
     COLUMN_DTYPES,
-    decode_paths,
     epoch_columns,
     sorted_difference,
     sorted_union,
@@ -48,7 +51,7 @@ from repro.api.checkpoint import (
 from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import report_signature
+from repro.testing import epoch_records, report_signature
 from repro.topology.elements import DirectedLink
 
 L = [DirectedLink(f"n{i}", f"n{i + 1}") for i in range(8)]
@@ -87,14 +90,13 @@ def bumps(flows, first_seq, count=1):
 
 @contextmanager
 def no_decode(monkeypatch):
-    """``decode_paths`` raises, wherever it is called from."""
+    """``decode_paths``, the one decoder of records into path objects, raises."""
 
     def boom(*args, **kwargs):
         raise AssertionError("a record was decoded into a path object")
 
     with monkeypatch.context() as patch:
-        patch.setattr("repro.api.checkpoint.decode_paths", boom)
-        patch.setattr("repro.api.service.decode_paths", boom)
+        patch.setattr("repro.api.wire.decode_paths", boom)
         yield
 
 
@@ -107,15 +109,31 @@ def document(checkpoint: Checkpoint) -> Checkpoint:
 
 
 def first_epoch_records(checkpoint: Checkpoint) -> tuple:
-    """``(seqs, paths)`` of the checkpoint's first open epoch, decoded."""
+    """The first open epoch's record columns, hops as links."""
     entry = checkpoint.payload["epochs"][0]
-    return decode_paths(epoch_columns(entry, checkpoint.columns), checkpoint.columns)
+    cols = epoch_columns(entry, checkpoint.columns, ("seq", "flow", "retr", "len"))
+    hops = epoch_columns(entry, checkpoint.columns, ("hop",))["hop"].tolist()
+    links = list(map(checkpoint.columns.links.__getitem__, hops))
+    return {name: col.tolist() for name, col in cols.items()}, links
+
+
+#: the shipped containers, written by an earlier commit (version 2).
+FIXTURES = pathlib.Path(__file__).parent / "data" / "checkpoints"
+
+
+def split_container(blob: bytes):
+    """``(prefix, header)``: the container's bytes up to its body, and the
+    parsed JSON header."""
+    _, _, header_len = struct.unpack_from("<4sIQ", blob)
+    at = struct.calcsize("<4sIQ")
+    header = json.loads(zlib.decompress(blob[at : at + header_len]))
+    return blob[: at + header_len], header
 
 
 def npz_of(blob: bytes):
     """The container's column arrays exactly as written (no widening)."""
-    _, _, header_len = struct.unpack_from("<4sIQ", blob)
-    with np.load(io.BytesIO(blob[struct.calcsize("<4sIQ") + header_len :])) as body:
+    prefix, _ = split_container(blob)
+    with np.load(io.BytesIO(blob[len(prefix) :])) as body:
         return {key: body[key] for key in body.files}
 
 
@@ -201,8 +219,7 @@ class TestCallerPathsStayTheCallers:
         service.ingest(bumps([2], 100, count=0)[0])  # drop the cached view
         assert report_signature(service.report(0)) == report
         assert [
-            (seq, path.retransmissions, path.links)
-            for seq, path in service.evidence_for_epoch(0)
+            (seq, count, links) for seq, _, count, links in epoch_records(service, 0)
         ] == [(2 * flow, 1, L[flow % 4 : flow % 4 + 3]) for flow in range(10)]
         later = Checkpoint.from_bytes(service.checkpoint().to_bytes())
         assert first_epoch_records(later) == first_epoch_records(before)
@@ -255,31 +272,47 @@ class TestCallerPathsStayTheCallers:
         assert service.stats.paths_ingested == 4
 
 
-class TestEvidenceForEpochIsAnEdge:
+class TestNoPathIsPinned:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_returned_paths_are_fresh_and_current(self, engine):
+    @pytest.mark.parametrize("delivery", ["batch", "per event", "run"])
+    def test_a_delivered_path_dies_with_the_callers_last_reference(
+        self, engine, delivery
+    ):
+        """The service keeps what the analysis reads and no delivered path
+        object: once the caller drops its events, the paths are garbage
+        before the epoch's tick, and the service still reports on them."""
+        events = paths(range(40), 0) + bumps([3, 5], 100)
+        refs = [weakref.ref(event.path) for event in events[:40]]
+        service = Zero07Service(engine=engine)
+        if delivery == "batch":
+            service.ingest_batch(events)
+        elif delivery == "per event":
+            for event in events:
+                service.ingest(event)
+            service.stats  # admits the pending run
+        else:
+            service.ingest_run(0, events)
+        expected = [(2 * flow, flow, 1 + (flow in (3, 5))) for flow in range(40)]
+        del events
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 40
+        records = epoch_records(service, 0)
+        assert [record[:3] for record in records] == expected
+        assert service.advance_epoch(0).num_paths_analyzed == 40
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_records_read_back_current_and_in_seq_order(self, engine):
         service = Zero07Service(engine=engine)
         service.ingest_batch(paths(range(10, 20), 40))
         service.ingest_batch(paths(range(10), 0))  # late: not in seq order
         service.ingest(bumps([12], 100, count=4)[0])
-        report = report_signature(service.report(0))
         before = service.checkpoint()
-        records = service.evidence_for_epoch(0)
-        assert [seq for seq, _ in records] == sorted(seq for seq, _ in records)
-        by_flow = {path.flow_id: path for _, path in records}
-        assert by_flow[12].retransmissions == 5  # the tally's current count
-        assert by_flow[12] == make_path(12, retransmissions=5)  # identity intact
-        for _, path in records:  # a caller that ignores "read-only"
-            path.retransmissions += 9
-            path.links.clear()
-            path.src_host = "elsewhere"
-        assert service.checkpoint() == before
-        service.ingest(bumps([12], 101, count=0)[0])  # drop the cached view
-        assert report_signature(service.report(0)) == report
-        fresh = service.evidence_for_epoch(0)
-        assert all(a is not b for (_, a), (_, b) in zip(records, fresh))
-        assert {p.flow_id: p for _, p in fresh}[12] == make_path(12, retransmissions=5)
-        assert service.evidence_for_epoch(7) == []
+        records = epoch_records(service, 0)
+        assert [record[0] for record in records] == [*range(0, 20, 2), *range(40, 60, 2)]
+        by_flow = {flow: (count, links) for _, flow, count, links in records}
+        assert by_flow[12] == (5, L[0:3])  # the tally's current count
+        assert service.checkpoint() == before  # reading changed nothing
+        assert epoch_records(service, 7) == []
 
 
 # ----------------------------------------------------------------------
@@ -301,17 +334,13 @@ class TestPendingCountBinding:
             for event in run:
                 service.ingest(event)
         counts = {
-            seq: path.retransmissions
-            for seq, path in service.evidence_for_epoch(0)
-            if path.flow_id == 7
+            seq: count for seq, flow, count, _ in epoch_records(service, 0) if flow == 7
         }
         assert counts == {20: 1 + 3, 50: 1}
         # later updates bind to the latest arrival, as ever
         service.ingest(RetransmissionEvidence(epoch=0, flow_id=7, retransmissions=2))
         assert {
-            seq: path.retransmissions
-            for seq, path in service.evidence_for_epoch(0)
-            if path.flow_id == 7
+            seq: count for seq, flow, count, _ in epoch_records(service, 0) if flow == 7
         } == {20: 4, 50: 3}
 
 
@@ -337,7 +366,6 @@ class TestCanonicalContainer:
         # a second trip changes nothing: arrays, tables, bytes
         again = Checkpoint.from_bytes(loaded.to_bytes())
         assert loaded.to_bytes() == blob
-        assert again.columns.names == loaded.columns.names
         assert again.columns.links == loaded.columns.links
         for key, col in loaded.columns.arrays.items():
             assert again.columns.arrays[key].dtype == col.dtype
@@ -347,8 +375,7 @@ class TestCanonicalContainer:
     def test_the_body_is_the_npz_numpy_would_write(self, name):
         """The body is stored, not deflated: a save and a load run at memory
         speed, for 1.5-1.9x the bytes (the columns barely compress)."""
-        fixtures = pathlib.Path(__file__).parent / "data" / "checkpoints"
-        checkpoint = Checkpoint.load(fixtures / f"{name}.ckpt")  # deflated body
+        checkpoint = Checkpoint.load(FIXTURES / f"{name}.ckpt")  # deflated body
         blob = checkpoint.to_bytes()
         assert checkpoint.to_bytes() == blob  # no timestamp, no ordering left to chance
         assert Checkpoint.from_bytes(blob) == checkpoint
@@ -362,6 +389,46 @@ class TestCanonicalContainer:
         assert [member.filename for member in members] == [f"{key}.npy" for key in written]
         assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
 
+    def test_a_container_holds_what_the_analysis_reads_and_no_identity(self):
+        """Version 3: the header's tables are the links alone, and the body
+        holds the seq, flow, count, length and hop columns, and the consumed
+        update seqs — no five-tuple, host, ``complete`` or path epoch."""
+        service = Zero07Service()
+        service.ingest_batch(paths(range(30), 0) + bumps([4], 100))
+        blob = service.checkpoint().to_bytes()
+        _, header = split_container(blob)
+        assert header["payload"]["version"] == CHECKPOINT_VERSION == 3
+        assert set(header["tables"]) == {"links"}
+        assert set(npz_of(blob)) == {
+            f"e0_{name}" for name in ("seq", "flow", "retr", "len", "hop", "rs")
+        }
+
+    def test_a_version_2_container_loads_as_version_3_without_its_identity(self):
+        """The shipped containers hold nine identity columns and a name
+        table, which a load drops unread: damage there changes nothing, and
+        a restored service's capture round-trips as version 3."""
+        shipped = (FIXTURES / "full.ckpt").read_bytes()
+        prefix, header = split_container(shipped)
+        written = npz_of(shipped)
+        assert header["payload"]["version"] == 2 and header["tables"]["names"]
+        identity = ("comp", "pep", "sh", "dh", "sip", "dip", "sp", "dp", "pr")
+        assert {f"e0_{name}" for name in identity} <= set(written)
+        loaded = Checkpoint.from_bytes(shipped)
+        assert loaded.version == CHECKPOINT_VERSION
+        assert set(loaded.columns.arrays) == {
+            key for key in written if key.rpartition("_")[2] in COLUMN_DTYPES
+        }
+        for damage in (lambda a: a.astype(np.int64) + 70_000, lambda a: a[:1]):
+            body = io.BytesIO()
+            np.savez(body, **{
+                key: damage(col) if key.rpartition("_")[2] in identity else col
+                for key, col in written.items()
+            })
+            assert Checkpoint.from_bytes(prefix + body.getvalue()) == loaded
+        capture = Zero07Service.restore(loaded).checkpoint()
+        assert capture == Checkpoint.from_bytes(capture.to_bytes())
+        assert capture.version == CHECKPOINT_VERSION
+
     def test_a_value_past_32_bits_keeps_its_column_int64(self):
         big = 2**32 + 5
         service = Zero07Service()
@@ -374,7 +441,7 @@ class TestCanonicalContainer:
         loaded = Checkpoint.from_bytes(blob)
         assert loaded.columns.arrays["e0_flow"].tolist() == [1, big]
         restored = Zero07Service.restore(loaded)
-        assert [p.flow_id for _, p in restored.evidence_for_epoch(0)] == [1, big]
+        assert [flow for _, flow, _, _ in epoch_records(restored, 0)] == [1, big]
 
     def test_a_negative_value_is_never_wrapped(self):
         """A column with a value below 0 keeps its signed dtype: here a flow
@@ -384,7 +451,7 @@ class TestCanonicalContainer:
         loaded = Checkpoint.from_bytes(service.checkpoint().to_bytes())
         assert loaded.columns.arrays["e0_flow"].tolist() == [-5]
         restored = Zero07Service.restore(loaded)
-        assert [p.flow_id for _, p in restored.evidence_for_epoch(0)] == [-5]
+        assert [flow for _, flow, _, _ in epoch_records(restored, 0)] == [-5]
 
     def test_the_bytes_depend_on_the_ingest_history_alone(self):
         """Same deliveries, different lives: queries, checkpoints and
@@ -405,7 +472,7 @@ class TestCanonicalContainer:
         busy.report(0)
         base = busy.checkpoint()
         busy.ingest_batch(deliveries[1])
-        busy.evidence_for_epoch(0)
+        epoch_records(busy, 0)
         busy.checkpoint(base=base)
         busy.ingest_batch(deliveries[2])
         busy = Zero07Service.restore(Checkpoint.from_bytes(busy.checkpoint().to_bytes()))

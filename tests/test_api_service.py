@@ -44,7 +44,12 @@ from repro.experiments.scenario import ScenarioConfig, build_system, run_scenari
 from repro.metrics.evaluation import StreamingDetectionScorer
 from repro.netsim.script import ScenarioScript
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import evidence_document, health_records, report_signature
+from repro.testing import (
+    epoch_records,
+    evidence_document,
+    health_records,
+    report_signature,
+)
 from repro.topology.elements import DirectedLink, LinkLevel
 
 FAST = dict(npod=2, n0=4, n1=2, n2=2, hosts_per_tor=2, connections_per_host=25)
@@ -61,7 +66,7 @@ def repacked_full(edit=None, columns=None):
     if edit is not None:
         edit(payload)
     if columns is not None:
-        columns = CheckpointColumns(columns, good.columns.names, good.columns.links)
+        columns = CheckpointColumns(columns, good.columns.links)
     return Checkpoint(payload, columns or good.columns).to_bytes()
 
 
@@ -573,8 +578,8 @@ class TestOutOfOrderDelivery:
 
         def records(service):
             return [
-                (seq, path.flow_id, [str(link) for link in path.links], path.retransmissions)
-                for seq, path in service.evidence_for_epoch(0)
+                (seq, flow, [str(link) for link in links], count)
+                for seq, flow, count, links in epoch_records(service, 0)
             ]
 
         queried, unqueried = run(query=True), run(query=False)
@@ -628,10 +633,7 @@ class TestOutOfOrderDelivery:
             return reference
 
         def records(service):
-            return [
-                (seq, path.flow_id, path.retransmissions)
-                for seq, path in service.evidence_for_epoch(0)
-            ]
+            return [record[:3] for record in epoch_records(service, 0)]
 
         service = Zero07Service(engine=engine)
         for chunk in (first, third, second, second):  # a swap, a redelivery
@@ -711,9 +713,9 @@ class TestOutOfOrderDelivery:
             )
         # the redelivery drops its seen events and applies the update again
         assert chunked.stats.duplicate_events == len(second)
-        records = dict(chunked.evidence_for_epoch(0))
-        assert records[second[0].seq].retransmissions == 1 + 1  # was buffered
-        assert records[first[0].seq].retransmissions == 1 + 2  # both deliveries
+        counts = {seq: count for seq, _, count, _ in epoch_records(chunked, 0)}
+        assert counts[second[0].seq] == 1 + 1  # was buffered
+        assert counts[first[0].seq] == 1 + 2  # both deliveries
 
 # ----------------------------------------------------------------------
 # checkpointing
@@ -868,17 +870,6 @@ class TestCheckpoint:
         pending map or setting reaches a restored service."""
         with pytest.raises(ValueError, match=match):
             Zero07Service.restore(Checkpoint.from_bytes(repacked_full(edit)))
-
-    def test_a_protocol_past_255_is_refused(self):
-        """A record's five-tuple is checked where the container enters, as a
-        path object's constructor would: no restore lists a ``FiveTuple``
-        that could not exist."""
-        good = Checkpoint.load(CHECKPOINT_FIXTURES / "full.ckpt")
-        arrays = dict(good.columns.arrays)
-        arrays["e0_pr"] = arrays["e0_pr"].copy()
-        arrays["e0_pr"][0] = 300
-        with pytest.raises(ValueError, match="'pr' leaves"):
-            Checkpoint.from_bytes(repacked_full(columns=arrays))
 
     def test_a_checkpoint_without_a_counter_restores_it_as_zero(self):
         """A missing counter restores at its default, the others as saved."""
@@ -1353,8 +1344,6 @@ class TestContainerDamage:
             ("len", lambda a: a + 1),  # does not delimit the hops
             ("len", lambda a: a * 0),  # empty paths
             ("hop", lambda a: a + 10_000),  # outside the link table
-            ("sh", lambda a: a - 10_000),  # outside the name table
-            ("sp", lambda a: a * 0 + 70_000),  # past the largest port
             ("flow", lambda a: a[:-1]),  # shorter than count
             ("retr", lambda a: a.astype(float)),  # not integers
         ],
@@ -1367,7 +1356,7 @@ class TestContainerDamage:
         arrays[f"e0_{column}"] = damage(arrays[f"e0_{column}"])
         crafted = Checkpoint(
             good.payload,
-            CheckpointColumns(arrays, good.columns.names, good.columns.links),
+            CheckpointColumns(arrays, good.columns.links),
         )
         with pytest.raises(ValueError, match="corrupt binary checkpoint"):
             Checkpoint.from_bytes(crafted.to_bytes())
@@ -1384,7 +1373,7 @@ class TestContainerDamage:
         arrays["e0_len"] = lens
         crafted = Checkpoint(
             good.payload,
-            CheckpointColumns(arrays, good.columns.names, good.columns.links),
+            CheckpointColumns(arrays, good.columns.links),
         )
         with pytest.raises(PathTooLongError, match="9 links"):
             Zero07Service.restore(crafted)

@@ -26,7 +26,7 @@ from repro.api import (
 from repro.discovery.agent import DiscoveredPath
 from repro.loadgen import EvidenceLoadGenerator, WorkloadProfile
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import evidence_document, report_signature
+from repro.testing import epoch_records, evidence_document, report_signature
 from repro.topology.clos import ClosParameters
 from repro.topology.elements import DirectedLink
 
@@ -295,9 +295,7 @@ class TestRestoredShards:
                 assert report_signature(after.report(epoch)) == report_signature(
                     before.report(epoch)
                 )
-                assert after.evidence_for_epoch(epoch) == before.evidence_for_epoch(
-                    epoch
-                )
+                assert epoch_records(after, epoch) == epoch_records(before, epoch)
         orphan = restored.shard(0).checkpoint().payload["epochs"][1]
         assert orphan["pending_retransmissions"] == {"999999": 3}
 
@@ -343,13 +341,7 @@ class TestBatchAdmission:
         assert report_signature(batched.report(0)) == report_signature(
             per_event.report(0)
         )
-        assert [
-            (seq, path.flow_id, path.retransmissions)
-            for seq, path in batched.evidence_for_epoch(0)
-        ] == [
-            (seq, path.flow_id, path.retransmissions)
-            for seq, path in per_event.evidence_for_epoch(0)
-        ]
+        assert epoch_records(batched, 0) == epoch_records(per_event, 0)
         assert evidence_document(batched.checkpoint()) == evidence_document(
             per_event.checkpoint()
         )

@@ -217,6 +217,34 @@ def test_core_entry_point_signatures_are_pinned():
     )
 
 
+def test_service_verbs_are_pinned():
+    """The service's public names.  No verb lists an epoch's evidence as
+    path objects: the service keeps what Algorithm 1 reads (flow id, hops,
+    count, seq) and no five-tuple, host, ``complete`` or path epoch."""
+    public = {name for name in vars(api.Zero07Service) if not name.startswith("_")}
+    assert public == {
+        "add_sink",
+        "advance_epoch",
+        "agent",
+        "blame_config",
+        "checkpoint",
+        "consume",
+        "current_epoch",
+        "engine",
+        "ingest",
+        "ingest_batch",
+        "ingest_columns",
+        "ingest_run",
+        "last_finalized_epoch",
+        "link_index",
+        "open_epochs",
+        "report",
+        "restore",
+        "sinks",
+        "stats",
+    }
+
+
 def test_shard_executors_serve_shards_only():
     """Evidence, reports and checkpoints come from the sharded facade's
     coordinator service, so the executor contract has no verb for them."""

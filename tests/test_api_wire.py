@@ -36,7 +36,7 @@ from repro.core.arrays import LinkIndex
 from repro.core.votes import PathTooLongError
 from repro.discovery.agent import DiscoveredPath
 from repro.routing.fivetuple import FiveTuple
-from repro.testing import report_signature
+from repro.testing import epoch_records, report_signature
 from repro.topology.elements import DirectedLink
 
 L = [DirectedLink(f"s{i}", f"s{i + 1}") for i in range(6)]
@@ -164,6 +164,26 @@ class TestCodecRoundTrip:
         bad = DirectedLink("a->b", "c")
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             encoder.encode_run(0, 0, 0, [PathEvidence(0, 1, make_path(2, [bad]))])
+
+    def test_a_refused_run_leaves_no_table_entry_behind(self):
+        """A run refused for one link text interns neither its links nor its
+        names: the encoder's next message, on every stream, is the one an
+        encoder that never saw the refused run writes."""
+        first = [PathEvidence(0, 0, make_path(1, L[:2]))]
+        bad = DirectedLink("a->b", "c")
+        refused = [PathEvidence(0, 1, make_path(2, [L[3], bad], src_host="h7"))]
+        after = [PathEvidence(0, 2, make_path(3, L[1:4], src_host="h8"))]
+        encoder, fresh = WireEncoder(streams=2), WireEncoder(streams=2)
+        for stream in (0, 1):
+            assert encoder.encode_run(stream, 0, 0, first) == fresh.encode_run(
+                stream, 0, 0, first
+            )
+        with pytest.raises(ValueError, match="cannot be written"):
+            encoder.encode_run(0, 0, 0, refused)
+        for stream in (0, 1):
+            assert encoder.encode_run(stream, 0, 0, after) == fresh.encode_run(
+                stream, 0, 0, after
+            )
 
     def test_bad_magic_is_rejected(self):
         with pytest.raises(WireProtocolError):
@@ -326,7 +346,7 @@ class TestIngestColumns:
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0, 0)])
     def test_objects_and_columns_admit_to_the_same_state(self, order, engine):
         """Chunks in order, ahead of a gap and redelivered: equal tallies,
-        reports, counters and checkpoints (name tables included)."""
+        reports, counters and checkpoints (link tables included)."""
         run = mixed_run(n=16)
         chunks = (run[:9], run[9:20], run[20:])
         by_objects, by_columns = Zero07Service(engine=engine), Zero07Service(engine=engine)
@@ -363,8 +383,8 @@ class TestIngestColumns:
         ]
         service = Zero07Service()
         self.deliver(service, self.stream(), run)
-        (record,) = service.evidence_for_epoch(0)
-        assert record[1].retransmissions == 9
+        (record,) = epoch_records(service, 0)
+        assert record[2] == 9
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     @pytest.mark.parametrize("retraces", [1, 3])
@@ -410,7 +430,7 @@ class TestIngestColumns:
         assert report_signature(service.report(0)) == report_signature(
             per_event.report(0)
         )
-        assert service.evidence_for_epoch(0) == per_event.evidence_for_epoch(0)
+        assert epoch_records(service, 0) == epoch_records(per_event, 0)
         assert service.checkpoint().to_bytes() == per_event.checkpoint().to_bytes()
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
@@ -438,12 +458,12 @@ class TestIngestColumns:
             per_event.stats  # admits the one-event run
         assert service.stats.as_dict() == per_event.stats.as_dict()
         assert service.stats.duplicate_events == 3
-        assert dict(service.evidence_for_epoch(0))[4].retransmissions == 2 + 3
+        assert {seq: count for seq, _, count, _ in epoch_records(service, 0)}[4] == 2 + 3
         blob = service.checkpoint().to_bytes()
         assert blob == per_event.checkpoint().to_bytes()
         # a seq-less update in the consumed seqs would be refused here
         restored = Zero07Service.restore(Checkpoint.from_bytes(blob))
-        assert restored.evidence_for_epoch(0) == service.evidence_for_epoch(0)
+        assert epoch_records(restored, 0) == epoch_records(service, 0)
 
     @pytest.mark.parametrize("engine", ["arrays", "dicts"])
     def test_a_straddling_redelivery_drops_only_what_was_seen(self, engine):

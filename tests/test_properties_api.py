@@ -31,7 +31,7 @@ from repro.core.analysis import AnalysisAgent  # noqa: E402
 from repro.core.blame import BlameConfig  # noqa: E402
 from repro.discovery.agent import DiscoveredPath  # noqa: E402
 from repro.routing.fivetuple import FiveTuple  # noqa: E402
-from repro.testing import evidence_document, report_signature  # noqa: E402
+from repro.testing import epoch_records, evidence_document, report_signature  # noqa: E402
 from repro.topology.elements import DirectedLink  # noqa: E402
 
 #: a small pool of directed links paths are drawn from.
@@ -371,8 +371,8 @@ def test_out_of_order_chunked_delivery_equals_per_event(rng, codec):
 
     def records(service):
         return [
-            (seq, path.flow_id, path.retransmissions, [str(link) for link in path.links])
-            for seq, path in service.evidence_for_epoch(0)
+            (seq, flow, count, [str(link) for link in links])
+            for seq, flow, count, links in epoch_records(service, 0)
         ]
 
     def assert_equal_state():

@@ -39,7 +39,7 @@ from repro.api import (  # noqa: E402
 from repro.api.wire import SeqRuns  # noqa: E402
 from repro.discovery.agent import DiscoveredPath  # noqa: E402
 from repro.routing.fivetuple import FiveTuple  # noqa: E402
-from repro.testing import report_signature  # noqa: E402
+from repro.testing import epoch_records, report_signature  # noqa: E402
 from repro.topology.elements import DirectedLink  # noqa: E402
 
 LINKS = [DirectedLink(f"s{i}", f"s{i + 1}") for i in range(10)]
@@ -129,7 +129,7 @@ def test_ingest_columns_equals_per_event_ingest(engine, seed, epochs, agents):
         assert report_signature(columns.report(epoch)) == report_signature(
             oracle.report(epoch)
         )
-        assert columns.evidence_for_epoch(epoch) == oracle.evidence_for_epoch(epoch)
+        assert epoch_records(columns, epoch) == epoch_records(oracle, epoch)
 
     for agent, epoch, chunk in deliveries(rng, epochs, agents):
         run = decoders[agent].decode_columns(encoders[agent].encode_run(0, 0, epoch, chunk))
