@@ -188,9 +188,9 @@ _EAGER_FOLD_EVENTS = 2048
 
 #: per-event ``ingest`` joins a pending run that is admitted at this length (or
 #: sooner, before anything reads or extends its epoch).  An admission costs
-#: ~220 us plus ~0.85 us an event (same host, flushed by reading ``stats``):
-#: 512 keeps the fixed cost near 0.43 us an event and caps what a cold report
-#: absorbs at ~0.65 ms.
+#: ~110-170 us plus ~0.95-1.3 us an event (``operator_trickle``'s stream, same
+#: host, flushed by reading ``stats``): 512 keeps the fixed cost near 0.2-0.35
+#: us an event and caps what a cold report absorbs at ~0.6-0.85 ms.
 _PENDING_RUN_EVENTS = 512
 
 

@@ -86,6 +86,16 @@ def _table_delta(blob, lo: int, hi: int, size: int, table: str) -> List[str]:
     return entries
 
 
+def _table_blob(texts: List[str]) -> bytes:
+    """A table delta as written, NUL-separated UTF-8; ``ValueError`` for an
+    entry that holds a NUL, which would decode as two entries."""
+    blob = "\x00".join(texts)
+    if blob.count("\x00") > max(len(texts) - 1, 0):
+        bad = next(text for text in texts if "\x00" in text)
+        raise ValueError(f"{bad!r} cannot be written: it holds the separator '\\x00'")
+    return blob.encode("utf-8")
+
+
 def _attr_i64(items, name: str) -> np.ndarray:
     return np.fromiter(
         map(operator.attrgetter(name), items), dtype=np.int64, count=len(items)
@@ -293,24 +303,20 @@ class WireEncoder:
             map(len, links_list), dtype=np.int64, count=n_paths
         ).astype(np.int32)
         total_hops = int(lengths.sum())
-        known = len(self._links)
+        known, names_known = len(self._links), len(self._names)
         lids = self._links.hop_ids(links_list, total_hops)
-        link_lo = self._links_sent[stream]
+        link_lo, name_lo = self._links_sent[stream], self._names_sent[stream]
         link_hi = len(self._links)
         try:
             link_texts = links_to_str(self._links.items[link_lo:link_hi])
-        except ValueError:
-            self._links.truncate(known)  # a refused link joins no table
+            identity = encode_identity(paths, self._names)
+            name_hi = len(self._names)
+            links_blob = _table_blob(link_texts)
+            names_blob = _table_blob(self._names.items[name_lo:name_hi])
+        except ValueError:  # a refused link or name joins no table
+            self._links.truncate(known)
+            self._names.truncate(names_known)
             raise
-
-        identity = encode_identity(paths, self._names)
-
-        name_lo = self._names_sent[stream]
-        name_hi = len(self._names)
-        links_blob = "\x00".join(link_texts).encode("utf-8")
-        names_blob = "\x00".join(self._names.items[name_lo:name_hi]).encode(
-            "utf-8"
-        )
         self._links_sent[stream] = link_hi
         self._names_sent[stream] = name_hi
 
@@ -776,12 +782,34 @@ def bind_updates(cols: RunColumns, tally) -> np.ndarray:
     run: its flow's highest-seq row (the later row a tie) among ``tally``'s
     — the epoch's before the run — and the run's earlier paths, which are
     numbered from ``tally.num_flows`` on in run order; ``-1`` for an
-    update whose flow has no row yet.  One pass, whatever the interleaving:
-    admitting the events one at a time binds each update to that row too.
+    update whose flow has no row yet — the row admitting the events one at
+    a time binds it to.  One lookup in the run's path flows splits them:
+    (a) an update whose flow has no path in the run binds to its tally row,
+    the only candidate; (b) one whose flow has one path in the run and no
+    tally row binds to that path's row, as an update ahead of the path
+    joins the buffered counts, which go to the flow's first arrival; (c)
+    the rest go through a position-ordered pass over them and their flows'
+    paths alone.
     """
-    rows = tally.bound_rows(cols.upd_flows)
-    if not len(cols.flows):
+    flows, upd_flows = cols.flows, cols.upd_flows
+    rows = tally.bound_rows(upd_flows)
+    if not len(flows):
         return rows
+    ascending = bool((flows[1:] >= flows[:-1]).all())
+    order = None if ascending else np.argsort(flows, kind="stable")
+    ranked = flows if order is None else flows[order]
+    at, last = np.searchsorted(ranked, upd_flows), len(ranked) - 1
+    in_run = ranked[np.minimum(at, last)] == upd_flows
+    twice = in_run & (at < last) & (ranked[np.minimum(at + 1, last)] == upd_flows)
+    lone = in_run & ~twice & (rows < 0)  # (b)
+    rows[lone] = tally.num_flows + (at[lone] if order is None else order[at[lone]])
+    mixed = in_run & ~lone  # (c)
+    if not mixed.any():
+        return rows
+    paths = np.isin(flows, upd_flows[mixed])
+    keep = np.empty(len(cols.seqs), dtype=bool)
+    keep[~cols.updates], keep[cols.updates] = paths, mixed
+    cols, paths, mixed = cols.take(keep)[0], np.flatnonzero(paths), np.flatnonzero(mixed)
     # the events by flow, in run order within a flow (a stable sort)
     updates = cols.updates
     flows = np.empty(len(updates), dtype=np.int64)
@@ -802,13 +830,13 @@ def bind_updates(cols: RunColumns, tally) -> np.ndarray:
     found = np.flatnonzero(best)
     if len(found):
         path = by_seq[best[found] - 1]
-        known = rows[found]
+        known = rows[mixed[found]]
         # the run's path outranks the tally's row unless its seq is lower
         beats = known < 0
         beats[~beats] = (
             cols.path_seqs[path[~beats]] >= tally.seqs_array()[known[~beats]]
         )
-        rows[found[beats]] = tally.num_flows + path[beats]
+        rows[mixed[found[beats]]] = tally.num_flows + paths[path[beats]]
     return rows
 
 

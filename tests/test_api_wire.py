@@ -185,6 +185,27 @@ class TestCodecRoundTrip:
                 stream, 0, 0, after
             )
 
+    @pytest.mark.parametrize("where", ["name", "link"])
+    def test_a_nul_in_a_table_entry_is_refused_before_any_table_grows(self, where):
+        """Table entries travel NUL-separated: a name or link endpoint
+        holding ``\\x00`` would decode as two entries and leave the stream
+        undecodable.  The encoder refuses the run, names the entry, and the
+        stream's next run decodes."""
+        if where == "name":
+            refused = [PathEvidence(0, 1, make_path(2, L[2:4], src_host="x\x00y"))]
+        else:
+            links = [L[2], DirectedLink("a\x00c", "b")]
+            refused = [PathEvidence(0, 1, make_path(2, links, src_host="h7"))]
+        first = [PathEvidence(0, 0, make_path(1, L[:2]))]
+        after = [PathEvidence(0, 2, make_path(3, L[1:4], src_host="h8"))]
+        encoder, decoder = WireEncoder(streams=1), WireDecoder()
+        decoder.decode(encoder.encode_run(0, 0, 0, first))
+        with pytest.raises(ValueError, match="separator"):
+            encoder.encode_run(0, 0, 0, refused)
+        _, _, events, _ = decoder.decode(encoder.encode_run(0, 0, 0, after))
+        assert events == after
+        assert decoder.links_table == L[:4]
+
     def test_bad_magic_is_rejected(self):
         with pytest.raises(WireProtocolError):
             WireDecoder().decode(memoryview(bytes(_HEADER.size)))
@@ -482,6 +503,72 @@ class TestIngestColumns:
         service.ingest(EpochTick(0))
         assert self.deliver(service, self.stream(), mixed_run(n=4)) == 0
         assert service.stats.late_events == 8
+
+
+def _p(seq, flow=7, hop=0):
+    return PathEvidence(0, seq, make_path(flow, L[hop : hop + 2]))
+
+
+def _u(seq, count, flow=7):
+    return RetransmissionEvidence(0, flow, count, seq=seq)
+
+
+#: case -> (runs delivered before, the run, runs after, flow 7's rows as
+#: seq -> count at the end).  Each count is a distinct power of two, so a
+#: row's count names the updates it took.
+_BINDING_CASES = {
+    # (a) no path of the flow in the run: its tally row, or buffered counts
+    "a-tally-row": ([[_p(5)]], [_u(10, 1), _u(11, 2)], [], {5: 3}),
+    "a-no-row": ([], [_u(10, 1)], [[_p(20), _p(21, hop=2)]], {20: 1, 21: 0}),
+    # (b) one path in the run and no tally row: that path's row
+    "b-path-first": ([], [_p(10), _u(11, 1), _u(12, 2)], [], {10: 3}),
+    "b-update-first": ([], [_u(9, 1), _p(10), _u(11, 2)], [], {10: 3}),
+    # (c) a tally row and an in-run re-trace, or two paths in the run
+    "c-higher-retrace-first": ([[_p(5)]], [_p(10, hop=2), _u(11, 1)], [], {5: 0, 10: 1}),
+    "c-higher-retrace-after": ([[_p(5)]], [_u(9, 1), _p(10, hop=2), _u(11, 2)], [], {5: 1, 10: 2}),
+    "c-lower-retrace-first": ([[_p(20)]], [_p(10, hop=2), _u(11, 1)], [], {20: 1, 10: 0}),
+    "c-lower-retrace-after": ([[_p(20)]], [_u(9, 1), _p(10, hop=2), _u(11, 2)], [], {20: 3, 10: 0}),
+    "c-two-paths-rising": (
+        [], [_u(8, 1), _p(10), _u(11, 2), _p(12, hop=2), _u(13, 4)], [], {10: 3, 12: 4}
+    ),
+    "c-two-paths-falling": (
+        [], [_u(8, 1), _p(12), _u(13, 2), _p(10, hop=2), _u(14, 4)], [], {12: 7, 10: 0}
+    ),
+    "c-seq-less": (
+        [[_p(5)]], [_u(None, 1), _p(10, hop=2), _u(None, 2), _u(11, 4)], [], {5: 1, 10: 6}
+    ),
+}
+
+
+class TestBindingClasses:
+    """``bind_updates`` splits a run's count updates three ways — (a) no path
+    of the flow in the run, (b) one path and no tally row, (c) the rest, by
+    the position-ordered pass — and every class binds as admitting the
+    events one at a time does.  Unrelated paths ahead of and behind flow 7
+    make the run's path flows ascending or not, which the class test reads."""
+
+    @pytest.mark.parametrize("engine", ["arrays", "dicts"])
+    @pytest.mark.parametrize("flows", ["ascending", "unsorted"])
+    @pytest.mark.parametrize("case", sorted(_BINDING_CASES))
+    def test_each_class_binds_as_one_event_at_a_time(self, case, flows, engine):
+        before, run, after, rows = _BINDING_CASES[case]
+        low, high = _p(100, flow=3, hop=3), _p(101, flow=40, hop=4)
+        run = [low, *run, high] if flows == "ascending" else [high, *run, low]
+        service, decoder = Zero07Service(engine=engine), TestIngestColumns.stream()
+        per_event = Zero07Service(engine=engine)
+        for chunk in [*before, run, *after]:
+            TestIngestColumns.deliver(service, decoder, chunk)
+            for event in chunk:
+                per_event.ingest(event)
+                per_event.stats  # admits the one-event run
+        assert {
+            seq: count for seq, flow, count, _ in epoch_records(service, 0) if flow == 7
+        } == rows
+        assert report_signature(service.report(0)) == report_signature(
+            per_event.report(0)
+        )
+        assert service.stats.as_dict() == per_event.stats.as_dict()
+        assert service.checkpoint().to_bytes() == per_event.checkpoint().to_bytes()
 
 
 class TestPathSeqs:
